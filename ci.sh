@@ -24,7 +24,8 @@ report="$report_dir/fig7_flashio.profile.json"
 for key in exchange_offsets exchange_data disk_write disk_read metadata wait \
            collbuf_pack compute p2p cache coverage per_rank twophase \
            bytepath flatten_hits flatten_hit_rate fused_pack_bytes \
-           copies_elided borrowed_bytes; do
+           copies_elided borrowed_bytes exchange_borrowed_bytes \
+           collbuf_reuses; do
     grep -q "\"$key\"" "$report" || { echo "FAIL: report missing key \"$key\""; exit 1; }
 done
 rm -rf "$report_dir"
@@ -180,5 +181,13 @@ PNETCDF_REPORT_DIR="$report_dir" ./target/release/fig6_scalability --quick >/dev
 rm -rf "$report_dir"
 [ -f BENCH_fig6.json ] || { echo "FAIL: BENCH_fig6.json was not written"; exit 1; }
 echo "    BENCH_fig6.json written"
+
+echo "==> perf_bench smoke: the benchmark of BENCHMARK.json, quick mode"
+# perf_bench is a package of its own pinned to this repo's public surface
+# (Comm, MpiFile, Dataset, the profile JSON keys). It exits non-zero on any
+# failed operation or missing metric, so a change that breaks that surface
+# fails here instead of in the benchmark run.
+cargo run --release --offline --quiet --manifest-path perf_bench/Cargo.toml -- --quick >/dev/null
+echo "    perf_bench --quick OK: every workload ran, every metric present"
 
 echo "CI OK"

@@ -11,7 +11,9 @@ use std::sync::Arc;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{CollKind, Phase, PhaseScope, SharedClocks, SimConfig, SimStats, Span, Time};
 
-use crate::collective::{CollContext, Deposits};
+use parking_lot::Mutex;
+
+use crate::collective::{CollContext, Loan};
 use crate::error::{MpiError, MpiResult};
 use crate::op::{from_bytes, to_bytes, ReduceOp, Reducible, Scalar};
 use crate::p2p::{Envelope, Status};
@@ -253,25 +255,28 @@ impl Comm {
     pub fn coll_env(&self) -> CollEnv {
         CollEnv {
             clocks: self.world.clocks.clone(),
-            config: Arc::new(self.world.config.clone()),
+            config: self.world.config.clone(),
             stats: self.world.stats.clone(),
             group: self.group.clone(),
         }
     }
 
-    /// Low-level collective: deposit `parts` and run `finish` at the last
-    /// arriver (see [`CollContext::rendezvous`]). The closure is responsible
-    /// for clock accounting (usually via [`CollEnv::sync_max`]).
+    /// Low-level collective: lend `loan` for the duration of the call and
+    /// run `finish` at the last arriver over every member's loan (see
+    /// [`CollContext::rendezvous`]). The closure is responsible for clock
+    /// accounting (usually via [`CollEnv::sync_max`]).
     ///
     /// This is the extension point the MPI-IO layer uses to implement
-    /// two-phase collective I/O deterministically.
-    pub fn collective<R, F>(&self, parts: Vec<Vec<u8>>, finish: F) -> MpiResult<Arc<R>>
+    /// two-phase collective I/O deterministically, reading every rank's
+    /// payload and filling every rank's destination where they lie.
+    pub fn collective<M, R, F>(&self, loan: Loan<'_, M>, finish: F) -> MpiResult<Arc<R>>
     where
+        M: ?Sized + Sync + 'static,
         R: Send + Sync + 'static,
-        F: FnOnce(Deposits) -> R,
+        F: for<'x> FnOnce(&mut [Loan<'x, M>]) -> R,
     {
         self.world.stats.count_collective();
-        self.ctx.rendezvous(self.my_index, parts, finish)
+        self.ctx.rendezvous(self.my_index, loan, finish)
     }
 
     // ---- predefined collectives ---------------------------------------------
@@ -279,7 +284,7 @@ impl Comm {
     /// `MPI_Barrier`.
     pub fn barrier(&self) -> MpiResult<()> {
         let env = self.coll_env();
-        self.collective(Vec::new(), move |_| {
+        self.collective(Loan::nothing(), move |_| {
             let cost = env.config.network.barrier(env.size());
             env.sync_collective(CollKind::Barrier, 0, cost);
         })
@@ -291,13 +296,17 @@ impl Comm {
     pub fn bcast_bytes(&self, root: usize, mine: Vec<u8>) -> MpiResult<Vec<u8>> {
         self.check_rank(root)?;
         let env = self.coll_env();
-        let res = self.collective(vec![mine], move |mut deps: Deposits| {
-            let payload = std::mem::take(&mut deps[root][0]);
+        let res = self.collective(Loan::send(&mine), move |loans| {
+            let payload = loans[root].src.to_vec();
             let cost = env.config.network.bcast(payload.len(), env.size());
             env.sync_collective(CollKind::Bcast, payload.len() as u64, cost);
             payload
         })?;
-        Ok((*res).clone())
+        Ok(if self.my_index == root {
+            mine
+        } else {
+            (*res).clone()
+        })
     }
 
     /// Broadcast a slice of scalars from `root`.
@@ -310,13 +319,8 @@ impl Comm {
     /// indexed by rank.
     pub fn allgather_bytes(&self, mine: Vec<u8>) -> MpiResult<Vec<Vec<u8>>> {
         let env = self.coll_env();
-        let res = self.collective(vec![mine], move |mut deps: Deposits| {
-            let all: Vec<Vec<u8>> = deps.iter_mut().map(|d| std::mem::take(&mut d[0])).collect();
-            let maxlen = all.iter().map(Vec::len).max().unwrap_or(0);
-            let total: usize = all.iter().map(Vec::len).sum();
-            let cost = env.config.network.allgather(maxlen, env.size());
-            env.sync_collective(CollKind::Allgather, total as u64, cost);
-            all
+        let res = self.collective(Loan::send(&mine), move |loans| {
+            gather_rows(&env, CollKind::Allgather, loans)
         })?;
         Ok((*res).clone())
     }
@@ -339,8 +343,21 @@ impl Comm {
         }
         let env = self.coll_env();
         let me = self.my_index;
-        let res = self.collective(parts, move |deps: Deposits| {
+        // The parcels are handed over, not lent: the finisher takes each
+        // rank's row out of its mutex, so the matrix is built by moves and
+        // every rank copies only its own column, outside the rendezvous.
+        let parts = Mutex::new(parts);
+        let loan = Loan {
+            meta: &parts,
+            src: &[],
+            dst: &mut [],
+            tag: 0,
+        };
+        let res = self.collective(loan, move |loans: &mut [Loan<'_, Mutex<_>>]| {
             let n = env.size();
+            let deps: Vec<Vec<Vec<u8>>> = (loans.iter())
+                .map(|l| std::mem::take(&mut *l.meta.lock()))
+                .collect();
             let max_send = deps
                 .iter()
                 .map(|row| row.iter().map(Vec::len).sum::<usize>())
@@ -365,13 +382,8 @@ impl Comm {
     pub fn gatherv_bytes(&self, root: usize, mine: Vec<u8>) -> MpiResult<Option<Vec<Vec<u8>>>> {
         self.check_rank(root)?;
         let env = self.coll_env();
-        let res = self.collective(vec![mine], move |mut deps: Deposits| {
-            let all: Vec<Vec<u8>> = deps.iter_mut().map(|d| std::mem::take(&mut d[0])).collect();
-            let maxlen = all.iter().map(Vec::len).max().unwrap_or(0);
-            let total: usize = all.iter().map(Vec::len).sum();
-            let cost = env.config.network.allgather(maxlen, env.size());
-            env.sync_collective(CollKind::Gather, total as u64, cost);
-            all
+        let res = self.collective(Loan::send(&mine), move |loans| {
+            gather_rows(&env, CollKind::Gather, loans)
         })?;
         Ok(if self.my_index == root {
             Some((*res).clone())
@@ -395,9 +407,15 @@ impl Comm {
         }
         let env = self.coll_env();
         let me = self.my_index;
-        let deposit = parts.unwrap_or_default();
-        let res = self.collective(deposit, move |mut deps: Deposits| {
-            let row = std::mem::take(&mut deps[root]);
+        let parts = parts.unwrap_or_default();
+        let loan = Loan {
+            meta: &parts[..],
+            src: &[],
+            dst: &mut [],
+            tag: 0,
+        };
+        let res = self.collective(loan, move |loans: &mut [Loan<'_, [Vec<u8>]>]| {
+            let row = loans[root].meta.to_vec();
             let maxlen = row.iter().map(Vec::len).max().unwrap_or(0);
             let total: usize = row.iter().map(Vec::len).sum();
             let cost = env.config.network.bcast(maxlen, env.size());
@@ -411,23 +429,11 @@ impl Comm {
     pub fn allreduce<T: Reducible>(&self, op: ReduceOp, vals: &[T]) -> MpiResult<Vec<T>> {
         let env = self.coll_env();
         let nvals = vals.len();
-        let res = self.collective(vec![to_bytes(vals)], move |deps: Deposits| {
-            let mut acc: Option<Vec<T>> = None;
-            for d in &deps {
-                let row = from_bytes::<T>(&d[0]);
-                assert_eq!(row.len(), nvals, "allreduce length mismatch across ranks");
-                acc = Some(match acc {
-                    None => row,
-                    Some(a) => a
-                        .into_iter()
-                        .zip(row)
-                        .map(|(x, y)| T::reduce(op, x, y))
-                        .collect(),
-                });
-            }
+        let res = self.collective(Loan::send(&to_bytes(vals)), move |loans| {
+            let acc = reduce_rows::<T>(op, nvals, loans);
             let cost = env.config.network.allreduce(nvals * T::WIDTH, env.size());
             env.sync_collective(CollKind::Allreduce, (nvals * T::WIDTH) as u64, cost);
-            acc.expect("at least one rank")
+            acc
         })?;
         Ok((*res).clone())
     }
@@ -447,24 +453,12 @@ impl Comm {
         self.check_rank(root)?;
         let env = self.coll_env();
         let nvals = vals.len();
-        let res = self.collective(vec![to_bytes(vals)], move |deps: Deposits| {
-            let mut acc: Option<Vec<T>> = None;
-            for d in &deps {
-                let row = from_bytes::<T>(&d[0]);
-                assert_eq!(row.len(), nvals, "reduce length mismatch across ranks");
-                acc = Some(match acc {
-                    None => row,
-                    Some(a) => a
-                        .into_iter()
-                        .zip(row)
-                        .map(|(x, y)| T::reduce(op, x, y))
-                        .collect(),
-                });
-            }
+        let res = self.collective(Loan::send(&to_bytes(vals)), move |loans| {
+            let acc = reduce_rows::<T>(op, nvals, loans);
             // Binomial-tree reduction: same cost shape as a broadcast.
             let cost = env.config.network.bcast(nvals * T::WIDTH, env.size());
             env.sync_collective(CollKind::Reduce, (nvals * T::WIDTH) as u64, cost);
-            acc.expect("at least one rank")
+            acc
         })?;
         Ok(if self.my_index == root {
             Some((*res).clone())
@@ -551,7 +545,7 @@ impl Comm {
         let env = self.coll_env();
         let world = self.world.clone();
         let n = self.size();
-        let ctx = self.collective(Vec::new(), move |_| {
+        let ctx = self.collective(Loan::nothing(), move |_| {
             let cost = env.config.network.barrier(env.size());
             env.sync_collective(CollKind::Barrier, 0, cost);
             world.new_context(n)
@@ -573,13 +567,13 @@ impl Comm {
         let group = self.group.clone();
         let deposit = to_bytes(&[color, key]);
         let me = self.my_index;
-        let table = self.collective(vec![deposit], move |deps: Deposits| {
+        let table = self.collective(Loan::send(&deposit), move |loans| {
             // (color, key, old_index) for every member.
-            let mut entries: Vec<(i64, i64, usize)> = deps
+            let mut entries: Vec<(i64, i64, usize)> = loans
                 .iter()
                 .enumerate()
-                .map(|(i, d)| {
-                    let v = from_bytes::<i64>(&d[0]);
+                .map(|(i, l)| {
+                    let v = from_bytes::<i64>(l.src);
                     (v[0], v[1], i)
                 })
                 .collect();
@@ -628,4 +622,29 @@ impl Comm {
         }
         Ok(())
     }
+}
+
+/// Collect every member's `src` payload, charging an allgather-shaped
+/// collective of kind `kind` (allgather and gather share it).
+fn gather_rows(env: &CollEnv, kind: CollKind, loans: &[Loan<'_, ()>]) -> Vec<Vec<u8>> {
+    let rows: Vec<Vec<u8>> = loans.iter().map(|l| l.src.to_vec()).collect();
+    let maxlen = rows.iter().map(Vec::len).max().unwrap_or(0);
+    let total: usize = rows.iter().map(Vec::len).sum();
+    let cost = env.config.network.allgather(maxlen, env.size());
+    env.sync_collective(kind, total as u64, cost);
+    rows
+}
+
+/// Elementwise reduction of every member's `src` (a row of `nvals` `T`s).
+fn reduce_rows<T: Reducible>(op: ReduceOp, nvals: usize, loans: &[Loan<'_, ()>]) -> Vec<T> {
+    let mut rows = loans.iter().map(|l| from_bytes::<T>(l.src));
+    let mut acc = rows.next().expect("at least one rank");
+    assert_eq!(acc.len(), nvals, "reduce length mismatch across ranks");
+    for row in rows {
+        assert_eq!(row.len(), nvals, "reduce length mismatch across ranks");
+        for (a, x) in acc.iter_mut().zip(row) {
+            *a = T::reduce(op, *a, x);
+        }
+    }
+    acc
 }

@@ -29,6 +29,7 @@ pub mod pack;
 pub mod request;
 pub mod runtime;
 
+pub use collective::Loan;
 pub use comm::{CollEnv, Comm};
 pub use datatype::{BaseType, Datatype, Order};
 pub use error::{MpiError, MpiResult};

@@ -19,7 +19,9 @@ use hpc_sim::stats::StatsSnapshot;
 
 pub(crate) struct WorldInner {
     pub nprocs: usize,
-    pub config: SimConfig,
+    /// One shared handle: every collective's [`crate::CollEnv`] clones the
+    /// `Arc`, never the configuration (whose fault plan owns a `Vec`).
+    pub config: Arc<SimConfig>,
     pub clocks: SharedClocks,
     pub stats: SimStats,
     pub mailboxes: Vec<Mailbox>,
@@ -73,7 +75,7 @@ where
     assert!(nprocs > 0, "a world needs at least one rank");
     let inner = Arc::new(WorldInner {
         nprocs,
-        config,
+        config: Arc::new(config),
         clocks: SharedClocks::new(nprocs),
         stats: SimStats::new(),
         mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),

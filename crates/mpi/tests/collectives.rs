@@ -2,7 +2,7 @@
 //! dup/split, and virtual-clock behaviour, all run in multi-rank worlds.
 
 use hpc_sim::{SimConfig, Time};
-use pnetcdf_mpi::{run_world, ReduceOp, ANY_SOURCE, ANY_TAG};
+use pnetcdf_mpi::{run_world, Loan, MpiError, ReduceOp, ANY_SOURCE, ANY_TAG};
 
 fn cfg() -> SimConfig {
     SimConfig::test_small()
@@ -295,4 +295,92 @@ fn large_world_collectives() {
         sum
     });
     assert!(run.results.iter().all(|&s| s == 64));
+}
+
+/// The generic collective lends buffers instead of copying them: `finish`
+/// reads every rank's `src` and `meta` and fills every rank's `dst` where
+/// the rank keeps them, and the ranks find the bytes there on return.
+#[test]
+fn lent_buffers_are_filled_in_place() {
+    let run = run_world(4, cfg(), |c| {
+        let runs = [(c.rank() as u64 * 8, 8u64)];
+        let src = vec![c.rank() as u8; 8];
+        let mut dst = vec![0xffu8; 8];
+        let loan = Loan {
+            meta: &runs[..],
+            src: &src,
+            dst: &mut dst,
+            tag: c.rank() as u64,
+        };
+        c.collective(loan, |loans: &mut [Loan<'_, [(u64, u64)]>]| {
+            // Everyone receives the payload of the rank to its right.
+            let n = loans.len();
+            let payloads: Vec<Vec<u8>> = loans.iter().map(|l| l.src.to_vec()).collect();
+            for (i, l) in loans.iter_mut().enumerate() {
+                assert_eq!((l.meta[0].0, l.tag), (i as u64 * 8, i as u64));
+                l.dst.copy_from_slice(&payloads[(i + 1) % n]);
+            }
+        })
+        .unwrap();
+        dst
+    });
+    for (r, got) in run.results.iter().enumerate() {
+        assert_eq!(got, &vec![((r + 1) % 4) as u8; 8]);
+    }
+}
+
+/// One rank panics while the others are blocked in a collective with their
+/// buffers lent. Every survivor withdraws its loan and returns `Poisoned`;
+/// `finish` never runs, so nothing is read from (or written to) a
+/// withdrawn loan; and `run_world` re-raises the panic.
+#[test]
+fn panic_while_buffers_are_lent_poisons_every_survivor() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let finish_ran = AtomicBool::new(false);
+    let poisoned = AtomicUsize::new(0);
+    let blocked = std::sync::Barrier::new(4);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_world(4, cfg(), |c| {
+            if c.rank() == 3 {
+                // Let the others get as far as the collective first (they
+                // pass the gate just before entering it), then die.
+                blocked.wait();
+                panic!("rank 3 died with loans outstanding");
+            }
+            let src = vec![c.rank() as u8; 1 << 16];
+            let mut dst = vec![0u8; 1 << 16];
+            let loan = Loan {
+                meta: &(),
+                src: &src,
+                dst: &mut dst,
+                tag: 0,
+            };
+            blocked.wait();
+            let res = c.collective(loan, |loans| {
+                finish_ran.store(true, Ordering::SeqCst);
+                loans.iter_mut().for_each(|l| l.dst.fill(1));
+            });
+            assert!(
+                matches!(res, Err(MpiError::Poisoned)),
+                "survivor got {res:?}"
+            );
+            assert!(dst.iter().all(|&b| b == 0), "a withdrawn loan was written");
+            poisoned.fetch_add(1, Ordering::SeqCst);
+            // The communicator stays poisoned: no dangling entry lets a
+            // later collective match against the dead one.
+            assert!(matches!(c.barrier(), Err(MpiError::Poisoned)));
+        })
+    }));
+    let panic = outcome.err().expect("run_world re-raises the rank's panic");
+    let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert_eq!(msg, "rank 3 died with loans outstanding");
+    assert!(
+        !finish_ran.load(Ordering::SeqCst),
+        "finish ran without rank 3"
+    );
+    assert_eq!(
+        poisoned.load(Ordering::SeqCst),
+        3,
+        "every survivor reports Poisoned"
+    );
 }

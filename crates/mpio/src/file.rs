@@ -5,14 +5,14 @@ use std::sync::Arc;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{CollKind, Phase, PhaseScope, Span, Time, TraceCtx};
 use parking_lot::Mutex;
-use pnetcdf_mpi::{pack, Comm, Datatype, Info};
+use pnetcdf_mpi::{pack, CollEnv, Comm, Datatype, Info, Loan};
 use pnetcdf_pfs::{Pfs, PfsFile};
 
 use crate::cache::{CacheConfig, CacheLedger, PageCache};
 use crate::error::{MpioError, MpioResult};
 use crate::hints::{Hints, Toggle};
 use crate::sieve;
-use crate::twophase::{self, TwoPhaseParams};
+use crate::twophase::{self, Req, TwoPhaseParams};
 use crate::view::{runs_total, FileView, FlattenCache, Run};
 
 /// How to open the file (`MPI_MODE_*` combinations we support).
@@ -88,7 +88,7 @@ impl MpiFile {
         let env = comm.coll_env();
         let pfs = pfs.clone();
         let name_owned = name.to_string();
-        let res: Arc<Result<PfsFile, String>> = comm.collective(Vec::new(), move |_| {
+        let res: Arc<Result<PfsFile, String>> = comm.collective(Loan::nothing(), move |_| {
             let cost = env.config.network.barrier(env.size()) + env.config.cpu.metadata_op;
             env.sync_collective(CollKind::Barrier, 0, cost);
             match mode {
@@ -163,7 +163,7 @@ impl MpiFile {
         let env = self.comm.coll_env();
         let file = self.file.clone();
         self.comm
-            .collective(Vec::new(), move |_| {
+            .collective(Loan::nothing(), move |_| {
                 file.grow_to(size);
                 let cost = env.config.network.barrier(env.size()) + env.config.cpu.metadata_op;
                 env.sync_collective(CollKind::Barrier, 0, cost);
@@ -180,7 +180,7 @@ impl MpiFile {
         self.cache_pre()?;
         let env = self.comm.coll_env();
         self.comm
-            .collective(Vec::new(), move |_| {
+            .collective(Loan::nothing(), move |_| {
                 let cost = env.config.network.barrier(env.size()) + env.config.cpu.metadata_op;
                 env.sync_collective(CollKind::Barrier, 0, cost);
             })
@@ -508,12 +508,16 @@ impl MpiFile {
         // Collective entry is a coherence boundary: publish cached dirty
         // bytes first so the two-phase engine reads/writes a settled file.
         self.cache_pre()?;
-        let nbytes = data.len();
-        // The sender's ambient trace id rides the parcel: the finish
-        // closure runs on one thread for all ranks, so thread-local
-        // context cannot carry per-rank ids across the rendezvous.
-        let parcel = twophase::encode_write_req(runs, data, TraceCtx::current_id());
-
+        // Runs and payload are lent, not copied: this rank stays inside
+        // the rendezvous until the last arriver has written them out.
+        let req = Req {
+            meta: runs,
+            src: data,
+            dst: &mut [],
+            tag: TraceCtx::current_id(),
+        };
+        let profile = &self.comm.config().profile;
+        profile.record_bytepath(|b| b.exchange_borrowed_bytes += data.len() as u64);
         let env = self.comm.coll_env();
         let file = self.file.clone();
         let p = self.params();
@@ -522,60 +526,31 @@ impl MpiFile {
             self.hints.ind_wr_buffer_size,
             self.hints.ds_write.resolve(true),
         );
-        let res: Arc<MpioResult<()>> =
-            self.comm
-                .collective(vec![parcel], move |mut deps| -> MpioResult<()> {
-                    let parcels: Vec<Vec<u8>> =
-                        deps.iter_mut().map(|d| std::mem::take(&mut d[0])).collect();
-                    let mut reqs: Vec<(Vec<Run>, &[u8])> = Vec::with_capacity(parcels.len());
-                    let mut ids: Vec<u64> = Vec::with_capacity(parcels.len());
-                    for pc in &parcels {
-                        let (r, d, id) = twophase::decode_req(pc)?;
-                        reqs.push((r, d));
-                        ids.push(id);
-                    }
-                    if cb {
-                        twophase::write_all(&env, &file, &p, &reqs, &ids)?;
-                    } else {
-                        // Collective buffering disabled: every rank writes its
-                        // own pieces independently (the ablation baseline).
-                        let profile = &env.config.profile;
-                        let events = &env.config.events;
-                        for (i, (runs, data)) in reqs.iter().enumerate() {
-                            let w = env.group[i];
-                            let _ctx = events.is_enabled().then(|| TraceCtx::enter(w, ids[i]));
-                            let before = env.clocks.now(w);
-                            let t = sieve::write(&file, wr_buf, ds, before, runs, data)?;
-                            profile.record_phase(
-                                w,
-                                Phase::DiskWrite,
-                                t.saturating_sub(before).as_nanos(),
-                            );
-                            if events.is_enabled() && t > before {
-                                events.record(
-                                    Span::new(
-                                        w,
-                                        layer::MPIO,
-                                        "ind_write",
-                                        before.as_nanos(),
-                                        t.as_nanos(),
-                                    )
-                                    .with_parent(ids[i]),
-                                );
-                            }
-                            env.clocks.advance_to(w, t);
-                        }
-                    }
-                    // The file changed under every client cache: advance the
-                    // epoch once (the closure runs at the last arriver).
-                    if reqs.iter().any(|(_, d)| !d.is_empty()) {
-                        file.bump_coherence_epoch();
-                    }
-                    Ok(())
-                })?;
-        (*res).clone()?;
+        let res = self.comm.collective(req, move |reqs: &mut [Req<'_>]| {
+            let res = if cb {
+                twophase::write_all(&env, &file, &p, reqs).map(|_| ())
+            } else {
+                // Collective buffering disabled: every rank writes its
+                // own pieces independently (the ablation baseline).
+                reqs.iter().enumerate().try_for_each(|(i, r)| {
+                    independent(&env, i, r.tag, "ind_write", Phase::DiskWrite, |now| {
+                        sieve::write(&file, wr_buf, ds, now, r.meta, r.src)
+                    })
+                })
+            };
+            // The file changed under every client cache: advance the epoch
+            // once (the closure runs at the last arriver) — also when a
+            // late window failed, since the earlier ones have landed.
+            if reqs.iter().any(|r| !r.src.is_empty()) {
+                file.bump_coherence_epoch();
+            }
+            res
+        })?;
+        // Revalidate before reporting: a failed collective has still
+        // changed the file under this rank's clean pages.
         self.cache_post();
-        Ok(nbytes)
+        (*res).clone()?;
+        Ok(data.len())
     }
 
     /// Collective read (`MPI_File_read_at_all`). Returns bytes read.
@@ -614,8 +589,17 @@ impl MpiFile {
         // Publish this rank's cached dirty bytes before the rendezvous so
         // the collective read observes them (and every peer's).
         self.cache_pre()?;
-        let parcel = twophase::encode_read_req(runs, TraceCtx::current_id());
-
+        // The result buffer is lent as the read's destination: the last
+        // arriver scatters this rank's bytes straight into it.
+        let mut out = vec![0u8; runs_total(runs) as usize];
+        let profile = &self.comm.config().profile;
+        profile.record_bytepath(|b| b.exchange_borrowed_bytes += out.len() as u64);
+        let req = Req {
+            meta: runs,
+            src: &[],
+            dst: &mut out,
+            tag: TraceCtx::current_id(),
+        };
         let env = self.comm.coll_env();
         let file = self.file.clone();
         let p = self.params();
@@ -624,58 +608,47 @@ impl MpiFile {
             self.hints.ind_rd_buffer_size,
             self.hints.ds_read.resolve(true),
         );
-        let me = self.comm.rank();
-        let res: Arc<MpioResult<Vec<Vec<u8>>>> =
-            self.comm
-                .collective(vec![parcel], move |mut deps| -> MpioResult<Vec<Vec<u8>>> {
-                    let mut reqs: Vec<Vec<Run>> = Vec::with_capacity(deps.len());
-                    let mut ids: Vec<u64> = Vec::with_capacity(deps.len());
-                    for d in deps.iter_mut() {
-                        let parcel = std::mem::take(&mut d[0]);
-                        let (r, _, id) = twophase::decode_req(&parcel)?;
-                        reqs.push(r);
-                        ids.push(id);
-                    }
-                    if cb {
-                        Ok(twophase::read_all(&env, &file, &p, &reqs, &ids)?.0)
-                    } else {
-                        let profile = &env.config.profile;
-                        let events = &env.config.events;
-                        let mut outs = Vec::with_capacity(reqs.len());
-                        for (i, runs) in reqs.iter().enumerate() {
-                            let w = env.group[i];
-                            let _ctx = events.is_enabled().then(|| TraceCtx::enter(w, ids[i]));
-                            let before = env.clocks.now(w);
-                            let (data, t) = sieve::read(&file, rd_buf, ds, before, runs)?;
-                            profile.record_phase(
-                                w,
-                                Phase::DiskRead,
-                                t.saturating_sub(before).as_nanos(),
-                            );
-                            if events.is_enabled() && t > before {
-                                events.record(
-                                    Span::new(
-                                        w,
-                                        layer::MPIO,
-                                        "ind_read",
-                                        before.as_nanos(),
-                                        t.as_nanos(),
-                                    )
-                                    .with_parent(ids[i]),
-                                );
-                            }
-                            env.clocks.advance_to(w, t);
-                            outs.push(data);
-                        }
-                        Ok(outs)
-                    }
-                })?;
-        let data = match &*res {
-            Ok(all) => all[me].clone(),
-            Err(e) => return Err(e.clone()),
-        };
+        let res = self.comm.collective(req, move |reqs: &mut [Req<'_>]| {
+            if cb {
+                return twophase::read_all(&env, &file, &p, reqs).map(|_| ());
+            }
+            reqs.iter_mut().enumerate().try_for_each(|(i, r)| {
+                independent(&env, i, r.tag, "ind_read", Phase::DiskRead, |now| {
+                    let (data, t) = sieve::read(&file, rd_buf, ds, now, r.meta)?;
+                    r.dst.copy_from_slice(&data);
+                    Ok(t)
+                })
+            })
+        })?;
         self.cache_post();
-        debug_assert_eq!(data.len() as u64, runs_total(runs));
-        Ok(data)
+        (*res).clone()?;
+        Ok(out)
     }
+}
+
+/// One rank's share of a collective with collective buffering disabled:
+/// run `io` (an independent sieved access starting at the rank's clock,
+/// returning its completion time) on group member `i`'s timeline, charging
+/// `phase` and recording span `name` under the rank's trace id.
+fn independent(
+    env: &CollEnv,
+    i: usize,
+    trace_id: u64,
+    name: &'static str,
+    phase: Phase,
+    io: impl FnOnce(Time) -> MpioResult<Time>,
+) -> MpioResult<()> {
+    let (profile, events) = (&env.config.profile, &env.config.events);
+    let w = env.group[i];
+    let _ctx = events.is_enabled().then(|| TraceCtx::enter(w, trace_id));
+    let before = env.clocks.now(w);
+    let t = io(before)?;
+    profile.record_phase(w, phase, t.saturating_sub(before).as_nanos());
+    if events.is_enabled() && t > before {
+        events.record(
+            Span::new(w, layer::MPIO, name, before.as_nanos(), t.as_nanos()).with_parent(trace_id),
+        );
+    }
+    env.clocks.advance_to(w, t);
+    Ok(())
 }

@@ -257,9 +257,12 @@ pub fn write_runs(
     let mut left = policy.attempts;
     let mut made = 0u32;
     let mut esc = Escalation::default();
-    let mut tail: Vec<(u64, u64)> = runs.to_vec();
+    // The trimmed tail exists only once a short completion has moved the
+    // resume point; the fault-free path hands `runs` through untouched.
+    let mut tail: Option<Vec<(u64, u64)>> = None;
     while left > 0 {
-        match file.try_write_runs(t, &tail, &data[resume as usize..]) {
+        let pending = tail.as_deref().unwrap_or(runs);
+        match file.try_write_runs(t, pending, &data[resume as usize..]) {
             Ok(done) => return Ok(done),
             Err(f) => {
                 esc.observe(&f);
@@ -267,7 +270,7 @@ pub fn write_runs(
                 t = f.time + backoff;
                 if f.completed > 0 {
                     resume += f.completed;
-                    tail = trim_runs(runs, resume);
+                    tail = Some(trim_runs(runs, resume));
                     backoff = policy.base_backoff;
                     left = policy.attempts;
                 } else {

@@ -23,10 +23,10 @@
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{Phase, Profile, Span, Time, TraceCtx, TraceLog};
-use pnetcdf_mpi::CollEnv;
-use pnetcdf_pfs::{PfsFile, WriteCompletion};
+use pnetcdf_mpi::{CollEnv, Loan};
+use pnetcdf_pfs::PfsFile;
 
-use crate::error::{MpioError, MpioResult};
+use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
 use crate::view::{runs_total, Run};
 
@@ -81,88 +81,19 @@ pub fn dynamic_cb_nodes(
         .max(1)
 }
 
-// ---- request parcels ------------------------------------------------------
+// ---- lent requests ----------------------------------------------------------
 
-/// Encode a write request (runs + packed data) into a deposit parcel.
+/// One rank's share of a collective access, lent through the rendezvous for
+/// the duration of the call: `meta` is its sorted run list, `src` its packed
+/// write payload (empty for a read), `dst` where a read delivers the run
+/// bytes in run order (empty for a write), and `tag` its ambient trace id
+/// (0 while tracing is off). The id rides the loan because the collective's
+/// finish closure runs on ONE thread for all ranks — thread-local
+/// [`TraceCtx`] cannot carry a rank's id across the rendezvous.
 ///
-/// `trace_id` is the sender's ambient trace id (0 while tracing is off).
-/// It rides the parcel because the collective's finish closure runs on ONE
-/// thread for all ranks — thread-local [`TraceCtx`] cannot carry a rank's
-/// id across the rendezvous, so the wire format does.
-pub fn encode_write_req(runs: &[Run], data: &[u8], trace_id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + runs.len() * 16 + data.len());
-    out.extend_from_slice(&trace_id.to_ne_bytes());
-    out.extend_from_slice(&(runs.len() as u64).to_ne_bytes());
-    for &(off, len) in runs {
-        out.extend_from_slice(&off.to_ne_bytes());
-        out.extend_from_slice(&len.to_ne_bytes());
-    }
-    out.extend_from_slice(data);
-    out
-}
-
-/// Encode a read request (runs only).
-pub fn encode_read_req(runs: &[Run], trace_id: u64) -> Vec<u8> {
-    encode_write_req(runs, &[], trace_id)
-}
-
-/// Decode a parcel into `(runs, data, trace_id)`; `data` borrows the
-/// parcel.
-///
-/// A parcel arrives from another rank's deposit, so its length is
-/// validated before any slice is taken: a truncated or corrupt exchange
-/// parcel yields [`MpioError::InvalidArgument`] rather than a panic.
-pub fn decode_req(parcel: &[u8]) -> MpioResult<(Vec<Run>, &[u8], u64)> {
-    let trace_id = read_u64(parcel, 0)?;
-    let n = read_u64(parcel, 8)? as usize;
-    let runs_end = n
-        .checked_mul(16)
-        .and_then(|b| b.checked_add(16))
-        .filter(|&need| need <= parcel.len())
-        .ok_or_else(|| {
-            MpioError::InvalidArgument(format!(
-                "exchange parcel declares {n} runs but holds only {} bytes",
-                parcel.len()
-            ))
-        })?;
-    let mut runs = Vec::with_capacity(n);
-    let mut total = 0u64;
-    let mut pos = 16;
-    while pos < runs_end {
-        let off = read_u64(parcel, pos)?;
-        let len = read_u64(parcel, pos + 8)?;
-        total = total.checked_add(len).ok_or_else(|| {
-            MpioError::InvalidArgument("exchange parcel run lengths overflow u64".to_string())
-        })?;
-        runs.push((off, len));
-        pos += 16;
-    }
-    let data = &parcel[runs_end..];
-    // A write parcel carries exactly the runs' payload; a read parcel
-    // carries none. Anything else is a truncated or oversized exchange.
-    if !data.is_empty() && data.len() as u64 != total {
-        return Err(MpioError::InvalidArgument(format!(
-            "exchange parcel payload is {} bytes but its runs cover {total}",
-            data.len()
-        )));
-    }
-    Ok((runs, data, trace_id))
-}
-
-/// Checked little-slice read used by [`decode_req`]: a parcel crossing the
-/// rank boundary is untrusted input, so every fixed-width field goes
-/// through a bounds check instead of a panicking `try_into().unwrap()`.
-fn read_u64(parcel: &[u8], pos: usize) -> MpioResult<u64> {
-    parcel
-        .get(pos..pos + 8)
-        .map(|b| u64::from_ne_bytes(b.try_into().expect("slice is 8 bytes")))
-        .ok_or_else(|| {
-            MpioError::InvalidArgument(format!(
-                "exchange parcel truncated: field at byte {pos} needs 8 bytes, parcel holds {}",
-                parcel.len()
-            ))
-        })
-}
+/// Nothing here is copied on the way in: the engine reads each `src` and
+/// fills each `dst` where the rank keeps it.
+pub type Req<'a> = Loan<'a, [Run]>;
 
 // ---- file domains -----------------------------------------------------------
 
@@ -198,146 +129,38 @@ pub fn file_domains(gmin: u64, gmax: u64, naggs: usize, stripe: u64) -> Vec<(u64
     out
 }
 
-/// Total requested bytes falling inside each domain, summed over all ranks.
-/// `domains` must be sorted and disjoint; each rank's `runs` sorted.
-pub fn bytes_per_domain(all_runs: &[Vec<Run>], domains: &[(u64, u64)]) -> Vec<u64> {
-    let mut acc = vec![0u64; domains.len()];
-    for runs in all_runs {
-        let mut d = 0usize;
-        for &(off, len) in runs {
-            let mut lo = off;
-            let end = off + len;
-            while lo < end && d < domains.len() {
-                let (dlo, dhi) = domains[d];
-                if end <= dlo {
-                    break;
-                }
-                if lo >= dhi {
-                    d += 1;
-                    continue;
-                }
-                let take = end.min(dhi) - lo.max(dlo);
-                acc[d] += take;
-                lo = lo.max(dlo) + take;
-                if lo >= dhi {
-                    d += 1;
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// Bytes of one rank's request that overlap one domain.
-fn overlap_bytes(runs: &[Run], (dlo, dhi): (u64, u64)) -> u64 {
-    let mut acc = 0u64;
-    for &(off, len) in runs {
-        let end = off + len;
-        if end <= dlo {
-            continue;
-        }
-        if off >= dhi {
-            break;
-        }
-        acc += end.min(dhi) - off.max(dlo);
-    }
-    acc
-}
-
-/// Exchange-phase wire cost: aggregator `a` owns `domains[a]` and *is* rank
-/// `a` (ROMIO's default aggregator ranklist), so bytes a rank requests
-/// within its own domain move by memcpy, not over the network. This is why
-/// Z-ish partitions — whose blocks align with the file domains — exchange
-/// less than X-ish partitions (the paper's "different access contiguity").
-fn exchange_cost(
-    env: &CollEnv,
-    all_runs: &[Vec<Run>],
-    totals: &[u64],
-    domains: &[(u64, u64)],
-) -> Time {
-    let n = env.size();
-    let mut max_rank_wire = 0u64; // busiest non-aggregator-side endpoint
-    let mut total_wire = 0u64;
-    for (r, runs) in all_runs.iter().enumerate() {
-        let local = domains.get(r).map(|&d| overlap_bytes(runs, d)).unwrap_or(0);
-        max_rank_wire = max_rank_wire.max(totals[r] - local);
-        total_wire += totals[r] - local;
-    }
-    let per_domain = bytes_per_domain(all_runs, domains);
-    let mut max_agg_wire = 0u64;
-    for (a, &bytes) in per_domain.iter().enumerate() {
-        let local = all_runs
-            .get(a)
-            .map(|runs| overlap_bytes(runs, domains[a]))
-            .unwrap_or(0);
-        max_agg_wire = max_agg_wire.max(bytes - local);
-    }
-    env.config
-        .profile
-        .record_twophase(|t| t.exchange_wire_bytes += total_wire);
-    env.config
-        .network
-        .alltoallv(max_rank_wire as usize, max_agg_wire as usize, n)
-}
-
-/// Per-round exchange wire statistics for the pipelined engine: round `j`
-/// ships only the bytes that land in (writes) or come out of (reads) the
-/// round-`j` windows.
+/// Exchange wire statistics of a span of rounds: what ships into (writes)
+/// or out of (reads) those rounds' windows.
 #[derive(Clone, Copy, Debug, Default)]
-struct RoundWire {
-    /// Busiest non-aggregator endpoint: bytes one rank moves this round.
+struct Wire {
+    /// Busiest non-aggregator endpoint: bytes one rank moves.
     max_send: u64,
     /// Busiest aggregator endpoint: bytes arriving from other ranks.
     max_recv: u64,
-    /// Total bytes crossing the network this round.
+    /// Total bytes crossing the network.
     total: u64,
 }
 
-/// Compute each round's wire traffic from the gathered window pieces.
-/// A piece whose owning rank *is* the window's aggregator moves by memcpy
-/// and costs no wire, exactly as in the monolithic [`exchange_cost`] — the
-/// per-round totals sum to the same `exchange_wire_bytes`.
-fn round_wire(windows: &[Vec<Vec<Piece>>], nranks: usize, rounds: usize) -> Vec<RoundWire> {
-    let mut out = Vec::with_capacity(rounds);
-    for j in 0..rounds {
-        let mut send = vec![0u64; nranks];
-        let mut w = RoundWire::default();
-        for (a, agg_windows) in windows.iter().enumerate() {
-            let Some(pieces) = agg_windows.get(j) else {
-                continue;
-            };
-            let mut recv = 0u64;
-            for pc in pieces {
-                if pc.rank != a {
-                    send[pc.rank] += pc.len;
-                    recv += pc.len;
-                }
-            }
-            w.max_recv = w.max_recv.max(recv);
-            w.total += recv;
-        }
-        w.max_send = send.into_iter().max().unwrap_or(0);
-        out.push(w);
-    }
-    out
-}
-
-/// Monolithic exchange wire traffic computed from the gathered windows
-/// themselves: a piece whose owning rank *is* the window's aggregator moves
-/// by memcpy. Unlike [`exchange_cost`] this needs no contiguous domain
-/// table, so it prices server-affine (interleaved) write domains too; for
-/// contiguous domains the two agree exactly.
-fn monolithic_wire(windows: &[Vec<Vec<Piece>>], nranks: usize) -> RoundWire {
+/// Wire traffic of window indices `rounds`, from the gathered pieces.
+/// Aggregator `a` *is* rank `a` (ROMIO's default aggregator ranklist), so a
+/// piece whose owning rank is its window's aggregator moves by memcpy and
+/// costs no wire. This is why Z-ish partitions — whose blocks align with
+/// the file domains — exchange less than X-ish partitions (the paper's
+/// "different access contiguity"). One round prices a pipelined exchange
+/// round, all rounds together the serial engines' monolithic exchange —
+/// the totals add up to the same `exchange_wire_bytes` — and because it
+/// reads pieces, not a domain table, it prices server-affine (interleaved)
+/// write domains too.
+fn wire(windows: &[Vec<Vec<Piece>>], nranks: usize, rounds: std::ops::Range<usize>) -> Wire {
     let mut send = vec![0u64; nranks];
-    let mut w = RoundWire::default();
+    let mut w = Wire::default();
     for (a, agg_windows) in windows.iter().enumerate() {
+        let hi = rounds.end.min(agg_windows.len());
         let mut recv = 0u64;
-        for pieces in agg_windows {
-            for pc in pieces {
-                if pc.rank != a {
-                    send[pc.rank] += pc.len;
-                    recv += pc.len;
-                }
+        for pc in agg_windows[rounds.start.min(hi)..hi].iter().flatten() {
+            if pc.rank != a {
+                send[pc.rank] += pc.len;
+                recv += pc.len;
             }
         }
         w.max_recv = w.max_recv.max(recv);
@@ -393,22 +216,25 @@ fn take_pieces(runs: &[Run], cur: &mut Cursor, whi: u64, rank: usize, out: &mut 
     }
 }
 
-/// Merge sorted-by-offset intervals into maximal contiguous runs.
-fn merge_coverage(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    intervals.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    for (off, len) in intervals {
-        if let Some(last) = out.last_mut() {
-            let last_end = last.0 + last.1;
-            if off <= last_end {
-                let end = (off + len).max(last_end);
-                last.1 = end - last.0;
-                continue;
-            }
+/// The maximal contiguous intervals `pieces` cover, sorted, into `out` (a
+/// scratch vector reused from window to window): touching and overlapping
+/// pieces merge.
+fn merge_coverage(out: &mut Vec<Run>, pieces: &[Piece]) {
+    out.clear();
+    out.extend(pieces.iter().map(|pc| (pc.off, pc.len)));
+    out.sort_unstable();
+    let mut kept = 0usize;
+    for i in 1..out.len() {
+        let (off, len) = out[i];
+        let last_end = out[kept].0 + out[kept].1;
+        if off <= last_end {
+            out[kept].1 = (off + len).max(last_end) - out[kept].0;
+        } else {
+            kept += 1;
+            out[kept] = (off, len);
         }
-        out.push((off, len));
     }
-    out
+    out.truncate(kept + 1);
 }
 
 // ---- server-affine write domains --------------------------------------------
@@ -435,7 +261,7 @@ struct AffinePlan {
 /// about `cb_buffer_size` bytes. Pieces are split at stripe boundaries so
 /// each lies in exactly one window (and one extent).
 fn gather_affine_windows(
-    all_runs: &[Vec<Run>],
+    all_runs: &[&[Run]],
     gmin: u64,
     gmax: u64,
     naggs: usize,
@@ -482,7 +308,7 @@ fn gather_affine_windows(
         .collect();
     for (r, runs) in all_runs.iter().enumerate() {
         let mut src = 0u64;
-        for &(off, len) in runs {
+        for &(off, len) in runs.iter() {
             let end = off + len;
             let mut lo = off;
             while lo < end {
@@ -561,10 +387,23 @@ fn agg_world(env: &CollEnv, a: usize) -> usize {
         .unwrap_or_else(|| env.group.last().copied().unwrap_or(0))
 }
 
+/// Trace identities of one collective: `ids[r]` is the request trace id rank
+/// `r` lent with its request, `coll_ids[r]` a fresh id for its
+/// whole-collective span. Both empty while tracing is off.
+fn coll_trace(env: &CollEnv, events: &TraceLog, reqs: &[Req<'_>]) -> (Vec<u64>, Vec<u64>) {
+    if !events.is_enabled() {
+        return (Vec::new(), Vec::new());
+    }
+    (
+        reqs.iter().map(|r| r.tag).collect(),
+        env.group.iter().map(|_| events.next_id()).collect(),
+    )
+}
+
 /// Emit each rank's whole-collective span `[t0, t_end]` — the region
 /// `set_all` jumps every clock across, which the per-advance phase tiling
 /// cannot see. Span `coll_ids[r]` parents rank `r`'s windows; its own
-/// parent is the request trace id that rode in rank `r`'s parcel, which
+/// parent is the request trace id rank `r` lent with its request, which
 /// closes the core → mpio link of the id chain.
 fn record_coll_spans(
     env: &CollEnv,
@@ -589,10 +428,23 @@ fn record_coll_spans(
 
 // ---- the two phases -----------------------------------------------------------
 
-/// Collective write: the finish-closure body. `reqs[r]` is rank `r`'s
-/// `(runs, packed data)`, `ids[r]` the trace id that rode rank `r`'s
-/// parcel (empty while tracing is off). Returns the synchronized
-/// completion time.
+/// `[gmin, gmax)`: the byte range all ranks' (sorted, not all empty) run
+/// lists span together.
+fn aggregate_span(all_runs: &[&[Run]]) -> (u64, u64) {
+    let firsts = all_runs.iter().filter_map(|r| r.first());
+    let lasts = all_runs.iter().filter_map(|r| r.last());
+    (
+        firsts.map(|&(o, _)| o).min().expect("a non-empty run list"),
+        lasts
+            .map(|&(o, l)| o + l)
+            .max()
+            .expect("a non-empty run list"),
+    )
+}
+
+/// Collective write: the finish-closure body. `reqs[r]` is what rank `r`
+/// lent: its runs, its packed data and its trace id. Returns the
+/// synchronized completion time.
 ///
 /// Aggregator-side storage faults are recovered by [`crate::recover`];
 /// when the budget runs out the error is returned *after* every rank's
@@ -602,33 +454,23 @@ pub fn write_all(
     env: &CollEnv,
     file: &PfsFile,
     p: &TwoPhaseParams,
-    reqs: &[(Vec<Run>, &[u8])],
-    ids: &[u64],
+    reqs: &[Req<'_>],
 ) -> MpioResult<Time> {
     let n = env.size();
     let policy = RetryPolicy::default();
     let profile = env.config.profile.clone();
     let events = env.config.events.clone();
     let tracing = events.is_enabled();
-    let coll_ids: Vec<u64> = if tracing {
-        env.group.iter().map(|_| events.next_id()).collect()
-    } else {
-        Vec::new()
-    };
-    let total: u64 = reqs.iter().map(|(r, _)| runs_total(r)).sum();
+    let (ids, coll_ids) = coll_trace(env, &events, reqs);
+    let all_runs: Vec<&[Run]> = reqs.iter().map(|r| r.meta).collect();
+    debug_assert!(reqs
+        .iter()
+        .all(|r| r.src.len() as u64 == runs_total(r.meta)));
+    let total: u64 = all_runs.iter().map(|r| runs_total(r)).sum();
     if total == 0 {
         return Ok(env.sync_phase(Phase::Metadata, env.config.network.barrier(n)));
     }
-    let gmin = reqs
-        .iter()
-        .filter_map(|(r, _)| r.first().map(|&(o, _)| o))
-        .min()
-        .unwrap();
-    let gmax = reqs
-        .iter()
-        .filter_map(|(r, _)| r.last().map(|&(o, l)| o + l))
-        .max()
-        .unwrap();
+    let (gmin, gmax) = aggregate_span(&all_runs);
     let naggs = p.naggs(n, total);
 
     profile.record_twophase(|t| {
@@ -641,7 +483,6 @@ pub fn write_all(
     // concurrent requests reach the shared server queues interleaved in
     // time order — identically in both engines, which is what keeps the
     // produced file bytes independent of the pipeline hint.
-    let all_runs: Vec<Vec<Run>> = reqs.iter().map(|(r, _)| r.clone()).collect();
     let span_stripes = (gmax - 1) / p.stripe - gmin / p.stripe + 1;
     let affine = p.affinity && span_stripes <= AFFINE_SPAN_LIMIT;
     let (windows, extents) = if affine {
@@ -666,6 +507,7 @@ pub fn write_all(
     };
     let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
     let mut split = AccessSplit::new(windows.len());
+    let mut cbuf = CollBuf::new(p, gmax - gmin);
 
     // With fewer than two rounds there is nothing to overlap, so the
     // pipelined engine would only pay its extra offset exchange; fall back
@@ -676,7 +518,7 @@ pub fn write_all(
         // charged whole to the data-exchange phase; every disk window is
         // timed after it, waiting for durability. Exchange and disk time
         // add, and the server NIC stage adds to the disk stage too.
-        let wire = monolithic_wire(&windows, n);
+        let wire = wire(&windows, n, 0..rounds);
         profile.record_twophase(|t| t.exchange_wire_bytes += wire.total);
         let t0 = env.sync_phase(
             Phase::DataExchange,
@@ -701,6 +543,7 @@ pub fn write_all(
                         pieces,
                         reqs,
                         &mut split,
+                        &mut cbuf,
                         window_extents(a, j),
                         true,
                         wt,
@@ -711,7 +554,7 @@ pub fn write_all(
             Ok(())
         })();
         let t_end = t_agg.iter().copied().fold(t0, Time::max);
-        record_coll_spans(env, &events, "coll_write", t0, t_end, ids, &coll_ids);
+        record_coll_spans(env, &events, "coll_write", t0, t_end, &ids, &coll_ids);
         return match access {
             Ok(()) => {
                 split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
@@ -738,7 +581,7 @@ pub fn write_all(
         Phase::OffsetExchange,
         env.config.network.alltoallv(meta_bytes, meta_bytes, n),
     );
-    let wire = round_wire(&windows, n, rounds);
+    let wire: Vec<Wire> = (0..rounds).map(|j| wire(&windows, n, j..j + 1)).collect();
     profile.record_twophase(|t| {
         t.exchange_wire_bytes += wire.iter().map(|w| w.total).sum::<u64>();
         t.pipelined_rounds += rounds as u64;
@@ -802,6 +645,7 @@ pub fn write_all(
                     pieces,
                     reqs,
                     &mut split,
+                    &mut cbuf,
                     window_extents(a, j),
                     false,
                     wt,
@@ -822,7 +666,7 @@ pub fn write_all(
         x_done.last().copied().unwrap_or(entry).max(durable_max),
         Time::max,
     );
-    record_coll_spans(env, &events, "coll_write", entry, t_end, ids, &coll_ids);
+    record_coll_spans(env, &events, "coll_write", entry, t_end, &ids, &coll_ids);
     match access {
         Ok(()) => {
             split.record_overlap(&profile, &costs, entry, t_end, &t_agg);
@@ -837,18 +681,69 @@ pub fn write_all(
     }
 }
 
+/// The aggregators' collective buffer: allocated once per collective call,
+/// at the first window, and reused by every later window of every round.
+/// (The finisher runs the aggregators' windows one at a time, so one buffer
+/// stands for each aggregator's own.)
+///
+/// Reuse rule: a window never clears the buffer, so **every byte handed to
+/// the PFS was written by a piece or by this window's read-modify-write
+/// read** — a span is either fully covered by pieces or read whole first —
+/// and every byte scattered to a reader was delivered by this window's
+/// read. Nothing of an earlier window can show through.
+struct CollBuf {
+    bytes: Vec<u8>,
+    /// Size of the first allocation: `cb_buffer_size`, or the collective's
+    /// whole span when that is smaller. Only a window of one stripe larger
+    /// than `cb_buffer_size` ever needs more.
+    cap: usize,
+    /// Scratch reused across windows: the merged piece coverage and the
+    /// file runs a write window hands to the PFS.
+    coverage: Vec<Run>,
+    runs: Vec<Run>,
+}
+
+impl CollBuf {
+    fn new(p: &TwoPhaseParams, span: u64) -> CollBuf {
+        CollBuf {
+            bytes: Vec::new(),
+            cap: (p.cb_buffer_size as u64).min(span) as usize,
+            coverage: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+}
+
+/// The first `need` bytes of the collective buffer, allocating it if this
+/// is the first window (or the window outgrows it).
+fn window_buf<'b>(
+    bytes: &'b mut Vec<u8>,
+    cap: usize,
+    need: usize,
+    split: &mut AccessSplit,
+) -> &'b mut [u8] {
+    if bytes.len() < need {
+        *bytes = vec![0u8; need.max(cap)];
+    } else {
+        split.collbuf_reuses += 1;
+    }
+    &mut bytes[..need]
+}
+
 /// Time one write window on aggregator `a` starting at `t_start`:
 /// collective-buffer assembly (memcpy), any read-modify-write reads, then
-/// the window's write(s). Returns `(advance, durable)`: `advance` is the
+/// the window's write. Returns `(advance, durable)`: `advance` is the
 /// time the aggregator may move on — the server hand-off when
 /// `wait_durable` is false (pipelined engine), the disk completion when
 /// true (serial engine) — and `durable` is always the disk completion.
 ///
-/// With `extents` (server-affine windows) the window may touch several
-/// disjoint owned stripe ranges: fully covered spans are written as-is,
-/// partially covered spans are read-modify-written per extent, untouched
-/// extents are skipped, and all resulting runs go to the PFS as ONE
-/// vectored request per server.
+/// A contiguous-domain window writes the one span its pieces cover. With
+/// `extents` (server-affine windows) the window may touch several disjoint
+/// owned stripe ranges: each touched extent contributes the bounding span
+/// of its pieces, untouched extents are skipped, and all spans go to the
+/// PFS as ONE vectored request per server. Either way the spans lie back
+/// to back in the collective buffer; a span with holes is read into its
+/// place first (read-modify-write), then the pieces are laid over it.
 #[allow(clippy::too_many_arguments)]
 fn write_window(
     env: &CollEnv,
@@ -857,8 +752,9 @@ fn write_window(
     t_start: Time,
     a: usize,
     pieces: &[Piece],
-    reqs: &[(Vec<Run>, &[u8])],
+    reqs: &[Req<'_>],
     split: &mut AccessSplit,
+    cbuf: &mut CollBuf,
     extents: Option<&[(u64, u64)]>,
     wait_durable: bool,
     wt: WinTrace,
@@ -885,67 +781,58 @@ fn write_window(
         );
     }
 
-    let coverage = merge_coverage(pieces.iter().map(|pc| (pc.off, pc.len)).collect());
-    let completion: WriteCompletion = match extents {
-        None if coverage.len() == 1 => {
-            // Fully contiguous: assemble and write once.
-            let (clo, clen) = coverage[0];
-            let mut buf = vec![0u8; clen as usize];
-            overlay(&mut buf, clo, pieces, reqs);
-            recover::write_at_detailed(file, policy, t_a, clo, &buf)?
-        }
+    let CollBuf {
+        bytes,
+        cap,
+        coverage,
+        runs,
+    } = cbuf;
+    merge_coverage(coverage, pieces);
+    runs.clear();
+    match extents {
         None => {
-            // Holes in a contiguous domain: read-modify-write the covered
-            // extent.
-            split.rmw += 1;
-            let clo = coverage[0].0;
+            let (clo, _) = coverage[0];
             let cend = coverage.last().map(|&(o, l)| o + l).unwrap();
-            let mut buf = vec![0u8; (cend - clo) as usize];
-            let before = t_a;
-            t_a = recover::read_at(file, policy, t_a, clo, &mut buf)?;
-            split.read[a] += (t_a - before).as_nanos();
-            overlay(&mut buf, clo, pieces, reqs);
-            recover::write_at_detailed(file, policy, t_a, clo, &buf)?
+            runs.push((clo, cend - clo));
         }
         Some(extents) => {
-            // Affine window: per owned extent, find the covered bounding
-            // span. A single covered run writes directly; holes inside the
-            // span read-modify-write it; untouched extents are skipped.
-            // Coverage runs never bridge extents (pieces lie in owned
-            // stripes only), so one linear merge suffices.
-            let mut runs: Vec<(u64, u64)> = Vec::new();
-            let mut data: Vec<u8> = Vec::new();
+            // Coverage never bridges extents (pieces lie in owned stripes
+            // only), so one linear walk pairs them up.
             let mut ci = 0usize;
-            let mut did_rmw = false;
             for &(elo, elen) in extents {
-                let ehi = elo + elen;
                 let first = ci;
-                while ci < coverage.len() && coverage[ci].0 + coverage[ci].1 <= ehi {
+                while ci < coverage.len() && coverage[ci].0 + coverage[ci].1 <= elo + elen {
                     debug_assert!(coverage[ci].0 >= elo, "coverage escapes its extent");
                     ci += 1;
                 }
-                if ci == first {
-                    continue;
+                if ci > first {
+                    let blo = coverage[first].0;
+                    runs.push((blo, coverage[ci - 1].0 + coverage[ci - 1].1 - blo));
                 }
-                let blo = coverage[first].0;
-                let bhi = coverage[ci - 1].0 + coverage[ci - 1].1;
-                let mut buf = vec![0u8; (bhi - blo) as usize];
-                if ci - first > 1 {
-                    // Holes within the span: fetch what is there first.
-                    did_rmw = true;
-                    let before = t_a;
-                    t_a = recover::read_at(file, policy, t_a, blo, &mut buf)?;
-                    split.read[a] += (t_a - before).as_nanos();
-                }
-                overlay_within(&mut buf, blo, pieces, reqs);
-                runs.push((blo, bhi - blo));
-                data.extend_from_slice(&buf);
             }
-            if did_rmw {
-                split.rmw += 1;
-            }
-            recover::write_runs(file, policy, t_a, &runs, &data)?
         }
+    }
+    let buf = window_buf(bytes, *cap, runs_total(runs) as usize, split);
+    // A span whose first covered interval is shorter than the span has
+    // holes: fetch what is there before the pieces go over it.
+    let (mut pos, mut ci, mut rmw) = (0usize, 0usize, false);
+    for &(off, len) in runs.iter() {
+        if coverage[ci].1 < len {
+            rmw = true;
+            let before = t_a;
+            t_a = recover::read_at(file, policy, t_a, off, &mut buf[pos..pos + len as usize])?;
+            split.read[a] += (t_a - before).as_nanos();
+        }
+        while ci < coverage.len() && coverage[ci].0 < off + len {
+            ci += 1;
+        }
+        pos += len as usize;
+    }
+    split.rmw += rmw as u64;
+    overlay(buf, runs, pieces, reqs);
+    let completion = match extents {
+        None => recover::write_at_detailed(file, policy, t_a, runs[0].0, buf)?,
+        Some(_) => recover::write_runs(file, policy, t_a, runs, buf)?,
     };
     let advance = if wait_durable {
         completion.durable
@@ -973,18 +860,23 @@ fn write_window(
     Ok((advance, completion.durable))
 }
 
-/// Copy pieces lying inside `[base, base + buf.len())` from their ranks'
-/// packed data into `buf`, in piece (= rank) order. Affine windows use
-/// this per covered span — each piece sits wholly inside exactly one span,
-/// so a containment filter is enough.
-fn overlay_within(buf: &mut [u8], base: u64, pieces: &[Piece], reqs: &[(Vec<Run>, &[u8])]) {
-    let hi = base + buf.len() as u64;
+/// Copy each piece from its rank's lent payload to its place in `buf`,
+/// where the file `runs` lie back to back. Every piece sits wholly inside
+/// one run. Pieces are applied in order — rank by rank — so overlapping
+/// writes resolve deterministically (highest rank wins); within a rank
+/// they ascend, so the run cursor only starts over when the rank changes.
+fn overlay(buf: &mut [u8], runs: &[Run], pieces: &[Piece], reqs: &[Req<'_>]) {
+    let (mut ri, mut base) = (0usize, 0usize);
     for pc in pieces {
-        if pc.off < base || pc.off + pc.len > hi {
-            continue;
+        if pc.off < runs[ri].0 {
+            (ri, base) = (0, 0);
         }
-        let src = &reqs[pc.rank].1[pc.src_pos as usize..(pc.src_pos + pc.len) as usize];
-        let lo = (pc.off - base) as usize;
+        while pc.off >= runs[ri].0 + runs[ri].1 {
+            base += runs[ri].1 as usize;
+            ri += 1;
+        }
+        let lo = base + (pc.off - runs[ri].0) as usize;
+        let src = &reqs[pc.rank].src[pc.src_pos as usize..(pc.src_pos + pc.len) as usize];
         buf[lo..lo + pc.len as usize].copy_from_slice(src);
     }
 }
@@ -1008,6 +900,8 @@ struct AccessSplit {
     serial_busy: Vec<u64>,
     windows: u64,
     rmw: u64,
+    /// Windows served from the already-allocated collective buffer.
+    collbuf_reuses: u64,
 }
 
 impl AccessSplit {
@@ -1020,6 +914,7 @@ impl AccessSplit {
             serial_busy: vec![0; naggs],
             windows: 0,
             rmw: 0,
+            collbuf_reuses: 0,
         }
     }
 
@@ -1073,6 +968,7 @@ impl AccessSplit {
             t.windows += self.windows;
             t.rmw_windows += self.rmw;
         });
+        profile.record_bytepath(|b| b.collbuf_reuses += self.collbuf_reuses);
         if !profile.is_enabled() || t_agg.is_empty() {
             return;
         }
@@ -1104,7 +1000,7 @@ impl AccessSplit {
 /// pass with per-rank cursors. `result[a][j]` holds the pieces of window
 /// `j` within domain `a` (empty windows are dropped).
 fn gather_windows(
-    all_runs: &[Vec<Run>],
+    all_runs: &[&[Run]],
     domains: &[(u64, u64)],
     cb_buffer_size: usize,
 ) -> Vec<Vec<Vec<Piece>>> {
@@ -1132,54 +1028,31 @@ fn gather_windows(
     out
 }
 
-/// Copy each piece's bytes from its rank's packed data into `buf` (which
-/// starts at file offset `base`). Pieces are applied in rank order, so
-/// overlapping writes resolve deterministically (highest rank wins).
-fn overlay(buf: &mut [u8], base: u64, pieces: &[Piece], reqs: &[(Vec<Run>, &[u8])]) {
-    for pc in pieces {
-        let src = &reqs[pc.rank].1[pc.src_pos as usize..(pc.src_pos + pc.len) as usize];
-        let lo = (pc.off - base) as usize;
-        buf[lo..lo + pc.len as usize].copy_from_slice(src);
-    }
-}
-
-/// Collective read: the finish-closure body. `reqs[r]` is rank `r`'s run
-/// list. Returns each rank's data (packed in run order) and the completion
-/// time. Faults are handled as in [`write_all`].
+/// Collective read: the finish-closure body. `reqs[r]` is what rank `r`
+/// lent: its runs and the destination its run bytes are scattered into, in
+/// run order. Returns the completion time. Faults are handled as in
+/// [`write_all`].
 pub fn read_all(
     env: &CollEnv,
     file: &PfsFile,
     p: &TwoPhaseParams,
-    reqs: &[Vec<Run>],
-    ids: &[u64],
-) -> MpioResult<(Vec<Vec<u8>>, Time)> {
+    reqs: &mut [Req<'_>],
+) -> MpioResult<Time> {
     let n = env.size();
     let policy = RetryPolicy::default();
     let profile = env.config.profile.clone();
     let events = env.config.events.clone();
     let tracing = events.is_enabled();
-    let coll_ids: Vec<u64> = if tracing {
-        env.group.iter().map(|_| events.next_id()).collect()
-    } else {
-        Vec::new()
-    };
-    let totals: Vec<u64> = reqs.iter().map(|r| runs_total(r)).collect();
-    let grand: u64 = totals.iter().sum();
-    let mut outs: Vec<Vec<u8>> = totals.iter().map(|&t| vec![0u8; t as usize]).collect();
+    let (ids, coll_ids) = coll_trace(env, &events, reqs);
+    let all_runs: Vec<&[Run]> = reqs.iter().map(|r| r.meta).collect();
+    debug_assert!(reqs
+        .iter()
+        .all(|r| r.dst.len() as u64 == runs_total(r.meta)));
+    let grand: u64 = all_runs.iter().map(|r| runs_total(r)).sum();
     if grand == 0 {
-        let t = env.sync_phase(Phase::Metadata, env.config.network.barrier(n));
-        return Ok((outs, t));
+        return Ok(env.sync_phase(Phase::Metadata, env.config.network.barrier(n)));
     }
-    let gmin = reqs
-        .iter()
-        .filter_map(|r| r.first().map(|&(o, _)| o))
-        .min()
-        .unwrap();
-    let gmax = reqs
-        .iter()
-        .filter_map(|r| r.last().map(|&(o, l)| o + l))
-        .max()
-        .unwrap();
+    let (gmin, gmax) = aggregate_span(&all_runs);
     // Reads keep contiguous domains: the affine layout exists to give each
     // server a single *write* stream; a read window's spanning read is
     // already one large request per domain.
@@ -1193,7 +1066,7 @@ pub fn read_all(
     });
 
     // Offset lists are exchanged up front (small).
-    let meta_bytes = reqs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
+    let meta_bytes = all_runs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
     let t0 = env.sync_phase(
         Phase::OffsetExchange,
         env.config.network.alltoallv(meta_bytes, meta_bytes, n),
@@ -1201,10 +1074,11 @@ pub fn read_all(
 
     // Aggregators read their domains concurrently (round-robin timing, as
     // in `write_all`).
-    let windows = gather_windows(reqs, &domains, p.cb_buffer_size);
+    let windows = gather_windows(&all_runs, &domains, p.cb_buffer_size);
     let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
     let mut t_agg = vec![t0; windows.len()];
     let mut split = AccessSplit::new(windows.len());
+    let mut cbuf = CollBuf::new(p, gmax - gmin);
 
     // A single round has nothing to overlap: fall back to serial timing
     // (identical for one round), as in `write_all`.
@@ -1219,7 +1093,7 @@ pub fn read_all(
                     };
                     let wt = win_trace(&events, tracing, j, &coll_ids, a);
                     t_agg[a] = read_window(
-                        env, file, &policy, t_agg[a], a, pieces, &mut outs, &mut split, wt,
+                        env, file, &policy, t_agg[a], a, pieces, reqs, &mut split, &mut cbuf, wt,
                     )?;
                 }
             }
@@ -1227,27 +1101,30 @@ pub fn read_all(
         })();
         let t_end = t_agg.iter().copied().fold(t0, Time::max);
         if let Err(e) = access {
-            record_coll_spans(env, &events, "coll_read", t0, t_end, ids, &coll_ids);
+            record_coll_spans(env, &events, "coll_read", t0, t_end, &ids, &coll_ids);
             env.set_all(t_end);
             return Err(e);
         }
         split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
 
-        let ship = exchange_cost(env, reqs, &totals, &domains);
+        let wire = wire(&windows, n, 0..rounds);
+        profile.record_twophase(|t| t.exchange_wire_bytes += wire.total);
+        let ship =
+            (env.config.network).alltoallv(wire.max_send as usize, wire.max_recv as usize, n);
         if profile.is_enabled() {
             for &w in env.group.iter() {
                 profile.record_phase(w, Phase::DataExchange, ship.as_nanos());
             }
         }
         let t_final = t_end + ship;
-        record_coll_spans(env, &events, "coll_read", t0, t_final, ids, &coll_ids);
+        record_coll_spans(env, &events, "coll_read", t0, t_final, &ids, &coll_ids);
         env.set_all(t_final);
-        return Ok((outs, t_final));
+        return Ok(t_final);
     }
 
     // Pipelined engine: round j ships back to the requesting ranks while
     // round j+1 is still being read from disk.
-    let wire = round_wire(&windows, n, rounds);
+    let wire: Vec<Wire> = (0..rounds).map(|j| wire(&windows, n, j..j + 1)).collect();
     profile.record_twophase(|t| {
         t.exchange_wire_bytes += wire.iter().map(|w| w.total).sum::<u64>();
         t.pipelined_rounds += rounds as u64;
@@ -1286,7 +1163,7 @@ pub fn read_all(
                     );
                 }
                 t_agg[a] = read_window(
-                    env, file, &policy, ready, a, pieces, &mut outs, &mut split, wt,
+                    env, file, &policy, ready, a, pieces, reqs, &mut split, &mut cbuf, wt,
                 )?;
                 dmax = dmax.max(t_agg[a]);
             }
@@ -1307,7 +1184,7 @@ pub fn read_all(
         .iter()
         .copied()
         .fold(x_done.last().copied().unwrap_or(t0), Time::max);
-    record_coll_spans(env, &events, "coll_read", t0, t_final, ids, &coll_ids);
+    record_coll_spans(env, &events, "coll_read", t0, t_final, &ids, &coll_ids);
     if let Err(e) = access {
         env.set_all(t_final);
         return Err(e);
@@ -1317,13 +1194,14 @@ pub fn read_all(
     // it is data-exchange time, not idle wait.
     split.attribute(&profile, env, t_final, &t_agg, Phase::DataExchange);
     env.set_all(t_final);
-    Ok((outs, t_final))
+    Ok(t_final)
 }
 
 /// Time one read window on aggregator `a` starting at `t_start`: one
-/// spanning read covers every piece in the window (data sieving at the
-/// aggregator), then the pieces are scattered into the requesting ranks'
-/// output buffers (memcpy). Returns the aggregator's completion time.
+/// spanning read into the collective buffer covers every piece in the
+/// window (data sieving at the aggregator), then the pieces are scattered
+/// straight into the requesting ranks' lent destinations (memcpy). Returns
+/// the aggregator's completion time.
 #[allow(clippy::too_many_arguments)]
 fn read_window(
     env: &CollEnv,
@@ -1332,8 +1210,9 @@ fn read_window(
     t_start: Time,
     a: usize,
     pieces: &[Piece],
-    outs: &mut [Vec<u8>],
+    reqs: &mut [Req<'_>],
     split: &mut AccessSplit,
+    cbuf: &mut CollBuf,
     wt: WinTrace,
 ) -> MpioResult<Time> {
     let events = &env.config.events;
@@ -1344,9 +1223,9 @@ fn read_window(
     split.windows += 1;
     let clo = pieces.iter().map(|pc| pc.off).min().unwrap();
     let cend = pieces.iter().map(|pc| pc.off + pc.len).max().unwrap();
-    let mut buf = vec![0u8; (cend - clo) as usize];
+    let buf = window_buf(&mut cbuf.bytes, cbuf.cap, (cend - clo) as usize, split);
     let before = t_a;
-    t_a = recover::read_at(file, policy, t_a, clo, &mut buf)?;
+    t_a = recover::read_at(file, policy, t_a, clo, buf)?;
     split.read[a] += (t_a - before).as_nanos();
     let piece_bytes: u64 = pieces.iter().map(|pc| pc.len).sum();
     let pack = env.config.cpu.pack(piece_bytes as usize, 1.0);
@@ -1368,7 +1247,7 @@ fn read_window(
     split.pack[a] += pack.as_nanos();
     for pc in pieces {
         let lo = (pc.off - clo) as usize;
-        outs[pc.rank][pc.src_pos as usize..(pc.src_pos + pc.len) as usize]
+        reqs[pc.rank].dst[pc.src_pos as usize..(pc.src_pos + pc.len) as usize]
             .copy_from_slice(&buf[lo..lo + pc.len as usize]);
     }
     split.serial_busy[a] += (t_a - t_start).as_nanos();
@@ -1388,53 +1267,157 @@ fn read_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpc_sim::{SharedClocks, SimConfig, SimStats};
+    use pnetcdf_pfs::{Pfs, StorageMode};
+    use std::sync::Arc;
 
-    #[test]
-    fn parcel_roundtrip() {
-        let runs: Vec<Run> = vec![(5, 10), (100, 3)];
-        let data = vec![1u8; 13];
-        let parcel = encode_write_req(&runs, &data, 42);
-        let (r2, d2, id2) = decode_req(&parcel).unwrap();
-        assert_eq!(r2, runs);
-        assert_eq!(d2, &data[..]);
-        assert_eq!(id2, 42, "trace id survives the wire");
+    /// A two-rank collective environment over a fresh `test_small` file
+    /// (1 KiB stripes, 4 servers) holding `old`.
+    fn env_and_file(old: &[u8]) -> (CollEnv, PfsFile) {
+        let cfg = SimConfig::test_small();
+        cfg.profile.set_enabled(true);
+        let file = Pfs::new(cfg.clone(), StorageMode::Full).create("w");
+        file.import_bytes(old);
+        let env = CollEnv {
+            clocks: SharedClocks::new(2),
+            config: Arc::new(cfg),
+            stats: SimStats::new(),
+            group: Arc::new(vec![0, 1]),
+        };
+        (env, file)
+    }
 
-        let parcel = encode_read_req(&runs, 0);
-        let (r3, d3, id3) = decode_req(&parcel).unwrap();
-        assert_eq!(r3, runs);
-        assert!(d3.is_empty());
-        assert_eq!(id3, 0);
+    fn params(cb_buffer_size: usize, affinity: bool) -> TwoPhaseParams {
+        TwoPhaseParams {
+            cb_buffer_size,
+            cb_nodes: Some(1),
+            io_servers: 4,
+            stripe: 1024,
+            pipeline: false,
+            affinity,
+        }
+    }
+
+    fn write_req<'a>(runs: &'a [Run], data: &'a [u8]) -> Req<'a> {
+        Req {
+            meta: runs,
+            src: data,
+            dst: &mut [],
+            tag: 0,
+        }
     }
 
     #[test]
-    fn short_parcel_is_an_error_not_a_panic() {
-        assert!(decode_req(&[]).is_err());
-        assert!(decode_req(&[0u8; 7]).is_err());
-        assert!(decode_req(&[0u8; 15]).is_err());
+    fn overlay_places_pieces_in_their_runs_and_the_highest_rank_wins() {
+        // Two file runs, (100, 8) and (300, 4), back to back in the buffer.
+        let runs: [Run; 2] = [(100, 8), (300, 4)];
+        let (r0, r1): ([Run; 2], [Run; 1]) = ([(100, 8), (300, 4)], [(104, 4)]);
+        let d0: Vec<u8> = (1..=12).collect();
+        let d1 = [0xa1, 0xa2, 0xa3, 0xa4];
+        let reqs = [write_req(&r0, &d0), write_req(&r1, &d1)];
+        let piece = |off, len, rank, src_pos| Piece {
+            off,
+            len,
+            rank,
+            src_pos,
+        };
+        // Rank order; rank 1's piece starts the run cursor over.
+        let pieces = [
+            piece(100, 8, 0, 0),
+            piece(300, 4, 0, 8),
+            piece(104, 4, 1, 0),
+        ];
+        let mut buf = [0xeeu8; 12];
+        overlay(&mut buf, &runs, &pieces, &reqs);
+        assert_eq!(buf, [1, 2, 3, 4, 0xa1, 0xa2, 0xa3, 0xa4, 9, 10, 11, 12]);
     }
 
     #[test]
-    fn truncated_run_list_is_an_error() {
-        let parcel = encode_write_req(&[(5, 10), (100, 3)], &[1u8; 13], 1);
-        // Cut into the middle of the run table.
-        assert!(decode_req(&parcel[..28]).is_err());
+    fn collective_buffer_is_allocated_once_and_only_grows_for_an_oversized_window() {
+        let mut cbuf = CollBuf::new(&params(4096, false), 1 << 20);
+        let mut split = AccessSplit::new(1);
+        assert_eq!(
+            window_buf(&mut cbuf.bytes, cbuf.cap, 1000, &mut split).len(),
+            1000
+        );
+        // The first window sized the buffer for the whole collective.
+        assert_eq!((cbuf.bytes.len(), split.collbuf_reuses), (4096, 0));
+        let at = cbuf.bytes.as_ptr();
+        assert_eq!(
+            window_buf(&mut cbuf.bytes, cbuf.cap, 4096, &mut split).len(),
+            4096
+        );
+        assert_eq!(
+            window_buf(&mut cbuf.bytes, cbuf.cap, 17, &mut split).len(),
+            17
+        );
+        assert_eq!((cbuf.bytes.as_ptr(), split.collbuf_reuses), (at, 2));
+        // One stripe larger than cb_buffer_size: the only reason to grow.
+        assert_eq!(
+            window_buf(&mut cbuf.bytes, cbuf.cap, 5000, &mut split).len(),
+            5000
+        );
+        assert_eq!((cbuf.bytes.len(), split.collbuf_reuses), (5000, 2));
     }
 
     #[test]
-    fn absurd_run_count_is_an_error() {
-        // Header claims u64::MAX runs: length math must not overflow.
-        let mut parcel = 0u64.to_ne_bytes().to_vec();
-        parcel.extend_from_slice(&u64::MAX.to_ne_bytes());
-        parcel.extend_from_slice(&[0u8; 64]);
-        assert!(decode_req(&parcel).is_err());
+    fn collective_buffer_is_no_larger_than_the_collective_span() {
+        let cbuf = CollBuf::new(&params(4 << 20, true), 300);
+        assert_eq!(cbuf.cap, 300);
+    }
+
+    /// Windows of one collective share the buffer without clearing it, so
+    /// the first window's bytes are still in it when the second — which
+    /// has holes — is assembled. The holes must come out of the file.
+    #[test]
+    fn a_window_with_holes_takes_them_from_the_file_not_from_the_buffer() {
+        for affinity in [false, true] {
+            let old = vec![0x11u8; 2048];
+            let (env, file) = env_and_file(&old);
+            // Window 1 (stripe 0) is fully covered; window 2 (stripe 1)
+            // gets two small pieces with a hole between and around them.
+            let runs0: [Run; 2] = [(0, 1024), (1100, 50)];
+            let runs1: [Run; 1] = [(1500, 20)];
+            let (d0, d1) = (vec![0xaau8; 1074], vec![0xbbu8; 20]);
+            let reqs = [write_req(&runs0, &d0), write_req(&runs1, &d1)];
+            write_all(&env, &file, &params(1024, affinity), &reqs).unwrap();
+            let mut want = old.clone();
+            want[..1024].fill(0xaa);
+            want[1100..1150].fill(0xaa);
+            want[1500..1520].fill(0xbb);
+            assert!(file.to_bytes() == want, "affinity {affinity}");
+            let t = env.config.profile.snapshot().twophase;
+            assert_eq!((t.windows, t.rmw_windows), (2, 1), "affinity {affinity}");
+            let b = env.config.profile.snapshot().bytepath;
+            assert_eq!(b.collbuf_reuses, 1, "affinity {affinity}");
+        }
     }
 
     #[test]
-    fn zero_runs_with_trailing_data_decodes() {
-        let parcel = encode_write_req(&[], &[], 0);
-        let (runs, data, _) = decode_req(&parcel).unwrap();
-        assert!(runs.is_empty());
-        assert!(data.is_empty());
+    fn read_all_scatters_into_the_lent_destinations() {
+        let content: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        let (env, file) = env_and_file(&content);
+        let runs0: [Run; 2] = [(10, 5), (2000, 7)];
+        let runs1: [Run; 1] = [(1020, 10)]; // straddles the window boundary
+        let (mut out0, mut out1) = ([0u8; 12], [0u8; 10]);
+        let mut reqs = [
+            Req {
+                meta: &runs0,
+                src: &[],
+                dst: &mut out0,
+                tag: 0,
+            },
+            Req {
+                meta: &runs1,
+                src: &[],
+                dst: &mut out1,
+                tag: 0,
+            },
+        ];
+        read_all(&env, &file, &params(1024, false), &mut reqs).unwrap();
+        assert_eq!(out0[..5], content[10..15]);
+        assert_eq!(out0[5..], content[2000..2007]);
+        assert_eq!(out1[..], content[1020..1030]);
     }
 
     #[test]
@@ -1532,18 +1515,26 @@ mod tests {
     }
 
     #[test]
-    fn bytes_per_domain_splits_runs() {
-        let runs = vec![vec![(0u64, 100u64)], vec![(50, 100)]];
-        let domains = vec![(0u64, 100u64), (100, 200)];
-        assert_eq!(bytes_per_domain(&runs, &domains), vec![150, 50]);
-    }
-
-    #[test]
     fn merge_coverage_detects_holes() {
-        assert_eq!(merge_coverage(vec![(0, 4), (4, 4)]), vec![(0, 8)]);
-        assert_eq!(merge_coverage(vec![(10, 2), (0, 4)]), vec![(0, 4), (10, 2)]);
+        let merged = |iv: &[Run]| {
+            let pieces: Vec<Piece> = iv
+                .iter()
+                .map(|&(off, len)| Piece {
+                    off,
+                    len,
+                    rank: 0,
+                    src_pos: 0,
+                })
+                .collect();
+            let mut out = vec![(7, 7)]; // stale scratch must not survive
+            merge_coverage(&mut out, &pieces);
+            out
+        };
+        assert_eq!(merged(&[(0, 4), (4, 4)]), vec![(0, 8)]);
+        assert_eq!(merged(&[(10, 2), (0, 4)]), vec![(0, 4), (10, 2)]);
         // Overlaps merge too.
-        assert_eq!(merge_coverage(vec![(0, 6), (4, 4)]), vec![(0, 8)]);
+        assert_eq!(merged(&[(0, 6), (4, 4)]), vec![(0, 8)]);
+        assert_eq!(merged(&[]), vec![]);
     }
 
     #[test]

@@ -224,8 +224,16 @@ fn collective_matches_independent_bytes() {
             if collective {
                 f.write_at_all(0, &mine, 1, &mem).unwrap();
             } else {
-                f.write_at(0, &mine, 1, &mem).unwrap();
-                c.barrier().unwrap();
+                // One rank at a time: a sieved independent write
+                // read-modify-writes the whole extent around its pieces,
+                // so concurrent writers of interleaved blocks would lose
+                // each other's updates (ROMIO locks the file for this).
+                for turn in 0..n {
+                    if c.rank() == turn {
+                        f.write_at(0, &mine, 1, &mem).unwrap();
+                    }
+                    c.barrier().unwrap();
+                }
             }
         });
         pfs.open("y").unwrap().to_bytes()

@@ -1,0 +1,251 @@
+//! The typed, lent request of the collective data path: what a rank hands
+//! to `write_runs_at_all` / `read_runs_at_all` crosses the rendezvous as a
+//! borrowed `(runs, payload, destination, trace id)` — no byte parcel, no
+//! decode step. These tests pin what the old parcel codec's tests pinned,
+//! at the interface that replaced it: the trace id reaches every rank's
+//! collective span, malformed requests are rejected before the rendezvous
+//! (never inside it, where one rank's error would strand the others), and
+//! bytes lent on one side come back on the other.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+use hpc_sim::{SimConfig, Span, TraceCtx};
+use pnetcdf_mpi::{run_world, Info};
+use pnetcdf_mpio::{MpiFile, MpioError, OpenMode, Run};
+use pnetcdf_pfs::{Pfs, StorageMode};
+
+const NPROCS: usize = 3;
+
+/// Rank `r`'s runs: three 40-byte pieces interleaved with the other ranks'.
+fn interleaved(r: usize) -> Vec<Run> {
+    (0..3).map(|i| ((i * NPROCS + r) as u64 * 40, 40)).collect()
+}
+
+fn payload(runs: &[Run], seed: u8) -> Vec<u8> {
+    let total: u64 = runs.iter().map(|r| r.1).sum();
+    (0..total)
+        .map(|i| (i as u8).wrapping_mul(37).wrapping_add(seed))
+        .collect()
+}
+
+/// The trace id each rank enters the collective under: distinct per rank,
+/// and nothing the recorder would hand out itself in so short a run.
+fn request_id(rank: usize) -> u64 {
+    9_000 + rank as u64
+}
+
+/// One traced collective write and read-back by every rank, each under its
+/// own ambient request id; returns the `coll_*` spans.
+fn traced_collectives(info: Info) -> Vec<Span> {
+    let cfg = SimConfig::test_small();
+    cfg.events.set_enabled(true);
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    run_world(NPROCS, cfg.clone(), move |c| {
+        let f = MpiFile::open(c, &pfs, "t", OpenMode::Create, &info).unwrap();
+        let runs = interleaved(c.rank());
+        let data = payload(&runs, c.rank() as u8);
+        let _ctx = TraceCtx::enter(c.world_rank(), request_id(c.rank()));
+        f.write_runs_at_all(&runs, &data).unwrap();
+        assert_eq!(f.read_runs_at_all(&runs).unwrap(), data);
+    });
+    let mut spans = cfg.events.snapshot().spans;
+    spans.retain(|s| s.name == "coll_write" || s.name == "coll_read");
+    spans
+}
+
+/// Every rank has exactly one `name` span, parented to the id it lent.
+fn assert_parented_per_rank(spans: &[Span], name: &str) {
+    for rank in 0..NPROCS {
+        let mine: Vec<&Span> = spans
+            .iter()
+            .filter(|s| s.name == name && s.rank == rank)
+            .collect();
+        assert_eq!(mine.len(), 1, "rank {rank}: one {name} span");
+        assert_eq!(
+            mine[0].parent,
+            request_id(rank),
+            "rank {rank}'s {name} span must parent to the id that rank lent"
+        );
+    }
+}
+
+#[test]
+fn trace_id_reaches_the_coll_write_span_of_every_rank() {
+    let spans = traced_collectives(Info::new().with("cb_buffer_size", "64"));
+    assert_parented_per_rank(&spans, "coll_write");
+}
+
+#[test]
+fn trace_id_reaches_the_coll_read_span_of_every_rank() {
+    let spans = traced_collectives(
+        Info::new()
+            .with("cb_buffer_size", "64")
+            .with("pnc_cb_pipeline", "disable"),
+    );
+    assert_parented_per_rank(&spans, "coll_read");
+}
+
+/// A run list that does not describe its payload never reaches the
+/// rendezvous: every rank gets `InvalidArgument` from `check_runs`, no
+/// collective is counted, and the communicator is still usable.
+#[test]
+fn mismatched_payload_is_rejected_before_the_rendezvous_on_every_rank() {
+    let cfg = SimConfig::test_small();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    // The world's collective counter is shared, so the ranks take their
+    // readings between two gates that are not themselves MPI collectives.
+    let gate = std::sync::Barrier::new(NPROCS);
+    let run = run_world(NPROCS, cfg, |c| {
+        let f = MpiFile::open(c, &pfs, "t", OpenMode::Create, &Info::new()).unwrap();
+        gate.wait();
+        let before = c.stats().snapshot().collectives;
+        let runs = interleaved(c.rank());
+        let short = payload(&runs, 0)[..100].to_vec();
+        let res = f.write_runs_at_all(&runs, &short);
+        let entered = c.stats().snapshot().collectives - before;
+        gate.wait();
+        let err = res.unwrap_err();
+        assert!(matches!(err, MpioError::InvalidArgument(_)), "{err:?}");
+        assert!(err.to_string().contains("covers 120 bytes"), "{err}");
+        // Still in step with the others: a real collective goes through.
+        f.write_runs_at_all(&runs, &payload(&runs, 1)).unwrap();
+        entered
+    });
+    assert_eq!(run.results, vec![0; NPROCS], "no rank entered a collective");
+}
+
+/// Unsorted or overlapping runs are rejected the same way, on the read
+/// path too (where the destination is sized from the runs themselves).
+#[test]
+fn unsorted_runs_are_rejected_before_the_rendezvous_on_every_rank() {
+    let cfg = SimConfig::test_small();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let gate = std::sync::Barrier::new(NPROCS);
+    run_world(NPROCS, cfg, |c| {
+        let f = MpiFile::open(c, &pfs, "t", OpenMode::Create, &Info::new()).unwrap();
+        gate.wait();
+        let before = c.stats().snapshot().collectives;
+        let backwards: Vec<Run> = vec![(100, 10), (50, 10)];
+        let overlapping: Vec<Run> = vec![(0, 10), (5, 10)];
+        for bad in [&backwards, &overlapping] {
+            let e = f.write_runs_at_all(bad, &[0u8; 20]).unwrap_err();
+            assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
+            let e = f.read_runs_at_all(bad).unwrap_err();
+            assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
+        }
+        assert_eq!(c.stats().snapshot().collectives, before);
+    });
+}
+
+/// With collective buffering disabled the same loans feed the per-rank
+/// independent fallback: payloads are read, and destinations filled, where
+/// the ranks keep them.
+#[test]
+fn disabled_collective_buffering_serves_the_same_loans() {
+    let cfg = SimConfig::test_small();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let pfs_in = pfs.clone();
+    let info = Info::new()
+        .with("romio_cb_write", "disable")
+        .with("romio_cb_read", "disable");
+    run_world(NPROCS, cfg, move |c| {
+        let f = MpiFile::open(c, &pfs_in, "t", OpenMode::Create, &info).unwrap();
+        let runs = interleaved(c.rank());
+        let data = payload(&runs, c.rank() as u8);
+        f.write_runs_at_all(&runs, &data).unwrap();
+        // Read the next rank's pieces: they come from its payload.
+        let peer = (c.rank() + 1) % NPROCS;
+        let got = f.read_runs_at_all(&interleaved(peer)).unwrap();
+        assert_eq!(got, payload(&interleaved(peer), peer as u8));
+    });
+    let bytes = pfs.open("t").unwrap().to_bytes();
+    assert_eq!(bytes.len(), 3 * NPROCS * 40);
+}
+
+/// Sorted, disjoint run lists (possibly empty) inside a small region.
+fn arb_runs() -> impl Strategy<Value = Vec<Run>> {
+    vec((1u64..200, 1u64..90), 0..8).prop_map(|steps| {
+        let mut at = 0u64;
+        steps
+            .into_iter()
+            .map(|(gap, len)| {
+                let run = (at + gap, len);
+                at += gap + len;
+                run
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A lent destination receives exactly the file's bytes at its runs,
+    /// in run order — for overlapping readers, readers with nothing to
+    /// read, and windows far smaller than the request.
+    #[test]
+    fn lent_destinations_receive_the_file_bytes_in_run_order(
+        per_rank in vec(arb_runs(), 1..5),
+        cb_buffer in 16usize..400,
+        pipeline in any::<bool>(),
+    ) {
+        let cfg = SimConfig::test_small();
+        let content: Vec<u8> = (0..2400u32).map(|i| (i % 239) as u8 ^ 0x5a).collect();
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        pfs.create("t").import_bytes(&content);
+        let info = Info::new()
+            .with("cb_buffer_size", &cb_buffer.to_string())
+            .with("pnc_cb_pipeline", if pipeline { "enable" } else { "disable" });
+        let runs_in = per_rank.clone();
+        let run = run_world(per_rank.len(), cfg, move |c| {
+            let f = MpiFile::open(c, &pfs, "t", OpenMode::ReadOnly, &info).unwrap();
+            f.read_runs_at_all(&runs_in[c.rank()]).unwrap()
+        });
+        for (rank, runs) in per_rank.iter().enumerate() {
+            let want: Vec<u8> = runs
+                .iter()
+                .flat_map(|&(off, len)| content[off as usize..(off + len) as usize].to_vec())
+                .collect();
+            prop_assert_eq!(&run.results[rank], &want, "rank {}", rank);
+        }
+    }
+
+    /// A lent payload lands at its runs and nowhere else: bytes no rank
+    /// wrote keep the file's old content (or read as zeros past its end).
+    #[test]
+    fn lent_payloads_land_at_their_runs_and_nowhere_else(
+        per_rank in vec(arb_runs(), 1..5),
+        cb_buffer in 16usize..400,
+        affinity in any::<bool>(),
+    ) {
+        let cfg = SimConfig::test_small();
+        let old: Vec<u8> = (0..1500u32).map(|i| (i % 233) as u8 | 0x80).collect();
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        pfs.create("t").import_bytes(&old);
+        let info = Info::new()
+            .with("cb_buffer_size", &cb_buffer.to_string())
+            .with("pnc_cb_affinity", if affinity { "enable" } else { "disable" });
+        let (pfs_in, runs_in) = (pfs.clone(), per_rank.clone());
+        run_world(per_rank.len(), cfg, move |c| {
+            let f = MpiFile::open(c, &pfs_in, "t", OpenMode::ReadWrite, &info).unwrap();
+            let runs = &runs_in[c.rank()];
+            f.write_runs_at_all(runs, &payload(runs, c.rank() as u8)).unwrap();
+        });
+        // Oracle: old content, then every rank's payload in rank order.
+        let mut want = old.clone();
+        for (rank, runs) in per_rank.iter().enumerate() {
+            let data = payload(runs, rank as u8);
+            let mut pos = 0usize;
+            for &(off, len) in runs {
+                let (off, len) = (off as usize, len as usize);
+                if want.len() < off + len {
+                    want.resize(off + len, 0);
+                }
+                want[off..off + len].copy_from_slice(&data[pos..pos + len]);
+                pos += len;
+            }
+        }
+        prop_assert_eq!(pfs.open("t").unwrap().to_bytes(), want);
+    }
+}

@@ -259,9 +259,9 @@ pub struct CacheCounters {
 }
 
 /// Zero-copy byte-path counters: how often the memoized view flattener
-/// hit, how many bytes moved through the fused gather+swap kernels, and
-/// how many staging copies the borrow fast paths elided. Summed over all
-/// ranks of a run.
+/// hit, how many bytes moved through the fused gather+swap kernels, how
+/// many staging copies the borrow fast paths elided, and how much of the
+/// collective exchange ran on lent buffers. Summed over all ranks of a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BytePathCounters {
     /// View-flattening memoization hits (run list reused).
@@ -280,6 +280,13 @@ pub struct BytePathCounters {
     pub copies_elided: u64,
     /// Bytes covered by those elided copies.
     pub borrowed_bytes: u64,
+    /// Payload bytes lent through a collective rendezvous instead of being
+    /// copied into an exchange parcel: write payloads read, and read
+    /// destinations filled, where the owning rank keeps them.
+    pub exchange_borrowed_bytes: u64,
+    /// Two-phase windows served from a collective buffer an earlier window
+    /// of the same collective had already allocated.
+    pub collbuf_reuses: u64,
 }
 
 struct Inner {

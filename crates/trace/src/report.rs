@@ -158,7 +158,12 @@ impl ProfileSnapshot {
             .with("fused_pack_bytes", Json::from(bp.fused_pack_bytes))
             .with("fused_unpack_bytes", Json::from(bp.fused_unpack_bytes))
             .with("copies_elided", Json::from(bp.copies_elided))
-            .with("borrowed_bytes", Json::from(bp.borrowed_bytes));
+            .with("borrowed_bytes", Json::from(bp.borrowed_bytes))
+            .with(
+                "exchange_borrowed_bytes",
+                Json::from(bp.exchange_borrowed_bytes),
+            )
+            .with("collbuf_reuses", Json::from(bp.collbuf_reuses));
 
         let attributed = self.rank_total(critical);
         let mut report = Json::obj()

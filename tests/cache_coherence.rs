@@ -257,3 +257,63 @@ fn cached_and_uncached_files_are_identical() {
     assert_eq!(cached, plain);
     assert_eq!(tiny, plain, "evicting cache must preserve identity");
 }
+
+/// Faults × cache: a collective write whose retry ladder runs out on a
+/// *late* window has still landed its earlier windows, so the coherence
+/// epoch must advance and peers must drop their clean pages — failure or
+/// not. Rank 1 caches the region, the collective overwrite dies on the
+/// fourth window (server 3 is down for good), and rank 1's re-read through
+/// its cache must return the three stripes that did land, not the stale
+/// baseline.
+#[test]
+fn failed_collective_write_still_invalidates_peer_caches() {
+    use pnetcdf_mpio::{MpiFile, MpioError, OpenMode};
+
+    // test_small: 4 servers, 1 KiB stripes. One aggregator walking 1 KiB
+    // windows over a contiguous domain visits servers 0, 1, 2, 3 in order.
+    let mut cfg = profiled_cfg();
+    cfg.faults = FaultPlan::from_spec("crash=server:3@t>1e9").unwrap();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let info = cached_info()
+        .with("pnc_readahead", "0")
+        .with("cb_buffer_size", "1024")
+        .with("cb_nodes", "1")
+        .with("pnc_cb_affinity", "disable");
+    let old: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+    let new: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8 ^ 0x80).collect();
+    let (old2, new2) = (old.clone(), new.clone());
+    run_world(2, cfg.clone(), move |c| {
+        let f = MpiFile::open(c, &pfs, "late.bin", OpenMode::Create, &info).unwrap();
+        let whole = [(0u64, 4096u64)];
+        let (mine, payload): (&[_], &[u8]) = if c.rank() == 0 {
+            (&whole, &old2)
+        } else {
+            (&[], &[])
+        };
+        f.write_runs_at_all(mine, payload).unwrap();
+        if c.rank() == 1 {
+            // Clean pages of the whole region now sit in rank 1's cache.
+            assert_eq!(f.read_runs_at(&whole).unwrap(), old2);
+        }
+        // Jump past the crash point, then overwrite collectively.
+        c.advance(hpc_sim::Time::from_secs_f64(2.0));
+        let payload: &[u8] = if c.rank() == 0 { &new2 } else { &[] };
+        let err = f.write_runs_at_all(mine, payload).unwrap_err();
+        assert!(matches!(err, MpioError::Exhausted { .. }), "{err:?}");
+        if c.rank() == 1 {
+            // Servers 0–2 took their windows before server 3 refused.
+            let landed = f.read_runs_at(&[(0, 3072)]).unwrap();
+            assert_eq!(
+                landed,
+                new2[..3072],
+                "stale pages served after a failed write"
+            );
+        }
+    });
+    let c = cfg.profile.cache_counters();
+    assert!(
+        c.invalidations > 0,
+        "the failed write must invalidate: {c:?}"
+    );
+    assert!(cfg.profile.fault_counters().exhausted > 0);
+}

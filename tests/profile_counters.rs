@@ -72,6 +72,54 @@ fn collective_write_counts_one_collective_and_expected_aggregator_io() {
         assert_eq!(s.bytes_written, 1024);
         assert_eq!(s.bytes_read, 0);
     }
+    // The whole collective payload crossed the rendezvous on loan — no
+    // parcel copy — and the single window allocated the collective buffer
+    // rather than reusing one.
+    assert_eq!(
+        snap.bytepath.exchange_borrowed_bytes,
+        NPROCS as u64 * PER_RANK * 4
+    );
+    assert_eq!(snap.bytepath.collbuf_reuses, 0);
+}
+
+/// A collective that needs several windows allocates its collective buffer
+/// once: every window after the first is a reuse, on the write and on the
+/// read side, and both directions count their payload as lent.
+#[test]
+fn multi_window_collectives_reuse_one_collective_buffer() {
+    let cfg = SimConfig::test_small();
+    cfg.profile.set_enabled(true);
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let info = aligned_info()
+        .with("cb_buffer_size", "1024")
+        .with("cb_nodes", "1");
+    run_world(NPROCS, cfg.clone(), move |comm| {
+        let mut ds = Dataset::create(comm, &pfs, "reuse.nc", Version::Cdf1, &info).unwrap();
+        let d = ds.def_dim("x", NPROCS as u64 * PER_RANK).unwrap();
+        let v = ds.def_var("v", NcType::Float, &[d]).unwrap();
+        ds.enddef().unwrap();
+        comm.barrier().unwrap();
+        if comm.rank() == 0 {
+            comm.config().profile.reset();
+        }
+        comm.barrier().unwrap();
+        let r = comm.rank() as u64;
+        let vals = vec![r as f32; PER_RANK as usize];
+        ds.put_vara_all(v, &[r * PER_RANK], &[PER_RANK], &vals)
+            .unwrap();
+        let back: Vec<f32> = ds.get_vara_all(v, &[r * PER_RANK], &[PER_RANK]).unwrap();
+        assert_eq!(back, vals);
+    });
+    let snap = cfg.profile.snapshot();
+    assert_eq!(snap.twophase.collective_writes, 1);
+    assert_eq!(snap.twophase.collective_reads, 1);
+    // 4 KiB through 1 KiB windows: four windows each way, two buffers.
+    assert_eq!(snap.twophase.windows, 8);
+    assert_eq!(snap.bytepath.collbuf_reuses, 6);
+    assert_eq!(
+        snap.bytepath.exchange_borrowed_bytes,
+        2 * NPROCS as u64 * PER_RANK * 4
+    );
 }
 
 /// The same FLASH-style workload issued through blocking `put_vara_all`

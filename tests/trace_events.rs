@@ -2,7 +2,7 @@
 //! well-formed, per-rank PHASE timelines are monotonic, ServiceEngine disk
 //! spans nest inside their queue-residency containers, and trace ids
 //! survive the core → mpio → pfs crossings (including the rendezvous
-//! parcel hop, where thread-locals cannot carry them).
+//! hop, where thread-locals cannot carry them and the id rides the loan).
 
 use std::collections::{HashMap, HashSet};
 
@@ -157,7 +157,7 @@ fn trace_ids_survive_core_mpio_pfs_crossing() {
         "queued iputs must link to the flush that carried them"
     );
     // Core → mpio: the per-rank collective spans parent to the flush ids,
-    // which crossed the rendezvous inside the request parcels.
+    // which crossed the rendezvous as the tag of each rank's lent request.
     let coll_ids: HashSet<u64> = spans
         .iter()
         .filter(|s| {
@@ -167,7 +167,7 @@ fn trace_ids_survive_core_mpio_pfs_crossing() {
         .collect();
     assert!(
         !coll_ids.is_empty(),
-        "coll spans must parent to core flush ids across the parcel hop"
+        "coll spans must parent to core flush ids across the rendezvous hop"
     );
     // mpio: two-phase windows under the collective spans.
     let win_ids: HashSet<u64> = spans

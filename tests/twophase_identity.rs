@@ -3,7 +3,8 @@
 //! leave exactly the same bytes in the file — and return exactly the same
 //! bytes to readers — as the serial exchange-then-access engine, at the
 //! MPI-IO layer and through PnetCDF's nonblocking `wait_all` path. Also
-//! exercises the request-parcel codec round-trip the engines share.
+//! exercises the lent-request round trip the engines share: what a rank
+//! lends to a collective write comes back from a collective read.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -11,7 +12,6 @@ use proptest::prelude::*;
 use hpc_sim::SimConfig;
 use pnetcdf::{Dataset, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
-use pnetcdf_mpio::twophase::{decode_req, encode_read_req, encode_write_req};
 use pnetcdf_mpio::{MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -70,18 +70,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn parcel_codec_roundtrips(runs in arb_runs(), seed in any::<u8>(), trace_id in any::<u64>()) {
-        let data = data_for(&runs, seed);
-        let write_parcel = encode_write_req(&runs, &data, trace_id);
-        let (r2, d2, id2) = decode_req(&write_parcel).unwrap();
-        prop_assert_eq!(&r2, &runs);
-        prop_assert_eq!(d2, &data[..]);
-        prop_assert_eq!(id2, trace_id);
-        let read_parcel = encode_read_req(&runs, trace_id);
-        let (r3, d3, id3) = decode_req(&read_parcel).unwrap();
-        prop_assert_eq!(&r3, &runs);
-        prop_assert!(d3.is_empty());
-        prop_assert_eq!(id3, trace_id);
+    fn lent_requests_roundtrip(
+        per_rank in vec(arb_runs(), 2..5),
+        cb_buffer in 16usize..384,
+        pipeline in any::<bool>(),
+    ) {
+        // Each rank lends its runs + payload to a collective write, then
+        // lends the same runs + a destination to a collective read: every
+        // rank must get exactly its own payload back, whatever the window
+        // size and engine, and nobody else's bytes.
+        let cfg = SimConfig::test_small();
+        let rank_runs = rebase(&per_rank);
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        let info = hints(cb_buffer, pipeline);
+        let runs_in = rank_runs.clone();
+        let run = run_world(rank_runs.len(), cfg, move |c| {
+            let f = MpiFile::open(c, &pfs, "t", OpenMode::Create, &info).unwrap();
+            let runs = &runs_in[c.rank()];
+            let data = data_for(runs, c.rank() as u8);
+            f.write_runs_at_all(runs, &data).unwrap();
+            (f.read_runs_at_all(runs).unwrap(), data)
+        });
+        for (rank, (got, sent)) in run.results.iter().enumerate() {
+            prop_assert_eq!(got, sent, "rank {}", rank);
+        }
     }
 
     #[test]
