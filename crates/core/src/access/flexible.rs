@@ -157,8 +157,11 @@ impl Dataset {
         self.comm
             .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
 
-        let req = self.lower_put(varid, start, count, stride, ext)?;
-        self.execute_put_now(&req, collective)
+        self.with_staging(|ds, req| {
+            req.buffer = ext;
+            ds.lower_put(req, varid, start, count, stride)?;
+            ds.execute_put_now(req, collective)
+        })
     }
 
     /// Collective flexible read (`ncmpi_get_vara_all`).
@@ -254,16 +257,18 @@ impl Dataset {
             self.require_independent()?;
         }
         let (nctype, _) = self.flexible_common(varid, count, bufcount, memtype)?;
-        let req = self.lower_get(varid, start, count, stride)?;
-        let ext = self.execute_get_now(&req, collective)?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_unpack_bytes += ext.len() as u64);
-        // Fused convert+scatter back into the user's memory description.
-        convert::unpack_from_external(&ext, buf, bufcount, memtype, nctype)?;
-        Ok(())
+        self.with_staging(|ds, req| {
+            ds.lower_get(req, varid, start, count, stride)?;
+            ds.execute_get_now(req, collective)?;
+            let ext = &req.buffer;
+            ds.comm.advance(ds.comm.config().cpu.pack(ext.len(), 1.0));
+            ds.comm
+                .config()
+                .profile
+                .record_bytepath(|b| b.fused_unpack_bytes += ext.len() as u64);
+            // Fused convert+scatter back into the user's memory description.
+            convert::unpack_from_external(ext, buf, bufcount, memtype, nctype)?;
+            Ok(())
+        })
     }
 }

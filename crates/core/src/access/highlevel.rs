@@ -7,13 +7,25 @@
 //! requiring collective data mode) and an **independent** flavor (requiring
 //! independent data mode entered via `begin_indep_data`).
 
-use pnetcdf_format::types::{from_external, to_external};
+use std::borrow::Cow;
+
+use pnetcdf_format::types::{from_external, to_external_into};
 use pnetcdf_format::NcValue;
 
 use crate::access::map::{gather_by_imap, scatter_by_imap};
-use crate::access::request;
+use crate::access::request::{self, AccessReq};
 use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
+
+/// `count` of a single-element access of rank `ndims`: all ones, without
+/// allocating for any rank a netCDF variable plausibly has.
+fn ones(ndims: usize) -> Cow<'static, [u64]> {
+    const ONES: [u64; 16] = [1; 16];
+    match ONES.get(..ndims) {
+        Some(ones) => Cow::Borrowed(ones),
+        None => Cow::Owned(vec![1; ndims]),
+    }
+}
 
 impl Dataset {
     fn put_region<T: NcValue>(
@@ -30,28 +42,50 @@ impl Dataset {
         } else {
             self.require_independent()?;
         }
+        // A blocking call is a queue-depth-one flush of the unified request
+        // engine, staged in the dataset's recycled request.
+        self.with_staging(|ds, req| {
+            ds.put_staged(req, varid, start, count, stride, vals, collective)
+        })
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn put_staged<T: NcValue>(
+        &mut self,
+        req: &mut AccessReq,
+        varid: usize,
+        start: &[u64],
+        count: &[u64],
+        stride: Option<&[u64]>,
+        vals: &[T],
+        collective: bool,
+    ) -> NcmpiResult<()> {
         // Validate and lower locally, then (in collective mode) agree on the
         // outcome *before* entering the collective execution: if any rank
         // failed validation, every rank returns that same error and nobody
         // enters the two-phase exchange alone.
+        let numrecs = self.header.numrecs;
         let lowered = (|| {
             self.require_writable()?;
             self.check_count(count, vals.len())?;
-            let nctype = self.var_nctype(varid)?;
-            let ext = to_external(vals, nctype)?;
+            to_external_into(vals, self.var_nctype(varid)?, &mut req.buffer)?;
             // Native→external conversion is real CPU work.
             self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-            // Lower into the unified request engine and execute immediately:
-            // a blocking call is a queue-depth-one flush.
-            self.lower_put(varid, start, count, stride, ext)
+                .advance(self.comm.config().cpu.pack(req.buffer.len(), 1.0));
+            self.lower_put(req, varid, start, count, stride)
         })();
-        let req = if collective {
-            self.agree(lowered)?
+        let lowered = if collective {
+            self.agree(lowered)
         } else {
-            lowered?
+            lowered
         };
-        let done = self.execute_put_now(&req, collective);
+        if let Err(e) = lowered {
+            // Nothing was written: the records this rank's lowering counted
+            // (while another rank's failed) do not exist.
+            self.header.numrecs = numrecs;
+            return Err(e);
+        }
+        let done = self.execute_put_now(req, collective);
         // Execution faults can be aggregator-local (a storage fault that
         // exhausted one rank's retry budget), so agree on those too.
         let mut done = if collective { self.agree(done) } else { done };
@@ -60,7 +94,7 @@ impl Dataset {
         // (idempotent) and re-issue the same write once in degraded mode.
         if let Some(server) = request::agreed_server_lost(&done) {
             self.file.raw().mark_server_down(server);
-            let retried = self.execute_put_now(&req, collective);
+            let retried = self.execute_put_now(req, collective);
             done = if collective {
                 self.agree(retried)
             } else {
@@ -103,31 +137,49 @@ impl Dataset {
                 .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
             return Ok(from_external(&ext, nctype)?);
         }
+        // The external bytes land in the recycled request's staging; the
+        // `Vec<T>` decoded from it is the call's one allocation.
+        self.with_staging(|ds, req| {
+            ds.get_staged(req, varid, start, count, stride, collective)?;
+            ds.comm
+                .advance(ds.comm.config().cpu.pack(req.buffer.len(), 1.0));
+            Ok(from_external(&req.buffer, nctype)?)
+        })
+    }
+
+    /// Lower a blocking get into `req` and execute it: on success
+    /// `req.buffer` holds the selection's external bytes.
+    fn get_staged(
+        &mut self,
+        req: &mut AccessReq,
+        varid: usize,
+        start: &[u64],
+        count: &[u64],
+        stride: Option<&[u64]>,
+        collective: bool,
+    ) -> NcmpiResult<()> {
         // Agree on the lowering before the collective execution, then on the
-        // execution outcome itself (see `put_region`).
-        let lowered = self.lower_get(varid, start, count, stride);
-        let req = if collective {
+        // execution outcome itself (see `put_staged`).
+        let lowered = self.lower_get(req, varid, start, count, stride);
+        if collective {
             self.agree(lowered)?
         } else {
             lowered?
         };
-        let got = self.execute_get_now(&req, collective);
+        let got = self.execute_get_now(req, collective);
         let mut got = if collective { self.agree(got) } else { got };
         // Server failover on reads: degraded mode reconstructs the lost
         // server's chunks from surviving data + parity.
         if let Some(server) = request::agreed_server_lost(&got) {
             self.file.raw().mark_server_down(server);
-            let retried = self.execute_get_now(&req, collective);
+            let retried = self.execute_get_now(req, collective);
             got = if collective {
                 self.agree(retried)
             } else {
                 retried
             };
         }
-        let ext = got?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        Ok(from_external(&ext, nctype)?)
+        got
     }
 
     // ---- vara: subarray ---------------------------------------------------
@@ -231,25 +283,25 @@ impl Dataset {
         index: &[u64],
         val: T,
     ) -> NcmpiResult<()> {
-        let count = vec![1u64; index.len()];
+        let count = ones(index.len());
         self.put_region(varid, index, &count, None, &[val], true)
     }
 
     /// Independent single-element write (`ncmpi_put_var1_<type>`).
     pub fn put_var1<T: NcValue>(&mut self, varid: usize, index: &[u64], val: T) -> NcmpiResult<()> {
-        let count = vec![1u64; index.len()];
+        let count = ones(index.len());
         self.put_region(varid, index, &count, None, &[val], false)
     }
 
     /// Collective single-element read.
     pub fn get_var1_all<T: NcValue>(&mut self, varid: usize, index: &[u64]) -> NcmpiResult<T> {
-        let count = vec![1u64; index.len()];
+        let count = ones(index.len());
         Ok(self.get_region::<T>(varid, index, &count, None, true)?[0])
     }
 
     /// Independent single-element read.
     pub fn get_var1<T: NcValue>(&mut self, varid: usize, index: &[u64]) -> NcmpiResult<T> {
-        let count = vec![1u64; index.len()];
+        let count = ones(index.len());
         Ok(self.get_region::<T>(varid, index, &count, None, false)?[0])
     }
 

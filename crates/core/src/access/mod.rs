@@ -27,8 +27,9 @@ use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
 
 impl Dataset {
-    /// Validate an access and resolve it to `(absolute file byte runs,
-    /// total bytes)` — the common lowering every request goes through.
+    /// Validate an access and resolve it to absolute file byte runs in
+    /// `runs` (cleared first) — the common lowering every request goes
+    /// through.
     pub(crate) fn build_region(
         &self,
         varid: usize,
@@ -36,23 +37,24 @@ impl Dataset {
         count: &[u64],
         stride: Option<&[u64]>,
         for_write: bool,
-    ) -> NcmpiResult<(Vec<Run>, u64)> {
+        runs: &mut Vec<Run>,
+    ) -> NcmpiResult<()> {
         let limit = if for_write {
             None
         } else {
             Some(self.header.numrecs)
         };
         layout::check_access(&self.header, varid, start, count, stride, limit)?;
-        let runs = layout::access_runs(
+        layout::access_runs_into(
             &self.header,
             self.layout.recsize,
             varid,
             start,
             count,
             stride,
+            runs,
         );
-        let total: u64 = runs.iter().map(|r| r.1).sum();
-        Ok((runs, total))
+        Ok(())
     }
 
     /// After a write touching a record variable, grow the local `numrecs`.

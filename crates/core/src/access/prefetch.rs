@@ -40,8 +40,7 @@ impl Dataset {
             }
             let count = self.header.var_shape(varid);
             let start = vec![0u64; count.len()];
-            let req = self.lower_get(varid, &start, &count, None)?;
-            queued.push((varid, self.enqueue(req)));
+            queued.push((varid, self.iget_vara(varid, &start, &count)?));
         }
         // One collective round reads every hinted variable, however many
         // the hint named. All ranks process the same hint, so all queue the

@@ -18,9 +18,10 @@
 
 use hpc_sim::trace::events::layer;
 use hpc_sim::{Span, Time, TraceCtx};
-use pnetcdf_format::types::{from_external, to_external};
+use pnetcdf_format::types::{from_external, to_external_into};
 use pnetcdf_format::{NcType, NcValue};
 use pnetcdf_mpi::{Datatype, ReduceOp, Request};
+use pnetcdf_mpio::view::runs_total;
 use pnetcdf_mpio::{MpioError, Run};
 
 use crate::convert;
@@ -37,13 +38,18 @@ pub(crate) enum AccessKind {
 /// One lowered access request. The access is fully validated and resolved
 /// to file byte runs when the request is built, so executing it later (or
 /// merged with others) needs no further header state.
+///
+/// A nonblocking call builds a fresh one and queues it; the blocking calls
+/// lower into the one the dataset keeps (`Dataset::staging`), whose `runs`
+/// and `buffer` hold their capacity from call to call.
 pub(crate) struct AccessReq {
     pub id: Request,
     pub varid: usize,
     pub kind: AccessKind,
     /// Absolute file byte runs of the selection, sorted and non-overlapping.
     pub runs: Vec<Run>,
-    /// Put: external (big-endian) bytes in run order. Get: empty.
+    /// Put: external (big-endian) bytes in run order. Queued get: empty.
+    /// Blocking get: the external bytes as read, in run order.
     pub buffer: Vec<u8>,
     /// The variable's external type, kept for get-result conversion.
     pub nctype: NcType,
@@ -56,6 +62,29 @@ pub(crate) struct AccessReq {
     /// Virtual time the request was queued (span begin for `iput`/`iget`).
     pub queued: Time,
 }
+
+impl Default for AccessReq {
+    /// An unlowered request holding no storage.
+    fn default() -> AccessReq {
+        AccessReq {
+            id: Request::NULL,
+            varid: 0,
+            kind: AccessKind::Get,
+            runs: Vec::new(),
+            buffer: Vec::new(),
+            nctype: NcType::Byte,
+            record: false,
+            trace_id: 0,
+            queued: Time::ZERO,
+        }
+    }
+}
+
+/// The most capacity, in bytes, a vector of the dataset's recycled request
+/// keeps between blocking calls. Small accesses — the ones whose cost is
+/// per-request overhead — reuse their staging; a dataset that once moved
+/// 32 MiB in one call does not hold 32 MiB until `close`.
+const STAGING_RETAIN: usize = 1 << 20;
 
 // ---- request merging --------------------------------------------------------
 
@@ -277,69 +306,94 @@ impl Dataset {
         Ok(())
     }
 
-    /// Lower a write access: validate, resolve to file runs, and freeze the
-    /// staged external bytes. Grows the local record count and invalidates
-    /// the variable's prefetch cache, so later accesses in the same batch
-    /// see the post-write state.
+    /// Run one blocking call with the dataset's recycled request to lower
+    /// into. However the call ends, the request's vectors are kept for the
+    /// next one — unless one has grown past [`STAGING_RETAIN`].
+    pub(crate) fn with_staging<R>(
+        &mut self,
+        call: impl FnOnce(&mut Dataset, &mut AccessReq) -> R,
+    ) -> R {
+        let mut req = std::mem::take(&mut self.staging);
+        let out = call(self, &mut req);
+        if req.buffer.capacity() > STAGING_RETAIN {
+            req.buffer = Vec::new();
+        }
+        if req.runs.capacity() * std::mem::size_of::<Run>() > STAGING_RETAIN {
+            req.runs = Vec::new();
+        }
+        self.staging = req;
+        out
+    }
+
+    /// Lower a write access into `req`, whose `buffer` already holds the
+    /// staged external bytes: validate and resolve to file runs. Grows the
+    /// local record count and invalidates the variable's prefetch cache, so
+    /// later accesses in the same batch see the post-write state.
     pub(crate) fn lower_put(
         &mut self,
+        req: &mut AccessReq,
         varid: usize,
         start: &[u64],
         count: &[u64],
         stride: Option<&[u64]>,
-        ext: Vec<u8>,
-    ) -> NcmpiResult<AccessReq> {
+    ) -> NcmpiResult<()> {
         self.require_writable()?;
-        let nctype = self.var_nctype(varid)?;
-        let (runs, total) = self.build_region(varid, start, count, stride, true)?;
-        if total as usize != ext.len() {
+        self.lower(req, AccessKind::Put, varid, start, count, stride)?;
+        let total = runs_total(&req.runs);
+        if total as usize != req.buffer.len() {
             return Err(NcmpiError::InvalidArgument(format!(
                 "access selects {total} bytes but the staged buffer holds {}",
-                ext.len()
+                req.buffer.len()
             )));
         }
         self.grow_numrecs(varid, start, count, stride);
         self.invalidate_cache(varid);
-        Ok(AccessReq {
-            id: Request::NULL,
-            varid,
-            kind: AccessKind::Put,
-            runs,
-            buffer: ext,
-            nctype,
-            record: self.header.is_record_var(varid),
-            trace_id: 0,
-            queued: Time::ZERO,
-        })
+        Ok(())
     }
 
-    /// Lower a read access: validate against the current record count and
-    /// resolve to file runs.
+    /// Lower a read access into `req`: validate against the current record
+    /// count and resolve to file runs.
     pub(crate) fn lower_get(
         &mut self,
+        req: &mut AccessReq,
         varid: usize,
         start: &[u64],
         count: &[u64],
         stride: Option<&[u64]>,
-    ) -> NcmpiResult<AccessReq> {
-        let nctype = self.var_nctype(varid)?;
-        let (runs, _total) = self.build_region(varid, start, count, stride, false)?;
-        Ok(AccessReq {
-            id: Request::NULL,
+    ) -> NcmpiResult<()> {
+        self.lower(req, AccessKind::Get, varid, start, count, stride)
+    }
+
+    fn lower(
+        &self,
+        req: &mut AccessReq,
+        kind: AccessKind,
+        varid: usize,
+        start: &[u64],
+        count: &[u64],
+        stride: Option<&[u64]>,
+    ) -> NcmpiResult<()> {
+        req.nctype = self.var_nctype(varid)?;
+        self.build_region(
             varid,
-            kind: AccessKind::Get,
-            runs,
-            buffer: Vec::new(),
-            nctype,
-            record: self.header.is_record_var(varid),
-            trace_id: 0,
-            queued: Time::ZERO,
-        })
+            start,
+            count,
+            stride,
+            kind == AccessKind::Put,
+            &mut req.runs,
+        )?;
+        req.id = Request::NULL;
+        req.varid = varid;
+        req.kind = kind;
+        req.record = self.header.is_record_var(varid);
+        req.trace_id = 0;
+        req.queued = Time::ZERO;
+        Ok(())
     }
 
     /// Execute one put immediately (the blocking path).
     pub(crate) fn execute_put_now(&mut self, req: &AccessReq, collective: bool) -> NcmpiResult<()> {
-        let events = self.comm.config().events.clone();
+        let events = &self.comm.config().events;
         let rid = events.is_enabled().then(|| events.next_id());
         let t0 = self.comm.now();
         {
@@ -354,7 +408,7 @@ impl Dataset {
             }
         }
         if let Some(r) = rid {
-            events.record(
+            self.comm.config().events.record(
                 Span::new(
                     self.comm.world_rank(),
                     layer::CORE,
@@ -371,22 +425,30 @@ impl Dataset {
         Ok(())
     }
 
-    /// Execute one get immediately (the blocking path); returns the
-    /// external bytes of the selection in run order.
+    /// Execute one get immediately (the blocking path): `req.buffer` ends
+    /// up holding exactly the external bytes of the selection, in run order.
     pub(crate) fn execute_get_now(
         &mut self,
-        req: &AccessReq,
+        req: &mut AccessReq,
         collective: bool,
-    ) -> NcmpiResult<Vec<u8>> {
-        let events = self.comm.config().events.clone();
+    ) -> NcmpiResult<()> {
+        let total = runs_total(&req.runs) as usize;
+        if req.buffer.capacity() < total {
+            // Zeroed pages from the allocator instead of a copy of the old
+            // contents followed by a memset.
+            req.buffer = vec![0u8; total];
+        } else {
+            req.buffer.resize(total, 0);
+        }
+        let events = &self.comm.config().events;
         let rid = events.is_enabled().then(|| events.next_id());
         let t0 = self.comm.now();
-        let data = {
+        {
             let _ctx = rid.map(|r| TraceCtx::enter(self.comm.world_rank(), r));
             if collective {
-                self.file.read_runs_at_all(&req.runs)?
+                self.file.read_runs_into_all(&req.runs, &mut req.buffer)?
             } else {
-                self.file.read_runs_at(&req.runs)?
+                self.file.read_runs_into(&req.runs, &mut req.buffer)?
             }
         };
         if let Some(r) = rid {
@@ -399,12 +461,11 @@ impl Dataset {
                     self.comm.now().as_nanos(),
                 )
                 .with_id(r)
-                .with_arg("bytes", data.len() as u64),
+                .with_arg("bytes", total as u64),
             );
         }
-        self.profile
-            .record(req.varid, false, false, data.len() as u64);
-        Ok(data)
+        self.profile.record(req.varid, false, false, total as u64);
+        Ok(())
     }
 
     pub(crate) fn enqueue(&mut self, mut req: AccessReq) -> Request {
@@ -429,11 +490,11 @@ impl Dataset {
     ) -> NcmpiResult<Request> {
         self.require_data_mode()?;
         self.check_count(count, vals.len())?;
-        let nctype = self.var_nctype(varid)?;
-        let ext = to_external(vals, nctype)?;
+        let mut req = AccessReq::default();
+        to_external_into(vals, self.var_nctype(varid)?, &mut req.buffer)?;
         self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        let req = self.lower_put(varid, start, count, stride, ext)?;
+            .advance(self.comm.config().cpu.pack(req.buffer.len(), 1.0));
+        self.lower_put(&mut req, varid, start, count, stride)?;
         Ok(self.enqueue(req))
     }
 
@@ -445,7 +506,8 @@ impl Dataset {
         stride: Option<&[u64]>,
     ) -> NcmpiResult<Request> {
         self.require_data_mode()?;
-        let req = self.lower_get(varid, start, count, stride)?;
+        let mut req = AccessReq::default();
+        self.lower_get(&mut req, varid, start, count, stride)?;
         Ok(self.enqueue(req))
     }
 
@@ -520,7 +582,11 @@ impl Dataset {
         }
         self.comm
             .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        let req = self.lower_put(varid, start, count, None, ext)?;
+        let mut req = AccessReq {
+            buffer: ext,
+            ..AccessReq::default()
+        };
+        self.lower_put(&mut req, varid, start, count, None)?;
         Ok(self.enqueue(req))
     }
 
@@ -537,8 +603,7 @@ impl Dataset {
     ) -> NcmpiResult<Request> {
         self.require_data_mode()?;
         self.flexible_common(varid, count, bufcount, memtype)?;
-        let req = self.lower_get(varid, start, count, None)?;
-        Ok(self.enqueue(req))
+        self.enqueue_get(varid, start, count, None)
     }
 
     /// Queue a subarray read (`ncmpi_iget_vara_<type>`); retrieve the values
@@ -682,7 +747,7 @@ impl Dataset {
         do_gets: bool,
         collective: bool,
     ) -> NcmpiResult<()> {
-        let events = self.comm.config().events.clone();
+        let events = &self.comm.config().events;
         let tracing = events.is_enabled();
         let rank = self.comm.world_rank();
         let mut failure: Option<NcmpiError> = None;
@@ -884,15 +949,10 @@ mod tests {
 
     fn put_req(runs: Vec<Run>, buffer: Vec<u8>) -> AccessReq {
         AccessReq {
-            id: Request::NULL,
-            varid: 0,
             kind: AccessKind::Put,
             runs,
             buffer,
-            nctype: NcType::Byte,
-            record: false,
-            trace_id: 0,
-            queued: Time::ZERO,
+            ..AccessReq::default()
         }
     }
 
@@ -922,26 +982,13 @@ mod tests {
     #[test]
     fn get_coverage_merges_and_extracts() {
         let a = AccessReq {
-            id: Request::NULL,
-            varid: 0,
-            kind: AccessKind::Get,
             runs: vec![(0, 4), (10, 2)],
-            buffer: Vec::new(),
-            nctype: NcType::Byte,
-            record: false,
-            trace_id: 0,
-            queued: Time::ZERO,
+            ..AccessReq::default()
         };
         let b = AccessReq {
-            id: Request::NULL,
             varid: 1,
-            kind: AccessKind::Get,
             runs: vec![(2, 4)],
-            buffer: Vec::new(),
-            nctype: NcType::Byte,
-            record: false,
-            trace_id: 0,
-            queued: Time::ZERO,
+            ..AccessReq::default()
         };
         let cov = merge_gets(&[a, b]);
         assert_eq!(cov, vec![(0, 6), (10, 2)]);

@@ -47,6 +47,9 @@ pub struct Dataset {
     /// Fill mode (`ncmpi_set_fill`); default NOFILL like real PnetCDF.
     pub(crate) fill_mode: bool,
     pre_redef: Option<(Header, Layout)>,
+    /// The request every blocking put and get lowers into, recycled so that
+    /// its run list and staging buffer are allocated once, not per call.
+    pub(crate) staging: AccessReq,
     /// Queued nonblocking requests, drained by `wait`/`wait_all`.
     pub(crate) pending: Vec<AccessReq>,
     /// Ticket issuer for nonblocking requests.
@@ -92,6 +95,7 @@ impl Dataset {
             prefetch: HashMap::new(),
             fill_mode: false,
             pre_redef: None,
+            staging: AccessReq::default(),
             pending: Vec::new(),
             req_table: RequestTable::new(),
             results: HashMap::new(),
@@ -169,6 +173,7 @@ impl Dataset {
             prefetch: HashMap::new(),
             fill_mode: false,
             pre_redef: None,
+            staging: AccessReq::default(),
             pending: Vec::new(),
             req_table: RequestTable::new(),
             results: HashMap::new(),

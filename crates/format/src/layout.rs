@@ -193,104 +193,229 @@ pub fn access_runs(
     count: &[u64],
     stride: Option<&[u64]>,
 ) -> Vec<(u64, u64)> {
-    let v = &h.vars[varid];
-    let esize = v.nctype.size();
-    let is_rec = h.is_record_var(varid);
-    let mut out: Vec<(u64, u64)> = Vec::new();
+    let mut out = Vec::new();
+    access_runs_into(h, recsize, varid, start, count, stride, &mut out);
+    out
+}
 
-    // Inner (non-record) shape and element strides.
-    let skip = usize::from(is_rec);
-    let inner_shape = h.record_shape(varid);
-    let nd = inner_shape.len();
-    let mut elem_strides = vec![1u64; nd];
-    for d in (0..nd.saturating_sub(1)).rev() {
-        elem_strides[d] = elem_strides[d + 1] * inner_shape[d + 1];
+/// [`access_runs`] into caller storage: `out` is cleared and refilled, and
+/// nothing else is allocated, so a run list that is passed again keeps its
+/// capacity and lowering an access costs no heap traffic.
+pub fn access_runs_into(
+    h: &Header,
+    recsize: u64,
+    varid: usize,
+    start: &[u64],
+    count: &[u64],
+    stride: Option<&[u64]>,
+    out: &mut Vec<(u64, u64)>,
+) {
+    out.clear();
+    if count.contains(&0) {
+        return;
     }
-
-    let push = |out: &mut Vec<(u64, u64)>, off: u64, len: u64| {
-        if len == 0 {
-            return;
-        }
-        if let Some(last) = out.last_mut() {
-            if last.0 + last.1 == off {
-                last.1 += len;
-                return;
-            }
-        }
-        out.push((off, len));
+    let v = &h.vars[varid];
+    let is_rec = h.is_record_var(varid);
+    let skip = usize::from(is_rec);
+    let inner = Inner {
+        dims: &h.dims,
+        dimids: &v.dimids[skip..],
+        start: &start[skip..],
+        count: &count[skip..],
+        stride: stride.map(|s| &s[skip..]),
+        esize: v.nctype.size(),
     };
-
     // Iterate the record dimension (or a single pass for fixed vars).
     let (rec_start, rec_count, rec_stride) = if is_rec {
         (start[0], count[0], stride.map_or(1, |s| s[0]))
     } else {
         (0, 1, 1)
     };
-
-    let inner_start = &start[skip..];
-    let inner_count = &count[skip..];
-    let inner_stride: Option<&[u64]> = stride.map(|s| &s[skip..]);
-    if inner_count.contains(&0) || rec_count == 0 {
-        return out;
-    }
-
     for r in 0..rec_count {
-        let base = if is_rec {
-            v.begin + (rec_start + r * rec_stride) * recsize
+        let base = v.begin + (rec_start + r * rec_stride) * recsize;
+        if inner.dimids.is_empty() {
+            push_run(out, base, inner.esize);
         } else {
-            v.begin
-        };
-        if nd == 0 {
-            push(&mut out, base, esize);
-            continue;
+            inner.walk(0, base, out);
         }
-        // Odometer over all inner dims except the innermost.
-        let mut idx = vec![0u64; nd - 1];
-        loop {
-            let mut elem_off: u64 = 0;
-            for d in 0..nd - 1 {
-                let step = inner_stride.map_or(1, |s| s[d]);
-                elem_off += (inner_start[d] + idx[d] * step) * elem_strides[d];
-            }
-            let last_step = inner_stride.map_or(1, |s| s[nd - 1]);
-            if last_step == 1 {
-                let off = elem_off + inner_start[nd - 1];
-                push(&mut out, base + off * esize, inner_count[nd - 1] * esize);
+    }
+}
+
+/// Append `[off, off + len)`, extending the last run when it is adjacent.
+fn push_run(out: &mut Vec<(u64, u64)>, off: u64, len: u64) {
+    if let Some(last) = out.last_mut() {
+        if last.0 + last.1 == off {
+            last.1 += len;
+            return;
+        }
+    }
+    out.push((off, len));
+}
+
+/// The non-record dimensions of one access (at least one, every count
+/// non-zero), walked outermost first. The walk keeps its position in the
+/// call stack, one frame per dimension, instead of in an index vector.
+struct Inner<'a> {
+    dims: &'a [crate::Dim],
+    dimids: &'a [usize],
+    start: &'a [u64],
+    count: &'a [u64],
+    stride: Option<&'a [u64]>,
+    esize: u64,
+}
+
+impl Inner<'_> {
+    fn step(&self, d: usize) -> u64 {
+        self.stride.map_or(1, |s| s[d])
+    }
+
+    /// Emit the runs of dimensions `d..` whose enclosing indices put them
+    /// at byte `base`.
+    fn walk(&self, d: usize, base: u64, out: &mut Vec<(u64, u64)>) {
+        let last = self.dimids.len() - 1;
+        if d == last {
+            return self.row(base, out);
+        }
+        // Bytes between consecutive indices of dimension `d`.
+        let pitch = self.dimids[d + 1..]
+            .iter()
+            .fold(self.esize, |p, &id| p * self.dims[id].len);
+        for i in 0..self.count[d] {
+            let at = base + (self.start[d] + i * self.step(d)) * pitch;
+            if d + 1 == last {
+                self.row(at, out);
             } else {
-                for k in 0..inner_count[nd - 1] {
-                    let off = elem_off + inner_start[nd - 1] + k * last_step;
-                    push(&mut out, base + off * esize, esize);
-                }
-            }
-            // Increment the odometer.
-            let mut d = nd - 1;
-            loop {
-                if d == 0 {
-                    break;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < inner_count[d] {
-                    break;
-                }
-                idx[d] = 0;
-                if d == 0 {
-                    d = usize::MAX;
-                    break;
-                }
-            }
-            if d == usize::MAX || nd == 1 {
-                break;
+                self.walk(d + 1, at, out);
             }
         }
     }
-    out
+
+    /// The innermost dimension: one run, or one per element when strided.
+    #[inline]
+    fn row(&self, base: u64, out: &mut Vec<(u64, u64)>) {
+        let d = self.dimids.len() - 1;
+        let step = self.step(d);
+        if step == 1 {
+            let off = base + self.start[d] * self.esize;
+            push_run(out, off, self.count[d] * self.esize);
+        } else {
+            for k in 0..self.count[d] {
+                let off = base + (self.start[d] + k * step) * self.esize;
+                push_run(out, off, self.esize);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::NcType;
+
+    /// The lowering as it was before `access_runs_into`: an index-vector
+    /// odometer over temporary shape and stride vectors. Kept as the oracle
+    /// of the identity proptest below.
+    fn access_runs_oracle(
+        h: &Header,
+        recsize: u64,
+        varid: usize,
+        start: &[u64],
+        count: &[u64],
+        stride: Option<&[u64]>,
+    ) -> Vec<(u64, u64)> {
+        let v = &h.vars[varid];
+        let esize = v.nctype.size();
+        let is_rec = h.is_record_var(varid);
+        let mut out: Vec<(u64, u64)> = Vec::new();
+
+        // Inner (non-record) shape and element strides.
+        let skip = usize::from(is_rec);
+        let inner_shape = h.record_shape(varid);
+        let nd = inner_shape.len();
+        let mut elem_strides = vec![1u64; nd];
+        for d in (0..nd.saturating_sub(1)).rev() {
+            elem_strides[d] = elem_strides[d + 1] * inner_shape[d + 1];
+        }
+
+        let push = |out: &mut Vec<(u64, u64)>, off: u64, len: u64| {
+            if len == 0 {
+                return;
+            }
+            if let Some(last) = out.last_mut() {
+                if last.0 + last.1 == off {
+                    last.1 += len;
+                    return;
+                }
+            }
+            out.push((off, len));
+        };
+
+        // Iterate the record dimension (or a single pass for fixed vars).
+        let (rec_start, rec_count, rec_stride) = if is_rec {
+            (start[0], count[0], stride.map_or(1, |s| s[0]))
+        } else {
+            (0, 1, 1)
+        };
+
+        let inner_start = &start[skip..];
+        let inner_count = &count[skip..];
+        let inner_stride: Option<&[u64]> = stride.map(|s| &s[skip..]);
+        if inner_count.contains(&0) || rec_count == 0 {
+            return out;
+        }
+
+        for r in 0..rec_count {
+            let base = if is_rec {
+                v.begin + (rec_start + r * rec_stride) * recsize
+            } else {
+                v.begin
+            };
+            if nd == 0 {
+                push(&mut out, base, esize);
+                continue;
+            }
+            // Odometer over all inner dims except the innermost.
+            let mut idx = vec![0u64; nd - 1];
+            loop {
+                let mut elem_off: u64 = 0;
+                for d in 0..nd - 1 {
+                    let step = inner_stride.map_or(1, |s| s[d]);
+                    elem_off += (inner_start[d] + idx[d] * step) * elem_strides[d];
+                }
+                let last_step = inner_stride.map_or(1, |s| s[nd - 1]);
+                if last_step == 1 {
+                    let off = elem_off + inner_start[nd - 1];
+                    push(&mut out, base + off * esize, inner_count[nd - 1] * esize);
+                } else {
+                    for k in 0..inner_count[nd - 1] {
+                        let off = elem_off + inner_start[nd - 1] + k * last_step;
+                        push(&mut out, base + off * esize, esize);
+                    }
+                }
+                // Increment the odometer.
+                let mut d = nd - 1;
+                loop {
+                    if d == 0 {
+                        break;
+                    }
+                    d -= 1;
+                    idx[d] += 1;
+                    if idx[d] < inner_count[d] {
+                        break;
+                    }
+                    idx[d] = 0;
+                    if d == 0 {
+                        d = usize::MAX;
+                        break;
+                    }
+                }
+                if d == usize::MAX || nd == 1 {
+                    break;
+                }
+            }
+        }
+        out
+    }
 
     fn sample() -> (Header, Layout) {
         let mut h = Header::new(Version::Cdf1);
@@ -425,5 +550,62 @@ mod tests {
         let runs = access_runs(&h, l.recsize, 2, &[0, 1, 1], &[3, 2, 2], None);
         let total: u64 = runs.iter().map(|r| r.1).sum();
         assert_eq!(total, 3 * 2 * 2 * 4);
+    }
+
+    /// Up to five dimensions, each `(len, start, count, stride)` with the
+    /// strided selection inside `len`; counts may be zero.
+    fn arb_dims() -> impl proptest::prelude::Strategy<Value = Vec<(u64, u64, u64, u64)>> {
+        use proptest::prelude::*;
+        let dim = (1u64..7, 1u64..4).prop_flat_map(|(len, stride)| {
+            (0..len).prop_flat_map(move |start| {
+                let fit = (len - 1 - start) / stride + 1;
+                (Just(len), Just(start), 0..fit + 1, Just(stride))
+            })
+        });
+        proptest::collection::vec(dim, 0..6)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The allocation-free lowering yields exactly the runs of the
+        /// odometer it replaced — fixed and record variables, with and
+        /// without a stride argument, into a run list that is not empty.
+        #[test]
+        fn access_runs_into_matches_the_oracle(
+            dims in arb_dims(),
+            record in proptest::prelude::any::<bool>(),
+            esize in 0usize..4,
+        ) {
+            let nctype = [NcType::Byte, NcType::Short, NcType::Float, NcType::Double][esize];
+            let mut h = Header::new(Version::Cdf2);
+            let dimids: Vec<usize> = dims
+                .iter()
+                .enumerate()
+                .map(|(i, d)| {
+                    // The first dimension of a record variable is unlimited;
+                    // its generated length only bounds the selection.
+                    let len = if record && i == 0 { 0 } else { d.0 };
+                    h.add_dim(&format!("d{i}"), len).unwrap()
+                })
+                .collect();
+            // Neighbours on both sides, so `begin` and `recsize` are not trivial.
+            h.add_var("before", NcType::Short, &dimids).unwrap();
+            let v = h.add_var("v", nctype, &dimids).unwrap();
+            h.add_var("after", NcType::Int, &dimids).unwrap();
+            let l = compute(&mut h, 4).unwrap();
+            let start: Vec<u64> = dims.iter().map(|d| d.1).collect();
+            let count: Vec<u64> = dims.iter().map(|d| d.2).collect();
+            let stride: Vec<u64> = dims.iter().map(|d| d.3).collect();
+            let mut recycled = vec![(7, 7); 3];
+            for stride in [Some(&stride[..]), None] {
+                check_access(&h, v, &start, &count, stride, None).unwrap();
+                let want = access_runs_oracle(&h, l.recsize, v, &start, &count, stride);
+                proptest::prop_assert_eq!(
+                    &access_runs(&h, l.recsize, v, &start, &count, stride), &want);
+                access_runs_into(&h, l.recsize, v, &start, &count, stride, &mut recycled);
+                proptest::prop_assert_eq!(&recycled, &want);
+            }
+        }
     }
 }

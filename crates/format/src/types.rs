@@ -268,12 +268,29 @@ pub fn fill_element_bytes(t: NcType, value: f64) -> Vec<u8> {
 /// ([`NcValue::slice_to_be`]); cross-type conversion falls back to the
 /// per-element trip through `f64` with range checks (netCDF-3 semantics).
 pub fn to_external<T: NcValue>(vals: &[T], ext: NcType) -> FormatResult<Vec<u8>> {
+    let mut out = Vec::new();
+    to_external_into(vals, ext, &mut out)?;
+    Ok(out)
+}
+
+/// [`to_external`] into caller storage: `out` is cleared and refilled, so a
+/// buffer that is passed again keeps its capacity and the conversion
+/// allocates nothing once it has grown to the largest access.
+pub fn to_external_into<T: NcValue>(
+    vals: &[T],
+    ext: NcType,
+    out: &mut Vec<u8>,
+) -> FormatResult<()> {
+    out.clear();
     if ext == T::NATURAL {
-        let mut out = Vec::new();
-        T::slice_to_be(vals, &mut out);
-        return Ok(out);
+        T::slice_to_be(vals, out);
+        return Ok(());
     }
-    to_external_by_element(vals, ext)
+    out.reserve(vals.len() * ext.size() as usize);
+    for &v in vals {
+        encode_one(ext, v.as_f64(), out)?;
+    }
+    Ok(())
 }
 
 /// The pre-kernel per-element encode path: every value goes through `f64`

@@ -295,7 +295,7 @@ impl PageCache {
         runs: &[Run],
         data: &[u8],
     ) -> MpioResult<()> {
-        let profile = file.profile().clone();
+        let profile = file.profile();
         let t0 = led.now;
         let mut pos = 0usize;
         let (mut hits, mut hit_bytes, mut misses) = (0u64, 0u64, 0u64);
@@ -338,18 +338,20 @@ impl PageCache {
 
     // ---- read path --------------------------------------------------------
 
-    /// Read `runs` through the cache, returning the bytes concatenated in
-    /// run order. Misses fill whole pages (consecutive absent pages with
-    /// one PFS read); a sequential stream triggers readahead.
+    /// Read `runs` through the cache into `out`, which holds exactly the
+    /// runs' bytes concatenated in run order. Misses fill whole pages
+    /// (consecutive absent pages with one PFS read); a sequential stream
+    /// triggers readahead.
     pub fn read_runs(
         &mut self,
         file: &PfsFile,
         led: &mut CacheLedger,
         runs: &[Run],
-    ) -> MpioResult<Vec<u8>> {
-        let total: u64 = runs.iter().map(|r| r.1).sum();
-        let mut out = vec![0u8; total as usize];
-        let profile = file.profile().clone();
+        out: &mut [u8],
+    ) -> MpioResult<()> {
+        let total = out.len() as u64;
+        debug_assert_eq!(crate::view::runs_total(runs), total);
+        let profile = file.profile();
         let t0 = led.now;
         let mut pos = 0usize;
         for &(off, len) in runs {
@@ -405,8 +407,7 @@ impl PageCache {
             }
         }
         trace_cache_span(file, "cache_read", t0, led.now, total);
-        self.evict_to_capacity(file, led)?;
-        Ok(out)
+        self.evict_to_capacity(file, led)
     }
 
     /// Fill the invalid portions of consecutive pages `group` with one
@@ -472,7 +473,7 @@ impl PageCache {
         if want.is_empty() {
             return Ok(());
         }
-        let profile = file.profile().clone();
+        let profile = file.profile();
         for group in consecutive_groups(&want) {
             self.fill_pages(file, led, group, "readahead_fill")?;
             for &pidx in group {
@@ -681,6 +682,18 @@ mod tests {
         (cache, file, cfg)
     }
 
+    /// `read_runs` into a fresh buffer of the runs' size.
+    fn read_vec(
+        cache: &mut PageCache,
+        file: &PfsFile,
+        led: &mut CacheLedger,
+        runs: &[Run],
+    ) -> Vec<u8> {
+        let mut out = vec![0xEEu8; crate::view::runs_total(runs) as usize];
+        cache.read_runs(file, led, runs, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn run_list_insert_and_gaps() {
         let mut l: Vec<PageRun> = Vec::new();
@@ -706,7 +719,7 @@ mod tests {
             .unwrap();
         assert_eq!(led.read_nanos, 0, "write-allocate must not read");
         assert_eq!(led.write_nanos, 0, "write-behind must not write yet");
-        let got = cache.read_runs(&file, &mut led, &[(100, 3000)]).unwrap();
+        let got = read_vec(&mut cache, &file, &mut led, &[(100, 3000)]);
         assert_eq!(got, data);
         assert_eq!(led.read_nanos, 0, "fully dirty range must be a pure hit");
         let c = cfg.profile.cache_counters();
@@ -762,12 +775,12 @@ mod tests {
         let data: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
         file.write_at(Time::ZERO, 0, &data);
         let mut led = CacheLedger::new(Time::from_millis(1));
-        let got = cache.read_runs(&file, &mut led, &[(10, 50)]).unwrap();
+        let got = read_vec(&mut cache, &file, &mut led, &[(10, 50)]);
         assert_eq!(got, data[10..60]);
         assert!(led.read_nanos > 0);
         let after_fill = led.read_nanos;
         // Overlapping re-read: pure hit, no further disk time.
-        let got2 = cache.read_runs(&file, &mut led, &[(0, 200)]).unwrap();
+        let got2 = read_vec(&mut cache, &file, &mut led, &[(0, 200)]);
         assert_eq!(got2, data[0..200]);
         assert_eq!(led.read_nanos, after_fill);
         let c = cfg.profile.cache_counters();
@@ -797,7 +810,7 @@ mod tests {
         file.peek_at(0, &mut out);
         assert_eq!(out, data);
         // Read everything back through the (tiny) cache.
-        let got = cache.read_runs(&file, &mut led, &[(0, 8192)]).unwrap();
+        let got = read_vec(&mut cache, &file, &mut led, &[(0, 8192)]);
         assert_eq!(got, data);
     }
 
@@ -809,7 +822,7 @@ mod tests {
         let mut led = CacheLedger::new(Time::from_millis(1));
         let mut got = Vec::new();
         for i in 0..32u64 {
-            got.extend(cache.read_runs(&file, &mut led, &[(i * 512, 512)]).unwrap());
+            got.extend(read_vec(&mut cache, &file, &mut led, &[(i * 512, 512)]));
         }
         assert_eq!(got, data);
         let c = cfg.profile.cache_counters();
@@ -824,7 +837,7 @@ mod tests {
         file.write_at(Time::ZERO, 0, &[1u8; 1024]);
         let mut led = CacheLedger::new(Time::from_millis(1));
         // Cache page 0 clean, dirty half of page 1.
-        cache.read_runs(&file, &mut led, &[(0, 100)]).unwrap();
+        read_vec(&mut cache, &file, &mut led, &[(0, 100)]);
         cache
             .write_runs(&file, &mut led, &[(1024 + 256, 128)], &[8u8; 128])
             .unwrap();
@@ -836,12 +849,10 @@ mod tests {
         cache.sync_complete(&file);
 
         // Clean page dropped: next read sees the new bytes.
-        let got = cache.read_runs(&file, &mut led, &[(0, 4)]).unwrap();
+        let got = read_vec(&mut cache, &file, &mut led, &[(0, 4)]);
         assert_eq!(got, vec![2u8; 4]);
         // Dirty bytes survived.
-        let got = cache
-            .read_runs(&file, &mut led, &[(1024 + 256, 128)])
-            .unwrap();
+        let got = read_vec(&mut cache, &file, &mut led, &[(1024 + 256, 128)]);
         assert_eq!(got, vec![8u8; 128]);
     }
 
@@ -871,7 +882,7 @@ mod tests {
         cache
             .write_runs(&file, &mut led, &[(0, 2048)], &[1u8; 2048])
             .unwrap();
-        cache.read_runs(&file, &mut led, &[(4096, 100)]).unwrap();
+        read_vec(&mut cache, &file, &mut led, &[(4096, 100)]);
         cache.flush(&file, &mut led).unwrap();
         assert_eq!(
             led.now.as_nanos(),

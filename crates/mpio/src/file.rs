@@ -418,25 +418,33 @@ impl MpiFile {
     /// Independent read of pre-resolved absolute file runs; returns the run
     /// bytes concatenated in run order.
     pub fn read_runs_at(&self, runs: &[Run]) -> MpioResult<Vec<u8>> {
-        Self::check_runs(runs, runs_total(runs) as usize)?;
+        let mut out = vec![0u8; runs_total(runs) as usize];
+        self.read_runs_into(runs, &mut out).map(|()| out)
+    }
+
+    /// [`MpiFile::read_runs_at`] into caller storage: `out` must hold
+    /// exactly the runs' bytes; every one of them is overwritten.
+    pub fn read_runs_into(&self, runs: &[Run], out: &mut [u8]) -> MpioResult<()> {
+        Self::check_runs(runs, out.len())?;
         let _tc = self.trace_ctx();
         if let Some(cache) = &self.cache {
             let mut led = CacheLedger::new(self.comm.now());
-            let res = cache.lock().read_runs(&self.file, &mut led, runs);
+            let res = cache.lock().read_runs(&self.file, &mut led, runs, out);
             self.apply_ledger(&led);
             return res;
         }
         let ds = self.hints.ds_read.resolve(true);
         let _attr = PhaseScope::enter(Phase::DiskRead);
-        let (data, t) = sieve::read(
+        let t = sieve::read(
             &self.file,
             self.hints.ind_rd_buffer_size,
             ds,
             self.comm.now(),
             runs,
+            out,
         )?;
         self.comm.advance_to(t);
-        Ok(data)
+        Ok(())
     }
 
     /// Independent write at `offset` (in etypes of the current view)
@@ -585,19 +593,25 @@ impl MpiFile {
     /// bytes concatenated in run order. Ranks may contribute empty lists
     /// but must all participate.
     pub fn read_runs_at_all(&self, runs: &[Run]) -> MpioResult<Vec<u8>> {
-        Self::check_runs(runs, runs_total(runs) as usize)?;
+        let mut out = vec![0u8; runs_total(runs) as usize];
+        self.read_runs_into_all(runs, &mut out).map(|()| out)
+    }
+
+    /// [`MpiFile::read_runs_at_all`] into caller storage: `out` must hold
+    /// exactly the runs' bytes; every one of them is overwritten.
+    pub fn read_runs_into_all(&self, runs: &[Run], out: &mut [u8]) -> MpioResult<()> {
+        Self::check_runs(runs, out.len())?;
         // Publish this rank's cached dirty bytes before the rendezvous so
         // the collective read observes them (and every peer's).
         self.cache_pre()?;
-        // The result buffer is lent as the read's destination: the last
-        // arriver scatters this rank's bytes straight into it.
-        let mut out = vec![0u8; runs_total(runs) as usize];
         let profile = &self.comm.config().profile;
         profile.record_bytepath(|b| b.exchange_borrowed_bytes += out.len() as u64);
+        // The caller's buffer is lent as the read's destination: the last
+        // arriver scatters this rank's bytes straight into it.
         let req = Req {
             meta: runs,
             src: &[],
-            dst: &mut out,
+            dst: out,
             tag: TraceCtx::current_id(),
         };
         let env = self.comm.coll_env();
@@ -614,15 +628,12 @@ impl MpiFile {
             }
             reqs.iter_mut().enumerate().try_for_each(|(i, r)| {
                 independent(&env, i, r.tag, "ind_read", Phase::DiskRead, |now| {
-                    let (data, t) = sieve::read(&file, rd_buf, ds, now, r.meta)?;
-                    r.dst.copy_from_slice(&data);
-                    Ok(t)
+                    sieve::read(&file, rd_buf, ds, now, r.meta, r.dst)
                 })
             })
         })?;
         self.cache_post();
-        (*res).clone()?;
-        Ok(out)
+        (*res).clone()
     }
 }
 

@@ -110,24 +110,25 @@ pub fn write(
     Ok(now)
 }
 
-/// Sieved (or direct) read of `runs` into a fresh buffer packed in run
-/// order. Returns `(data, completion time)`.
+/// Sieved (or direct) read of `runs` into `out`, which holds exactly the
+/// runs' bytes packed in run order; every byte of it is overwritten.
+/// Returns the completion time.
 pub fn read(
     file: &PfsFile,
     buffer_size: usize,
     sieve: bool,
     mut now: Time,
     runs: &[Run],
-) -> MpioResult<(Vec<u8>, Time)> {
+    out: &mut [u8],
+) -> MpioResult<Time> {
     let policy = RetryPolicy::default();
-    let total = crate::view::runs_total(runs) as usize;
-    let mut out = vec![0u8; total];
+    let total = out.len();
+    debug_assert_eq!(crate::view::runs_total(runs) as usize, total);
     if runs.is_empty() {
-        return Ok((out, now));
+        return Ok(now);
     }
     if runs.len() == 1 {
-        now = recover::read_at(file, &policy, now, runs[0].0, &mut out)?;
-        return Ok((out, now));
+        return recover::read_at(file, &policy, now, runs[0].0, out);
     }
     if !sieve {
         let mut pos = 0usize;
@@ -137,7 +138,7 @@ pub fn read(
         }
         file.profile()
             .record_sieve(true, total as u64, total as u64);
-        return Ok((out, now));
+        return Ok(now);
     }
 
     let mut transferred = 0u64;
@@ -189,7 +190,7 @@ pub fn read(
         }
     }
     file.profile().record_sieve(true, transferred, total as u64);
-    Ok((out, now))
+    Ok(now)
 }
 
 #[cfg(test)]
@@ -202,13 +203,26 @@ mod tests {
         Pfs::new(SimConfig::test_small(), StorageMode::Full).create("s")
     }
 
+    /// `read` into a fresh buffer of the runs' size.
+    fn read_vec(
+        f: &PfsFile,
+        buffer_size: usize,
+        sieve: bool,
+        now: Time,
+        runs: &[Run],
+    ) -> (Vec<u8>, Time) {
+        let mut out = vec![0xEEu8; crate::view::runs_total(runs) as usize];
+        let t = read(f, buffer_size, sieve, now, runs, &mut out).unwrap();
+        (out, t)
+    }
+
     #[test]
     fn sieved_write_then_read_roundtrip() {
         let f = file();
         let runs: Vec<Run> = vec![(10, 4), (20, 4), (30, 4)];
         let data: Vec<u8> = (1..=12).collect();
         write(&f, 1024, true, Time::ZERO, &runs, &data).unwrap();
-        let (got, _) = read(&f, 1024, true, Time::ZERO, &runs).unwrap();
+        let (got, _) = read_vec(&f, 1024, true, Time::ZERO, &runs);
         assert_eq!(got, data);
         // Holes are untouched (zero).
         let mut hole = [9u8; 6];
@@ -272,7 +286,7 @@ mod tests {
         let runs: Vec<Run> = vec![(0, 100), (200, 100)];
         let data: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
         write(&f, 64, true, Time::ZERO, &runs, &data).unwrap();
-        let (got, _) = read(&f, 64, true, Time::ZERO, &runs).unwrap();
+        let (got, _) = read_vec(&f, 64, true, Time::ZERO, &runs);
         assert_eq!(got, data);
     }
 
@@ -281,7 +295,7 @@ mod tests {
         let f = file();
         let t = write(&f, 1024, true, Time::from_millis(1), &[], &[]).unwrap();
         assert_eq!(t, Time::from_millis(1));
-        let (d, t) = read(&f, 1024, true, Time::from_millis(1), &[]).unwrap();
+        let (d, t) = read_vec(&f, 1024, true, Time::from_millis(1), &[]);
         assert!(d.is_empty());
         assert_eq!(t, Time::from_millis(1));
     }

@@ -69,7 +69,7 @@ impl PfsFile {
     /// Whether the parity layer is on for this file system
     /// (see [`Pfs::set_parity`]).
     pub fn parity_enabled(&self) -> bool {
-        self.fs().parity_enabled()
+        self.inner.parity.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// See [`Pfs::can_failover`].
@@ -84,7 +84,7 @@ impl PfsFile {
 
     /// See [`Pfs::down_server`].
     pub fn down_server(&self) -> Option<usize> {
-        self.fs().down_server()
+        self.inner.failover.lock().down
     }
 
     /// The server timed I/O must route around right now, if any.
@@ -201,23 +201,22 @@ impl PfsFile {
     pub(crate) fn redirect_write_portion(
         &self,
         down: usize,
-        chunks: &[StripeChunk],
-        slices: &[&[u8]],
+        chunks: impl Iterator<Item = (StripeChunk, usize)> + Clone,
+        data: &[u8],
     ) {
         let mut bytes = 0u64;
         {
             let mut srv = self.inner.servers[down].lock();
-            for (c, d) in chunks.iter().zip(slices) {
+            for (c, pos) in chunks.clone() {
                 debug_assert_eq!(c.server, down);
+                let d = &data[pos..pos + c.len as usize];
                 srv.poke(self.id, c.stripe, c.offset_in_stripe, d);
                 bytes += c.len;
             }
         }
         let mut fo = self.inner.failover.lock();
         let log = fo.log.entry(self.id).or_default();
-        for c in chunks {
-            log.push((c.stripe, c.offset_in_stripe, c.len));
-        }
+        log.extend(chunks.map(|(c, _)| (c.stripe, c.offset_in_stripe, c.len)));
         drop(fo);
         self.inner.cfg.profile.record_failover(|f| {
             f.redirected_writes += 1;
@@ -269,14 +268,15 @@ impl PfsFile {
     }
 
     /// Reconstruct the down server's read chunks from the surviving data
-    /// and parity: `out[i] = parity ^ XOR(other data stripes of the row)`
-    /// over the chunk's in-stripe extent. Charges a timed read on every
+    /// and parity, each into its place in `buf` (the request's whole
+    /// buffer): `out = parity ^ XOR(other data stripes of the row)` over
+    /// the chunk's in-stripe extent. Charges a timed read on every
     /// contributing survivor and returns the last ship-back time.
     pub(crate) fn reconstruct_read(
         &self,
         down: usize,
-        chunks: &[StripeChunk],
-        outs: &mut [&mut [u8]],
+        chunks: impl Iterator<Item = (StripeChunk, usize)>,
+        buf: &mut [u8],
         arrival: Time,
     ) -> Time {
         let cfg = &self.inner.cfg;
@@ -286,9 +286,10 @@ impl PfsFile {
         let fo = self.inner.failover.lock();
         let mut done = arrival;
         let mut bytes = 0u64;
-        for (c, out) in chunks.iter().zip(outs.iter_mut()) {
+        for (c, pos) in chunks {
             debug_assert_eq!(c.server, down);
             let row = striping.parity_row_of(c.stripe);
+            let out = &mut buf[pos..pos + c.len as usize];
             out.fill(0);
             done = done.max(self.xor_row_extent(
                 self.id,

@@ -7,7 +7,7 @@ use hpc_sim::{FaultKind, IoStages, Span, Time, TraceCtx};
 
 use crate::cluster::ClusterInner;
 use crate::server::ServiceOutcome;
-use crate::stripe::StripeChunk;
+use crate::stripe::{PortionChunks, StripeChunk};
 
 /// A failed timed I/O request against the PFS.
 ///
@@ -112,100 +112,18 @@ impl PfsFile {
         offset: u64,
         data: &[u8],
     ) -> Result<WriteCompletion, IoFailure> {
-        if data.is_empty() {
-            return Ok(WriteCompletion {
-                handoff: start,
-                durable: start,
-            });
-        }
-        let cfg = &self.inner.cfg;
-        let parity = self.parity_enabled();
-        let start = self.maybe_rebuild(start);
-        let down = self.active_down();
-        let metadata_sized = data.len() as u64 <= crate::storage::METADATA_REQUEST_LIMIT;
-        let mut by_server = self
+        let run = (offset, data.len() as u64);
+        // A server's portion has arrived once the client NIC has streamed
+        // every portion issued before it, and its own.
+        let portions = self
             .inner
             .striping
-            .split_by_server(offset, data.len() as u64);
-        by_server.sort_by_key(|(_, chunks)| chunks[0].file_offset);
-
-        let mut cum_bytes: u64 = 0;
-        let mut done = start;
-        let mut handoff = start;
-        let mut rows = std::collections::BTreeSet::new();
-        let mut redirected = false;
-        // Per-portion transfer status: (chunks, bytes transferred in
-        // file-order within the portion, fault if any, server).
-        let mut portions = Vec::with_capacity(by_server.len());
-        for (srv, chunks) in &by_server {
-            let portion: u64 = chunks.iter().map(|c| c.len).sum();
-            cum_bytes += portion;
-            let arrival = start
-                + cfg.client_link_latency
-                + Time::from_secs_f64(cum_bytes as f64 / cfg.client_link_bw);
-            let slices: Vec<&[u8]> = chunks
-                .iter()
-                .map(|c| {
-                    let lo = (c.file_offset - offset) as usize;
-                    &data[lo..lo + c.len as usize]
-                })
-                .collect();
-            if parity {
-                for c in chunks {
-                    rows.insert(self.inner.striping.parity_row_of(c.stripe));
-                }
-            }
-            if down == Some(*srv) {
-                // Degraded mode: the down server's engine is never
-                // touched; the payload is covered by the parity update
-                // after the data phase.
-                self.redirect_write_portion(*srv, chunks, &slices);
-                redirected = true;
-                portions.push((chunks.clone(), portion, None, *srv));
-                continue;
-            }
-            let outcome = self.inner.servers[*srv].lock().write(
-                &cfg.disk,
-                self.id,
-                arrival,
-                chunks,
-                &slices,
-                metadata_sized,
-            );
-            self.record_outcome(*srv, &outcome, false);
-            done = done.max(outcome.done);
-            handoff = handoff.max(outcome.handoff());
-            let fault = (!outcome.is_complete()).then(|| outcome.injected.unwrap());
-            portions.push((chunks.clone(), outcome.bytes_done, fault, *srv));
-        }
-        if parity {
-            // A write is not durable until its parity is; a redirected
-            // portion additionally has no NIC handoff of its own, so the
-            // client may only proceed once parity holds its bytes.
-            done = done.max(self.update_parity_rows(&rows, done));
-            if redirected {
-                handoff = handoff.max(done);
-            }
-        }
-        match completed_prefix(&portions) {
-            None => {
-                self.grow_to(offset + data.len() as u64);
-                Ok(WriteCompletion {
-                    handoff,
-                    durable: done,
-                })
-            }
-            Some((completed, kind, server)) => {
-                // Record what actually landed, scattered chunks included.
-                self.grow_to(transferred_end(&portions));
-                Err(IoFailure {
-                    kind,
-                    completed,
-                    time: done,
-                    server,
-                })
-            }
-        }
+            .portions(&run)
+            .scan(0u64, |sent, (srv, chunks)| {
+                *sent += chunks.map(|(c, _)| c.len).sum::<u64>();
+                Some((srv, *sent, chunks))
+            });
+        self.write_portions(start, data, run.0 + run.1, portions)
     }
 
     /// Timed vectored write of several disjoint runs in one shot. `runs`
@@ -222,9 +140,37 @@ impl PfsFile {
         runs: &[(u64, u64)],
         data: &[u8],
     ) -> Result<WriteCompletion, IoFailure> {
-        let total: u64 = runs.iter().map(|&(_, len)| len).sum();
-        debug_assert_eq!(total as usize, data.len(), "runs must describe data");
-        if total == 0 {
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
+            "runs must be sorted and disjoint"
+        );
+        debug_assert_eq!(
+            runs.iter().map(|&(_, len)| len).sum::<u64>(),
+            data.len() as u64,
+            "runs must describe data"
+        );
+        let end = runs.last().map_or(0, |&(off, len)| off + len);
+        // The client NIC streams the payload in run order: a server's
+        // portion has arrived once its last chunk has gone out.
+        let portions = self.inner.striping.run_portions(runs).map(|(srv, chunks)| {
+            let sent = chunks.last().map_or(0, |(c, pos)| pos as u64 + c.len);
+            (srv, sent, chunks)
+        });
+        self.write_portions(start, data, end, portions)
+    }
+
+    /// Issue one write request: `portions` yields, in issue order, each
+    /// touched server with the payload bytes the client NIC has sent when
+    /// that server's portion is complete, and the portion's chunks. `end`
+    /// is the file offset the request reaches.
+    fn write_portions<'a>(
+        &self,
+        start: Time,
+        data: &[u8],
+        end: u64,
+        portions: impl Iterator<Item = (usize, u64, PortionChunks<'a>)> + Clone,
+    ) -> Result<WriteCompletion, IoFailure> {
+        if data.is_empty() {
             return Ok(WriteCompletion {
                 handoff: start,
                 durable: start,
@@ -234,106 +180,72 @@ impl PfsFile {
         let parity = self.parity_enabled();
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
-        let metadata_sized = total <= crate::storage::METADATA_REQUEST_LIMIT;
-
-        // Flatten every run's stripe chunks in file order, remembering each
-        // chunk's position in the concatenated payload and the running
-        // byte count (for NIC streaming arrival times).
-        let mut flat: Vec<(StripeChunk, usize, u64)> = Vec::new();
-        let mut concat = 0u64;
-        let mut cum = 0u64;
-        let mut prev_end = 0u64;
-        for &(off, len) in runs {
-            debug_assert!(off >= prev_end, "runs must be sorted and disjoint");
-            prev_end = off + len;
-            for c in self.inner.striping.split(off, len) {
-                let pos = (concat + (c.file_offset - off)) as usize;
-                cum += c.len;
-                flat.push((c, pos, cum));
-            }
-            concat += len;
-        }
-
-        // Group by server, preserving file order within each group; issue
-        // to servers in order of their first chunk, each server's portion
-        // arriving once the client NIC has streamed through its last byte.
-        let mut order: Vec<usize> = Vec::new();
-        let mut groups: Vec<Vec<(StripeChunk, usize, u64)>> =
-            vec![Vec::new(); self.inner.striping.nservers];
-        for entry in flat {
-            let srv = entry.0.server;
-            if groups[srv].is_empty() {
-                order.push(srv);
-            }
-            groups[srv].push(entry);
-        }
+        let metadata_sized = data.len() as u64 <= crate::storage::METADATA_REQUEST_LIMIT;
 
         let mut done = start;
         let mut handoff = start;
         let mut rows = std::collections::BTreeSet::new();
         let mut redirected = false;
-        let mut portions = Vec::with_capacity(order.len());
-        for &srv in &order {
-            let group = &groups[srv];
-            let last_cum = group.last().map(|&(_, _, c)| c).unwrap();
+        // Portions cut short by a fault: (server, bytes transferred, fault).
+        let mut faulted: Vec<(usize, u64, FaultKind)> = Vec::new();
+        for (srv, sent, chunks) in portions.clone() {
             let arrival = start
                 + cfg.client_link_latency
-                + Time::from_secs_f64(last_cum as f64 / cfg.client_link_bw);
-            let chunks: Vec<StripeChunk> = group.iter().map(|&(c, _, _)| c).collect();
-            let slices: Vec<&[u8]> = group
-                .iter()
-                .map(|&(c, pos, _)| &data[pos..pos + c.len as usize])
-                .collect();
+                + Time::from_secs_f64(sent as f64 / cfg.client_link_bw);
             if parity {
-                for c in &chunks {
+                for (c, _) in chunks {
                     rows.insert(self.inner.striping.parity_row_of(c.stripe));
                 }
             }
             if down == Some(srv) {
-                let portion: u64 = chunks.iter().map(|c| c.len).sum();
-                self.redirect_write_portion(srv, &chunks, &slices);
+                // Degraded mode: the down server's engine is never
+                // touched; the payload is covered by the parity update
+                // after the data phase.
+                self.redirect_write_portion(srv, chunks, data);
                 redirected = true;
-                portions.push((chunks, portion, None, srv));
                 continue;
             }
             let outcome = self.inner.servers[srv].lock().write(
                 &cfg.disk,
                 self.id,
                 arrival,
-                &chunks,
-                &slices,
+                chunks,
+                data,
                 metadata_sized,
             );
             self.record_outcome(srv, &outcome, false);
             done = done.max(outcome.done);
             handoff = handoff.max(outcome.handoff());
-            let fault = (!outcome.is_complete()).then(|| outcome.injected.unwrap());
-            portions.push((chunks, outcome.bytes_done, fault, srv));
+            if let Some(fault) = outcome.injected.filter(|_| !outcome.is_complete()) {
+                faulted.push((srv, outcome.bytes_done, fault));
+            }
         }
         if parity {
+            // A write is not durable until its parity is; a redirected
+            // portion additionally has no NIC handoff of its own, so the
+            // client may only proceed once parity holds its bytes.
             done = done.max(self.update_parity_rows(&rows, done));
             if redirected {
                 handoff = handoff.max(done);
             }
         }
-        match completed_prefix(&portions) {
-            None => {
-                self.grow_to(prev_end);
-                Ok(WriteCompletion {
-                    handoff,
-                    durable: done,
-                })
-            }
-            Some((completed, kind, server)) => {
-                self.grow_to(transferred_end(&portions));
-                Err(IoFailure {
-                    kind,
-                    completed,
-                    time: done,
-                    server,
-                })
-            }
+        if faulted.is_empty() {
+            self.grow_to(end);
+            return Ok(WriteCompletion {
+                handoff,
+                durable: done,
+            });
         }
+        let status = portion_status(portions.map(|(srv, _, chunks)| (srv, chunks)), &faulted);
+        let (completed, kind, server) = completed_prefix(&status);
+        // Record what actually landed, scattered chunks included.
+        self.grow_to(transferred_end(&status));
+        Err(IoFailure {
+            kind,
+            completed,
+            time: done,
+            server,
+        })
     }
 
     /// Timed write that hides faults behind a bounded retry/short-resume
@@ -376,63 +288,46 @@ impl PfsFile {
         let cfg = &self.inner.cfg;
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
-        let total = buf.len() as u64;
-        let mut by_server = self.inner.striping.split_by_server(offset, total);
-        by_server.sort_by_key(|(_, chunks)| chunks[0].file_offset);
+        let run = (offset, buf.len() as u64);
+        let portions = self.inner.striping.portions(&run);
 
         // The read request message reaches every server after one latency;
         // servers then stream from disk in parallel.
         let arrival = start + cfg.client_link_latency;
         let mut disks_done = start;
-        let mut portions = Vec::with_capacity(by_server.len());
-        // Split the output buffer per server without aliasing: carve
-        // per-chunk slices out of `buf` one server at a time.
-        for (srv, chunks) in &by_server {
-            let mut outs: Vec<&mut [u8]> = Vec::with_capacity(chunks.len());
-            let mut rest: &mut [u8] = buf;
-            let mut consumed = 0u64;
-            for c in chunks.iter() {
-                let lo = c.file_offset - offset;
-                let (skip, tail) = rest.split_at_mut((lo - consumed) as usize);
-                let _ = skip;
-                let (mine, tail) = tail.split_at_mut(c.len as usize);
-                outs.push(mine);
-                consumed = lo + c.len;
-                rest = tail;
-            }
-            if down == Some(*srv) {
+        let mut faulted: Vec<(usize, u64, FaultKind)> = Vec::new();
+        for (srv, chunks) in portions {
+            if down == Some(srv) {
                 // Degraded mode: XOR-reconstruct this server's chunks from
                 // the surviving data + parity.
-                let portion: u64 = chunks.iter().map(|c| c.len).sum();
-                let t = self.reconstruct_read(*srv, chunks, &mut outs, arrival);
+                let t = self.reconstruct_read(srv, chunks, buf, arrival);
                 disks_done = disks_done.max(t);
-                portions.push((chunks.clone(), portion, None, *srv));
                 continue;
             }
-            let outcome = self.inner.servers[*srv]
+            let outcome = self.inner.servers[srv]
                 .lock()
-                .read(&cfg.disk, self.id, arrival, chunks, &mut outs);
-            self.record_outcome(*srv, &outcome, true);
+                .read(&cfg.disk, self.id, arrival, chunks, buf);
+            self.record_outcome(srv, &outcome, true);
             disks_done = disks_done.max(outcome.done);
-            let fault = (!outcome.is_complete()).then(|| outcome.injected.unwrap());
-            portions.push((chunks.clone(), outcome.bytes_done, fault, *srv));
-        }
-        match completed_prefix(&portions) {
-            None => {
-                // The client cannot have all the bytes before its NIC has
-                // carried them.
-                let link_done = start
-                    + cfg.client_link_latency
-                    + Time::from_secs_f64(total as f64 / cfg.client_link_bw);
-                Ok(disks_done.max(link_done))
+            if let Some(fault) = outcome.injected.filter(|_| !outcome.is_complete()) {
+                faulted.push((srv, outcome.bytes_done, fault));
             }
-            Some((completed, kind, server)) => Err(IoFailure {
-                kind,
-                completed,
-                time: disks_done,
-                server,
-            }),
         }
+        if faulted.is_empty() {
+            // The client cannot have all the bytes before its NIC has
+            // carried them.
+            let link_done = start
+                + cfg.client_link_latency
+                + Time::from_secs_f64(run.1 as f64 / cfg.client_link_bw);
+            return Ok(disks_done.max(link_done));
+        }
+        let (completed, kind, server) = completed_prefix(&portion_status(portions, &faulted));
+        Err(IoFailure {
+            kind,
+            completed,
+            time: disks_done,
+            server,
+        })
     }
 
     /// Timed read with the same bounded legacy recovery as
@@ -680,8 +575,31 @@ fn next_backoff(b: Time) -> Time {
 /// any), and the server index.
 type PortionStatus = (Vec<StripeChunk>, u64, Option<FaultKind>, usize);
 
+/// The transfer record of every portion of a request in which some portion
+/// faulted, rebuilt from the same walk that issued it: `faulted` lists the
+/// portions cut short as `(server, bytes transferred, fault)`, every other
+/// portion moved all its bytes. Only a faulting request pays for these
+/// lists.
+fn portion_status<'a>(
+    portions: impl Iterator<Item = (usize, PortionChunks<'a>)>,
+    faulted: &[(usize, u64, FaultKind)],
+) -> Vec<PortionStatus> {
+    portions
+        .map(|(srv, chunks)| {
+            let chunks: Vec<StripeChunk> = chunks.map(|(c, _)| c).collect();
+            match faulted.iter().find(|f| f.0 == srv) {
+                Some(&(_, bytes_done, fault)) => (chunks, bytes_done, Some(fault), srv),
+                None => {
+                    let bytes = chunks.iter().map(|c| c.len).sum();
+                    (chunks, bytes, None, srv)
+                }
+            }
+        })
+        .collect()
+}
+
 /// Compute the file-order byte prefix of a (possibly vectored) striped
-/// request that is guaranteed transferred.
+/// request that is guaranteed transferred, given that some portion faulted.
 ///
 /// One server's portion consists of round-robin stripes that *interleave*
 /// with other servers' stripes in file order, so "sum of completed
@@ -693,13 +611,9 @@ type PortionStatus = (Vec<StripeChunk>, u64, Option<FaultKind>, usize);
 /// leading bytes of the runs' concatenated payload (the chunks need not
 /// tile a contiguous span, only be disjoint).
 ///
-/// Returns `None` when every portion completed, otherwise
-/// `Some((prefix_bytes, fault, server))` where the fault is the one that
+/// Returns `(prefix_bytes, fault, server)` where the fault is the one that
 /// bounds the prefix.
-fn completed_prefix(portions: &[PortionStatus]) -> Option<(u64, FaultKind, usize)> {
-    if portions.iter().all(|(_, _, fault, _)| fault.is_none()) {
-        return None;
-    }
+fn completed_prefix(portions: &[PortionStatus]) -> (u64, FaultKind, usize) {
     // Flatten to (file_offset, len, transferred, portion fault, server).
     let mut chunks: Vec<(u64, u64, u64, Option<FaultKind>, usize)> = Vec::new();
     for (cs, bytes_done, fault, srv) in portions {
@@ -719,7 +633,7 @@ fn completed_prefix(portions: &[PortionStatus]) -> Option<(u64, FaultKind, usize
         prefix += transferred;
         if transferred < len {
             let fault = fault.expect("an under-transferred chunk belongs to a faulted portion");
-            return Some((prefix, fault, srv));
+            return (prefix, fault, srv);
         }
     }
     // Every chunk fully transferred yet some portion faulted: the fault hit
@@ -728,8 +642,8 @@ fn completed_prefix(portions: &[PortionStatus]) -> Option<(u64, FaultKind, usize
     let (_, _, fault, srv) = portions
         .iter()
         .find(|(_, _, fault, _)| fault.is_some())
-        .expect("checked above");
-    Some((prefix, fault.expect("is_some checked"), *srv))
+        .expect("only called for a request in which a portion faulted");
+    (prefix, fault.expect("is_some checked"), *srv)
 }
 
 /// Highest file offset any transferred byte reached (for growing the file

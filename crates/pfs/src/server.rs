@@ -147,32 +147,29 @@ impl Server {
     }
 
     /// Update position state and decide sequentiality for one coalesced
-    /// request (`chunks` non-empty, file order).
-    fn position(&mut self, file: u64, chunks: &[StripeChunk]) -> (bool, u64) {
-        let first = self.local_of(&chunks[0]);
-        let last = chunks.last().map(|c| self.local_of(c) + c.len).unwrap();
+    /// request spanning the local addresses `[first, last)`.
+    fn position(&mut self, file: u64, first: u64, last: u64) -> (bool, u64) {
         let prev_end = self.last_end.get(&file).copied();
         let sequential = prev_end == Some(first);
         self.last_end.insert(file, last);
         (sequential, prev_end.map(|e| e.abs_diff(first)).unwrap_or(0))
     }
 
-    /// Service a write of `chunks` (all owned by this server, file order)
-    /// carrying `data` slices parallel to `chunks`. `arrival` is when the
-    /// request reaches the server. `metadata_sized` classifies the *whole
-    /// client request* (not just this server's portion) for
-    /// [`StorageMode::MetadataOnly`].
+    /// Service a write of `chunks` (all owned by this server, file order),
+    /// each paired with the position of its bytes in `data`, the client
+    /// request's whole payload. `arrival` is when the request reaches the
+    /// server. `metadata_sized` classifies the *whole client request* (not
+    /// just this server's portion) for [`StorageMode::MetadataOnly`].
     pub fn write(
         &mut self,
         disk: &DiskModel,
         file: u64,
         arrival: Time,
-        chunks: &[StripeChunk],
-        data: &[&[u8]],
+        chunks: impl Iterator<Item = (StripeChunk, usize)> + Clone,
+        data: &[u8],
         metadata_sized: bool,
     ) -> ServiceOutcome {
-        debug_assert_eq!(chunks.len(), data.len());
-        match self.decide(arrival, chunks) {
+        match self.decide(arrival, chunks.clone()) {
             FaultKind::None => self.write_serviced(
                 disk,
                 file,
@@ -198,24 +195,12 @@ impl Server {
             FaultKind::Short { bytes_done } => {
                 // Transfer only the first `bytes_done` bytes of the request
                 // (in file order), exactly like a short write(2).
-                let mut remaining = bytes_done;
-                let mut tchunks = Vec::new();
-                let mut tdata: Vec<&[u8]> = Vec::new();
-                for (c, d) in chunks.iter().zip(data) {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let take = c.len.min(remaining);
-                    tchunks.push(StripeChunk { len: take, ..*c });
-                    tdata.push(&d[..take as usize]);
-                    remaining -= take;
-                }
                 let out = self.write_serviced(
                     disk,
                     file,
                     arrival,
-                    &tchunks,
-                    &tdata,
+                    leading(chunks, bytes_done),
+                    data,
                     metadata_sized,
                     Some(FaultKind::Short { bytes_done }),
                     Time::ZERO,
@@ -234,8 +219,8 @@ impl Server {
         disk: &DiskModel,
         file: u64,
         arrival: Time,
-        chunks: &[StripeChunk],
-        data: &[&[u8]],
+        chunks: impl Iterator<Item = (StripeChunk, usize)>,
+        data: &[u8],
         metadata_sized: bool,
         injected: Option<FaultKind>,
         extra_delay: Time,
@@ -245,23 +230,6 @@ impl Server {
             StorageMode::CostOnly => false,
             StorageMode::MetadataOnly => metadata_sized,
         };
-        if keep {
-            for (c, d) in chunks.iter().zip(data) {
-                debug_assert_eq!(c.len as usize, d.len());
-                self.store.write(file, c.stripe, c.offset_in_stripe, d);
-            }
-        }
-        let bytes: u64 = chunks.iter().map(|c| c.len).sum();
-        if chunks.is_empty() {
-            return ServiceOutcome {
-                done: arrival,
-                stages: idle_stages(arrival),
-                seeked: false,
-                seek_distance: 0,
-                injected,
-                bytes_done: 0,
-            };
-        }
         // GPFS-style partial-block penalty: a write that does not cover a
         // whole stripe forces the server to read-modify-write that stripe.
         // Of one coalesced contiguous request only the first and last
@@ -269,39 +237,50 @@ impl Server {
         // collective-buffering file domains to the file system boundary:
         // aligned two-phase writes avoid the penalty that unaligned
         // independent writes pay on every request.
-        let partial = chunks
-            .iter()
-            .filter(|c| c.offset_in_stripe != 0 || c.len < self.stripe_size)
-            .count();
-        let (sequential, seek_distance) = self.position(file, chunks);
-        let mut disk_time = disk.request(bytes as usize, sequential) + extra_delay;
+        let mut partial = 0usize;
+        let mut span = Extent::default();
+        for (c, pos) in chunks {
+            if keep {
+                let d = &data[pos..pos + c.len as usize];
+                self.store.write(file, c.stripe, c.offset_in_stripe, d);
+            }
+            if c.offset_in_stripe != 0 || c.len < self.stripe_size {
+                partial += 1;
+            }
+            span.add(self.local_of(&c), c.len);
+        }
+        let Some(first) = span.first else {
+            return idle_outcome(arrival, injected);
+        };
+        let (sequential, seek_distance) = self.position(file, first, span.end);
+        let mut disk_time = disk.request(span.bytes as usize, sequential) + extra_delay;
         if partial > 0 {
             disk_time += disk.stream(partial * self.stripe_size as usize);
         }
         let stages = self
             .engine
-            .write_tagged(arrival, bytes as usize, disk_time, file);
+            .write_tagged(arrival, span.bytes as usize, disk_time, file);
         ServiceOutcome {
             done: stages.disk_done,
             stages,
             seeked: !sequential,
             seek_distance,
             injected,
-            bytes_done: bytes,
+            bytes_done: span.bytes,
         }
     }
 
-    /// Service a read of `chunks`, filling `out` slices parallel to `chunks`.
+    /// Service a read of `chunks`, each paired with the position in `out`
+    /// (the client request's whole buffer) its bytes go to.
     pub fn read(
         &mut self,
         disk: &DiskModel,
         file: u64,
         arrival: Time,
-        chunks: &[StripeChunk],
-        out: &mut [&mut [u8]],
+        chunks: impl Iterator<Item = (StripeChunk, usize)> + Clone,
+        out: &mut [u8],
     ) -> ServiceOutcome {
-        debug_assert_eq!(chunks.len(), out.len());
-        match self.decide(arrival, chunks) {
+        match self.decide(arrival, chunks.clone()) {
             FaultKind::None => {
                 self.read_serviced(disk, file, arrival, chunks, out, None, Time::ZERO)
             }
@@ -317,31 +296,15 @@ impl Server {
             FaultKind::Transient => self.refuse(disk, file, arrival, true, FaultKind::Transient),
             FaultKind::Crashed => self.crashed(disk, arrival),
             FaultKind::Short { bytes_done } => {
-                // Deliver only the first `bytes_done` bytes; the suffix of
-                // the output buffers is untouched so the recovery layer can
+                // Deliver only the first `bytes_done` bytes; the rest of
+                // the output buffer is untouched so the recovery layer can
                 // resume at the partial offset.
-                let mut remaining = bytes_done;
-                let mut tchunks = Vec::new();
-                for (c, o) in chunks.iter().zip(out.iter_mut()) {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let take = c.len.min(remaining);
-                    let prefix = &mut o[..take as usize];
-                    match self.mode {
-                        StorageMode::Full | StorageMode::MetadataOnly => {
-                            self.store.read(file, c.stripe, c.offset_in_stripe, prefix)
-                        }
-                        StorageMode::CostOnly => prefix.fill(0),
-                    }
-                    tchunks.push(StripeChunk { len: take, ..*c });
-                    remaining -= take;
-                }
-                let o = self.read_cost(
+                let o = self.read_serviced(
                     disk,
                     file,
                     arrival,
-                    &tchunks,
+                    leading(chunks, bytes_done),
+                    out,
                     Some(FaultKind::Short { bytes_done }),
                     Time::ZERO,
                 );
@@ -350,64 +313,46 @@ impl Server {
         }
     }
 
-    /// The fault-free read path: fill buffers, then charge the stages.
+    /// The read service path: fill the buffer, then charge one coalesced
+    /// read — disk stage first (positioning + streaming + `extra_delay`),
+    /// then the NIC ships the payload back.
     #[allow(clippy::too_many_arguments)]
     fn read_serviced(
         &mut self,
         disk: &DiskModel,
         file: u64,
         arrival: Time,
-        chunks: &[StripeChunk],
-        out: &mut [&mut [u8]],
+        chunks: impl Iterator<Item = (StripeChunk, usize)>,
+        out: &mut [u8],
         injected: Option<FaultKind>,
         extra_delay: Time,
     ) -> ServiceOutcome {
-        for (c, o) in chunks.iter().zip(out.iter_mut()) {
-            debug_assert_eq!(c.len as usize, o.len());
+        let mut span = Extent::default();
+        for (c, pos) in chunks {
+            let o = &mut out[pos..pos + c.len as usize];
             match self.mode {
                 StorageMode::Full | StorageMode::MetadataOnly => {
                     self.store.read(file, c.stripe, c.offset_in_stripe, o)
                 }
                 StorageMode::CostOnly => o.fill(0),
             }
+            span.add(self.local_of(&c), c.len);
         }
-        self.read_cost(disk, file, arrival, chunks, injected, extra_delay)
-    }
-
-    /// Charge one coalesced read: disk stage first (positioning +
-    /// streaming + `extra_delay`), then the NIC ships the payload back.
-    fn read_cost(
-        &mut self,
-        disk: &DiskModel,
-        file: u64,
-        arrival: Time,
-        chunks: &[StripeChunk],
-        injected: Option<FaultKind>,
-        extra_delay: Time,
-    ) -> ServiceOutcome {
-        let bytes: u64 = chunks.iter().map(|c| c.len).sum();
-        if chunks.is_empty() {
-            return ServiceOutcome {
-                done: arrival,
-                stages: idle_stages(arrival),
-                seeked: false,
-                seek_distance: 0,
-                injected,
-                bytes_done: 0,
-            };
-        }
-        let (sequential, seek_distance) = self.position(file, chunks);
-        let disk_time = disk.request(bytes as usize, sequential) + extra_delay;
+        let Some(first) = span.first else {
+            return idle_outcome(arrival, injected);
+        };
+        let (sequential, seek_distance) = self.position(file, first, span.end);
+        let disk_time = disk.request(span.bytes as usize, sequential) + extra_delay;
         let stages = self
             .engine
-            .read_tagged(arrival, bytes as usize, disk_time, file);
+            .read_tagged(arrival, span.bytes as usize, disk_time, file);
         ServiceOutcome {
             done: stages.nic_done,
             stages,
             seeked: !sequential,
             seek_distance,
             injected,
-            bytes_done: bytes,
+            bytes_done: span.bytes,
         }
     }
 
@@ -420,12 +365,16 @@ impl Server {
     /// `writev`. Free when the plan is inert; deterministic under
     /// `(seed, server_id, ops)` because both collective engines issue
     /// identical chunk sequences.
-    fn decide(&mut self, arrival: Time, chunks: &[StripeChunk]) -> FaultKind {
+    fn decide(
+        &mut self,
+        arrival: Time,
+        chunks: impl Iterator<Item = (StripeChunk, usize)>,
+    ) -> FaultKind {
         if !self.plan.is_active() {
             return FaultKind::None;
         }
         let mut prefix = 0u64;
-        for c in chunks {
+        for (c, _) in chunks {
             let op = self.ops;
             self.ops += 1;
             match self.plan.decide(self.server_id, op, arrival, c.len) {
@@ -480,11 +429,7 @@ impl Server {
     fn crashed(&mut self, disk: &DiskModel, arrival: Time) -> ServiceOutcome {
         ServiceOutcome {
             done: arrival + disk.per_request,
-            stages: idle_stages(arrival),
-            seeked: false,
-            seek_distance: 0,
-            injected: Some(FaultKind::Crashed),
-            bytes_done: 0,
+            ..idle_outcome(arrival, Some(FaultKind::Crashed))
         }
     }
 
@@ -548,6 +493,51 @@ impl Server {
     }
 }
 
+/// The chunks holding the first `bytes` bytes of a request, the last one
+/// cut short: what a short transfer moves.
+fn leading(
+    chunks: impl Iterator<Item = (StripeChunk, usize)>,
+    bytes: u64,
+) -> impl Iterator<Item = (StripeChunk, usize)> {
+    chunks.scan(bytes, |remaining, (c, pos)| {
+        if *remaining == 0 {
+            return None;
+        }
+        let len = c.len.min(*remaining);
+        *remaining -= len;
+        Some((StripeChunk { len, ..c }, pos))
+    })
+}
+
+/// What one pass over a request's chunks learns for the cost model: the
+/// bytes moved and the local disk addresses the request starts and ends at.
+#[derive(Default)]
+struct Extent {
+    bytes: u64,
+    first: Option<u64>,
+    end: u64,
+}
+
+impl Extent {
+    fn add(&mut self, local: u64, len: u64) {
+        self.bytes += len;
+        self.first.get_or_insert(local);
+        self.end = local + len;
+    }
+}
+
+/// Outcome of a request with no chunks: neither stage is occupied.
+fn idle_outcome(arrival: Time, injected: Option<FaultKind>) -> ServiceOutcome {
+    ServiceOutcome {
+        done: arrival,
+        stages: idle_stages(arrival),
+        seeked: false,
+        seek_distance: 0,
+        injected,
+        bytes_done: 0,
+    }
+}
+
 /// Stage breakdown of a request that never occupied either stage (empty
 /// request, crashed server).
 fn idle_stages(arrival: Time) -> StageTiming {
@@ -578,6 +568,11 @@ mod tests {
         }
     }
 
+    /// A one-chunk request whose payload starts at the chunk's first byte.
+    fn one(c: StripeChunk) -> impl Iterator<Item = (StripeChunk, usize)> + Clone {
+        std::iter::once((c, 0))
+    }
+
     fn chunk(file_offset: u64, len: u64) -> StripeChunk {
         StripeChunk {
             server: 0,
@@ -592,11 +587,11 @@ mod tests {
     fn sequential_requests_skip_seek() {
         let mut s = Server::new(1024, StorageMode::Full);
         let d = disk();
-        let a = s.write(&d, 0, Time::ZERO, &[chunk(0, 100)], &[&[1u8; 100]], true);
+        let a = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         assert!(a.seeked);
-        let b = s.write(&d, 0, a.done, &[chunk(100, 100)], &[&[2u8; 100]], true);
+        let b = s.write(&d, 0, a.done, one(chunk(100, 100)), &[2u8; 100], true);
         assert!(!b.seeked);
-        let c = s.write(&d, 0, b.done, &[chunk(500, 100)], &[&[3u8; 100]], true);
+        let c = s.write(&d, 0, b.done, one(chunk(500, 100)), &[3u8; 100], true);
         assert!(c.seeked);
     }
 
@@ -604,14 +599,14 @@ mod tests {
     fn queueing_delays_early_arrivals() {
         let mut s = Server::new(1024, StorageMode::Full);
         let d = disk();
-        let a = s.write(&d, 0, Time::ZERO, &[chunk(0, 1000)], &[&[0u8; 1000]], true);
+        let a = s.write(&d, 0, Time::ZERO, one(chunk(0, 1000)), &[0u8; 1000], true);
         // Second request arrives "before" the first finishes: it queues.
         let b = s.write(
             &d,
             0,
             Time::ZERO,
-            &[chunk(1024, 1000)],
-            &[&[0u8; 1000]],
+            one(chunk(1024, 1000)),
+            &[0u8; 1000],
             true,
         );
         assert!(b.done > a.done);
@@ -621,10 +616,9 @@ mod tests {
     fn read_returns_written_bytes() {
         let mut s = Server::new(1024, StorageMode::Full);
         let d = disk();
-        s.write(&d, 7, Time::ZERO, &[chunk(10, 4)], &[&[5, 6, 7, 8]], true);
+        s.write(&d, 7, Time::ZERO, one(chunk(10, 4)), &[5, 6, 7, 8], true);
         let mut buf = [0u8; 4];
-        let mut outs: Vec<&mut [u8]> = vec![&mut buf];
-        s.read(&d, 7, Time::ZERO, &[chunk(10, 4)], &mut outs);
+        s.read(&d, 7, Time::ZERO, one(chunk(10, 4)), &mut buf);
         assert_eq!(buf, [5, 6, 7, 8]);
     }
 
@@ -632,10 +626,9 @@ mod tests {
     fn cost_only_discards_payload() {
         let mut s = Server::new(1024, StorageMode::CostOnly);
         let d = disk();
-        s.write(&d, 0, Time::ZERO, &[chunk(0, 4)], &[&[1, 2, 3, 4]], true);
+        s.write(&d, 0, Time::ZERO, one(chunk(0, 4)), &[1, 2, 3, 4], true);
         let mut buf = [9u8; 4];
-        let mut outs: Vec<&mut [u8]> = vec![&mut buf];
-        s.read(&d, 0, Time::ZERO, &[chunk(0, 4)], &mut outs);
+        s.read(&d, 0, Time::ZERO, one(chunk(0, 4)), &mut buf);
         assert_eq!(buf, [0, 0, 0, 0]);
     }
 
@@ -647,7 +640,7 @@ mod tests {
         };
         let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
         let d = disk();
-        let out = s.write(&d, 0, Time::ZERO, &[chunk(0, 100)], &[&[1u8; 100]], true);
+        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         assert_eq!(out.injected, Some(FaultKind::Transient));
         assert_eq!(out.bytes_done, 0);
         assert!(!out.is_complete());
@@ -667,7 +660,7 @@ mod tests {
         let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
         let d = disk();
         let data: Vec<u8> = (1..=200).map(|i| (i % 251) as u8).collect();
-        let out = s.write(&d, 0, Time::ZERO, &[chunk(0, 200)], &[&data], true);
+        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 200)), &data, true);
         let done = match out.injected {
             Some(FaultKind::Short { bytes_done }) => bytes_done,
             other => panic!("expected short fault, got {other:?}"),
@@ -684,14 +677,14 @@ mod tests {
     fn stall_completes_but_takes_longer() {
         let d = disk();
         let mut plain = Server::new(1024, StorageMode::Full);
-        let base = plain.write(&d, 0, Time::ZERO, &[chunk(0, 100)], &[&[1u8; 100]], true);
+        let base = plain.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         let plan = FaultPlan {
             stall: 1.0,
             stall_time: Time::from_millis(10),
             ..FaultPlan::default()
         };
         let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
-        let out = s.write(&d, 0, Time::ZERO, &[chunk(0, 100)], &[&[1u8; 100]], true);
+        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         assert!(matches!(out.injected, Some(FaultKind::Stall { .. })));
         assert!(out.is_complete());
         assert_eq!(out.bytes_done, 100);
@@ -714,7 +707,7 @@ mod tests {
         };
         let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
         let d = disk();
-        let out = s.write(&d, 0, Time::ZERO, &[chunk(0, 50)], &[&[3u8; 50]], true);
+        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 50)), &[3u8; 50], true);
         assert_eq!(out.injected, Some(FaultKind::Crashed));
         assert_eq!(out.bytes_done, 0);
         // After restart the same write succeeds.
@@ -722,8 +715,8 @@ mod tests {
             &d,
             0,
             Time::from_millis(2),
-            &[chunk(0, 50)],
-            &[&[3u8; 50]],
+            one(chunk(0, 50)),
+            &[3u8; 50],
             true,
         );
         assert!(out.is_complete());
@@ -733,12 +726,12 @@ mod tests {
     fn per_file_sequentiality() {
         let mut s = Server::new(1024, StorageMode::Full);
         let d = disk();
-        let a = s.write(&d, 1, Time::ZERO, &[chunk(0, 100)], &[&[0u8; 100]], true);
+        let a = s.write(&d, 1, Time::ZERO, one(chunk(0, 100)), &[0u8; 100], true);
         // Different file at the "same" position: still a seek.
-        let b = s.write(&d, 2, a.done, &[chunk(100, 100)], &[&[0u8; 100]], true);
+        let b = s.write(&d, 2, a.done, one(chunk(100, 100)), &[0u8; 100], true);
         assert!(b.seeked);
         // Original file continues sequentially.
-        let c = s.write(&d, 1, b.done, &[chunk(100, 100)], &[&[0u8; 100]], true);
+        let c = s.write(&d, 1, b.done, one(chunk(100, 100)), &[0u8; 100], true);
         assert!(!c.seeked);
     }
 
@@ -757,10 +750,10 @@ mod tests {
             offset_in_stripe: 0,
             len: 1024,
         };
-        let a = s.write(&d, 0, Time::ZERO, &[mk(1)], &[&[0u8; 1024]], true);
-        let b = s.write(&d, 0, a.done, &[mk(5)], &[&[0u8; 1024]], true);
+        let a = s.write(&d, 0, Time::ZERO, one(mk(1)), &[0u8; 1024], true);
+        let b = s.write(&d, 0, a.done, one(mk(5)), &[0u8; 1024], true);
         assert!(!b.seeked, "next owned stripe is local-sequential");
-        let c = s.write(&d, 0, b.done, &[mk(13)], &[&[0u8; 1024]], true);
+        let c = s.write(&d, 0, b.done, one(mk(13)), &[0u8; 1024], true);
         assert!(c.seeked, "skipping an owned stripe seeks");
         assert_eq!(c.seek_distance, 1024, "one local stripe was skipped");
     }
@@ -783,11 +776,9 @@ mod tests {
             0,
         );
         let d = disk();
-        let chunks = [chunk(0, 1024)];
-        let data: [&[u8]; 1] = [&[0u8; 1024]];
-        let a = s.write(&d, 0, Time::ZERO, &chunks, &data, true);
-        let chunks2 = [chunk(1024, 1024)];
-        let b = s.write(&d, 0, Time::ZERO, &chunks2, &data, true);
+        let data = [0u8; 1024];
+        let a = s.write(&d, 0, Time::ZERO, one(chunk(0, 1024)), &data, true);
+        let b = s.write(&d, 0, Time::ZERO, one(chunk(1024, 1024)), &data, true);
         assert!(b.handoff() < a.done, "NIC of b finished inside a's disk");
         assert!(b.stages.overlap > Time::ZERO);
         assert_eq!(b.done, a.done + d.request(1024, true));
@@ -804,9 +795,8 @@ mod tests {
         let run = |s: &mut Server| -> Vec<Option<FaultKind>> {
             (0..16)
                 .map(|i| {
-                    let c = [chunk(i * 1024, 512)];
-                    let data: [&[u8]; 1] = [&[0u8; 512]];
-                    s.write(&d, 0, Time::ZERO, &c, &data, true).injected
+                    let c = one(chunk(i * 1024, 512));
+                    s.write(&d, 0, Time::ZERO, c, &[0u8; 512], true).injected
                 })
                 .collect()
         };

@@ -5,6 +5,16 @@
 //! into per-stripe chunks; the per-server view of a contiguous range is a
 //! set of stripes spaced `N*S` apart, which a real GPFS server services as
 //! one streaming request — our cost model does the same.
+//!
+//! The timed request path never materialises these views. A request is a
+//! run list (one run when contiguous); [`Striping::portions`] and
+//! [`Striping::run_portions`] hand out each touched server's share in the
+//! order the client issues them, a share is a [`PortionChunks`] walk over
+//! that server's stripes, and every chunk carries its position in the
+//! request's payload, so the server indexes the payload itself.
+//! [`Striping::split`] and [`Striping::split_by_server`] build the same
+//! views as vectors, for the untimed export paths and as the walks' test
+//! oracle.
 
 /// Round-robin striping layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,11 +40,16 @@ pub struct StripeChunk {
     pub len: u64,
 }
 
+/// Most servers a layout may stripe across: the size of the on-stack set
+/// [`RunPortions`] keeps of the servers it has already handed out.
+pub const MAX_SERVERS: usize = 1024;
+
 impl Striping {
     /// Create a layout; panics on degenerate parameters (library bug).
     pub fn new(stripe_size: u64, nservers: usize) -> Striping {
         assert!(stripe_size > 0, "stripe size must be positive");
         assert!(nservers > 0, "need at least one server");
+        assert!(nservers <= MAX_SERVERS, "at most {MAX_SERVERS} servers");
         Striping {
             stripe_size,
             nservers,
@@ -65,6 +80,53 @@ impl Striping {
             pos += take;
         }
         out
+    }
+
+    /// Walk the chunks of `[offset, offset+len)` in file order: all of
+    /// them, or only those `server` owns.
+    fn chunks(&self, offset: u64, len: u64, server: Option<usize>) -> Chunks {
+        let n = self.nservers as u64;
+        let first = offset / self.stripe_size;
+        let (stripe, stride) = match server {
+            Some(s) => (first + (s as u64 + n - first % n) % n, n),
+            None => (first, 1),
+        };
+        Chunks {
+            striping: *self,
+            offset,
+            end: offset + len,
+            stripe,
+            stride,
+        }
+    }
+
+    /// Each touched server's share of the contiguous request `run`
+    /// (`(offset, len)`), in the order a client issues them: by the file
+    /// offset of the share's first chunk.
+    pub fn portions<'a>(&self, run: &'a (u64, u64)) -> Portions<'a> {
+        let (offset, len) = *run;
+        let first = offset / self.stripe_size;
+        let touched = match len {
+            0 => 0,
+            _ => (offset + len - 1) / self.stripe_size - first + 1,
+        };
+        Portions {
+            striping: *self,
+            run: std::slice::from_ref(run),
+            stripe: first,
+            left: touched.min(self.nservers as u64),
+        }
+    }
+
+    /// Each touched server's share of a vectored request — `runs` sorted and
+    /// disjoint, the payload their concatenation — in the order a client
+    /// issues them: by first appearance in file order.
+    pub fn run_portions<'a>(&self, runs: &'a [(u64, u64)]) -> RunPortions<'a> {
+        RunPortions {
+            flat: PortionChunks::new(*self, runs, 0, 0, None),
+            seen: [0; MAX_SERVERS / 64],
+            unseen: self.nservers,
+        }
     }
 
     /// Data stripes covered by one parity row: `N-1`, so a row's
@@ -107,6 +169,148 @@ impl Striping {
             .enumerate()
             .filter(|(_, v)| !v.is_empty())
             .collect()
+    }
+}
+
+/// Walks the stripes of one byte range in file order: every stripe, or
+/// every `N`-th one (a single server's).
+#[derive(Clone, Copy, Debug)]
+struct Chunks {
+    striping: Striping,
+    offset: u64,
+    end: u64,
+    /// Next stripe to visit.
+    stripe: u64,
+    stride: u64,
+}
+
+impl Iterator for Chunks {
+    type Item = StripeChunk;
+
+    fn next(&mut self) -> Option<StripeChunk> {
+        let size = self.striping.stripe_size;
+        let lo = (self.stripe * size).max(self.offset);
+        if lo >= self.end {
+            return None;
+        }
+        let hi = ((self.stripe + 1) * size).min(self.end);
+        let chunk = StripeChunk {
+            server: (self.stripe % self.striping.nservers as u64) as usize,
+            stripe: self.stripe,
+            file_offset: lo,
+            offset_in_stripe: lo - self.stripe * size,
+            len: hi - lo,
+        };
+        self.stripe += self.stride;
+        Some(chunk)
+    }
+}
+
+/// One server's chunks of a run list in file order, each with the position
+/// of its first byte in the runs' concatenated payload.
+#[derive(Clone, Copy, Debug)]
+pub struct PortionChunks<'a> {
+    striping: Striping,
+    runs: &'a [(u64, u64)],
+    /// `None` walks every server's chunks (how [`RunPortions`] finds first
+    /// appearances).
+    server: Option<usize>,
+    /// The run `cur` walks, and the payload position of its first byte.
+    run: usize,
+    run_pos: u64,
+    cur: Chunks,
+}
+
+impl<'a> PortionChunks<'a> {
+    /// Start at `runs[run]`, whose first byte is byte `run_pos` of the payload.
+    fn new(
+        striping: Striping,
+        runs: &'a [(u64, u64)],
+        run: usize,
+        run_pos: u64,
+        server: Option<usize>,
+    ) -> PortionChunks<'a> {
+        let (off, len) = runs.get(run).copied().unwrap_or((0, 0));
+        PortionChunks {
+            striping,
+            runs,
+            server,
+            run,
+            run_pos,
+            cur: striping.chunks(off, len, server),
+        }
+    }
+}
+
+impl Iterator for PortionChunks<'_> {
+    type Item = (StripeChunk, usize);
+
+    fn next(&mut self) -> Option<(StripeChunk, usize)> {
+        loop {
+            let &(off, len) = self.runs.get(self.run)?;
+            if let Some(c) = self.cur.next() {
+                return Some((c, (self.run_pos + c.file_offset - off) as usize));
+            }
+            let (next, pos) = (self.run + 1, self.run_pos + len);
+            *self = PortionChunks::new(self.striping, self.runs, next, pos, self.server);
+        }
+    }
+}
+
+/// See [`Striping::portions`].
+#[derive(Clone, Copy, Debug)]
+pub struct Portions<'a> {
+    striping: Striping,
+    run: &'a [(u64, u64)],
+    /// First stripe of the next share; shares start one stripe apart.
+    stripe: u64,
+    left: u64,
+}
+
+impl<'a> Iterator for Portions<'a> {
+    type Item = (usize, PortionChunks<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let server = (self.stripe % self.striping.nservers as u64) as usize;
+        self.stripe += 1;
+        let share = PortionChunks::new(self.striping, self.run, 0, 0, Some(server));
+        Some((server, share))
+    }
+}
+
+/// See [`Striping::run_portions`].
+#[derive(Clone, Copy, Debug)]
+pub struct RunPortions<'a> {
+    /// Every chunk of the request in file order.
+    flat: PortionChunks<'a>,
+    /// Bit `s` is set once server `s`'s share has been handed out.
+    seen: [u64; MAX_SERVERS / 64],
+    unseen: usize,
+}
+
+impl<'a> Iterator for RunPortions<'a> {
+    type Item = (usize, PortionChunks<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.unseen > 0 {
+            let (c, _) = self.flat.next()?;
+            let (word, bit) = (c.server / 64, 1u64 << (c.server % 64));
+            if self.seen[word] & bit == 0 {
+                self.seen[word] |= bit;
+                self.unseen -= 1;
+                // The server's first chunk is `c`: its share starts in the
+                // run the flat walk is in.
+                let f = &self.flat;
+                let share =
+                    PortionChunks::new(f.striping, f.runs, f.run, f.run_pos, Some(c.server));
+                return Some((c.server, share));
+            }
+        }
+        None
     }
 }
 

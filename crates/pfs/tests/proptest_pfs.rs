@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hpc_sim::{SimConfig, Time};
-use pnetcdf_pfs::{Pfs, StorageMode, Striping};
+use pnetcdf_pfs::{Pfs, StorageMode, StripeChunk, Striping};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -36,6 +36,77 @@ proptest! {
             prop_assert_eq!(c.offset_in_stripe, 0);
             prop_assert_eq!(c.len, stripe);
         }
+    }
+
+    /// The walk a contiguous request is issued from hands out the servers
+    /// `split_by_server` groups, ordered by first chunk as the request path
+    /// used to sort them, each with the same chunks, and every chunk knows
+    /// where its bytes sit in the payload. The ranges make single-stripe,
+    /// exactly-aligned and wrap-around requests all common.
+    #[test]
+    fn portions_match_split_by_server(
+        stripe in 1u64..64,
+        nservers in 1usize..9,
+        offset_stripes in 0u64..20,
+        offset_in in 0u64..64,
+        len_stripes in 0u64..20,
+        len_in in 0u64..64,
+        aligned in any::<bool>(),
+    ) {
+        let s = Striping::new(stripe, nservers);
+        let (offset, len) = if aligned {
+            (offset_stripes * stripe, len_stripes * stripe)
+        } else {
+            (offset_stripes * stripe + offset_in % stripe, len_stripes * stripe + len_in)
+        };
+        let mut want = s.split_by_server(offset, len);
+        want.sort_by_key(|(_, chunks)| chunks[0].file_offset);
+        let run = (offset, len);
+        let got: Vec<(usize, Vec<(StripeChunk, usize)>)> =
+            s.portions(&run).map(|(srv, chunks)| (srv, chunks.collect())).collect();
+        prop_assert_eq!(got.len(), want.len());
+        for ((srv, chunks), (want_srv, want_chunks)) in got.iter().zip(&want) {
+            prop_assert_eq!(srv, want_srv);
+            let plain: Vec<StripeChunk> = chunks.iter().map(|&(c, _)| c).collect();
+            prop_assert_eq!(&plain, want_chunks);
+            for &(c, pos) in chunks {
+                prop_assert_eq!(pos as u64, c.file_offset - offset);
+            }
+        }
+    }
+
+    /// The walk a vectored request is issued from, against the grouping
+    /// the request path used to build: every run `split`, servers in order
+    /// of first appearance, chunks in file order with their payload
+    /// positions.
+    #[test]
+    fn run_portions_match_grouped_splits(
+        stripe in 1u64..64,
+        nservers in 1usize..9,
+        gaps_and_lens in vec((0u64..200, 0u64..300), 0..12),
+    ) {
+        let s = Striping::new(stripe, nservers);
+        let mut runs = Vec::new();
+        let mut at = 0u64;
+        for &(gap, len) in &gaps_and_lens {
+            runs.push((at + gap, len));
+            at += gap + len;
+        }
+        let mut want: Vec<(usize, Vec<(StripeChunk, usize)>)> = Vec::new();
+        let mut payload = 0u64;
+        for &(off, len) in &runs {
+            for c in s.split(off, len) {
+                let entry = (c, (payload + c.file_offset - off) as usize);
+                match want.iter_mut().find(|(srv, _)| *srv == c.server) {
+                    Some((_, chunks)) => chunks.push(entry),
+                    None => want.push((c.server, vec![entry])),
+                }
+            }
+            payload += len;
+        }
+        let got: Vec<(usize, Vec<(StripeChunk, usize)>)> =
+            s.run_portions(&runs).map(|(srv, chunks)| (srv, chunks.collect())).collect();
+        prop_assert_eq!(got, want);
     }
 
     #[test]

@@ -4,15 +4,13 @@
 //!
 //! The benchmark (`perf_bench`, workload `coll3d_x`) measures the same
 //! ratio on a 64 MiB array: 5.24 B/B before the exchange lent its buffers,
-//! 2.22 after. This test repeats the measurement on 8 MiB with its own
-//! counting allocator, so a change that brings a per-collective copy back
-//! fails `cargo test` instead of waiting for a benchmark run.
+//! 2.22 after. This test repeats the measurement on 8 MiB with the counting
+//! allocator of `support/counting_alloc.rs`, so a change that brings a
+//! per-collective copy back fails `cargo test` instead of waiting for a
+//! benchmark run.
 //!
 //! One `#[test]` only: the allocator is process-wide, and a second test
 //! running beside it would be counted too.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use hpc_sim::SimConfig;
 use pnetcdf::{Dataset, Info, NcType, Version};
@@ -20,49 +18,8 @@ use pnetcdf_mpi::run_world;
 use pnetcdf_mpio::{MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
-/// Heap bytes requested so far (a `realloc` counts at its new size — the
-/// benchmark's definition).
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-/// While set, `LARGEST` tracks the largest single request.
-static WATCHING: AtomicBool = AtomicBool::new(false);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-fn count(size: usize) {
-    REQUESTED.fetch_add(size as u64, Ordering::Relaxed);
-    if WATCHING.load(Ordering::Relaxed) {
-        LARGEST.fetch_max(size, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are atomics and never
-// allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 const NPROCS: usize = 2;
 /// `tt(64, 128, 256)` f32 = 8 MiB, split along X (the fastest dimension):
@@ -83,7 +40,7 @@ fn put_get_alloc_ratio() -> f64 {
                 .collect()
         })
         .collect();
-    let start = REQUESTED.load(Ordering::Relaxed);
+    let start = counting_alloc::requested();
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
     run_world(NPROCS, cfg, |c| {
         let mut ds = Dataset::create(c, &pfs, "tt.nc", Version::Cdf1, &Info::new()).unwrap();
@@ -102,7 +59,7 @@ fn put_get_alloc_ratio() -> f64 {
         ds.close().unwrap();
     });
     drop(pfs);
-    let requested = REQUESTED.load(Ordering::Relaxed) - start;
+    let requested = counting_alloc::requested() - start;
     requested as f64 / (2 * PAYLOAD) as f64
 }
 
@@ -119,11 +76,11 @@ fn largest_allocation_inside_write_runs_at_all() -> (usize, usize) {
             .collect();
         let data = vec![c.rank() as u8 + 1; 16384 * 512];
         c.barrier().unwrap();
-        WATCHING.store(true, Ordering::SeqCst);
+        counting_alloc::watch_largest(true);
         f.write_runs_at_all(&runs, &data).unwrap();
-        WATCHING.store(false, Ordering::SeqCst);
+        counting_alloc::watch_largest(false);
     });
-    (LARGEST.load(Ordering::SeqCst), budget)
+    (counting_alloc::largest(), budget)
 }
 
 #[test]

@@ -170,3 +170,36 @@ fn mixed_fixed_and_record_vars() {
         ds.close().unwrap();
     });
 }
+
+/// A collective put that another rank's validation rejects writes nothing,
+/// so it must not leave the record count grown on the ranks whose own
+/// arguments were fine: every rank returns the same error, `numrecs` stays
+/// where it was, and the closed file reports the old count.
+#[test]
+fn rejected_collective_put_does_not_grow_numrecs() {
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let world = run_world(2, cfg(), |c| {
+        let mut ds = Dataset::create(c, &pfs, "rej.nc", Version::Cdf1, &Info::new()).unwrap();
+        let t = ds.def_dim("time", 0).unwrap();
+        let x = ds.def_dim("x", 4).unwrap();
+        let v = ds.def_var("ts", NcType::Int, &[t, x]).unwrap();
+        ds.enddef().unwrap();
+        let r = c.rank() as u64;
+        ds.put_vara_all(v, &[r, 0], &[1, 4], &[r as i32; 4])
+            .unwrap();
+        assert_eq!(ds.numrecs(), 2);
+
+        // Rank 0 asks for record 5 correctly; rank 1 overruns `x`.
+        let count = if c.rank() == 0 { [1, 4] } else { [1, 9] };
+        let vals = vec![7i32; count[1] as usize];
+        let err = ds.put_vara_all(v, &[5, 0], &count, &vals).unwrap_err();
+        assert_eq!(ds.numrecs(), 2, "rank {r} kept records nobody wrote");
+        ds.close().unwrap();
+
+        let ds = Dataset::open(c, &pfs, "rej.nc", true, &Info::new()).unwrap();
+        assert_eq!(ds.numrecs(), 2, "the file reports records nobody wrote");
+        ds.close().unwrap();
+        err.to_string()
+    });
+    assert_eq!(world.results[0], world.results[1]);
+}

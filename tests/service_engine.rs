@@ -7,7 +7,7 @@
 //! order. Crash faults are excluded by design: they trigger on *arrival
 //! time*, which the two schedules legitimately disagree on.
 
-use hpc_sim::{FaultCounters, FaultPlan, SimConfig};
+use hpc_sim::{FaultCounters, FaultPlan, SimConfig, Time};
 use pnetcdf_mpi::run_world;
 use pnetcdf_mpio::{MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
@@ -104,5 +104,122 @@ fn recovered_bytes_match_sent_bytes() {
             );
             pos += len as usize;
         }
+    }
+}
+
+// ---- the independent request path against the parent commit ---------------
+
+/// Independent requests issued straight at the PFS. `test_small` stripes
+/// are 1 KiB over 4 servers.
+const INDEP_OPS: [(u64, u64); 8] = [
+    (100, 512),       // inside one stripe
+    (1024, 1024),     // exactly one aligned stripe
+    (2048, 4096),     // aligned, every server once
+    (300, 5000),      // ragged, wraps past the last server
+    (9000, 7000),     // more stripes than servers
+    (20_000, 1),      // one byte
+    (21_503, 2),      // straddles a stripe boundary
+    (40_960, 12_288), // three full rounds of the servers
+];
+
+/// Every `IoFailure` the program below met, as `op:completed:kind:server;`,
+/// recorded at the commit before striping became an iterator. The fault
+/// draws depend only on `(seed, server, ops)`, so parity does not move it.
+const GOLDEN_FAILURES: &str = "w0:383:Short { bytes_done: 383 }:0;\
+w3:2009:Short { bytes_done: 261 }:2;w3:0:Transient:2;w3:1284:Short { bytes_done: 521 }:3;\
+w3:1527:Transient:1;w3:104:Short { bytes_done: 104 }:1;w3:0:Transient:1;w4:216:Transient:1;\
+w4:5120:Short { bytes_done: 1024 }:2;w4:1426:Short { bytes_done: 402 }:3;w5:0:Transient:3;\
+w6:0:Transient:0;w7:4709:Short { bytes_done: 1637 }:0;w7:2459:Transient:3;\
+v:8232:Short { bytes_done: 1360 }:3;r3:2772:Transient:3;r4:1826:Short { bytes_done: 586 }:2;\
+r4:1462:Transient:0;r7:4604:Short { bytes_done: 1532 }:0;r7:6115:Short { bytes_done: 1503 }:2;\
+r7:0:Transient:2;";
+const GOLDEN_FILE_FNV: u64 = 0x190c_f157_47fc_2c9a;
+/// Final client clock in virtual nanoseconds, parity off and on.
+const GOLDEN_CLOCK: [u64; 2] = [37_098_146, 66_132_706];
+
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn payload(off: u64, len: u64) -> Vec<u8> {
+    (0..len).map(|i| ((off + i) * 31 % 251) as u8).collect()
+}
+
+/// Drop the first `skip` payload bytes from a run list.
+fn runs_after(runs: &[Run], mut skip: u64) -> Vec<Run> {
+    runs.iter()
+        .filter_map(|&(off, len)| {
+            let cut = skip.min(len);
+            skip -= cut;
+            (cut < len).then_some((off + cut, len - cut))
+        })
+        .collect()
+}
+
+/// Write every op, rewrite three of them as one vectored request, read
+/// every op back, resuming each request after a failure the way a retry
+/// ladder does. Returns the failure transcript, the file's hash and the
+/// final clock.
+fn indep_transcript(parity: bool) -> (String, u64, u64) {
+    let mut cfg = SimConfig::test_small();
+    cfg.faults = FaultPlan::from_spec("transient=0.1,short=0.1").unwrap();
+    let pfs = Pfs::new(cfg, StorageMode::Full);
+    pfs.set_parity(parity);
+    let f = pfs.create("golden");
+    let backoff = Time::from_micros(50);
+    let mut log = String::new();
+    let mut t = Time::ZERO;
+    for (op, &(off, len)) in INDEP_OPS.iter().enumerate() {
+        let data = payload(off, len);
+        let mut resume = 0usize;
+        while let Err(e) = f
+            .try_write_at(t, off + resume as u64, &data[resume..])
+            .map(|done| t = done)
+        {
+            log.push_str(&format!("w{op}:{}:{:?}:{};", e.completed, e.kind, e.server));
+            resume += e.completed as usize;
+            t = e.time + backoff;
+        }
+    }
+    let runs: Vec<Run> = vec![INDEP_OPS[0], (2048, 1024), INDEP_OPS[4]];
+    let data: Vec<u8> = runs.iter().flat_map(|&(o, l)| payload(o, l)).collect();
+    let mut resume = 0u64;
+    while let Err(e) = f
+        .try_write_runs(t, &runs_after(&runs, resume), &data[resume as usize..])
+        .map(|c| t = c.durable)
+    {
+        log.push_str(&format!("v:{}:{:?}:{};", e.completed, e.kind, e.server));
+        resume += e.completed;
+        t = e.time + backoff;
+    }
+    for (op, &(off, len)) in INDEP_OPS.iter().enumerate() {
+        let mut buf = vec![0xAAu8; len as usize];
+        let mut resume = 0usize;
+        while let Err(e) = f
+            .try_read_at(t, off + resume as u64, &mut buf[resume..])
+            .map(|done| t = done)
+        {
+            log.push_str(&format!("r{op}:{}:{:?}:{};", e.completed, e.kind, e.server));
+            resume += e.completed as usize;
+            t = e.time + backoff;
+        }
+        assert_eq!(buf, payload(off, len), "read {op} returned wrong bytes");
+    }
+    (log, fnv(&f.to_bytes()), t.as_nanos())
+}
+
+/// Single- and multi-stripe independent writes and reads under transient
+/// and short faults fail at the same bytes, with the same fault on the same
+/// server, leave the same file and finish at the same virtual nanosecond
+/// as they did when every request built its per-server chunk vectors.
+#[test]
+fn independent_requests_under_faults_match_the_recorded_run() {
+    for (parity, clock) in [false, true].into_iter().zip(GOLDEN_CLOCK) {
+        let (log, file, t) = indep_transcript(parity);
+        assert_eq!(log, GOLDEN_FAILURES, "parity {parity}: failure sequence");
+        assert_eq!(file, GOLDEN_FILE_FNV, "parity {parity}: file bytes");
+        assert_eq!(t, clock, "parity {parity}: final clock");
     }
 }
