@@ -173,7 +173,12 @@ echo "==> bench results: twophase_bench (BENCH_twophase.json)"
 [ -f BENCH_twophase.json ] || { echo "FAIL: BENCH_twophase.json was not written"; exit 1; }
 grep -q '"speedup"' BENCH_twophase.json \
     || { echo "FAIL: BENCH_twophase.json missing speedup rows"; exit 1; }
-echo "    BENCH_twophase.json written (the bench itself asserts >1.2x at 64 ranks)"
+# The file is pure virtual time (serial and pipelined MB/s, rounds, hidden
+# nanoseconds at 16/64 ranks x 3 buffer sizes), so any difference from the
+# recorded one is a change of the two-phase model, not noise.
+cmp BENCH_twophase.json crates/bench/golden/BENCH_twophase.json \
+    || { echo "FAIL: BENCH_twophase.json differs from crates/bench/golden/BENCH_twophase.json"; exit 1; }
+echo "    BENCH_twophase.json identical to the recorded one (the bench itself asserts >1.2x at 64 ranks)"
 
 echo "==> bench results: fig6_scalability --quick (BENCH_fig6.json)"
 report_dir=$(mktemp -d)
