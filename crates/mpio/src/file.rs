@@ -55,7 +55,7 @@ impl MpiFile {
         mode: OpenMode,
         info: &Info,
     ) -> MpioResult<MpiFile> {
-        let (hints, rejected) = Hints::from_info_audited(info);
+        let (hints, rejected) = Hints::from_info(info);
         // Unknown `pnc_*` keys and malformed values never change behavior
         // (the parser falls back to defaults), but they are almost always a
         // misspelling the user would want to know about: count them in the

@@ -17,10 +17,10 @@ pub enum Toggle {
 }
 
 impl Toggle {
-    fn parse(s: Option<&str>) -> Toggle {
+    fn parse(s: &str) -> Toggle {
         match s {
-            Some("enable") | Some("true") => Toggle::Enable,
-            Some("disable") | Some("false") => Toggle::Disable,
+            "enable" | "true" => Toggle::Enable,
+            "disable" | "false" => Toggle::Disable,
             _ => Toggle::Auto,
         }
     }
@@ -117,28 +117,52 @@ impl Default for Hints {
     }
 }
 
-/// Every hint key this implementation consumes. Keys outside this list are
+/// How a hint's value is parsed, and where it goes.
+enum Kind {
+    /// A tri-state toggle word; anything unrecognized means `Auto`.
+    Toggle(fn(&mut Hints) -> &mut Toggle),
+    /// A size or count where zero is meaningless (a zero-sized buffer, zero
+    /// aggregators): zero is rejected like an unparseable number.
+    Positive(fn(&mut Hints, usize)),
+    /// A size or count where zero is meaningful (stripe-sized pages,
+    /// readahead off, unbounded queue): only unparseable values reject.
+    Count(fn(&mut Hints, usize)),
+}
+
+/// Every hint key this implementation consumes. Keys outside this table are
 /// ignored per the MPI standard — except unknown `pnc_`-prefixed keys, which
 /// the audit flags (they were addressed at *this* library and can only be a
 /// misspelling).
-const KNOWN_KEYS: &[&str] = &[
-    "cb_buffer_size",
-    "cb_nodes",
-    "romio_cb_write",
-    "romio_cb_read",
-    "pnc_cb_pipeline",
-    "ind_rd_buffer_size",
-    "ind_wr_buffer_size",
-    "romio_ds_write",
-    "romio_ds_read",
-    "pnc_cache",
-    "pnc_cache_size",
-    "pnc_page_size",
-    "pnc_readahead",
-    "pnc_server_queue_depth",
-    "pnc_cb_affinity",
-    "pnc_trace_events",
-    "pnc_parity",
+const HINT_TABLE: &[(&str, Kind)] = &[
+    (
+        "cb_buffer_size",
+        Kind::Positive(|h, v| h.cb_buffer_size = v),
+    ),
+    ("cb_nodes", Kind::Positive(|h, v| h.cb_nodes = Some(v))),
+    ("romio_cb_write", Kind::Toggle(|h| &mut h.cb_write)),
+    ("romio_cb_read", Kind::Toggle(|h| &mut h.cb_read)),
+    ("pnc_cb_pipeline", Kind::Toggle(|h| &mut h.cb_pipeline)),
+    (
+        "ind_rd_buffer_size",
+        Kind::Positive(|h, v| h.ind_rd_buffer_size = v),
+    ),
+    (
+        "ind_wr_buffer_size",
+        Kind::Positive(|h, v| h.ind_wr_buffer_size = v),
+    ),
+    ("romio_ds_write", Kind::Toggle(|h| &mut h.ds_write)),
+    ("romio_ds_read", Kind::Toggle(|h| &mut h.ds_read)),
+    ("pnc_cache", Kind::Toggle(|h| &mut h.cache)),
+    ("pnc_cache_size", Kind::Positive(|h, v| h.cache_size = v)),
+    ("pnc_page_size", Kind::Count(|h, v| h.cache_page_size = v)),
+    ("pnc_readahead", Kind::Count(|h, v| h.cache_readahead = v)),
+    (
+        "pnc_server_queue_depth",
+        Kind::Count(|h, v| h.server_queue_depth = Some(v)),
+    ),
+    ("pnc_cb_affinity", Kind::Toggle(|h| &mut h.cb_affinity)),
+    ("pnc_trace_events", Kind::Toggle(|h| &mut h.trace_events)),
+    ("pnc_parity", Kind::Toggle(|h| &mut h.parity)),
 ];
 
 /// Is `v` a well-formed value for the tri-state toggles?
@@ -150,80 +174,40 @@ fn valid_toggle(v: &str) -> bool {
 }
 
 impl Hints {
-    /// Parse hints from an info object, falling back to defaults.
-    pub fn from_info(info: &Info) -> Hints {
-        let d = Hints::default();
-        Hints {
-            cb_buffer_size: info
-                .get_usize("cb_buffer_size")
-                .filter(|&v| v > 0)
-                .unwrap_or(d.cb_buffer_size),
-            cb_nodes: info.get_usize("cb_nodes").filter(|&v| v > 0),
-            cb_write: Toggle::parse(info.get("romio_cb_write")),
-            cb_read: Toggle::parse(info.get("romio_cb_read")),
-            cb_pipeline: Toggle::parse(info.get("pnc_cb_pipeline")),
-            ind_rd_buffer_size: info
-                .get_usize("ind_rd_buffer_size")
-                .filter(|&v| v > 0)
-                .unwrap_or(d.ind_rd_buffer_size),
-            ind_wr_buffer_size: info
-                .get_usize("ind_wr_buffer_size")
-                .filter(|&v| v > 0)
-                .unwrap_or(d.ind_wr_buffer_size),
-            ds_write: Toggle::parse(info.get("romio_ds_write")),
-            ds_read: Toggle::parse(info.get("romio_ds_read")),
-            cache: Toggle::parse(info.get("pnc_cache")),
-            cache_size: info
-                .get_usize("pnc_cache_size")
-                .filter(|&v| v > 0)
-                .unwrap_or(d.cache_size),
-            cache_page_size: info.get_usize("pnc_page_size").unwrap_or(d.cache_page_size),
-            // 0 is a meaningful value here (readahead off), so no filter.
-            cache_readahead: info.get_usize("pnc_readahead").unwrap_or(d.cache_readahead),
-            // 0 is meaningful (unbounded queue), so no filter.
-            server_queue_depth: info.get_usize("pnc_server_queue_depth"),
-            cb_affinity: Toggle::parse(info.get("pnc_cb_affinity")),
-            trace_events: Toggle::parse(info.get("pnc_trace_events")),
-            parity: Toggle::parse(info.get("pnc_parity")),
-        }
-    }
-
-    /// Parse hints and audit the info object: returns the parsed hints
-    /// (identical to [`Hints::from_info`] — a bad value never changes
-    /// behavior, it falls back) plus a human-readable description of every
-    /// rejected entry. Rejected means an unknown `pnc_*` key, or a known
-    /// key whose value is malformed (unparseable number, zero where zero
-    /// is meaningless, unrecognized toggle word).
-    pub fn from_info_audited(info: &Info) -> (Hints, Vec<String>) {
+    /// Parse hints from an info object and audit it: returns the parsed
+    /// hints plus a human-readable description of every rejected entry.
+    /// Rejected means an unknown `pnc_*` key, or a known key whose value is
+    /// malformed (unparseable number, zero where zero is meaningless,
+    /// unrecognized toggle word). A bad value never changes behavior: it
+    /// falls back to the default.
+    pub fn from_info(info: &Info) -> (Hints, Vec<String>) {
+        let mut hints = Hints::default();
         let mut rejected = Vec::new();
         // Info iterates a BTreeMap, so the audit order is deterministic.
         for (k, v) in info.iter() {
-            if !KNOWN_KEYS.contains(&k) {
+            let Some((_, kind)) = HINT_TABLE.iter().find(|(key, _)| *key == k) else {
                 if k.starts_with("pnc_") {
                     rejected.push(format!("{k}={v} (unknown pnc_ hint)"));
                 }
                 continue;
-            }
-            let ok = match k {
-                "romio_cb_write" | "romio_cb_read" | "pnc_cb_pipeline" | "romio_ds_write"
-                | "romio_ds_read" | "pnc_cache" | "pnc_cb_affinity" | "pnc_trace_events"
-                | "pnc_parity" => valid_toggle(v),
-                // Zero-sized buffers and zero aggregators are meaningless;
-                // from_info filters them out, so the audit flags them.
-                "cb_buffer_size" | "cb_nodes" | "ind_rd_buffer_size" | "ind_wr_buffer_size"
-                | "pnc_cache_size" => v.parse::<usize>().map(|n| n > 0).unwrap_or(false),
-                // Zero is meaningful here (stripe-sized pages, readahead
-                // off, unbounded queue) — only unparseable values reject.
-                "pnc_page_size" | "pnc_readahead" | "pnc_server_queue_depth" => {
-                    v.parse::<usize>().is_ok()
+            };
+            let number = v.trim().parse::<usize>().ok();
+            let ok = match kind {
+                Kind::Toggle(slot) => {
+                    *slot(&mut hints) = Toggle::parse(v);
+                    valid_toggle(v)
                 }
-                _ => unreachable!("key {k} is in KNOWN_KEYS but not audited"),
+                Kind::Positive(set) => number
+                    .filter(|&n| n > 0)
+                    .map(|n| set(&mut hints, n))
+                    .is_some(),
+                Kind::Count(set) => number.map(|n| set(&mut hints, n)).is_some(),
             };
             if !ok {
                 rejected.push(format!("{k}={v} (malformed value)"));
             }
         }
-        (Hints::from_info(info), rejected)
+        (hints, rejected)
     }
 
     /// Number of aggregators for a communicator of `nprocs` over
@@ -246,7 +230,7 @@ mod tests {
 
     #[test]
     fn defaults_without_hints() {
-        let h = Hints::from_info(&Info::new());
+        let h = Hints::from_info(&Info::new()).0;
         assert_eq!(h.cb_buffer_size, 4 * 1024 * 1024);
         assert_eq!(h.cb_nodes, None);
         assert_eq!(h.cb_write, Toggle::Auto);
@@ -259,10 +243,10 @@ mod tests {
 
     #[test]
     fn pipeline_hint_parses() {
-        let h = Hints::from_info(&Info::new().with("pnc_cb_pipeline", "disable"));
+        let h = Hints::from_info(&Info::new().with("pnc_cb_pipeline", "disable")).0;
         assert_eq!(h.cb_pipeline, Toggle::Disable);
         assert!(!h.cb_pipeline.resolve(true));
-        let h = Hints::from_info(&Info::new().with("pnc_cb_pipeline", "enable"));
+        let h = Hints::from_info(&Info::new().with("pnc_cb_pipeline", "enable")).0;
         assert_eq!(h.cb_pipeline, Toggle::Enable);
     }
 
@@ -273,7 +257,7 @@ mod tests {
             .with("cb_nodes", "3")
             .with("romio_cb_write", "disable")
             .with("romio_ds_read", "enable");
-        let h = Hints::from_info(&info);
+        let h = Hints::from_info(&info).0;
         assert_eq!(h.cb_buffer_size, 1048576);
         assert_eq!(h.cb_nodes, Some(3));
         assert_eq!(h.cb_write, Toggle::Disable);
@@ -286,14 +270,14 @@ mod tests {
         let info = Info::new()
             .with("cb_buffer_size", "zero")
             .with("cb_nodes", "0");
-        let h = Hints::from_info(&info);
+        let h = Hints::from_info(&info).0;
         assert_eq!(h.cb_buffer_size, 4 * 1024 * 1024);
         assert_eq!(h.cb_nodes, None);
     }
 
     #[test]
     fn cache_hints() {
-        let d = Hints::from_info(&Info::new());
+        let d = Hints::from_info(&Info::new()).0;
         assert_eq!(d.cache, Toggle::Auto);
         assert!(!d.cache.resolve(false), "cache defaults off");
         assert_eq!(d.cache_size, 8 * 1024 * 1024);
@@ -304,7 +288,7 @@ mod tests {
             .with("pnc_cache_size", "65536")
             .with("pnc_page_size", "4096")
             .with("pnc_readahead", "0");
-        let h = Hints::from_info(&info);
+        let h = Hints::from_info(&info).0;
         assert!(h.cache.resolve(false));
         assert_eq!(h.cache_size, 65536);
         assert_eq!(h.cache_page_size, 4096);
@@ -329,33 +313,33 @@ mod tests {
 
     #[test]
     fn server_engine_hints() {
-        let d = Hints::from_info(&Info::new());
+        let d = Hints::from_info(&Info::new()).0;
         assert_eq!(d.server_queue_depth, None);
         assert_eq!(d.cb_affinity, Toggle::Auto);
         assert!(d.cb_affinity.resolve(true), "affinity defaults on");
         let info = Info::new()
             .with("pnc_server_queue_depth", "0")
             .with("pnc_cb_affinity", "disable");
-        let h = Hints::from_info(&info);
+        let h = Hints::from_info(&info).0;
         assert_eq!(
             h.server_queue_depth,
             Some(0),
             "explicit 0 (unbounded) sticks"
         );
         assert!(!h.cb_affinity.resolve(true));
-        let h = Hints::from_info(&Info::new().with("pnc_server_queue_depth", "16"));
+        let h = Hints::from_info(&Info::new().with("pnc_server_queue_depth", "16")).0;
         assert_eq!(h.server_queue_depth, Some(16));
     }
 
     #[test]
     fn parity_hint() {
-        let d = Hints::from_info(&Info::new());
+        let d = Hints::from_info(&Info::new()).0;
         assert_eq!(d.parity, Toggle::Auto);
         assert!(!d.parity.resolve(false), "parity defaults off");
-        let h = Hints::from_info(&Info::new().with("pnc_parity", "enable"));
+        let h = Hints::from_info(&Info::new().with("pnc_parity", "enable")).0;
         assert_eq!(h.parity, Toggle::Enable);
         assert!(h.parity.resolve(false));
-        let h = Hints::from_info(&Info::new().with("pnc_parity", "disable"));
+        let h = Hints::from_info(&Info::new().with("pnc_parity", "disable")).0;
         assert!(!h.parity.resolve(false));
     }
 
@@ -368,7 +352,7 @@ mod tests {
             .with("pnc_parity", "yes") // bad toggle word
             .with("striping_factor", "4") // foreign hint: silently ignored
             .with("romio_ds_read", "enable"); // well-formed: accepted
-        let (h, rejected) = Hints::from_info_audited(&info);
+        let (h, rejected) = Hints::from_info(&info);
         assert_eq!(
             rejected,
             vec![
@@ -378,7 +362,7 @@ mod tests {
                 "pnc_parity=yes (malformed value)",
             ]
         );
-        // Rejects never change behavior: same fallbacks as from_info.
+        // Rejects never change behavior: they fall back to the defaults.
         assert_eq!(h.cb_buffer_size, 4 * 1024 * 1024);
         assert_eq!(h.cb_nodes, None);
         assert_eq!(h.parity, Toggle::Auto);
@@ -391,19 +375,19 @@ mod tests {
             .with("pnc_server_queue_depth", "0")
             .with("pnc_readahead", "0")
             .with("romio_cb_write", "automatic");
-        let (_, rejected) = Hints::from_info_audited(&info);
+        let (_, rejected) = Hints::from_info(&info);
         assert!(rejected.is_empty(), "got rejects: {rejected:?}");
     }
 
     #[test]
     fn trace_events_hint() {
-        let d = Hints::from_info(&Info::new());
+        let d = Hints::from_info(&Info::new()).0;
         assert_eq!(d.trace_events, Toggle::Auto);
         assert!(!d.trace_events.resolve(false), "tracing defaults off");
-        let h = Hints::from_info(&Info::new().with("pnc_trace_events", "enable"));
+        let h = Hints::from_info(&Info::new().with("pnc_trace_events", "enable")).0;
         assert_eq!(h.trace_events, Toggle::Enable);
         assert!(h.trace_events.resolve(false));
-        let h = Hints::from_info(&Info::new().with("pnc_trace_events", "true"));
+        let h = Hints::from_info(&Info::new().with("pnc_trace_events", "true")).0;
         assert!(h.trace_events.resolve(false));
     }
 }

@@ -1,96 +1,59 @@
-//! Fault recovery for the MPI-IO layer: bounded retry with exponential
-//! backoff in *virtual* time, plus short-I/O completion loops.
+//! Fault recovery for the MPI-IO layer, on top of the one retry ladder
+//! ([`pnetcdf_pfs::ladder`]): bounded retry with exponential backoff in
+//! *virtual* time, plus short-I/O resumption.
 //!
 //! The simulated PFS ([`pnetcdf_pfs`]) can inject typed faults (transient
 //! EIO, short transfers, latency stalls, server crashes) through its
-//! fallible `try_write_at` / `try_read_at` API. This module is the ROMIO-ish
-//! recovery policy layered on top:
+//! fallible `try_write_at` / `try_read_at` API, and its ladder retries a
+//! request until it completes or the per-stall budget of the
+//! [`RetryPolicy`] runs out (a transfer that moved bytes refills it), with
+//! every backoff charged to the caller's virtual clock — so recovery time
+//! shows up in the disk phases of the profile — and tallied in the shared
+//! [`hpc_sim::Profile`] fault counters. This module adds what only MPI-IO
+//! knows:
 //!
-//! * **Transient / crashed**: retry the remaining bytes after an
-//!   exponentially growing backoff (charged to the caller's virtual clock,
-//!   so recovery time shows up in the disk phases of the profile).
-//! * **Short transfer**: resume at `offset + completed` — the PFS
-//!   guarantees `completed` is a contiguous file-order prefix — and a
-//!   resumed attempt that made progress refills the attempt budget, so a
-//!   long request trickling forward is never misclassified as dead.
-//! * **Budget exhausted**: give up with [`MpioError::Exhausted`] carrying
-//!   the attempt count; collective paths turn this into one agreed error
-//!   on every rank (no hangs, no divergent returns).
-//!
-//! All recovery activity is tallied in the shared
-//! [`hpc_sim::Profile`] fault counters (`retries`, `backoff_time`,
-//! `short_completions`, `exhausted`).
+//! * **Spans**: each backoff is recorded on the ambient request's
+//!   timeline, parented to its window or independent-request span.
+//! * **Escalation**: a streak of failures on *one crashed server* that
+//!   exhausts the budget becomes [`MpioError::ServerLost`] when the parity
+//!   layer can cover that server.
+//! * **Budget exhausted**: otherwise give up with [`MpioError::Exhausted`]
+//!   carrying the attempt count (and count it in `exhausted`); collective
+//!   paths turn this into one agreed error on every rank (no hangs, no
+//!   divergent returns).
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{FaultKind, Span, Time, TraceCtx};
-use pnetcdf_pfs::{IoFailure, PfsFile, WriteCompletion};
+use pnetcdf_pfs::{ladder, IoFailure, PfsFile, WriteCompletion};
+
+pub use pnetcdf_pfs::RetryPolicy;
 
 use crate::error::{MpioError, MpioResult};
 
-/// Bounded-retry policy. The budget is per *stall*: any attempt that moves
-/// bytes forward (a short completion) resets the remaining-attempt counter,
-/// so only consecutive zero-progress failures count against it.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Consecutive zero-progress attempts tolerated before giving up.
-    pub attempts: u32,
-    /// First backoff delay.
-    pub base_backoff: Time,
-    /// Backoff ceiling (doubling stops here).
-    pub max_backoff: Time,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 12,
-            base_backoff: Time::from_micros(50),
-            max_backoff: Time::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    fn next_backoff(&self, b: Time) -> Time {
-        Time::from_nanos((b.as_nanos() * 2).min(self.max_backoff.as_nanos()))
-    }
-}
-
-/// Record one recovery step in the shared profile, and span the backoff
-/// interval on the ambient request's timeline (parented to its window or
-/// independent-request span, so the critical-path analyzer can charge
-/// retry backoff against the right collective window).
-fn record_retry(file: &PfsFile, failure: &IoFailure, backoff: Time) {
-    file.profile().record_fault(|f| {
-        f.retries += 1;
-        f.backoff_nanos += backoff.as_nanos();
-        if failure.completed > 0 {
-            f.short_completions += 1;
-        }
-    });
+/// Span one backoff interval on the ambient request's timeline (parented to
+/// its window or independent-request span, so the critical-path analyzer
+/// can charge retry backoff against the right collective window).
+fn record_backoff(file: &PfsFile, failure: &IoFailure, backoff: Time) {
     let events = file.events();
-    if events.is_enabled() {
-        if let Some((rank, parent)) = TraceCtx::current() {
-            events.record(
-                Span::new(
-                    rank,
-                    layer::RETRY,
-                    "backoff",
-                    failure.time.as_nanos(),
-                    (failure.time + backoff).as_nanos(),
-                )
-                .with_parent(parent)
-                .with_stage(stage::RETRY)
-                .with_arg("server", failure.server as u64)
-                .with_arg("completed", failure.completed),
-            );
-        }
+    if !events.is_enabled() {
+        return;
     }
-}
-
-/// Record a final give-up in the shared profile.
-fn record_exhausted(file: &PfsFile) {
-    file.profile().record_fault(|f| f.exhausted += 1);
+    if let Some((rank, parent)) = TraceCtx::current() {
+        let (begin, end) = (failure.time, failure.time + backoff);
+        events.record(
+            Span::new(
+                rank,
+                layer::RETRY,
+                "backoff",
+                begin.as_nanos(),
+                end.as_nanos(),
+            )
+            .with_parent(parent)
+            .with_stage(stage::RETRY)
+            .with_arg("server", failure.server as u64)
+            .with_arg("completed", failure.completed),
+        );
+    }
 }
 
 /// Tracks whether the failure streak that is about to exhaust the budget
@@ -117,7 +80,7 @@ impl Escalation {
     /// it, plain `Exhausted` otherwise. Either way the ladder *did*
     /// exhaust, so the fault counter records it.
     fn give_up(self, file: &PfsFile, attempts: u32, message: String) -> MpioError {
-        record_exhausted(file);
+        file.profile().record_fault(|f| f.exhausted += 1);
         if let Some(server) = self.crash {
             if file.can_failover(server) {
                 return MpioError::ServerLost { server, message };
@@ -125,6 +88,24 @@ impl Escalation {
         }
         MpioError::Exhausted { attempts, message }
     }
+}
+
+/// Climb the ladder with `attempt(t, resume)` from `start`; `what`
+/// describes the request should it have to be given up.
+fn climb<T>(
+    file: &PfsFile,
+    policy: &RetryPolicy,
+    start: Time,
+    attempt: impl FnMut(Time, u64) -> Result<T, IoFailure>,
+    what: impl FnOnce() -> String,
+) -> MpioResult<T> {
+    let mut esc = Escalation::default();
+    let failed = |f: &IoFailure, backoff: Time| {
+        esc.observe(f);
+        record_backoff(file, f, backoff);
+    };
+    ladder(policy, file.profile(), start, attempt, failed)
+        .map_err(|attempts| esc.give_up(file, attempts, format!("{} of '{}'", what(), file.name())))
 }
 
 /// Write `data` at `offset` with fault recovery. Returns the completion
@@ -137,40 +118,7 @@ pub fn write_at(
     offset: u64,
     data: &[u8],
 ) -> MpioResult<Time> {
-    let mut t = start;
-    let mut resume = 0usize;
-    let mut backoff = policy.base_backoff;
-    let mut left = policy.attempts;
-    let mut made = 0u32;
-    let mut esc = Escalation::default();
-    while left > 0 {
-        match file.try_write_at(t, offset + resume as u64, &data[resume..]) {
-            Ok(done) => return Ok(done),
-            Err(f) => {
-                esc.observe(&f);
-                record_retry(file, &f, backoff);
-                t = f.time + backoff;
-                if f.completed > 0 {
-                    resume += f.completed as usize;
-                    backoff = policy.base_backoff;
-                    left = policy.attempts; // progress refills the budget
-                } else {
-                    backoff = policy.next_backoff(backoff);
-                    left -= 1;
-                }
-                made += 1;
-            }
-        }
-    }
-    Err(esc.give_up(
-        file,
-        made,
-        format!(
-            "write of {} bytes at offset {offset} of '{}'",
-            data.len(),
-            file.name()
-        ),
-    ))
+    write_at_detailed(file, policy, start, offset, data).map(|c| c.durable)
 }
 
 /// Like [`write_at`] but keeps the two-stage completion: `handoff` (server
@@ -185,40 +133,10 @@ pub fn write_at_detailed(
     offset: u64,
     data: &[u8],
 ) -> MpioResult<WriteCompletion> {
-    let mut t = start;
-    let mut resume = 0usize;
-    let mut backoff = policy.base_backoff;
-    let mut left = policy.attempts;
-    let mut made = 0u32;
-    let mut esc = Escalation::default();
-    while left > 0 {
-        match file.try_write_at_detailed(t, offset + resume as u64, &data[resume..]) {
-            Ok(done) => return Ok(done),
-            Err(f) => {
-                esc.observe(&f);
-                record_retry(file, &f, backoff);
-                t = f.time + backoff;
-                if f.completed > 0 {
-                    resume += f.completed as usize;
-                    backoff = policy.base_backoff;
-                    left = policy.attempts;
-                } else {
-                    backoff = policy.next_backoff(backoff);
-                    left -= 1;
-                }
-                made += 1;
-            }
-        }
-    }
-    Err(esc.give_up(
-        file,
-        made,
-        format!(
-            "write of {} bytes at offset {offset} of '{}'",
-            data.len(),
-            file.name()
-        ),
-    ))
+    let attempt =
+        |t, resume: u64| file.try_write_at_detailed(t, offset + resume, &data[resume as usize..]);
+    let what = || format!("write of {} bytes at offset {offset}", data.len());
+    climb(file, policy, start, attempt, what)
 }
 
 /// Drop the leading `skip` payload bytes from `runs` (run order), returning
@@ -250,46 +168,24 @@ pub fn write_runs(
     runs: &[(u64, u64)],
     data: &[u8],
 ) -> MpioResult<WriteCompletion> {
-    let total: u64 = runs.iter().map(|&(_, len)| len).sum();
-    let mut t = start;
-    let mut resume = 0u64;
-    let mut backoff = policy.base_backoff;
-    let mut left = policy.attempts;
-    let mut made = 0u32;
-    let mut esc = Escalation::default();
     // The trimmed tail exists only once a short completion has moved the
     // resume point; the fault-free path hands `runs` through untouched.
-    let mut tail: Option<Vec<(u64, u64)>> = None;
-    while left > 0 {
-        let pending = tail.as_deref().unwrap_or(runs);
-        match file.try_write_runs(t, pending, &data[resume as usize..]) {
-            Ok(done) => return Ok(done),
-            Err(f) => {
-                esc.observe(&f);
-                record_retry(file, &f, backoff);
-                t = f.time + backoff;
-                if f.completed > 0 {
-                    resume += f.completed;
-                    tail = Some(trim_runs(runs, resume));
-                    backoff = policy.base_backoff;
-                    left = policy.attempts;
-                } else {
-                    backoff = policy.next_backoff(backoff);
-                    left -= 1;
-                }
-                made += 1;
-            }
+    let (mut tail, mut trimmed) = (Vec::new(), 0u64);
+    let attempt = |t, resume: u64| {
+        if resume != trimmed {
+            (tail, trimmed) = (trim_runs(runs, resume), resume);
         }
-    }
-    Err(esc.give_up(
-        file,
-        made,
+        let pending = if resume == 0 { runs } else { &tail[..] };
+        file.try_write_runs(t, pending, &data[resume as usize..])
+    };
+    let what = || {
         format!(
-            "vectored write of {total} bytes in {} runs of '{}'",
-            runs.len(),
-            file.name()
-        ),
-    ))
+            "vectored write of {} bytes in {} runs",
+            data.len(),
+            runs.len()
+        )
+    };
+    climb(file, policy, start, attempt, what)
 }
 
 /// Read into `buf` from `offset` with fault recovery; same policy as
@@ -302,39 +198,11 @@ pub fn read_at(
     buf: &mut [u8],
 ) -> MpioResult<Time> {
     let len = buf.len();
-    let mut t = start;
-    let mut resume = 0usize;
-    let mut backoff = policy.base_backoff;
-    let mut left = policy.attempts;
-    let mut made = 0u32;
-    let mut esc = Escalation::default();
-    while left > 0 {
-        match file.try_read_at(t, offset + resume as u64, &mut buf[resume..]) {
-            Ok(done) => return Ok(done),
-            Err(f) => {
-                esc.observe(&f);
-                record_retry(file, &f, backoff);
-                t = f.time + backoff;
-                if f.completed > 0 {
-                    resume += f.completed as usize;
-                    backoff = policy.base_backoff;
-                    left = policy.attempts;
-                } else {
-                    backoff = policy.next_backoff(backoff);
-                    left -= 1;
-                }
-                made += 1;
-            }
-        }
-    }
-    Err(esc.give_up(
-        file,
-        made,
-        format!(
-            "read of {len} bytes at offset {offset} of '{}'",
-            file.name()
-        ),
-    ))
+    let attempt =
+        |t, resume: u64| file.try_read_at(t, offset + resume, &mut buf[resume as usize..]);
+    climb(file, policy, start, attempt, || {
+        format!("read of {len} bytes at offset {offset}")
+    })
 }
 
 #[cfg(test)]
@@ -368,6 +236,52 @@ mod tests {
         assert!(fc.retries > 0);
         assert!(fc.backoff_nanos > 0);
         assert_eq!(fc.exhausted, 0);
+    }
+
+    /// The infallible `PfsFile::{write_at, read_at}` (the serial baseline's
+    /// path) and this module climb the same ladder: under one fault seed
+    /// they make the same attempts at the same virtual times, pay the same
+    /// backoffs and land the same bytes.
+    #[test]
+    fn pfs_and_mpio_entry_points_climb_the_same_ladder() {
+        let plan = FaultPlan {
+            transient: 0.25,
+            short: 0.25,
+            ..FaultPlan::default()
+        };
+        let data: Vec<u8> = (0..30_000u32).map(|i| (i % 253) as u8).collect();
+        let policy = RetryPolicy::default();
+
+        let (ours, our_cfg) = faulty_file(plan.clone());
+        let t_w = write_at(&ours, &policy, Time::ZERO, 7, &data).unwrap();
+        let mut our_bytes = vec![0u8; data.len()];
+        let t_r = read_at(&ours, &policy, t_w, 7, &mut our_bytes).unwrap();
+
+        let (theirs, their_cfg) = faulty_file(plan);
+        assert_eq!(theirs.write_at(Time::ZERO, 7, &data), t_w);
+        let mut their_bytes = vec![0u8; data.len()];
+        assert_eq!(theirs.read_at(t_w, 7, &mut their_bytes), t_r);
+
+        assert_eq!(our_bytes, their_bytes);
+        let (a, b) = (
+            our_cfg.profile.fault_counters(),
+            their_cfg.profile.fault_counters(),
+        );
+        assert!(a.retries > 4 && a.short_completions > 0, "{a:?}");
+        assert_eq!(
+            (
+                a.faults_injected,
+                a.retries,
+                a.backoff_nanos,
+                a.short_completions
+            ),
+            (
+                b.faults_injected,
+                b.retries,
+                b.backoff_nanos,
+                b.short_completions
+            )
+        );
     }
 
     #[test]

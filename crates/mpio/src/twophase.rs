@@ -141,24 +141,24 @@ struct Wire {
     total: u64,
 }
 
-/// Wire traffic of window indices `rounds`, from the gathered pieces.
+/// Wire traffic of window indices `rounds`, from the planned pieces.
 /// Aggregator `a` *is* rank `a` (ROMIO's default aggregator ranklist), so a
 /// piece whose owning rank is its window's aggregator moves by memcpy and
 /// costs no wire. This is why Z-ish partitions — whose blocks align with
 /// the file domains — exchange less than X-ish partitions (the paper's
 /// "different access contiguity"). One round prices a pipelined exchange
-/// round, all rounds together the serial engines' monolithic exchange —
+/// round, all rounds together a serial schedule's monolithic exchange —
 /// the totals add up to the same `exchange_wire_bytes` — and because it
 /// reads pieces, not a domain table, it prices server-affine (interleaved)
 /// write domains too.
-fn wire(windows: &[Vec<Vec<Piece>>], nranks: usize, rounds: std::ops::Range<usize>) -> Wire {
+fn wire(windows: &[Vec<Window>], nranks: usize, rounds: std::ops::Range<usize>) -> Wire {
     let mut send = vec![0u64; nranks];
     let mut w = Wire::default();
     for (a, agg_windows) in windows.iter().enumerate() {
         let hi = rounds.end.min(agg_windows.len());
         let mut recv = 0u64;
-        for pc in agg_windows[rounds.start.min(hi)..hi].iter().flatten() {
-            if pc.rank != a {
+        for win in &agg_windows[rounds.start.min(hi)..hi] {
+            for pc in win.pieces.iter().filter(|pc| pc.rank != a) {
                 send[pc.rank] += pc.len;
                 recv += pc.len;
             }
@@ -170,10 +170,10 @@ fn wire(windows: &[Vec<Vec<Piece>>], nranks: usize, rounds: std::ops::Range<usiz
     w
 }
 
-// ---- window piece gathering -------------------------------------------------
+// ---- the window planner -------------------------------------------------------
 
-/// A contiguous piece of one rank's request inside the current window.
-#[derive(Clone, Copy, Debug)]
+/// A contiguous piece of one rank's request inside one window.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Piece {
     off: u64,
     len: u64,
@@ -182,38 +182,128 @@ struct Piece {
     src_pos: u64,
 }
 
-/// Per-rank scan cursor over its sorted run list.
-#[derive(Clone, Copy, Default)]
-struct Cursor {
-    idx: usize,
-    consumed: u64,
-    src_pos: u64,
+/// One collective-buffer window: the pieces routed to it — rank by rank,
+/// ascending within a rank, so overlapping writes resolve the same way
+/// under every plan (highest rank wins) — and the sorted file extents it
+/// owns: one for a contiguous domain's window, the owned stripe ranges for
+/// a server-affine one. No piece leaves its window's extents.
+#[derive(Debug, Default)]
+struct Window {
+    pieces: Vec<Piece>,
+    extents: Vec<Run>,
 }
 
-/// Advance `cur` over `runs`, emitting pieces up to file offset `whi`.
-fn take_pieces(runs: &[Run], cur: &mut Cursor, whi: u64, rank: usize, out: &mut Vec<Piece>) {
-    while cur.idx < runs.len() {
-        let (off, len) = runs[cur.idx];
-        let start = off + cur.consumed;
-        if start >= whi {
-            return;
-        }
-        let end = (off + len).min(whi);
-        out.push(Piece {
-            off: start,
-            len: end - start,
-            rank,
-            src_pos: cur.src_pos + cur.consumed,
-        });
-        if end == off + len {
-            cur.src_pos += len;
-            cur.consumed = 0;
-            cur.idx += 1;
-        } else {
-            cur.consumed = end - off;
-            return;
+/// `[lo, next cut's lo)` belongs to window `win` of aggregator `agg`.
+struct Cut {
+    lo: u64,
+    agg: u32,
+    win: u32,
+}
+
+/// Affine planning walks every stripe of the aggregate span once; beyond
+/// this many stripes (4 Mi ≈ a multi-TiB span at default stripes) fall
+/// back to contiguous domains rather than cut the span stripe by stripe.
+const AFFINE_SPAN_LIMIT: u64 = 1 << 22;
+
+/// Give `[lo, hi)` to aggregator `a`'s newest window. Cuts are made in
+/// ascending order and tile the span, so a range that goes to the window
+/// the previous cut went to continues that cut's extent.
+fn cut(cuts: &mut Vec<Cut>, windows: &mut [Vec<Window>], a: usize, lo: u64, hi: u64) {
+    let win = windows[a].len() - 1;
+    let extents = &mut windows[a][win].extents;
+    match (cuts.last(), extents.last_mut()) {
+        (Some(c), Some(e)) if (c.agg as usize, c.win as usize) == (a, win) => e.1 += hi - lo,
+        _ => {
+            extents.push((lo, hi - lo));
+            cuts.push(Cut {
+                lo,
+                agg: a as u32,
+                win: win as u32,
+            });
         }
     }
+}
+
+/// Plan the windows of one collective over `[gmin, gmax)`: `result[a][j]`
+/// is round `j`'s window of aggregator `a`; windows no run touches are
+/// dropped.
+///
+/// The span is first cut into an ascending list of ranges, each owned by
+/// one window. *Contiguous* domains ([`file_domains`]) are cut at absolute
+/// multiples of `cb_buffer_size` — which, for the default hints, are
+/// file-system block aligned. *Server-affine* domains are cut per stripe:
+/// stripe `s` lives on server `s % io_servers` and belongs to aggregator
+/// `(s % io_servers) % naggs_eff`, so aggregator `a` owns exactly the
+/// stripes of servers `{s : s % naggs_eff == a}` and its disk traffic never
+/// contends with another aggregator's; it groups its consecutive owned
+/// stripes into windows of about `cb_buffer_size` bytes. One merge-walk
+/// over each rank's sorted runs then splits them at the cuts and routes
+/// every piece to its window, whichever way the cuts were made.
+fn plan_windows(
+    all_runs: &[&[Run]],
+    (gmin, gmax): (u64, u64),
+    naggs: usize,
+    p: &TwoPhaseParams,
+    affine: bool,
+) -> Vec<Vec<Window>> {
+    debug_assert!(gmax > gmin);
+    let cb = p.cb_buffer_size.max(1) as u64;
+    let mut cuts: Vec<Cut> = Vec::new();
+    let mut windows: Vec<Vec<Window>>;
+    if affine {
+        let nservers = p.io_servers.max(1) as u64;
+        let naggs_eff = naggs.min(p.io_servers).max(1);
+        windows = (0..naggs_eff).map(|_| Vec::new()).collect();
+        let mut wbytes = vec![0u64; naggs_eff];
+        for s in gmin / p.stripe..=(gmax - 1) / p.stripe {
+            let a = ((s % nservers) as usize) % naggs_eff;
+            let (lo, hi) = ((s * p.stripe).max(gmin), ((s + 1) * p.stripe).min(gmax));
+            if windows[a].is_empty() || wbytes[a] + (hi - lo) > cb {
+                windows[a].push(Window::default());
+                wbytes[a] = 0;
+            }
+            wbytes[a] += hi - lo;
+            cut(&mut cuts, &mut windows, a, lo, hi);
+        }
+    } else {
+        let domains = file_domains(gmin, gmax, naggs, p.stripe);
+        windows = domains.iter().map(|_| Vec::new()).collect();
+        for (a, &(dlo, dhi)) in domains.iter().enumerate() {
+            let mut lo = dlo;
+            while lo < dhi {
+                let hi = ((lo / cb + 1) * cb).min(dhi);
+                windows[a].push(Window::default());
+                cut(&mut cuts, &mut windows, a, lo, hi);
+                lo = hi;
+            }
+        }
+    }
+
+    for (rank, runs) in all_runs.iter().enumerate() {
+        let (mut ci, mut src_pos) = (0usize, 0u64);
+        for &(off, len) in runs.iter() {
+            let mut lo = off;
+            while lo < off + len {
+                while cuts.get(ci + 1).is_some_and(|next| next.lo <= lo) {
+                    ci += 1;
+                }
+                let hi = cuts.get(ci + 1).map_or(gmax, |next| next.lo).min(off + len);
+                let c = &cuts[ci];
+                windows[c.agg as usize][c.win as usize].pieces.push(Piece {
+                    off: lo,
+                    len: hi - lo,
+                    rank,
+                    src_pos: src_pos + (lo - off),
+                });
+                lo = hi;
+            }
+            src_pos += len;
+        }
+    }
+    for agg_windows in &mut windows {
+        agg_windows.retain(|w| !w.pieces.is_empty());
+    }
+    windows
 }
 
 /// The maximal contiguous intervals `pieces` cover, sorted, into `out` (a
@@ -237,116 +327,6 @@ fn merge_coverage(out: &mut Vec<Run>, pieces: &[Piece]) {
     out.truncate(kept + 1);
 }
 
-// ---- server-affine write domains --------------------------------------------
-
-/// Affine planning walks every stripe of the aggregate span once; beyond
-/// this many stripes (4 Mi ≈ a multi-TiB span at default stripes) fall
-/// back to contiguous domains rather than build giant per-stripe tables.
-const AFFINE_SPAN_LIMIT: u64 = 1 << 22;
-
-/// Server-affine window plan: `windows[a][j]` holds round `j`'s pieces for
-/// aggregator `a`, `extents[a][j]` the sorted owned stripe ranges those
-/// pieces may touch. Aggregator `a` owns exactly the stripes of servers
-/// `{s : s % naggs_eff == a}`, so its disk traffic never contends with
-/// another aggregator's.
-struct AffinePlan {
-    windows: Vec<Vec<Vec<Piece>>>,
-    extents: Vec<Vec<Vec<(u64, u64)>>>,
-    naggs_eff: usize,
-}
-
-/// Build the affine plan for `[gmin, gmax)`. Stripe `s` lives on server
-/// `s % nservers` and is owned by aggregator `(s % nservers) % naggs_eff`;
-/// each aggregator groups its consecutive owned stripes into windows of
-/// about `cb_buffer_size` bytes. Pieces are split at stripe boundaries so
-/// each lies in exactly one window (and one extent).
-fn gather_affine_windows(
-    all_runs: &[&[Run]],
-    gmin: u64,
-    gmax: u64,
-    naggs: usize,
-    io_servers: usize,
-    stripe: u64,
-    cb_buffer_size: usize,
-) -> AffinePlan {
-    debug_assert!(gmax > gmin);
-    let nservers = io_servers.max(1) as u64;
-    let naggs_eff = naggs.min(io_servers).max(1);
-    let s0 = gmin / stripe;
-    let s1 = (gmax - 1) / stripe;
-    let cb = cb_buffer_size.max(1) as u64;
-
-    // Pass 1: per-stripe owner and window index, plus per-window extents.
-    let mut wmap: Vec<u32> = Vec::with_capacity((s1 - s0 + 1) as usize);
-    let mut wbytes = vec![0u64; naggs_eff];
-    let mut extents: Vec<Vec<Vec<(u64, u64)>>> = vec![Vec::new(); naggs_eff];
-    for s in s0..=s1 {
-        let a = ((s % nservers) as usize) % naggs_eff;
-        let elo = (s * stripe).max(gmin);
-        let ehi = ((s + 1) * stripe).min(gmax);
-        let len = ehi - elo;
-        if extents[a].is_empty() || wbytes[a] + len > cb {
-            extents[a].push(Vec::new());
-            wbytes[a] = 0;
-        }
-        wbytes[a] += len;
-        let win = extents[a].last_mut().unwrap();
-        match win.last_mut() {
-            Some(last) if last.0 + last.1 == elo => last.1 += len,
-            _ => win.push((elo, len)),
-        }
-        wmap.push((extents[a].len() - 1) as u32);
-    }
-
-    // Pass 2: split every run at stripe boundaries and route each piece to
-    // its stripe's window. Ranks are walked in order, so within a window
-    // pieces stay in rank order and overlapping writes resolve exactly as
-    // in the contiguous gather (highest rank wins).
-    let mut windows: Vec<Vec<Vec<Piece>>> = extents
-        .iter()
-        .map(|aw| vec![Vec::new(); aw.len()])
-        .collect();
-    for (r, runs) in all_runs.iter().enumerate() {
-        let mut src = 0u64;
-        for &(off, len) in runs.iter() {
-            let end = off + len;
-            let mut lo = off;
-            while lo < end {
-                let s = lo / stripe;
-                let hi = ((s + 1) * stripe).min(end);
-                let a = ((s % nservers) as usize) % naggs_eff;
-                windows[a][wmap[(s - s0) as usize] as usize].push(Piece {
-                    off: lo,
-                    len: hi - lo,
-                    rank: r,
-                    src_pos: src + (lo - off),
-                });
-                lo = hi;
-            }
-            src += len;
-        }
-    }
-
-    // Drop windows no run touched (their stripes hold only other data).
-    for a in 0..naggs_eff {
-        let mut kept_w = Vec::new();
-        let mut kept_e = Vec::new();
-        for (w, e) in windows[a].drain(..).zip(extents[a].drain(..)) {
-            if !w.is_empty() {
-                kept_w.push(w);
-                kept_e.push(e);
-            }
-        }
-        windows[a] = kept_w;
-        extents[a] = kept_e;
-    }
-    AffinePlan {
-        windows,
-        extents,
-        naggs_eff,
-    }
-}
-
 // ---- event tracing ----------------------------------------------------------
 
 /// Tracing identity of one collective-buffer window: its round index, its
@@ -360,14 +340,8 @@ struct WinTrace {
 }
 
 /// Allocate the trace identity for window `(a, round)`.
-fn win_trace(
-    events: &TraceLog,
-    tracing: bool,
-    round: usize,
-    coll_ids: &[u64],
-    a: usize,
-) -> WinTrace {
-    if !tracing {
+fn win_trace(events: &TraceLog, round: usize, coll_ids: &[u64], a: usize) -> WinTrace {
+    if !events.is_enabled() {
         return WinTrace::default();
     }
     WinTrace {
@@ -442,6 +416,57 @@ fn aggregate_span(all_runs: &[&[Run]]) -> (u64, u64) {
     )
 }
 
+/// How one collective's rounds are scheduled: everything the serial and
+/// pipelined write and read engines differ in. A round has an *exchange*
+/// (its windows' bytes crossing the network) and a *disk pass* (its
+/// windows' PFS requests, every aggregator's in turn).
+#[derive(Clone, Copy, Debug)]
+struct Schedule {
+    /// One exchange per round, free to overlap the other rounds' disk
+    /// passes and charged along the critical path only; otherwise ONE
+    /// monolithic exchange covers rounds `0..rounds` and every rank pays it
+    /// whole.
+    per_round: bool,
+    /// A round's exchange precedes its disk pass (a write: data travels to
+    /// the aggregators) or follows it (a read).
+    exchange_first: bool,
+    /// A write window releases its aggregator when the servers own the
+    /// bytes (hand-off), not when the disks do (durable).
+    on_handoff: bool,
+    /// Two collective buffers per aggregator: the first stage of round `j`
+    /// waits until the second stage of round `j-2` has released its buffer.
+    /// Without it no round waits for another's buffer.
+    double_buffer: bool,
+    /// What a rank is doing between its last window and the collective's
+    /// end: idle behind the slowest aggregator, or still shipping rounds
+    /// back.
+    trailing: Phase,
+}
+
+impl Schedule {
+    /// A serial schedule is the pipelined one at depth 1: one buffer, one
+    /// exchange, every window waiting for the disk.
+    fn of(write: bool, pipelined: bool) -> Schedule {
+        Schedule {
+            per_round: pipelined,
+            exchange_first: write,
+            on_handoff: write && pipelined,
+            double_buffer: pipelined,
+            trailing: if pipelined && !write {
+                Phase::DataExchange
+            } else {
+                Phase::Wait
+            },
+        }
+    }
+}
+
+/// The ranks' lent requests, by direction.
+enum Access<'r, 'a> {
+    Write(&'r [Req<'a>]),
+    Read(&'r mut [Req<'a>]),
+}
+
 /// Collective write: the finish-closure body. `reqs[r]` is what rank `r`
 /// lent: its runs, its packed data and its trace id. Returns the
 /// synchronized completion time.
@@ -456,173 +481,167 @@ pub fn write_all(
     p: &TwoPhaseParams,
     reqs: &[Req<'_>],
 ) -> MpioResult<Time> {
-    let n = env.size();
-    let policy = RetryPolicy::default();
-    let profile = env.config.profile.clone();
-    let events = env.config.events.clone();
-    let tracing = events.is_enabled();
-    let (ids, coll_ids) = coll_trace(env, &events, reqs);
-    let all_runs: Vec<&[Run]> = reqs.iter().map(|r| r.meta).collect();
     debug_assert!(reqs
         .iter()
         .all(|r| r.src.len() as u64 == runs_total(r.meta)));
+    collective(env, file, p, Access::Write(reqs))
+}
+
+/// Collective read: the finish-closure body. `reqs[r]` is what rank `r`
+/// lent: its runs and the destination its run bytes are scattered into, in
+/// run order. Returns the completion time. Faults are handled as in
+/// [`write_all`].
+pub fn read_all(
+    env: &CollEnv,
+    file: &PfsFile,
+    p: &TwoPhaseParams,
+    reqs: &mut [Req<'_>],
+) -> MpioResult<Time> {
+    debug_assert!(reqs
+        .iter()
+        .all(|r| r.dst.len() as u64 == runs_total(r.meta)));
+    collective(env, file, p, Access::Read(reqs))
+}
+
+/// The two-phase engine: plan the windows, pick the schedule, run the
+/// rounds.
+///
+/// The windows are timed in round-robin order across aggregators — `for j
+/// in rounds { for a in aggregators }` under every schedule — so their
+/// concurrent requests reach the shared server queues interleaved in time
+/// order; that is what keeps the file bytes and the injected fault
+/// sequence independent of the pipeline hint.
+fn collective(
+    env: &CollEnv,
+    file: &PfsFile,
+    p: &TwoPhaseParams,
+    mut access: Access<'_, '_>,
+) -> MpioResult<Time> {
+    let n = env.size();
+    let (profile, events) = (&env.config.profile, &env.config.events);
+    let (write, reqs): (bool, &[Req<'_>]) = match &access {
+        Access::Write(reqs) => (true, *reqs),
+        Access::Read(reqs) => (false, &**reqs),
+    };
+    let (ids, coll_ids) = coll_trace(env, events, reqs);
+    let all_runs: Vec<&[Run]> = reqs.iter().map(|r| r.meta).collect();
     let total: u64 = all_runs.iter().map(|r| runs_total(r)).sum();
     if total == 0 {
         return Ok(env.sync_phase(Phase::Metadata, env.config.network.barrier(n)));
     }
     let (gmin, gmax) = aggregate_span(&all_runs);
     let naggs = p.naggs(n, total);
-
-    profile.record_twophase(|t| {
-        t.collective_writes += 1;
-        t.cb_nodes = naggs as u64;
-    });
-
-    // Pieces are gathered first in one offset-ordered pass; the windows
-    // are then timed in round-robin order across aggregators, so their
-    // concurrent requests reach the shared server queues interleaved in
-    // time order — identically in both engines, which is what keeps the
-    // produced file bytes independent of the pipeline hint.
+    // Reads keep contiguous domains: the affine layout exists to give each
+    // server a single *write* stream; a read window's spanning read is
+    // already one large request per domain.
     let span_stripes = (gmax - 1) / p.stripe - gmin / p.stripe + 1;
-    let affine = p.affinity && span_stripes <= AFFINE_SPAN_LIMIT;
-    let (windows, extents) = if affine {
-        let plan = gather_affine_windows(
-            &all_runs,
-            gmin,
-            gmax,
-            naggs,
-            p.io_servers,
-            p.stripe,
-            p.cb_buffer_size,
-        );
-        profile.record_twophase(|t| t.file_domains += plan.naggs_eff as u64);
-        (plan.windows, Some(plan.extents))
-    } else {
-        let domains = file_domains(gmin, gmax, naggs, p.stripe);
-        profile.record_twophase(|t| t.file_domains += domains.len() as u64);
-        (gather_windows(&all_runs, &domains, p.cb_buffer_size), None)
-    };
-    let window_extents = |a: usize, j: usize| -> Option<&[(u64, u64)]> {
-        extents.as_ref().map(|e| e[a][j].as_slice())
-    };
+    let affine = write && p.affinity && span_stripes <= AFFINE_SPAN_LIMIT;
+    let windows = plan_windows(&all_runs, (gmin, gmax), naggs, p, affine);
     let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
-    let mut split = AccessSplit::new(windows.len());
-    let mut cbuf = CollBuf::new(p, gmax - gmin);
+    // With fewer than two rounds there is nothing to overlap, so pipelining
+    // would only pay its extra offset exchange.
+    let sched = Schedule::of(write, p.pipeline && rounds >= 2);
 
-    // With fewer than two rounds there is nothing to overlap, so the
-    // pipelined engine would only pay its extra offset exchange; fall back
-    // to the serial timing.
-    if !p.pipeline || rounds < 2 {
-        // Serial engine (`pnc_cb_pipeline=disable`): ONE monolithic
-        // alltoallv models offset lists and data moving together up front,
-        // charged whole to the data-exchange phase; every disk window is
-        // timed after it, waiting for durability. Exchange and disk time
-        // add, and the server NIC stage adds to the disk stage too.
-        let wire = wire(&windows, n, 0..rounds);
-        profile.record_twophase(|t| t.exchange_wire_bytes += wire.total);
-        let t0 = env.sync_phase(
-            Phase::DataExchange,
-            env.config
-                .network
-                .alltoallv(wire.max_send as usize, wire.max_recv as usize, n),
-        );
-        let mut t_agg = vec![t0; windows.len()];
-        let access = (|| -> MpioResult<()> {
-            for j in 0..rounds {
-                for (a, agg_windows) in windows.iter().enumerate() {
-                    let Some(pieces) = agg_windows.get(j) else {
-                        continue;
-                    };
-                    let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                    let (_, durable) = write_window(
-                        env,
-                        file,
-                        &policy,
-                        t_agg[a],
-                        a,
-                        pieces,
-                        reqs,
-                        &mut split,
-                        &mut cbuf,
-                        window_extents(a, j),
-                        true,
-                        wt,
-                    )?;
-                    t_agg[a] = durable;
-                }
-            }
-            Ok(())
-        })();
-        let t_end = t_agg.iter().copied().fold(t0, Time::max);
-        record_coll_spans(env, &events, "coll_write", t0, t_end, &ids, &coll_ids);
-        return match access {
-            Ok(()) => {
-                split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
-                env.set_all(t_end);
-                Ok(t_end)
-            }
-            Err(e) => {
-                // Synchronize the clocks even on failure: no rank may be
-                // left behind a collective, successful or not.
-                env.set_all(t_end);
-                Err(e)
-            }
-        };
-    }
-
-    // Pipelined engine: offset lists are exchanged up front (small) so the
-    // rounds can be planned; each round then ships only the bytes landing
-    // in that round's windows. With two collective buffers per aggregator,
-    // round j's exchange may start as soon as round j-1's exchange has
-    // drained AND round j-2's disk pass has freed its buffer, so
-    // communication genuinely hides disk time (and vice versa).
-    let meta_bytes = all_runs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
-    let entry = env.sync_phase(
-        Phase::OffsetExchange,
-        env.config.network.alltoallv(meta_bytes, meta_bytes, n),
-    );
-    let wire: Vec<Wire> = (0..rounds).map(|j| wire(&windows, n, j..j + 1)).collect();
+    // What each exchange ships: a round's windows, or all of them.
+    let wire: Vec<Wire> = if sched.per_round {
+        (0..rounds).map(|j| wire(&windows, n, j..j + 1)).collect()
+    } else {
+        vec![wire(&windows, n, 0..rounds)]
+    };
     profile.record_twophase(|t| {
+        t.collective_writes += write as u64;
+        t.collective_reads += !write as u64;
+        t.cb_nodes = naggs as u64;
+        t.file_domains += windows.len() as u64;
         t.exchange_wire_bytes += wire.iter().map(|w| w.total).sum::<u64>();
-        t.pipelined_rounds += rounds as u64;
+        if sched.per_round {
+            t.pipelined_rounds += rounds as u64;
+        }
     });
+    // An overlapped round is tallied with the predefined collectives and
+    // touches no clock; the monolithic exchange is charged to every rank.
+    let cost = |w: &Wire| {
+        let (send, recv) = (w.max_send as usize, w.max_recv as usize);
+        if sched.per_round {
+            env.alltoallv_cost(send, recv, w.total)
+        } else {
+            env.config.network.alltoallv(send, recv, n)
+        }
+    };
+    let t0 = if sched.exchange_first && !sched.per_round {
+        // Serial write: ONE monolithic alltoallv up front models offset
+        // lists and data moving together, charged whole to the
+        // data-exchange phase; exchange and disk time add.
+        env.sync_phase(Phase::DataExchange, cost(&wire[0]))
+    } else {
+        // Offset lists are exchanged up front (small): a pipeline plans its
+        // rounds from them, and a reading aggregator has nothing else to
+        // tell it what to fetch.
+        let meta_bytes = all_runs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
+        env.sync_phase(
+            Phase::OffsetExchange,
+            env.config.network.alltoallv(meta_bytes, meta_bytes, n),
+        )
+    };
 
-    let mut t_agg = vec![entry; windows.len()];
-    let mut x_done = vec![entry; rounds]; // per-round exchange completion
-    let mut d_done = vec![entry; rounds]; // per-round handoff completion (all aggs)
-    let mut durable_max = entry; // slowest disk among all windows
-    let mut costs: Vec<Time> = Vec::with_capacity(rounds);
-    let access = (|| -> MpioResult<()> {
+    let mut eng = Engine {
+        env,
+        file,
+        policy: RetryPolicy::default(),
+        vectored: affine,
+        split: AccessSplit::new(windows.len()),
+        cbuf: CollBuf::new(p, gmax - gmin),
+    };
+    let mut t_agg = vec![t0; windows.len()];
+    let mut x_done = vec![t0; rounds]; // per-round exchange completion
+    let mut d_done = vec![t0; rounds]; // per-round disk-pass completion (all aggs)
+    let mut durable_max = t0; // slowest disk among all written windows
+    let mut costs: Vec<Time> = Vec::with_capacity(if sched.per_round { rounds } else { 0 });
+    // Round j's exchange starts once round j-1's has drained the wire and
+    // `after` has passed.
+    let mut exchange = |x_done: &mut [Time], j: usize, after: Time| {
+        let c = cost(&wire[j]);
+        costs.push(c);
+        x_done[j] = after.max(if j > 0 { x_done[j - 1] } else { t0 }) + c;
+    };
+    let done = (|| -> MpioResult<()> {
         for j in 0..rounds {
-            let mut xs = if j > 0 { x_done[j - 1] } else { entry };
-            if j >= 2 {
-                // Double buffering: the buffer receiving round j is the one
-                // round j-2 handed off to the servers — with the dual-
-                // resource servers the collective buffer is free once the
-                // server NIC owns the bytes; the bounded admission queue is
-                // the backpressure, not the platter.
-                xs = xs.max(d_done[j - 2]);
+            // Double buffering: the buffer round j fills is the one round
+            // j-2 used, free again once that round's second stage is over.
+            // (For a write that is the hand-off — with the dual-resource
+            // servers the collective buffer is free once the server NIC
+            // owns the bytes; the bounded admission queue is the
+            // backpressure, not the platter.)
+            let freed = |second: &[Time]| {
+                if sched.double_buffer && j >= 2 {
+                    second[j - 2]
+                } else {
+                    t0
+                }
+            };
+            if sched.per_round && sched.exchange_first {
+                exchange(&mut x_done, j, freed(&d_done));
             }
-            let cost = env.alltoallv_cost(
-                wire[j].max_send as usize,
-                wire[j].max_recv as usize,
-                wire[j].total,
-            );
-            costs.push(cost);
-            x_done[j] = xs + cost;
-            let mut dmax = entry;
+            // A write window needs its round's data, a read window its
+            // buffer back from the ship two rounds ago.
+            let gate = if sched.exchange_first {
+                x_done[j]
+            } else {
+                freed(&x_done)
+            };
+            let mut dmax = t0;
             for (a, agg_windows) in windows.iter().enumerate() {
-                let Some(pieces) = agg_windows.get(j) else {
+                let Some(win) = agg_windows.get(j) else {
                     continue;
                 };
-                // Aggregator a starts round j once its previous window is
-                // handed off and round j's data has arrived; time spent
-                // waiting on the wire is the exchange cost that survives
-                // on this aggregator's critical path.
-                let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                let ready = t_agg[a].max(x_done[j]);
-                split.exchange[a] += (ready - t_agg[a]).as_nanos();
-                if tracing && ready > t_agg[a] {
+                // Aggregator a starts round j once its previous window has
+                // released it and the gate has opened; time spent waiting
+                // on the wire is the exchange cost that survives on this
+                // aggregator's critical path.
+                let wt = win_trace(events, j, &coll_ids, a);
+                let ready = t_agg[a].max(gate);
+                eng.split.exchange[a] += (ready - t_agg[a]).as_nanos();
+                if wt.wid != 0 && ready > t_agg[a] {
                     events.record(
                         Span::new(
                             agg_world(env, a),
@@ -636,49 +655,54 @@ pub fn write_all(
                         .with_arg("round", j as u64),
                     );
                 }
-                let (handoff, durable) = write_window(
-                    env,
-                    file,
-                    &policy,
-                    ready,
-                    a,
-                    pieces,
-                    reqs,
-                    &mut split,
-                    &mut cbuf,
-                    window_extents(a, j),
-                    false,
-                    wt,
-                )?;
-                t_agg[a] = handoff;
+                let (advance, durable) = match &mut access {
+                    Access::Write(reqs) => {
+                        eng.write_window(ready, a, win, reqs, sched.on_handoff, wt)?
+                    }
+                    Access::Read(reqs) => eng.read_window(ready, a, win, reqs, wt)?,
+                };
+                t_agg[a] = advance;
                 durable_max = durable_max.max(durable);
-                dmax = dmax.max(handoff);
+                dmax = dmax.max(advance);
             }
             d_done[j] = dmax;
+            // Round j ships back once every aggregator has read it.
+            if sched.per_round && !sched.exchange_first {
+                exchange(&mut x_done, j, dmax);
+            }
         }
         Ok(())
     })();
     // The collective completes when the last exchange has drained, the
-    // last window is handed off, AND every server's disk has the bytes —
-    // write_all promises durability at return, the pipeline only moves the
-    // disk wait off each window's critical path.
+    // last window has released its aggregator, AND every server's disk has
+    // the bytes — write_all promises durability at return, a pipeline only
+    // moves the disk wait off each window's critical path.
     let t_end = t_agg.iter().copied().fold(
-        x_done.last().copied().unwrap_or(entry).max(durable_max),
+        x_done.last().copied().unwrap_or(t0).max(durable_max),
         Time::max,
     );
-    record_coll_spans(env, &events, "coll_write", entry, t_end, &ids, &coll_ids);
-    match access {
-        Ok(()) => {
-            split.record_overlap(&profile, &costs, entry, t_end, &t_agg);
-            split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
-            env.set_all(t_end);
-            Ok(t_end)
+    let finished = done.map(|()| {
+        eng.split.record_overlap(profile, &costs, t0, t_end, &t_agg);
+        eng.split
+            .attribute(profile, env, t_end, &t_agg, sched.trailing);
+        if !sched.exchange_first && !sched.per_round {
+            // Serial read: every window has been read, now ONE monolithic
+            // alltoallv ships all the data back (local shares stay put).
+            let ship = cost(&wire[0]);
+            for &w in env.group.iter() {
+                profile.record_phase(w, Phase::DataExchange, ship.as_nanos());
+            }
+            return t_end + ship;
         }
-        Err(e) => {
-            env.set_all(t_end);
-            Err(e)
-        }
-    }
+        t_end
+    });
+    // Synchronize the clocks even on failure: no rank may be left behind a
+    // collective, successful or not.
+    let t_final = *finished.as_ref().unwrap_or(&t_end);
+    let name = if write { "coll_write" } else { "coll_read" };
+    record_coll_spans(env, events, name, t0, t_final, &ids, &coll_ids);
+    env.set_all(t_final);
+    finished
 }
 
 /// The aggregators' collective buffer: allocated once per collective call,
@@ -730,134 +754,176 @@ fn window_buf<'b>(
     &mut bytes[..need]
 }
 
-/// Time one write window on aggregator `a` starting at `t_start`:
-/// collective-buffer assembly (memcpy), any read-modify-write reads, then
-/// the window's write. Returns `(advance, durable)`: `advance` is the
-/// time the aggregator may move on — the server hand-off when
-/// `wait_durable` is false (pipelined engine), the disk completion when
-/// true (serial engine) — and `durable` is always the disk completion.
-///
-/// A contiguous-domain window writes the one span its pieces cover. With
-/// `extents` (server-affine windows) the window may touch several disjoint
-/// owned stripe ranges: each touched extent contributes the bounding span
-/// of its pieces, untouched extents are skipped, and all spans go to the
-/// PFS as ONE vectored request per server. Either way the spans lie back
-/// to back in the collective buffer; a span with holes is read into its
-/// place first (read-modify-write), then the pieces are laid over it.
-#[allow(clippy::too_many_arguments)]
-fn write_window(
-    env: &CollEnv,
-    file: &PfsFile,
-    policy: &RetryPolicy,
-    t_start: Time,
-    a: usize,
-    pieces: &[Piece],
-    reqs: &[Req<'_>],
-    split: &mut AccessSplit,
-    cbuf: &mut CollBuf,
-    extents: Option<&[(u64, u64)]>,
-    wait_durable: bool,
-    wt: WinTrace,
-) -> MpioResult<(Time, Time)> {
-    let events = &env.config.events;
-    let tracing = wt.wid != 0 && events.is_enabled();
-    let w = agg_world(env, a);
-    // Ambient context: the pfs ServiceEngine stages and any retry backoffs
-    // taken on this window's behalf parent themselves to the window span.
-    let _ctx = tracing.then(|| TraceCtx::enter(w, wt.wid));
-    let mut t_a = t_start;
-    split.windows += 1;
-    let piece_bytes: u64 = pieces.iter().map(|pc| pc.len).sum();
-    // Assembling the collective buffer is memcpy work.
-    let pack = env.config.cpu.pack(piece_bytes as usize, 1.0);
-    t_a += pack;
-    split.pack[a] += pack.as_nanos();
-    if tracing && pack > Time::ZERO {
-        events.record(
-            Span::new(w, layer::MPIO, "pack", t_start.as_nanos(), t_a.as_nanos())
-                .with_parent(wt.wid)
-                .with_stage(stage::PACK)
-                .with_arg("round", wt.round as u64),
-        );
+/// What every window of one collective shares.
+struct Engine<'e> {
+    env: &'e CollEnv,
+    file: &'e PfsFile,
+    policy: RetryPolicy,
+    /// A write window goes to the PFS as ONE vectored request per server
+    /// (server-affine windows, whose extents are disjoint stripe ranges)
+    /// rather than as the one contiguous span a contiguous domain's window
+    /// covers. The PFS prices the two differently even for a single span.
+    vectored: bool,
+    split: AccessSplit,
+    cbuf: CollBuf,
+}
+
+impl Engine<'_> {
+    /// Begin window `wt` of aggregator `a`: count it and install the
+    /// ambient context, so the pfs ServiceEngine stages and any retry
+    /// backoffs taken on the window's behalf parent themselves to its span.
+    fn enter(&mut self, a: usize, wt: WinTrace) -> Option<TraceCtx> {
+        self.split.windows += 1;
+        (wt.wid != 0).then(|| TraceCtx::enter(agg_world(self.env, a), wt.wid))
     }
 
-    let CollBuf {
-        bytes,
-        cap,
-        coverage,
-        runs,
-    } = cbuf;
-    merge_coverage(coverage, pieces);
-    runs.clear();
-    match extents {
-        None => {
-            let (clo, _) = coverage[0];
-            let cend = coverage.last().map(|&(o, l)| o + l).unwrap();
-            runs.push((clo, cend - clo));
+    /// Charge moving `bytes` between the pieces and the collective buffer
+    /// (memcpy work) to aggregator `a` from `at`; returns when it is done.
+    fn pack(&mut self, a: usize, wt: WinTrace, at: Time, bytes: u64) -> Time {
+        let pack = self.env.config.cpu.pack(bytes as usize, 1.0);
+        self.split.pack[a] += pack.as_nanos();
+        if wt.wid != 0 && pack > Time::ZERO {
+            let (begin, end) = (at.as_nanos(), (at + pack).as_nanos());
+            self.env.config.events.record(
+                Span::new(agg_world(self.env, a), layer::MPIO, "pack", begin, end)
+                    .with_parent(wt.wid)
+                    .with_stage(stage::PACK)
+                    .with_arg("round", wt.round as u64),
+            );
         }
-        Some(extents) => {
-            // Coverage never bridges extents (pieces lie in owned stripes
-            // only), so one linear walk pairs them up.
-            let mut ci = 0usize;
-            for &(elo, elen) in extents {
-                let first = ci;
-                while ci < coverage.len() && coverage[ci].0 + coverage[ci].1 <= elo + elen {
-                    debug_assert!(coverage[ci].0 >= elo, "coverage escapes its extent");
-                    ci += 1;
-                }
-                if ci > first {
-                    let blo = coverage[first].0;
-                    runs.push((blo, coverage[ci - 1].0 + coverage[ci - 1].1 - blo));
-                }
+        at + pack
+    }
+
+    /// Close window `wt` of aggregator `a`: `[begin, end]` is its whole
+    /// stay, ready to durable, which is also what it would cost run
+    /// serially.
+    fn leave(&mut self, a: usize, wt: WinTrace, begin: Time, end: Time, bytes: u64) {
+        self.split.serial_busy[a] += (end - begin).as_nanos();
+        if wt.wid != 0 {
+            let w = agg_world(self.env, a);
+            self.env.config.events.record(
+                Span::new(w, layer::MPIO, "window", begin.as_nanos(), end.as_nanos())
+                    .with_id(wt.wid)
+                    .with_parent(wt.parent)
+                    .with_arg("round", wt.round as u64)
+                    .with_arg("agg", a as u64)
+                    .with_arg("bytes", bytes),
+            );
+        }
+    }
+
+    /// Time one write window on aggregator `a` starting at `t_start`:
+    /// collective-buffer assembly (memcpy), any read-modify-write reads,
+    /// then the window's write. Returns `(advance, durable)`: `advance` is
+    /// the time the aggregator may move on — the server hand-off when
+    /// `on_handoff`, the disk completion otherwise — and `durable` is
+    /// always the disk completion.
+    ///
+    /// Each extent the window's pieces touch contributes the bounding span
+    /// of those pieces, untouched extents are skipped, and the spans lie
+    /// back to back in the collective buffer; a span with holes is read
+    /// into its place first (read-modify-write), then the pieces are laid
+    /// over it.
+    fn write_window(
+        &mut self,
+        t_start: Time,
+        a: usize,
+        win: &Window,
+        reqs: &[Req<'_>],
+        on_handoff: bool,
+        wt: WinTrace,
+    ) -> MpioResult<(Time, Time)> {
+        let _ctx = self.enter(a, wt);
+        let piece_bytes: u64 = win.pieces.iter().map(|pc| pc.len).sum();
+        let mut t_a = self.pack(a, wt, t_start, piece_bytes);
+
+        let CollBuf {
+            bytes,
+            cap,
+            coverage,
+            runs,
+        } = &mut self.cbuf;
+        merge_coverage(coverage, &win.pieces);
+        runs.clear();
+        // Coverage never bridges extents (no piece leaves them), so one
+        // linear walk pairs them up.
+        let mut ci = 0usize;
+        for &(elo, elen) in &win.extents {
+            let first = ci;
+            while ci < coverage.len() && coverage[ci].0 + coverage[ci].1 <= elo + elen {
+                debug_assert!(coverage[ci].0 >= elo, "coverage escapes its extent");
+                ci += 1;
+            }
+            if ci > first {
+                let blo = coverage[first].0;
+                runs.push((blo, coverage[ci - 1].0 + coverage[ci - 1].1 - blo));
             }
         }
-    }
-    let buf = window_buf(bytes, *cap, runs_total(runs) as usize, split);
-    // A span whose first covered interval is shorter than the span has
-    // holes: fetch what is there before the pieces go over it.
-    let (mut pos, mut ci, mut rmw) = (0usize, 0usize, false);
-    for &(off, len) in runs.iter() {
-        if coverage[ci].1 < len {
-            rmw = true;
-            let before = t_a;
-            t_a = recover::read_at(file, policy, t_a, off, &mut buf[pos..pos + len as usize])?;
-            split.read[a] += (t_a - before).as_nanos();
+        let buf = window_buf(bytes, *cap, runs_total(runs) as usize, &mut self.split);
+        // A span whose first covered interval is shorter than the span has
+        // holes: fetch what is there before the pieces go over it.
+        let (mut pos, mut ci, mut rmw) = (0usize, 0usize, false);
+        for &(off, len) in runs.iter() {
+            if coverage[ci].1 < len {
+                rmw = true;
+                let before = t_a;
+                let hole = &mut buf[pos..pos + len as usize];
+                t_a = recover::read_at(self.file, &self.policy, t_a, off, hole)?;
+                self.split.read[a] += (t_a - before).as_nanos();
+            }
+            while ci < coverage.len() && coverage[ci].0 < off + len {
+                ci += 1;
+            }
+            pos += len as usize;
         }
-        while ci < coverage.len() && coverage[ci].0 < off + len {
-            ci += 1;
+        self.split.rmw += rmw as u64;
+        overlay(buf, runs, &win.pieces, reqs);
+        let completion = if self.vectored {
+            recover::write_runs(self.file, &self.policy, t_a, runs, buf)?
+        } else {
+            recover::write_at_detailed(self.file, &self.policy, t_a, runs[0].0, buf)?
+        };
+        let advance = if on_handoff {
+            completion.handoff
+        } else {
+            completion.durable
+        };
+        self.split.write[a] += (advance - t_a).as_nanos();
+        self.leave(a, wt, t_start, completion.durable, piece_bytes);
+        Ok((advance, completion.durable))
+    }
+
+    /// Time one read window on aggregator `a` starting at `t_start`: one
+    /// spanning read into the collective buffer covers every piece in the
+    /// window (data sieving at the aggregator), then the pieces are
+    /// scattered straight into the requesting ranks' lent destinations
+    /// (memcpy). Returns the aggregator's completion time, twice: a read
+    /// window has no later durable point.
+    fn read_window(
+        &mut self,
+        t_start: Time,
+        a: usize,
+        win: &Window,
+        reqs: &mut [Req<'_>],
+        wt: WinTrace,
+    ) -> MpioResult<(Time, Time)> {
+        let _ctx = self.enter(a, wt);
+        let clo = win.pieces.iter().map(|pc| pc.off).min().unwrap();
+        let cend = win.pieces.iter().map(|pc| pc.off + pc.len).max().unwrap();
+        let CollBuf { bytes, cap, .. } = &mut self.cbuf;
+        let buf = window_buf(bytes, *cap, (cend - clo) as usize, &mut self.split);
+        let t_read = recover::read_at(self.file, &self.policy, t_start, clo, buf)?;
+        self.split.read[a] += (t_read - t_start).as_nanos();
+        for pc in &win.pieces {
+            let lo = (pc.off - clo) as usize;
+            reqs[pc.rank].dst[pc.src_pos as usize..(pc.src_pos + pc.len) as usize]
+                .copy_from_slice(&buf[lo..lo + pc.len as usize]);
         }
-        pos += len as usize;
+        let piece_bytes: u64 = win.pieces.iter().map(|pc| pc.len).sum();
+        let t_a = self.pack(a, wt, t_read, piece_bytes);
+        self.leave(a, wt, t_start, t_a, piece_bytes);
+        Ok((t_a, t_a))
     }
-    split.rmw += rmw as u64;
-    overlay(buf, runs, pieces, reqs);
-    let completion = match extents {
-        None => recover::write_at_detailed(file, policy, t_a, runs[0].0, buf)?,
-        Some(_) => recover::write_runs(file, policy, t_a, runs, buf)?,
-    };
-    let advance = if wait_durable {
-        completion.durable
-    } else {
-        completion.handoff
-    };
-    split.write[a] += (advance - t_a).as_nanos();
-    split.serial_busy[a] += (completion.durable - t_start).as_nanos();
-    if tracing {
-        events.record(
-            Span::new(
-                w,
-                layer::MPIO,
-                "window",
-                t_start.as_nanos(),
-                completion.durable.as_nanos(),
-            )
-            .with_id(wt.wid)
-            .with_parent(wt.parent)
-            .with_arg("round", wt.round as u64)
-            .with_arg("agg", a as u64)
-            .with_arg("bytes", piece_bytes),
-        );
-    }
-    Ok((advance, completion.durable))
 }
 
 /// Copy each piece from its rank's lent payload to its place in `buf`,
@@ -996,279 +1062,13 @@ impl AccessSplit {
     }
 }
 
-/// Pre-gather every aggregator's windows' piece lists: one offset-ordered
-/// pass with per-rank cursors. `result[a][j]` holds the pieces of window
-/// `j` within domain `a` (empty windows are dropped).
-fn gather_windows(
-    all_runs: &[&[Run]],
-    domains: &[(u64, u64)],
-    cb_buffer_size: usize,
-) -> Vec<Vec<Vec<Piece>>> {
-    let mut cursors = vec![Cursor::default(); all_runs.len()];
-    let mut out = Vec::with_capacity(domains.len());
-    let cb = cb_buffer_size as u64;
-    for &(dlo, dhi) in domains {
-        let mut agg_windows = Vec::new();
-        let mut wlo = dlo;
-        while wlo < dhi {
-            // Window boundaries at absolute multiples of the buffer size,
-            // which (for the default hints) are file-system block aligned.
-            let whi = ((wlo / cb + 1) * cb).min(dhi);
-            let mut pieces: Vec<Piece> = Vec::new();
-            for (r, runs) in all_runs.iter().enumerate() {
-                take_pieces(runs, &mut cursors[r], whi, r, &mut pieces);
-            }
-            wlo = whi;
-            if !pieces.is_empty() {
-                agg_windows.push(pieces);
-            }
-        }
-        out.push(agg_windows);
-    }
-    out
-}
-
-/// Collective read: the finish-closure body. `reqs[r]` is what rank `r`
-/// lent: its runs and the destination its run bytes are scattered into, in
-/// run order. Returns the completion time. Faults are handled as in
-/// [`write_all`].
-pub fn read_all(
-    env: &CollEnv,
-    file: &PfsFile,
-    p: &TwoPhaseParams,
-    reqs: &mut [Req<'_>],
-) -> MpioResult<Time> {
-    let n = env.size();
-    let policy = RetryPolicy::default();
-    let profile = env.config.profile.clone();
-    let events = env.config.events.clone();
-    let tracing = events.is_enabled();
-    let (ids, coll_ids) = coll_trace(env, &events, reqs);
-    let all_runs: Vec<&[Run]> = reqs.iter().map(|r| r.meta).collect();
-    debug_assert!(reqs
-        .iter()
-        .all(|r| r.dst.len() as u64 == runs_total(r.meta)));
-    let grand: u64 = all_runs.iter().map(|r| runs_total(r)).sum();
-    if grand == 0 {
-        return Ok(env.sync_phase(Phase::Metadata, env.config.network.barrier(n)));
-    }
-    let (gmin, gmax) = aggregate_span(&all_runs);
-    // Reads keep contiguous domains: the affine layout exists to give each
-    // server a single *write* stream; a read window's spanning read is
-    // already one large request per domain.
-    let naggs = p.naggs(n, grand);
-    let domains = file_domains(gmin, gmax, naggs, p.stripe);
-
-    profile.record_twophase(|t| {
-        t.collective_reads += 1;
-        t.cb_nodes = naggs as u64;
-        t.file_domains += domains.len() as u64;
-    });
-
-    // Offset lists are exchanged up front (small).
-    let meta_bytes = all_runs.iter().map(|r| r.len() * 16).max().unwrap_or(0);
-    let t0 = env.sync_phase(
-        Phase::OffsetExchange,
-        env.config.network.alltoallv(meta_bytes, meta_bytes, n),
-    );
-
-    // Aggregators read their domains concurrently (round-robin timing, as
-    // in `write_all`).
-    let windows = gather_windows(&all_runs, &domains, p.cb_buffer_size);
-    let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
-    let mut t_agg = vec![t0; windows.len()];
-    let mut split = AccessSplit::new(windows.len());
-    let mut cbuf = CollBuf::new(p, gmax - gmin);
-
-    // A single round has nothing to overlap: fall back to serial timing
-    // (identical for one round), as in `write_all`.
-    if !p.pipeline || rounds < 2 {
-        // Serial engine: every window is read first, then ONE monolithic
-        // alltoallv ships all the data back (local shares stay put).
-        let access = (|| -> MpioResult<()> {
-            for j in 0..rounds {
-                for (a, agg_windows) in windows.iter().enumerate() {
-                    let Some(pieces) = agg_windows.get(j) else {
-                        continue;
-                    };
-                    let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                    t_agg[a] = read_window(
-                        env, file, &policy, t_agg[a], a, pieces, reqs, &mut split, &mut cbuf, wt,
-                    )?;
-                }
-            }
-            Ok(())
-        })();
-        let t_end = t_agg.iter().copied().fold(t0, Time::max);
-        if let Err(e) = access {
-            record_coll_spans(env, &events, "coll_read", t0, t_end, &ids, &coll_ids);
-            env.set_all(t_end);
-            return Err(e);
-        }
-        split.attribute(&profile, env, t_end, &t_agg, Phase::Wait);
-
-        let wire = wire(&windows, n, 0..rounds);
-        profile.record_twophase(|t| t.exchange_wire_bytes += wire.total);
-        let ship =
-            (env.config.network).alltoallv(wire.max_send as usize, wire.max_recv as usize, n);
-        if profile.is_enabled() {
-            for &w in env.group.iter() {
-                profile.record_phase(w, Phase::DataExchange, ship.as_nanos());
-            }
-        }
-        let t_final = t_end + ship;
-        record_coll_spans(env, &events, "coll_read", t0, t_final, &ids, &coll_ids);
-        env.set_all(t_final);
-        return Ok(t_final);
-    }
-
-    // Pipelined engine: round j ships back to the requesting ranks while
-    // round j+1 is still being read from disk.
-    let wire: Vec<Wire> = (0..rounds).map(|j| wire(&windows, n, j..j + 1)).collect();
-    profile.record_twophase(|t| {
-        t.exchange_wire_bytes += wire.iter().map(|w| w.total).sum::<u64>();
-        t.pipelined_rounds += rounds as u64;
-    });
-    let mut x_done = vec![t0; rounds]; // per-round ship completion
-    let mut costs: Vec<Time> = Vec::with_capacity(rounds);
-    let access = (|| -> MpioResult<()> {
-        for j in 0..rounds {
-            let mut dmax = t0;
-            for (a, agg_windows) in windows.iter().enumerate() {
-                let Some(pieces) = agg_windows.get(j) else {
-                    continue;
-                };
-                // Double buffering: round j refills the buffer round j-2
-                // shipped; waiting for that ship to drain is wire time on
-                // this aggregator's critical path.
-                let wt = win_trace(&events, tracing, j, &coll_ids, a);
-                let ready = if j >= 2 {
-                    t_agg[a].max(x_done[j - 2])
-                } else {
-                    t_agg[a]
-                };
-                split.exchange[a] += (ready - t_agg[a]).as_nanos();
-                if tracing && ready > t_agg[a] {
-                    events.record(
-                        Span::new(
-                            agg_world(env, a),
-                            layer::MPIO,
-                            "exchange_wait",
-                            t_agg[a].as_nanos(),
-                            ready.as_nanos(),
-                        )
-                        .with_parent(wt.wid)
-                        .with_stage(stage::EXCHANGE)
-                        .with_arg("round", j as u64),
-                    );
-                }
-                t_agg[a] = read_window(
-                    env, file, &policy, ready, a, pieces, reqs, &mut split, &mut cbuf, wt,
-                )?;
-                dmax = dmax.max(t_agg[a]);
-            }
-            // Round j ships once every aggregator's round-j read is done
-            // and the previous ship has drained the wire.
-            let xs = if j > 0 { dmax.max(x_done[j - 1]) } else { dmax };
-            let cost = env.alltoallv_cost(
-                wire[j].max_send as usize,
-                wire[j].max_recv as usize,
-                wire[j].total,
-            );
-            costs.push(cost);
-            x_done[j] = xs + cost;
-        }
-        Ok(())
-    })();
-    let t_final = t_agg
-        .iter()
-        .copied()
-        .fold(x_done.last().copied().unwrap_or(t0), Time::max);
-    record_coll_spans(env, &events, "coll_read", t0, t_final, &ids, &coll_ids);
-    if let Err(e) = access {
-        env.set_all(t_final);
-        return Err(e);
-    }
-    split.record_overlap(&profile, &costs, t0, t_final, &t_agg);
-    // Each rank's trailing tail is spent shipping the last rounds back, so
-    // it is data-exchange time, not idle wait.
-    split.attribute(&profile, env, t_final, &t_agg, Phase::DataExchange);
-    env.set_all(t_final);
-    Ok(t_final)
-}
-
-/// Time one read window on aggregator `a` starting at `t_start`: one
-/// spanning read into the collective buffer covers every piece in the
-/// window (data sieving at the aggregator), then the pieces are scattered
-/// straight into the requesting ranks' lent destinations (memcpy). Returns
-/// the aggregator's completion time.
-#[allow(clippy::too_many_arguments)]
-fn read_window(
-    env: &CollEnv,
-    file: &PfsFile,
-    policy: &RetryPolicy,
-    t_start: Time,
-    a: usize,
-    pieces: &[Piece],
-    reqs: &mut [Req<'_>],
-    split: &mut AccessSplit,
-    cbuf: &mut CollBuf,
-    wt: WinTrace,
-) -> MpioResult<Time> {
-    let events = &env.config.events;
-    let tracing = wt.wid != 0 && events.is_enabled();
-    let w = agg_world(env, a);
-    let _ctx = tracing.then(|| TraceCtx::enter(w, wt.wid));
-    let mut t_a = t_start;
-    split.windows += 1;
-    let clo = pieces.iter().map(|pc| pc.off).min().unwrap();
-    let cend = pieces.iter().map(|pc| pc.off + pc.len).max().unwrap();
-    let buf = window_buf(&mut cbuf.bytes, cbuf.cap, (cend - clo) as usize, split);
-    let before = t_a;
-    t_a = recover::read_at(file, policy, t_a, clo, buf)?;
-    split.read[a] += (t_a - before).as_nanos();
-    let piece_bytes: u64 = pieces.iter().map(|pc| pc.len).sum();
-    let pack = env.config.cpu.pack(piece_bytes as usize, 1.0);
-    if tracing && pack > Time::ZERO {
-        events.record(
-            Span::new(
-                w,
-                layer::MPIO,
-                "pack",
-                t_a.as_nanos(),
-                (t_a + pack).as_nanos(),
-            )
-            .with_parent(wt.wid)
-            .with_stage(stage::PACK)
-            .with_arg("round", wt.round as u64),
-        );
-    }
-    t_a += pack;
-    split.pack[a] += pack.as_nanos();
-    for pc in pieces {
-        let lo = (pc.off - clo) as usize;
-        reqs[pc.rank].dst[pc.src_pos as usize..(pc.src_pos + pc.len) as usize]
-            .copy_from_slice(&buf[lo..lo + pc.len as usize]);
-    }
-    split.serial_busy[a] += (t_a - t_start).as_nanos();
-    if tracing {
-        events.record(
-            Span::new(w, layer::MPIO, "window", t_start.as_nanos(), t_a.as_nanos())
-                .with_id(wt.wid)
-                .with_parent(wt.parent)
-                .with_arg("round", wt.round as u64)
-                .with_arg("agg", a as u64)
-                .with_arg("bytes", piece_bytes),
-        );
-    }
-    Ok(t_a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpc_sim::{SharedClocks, SimConfig, SimStats};
     use pnetcdf_pfs::{Pfs, StorageMode};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     /// A two-rank collective environment over a fresh `test_small` file
@@ -1537,28 +1337,169 @@ mod tests {
         assert_eq!(merged(&[]), vec![]);
     }
 
+    /// Window pieces as `(off, len, rank, src_pos)` tuples.
+    fn pieces_of(win: &Window) -> Vec<(u64, u64, usize, u64)> {
+        let tuple = |pc: &Piece| (pc.off, pc.len, pc.rank, pc.src_pos);
+        win.pieces.iter().map(tuple).collect()
+    }
+
     #[test]
-    fn take_pieces_tracks_source_positions() {
-        let runs: Vec<Run> = vec![(0, 10), (20, 10)];
-        let mut cur = Cursor::default();
-        let mut pieces = Vec::new();
-        take_pieces(&runs, &mut cur, 5, 0, &mut pieces);
-        assert_eq!(pieces.len(), 1);
-        assert_eq!((pieces[0].off, pieces[0].len, pieces[0].src_pos), (0, 5, 0));
-        pieces.clear();
-        take_pieces(&runs, &mut cur, 25, 0, &mut pieces);
-        // Remainder of run 0 (src 5..10) and start of run 1 (src 10..15).
-        assert_eq!(pieces.len(), 2);
-        assert_eq!((pieces[0].off, pieces[0].len, pieces[0].src_pos), (5, 5, 5));
+    fn plan_splits_runs_at_window_cuts_and_tracks_source_positions() {
+        let runs: [Run; 2] = [(0, 10), (20, 10)];
+        let plan = plan_windows(&[&runs], (0, 30), 1, &params(25, false), false);
+        assert_eq!(plan.len(), 1);
+        let [first, second] = &plan[0][..] else {
+            panic!("expected two windows, got {:?}", plan[0]);
+        };
+        // Run 0 whole and the start of run 1 (src 10..15), cut at 25.
+        assert_eq!(pieces_of(first), [(0, 10, 0, 0), (20, 5, 0, 10)]);
+        assert_eq!(first.extents, [(0, 25)]);
+        assert_eq!(pieces_of(second), [(25, 5, 0, 15)]);
+        assert_eq!(second.extents, [(25, 5)]);
+    }
+
+    #[test]
+    fn affine_plan_routes_stripes_to_their_servers_aggregator() {
+        // 4 servers, 2 aggregators: aggregator 0 owns the stripes of
+        // servers 0 and 2, aggregator 1 those of servers 1 and 3; a
+        // 1.5-stripe buffer holds the ragged first stripe and one more.
+        let (r0, r1): ([Run; 1], [Run; 1]) = ([(512, 4096)], [(1000, 100)]);
+        let plan = plan_windows(&[&r0, &r1], (512, 4608), 2, &params(1536, true), true);
+        assert_eq!(plan.len(), 2);
+        let extents = |a: usize| plan[a].iter().map(|w| &w.extents[..]).collect::<Vec<_>>();
         assert_eq!(
-            (pieces[1].off, pieces[1].len, pieces[1].src_pos),
-            (20, 5, 10)
+            extents(0),
+            [&[(512, 512), (2048, 1024)][..], &[(4096, 512)]]
         );
-        pieces.clear();
-        take_pieces(&runs, &mut cur, u64::MAX, 0, &mut pieces);
+        assert_eq!(extents(1), [&[(1024, 1024)][..], &[(3072, 1024)]]);
+        // Rank order inside a window; rank 1's piece starts over.
         assert_eq!(
-            (pieces[0].off, pieces[0].len, pieces[0].src_pos),
-            (25, 5, 15)
+            pieces_of(&plan[0][0]),
+            [(512, 512, 0, 0), (2048, 1024, 0, 1536), (1000, 24, 1, 0)]
         );
+        assert_eq!(
+            pieces_of(&plan[1][0]),
+            [(1024, 1024, 0, 512), (1024, 76, 1, 24)]
+        );
+        assert_eq!(pieces_of(&plan[1][1]), [(3072, 1024, 0, 2560)]);
+    }
+
+    /// Sorted, disjoint (possibly touching) runs; may be empty.
+    fn arb_runs() -> impl Strategy<Value = Vec<Run>> {
+        vec((0u64..3000, 1u64..2500), 0..8).prop_map(|raw| {
+            let mut at = 0u64;
+            let place = |(gap, len)| {
+                let off = at + gap;
+                at = off + len;
+                (off, len)
+            };
+            raw.into_iter().map(place).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the run lists and the domain kind: the plan's pieces
+        /// tile every rank's runs exactly once, stay in rank order inside
+        /// a window, never leave their window's extents, and are no more
+        /// than the per-window (contiguous) or per-stripe (affine) splits
+        /// of the planners this one replaced.
+        #[test]
+        fn plan_tiles_every_run_once_inside_its_extents(
+            per_rank in vec(arb_runs(), 1..9),
+            cb in 1usize..6000,
+            stripe in 1u64..1500,
+            io_servers in 1usize..6,
+            naggs in 1usize..9,
+            affine in any::<bool>(),
+        ) {
+            let all_runs: Vec<&[Run]> = per_rank.iter().map(Vec::as_slice).collect();
+            prop_assume!(all_runs.iter().any(|r| !r.is_empty()));
+            let (gmin, gmax) = aggregate_span(&all_runs);
+            let p = TwoPhaseParams {
+                cb_buffer_size: cb,
+                cb_nodes: Some(naggs),
+                io_servers,
+                stripe,
+                pipeline: true,
+                affinity: affine,
+            };
+            let plan = plan_windows(&all_runs, (gmin, gmax), naggs, &p, affine);
+
+            let mut by_rank: Vec<Vec<Piece>> = vec![Vec::new(); per_rank.len()];
+            let mut owned: Vec<Run> = Vec::new();
+            for win in plan.iter().flatten() {
+                prop_assert!(!win.pieces.is_empty(), "an empty window survived");
+                for pair in win.pieces.windows(2) {
+                    let in_order = pair[0].rank < pair[1].rank
+                        || (pair[0].rank == pair[1].rank
+                            && pair[0].off + pair[0].len <= pair[1].off);
+                    prop_assert!(in_order, "out of rank order: {pair:?}");
+                }
+                for pc in &win.pieces {
+                    let inside = |&(elo, elen): &Run| elo <= pc.off && pc.off + pc.len <= elo + elen;
+                    prop_assert!(pc.len > 0 && win.extents.iter().any(inside), "{pc:?} escapes {:?}", win.extents);
+                    by_rank[pc.rank].push(*pc);
+                }
+                owned.extend(&win.extents);
+            }
+            // No byte of the span belongs to two windows.
+            owned.sort_unstable();
+            for pair in owned.windows(2) {
+                prop_assert!(pair[0].0 + pair[0].1 <= pair[1].0, "extents overlap: {pair:?}");
+            }
+            prop_assert!(owned.first().is_some_and(|e| e.0 >= gmin));
+            prop_assert!(owned.last().is_some_and(|e| e.0 + e.1 <= gmax));
+            // Each rank's pieces, in payload order, are its runs again.
+            for (pieces, runs) in by_rank.iter_mut().zip(&per_rank) {
+                pieces.sort_unstable_by_key(|pc| pc.src_pos);
+                let mut rebuilt: Vec<Run> = Vec::new();
+                let mut src = 0u64;
+                for pc in pieces.iter() {
+                    prop_assert_eq!(pc.src_pos, src, "payload gap or overlap");
+                    src += pc.len;
+                    match rebuilt.last_mut() {
+                        Some(last) if last.0 + last.1 == pc.off => last.1 += pc.len,
+                        _ => rebuilt.push((pc.off, pc.len)),
+                    }
+                }
+                let mut merged: Vec<Run> = Vec::new();
+                for &(off, len) in runs {
+                    match merged.last_mut() {
+                        Some(last) if last.0 + last.1 == off => last.1 += len,
+                        _ => merged.push((off, len)),
+                    }
+                }
+                prop_assert_eq!(rebuilt, merged);
+            }
+            // The replaced planners cut a run at every window boundary
+            // (contiguous: domain edges and absolute buffer multiples) or
+            // at every stripe boundary (affine) it crosses.
+            let domain_edges: Vec<u64> = file_domains(gmin, gmax, naggs, stripe)
+                .iter()
+                .map(|d| d.0)
+                .collect();
+            let crossings = |&(off, len): &Run| {
+                let inside = |b: u64| off < b && b < off + len;
+                if affine {
+                    (off + len - 1) / stripe - off / stripe
+                } else {
+                    let buffer_cuts = (off + len - 1) / cb as u64 - off / cb as u64;
+                    let edge_cuts = domain_edges
+                        .iter()
+                        .filter(|&&b| inside(b) && b % cb as u64 != 0)
+                        .count();
+                    buffer_cuts + edge_cuts as u64
+                }
+            };
+            let before: u64 = per_rank.iter().flatten().map(|r| 1 + crossings(r)).sum();
+            let now = by_rank.iter().map(Vec::len).sum::<usize>() as u64;
+            if affine {
+                prop_assert!(now <= before, "{now} pieces, per-stripe split made {before}");
+            } else {
+                prop_assert_eq!(now, before);
+            }
+        }
     }
 }

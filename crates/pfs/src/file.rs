@@ -6,6 +6,7 @@ use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{FaultKind, IoStages, Span, Time, TraceCtx};
 
 use crate::cluster::ClusterInner;
+use crate::retry::{ladder, RetryPolicy};
 use crate::server::ServiceOutcome;
 use crate::stripe::{PortionChunks, StripeChunk};
 
@@ -38,12 +39,6 @@ pub struct WriteCompletion {
     /// Always `>= handoff`.
     pub durable: Time,
 }
-
-/// Attempt budget of the *legacy* infallible [`PfsFile::write_at`] /
-/// [`PfsFile::read_at`] wrappers (the serial baseline has no recovery
-/// layer of its own). The MPI-IO layer uses its own policy on the
-/// fallible API instead.
-const LEGACY_ATTEMPTS: u32 = 25;
 
 /// Handle to one file in the parallel file system. Cheap to clone; all
 /// clones address the same bytes and the same server queues.
@@ -248,32 +243,24 @@ impl PfsFile {
         })
     }
 
-    /// Timed write that hides faults behind a bounded retry/short-resume
-    /// loop (the recovery policy of callers without one of their own: the
-    /// serialized baseline and direct PFS users). Panics when the attempt
-    /// budget is exhausted — a permanently crashed server with no recovery
-    /// layer above is fatal, exactly like ENOSPC for the real serial API.
+    /// Timed write that hides faults behind the retry ladder
+    /// ([`crate::retry::ladder`], default policy) for callers without a
+    /// recovery layer of their own: the serialized baseline and direct PFS
+    /// users. Panics when the ladder gives up — a permanently crashed
+    /// server with no recovery layer above is fatal, exactly like ENOSPC
+    /// for the real serial API.
     pub fn write_at(&self, start: Time, offset: u64, data: &[u8]) -> Time {
-        let mut t = start;
-        let mut resume = 0usize;
-        let mut backoff = Time::from_micros(50);
-        for _ in 0..LEGACY_ATTEMPTS {
-            match self.try_write_at(t, offset + resume as u64, &data[resume..]) {
-                Ok(done) => return done,
-                Err(f) => {
-                    resume += f.completed as usize;
-                    t = f.time + backoff;
-                    self.record_legacy_retry(&f, backoff);
-                    backoff = next_backoff(backoff);
-                }
-            }
-        }
-        panic!(
-            "PFS write of {} bytes at offset {offset} of '{}' still failing after \
-             {LEGACY_ATTEMPTS} attempts (fault plan too hostile for the legacy path)",
-            data.len(),
-            self.name
-        );
+        let attempt =
+            |t, resume: u64| self.try_write_at(t, offset + resume, &data[resume as usize..]);
+        let (policy, profile) = (RetryPolicy::default(), self.profile());
+        ladder(&policy, profile, start, attempt, |_, _| {}).unwrap_or_else(|attempts| {
+            panic!(
+                "PFS write of {} bytes at offset {offset} of '{}' still failing after \
+                 {attempts} attempts (fault plan too hostile for a caller without recovery)",
+                data.len(),
+                self.name
+            )
+        })
     }
 
     /// Timed read into `buf` from `offset`, starting at `start`. Returns
@@ -330,29 +317,19 @@ impl PfsFile {
         })
     }
 
-    /// Timed read with the same bounded legacy recovery as
-    /// [`PfsFile::write_at`].
+    /// Timed read behind the same ladder as [`PfsFile::write_at`].
     pub fn read_at(&self, start: Time, offset: u64, buf: &mut [u8]) -> Time {
         let len = buf.len();
-        let mut t = start;
-        let mut resume = 0usize;
-        let mut backoff = Time::from_micros(50);
-        for _ in 0..LEGACY_ATTEMPTS {
-            match self.try_read_at(t, offset + resume as u64, &mut buf[resume..]) {
-                Ok(done) => return done,
-                Err(f) => {
-                    resume += f.completed as usize;
-                    t = f.time + backoff;
-                    self.record_legacy_retry(&f, backoff);
-                    backoff = next_backoff(backoff);
-                }
-            }
-        }
-        panic!(
-            "PFS read of {len} bytes at offset {offset} of '{}' still failing after \
-             {LEGACY_ATTEMPTS} attempts (fault plan too hostile for the legacy path)",
-            self.name
-        );
+        let attempt =
+            |t, resume: u64| self.try_read_at(t, offset + resume, &mut buf[resume as usize..]);
+        let (policy, profile) = (RetryPolicy::default(), self.profile());
+        ladder(&policy, profile, start, attempt, |_, _| {}).unwrap_or_else(|attempts| {
+            panic!(
+                "PFS read of {len} bytes at offset {offset} of '{}' still failing after \
+                 {attempts} attempts (fault plan too hostile for a caller without recovery)",
+                self.name
+            )
+        })
     }
 
     /// Record one server outcome into the stats and the profile,
@@ -464,17 +441,6 @@ impl PfsFile {
         });
     }
 
-    /// Tally one legacy-wrapper recovery step.
-    fn record_legacy_retry(&self, failure: &IoFailure, backoff: Time) {
-        self.inner.cfg.profile.record_fault(|f| {
-            f.retries += 1;
-            f.backoff_nanos += backoff.as_nanos();
-            if failure.completed > 0 {
-                f.short_completions += 1;
-            }
-        });
-    }
-
     /// The shared coherence-epoch cell for this file (every handle to the
     /// same file id gets the same atomic). Created on first use.
     fn epoch_cell(&self) -> Arc<std::sync::atomic::AtomicU64> {
@@ -562,11 +528,6 @@ impl PfsFile {
     pub fn chunks_for(&self, offset: u64, len: u64) -> Vec<StripeChunk> {
         self.inner.striping.split(offset, len)
     }
-}
-
-/// Double the backoff up to a 50 ms ceiling.
-fn next_backoff(b: Time) -> Time {
-    Time::from_nanos((b.as_nanos() * 2).min(Time::from_millis(50).as_nanos()))
 }
 
 /// Per-portion transfer record: the portion's stripe chunks (in file order
@@ -754,12 +715,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_wrappers_recover_from_transient_faults() {
+    fn infallible_calls_recover_from_transient_faults() {
         let mut cfg = SimConfig::test_small();
         // Fault draws are per stripe chunk; a 20 KB request spans ~20
         // stripes, so even modest per-stripe rates fault nearly every
-        // attempt while still letting the bounded legacy retry loop make
-        // steady prefix progress.
+        // attempt while still letting the retry ladder make steady prefix
+        // progress.
         cfg.faults = hpc_sim::FaultPlan {
             transient: 0.08,
             short: 0.08,

@@ -37,6 +37,7 @@ pub mod file;
 pub mod filesystem;
 pub mod meta;
 pub mod posix;
+pub mod retry;
 pub mod server;
 pub mod storage;
 pub mod stripe;
@@ -46,6 +47,7 @@ pub use file::{IoFailure, PfsFile, WriteCompletion};
 pub use filesystem::Pfs;
 pub use meta::{MetaShardStats, MetaShards, META_SHARDS};
 pub use posix::PosixSim;
+pub use retry::{ladder, RetryPolicy};
 pub use server::{Server, ServiceOutcome};
 pub use storage::StorageMode;
 pub use stripe::{StripeChunk, Striping};

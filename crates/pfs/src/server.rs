@@ -259,7 +259,7 @@ impl Server {
         }
         let stages = self
             .engine
-            .write_tagged(arrival, span.bytes as usize, disk_time, file);
+            .write(arrival, span.bytes as usize, disk_time, file);
         ServiceOutcome {
             done: stages.disk_done,
             stages,
@@ -345,7 +345,7 @@ impl Server {
         let disk_time = disk.request(span.bytes as usize, sequential) + extra_delay;
         let stages = self
             .engine
-            .read_tagged(arrival, span.bytes as usize, disk_time, file);
+            .read(arrival, span.bytes as usize, disk_time, file);
         ServiceOutcome {
             done: stages.nic_done,
             stages,
@@ -405,9 +405,9 @@ impl Server {
         kind: FaultKind,
     ) -> ServiceOutcome {
         let stages = if read {
-            self.engine.read_tagged(arrival, 0, disk.per_request, file)
+            self.engine.read(arrival, 0, disk.per_request, file)
         } else {
-            self.engine.write_tagged(arrival, 0, disk.per_request, file)
+            self.engine.write(arrival, 0, disk.per_request, file)
         };
         ServiceOutcome {
             done: if read {
@@ -445,7 +445,7 @@ impl Server {
         }
         let disk_time = disk.request(bytes as usize, false);
         self.engine
-            .write_tagged(arrival, bytes as usize, disk_time, file)
+            .write(arrival, bytes as usize, disk_time, file)
             .disk_done
     }
 
@@ -458,7 +458,7 @@ impl Server {
         }
         let disk_time = disk.request(bytes as usize, false);
         self.engine
-            .read_tagged(arrival, bytes as usize, disk_time, file)
+            .read(arrival, bytes as usize, disk_time, file)
             .nic_done
     }
 

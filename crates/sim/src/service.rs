@@ -182,22 +182,12 @@ impl ServiceEngine {
     /// Service a write of `bytes` whose disk stage costs `disk_time`
     /// (positioning, streaming and any fault penalties, computed by the
     /// caller). The NIC receives the payload first; the disk stage follows.
-    /// Untagged convenience wrapper over [`ServiceEngine::write_tagged`].
-    pub fn write(&mut self, arrival: Time, bytes: usize, disk_time: Time) -> StageTiming {
-        self.write_tagged(arrival, bytes, disk_time, 0)
-    }
-
-    /// Tagged write: identical timing to [`ServiceEngine::write`], but wait
-    /// time spent behind occupants with a different `tag` (another file's
-    /// traffic on a shared cluster) is attributed to `cross_stall`. The tag
-    /// is pure accounting — it never changes the stage clocks.
-    pub fn write_tagged(
-        &mut self,
-        arrival: Time,
-        bytes: usize,
-        disk_time: Time,
-        tag: u64,
-    ) -> StageTiming {
+    ///
+    /// `tag` names whose request this is (the file id): wait time spent
+    /// behind occupants with a different tag (another file's traffic on a
+    /// shared cluster) is attributed to `cross_stall`. The tag is pure
+    /// accounting — it never changes the stage clocks.
+    pub fn write(&mut self, arrival: Time, bytes: usize, disk_time: Time, tag: u64) -> StageTiming {
         let (admit, blocker) = self.admit(arrival);
         let depth = self.inflight.len() + 1;
         let nic_start = self.nic_free.max(admit);
@@ -242,20 +232,9 @@ impl ServiceEngine {
     /// Service a read of `bytes` whose disk stage costs `disk_time`. The
     /// disk runs first, then the NIC ships the payload back; reads are
     /// synchronous (the client waits), so they bypass the admission queue.
-    /// Untagged convenience wrapper over [`ServiceEngine::read_tagged`].
-    pub fn read(&mut self, arrival: Time, bytes: usize, disk_time: Time) -> StageTiming {
-        self.read_tagged(arrival, bytes, disk_time, 0)
-    }
-
-    /// Tagged read: identical timing to [`ServiceEngine::read`], with
-    /// cross-file wait attribution as in [`ServiceEngine::write_tagged`].
-    pub fn read_tagged(
-        &mut self,
-        arrival: Time,
-        bytes: usize,
-        disk_time: Time,
-        tag: u64,
-    ) -> StageTiming {
+    /// Cross-file waits are attributed by `tag` as in
+    /// [`ServiceEngine::write`].
+    pub fn read(&mut self, arrival: Time, bytes: usize, disk_time: Time, tag: u64) -> StageTiming {
         let disk_start = self.disk_free.max(arrival);
         let disk_done = disk_start + disk_time;
         let disk_wait = disk_start - arrival;
@@ -321,10 +300,10 @@ mod tests {
     fn passthrough_degenerates_to_disk_only() {
         let mut e = ServiceEngine::new(ServiceModel::passthrough());
         let d = Time::from_millis(3);
-        let a = e.write(Time::ZERO, 1 << 20, d);
+        let a = e.write(Time::ZERO, 1 << 20, d, 0);
         assert_eq!(a.nic_done, Time::ZERO);
         assert_eq!(a.disk_done, d);
-        let b = e.write(Time::ZERO, 1 << 20, d);
+        let b = e.write(Time::ZERO, 1 << 20, d, 0);
         assert_eq!(b.disk_done, d + d, "second request queues at the disk");
     }
 
@@ -333,8 +312,8 @@ mod tests {
         let mut e = engine(4);
         let nic_t = e.model().nic.p2p(1 << 20);
         let disk_t = Time::from_millis(20); // disk much slower than NIC
-        let a = e.write(Time::ZERO, 1 << 20, disk_t);
-        let b = e.write(Time::ZERO, 1 << 20, disk_t);
+        let a = e.write(Time::ZERO, 1 << 20, disk_t, 0);
+        let b = e.write(Time::ZERO, 1 << 20, disk_t, 0);
         // b's NIC transfer ran strictly inside a's disk interval.
         assert!(b.nic_done <= a.disk_done);
         assert!(b.overlap > Time::ZERO, "overlap must be recorded");
@@ -347,8 +326,8 @@ mod tests {
     fn bounded_queue_stalls_admission() {
         let mut e = engine(1);
         let disk_t = Time::from_millis(5);
-        let a = e.write(Time::ZERO, 1024, disk_t);
-        let b = e.write(Time::ZERO, 1024, disk_t);
+        let a = e.write(Time::ZERO, 1024, disk_t, 0);
+        let b = e.write(Time::ZERO, 1024, disk_t, 0);
         // Depth 1: b may not enter the NIC until a is durable.
         assert!(b.admit >= a.disk_done);
         assert_eq!(b.queue_stall, a.disk_done);
@@ -360,7 +339,7 @@ mod tests {
     fn reads_ship_after_disk() {
         let mut e = engine(4);
         let disk_t = Time::from_millis(2);
-        let r = e.read(Time::from_millis(1), 4096, disk_t);
+        let r = e.read(Time::from_millis(1), 4096, disk_t, 0);
         assert_eq!(r.disk_start, Time::from_millis(1));
         assert!(r.nic_start >= r.disk_done);
         assert_eq!(r.nic_done, r.disk_done + e.model().nic.p2p(4096));
@@ -372,16 +351,16 @@ mod tests {
         // Same tag back to back: waiting behind your own file is not
         // cross-file contention.
         let mut same = engine(4);
-        same.write_tagged(Time::ZERO, 4096, disk_t, 7);
-        let b = same.write_tagged(Time::ZERO, 4096, disk_t, 7);
+        same.write(Time::ZERO, 4096, disk_t, 7);
+        let b = same.write(Time::ZERO, 4096, disk_t, 7);
         assert!(b.disk_start > b.nic_done, "second write waits for the disk");
         assert_eq!(b.cross_stall, Time::ZERO);
         assert_eq!(same.cross_stall_total, Time::ZERO);
         // Different tags: the same waits are attributed cross-file, and the
         // stage clocks are identical to the same-tag run.
         let mut diff = engine(4);
-        diff.write_tagged(Time::ZERO, 4096, disk_t, 7);
-        let c = diff.write_tagged(Time::ZERO, 4096, disk_t, 8);
+        diff.write(Time::ZERO, 4096, disk_t, 7);
+        let c = diff.write(Time::ZERO, 4096, disk_t, 8);
         assert_eq!(c.disk_done, b.disk_done, "tags never change timing");
         assert_eq!(
             c.cross_stall,
@@ -394,22 +373,22 @@ mod tests {
     fn cross_stall_on_queue_blocker_and_reads() {
         let disk_t = Time::from_millis(5);
         let mut e = engine(1);
-        e.write_tagged(Time::ZERO, 1024, disk_t, 1);
-        let b = e.write_tagged(Time::ZERO, 1024, disk_t, 2);
+        e.write(Time::ZERO, 1024, disk_t, 1);
+        let b = e.write(Time::ZERO, 1024, disk_t, 2);
         assert!(b.queue_stall > Time::ZERO);
         assert!(b.cross_stall >= b.queue_stall, "queue blocker was file 1");
-        let r = e.read_tagged(Time::ZERO, 1024, disk_t, 3);
+        let r = e.read(Time::ZERO, 1024, disk_t, 3);
         assert!(r.cross_stall > Time::ZERO, "read waited behind file 2");
     }
 
     #[test]
     fn reset_clears_clocks_keeps_counters() {
         let mut e = engine(2);
-        e.write(Time::ZERO, 4096, Time::from_millis(1));
+        e.write(Time::ZERO, 4096, Time::from_millis(1), 0);
         let busy = e.disk_busy_total;
         assert!(busy > Time::ZERO);
         e.reset();
-        let a = e.write(Time::ZERO, 4096, Time::from_millis(1));
+        let a = e.write(Time::ZERO, 4096, Time::from_millis(1), 0);
         assert_eq!(a.nic_start, Time::ZERO);
         assert!(e.disk_busy_total > busy, "counters survive reset");
     }

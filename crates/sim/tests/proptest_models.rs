@@ -102,7 +102,7 @@ proptest! {
                 t_serial = arrival;
             }
             let disk_time = Time::from_nanos(disk_ns);
-            let st = eng.write(arrival, bytes, disk_time);
+            let st = eng.write(arrival, bytes, disk_time, 0);
             prop_assert!(st.nic_start >= arrival);
             prop_assert!(st.disk_start >= st.nic_done);
             pipelined = pipelined.max(st.disk_done);

@@ -42,5 +42,5 @@ pub use json::Json;
 pub use phase::{CollKind, Phase};
 pub use profile::{
     BytePathCounters, CacheCounters, FaultCounters, IoStages, PhaseScope, Profile, ProfileSnapshot,
-    ServerCounters, TwophaseCounters, WallScope,
+    ServerCounters, TwophaseCounters,
 };

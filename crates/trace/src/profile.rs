@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 use crate::json::Json;
 use crate::phase::{CollKind, Phase};
@@ -62,34 +61,6 @@ impl Drop for PhaseScope {
     fn drop(&mut self) {
         if self.installed {
             SCOPE.with(|s| s.set(None));
-        }
-    }
-}
-
-/// Wall-clock timer for a region: records elapsed real time against a
-/// phase when dropped. Used around the expensive engine loops so reports
-/// can contrast simulated cost with simulator cost.
-pub struct WallScope<'a> {
-    profile: &'a Profile,
-    phase: Phase,
-    start: Instant,
-}
-
-impl<'a> WallScope<'a> {
-    pub fn new(profile: &'a Profile, phase: Phase) -> WallScope<'a> {
-        WallScope {
-            profile,
-            phase,
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Drop for WallScope<'_> {
-    fn drop(&mut self) {
-        if self.profile.is_enabled() {
-            let nanos = self.start.elapsed().as_nanos() as u64;
-            self.profile.inner.wall_nanos[self.phase.index()].fetch_add(nanos, Ordering::Relaxed);
         }
     }
 }
@@ -293,8 +264,6 @@ struct Inner {
     enabled: AtomicBool,
     /// Per-rank, per-phase simulated nanoseconds. Grown on demand.
     phase_nanos: Mutex<Vec<[u64; Phase::COUNT]>>,
-    /// Wall-clock nanoseconds per phase (whole world, not per rank).
-    wall_nanos: [AtomicU64; Phase::COUNT],
     /// Count / bytes / simulated latency per collective kind.
     collectives: [OpCell; CollKind::COUNT],
     /// Power-of-two size histograms.
@@ -345,7 +314,6 @@ impl Profile {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(false),
                 phase_nanos: Mutex::new(Vec::new()),
-                wall_nanos: Default::default(),
                 collectives: Default::default(),
                 io_write_hist: [0u64; HIST_BUCKETS].map(AtomicU64::new),
                 io_read_hist: [0u64; HIST_BUCKETS].map(AtomicU64::new),
@@ -595,7 +563,6 @@ impl Profile {
         ProfileSnapshot {
             enabled: self.is_enabled(),
             phase_nanos: lock(&self.inner.phase_nanos).clone(),
-            wall_nanos: std::array::from_fn(|i| self.inner.wall_nanos[i].load(Ordering::Relaxed)),
             collectives: std::array::from_fn(|i| {
                 let c = &self.inner.collectives[i];
                 (
@@ -628,9 +595,6 @@ impl Profile {
     /// between configurations.
     pub fn reset(&self) {
         lock(&self.inner.phase_nanos).clear();
-        for w in &self.inner.wall_nanos {
-            w.store(0, Ordering::Relaxed);
-        }
         for c in &self.inner.collectives {
             c.count.store(0, Ordering::Relaxed);
             c.bytes.store(0, Ordering::Relaxed);
@@ -675,7 +639,6 @@ pub struct ProfileSnapshot {
     pub enabled: bool,
     /// `[rank][phase] -> simulated nanoseconds`.
     pub phase_nanos: Vec<[u64; Phase::COUNT]>,
-    pub wall_nanos: [u64; Phase::COUNT],
     /// `(count, bytes, nanos)` per [`CollKind`].
     pub collectives: [(u64, u64, u64); CollKind::COUNT],
     pub io_write_hist: [u64; HIST_BUCKETS],

@@ -22,9 +22,7 @@ impl ProfileSnapshot {
                 .unwrap_or(0);
             phases.set(
                 p.name(),
-                Json::obj()
-                    .with("sim_s", Json::from(nanos_to_s(agg)))
-                    .with("wall_s", Json::from(nanos_to_s(self.wall_nanos[p.index()]))),
+                Json::obj().with("sim_s", Json::from(nanos_to_s(agg))),
             );
         }
 
