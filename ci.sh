@@ -197,14 +197,24 @@ cargo run --release --offline --quiet --manifest-path perf_bench/Cargo.toml -- -
 # over the array cannot go below 1.0 heap byte per payload byte (the stripe
 # store keeps what was written, 0.5, and every get returns its Vec, 0.5);
 # 1.007 is measured, and a request path that allocates per call sits at 2.96.
-python3 - perf_bench/out/indep_rows.json <<'EOF'
+# The collective path has the same floor plus the write's and the read's
+# 4 MiB collective buffers on a 16 MiB array: 1.414 B/B and 37.39 MiB of peak
+# heap are measured; a put that stages an external copy of its values and a
+# get that reads into staging beside its result sit at 2.414 and 48.52.
+python3 - perf_bench/out/indep_rows.json perf_bench/out/coll3d_x.json <<'EOF'
 import json, sys
-r = json.load(open(sys.argv[1]))
-alloc = r["metrics"]["alloc_bytes_per_byte"]["value"]
-assert r["ops_failed"] == 0, f"indep_rows: {r['ops_failed']} operations failed"
+indep, coll = (json.load(open(p)) for p in sys.argv[1:3])
+value = lambda r, m: r["metrics"][m]["value"]
+for name, r in (("indep_rows", indep), ("coll3d_x", coll)):
+    assert r["ops_failed"] == 0, f"{name}: {r['ops_failed']} operations failed"
+alloc = value(indep, "alloc_bytes_per_byte")
 assert alloc <= 1.05, f"indep_rows requests {alloc:.3f} heap B per payload B (budget 1.05)"
+coll_alloc, coll_peak = value(coll, "alloc_bytes_per_byte"), value(coll, "peak_heap_mb")
+assert coll_alloc <= 1.50, f"coll3d_x requests {coll_alloc:.3f} heap B per payload B (budget 1.50)"
+assert coll_peak <= 40, f"coll3d_x peaks at {coll_peak:.2f} MiB of heap (budget 40)"
 print(f"    perf_bench --quick OK: every workload ran, every metric present; "
-      f"indep_rows {alloc:.3f} heap B/B, no failed operation")
+      f"indep_rows {alloc:.3f} heap B/B, coll3d_x {coll_alloc:.3f} heap B/B and "
+      f"{coll_peak:.2f} MiB peak heap, no failed operation")
 EOF
 
 echo "CI OK"

@@ -6,13 +6,22 @@
 //! region is still described by `start/count/stride`; the memory side is
 //! `(buf, bufcount, mpi_datatype)`. All the high-level routines could be
 //! written over these (and in the reference implementation they are; here
-//! the typed path shares `put_region` instead to avoid double conversion).
+//! the typed and the flexible calls are two lowerings into the same
+//! blocking put and get bodies of [`super::request`], so neither converts
+//! twice and both agree on errors the same way).
+//!
+//! Memory that is contiguous from its lower bound is used in place: a
+//! collective put lends it in host byte order, a get reads into it and
+//! swaps there. Strided memory is packed into (unpacked from) the recycled
+//! request's staging in one fused gather+swap pass.
 //!
 //! The memory datatype's element width must equal the variable's external
 //! type width (the common usage); the conversion is then an endianness swap.
 
-use pnetcdf_mpi::Datatype;
+use pnetcdf_format::swap::swap_inplace;
+use pnetcdf_mpi::{Datatype, MpiError};
 
+use crate::access::request::{can_lend, size_for_read, AccessReq, Lent};
 use crate::convert;
 use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
@@ -133,34 +142,39 @@ impl Dataset {
         memtype: &Datatype,
         collective: bool,
     ) -> NcmpiResult<()> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        self.require_writable()?;
-        let (nctype, _) = self.flexible_common(varid, count, bufcount, memtype)?;
-
-        // Gather the (possibly noncontiguous) native memory and swap to
-        // external byte order in one fused pass. The simulator still
-        // charges the datatype walk and the conversion separately — the
-        // work happens, only the intermediate buffer is gone.
-        let ext = convert::pack_to_external(buf, bufcount, memtype, nctype)?;
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_pack_bytes += ext.len() as u64);
-        if !memtype.is_contiguous() {
-            self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        }
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-
-        self.with_staging(|ds, req| {
-            req.buffer = ext;
-            ds.lower_put(req, varid, start, count, stride)?;
-            ds.execute_put_now(req, collective)
+        self.put_blocking(collective, |ds, req| {
+            ds.require_writable()?;
+            let (nctype, bytes) = ds.flexible_common(varid, count, bufcount, memtype)?;
+            let width = nctype.size() as usize;
+            let lent = if in_place(memtype) && can_lend(collective, width) {
+                // Contiguous memory is the packed payload already: lend it
+                // as it is, still in host byte order.
+                let native = buf.get(..bytes).ok_or(MpiError::Truncated {
+                    needed: bytes,
+                    available: buf.len(),
+                })?;
+                Some(Lent {
+                    bytes: native,
+                    width,
+                })
+            } else {
+                // Gather the (possibly noncontiguous) native memory and swap
+                // to external byte order in one fused pass.
+                req.buffer = convert::pack_to_external(buf, bufcount, memtype, nctype)?;
+                ds.comm
+                    .config()
+                    .profile
+                    .record_bytepath(|b| b.fused_pack_bytes += bytes as u64);
+                None
+            };
+            // The simulator charges the datatype walk and the conversion
+            // separately — the work happens, wherever the host does it.
+            if !memtype.is_contiguous() {
+                ds.comm.advance(ds.comm.config().cpu.pack(bytes, 1.0));
+            }
+            ds.comm.advance(ds.comm.config().cpu.pack(bytes, 1.0));
+            ds.lower_put(req, varid, start, count, stride, bytes)?;
+            Ok(lent)
         })
     }
 
@@ -251,24 +265,46 @@ impl Dataset {
         memtype: &Datatype,
         collective: bool,
     ) -> NcmpiResult<()> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        let (nctype, _) = self.flexible_common(varid, count, bufcount, memtype)?;
+        self.require_mode(collective)?;
         self.with_staging(|ds, req| {
-            ds.lower_get(req, varid, start, count, stride)?;
-            ds.execute_get_now(req, collective)?;
-            let ext = &req.buffer;
-            ds.comm.advance(ds.comm.config().cpu.pack(ext.len(), 1.0));
+            // Everything one rank alone can get wrong is checked before the
+            // agreement, the room in `buf` for an in-place read included.
+            let lowered = (|| {
+                let (nctype, bytes) = ds.flexible_common(varid, count, bufcount, memtype)?;
+                if in_place(memtype) && buf.len() < bytes {
+                    return Err(NcmpiError::Mpi(MpiError::Truncated {
+                        needed: bytes,
+                        available: buf.len(),
+                    }));
+                }
+                ds.lower_get(req, varid, start, count, stride)?;
+                Ok((nctype, bytes))
+            })();
+            let (nctype, bytes) = ds.agree_if(collective, lowered)?;
+            let AccessReq { runs, buffer, .. } = req;
+            if in_place(memtype) {
+                // Contiguous memory takes the external bytes where the
+                // caller wants the values and swaps them there.
+                let dst = &mut buf[..bytes];
+                ds.get_blocking(varid, runs, dst, collective)?;
+                swap_inplace(dst, nctype.size() as usize);
+                return Ok(());
+            }
+            size_for_read(buffer, bytes);
+            ds.get_blocking(varid, runs, buffer, collective)?;
             ds.comm
                 .config()
                 .profile
-                .record_bytepath(|b| b.fused_unpack_bytes += ext.len() as u64);
+                .record_bytepath(|b| b.fused_unpack_bytes += bytes as u64);
             // Fused convert+scatter back into the user's memory description.
-            convert::unpack_from_external(ext, buf, bufcount, memtype, nctype)?;
+            convert::unpack_from_external(buffer, buf, bufcount, memtype, nctype)?;
             Ok(())
         })
     }
+}
+
+/// Is one instance after another of `memtype` simply the packed bytes, so
+/// that a flexible access can use the caller's memory in place?
+fn in_place(memtype: &Datatype) -> bool {
+    memtype.is_contiguous() && memtype.lb() == 0
 }

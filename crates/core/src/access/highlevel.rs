@@ -9,11 +9,13 @@
 
 use std::borrow::Cow;
 
+use pnetcdf_format::swap::swap_inplace;
 use pnetcdf_format::types::{from_external, to_external_into};
 use pnetcdf_format::NcValue;
+use pnetcdf_mpio::view::runs_total;
 
 use crate::access::map::{gather_by_imap, scatter_by_imap};
-use crate::access::request::{self, AccessReq};
+use crate::access::request::{can_lend, size_for_read, AccessReq, Lent};
 use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
 
@@ -37,71 +39,30 @@ impl Dataset {
         vals: &[T],
         collective: bool,
     ) -> NcmpiResult<()> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        // A blocking call is a queue-depth-one flush of the unified request
-        // engine, staged in the dataset's recycled request.
-        self.with_staging(|ds, req| {
-            ds.put_staged(req, varid, start, count, stride, vals, collective)
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn put_staged<T: NcValue>(
-        &mut self,
-        req: &mut AccessReq,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-        vals: &[T],
-        collective: bool,
-    ) -> NcmpiResult<()> {
-        // Validate and lower locally, then (in collective mode) agree on the
-        // outcome *before* entering the collective execution: if any rank
-        // failed validation, every rank returns that same error and nobody
-        // enters the two-phase exchange alone.
-        let numrecs = self.header.numrecs;
-        let lowered = (|| {
-            self.require_writable()?;
-            self.check_count(count, vals.len())?;
-            to_external_into(vals, self.var_nctype(varid)?, &mut req.buffer)?;
-            // Native→external conversion is real CPU work.
-            self.comm
-                .advance(self.comm.config().cpu.pack(req.buffer.len(), 1.0));
-            self.lower_put(req, varid, start, count, stride)
-        })();
-        let lowered = if collective {
-            self.agree(lowered)
-        } else {
-            lowered
-        };
-        if let Err(e) = lowered {
-            // Nothing was written: the records this rank's lowering counted
-            // (while another rank's failed) do not exist.
-            self.header.numrecs = numrecs;
-            return Err(e);
-        }
-        let done = self.execute_put_now(req, collective);
-        // Execution faults can be aggregator-local (a storage fault that
-        // exhausted one rank's retry budget), so agree on those too.
-        let mut done = if collective { self.agree(done) } else { done };
-        // Server failover: the agreed (or, independently, local) verdict
-        // says a crashed server is coverable by parity — mark it down
-        // (idempotent) and re-issue the same write once in degraded mode.
-        if let Some(server) = request::agreed_server_lost(&done) {
-            self.file.raw().mark_server_down(server);
-            let retried = self.execute_put_now(req, collective);
-            done = if collective {
-                self.agree(retried)
+        self.put_blocking(collective, |ds, req| {
+            ds.require_writable()?;
+            ds.check_count(count, vals.len())?;
+            let nctype = ds.var_nctype(varid)?;
+            let width = nctype.size() as usize;
+            // A same-type put lends the values where they are; only a
+            // converting one (which must raise `NC_ERANGE` before any byte
+            // moves) and an independent one stage their external form.
+            let lent = if nctype == T::NATURAL && can_lend(collective, width) {
+                Some(Lent {
+                    bytes: T::as_bytes(vals),
+                    width,
+                })
             } else {
-                retried
+                to_external_into(vals, nctype, &mut req.buffer)?;
+                None
             };
-        }
-        done
+            let payload = lent.map_or(req.buffer.len(), |l| l.bytes.len());
+            // Native→external conversion is real CPU work, wherever the
+            // host ends up doing it.
+            ds.comm.advance(ds.comm.config().cpu.pack(payload, 1.0));
+            ds.lower_put(req, varid, start, count, stride, payload)?;
+            Ok(lent)
+        })
     }
 
     fn get_region<T: NcValue>(
@@ -112,12 +73,7 @@ impl Dataset {
         stride: Option<&[u64]>,
         collective: bool,
     ) -> NcmpiResult<Vec<T>> {
-        if collective {
-            self.require_collective()?;
-        } else {
-            self.require_independent()?;
-        }
-        let nctype = self.var_nctype(varid)?;
+        self.require_mode(collective)?;
         // The prefetch cache serves reads from local memory — no file I/O,
         // no synchronization (the §4.1 hint optimization). Bounds are
         // validated before the cache is consulted.
@@ -135,51 +91,37 @@ impl Dataset {
                 .expect("cache present");
             self.comm
                 .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-            return Ok(from_external(&ext, nctype)?);
+            return Ok(from_external(&ext, self.var_nctype(varid)?)?);
         }
-        // The external bytes land in the recycled request's staging; the
-        // `Vec<T>` decoded from it is the call's one allocation.
         self.with_staging(|ds, req| {
-            ds.get_staged(req, varid, start, count, stride, collective)?;
-            ds.comm
-                .advance(ds.comm.config().cpu.pack(req.buffer.len(), 1.0));
-            Ok(from_external(&req.buffer, nctype)?)
+            // Agree on the lowering before the collective execution, then
+            // on the execution outcome itself (see `put_blocking`).
+            let lowered = ds.lower_get(req, varid, start, count, stride);
+            ds.agree_if(collective, lowered)?;
+            let AccessReq {
+                runs,
+                buffer,
+                nctype,
+                ..
+            } = req;
+            let total = runs_total(runs) as usize;
+            if *nctype == T::NATURAL {
+                // The external bytes are delivered into the `Vec<T>` the
+                // call returns — its one allocation — and swapped where
+                // they lie, on this rank's own thread.
+                let width = nctype.size() as usize;
+                let mut out = vec![T::ZERO; total / width];
+                let dst = T::as_bytes_mut(&mut out);
+                ds.get_blocking(varid, runs, dst, collective)?;
+                swap_inplace(dst, width);
+                return Ok(out);
+            }
+            // A converting get decodes element by element from the
+            // external bytes, staged in the recycled request.
+            size_for_read(buffer, total);
+            ds.get_blocking(varid, runs, buffer, collective)?;
+            Ok(from_external(buffer, *nctype)?)
         })
-    }
-
-    /// Lower a blocking get into `req` and execute it: on success
-    /// `req.buffer` holds the selection's external bytes.
-    fn get_staged(
-        &mut self,
-        req: &mut AccessReq,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-        collective: bool,
-    ) -> NcmpiResult<()> {
-        // Agree on the lowering before the collective execution, then on the
-        // execution outcome itself (see `put_staged`).
-        let lowered = self.lower_get(req, varid, start, count, stride);
-        if collective {
-            self.agree(lowered)?
-        } else {
-            lowered?
-        };
-        let got = self.execute_get_now(req, collective);
-        let mut got = if collective { self.agree(got) } else { got };
-        // Server failover on reads: degraded mode reconstructs the lost
-        // server's chunks from surviving data + parity.
-        if let Some(server) = request::agreed_server_lost(&got) {
-            self.file.raw().mark_server_down(server);
-            let retried = self.execute_get_now(req, collective);
-            got = if collective {
-                self.agree(retried)
-            } else {
-                retried
-            };
-        }
-        got
     }
 
     // ---- vara: subarray ---------------------------------------------------

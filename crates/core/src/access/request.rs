@@ -2,11 +2,13 @@
 //!
 //! Every data access — typed or flexible, blocking or nonblocking,
 //! collective or independent — is lowered into one [`AccessReq`]: the
-//! validated access frozen as absolute file byte runs plus (for puts) the
-//! staged external bytes. The blocking calls in [`super::highlevel`] and
-//! [`super::flexible`] execute a single request immediately; the
-//! nonblocking `iput_*`/`iget_*` calls queue requests on the dataset and
-//! return [`Request`] tickets.
+//! validated access frozen as absolute file byte runs plus, where the
+//! request must own its bytes, the staged external form of a put. The
+//! blocking calls in [`super::highlevel`] and [`super::flexible`] execute a
+//! single request immediately — a same-type one straight from and into the
+//! caller's memory (`Lent`), with nothing staged at all; the nonblocking
+//! `iput_*`/`iget_*` calls queue requests on the dataset and return
+//! [`Request`] tickets.
 //!
 //! `wait_all` is where the paper's aggregation idea pays off (the
 //! optimization production PnetCDF later shipped as `ncmpi_iput/ncmpi_wait_all`):
@@ -48,8 +50,13 @@ pub(crate) struct AccessReq {
     pub kind: AccessKind,
     /// Absolute file byte runs of the selection, sorted and non-overlapping.
     pub runs: Vec<Run>,
-    /// Put: external (big-endian) bytes in run order. Queued get: empty.
-    /// Blocking get: the external bytes as read, in run order.
+    /// External (big-endian) bytes in run order, for the accesses that need
+    /// them staged: a queued put (the queue owns a copy until `wait`), a
+    /// blocking put that converts between types or writes independently
+    /// (the sieve writes what it is given), a blocking get that converts or
+    /// scatters through a noncontiguous memory type. Unused otherwise — a
+    /// same-type blocking access moves its bytes from and into the caller's
+    /// memory ([`Lent`]).
     pub buffer: Vec<u8>,
     /// The variable's external type, kept for get-result conversion.
     pub nctype: NcType,
@@ -82,9 +89,39 @@ impl Default for AccessReq {
 
 /// The most capacity, in bytes, a vector of the dataset's recycled request
 /// keeps between blocking calls. Small accesses — the ones whose cost is
-/// per-request overhead — reuse their staging; a dataset that once moved
-/// 32 MiB in one call does not hold 32 MiB until `close`.
+/// per-request overhead — reuse their run list and, for the staged kinds
+/// (see [`AccessReq::buffer`]; in practice independent puts), their
+/// staging; a dataset that once staged 32 MiB in one call does not hold
+/// 32 MiB until `close`.
 const STAGING_RETAIN: usize = 1 << 20;
+
+/// The bytes a blocking put writes, borrowed for the call: elements `width`
+/// bytes wide in host byte order, or — width 1 — bytes that already are what
+/// the file is to hold.
+#[derive(Clone, Copy)]
+pub(crate) struct Lent<'a> {
+    pub bytes: &'a [u8],
+    pub width: usize,
+}
+
+/// May a blocking put lend elements `width` wide as they are? A collective
+/// one always: the two-phase overlay converts each piece on its way into
+/// the collective buffer. An independent one goes through the sieve, which
+/// writes what it is given — so only when there is nothing to convert.
+pub(crate) fn can_lend(collective: bool, width: usize) -> bool {
+    collective || width == 1
+}
+
+/// Size `buf` to `len` bytes for a read to fill.
+pub(crate) fn size_for_read(buf: &mut Vec<u8>, len: usize) {
+    if buf.capacity() < len {
+        // Zeroed pages from the allocator instead of a copy of the old
+        // contents followed by a memset.
+        *buf = vec![0u8; len];
+    } else {
+        buf.resize(len, 0);
+    }
+}
 
 // ---- request merging --------------------------------------------------------
 
@@ -289,6 +326,29 @@ impl Dataset {
         }
     }
 
+    /// [`Dataset::agree`] in collective mode; the local outcome as it is in
+    /// independent mode, where no other rank is waiting.
+    pub(crate) fn agree_if<T>(
+        &mut self,
+        collective: bool,
+        local: NcmpiResult<T>,
+    ) -> NcmpiResult<T> {
+        if collective {
+            self.agree(local)
+        } else {
+            local
+        }
+    }
+
+    /// The data mode a blocking call of this flavor requires.
+    pub(crate) fn require_mode(&self, collective: bool) -> NcmpiResult<()> {
+        if collective {
+            self.require_collective()
+        } else {
+            self.require_independent()
+        }
+    }
+
     /// The variable's external type, or `NotFound`.
     pub(crate) fn var_nctype(&self, varid: usize) -> NcmpiResult<NcType> {
         self.header
@@ -325,8 +385,8 @@ impl Dataset {
         out
     }
 
-    /// Lower a write access into `req`, whose `buffer` already holds the
-    /// staged external bytes: validate and resolve to file runs. Grows the
+    /// Lower a write access of `payload` bytes (staged in `req.buffer` or
+    /// lent) into `req`: validate and resolve to file runs. Grows the
     /// local record count and invalidates the variable's prefetch cache, so
     /// later accesses in the same batch see the post-write state.
     pub(crate) fn lower_put(
@@ -336,14 +396,14 @@ impl Dataset {
         start: &[u64],
         count: &[u64],
         stride: Option<&[u64]>,
+        payload: usize,
     ) -> NcmpiResult<()> {
         self.require_writable()?;
         self.lower(req, AccessKind::Put, varid, start, count, stride)?;
         let total = runs_total(&req.runs);
-        if total as usize != req.buffer.len() {
+        if total as usize != payload {
             return Err(NcmpiError::InvalidArgument(format!(
-                "access selects {total} bytes but the staged buffer holds {}",
-                req.buffer.len()
+                "access selects {total} bytes but the payload holds {payload}"
             )));
         }
         self.grow_numrecs(varid, start, count, stride);
@@ -391,22 +451,82 @@ impl Dataset {
         Ok(())
     }
 
-    /// Execute one put immediately (the blocking path).
-    pub(crate) fn execute_put_now(&mut self, req: &AccessReq, collective: bool) -> NcmpiResult<()> {
+    /// The body of every blocking put, typed or flexible. `lower` validates
+    /// the call, lowers it into the request it is given and says where the
+    /// payload is: lent by the caller, or (`None`) staged in the request's
+    /// `buffer` as external bytes.
+    ///
+    /// In collective mode the outcome of `lower` is agreed *before* entering
+    /// the collective execution: if any rank failed validation, every rank
+    /// returns that same error and nobody enters the two-phase exchange
+    /// alone.
+    pub(crate) fn put_blocking<'p>(
+        &mut self,
+        collective: bool,
+        lower: impl FnOnce(&mut Dataset, &mut AccessReq) -> NcmpiResult<Option<Lent<'p>>>,
+    ) -> NcmpiResult<()> {
+        self.require_mode(collective)?;
+        // A blocking call is a queue-depth-one flush of the unified request
+        // engine, lowered into the dataset's recycled request.
+        self.with_staging(|ds, req| {
+            let numrecs = ds.header.numrecs;
+            let lowered = lower(ds, req);
+            let lent = match ds.agree_if(collective, lowered) {
+                Ok(lent) => lent,
+                Err(e) => {
+                    // Nothing was written: the records this rank's lowering
+                    // counted (while another rank's failed) do not exist.
+                    ds.header.numrecs = numrecs;
+                    return Err(e);
+                }
+            };
+            let payload = lent.unwrap_or(Lent {
+                bytes: &req.buffer,
+                width: 1,
+            });
+            let done = ds.execute_put_now(req, payload, collective);
+            // Execution faults can be aggregator-local (a storage fault that
+            // exhausted one rank's retry budget), so agree on those too.
+            let mut done = ds.agree_if(collective, done);
+            // Server failover: the agreed (or, independently, local) verdict
+            // says a crashed server is coverable by parity — mark it down
+            // (idempotent) and re-issue the same write once in degraded mode.
+            if let Some(server) = agreed_server_lost(&done) {
+                ds.file.raw().mark_server_down(server);
+                let retried = ds.execute_put_now(req, payload, collective);
+                done = ds.agree_if(collective, retried);
+            }
+            done
+        })
+    }
+
+    /// Execute one lowered put immediately (the blocking path).
+    fn execute_put_now(
+        &mut self,
+        req: &AccessReq,
+        payload: Lent<'_>,
+        collective: bool,
+    ) -> NcmpiResult<()> {
         let events = &self.comm.config().events;
         let rid = events.is_enabled().then(|| events.next_id());
         let t0 = self.comm.now();
         {
             let _ctx = rid.map(|r| TraceCtx::enter(self.comm.world_rank(), r));
             if collective {
-                self.file.write_runs_at_all(&req.runs, &req.buffer)?;
+                self.file
+                    .write_native_runs_at_all(&req.runs, payload.bytes, payload.width)?;
                 if req.record {
                     self.reconcile_numrecs()?;
                 }
             } else {
-                self.file.write_runs_at(&req.runs, &req.buffer)?;
+                assert!(
+                    can_lend(false, payload.width),
+                    "an independent put was lent unconverted elements"
+                );
+                self.file.write_runs_at(&req.runs, payload.bytes)?;
             }
         }
+        let bytes = payload.bytes.len() as u64;
         if let Some(r) = rid {
             self.comm.config().events.record(
                 Span::new(
@@ -417,40 +537,60 @@ impl Dataset {
                     self.comm.now().as_nanos(),
                 )
                 .with_id(r)
-                .with_arg("bytes", req.buffer.len() as u64),
+                .with_arg("bytes", bytes),
             );
         }
-        self.profile
-            .record(req.varid, true, false, req.buffer.len() as u64);
+        self.profile.record(req.varid, true, false, bytes);
         Ok(())
     }
 
-    /// Execute one get immediately (the blocking path): `req.buffer` ends
-    /// up holding exactly the external bytes of the selection, in run order.
-    pub(crate) fn execute_get_now(
+    /// The second half of every blocking get, typed or flexible, once its
+    /// lowering is agreed: read the external bytes of `runs` into `dst`, in
+    /// run order, agreeing on the outcome in collective mode, and charge
+    /// the external→native conversion every caller performs next.
+    pub(crate) fn get_blocking(
         &mut self,
-        req: &mut AccessReq,
+        varid: usize,
+        runs: &[Run],
+        dst: &mut [u8],
         collective: bool,
     ) -> NcmpiResult<()> {
-        let total = runs_total(&req.runs) as usize;
-        if req.buffer.capacity() < total {
-            // Zeroed pages from the allocator instead of a copy of the old
-            // contents followed by a memset.
-            req.buffer = vec![0u8; total];
-        } else {
-            req.buffer.resize(total, 0);
+        let got = self.execute_get_now(varid, runs, dst, collective);
+        let mut got = self.agree_if(collective, got);
+        // Server failover on reads: degraded mode reconstructs the lost
+        // server's chunks from surviving data + parity.
+        if let Some(server) = agreed_server_lost(&got) {
+            self.file.raw().mark_server_down(server);
+            let retried = self.execute_get_now(varid, runs, dst, collective);
+            got = self.agree_if(collective, retried);
         }
+        got?;
+        self.comm
+            .advance(self.comm.config().cpu.pack(dst.len(), 1.0));
+        Ok(())
+    }
+
+    /// Execute one lowered get immediately (the blocking path): `dst` ends
+    /// up holding exactly the external bytes of the selection, in run order.
+    fn execute_get_now(
+        &mut self,
+        varid: usize,
+        runs: &[Run],
+        dst: &mut [u8],
+        collective: bool,
+    ) -> NcmpiResult<()> {
         let events = &self.comm.config().events;
         let rid = events.is_enabled().then(|| events.next_id());
         let t0 = self.comm.now();
         {
             let _ctx = rid.map(|r| TraceCtx::enter(self.comm.world_rank(), r));
             if collective {
-                self.file.read_runs_into_all(&req.runs, &mut req.buffer)?
+                self.file.read_runs_into_all(runs, dst)?
             } else {
-                self.file.read_runs_into(&req.runs, &mut req.buffer)?
+                self.file.read_runs_into(runs, dst)?
             }
         };
+        let total = dst.len() as u64;
         if let Some(r) = rid {
             events.record(
                 Span::new(
@@ -461,10 +601,10 @@ impl Dataset {
                     self.comm.now().as_nanos(),
                 )
                 .with_id(r)
-                .with_arg("bytes", total as u64),
+                .with_arg("bytes", total),
             );
         }
-        self.profile.record(req.varid, false, false, total as u64);
+        self.profile.record(varid, false, false, total);
         Ok(())
     }
 
@@ -494,7 +634,8 @@ impl Dataset {
         to_external_into(vals, self.var_nctype(varid)?, &mut req.buffer)?;
         self.comm
             .advance(self.comm.config().cpu.pack(req.buffer.len(), 1.0));
-        self.lower_put(&mut req, varid, start, count, stride)?;
+        let staged = req.buffer.len();
+        self.lower_put(&mut req, varid, start, count, stride, staged)?;
         Ok(self.enqueue(req))
     }
 
@@ -586,7 +727,8 @@ impl Dataset {
             buffer: ext,
             ..AccessReq::default()
         };
-        self.lower_put(&mut req, varid, start, count, None)?;
+        let staged = req.buffer.len();
+        self.lower_put(&mut req, varid, start, count, None, staged)?;
         Ok(self.enqueue(req))
     }
 

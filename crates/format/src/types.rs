@@ -96,6 +96,44 @@ pub trait NcValue: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Decode a whole slice of big-endian external elements of the natural
     /// type. `bytes.len()` must be a multiple of the element width.
     fn slice_from_be(bytes: &[u8]) -> Vec<Self>;
+
+    /// The all-zero-bytes value: `vec![T::ZERO; n]` comes zeroed from the
+    /// allocator, ready to be filled through [`NcValue::as_bytes_mut`].
+    const ZERO: Self;
+
+    /// The values' own memory as bytes, in host byte order: what a same-type
+    /// put lends to the I/O layers instead of an external copy.
+    fn as_bytes(vals: &[Self]) -> &[u8];
+
+    /// The values' own memory as writable bytes: a same-type get has its
+    /// external bytes delivered here and swaps them in place.
+    fn as_bytes_mut(vals: &mut [Self]) -> &mut [u8];
+}
+
+/// Generates the byte views and the zero of a primitive numeric type. The
+/// views are emitted inside each of the six impls rather than provided by
+/// the trait, so an impl for any other type cannot inherit them.
+macro_rules! byte_views {
+    ($ty:ty) => {
+        const ZERO: $ty = 0 as $ty;
+        fn as_bytes(vals: &[$ty]) -> &[u8] {
+            // SAFETY: `$ty` is a primitive numeric type — no padding, so
+            // all `size_of_val(vals)` bytes behind the pointer are
+            // initialized, within one allocation and no more than
+            // `isize::MAX` (they are a slice already); `align_of::<u8>()
+            // == 1`, so any address is aligned for the view; the view
+            // borrows `vals` for its whole lifetime and is read-only, like
+            // the slice it came from.
+            unsafe { std::slice::from_raw_parts(vals.as_ptr().cast(), size_of_val(vals)) }
+        }
+        fn as_bytes_mut(vals: &mut [$ty]) -> &mut [u8] {
+            // SAFETY: as for `as_bytes`, and every bit pattern is a valid
+            // `$ty`, so no write through the view can leave an invalid
+            // value behind; the view holds the exclusive borrow of `vals`,
+            // so nothing else reads or writes the memory meanwhile.
+            unsafe { std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast(), size_of_val(vals)) }
+        }
+    };
 }
 
 /// Generates the bulk big-endian slice codecs for a multi-byte primitive:
@@ -143,6 +181,7 @@ impl NcValue for i8 {
     fn slice_from_be(bytes: &[u8]) -> Vec<i8> {
         bytes.iter().map(|&b| b as i8).collect()
     }
+    byte_views!(i8);
 }
 
 impl NcValue for u8 {
@@ -162,6 +201,7 @@ impl NcValue for u8 {
     fn slice_from_be(bytes: &[u8]) -> Vec<u8> {
         bytes.to_vec()
     }
+    byte_views!(u8);
 }
 
 impl NcValue for i16 {
@@ -176,6 +216,7 @@ impl NcValue for i16 {
         Ok(v as i16)
     }
     bulk_be_codec!(i16);
+    byte_views!(i16);
 }
 
 impl NcValue for i32 {
@@ -190,6 +231,7 @@ impl NcValue for i32 {
         Ok(v as i32)
     }
     bulk_be_codec!(i32);
+    byte_views!(i32);
 }
 
 impl NcValue for f32 {
@@ -203,6 +245,7 @@ impl NcValue for f32 {
         Ok(v as f32)
     }
     bulk_be_codec!(f32);
+    byte_views!(f32);
 }
 
 impl NcValue for f64 {
@@ -214,6 +257,7 @@ impl NcValue for f64 {
         Ok(v)
     }
     bulk_be_codec!(f64);
+    byte_views!(f64);
 }
 
 /// Encode one external element (big-endian) from a double.
@@ -418,6 +462,28 @@ mod tests {
     #[test]
     fn misaligned_external_buffer_errors() {
         assert!(from_external::<i32>(&[0, 1, 2], NcType::Int).is_err());
+    }
+
+    #[test]
+    fn byte_views_are_the_values_in_host_order() {
+        fn check<T: NcValue, const W: usize>(vals: &[T], ne: fn(T) -> [u8; W]) {
+            let want: Vec<u8> = vals.iter().flat_map(|&v| ne(v)).collect();
+            assert_eq!(T::as_bytes(vals), want);
+            // Written through the mutable view, the same bytes are the
+            // same values again.
+            let mut back = vec![T::ZERO; vals.len()];
+            assert!(T::as_bytes(&back).iter().all(|&b| b == 0));
+            T::as_bytes_mut(&mut back).copy_from_slice(&want);
+            assert_eq!(back, vals);
+            assert!(T::as_bytes(&vals[..0]).is_empty());
+            assert!(T::as_bytes_mut(&mut back[..0]).is_empty());
+        }
+        check::<i8, 1>(&[-128, -1, 0, 1, 127], i8::to_ne_bytes);
+        check::<u8, 1>(&[0, 1, 255], u8::to_ne_bytes);
+        check::<i16, 2>(&[i16::MIN, -1, 0, 0x0102, i16::MAX], i16::to_ne_bytes);
+        check::<i32, 4>(&[i32::MIN, -1, 0, 0x0102_0304, i32::MAX], i32::to_ne_bytes);
+        check::<f32, 4>(&[-1.5, 0.0, f32::MAX, f32::MIN_POSITIVE], f32::to_ne_bytes);
+        check::<f64, 8>(&[-1.5, 0.0, 1e300, f64::MIN_POSITIVE], f64::to_ne_bytes);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every collective operation in this MPI reduces to one generic pattern:
 //! all members of a communicator *lend* the rendezvous a [`Loan`] (a typed
-//! descriptor, a payload to read, a destination to fill and a tag word),
+//! descriptor, a payload to read, a destination to fill and two plain words),
 //! the *last* member to arrive runs a `finish` closure over every member's
 //! loan (this is where clocks are synchronized, costs are charged, and —
 //! for collective I/O — the file system is driven deterministically), and
@@ -42,6 +42,9 @@ pub struct Loan<'a, M: ?Sized> {
     /// A caller-defined word that rides along (the MPI-IO layer sends the
     /// member's trace id: thread-local context cannot cross the rendezvous).
     pub tag: u64,
+    /// A second caller-defined word, as opaque to this crate as `tag` (the
+    /// MPI-IO layer sends the element width `src` is to be read with).
+    pub aux: u64,
 }
 
 impl Loan<'static, ()> {
@@ -59,6 +62,7 @@ impl<'a> Loan<'a, ()> {
             src,
             dst: &mut [],
             tag: 0,
+            aux: 0,
         }
     }
 }
@@ -72,8 +76,9 @@ struct Lent {
 
 // SAFETY: `at` is only ever dereferenced by the finisher under the slot
 // mutex, as an `Option<Loan<'_, M>>` with `M: Sync` (checked against
-// `meta_type`): a `Loan` is then `Send` (`&M`, `&[u8]`, `&mut [u8]`, `u64`),
-// so taking it from another thread is sound. `meta_type` is plain data.
+// `meta_type`): a `Loan` is then `Send` (`&M`, `&[u8]`, `&mut [u8]` and two
+// `u64`s), so taking it from another thread is sound. `meta_type` is plain
+// data.
 unsafe impl Send for Lent {}
 
 /// Published instead of a result when members lent different `M`s; no `R`
@@ -362,12 +367,13 @@ mod tests {
                             src: &src,
                             dst: &mut dst,
                             tag: 10 + r as u64,
+                            aux: 20 + r as u64,
                         };
                         c.rendezvous(r, loan, |loans: &mut [Loan<'_, [(u64, u64)]>]| {
                             // Rotate: member i receives member i+1's word.
                             let words: Vec<u8> = loans
                                 .iter()
-                                .map(|l| l.src[0] + l.meta[0].0 as u8 + l.tag as u8)
+                                .map(|l| l.src[0] + l.meta[0].0 as u8 + l.tag as u8 + l.aux as u8)
                                 .collect();
                             for (i, l) in loans.iter_mut().enumerate() {
                                 l.dst.fill(words[(i + 1) % 3]);
@@ -380,8 +386,8 @@ mod tests {
                 .collect();
             hs.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // word(r) = (r + 1) + r + (10 + r).
-        assert_eq!(outs, vec![vec![14; 3], vec![17; 3], vec![11; 3]]);
+        // word(r) = (r + 1) + r + (10 + r) + (20 + r).
+        assert_eq!(outs, vec![vec![35; 3], vec![39; 3], vec![31; 3]]);
         assert!(slot_is_empty(&c));
     }
 
@@ -424,6 +430,7 @@ mod tests {
                     src: &[],
                     dst: &mut [],
                     tag: 0,
+                    aux: 0,
                 };
                 c1.rendezvous(1, loan, |_| 1u8).map(|r| *r)
             });
@@ -453,6 +460,7 @@ mod tests {
                             src: &src,
                             dst: &mut dst,
                             tag: 0,
+                            aux: 0,
                         };
                         let res = c.rendezvous(r, loan, |_| ran.store(true, Ordering::SeqCst));
                         assert!(dst.iter().all(|&b| b == 0), "dst written after withdrawal");

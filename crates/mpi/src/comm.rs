@@ -352,6 +352,7 @@ impl Comm {
             src: &[],
             dst: &mut [],
             tag: 0,
+            aux: 0,
         };
         let res = self.collective(loan, move |loans: &mut [Loan<'_, Mutex<_>>]| {
             let n = env.size();
@@ -413,6 +414,7 @@ impl Comm {
             src: &[],
             dst: &mut [],
             tag: 0,
+            aux: 0,
         };
         let res = self.collective(loan, move |loans: &mut [Loan<'_, [Vec<u8>]>]| {
             let row = loans[root].meta.to_vec();

@@ -311,6 +311,7 @@ fn lent_buffers_are_filled_in_place() {
             src: &src,
             dst: &mut dst,
             tag: c.rank() as u64,
+            aux: 0,
         };
         c.collective(loan, |loans: &mut [Loan<'_, [(u64, u64)]>]| {
             // Everyone receives the payload of the rank to its right.
@@ -354,6 +355,7 @@ fn panic_while_buffers_are_lent_poisons_every_survivor() {
                 src: &src,
                 dst: &mut dst,
                 tag: 0,
+                aux: 0,
             };
             blocked.wait();
             let res = c.collective(loan, |loans| {

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{CollKind, Phase, PhaseScope, Span, Time, TraceCtx};
 use parking_lot::Mutex;
+use pnetcdf_format::swap::swap_to_vec;
 use pnetcdf_mpi::{pack, CollEnv, Comm, Datatype, Info, Loan};
 use pnetcdf_pfs::{Pfs, PfsFile};
 
@@ -510,26 +511,56 @@ impl MpiFile {
     /// path without view mapping, for callers (such as PnetCDF's
     /// `wait_all`) that have already merged many requests into one sorted
     /// run list. Ranks may contribute empty lists but must all participate.
+    /// `data` holds the run bytes as the file is to hold them.
     pub fn write_runs_at_all(&self, runs: &[Run], data: &[u8]) -> MpioResult<usize> {
+        self.write_native_runs_at_all(runs, data, 1)
+    }
+
+    /// [`MpiFile::write_runs_at_all`] of elements still in host byte order:
+    /// `native` holds the run bytes as the caller's memory holds them,
+    /// elements `width` (1, 2, 4 or 8) bytes wide, and the file receives
+    /// them big-endian. The conversion happens where each piece is copied
+    /// into the collective buffer, so no external copy of `native` exists.
+    pub fn write_native_runs_at_all(
+        &self,
+        runs: &[Run],
+        native: &[u8],
+        width: usize,
+    ) -> MpioResult<usize> {
         self.check_writable()?;
-        Self::check_runs(runs, data.len())?;
+        Self::check_runs(runs, native.len())?;
+        if !matches!(width, 1 | 2 | 4 | 8) || native.len() % width != 0 {
+            return Err(MpioError::InvalidArgument(format!(
+                "{} bytes do not hold elements of width {width}",
+                native.len()
+            )));
+        }
         // Collective entry is a coherence boundary: publish cached dirty
         // bytes first so the two-phase engine reads/writes a settled file.
         self.cache_pre()?;
+        let cb = self.hints.cb_write.resolve(true);
+        // With collective buffering disabled the finisher hands each
+        // rank's payload to the sieve, which writes what it is given:
+        // convert once, here on the caller's thread.
+        let external = (!cb && width > 1).then(|| swap_to_vec(native, width));
+        let (src, width) = match &external {
+            Some(ext) => (&ext[..], 1),
+            None => (native, width),
+        };
         // Runs and payload are lent, not copied: this rank stays inside
         // the rendezvous until the last arriver has written them out.
         let req = Req {
             meta: runs,
-            src: data,
+            src,
             dst: &mut [],
             tag: TraceCtx::current_id(),
+            aux: width as u64,
         };
         let profile = &self.comm.config().profile;
-        profile.record_bytepath(|b| b.exchange_borrowed_bytes += data.len() as u64);
+        profile.record_bytepath(|b| b.exchange_borrowed_bytes += native.len() as u64);
         let env = self.comm.coll_env();
         let file = self.file.clone();
         let p = self.params();
-        let cb = self.hints.cb_write.resolve(true);
         let (wr_buf, ds) = (
             self.hints.ind_wr_buffer_size,
             self.hints.ds_write.resolve(true),
@@ -558,7 +589,7 @@ impl MpiFile {
         // changed the file under this rank's clean pages.
         self.cache_post();
         (*res).clone()?;
-        Ok(data.len())
+        Ok(native.len())
     }
 
     /// Collective read (`MPI_File_read_at_all`). Returns bytes read.
@@ -613,6 +644,7 @@ impl MpiFile {
             src: &[],
             dst: out,
             tag: TraceCtx::current_id(),
+            aux: 0,
         };
         let env = self.comm.coll_env();
         let file = self.file.clone();

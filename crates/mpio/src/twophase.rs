@@ -23,6 +23,7 @@
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{Phase, Profile, Span, Time, TraceCtx, TraceLog};
+use pnetcdf_format::swap::swap_copy;
 use pnetcdf_mpi::{CollEnv, Loan};
 use pnetcdf_pfs::PfsFile;
 
@@ -90,6 +91,11 @@ pub fn dynamic_cb_nodes(
 /// (0 while tracing is off). The id rides the loan because the collective's
 /// finish closure runs on ONE thread for all ranks — thread-local
 /// [`TraceCtx`] cannot carry a rank's id across the rendezvous.
+///
+/// `aux` is the element width of a write payload: `src` holds elements that
+/// wide in *host* byte order and the file receives them big-endian
+/// (`overlay` converts as it copies). Width 1 — or 0, what a read lends —
+/// says `src` is already what the file is to hold.
 ///
 /// Nothing here is copied on the way in: the engine reads each `src` and
 /// fills each `dst` where the rank keeps it.
@@ -468,8 +474,8 @@ enum Access<'r, 'a> {
 }
 
 /// Collective write: the finish-closure body. `reqs[r]` is what rank `r`
-/// lent: its runs, its packed data and its trace id. Returns the
-/// synchronized completion time.
+/// lent: its runs, its packed data, the element width to read the data
+/// with and its trace id. Returns the synchronized completion time.
 ///
 /// Aggregator-side storage faults are recovered by [`crate::recover`];
 /// when the budget runs out the error is returned *after* every rank's
@@ -927,10 +933,11 @@ impl Engine<'_> {
 }
 
 /// Copy each piece from its rank's lent payload to its place in `buf`,
-/// where the file `runs` lie back to back. Every piece sits wholly inside
-/// one run. Pieces are applied in order — rank by rank — so overlapping
-/// writes resolve deterministically (highest rank wins); within a rank
-/// they ascend, so the run cursor only starts over when the rank changes.
+/// where the file `runs` lie back to back, converting it to external byte
+/// order on the way ([`copy_external`]). Every piece sits wholly inside one
+/// run. Pieces are applied in order — rank by rank — so overlapping writes
+/// resolve deterministically (highest rank wins); within a rank they
+/// ascend, so the run cursor only starts over when the rank changes.
 fn overlay(buf: &mut [u8], runs: &[Run], pieces: &[Piece], reqs: &[Req<'_>]) {
     let (mut ri, mut base) = (0usize, 0usize);
     for pc in pieces {
@@ -942,9 +949,38 @@ fn overlay(buf: &mut [u8], runs: &[Run], pieces: &[Piece], reqs: &[Req<'_>]) {
             ri += 1;
         }
         let lo = base + (pc.off - runs[ri].0) as usize;
-        let src = &reqs[pc.rank].src[pc.src_pos as usize..(pc.src_pos + pc.len) as usize];
-        buf[lo..lo + pc.len as usize].copy_from_slice(src);
+        let req = &reqs[pc.rank];
+        let dst = &mut buf[lo..lo + pc.len as usize];
+        copy_external(req.src, req.aux as usize, pc.src_pos as usize, dst);
     }
+}
+
+/// Fill `dst` with bytes `pos..pos + dst.len()` of the big-endian form of
+/// `native`, a payload of `width`-byte elements in host byte order.
+///
+/// A piece need not hold whole elements: windows are cut at absolute file
+/// offsets (multiples of `cb_buffer_size`, stripe and domain edges) while a
+/// variable begins wherever the header ends, so a cut can fall inside an
+/// element and leave its head in one window and its tail in the next. The
+/// whole elements in the middle are swapped in bulk; the bytes of a cut
+/// element are placed one at a time — on a little-endian host external byte
+/// `p` of the payload is native byte `p ^ (width - 1)`, the same offset
+/// mirrored inside its element. On a big-endian host, as for width 1, host
+/// order is external order.
+fn copy_external(native: &[u8], width: usize, pos: usize, dst: &mut [u8]) {
+    let end = pos + dst.len();
+    if width <= 1 || cfg!(target_endian = "big") {
+        dst.copy_from_slice(&native[pos..end]);
+        return;
+    }
+    // Whole elements occupy `[lo, hi)`; both collapse onto one point when
+    // the piece lies inside a single element.
+    let lo = pos.next_multiple_of(width).min(end);
+    let hi = (end - end % width).max(lo);
+    for p in (pos..lo).chain(hi..end) {
+        dst[p - pos] = native[p ^ (width - 1)];
+    }
+    swap_copy(&native[lo..hi], &mut dst[lo - pos..hi - pos], width);
 }
 
 /// Per-aggregator breakdown of the access phase, accumulated along each
@@ -1066,23 +1102,24 @@ impl AccessSplit {
 mod tests {
     use super::*;
     use hpc_sim::{SharedClocks, SimConfig, SimStats};
+    use pnetcdf_format::swap::swap_to_vec;
     use pnetcdf_pfs::{Pfs, StorageMode};
     use proptest::collection::vec;
     use proptest::prelude::*;
     use std::sync::Arc;
 
-    /// A two-rank collective environment over a fresh `test_small` file
-    /// (1 KiB stripes, 4 servers) holding `old`.
-    fn env_and_file(old: &[u8]) -> (CollEnv, PfsFile) {
+    /// An `nranks`-rank collective environment over a fresh `test_small`
+    /// file (1 KiB stripes, 4 servers) holding `old`.
+    fn env_and_file(nranks: usize, old: &[u8]) -> (CollEnv, PfsFile) {
         let cfg = SimConfig::test_small();
         cfg.profile.set_enabled(true);
         let file = Pfs::new(cfg.clone(), StorageMode::Full).create("w");
         file.import_bytes(old);
         let env = CollEnv {
-            clocks: SharedClocks::new(2),
+            clocks: SharedClocks::new(nranks),
             config: Arc::new(cfg),
             stats: SimStats::new(),
-            group: Arc::new(vec![0, 1]),
+            group: Arc::new((0..nranks).collect()),
         };
         (env, file)
     }
@@ -1099,11 +1136,17 @@ mod tests {
     }
 
     fn write_req<'a>(runs: &'a [Run], data: &'a [u8]) -> Req<'a> {
+        native_req(runs, data, 1)
+    }
+
+    /// A write request lending `width`-byte elements in host byte order.
+    fn native_req<'a>(runs: &'a [Run], native: &'a [u8], width: usize) -> Req<'a> {
         Req {
             meta: runs,
-            src: data,
+            src: native,
             dst: &mut [],
             tag: 0,
+            aux: width as u64,
         }
     }
 
@@ -1130,6 +1173,40 @@ mod tests {
         let mut buf = [0xeeu8; 12];
         overlay(&mut buf, &runs, &pieces, &reqs);
         assert_eq!(buf, [1, 2, 3, 4, 0xa1, 0xa2, 0xa3, 0xa4, 9, 10, 11, 12]);
+    }
+
+    /// Whatever part of a payload a piece holds — whole elements, the tail
+    /// of one, the head of the next, a few bytes from the middle of a single
+    /// one — it receives exactly those bytes of the external form.
+    #[test]
+    fn copy_external_places_every_sub_range_of_the_external_form() {
+        let native: Vec<u8> = (0..24u8).map(|i| i.wrapping_mul(29) ^ 0x5c).collect();
+        for width in [1usize, 2, 4, 8] {
+            let external = swap_to_vec(&native, width);
+            for pos in 0..native.len() {
+                for end in pos..=native.len() {
+                    let mut dst = vec![0xeeu8; end - pos];
+                    copy_external(&native, width, pos, &mut dst);
+                    assert_eq!(dst, external[pos..end], "width {width}, {pos}..{end}");
+                }
+            }
+        }
+    }
+
+    /// The issue's reproducer in miniature: one window cut inside a double.
+    /// The 8-byte elements start at file offset 4, the buffer is cut at 16.
+    #[test]
+    fn an_element_cut_by_a_window_boundary_lands_whole() {
+        let vals = [1.5f64, -2.25e300, 3.0e-300];
+        let native: Vec<u8> = vals.iter().flat_map(|v| v.to_ne_bytes()).collect();
+        let want: Vec<u8> = vals.iter().flat_map(|v| v.to_be_bytes()).collect();
+        for affinity in [false, true] {
+            let (env, file) = env_and_file(2, &[0u8; 28]);
+            let runs: [Run; 1] = [(4, 24)];
+            let reqs = [native_req(&runs, &native, 8), native_req(&[], &[], 8)];
+            write_all(&env, &file, &params(16, affinity), &reqs).unwrap();
+            assert_eq!(file.to_bytes()[4..], want, "affinity {affinity}");
+        }
     }
 
     #[test]
@@ -1173,7 +1250,7 @@ mod tests {
     fn a_window_with_holes_takes_them_from_the_file_not_from_the_buffer() {
         for affinity in [false, true] {
             let old = vec![0x11u8; 2048];
-            let (env, file) = env_and_file(&old);
+            let (env, file) = env_and_file(2, &old);
             // Window 1 (stripe 0) is fully covered; window 2 (stripe 1)
             // gets two small pieces with a hole between and around them.
             let runs0: [Run; 2] = [(0, 1024), (1100, 50)];
@@ -1196,7 +1273,7 @@ mod tests {
     #[test]
     fn read_all_scatters_into_the_lent_destinations() {
         let content: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
-        let (env, file) = env_and_file(&content);
+        let (env, file) = env_and_file(2, &content);
         let runs0: [Run; 2] = [(10, 5), (2000, 7)];
         let runs1: [Run; 1] = [(1020, 10)]; // straddles the window boundary
         let (mut out0, mut out1) = ([0u8; 12], [0u8; 10]);
@@ -1206,12 +1283,14 @@ mod tests {
                 src: &[],
                 dst: &mut out0,
                 tag: 0,
+                aux: 0,
             },
             Req {
                 meta: &runs1,
                 src: &[],
                 dst: &mut out1,
                 tag: 0,
+                aux: 0,
             },
         ];
         read_all(&env, &file, &params(1024, false), &mut reqs).unwrap();
@@ -1384,6 +1463,41 @@ mod tests {
         assert_eq!(pieces_of(&plan[1][1]), [(3072, 1024, 0, 2560)]);
     }
 
+    /// One rank of a generated collective write: its runs and its payload
+    /// of `width`-byte elements, in host byte order and in external form.
+    struct Lender {
+        runs: Vec<Run>,
+        width: usize,
+        native: Vec<u8>,
+        external: Vec<u8>,
+    }
+
+    impl Lender {
+        /// A payload holds whole elements: the last run stretches to the
+        /// next multiple of the width. The bytes are noise grown from `seed`.
+        fn new(mut runs: Vec<Run>, width: usize, seed: u64) -> Lender {
+            let ragged = runs_total(&runs);
+            let total = ragged.next_multiple_of(width as u64);
+            if let Some(last) = runs.last_mut() {
+                last.1 += total - ragged;
+            }
+            let mut x = seed;
+            let mut noise = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            };
+            let native: Vec<u8> = (0..total).map(|_| noise()).collect();
+            Lender {
+                external: swap_to_vec(&native, width),
+                runs,
+                width,
+                native,
+            }
+        }
+    }
+
     /// Sorted, disjoint (possibly touching) runs; may be empty.
     fn arb_runs() -> impl Strategy<Value = Vec<Run>> {
         vec((0u64..3000, 1u64..2500), 0..8).prop_map(|raw| {
@@ -1499,6 +1613,58 @@ mod tests {
                 prop_assert!(now <= before, "{now} pieces, per-stripe split made {before}");
             } else {
                 prop_assert_eq!(now, before);
+            }
+        }
+
+        /// A collective write lent host-order elements and their width
+        /// leaves the file a write lent their external form leaves — the
+        /// bytes a rank-by-rank overlay of the external payloads predicts —
+        /// however the runs overlap (the highest rank wins byte by byte),
+        /// wherever the cuts fall (odd buffer sizes split elements of every
+        /// width) and whichever way the domains are laid out.
+        #[test]
+        fn native_loans_write_what_their_external_form_writes(
+            per_rank in vec((arb_runs(), 0u32..4, any::<u64>()), 2..5),
+            cb in 1usize..4096,
+            naggs in 1usize..5,
+            affinity in any::<bool>(),
+            pipeline in any::<bool>(),
+        ) {
+            let ranks: Vec<Lender> = per_rank
+                .into_iter()
+                .map(|(runs, exp, seed)| Lender::new(runs, 1 << exp, seed))
+                .collect();
+            prop_assume!(ranks.iter().any(|r| !r.runs.is_empty()));
+            let all_runs: Vec<&[Run]> = ranks.iter().map(|r| &r.runs[..]).collect();
+            let old = vec![0x5au8; aggregate_span(&all_runs).1 as usize + 7];
+            let mut want = old.clone();
+            for r in &ranks {
+                let mut pos = 0usize;
+                for &(off, len) in &r.runs {
+                    want[off as usize..(off + len) as usize]
+                        .copy_from_slice(&r.external[pos..pos + len as usize]);
+                    pos += len as usize;
+                }
+            }
+            let p = TwoPhaseParams {
+                cb_buffer_size: cb,
+                cb_nodes: Some(naggs),
+                io_servers: 4,
+                stripe: 1024,
+                pipeline,
+                affinity,
+            };
+            for lend_native in [true, false] {
+                let (env, file) = env_and_file(ranks.len(), &old);
+                let reqs: Vec<Req<'_>> = ranks
+                    .iter()
+                    .map(|r| match lend_native {
+                        true => native_req(&r.runs, &r.native, r.width),
+                        false => write_req(&r.runs, &r.external),
+                    })
+                    .collect();
+                write_all(&env, &file, &p, &reqs).unwrap();
+                prop_assert!(file.to_bytes() == want, "lend_native {lend_native}");
             }
         }
     }

@@ -11,6 +11,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hpc_sim::{SimConfig, Span, TraceCtx};
+use pnetcdf_format::swap::swap_to_vec;
 use pnetcdf_mpi::{run_world, Info};
 use pnetcdf_mpio::{MpiFile, MpioError, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
@@ -161,6 +162,51 @@ fn disabled_collective_buffering_serves_the_same_loans() {
     });
     let bytes = pfs.open("t").unwrap().to_bytes();
     assert_eq!(bytes.len(), 3 * NPROCS * 40);
+}
+
+/// A payload lent in host byte order with its element width reaches the
+/// file big-endian — converted piece by piece inside the two-phase windows
+/// (a 50-byte buffer cuts elements of every width), or once up front when
+/// collective buffering is off and the sieve gets the bytes — and a width
+/// the payload cannot hold is rejected before the rendezvous.
+#[test]
+fn native_loans_reach_the_file_in_external_order() {
+    let file_after = |native: bool, cb_write: &str| -> Vec<u8> {
+        let cfg = SimConfig::test_small();
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        let pfs_in = pfs.clone();
+        let info = Info::new()
+            .with("cb_buffer_size", "50")
+            .with("romio_cb_write", cb_write);
+        run_world(NPROCS, cfg, move |c| {
+            let f = MpiFile::open(c, &pfs_in, "t", OpenMode::Create, &info).unwrap();
+            let runs = interleaved(c.rank());
+            let data = payload(&runs, c.rank() as u8);
+            let width = [2, 4, 8][c.rank()];
+            if native {
+                for bad in [0, 3, 16] {
+                    let e = f.write_native_runs_at_all(&runs, &data, bad).unwrap_err();
+                    assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
+                }
+                let e = f.write_native_runs_at_all(&[(0, 6)], &data[..6], 4);
+                assert!(matches!(e, Err(MpioError::InvalidArgument(_))), "{e:?}");
+                f.write_native_runs_at_all(&runs, &data, width).unwrap();
+            } else {
+                f.write_runs_at_all(&runs, &swap_to_vec(&data, width))
+                    .unwrap();
+            }
+        });
+        pfs.open("t").unwrap().to_bytes()
+    };
+    let want = file_after(false, "enable");
+    assert_eq!(want.len(), 3 * NPROCS * 40);
+    for cb_write in ["enable", "disable"] {
+        assert_eq!(
+            file_after(true, cb_write),
+            want,
+            "romio_cb_write={cb_write}"
+        );
+    }
 }
 
 /// Sorted, disjoint run lists (possibly empty) inside a small region.

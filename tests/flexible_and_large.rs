@@ -96,6 +96,69 @@ fn flexible_api_rejects_size_mismatch() {
     });
 }
 
+/// A flexible collective access that fails validation on ONE rank must not
+/// leave the others alone in the rendezvous: like the typed calls, it
+/// agrees on the outcome first and returns the same error everywhere —
+/// whether the memory type lends the caller's bytes in place (contiguous)
+/// or stages a packed copy (strided).
+#[test]
+fn flexible_collective_agrees_on_a_one_rank_validation_failure() {
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let run = run_world(2, cfg(), |c| {
+        let mut ds = Dataset::create(c, &pfs, "agree.nc", Version::Cdf1, &Info::new()).unwrap();
+        let x = ds.def_dim("x", 16).unwrap();
+        let v = ds.def_var("a", NcType::Int, &[x]).unwrap();
+        ds.enddef().unwrap();
+        let mine = c.rank() as u64 * 8;
+        // Rank 1 starts far past the end of x(16).
+        let bad = if c.rank() == 1 { 100 } else { mine };
+        let vals: Vec<i32> = (0..8).map(|i| mine as i32 + i).collect();
+        let mut errors = vec![ds.put_vara_all(v, &[bad], &[8], &vals).unwrap_err()];
+        // So does a typed get, whatever the one rank got wrong.
+        errors.push(ds.get_vara_all::<i32>(v, &[bad], &[8]).unwrap_err());
+        let unknown = if c.rank() == 1 { 99 } else { v };
+        let not_found = ds.get_vara_all::<i32>(unknown, &[mine], &[8]).unwrap_err();
+        assert!(
+            matches!(not_found, NcmpiError::NotFound(_)),
+            "{not_found:?}"
+        );
+        // Eight ints in a row, or every other int of sixteen.
+        let contiguous = (Datatype::int(), 8, 32);
+        let strided = (Datatype::vector(8, 1, 2, Datatype::int()), 1, 64);
+        for (mem, bufcount, len) in [contiguous, strided] {
+            let step = len / 8;
+            let mut buf = vec![0u8; len];
+            for (i, v) in vals.iter().enumerate() {
+                buf[i * step..i * step + 4].copy_from_slice(&v.to_ne_bytes());
+            }
+            errors.push(
+                ds.put_vara_all_flexible(v, &[bad], &[8], &buf, bufcount, &mem)
+                    .unwrap_err(),
+            );
+            // The rejected call wrote nothing; the dataset still works.
+            ds.put_vara_all_flexible(v, &[mine], &[8], &buf, bufcount, &mem)
+                .unwrap();
+            let mut back = vec![0u8; len];
+            errors.push(
+                ds.get_vara_all_flexible(v, &[bad], &[8], &mut back, bufcount, &mem)
+                    .unwrap_err(),
+            );
+            assert!(back.iter().all(|&b| b == 0), "a rejected get delivered");
+            ds.get_vara_all_flexible(v, &[mine], &[8], &mut back, bufcount, &mem)
+                .unwrap();
+            assert_eq!(back, buf);
+        }
+        ds.close().unwrap();
+        errors
+    });
+    // Every call reports the typed call's error, on both ranks.
+    let typed = &run.results[0][0];
+    assert!(matches!(typed, NcmpiError::Format(_)), "{typed:?}");
+    for errors in &run.results {
+        assert!(errors.iter().all(|e| e == typed), "{errors:?}");
+    }
+}
+
 #[test]
 fn zero_sized_collective_participation() {
     // Some ranks contribute nothing to a collective write; all must still

@@ -76,11 +76,14 @@ fn serial_bytes() -> Vec<u8> {
         }
         f.put_vara(ts, &[r, 0, 0], &[1, 6, 8], &rec).unwrap();
     }
-    let store = f.close().unwrap();
-    // Recover the bytes through the trait object by reading them back.
-    let mut store = store;
-    let size = store.size();
-    let mut bytes = vec![0u8; size as usize];
+    closed_bytes(f)
+}
+
+/// Close a serial file and recover its bytes (through the store's trait
+/// object, by reading them back).
+fn closed_bytes(f: NcFile) -> Vec<u8> {
+    let mut store = f.close().unwrap();
+    let mut bytes = vec![0u8; store.size() as usize];
     store.read_at(0, &mut bytes);
     bytes
 }
@@ -232,4 +235,149 @@ fn exported_file_reimports_through_host_fs() {
     let v: f32 = f.get_var1(tt, &[0, 0, 0]).unwrap();
     assert_eq!(v, tt_value(0, 0, 0));
     std::fs::remove_file(&path).unwrap();
+}
+
+// ---- elements split by window cuts --------------------------------------------
+
+/// `d(nd)` doubles and `s(ns)` shorts behind `lead` scalar ints. The header
+/// is 4-aligned and each scalar takes 4 bytes, so for one of `lead` = 1, 2
+/// the doubles begin at `4 mod 8`: every two-phase cut at a multiple of 8 —
+/// a stripe edge, a domain edge, a multiple of the default collective
+/// buffer — then falls inside an element, and an odd `cb_buffer_size` cuts
+/// shorts too.
+struct SplitShape {
+    lead: usize,
+    nd: u64,
+    ns: u64,
+}
+
+fn d_value(i: u64) -> f64 {
+    i as f64 * 0.37 - 1234.5
+}
+
+fn s_value(i: u64) -> i16 {
+    (i * 7 % 60000) as i16
+}
+
+/// `[lo, hi)` of rank `r`'s block of `n` elements.
+fn block(n: u64, nprocs: usize, r: usize) -> (u64, u64) {
+    let per = n.div_ceil(nprocs as u64);
+    ((r as u64 * per).min(n), ((r as u64 + 1) * per).min(n))
+}
+
+fn split_serial_bytes(shape: &SplitShape) -> Vec<u8> {
+    let mut f = NcFile::create(MemStore::new(), Version::Cdf1);
+    let xd = f.def_dim("xd", shape.nd).unwrap();
+    let xs = f.def_dim("xs", shape.ns).unwrap();
+    let lead: Vec<usize> = (0..shape.lead)
+        .map(|i| f.def_var(&format!("i{i}"), NcType::Int, &[]).unwrap())
+        .collect();
+    let d = f.def_var("d", NcType::Double, &[xd]).unwrap();
+    let s = f.def_var("s", NcType::Short, &[xs]).unwrap();
+    f.enddef().unwrap();
+    for (i, &v) in lead.iter().enumerate() {
+        f.put_vara(v, &[], &[], &[41 + i as i32]).unwrap();
+    }
+    let dv: Vec<f64> = (0..shape.nd).map(d_value).collect();
+    f.put_vara(d, &[0], &[shape.nd], &dv).unwrap();
+    let sv: Vec<i16> = (0..shape.ns).map(s_value).collect();
+    f.put_vara(s, &[0], &[shape.ns], &sv).unwrap();
+    closed_bytes(f)
+}
+
+/// Write the shape with `nprocs` ranks (block partition), read every block
+/// back on the *next* rank, and return the file.
+fn split_parallel_bytes(shape: &SplitShape, nprocs: usize, hints: &[(&str, &str)]) -> Vec<u8> {
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let pfs2 = pfs.clone();
+    let info = hints
+        .iter()
+        .fold(Info::new(), |info, (k, v)| info.with(k, v));
+    run_world(nprocs, cfg(), move |c| {
+        let mut ds = Dataset::create(c, &pfs2, "split.nc", Version::Cdf1, &info).unwrap();
+        let xd = ds.def_dim("xd", shape.nd).unwrap();
+        let xs = ds.def_dim("xs", shape.ns).unwrap();
+        let lead: Vec<usize> = (0..shape.lead)
+            .map(|i| ds.def_var(&format!("i{i}"), NcType::Int, &[]).unwrap())
+            .collect();
+        let d = ds.def_var("d", NcType::Double, &[xd]).unwrap();
+        let s = ds.def_var("s", NcType::Short, &[xs]).unwrap();
+        ds.enddef().unwrap();
+        for (i, &v) in lead.iter().enumerate() {
+            ds.put_var1_all(v, &[], 41 + i as i32).unwrap();
+        }
+        let (lo, hi) = block(shape.nd, nprocs, c.rank());
+        let dv: Vec<f64> = (lo..hi).map(d_value).collect();
+        ds.put_vara_all(d, &[lo], &[hi - lo], &dv).unwrap();
+        let (lo, hi) = block(shape.ns, nprocs, c.rank());
+        let sv: Vec<i16> = (lo..hi).map(s_value).collect();
+        ds.put_vara_all(s, &[lo], &[hi - lo], &sv).unwrap();
+
+        let next = (c.rank() + 1) % nprocs;
+        let (lo, hi) = block(shape.nd, nprocs, next);
+        let back: Vec<f64> = ds.get_vara_all(d, &[lo], &[hi - lo]).unwrap();
+        assert!(
+            back == (lo..hi).map(d_value).collect::<Vec<_>>(),
+            "doubles read back differ"
+        );
+        let (lo, hi) = block(shape.ns, nprocs, next);
+        let back: Vec<i16> = ds.get_vara_all(s, &[lo], &[hi - lo]).unwrap();
+        assert!(
+            back == (lo..hi).map(s_value).collect::<Vec<_>>(),
+            "shorts read back differ"
+        );
+        ds.close().unwrap();
+    });
+    pfs.open("split.nc").unwrap().to_bytes()
+}
+
+/// A same-type collective put lends its values in host byte order and the
+/// two-phase overlay converts each piece as it copies it, so a piece that
+/// holds the head or the tail of an element must still put every byte where
+/// the serial library puts it.
+#[test]
+fn elements_split_by_window_cuts_are_byte_identical_to_serial() {
+    // Larger than one default collective buffer (4 MiB) ...
+    let large = |lead| SplitShape {
+        lead,
+        nd: 600_000,
+        ns: 100_001,
+    };
+    // ... and larger than many odd-sized ones.
+    let small = |lead| SplitShape {
+        lead,
+        nd: 5_001,
+        ns: 7_003,
+    };
+    type Case<'a> = (fn(usize) -> SplitShape, &'a [(&'a str, &'a str)]);
+    let cases: [Case<'_>; 4] = [
+        (large, &[]),
+        (large, &[("pnc_cb_affinity", "disable")]),
+        (small, &[("cb_buffer_size", "1003")]),
+        (
+            small,
+            &[("cb_buffer_size", "1003"), ("pnc_cb_affinity", "disable")],
+        ),
+    ];
+    let mut begins = Vec::new();
+    for (shape, hints) in cases {
+        for lead in [1, 2] {
+            let shape = shape(lead);
+            let reference = split_serial_bytes(&shape);
+            let header = NcFile::open(MemStore::from_bytes(reference.clone())).unwrap();
+            let header = header.header();
+            begins.push(header.vars[header.var_id("d").unwrap()].begin % 8);
+            for nprocs in [2, 3] {
+                let par = split_parallel_bytes(&shape, nprocs, hints);
+                assert!(
+                    par == reference,
+                    "{nprocs} ranks, {lead} leading ints, hints {hints:?}: file differs from serial"
+                );
+            }
+        }
+    }
+    assert!(
+        begins.contains(&4) && begins.contains(&0),
+        "the doubles never began off an 8-byte boundary: {begins:?}"
+    );
 }
