@@ -7,7 +7,8 @@
 
 use hpc_sim::SimConfig;
 use netcdf_serial::{MemStore, NcFile};
-use pnetcdf::{Dataset, Info, NcType, Version};
+use pnetcdf::{Dataset, Datatype, Info, NcType, NcmpiError, Request, Version};
+use pnetcdf_format::NcValue;
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -379,5 +380,453 @@ fn elements_split_by_window_cuts_are_byte_identical_to_serial() {
     assert!(
         begins.contains(&4) && begins.contains(&0),
         "the doubles never began off an 8-byte boundary: {begins:?}"
+    );
+}
+
+// ---- the same access through every door ---------------------------------------
+
+/// The ways the API offers to make one access. Whatever the door, the file
+/// must hold the bytes the serial library writes, a get must return the
+/// values, the byte counters must agree, and the virtual clock must stop
+/// where it stopped when the table below was recorded.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Door {
+    /// `put_vara[_all]` / `get_vara[_all]` of values of the variable's type.
+    Typed,
+    /// `put_vara[_all]_flexible` with memory that is the packed payload.
+    FlexPacked,
+    /// The same with every other element of a `vector` twice as long.
+    FlexStrided,
+    /// `iput_vara` / `iget_vara`, one `wait[_all]`, `take_result`.
+    TypedNb,
+    /// `iput_vara_flexible` / `iget_vara_flexible`, `take_result_flexible`;
+    /// `vector` memory for `tt` and `ts`, packed memory for `sh`.
+    FlexNb,
+    /// `Typed`, but the shorts travel as `i32` in memory — after a put
+    /// with a value no short can hold has been refused, nothing written.
+    Converting,
+    /// `TypedNb` likewise.
+    ConvertingNb,
+}
+
+const DOORS: [Door; 7] = [
+    Door::Typed,
+    Door::FlexPacked,
+    Door::FlexStrided,
+    Door::TypedNb,
+    Door::FlexNb,
+    Door::Converting,
+    Door::ConvertingNb,
+];
+
+/// `(ranks, collective data mode)`: multi-rank independent clocks depend on
+/// host thread order (ROADMAP open item 1), so independent mode runs alone.
+const MODES: [(usize, bool); 3] = [(2, true), (3, true), (1, false)];
+
+/// Final virtual clock in ns of every `(door, ranks, collective)` row, as
+/// recorded at commit 3a23176 — before the four put and four get lowerings
+/// became one. Virtual time is deterministic on these paths, so a
+/// difference is a moved `cpu.pack` or agreement charge, never noise; a
+/// mismatch prints the table this build computes.
+const DOOR_CLOCKS: &[(Door, usize, bool, u64)] = &[
+    (Door::Typed, 2, true, 8350877),
+    (Door::FlexPacked, 2, true, 8350892),
+    (Door::FlexStrided, 2, true, 8351130),
+    (Door::TypedNb, 2, true, 5794505),
+    (Door::FlexNb, 2, true, 5794697),
+    (Door::Converting, 2, true, 8350854),
+    (Door::ConvertingNb, 2, true, 5794505),
+    (Door::Typed, 3, true, 8671314),
+    (Door::FlexPacked, 3, true, 8671344),
+    (Door::FlexStrided, 3, true, 8671529),
+    (Door::TypedNb, 3, true, 5924732),
+    (Door::FlexNb, 3, true, 5924886),
+    (Door::Converting, 3, true, 8671318),
+    (Door::ConvertingNb, 3, true, 5924732),
+    (Door::Typed, 1, false, 8048253),
+    (Door::FlexPacked, 1, false, 8048253),
+    (Door::FlexStrided, 1, false, 8048652),
+    (Door::TypedNb, 1, false, 5682197),
+    (Door::FlexNb, 1, false, 5682581),
+    (Door::Converting, 1, false, 8048253),
+    (Door::ConvertingNb, 1, false, 5682197),
+];
+
+/// Shorts in `sh`: odd, so the variable is padded and the blocks are ragged.
+const NSH: u64 = 37;
+
+fn sh_value(i: u64) -> i16 {
+    (i as i16 - 18) * 1111
+}
+
+/// A value of each of the doors' memory types, to and from host-order bytes.
+trait Elem: NcValue {
+    fn host_bytes(self) -> Vec<u8>;
+    fn from_host_bytes(bytes: &[u8]) -> Self;
+}
+
+macro_rules! elem {
+    ($($ty:ty),*) => {$(
+        impl Elem for $ty {
+            fn host_bytes(self) -> Vec<u8> {
+                self.to_ne_bytes().to_vec()
+            }
+            fn from_host_bytes(bytes: &[u8]) -> $ty {
+                <$ty>::from_ne_bytes(bytes.try_into().unwrap())
+            }
+        }
+    )*};
+}
+elem!(i16, i32, f32, f64);
+
+/// The doors' dataset: the shorts directly behind a header an odd number of
+/// 4-byte words long, then a fixed float variable and a record variable of
+/// doubles. Returns `(sh, tt, ts)`.
+fn define_doors_serial(f: &mut NcFile) -> [usize; 3] {
+    let t = f.def_dim("time", 0).unwrap();
+    let z = f.def_dim("z", 4).unwrap();
+    let y = f.def_dim("y", 6).unwrap();
+    let x = f.def_dim("x", 8).unwrap();
+    let n = f.def_dim("n", NSH).unwrap();
+    f.put_gatt("title", pnetcdf::AttrValue::Char("doors".into()))
+        .unwrap();
+    let sh = f.def_var("sh", NcType::Short, &[n]).unwrap();
+    let tt = f.def_var("tt", NcType::Float, &[z, y, x]).unwrap();
+    let ts = f.def_var("ts", NcType::Double, &[t, y, x]).unwrap();
+    f.enddef().unwrap();
+    [sh, tt, ts]
+}
+
+fn define_doors_parallel(ds: &mut Dataset) -> [usize; 3] {
+    let t = ds.def_dim("time", 0).unwrap();
+    let z = ds.def_dim("z", 4).unwrap();
+    let y = ds.def_dim("y", 6).unwrap();
+    let x = ds.def_dim("x", 8).unwrap();
+    let n = ds.def_dim("n", NSH).unwrap();
+    ds.put_gatt_text("title", "doors").unwrap();
+    let sh = ds.def_var("sh", NcType::Short, &[n]).unwrap();
+    let tt = ds.def_var("tt", NcType::Float, &[z, y, x]).unwrap();
+    let ts = ds.def_var("ts", NcType::Double, &[t, y, x]).unwrap();
+    ds.enddef().unwrap();
+    [sh, tt, ts]
+}
+
+fn doors_serial_bytes() -> Vec<u8> {
+    let mut f = NcFile::create(MemStore::new(), Version::Cdf1);
+    let [sh, tt, ts] = define_doors_serial(&mut f);
+    let begin = f.header().vars[sh].begin;
+    assert_eq!(begin % 8, 4, "the shorts must begin off an 8-byte boundary");
+    let (s, c, v) = sh_block(1, 0);
+    f.put_vara(sh, &s, &c, &v).unwrap();
+    let (s, c, v) = tt_block(1, 0);
+    f.put_vara(tt, &s, &c, &v).unwrap();
+    let (s, c, v) = ts_block(1, 0);
+    f.put_vara(ts, &s, &c, &v).unwrap();
+    closed_bytes(f)
+}
+
+/// Rank `r`'s share of each variable as `(start, count, values)`: a block
+/// of the shorts, z planes of `tt` (none for the last of three ranks), and
+/// a y slab of all three records of `ts` at once.
+fn sh_block(nprocs: usize, r: usize) -> (Vec<u64>, Vec<u64>, Vec<i16>) {
+    let (lo, hi) = block(NSH, nprocs, r);
+    (vec![lo], vec![hi - lo], (lo..hi).map(sh_value).collect())
+}
+
+fn tt_block(nprocs: usize, r: usize) -> (Vec<u64>, Vec<u64>, Vec<f32>) {
+    let (lo, hi) = block(4, nprocs, r);
+    let mut vals = Vec::new();
+    for z in lo..hi {
+        for y in 0..6 {
+            for x in 0..8 {
+                vals.push(tt_value(z, y, x));
+            }
+        }
+    }
+    (vec![lo, 0, 0], vec![hi - lo, 6, 8], vals)
+}
+
+fn ts_block(nprocs: usize, r: usize) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+    let (lo, hi) = block(6, nprocs, r);
+    let mut vals = Vec::new();
+    for rec in 0..3 {
+        for y in lo..hi {
+            for x in 0..8 {
+                vals.push(ts_value(rec, y, x));
+            }
+        }
+    }
+    (vec![0, lo, 0], vec![3, hi - lo, 8], vals)
+}
+
+/// Flexible memory for `vals`: `(buf, bufcount, memtype)`, packed or — the
+/// paper's noncontiguous case — every other element of a `vector`.
+fn describe<T: Elem>(vals: &[T], strided: bool) -> (Vec<u8>, usize, Datatype) {
+    let n = vals.len();
+    let elem = Datatype::contiguous(size_of::<T>(), Datatype::byte());
+    if !strided {
+        return (vals.iter().flat_map(|v| v.host_bytes()).collect(), n, elem);
+    }
+    let hole = vec![0xAAu8; size_of::<T>()];
+    let buf = vals
+        .iter()
+        .flat_map(|v| [v.host_bytes(), hole.clone()].concat())
+        .collect();
+    let memtype = Datatype::vector(n.max(1), 1, 2, elem);
+    (buf, usize::from(n > 0), memtype)
+}
+
+/// The values flexible memory holds (see [`describe`]).
+fn values_of<T: Elem>(buf: &[u8], strided: bool) -> Vec<T> {
+    let step = size_of::<T>() * if strided { 2 } else { 1 };
+    buf.chunks(step)
+        .map(|c| T::from_host_bytes(&c[..size_of::<T>()]))
+        .collect()
+}
+
+/// Does `door` describe variable number `var`'s memory with a `vector`?
+fn strided(door: Door, var: usize) -> bool {
+    match door {
+        Door::FlexStrided => true,
+        Door::FlexNb => var != 0,
+        _ => false,
+    }
+}
+
+/// Put `vals` through `door`; a nonblocking door returns its ticket.
+fn put_door<T: Elem>(
+    ds: &mut Dataset,
+    door: Door,
+    collective: bool,
+    var: (usize, usize),
+    (start, count): (&[u64], &[u64]),
+    vals: &[T],
+) -> Result<Option<Request>, NcmpiError> {
+    let (index, varid) = var;
+    let (buf, bufcount, memtype) = describe(vals, strided(door, index));
+    match (door, collective) {
+        (Door::Typed | Door::Converting, true) => ds.put_vara_all(varid, start, count, vals)?,
+        (Door::Typed | Door::Converting, false) => ds.put_vara(varid, start, count, vals)?,
+        (Door::FlexPacked | Door::FlexStrided, true) => {
+            ds.put_vara_all_flexible(varid, start, count, &buf, bufcount, &memtype)?
+        }
+        (Door::FlexPacked | Door::FlexStrided, false) => {
+            ds.put_vara_flexible(varid, start, count, &buf, bufcount, &memtype)?
+        }
+        (Door::TypedNb | Door::ConvertingNb, _) => {
+            return ds.iput_vara(varid, start, count, vals).map(Some);
+        }
+        (Door::FlexNb, _) => {
+            return ds
+                .iput_vara_flexible(varid, start, count, &buf, bufcount, &memtype)
+                .map(Some);
+        }
+    }
+    Ok(None)
+}
+
+/// A get through a door: its values, or the ticket they will arrive under.
+enum Got<T> {
+    Now(Vec<T>),
+    Later(Request),
+}
+
+fn get_door<T: Elem>(
+    ds: &mut Dataset,
+    door: Door,
+    collective: bool,
+    var: (usize, usize),
+    (start, count): (&[u64], &[u64]),
+) -> Got<T> {
+    let (index, varid) = var;
+    let n = count.iter().product::<u64>() as usize;
+    let strided = strided(door, index);
+    let (mut buf, bufcount, memtype) = describe(&vec![T::ZERO; n], strided);
+    Got::Now(match (door, collective) {
+        (Door::Typed | Door::Converting, true) => ds.get_vara_all(varid, start, count).unwrap(),
+        (Door::Typed | Door::Converting, false) => ds.get_vara(varid, start, count).unwrap(),
+        (Door::FlexPacked | Door::FlexStrided, true) => {
+            ds.get_vara_all_flexible(varid, start, count, &mut buf, bufcount, &memtype)
+                .unwrap();
+            values_of(&buf, strided)
+        }
+        (Door::FlexPacked | Door::FlexStrided, false) => {
+            ds.get_vara_flexible(varid, start, count, &mut buf, bufcount, &memtype)
+                .unwrap();
+            values_of(&buf, strided)
+        }
+        (Door::TypedNb | Door::ConvertingNb, _) => {
+            return Got::Later(ds.iget_vara(varid, start, count).unwrap());
+        }
+        (Door::FlexNb, _) => {
+            return Got::Later(
+                ds.iget_vara_flexible(varid, start, count, bufcount, &memtype)
+                    .unwrap(),
+            );
+        }
+    })
+}
+
+/// The values of a get, once the wait call has completed a queued one.
+fn arrived<T: Elem>(ds: &mut Dataset, door: Door, index: usize, n: usize, got: Got<T>) -> Vec<T> {
+    match got {
+        Got::Now(vals) => vals,
+        Got::Later(req) if door == Door::FlexNb => {
+            let strided = strided(door, index);
+            let (mut buf, bufcount, memtype) = describe(&vec![T::ZERO; n], strided);
+            ds.take_result_flexible(req, &mut buf, bufcount, &memtype)
+                .unwrap();
+            values_of(&buf, strided)
+        }
+        Got::Later(req) => ds.take_result(req).unwrap(),
+    }
+}
+
+/// What one rank reports of a door: the errors of the calls that had to
+/// fail, and `inq_put_size` / `inq_get_size` before `close`.
+type DoorReport = (Vec<NcmpiError>, (u64, u64));
+
+/// Make the doors' accesses with `nprocs` ranks through `door`; returns the
+/// file, the final virtual clock and every rank's report.
+fn through_door(door: Door, nprocs: usize, collective: bool) -> (Vec<u8>, u64, Vec<DoorReport>) {
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let pfs2 = pfs.clone();
+    let run = run_world(nprocs, cfg(), move |c| {
+        let mut ds = Dataset::create(c, &pfs2, "doors.nc", Version::Cdf1, &Info::new()).unwrap();
+        let [sh, tt, ts] = define_doors_parallel(&mut ds);
+        let wait = |ds: &mut Dataset| match collective {
+            true => ds.wait_all().unwrap(),
+            false => ds.wait().unwrap(),
+        };
+        if !collective {
+            ds.begin_indep_data().unwrap();
+        }
+        let r = c.rank();
+        let mut errors = Vec::new();
+
+        // One rank's `count` selects two records where its memory holds
+        // one: every rank gets that rank's error, and the records the
+        // others' lowering counted do not exist.
+        if collective && matches!(door, Door::Typed | Door::FlexPacked | Door::FlexStrided) {
+            let (lo, hi) = block(6, nprocs, r);
+            let vals: Vec<f64> = (0..(hi - lo) * 8).map(|i| i as f64).collect();
+            let nrecs = if r == nprocs - 1 { 2 } else { 1 };
+            let sel = ([5, lo, 0], [nrecs, hi - lo, 8]);
+            let refused = put_door(&mut ds, door, true, (2, ts), (&sel.0, &sel.1), &vals);
+            errors.push(refused.unwrap_err());
+            assert_eq!(ds.numrecs(), 0, "a refused put grew numrecs");
+        }
+
+        // A value no short can hold: NC_ERANGE before any byte moves.
+        let converting = matches!(door, Door::Converting | Door::ConvertingNb);
+        if converting {
+            let size = pfs2.open("doors.nc").unwrap().size();
+            let (s, cnt, vals) = sh_block(nprocs, r);
+            let mut wide: Vec<i32> = vals.iter().map(|&v| v as i32).collect();
+            *wide.last_mut().unwrap() = 40_000;
+            let refused = put_door(&mut ds, door, collective, (0, sh), (&s, &cnt), &wide);
+            errors.push(refused.unwrap_err());
+            assert_eq!(ds.num_pending(), 0, "a refused put was queued");
+            assert_eq!(ds.inq_put_size(), 0, "a refused put was counted");
+            let now = pfs2.open("doors.nc").unwrap().size();
+            assert_eq!(now, size, "a refused put reached the file");
+        }
+
+        let (s, cnt, vals) = sh_block(nprocs, r);
+        if converting {
+            let wide: Vec<i32> = vals.iter().map(|&v| v as i32).collect();
+            put_door(&mut ds, door, collective, (0, sh), (&s, &cnt), &wide).unwrap();
+        } else {
+            put_door(&mut ds, door, collective, (0, sh), (&s, &cnt), &vals).unwrap();
+        }
+        let (s, cnt, vals) = tt_block(nprocs, r);
+        put_door(&mut ds, door, collective, (1, tt), (&s, &cnt), &vals).unwrap();
+        let (s, cnt, vals) = ts_block(nprocs, r);
+        put_door(&mut ds, door, collective, (2, ts), (&s, &cnt), &vals).unwrap();
+        wait(&mut ds);
+        assert_eq!(ds.numrecs(), 3);
+
+        // Every rank reads the next rank's share back through the same door.
+        let next = (r + 1) % nprocs;
+        let (s0, c0, sh_vals) = sh_block(nprocs, next);
+        let (s1, c1, tt_vals) = tt_block(nprocs, next);
+        let (s2, c2, ts_vals) = ts_block(nprocs, next);
+        let tt_got = get_door::<f32>(&mut ds, door, collective, (1, tt), (&s1, &c1));
+        let ts_got = get_door::<f64>(&mut ds, door, collective, (2, ts), (&s2, &c2));
+        if converting {
+            let got = get_door::<i32>(&mut ds, door, collective, (0, sh), (&s0, &c0));
+            wait(&mut ds);
+            let wide: Vec<i32> = sh_vals.iter().map(|&v| v as i32).collect();
+            assert_eq!(arrived(&mut ds, door, 0, wide.len(), got), wide);
+        } else {
+            let got = get_door::<i16>(&mut ds, door, collective, (0, sh), (&s0, &c0));
+            wait(&mut ds);
+            assert_eq!(arrived(&mut ds, door, 0, sh_vals.len(), got), sh_vals);
+        }
+        assert!(arrived(&mut ds, door, 1, tt_vals.len(), tt_got) == tt_vals);
+        assert!(arrived(&mut ds, door, 2, ts_vals.len(), ts_got) == ts_vals);
+
+        let sizes = (ds.inq_put_size(), ds.inq_get_size());
+        if !collective {
+            ds.end_indep_data().unwrap();
+        }
+        ds.close().unwrap();
+        (errors, sizes)
+    });
+    let bytes = pfs.open("doors.nc").unwrap().to_bytes();
+    (bytes, run.makespan.as_nanos(), run.results)
+}
+
+#[test]
+fn every_door_makes_the_same_access() {
+    let reference = doors_serial_bytes();
+    let mut computed = Vec::new();
+    for (nprocs, collective) in MODES {
+        let mut typed_sizes = None;
+        for door in DOORS {
+            let label = format!("{door:?} with {nprocs} ranks, collective {collective}");
+            let (bytes, clock, reports) = through_door(door, nprocs, collective);
+            assert!(bytes == reference, "{label}: file differs from serial");
+            computed.push((door, nprocs, collective, clock));
+
+            // The same bytes are counted, whichever door moved them.
+            let sizes: Vec<(u64, u64)> = reports.iter().map(|r| r.1).collect();
+            let total: u64 = sizes.iter().map(|s| s.0).sum();
+            assert_eq!(total, 2 * NSH + 4 * 4 * 6 * 8 + 8 * 3 * 6 * 8, "{label}");
+            assert_eq!(typed_sizes.get_or_insert(sizes.clone()), &sizes, "{label}");
+
+            // A call that must fail fails alike on every rank.
+            let errors = &reports[0].0;
+            for report in &reports {
+                assert_eq!(&report.0, errors, "{label}: ranks disagree on an error");
+            }
+            let expect_refused = match door {
+                Door::Typed | Door::FlexPacked | Door::FlexStrided => usize::from(collective),
+                Door::Converting | Door::ConvertingNb => 1,
+                Door::TypedNb | Door::FlexNb => 0,
+            };
+            assert_eq!(errors.len(), expect_refused, "{label}");
+            for e in errors {
+                match door {
+                    // (The agreement carries a format error as its text.)
+                    Door::Converting | Door::ConvertingNb => assert!(
+                        matches!(e, NcmpiError::Format(f) if f.to_string().contains("NC_ERANGE")),
+                        "{label}: {e:?}"
+                    ),
+                    _ => assert!(
+                        matches!(e, NcmpiError::InvalidArgument(_)),
+                        "{label}: {e:?}"
+                    ),
+                }
+            }
+        }
+    }
+    let table: String = computed
+        .iter()
+        .map(|(d, n, c, ns)| format!("    (Door::{d:?}, {n}, {c}, {ns}),\n"))
+        .collect();
+    assert!(
+        computed[..] == DOOR_CLOCKS[..],
+        "a door's clock moved; this build computes:\n{table}"
     );
 }
