@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> product line count (tools/count_lines.sh; informational, no gate)"
+tools/count_lines.sh | tail -n 1
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -121,7 +121,7 @@ fn main() {
         "FAIL: degraded-mode write ({makespan:?}) dragged past the restart ({restart:?})"
     );
     assert_eq!(
-        pfs.down_server(),
+        pfs.cluster().down_server(),
         Some(0),
         "FAIL: server 0 never failed over"
     );
@@ -173,7 +173,7 @@ fn main() {
     f.try_read_at(restart + Time::from_secs_f64(1.0), 0, &mut probe)
         .expect("post-restart read failed");
     assert_eq!(
-        pfs.down_server(),
+        pfs.cluster().down_server(),
         None,
         "FAIL: rebuild never cleared the mark"
     );

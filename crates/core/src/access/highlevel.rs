@@ -9,19 +9,16 @@
 
 use std::borrow::Cow;
 
-use pnetcdf_format::swap::swap_inplace;
-use pnetcdf_format::types::{from_external, to_external_into};
 use pnetcdf_format::NcValue;
-use pnetcdf_mpio::view::runs_total;
 
 use crate::access::map::{gather_by_imap, scatter_by_imap};
-use crate::access::request::{can_lend, size_for_read, AccessReq, Lent};
+use crate::access::request::{GetMem, PutMem, Sel};
 use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
 
 /// `count` of a single-element access of rank `ndims`: all ones, without
 /// allocating for any rank a netCDF variable plausibly has.
-fn ones(ndims: usize) -> Cow<'static, [u64]> {
+pub(crate) fn ones(ndims: usize) -> Cow<'static, [u64]> {
     const ONES: [u64; 16] = [1; 16];
     match ONES.get(..ndims) {
         Some(ones) => Cow::Borrowed(ones),
@@ -39,30 +36,8 @@ impl Dataset {
         vals: &[T],
         collective: bool,
     ) -> NcmpiResult<()> {
-        self.put_blocking(collective, |ds, req| {
-            ds.require_writable()?;
-            ds.check_count(count, vals.len())?;
-            let nctype = ds.var_nctype(varid)?;
-            let width = nctype.size() as usize;
-            // A same-type put lends the values where they are; only a
-            // converting one (which must raise `NC_ERANGE` before any byte
-            // moves) and an independent one stage their external form.
-            let lent = if nctype == T::NATURAL && can_lend(collective, width) {
-                Some(Lent {
-                    bytes: T::as_bytes(vals),
-                    width,
-                })
-            } else {
-                to_external_into(vals, nctype, &mut req.buffer)?;
-                None
-            };
-            let payload = lent.map_or(req.buffer.len(), |l| l.bytes.len());
-            // Native→external conversion is real CPU work, wherever the
-            // host ends up doing it.
-            ds.comm.advance(ds.comm.config().cpu.pack(payload, 1.0));
-            ds.lower_put(req, varid, start, count, stride, payload)?;
-            Ok(lent)
-        })
+        let sel = Sel::new(varid, start, count, stride);
+        self.put_blocking(sel, PutMem::Values(vals), collective)
     }
 
     fn get_region<T: NcValue>(
@@ -73,55 +48,10 @@ impl Dataset {
         stride: Option<&[u64]>,
         collective: bool,
     ) -> NcmpiResult<Vec<T>> {
-        self.require_mode(collective)?;
-        // The prefetch cache serves reads from local memory — no file I/O,
-        // no synchronization (the §4.1 hint optimization). Bounds are
-        // validated before the cache is consulted.
-        if self.is_prefetched(varid) {
-            pnetcdf_format::layout::check_access(
-                &self.header,
-                varid,
-                start,
-                count,
-                stride,
-                Some(self.header.numrecs),
-            )?;
-            let ext = self
-                .cached_read(varid, start, count, stride)
-                .expect("cache present");
-            self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-            return Ok(from_external(&ext, self.var_nctype(varid)?)?);
-        }
-        self.with_staging(|ds, req| {
-            // Agree on the lowering before the collective execution, then
-            // on the execution outcome itself (see `put_blocking`).
-            let lowered = ds.lower_get(req, varid, start, count, stride);
-            ds.agree_if(collective, lowered)?;
-            let AccessReq {
-                runs,
-                buffer,
-                nctype,
-                ..
-            } = req;
-            let total = runs_total(runs) as usize;
-            if *nctype == T::NATURAL {
-                // The external bytes are delivered into the `Vec<T>` the
-                // call returns — its one allocation — and swapped where
-                // they lie, on this rank's own thread.
-                let width = nctype.size() as usize;
-                let mut out = vec![T::ZERO; total / width];
-                let dst = T::as_bytes_mut(&mut out);
-                ds.get_blocking(varid, runs, dst, collective)?;
-                swap_inplace(dst, width);
-                return Ok(out);
-            }
-            // A converting get decodes element by element from the
-            // external bytes, staged in the recycled request.
-            size_for_read(buffer, total);
-            ds.get_blocking(varid, runs, buffer, collective)?;
-            Ok(from_external(buffer, *nctype)?)
-        })
+        let sel = Sel::new(varid, start, count, stride);
+        let mut out = Vec::new();
+        self.get_blocking(sel, GetMem::Values(&mut out), collective)?;
+        Ok(out)
     }
 
     // ---- vara: subarray ---------------------------------------------------

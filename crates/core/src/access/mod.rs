@@ -11,8 +11,9 @@
 //! * [`flexible`] — the flexible API taking an MPI datatype describing
 //!   (possibly noncontiguous) memory;
 //! * [`map`] — `imap` gather/scatter shared by the `varm` calls;
-//! * [`request`] — the unified request engine every access lowers into,
-//!   including the nonblocking `iput`/`iget`/`wait_all` API.
+//! * [`request`] — the one request path every access takes (one lowering
+//!   per direction, one executor), and the nonblocking
+//!   `iput`/`iget`/`wait_all` API.
 
 pub mod flexible;
 pub mod highlevel;
@@ -23,8 +24,9 @@ pub mod request;
 use pnetcdf_format::layout;
 use pnetcdf_mpio::Run;
 
+use crate::access::request::Sel;
 use crate::dataset::Dataset;
-use crate::error::{NcmpiError, NcmpiResult};
+use crate::error::NcmpiResult;
 
 impl Dataset {
     /// Validate an access and resolve it to absolute file byte runs in
@@ -32,57 +34,37 @@ impl Dataset {
     /// through.
     pub(crate) fn build_region(
         &self,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
+        sel: Sel<'_>,
         for_write: bool,
         runs: &mut Vec<Run>,
     ) -> NcmpiResult<()> {
+        let Sel {
+            varid,
+            start,
+            count,
+            stride,
+        } = sel;
         let limit = if for_write {
             None
         } else {
             Some(self.header.numrecs)
         };
         layout::check_access(&self.header, varid, start, count, stride, limit)?;
-        layout::access_runs_into(
-            &self.header,
-            self.layout.recsize,
-            varid,
-            start,
-            count,
-            stride,
-            runs,
-        );
+        let recsize = self.layout.recsize;
+        layout::access_runs_into(&self.header, recsize, varid, start, count, stride, runs);
         Ok(())
     }
 
     /// After a write touching a record variable, grow the local `numrecs`.
-    pub(crate) fn grow_numrecs(
-        &mut self,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-    ) {
-        if !self.header.is_record_var(varid) || count.first().copied().unwrap_or(0) == 0 {
+    pub(crate) fn grow_numrecs(&mut self, sel: Sel<'_>) {
+        let Sel { start, count, .. } = sel;
+        if !self.header.is_record_var(sel.varid) || count.first().copied().unwrap_or(0) == 0 {
             return;
         }
-        let step = stride.map_or(1, |s| s[0]);
+        let step = sel.stride.map_or(1, |s| s[0]);
         let last = start[0] + (count[0] - 1) * step;
         if last + 1 > self.header.numrecs {
             self.header.numrecs = last + 1;
         }
-    }
-
-    /// Check the element count of a typed access.
-    pub(crate) fn check_count(&self, count: &[u64], vals_len: usize) -> NcmpiResult<()> {
-        let n: u64 = count.iter().product();
-        if n as usize != vals_len {
-            return Err(NcmpiError::InvalidArgument(format!(
-                "value buffer has {vals_len} elements, access selects {n}"
-            )));
-        }
-        Ok(())
     }
 }

@@ -15,7 +15,7 @@
 //! synchronization. Any write to a cached variable, or a `redef`,
 //! invalidates its cache entry.
 
-use pnetcdf_format::layout;
+use pnetcdf_mpio::Run;
 
 use crate::dataset::Dataset;
 use crate::error::NcmpiResult;
@@ -54,33 +54,18 @@ impl Dataset {
         Ok(())
     }
 
-    /// Serve a read from the prefetch cache if the variable is resident.
-    /// Returns the packed external bytes of the selection, or `None`.
-    pub(crate) fn cached_read(
-        &self,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-    ) -> Option<Vec<u8>> {
-        let cache = self.prefetch.get(&varid)?;
-        let v = &self.header.vars[varid];
-        // access_runs yields absolute file offsets; the cache holds the
-        // variable contiguously from `begin`.
-        let runs = layout::access_runs(
-            &self.header,
-            self.layout.recsize,
-            varid,
-            start,
-            count,
-            stride,
-        );
-        let mut out = Vec::with_capacity(runs.iter().map(|r| r.1 as usize).sum());
-        for (off, len) in runs {
-            let lo = (off - v.begin) as usize;
-            out.extend_from_slice(&cache[lo..lo + len as usize]);
+    /// Serve `runs` of the resident variable `varid` from the prefetch
+    /// cache: their external bytes into `dst`, packed in run order.
+    pub(crate) fn read_prefetched(&self, varid: usize, runs: &[Run], dst: &mut [u8]) {
+        // Runs are absolute file offsets; the cache holds the variable
+        // contiguously from `begin`.
+        let (cache, begin) = (&self.prefetch[&varid], self.header.vars[varid].begin);
+        let mut pos = 0;
+        for &(off, len) in runs {
+            let (lo, len) = ((off - begin) as usize, len as usize);
+            dst[pos..pos + len].copy_from_slice(&cache[lo..lo + len]);
+            pos += len;
         }
-        Some(out)
     }
 
     /// Drop the cache entry for `varid` (after a write to it).

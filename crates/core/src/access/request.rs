@@ -1,31 +1,65 @@
-//! The unified access-request pipeline and the nonblocking API.
+//! The one request path, and the nonblocking API.
 //!
-//! Every data access — typed or flexible, blocking or nonblocking,
-//! collective or independent — is lowered into one [`AccessReq`]: the
-//! validated access frozen as absolute file byte runs plus, where the
-//! request must own its bytes, the staged external form of a put. The
-//! blocking calls in [`super::highlevel`] and [`super::flexible`] execute a
-//! single request immediately — a same-type one straight from and into the
-//! caller's memory (`Lent`), with nothing staged at all; the nonblocking
-//! `iput_*`/`iget_*` calls queue requests on the dataset and return
-//! [`Request`] tickets.
+//! A request is one file description ([`Sel`]: a variable and a strided
+//! subarray of it) plus one memory description ([`PutMem`] / [`GetMem`]:
+//! values of a native type, or bytes under an MPI datatype), whichever of
+//! the typed, flexible, blocking and nonblocking calls produced it. All of
+//! them are argument adapters over the five bodies here —
+//! `put_blocking`, `get_blocking`, `put_queued`, `get_queued`, `take` — and
+//! those share one step per job:
 //!
-//! `wait_all` is where the paper's aggregation idea pays off (the
-//! optimization production PnetCDF later shipped as `ncmpi_iput/ncmpi_wait_all`):
-//! all pending puts are merged into **one** sorted, overlap-resolved run
-//! list with a packed staging buffer and issued as a single collective
-//! write; all pending gets union into one run list issued as a single
-//! collective read. N queued variable accesses cost one or two collective
-//! rounds instead of N.
+//! * [`Dataset::stage`] lowers a put into an [`AccessReq`]: size check,
+//!   then the payload is *lent* where it lies or *staged* in the request's
+//!   `buffer` (converted, or gathered and swapped in one pass), the
+//!   conversion is charged, and the access is frozen as file byte runs.
+//! * [`Dataset::deliver`] ends a get: the external bytes are put where the
+//!   values end up and swapped there, or into staging and converted or
+//!   scattered from it.
+//! * [`Dataset::settle`] runs an execution to an outcome every rank shares:
+//!   execute, agree, and once — on an agreed lost server — mark it down
+//!   and execute again in degraded mode.
+//! * [`Dataset::traced`] gives an execution its request id, its trace
+//!   context and its CORE span.
+//!
+//! Lend or stage — one decision for all doors, made in `stage` and
+//! `deliver` (`same type`: the memory's elements are the variable's
+//! external type but for byte order; `packed`: one after another from the
+//! start of the buffer, as typed values always are):
+//!
+//! | access | same type and packed | converting, or strided memory |
+//! |---|---|---|
+//! | blocking collective put | lent in host order; the two-phase overlay swaps each piece into the collective buffer | staged |
+//! | blocking independent put | staged, unless one byte wide: the sieve writes what it is given | staged |
+//! | queued put (`iput_*`) | staged: the queue owns a copy until the wait call | staged |
+//! | get, blocking or `take_result*` | read into the memory itself, swapped in place | read into staging, converted or scattered from it |
+//!
+//! Staging is the dataset's one recycled request for the blocking calls
+//! (`Dataset::staging`, see [`Dataset::with_staging`]) and the queued
+//! request's own buffer for the nonblocking ones.
+//!
+//! A blocking call is a queue-depth-one flush: `flush_merged` hands the
+//! merged run list of a whole queue to the same `execute_put` /
+//! `execute_get`, under the same `traced` and `settle`, and adds only what
+//! a queue adds. That is where the paper's aggregation idea pays off (the
+//! optimization production PnetCDF later shipped as
+//! `ncmpi_iput/ncmpi_wait_all`): all pending puts merge into **one**
+//! sorted, overlap-resolved run list with a packed staging buffer issued
+//! as a single collective write, all pending gets union into one run list
+//! issued as a single collective read — N queued variable accesses cost
+//! one or two collective rounds instead of N.
+
+use std::borrow::Cow;
 
 use hpc_sim::trace::events::layer;
 use hpc_sim::{Span, Time, TraceCtx};
+use pnetcdf_format::swap::swap_inplace;
 use pnetcdf_format::types::{from_external, to_external_into};
 use pnetcdf_format::{NcType, NcValue};
-use pnetcdf_mpi::{Datatype, ReduceOp, Request};
+use pnetcdf_mpi::{Datatype, MpiError, ReduceOp, Request};
 use pnetcdf_mpio::view::runs_total;
 use pnetcdf_mpio::{MpioError, Run};
 
+use crate::access::highlevel::ones;
 use crate::convert;
 use crate::dataset::{DataMode, Dataset};
 use crate::error::{NcmpiError, NcmpiResult};
@@ -35,6 +69,81 @@ use crate::error::{NcmpiError, NcmpiResult};
 pub(crate) enum AccessKind {
     Put,
     Get,
+}
+
+/// The file side of an access: a (strided) subarray of one variable.
+#[derive(Clone, Copy)]
+pub(crate) struct Sel<'a> {
+    pub varid: usize,
+    pub start: &'a [u64],
+    pub count: &'a [u64],
+    pub stride: Option<&'a [u64]>,
+}
+
+impl<'a> Sel<'a> {
+    pub(crate) fn new(
+        varid: usize,
+        start: &'a [u64],
+        count: &'a [u64],
+        stride: Option<&'a [u64]>,
+    ) -> Sel<'a> {
+        Sel {
+            varid,
+            start,
+            count,
+            stride,
+        }
+    }
+}
+
+/// A memory description and a selection must hold the same bytes.
+fn check_described(described: usize, selected: usize) -> NcmpiResult<()> {
+    if described != selected {
+        return Err(NcmpiError::InvalidArgument(format!(
+            "memory datatype describes {described} bytes but the access selects {selected}"
+        )));
+    }
+    Ok(())
+}
+
+/// The memory side of a put.
+pub(crate) enum PutMem<'a, T> {
+    /// Values of a native type (the typed API), converted to the
+    /// variable's external type.
+    Values(&'a [T]),
+    /// `bufcount` instances of an MPI datatype inside `buf` (the flexible
+    /// API; `T` is unused). The memory elements must be as wide as the
+    /// variable's external type (the common usage), so the conversion is
+    /// an endianness swap.
+    Described(&'a [u8], usize, &'a Datatype),
+}
+
+/// The memory side of a get.
+pub(crate) enum GetMem<'a, T> {
+    /// Values of a native type, left here in a vector allocated for them —
+    /// the call's one allocation.
+    Values(&'a mut Vec<T>),
+    /// As [`PutMem::Described`].
+    Described(&'a mut [u8], usize, &'a Datatype),
+}
+
+impl<T> GetMem<'_, T> {
+    /// Can the memory take the `bytes` external bytes of a selection?
+    /// Checked before anything is read — in a collective call before the
+    /// agreement, since this is for one rank alone to get wrong.
+    fn fits(&self, bytes: usize) -> NcmpiResult<()> {
+        let GetMem::Described(buf, bufcount, memtype) = self else {
+            return Ok(());
+        };
+        check_described(memtype.size() as usize * bufcount, bytes)?;
+        if memtype.is_packed() && buf.len() < bytes {
+            return Err(NcmpiError::Mpi(MpiError::Truncated {
+                needed: bytes,
+                available: buf.len(),
+            }));
+        }
+        Ok(())
+    }
 }
 
 /// One lowered access request. The access is fully validated and resolved
@@ -50,13 +159,8 @@ pub(crate) struct AccessReq {
     pub kind: AccessKind,
     /// Absolute file byte runs of the selection, sorted and non-overlapping.
     pub runs: Vec<Run>,
-    /// External (big-endian) bytes in run order, for the accesses that need
-    /// them staged: a queued put (the queue owns a copy until `wait`), a
-    /// blocking put that converts between types or writes independently
-    /// (the sieve writes what it is given), a blocking get that converts or
-    /// scatters through a noncontiguous memory type. Unused otherwise — a
-    /// same-type blocking access moves its bytes from and into the caller's
-    /// memory ([`Lent`]).
+    /// External (big-endian) bytes in run order, for the accesses that
+    /// stage them (the table in the module doc). Unused by the others.
     pub buffer: Vec<u8>,
     /// The variable's external type, kept for get-result conversion.
     pub nctype: NcType,
@@ -90,30 +194,21 @@ impl Default for AccessReq {
 /// The most capacity, in bytes, a vector of the dataset's recycled request
 /// keeps between blocking calls. Small accesses — the ones whose cost is
 /// per-request overhead — reuse their run list and, for the staged kinds
-/// (see [`AccessReq::buffer`]; in practice independent puts), their
-/// staging; a dataset that once staged 32 MiB in one call does not hold
-/// 32 MiB until `close`.
+/// (in practice independent puts), their staging; a dataset that once
+/// staged 32 MiB in one call does not hold 32 MiB until `close`.
 const STAGING_RETAIN: usize = 1 << 20;
 
-/// The bytes a blocking put writes, borrowed for the call: elements `width`
-/// bytes wide in host byte order, or — width 1 — bytes that already are what
-/// the file is to hold.
+/// The bytes a put writes, borrowed for the call: elements `width` bytes
+/// wide in host byte order, or — width 1 — bytes that already are what the
+/// file is to hold.
 #[derive(Clone, Copy)]
-pub(crate) struct Lent<'a> {
-    pub bytes: &'a [u8],
-    pub width: usize,
-}
-
-/// May a blocking put lend elements `width` wide as they are? A collective
-/// one always: the two-phase overlay converts each piece on its way into
-/// the collective buffer. An independent one goes through the sieve, which
-/// writes what it is given — so only when there is nothing to convert.
-pub(crate) fn can_lend(collective: bool, width: usize) -> bool {
-    collective || width == 1
+struct Lent<'a> {
+    bytes: &'a [u8],
+    width: usize,
 }
 
 /// Size `buf` to `len` bytes for a read to fill.
-pub(crate) fn size_for_read(buf: &mut Vec<u8>, len: usize) {
+fn size_for_read(buf: &mut Vec<u8>, len: usize) {
     if buf.capacity() < len {
         // Zeroed pages from the allocator instead of a copy of the old
         // contents followed by a memset.
@@ -218,11 +313,11 @@ fn runs_coalesced(runs: &[Run]) -> bool {
 /// Merge the put requests into one sorted run list + staging buffer, later
 /// requests winning overlaps. A single coalesced put needs no merge at all:
 /// its staged buffer is borrowed as-is (zero copies).
-fn merge_puts(reqs: &[AccessReq]) -> (Vec<Run>, std::borrow::Cow<'_, [u8]>) {
+fn merge_puts(reqs: &[AccessReq]) -> (Vec<Run>, Cow<'_, [u8]>) {
     let puts: Vec<&AccessReq> = reqs.iter().filter(|r| r.kind == AccessKind::Put).collect();
     if let [only] = puts.as_slice() {
         if runs_coalesced(&only.runs) {
-            return (only.runs.clone(), std::borrow::Cow::Borrowed(&only.buffer));
+            return (only.runs.clone(), Cow::Borrowed(&only.buffer));
         }
     }
     let mut stage = RunStage::default();
@@ -235,7 +330,7 @@ fn merge_puts(reqs: &[AccessReq]) -> (Vec<Run>, std::borrow::Cow<'_, [u8]>) {
         }
     }
     let (runs, staging) = stage.into_merged_with(&sources);
-    (runs, std::borrow::Cow::Owned(staging))
+    (runs, Cow::Owned(staging))
 }
 
 /// Union of all get requests' runs: sorted, coalesced coverage.
@@ -285,15 +380,6 @@ fn extract_runs(cov: &[Run], pos: &[u64], data: &[u8], runs: &[Run]) -> Vec<u8> 
     out
 }
 
-/// The agreed (or local, in independent mode) server index when `res` is
-/// the failover-eligible lost-server verdict, `None` otherwise.
-pub(crate) fn agreed_server_lost<T>(res: &NcmpiResult<T>) -> Option<usize> {
-    match res {
-        Err(NcmpiError::Mpio(MpioError::ServerLost { server, .. })) => Some(*server),
-        _ => None,
-    }
-}
-
 // ---- the engine ------------------------------------------------------------
 
 impl Dataset {
@@ -328,11 +414,7 @@ impl Dataset {
 
     /// [`Dataset::agree`] in collective mode; the local outcome as it is in
     /// independent mode, where no other rank is waiting.
-    pub(crate) fn agree_if<T>(
-        &mut self,
-        collective: bool,
-        local: NcmpiResult<T>,
-    ) -> NcmpiResult<T> {
+    fn agree_if<T>(&mut self, collective: bool, local: NcmpiResult<T>) -> NcmpiResult<T> {
         if collective {
             self.agree(local)
         } else {
@@ -340,8 +422,8 @@ impl Dataset {
         }
     }
 
-    /// The data mode a blocking call of this flavor requires.
-    pub(crate) fn require_mode(&self, collective: bool) -> NcmpiResult<()> {
+    /// The data mode a call of this flavor requires.
+    fn require_mode(&self, collective: bool) -> NcmpiResult<()> {
         if collective {
             self.require_collective()
         } else {
@@ -350,7 +432,7 @@ impl Dataset {
     }
 
     /// The variable's external type, or `NotFound`.
-    pub(crate) fn var_nctype(&self, varid: usize) -> NcmpiResult<NcType> {
+    fn var_nctype(&self, varid: usize) -> NcmpiResult<NcType> {
         self.header
             .vars
             .get(varid)
@@ -366,13 +448,17 @@ impl Dataset {
         Ok(())
     }
 
+    /// Charge the CPU one pass over `bytes` bytes — a conversion between
+    /// native and external form, a gather, a merge — wherever the host
+    /// ends up doing that work.
+    fn charge_pass(&self, bytes: usize) {
+        self.comm.advance(self.comm.config().cpu.pack(bytes, 1.0));
+    }
+
     /// Run one blocking call with the dataset's recycled request to lower
     /// into. However the call ends, the request's vectors are kept for the
     /// next one — unless one has grown past [`STAGING_RETAIN`].
-    pub(crate) fn with_staging<R>(
-        &mut self,
-        call: impl FnOnce(&mut Dataset, &mut AccessReq) -> R,
-    ) -> R {
+    fn with_staging<R>(&mut self, call: impl FnOnce(&mut Dataset, &mut AccessReq) -> R) -> R {
         let mut req = std::mem::take(&mut self.staging);
         let out = call(self, &mut req);
         if req.buffer.capacity() > STAGING_RETAIN {
@@ -385,93 +471,241 @@ impl Dataset {
         out
     }
 
-    /// Lower a write access of `payload` bytes (staged in `req.buffer` or
-    /// lent) into `req`: validate and resolve to file runs. Grows the
-    /// local record count and invalidates the variable's prefetch cache, so
-    /// later accesses in the same batch see the post-write state.
-    pub(crate) fn lower_put(
-        &mut self,
-        req: &mut AccessReq,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-        payload: usize,
-    ) -> NcmpiResult<()> {
-        self.require_writable()?;
-        self.lower(req, AccessKind::Put, varid, start, count, stride)?;
-        let total = runs_total(&req.runs);
-        if total as usize != payload {
-            return Err(NcmpiError::InvalidArgument(format!(
-                "access selects {total} bytes but the payload holds {payload}"
-            )));
-        }
-        self.grow_numrecs(varid, start, count, stride);
-        self.invalidate_cache(varid);
-        Ok(())
-    }
-
-    /// Lower a read access into `req`: validate against the current record
-    /// count and resolve to file runs.
-    pub(crate) fn lower_get(
-        &mut self,
-        req: &mut AccessReq,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-    ) -> NcmpiResult<()> {
-        self.lower(req, AccessKind::Get, varid, start, count, stride)
-    }
-
-    fn lower(
-        &self,
-        req: &mut AccessReq,
-        kind: AccessKind,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-    ) -> NcmpiResult<()> {
-        req.nctype = self.var_nctype(varid)?;
-        self.build_region(
-            varid,
-            start,
-            count,
-            stride,
-            kind == AccessKind::Put,
-            &mut req.runs,
-        )?;
+    /// Freeze an access into `req`: validate it (a get against the current
+    /// record count) and resolve it to file runs.
+    fn lower(&self, req: &mut AccessReq, kind: AccessKind, sel: Sel<'_>) -> NcmpiResult<()> {
+        req.nctype = self.var_nctype(sel.varid)?;
+        self.build_region(sel, kind == AccessKind::Put, &mut req.runs)?;
         req.id = Request::NULL;
-        req.varid = varid;
+        req.varid = sel.varid;
         req.kind = kind;
-        req.record = self.header.is_record_var(varid);
+        req.record = self.header.is_record_var(sel.varid);
         req.trace_id = 0;
         req.queued = Time::ZERO;
         Ok(())
     }
 
-    /// The body of every blocking put, typed or flexible. `lower` validates
-    /// the call, lowers it into the request it is given and says where the
-    /// payload is: lent by the caller, or (`None`) staged in the request's
-    /// `buffer` as external bytes.
-    ///
-    /// In collective mode the outcome of `lower` is agreed *before* entering
-    /// the collective execution: if any rank failed validation, every rank
-    /// returns that same error and nobody enters the two-phase exchange
-    /// alone.
-    pub(crate) fn put_blocking<'p>(
+    // ---- one lowering per direction -------------------------------------------
+
+    /// Lower a put into `req`. The payload is lent back where it lies when
+    /// it is of the variable's type, packed, and its elements no wider than
+    /// `lend_width` (0: a queued put lends nothing); otherwise it is left in
+    /// `req.buffer` in external form — converted (`NC_ERANGE` before any
+    /// byte moves), or gathered and swapped in one fused pass. Grows the
+    /// local record count and invalidates the variable's prefetch cache, so
+    /// later accesses in the same batch see the post-write state.
+    fn stage<'m, T: NcValue>(
+        &mut self,
+        req: &mut AccessReq,
+        sel: Sel<'_>,
+        mem: PutMem<'m, T>,
+        lend_width: usize,
+    ) -> NcmpiResult<Option<Lent<'m>>> {
+        self.require_writable()?;
+        let nctype = self.var_nctype(sel.varid)?;
+        let width = nctype.size() as usize;
+        let elems = sel.count.iter().product::<u64>() as usize;
+        let bytes = elems * width;
+        let (lent, walked) = match mem {
+            PutMem::Values(vals) => {
+                if vals.len() != elems {
+                    return Err(NcmpiError::InvalidArgument(format!(
+                        "value buffer has {} elements, access selects {elems}",
+                        vals.len()
+                    )));
+                }
+                if nctype == T::NATURAL && width <= lend_width {
+                    let native = T::as_bytes(vals);
+                    (
+                        Some(Lent {
+                            bytes: native,
+                            width,
+                        }),
+                        false,
+                    )
+                } else {
+                    to_external_into(vals, nctype, &mut req.buffer)?;
+                    (None, false)
+                }
+            }
+            PutMem::Described(buf, bufcount, memtype) => {
+                check_described(memtype.size() as usize * bufcount, bytes)?;
+                let lent = if memtype.is_packed() && width <= lend_width {
+                    let native = buf.get(..bytes).ok_or(MpiError::Truncated {
+                        needed: bytes,
+                        available: buf.len(),
+                    })?;
+                    Some(Lent {
+                        bytes: native,
+                        width,
+                    })
+                } else {
+                    let staging = &mut req.buffer;
+                    convert::pack_to_external_into(buf, bufcount, memtype, nctype, staging)?;
+                    let profile = &self.comm.config().profile;
+                    profile.record_bytepath(|b| b.fused_pack_bytes += bytes as u64);
+                    None
+                };
+                (lent, !memtype.is_contiguous())
+            }
+        };
+        // The datatype walk and the native→external conversion are real CPU
+        // work, charged separately, wherever the host ends up doing them.
+        if walked {
+            self.charge_pass(bytes);
+        }
+        self.charge_pass(bytes);
+        self.lower(req, AccessKind::Put, sel)?;
+        debug_assert_eq!(runs_total(&req.runs) as usize, bytes);
+        self.grow_numrecs(sel);
+        self.invalidate_cache(sel.varid);
+        Ok(lent)
+    }
+
+    /// End a get of `bytes` external bytes of type `nctype` in `mem`, which
+    /// [`GetMem::fits`] them. `fill` supplies the bytes, in run order: into
+    /// the memory itself when its elements are of the variable's type and
+    /// packed, to be swapped where they lie; otherwise into `staging`, to
+    /// be converted or scattered from there in one fused pass.
+    fn deliver<T: NcValue>(
+        &mut self,
+        mem: GetMem<'_, T>,
+        nctype: NcType,
+        bytes: usize,
+        staging: &mut Vec<u8>,
+        fill: impl FnOnce(&mut Dataset, &mut [u8]) -> NcmpiResult<()>,
+    ) -> NcmpiResult<()> {
+        let width = nctype.size() as usize;
+        let in_place = match mem {
+            GetMem::Values(out) if nctype == T::NATURAL => {
+                *out = vec![T::ZERO; bytes / width];
+                T::as_bytes_mut(out)
+            }
+            GetMem::Described(buf, _, memtype) if memtype.is_packed() => &mut buf[..bytes],
+            staged => {
+                size_for_read(staging, bytes);
+                fill(self, staging)?;
+                self.charge_pass(bytes);
+                match staged {
+                    GetMem::Values(out) => *out = from_external(staging, nctype)?,
+                    GetMem::Described(buf, bufcount, memtype) => {
+                        let profile = &self.comm.config().profile;
+                        profile.record_bytepath(|b| b.fused_unpack_bytes += bytes as u64);
+                        convert::unpack_from_external(staging, buf, bufcount, memtype, nctype)?;
+                    }
+                }
+                return Ok(());
+            }
+        };
+        fill(self, in_place)?;
+        // External→native conversion is real CPU work too.
+        self.charge_pass(bytes);
+        swap_inplace(in_place, width);
+        Ok(())
+    }
+
+    // ---- one executor ---------------------------------------------------------
+
+    /// Run `execute` to an outcome every rank shares. Execution faults can
+    /// be aggregator-local (a storage fault that exhausted one rank's retry
+    /// budget), so in collective mode the outcome is agreed. Server
+    /// failover: when the agreed (or, independently, local) verdict is a
+    /// crashed server parity can cover, every rank — driven by the same
+    /// error, so at the same operation — marks it down (idempotently; in
+    /// independent mode whichever rank escalates first flips the shared
+    /// mark) and executes once more in degraded mode: puts re-issue the
+    /// same bytes, gets are reconstructed from surviving data and parity.
+    fn settle(
         &mut self,
         collective: bool,
-        lower: impl FnOnce(&mut Dataset, &mut AccessReq) -> NcmpiResult<Option<Lent<'p>>>,
+        mut execute: impl FnMut(&mut Dataset) -> NcmpiResult<()>,
+    ) -> NcmpiResult<()> {
+        let done = execute(self);
+        let done = self.agree_if(collective, done);
+        let Err(NcmpiError::Mpio(MpioError::ServerLost { server, .. })) = done else {
+            return done;
+        };
+        self.file.raw().cluster().mark_server_down(server);
+        let retried = execute(self);
+        self.agree_if(collective, retried)
+    }
+
+    /// Run `io` as one request of the event trace: under a fresh request
+    /// id, which the layers below attach their spans to, and inside one
+    /// CORE span `name` carrying `args`. Returns what `io` returned and the
+    /// id (0 while tracing is off).
+    fn traced<R>(
+        &mut self,
+        name: &'static str,
+        args: &[(&'static str, u64)],
+        io: impl FnOnce(&mut Dataset) -> R,
+    ) -> (R, u64) {
+        let events = &self.comm.config().events;
+        if !events.is_enabled() {
+            return (io(self), 0);
+        }
+        let (rank, rid, t0) = (self.comm.world_rank(), events.next_id(), self.comm.now());
+        let out = {
+            let _ctx = TraceCtx::enter(rank, rid);
+            io(self)
+        };
+        let t1 = self.comm.now();
+        let span = Span::new(rank, layer::CORE, name, t0.as_nanos(), t1.as_nanos()).with_id(rid);
+        let span = args.iter().fold(span, |s, &(k, v)| s.with_arg(k, v));
+        self.comm.config().events.record(span);
+        (out, rid)
+    }
+
+    /// Write `payload` to `runs`, through two-phase I/O or the sieve.
+    fn execute_put(&self, runs: &[Run], payload: Lent<'_>, collective: bool) -> NcmpiResult<()> {
+        if collective {
+            self.file
+                .write_native_runs_at_all(runs, payload.bytes, payload.width)?;
+        } else {
+            assert_eq!(
+                payload.width, 1,
+                "an independent put was lent unconverted elements"
+            );
+            self.file.write_runs_at(runs, payload.bytes)?;
+        }
+        Ok(())
+    }
+
+    /// Read the external bytes of `runs` into `dst`, in run order.
+    fn execute_get(&self, runs: &[Run], dst: &mut [u8], collective: bool) -> NcmpiResult<()> {
+        if collective {
+            self.file.read_runs_into_all(runs, dst)?;
+        } else {
+            self.file.read_runs_into(runs, dst)?;
+        }
+        Ok(())
+    }
+
+    // ---- the five bodies ------------------------------------------------------
+
+    /// Every blocking put, typed or flexible.
+    ///
+    /// In collective mode the outcome of the lowering is agreed *before*
+    /// entering the collective execution: if any rank failed validation,
+    /// every rank returns that same error and nobody enters the two-phase
+    /// exchange alone.
+    pub(crate) fn put_blocking<T: NcValue>(
+        &mut self,
+        sel: Sel<'_>,
+        mem: PutMem<'_, T>,
+        collective: bool,
     ) -> NcmpiResult<()> {
         self.require_mode(collective)?;
-        // A blocking call is a queue-depth-one flush of the unified request
-        // engine, lowered into the dataset's recycled request.
         self.with_staging(|ds, req| {
             let numrecs = ds.header.numrecs;
-            let lowered = lower(ds, req);
-            let lent = match ds.agree_if(collective, lowered) {
+            // A collective put lends elements of any width: the two-phase
+            // overlay converts each piece on its way into the collective
+            // buffer. An independent one goes through the sieve, which
+            // writes what it is given — so only where there is nothing to
+            // convert.
+            let lend_width = if collective { usize::MAX } else { 1 };
+            let staged = ds.stage(req, sel, mem, lend_width);
+            let lent = match ds.agree_if(collective, staged) {
                 Ok(lent) => lent,
                 Err(e) => {
                     // Nothing was written: the records this rank's lowering
@@ -484,131 +718,101 @@ impl Dataset {
                 bytes: &req.buffer,
                 width: 1,
             });
-            let done = ds.execute_put_now(req, payload, collective);
-            // Execution faults can be aggregator-local (a storage fault that
-            // exhausted one rank's retry budget), so agree on those too.
-            let mut done = ds.agree_if(collective, done);
-            // Server failover: the agreed (or, independently, local) verdict
-            // says a crashed server is coverable by parity — mark it down
-            // (idempotent) and re-issue the same write once in degraded mode.
-            if let Some(server) = agreed_server_lost(&done) {
-                ds.file.raw().mark_server_down(server);
-                let retried = ds.execute_put_now(req, payload, collective);
-                done = ds.agree_if(collective, retried);
-            }
-            done
+            let bytes = payload.bytes.len() as u64;
+            ds.settle(collective, |ds| {
+                let io = |ds: &mut Dataset| -> NcmpiResult<()> {
+                    ds.execute_put(&req.runs, payload, collective)?;
+                    if collective && req.record {
+                        ds.reconcile_numrecs()?;
+                    }
+                    Ok(())
+                };
+                ds.traced("put", &[("bytes", bytes)], io).0?;
+                ds.profile.record(req.varid, true, false, bytes);
+                Ok(())
+            })
         })
     }
 
-    /// Execute one lowered put immediately (the blocking path).
-    fn execute_put_now(
+    /// Every blocking get, typed or flexible.
+    pub(crate) fn get_blocking<T: NcValue>(
         &mut self,
-        req: &AccessReq,
-        payload: Lent<'_>,
+        sel: Sel<'_>,
+        mem: GetMem<'_, T>,
         collective: bool,
     ) -> NcmpiResult<()> {
-        let events = &self.comm.config().events;
-        let rid = events.is_enabled().then(|| events.next_id());
-        let t0 = self.comm.now();
-        {
-            let _ctx = rid.map(|r| TraceCtx::enter(self.comm.world_rank(), r));
-            if collective {
-                self.file
-                    .write_native_runs_at_all(&req.runs, payload.bytes, payload.width)?;
-                if req.record {
-                    self.reconcile_numrecs()?;
+        self.require_mode(collective)?;
+        self.with_staging(|ds, req| {
+            let lowered = ds
+                .lower(req, AccessKind::Get, sel)
+                .and_then(|()| mem.fits(runs_total(&req.runs) as usize));
+            // The prefetch cache serves reads from local memory — no file
+            // I/O, no synchronization (the §4.1 hint optimization) — once
+            // the access is validated. Otherwise agree on the lowering
+            // before the collective execution (see `put_blocking`).
+            let cached = ds.is_prefetched(sel.varid);
+            ds.agree_if(collective && !cached, lowered)?;
+            let AccessReq {
+                runs,
+                buffer,
+                nctype,
+                ..
+            } = req;
+            let bytes = runs_total(runs) as usize;
+            ds.deliver(mem, *nctype, bytes, buffer, |ds, dst| {
+                if cached {
+                    ds.read_prefetched(sel.varid, runs, dst);
+                    return Ok(());
                 }
-            } else {
-                assert!(
-                    can_lend(false, payload.width),
-                    "an independent put was lent unconverted elements"
-                );
-                self.file.write_runs_at(&req.runs, payload.bytes)?;
-            }
-        }
-        let bytes = payload.bytes.len() as u64;
-        if let Some(r) = rid {
-            self.comm.config().events.record(
-                Span::new(
-                    self.comm.world_rank(),
-                    layer::CORE,
-                    "put",
-                    t0.as_nanos(),
-                    self.comm.now().as_nanos(),
-                )
-                .with_id(r)
-                .with_arg("bytes", bytes),
-            );
-        }
-        self.profile.record(req.varid, true, false, bytes);
-        Ok(())
+                ds.settle(collective, |ds| {
+                    let io = |ds: &mut Dataset| ds.execute_get(runs, dst, collective);
+                    ds.traced("get", &[("bytes", bytes as u64)], io).0?;
+                    ds.profile.record(sel.varid, false, false, bytes as u64);
+                    Ok(())
+                })
+            })
+        })
     }
 
-    /// The second half of every blocking get, typed or flexible, once its
-    /// lowering is agreed: read the external bytes of `runs` into `dst`, in
-    /// run order, agreeing on the outcome in collective mode, and charge
-    /// the external→native conversion every caller performs next.
-    pub(crate) fn get_blocking(
-        &mut self,
-        varid: usize,
-        runs: &[Run],
-        dst: &mut [u8],
-        collective: bool,
-    ) -> NcmpiResult<()> {
-        let got = self.execute_get_now(varid, runs, dst, collective);
-        let mut got = self.agree_if(collective, got);
-        // Server failover on reads: degraded mode reconstructs the lost
-        // server's chunks from surviving data + parity.
-        if let Some(server) = agreed_server_lost(&got) {
-            self.file.raw().mark_server_down(server);
-            let retried = self.execute_get_now(varid, runs, dst, collective);
-            got = self.agree_if(collective, retried);
-        }
-        got?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(dst.len(), 1.0));
-        Ok(())
+    /// Every `iput_*`: stage a copy the queue owns, and queue it.
+    fn put_queued<T: NcValue>(&mut self, sel: Sel<'_>, mem: PutMem<'_, T>) -> NcmpiResult<Request> {
+        self.require_data_mode()?;
+        let mut req = AccessReq::default();
+        self.stage(&mut req, sel, mem, 0)?;
+        Ok(self.enqueue(req))
     }
 
-    /// Execute one lowered get immediately (the blocking path): `dst` ends
-    /// up holding exactly the external bytes of the selection, in run order.
-    fn execute_get_now(
-        &mut self,
-        varid: usize,
-        runs: &[Run],
-        dst: &mut [u8],
-        collective: bool,
-    ) -> NcmpiResult<()> {
-        let events = &self.comm.config().events;
-        let rid = events.is_enabled().then(|| events.next_id());
-        let t0 = self.comm.now();
-        {
-            let _ctx = rid.map(|r| TraceCtx::enter(self.comm.world_rank(), r));
-            if collective {
-                self.file.read_runs_into_all(runs, dst)?
-            } else {
-                self.file.read_runs_into(runs, dst)?
-            }
-        };
-        let total = dst.len() as u64;
-        if let Some(r) = rid {
-            events.record(
-                Span::new(
-                    self.comm.world_rank(),
-                    layer::CORE,
-                    "get",
-                    t0.as_nanos(),
-                    self.comm.now().as_nanos(),
-                )
-                .with_id(r)
-                .with_arg("bytes", total),
-            );
+    /// Every `iget_*`: lower and queue. A flexible one says how many bytes
+    /// its memory description holds, to be refused now rather than when
+    /// the result is taken.
+    fn get_queued(&mut self, sel: Sel<'_>, described: Option<usize>) -> NcmpiResult<Request> {
+        self.require_data_mode()?;
+        let mut req = AccessReq::default();
+        self.lower(&mut req, AccessKind::Get, sel)?;
+        if let Some(described) = described {
+            check_described(described, runs_total(&req.runs) as usize)?;
         }
-        self.profile.record(varid, false, false, total);
-        Ok(())
+        Ok(self.enqueue(req))
     }
 
-    pub(crate) fn enqueue(&mut self, mut req: AccessReq) -> Request {
+    /// Every `take_result*`: consume a completed get's external bytes into
+    /// `mem`. A get whose flush failed yields the per-request error
+    /// recorded at flush time.
+    fn take<T: NcValue>(&mut self, req: Request, mem: GetMem<'_, T>) -> NcmpiResult<()> {
+        let (nctype, ext) = self
+            .results
+            .remove(&req.id())
+            .ok_or_else(|| NcmpiError::NotFound(format!("completed request {req:?}")))??;
+        mem.fits(ext.len())?;
+        self.with_staging(|ds, staged| {
+            ds.deliver(mem, nctype, ext.len(), &mut staged.buffer, |_, dst| {
+                dst.copy_from_slice(&ext);
+                Ok(())
+            })
+        })
+    }
+
+    fn enqueue(&mut self, mut req: AccessReq) -> Request {
         let id = self.req_table.issue();
         req.id = id;
         let events = &self.comm.config().events;
@@ -618,38 +822,6 @@ impl Dataset {
         }
         self.pending.push(req);
         id
-    }
-
-    fn enqueue_put_typed<T: NcValue>(
-        &mut self,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-        vals: &[T],
-    ) -> NcmpiResult<Request> {
-        self.require_data_mode()?;
-        self.check_count(count, vals.len())?;
-        let mut req = AccessReq::default();
-        to_external_into(vals, self.var_nctype(varid)?, &mut req.buffer)?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(req.buffer.len(), 1.0));
-        let staged = req.buffer.len();
-        self.lower_put(&mut req, varid, start, count, stride, staged)?;
-        Ok(self.enqueue(req))
-    }
-
-    fn enqueue_get(
-        &mut self,
-        varid: usize,
-        start: &[u64],
-        count: &[u64],
-        stride: Option<&[u64]>,
-    ) -> NcmpiResult<Request> {
-        self.require_data_mode()?;
-        let mut req = AccessReq::default();
-        self.lower_get(&mut req, varid, start, count, stride)?;
-        Ok(self.enqueue(req))
     }
 
     // ---- the nonblocking API ------------------------------------------------
@@ -664,7 +836,7 @@ impl Dataset {
         count: &[u64],
         vals: &[T],
     ) -> NcmpiResult<Request> {
-        self.enqueue_put_typed(varid, start, count, None, vals)
+        self.put_queued(Sel::new(varid, start, count, None), PutMem::Values(vals))
     }
 
     /// Queue a strided subarray write (`ncmpi_iput_vars_<type>`).
@@ -676,7 +848,10 @@ impl Dataset {
         stride: &[u64],
         vals: &[T],
     ) -> NcmpiResult<Request> {
-        self.enqueue_put_typed(varid, start, count, Some(stride), vals)
+        self.put_queued(
+            Sel::new(varid, start, count, Some(stride)),
+            PutMem::Values(vals),
+        )
     }
 
     /// Queue a single-element write (`ncmpi_iput_var1_<type>`).
@@ -686,14 +861,16 @@ impl Dataset {
         index: &[u64],
         val: T,
     ) -> NcmpiResult<Request> {
-        let count = vec![1u64; index.len()];
-        self.enqueue_put_typed(varid, index, &count, None, &[val])
+        self.put_queued(
+            Sel::new(varid, index, &ones(index.len()), None),
+            PutMem::Values(&[val]),
+        )
     }
 
     /// Queue a whole-variable write (`ncmpi_iput_var_<type>`).
     pub fn iput_var<T: NcValue>(&mut self, varid: usize, vals: &[T]) -> NcmpiResult<Request> {
         let (start, count) = self.whole(varid, Some(vals.len()))?;
-        self.enqueue_put_typed(varid, &start, &count, None, vals)
+        self.put_queued(Sel::new(varid, &start, &count, None), PutMem::Values(vals))
     }
 
     /// Queue a flexible subarray write (`ncmpi_iput_vara`): memory described
@@ -707,29 +884,8 @@ impl Dataset {
         bufcount: usize,
         memtype: &Datatype,
     ) -> NcmpiResult<Request> {
-        self.require_data_mode()?;
-        let (nctype, _) = self.flexible_common(varid, count, bufcount, memtype)?;
-        // Fused gather+convert: one pass instead of pack-then-swap. The
-        // simulator still charges both steps — the datatype walk and the
-        // endianness conversion are real work; only the extra buffer is gone.
-        let ext = convert::pack_to_external(buf, bufcount, memtype, nctype)?;
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_pack_bytes += ext.len() as u64);
-        if !memtype.is_contiguous() {
-            self.comm
-                .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        }
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        let mut req = AccessReq {
-            buffer: ext,
-            ..AccessReq::default()
-        };
-        let staged = req.buffer.len();
-        self.lower_put(&mut req, varid, start, count, None, staged)?;
-        Ok(self.enqueue(req))
+        let mem = PutMem::<u8>::Described(buf, bufcount, memtype);
+        self.put_queued(Sel::new(varid, start, count, None), mem)
     }
 
     /// Queue a flexible subarray read (`ncmpi_iget_vara`): the memory
@@ -743,9 +899,8 @@ impl Dataset {
         bufcount: usize,
         memtype: &Datatype,
     ) -> NcmpiResult<Request> {
-        self.require_data_mode()?;
-        self.flexible_common(varid, count, bufcount, memtype)?;
-        self.enqueue_get(varid, start, count, None)
+        let described = memtype.size() as usize * bufcount;
+        self.get_queued(Sel::new(varid, start, count, None), Some(described))
     }
 
     /// Queue a subarray read (`ncmpi_iget_vara_<type>`); retrieve the values
@@ -756,7 +911,7 @@ impl Dataset {
         start: &[u64],
         count: &[u64],
     ) -> NcmpiResult<Request> {
-        self.enqueue_get(varid, start, count, None)
+        self.get_queued(Sel::new(varid, start, count, None), None)
     }
 
     /// Queue a strided subarray read (`ncmpi_iget_vars_<type>`).
@@ -767,19 +922,18 @@ impl Dataset {
         count: &[u64],
         stride: &[u64],
     ) -> NcmpiResult<Request> {
-        self.enqueue_get(varid, start, count, Some(stride))
+        self.get_queued(Sel::new(varid, start, count, Some(stride)), None)
     }
 
     /// Queue a single-element read (`ncmpi_iget_var1_<type>`).
     pub fn iget_var1(&mut self, varid: usize, index: &[u64]) -> NcmpiResult<Request> {
-        let count = vec![1u64; index.len()];
-        self.enqueue_get(varid, index, &count, None)
+        self.get_queued(Sel::new(varid, index, &ones(index.len()), None), None)
     }
 
     /// Queue a whole-variable read (`ncmpi_iget_var_<type>`).
     pub fn iget_var(&mut self, varid: usize) -> NcmpiResult<Request> {
         let (start, count) = self.whole(varid, None)?;
-        self.enqueue_get(varid, &start, &count, None)
+        self.get_queued(Sel::new(varid, &start, &count, None), None)
     }
 
     /// Number of queued, un-waited requests.
@@ -790,17 +944,14 @@ impl Dataset {
     /// Retrieve (and consume) a completed get's values. A get whose flush
     /// failed yields the per-request error recorded at flush time.
     pub fn take_result<T: NcValue>(&mut self, req: Request) -> NcmpiResult<Vec<T>> {
-        let (nctype, ext) = self
-            .results
-            .remove(&req.id())
-            .ok_or_else(|| NcmpiError::NotFound(format!("completed request {req:?}")))??;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        Ok(from_external(&ext, nctype)?)
+        let mut out = Vec::new();
+        self.take(req, GetMem::Values(&mut out))?;
+        Ok(out)
     }
 
     /// Retrieve (and consume) a completed get's bytes into a flexible-API
-    /// memory description.
+    /// memory description. One that does not hold exactly the bytes the get
+    /// selected is refused with `InvalidArgument`, as by the blocking calls.
     pub fn take_result_flexible(
         &mut self,
         req: Request,
@@ -808,19 +959,7 @@ impl Dataset {
         bufcount: usize,
         memtype: &Datatype,
     ) -> NcmpiResult<()> {
-        let (nctype, ext) = self
-            .results
-            .remove(&req.id())
-            .ok_or_else(|| NcmpiError::NotFound(format!("completed request {req:?}")))??;
-        self.comm
-            .advance(self.comm.config().cpu.pack(ext.len(), 1.0));
-        self.comm
-            .config()
-            .profile
-            .record_bytepath(|b| b.fused_unpack_bytes += ext.len() as u64);
-        // Fused convert+scatter: one pass instead of swap-then-unpack.
-        convert::unpack_from_external(&ext, buf, bufcount, memtype, nctype)?;
-        Ok(())
+        self.take(req, GetMem::<u8>::Described(buf, bufcount, memtype))
     }
 
     // ---- waiting ------------------------------------------------------------
@@ -832,56 +971,47 @@ impl Dataset {
     /// pending gets merge into a single collective read — regardless of how
     /// many requests were queued.
     pub fn wait_all(&mut self) -> NcmpiResult<()> {
-        self.require_collective()?;
+        self.drain(true)
+    }
+
+    /// Independently complete every pending request (`ncmpi_wait`).
+    pub fn wait(&mut self) -> NcmpiResult<()> {
+        self.drain(false)
+    }
+
+    fn drain(&mut self, collective: bool) -> NcmpiResult<()> {
+        self.require_mode(collective)?;
         let reqs = std::mem::take(&mut self.pending);
-        // Agree on which phases run: ranks may have queued different mixes.
-        let local = [
-            reqs.iter().any(|r| r.kind == AccessKind::Put) as u64,
-            reqs.iter().any(|r| r.kind == AccessKind::Get) as u64,
-            reqs.iter().any(|r| r.kind == AccessKind::Put && r.record) as u64,
+        let is_put = |r: &AccessReq| r.kind == AccessKind::Put;
+        let mut any = vec![
+            reqs.iter().any(is_put) as u64,
+            reqs.iter().any(|r| !is_put(r)) as u64,
+            reqs.iter().any(|r| is_put(r) && r.record) as u64,
         ];
-        let global = self.comm.allreduce(ReduceOp::Max, &local)?;
+        if collective {
+            // Agree on which phases run: ranks may have queued different
+            // mixes.
+            any = self.comm.allreduce(ReduceOp::Max, &any)?;
+        }
         // The queue is already drained (`mem::take`) and `flush_merged`
         // records a per-request error result for every get it could not
-        // serve, so even a failed flush leaves no stale requests behind.
-        let flushed = self.flush_merged(&reqs, global[0] != 0, global[1] != 0, true);
-        let mut flushed = self.agree(flushed);
-        // Server failover: when the *agreed* outcome is a lost-but-
-        // coverable server, every rank — driven by the same agreed error,
-        // so at the same operation — marks it down (idempotently) and the
-        // whole collective retries once in degraded mode. Puts re-issue
-        // the same bytes (idempotent); gets overwrite their error results.
-        if let Some(server) = agreed_server_lost(&flushed) {
-            self.file.raw().mark_server_down(server);
-            let retried = self.flush_merged(&reqs, global[0] != 0, global[1] != 0, true);
-            flushed = self.agree(retried);
-        }
-        if flushed.is_ok() && global[2] != 0 {
+        // serve, so even a failed flush leaves no stale requests behind; a
+        // degraded-mode retry overwrites those error results.
+        let flushed = self.settle(collective, |ds| {
+            ds.flush_merged(&reqs, any[0] != 0, any[1] != 0, collective)
+        });
+        if collective && flushed.is_ok() && any[2] != 0 {
             self.reconcile_numrecs()?;
         }
         flushed
     }
 
-    /// Independently complete every pending request (`ncmpi_wait`).
-    pub fn wait(&mut self) -> NcmpiResult<()> {
-        self.require_independent()?;
-        let reqs = std::mem::take(&mut self.pending);
-        let do_puts = reqs.iter().any(|r| r.kind == AccessKind::Put);
-        let do_gets = reqs.iter().any(|r| r.kind == AccessKind::Get);
-        let flushed = self.flush_merged(&reqs, do_puts, do_gets, false);
-        // Independent-mode failover: no agreement round — the shared mark
-        // is idempotent, so whichever rank escalates first flips it and
-        // the others find it already down.
-        if let Some(server) = agreed_server_lost(&flushed) {
-            self.file.raw().mark_server_down(server);
-            return self.flush_merged(&reqs, do_puts, do_gets, false);
-        }
-        flushed
-    }
-
-    /// Merge and issue the pending queue: at most one write and one read.
-    /// Writes flush first, so a get queued after a put of the same region
-    /// observes the new data.
+    /// Merge and issue the pending queue: at most one write and one read,
+    /// each executed and traced like a blocking call's. Writes flush first,
+    /// so a get queued after a put of the same region observes the new
+    /// data. What the queue adds: the merge, one span per queued request,
+    /// per-request profile rows (pre-merge sizes, so the same workload
+    /// reports the same `put_size` via either access mode) and results.
     fn flush_merged(
         &mut self,
         reqs: &[AccessReq],
@@ -889,143 +1019,91 @@ impl Dataset {
         do_gets: bool,
         collective: bool,
     ) -> NcmpiResult<()> {
-        let events = &self.comm.config().events;
-        let tracing = events.is_enabled();
-        let rank = self.comm.world_rank();
+        let of = |kind| reqs.iter().filter(move |r| r.kind == kind);
         let mut failure: Option<NcmpiError> = None;
         if do_puts {
             let (runs, staging) = merge_puts(reqs);
-            if matches!(staging, std::borrow::Cow::Borrowed(_)) {
+            if matches!(staging, Cow::Borrowed(_)) {
                 self.comm.config().profile.record_bytepath(|b| {
                     b.copies_elided += 1;
                     b.borrowed_bytes += staging.len() as u64;
                 });
             }
             // Merging N staged buffers into one is memcpy work.
-            self.comm
-                .advance(self.comm.config().cpu.pack(staging.len(), 1.0));
-            let rid = if tracing { events.next_id() } else { 0 };
-            let t0 = self.comm.now();
-            let wrote = {
-                let _ctx = tracing.then(|| TraceCtx::enter(rank, rid));
-                if collective {
-                    self.file.write_runs_at_all(&runs, &staging).map(|_| ())
-                } else {
-                    self.file.write_runs_at(&runs, &staging).map(|_| ())
-                }
+            self.charge_pass(staging.len());
+            let payload = Lent {
+                bytes: &staging,
+                width: 1,
             };
-            if tracing {
-                let t1 = self.comm.now();
-                let nputs = reqs.iter().filter(|r| r.kind == AccessKind::Put).count();
-                events.record(
-                    Span::new(rank, layer::CORE, "flush_put", t0.as_nanos(), t1.as_nanos())
-                        .with_id(rid)
-                        .with_arg("reqs", nputs as u64)
-                        .with_arg("bytes", staging.len() as u64),
-                );
-                // One span per queued request: queue time through the merged
-                // flush that carried its bytes, linked to the flush span.
-                for req in reqs.iter().filter(|r| r.kind == AccessKind::Put) {
-                    if req.trace_id == 0 {
-                        continue;
-                    }
-                    events.record(
-                        Span::new(
-                            rank,
-                            layer::CORE,
-                            "iput",
-                            req.queued.as_nanos(),
-                            t1.as_nanos(),
-                        )
-                        .with_id(req.trace_id)
-                        .with_parent(rid)
-                        .with_arg("bytes", req.buffer.len() as u64),
-                    );
-                }
-            }
+            let args = [
+                ("reqs", of(AccessKind::Put).count() as u64),
+                ("bytes", staging.len() as u64),
+            ];
+            let io = |ds: &mut Dataset| ds.execute_put(&runs, payload, collective);
+            let (wrote, rid) = self.traced("flush_put", &args, io);
+            self.link_queued(reqs, AccessKind::Put, rid);
             match wrote {
-                Ok(()) => {
-                    // Attribute per queued request (pre-merge sizes), so the
-                    // same workload reports the same put_size via either
-                    // access mode.
-                    for req in reqs.iter().filter(|r| r.kind == AccessKind::Put) {
-                        self.profile
-                            .record(req.varid, true, true, req.buffer.len() as u64);
-                    }
-                }
-                Err(e) => failure = Some(e.into()),
+                Ok(()) => of(AccessKind::Put).for_each(|req| {
+                    self.profile
+                        .record(req.varid, true, true, req.buffer.len() as u64)
+                }),
+                Err(e) => failure = Some(e),
             }
         }
         if do_gets {
-            if let Some(e) = failure.clone() {
+            let cov = merge_gets(reqs);
+            let mut data = vec![0u8; runs_total(&cov) as usize];
+            let read = match failure.clone() {
                 // The write flush already failed: complete every queued get
                 // with that error rather than attempting the read, so the
                 // drained queue reports per-request outcomes.
-                for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                    self.results.insert(req.id.id(), Err(e.clone()));
+                Some(e) => Err(e),
+                None => {
+                    let args = [
+                        ("reqs", of(AccessKind::Get).count() as u64),
+                        ("bytes", data.len() as u64),
+                    ];
+                    let io = |ds: &mut Dataset| ds.execute_get(&cov, &mut data, collective);
+                    let (read, rid) = self.traced("flush_get", &args, io);
+                    self.link_queued(reqs, AccessKind::Get, rid);
+                    read
                 }
-            } else {
-                let cov = merge_gets(reqs);
-                let rid = if tracing { events.next_id() } else { 0 };
-                let t0 = self.comm.now();
-                let read = {
-                    let _ctx = tracing.then(|| TraceCtx::enter(rank, rid));
-                    if collective {
-                        self.file.read_runs_at_all(&cov)
-                    } else {
-                        self.file.read_runs_at(&cov)
-                    }
-                };
-                if tracing {
-                    let t1 = self.comm.now();
-                    let ngets = reqs.iter().filter(|r| r.kind == AccessKind::Get).count();
-                    let bytes: u64 = cov.iter().map(|r| r.1).sum();
-                    events.record(
-                        Span::new(rank, layer::CORE, "flush_get", t0.as_nanos(), t1.as_nanos())
-                            .with_id(rid)
-                            .with_arg("reqs", ngets as u64)
-                            .with_arg("bytes", bytes),
-                    );
-                    for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                        if req.trace_id == 0 {
-                            continue;
-                        }
-                        events.record(
-                            Span::new(
-                                rank,
-                                layer::CORE,
-                                "iget",
-                                req.queued.as_nanos(),
-                                t1.as_nanos(),
-                            )
-                            .with_id(req.trace_id)
-                            .with_parent(rid),
-                        );
-                    }
-                }
-                match read {
-                    Ok(data) => {
-                        let pos = coverage_positions(&cov);
-                        for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                            let bytes = extract_runs(&cov, &pos, &data, &req.runs);
-                            self.profile
-                                .record(req.varid, false, true, bytes.len() as u64);
-                            self.results.insert(req.id.id(), Ok((req.nctype, bytes)));
-                        }
-                    }
-                    Err(e) => {
-                        let e: NcmpiError = e.into();
-                        for req in reqs.iter().filter(|r| r.kind == AccessKind::Get) {
-                            self.results.insert(req.id.id(), Err(e.clone()));
-                        }
-                        failure = Some(e);
-                    }
-                }
+            };
+            let pos = coverage_positions(&cov);
+            for req in of(AccessKind::Get) {
+                let result = read.clone().map(|()| {
+                    let bytes = extract_runs(&cov, &pos, &data, &req.runs);
+                    self.profile
+                        .record(req.varid, false, true, bytes.len() as u64);
+                    (req.nctype, bytes)
+                });
+                self.results.insert(req.id.id(), result);
             }
+            failure = failure.or(read.err());
         }
-        match failure {
-            None => Ok(()),
-            Some(e) => Err(e),
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// One span per queued request of `kind`: from when it was queued to
+    /// the end of the merged flush that carried its bytes, linked to that
+    /// flush's span `rid`.
+    fn link_queued(&self, reqs: &[AccessReq], kind: AccessKind, rid: u64) {
+        if rid == 0 {
+            return;
+        }
+        let (rank, t1) = (self.comm.world_rank(), self.comm.now().as_nanos());
+        let put = kind == AccessKind::Put;
+        let name = if put { "iput" } else { "iget" };
+        for req in reqs.iter().filter(|r| r.kind == kind && r.trace_id != 0) {
+            let span = Span::new(rank, layer::CORE, name, req.queued.as_nanos(), t1)
+                .with_id(req.trace_id)
+                .with_parent(rid);
+            let span = if put {
+                span.with_arg("bytes", req.buffer.len() as u64)
+            } else {
+                span
+            };
+            self.comm.config().events.record(span);
         }
     }
 }
@@ -1104,7 +1182,7 @@ mod tests {
         let (runs, staging) = merge_puts(&reqs);
         assert_eq!(runs, vec![(0, 2), (8, 2)]);
         assert!(
-            matches!(staging, std::borrow::Cow::Borrowed(_)),
+            matches!(staging, Cow::Borrowed(_)),
             "single coalesced put must not copy its staging buffer"
         );
         assert_eq!(&*staging, &[1, 2, 3, 4]);

@@ -6,14 +6,14 @@
 //! memory elements have the same width as the variable's external type, the
 //! conversion is an endianness swap (XDR is big-endian) performed by the
 //! chunked kernels in [`pnetcdf_format::swap`]. The fused entry points
-//! ([`pack_to_external`] / [`unpack_from_external`]) run the
+//! ([`pack_to_external_into`] / [`unpack_from_external`]) run the
 //! datatype gather/scatter and the swap as a single pass, so each byte is
 //! touched once between the user buffer and the staging buffer instead of
 //! being copied and then swapped.
 
 use pnetcdf_format::swap;
 use pnetcdf_format::NcType;
-use pnetcdf_mpi::pack::{pack_with, unpack_with};
+use pnetcdf_mpi::pack::{pack_with_into, unpack_with};
 use pnetcdf_mpi::{Datatype, MpiResult};
 
 /// Swap native-endian element bytes to big-endian external order.
@@ -27,15 +27,10 @@ pub fn native_to_external(bytes: &[u8], t: NcType) -> Vec<u8> {
     swap::swap_to_vec(bytes, width)
 }
 
-/// Swap big-endian external element bytes to native order.
+/// Swap big-endian external element bytes to native order (the swap is its
+/// own inverse).
 pub fn external_to_native(bytes: &[u8], t: NcType) -> Vec<u8> {
-    let width = t.size() as usize;
-    assert!(
-        bytes.len() % width == 0,
-        "buffer length {} is not a multiple of element width {width}",
-        bytes.len()
-    );
-    swap::swap_to_vec(bytes, width)
+    native_to_external(bytes, t)
 }
 
 /// Gather `count` instances of `memtype` from `buf` and convert to the
@@ -47,10 +42,23 @@ pub fn pack_to_external(
     memtype: &Datatype,
     t: NcType,
 ) -> MpiResult<Vec<u8>> {
+    let mut out = Vec::new();
+    pack_to_external_into(buf, count, memtype, t, &mut out)?;
+    Ok(out)
+}
+
+/// [`pack_to_external`] into caller storage: `out` ends up holding exactly
+/// the external bytes and keeps its capacity from call to call.
+pub fn pack_to_external_into(
+    buf: &[u8],
+    count: usize,
+    memtype: &Datatype,
+    t: NcType,
+    out: &mut Vec<u8>,
+) -> MpiResult<()> {
     let width = t.size() as usize;
-    pack_with(buf, count, memtype, width, |src, dst| {
-        swap::swap_copy(src, dst, width)
-    })
+    let swap = |src: &[u8], dst: &mut [u8]| swap::swap_copy(src, dst, width);
+    pack_with_into(buf, count, memtype, width, swap, out)
 }
 
 /// Convert big-endian external `data` to native order and scatter it into

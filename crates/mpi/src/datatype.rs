@@ -528,6 +528,13 @@ impl Datatype {
     pub fn is_contiguous(&self) -> bool {
         self.size() == self.extent()
     }
+
+    /// True if the data is contiguous from lower bound 0: one instance after
+    /// another of the type is simply the packed bytes, so a caller can use
+    /// the described memory in place of a packed copy.
+    pub fn is_packed(&self) -> bool {
+        self.is_contiguous() && self.lb() == 0
+    }
 }
 
 #[cfg(test)]
@@ -597,6 +604,15 @@ mod tests {
         assert_eq!(t.size(), 4);
         assert_eq!(t.extent(), 32);
         assert!(!t.is_contiguous());
+    }
+
+    #[test]
+    fn packed_is_contiguous_from_lower_bound_zero() {
+        assert!(Datatype::contiguous(3, Datatype::int()).is_packed());
+        assert!(!Datatype::vector(2, 1, 2, Datatype::int()).is_packed());
+        // Contiguous, but the bytes start 4 past the buffer origin.
+        let shifted = Datatype::resized(4, 4, Datatype::indexed(vec![(1, 1)], Datatype::int()));
+        assert!(shifted.is_contiguous() && !shifted.is_packed());
     }
 
     #[test]

@@ -17,27 +17,10 @@ use crate::flatten::{flatten_n, Segment};
 /// fall within it (negative offsets are rejected — callers pass a slice that
 /// starts at the lowest addressed byte).
 pub fn pack(buf: &[u8], count: usize, dtype: &Datatype) -> MpiResult<Vec<u8>> {
-    let segs = flatten_n(dtype, count);
-    let total: u64 = segs.iter().map(|s| s.len).sum();
-    let mut out = Vec::with_capacity(total as usize);
-    for s in &segs {
-        let (lo, hi) = seg_range(s, buf.len())?;
-        out.extend_from_slice(&buf[lo..hi]);
-    }
-    Ok(out)
+    pack_with(buf, count, dtype, 1, |src, dst| dst.copy_from_slice(src))
 }
 
-/// Gather like [`pack`], but apply `copy` (a streaming byte transformer,
-/// e.g. an endianness swap) while copying, so the gather and the conversion
-/// are one fused pass — the byte is touched once between the user buffer
-/// and the staging buffer.
-///
-/// `copy` must be position-independent over any `elem_width`-aligned prefix
-/// split (converting the stream in chunks must equal converting it whole).
-/// When some flattened segment is not a multiple of `elem_width` — an
-/// element straddles a segment boundary — the fusion would corrupt that
-/// element, so this falls back to gather-then-convert over the whole
-/// staging buffer.
+/// [`pack_with_into`] a new buffer.
 pub fn pack_with(
     buf: &[u8],
     count: usize,
@@ -45,21 +28,50 @@ pub fn pack_with(
     elem_width: usize,
     copy: impl Fn(&[u8], &mut [u8]),
 ) -> MpiResult<Vec<u8>> {
-    let segs = flatten_n(dtype, count);
-    let total: u64 = segs.iter().map(|s| s.len).sum();
-    let mut out = vec![0u8; total as usize];
-    if segs_elem_aligned(&segs, elem_width) {
-        let mut pos = 0usize;
-        for s in &segs {
-            let (lo, hi) = seg_range(s, buf.len())?;
-            copy(&buf[lo..hi], &mut out[pos..pos + s.len as usize]);
-            pos += s.len as usize;
-        }
-    } else {
-        let staged = pack(buf, count, dtype)?;
-        copy(&staged, &mut out);
-    }
+    let mut out = Vec::new();
+    pack_with_into(buf, count, dtype, elem_width, copy, &mut out)?;
     Ok(out)
+}
+
+/// Gather like [`pack`], but apply `copy` (a streaming byte transformer,
+/// e.g. an endianness swap) while copying, so the gather and the conversion
+/// are one fused pass — the byte is touched once between the user buffer
+/// and the staging buffer. `out` ends up holding exactly the packed bytes;
+/// a buffer that is passed again keeps its capacity.
+///
+/// `copy` must be position-independent over any `elem_width`-aligned prefix
+/// split (converting the stream in chunks must equal converting it whole).
+/// When some flattened segment is not a multiple of `elem_width` — an
+/// element straddles a segment boundary — the fusion would corrupt that
+/// element, so this falls back to gather-then-convert over the whole
+/// staging buffer.
+pub fn pack_with_into(
+    buf: &[u8],
+    count: usize,
+    dtype: &Datatype,
+    elem_width: usize,
+    copy: impl Fn(&[u8], &mut [u8]),
+    out: &mut Vec<u8>,
+) -> MpiResult<()> {
+    let segs = flatten_n(dtype, count);
+    let total = segs.iter().map(|s| s.len).sum::<u64>() as usize;
+    if out.capacity() < total {
+        // Zeroed pages from the allocator; every byte is overwritten below.
+        *out = vec![0u8; total];
+    } else {
+        out.resize(total, 0);
+    }
+    if !segs_elem_aligned(&segs, elem_width) {
+        copy(&pack(buf, count, dtype)?, out);
+        return Ok(());
+    }
+    let mut pos = 0usize;
+    for s in &segs {
+        let (lo, hi) = seg_range(s, buf.len())?;
+        copy(&buf[lo..hi], &mut out[pos..pos + s.len as usize]);
+        pos += s.len as usize;
+    }
+    Ok(())
 }
 
 /// Scatter `data` into `count` instances of `dtype` inside `buf`.
@@ -67,25 +79,13 @@ pub fn pack_with(
 /// Returns the number of bytes consumed from `data`. Errors if `data` is
 /// shorter than the type signature requires.
 pub fn unpack(data: &[u8], buf: &mut [u8], count: usize, dtype: &Datatype) -> MpiResult<usize> {
-    let segs = flatten_n(dtype, count);
-    let total: u64 = segs.iter().map(|s| s.len).sum();
-    if (data.len() as u64) < total {
-        return Err(MpiError::Truncated {
-            needed: total as usize,
-            available: data.len(),
-        });
-    }
-    let mut pos = 0usize;
-    for s in &segs {
-        let (lo, hi) = seg_range(s, buf.len())?;
-        buf[lo..hi].copy_from_slice(&data[pos..pos + s.len as usize]);
-        pos += s.len as usize;
-    }
-    Ok(pos)
+    unpack_with(data, buf, count, dtype, 1, |src, dst| {
+        dst.copy_from_slice(src)
+    })
 }
 
 /// Scatter like [`unpack`], but apply `copy` while scattering (see
-/// [`pack_with`] for the fusion contract and the misaligned-segment
+/// [`pack_with_into`] for the fusion contract and the misaligned-segment
 /// fallback).
 pub fn unpack_with(
     data: &[u8],
@@ -96,26 +96,25 @@ pub fn unpack_with(
     copy: impl Fn(&[u8], &mut [u8]),
 ) -> MpiResult<usize> {
     let segs = flatten_n(dtype, count);
-    let total: u64 = segs.iter().map(|s| s.len).sum();
-    if (data.len() as u64) < total {
+    let total = segs.iter().map(|s| s.len).sum::<u64>() as usize;
+    if data.len() < total {
         return Err(MpiError::Truncated {
-            needed: total as usize,
+            needed: total,
             available: data.len(),
         });
     }
-    if segs_elem_aligned(&segs, elem_width) {
-        let mut pos = 0usize;
-        for s in &segs {
-            let (lo, hi) = seg_range(s, buf.len())?;
-            copy(&data[pos..pos + s.len as usize], &mut buf[lo..hi]);
-            pos += s.len as usize;
-        }
-        Ok(pos)
-    } else {
-        let mut converted = vec![0u8; total as usize];
-        copy(&data[..total as usize], &mut converted);
-        unpack(&converted, buf, count, dtype)
+    if !segs_elem_aligned(&segs, elem_width) {
+        let mut converted = vec![0u8; total];
+        copy(&data[..total], &mut converted);
+        return unpack(&converted, buf, count, dtype);
     }
+    let mut pos = 0usize;
+    for s in &segs {
+        let (lo, hi) = seg_range(s, buf.len())?;
+        copy(&data[pos..pos + s.len as usize], &mut buf[lo..hi]);
+        pos += s.len as usize;
+    }
+    Ok(pos)
 }
 
 /// True when every flattened segment holds a whole number of

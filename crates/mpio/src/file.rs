@@ -78,13 +78,13 @@ impl MpiFile {
             // `pnc_server_queue_depth`: resize every server's bounded
             // admission queue. The servers are shared, so the hint is
             // global — exactly like striping parameters on a real PFS.
-            pfs.set_queue_depth(depth);
+            pfs.cluster().set_queue_depth(depth);
         }
         if hints.parity != Toggle::Auto {
             // `pnc_parity`: toggle the declustered-parity failover layer.
             // Like the queue depth, the redundancy scheme is a property of
             // the shared storage array, so the hint is global.
-            pfs.set_parity(hints.parity.resolve(false));
+            pfs.cluster().set_parity(hints.parity.resolve(false));
         }
         let env = comm.coll_env();
         let pfs = pfs.clone();
@@ -307,7 +307,7 @@ impl MpiFile {
         memtype: &Datatype,
     ) -> MpioResult<std::borrow::Cow<'a, [u8]>> {
         let bytes = memtype.size() as usize * count;
-        if memtype.is_contiguous() && memtype.lb() == 0 {
+        if memtype.is_packed() {
             if buf.len() < bytes {
                 return Err(MpioError::InvalidArgument(format!(
                     "memory buffer has {} bytes, datatype needs {bytes}",
@@ -471,22 +471,41 @@ impl MpiFile {
         count: usize,
         memtype: &Datatype,
     ) -> MpioResult<usize> {
+        self.read_view(offset, buf, count, memtype, false)
+    }
+
+    /// The view-based reads: map the access through the view and read its
+    /// runs — straight into `buf` when the memory is simply the packed
+    /// bytes; noncontiguous memory is scattered into, charging unpack CPU
+    /// time.
+    fn read_view(
+        &self,
+        offset: u64,
+        buf: &mut [u8],
+        count: usize,
+        memtype: &Datatype,
+        collective: bool,
+    ) -> MpioResult<usize> {
         let want = memtype.size() as usize * count;
         let runs = self.mapped(offset, want as u64)?;
-        let data = self.read_runs_at(&runs)?;
-        if memtype.is_contiguous() && memtype.lb() == 0 {
-            if buf.len() < data.len() {
-                return Err(MpioError::InvalidArgument(format!(
-                    "memory buffer has {} bytes, read produced {}",
-                    buf.len(),
-                    data.len()
-                )));
+        let read = |out: &mut [u8]| {
+            if collective {
+                self.read_runs_into_all(&runs, out)
+            } else {
+                self.read_runs_into(&runs, out)
             }
-            buf[..data.len()].copy_from_slice(&data);
-        } else {
-            pack::unpack(&data, buf, count, memtype)?;
-            self.comm
-                .advance(self.comm.config().cpu.pack(data.len(), 1.0));
+        };
+        match buf.get_mut(..want).filter(|_| memtype.is_packed()) {
+            Some(dst) => read(dst)?,
+            // (Too small a buffer also ends up here, for `unpack` to
+            // report: it is this rank's mistake alone, and the others
+            // still need their collective read to happen.)
+            None => {
+                let mut data = vec![0u8; want];
+                read(&mut data)?;
+                pack::unpack(&data, buf, count, memtype)?;
+                self.comm.advance(self.comm.config().cpu.pack(want, 1.0));
+            }
         }
         Ok(want)
     }
@@ -528,67 +547,21 @@ impl MpiFile {
         width: usize,
     ) -> MpioResult<usize> {
         self.check_writable()?;
-        Self::check_runs(runs, native.len())?;
         if !matches!(width, 1 | 2 | 4 | 8) || native.len() % width != 0 {
             return Err(MpioError::InvalidArgument(format!(
                 "{} bytes do not hold elements of width {width}",
                 native.len()
             )));
         }
-        // Collective entry is a coherence boundary: publish cached dirty
-        // bytes first so the two-phase engine reads/writes a settled file.
-        self.cache_pre()?;
-        let cb = self.hints.cb_write.resolve(true);
         // With collective buffering disabled the finisher hands each
         // rank's payload to the sieve, which writes what it is given:
         // convert once, here on the caller's thread.
+        let cb = self.hints.cb_write.resolve(true);
         let external = (!cb && width > 1).then(|| swap_to_vec(native, width));
-        let (src, width) = match &external {
-            Some(ext) => (&ext[..], 1),
-            None => (native, width),
-        };
-        // Runs and payload are lent, not copied: this rank stays inside
-        // the rendezvous until the last arriver has written them out.
-        let req = Req {
-            meta: runs,
-            src,
-            dst: &mut [],
-            tag: TraceCtx::current_id(),
-            aux: width as u64,
-        };
-        let profile = &self.comm.config().profile;
-        profile.record_bytepath(|b| b.exchange_borrowed_bytes += native.len() as u64);
-        let env = self.comm.coll_env();
-        let file = self.file.clone();
-        let p = self.params();
-        let (wr_buf, ds) = (
-            self.hints.ind_wr_buffer_size,
-            self.hints.ds_write.resolve(true),
-        );
-        let res = self.comm.collective(req, move |reqs: &mut [Req<'_>]| {
-            let res = if cb {
-                twophase::write_all(&env, &file, &p, reqs).map(|_| ())
-            } else {
-                // Collective buffering disabled: every rank writes its
-                // own pieces independently (the ablation baseline).
-                reqs.iter().enumerate().try_for_each(|(i, r)| {
-                    independent(&env, i, r.tag, "ind_write", Phase::DiskWrite, |now| {
-                        sieve::write(&file, wr_buf, ds, now, r.meta, r.src)
-                    })
-                })
-            };
-            // The file changed under every client cache: advance the epoch
-            // once (the closure runs at the last arriver) — also when a
-            // late window failed, since the earlier ones have landed.
-            if reqs.iter().any(|r| !r.src.is_empty()) {
-                file.bump_coherence_epoch();
-            }
-            res
-        })?;
-        // Revalidate before reporting: a failed collective has still
-        // changed the file under this rank's clean pages.
-        self.cache_post();
-        (*res).clone()?;
+        match &external {
+            Some(ext) => self.runs_all(true, runs, ext, &mut [], 1)?,
+            None => self.runs_all(true, runs, native, &mut [], width)?,
+        }
         Ok(native.len())
     }
 
@@ -600,24 +573,7 @@ impl MpiFile {
         count: usize,
         memtype: &Datatype,
     ) -> MpioResult<usize> {
-        let want = memtype.size() as usize * count;
-        let runs = self.mapped(offset, want as u64)?;
-        let data = self.read_runs_at_all(&runs)?;
-        if memtype.is_contiguous() && memtype.lb() == 0 {
-            if buf.len() < data.len() {
-                return Err(MpioError::InvalidArgument(format!(
-                    "memory buffer has {} bytes, read produced {}",
-                    buf.len(),
-                    data.len()
-                )));
-            }
-            buf[..data.len()].copy_from_slice(&data);
-        } else {
-            pack::unpack(&data, buf, count, memtype)?;
-            self.comm
-                .advance(self.comm.config().cpu.pack(data.len(), 1.0));
-        }
-        Ok(want)
+        self.read_view(offset, buf, count, memtype, true)
     }
 
     /// Collective read of pre-resolved absolute file runs; returns the run
@@ -631,39 +587,75 @@ impl MpiFile {
     /// [`MpiFile::read_runs_at_all`] into caller storage: `out` must hold
     /// exactly the runs' bytes; every one of them is overwritten.
     pub fn read_runs_into_all(&self, runs: &[Run], out: &mut [u8]) -> MpioResult<()> {
-        Self::check_runs(runs, out.len())?;
-        // Publish this rank's cached dirty bytes before the rendezvous so
-        // the collective read observes them (and every peer's).
+        self.runs_all(false, runs, &[], out, 0)
+    }
+
+    /// The body of every collective access of pre-resolved runs, `write`
+    /// its direction: a write lends `src` (elements `width` wide, see
+    /// [`MpiFile::write_native_runs_at_all`]) with no `dst`, a read lends
+    /// `dst` with no `src`.
+    fn runs_all(
+        &self,
+        write: bool,
+        runs: &[Run],
+        src: &[u8],
+        dst: &mut [u8],
+        width: usize,
+    ) -> MpioResult<()> {
+        Self::check_runs(runs, src.len() + dst.len())?;
+        // Collective entry is a coherence boundary: publish cached dirty
+        // bytes first, so the two-phase engine reads and writes a settled
+        // file and a collective read observes them (and every peer's).
         self.cache_pre()?;
         let profile = &self.comm.config().profile;
-        profile.record_bytepath(|b| b.exchange_borrowed_bytes += out.len() as u64);
-        // The caller's buffer is lent as the read's destination: the last
-        // arriver scatters this rank's bytes straight into it.
+        profile.record_bytepath(|b| b.exchange_borrowed_bytes += (src.len() + dst.len()) as u64);
+        // Runs and memory are lent, not copied: this rank stays inside the
+        // rendezvous until the last arriver has written the payload out, or
+        // scattered this rank's bytes straight into its destination.
         let req = Req {
             meta: runs,
-            src: &[],
-            dst: out,
+            src,
+            dst,
             tag: TraceCtx::current_id(),
-            aux: 0,
+            aux: width as u64,
         };
         let env = self.comm.coll_env();
         let file = self.file.clone();
         let p = self.params();
-        let cb = self.hints.cb_read.resolve(true);
-        let (rd_buf, ds) = (
-            self.hints.ind_rd_buffer_size,
-            self.hints.ds_read.resolve(true),
-        );
+        let h = &self.hints;
+        let (cb, buffer_size, ds) = if write {
+            (h.cb_write, h.ind_wr_buffer_size, h.ds_write)
+        } else {
+            (h.cb_read, h.ind_rd_buffer_size, h.ds_read)
+        };
+        let (cb, ds) = (cb.resolve(true), ds.resolve(true));
         let res = self.comm.collective(req, move |reqs: &mut [Req<'_>]| {
-            if cb {
-                return twophase::read_all(&env, &file, &p, reqs).map(|_| ());
+            let res = match (cb, write) {
+                (true, true) => twophase::write_all(&env, &file, &p, reqs).map(|_| ()),
+                (true, false) => twophase::read_all(&env, &file, &p, reqs).map(|_| ()),
+                // Collective buffering disabled: every rank accesses its
+                // own pieces independently (the ablation baseline).
+                (false, true) => reqs.iter().enumerate().try_for_each(|(i, r)| {
+                    independent(&env, i, r.tag, "ind_write", Phase::DiskWrite, |now| {
+                        sieve::write(&file, buffer_size, ds, now, r.meta, r.src)
+                    })
+                }),
+                (false, false) => reqs.iter_mut().enumerate().try_for_each(|(i, r)| {
+                    independent(&env, i, r.tag, "ind_read", Phase::DiskRead, |now| {
+                        sieve::read(&file, buffer_size, ds, now, r.meta, r.dst)
+                    })
+                }),
+            };
+            // The file changed under every client cache: advance the epoch
+            // once (the closure runs at the last arriver) — also when a
+            // late window failed, since the earlier ones have landed.
+            if reqs.iter().any(|r| !r.src.is_empty()) {
+                file.bump_coherence_epoch();
             }
-            reqs.iter_mut().enumerate().try_for_each(|(i, r)| {
-                independent(&env, i, r.tag, "ind_read", Phase::DiskRead, |now| {
-                    sieve::read(&file, rd_buf, ds, now, r.meta, r.dst)
-                })
-            })
+            res
         })?;
+        // Revalidate before reporting: a failed collective write has still
+        // changed the file under this rank's clean pages.
         self.cache_post();
         (*res).clone()
     }

@@ -14,6 +14,65 @@ use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
 use crate::view::Run;
 
+/// The sieve windows of a run list: each holds the run pieces inside
+/// `[wlo, wlo + buffer_size)`, where `wlo` is the first byte no earlier
+/// window took — so a run longer than the buffer is split across windows
+/// and the gaps between windows are never transferred.
+struct Windows<'a> {
+    runs: &'a [Run],
+    buffer_size: u64,
+    /// Current run, and the bytes of it earlier windows handled.
+    idx: usize,
+    consumed: u64,
+    /// Position in the packed payload.
+    pos: usize,
+    /// The current window's pieces as `(file offset, length, payload
+    /// position)`. Reused across windows — a multi-window access allocates
+    /// once, not per window.
+    pieces: Vec<(u64, usize, usize)>,
+}
+
+impl<'a> Windows<'a> {
+    fn new(runs: &'a [Run], buffer_size: usize) -> Windows<'a> {
+        Windows {
+            runs,
+            buffer_size: buffer_size as u64,
+            idx: 0,
+            consumed: 0,
+            pos: 0,
+            pieces: Vec::new(),
+        }
+    }
+
+    /// Collect the next window's pieces; returns its extent `[wlo, whi)`,
+    /// or `None` once every run is handled.
+    fn advance(&mut self) -> Option<(u64, u64)> {
+        let wlo = self.runs.get(self.idx)?.0 + self.consumed;
+        let whi_limit = wlo + self.buffer_size;
+        self.pieces.clear();
+        let mut whi = wlo;
+        while let Some(&(off, len)) = self.runs.get(self.idx) {
+            let start = off + self.consumed;
+            if start >= whi_limit {
+                break;
+            }
+            let end = (off + len).min(whi_limit);
+            let take = (end - start) as usize;
+            self.pieces.push((start, take, self.pos));
+            self.pos += take;
+            whi = end;
+            if end == off + len {
+                self.idx += 1;
+                self.consumed = 0;
+            } else {
+                self.consumed = end - off;
+                break;
+            }
+        }
+        Some((wlo, whi))
+    }
+}
+
 /// Sieved (or direct) write of `runs` carrying `data` (packed in run
 /// order). Returns the completion time.
 ///
@@ -49,42 +108,13 @@ pub fn write(
         return Ok(now);
     }
 
-    // Sieving: process the covered extent window by window. The piece list
-    // and the RMW extent buffer are reused across windows — a multi-window
-    // access allocates once, not per window.
+    // Sieving: process the covered extent window by window, reusing the
+    // RMW extent buffer across windows.
     let mut transferred = 0u64; // bytes moved to/from the file system
-    let mut idx = 0usize; // current run
-    let mut consumed = 0u64; // bytes of runs[idx] already handled
-    let mut pos = 0usize; // position in `data`
-    let mut pieces: Vec<(u64, usize, usize)> = Vec::new(); // (off, len, data pos)
-    let mut window: Vec<u8> = Vec::new();
-    while idx < runs.len() {
-        let wlo = runs[idx].0 + consumed;
-        let whi_limit = wlo + buffer_size as u64;
-        // Collect the pieces that fall inside [wlo, whi_limit).
-        pieces.clear();
-        let mut whi = wlo;
-        while idx < runs.len() {
-            let (off, len) = runs[idx];
-            let start = off + consumed;
-            if start >= whi_limit {
-                break;
-            }
-            let end = (off + len).min(whi_limit);
-            let take = (end - start) as usize;
-            pieces.push((start, take, pos));
-            pos += take;
-            whi = end;
-            if end == off + len {
-                idx += 1;
-                consumed = 0;
-            } else {
-                consumed = end - off;
-                break;
-            }
-        }
-        if pieces.len() == 1 {
-            let (off, len, dpos) = pieces[0];
+    let mut windows = Windows::new(runs, buffer_size);
+    let mut extent: Vec<u8> = Vec::new();
+    while let Some((wlo, whi)) = windows.advance() {
+        if let [(off, len, dpos)] = windows.pieces[..] {
             transferred += len as u64;
             now = recover::write_at(file, &policy, now, off, &data[dpos..dpos + len])?;
             continue;
@@ -94,12 +124,12 @@ pub fn write(
         // beyond EOF).
         let span = (whi - wlo) as usize;
         transferred += 2 * span as u64; // read the extent, write it back
-        if window.len() < span {
-            window.resize(span, 0);
+        if extent.len() < span {
+            extent.resize(span, 0);
         }
-        let buf = &mut window[..span];
+        let buf = &mut extent[..span];
         now = recover::read_at(file, &policy, now, wlo, buf)?;
-        for &(off, len, dpos) in &pieces {
+        for &(off, len, dpos) in &windows.pieces {
             let lo = (off - wlo) as usize;
             buf[lo..lo + len].copy_from_slice(&data[dpos..dpos + len]);
         }
@@ -142,49 +172,22 @@ pub fn read(
     }
 
     let mut transferred = 0u64;
-    let mut idx = 0usize;
-    let mut consumed = 0u64;
-    let mut pos = 0usize;
-    let mut pieces: Vec<(u64, usize, usize)> = Vec::new();
-    let mut window: Vec<u8> = Vec::new();
-    while idx < runs.len() {
-        let wlo = runs[idx].0 + consumed;
-        let whi_limit = wlo + buffer_size as u64;
-        pieces.clear();
-        let mut whi = wlo;
-        while idx < runs.len() {
-            let (off, len) = runs[idx];
-            let start = off + consumed;
-            if start >= whi_limit {
-                break;
-            }
-            let end = (off + len).min(whi_limit);
-            let take = (end - start) as usize;
-            pieces.push((start, take, pos));
-            pos += take;
-            whi = end;
-            if end == off + len {
-                idx += 1;
-                consumed = 0;
-            } else {
-                consumed = end - off;
-                break;
-            }
-        }
-        if pieces.len() == 1 {
-            let (off, len, dpos) = pieces[0];
+    let mut windows = Windows::new(runs, buffer_size);
+    let mut extent: Vec<u8> = Vec::new();
+    while let Some((wlo, whi)) = windows.advance() {
+        if let [(off, len, dpos)] = windows.pieces[..] {
             transferred += len as u64;
             now = recover::read_at(file, &policy, now, off, &mut out[dpos..dpos + len])?;
             continue;
         }
         let span = (whi - wlo) as usize;
         transferred += span as u64;
-        if window.len() < span {
-            window.resize(span, 0);
+        if extent.len() < span {
+            extent.resize(span, 0);
         }
-        let buf = &mut window[..span];
+        let buf = &mut extent[..span];
         now = recover::read_at(file, &policy, now, wlo, buf)?;
-        for &(off, len, dpos) in &pieces {
+        for &(off, len, dpos) in &windows.pieces {
             let lo = (off - wlo) as usize;
             out[dpos..dpos + len].copy_from_slice(&buf[lo..lo + len]);
         }

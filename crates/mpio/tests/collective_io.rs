@@ -273,3 +273,39 @@ fn cb_nodes_hint_changes_aggregation() {
         assert_eq!(buf, mine);
     });
 }
+
+/// A memory buffer too small for the read is one rank's mistake alone: that
+/// rank gets an error, and the others still get their collective read —
+/// straight into their buffer, or scattered through noncontiguous memory.
+#[test]
+fn a_short_buffer_on_one_rank_does_not_strand_a_collective_read() {
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let all = byte_buf(3 * 64, 7);
+    pfs.create("short.dat").import_bytes(&all);
+    run_world(3, cfg(), |c| {
+        let f = MpiFile::open(c, &pfs, "short.dat", OpenMode::ReadOnly, &Info::new()).unwrap();
+        let at = c.rank() * 64;
+        let mine = &all[at..at + 64];
+        match c.rank() {
+            0 => {
+                let mem = Datatype::contiguous(64, Datatype::byte());
+                let mut buf = vec![0u8; 64];
+                assert_eq!(f.read_at_all(at as u64, &mut buf, 1, &mem).unwrap(), 64);
+                assert_eq!(buf, mine);
+            }
+            1 => {
+                let mem = Datatype::contiguous(64, Datatype::byte());
+                let mut buf = vec![0u8; 40];
+                assert!(f.read_at_all(at as u64, &mut buf, 1, &mem).is_err());
+            }
+            _ => {
+                // Every other byte of 128.
+                let mem = Datatype::vector(64, 1, 2, Datatype::byte());
+                let mut buf = vec![0u8; 128];
+                assert_eq!(f.read_at_all(at as u64, &mut buf, 1, &mem).unwrap(), 64);
+                let got: Vec<u8> = buf.iter().step_by(2).copied().collect();
+                assert_eq!(got, mine);
+            }
+        }
+    });
+}

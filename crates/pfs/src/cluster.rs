@@ -18,6 +18,10 @@
 //!   PfsFile (one file)        ──► same ClusterInner
 //! ```
 //!
+//! What is true of the whole cluster — queue depth, parity, the down
+//! server and its epoch — is read and set here and nowhere else: a view or
+//! a file reaches it through `Pfs::cluster()` / `PfsFile::cluster()`.
+//!
 //! A [`crate::Pfs`] is a cheap *view*: every mount shares the cluster's
 //! server queues, fault determinism `(seed, server_id, ops)` and failover
 //! epochs. `Pfs::new` builds a one-mount cluster, which makes the whole
@@ -128,7 +132,7 @@ impl PfsCluster {
     /// cluster's servers, metadata shards and failover state.
     pub fn mount(&self) -> Pfs {
         self.inner.mounts.fetch_add(1, Ordering::Relaxed);
-        Pfs::view(self.inner.clone())
+        Pfs::view(self.clone())
     }
 
     /// Mounts ever handed out.
@@ -190,6 +194,37 @@ impl PfsCluster {
     /// Whether the parity layer is on.
     pub fn parity_enabled(&self) -> bool {
         self.inner.parity.load(Ordering::Relaxed)
+    }
+
+    /// Whether a retry ladder that exhausted against `server` may escalate
+    /// to failover instead of surfacing `Exhausted`: parity must be on and
+    /// no *other* server may already be down (single-parity survives one
+    /// loss). A server that is already marked down can keep failing over —
+    /// the mark is idempotent.
+    pub fn can_failover(&self, server: usize) -> bool {
+        self.parity_enabled() && self.down_server().is_none_or(|d| d == server)
+    }
+
+    /// Declare `server` down, opening a degraded-mode epoch — for *every*
+    /// file open on the cluster, in the same epoch. Idempotent: returns
+    /// `true` only on the transition. Every rank calls this after the
+    /// collective error agreement picks the same `ServerLost`, so the flip
+    /// happens at the same operation on all ranks; callers must drive
+    /// control flow off the *agreed error*, not this return value.
+    pub fn mark_server_down(&self, server: usize) -> bool {
+        assert!(server < self.inner.striping.nservers);
+        let mut fo = self.inner.failover.lock();
+        if fo.down == Some(server) {
+            return false;
+        }
+        assert!(
+            fo.down.is_none(),
+            "single-parity failover cannot cover a second down server"
+        );
+        fo.down = Some(server);
+        fo.epoch += 1;
+        self.inner.cfg.profile.record_failover(|c| c.epochs += 1);
+        true
     }
 
     /// The server currently marked down, if any — a cluster-wide fact:

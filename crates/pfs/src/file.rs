@@ -5,7 +5,7 @@ use std::sync::Arc;
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{FaultKind, IoStages, Span, Time, TraceCtx};
 
-use crate::cluster::ClusterInner;
+use crate::cluster::PfsCluster;
 use crate::retry::{ladder, RetryPolicy};
 use crate::server::ServiceOutcome;
 use crate::stripe::{PortionChunks, StripeChunk};
@@ -44,14 +44,20 @@ pub struct WriteCompletion {
 /// clones address the same bytes and the same server queues.
 #[derive(Clone)]
 pub struct PfsFile {
-    pub(crate) inner: Arc<ClusterInner>,
+    pub(crate) cluster: PfsCluster,
     pub(crate) id: u64,
     name: String,
 }
 
 impl PfsFile {
-    pub(crate) fn new(inner: Arc<ClusterInner>, id: u64, name: String) -> PfsFile {
-        PfsFile { inner, id, name }
+    pub(crate) fn new(cluster: PfsCluster, id: u64, name: String) -> PfsFile {
+        PfsFile { cluster, id, name }
+    }
+
+    /// The cluster the file lives on, for what is true of all its files:
+    /// parity, the down server, the failover controls.
+    pub fn cluster(&self) -> &PfsCluster {
+        &self.cluster
     }
 
     /// File name within the PFS namespace.
@@ -62,18 +68,19 @@ impl PfsFile {
     /// The profile shared by this file system instance (the one in the
     /// `SimConfig` it was built from).
     pub fn profile(&self) -> &hpc_sim::Profile {
-        &self.inner.cfg.profile
+        &self.cluster.inner.cfg.profile
     }
 
     /// The span recorder shared by this file system instance (same handle
     /// semantics as [`PfsFile::profile`]).
     pub fn events(&self) -> &hpc_sim::TraceLog {
-        &self.inner.cfg.events
+        &self.cluster.inner.cfg.events
     }
 
     /// Current size in bytes (highest byte ever written + 1).
     pub fn size(&self) -> u64 {
-        self.inner
+        self.cluster
+            .inner
             .meta
             .lookup(&self.name)
             .map(|e| e.size)
@@ -110,14 +117,11 @@ impl PfsFile {
         let run = (offset, data.len() as u64);
         // A server's portion has arrived once the client NIC has streamed
         // every portion issued before it, and its own.
-        let portions = self
-            .inner
-            .striping
-            .portions(&run)
-            .scan(0u64, |sent, (srv, chunks)| {
-                *sent += chunks.map(|(c, _)| c.len).sum::<u64>();
-                Some((srv, *sent, chunks))
-            });
+        let striping = self.cluster.inner.striping;
+        let portions = striping.portions(&run).scan(0u64, |sent, (srv, chunks)| {
+            *sent += chunks.map(|(c, _)| c.len).sum::<u64>();
+            Some((srv, *sent, chunks))
+        });
         self.write_portions(start, data, run.0 + run.1, portions)
     }
 
@@ -147,7 +151,8 @@ impl PfsFile {
         let end = runs.last().map_or(0, |&(off, len)| off + len);
         // The client NIC streams the payload in run order: a server's
         // portion has arrived once its last chunk has gone out.
-        let portions = self.inner.striping.run_portions(runs).map(|(srv, chunks)| {
+        let striping = self.cluster.inner.striping;
+        let portions = striping.run_portions(runs).map(|(srv, chunks)| {
             let sent = chunks.last().map_or(0, |(c, pos)| pos as u64 + c.len);
             (srv, sent, chunks)
         });
@@ -171,8 +176,8 @@ impl PfsFile {
                 durable: start,
             });
         }
-        let cfg = &self.inner.cfg;
-        let parity = self.parity_enabled();
+        let cfg = &self.cluster.inner.cfg;
+        let parity = self.cluster.parity_enabled();
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
         let metadata_sized = data.len() as u64 <= crate::storage::METADATA_REQUEST_LIMIT;
@@ -189,7 +194,7 @@ impl PfsFile {
                 + Time::from_secs_f64(sent as f64 / cfg.client_link_bw);
             if parity {
                 for (c, _) in chunks {
-                    rows.insert(self.inner.striping.parity_row_of(c.stripe));
+                    rows.insert(self.cluster.inner.striping.parity_row_of(c.stripe));
                 }
             }
             if down == Some(srv) {
@@ -200,7 +205,7 @@ impl PfsFile {
                 redirected = true;
                 continue;
             }
-            let outcome = self.inner.servers[srv].lock().write(
+            let outcome = self.cluster.inner.servers[srv].lock().write(
                 &cfg.disk,
                 self.id,
                 arrival,
@@ -272,11 +277,11 @@ impl PfsFile {
         if buf.is_empty() {
             return Ok(start);
         }
-        let cfg = &self.inner.cfg;
+        let cfg = &self.cluster.inner.cfg;
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
         let run = (offset, buf.len() as u64);
-        let portions = self.inner.striping.portions(&run);
+        let portions = self.cluster.inner.striping.portions(&run);
 
         // The read request message reaches every server after one latency;
         // servers then stream from disk in parallel.
@@ -291,7 +296,7 @@ impl PfsFile {
                 disks_done = disks_done.max(t);
                 continue;
             }
-            let outcome = self.inner.servers[srv]
+            let outcome = self.cluster.inner.servers[srv]
                 .lock()
                 .read(&cfg.disk, self.id, arrival, chunks, buf);
             self.record_outcome(srv, &outcome, true);
@@ -336,11 +341,12 @@ impl PfsFile {
     /// including the dual-resource stage breakdown.
     fn record_outcome(&self, srv: usize, outcome: &ServiceOutcome, read: bool) {
         self.record_injected(outcome.injected);
-        self.inner
+        self.cluster
+            .inner
             .stats
             .count_io(outcome.bytes_done as usize, read, outcome.seeked);
         let st = &outcome.stages;
-        self.inner.cfg.profile.record_io_stages(
+        self.cluster.inner.cfg.profile.record_io_stages(
             srv,
             outcome.bytes_done,
             read,
@@ -362,7 +368,7 @@ impl PfsFile {
         // (or independent request) span to hang the container off — with
         // no context there is no timeline to put the spans on, so the
         // request goes untraced rather than misattributed.
-        let events = &self.inner.cfg.events;
+        let events = &self.cluster.inner.cfg.events;
         if events.is_enabled() {
             if let Some((rank, parent)) = TraceCtx::current() {
                 let qid = events.next_id();
@@ -429,7 +435,7 @@ impl PfsFile {
     /// Tally an injected fault (no-op while profiling is disabled).
     fn record_injected(&self, injected: Option<FaultKind>) {
         let Some(kind) = injected else { return };
-        self.inner.cfg.profile.record_fault(|f| {
+        self.cluster.inner.cfg.profile.record_fault(|f| {
             f.faults_injected += 1;
             match kind {
                 FaultKind::Transient => f.transient += 1,
@@ -444,7 +450,8 @@ impl PfsFile {
     /// The shared coherence-epoch cell for this file (every handle to the
     /// same file id gets the same atomic). Created on first use.
     fn epoch_cell(&self) -> Arc<std::sync::atomic::AtomicU64> {
-        self.inner.epochs.lock().entry(self.id).or_default().clone()
+        let mut epochs = self.cluster.inner.epochs.lock();
+        epochs.entry(self.id).or_default().clone()
     }
 
     /// Current coherence epoch of this file. Client caches remember the
@@ -464,7 +471,7 @@ impl PfsFile {
 
     /// Extend the recorded file size to at least `new_size`.
     pub fn grow_to(&self, new_size: u64) {
-        self.inner.meta.grow_to(&self.name, new_size);
+        self.cluster.inner.meta.grow_to(&self.name, new_size);
     }
 
     /// Untimed export of the full file contents (correctness checks,
@@ -472,9 +479,9 @@ impl PfsFile {
     pub fn to_bytes(&self) -> Vec<u8> {
         let size = self.size();
         let mut out = vec![0u8; size as usize];
-        for c in self.inner.striping.split(0, size) {
+        for c in self.cluster.inner.striping.split(0, size) {
             let lo = c.file_offset as usize;
-            self.inner.servers[c.server].lock().peek(
+            self.cluster.inner.servers[c.server].lock().peek(
                 self.id,
                 c.stripe,
                 c.offset_in_stripe,
@@ -487,9 +494,9 @@ impl PfsFile {
     /// Untimed import: overwrite the file contents with `data` (used to
     /// place an externally produced file into the PFS).
     pub fn import_bytes(&self, data: &[u8]) {
-        for c in self.inner.striping.split(0, data.len() as u64) {
+        for c in self.cluster.inner.striping.split(0, data.len() as u64) {
             let lo = c.file_offset as usize;
-            self.inner.servers[c.server].lock().poke(
+            self.cluster.inner.servers[c.server].lock().poke(
                 self.id,
                 c.stripe,
                 c.offset_in_stripe,
@@ -513,9 +520,9 @@ impl PfsFile {
 
     /// Untimed read of an arbitrary range (diagnostics/tests).
     pub fn peek_at(&self, offset: u64, buf: &mut [u8]) {
-        for c in self.inner.striping.split(offset, buf.len() as u64) {
+        for c in self.cluster.inner.striping.split(offset, buf.len() as u64) {
             let lo = (c.file_offset - offset) as usize;
-            self.inner.servers[c.server].lock().peek(
+            self.cluster.inner.servers[c.server].lock().peek(
                 self.id,
                 c.stripe,
                 c.offset_in_stripe,
@@ -526,7 +533,7 @@ impl PfsFile {
 
     #[doc(hidden)]
     pub fn chunks_for(&self, offset: u64, len: u64) -> Vec<StripeChunk> {
-        self.inner.striping.split(offset, len)
+        self.cluster.inner.striping.split(offset, len)
     }
 }
 
@@ -787,7 +794,7 @@ mod tests {
         );
 
         let s = Pfs {
-            inner: f.inner.clone(),
+            cluster: f.cluster.clone(),
         };
         let snap = s.stats().snapshot();
         assert_eq!(snap.io_requests, 1, "affine runs coalesce per server");
@@ -824,7 +831,7 @@ mod tests {
         let f = file();
         f.write_at(Time::ZERO, 0, &[0u8; 4096]); // 4 servers, 1 KiB each
         let s = Pfs {
-            inner: f.inner.clone(),
+            cluster: f.cluster.clone(),
         };
         let snap = s.stats().snapshot();
         assert_eq!(snap.io_requests, 4);

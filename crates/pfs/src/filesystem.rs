@@ -9,11 +9,10 @@
 //! untouched and byte-identical to the pre-cluster code.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use hpc_sim::{SimConfig, SimStats};
 
-use crate::cluster::{ClusterInner, PfsCluster};
+use crate::cluster::PfsCluster;
 use crate::file::PfsFile;
 use crate::storage::StorageMode;
 
@@ -22,7 +21,7 @@ use crate::storage::StorageMode;
 /// and the same namespace.
 #[derive(Clone)]
 pub struct Pfs {
-    pub(crate) inner: Arc<ClusterInner>,
+    pub(crate) cluster: PfsCluster,
 }
 
 impl Pfs {
@@ -33,65 +32,63 @@ impl Pfs {
         PfsCluster::new(cfg, mode).mount()
     }
 
-    /// A view sharing `inner` without counting a mount (internal handles:
-    /// `PfsFile::fs()`, tests poking at the innards).
-    pub(crate) fn view(inner: Arc<ClusterInner>) -> Pfs {
-        Pfs { inner }
+    /// A view of `cluster`, without counting a mount.
+    pub(crate) fn view(cluster: PfsCluster) -> Pfs {
+        Pfs { cluster }
     }
 
-    /// The cluster this view is mounted on (to reach cluster-wide
-    /// operations like [`PfsCluster::reset_timing`] or the metadata
-    /// shard counters).
-    pub fn cluster(&self) -> PfsCluster {
-        PfsCluster {
-            inner: self.inner.clone(),
-        }
+    /// The cluster this view is mounted on: everything cluster-wide — the
+    /// queue depth, parity and failover controls, [`PfsCluster::reset_timing`],
+    /// the metadata shard counters — is reached through it.
+    pub fn cluster(&self) -> &PfsCluster {
+        &self.cluster
     }
 
     /// Platform configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.inner.cfg
+        &self.cluster.inner.cfg
     }
 
     /// I/O operation counters.
     pub fn stats(&self) -> &SimStats {
-        &self.inner.stats
+        &self.cluster.inner.stats
     }
 
     /// Create (or truncate) a file and return its handle. Routed through
     /// the metadata shard owning the path — creates on different shards
     /// never contend.
     pub fn create(&self, name: &str) -> PfsFile {
-        let (old, id) = self.inner.meta.create(name);
+        let (old, id) = self.cluster.inner.meta.create(name);
         if let Some(old) = old {
-            for s in &self.inner.servers {
+            for s in &self.cluster.inner.servers {
                 s.lock().remove_file(old.id);
             }
-            self.inner.epochs.lock().remove(&old.id);
+            self.cluster.inner.epochs.lock().remove(&old.id);
         }
-        PfsFile::new(self.inner.clone(), id, name.to_string())
+        PfsFile::new(self.cluster.clone(), id, name.to_string())
     }
 
     /// Open an existing file.
     pub fn open(&self, name: &str) -> Option<PfsFile> {
-        self.inner
+        self.cluster
+            .inner
             .meta
             .open(name)
-            .map(|e| PfsFile::new(self.inner.clone(), e.id, name.to_string()))
+            .map(|e| PfsFile::new(self.cluster.clone(), e.id, name.to_string()))
     }
 
     /// Does `name` exist?
     pub fn exists(&self, name: &str) -> bool {
-        self.inner.meta.lookup(name).is_some()
+        self.cluster.inner.meta.lookup(name).is_some()
     }
 
     /// Delete a file, freeing its stripes. Returns whether it existed.
     pub fn delete(&self, name: &str) -> bool {
-        if let Some(e) = self.inner.meta.remove(name) {
-            for s in &self.inner.servers {
+        if let Some(e) = self.cluster.inner.meta.remove(name) {
+            for s in &self.cluster.inner.servers {
                 s.lock().remove_file(e.id);
             }
-            self.inner.epochs.lock().remove(&e.id);
+            self.cluster.inner.epochs.lock().remove(&e.id);
             true
         } else {
             false
@@ -100,7 +97,7 @@ impl Pfs {
 
     /// Names of all files (sorted, for deterministic listings).
     pub fn list(&self) -> Vec<String> {
-        self.inner.meta.list()
+        self.cluster.inner.meta.list()
     }
 
     /// Reset all server queues, position state and fault `ops` counters to
@@ -114,7 +111,7 @@ impl Pfs {
     /// therefore refuses the per-view reset (panics); drivers that own a
     /// quiescent point call [`PfsCluster::reset_timing`] instead.
     pub fn reset_timing(&self) {
-        let mounts = self.inner.mounts.load(Ordering::Relaxed);
+        let mounts = self.cluster.inner.mounts.load(Ordering::Relaxed);
         assert!(
             mounts <= 1,
             "Pfs::reset_timing on a cluster with {mounts} mounts would corrupt other \
@@ -122,70 +119,6 @@ impl Pfs {
              from a quiescent point instead"
         );
         self.cluster().reset_timing();
-    }
-
-    /// Override every server's bounded admission queue depth (the
-    /// `pnc_server_queue_depth` hint, applied at file open; `0` =
-    /// unbounded). The servers are shared, so this affects all files.
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.cluster().set_queue_depth(depth);
-    }
-
-    /// Turn the declustered-parity layer on or off (the `pnc_parity`
-    /// hint, applied at file open). Requires at least two servers to
-    /// enable — with one there is nowhere to decluster.
-    pub fn set_parity(&self, on: bool) {
-        self.cluster().set_parity(on);
-    }
-
-    /// Whether the parity layer is on.
-    pub fn parity_enabled(&self) -> bool {
-        self.cluster().parity_enabled()
-    }
-
-    /// Whether a retry ladder that exhausted against `server` may escalate
-    /// to failover instead of surfacing `Exhausted`: parity must be on and
-    /// no *other* server may already be down (single-parity survives one
-    /// loss). A server that is already marked down can keep failing over —
-    /// the mark is idempotent.
-    pub fn can_failover(&self, server: usize) -> bool {
-        if !self.parity_enabled() {
-            return false;
-        }
-        let fo = self.inner.failover.lock();
-        fo.down.map(|d| d == server).unwrap_or(true)
-    }
-
-    /// Declare `server` down, opening a degraded-mode epoch — for *every*
-    /// file open on the cluster, in the same epoch. Idempotent: returns
-    /// `true` only on the transition. Every rank calls this after the
-    /// collective error agreement picks the same `ServerLost`, so the flip
-    /// happens at the same operation on all ranks; callers must drive
-    /// control flow off the *agreed error*, not this return value.
-    pub fn mark_server_down(&self, server: usize) -> bool {
-        assert!(server < self.inner.striping.nservers);
-        let mut fo = self.inner.failover.lock();
-        if fo.down == Some(server) {
-            return false;
-        }
-        assert!(
-            fo.down.is_none(),
-            "single-parity failover cannot cover a second down server"
-        );
-        fo.down = Some(server);
-        fo.epoch += 1;
-        self.inner.cfg.profile.record_failover(|c| c.epochs += 1);
-        true
-    }
-
-    /// The server currently marked down, if any.
-    pub fn down_server(&self) -> Option<usize> {
-        self.inner.failover.lock().down
-    }
-
-    /// Count of server-down epochs declared so far.
-    pub fn failover_epoch(&self) -> u64 {
-        self.inner.failover.lock().epoch
     }
 }
 

@@ -54,7 +54,11 @@ fn blocking_collective_survives_permanent_crash() {
         }
         ds.close().expect("close flushes through degraded mode too");
     });
-    assert_eq!(pfs.down_server(), Some(0), "server 0 must be marked down");
+    assert_eq!(
+        pfs.cluster().down_server(),
+        Some(0),
+        "server 0 must be marked down"
+    );
     let fo = profile.failover_counters();
     assert_eq!(fo.epochs, 1, "exactly one agreed epoch: {fo:?}");
     assert!(fo.redirected_writes > 0, "writes must redirect: {fo:?}");
@@ -89,7 +93,7 @@ fn wait_all_survives_and_rebuild_restores_the_server() {
             .expect("parity must carry the merged flush through the crash");
         ds.close().unwrap();
     });
-    assert_eq!(pfs.down_server(), Some(0));
+    assert_eq!(pfs.cluster().down_server(), Some(0));
     let fo = profile.failover_counters();
     assert_eq!(fo.epochs, 1, "{fo:?}");
     assert!(fo.redirected_writes > 0, "{fo:?}");
@@ -100,7 +104,11 @@ fn wait_all_survives_and_rebuild_restores_the_server() {
     let mut probe = [0u8; 1];
     f.try_read_at(Time::from_secs_f64(101.0), 0, &mut probe)
         .expect("post-restart read");
-    assert_eq!(pfs.down_server(), None, "rebuild must clear the mark");
+    assert_eq!(
+        pfs.cluster().down_server(),
+        None,
+        "rebuild must clear the mark"
+    );
     let fo = profile.failover_counters();
     assert_eq!(fo.rebuilds, 1, "{fo:?}");
     assert!(fo.rebuilt_bytes > 0, "{fo:?}");
@@ -129,7 +137,7 @@ fn without_parity_the_crash_still_exhausts() {
         ds.put_vara_all(v, &[c.rank() as u64 * 1024], &[1024], &[1.0f32; 1024])
             .unwrap_err();
     });
-    assert_eq!(pfs.down_server(), None, "no parity, no failover");
+    assert_eq!(pfs.cluster().down_server(), None, "no parity, no failover");
     assert_eq!(
         profile.failover_counters(),
         Default::default(),

@@ -420,3 +420,37 @@ fn whole_variable_length_mismatch_errors() {
         ds.close().unwrap();
     });
 }
+
+/// `take_result_flexible` must refuse a memory description that does not
+/// hold exactly the bytes the get selected — as the blocking flexible get
+/// does — instead of scattering a prefix and reporting success.
+#[test]
+fn take_result_flexible_refuses_a_mismatched_memory_description() {
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    run_world(1, cfg(), |c| {
+        let mut ds = Dataset::create(c, &pfs, "t.nc", Version::Cdf1, &Info::new()).unwrap();
+        let x = ds.def_dim("x", 8).unwrap();
+        let v = ds.def_var("v", NcType::Int, &[x]).unwrap();
+        ds.enddef().unwrap();
+        ds.put_vara_all(v, &[0], &[8], &[7i32; 8]).unwrap();
+
+        // Four ints where the get selected eight: in a row, and strided.
+        let whole = Datatype::contiguous(8, Datatype::int());
+        let packed = Datatype::contiguous(4, Datatype::int());
+        let strided = Datatype::vector(4, 1, 2, Datatype::int());
+        for small in [packed, strided] {
+            let req = ds.iget_vara_flexible(v, &[0], &[8], 1, &whole).unwrap();
+            ds.wait_all().unwrap();
+            let mut buf = [0u8; 32];
+            let taken = ds.take_result_flexible(req, &mut buf, 1, &small);
+            assert!(
+                matches!(taken, Err(NcmpiError::InvalidArgument(_))),
+                "{taken:?}"
+            );
+            assert_eq!(buf, [0u8; 32], "a refused take scattered bytes");
+            let blocking = ds.get_vara_all_flexible(v, &[0], &[8], &mut buf, 1, &small);
+            assert_eq!(taken, blocking, "the two doors refuse alike");
+        }
+        ds.close().unwrap();
+    });
+}

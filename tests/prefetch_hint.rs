@@ -2,7 +2,7 @@
 //! at open time and served from local memory afterwards.
 
 use hpc_sim::{SimConfig, Time};
-use pnetcdf::{Dataset, Info, NcType, Version};
+use pnetcdf::{Dataset, Datatype, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -108,6 +108,48 @@ fn write_invalidates_cache() {
         // ...and subsequent reads see the new data.
         let g: Vec<f32> = ds.get_vara_all(grid, &[0], &[8]).unwrap();
         assert_eq!(g, vec![9.0; 8]);
+        ds.close().unwrap();
+    });
+}
+
+/// The cache serves an access, whichever call made it: a flexible get of a
+/// prefetched variable returns the cached values, into packed and into
+/// strided memory, at the cost of the typed get — a conversion pass, no I/O.
+#[test]
+fn flexible_gets_are_served_from_the_cache_too() {
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    make_file(&pfs);
+    let pfs2 = pfs.clone();
+    run_world(2, cfg(), move |c| {
+        let info = Info::new().with("nc_prefetch_vars", "aux");
+        let mut ds = Dataset::open(c, &pfs2, "f.nc", true, &info).unwrap();
+        let aux = ds.inq_varid("aux").unwrap();
+        let t0 = c.now();
+        let typed: Vec<i32> = ds.get_vara_all(aux, &[2], &[4]).unwrap();
+        let typed_cost = c.now() - t0;
+        assert_eq!(typed, vec![20, 30, 40, 50]);
+
+        let ints = |buf: &[u8], step: usize| -> Vec<i32> {
+            buf.chunks(step)
+                .map(|c| i32::from_ne_bytes(c[..4].try_into().unwrap()))
+                .collect()
+        };
+        let t0 = c.now();
+        let mut buf = [0u8; 16];
+        ds.get_vara_all_flexible(aux, &[2], &[4], &mut buf, 4, &Datatype::int())
+            .unwrap();
+        assert_eq!(
+            c.now() - t0,
+            typed_cost,
+            "a cached get did more than convert"
+        );
+        assert_eq!(ints(&buf, 4), typed);
+
+        let every_other = Datatype::vector(4, 1, 2, Datatype::int());
+        let mut buf = [0u8; 32];
+        ds.get_vara_all_flexible(aux, &[2], &[4], &mut buf, 1, &every_other)
+            .unwrap();
+        assert_eq!(ints(&buf, 8), typed);
         ds.close().unwrap();
     });
 }

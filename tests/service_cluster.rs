@@ -103,17 +103,23 @@ fn failover_epoch_shared_across_open_files() {
     let b = cluster.mount();
     a.create("a.nc");
     b.create("b.nc");
-    assert_eq!(a.failover_epoch(), 0);
-    assert_eq!(b.failover_epoch(), 0);
+    assert_eq!(a.cluster().failover_epoch(), 0);
+    assert_eq!(b.cluster().failover_epoch(), 0);
 
-    assert!(a.can_failover(1));
-    assert!(a.mark_server_down(1), "first mark is the transition");
-    assert!(!a.mark_server_down(1), "idempotent on the same view");
+    assert!(a.cluster().can_failover(1));
+    assert!(
+        a.cluster().mark_server_down(1),
+        "first mark is the transition"
+    );
+    assert!(
+        !a.cluster().mark_server_down(1),
+        "idempotent on the same view"
+    );
 
     // The other file's view sees the same epoch and the same down server.
-    assert_eq!(b.down_server(), Some(1));
-    assert_eq!(b.failover_epoch(), 1);
-    assert_eq!(a.failover_epoch(), 1);
+    assert_eq!(b.cluster().down_server(), Some(1));
+    assert_eq!(b.cluster().failover_epoch(), 1);
+    assert_eq!(a.cluster().failover_epoch(), 1);
     // Single-parity: the *other* view cannot fail over a second server.
-    assert!(!b.can_failover(2));
+    assert!(!b.cluster().can_failover(2));
 }

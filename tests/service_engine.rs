@@ -166,7 +166,7 @@ fn indep_transcript(parity: bool) -> (String, u64, u64) {
     let mut cfg = SimConfig::test_small();
     cfg.faults = FaultPlan::from_spec("transient=0.1,short=0.1").unwrap();
     let pfs = Pfs::new(cfg, StorageMode::Full);
-    pfs.set_parity(parity);
+    pfs.cluster().set_parity(parity);
     let f = pfs.create("golden");
     let backoff = Time::from_micros(50);
     let mut log = String::new();
