@@ -1,24 +1,24 @@
 //! The one request path, and the nonblocking API.
 //!
-//! A request is one file description ([`Sel`]: a variable and a strided
-//! subarray of it) plus one memory description ([`PutMem`] / [`GetMem`]:
+//! A request is one file description (`Sel`: a variable and a strided
+//! subarray of it) plus one memory description (`PutMem` / `GetMem`:
 //! values of a native type, or bytes under an MPI datatype), whichever of
 //! the typed, flexible, blocking and nonblocking calls produced it. All of
 //! them are argument adapters over the five bodies here —
 //! `put_blocking`, `get_blocking`, `put_queued`, `get_queued`, `take` — and
 //! those share one step per job:
 //!
-//! * [`Dataset::stage`] lowers a put into an [`AccessReq`]: size check,
+//! * `Dataset::stage` lowers a put into an `AccessReq`: size check,
 //!   then the payload is *lent* where it lies or *staged* in the request's
 //!   `buffer` (converted, or gathered and swapped in one pass), the
 //!   conversion is charged, and the access is frozen as file byte runs.
-//! * [`Dataset::deliver`] ends a get: the external bytes are put where the
+//! * `Dataset::deliver` ends a get: the external bytes are put where the
 //!   values end up and swapped there, or into staging and converted or
 //!   scattered from it.
-//! * [`Dataset::settle`] runs an execution to an outcome every rank shares:
+//! * `Dataset::settle` runs an execution to an outcome every rank shares:
 //!   execute, agree, and once — on an agreed lost server — mark it down
 //!   and execute again in degraded mode.
-//! * [`Dataset::traced`] gives an execution its request id, its trace
+//! * `Dataset::traced` gives an execution its request id, its trace
 //!   context and its CORE span.
 //!
 //! Lend or stage — one decision for all doors, made in `stage` and
@@ -34,7 +34,7 @@
 //! | get, blocking or `take_result*` | read into the memory itself, swapped in place | read into staging, converted or scattered from it |
 //!
 //! Staging is the dataset's one recycled request for the blocking calls
-//! (`Dataset::staging`, see [`Dataset::with_staging`]) and the queued
+//! (`Dataset::staging`, see `Dataset::with_staging`) and the queued
 //! request's own buffer for the nonblocking ones.
 //!
 //! A blocking call is a queue-depth-one flush: `flush_merged` hands the
