@@ -195,29 +195,43 @@ echo "==> perf_bench smoke: the benchmark of BENCHMARK.json, quick mode"
 # (Comm, MpiFile, Dataset, the profile JSON keys). It exits non-zero on any
 # failed operation or missing metric, so a change that breaks that surface
 # fails here instead of in the benchmark run.
+# A local run appends to perf_bench/Cargo.lock the dependency edges product
+# crates gained since it was written; nothing under perf_bench/ may be
+# committed changed, so the stage puts the lock file back as it found it.
+lock_backup=$(mktemp)
+cp perf_bench/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" perf_bench/Cargo.lock; rm -f "$lock_backup"' EXIT
 cargo run --release --offline --quiet --manifest-path perf_bench/Cargo.toml -- --quick >/dev/null
 # The heap budget of the independent request path, at smoke size. One pass
 # over the array cannot go below 1.0 heap byte per payload byte (the stripe
 # store keeps what was written, 0.5, and every get returns its Vec, 0.5);
 # 1.007 is measured, and a request path that allocates per call sits at 2.96.
 # The collective path has the same floor plus the write's and the read's
-# 4 MiB collective buffers on a 16 MiB array: 1.414 B/B and 37.39 MiB of peak
+# 4 MiB collective buffers on a 16 MiB array: 1.328 B/B and 37.02 MiB of peak
 # heap are measured; a put that stages an external copy of its values and a
 # get that reads into staging beside its result sit at 2.414 and 48.52.
-python3 - perf_bench/out/indep_rows.json perf_bench/out/coll3d_x.json <<'EOF'
+# The FLASH checkpoint queues ~30 variables per file and reads them back one
+# collective at a time: 1.959 B/B and 53.06 MiB are measured (the budgets add
+# 5 %); a flush that merges the queue's staged buffers into one more copy and
+# a collective buffer allocated per call sit at 3.580 and 68.07.
+python3 - perf_bench/out/indep_rows.json perf_bench/out/coll3d_x.json perf_bench/out/flash_ckpt.json <<'EOF'
 import json, sys
-indep, coll = (json.load(open(p)) for p in sys.argv[1:3])
+indep, coll, flash = (json.load(open(p)) for p in sys.argv[1:4])
 value = lambda r, m: r["metrics"][m]["value"]
-for name, r in (("indep_rows", indep), ("coll3d_x", coll)):
+for name, r in (("indep_rows", indep), ("coll3d_x", coll), ("flash_ckpt", flash)):
     assert r["ops_failed"] == 0, f"{name}: {r['ops_failed']} operations failed"
 alloc = value(indep, "alloc_bytes_per_byte")
 assert alloc <= 1.05, f"indep_rows requests {alloc:.3f} heap B per payload B (budget 1.05)"
 coll_alloc, coll_peak = value(coll, "alloc_bytes_per_byte"), value(coll, "peak_heap_mb")
 assert coll_alloc <= 1.50, f"coll3d_x requests {coll_alloc:.3f} heap B per payload B (budget 1.50)"
 assert coll_peak <= 40, f"coll3d_x peaks at {coll_peak:.2f} MiB of heap (budget 40)"
+flash_alloc, flash_peak = value(flash, "alloc_bytes_per_byte"), value(flash, "peak_heap_mb")
+assert flash_alloc <= 2.06, f"flash_ckpt requests {flash_alloc:.3f} heap B per payload B (budget 2.06)"
+assert flash_peak <= 55.7, f"flash_ckpt peaks at {flash_peak:.2f} MiB of heap (budget 55.7)"
 print(f"    perf_bench --quick OK: every workload ran, every metric present; "
       f"indep_rows {alloc:.3f} heap B/B, coll3d_x {coll_alloc:.3f} heap B/B and "
-      f"{coll_peak:.2f} MiB peak heap, no failed operation")
+      f"{coll_peak:.2f} MiB peak heap, flash_ckpt {flash_alloc:.3f} heap B/B and "
+      f"{flash_peak:.2f} MiB peak heap, no failed operation")
 EOF
 
 echo "CI OK"

@@ -30,7 +30,7 @@
 //! |---|---|---|
 //! | blocking collective put | lent in host order; the two-phase overlay swaps each piece into the collective buffer | staged |
 //! | blocking independent put | staged, unless one byte wide: the sieve writes what it is given | staged |
-//! | queued put (`iput_*`) | staged: the queue owns a copy until the wait call | staged |
+//! | queued put (`iput_*`) | staged: the queue owns a copy until the wait call, which lends it where it lies | staged |
 //! | get, blocking or `take_result*` | read into the memory itself, swapped in place | read into staging, converted or scattered from it |
 //!
 //! Staging is the dataset's one recycled request for the blocking calls
@@ -43,12 +43,14 @@
 //! a queue adds. That is where the paper's aggregation idea pays off (the
 //! optimization production PnetCDF later shipped as
 //! `ncmpi_iput/ncmpi_wait_all`): all pending puts merge into **one**
-//! sorted, overlap-resolved run list with a packed staging buffer issued
-//! as a single collective write, all pending gets union into one run list
-//! issued as a single collective read — N queued variable accesses cost
-//! one or two collective rounds instead of N.
-
-use std::borrow::Cow;
+//! sorted, overlap-resolved run list issued as a single collective write,
+//! all pending gets union into one run list issued as a single collective
+//! read — N queued variable accesses cost one or two collective rounds
+//! instead of N. The merged write copies nothing: its payload is a gather
+//! list of the slices of the staged buffers that survive the overlaps, and
+//! the two-phase overlay reads them where the queue keeps them (a blocking
+//! put is the one-segment case). Only the sieve of an independent `wait`
+//! wants one slice, gathered in the dataset's recycled staging.
 
 use hpc_sim::trace::events::layer;
 use hpc_sim::{Span, Time, TraceCtx};
@@ -240,9 +242,8 @@ impl Piece {
 /// Sorted, non-overlapping references into the requests' staged buffers.
 /// Inserting later requests overwrites earlier ones where they overlap
 /// (last request wins — the same deterministic rule two-phase I/O applies
-/// across ranks). Unlike the old owned-segment design, resolving overlaps
-/// never copies a byte: the only copy happens in [`RunStage::into_merged_with`],
-/// one gather pass from the source buffers into the final staging buffer.
+/// across ranks). Resolving overlaps never copies a byte, and neither does
+/// [`RunStage::lend`]: the pieces are lent as they are.
 #[derive(Default)]
 pub(crate) struct RunStage {
     pieces: Vec<Piece>,
@@ -287,50 +288,46 @@ impl RunStage {
         self.pieces.insert(i, Piece { off, len, src, pos });
     }
 
-    /// Final merged form: coalesced runs plus the staging buffer, gathered
-    /// in a single pass from the source buffers the pieces reference.
-    pub(crate) fn into_merged_with(self, sources: &[&[u8]]) -> (Vec<Run>, Vec<u8>) {
-        let total: u64 = self.pieces.iter().map(|p| p.len).sum();
+    /// Final merged form: coalesced runs plus their bytes as a gather list
+    /// into `sources` — a piece that continues its predecessor's slice of
+    /// the same source extends that segment, so a buffer nothing overwrote
+    /// is one segment however many runs it has.
+    pub(crate) fn lend<'s>(&self, sources: &[&'s [u8]]) -> (Vec<Run>, Vec<&'s [u8]>) {
         let mut runs: Vec<Run> = Vec::with_capacity(self.pieces.len());
-        let mut staging = Vec::with_capacity(total as usize);
+        let mut segs: Vec<&[u8]> = Vec::with_capacity(self.pieces.len());
+        // The newest segment: bytes `from..to` of source `src`.
+        let (mut src, mut from, mut to) = (usize::MAX, 0u64, 0u64);
         for p in &self.pieces {
             match runs.last_mut() {
                 Some(last) if last.0 + last.1 == p.off => last.1 += p.len,
                 _ => runs.push((p.off, p.len)),
             }
-            staging.extend_from_slice(&sources[p.src][p.pos as usize..(p.pos + p.len) as usize]);
+            if (src, to) == (p.src, p.pos) {
+                segs.pop();
+            } else {
+                (src, from) = (p.src, p.pos);
+            }
+            to = p.pos + p.len;
+            segs.push(&sources[src][from as usize..to as usize]);
         }
-        (runs, staging)
+        (runs, segs)
     }
 }
 
-/// True when the runs are sorted, non-overlapping, and non-adjacent — i.e.
-/// already in the exact shape `into_merged_with` would produce.
-fn runs_coalesced(runs: &[Run]) -> bool {
-    runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0)
-}
-
-/// Merge the put requests into one sorted run list + staging buffer, later
-/// requests winning overlaps. A single coalesced put needs no merge at all:
-/// its staged buffer is borrowed as-is (zero copies).
-fn merge_puts(reqs: &[AccessReq]) -> (Vec<Run>, Cow<'_, [u8]>) {
-    let puts: Vec<&AccessReq> = reqs.iter().filter(|r| r.kind == AccessKind::Put).collect();
-    if let [only] = puts.as_slice() {
-        if runs_coalesced(&only.runs) {
-            return (only.runs.clone(), Cow::Borrowed(&only.buffer));
-        }
-    }
+/// Merge the put requests into one sorted run list + the gather list of its
+/// bytes in the requests' staged buffers, later requests winning overlaps.
+fn merge_puts(reqs: &[AccessReq]) -> (Vec<Run>, Vec<&[u8]>) {
+    let puts = || reqs.iter().filter(|r| r.kind == AccessKind::Put);
     let mut stage = RunStage::default();
-    let sources: Vec<&[u8]> = puts.iter().map(|r| r.buffer.as_slice()).collect();
-    for (src, req) in puts.iter().enumerate() {
+    for (src, req) in puts().enumerate() {
         let mut pos = 0u64;
         for &(off, len) in &req.runs {
             stage.insert(off, len, src, pos);
             pos += len;
         }
     }
-    let (runs, staging) = stage.into_merged_with(&sources);
-    (runs, Cow::Owned(staging))
+    let sources: Vec<&[u8]> = puts().map(|r| r.buffer.as_slice()).collect();
+    stage.lend(&sources)
 }
 
 /// Union of all get requests' runs: sorted, coalesced coverage.
@@ -656,19 +653,33 @@ impl Dataset {
         (out, rid)
     }
 
-    /// Write `payload` to `runs`, through two-phase I/O or the sieve.
-    fn execute_put(&self, runs: &[Run], payload: Lent<'_>, collective: bool) -> NcmpiResult<()> {
+    /// Write the payload `segs` lay end to end (elements `width` wide, see
+    /// [`Lent`]) to `runs`: lent as that gather list to two-phase I/O, or
+    /// as one slice — gathered in the recycled staging if it is not one
+    /// already — to the sieve.
+    fn execute_put(
+        &mut self,
+        runs: &[Run],
+        segs: &[&[u8]],
+        width: usize,
+        collective: bool,
+    ) -> NcmpiResult<()> {
         if collective {
-            self.file
-                .write_native_runs_at_all(runs, payload.bytes, payload.width)?;
-        } else {
-            assert_eq!(
-                payload.width, 1,
-                "an independent put was lent unconverted elements"
-            );
-            self.file.write_runs_at(runs, payload.bytes)?;
+            self.file.write_native_runs_at_all(runs, segs, width)?;
+            return Ok(());
         }
-        Ok(())
+        assert_eq!(width, 1, "an independent put was lent unconverted elements");
+        if let &[whole] = segs {
+            self.file.write_runs_at(runs, whole)?;
+            return Ok(());
+        }
+        self.with_staging(|ds, staged| {
+            staged.buffer.clear();
+            segs.iter()
+                .for_each(|seg| staged.buffer.extend_from_slice(seg));
+            ds.file.write_runs_at(runs, &staged.buffer)?;
+            Ok(())
+        })
     }
 
     /// Read the external bytes of `runs` into `dst`, in run order.
@@ -721,7 +732,7 @@ impl Dataset {
             let bytes = payload.bytes.len() as u64;
             ds.settle(collective, |ds| {
                 let io = |ds: &mut Dataset| -> NcmpiResult<()> {
-                    ds.execute_put(&req.runs, payload, collective)?;
+                    ds.execute_put(&req.runs, &[payload.bytes], payload.width, collective)?;
                     if collective && req.record {
                         ds.reconcile_numrecs()?;
                     }
@@ -828,7 +839,9 @@ impl Dataset {
 
     /// Queue a subarray write (`ncmpi_iput_vara_<type>`); complete it with
     /// [`Dataset::wait_all`] (collective mode) or [`Dataset::wait`]
-    /// (independent mode).
+    /// (independent mode). Like every `iput_*`, it has copied `vals` (in
+    /// external form) when it returns: the caller may reuse the memory for
+    /// the next put before any wait call.
     pub fn iput_vara<T: NcValue>(
         &mut self,
         varid: usize,
@@ -874,7 +887,7 @@ impl Dataset {
     }
 
     /// Queue a flexible subarray write (`ncmpi_iput_vara`): memory described
-    /// by an MPI datatype.
+    /// by an MPI datatype, copied out of `buf` before the call returns.
     pub fn iput_vara_flexible(
         &mut self,
         varid: usize,
@@ -1022,24 +1035,24 @@ impl Dataset {
         let of = |kind| reqs.iter().filter(move |r| r.kind == kind);
         let mut failure: Option<NcmpiError> = None;
         if do_puts {
-            let (runs, staging) = merge_puts(reqs);
-            if matches!(staging, Cow::Borrowed(_)) {
+            let (runs, segs) = merge_puts(reqs);
+            let bytes = runs_total(&runs);
+            if collective || segs.len() == 1 {
+                // The staged buffers are lent where they lie (the sieve of
+                // an independent flush wants one slice: more are gathered).
                 self.comm.config().profile.record_bytepath(|b| {
                     b.copies_elided += 1;
-                    b.borrowed_bytes += staging.len() as u64;
+                    b.borrowed_bytes += bytes;
                 });
             }
-            // Merging N staged buffers into one is memcpy work.
-            self.charge_pass(staging.len());
-            let payload = Lent {
-                bytes: &staging,
-                width: 1,
-            };
+            // Merging N staged buffers into one write is memcpy work,
+            // wherever the host ends up doing it.
+            self.charge_pass(bytes as usize);
             let args = [
                 ("reqs", of(AccessKind::Put).count() as u64),
-                ("bytes", staging.len() as u64),
+                ("bytes", bytes),
             ];
-            let io = |ds: &mut Dataset| ds.execute_put(&runs, payload, collective);
+            let io = |ds: &mut Dataset| ds.execute_put(&runs, &segs, 1, collective);
             let (wrote, rid) = self.traced("flush_put", &args, io);
             self.link_queued(reqs, AccessKind::Put, rid);
             match wrote {
@@ -1113,14 +1126,15 @@ mod tests {
     use super::*;
 
     /// Stage each source buffer in order (whole buffer at one offset) and
-    /// gather the merged result.
+    /// gather what the merged result lends.
     fn merged(inserts: &[(u64, &[u8])]) -> (Vec<Run>, Vec<u8>) {
         let mut s = RunStage::default();
         for (src, &(off, bytes)) in inserts.iter().enumerate() {
             s.insert(off, bytes.len() as u64, src, 0);
         }
         let sources: Vec<&[u8]> = inserts.iter().map(|&(_, b)| b).collect();
-        s.into_merged_with(&sources)
+        let (runs, segs) = s.lend(&sources);
+        (runs, segs.concat())
     }
 
     #[test]
@@ -1162,9 +1176,9 @@ mod tests {
         let mut s = RunStage::default();
         s.insert(0, 10, 0, 0);
         s.insert(3, 4, 1, 0);
-        let (runs, data) = s.into_merged_with(&[&src0, &src1]);
+        let (runs, segs) = s.lend(&[&src0, &src1]);
         assert_eq!(runs, vec![(0, 10)]);
-        assert_eq!(data, vec![10, 11, 12, 99, 99, 99, 99, 17, 18, 19]);
+        assert_eq!(segs, [&src0[..3], &src1[..], &src0[7..]]);
     }
 
     fn put_req(runs: Vec<Run>, buffer: Vec<u8>) -> AccessReq {
@@ -1176,27 +1190,29 @@ mod tests {
         }
     }
 
+    /// A single put is lent where it was staged: one segment, the staged
+    /// buffer itself, however many runs it has (adjacent ones coalesce).
     #[test]
     fn single_put_borrows_staging() {
-        let reqs = vec![put_req(vec![(0, 2), (8, 2)], vec![1, 2, 3, 4])];
-        let (runs, staging) = merge_puts(&reqs);
+        let reqs = vec![put_req(vec![(0, 2), (8, 1), (9, 1)], vec![1, 2, 3, 4])];
+        let (runs, segs) = merge_puts(&reqs);
         assert_eq!(runs, vec![(0, 2), (8, 2)]);
-        assert!(
-            matches!(staging, Cow::Borrowed(_)),
-            "single coalesced put must not copy its staging buffer"
-        );
-        assert_eq!(&*staging, &[1, 2, 3, 4]);
+        assert_eq!(segs.len(), 1);
+        assert!(std::ptr::eq(segs[0], &reqs[0].buffer[..]));
     }
 
+    /// Overlapping puts are lent as the slices that survive, in file order;
+    /// gets between them do not shift which buffer a piece names.
     #[test]
     fn multi_put_merges_last_wins() {
         let reqs = vec![
             put_req(vec![(0, 4)], vec![1; 4]),
+            AccessReq::default(),
             put_req(vec![(2, 4)], vec![2; 4]),
         ];
-        let (runs, staging) = merge_puts(&reqs);
+        let (runs, segs) = merge_puts(&reqs);
         assert_eq!(runs, vec![(0, 6)]);
-        assert_eq!(&*staging, &[1, 1, 2, 2, 2, 2]);
+        assert_eq!(segs, [&reqs[0].buffer[..2], &reqs[2].buffer[..]]);
     }
 
     #[test]

@@ -74,11 +74,21 @@ impl BlockMesh {
     /// benchmark writes from. `side` is the per-dimension cell count
     /// written (nxb, or nxb+1 for corner plots).
     pub fn interior_buffer(&self, rank: usize, var: usize, side: u64) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.interior_buffer_into(rank, var, side, &mut out);
+        out
+    }
+
+    /// [`BlockMesh::interior_buffer`] into `out`, replacing what it held:
+    /// a writer strips one unknown after another into the same array, as
+    /// FLASH's own checkpoint routine does.
+    pub fn interior_buffer_into(&self, rank: usize, var: usize, side: u64, out: &mut Vec<f64>) {
         // Fill a guarded block, then copy out the interior — the stripping
         // memcpy the real benchmark performs.
         let g = NGUARD;
         let gside = side + 2 * g;
-        let mut out = Vec::with_capacity((self.blocks_per_proc * side * side * side) as usize);
+        out.clear();
+        out.reserve_exact((self.blocks_per_proc * side * side * side) as usize);
         let mut guarded = vec![0f64; (gside * gside * gside) as usize];
         for b in 0..self.blocks_per_proc {
             let block = self.first_block(rank) + b;
@@ -107,7 +117,6 @@ impl BlockMesh {
                 }
             }
         }
-        out
     }
 
     /// Block refinement levels for this rank's blocks.

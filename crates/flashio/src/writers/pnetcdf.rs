@@ -217,11 +217,15 @@ fn write_impl(
     // Unknowns. The aggregate/blocking ports issue one access per variable
     // from a contiguous stripped buffer; the independent port issues one
     // access per block, which is what FLASH's own loop structure produces.
+    // Every unknown is stripped into the same array (and narrowed into the
+    // same single-precision one for a plotfile): a put, queued or not, has
+    // copied what it was given when it returns.
     let start = [first, 0, 0, 0];
     let count = [bpp, side, side, side];
     let s3 = (side * side * side) as usize;
+    let (mut buf, mut f32buf) = (Vec::<f64>::new(), Vec::<f32>::new());
     for (var, &vid) in unk_ids.iter().enumerate() {
-        let buf = mesh.interior_buffer(comm.rank(), var, side);
+        mesh.interior_buffer_into(comm.rank(), var, side, &mut buf);
         if mode == PutMode::IndepBlocks {
             for b in 0..bpp {
                 let bstart = [first + b, 0, 0, 0];
@@ -230,7 +234,8 @@ fn write_impl(
                 match kind {
                     OutputKind::Checkpoint => ds.put_vara(vid, &bstart, &bcount, block)?,
                     _ => {
-                        let f32buf: Vec<f32> = block.iter().map(|&v| v as f32).collect();
+                        f32buf.clear();
+                        f32buf.extend(block.iter().map(|&v| v as f32));
                         ds.put_vara(vid, &bstart, &bcount, &f32buf)?
                     }
                 }
@@ -239,12 +244,15 @@ fn write_impl(
             match kind {
                 OutputKind::Checkpoint => put!(vid, &start, &count, &buf),
                 _ => {
-                    let f32buf: Vec<f32> = buf.iter().map(|&v| v as f32).collect();
+                    f32buf.clear();
+                    f32buf.extend(buf.iter().map(|&v| v as f32));
                     put!(vid, &start, &count, &f32buf)
                 }
             };
         }
     }
+    // Not alive at the flush's peak.
+    drop((buf, f32buf));
     match mode {
         PutMode::Aggregate => ds.wait_all()?,
         PutMode::IndepBlocks => ds.end_indep_data()?,

@@ -2,7 +2,8 @@
 //!
 //! Every collective operation in this MPI reduces to one generic pattern:
 //! all members of a communicator *lend* the rendezvous a [`Loan`] (a typed
-//! descriptor, a payload to read, a destination to fill and two plain words),
+//! descriptor, a gather list of payload segments to read, a destination to
+//! fill and two plain words),
 //! the *last* member to arrive runs a `finish` closure over every member's
 //! loan (this is where clocks are synchronized, costs are charged, and —
 //! for collective I/O — the file system is driven deterministically), and
@@ -30,20 +31,25 @@ use crate::error::{MpiError, MpiResult};
 ///
 /// `M` describes the request (`()` for a barrier, `[(u64, u64)]` file runs
 /// for collective I/O); it is `'static`, so a loan can hold no borrow but
-/// its own three, and all three are covariant in `'a` — which is what lets
-/// the finisher view every member's loan at one common, shorter lifetime.
+/// its own three (the segments `src` lists are borrowed for `'a` too), and
+/// all three are covariant in `'a` — which is what lets the finisher view
+/// every member's loan at one common, shorter lifetime.
 pub struct Loan<'a, M: ?Sized> {
     /// The typed description of this member's request.
     pub meta: &'a M,
-    /// Bytes this member contributes (empty when it sends none).
-    pub src: &'a [u8],
+    /// Bytes this member contributes, as a gather list: the payload is the
+    /// segments laid end to end, each read where the member keeps it. A
+    /// contiguous payload is a list of one; a member that sends nothing
+    /// lends an empty list.
+    pub src: &'a [&'a [u8]],
     /// Where this member wants bytes delivered (empty when it expects none).
     pub dst: &'a mut [u8],
     /// A caller-defined word that rides along (the MPI-IO layer sends the
     /// member's trace id: thread-local context cannot cross the rendezvous).
     pub tag: u64,
     /// A second caller-defined word, as opaque to this crate as `tag` (the
-    /// MPI-IO layer sends the element width `src` is to be read with).
+    /// MPI-IO layer sends the element width the segments of `src` are to be
+    /// read with).
     pub aux: u64,
 }
 
@@ -55,8 +61,8 @@ impl Loan<'static, ()> {
 }
 
 impl<'a> Loan<'a, ()> {
-    /// Lend `src` for reading and nothing else.
-    pub fn send(src: &'a [u8]) -> Loan<'a, ()> {
+    /// Lend the segments of `src` for reading and nothing else.
+    pub fn send(src: &'a [&'a [u8]]) -> Loan<'a, ()> {
         Loan {
             meta: &(),
             src,
@@ -76,9 +82,9 @@ struct Lent {
 
 // SAFETY: `at` is only ever dereferenced by the finisher under the slot
 // mutex, as an `Option<Loan<'_, M>>` with `M: Sync` (checked against
-// `meta_type`): a `Loan` is then `Send` (`&M`, `&[u8]`, `&mut [u8]` and two
-// `u64`s), so taking it from another thread is sound. `meta_type` is plain
-// data.
+// `meta_type`): a `Loan` is then `Send` (`&M`, `&[&[u8]]`, `&mut [u8]` and
+// two `u64`s), so taking it from another thread is sound. `meta_type` is
+// plain data.
 unsafe impl Send for Lent {}
 
 /// Published instead of a result when members lent different `M`s; no `R`
@@ -199,8 +205,10 @@ impl CollContext {
                 // `Option<Loan<'_, M>>` of that member's frame:
                 // * type — the member's `M` is ours (`meta_type`, checked
                 //   just above), and `Loan<'a, M>` is covariant in `'a`
-                //   with `M: 'static`, so reading each at the one lifetime
-                //   `'x` of this block only shortens borrows;
+                //   with `M: 'static` (`src: &'a [&'a [u8]]` is a shared
+                //   borrow of shared borrows, covariant at both levels), so
+                //   reading each at the one lifetime `'x` of this block
+                //   only shortens borrows;
                 // * liveness — a member leaves its frame only after seeing
                 //   `gen` move on (stored below, after `loans` is dropped)
                 //   or after withdrawing its entry on poison; either takes
@@ -209,7 +217,9 @@ impl CollContext {
                 //   no longer in the slot, so it is never read;
                 // * exclusivity — a blocked member does not touch its
                 //   `mine`, and each entry is taken exactly once, so every
-                //   `Loan` (and its `&mut dst`) has one owner: `loans`;
+                //   `Loan` (and its `&mut dst`) has one owner: `loans`; the
+                //   list `src` and the segments it names are only read, by
+                //   the finisher and — at most — by their blocked owner;
                 // * no escape — `finish` is higher-ranked in `'x` and `R`
                 //   is `'static`, so nothing borrowed from a loan can be
                 //   kept past `finish`, and `M: 'static` leaves a loan
@@ -293,8 +303,8 @@ mod tests {
                     s.spawn(move || {
                         let mine = [r as u8];
                         let res = c
-                            .rendezvous(r, Loan::send(&mine), |loans| {
-                                loans.iter().map(|l| l.src[0] as u64).sum::<u64>()
+                            .rendezvous(r, Loan::send(&[&mine]), |loans| {
+                                loans.iter().map(|l| l.src[0][0] as u64).sum::<u64>()
                             })
                             .unwrap();
                         *res
@@ -318,10 +328,10 @@ mod tests {
                         for round in 0..50u64 {
                             let mine = round.to_ne_bytes();
                             let res = c
-                                .rendezvous(r, Loan::send(&mine), |loans| {
+                                .rendezvous(r, Loan::send(&[&mine]), |loans| {
                                     loans
                                         .iter()
-                                        .map(|l| u64::from_ne_bytes(l.src.try_into().unwrap()))
+                                        .map(|l| u64::from_ne_bytes(l.src[0].try_into().unwrap()))
                                         .sum::<u64>()
                                 })
                                 .unwrap();
@@ -364,7 +374,7 @@ mod tests {
                         let mut dst = vec![0u8; 3];
                         let loan = Loan {
                             meta: &runs[..],
-                            src: &src,
+                            src: &[&src],
                             dst: &mut dst,
                             tag: 10 + r as u64,
                             aux: 20 + r as u64,
@@ -373,7 +383,9 @@ mod tests {
                             // Rotate: member i receives member i+1's word.
                             let words: Vec<u8> = loans
                                 .iter()
-                                .map(|l| l.src[0] + l.meta[0].0 as u8 + l.tag as u8 + l.aux as u8)
+                                .map(|l| {
+                                    l.src[0][0] + l.meta[0].0 as u8 + l.tag as u8 + l.aux as u8
+                                })
                                 .collect();
                             for (i, l) in loans.iter_mut().enumerate() {
                                 l.dst.fill(words[(i + 1) % 3]);
@@ -457,7 +469,7 @@ mod tests {
                         let mut dst = vec![0u8; 1 << 16];
                         let loan = Loan {
                             meta: &(),
-                            src: &src,
+                            src: &[&src],
                             dst: &mut dst,
                             tag: 0,
                             aux: 0,
@@ -490,15 +502,15 @@ mod tests {
                     let c = c.clone();
                     s.spawn(move || {
                         let src = vec![r as u8; 4096];
-                        c.rendezvous(r, Loan::send(&src), |_| ()).map(|_| ())
+                        c.rendezvous(r, Loan::send(&[&src]), |_| ()).map(|_| ())
                     })
                 })
                 .collect();
             wait_for_arrivals(&c, 2);
             let c2 = c.clone();
             hs.push(s.spawn(move || {
-                c2.rendezvous(2, Loan::send(&[9]), |loans| -> () {
-                    assert_eq!(loans[0].src.len(), 4096);
+                c2.rendezvous(2, Loan::send(&[&[9]]), |loans| -> () {
+                    assert_eq!(loans[0].src[0].len(), 4096);
                     panic!("finish exploded")
                 })
                 .map(|_| ())

@@ -296,8 +296,8 @@ impl Comm {
     pub fn bcast_bytes(&self, root: usize, mine: Vec<u8>) -> MpiResult<Vec<u8>> {
         self.check_rank(root)?;
         let env = self.coll_env();
-        let res = self.collective(Loan::send(&mine), move |loans| {
-            let payload = loans[root].src.to_vec();
+        let res = self.collective(Loan::send(&[&mine]), move |loans| {
+            let payload = loans[root].src.concat();
             let cost = env.config.network.bcast(payload.len(), env.size());
             env.sync_collective(CollKind::Bcast, payload.len() as u64, cost);
             payload
@@ -319,7 +319,7 @@ impl Comm {
     /// indexed by rank.
     pub fn allgather_bytes(&self, mine: Vec<u8>) -> MpiResult<Vec<Vec<u8>>> {
         let env = self.coll_env();
-        let res = self.collective(Loan::send(&mine), move |loans| {
+        let res = self.collective(Loan::send(&[&mine]), move |loans| {
             gather_rows(&env, CollKind::Allgather, loans)
         })?;
         Ok((*res).clone())
@@ -383,7 +383,7 @@ impl Comm {
     pub fn gatherv_bytes(&self, root: usize, mine: Vec<u8>) -> MpiResult<Option<Vec<Vec<u8>>>> {
         self.check_rank(root)?;
         let env = self.coll_env();
-        let res = self.collective(Loan::send(&mine), move |loans| {
+        let res = self.collective(Loan::send(&[&mine]), move |loans| {
             gather_rows(&env, CollKind::Gather, loans)
         })?;
         Ok(if self.my_index == root {
@@ -431,7 +431,7 @@ impl Comm {
     pub fn allreduce<T: Reducible>(&self, op: ReduceOp, vals: &[T]) -> MpiResult<Vec<T>> {
         let env = self.coll_env();
         let nvals = vals.len();
-        let res = self.collective(Loan::send(&to_bytes(vals)), move |loans| {
+        let res = self.collective(Loan::send(&[&to_bytes(vals)]), move |loans| {
             let acc = reduce_rows::<T>(op, nvals, loans);
             let cost = env.config.network.allreduce(nvals * T::WIDTH, env.size());
             env.sync_collective(CollKind::Allreduce, (nvals * T::WIDTH) as u64, cost);
@@ -455,7 +455,7 @@ impl Comm {
         self.check_rank(root)?;
         let env = self.coll_env();
         let nvals = vals.len();
-        let res = self.collective(Loan::send(&to_bytes(vals)), move |loans| {
+        let res = self.collective(Loan::send(&[&to_bytes(vals)]), move |loans| {
             let acc = reduce_rows::<T>(op, nvals, loans);
             // Binomial-tree reduction: same cost shape as a broadcast.
             let cost = env.config.network.bcast(nvals * T::WIDTH, env.size());
@@ -569,13 +569,13 @@ impl Comm {
         let group = self.group.clone();
         let deposit = to_bytes(&[color, key]);
         let me = self.my_index;
-        let table = self.collective(Loan::send(&deposit), move |loans| {
+        let table = self.collective(Loan::send(&[&deposit]), move |loans| {
             // (color, key, old_index) for every member.
             let mut entries: Vec<(i64, i64, usize)> = loans
                 .iter()
                 .enumerate()
                 .map(|(i, l)| {
-                    let v = from_bytes::<i64>(l.src);
+                    let v = from_bytes::<i64>(&l.src.concat());
                     (v[0], v[1], i)
                 })
                 .collect();
@@ -629,7 +629,7 @@ impl Comm {
 /// Collect every member's `src` payload, charging an allgather-shaped
 /// collective of kind `kind` (allgather and gather share it).
 fn gather_rows(env: &CollEnv, kind: CollKind, loans: &[Loan<'_, ()>]) -> Vec<Vec<u8>> {
-    let rows: Vec<Vec<u8>> = loans.iter().map(|l| l.src.to_vec()).collect();
+    let rows: Vec<Vec<u8>> = loans.iter().map(|l| l.src.concat()).collect();
     let maxlen = rows.iter().map(Vec::len).max().unwrap_or(0);
     let total: usize = rows.iter().map(Vec::len).sum();
     let cost = env.config.network.allgather(maxlen, env.size());
@@ -639,7 +639,7 @@ fn gather_rows(env: &CollEnv, kind: CollKind, loans: &[Loan<'_, ()>]) -> Vec<Vec
 
 /// Elementwise reduction of every member's `src` (a row of `nvals` `T`s).
 fn reduce_rows<T: Reducible>(op: ReduceOp, nvals: usize, loans: &[Loan<'_, ()>]) -> Vec<T> {
-    let mut rows = loans.iter().map(|l| from_bytes::<T>(l.src));
+    let mut rows = loans.iter().map(|l| from_bytes::<T>(&l.src.concat()));
     let mut acc = rows.next().expect("at least one rank");
     assert_eq!(acc.len(), nvals, "reduce length mismatch across ranks");
     for row in rows {

@@ -308,7 +308,7 @@ fn lent_buffers_are_filled_in_place() {
         let mut dst = vec![0xffu8; 8];
         let loan = Loan {
             meta: &runs[..],
-            src: &src,
+            src: &[&src],
             dst: &mut dst,
             tag: c.rank() as u64,
             aux: 0,
@@ -316,7 +316,7 @@ fn lent_buffers_are_filled_in_place() {
         c.collective(loan, |loans: &mut [Loan<'_, [(u64, u64)]>]| {
             // Everyone receives the payload of the rank to its right.
             let n = loans.len();
-            let payloads: Vec<Vec<u8>> = loans.iter().map(|l| l.src.to_vec()).collect();
+            let payloads: Vec<Vec<u8>> = loans.iter().map(|l| l.src.concat()).collect();
             for (i, l) in loans.iter_mut().enumerate() {
                 assert_eq!((l.meta[0].0, l.tag), (i as u64 * 8, i as u64));
                 l.dst.copy_from_slice(&payloads[(i + 1) % n]);
@@ -352,7 +352,7 @@ fn panic_while_buffers_are_lent_poisons_every_survivor() {
             let mut dst = vec![0u8; 1 << 16];
             let loan = Loan {
                 meta: &(),
-                src: &src,
+                src: &[&src],
                 dst: &mut dst,
                 tag: 0,
                 aux: 0,

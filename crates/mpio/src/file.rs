@@ -5,7 +5,7 @@ use std::sync::Arc;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{CollKind, Phase, PhaseScope, Span, Time, TraceCtx};
 use parking_lot::Mutex;
-use pnetcdf_format::swap::swap_to_vec;
+use pnetcdf_format::swap::swap_inplace;
 use pnetcdf_mpi::{pack, CollEnv, Comm, Datatype, Info, Loan};
 use pnetcdf_pfs::{Pfs, PfsFile};
 
@@ -13,7 +13,7 @@ use crate::cache::{CacheConfig, CacheLedger, PageCache};
 use crate::error::{MpioError, MpioResult};
 use crate::hints::{Hints, Toggle};
 use crate::sieve;
-use crate::twophase::{self, Req, TwoPhaseParams};
+use crate::twophase::{self, CollBuf, Req, TwoPhaseParams};
 use crate::view::{runs_total, FileView, FlattenCache, Run};
 
 /// How to open the file (`MPI_MODE_*` combinations we support).
@@ -43,6 +43,11 @@ pub struct MpiFile {
     /// Memoized view-flattening results; keyed by view signature, so
     /// `set_view` needs no invalidation.
     flatten: Mutex<FlattenCache>,
+    /// The collective buffer of this open file, shared by every rank's
+    /// handle. Only the finisher of a collective on the file locks it, and
+    /// the file's collectives happen one at a time, so nobody ever waits:
+    /// the mutex is what lets whichever rank arrives last use it mutably.
+    cbuf: Arc<Mutex<CollBuf>>,
 }
 
 impl MpiFile {
@@ -89,10 +94,11 @@ impl MpiFile {
         let env = comm.coll_env();
         let pfs = pfs.clone();
         let name_owned = name.to_string();
-        let res: Arc<Result<PfsFile, String>> = comm.collective(Loan::nothing(), move |_| {
+        type Opened = (PfsFile, Arc<Mutex<CollBuf>>);
+        let res: Arc<Result<Opened, String>> = comm.collective(Loan::nothing(), move |_| {
             let cost = env.config.network.barrier(env.size()) + env.config.cpu.metadata_op;
             env.sync_collective(CollKind::Barrier, 0, cost);
-            match mode {
+            let file = match mode {
                 OpenMode::Create => Ok(pfs.create(&name_owned)),
                 OpenMode::CreateExcl => {
                     if pfs.exists(&name_owned) {
@@ -104,10 +110,13 @@ impl MpiFile {
                 OpenMode::ReadWrite | OpenMode::ReadOnly => pfs
                     .open(&name_owned)
                     .ok_or_else(|| format!("file '{name_owned}' does not exist")),
-            }
+            };
+            // One (still empty) collective buffer per open, for every
+            // rank's handle to share.
+            file.map(|f| (f, Arc::default()))
         })?;
         match &*res {
-            Ok(f) => {
+            Ok((f, cbuf)) => {
                 let cfg = comm.config();
                 let cache = hints.cache.resolve(false).then(|| {
                     let page_size = if hints.cache_page_size > 0 {
@@ -133,6 +142,7 @@ impl MpiFile {
                     readonly: mode == OpenMode::ReadOnly,
                     cache,
                     flatten: Mutex::new(FlattenCache::new()),
+                    cbuf: cbuf.clone(),
                 })
             }
             Err(e) => Err(MpioError::Access(e.clone())),
@@ -532,37 +542,39 @@ impl MpiFile {
     /// run list. Ranks may contribute empty lists but must all participate.
     /// `data` holds the run bytes as the file is to hold them.
     pub fn write_runs_at_all(&self, runs: &[Run], data: &[u8]) -> MpioResult<usize> {
-        self.write_native_runs_at_all(runs, data, 1)
+        self.write_native_runs_at_all(runs, &[data], 1)
     }
 
-    /// [`MpiFile::write_runs_at_all`] of elements still in host byte order:
-    /// `native` holds the run bytes as the caller's memory holds them,
+    /// [`MpiFile::write_runs_at_all`] of a gather list of elements still in
+    /// host byte order: the segments of `native`, laid end to end, are the
+    /// run bytes as the caller's memory holds them, each segment whole
     /// elements `width` (1, 2, 4 or 8) bytes wide, and the file receives
-    /// them big-endian. The conversion happens where each piece is copied
-    /// into the collective buffer, so no external copy of `native` exists.
+    /// them big-endian. Gather and conversion happen where each piece is
+    /// copied into the collective buffer, so no packed and no external copy
+    /// of `native` exists.
     pub fn write_native_runs_at_all(
         &self,
         runs: &[Run],
-        native: &[u8],
+        native: &[&[u8]],
         width: usize,
     ) -> MpioResult<usize> {
         self.check_writable()?;
-        if !matches!(width, 1 | 2 | 4 | 8) || native.len() % width != 0 {
+        if !matches!(width, 1 | 2 | 4 | 8) || native.iter().any(|seg| seg.len() % width != 0) {
             return Err(MpioError::InvalidArgument(format!(
-                "{} bytes do not hold elements of width {width}",
-                native.len()
+                "a payload segment does not hold whole elements of width {width}"
             )));
         }
         // With collective buffering disabled the finisher hands each
-        // rank's payload to the sieve, which writes what it is given:
-        // convert once, here on the caller's thread.
-        let cb = self.hints.cb_write.resolve(true);
-        let external = (!cb && width > 1).then(|| swap_to_vec(native, width));
-        match &external {
-            Some(ext) => self.runs_all(true, runs, ext, &mut [], 1)?,
-            None => self.runs_all(true, runs, native, &mut [], width)?,
+        // rank's payload to the sieve, which writes the one slice it is
+        // given: gather and convert once, here on the caller's thread.
+        if !self.hints.cb_write.resolve(true) && (width > 1 || native.len() != 1) {
+            let mut external = native.concat();
+            swap_inplace(&mut external, width);
+            self.runs_all(true, runs, &[&external], &mut [], 1)?;
+            return Ok(external.len());
         }
-        Ok(native.len())
+        self.runs_all(true, runs, native, &mut [], width)?;
+        Ok(native.iter().map(|seg| seg.len()).sum())
     }
 
     /// Collective read (`MPI_File_read_at_all`). Returns bytes read.
@@ -591,24 +603,25 @@ impl MpiFile {
     }
 
     /// The body of every collective access of pre-resolved runs, `write`
-    /// its direction: a write lends `src` (elements `width` wide, see
-    /// [`MpiFile::write_native_runs_at_all`]) with no `dst`, a read lends
-    /// `dst` with no `src`.
+    /// its direction: a write lends the segments of `src` (elements `width`
+    /// wide, see [`MpiFile::write_native_runs_at_all`]) with no `dst`, a
+    /// read lends `dst` with no `src`.
     fn runs_all(
         &self,
         write: bool,
         runs: &[Run],
-        src: &[u8],
+        src: &[&[u8]],
         dst: &mut [u8],
         width: usize,
     ) -> MpioResult<()> {
-        Self::check_runs(runs, src.len() + dst.len())?;
+        let bytes = src.iter().map(|seg| seg.len()).sum::<usize>() + dst.len();
+        Self::check_runs(runs, bytes)?;
         // Collective entry is a coherence boundary: publish cached dirty
         // bytes first, so the two-phase engine reads and writes a settled
         // file and a collective read observes them (and every peer's).
         self.cache_pre()?;
         let profile = &self.comm.config().profile;
-        profile.record_bytepath(|b| b.exchange_borrowed_bytes += (src.len() + dst.len()) as u64);
+        profile.record_bytepath(|b| b.exchange_borrowed_bytes += bytes as u64);
         // Runs and memory are lent, not copied: this rank stays inside the
         // rendezvous until the last arriver has written the payload out, or
         // scattered this rank's bytes straight into its destination.
@@ -622,7 +635,7 @@ impl MpiFile {
         let env = self.comm.coll_env();
         let file = self.file.clone();
         let p = self.params();
-        let h = &self.hints;
+        let (h, cbuf) = (&self.hints, &self.cbuf);
         let (cb, buffer_size, ds) = if write {
             (h.cb_write, h.ind_wr_buffer_size, h.ds_write)
         } else {
@@ -631,13 +644,24 @@ impl MpiFile {
         let (cb, ds) = (cb.resolve(true), ds.resolve(true));
         let res = self.comm.collective(req, move |reqs: &mut [Req<'_>]| {
             let res = match (cb, write) {
-                (true, true) => twophase::write_all(&env, &file, &p, reqs).map(|_| ()),
-                (true, false) => twophase::read_all(&env, &file, &p, reqs).map(|_| ()),
+                (true, true) => {
+                    twophase::write_all(&env, &file, &p, &mut cbuf.lock(), reqs).map(|_| ())
+                }
+                (true, false) => {
+                    twophase::read_all(&env, &file, &p, &mut cbuf.lock(), reqs).map(|_| ())
+                }
                 // Collective buffering disabled: every rank accesses its
                 // own pieces independently (the ablation baseline).
                 (false, true) => reqs.iter().enumerate().try_for_each(|(i, r)| {
+                    // Every rank gathered its payload before lending it —
+                    // unless it was opened with another `romio_cb_write`.
+                    let &[data] = r.src else {
+                        return Err(MpioError::InvalidArgument(
+                            "romio_cb_write differs across the ranks of a collective write".into(),
+                        ));
+                    };
                     independent(&env, i, r.tag, "ind_write", Phase::DiskWrite, |now| {
-                        sieve::write(&file, buffer_size, ds, now, r.meta, r.src)
+                        sieve::write(&file, buffer_size, ds, now, r.meta, data)
                     })
                 }),
                 (false, false) => reqs.iter_mut().enumerate().try_for_each(|(i, r)| {
@@ -649,7 +673,7 @@ impl MpiFile {
             // The file changed under every client cache: advance the epoch
             // once (the closure runs at the last arriver) — also when a
             // late window failed, since the earlier ones have landed.
-            if reqs.iter().any(|r| !r.src.is_empty()) {
+            if reqs.iter().any(|r| r.src.iter().any(|seg| !seg.is_empty())) {
                 file.bump_coherence_epoch();
             }
             res

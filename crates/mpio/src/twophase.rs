@@ -85,19 +85,20 @@ pub fn dynamic_cb_nodes(
 // ---- lent requests ----------------------------------------------------------
 
 /// One rank's share of a collective access, lent through the rendezvous for
-/// the duration of the call: `meta` is its sorted run list, `src` its packed
-/// write payload (empty for a read), `dst` where a read delivers the run
+/// the duration of the call: `meta` is its sorted run list, `src` its write
+/// payload — the run bytes in run order, as a gather list of segments laid
+/// end to end (empty for a read) — `dst` where a read delivers the run
 /// bytes in run order (empty for a write), and `tag` its ambient trace id
 /// (0 while tracing is off). The id rides the loan because the collective's
 /// finish closure runs on ONE thread for all ranks — thread-local
 /// [`TraceCtx`] cannot carry a rank's id across the rendezvous.
 ///
-/// `aux` is the element width of a write payload: `src` holds elements that
-/// wide in *host* byte order and the file receives them big-endian
-/// (`overlay` converts as it copies). Width 1 — or 0, what a read lends —
-/// says `src` is already what the file is to hold.
+/// `aux` is the element width of a write payload: every segment of `src`
+/// holds whole elements that wide in *host* byte order and the file
+/// receives them big-endian (`overlay` converts as it copies). Width 1 — or
+/// 0, what a read lends — says `src` is already what the file is to hold.
 ///
-/// Nothing here is copied on the way in: the engine reads each `src` and
+/// Nothing here is copied on the way in: the engine reads each segment and
 /// fills each `dst` where the rank keeps it.
 pub type Req<'a> = Loan<'a, [Run]>;
 
@@ -242,9 +243,9 @@ fn cut(cuts: &mut Vec<Cut>, windows: &mut [Vec<Window>], a: usize, lo: u64, hi: 
 /// `(s % io_servers) % naggs_eff`, so aggregator `a` owns exactly the
 /// stripes of servers `{s : s % naggs_eff == a}` and its disk traffic never
 /// contends with another aggregator's; it groups its consecutive owned
-/// stripes into windows of about `cb_buffer_size` bytes. One merge-walk
-/// over each rank's sorted runs then splits them at the cuts and routes
-/// every piece to its window, whichever way the cuts were made.
+/// stripes into windows of about `cb_buffer_size` bytes. A merge-walk over
+/// each rank's sorted runs ([`split_at_cuts`]) then splits them at the cuts
+/// and routes every piece to its window, whichever way the cuts were made.
 fn plan_windows(
     all_runs: &[&[Run]],
     (gmin, gmax): (u64, u64),
@@ -285,6 +286,30 @@ fn plan_windows(
         }
     }
 
+    // Walk twice: count each window's pieces, then place them, so every
+    // window's vector is allocated once, at its size. (A vector that doubles
+    // its way up holds 8 192 slots for the 4 097 pieces of a window whose
+    // cut splits one element.)
+    let mut count: Vec<Vec<usize>> = windows.iter().map(|w| vec![0; w.len()]).collect();
+    split_at_cuts(all_runs, &cuts, gmax, |c, _| {
+        count[c.agg as usize][c.win as usize] += 1
+    });
+    for (win, n) in windows.iter_mut().flatten().zip(count.iter().flatten()) {
+        win.pieces.reserve_exact(*n);
+    }
+    split_at_cuts(all_runs, &cuts, gmax, |c, piece| {
+        windows[c.agg as usize][c.win as usize].pieces.push(piece)
+    });
+    for agg_windows in &mut windows {
+        agg_windows.retain(|w| !w.pieces.is_empty());
+    }
+    windows
+}
+
+/// One merge-walk over each rank's sorted runs: split them at the `cuts`
+/// (which tile the span up to `gmax`) and hand every piece, rank by rank
+/// and ascending within a rank, to `emit` with the cut it falls in.
+fn split_at_cuts(all_runs: &[&[Run]], cuts: &[Cut], gmax: u64, mut emit: impl FnMut(&Cut, Piece)) {
     for (rank, runs) in all_runs.iter().enumerate() {
         let (mut ci, mut src_pos) = (0usize, 0u64);
         for &(off, len) in runs.iter() {
@@ -294,22 +319,18 @@ fn plan_windows(
                     ci += 1;
                 }
                 let hi = cuts.get(ci + 1).map_or(gmax, |next| next.lo).min(off + len);
-                let c = &cuts[ci];
-                windows[c.agg as usize][c.win as usize].pieces.push(Piece {
+                let piece = Piece {
                     off: lo,
                     len: hi - lo,
                     rank,
                     src_pos: src_pos + (lo - off),
-                });
+                };
+                emit(&cuts[ci], piece);
                 lo = hi;
             }
             src_pos += len;
         }
     }
-    for agg_windows in &mut windows {
-        agg_windows.retain(|w| !w.pieces.is_empty());
-    }
-    windows
 }
 
 /// The maximal contiguous intervals `pieces` cover, sorted, into `out` (a
@@ -474,8 +495,9 @@ enum Access<'r, 'a> {
 }
 
 /// Collective write: the finish-closure body. `reqs[r]` is what rank `r`
-/// lent: its runs, its packed data, the element width to read the data
-/// with and its trace id. Returns the synchronized completion time.
+/// lent: its runs, the segments of its data, the element width to read
+/// them with and its trace id; `cbuf` is the open file's collective buffer.
+/// Returns the synchronized completion time.
 ///
 /// Aggregator-side storage faults are recovered by [`crate::recover`];
 /// when the budget runs out the error is returned *after* every rank's
@@ -485,12 +507,13 @@ pub fn write_all(
     env: &CollEnv,
     file: &PfsFile,
     p: &TwoPhaseParams,
+    cbuf: &mut CollBuf,
     reqs: &[Req<'_>],
 ) -> MpioResult<Time> {
     debug_assert!(reqs
         .iter()
-        .all(|r| r.src.len() as u64 == runs_total(r.meta)));
-    collective(env, file, p, Access::Write(reqs))
+        .all(|r| r.src.iter().map(|s| s.len() as u64).sum::<u64>() == runs_total(r.meta)));
+    collective(env, file, p, cbuf, Access::Write(reqs))
 }
 
 /// Collective read: the finish-closure body. `reqs[r]` is what rank `r`
@@ -501,12 +524,13 @@ pub fn read_all(
     env: &CollEnv,
     file: &PfsFile,
     p: &TwoPhaseParams,
+    cbuf: &mut CollBuf,
     reqs: &mut [Req<'_>],
 ) -> MpioResult<Time> {
     debug_assert!(reqs
         .iter()
         .all(|r| r.dst.len() as u64 == runs_total(r.meta)));
-    collective(env, file, p, Access::Read(reqs))
+    collective(env, file, p, cbuf, Access::Read(reqs))
 }
 
 /// The two-phase engine: plan the windows, pick the schedule, run the
@@ -521,6 +545,7 @@ fn collective(
     env: &CollEnv,
     file: &PfsFile,
     p: &TwoPhaseParams,
+    cbuf: &mut CollBuf,
     mut access: Access<'_, '_>,
 ) -> MpioResult<Time> {
     let n = env.size();
@@ -596,7 +621,8 @@ fn collective(
         policy: RetryPolicy::default(),
         vectored: affine,
         split: AccessSplit::new(windows.len()),
-        cbuf: CollBuf::new(p, gmax - gmin),
+        cbuf,
+        cap: (p.cb_buffer_size as u64).min(gmax - gmin) as usize,
     };
     let mut t_agg = vec![t0; windows.len()];
     let mut x_done = vec![t0; rounds]; // per-round exchange completion
@@ -711,8 +737,12 @@ fn collective(
     finished
 }
 
-/// The aggregators' collective buffer: allocated once per collective call,
-/// at the first window, and reused by every later window of every round.
+/// The aggregators' collective buffer. It belongs to the open file: the
+/// [`crate::MpiFile`] handles of one open share it, the finisher of each
+/// collective on the file locks it for the call, and it lives until the
+/// last handle closes. It is allocated at the first window that needs it
+/// and reused by every later window of every round of every later
+/// collective, growing only when a window asks for more than it holds.
 /// (The finisher runs the aggregators' windows one at a time, so one buffer
 /// stands for each aggregator's own.)
 ///
@@ -720,32 +750,22 @@ fn collective(
 /// the PFS was written by a piece or by this window's read-modify-write
 /// read** — a span is either fully covered by pieces or read whole first —
 /// and every byte scattered to a reader was delivered by this window's
-/// read. Nothing of an earlier window can show through.
-struct CollBuf {
+/// read. Nothing of an earlier window can show through, whichever call
+/// that window belonged to.
+#[derive(Default)]
+pub struct CollBuf {
     bytes: Vec<u8>,
-    /// Size of the first allocation: `cb_buffer_size`, or the collective's
-    /// whole span when that is smaller. Only a window of one stripe larger
-    /// than `cb_buffer_size` ever needs more.
-    cap: usize,
     /// Scratch reused across windows: the merged piece coverage and the
     /// file runs a write window hands to the PFS.
     coverage: Vec<Run>,
     runs: Vec<Run>,
 }
 
-impl CollBuf {
-    fn new(p: &TwoPhaseParams, span: u64) -> CollBuf {
-        CollBuf {
-            bytes: Vec::new(),
-            cap: (p.cb_buffer_size as u64).min(span) as usize,
-            coverage: Vec::new(),
-            runs: Vec::new(),
-        }
-    }
-}
-
-/// The first `need` bytes of the collective buffer, allocating it if this
-/// is the first window (or the window outgrows it).
+/// The first `need` bytes of the collective buffer, allocating it if no
+/// window of this open file has yet needed as many. `cap` is what a
+/// collective allocates when it has to: `cb_buffer_size`, or its whole
+/// span when that is smaller; only a window of one stripe larger than
+/// `cb_buffer_size` ever needs more.
 fn window_buf<'b>(
     bytes: &'b mut Vec<u8>,
     cap: usize,
@@ -753,6 +773,8 @@ fn window_buf<'b>(
     split: &mut AccessSplit,
 ) -> &'b mut [u8] {
     if bytes.len() < need {
+        // Out with the old one first: the two are never alive together.
+        *bytes = Vec::new();
         *bytes = vec![0u8; need.max(cap)];
     } else {
         split.collbuf_reuses += 1;
@@ -771,7 +793,10 @@ struct Engine<'e> {
     /// covers. The PFS prices the two differently even for a single span.
     vectored: bool,
     split: AccessSplit,
-    cbuf: CollBuf,
+    cbuf: &'e mut CollBuf,
+    /// What this collective sizes the buffer to if it has to allocate it
+    /// (see [`window_buf`]).
+    cap: usize,
 }
 
 impl Engine<'_> {
@@ -845,10 +870,9 @@ impl Engine<'_> {
 
         let CollBuf {
             bytes,
-            cap,
             coverage,
             runs,
-        } = &mut self.cbuf;
+        } = &mut *self.cbuf;
         merge_coverage(coverage, &win.pieces);
         runs.clear();
         // Coverage never bridges extents (no piece leaves them), so one
@@ -865,7 +889,7 @@ impl Engine<'_> {
                 runs.push((blo, coverage[ci - 1].0 + coverage[ci - 1].1 - blo));
             }
         }
-        let buf = window_buf(bytes, *cap, runs_total(runs) as usize, &mut self.split);
+        let buf = window_buf(bytes, self.cap, runs_total(runs) as usize, &mut self.split);
         // A span whose first covered interval is shorter than the span has
         // holes: fetch what is there before the pieces go over it.
         let (mut pos, mut ci, mut rmw) = (0usize, 0usize, false);
@@ -916,8 +940,8 @@ impl Engine<'_> {
         let _ctx = self.enter(a, wt);
         let clo = win.pieces.iter().map(|pc| pc.off).min().unwrap();
         let cend = win.pieces.iter().map(|pc| pc.off + pc.len).max().unwrap();
-        let CollBuf { bytes, cap, .. } = &mut self.cbuf;
-        let buf = window_buf(bytes, *cap, (cend - clo) as usize, &mut self.split);
+        let bytes = &mut self.cbuf.bytes;
+        let buf = window_buf(bytes, self.cap, (cend - clo) as usize, &mut self.split);
         let t_read = recover::read_at(self.file, &self.policy, t_start, clo, buf)?;
         self.split.read[a] += (t_read - t_start).as_nanos();
         for pc in &win.pieces {
@@ -935,11 +959,17 @@ impl Engine<'_> {
 /// Copy each piece from its rank's lent payload to its place in `buf`,
 /// where the file `runs` lie back to back, converting it to external byte
 /// order on the way ([`copy_external`]). Every piece sits wholly inside one
-/// run. Pieces are applied in order — rank by rank — so overlapping writes
-/// resolve deterministically (highest rank wins); within a rank they
-/// ascend, so the run cursor only starts over when the rank changes.
+/// run, but not inside one segment of the payload's gather list: file runs
+/// coalesce across whatever the segments were (a queue's staged requests),
+/// so a piece is copied segment by segment. Pieces are applied in order —
+/// rank by rank — so overlapping writes resolve deterministically (highest
+/// rank wins); within a rank they ascend, in the file and in the payload,
+/// so the run cursor and the segment cursor only start over when the rank
+/// changes.
 fn overlay(buf: &mut [u8], runs: &[Run], pieces: &[Piece], reqs: &[Req<'_>]) {
     let (mut ri, mut base) = (0usize, 0usize);
+    // Segment `si` of rank `rank`'s list begins at payload byte `seg0`.
+    let (mut rank, mut si, mut seg0) = (usize::MAX, 0usize, 0usize);
     for pc in pieces {
         if pc.off < runs[ri].0 {
             (ri, base) = (0, 0);
@@ -948,10 +978,25 @@ fn overlay(buf: &mut [u8], runs: &[Run], pieces: &[Piece], reqs: &[Req<'_>]) {
             base += runs[ri].1 as usize;
             ri += 1;
         }
+        if pc.rank != rank {
+            (rank, si, seg0) = (pc.rank, 0, 0);
+        }
         let lo = base + (pc.off - runs[ri].0) as usize;
-        let req = &reqs[pc.rank];
-        let dst = &mut buf[lo..lo + pc.len as usize];
-        copy_external(req.src, req.aux as usize, pc.src_pos as usize, dst);
+        let (segs, width) = (reqs[rank].src, reqs[rank].aux as usize);
+        let (mut pos, mut dst) = (pc.src_pos as usize, &mut buf[lo..lo + pc.len as usize]);
+        while !dst.is_empty() {
+            while pos >= seg0 + segs[si].len() {
+                seg0 += segs[si].len();
+                si += 1;
+            }
+            // Every segment holds whole elements, so a position inside one
+            // is as far into its element as the payload position is.
+            let n = (seg0 + segs[si].len() - pos).min(dst.len());
+            let (head, tail) = std::mem::take(&mut dst).split_at_mut(n);
+            copy_external(segs[si], width, pos - seg0, head);
+            pos += head.len();
+            dst = tail;
+        }
     }
 }
 
@@ -1135,12 +1180,13 @@ mod tests {
         }
     }
 
-    fn write_req<'a>(runs: &'a [Run], data: &'a [u8]) -> Req<'a> {
+    fn write_req<'a>(runs: &'a [Run], data: &'a [&'a [u8]]) -> Req<'a> {
         native_req(runs, data, 1)
     }
 
-    /// A write request lending `width`-byte elements in host byte order.
-    fn native_req<'a>(runs: &'a [Run], native: &'a [u8], width: usize) -> Req<'a> {
+    /// A write request lending segments of `width`-byte elements in host
+    /// byte order.
+    fn native_req<'a>(runs: &'a [Run], native: &'a [&'a [u8]], width: usize) -> Req<'a> {
         Req {
             meta: runs,
             src: native,
@@ -1157,7 +1203,8 @@ mod tests {
         let (r0, r1): ([Run; 2], [Run; 1]) = ([(100, 8), (300, 4)], [(104, 4)]);
         let d0: Vec<u8> = (1..=12).collect();
         let d1 = [0xa1, 0xa2, 0xa3, 0xa4];
-        let reqs = [write_req(&r0, &d0), write_req(&r1, &d1)];
+        let (s0, s1) = ([&d0[..]], [&d1[..]]);
+        let reqs = [write_req(&r0, &s0), write_req(&r1, &s1)];
         let piece = |off, len, rank, src_pos| Piece {
             off,
             len,
@@ -1203,44 +1250,60 @@ mod tests {
         for affinity in [false, true] {
             let (env, file) = env_and_file(2, &[0u8; 28]);
             let runs: [Run; 1] = [(4, 24)];
-            let reqs = [native_req(&runs, &native, 8), native_req(&[], &[], 8)];
-            write_all(&env, &file, &params(16, affinity), &reqs).unwrap();
+            let segs = [&native[..]];
+            let reqs = [native_req(&runs, &segs, 8), native_req(&[], &[], 8)];
+            let mut cbuf = CollBuf::default();
+            write_all(&env, &file, &params(16, affinity), &mut cbuf, &reqs).unwrap();
             assert_eq!(file.to_bytes()[4..], want, "affinity {affinity}");
         }
     }
 
     #[test]
     fn collective_buffer_is_allocated_once_and_only_grows_for_an_oversized_window() {
-        let mut cbuf = CollBuf::new(&params(4096, false), 1 << 20);
+        // A collective of cb_buffer_size 4096 over a span of 1 MiB.
+        let (mut cbuf, cap) = (CollBuf::default(), 4096);
         let mut split = AccessSplit::new(1);
         assert_eq!(
-            window_buf(&mut cbuf.bytes, cbuf.cap, 1000, &mut split).len(),
+            window_buf(&mut cbuf.bytes, cap, 1000, &mut split).len(),
             1000
         );
         // The first window sized the buffer for the whole collective.
         assert_eq!((cbuf.bytes.len(), split.collbuf_reuses), (4096, 0));
         let at = cbuf.bytes.as_ptr();
         assert_eq!(
-            window_buf(&mut cbuf.bytes, cbuf.cap, 4096, &mut split).len(),
+            window_buf(&mut cbuf.bytes, cap, 4096, &mut split).len(),
             4096
         );
-        assert_eq!(
-            window_buf(&mut cbuf.bytes, cbuf.cap, 17, &mut split).len(),
-            17
-        );
+        // A later, smaller collective (its `cap` is its span) finds it there.
+        assert_eq!(window_buf(&mut cbuf.bytes, 17, 17, &mut split).len(), 17);
         assert_eq!((cbuf.bytes.as_ptr(), split.collbuf_reuses), (at, 2));
         // One stripe larger than cb_buffer_size: the only reason to grow.
         assert_eq!(
-            window_buf(&mut cbuf.bytes, cbuf.cap, 5000, &mut split).len(),
+            window_buf(&mut cbuf.bytes, cap, 5000, &mut split).len(),
             5000
         );
         assert_eq!((cbuf.bytes.len(), split.collbuf_reuses), (5000, 2));
     }
 
+    /// Collectives on one open file share one buffer: it is no larger than
+    /// the first one's span, grows for a later one that needs more (up to
+    /// `cb_buffer_size`), and is found in place by one that needs less.
     #[test]
     fn collective_buffer_is_no_larger_than_the_collective_span() {
-        let cbuf = CollBuf::new(&params(4 << 20, true), 300);
-        assert_eq!(cbuf.cap, 300);
+        let (env, file) = env_and_file(1, &[]);
+        let (p, mut cbuf) = (params(4 << 20, true), CollBuf::default());
+        let data = [7u8; 3000];
+        let write = |cbuf: &mut CollBuf, len: usize| {
+            let (runs, segs) = ([(0, len as u64)], [&data[..len]]);
+            write_all(&env, &file, &p, cbuf, &[write_req(&runs, &segs)]).unwrap();
+            (cbuf.bytes.len(), cbuf.bytes.as_ptr())
+        };
+        assert_eq!(write(&mut cbuf, 300).0, 300);
+        let (len, at) = write(&mut cbuf, 3000);
+        assert_eq!(len, 3000);
+        assert_eq!(write(&mut cbuf, 100), (3000, at));
+        let b = env.config.profile.snapshot().bytepath;
+        assert_eq!(b.collbuf_reuses, 1);
     }
 
     /// Windows of one collective share the buffer without clearing it, so
@@ -1256,8 +1319,10 @@ mod tests {
             let runs0: [Run; 2] = [(0, 1024), (1100, 50)];
             let runs1: [Run; 1] = [(1500, 20)];
             let (d0, d1) = (vec![0xaau8; 1074], vec![0xbbu8; 20]);
-            let reqs = [write_req(&runs0, &d0), write_req(&runs1, &d1)];
-            write_all(&env, &file, &params(1024, affinity), &reqs).unwrap();
+            let (s0, s1) = ([&d0[..]], [&d1[..]]);
+            let reqs = [write_req(&runs0, &s0), write_req(&runs1, &s1)];
+            let mut cbuf = CollBuf::default();
+            write_all(&env, &file, &params(1024, affinity), &mut cbuf, &reqs).unwrap();
             let mut want = old.clone();
             want[..1024].fill(0xaa);
             want[1100..1150].fill(0xaa);
@@ -1293,7 +1358,8 @@ mod tests {
                 aux: 0,
             },
         ];
-        read_all(&env, &file, &params(1024, false), &mut reqs).unwrap();
+        let mut cbuf = CollBuf::default();
+        read_all(&env, &file, &params(1024, false), &mut cbuf, &mut reqs).unwrap();
         assert_eq!(out0[..5], content[10..15]);
         assert_eq!(out0[5..], content[2000..2007]);
         assert_eq!(out1[..], content[1020..1030]);
@@ -1496,6 +1562,26 @@ mod tests {
                 native,
             }
         }
+
+        /// The native payload as a gather list: cut after element
+        /// `c % (elements + 1)` for each `c` of `cuts`, so a repeated cut,
+        /// or one at either end, leaves an empty segment.
+        fn segments(&self, cuts: &[u64]) -> Vec<&[u8]> {
+            let elems = (self.native.len() / self.width) as u64;
+            let mut at: Vec<usize> = cuts
+                .iter()
+                .map(|c| (c % (elems + 1)) as usize * self.width)
+                .collect();
+            at.sort_unstable();
+            at.push(self.native.len());
+            let mut from = 0usize;
+            let cut = |&to: &usize| {
+                let seg = &self.native[from..to];
+                from = to;
+                seg
+            };
+            at.iter().map(cut).collect()
+        }
     }
 
     /// Sorted, disjoint (possibly touching) runs; may be empty.
@@ -1656,16 +1742,59 @@ mod tests {
             };
             for lend_native in [true, false] {
                 let (env, file) = env_and_file(ranks.len(), &old);
+                let segs: Vec<[&[u8]; 1]> = ranks
+                    .iter()
+                    .map(|r| [if lend_native { &r.native[..] } else { &r.external[..] }])
+                    .collect();
                 let reqs: Vec<Req<'_>> = ranks
                     .iter()
-                    .map(|r| match lend_native {
-                        true => native_req(&r.runs, &r.native, r.width),
-                        false => write_req(&r.runs, &r.external),
-                    })
+                    .zip(&segs)
+                    .map(|(r, seg)| native_req(&r.runs, seg, if lend_native { r.width } else { 1 }))
                     .collect();
-                write_all(&env, &file, &p, &reqs).unwrap();
+                write_all(&env, &file, &p, &mut CollBuf::default(), &reqs).unwrap();
                 prop_assert!(file.to_bytes() == want, "lend_native {lend_native}");
             }
+        }
+
+        /// A payload lent as a gather list — cut at element boundaries into
+        /// one to six segments, empty ones among them — leaves the file the
+        /// same payload lent as one segment leaves, wherever the window
+        /// cuts fall against the segment cuts: one piece can span several
+        /// segments and one segment several windows.
+        #[test]
+        fn gathered_loans_write_what_one_segment_writes(
+            per_rank in vec((arb_runs(), 0u32..4, any::<u64>(), vec(any::<u64>(), 0..6)), 2..5),
+            cb in 1usize..4096,
+            naggs in 1usize..5,
+            affinity in any::<bool>(),
+            pipeline in any::<bool>(),
+        ) {
+            let (ranks, cuts): (Vec<Lender>, Vec<Vec<u64>>) = per_rank
+                .into_iter()
+                .map(|(runs, exp, seed, cuts)| (Lender::new(runs, 1 << exp, seed), cuts))
+                .unzip();
+            prop_assume!(ranks.iter().any(|r| !r.runs.is_empty()));
+            let p = TwoPhaseParams {
+                cb_buffer_size: cb,
+                cb_nodes: Some(naggs),
+                io_servers: 4,
+                stripe: 1024,
+                pipeline,
+                affinity,
+            };
+            let whole: Vec<Vec<&[u8]>> = ranks.iter().map(|r| vec![&r.native[..]]).collect();
+            let cut: Vec<Vec<&[u8]>> = ranks.iter().zip(&cuts).map(|(r, c)| r.segments(c)).collect();
+            let file_after = |lists: &[Vec<&[u8]>]| {
+                let (env, file) = env_and_file(ranks.len(), &[0x5au8; 64]);
+                let reqs: Vec<Req<'_>> = ranks
+                    .iter()
+                    .zip(lists)
+                    .map(|(r, segs)| native_req(&r.runs, segs, r.width))
+                    .collect();
+                write_all(&env, &file, &p, &mut CollBuf::default(), &reqs).unwrap();
+                file.to_bytes()
+            };
+            prop_assert!(file_after(&cut) == file_after(&whole));
         }
     }
 }

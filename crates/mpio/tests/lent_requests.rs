@@ -168,7 +168,8 @@ fn disabled_collective_buffering_serves_the_same_loans() {
 /// file big-endian — converted piece by piece inside the two-phase windows
 /// (a 50-byte buffer cuts elements of every width), or once up front when
 /// collective buffering is off and the sieve gets the bytes — and a width
-/// the payload cannot hold is rejected before the rendezvous.
+/// the payload, or one segment of it, cannot hold is rejected before the
+/// rendezvous.
 #[test]
 fn native_loans_reach_the_file_in_external_order() {
     let file_after = |native: bool, cb_write: &str| -> Vec<u8> {
@@ -185,12 +186,22 @@ fn native_loans_reach_the_file_in_external_order() {
             let width = [2, 4, 8][c.rank()];
             if native {
                 for bad in [0, 3, 16] {
-                    let e = f.write_native_runs_at_all(&runs, &data, bad).unwrap_err();
+                    let e = f
+                        .write_native_runs_at_all(&runs, &[&data], bad)
+                        .unwrap_err();
                     assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
                 }
-                let e = f.write_native_runs_at_all(&[(0, 6)], &data[..6], 4);
+                let e = f.write_native_runs_at_all(&[(0, 6)], &[&data[..6]], 4);
                 assert!(matches!(e, Err(MpioError::InvalidArgument(_))), "{e:?}");
-                f.write_native_runs_at_all(&runs, &data, width).unwrap();
+                // Whole elements in all, but not in each segment: a piece
+                // could not tell where in its element a byte lies.
+                let ragged = [&data[..6], &data[6..]];
+                let e = f.write_native_runs_at_all(&runs, &ragged, 4);
+                assert!(matches!(e, Err(MpioError::InvalidArgument(_))), "{e:?}");
+                // A gather list: the sieve's single slice (collective
+                // buffering off) is made of both segments too.
+                f.write_native_runs_at_all(&runs, &[&data[..40], &data[40..]], width)
+                    .unwrap();
             } else {
                 f.write_runs_at_all(&runs, &swap_to_vec(&data, width))
                     .unwrap();

@@ -246,8 +246,9 @@ pub struct BytePathCounters {
     /// Bytes consumed by fused byteswap+scatter unpacks (external →
     /// native).
     pub fused_unpack_bytes: u64,
-    /// Whole staging copies skipped by borrowing the caller's buffer
-    /// (single coalesced put, contiguous MPI-IO write).
+    /// Whole staging copies skipped by borrowing a buffer where it lies
+    /// (every collective flush of a nonblocking queue, whose staged buffers
+    /// are lent unmerged; a contiguous MPI-IO write).
     pub copies_elided: u64,
     /// Bytes covered by those elided copies.
     pub borrowed_bytes: u64,
@@ -255,8 +256,9 @@ pub struct BytePathCounters {
     /// copied into an exchange parcel: write payloads read, and read
     /// destinations filled, where the owning rank keeps them.
     pub exchange_borrowed_bytes: u64,
-    /// Two-phase windows served from a collective buffer an earlier window
-    /// of the same collective had already allocated.
+    /// Two-phase windows served from the collective buffer an earlier
+    /// window on the same open file — of this collective or of an earlier
+    /// one — had already allocated.
     pub collbuf_reuses: u64,
 }
 

@@ -1,12 +1,12 @@
-//! The collective buffer is allocated once per collective and never
-//! cleared between windows, so the two-phase engine has to uphold one rule
-//! by construction: every byte it hands to the PFS was written by a piece
-//! or by that window's own read-modify-write read. These tests try to make
-//! a previous window show through — run lists with holes, partial stripes
-//! and ranks overwriting each other, at collective buffers of one and
-//! three stripes so that every collective takes many windows — and compare
-//! the file with an oracle that knows nothing of windows: the old content,
-//! overlaid rank by rank (highest rank wins).
+//! The collective buffer is allocated once per open file and never
+//! cleared, between windows or between calls, so the two-phase engine has
+//! to uphold one rule by construction: every byte it hands to the PFS was
+//! written by a piece or by that window's own read-modify-write read. These
+//! tests try to make a previous window show through — run lists with
+//! holes, partial stripes and ranks overwriting each other, at collective
+//! buffers of one and three stripes so that every collective takes many
+//! windows — and compare the file with an oracle that knows nothing of
+//! windows: the old content, overlaid rank by rank (highest rank wins).
 
 use hpc_sim::{FaultPlan, SimConfig};
 use pnetcdf_mpi::{run_world, Info};
@@ -192,4 +192,54 @@ fn readers_never_see_an_earlier_windows_bytes() {
             );
         }
     });
+}
+
+/// The buffer outlives the call: what lies in it when a collective begins
+/// is what an earlier collective on the same open file left there. The
+/// first call fills every window with `0xff` (a value neither the old
+/// content nor any payload holds), written far behind the region; the
+/// second writes the runs with holes, the third reads them back. Holes
+/// come from the file, never from the first call's bytes.
+#[test]
+fn no_byte_of_an_earlier_collective_survives_in_a_later_one() {
+    let cfg = SimConfig::test_small();
+    cfg.profile.set_enabled(true);
+    let mut opens = 0u64;
+    for_each_configuration(|per_rank, info, what| {
+        opens += 1;
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        pfs.create("f").import_bytes(&old_content());
+        let (pfs_in, runs_in, info) = (pfs.clone(), per_rank.to_vec(), info.clone());
+        let run = run_world(per_rank.len(), cfg.clone(), move |c| {
+            let f = MpiFile::open(c, &pfs_in, "f", OpenMode::ReadWrite, &info).unwrap();
+            let share = REGION / c.size() as u64;
+            let behind = [(2 * REGION + c.rank() as u64 * share, share)];
+            f.write_runs_at_all(&behind, &vec![0xffu8; share as usize])
+                .unwrap();
+            let runs = &runs_in[c.rank()];
+            f.write_runs_at_all(runs, &payload(runs, c.rank())).unwrap();
+            f.read_runs_at_all(runs).unwrap()
+        });
+        let (got, want) = (pfs.open("f").unwrap().to_bytes(), oracle(per_rank));
+        assert!(
+            got[..want.len()] == want,
+            "file differs from the oracle: {what}"
+        );
+        let leaked = got[..2 * REGION as usize].contains(&0xff);
+        assert!(!leaked, "the first call's bytes reached the file: {what}");
+        for (rank, runs) in per_rank.iter().enumerate() {
+            let at = |&(off, len): &Run| want[off as usize..(off + len) as usize].to_vec();
+            let read: Vec<u8> = runs.iter().flat_map(at).collect();
+            assert!(
+                run.results[rank] == read,
+                "rank {rank} read wrong bytes: {what}"
+            );
+        }
+    });
+    // The premise: every window of all three calls but the first window
+    // of each open file found the buffer there.
+    let snap = cfg.profile.snapshot();
+    let (t, b) = (snap.twophase, snap.bytepath);
+    assert_eq!(t.collective_writes + t.collective_reads, 3 * opens);
+    assert_eq!(t.windows - b.collbuf_reuses, opens, "{t:?} {b:?}");
 }

@@ -248,6 +248,98 @@ fn nonblocking_file_is_byte_identical_to_blocking() {
     }
 }
 
+/// How [`overlapping_queue_file`] issues its puts.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Issue {
+    /// Blocking collective puts, in order: the reference.
+    Blocking,
+    /// Queued, one collective `wait_all`.
+    WaitAll,
+    /// Queued in independent mode, one `wait`.
+    Wait,
+}
+
+/// Three overlapping puts per rank on a double and on a short variable,
+/// each rank inside its own part of both (so request order alone decides
+/// every overlap): the first put's tail is overwritten by the third, and so
+/// is the second's head. The doubles begin at `4 mod 8` for one `lead` of
+/// 1 and 2, and `cb_buffer_size=1003` cuts elements of both widths, so a
+/// window's piece spans staged buffers and a staged buffer spans windows.
+fn overlapping_queue_file(nprocs: usize, lead: usize, issue: Issue) -> Vec<u8> {
+    const ND: u64 = 500;
+    const NS: u64 = 667;
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let pfs_in = pfs.clone();
+    run_world(nprocs, cfg(), move |c| {
+        let info = Info::new().with("cb_buffer_size", "1003");
+        let mut ds = Dataset::create(c, &pfs_in, "q.nc", Version::Cdf1, &info).unwrap();
+        for i in 0..lead {
+            ds.def_var(&format!("lead{i}"), NcType::Int, &[]).unwrap();
+        }
+        let nd = ds.def_dim("nd", nprocs as u64 * ND).unwrap();
+        let ns = ds.def_dim("ns", nprocs as u64 * NS).unwrap();
+        let d = ds.def_var("d", NcType::Double, &[nd]).unwrap();
+        let s = ds.def_var("s", NcType::Short, &[ns]).unwrap();
+        ds.enddef().unwrap();
+        if issue == Issue::Wait {
+            ds.begin_indep_data().unwrap();
+        }
+        let r = c.rank() as u64;
+        // (first element, count) inside a part `n` long, in request order.
+        let spans = |n: u64| {
+            [
+                (0, n * 3 / 5),
+                (n * 2 / 5, n - n * 2 / 5),
+                (n / 5, n * 3 / 5),
+            ]
+        };
+        for (k, (&(d0, dn), &(s0, sn))) in spans(ND).iter().zip(&spans(NS)).enumerate() {
+            let dv: Vec<f64> = (0..dn)
+                .map(|i| (k as u64 * 1000 + r * 100 + i) as f64 * 0.37)
+                .collect();
+            let sv: Vec<i16> = (0..sn)
+                .map(|i| (k as u64 * 9000 + r * 700 + i) as i16)
+                .collect();
+            if issue == Issue::Blocking {
+                ds.put_vara_all(d, &[r * ND + d0], &[dn], &dv).unwrap();
+                ds.put_vara_all(s, &[r * NS + s0], &[sn], &sv).unwrap();
+            } else {
+                ds.iput_vara(d, &[r * ND + d0], &[dn], &dv).unwrap();
+                ds.iput_vara(s, &[r * NS + s0], &[sn], &sv).unwrap();
+            }
+        }
+        match issue {
+            Issue::Blocking => {}
+            Issue::WaitAll => ds.wait_all().unwrap(),
+            Issue::Wait => {
+                ds.wait().unwrap();
+                ds.end_indep_data().unwrap();
+            }
+        }
+        ds.close().unwrap();
+    });
+    pfs.open("q.nc").unwrap().to_bytes()
+}
+
+/// A queue of overlapping puts is lent to the flush as the slices of its
+/// staged buffers that survive (later request wins), never merged: the file
+/// must be the one the same puts leave issued blocking, in order — through
+/// the collective flush at 2 and 3 ranks, and through the independent one,
+/// which gathers the slices for the sieve.
+#[test]
+fn overlapping_queued_puts_leave_the_file_blocking_puts_leave() {
+    for lead in [1, 2] {
+        for (nprocs, issue) in [(2, Issue::WaitAll), (3, Issue::WaitAll), (1, Issue::Wait)] {
+            let want = overlapping_queue_file(nprocs, lead, Issue::Blocking);
+            let got = overlapping_queue_file(nprocs, lead, issue);
+            assert!(
+                got == want,
+                "{nprocs} ranks, lead {lead}, {issue:?}: file differs from the blocking one"
+            );
+        }
+    }
+}
+
 /// Record variables through the nonblocking path: queued record puts grow
 /// `numrecs`, one `wait_all` reconciles it across ranks, and gaps fill as
 /// zeros exactly as on the blocking path.

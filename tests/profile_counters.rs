@@ -113,9 +113,10 @@ fn multi_window_collectives_reuse_one_collective_buffer() {
     let snap = cfg.profile.snapshot();
     assert_eq!(snap.twophase.collective_writes, 1);
     assert_eq!(snap.twophase.collective_reads, 1);
-    // 4 KiB through 1 KiB windows: four windows each way, two buffers.
+    // 4 KiB through 1 KiB windows: four windows each way, one buffer for
+    // the open file — every window but its first is a reuse.
     assert_eq!(snap.twophase.windows, 8);
-    assert_eq!(snap.bytepath.collbuf_reuses, 6);
+    assert_eq!(snap.bytepath.collbuf_reuses, 7);
     assert_eq!(
         snap.bytepath.exchange_borrowed_bytes,
         2 * NPROCS as u64 * PER_RANK * 4
