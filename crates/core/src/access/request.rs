@@ -675,8 +675,9 @@ impl Dataset {
         }
         self.with_staging(|ds, staged| {
             staged.buffer.clear();
-            segs.iter()
-                .for_each(|seg| staged.buffer.extend_from_slice(seg));
+            for seg in segs {
+                staged.buffer.extend_from_slice(seg);
+            }
             ds.file.write_runs_at(runs, &staged.buffer)?;
             Ok(())
         })
