@@ -4,7 +4,8 @@
 //! `put_size` for byte-identical output, and `close` rolls the per-rank
 //! dataset counters up into the shared trace profile.
 
-use hpc_sim::SimConfig;
+use hpc_sim::trace::Json;
+use hpc_sim::{FaultPlan, SimConfig};
 use pnetcdf::{Dataset, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
@@ -314,4 +315,121 @@ fn close_rolls_dataset_counters_into_trace() {
     let get = |key: &str| rollup.get(key).and_then(|j| j.as_f64()).map(|f| f as u64);
     assert_eq!(get("put_bytes"), Some(NPROCS as u64 * PER_RANK * 4));
     assert_eq!(get("get_bytes"), Some(NPROCS as u64 * PER_RANK * 4));
+}
+
+/// Flatten a report to `path = value` lines (objects by key, arrays by
+/// index), so the comparison below does not depend on key order.
+fn flatten_report(j: &Json, path: &str, out: &mut Vec<String>) {
+    match j {
+        Json::Obj(entries) => {
+            for (k, v) in entries {
+                let sub = if path.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{path}.{k}")
+                };
+                flatten_report(v, &sub, out);
+            }
+        }
+        Json::Arr(items) => {
+            for (i, v) in items.iter().enumerate() {
+                flatten_report(v, &format!("{path}[{i}]"), out);
+            }
+        }
+        leaf => out.push(format!("{path} = {}", leaf.pretty().trim_end())),
+    }
+}
+
+/// One collective-only (hence deterministic) program through every door
+/// that feeds the profile, and its whole report against
+/// `tests/golden/profile_report.txt`: every counter, unit and key the
+/// report carries, `extras` included. The one independent stretch has a
+/// single caller, so the servers still see one fixed call order. A second
+/// world repeats the collective write under a seeded fault plan into the
+/// same profile so the `faults` section is not all zeros.
+#[test]
+fn report_is_pinned() {
+    let cfg = SimConfig::test_small();
+    cfg.profile.set_enabled(true);
+    let faulted = cfg
+        .clone()
+        .builder()
+        .faults(FaultPlan {
+            seed: 7,
+            transient: 0.1,
+            ..FaultPlan::default()
+        })
+        .build();
+    assert!(faulted.profile.same_as(&cfg.profile));
+
+    let count = [PER_RANK];
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let clean = run_world(NPROCS, cfg.clone(), move |comm| {
+        // Half-stripe collective buffers: two pipelined rounds per domain.
+        let info = aligned_info().with("cb_buffer_size", "512");
+        let mut ds = Dataset::create(comm, &pfs, "pin.nc", Version::Cdf1, &info).unwrap();
+        let d = ds.def_dim("x", NPROCS as u64 * PER_RANK).unwrap();
+        let v = ds.def_var("v", NcType::Float, &[d]).unwrap();
+        let queued = ["q0", "q1", "q2"].map(|name| ds.def_var(name, NcType::Int, &[d]).unwrap());
+        ds.enddef().unwrap();
+        let r = comm.rank() as u64;
+        let start = [r * PER_RANK];
+        let vals = vec![r as f32; PER_RANK as usize];
+        ds.put_vara_all(v, &start, &count, &vals).unwrap();
+        for (i, q) in queued.into_iter().enumerate() {
+            let ints = vec![(r as i32) * 10 + i as i32; PER_RANK as usize];
+            ds.iput_vara(q, &start, &count, &ints).unwrap();
+        }
+        ds.wait_all().unwrap();
+        let back: Vec<f32> = ds.get_vara_all(v, &start, &count).unwrap();
+        assert_eq!(back, vals);
+        ds.begin_indep_data().unwrap();
+        if r == 0 {
+            // Strided, so both directions go through the sieve.
+            ds.put_vars(v, &[3], &[5], &[2], &[9.5f32; 5]).unwrap();
+            let some: Vec<f32> = ds.get_vars(v, &[1], &[4], &[2]).unwrap();
+            assert_eq!(some, [0.0, 9.5, 9.5, 9.5]);
+        }
+        ds.end_indep_data().unwrap();
+        ds.close().unwrap();
+    });
+    let pfs = Pfs::new(faulted.clone(), StorageMode::Full);
+    let retried = run_world(NPROCS, faulted, move |comm| {
+        let mut ds =
+            Dataset::create(comm, &pfs, "pin_faulted.nc", Version::Cdf1, &aligned_info()).unwrap();
+        let d = ds.def_dim("x", NPROCS as u64 * PER_RANK).unwrap();
+        let v = ds.def_var("v", NcType::Float, &[d]).unwrap();
+        ds.enddef().unwrap();
+        let r = comm.rank() as u64;
+        let vals = vec![r as f32; PER_RANK as usize];
+        ds.put_vara_all(v, &[r * PER_RANK], &count, &vals).unwrap();
+        ds.close().unwrap();
+    });
+    assert!(
+        cfg.profile.fault_counters().retries > 0,
+        "test premise: the seeded plan injects at least one recovered fault"
+    );
+
+    let total = clean.makespan.as_nanos() + retried.makespan.as_nanos();
+    let mut lines = Vec::new();
+    flatten_report(&cfg.profile.snapshot().to_json(total), "", &mut lines);
+    lines.sort();
+    let computed = lines.join("\n") + "\n";
+    let golden = include_str!("golden/profile_report.txt");
+    if computed != golden {
+        let fresh = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("profile_report.txt");
+        std::fs::write(&fresh, &computed).unwrap();
+        let gone = golden.lines().filter(|l| !lines.iter().any(|c| c == l));
+        let new = lines.iter().filter(|l| !golden.lines().any(|g| g == *l));
+        let diff: Vec<String> = gone
+            .map(|l| format!("-{l}"))
+            .chain(new.map(|l| format!("+{l}")))
+            .collect();
+        panic!(
+            "profile report differs from tests/golden/profile_report.txt \
+             (this build's report is in {}):\n{}",
+            fresh.display(),
+            diff.join("\n")
+        );
+    }
 }
