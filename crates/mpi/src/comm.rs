@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hpc_sim::trace::events::layer;
-use hpc_sim::{CollKind, Phase, PhaseScope, SharedClocks, SimConfig, SimStats, Span, Time};
+use hpc_sim::{CollKind, Phase, PhaseScope, SharedClocks, SimConfig, Span, Time};
 
 use parking_lot::Mutex;
 
@@ -20,15 +20,13 @@ use crate::p2p::{Envelope, Status};
 use crate::runtime::WorldInner;
 
 /// Everything a collective `finish` closure needs to account costs: shared
-/// clocks, cost models, statistics, and the world ranks of the group.
+/// clocks, cost models (with the profile), and the world ranks of the group.
 #[derive(Clone)]
 pub struct CollEnv {
     /// Per-rank virtual clocks of the whole world.
     pub clocks: SharedClocks,
     /// Platform cost models.
     pub config: Arc<SimConfig>,
-    /// Shared operation counters.
-    pub stats: SimStats,
     /// `group[i]` = world rank of group member `i`.
     pub group: Arc<Vec<usize>>,
 }
@@ -177,11 +175,6 @@ impl Comm {
         &self.world.config
     }
 
-    /// Shared operation counters.
-    pub fn stats(&self) -> &SimStats {
-        &self.world.stats
-    }
-
     // ---- virtual clock ------------------------------------------------------
 
     /// This rank's current virtual time.
@@ -256,7 +249,6 @@ impl Comm {
         CollEnv {
             clocks: self.world.clocks.clone(),
             config: self.world.config.clone(),
-            stats: self.world.stats.clone(),
             group: self.group.clone(),
         }
     }
@@ -275,7 +267,7 @@ impl Comm {
         R: Send + Sync + 'static,
         F: for<'x> FnOnce(&mut [Loan<'x, M>]) -> R,
     {
-        self.world.stats.count_collective();
+        self.world.config.profile.record_mpi(|m| m.rendezvous += 1);
         self.ctx.rendezvous(self.my_index, loan, finish)
     }
 
@@ -485,7 +477,6 @@ impl Comm {
     pub fn send_bytes(&self, dest: usize, tag: i32, data: Vec<u8>) -> MpiResult<()> {
         self.check_rank(dest)?;
         let len = data.len();
-        self.world.stats.count_message(len);
         self.world.config.profile.record_msg_size(len as u64);
         // Eager model: the sender pays the wire occupancy, the message
         // becomes visible at sender_time + latency.

@@ -10,12 +10,11 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hpc_sim::{SharedClocks, SimConfig, SimStats, Time};
+use hpc_sim::{SharedClocks, SimConfig, Time};
 
 use crate::collective::CollContext;
 use crate::comm::Comm;
 use crate::p2p::Mailbox;
-use hpc_sim::stats::StatsSnapshot;
 
 pub(crate) struct WorldInner {
     pub nprocs: usize,
@@ -23,7 +22,6 @@ pub(crate) struct WorldInner {
     /// `Arc`, never the configuration (whose fault plan owns a `Vec`).
     pub config: Arc<SimConfig>,
     pub clocks: SharedClocks,
-    pub stats: SimStats,
     pub mailboxes: Vec<Mailbox>,
     pub poisoned: Arc<AtomicBool>,
     /// All live collective contexts, so poisoning can wake their waiters.
@@ -58,8 +56,6 @@ pub struct WorldRun<T> {
     pub makespan: Time,
     /// Final per-rank virtual clocks.
     pub clocks: Vec<Time>,
-    /// Operation counters accumulated during the run.
-    pub stats: StatsSnapshot,
 }
 
 /// Run `body` on `nprocs` ranks (threads) under `config`, returning each
@@ -77,7 +73,6 @@ where
         nprocs,
         config: Arc::new(config),
         clocks: SharedClocks::new(nprocs),
-        stats: SimStats::new(),
         mailboxes: (0..nprocs).map(|_| Mailbox::new()).collect(),
         poisoned: Arc::new(AtomicBool::new(false)),
         contexts: Mutex::new(Vec::new()),
@@ -123,7 +118,6 @@ where
     WorldRun {
         makespan: inner.clocks.makespan(),
         clocks: inner.clocks.snapshot(),
-        stats: inner.stats.snapshot(),
         results,
     }
 }

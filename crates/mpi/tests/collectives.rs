@@ -259,8 +259,10 @@ fn split_key_reorders() {
 }
 
 #[test]
-fn stats_count_messages_and_collectives() {
-    let run = run_world(3, cfg(), |c| {
+fn profile_counts_messages_and_rendezvous() {
+    let cfg = cfg();
+    cfg.profile.set_enabled(true);
+    run_world(3, cfg.clone(), |c| {
         c.barrier().unwrap();
         if c.rank() == 0 {
             c.send_bytes(1, 0, vec![0; 64]).unwrap();
@@ -270,10 +272,11 @@ fn stats_count_messages_and_collectives() {
         }
         c.barrier().unwrap();
     });
-    assert_eq!(run.stats.messages, 1);
-    assert_eq!(run.stats.message_bytes, 64);
+    let mpi = cfg.profile.mpi_counters();
+    assert_eq!(mpi.messages, 1);
+    assert_eq!(mpi.message_bytes, 64);
     // Each rank counts its entry into each of 2 barriers.
-    assert_eq!(run.stats.collectives, 6);
+    assert_eq!(mpi.rendezvous, 6);
 }
 
 #[test]

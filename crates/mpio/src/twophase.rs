@@ -1146,7 +1146,7 @@ impl AccessSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpc_sim::{SharedClocks, SimConfig, SimStats};
+    use hpc_sim::{SharedClocks, SimConfig};
     use pnetcdf_format::swap::swap_to_vec;
     use pnetcdf_pfs::{Pfs, StorageMode};
     use proptest::collection::vec;
@@ -1163,7 +1163,6 @@ mod tests {
         let env = CollEnv {
             clocks: SharedClocks::new(nranks),
             config: Arc::new(cfg),
-            stats: SimStats::new(),
             group: Arc::new((0..nranks).collect()),
         };
         (env, file)

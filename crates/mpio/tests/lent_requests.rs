@@ -93,18 +93,20 @@ fn trace_id_reaches_the_coll_read_span_of_every_rank() {
 #[test]
 fn mismatched_payload_is_rejected_before_the_rendezvous_on_every_rank() {
     let cfg = SimConfig::test_small();
+    cfg.profile.set_enabled(true);
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
-    // The world's collective counter is shared, so the ranks take their
+    // The profile's rendezvous counter is shared, so the ranks take their
     // readings between two gates that are not themselves MPI collectives.
     let gate = std::sync::Barrier::new(NPROCS);
     let run = run_world(NPROCS, cfg, |c| {
+        let entries = || c.config().profile.mpi_counters().rendezvous;
         let f = MpiFile::open(c, &pfs, "t", OpenMode::Create, &Info::new()).unwrap();
         gate.wait();
-        let before = c.stats().snapshot().collectives;
+        let before = entries();
         let runs = interleaved(c.rank());
         let short = payload(&runs, 0)[..100].to_vec();
         let res = f.write_runs_at_all(&runs, &short);
-        let entered = c.stats().snapshot().collectives - before;
+        let entered = entries() - before;
         gate.wait();
         let err = res.unwrap_err();
         assert!(matches!(err, MpioError::InvalidArgument(_)), "{err:?}");
@@ -121,12 +123,14 @@ fn mismatched_payload_is_rejected_before_the_rendezvous_on_every_rank() {
 #[test]
 fn unsorted_runs_are_rejected_before_the_rendezvous_on_every_rank() {
     let cfg = SimConfig::test_small();
+    cfg.profile.set_enabled(true);
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
     let gate = std::sync::Barrier::new(NPROCS);
     run_world(NPROCS, cfg, |c| {
+        let entries = || c.config().profile.mpi_counters().rendezvous;
         let f = MpiFile::open(c, &pfs, "t", OpenMode::Create, &Info::new()).unwrap();
         gate.wait();
-        let before = c.stats().snapshot().collectives;
+        let before = entries();
         let backwards: Vec<Run> = vec![(100, 10), (50, 10)];
         let overlapping: Vec<Run> = vec![(0, 10), (5, 10)];
         for bad in [&backwards, &overlapping] {
@@ -135,7 +139,7 @@ fn unsorted_runs_are_rejected_before_the_rendezvous_on_every_rank() {
             let e = f.read_runs_at_all(bad).unwrap_err();
             assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
         }
-        assert_eq!(c.stats().snapshot().collectives, before);
+        assert_eq!(entries(), before);
     });
 }
 

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hpc_sim::{SimConfig, SimStats};
+use hpc_sim::SimConfig;
 
 use crate::filesystem::Pfs;
 use crate::meta::MetaShards;
@@ -43,7 +43,6 @@ use crate::stripe::Striping;
 
 pub(crate) struct ClusterInner {
     pub cfg: SimConfig,
-    pub stats: SimStats,
     pub striping: Striping,
     pub servers: Vec<Mutex<Server>>,
     /// The sharded file table (create/open/delete, per-file sizes).
@@ -115,7 +114,6 @@ impl PfsCluster {
         PfsCluster {
             inner: Arc::new(ClusterInner {
                 cfg,
-                stats: SimStats::new(),
                 striping,
                 servers,
                 meta: MetaShards::new(),
@@ -143,11 +141,6 @@ impl PfsCluster {
     /// Platform configuration.
     pub fn config(&self) -> &SimConfig {
         &self.inner.cfg
-    }
-
-    /// I/O operation counters.
-    pub fn stats(&self) -> &SimStats {
-        &self.inner.stats
     }
 
     /// The sharded metadata layer (shard lookup and per-shard counters).

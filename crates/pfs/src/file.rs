@@ -337,14 +337,10 @@ impl PfsFile {
         })
     }
 
-    /// Record one server outcome into the stats and the profile,
-    /// including the dual-resource stage breakdown.
+    /// Record one server outcome into the profile, including the
+    /// dual-resource stage breakdown.
     fn record_outcome(&self, srv: usize, outcome: &ServiceOutcome, read: bool) {
         self.record_injected(outcome.injected);
-        self.cluster
-            .inner
-            .stats
-            .count_io(outcome.bytes_done as usize, read, outcome.seeked);
         let st = &outcome.stages;
         self.cluster.inner.cfg.profile.record_io_stages(
             srv,
@@ -785,6 +781,7 @@ mod tests {
         // Three runs on stripes 0, 4 and 8 — all owned by server 0 in the
         // 4-server test_small layout — reach the disk as ONE request.
         let f = file();
+        f.profile().set_enabled(true);
         let runs = [(0u64, 1024u64), (4096, 1024), (8192, 1024)];
         let data: Vec<u8> = (0..3 * 1024u32).map(|i| (i % 239) as u8).collect();
         let c = f.try_write_runs(Time::ZERO, &runs, &data).unwrap();
@@ -793,12 +790,9 @@ mod tests {
             "server owns the bytes before the disk has them"
         );
 
-        let s = Pfs {
-            cluster: f.cluster.clone(),
-        };
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.io_requests, 1, "affine runs coalesce per server");
-        assert_eq!(snap.io_bytes_written, 3 * 1024);
+        let io = f.profile().snapshot().server_totals();
+        assert_eq!(io.requests, 1, "affine runs coalesce per server");
+        assert_eq!(io.bytes_written, 3 * 1024);
 
         assert_eq!(f.size(), 9216);
         let mut out = vec![1u8; 9216];
@@ -829,12 +823,10 @@ mod tests {
     #[test]
     fn stats_count_requests() {
         let f = file();
+        f.profile().set_enabled(true);
         f.write_at(Time::ZERO, 0, &[0u8; 4096]); // 4 servers, 1 KiB each
-        let s = Pfs {
-            cluster: f.cluster.clone(),
-        };
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.io_requests, 4);
-        assert_eq!(snap.io_bytes_written, 4096);
+        let io = f.profile().snapshot().server_totals();
+        assert_eq!(io.requests, 4);
+        assert_eq!(io.bytes_written, 4096);
     }
 }

@@ -10,7 +10,7 @@
 
 use std::sync::atomic::Ordering;
 
-use hpc_sim::{SimConfig, SimStats};
+use hpc_sim::SimConfig;
 
 use crate::cluster::PfsCluster;
 use crate::file::PfsFile;
@@ -47,11 +47,6 @@ impl Pfs {
     /// Platform configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cluster.inner.cfg
-    }
-
-    /// I/O operation counters.
-    pub fn stats(&self) -> &SimStats {
-        &self.cluster.inner.stats
     }
 
     /// Create (or truncate) a file and return its handle. Routed through

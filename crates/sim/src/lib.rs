@@ -29,7 +29,6 @@ pub mod disk;
 pub mod fault;
 pub mod network;
 pub mod service;
-pub mod stats;
 pub mod time;
 
 pub use clock::SharedClocks;
@@ -39,7 +38,6 @@ pub use disk::DiskModel;
 pub use fault::{CrashSpec, FaultKind, FaultPlan};
 pub use network::NetworkModel;
 pub use service::{ServiceEngine, ServiceModel, StageTiming};
-pub use stats::SimStats;
 pub use time::Time;
 
 /// Re-export of the profiling layer every consumer of [`SimConfig`] sees.

@@ -41,6 +41,6 @@ pub use events::{critical_path, CriticalPath, Span, TraceCtx, TraceLog, TraceSna
 pub use json::Json;
 pub use phase::{CollKind, Phase};
 pub use profile::{
-    BytePathCounters, CacheCounters, FaultCounters, IoStages, PhaseScope, Profile, ProfileSnapshot,
-    ServerCounters, TwophaseCounters,
+    BytePathCounters, CacheCounters, Counters, FailoverCounters, FaultCounters, IoStages,
+    MpiCounters, PhaseScope, Profile, ProfileSnapshot, ServerCounters, TwophaseCounters,
 };

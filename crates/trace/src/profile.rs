@@ -1,21 +1,11 @@
 //! The shared profile: counters, phase timers, scopes, snapshots.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::json::Json;
 use crate::phase::{CollKind, Phase};
-
-/// Lock a profile mutex, recovering from poisoning instead of panicking.
-///
-/// Invariant: every critical section in this module performs only in-place
-/// arithmetic or container growth, so even if the owning rank thread
-/// panicked mid-update the data stays structurally valid — at worst one
-/// partial increment is lost. Recovering here means a malformed profile
-/// can never cascade a panic into the surviving ranks of a run.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::report::{ratio, Report, Unit};
 
 /// Number of power-of-two size-histogram buckets. Bucket `i` counts
 /// requests with `2^(i-1) < size <= 2^i` (bucket 0 counts size 0 and 1);
@@ -65,39 +55,6 @@ impl Drop for PhaseScope {
     }
 }
 
-#[derive(Default)]
-struct OpCell {
-    count: AtomicU64,
-    bytes: AtomicU64,
-    nanos: AtomicU64,
-}
-
-/// Per-server PFS counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    pub requests: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-    pub seeks: u64,
-    /// Sum of absolute distances (bytes) between the end of one request
-    /// and the start of the next on the same file.
-    pub seek_distance: u64,
-    /// Nanoseconds the server's NIC stage spent transferring payloads.
-    pub nic_busy_nanos: u64,
-    /// Nanoseconds the server's disk stage spent servicing requests.
-    pub disk_busy_nanos: u64,
-    /// Disk busy time that overlapped NIC transfers — what the
-    /// dual-resource service engine hides relative to a serial server.
-    pub overlap_nanos: u64,
-    /// Time requests stalled at the full bounded admission queue.
-    pub queue_stall_nanos: u64,
-    /// Wait time (queue, NIC, disk) spent behind *other files'* requests —
-    /// cross-file contention on a shared service cluster.
-    pub cross_file_stall_nanos: u64,
-    /// Deepest admission-queue occupancy observed.
-    pub max_queue_depth: u64,
-}
-
 /// Per-request stage breakdown of the dual-resource service engine,
 /// attached to [`Profile::record_io_stages`]. Raw nanoseconds so this
 /// crate stays independent of the simulator's `Time` type.
@@ -114,191 +71,375 @@ pub struct IoStages {
     pub depth: u64,
 }
 
-/// Data-sieving amplification counters, one direction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SieveCounters {
-    /// Bytes moved to/from the file system (whole sieve windows).
-    pub transferred: u64,
-    /// Bytes the application actually asked for.
-    pub useful: u64,
+/// How two readings of one counter combine (the table's last column).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    Sum,
+    /// A high-water mark.
+    Max,
+    /// The most recent reading replaces the earlier one.
+    Last,
 }
 
-/// Two-phase collective-I/O engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TwophaseCounters {
-    pub collective_writes: u64,
-    pub collective_reads: u64,
-    /// Aggregator count chosen by the most recent collective (the
-    /// `cb_nodes` hint, or the dynamic default derived from `io_servers`
-    /// and request volume). Recorded so sweeps can audit the choice.
-    pub cb_nodes: u64,
-    /// Non-empty file domains assigned to aggregators.
-    pub file_domains: u64,
-    /// Collective-buffer windows processed by aggregators.
-    pub windows: u64,
-    /// Windows with holes: the aggregator had to read-modify-write.
-    pub rmw_windows: u64,
-    /// Bytes of request metadata + data shipped in the exchange phases.
-    pub exchange_wire_bytes: u64,
-    /// Exchange/disk rounds executed by the pipelined engine
-    /// (`pnc_cb_pipeline`); serial collectives leave this at zero.
-    pub pipelined_rounds: u64,
-    /// Virtual nanoseconds the pipelined engine saved by overlapping
-    /// per-round exchange with the previous round's disk access, relative
-    /// to running the same rounds back to back.
-    pub overlap_saved_nanos: u64,
+impl Merge {
+    pub fn fold(self, a: u64, b: u64) -> u64 {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Max => a.max(b),
+            Merge::Last => b,
+        }
+    }
 }
 
-/// Fault-injection and recovery counters (PFS faults and the MPI-IO
-/// retry/backoff layer that hides them).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Total faults the PFS servers injected (all kinds).
-    pub faults_injected: u64,
-    /// Transient EIO faults injected.
-    pub transient: u64,
-    /// Short (partial byte count) reads/writes injected.
-    pub short: u64,
-    /// Latency stalls injected (charged to virtual time, not errors).
-    pub stalls: u64,
-    /// Requests refused because the server was crashed.
-    pub crashed: u64,
-    /// Recovery-layer retries after a transient or crash fault.
-    pub retries: u64,
-    /// Virtual nanoseconds spent in exponential backoff before retries.
-    pub backoff_nanos: u64,
-    /// Short-I/O completion resumptions at the partial offset.
-    pub short_completions: u64,
-    /// Retry budgets exhausted (`MpioError::Exhausted` surfaced).
-    pub exhausted: u64,
-    /// Collective error agreements that propagated a fault to all ranks.
-    pub agreed_errors: u64,
+/// THE counter table: every scalar counter of the profile is declared here
+/// and nowhere else. A row is
+///
+/// ```text
+/// slot: Struct [in SlotType] [, record_method, copy_method] {
+///     field [as "json_key"]: Unit, Merge;
+///     [= "derived_key" |c| expression;]
+/// }
+/// ```
+///
+/// `slot` is the field of [`Counters`] (hence of [`ProfileSnapshot`]) and
+/// the section's key in the report; the slot holds one `Struct` unless `in`
+/// says otherwise (`sieve` holds one per direction, `servers` one per
+/// server id — their report shapes are the two hand-written [`Report`]
+/// impls in `report.rs`). A counter's report key is its field name unless
+/// `as` renames it, its [`Unit`] says how the raw `u64` is reported and its
+/// [`Merge`] rule how two readings combine. The optional last line is a
+/// ratio derived from the counters above it. `define_counters!` turns the
+/// table into the structs, `merge`, the report sections, `Counters` and the
+/// `record_*` / `*_counters` accessors; the tests below generate their
+/// coverage from it too. Adding a counter is adding its line.
+macro_rules! counter_table {
+    ($generate:ident) => {
+        $generate! {
+            /// Two-phase collective-I/O engine counters.
+            twophase: TwophaseCounters, record_twophase, twophase_counters {
+                collective_writes: Count, Sum;
+                collective_reads: Count, Sum;
+                /// Aggregator count chosen by the most recent collective (the
+                /// `cb_nodes` hint, or the dynamic default derived from
+                /// `io_servers` and request volume). Recorded so sweeps can
+                /// audit the choice.
+                cb_nodes: Count, Last;
+                /// Non-empty file domains assigned to aggregators.
+                file_domains: Count, Sum;
+                /// Collective-buffer windows processed by aggregators.
+                windows: Count, Sum;
+                /// Windows with holes: the aggregator had to read-modify-write.
+                rmw_windows: Count, Sum;
+                /// Bytes of request metadata + data shipped in the exchange
+                /// phases.
+                exchange_wire_bytes: Bytes, Sum;
+                /// Exchange/disk rounds executed by the pipelined engine
+                /// (`pnc_cb_pipeline`); serial collectives leave this at zero.
+                pipelined_rounds as "rounds": Count, Sum;
+                /// Virtual nanoseconds the pipelined engine saved by
+                /// overlapping per-round exchange with the previous round's
+                /// disk access, relative to running the same rounds back to
+                /// back.
+                overlap_saved_nanos as "overlap_saved_ns": Nanos, Sum;
+            }
+
+            /// Fault-injection and recovery counters (PFS faults and the
+            /// MPI-IO retry/backoff layer that hides them).
+            faults: FaultCounters, record_fault, fault_counters {
+                /// Total faults the PFS servers injected (all kinds).
+                faults_injected: Count, Sum;
+                /// Transient EIO faults injected.
+                transient: Count, Sum;
+                /// Short (partial byte count) reads/writes injected.
+                short: Count, Sum;
+                /// Latency stalls injected (charged to virtual time, not
+                /// errors).
+                stalls: Count, Sum;
+                /// Requests refused because the server was crashed.
+                crashed: Count, Sum;
+                /// Recovery-layer retries after a transient or crash fault.
+                retries: Count, Sum;
+                /// Virtual nanoseconds spent in exponential backoff before
+                /// retries.
+                backoff_nanos as "backoff_time": Seconds, Sum;
+                /// Short-I/O completion resumptions at the partial offset.
+                short_completions: Count, Sum;
+                /// Retry budgets exhausted (`MpioError::Exhausted` surfaced).
+                exhausted: Count, Sum;
+                /// Collective error agreements that propagated a fault to all
+                /// ranks.
+                agreed_errors: Count, Sum;
+            }
+
+            /// Parity/failover counters: what the redundancy layer did after
+            /// the ranks agreed a server was down (degraded reads, redirected
+            /// writes, parity maintenance, rebuild).
+            failover: FailoverCounters, record_failover, failover_counters {
+                /// Read requests that had chunks reconstructed from data +
+                /// parity.
+                degraded_reads: Count, Sum;
+                /// Bytes XOR-reconstructed from surviving servers instead of
+                /// read from the down server.
+                reconstructed_bytes: Bytes, Sum;
+                /// Write requests with chunks redirected away from the down
+                /// server.
+                redirected_writes: Count, Sum;
+                /// Bytes destined to the down server that were covered by
+                /// parity instead of stored there.
+                redirected_bytes: Bytes, Sum;
+                /// Parity rows recomputed and written after data writes.
+                parity_updates: Count, Sum;
+                /// Parity bytes written to surviving servers.
+                parity_bytes: Bytes, Sum;
+                /// Server-down epochs the ranks collectively agreed on.
+                epochs: Count, Sum;
+                /// Online rebuilds completed after a server restart.
+                rebuilds: Count, Sum;
+                /// Bytes replayed onto the restarted server from the parity
+                /// log.
+                rebuilt_bytes: Bytes, Sum;
+                /// Virtual nanoseconds the rebuild replay occupied.
+                rebuild_nanos as "rebuild_time": Seconds, Sum;
+            }
+
+            /// Client page-cache counters (hits, misses, write-behind,
+            /// readahead, coherence invalidations), summed over all ranks of
+            /// a run.
+            cache: CacheCounters, record_cache, cache_counters {
+                /// Page lookups fully served from cached bytes.
+                hits: Count, Sum;
+                /// Bytes served from cached pages without touching the PFS.
+                hit_bytes: Bytes, Sum;
+                /// Page lookups that needed a disk fill (or created a fresh
+                /// page).
+                misses: Count, Sum;
+                /// Pages evicted by the LRU policy to stay under the byte
+                /// budget.
+                evictions: Count, Sum;
+                /// Write-behind flush rounds (eviction, sync, close,
+                /// collective entry).
+                write_behind_flushes: Count, Sum;
+                /// Dirty bytes pushed to the PFS by write-behind flushes.
+                write_behind_bytes: Bytes, Sum;
+                /// Pages fetched speculatively by sequential-detection
+                /// readahead.
+                readahead_issued: Count, Sum;
+                /// Readahead pages later hit by a demand read.
+                readahead_hits: Count, Sum;
+                /// Pages (or clean page fractions) dropped by the coherence
+                /// protocol after another rank's epoch advanced.
+                invalidations: Count, Sum;
+                = "hit_rate" |c| ratio(c.hits, c.hits + c.misses, 0.0);
+            }
+
+            /// Zero-copy byte-path counters: how often the memoized view
+            /// flattener hit, how many bytes moved through the fused
+            /// gather+swap kernels, how many staging copies the borrow fast
+            /// paths elided, and how much of the collective exchange ran on
+            /// lent buffers. Summed over all ranks of a run.
+            bytepath: BytePathCounters, record_bytepath, bytepath_counters {
+                /// View-flattening memoization hits (run list reused).
+                flatten_hits: Count, Sum;
+                /// View-flattening misses (datatype walked and run list
+                /// built).
+                flatten_misses: Count, Sum;
+                /// Bytes produced by fused gather+byteswap packs (native →
+                /// external) — each of these bytes was touched once instead
+                /// of copied then swapped.
+                fused_pack_bytes: Bytes, Sum;
+                /// Bytes consumed by fused byteswap+scatter unpacks (external
+                /// → native).
+                fused_unpack_bytes: Bytes, Sum;
+                /// Whole staging copies skipped by borrowing a buffer where it
+                /// lies (every collective flush of a nonblocking queue, whose
+                /// staged buffers are lent unmerged; a contiguous MPI-IO
+                /// write).
+                copies_elided: Count, Sum;
+                /// Bytes covered by those elided copies.
+                borrowed_bytes: Bytes, Sum;
+                /// Payload bytes lent through a collective rendezvous instead
+                /// of being copied into an exchange parcel: write payloads
+                /// read, and read destinations filled, where the owning rank
+                /// keeps them.
+                exchange_borrowed_bytes: Bytes, Sum;
+                /// Two-phase windows served from the collective buffer an
+                /// earlier window on the same open file — of this collective
+                /// or of an earlier one — had already allocated.
+                collbuf_reuses: Count, Sum;
+                = "flatten_hit_rate" |b|
+                    ratio(b.flatten_hits, b.flatten_hits + b.flatten_misses, 0.0);
+            }
+
+            /// Message-passing counters of the simulated MPI runtime.
+            mpi: MpiCounters, record_mpi, mpi_counters {
+                /// Point-to-point messages sent.
+                messages: Count, Sum;
+                /// Payload bytes of those messages.
+                message_bytes: Bytes, Sum;
+                /// Entries into a collective rendezvous, one per rank per
+                /// collective (predefined collectives and MPI-IO's own).
+                rendezvous: Count, Sum;
+            }
+
+            /// Data-sieving amplification counters, one direction; the slot
+            /// is indexed by `read as usize`.
+            sieve: SieveCounters in [SieveCounters; 2] {
+                /// Bytes moved to/from the file system (whole sieve windows).
+                transferred as "transferred_bytes": Bytes, Sum;
+                /// Bytes the application actually asked for.
+                useful as "useful_bytes": Bytes, Sum;
+                = "amplification" |s| ratio(s.transferred, s.useful, 1.0);
+            }
+
+            /// Per-server PFS counters; the slot is indexed by server id.
+            servers: ServerCounters in Vec<ServerCounters> {
+                requests: Count, Sum;
+                bytes_read: Bytes, Sum;
+                bytes_written: Bytes, Sum;
+                seeks: Count, Sum;
+                /// Sum of absolute distances (bytes) between the end of one
+                /// request and the start of the next on the same file.
+                seek_distance: Bytes, Sum;
+                /// Nanoseconds the server's NIC stage spent transferring
+                /// payloads.
+                nic_busy_nanos as "nic_busy_s": Seconds, Sum;
+                /// Nanoseconds the server's disk stage spent servicing
+                /// requests.
+                disk_busy_nanos as "disk_busy_s": Seconds, Sum;
+                /// Disk busy time that overlapped NIC transfers — what the
+                /// dual-resource service engine hides relative to a serial
+                /// server.
+                overlap_nanos as "overlap_s": Seconds, Sum;
+                /// Time requests stalled at the full bounded admission queue.
+                queue_stall_nanos as "queue_stall_s": Seconds, Sum;
+                /// Wait time (queue, NIC, disk) spent behind *other files'*
+                /// requests — cross-file contention on a shared service
+                /// cluster.
+                cross_file_stall_nanos as "cross_file_stall_s": Seconds, Sum;
+                /// Deepest admission-queue occupancy observed.
+                max_queue_depth: Count, Max;
+            }
+        }
+    };
 }
 
-/// Parity/failover counters: what the redundancy layer did after the ranks
-/// agreed a server was down (degraded reads, redirected writes, parity
-/// maintenance, rebuild).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FailoverCounters {
-    /// Read requests that had chunks reconstructed from data + parity.
-    pub degraded_reads: u64,
-    /// Bytes XOR-reconstructed from surviving servers instead of read from
-    /// the down server.
-    pub reconstructed_bytes: u64,
-    /// Write requests with chunks redirected away from the down server.
-    pub redirected_writes: u64,
-    /// Bytes destined to the down server that were covered by parity
-    /// instead of stored there.
-    pub redirected_bytes: u64,
-    /// Parity rows recomputed and written after data writes.
-    pub parity_updates: u64,
-    /// Parity bytes written to surviving servers.
-    pub parity_bytes: u64,
-    /// Server-down epochs the ranks collectively agreed on.
-    pub epochs: u64,
-    /// Online rebuilds completed after a server restart.
-    pub rebuilds: u64,
-    /// Bytes replayed onto the restarted server from the parity log.
-    pub rebuilt_bytes: u64,
-    /// Virtual nanoseconds the rebuild replay occupied.
-    pub rebuild_nanos: u64,
+/// A counter's report key: its field name unless the table renames it.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
 }
 
-/// Client page-cache counters (hits, misses, write-behind, readahead,
-/// coherence invalidations), summed over all ranks of a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Page lookups fully served from cached bytes.
-    pub hits: u64,
-    /// Bytes served from cached pages without touching the PFS.
-    pub hit_bytes: u64,
-    /// Page lookups that needed a disk fill (or created a fresh page).
-    pub misses: u64,
-    /// Pages evicted by the LRU policy to stay under the byte budget.
-    pub evictions: u64,
-    /// Write-behind flush rounds (eviction, sync, close, collective entry).
-    pub write_behind_flushes: u64,
-    /// Dirty bytes pushed to the PFS by write-behind flushes.
-    pub write_behind_bytes: u64,
-    /// Pages fetched speculatively by sequential-detection readahead.
-    pub readahead_issued: u64,
-    /// Readahead pages later hit by a demand read.
-    pub readahead_hits: u64,
-    /// Pages (or clean page fractions) dropped by the coherence protocol
-    /// after another rank's epoch advanced.
-    pub invalidations: u64,
+/// A slot's type: one `Struct` unless the table says `in SlotType`.
+macro_rules! slot {
+    ($Struct:ident) => {
+        $Struct
+    };
+    ($Struct:ident $Slot:ty) => {
+        $Slot
+    };
 }
 
-/// Zero-copy byte-path counters: how often the memoized view flattener
-/// hit, how many bytes moved through the fused gather+swap kernels, how
-/// many staging copies the borrow fast paths elided, and how much of the
-/// collective exchange ran on lent buffers. Summed over all ranks of a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BytePathCounters {
-    /// View-flattening memoization hits (run list reused).
-    pub flatten_hits: u64,
-    /// View-flattening misses (datatype walked and run list built).
-    pub flatten_misses: u64,
-    /// Bytes produced by fused gather+byteswap packs (native → external)
-    /// — each of these bytes was touched once instead of copied then
-    /// swapped.
-    pub fused_pack_bytes: u64,
-    /// Bytes consumed by fused byteswap+scatter unpacks (external →
-    /// native).
-    pub fused_unpack_bytes: u64,
-    /// Whole staging copies skipped by borrowing a buffer where it lies
-    /// (every collective flush of a nonblocking queue, whose staged buffers
-    /// are lent unmerged; a contiguous MPI-IO write).
-    pub copies_elided: u64,
-    /// Bytes covered by those elided copies.
-    pub borrowed_bytes: u64,
-    /// Payload bytes lent through a collective rendezvous instead of being
-    /// copied into an exchange parcel: write payloads read, and read
-    /// destinations filled, where the owning rank keeps them.
-    pub exchange_borrowed_bytes: u64,
-    /// Two-phase windows served from the collective buffer an earlier
-    /// window on the same open file — of this collective or of an earlier
-    /// one — had already allocated.
-    pub collbuf_reuses: u64,
+/// The product generator of `counter_table!` (see there).
+macro_rules! define_counters {
+    ($(
+        $(#[$doc:meta])*
+        $slot:ident: $Struct:ident $(in $Slot:ty)? $(, $record:ident, $copy:ident)? {
+            $($(#[$fdoc:meta])* $field:ident $(as $key:literal)?: $unit:ident, $merge:ident;)*
+            $(= $ratio_key:literal |$c:ident| $ratio:expr;)?
+        }
+    )*) => {
+        $(
+            $(#[$doc])*
+            #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+            pub struct $Struct {
+                $($(#[$fdoc])* pub $field: u64,)*
+            }
+
+            impl $Struct {
+                /// Fold another reading in, each counter by its merge rule.
+                pub fn merge(&mut self, other: &$Struct) {
+                    $(self.$field = Merge::$merge.fold(self.$field, other.$field);)*
+                }
+            }
+
+            impl Report for $Struct {
+                fn report(&self) -> Json {
+                    let mut section = Json::obj();
+                    $(section.set(key!($field $($key)?), Unit::$unit.report(self.$field));)*
+                    $(
+                        let $c = self;
+                        section.set($ratio_key, $ratio);
+                    )?
+                    section
+                }
+            }
+        )*
+
+        /// Every counter of the table, one field per slot.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct Counters {
+            $(pub $slot: slot!($Struct $($Slot)?),)*
+        }
+
+        impl Counters {
+            /// Set every slot on `report` under its name.
+            pub(crate) fn report_into(&self, report: &mut Json) {
+                $(report.set(stringify!($slot), self.$slot.report());)*
+            }
+        }
+
+        impl Profile {
+            $($(
+                #[doc = concat!("Update the `", stringify!($slot), "` counters.")]
+                /// A no-op while the profile is off.
+                pub fn $record(&self, f: impl FnOnce(&mut $Struct)) {
+                    if self.is_enabled() {
+                        f(&mut self.recorded().counters.$slot);
+                    }
+                }
+
+                #[doc = concat!("Copy of the `", stringify!($slot), "` counters.")]
+                /// Tests and smoke assertions read these directly.
+                pub fn $copy(&self) -> $Struct {
+                    self.recorded().counters.$slot
+                }
+            )?)*
+        }
+    };
 }
 
+counter_table!(define_counters);
+
+impl Counters {
+    /// Every server's row folded into one: the requests, bytes and seeks of
+    /// the whole file system.
+    pub fn server_totals(&self) -> ServerCounters {
+        let mut total = ServerCounters::default();
+        self.servers.iter().for_each(|s| total.merge(s));
+        total
+    }
+}
+
+#[derive(Default)]
 struct Inner {
     enabled: AtomicBool,
-    /// Per-rank, per-phase simulated nanoseconds. Grown on demand.
-    phase_nanos: Mutex<Vec<[u64; Phase::COUNT]>>,
-    /// Count / bytes / simulated latency per collective kind.
-    collectives: [OpCell; CollKind::COUNT],
-    /// Power-of-two size histograms.
-    io_write_hist: [AtomicU64; HIST_BUCKETS],
-    io_read_hist: [AtomicU64; HIST_BUCKETS],
-    msg_hist: [AtomicU64; HIST_BUCKETS],
-    servers: Mutex<Vec<ServerCounters>>,
-    sieve_read: Mutex<SieveCounters>,
-    sieve_write: Mutex<SieveCounters>,
-    twophase: Mutex<TwophaseCounters>,
-    faults: Mutex<FaultCounters>,
-    failover: Mutex<FailoverCounters>,
-    cache: Mutex<CacheCounters>,
-    bytepath: Mutex<BytePathCounters>,
-    /// Unknown or malformed `pnc_*`/MPI-IO hints rejected at file open.
-    hints_rejected: AtomicU64,
-    /// Named report fragments attached by higher layers (dataset roll-ups).
-    extras: Mutex<Vec<(String, Json)>>,
+    /// Everything recorded so far, kept in the form [`Profile::snapshot`]
+    /// hands out (which fills in `enabled`), so a snapshot is a copy and a
+    /// reset an assignment of `Default`.
+    recorded: Mutex<ProfileSnapshot>,
 }
 
 /// The shared profile. Cloning is cheap (one `Arc`); every layer of one
 /// simulation sees the same instance because it rides inside
 /// `hpc_sim::SimConfig`. Disabled by default: every recording method is a
 /// single relaxed atomic load followed by an early return.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Profile {
     inner: Arc<Inner>,
-}
-
-impl Default for Profile {
-    fn default() -> Profile {
-        Profile::new()
-    }
 }
 
 impl std::fmt::Debug for Profile {
@@ -312,26 +453,7 @@ impl std::fmt::Debug for Profile {
 impl Profile {
     /// New disabled profile.
     pub fn new() -> Profile {
-        Profile {
-            inner: Arc::new(Inner {
-                enabled: AtomicBool::new(false),
-                phase_nanos: Mutex::new(Vec::new()),
-                collectives: Default::default(),
-                io_write_hist: [0u64; HIST_BUCKETS].map(AtomicU64::new),
-                io_read_hist: [0u64; HIST_BUCKETS].map(AtomicU64::new),
-                msg_hist: [0u64; HIST_BUCKETS].map(AtomicU64::new),
-                servers: Mutex::new(Vec::new()),
-                sieve_read: Mutex::new(SieveCounters::default()),
-                sieve_write: Mutex::new(SieveCounters::default()),
-                twophase: Mutex::new(TwophaseCounters::default()),
-                faults: Mutex::new(FaultCounters::default()),
-                failover: Mutex::new(FailoverCounters::default()),
-                cache: Mutex::new(CacheCounters::default()),
-                bytepath: Mutex::new(BytePathCounters::default()),
-                hints_rejected: AtomicU64::new(0),
-                extras: Mutex::new(Vec::new()),
-            }),
-        }
+        Profile::default()
     }
 
     /// New profile with recording on.
@@ -357,12 +479,25 @@ impl Profile {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// Lock the recorded state, recovering from poisoning instead of
+    /// panicking.
+    ///
+    /// Invariant: every critical section in this module performs only
+    /// in-place arithmetic or container growth, so even if the owning rank
+    /// thread panicked mid-update the data stays structurally valid — at
+    /// worst one partial increment is lost. Recovering here means a
+    /// malformed profile can never cascade a panic into the surviving ranks
+    /// of a run.
+    fn recorded(&self) -> MutexGuard<'_, ProfileSnapshot> {
+        (self.inner.recorded.lock()).unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Charge `nanos` of simulated time on `rank` to `phase`.
     pub fn record_phase(&self, rank: usize, phase: Phase, nanos: u64) {
         if !self.is_enabled() || nanos == 0 {
             return;
         }
-        let mut ranks = lock(&self.inner.phase_nanos);
+        let ranks = &mut self.recorded().phase_nanos;
         if ranks.len() <= rank {
             ranks.resize(rank + 1, [0; Phase::COUNT]);
         }
@@ -386,27 +521,23 @@ impl Profile {
         if !self.is_enabled() {
             return;
         }
-        let cell = &self.inner.collectives[kind.index()];
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.bytes.fetch_add(bytes, Ordering::Relaxed);
-        cell.nanos.fetch_add(nanos, Ordering::Relaxed);
+        let cell = &mut self.recorded().collectives[kind.index()];
+        *cell = (cell.0 + 1, cell.1 + bytes, cell.2 + nanos);
     }
 
-    /// Record a point-to-point message size.
+    /// Record one point-to-point message of `bytes`.
     pub fn record_msg_size(&self, bytes: u64) {
         if !self.is_enabled() {
             return;
         }
-        self.inner.msg_hist[bucket(bytes)].fetch_add(1, Ordering::Relaxed);
+        let mut rec = self.recorded();
+        rec.msg_hist[bucket(bytes)] += 1;
+        rec.counters.mpi.messages += 1;
+        rec.counters.mpi.message_bytes += bytes;
     }
 
-    /// Record one request serviced by PFS server `server`.
-    pub fn record_io(&self, server: usize, bytes: u64, read: bool, seeked: bool, distance: u64) {
-        self.record_io_stages(server, bytes, read, seeked, distance, IoStages::default());
-    }
-
-    /// Record one request serviced by PFS server `server`, including the
-    /// dual-resource stage breakdown.
+    /// Record one request serviced by PFS server `server`, with the
+    /// dual-resource stage breakdown of its passage.
     pub fn record_io_stages(
         &self,
         server: usize,
@@ -419,33 +550,30 @@ impl Profile {
         if !self.is_enabled() {
             return;
         }
+        let mut rec = self.recorded();
         let hist = if read {
-            &self.inner.io_read_hist
+            &mut rec.io_read_hist
         } else {
-            &self.inner.io_write_hist
+            &mut rec.io_write_hist
         };
-        hist[bucket(bytes)].fetch_add(1, Ordering::Relaxed);
-        let mut servers = lock(&self.inner.servers);
+        hist[bucket(bytes)] += 1;
+        let servers = &mut rec.counters.servers;
         if servers.len() <= server {
             servers.resize(server + 1, ServerCounters::default());
         }
-        let s = &mut servers[server];
-        s.requests += 1;
-        if read {
-            s.bytes_read += bytes;
-        } else {
-            s.bytes_written += bytes;
-        }
-        if seeked {
-            s.seeks += 1;
-            s.seek_distance += distance;
-        }
-        s.nic_busy_nanos += stages.nic_busy_nanos;
-        s.disk_busy_nanos += stages.disk_busy_nanos;
-        s.overlap_nanos += stages.overlap_nanos;
-        s.queue_stall_nanos += stages.queue_stall_nanos;
-        s.cross_file_stall_nanos += stages.cross_stall_nanos;
-        s.max_queue_depth = s.max_queue_depth.max(stages.depth);
+        servers[server].merge(&ServerCounters {
+            requests: 1,
+            bytes_read: if read { bytes } else { 0 },
+            bytes_written: if read { 0 } else { bytes },
+            seeks: seeked as u64,
+            seek_distance: if seeked { distance } else { 0 },
+            nic_busy_nanos: stages.nic_busy_nanos,
+            disk_busy_nanos: stages.disk_busy_nanos,
+            overlap_nanos: stages.overlap_nanos,
+            queue_stall_nanos: stages.queue_stall_nanos,
+            cross_file_stall_nanos: stages.cross_stall_nanos,
+            max_queue_depth: stages.depth,
+        });
     }
 
     /// Record sieving amplification: one window moved `transferred` bytes
@@ -454,96 +582,21 @@ impl Profile {
         if !self.is_enabled() {
             return;
         }
-        let cell = if read {
-            &self.inner.sieve_read
-        } else {
-            &self.inner.sieve_write
-        };
-        let mut c = lock(cell);
-        c.transferred += transferred;
-        c.useful += useful;
-    }
-
-    /// Update the two-phase engine counters.
-    pub fn record_twophase(&self, f: impl FnOnce(&mut TwophaseCounters)) {
-        if !self.is_enabled() {
-            return;
-        }
-        f(&mut lock(&self.inner.twophase));
-    }
-
-    /// Copy of the two-phase engine counters (tests and smoke assertions
-    /// read these directly).
-    pub fn twophase_counters(&self) -> TwophaseCounters {
-        *lock(&self.inner.twophase)
-    }
-
-    /// Update the fault-injection/recovery counters.
-    pub fn record_fault(&self, f: impl FnOnce(&mut FaultCounters)) {
-        if !self.is_enabled() {
-            return;
-        }
-        f(&mut lock(&self.inner.faults));
-    }
-
-    /// Copy of the fault-injection/recovery counters (tests and smoke
-    /// assertions read these directly).
-    pub fn fault_counters(&self) -> FaultCounters {
-        *lock(&self.inner.faults)
-    }
-
-    /// Update the parity/failover counters.
-    pub fn record_failover(&self, f: impl FnOnce(&mut FailoverCounters)) {
-        if !self.is_enabled() {
-            return;
-        }
-        f(&mut lock(&self.inner.failover));
-    }
-
-    /// Copy of the parity/failover counters (tests and smoke assertions
-    /// read these directly).
-    pub fn failover_counters(&self) -> FailoverCounters {
-        *lock(&self.inner.failover)
-    }
-
-    /// Update the client page-cache counters.
-    pub fn record_cache(&self, f: impl FnOnce(&mut CacheCounters)) {
-        if !self.is_enabled() {
-            return;
-        }
-        f(&mut lock(&self.inner.cache));
-    }
-
-    /// Copy of the client page-cache counters (tests and smoke assertions
-    /// read these directly).
-    pub fn cache_counters(&self) -> CacheCounters {
-        *lock(&self.inner.cache)
-    }
-
-    /// Update the zero-copy byte-path counters.
-    pub fn record_bytepath(&self, f: impl FnOnce(&mut BytePathCounters)) {
-        if !self.is_enabled() {
-            return;
-        }
-        f(&mut lock(&self.inner.bytepath));
-    }
-
-    /// Copy of the byte-path counters (tests and smoke assertions read
-    /// these directly).
-    pub fn bytepath_counters(&self) -> BytePathCounters {
-        *lock(&self.inner.bytepath)
+        let direction = &mut self.recorded().counters.sieve[read as usize];
+        direction.transferred += transferred;
+        direction.useful += useful;
     }
 
     /// Count one rejected (unknown or malformed) hint key/value observed
     /// at file open. Counted even while profiling is off: a misspelled
     /// hint should be discoverable without enabling the full profile.
     pub fn record_hint_rejected(&self) {
-        self.inner.hints_rejected.fetch_add(1, Ordering::Relaxed);
+        self.recorded().hints_rejected += 1;
     }
 
     /// Hints rejected so far.
     pub fn hints_rejected(&self) -> u64 {
-        self.inner.hints_rejected.load(Ordering::Relaxed)
+        self.recorded().hints_rejected
     }
 
     /// Attach a named report fragment (e.g. a dataset roll-up at close).
@@ -552,7 +605,7 @@ impl Profile {
         if !self.is_enabled() {
             return;
         }
-        let mut extras = lock(&self.inner.extras);
+        let extras = &mut self.recorded().extras;
         if let Some(e) = extras.iter_mut().find(|(n, _)| n == name) {
             e.1 = value;
         } else {
@@ -564,63 +617,14 @@ impl Profile {
     pub fn snapshot(&self) -> ProfileSnapshot {
         ProfileSnapshot {
             enabled: self.is_enabled(),
-            phase_nanos: lock(&self.inner.phase_nanos).clone(),
-            collectives: std::array::from_fn(|i| {
-                let c = &self.inner.collectives[i];
-                (
-                    c.count.load(Ordering::Relaxed),
-                    c.bytes.load(Ordering::Relaxed),
-                    c.nanos.load(Ordering::Relaxed),
-                )
-            }),
-            io_write_hist: std::array::from_fn(|i| {
-                self.inner.io_write_hist[i].load(Ordering::Relaxed)
-            }),
-            io_read_hist: std::array::from_fn(|i| {
-                self.inner.io_read_hist[i].load(Ordering::Relaxed)
-            }),
-            msg_hist: std::array::from_fn(|i| self.inner.msg_hist[i].load(Ordering::Relaxed)),
-            servers: lock(&self.inner.servers).clone(),
-            sieve_read: *lock(&self.inner.sieve_read),
-            sieve_write: *lock(&self.inner.sieve_write),
-            twophase: *lock(&self.inner.twophase),
-            faults: *lock(&self.inner.faults),
-            failover: *lock(&self.inner.failover),
-            cache: *lock(&self.inner.cache),
-            bytepath: *lock(&self.inner.bytepath),
-            hints_rejected: self.inner.hints_rejected.load(Ordering::Relaxed),
-            extras: lock(&self.inner.extras).clone(),
+            ..self.recorded().clone()
         }
     }
 
     /// Zero every counter, keeping the enabled flag. Benchmarks call this
     /// between configurations.
     pub fn reset(&self) {
-        lock(&self.inner.phase_nanos).clear();
-        for c in &self.inner.collectives {
-            c.count.store(0, Ordering::Relaxed);
-            c.bytes.store(0, Ordering::Relaxed);
-            c.nanos.store(0, Ordering::Relaxed);
-        }
-        for h in [
-            &self.inner.io_write_hist,
-            &self.inner.io_read_hist,
-            &self.inner.msg_hist,
-        ] {
-            for b in h.iter() {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-        lock(&self.inner.servers).clear();
-        *lock(&self.inner.sieve_read) = SieveCounters::default();
-        *lock(&self.inner.sieve_write) = SieveCounters::default();
-        *lock(&self.inner.twophase) = TwophaseCounters::default();
-        *lock(&self.inner.faults) = FaultCounters::default();
-        *lock(&self.inner.failover) = FailoverCounters::default();
-        *lock(&self.inner.cache) = CacheCounters::default();
-        *lock(&self.inner.bytepath) = BytePathCounters::default();
-        self.inner.hints_rejected.store(0, Ordering::Relaxed);
-        lock(&self.inner.extras).clear();
+        *self.recorded() = ProfileSnapshot::default();
     }
 }
 
@@ -636,26 +640,32 @@ pub fn bucket(size: u64) -> usize {
 }
 
 /// A point-in-time copy of every counter in a [`Profile`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileSnapshot {
     pub enabled: bool,
-    /// `[rank][phase] -> simulated nanoseconds`.
+    /// `[rank][phase] -> simulated nanoseconds`, grown on demand.
     pub phase_nanos: Vec<[u64; Phase::COUNT]>,
     /// `(count, bytes, nanos)` per [`CollKind`].
     pub collectives: [(u64, u64, u64); CollKind::COUNT],
+    /// Power-of-two size histograms.
     pub io_write_hist: [u64; HIST_BUCKETS],
     pub io_read_hist: [u64; HIST_BUCKETS],
     pub msg_hist: [u64; HIST_BUCKETS],
-    pub servers: Vec<ServerCounters>,
-    pub sieve_read: SieveCounters,
-    pub sieve_write: SieveCounters,
-    pub twophase: TwophaseCounters,
-    pub faults: FaultCounters,
-    pub failover: FailoverCounters,
-    pub cache: CacheCounters,
-    pub bytepath: BytePathCounters,
+    /// The table's counters; `snapshot.twophase`, `snapshot.servers` … read
+    /// them through `Deref`.
+    pub counters: Counters,
+    /// Unknown or malformed `pnc_*`/MPI-IO hints rejected at file open.
     pub hints_rejected: u64,
+    /// Named report fragments attached by higher layers (dataset roll-ups).
     pub extras: Vec<(String, Json)>,
+}
+
+impl std::ops::Deref for ProfileSnapshot {
+    type Target = Counters;
+
+    fn deref(&self) -> &Counters {
+        &self.counters
+    }
 }
 
 impl ProfileSnapshot {
@@ -680,12 +690,167 @@ impl ProfileSnapshot {
 mod tests {
     use super::*;
 
+    /// What the report must show for one counter: its key, its unit and the
+    /// raw value it was set to.
+    type Want = Vec<(&'static str, Unit, u64)>;
+
+    /// Give every counter of a table struct a value of its own.
+    trait Fill {
+        fn fill(&mut self, next: &mut u64) -> Want;
+    }
+
+    /// The test generator of `counter_table!`: `Fill` for every struct, and
+    /// `record_all`, which fills every section that has a `record_*` method
+    /// through that method. A counter added to the table is covered by the
+    /// tests below without a line here.
+    macro_rules! define_fills {
+        ($(
+            $(#[$doc:meta])*
+            $slot:ident: $Struct:ident $(in $Slot:ty)? $(, $record:ident, $copy:ident)? {
+                $($(#[$fdoc:meta])* $field:ident $(as $key:literal)?: $unit:ident, $merge:ident;)*
+                $(= $ratio_key:literal |$c:ident| $ratio:expr;)?
+            }
+        )*) => {
+            $(impl Fill for $Struct {
+                fn fill(&mut self, next: &mut u64) -> Want {
+                    let mut want = Want::new();
+                    $(
+                        *next += 1;
+                        self.$field = *next;
+                        want.push((key!($field $($key)?), Unit::$unit, *next));
+                    )*
+                    want
+                }
+            })*
+
+            fn record_all(p: &Profile, next: &mut u64) -> Vec<(&'static str, Want)> {
+                let mut sections = Vec::new();
+                $($(p.$record(|c| sections.push((stringify!($slot), c.fill(next))));)?)*
+                sections
+            }
+        };
+    }
+
+    counter_table!(define_fills);
+
+    /// Values start above 10^9 so a nanosecond count reported raw and one
+    /// reported as seconds cannot be mistaken for each other.
+    const FIRST: u64 = 3_000_000_000;
+
+    #[track_caller]
+    fn assert_reported(section: &Json, want: &Want) {
+        for &(key, unit, raw) in want {
+            let shown = match unit {
+                Unit::Seconds => raw as f64 / 1e9,
+                Unit::Count | Unit::Bytes | Unit::Nanos => raw as f64,
+            };
+            let got = section.get(key).and_then(Json::as_f64);
+            assert_eq!(got, Some(shown), "{key} in {section:?}");
+        }
+    }
+
+    #[test]
+    fn every_declared_counter_reaches_the_report_under_its_key_and_unit() {
+        let p = Profile::enabled();
+        let mut next = FIRST;
+        let sections = record_all(&p, &mut next);
+        assert_eq!(sections.len(), 6, "twophase … mpi");
+        // The two multi-row slots have doors of their own.
+        let (mut read, mut write) = (SieveCounters::default(), SieveCounters::default());
+        let (want_read, want_write) = (read.fill(&mut next), write.fill(&mut next));
+        p.record_sieve(true, read.transferred, read.useful);
+        p.record_sieve(false, write.transferred, write.useful);
+        let mut row = ServerCounters::default();
+        let want_row = row.fill(&mut next);
+
+        let report = p.snapshot().to_json(0);
+        for (slot, want) in &sections {
+            assert_reported(report.get(slot).expect(slot), want);
+        }
+        let sieve = report.get("sieve").unwrap();
+        assert_reported(sieve.get("read").unwrap(), &want_read);
+        assert_reported(sieve.get("write").unwrap(), &want_write);
+        match vec![ServerCounters::default(), row].report() {
+            Json::Arr(rows) => {
+                assert_reported(&rows[1], &want_row);
+                assert_eq!(rows[1].get("server").and_then(Json::as_f64), Some(1.0));
+            }
+            other => panic!("servers is not an array: {other:?}"),
+        }
+        // And the copy accessors hand back what the record methods stored.
+        assert_eq!(p.twophase_counters().collective_writes, FIRST + 1);
+        assert_eq!(p.mpi_counters(), p.snapshot().mpi);
+    }
+
+    #[test]
+    fn merge_follows_each_counters_rule() {
+        let mut a = TwophaseCounters {
+            windows: 3,
+            cb_nodes: 4,
+            ..Default::default()
+        };
+        a.merge(&TwophaseCounters {
+            windows: 2,
+            cb_nodes: 1,
+            ..Default::default()
+        });
+        assert_eq!((a.windows, a.cb_nodes), (5, 1), "sum; last write");
+        let mut s = ServerCounters {
+            max_queue_depth: 7,
+            ..Default::default()
+        };
+        s.merge(&ServerCounters {
+            max_queue_depth: 3,
+            ..Default::default()
+        });
+        assert_eq!(s.max_queue_depth, 7, "high-water mark");
+    }
+
+    /// Touch everything a profile holds, table or not.
+    fn record_everything(p: &Profile) {
+        let mut next = FIRST;
+        record_all(p, &mut next);
+        p.record_phase(1, Phase::Wait, 5);
+        p.record_collective(CollKind::Bcast, 8, 13);
+        p.record_msg_size(64);
+        p.record_io_stages(2, 128, true, true, 9, IoStages::default());
+        p.record_io_stages(0, 128, false, false, 0, IoStages::default());
+        p.record_sieve(true, 10, 4);
+        p.record_sieve(false, 10, 4);
+        p.attach_extra("dataset:x", Json::obj());
+        p.record_hint_rejected();
+    }
+
+    #[test]
+    fn reset_returns_to_a_fresh_profile_keeping_enabled() {
+        let p = Profile::enabled();
+        record_everything(&p);
+        assert_ne!(p.snapshot(), Profile::enabled().snapshot());
+        p.reset();
+        assert_eq!(p.snapshot(), Profile::enabled().snapshot());
+        assert_eq!(p.hints_rejected(), 0);
+    }
+
+    #[test]
+    fn disabled_profile_counts_only_rejected_hints() {
+        let p = Profile::new();
+        record_everything(&p);
+        let fresh = Profile::new().snapshot();
+        assert_eq!(
+            p.snapshot(),
+            ProfileSnapshot {
+                hints_rejected: 1,
+                ..fresh
+            }
+        );
+    }
+
     #[test]
     fn disabled_profile_records_nothing() {
         let p = Profile::new();
         p.record_phase(0, Phase::Compute, 100);
         p.record_collective(CollKind::Barrier, 0, 10);
-        p.record_io(0, 64, false, true, 5);
+        p.record_io_stages(0, 64, false, true, 5, IoStages::default());
         let s = p.snapshot();
         assert!(s.phase_nanos.is_empty());
         assert_eq!(s.collectives[CollKind::Barrier.index()], (0, 0, 0));
@@ -738,7 +903,7 @@ mod tests {
     fn reset_clears_but_keeps_enabled() {
         let p = Profile::enabled();
         p.record_phase(0, Phase::Compute, 9);
-        p.record_io(2, 128, true, false, 0);
+        p.record_io_stages(2, 128, true, false, 0, IoStages::default());
         p.reset();
         let s = p.snapshot();
         assert!(s.enabled);
@@ -749,8 +914,8 @@ mod tests {
     #[test]
     fn server_counters_accumulate() {
         let p = Profile::enabled();
-        p.record_io(1, 100, false, true, 40);
-        p.record_io(1, 50, true, false, 0);
+        p.record_io_stages(1, 100, false, true, 40, IoStages::default());
+        p.record_io_stages(1, 50, true, false, 0, IoStages::default());
         let s = p.snapshot();
         assert_eq!(s.servers.len(), 2);
         let c = s.servers[1];

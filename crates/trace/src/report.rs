@@ -2,7 +2,64 @@
 
 use crate::json::Json;
 use crate::phase::{CollKind, Phase};
-use crate::profile::{ProfileSnapshot, HIST_BUCKETS};
+use crate::profile::{ProfileSnapshot, ServerCounters, SieveCounters, HIST_BUCKETS};
+
+/// How a table counter's raw `u64` appears in the report (the table's
+/// unit column). Only [`Unit::Seconds`] converts; the other three say what
+/// the raw number counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// A number of events or objects.
+    Count,
+    Bytes,
+    /// Virtual nanoseconds, reported raw.
+    Nanos,
+    /// Virtual nanoseconds, reported as seconds.
+    Seconds,
+}
+
+impl Unit {
+    pub fn report(self, raw: u64) -> Json {
+        match self {
+            Unit::Seconds => Json::from(nanos_to_s(raw)),
+            Unit::Count | Unit::Bytes | Unit::Nanos => Json::from(raw),
+        }
+    }
+}
+
+/// The report form of one table slot. The counter structs get theirs from
+/// the table; the two slots that hold several rows spell their shape here.
+pub trait Report {
+    fn report(&self) -> Json;
+}
+
+/// `sieve`: the two directions by name (the slot is indexed by
+/// `read as usize`).
+impl Report for [SieveCounters; 2] {
+    fn report(&self) -> Json {
+        let [write, read] = self;
+        Json::obj()
+            .with("read", read.report())
+            .with("write", write.report())
+    }
+}
+
+/// `servers`: one row per server, carrying its id.
+impl Report for Vec<ServerCounters> {
+    fn report(&self) -> Json {
+        let rows = self.iter().enumerate();
+        Json::Arr(rows.map(|(id, s)| s.report().with("server", id)).collect())
+    }
+}
+
+/// `num / den`, or `empty` when nothing was counted.
+pub fn ratio(num: u64, den: u64, empty: f64) -> f64 {
+    if den > 0 {
+        num as f64 / den as f64
+    } else {
+        empty
+    }
+}
 
 impl ProfileSnapshot {
     /// Build the full report object.
@@ -51,144 +108,19 @@ impl ProfileSnapshot {
             );
         }
 
-        let mut servers = Vec::new();
-        for (id, s) in self.servers.iter().enumerate() {
-            servers.push(
-                Json::obj()
-                    .with("server", Json::from(id))
-                    .with("requests", Json::from(s.requests))
-                    .with("bytes_read", Json::from(s.bytes_read))
-                    .with("bytes_written", Json::from(s.bytes_written))
-                    .with("seeks", Json::from(s.seeks))
-                    .with("seek_distance", Json::from(s.seek_distance))
-                    .with("nic_busy_s", Json::from(nanos_to_s(s.nic_busy_nanos)))
-                    .with("disk_busy_s", Json::from(nanos_to_s(s.disk_busy_nanos)))
-                    .with("overlap_s", Json::from(nanos_to_s(s.overlap_nanos)))
-                    .with("queue_stall_s", Json::from(nanos_to_s(s.queue_stall_nanos)))
-                    .with(
-                        "cross_file_stall_s",
-                        Json::from(nanos_to_s(s.cross_file_stall_nanos)),
-                    )
-                    .with("max_queue_depth", Json::from(s.max_queue_depth)),
-            );
-        }
-
-        let sieve = Json::obj()
-            .with(
-                "read",
-                sieve_json(self.sieve_read.transferred, self.sieve_read.useful),
-            )
-            .with(
-                "write",
-                sieve_json(self.sieve_write.transferred, self.sieve_write.useful),
-            );
-
-        let tp = &self.twophase;
-        let twophase = Json::obj()
-            .with("collective_writes", Json::from(tp.collective_writes))
-            .with("collective_reads", Json::from(tp.collective_reads))
-            .with("cb_nodes", Json::from(tp.cb_nodes))
-            .with("file_domains", Json::from(tp.file_domains))
-            .with("windows", Json::from(tp.windows))
-            .with("rmw_windows", Json::from(tp.rmw_windows))
-            .with("exchange_wire_bytes", Json::from(tp.exchange_wire_bytes))
-            .with("rounds", Json::from(tp.pipelined_rounds))
-            .with("overlap_saved_ns", Json::from(tp.overlap_saved_nanos));
-
-        let fc = &self.faults;
-        let faults = Json::obj()
-            .with("faults_injected", Json::from(fc.faults_injected))
-            .with("transient", Json::from(fc.transient))
-            .with("short", Json::from(fc.short))
-            .with("stalls", Json::from(fc.stalls))
-            .with("crashed", Json::from(fc.crashed))
-            .with("retries", Json::from(fc.retries))
-            .with("backoff_time", Json::from(nanos_to_s(fc.backoff_nanos)))
-            .with("short_completions", Json::from(fc.short_completions))
-            .with("exhausted", Json::from(fc.exhausted))
-            .with("agreed_errors", Json::from(fc.agreed_errors));
-
-        let fo = &self.failover;
-        let failover = Json::obj()
-            .with("degraded_reads", Json::from(fo.degraded_reads))
-            .with("reconstructed_bytes", Json::from(fo.reconstructed_bytes))
-            .with("redirected_writes", Json::from(fo.redirected_writes))
-            .with("redirected_bytes", Json::from(fo.redirected_bytes))
-            .with("parity_updates", Json::from(fo.parity_updates))
-            .with("parity_bytes", Json::from(fo.parity_bytes))
-            .with("epochs", Json::from(fo.epochs))
-            .with("rebuilds", Json::from(fo.rebuilds))
-            .with("rebuilt_bytes", Json::from(fo.rebuilt_bytes))
-            .with("rebuild_time", Json::from(nanos_to_s(fo.rebuild_nanos)));
-
-        let cc = &self.cache;
-        let cache = Json::obj()
-            .with("hits", Json::from(cc.hits))
-            .with("hit_bytes", Json::from(cc.hit_bytes))
-            .with("misses", Json::from(cc.misses))
-            .with(
-                "hit_rate",
-                Json::from(if cc.hits + cc.misses > 0 {
-                    cc.hits as f64 / (cc.hits + cc.misses) as f64
-                } else {
-                    0.0
-                }),
-            )
-            .with("evictions", Json::from(cc.evictions))
-            .with("write_behind_flushes", Json::from(cc.write_behind_flushes))
-            .with("write_behind_bytes", Json::from(cc.write_behind_bytes))
-            .with("readahead_issued", Json::from(cc.readahead_issued))
-            .with("readahead_hits", Json::from(cc.readahead_hits))
-            .with("invalidations", Json::from(cc.invalidations));
-
-        let bp = &self.bytepath;
-        let bytepath = Json::obj()
-            .with("flatten_hits", Json::from(bp.flatten_hits))
-            .with("flatten_misses", Json::from(bp.flatten_misses))
-            .with(
-                "flatten_hit_rate",
-                Json::from(if bp.flatten_hits + bp.flatten_misses > 0 {
-                    bp.flatten_hits as f64 / (bp.flatten_hits + bp.flatten_misses) as f64
-                } else {
-                    0.0
-                }),
-            )
-            .with("fused_pack_bytes", Json::from(bp.fused_pack_bytes))
-            .with("fused_unpack_bytes", Json::from(bp.fused_unpack_bytes))
-            .with("copies_elided", Json::from(bp.copies_elided))
-            .with("borrowed_bytes", Json::from(bp.borrowed_bytes))
-            .with(
-                "exchange_borrowed_bytes",
-                Json::from(bp.exchange_borrowed_bytes),
-            )
-            .with("collbuf_reuses", Json::from(bp.collbuf_reuses));
-
         let attributed = self.rank_total(critical);
         let mut report = Json::obj()
             .with("sim_total_s", Json::from(nanos_to_s(sim_total_nanos)))
             .with("attributed_s", Json::from(nanos_to_s(attributed)))
-            .with(
-                "coverage",
-                Json::from(if sim_total_nanos > 0 {
-                    attributed as f64 / sim_total_nanos as f64
-                } else {
-                    1.0
-                }),
-            )
+            .with("coverage", ratio(attributed, sim_total_nanos, 1.0))
             .with("critical_rank", Json::from(critical))
             .with("nranks", Json::from(self.phase_nanos.len()))
             .with("phases", phases)
             .with("per_rank", Json::Arr(per_rank))
             .with("collectives", collectives)
             .with("request_sizes", self.histograms_json())
-            .with("servers", Json::Arr(servers))
-            .with("hints_rejected", Json::from(self.hints_rejected))
-            .with("sieve", sieve)
-            .with("twophase", twophase)
-            .with("faults", faults)
-            .with("failover", failover)
-            .with("cache", cache)
-            .with("bytepath", bytepath);
+            .with("hints_rejected", Json::from(self.hints_rejected));
+        self.counters.report_into(&mut report);
         for (name, value) in &self.extras {
             report.set(name, value.clone());
         }
@@ -201,20 +133,6 @@ impl ProfileSnapshot {
             .with("io_read", hist_json(&self.io_read_hist))
             .with("messages", hist_json(&self.msg_hist))
     }
-}
-
-fn sieve_json(transferred: u64, useful: u64) -> Json {
-    Json::obj()
-        .with("transferred_bytes", Json::from(transferred))
-        .with("useful_bytes", Json::from(useful))
-        .with(
-            "amplification",
-            Json::from(if useful > 0 {
-                transferred as f64 / useful as f64
-            } else {
-                1.0
-            }),
-        )
 }
 
 /// Histogram as an object of `"<=2^i": count` entries, empty buckets
@@ -278,6 +196,103 @@ mod tests {
             Some(512.0)
         );
         assert_eq!(bp.get("copies_elided").and_then(Json::as_f64), Some(1.0));
+    }
+
+    /// `a.b[0].c` lookup.
+    fn at<'a>(report: &'a Json, path: &str) -> Option<&'a Json> {
+        path.split('.').try_fold(report, |node, step| {
+            let (key, index) = match step.split_once('[') {
+                Some((key, rest)) => (key, rest.trim_end_matches(']').parse::<usize>().ok()),
+                None => (step, None),
+            };
+            match (node.get(key)?, index) {
+                (Json::Arr(items), Some(i)) => items.get(i),
+                (child, None) => Some(child),
+                _ => None,
+            }
+        })
+    }
+
+    /// The report keys `perf_bench` reads by name (`perf_bench/README.md`,
+    /// "The pinned surface"). Nothing under `perf_bench/` may change with
+    /// the product, so a renamed key must fail here, not in a benchmark run.
+    #[test]
+    fn report_keeps_the_keys_perf_bench_reads() {
+        let p = Profile::enabled();
+        p.record_phase(0, Phase::DiskWrite, 600);
+        p.record_io_stages(0, 4096, false, true, 64, Default::default());
+        p.record_io_stages(0, 512, true, false, 0, Default::default());
+        let report = p.snapshot().to_json(1000);
+        let mut pinned: Vec<String> = ["coverage", "attributed_s", "sim_total_s"]
+            .map(String::from)
+            .to_vec();
+        let mut pin = |prefix: &str, keys: &[&str]| {
+            pinned.extend(keys.iter().map(|k| format!("{prefix}{k}")));
+        };
+        for ph in Phase::ALL {
+            pin("phases.", &[&format!("{}.sim_s", ph.name())]);
+        }
+        pin(
+            "servers[0].",
+            &[
+                "requests",
+                "seeks",
+                "max_queue_depth",
+                "disk_busy_s",
+                "nic_busy_s",
+                "queue_stall_s",
+                "overlap_s",
+                "bytes_written",
+                "bytes_read",
+            ],
+        );
+        pin("request_sizes.", &["io_write.<=2^12", "io_read.<=2^9"]);
+        for direction in ["sieve.read.", "sieve.write."] {
+            pin(direction, &["transferred_bytes", "useful_bytes"]);
+        }
+        pin(
+            "twophase.",
+            &["windows", "rounds", "cb_nodes", "exchange_wire_bytes"],
+        );
+        pin(
+            "cache.",
+            &[
+                "hit_rate",
+                "evictions",
+                "write_behind_bytes",
+                "readahead_hits",
+                "readahead_issued",
+            ],
+        );
+        pin("bytepath.", &["flatten_hit_rate"]);
+        for path in pinned {
+            let value = at(&report, &path).and_then(Json::as_f64);
+            assert!(value.is_some(), "report lost the number at {path}");
+        }
+    }
+
+    #[test]
+    fn derived_ratios_follow_their_counters() {
+        let p = Profile::enabled();
+        p.record_cache(|c| {
+            c.hits = 1;
+            c.misses = 3;
+        });
+        p.record_sieve(true, 28, 16);
+        let report = p.snapshot().to_json(0);
+        let ratio = |path| at(&report, path).and_then(Json::as_f64);
+        assert_eq!(ratio("cache.hit_rate"), Some(0.25));
+        assert_eq!(ratio("sieve.read.amplification"), Some(1.75));
+        assert_eq!(
+            ratio("sieve.write.amplification"),
+            Some(1.0),
+            "nothing sieved"
+        );
+        assert_eq!(
+            ratio("bytepath.flatten_hit_rate"),
+            Some(0.0),
+            "nothing flattened"
+        );
     }
 
     #[test]

@@ -167,8 +167,7 @@ fn cached_writes_retire_sieve_rmw_reads() {
         let cfg = profiled_cfg();
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         let pfs2 = pfs.clone();
-        let stats = pfs.stats().clone();
-        let stats_in = stats.clone();
+        let server_bytes_read = || cfg.profile.snapshot().server_totals().bytes_read;
         let info = if cached {
             cached_info().with("pnc_page_size", "4096")
         } else {
@@ -180,24 +179,23 @@ fn cached_writes_retire_sieve_rmw_reads() {
             let v = ds.def_var("vv", NcType::Float, &[d]).unwrap();
             ds.enddef().unwrap();
             ds.begin_indep_data().unwrap();
-            let before = stats_in.snapshot().io_bytes_read;
+            let before = server_bytes_read();
             // Strided overlapping pattern: every write straddles bytes the
             // previous one populated, so the sieve must RMW each window.
             for i in 0..32u64 {
                 let vals = vec![i as f32; 96];
                 ds.put_vara(v, &[i * 32], &[96], &vals).unwrap();
             }
-            let after_writes = stats_in.snapshot().io_bytes_read;
+            let after_writes = server_bytes_read();
             // One small get spanning a single page.
             let _: Vec<f32> = ds.get_vara(v, &[8], &[16]).unwrap();
-            let after_read = stats_in.snapshot().io_bytes_read;
+            let after_read = server_bytes_read();
             ds.end_indep_data().unwrap();
             ds.close().unwrap();
-            // Report via the closure's captured atomics (stats is shared).
             assert!(after_read >= after_writes && after_writes >= before);
         });
-        let snap = stats.snapshot();
-        (snap.io_bytes_read, cfg.profile.cache_counters().hits, cfg)
+        let hits = cfg.profile.cache_counters().hits;
+        (server_bytes_read(), hits, cfg)
     }
     let (uncached_reads, _, _) = run(false);
     let (cached_reads, cached_hits, _) = run(true);
