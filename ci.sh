@@ -156,21 +156,6 @@ grep -q '"deterministic": true' "$report" \
 rm -rf "$report_dir"
 echo "    service report OK: cross-file stall, aggregate >= best session, hint audit"
 
-echo "==> microbench smoke: byte-path criterion suite (quick mode)"
-report_dir=$(mktemp -d)
-MICROBENCH_QUICK=1 PNETCDF_REPORT_DIR="$report_dir" \
-    cargo bench -q -p pnetcdf-bench --bench microbench >/dev/null
-report="$report_dir/BENCH_microbench.json"
-[ -f "$report" ] || { echo "FAIL: $report was not written"; exit 1; }
-# Quick mode gates at "not slower": the fused pack and the chunked swap
-# kernels must not regress below their staged/per-element baselines.
-for key in gate_swap4_ok gate_swap8_ok gate_pack_ok; do
-    grep -q "\"$key\": true" "$report" \
-        || { echo "FAIL: microbench gate \"$key\" did not pass"; exit 1; }
-done
-rm -rf "$report_dir"
-echo "    microbench OK: swap kernels and fused pack at or above baseline"
-
 echo "==> bench results: twophase_bench (BENCH_twophase.json)"
 ./target/release/twophase_bench >/dev/null
 [ -f BENCH_twophase.json ] || { echo "FAIL: BENCH_twophase.json was not written"; exit 1; }

@@ -18,9 +18,9 @@
 //! Width 1 (`NC_BYTE`/`NC_CHAR`) is a no-op / plain memcpy fast path. On a
 //! big-endian host every kernel degenerates to a copy.
 //!
-//! [`swap_bytewise`] keeps the old element-by-element loop as the reference
-//! baseline: the microbench suite measures the kernels against it and the
-//! property tests assert bit-identical output.
+//! [`swap_bytewise`] keeps the old element-by-element loop as the oracle:
+//! the unit and property tests assert the kernels' output bit-identical to
+//! it.
 
 macro_rules! swap_lane_inplace {
     ($buf:expr, $ty:ty) => {{
@@ -102,8 +102,8 @@ pub fn swap_to_vec(src: &[u8], width: usize) -> Vec<u8> {
 
 /// The pre-kernel reference: element-by-element byte reversal, exactly the
 /// loop the byte path used before the chunked kernels. Kept (not dead
-/// code) as the staged baseline for the microbench suite and the
-/// byte-identity property tests.
+/// code) as the oracle of the unit tests below and of the byte-identity
+/// property tests.
 pub fn swap_bytewise(src: &[u8], width: usize) -> Vec<u8> {
     assert!(
         src.len() % width.max(1) == 0,

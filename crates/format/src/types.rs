@@ -339,8 +339,8 @@ pub fn to_external_into<T: NcValue>(
 
 /// The pre-kernel per-element encode path: every value goes through `f64`
 /// and [`encode_one`], even for same-type conversion. Kept public as the
-/// staged reference baseline for the microbench suite and the byte-identity
-/// property tests; [`to_external`] only uses it for cross-type conversion.
+/// reference of the byte-identity property tests; [`to_external`] only uses
+/// it for cross-type conversion.
 pub fn to_external_by_element<T: NcValue>(vals: &[T], ext: NcType) -> FormatResult<Vec<u8>> {
     let mut out = Vec::with_capacity(vals.len() * ext.size() as usize);
     for &v in vals {
