@@ -73,6 +73,14 @@ fn main() {
     let fc = faulty_sim.profile.fault_counters();
     assert!(fc.faults_injected > 0, "FAIL: no faults injected: {fc:?}");
     assert!(fc.retries > 0, "FAIL: recovery never retried: {fc:?}");
+    assert!(
+        fc.backoff_nanos > 0,
+        "FAIL: retries never backed off: {fc:?}"
+    );
+    assert!(
+        fc.short_completions > 0,
+        "FAIL: no short I/O resumed at its partial offset: {fc:?}"
+    );
     assert_eq!(fc.exhausted, 0, "FAIL: a retry budget exhausted: {fc:?}");
     let profile = faulty_sim
         .profile

@@ -109,6 +109,19 @@ fn main() {
         );
     }
     assert!(cp.dominant.is_some(), "analyzer must name a dominant stage");
+    for w in &cp.windows {
+        assert!(
+            stage::ALL.contains(&w.bound_by),
+            "window {} bound by unknown stage {}",
+            w.window,
+            w.bound_by
+        );
+    }
+    assert_eq!(
+        cp.bound_counts.iter().map(|(_, n)| n).sum::<u64>(),
+        cp.windows.len() as u64,
+        "every window is bounded by exactly one stage"
+    );
     write_report("trace_smoke.critical_path.json", &cp.to_json());
     println!(
         "trace smoke OK: {} spans, {} complete events, {} windows, dominant stage {}",

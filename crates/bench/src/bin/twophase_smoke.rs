@@ -86,6 +86,21 @@ fn main() {
         tp.overlap_saved_nanos > 0,
         "FAIL: pipelining hid no exchange time: {tp:?}"
     );
+    // Dual-resource server engine: the per-server stage counters and the
+    // dynamically chosen aggregator count must have landed in the profile.
+    let io = sim.profile.snapshot().server_totals();
+    assert!(
+        tp.cb_nodes > 0,
+        "FAIL: no aggregator count recorded: {tp:?}"
+    );
+    assert!(
+        io.nic_busy_nanos > 0 && io.disk_busy_nanos > 0 && io.overlap_nanos > 0,
+        "FAIL: server NIC/disk stages never overlapped: {io:?}"
+    );
+    assert!(
+        io.max_queue_depth > 0,
+        "FAIL: no admission-queue depth recorded: {io:?}"
+    );
     assert!(
         pipelined.time <= serial.time,
         "FAIL: pipelined engine slower than serial ({:?} vs {:?})",
