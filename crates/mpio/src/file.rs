@@ -354,23 +354,12 @@ impl MpiFile {
     /// Map a view-relative access to absolute file runs through the
     /// memoizing flatten cache.
     fn mapped(&self, offset_etypes: u64, len: u64) -> MpioResult<Arc<Vec<Run>>> {
-        let mut cache = self.flatten.lock();
-        let before = cache.stats();
-        let runs = cache.map(&self.view, offset_etypes, len);
-        let profile = &self.comm.config().profile;
-        if profile.is_enabled() {
-            let after = cache.stats();
-            profile.record_bytepath(|b| {
-                b.flatten_hits += after.0 - before.0;
-                b.flatten_misses += after.1 - before.1;
-            });
-        }
-        runs
-    }
-
-    /// `(hits, misses)` of the view-flattening memoization cache.
-    pub fn flatten_stats(&self) -> (u64, u64) {
-        self.flatten.lock().stats()
+        let (runs, hit) = self.flatten.lock().map(&self.view, offset_etypes, len)?;
+        self.comm.config().profile.record_bytepath(|b| {
+            b.flatten_hits += hit as u64;
+            b.flatten_misses += !hit as u64;
+        });
+        Ok(runs)
     }
 
     /// Validate a caller-supplied run list: sorted, non-overlapping, and

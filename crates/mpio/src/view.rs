@@ -190,8 +190,6 @@ impl FileView {
 #[derive(Debug, Default)]
 pub struct FlattenCache {
     map: HashMap<(u64, u64, u64), Arc<Vec<Run>>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl FlattenCache {
@@ -205,30 +203,24 @@ impl FlattenCache {
     }
 
     /// Map a logical access through `view`, reusing a memoized run list
-    /// when the same `(view, offset, len)` was flattened before.
+    /// when the same `(view, offset, len)` was flattened before. The flag
+    /// says which it was: `true` for a hit.
     pub fn map(
         &mut self,
         view: &FileView,
         offset_etypes: u64,
         len: u64,
-    ) -> MpioResult<Arc<Vec<Run>>> {
+    ) -> MpioResult<(Arc<Vec<Run>>, bool)> {
         let key = (view.signature, offset_etypes, len);
         if let Some(runs) = self.map.get(&key) {
-            self.hits += 1;
-            return Ok(Arc::clone(runs));
+            return Ok((Arc::clone(runs), true));
         }
-        self.misses += 1;
         let runs = Arc::new(view.map(offset_etypes, len)?);
         if self.map.len() >= Self::MAX_ENTRIES {
             self.map.clear();
         }
         self.map.insert(key, Arc::clone(&runs));
-        Ok(runs)
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        Ok((runs, false))
     }
 }
 
@@ -320,23 +312,22 @@ mod tests {
         assert_ne!(strided.signature(), contig.signature());
 
         let mut cache = FlattenCache::new();
-        let a = cache.map(&strided, 0, 6).unwrap();
+        let (a, hit) = cache.map(&strided, 0, 6).unwrap();
         assert_eq!(*a, vec![(0, 2), (4, 2), (8, 2)]);
-        assert_eq!(cache.stats(), (0, 1));
+        assert!(!hit);
         // Same view+access: served from the cache, same result.
-        let b = cache.map(&strided, 0, 6).unwrap();
+        let (b, hit) = cache.map(&strided, 0, 6).unwrap();
         assert_eq!(a, b);
-        assert_eq!(cache.stats(), (1, 1));
+        assert!(hit);
         // Same access through a different view must not collide.
-        let c = cache.map(&contig, 0, 6).unwrap();
+        let (c, hit) = cache.map(&contig, 0, 6).unwrap();
         assert_eq!(*c, vec![(0, 6)]);
-        assert_eq!(cache.stats(), (1, 2));
+        assert!(!hit);
         // A rebuilt identical view shares the signature and therefore hits.
         let ft2 = Datatype::resized(0, 4, Datatype::contiguous(2, Datatype::byte()));
         let strided2 = FileView::new(0, &Datatype::byte(), &ft2).unwrap();
         assert_eq!(strided.signature(), strided2.signature());
-        cache.map(&strided2, 0, 6).unwrap();
-        assert_eq!(cache.stats(), (2, 2));
+        assert!(cache.map(&strided2, 0, 6).unwrap().1);
     }
 
     #[test]
