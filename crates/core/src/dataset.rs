@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use hpc_sim::{Phase, PhaseScope, Time};
 use pnetcdf_format::layout::{self, Layout};
 use pnetcdf_format::{Header, NcType, Version};
-use pnetcdf_mpi::{Comm, Datatype, Info, ReduceOp, RequestTable};
+use pnetcdf_mpi::{Comm, Datatype, Info, Loan, ReduceOp, RequestTable};
 use pnetcdf_mpio::{MpiFile, OpenMode};
 use pnetcdf_pfs::Pfs;
 
@@ -430,15 +430,35 @@ impl Dataset {
 
     /// Collective: sum the per-rank dataset profiles and attach the global
     /// roll-up to the shared trace profile (rank 0 only), keyed by the
-    /// dataset path. A no-op while tracing is disabled, so `close` costs
-    /// nothing extra in the common case.
+    /// dataset path. A no-op while tracing is disabled.
+    ///
+    /// The sum is the profile's bookkeeping, not a simulated
+    /// `MPI_Allreduce`: the rows are lent through a bare rendezvous whose
+    /// finisher adds them up and charges nothing — no clock moves and no
+    /// collective is tallied — so turning the profile on cannot move what
+    /// it observes.
     fn rollup_profile(&mut self) -> NcmpiResult<()> {
         let trace = self.comm.config().profile.clone();
         if !trace.is_enabled() {
             return Ok(());
         }
         let flat = self.profile.flatten(self.header.vars.len());
-        let sum = self.comm.allreduce(ReduceOp::Sum, &flat)?;
+        let rows = Loan {
+            meta: &flat[..],
+            src: &[],
+            dst: &mut [],
+            tag: 0,
+            aux: 0,
+        };
+        let sum = self
+            .comm
+            .collective(rows, |loans: &mut [Loan<'_, [u64]>]| {
+                let mut sum = vec![0u64; loans[0].meta.len()];
+                for row in loans.iter().map(|loan| loan.meta) {
+                    sum.iter_mut().zip(row).for_each(|(s, x)| *s += x);
+                }
+                sum
+            })?;
         if self.comm.rank() == 0 {
             let global = DatasetProfile::unflatten(&sum);
             let names: Vec<String> = self.header.vars.iter().map(|v| v.name.clone()).collect();

@@ -7,9 +7,10 @@
 //! handle — recording is plain field arithmetic on the local struct, no
 //! atomics and no locks, so it is always on. At `close`, when the shared
 //! trace [`hpc_sim::Profile`] is enabled, the per-rank profiles are
-//! summed across the communicator with one `MPI_Allreduce` and rank 0
-//! attaches the global roll-up to the trace so it appears in the report
-//! JSON (mirroring how Darshan folds per-rank counters at shutdown).
+//! summed across the communicator in one rendezvous that charges no
+//! virtual time and rank 0 attaches the global roll-up to the trace so it
+//! appears in the report JSON (mirroring how Darshan folds per-rank
+//! counters at shutdown).
 
 use hpc_sim::trace::Json;
 
@@ -124,7 +125,7 @@ impl DatasetProfile {
         t.blocking.get_bytes + t.nonblocking.get_bytes
     }
 
-    /// Flatten to `nvars * 8` u64 values for an elementwise sum-allreduce.
+    /// Flatten to `nvars * 8` u64 values for an elementwise sum.
     pub(crate) fn flatten(&self, nvars: usize) -> Vec<u64> {
         let mut out = Vec::with_capacity(nvars * SLOTS);
         for varid in 0..nvars {
@@ -136,7 +137,7 @@ impl DatasetProfile {
         out
     }
 
-    /// Rebuild from the flattened form (after the allreduce).
+    /// Rebuild from the flattened form (after the sum).
     pub(crate) fn unflatten(flat: &[u64]) -> DatasetProfile {
         let mut vars = Vec::with_capacity(flat.len() / SLOTS);
         for chunk in flat.chunks_exact(SLOTS) {

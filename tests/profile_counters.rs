@@ -284,6 +284,48 @@ fn tracing_does_not_perturb_phase_sums_or_byte_counts() {
     }
 }
 
+/// The profile must be a pure observer too: the same program with the
+/// profile off and on ends on identical per-rank clocks. The one thing a
+/// profiled run does that an unprofiled one does not is the roll-up of the
+/// per-dataset counters at `close`, and that is bookkeeping inside a bare
+/// rendezvous, not a simulated collective that charges the virtual clock.
+#[test]
+fn profiling_does_not_move_any_clock() {
+    let mut clocks = Vec::new();
+    for profiled in [false, true] {
+        let cfg = SimConfig::test_small();
+        cfg.profile.set_enabled(profiled);
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        let info = aligned_info().with("cb_buffer_size", "512");
+        let run = run_world(NPROCS, cfg.clone(), move |comm| {
+            let mut ds = Dataset::create(comm, &pfs, "obs.nc", Version::Cdf1, &info).unwrap();
+            let d = ds.def_dim("x", NPROCS as u64 * PER_RANK).unwrap();
+            let v = ds.def_var("v", NcType::Float, &[d]).unwrap();
+            ds.enddef().unwrap();
+            let r = comm.rank() as u64;
+            let vals = vec![r as f32; PER_RANK as usize];
+            ds.iput_vara(v, &[r * PER_RANK], &[PER_RANK], &vals)
+                .unwrap();
+            ds.wait_all().unwrap();
+            let req = ds.iget_vara(v, &[r * PER_RANK], &[PER_RANK]).unwrap();
+            ds.wait_all().unwrap();
+            let back: Vec<f32> = ds.take_result(req).unwrap();
+            assert_eq!(back, vals);
+            ds.close().unwrap();
+        });
+        let rolled_up = cfg.profile.snapshot().extras.len();
+        assert_eq!(
+            rolled_up, profiled as usize,
+            "only a profiled close rolls up"
+        );
+        clocks.push(run.clocks);
+    }
+    assert_eq!(
+        clocks[0], clocks[1],
+        "turning the profile on must not move any rank's clock"
+    );
+}
+
 /// `close` reduces the per-rank dataset counters across the communicator
 /// and rank 0 attaches the global roll-up to the shared trace profile.
 #[test]
