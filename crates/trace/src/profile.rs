@@ -73,7 +73,7 @@ pub struct IoStages {
 
 /// How two readings of one counter combine (the table's last column).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Merge {
+pub(crate) enum Merge {
     Sum,
     /// A high-water mark.
     Max,
@@ -82,7 +82,7 @@ pub enum Merge {
 }
 
 impl Merge {
-    pub fn fold(self, a: u64, b: u64) -> u64 {
+    pub(crate) fn fold(self, a: u64, b: u64) -> u64 {
         match self {
             Merge::Sum => a + b,
             Merge::Max => a.max(b),

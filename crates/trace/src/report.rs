@@ -8,7 +8,7 @@ use crate::profile::{ProfileSnapshot, ServerCounters, SieveCounters, HIST_BUCKET
 /// unit column). Only [`Unit::Seconds`] converts; the other three say what
 /// the raw number counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Unit {
+pub(crate) enum Unit {
     /// A number of events or objects.
     Count,
     Bytes,
@@ -19,7 +19,7 @@ pub enum Unit {
 }
 
 impl Unit {
-    pub fn report(self, raw: u64) -> Json {
+    pub(crate) fn report(self, raw: u64) -> Json {
         match self {
             Unit::Seconds => Json::from(nanos_to_s(raw)),
             Unit::Count | Unit::Bytes | Unit::Nanos => Json::from(raw),
@@ -29,7 +29,7 @@ impl Unit {
 
 /// The report form of one table slot. The counter structs get theirs from
 /// the table; the two slots that hold several rows spell their shape here.
-pub trait Report {
+pub(crate) trait Report {
     fn report(&self) -> Json;
 }
 
@@ -53,7 +53,7 @@ impl Report for Vec<ServerCounters> {
 }
 
 /// `num / den`, or `empty` when nothing was counted.
-pub fn ratio(num: u64, den: u64, empty: f64) -> f64 {
+pub(crate) fn ratio(num: u64, den: u64, empty: f64) -> f64 {
     if den > 0 {
         num as f64 / den as f64
     } else {
