@@ -443,13 +443,7 @@ impl Dataset {
             return Ok(());
         }
         let flat = self.profile.flatten(self.header.vars.len());
-        let rows = Loan {
-            meta: &flat[..],
-            src: &[],
-            dst: &mut [],
-            tag: 0,
-            aux: 0,
-        };
+        let rows = Loan::describe(&flat[..]);
         let sum = self
             .comm
             .collective(rows, |loans: &mut [Loan<'_, [u64]>]| {

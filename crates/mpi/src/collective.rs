@@ -53,6 +53,20 @@ pub struct Loan<'a, M: ?Sized> {
     pub aux: u64,
 }
 
+impl<'a, M: ?Sized> Loan<'a, M> {
+    /// Lend a description and no bytes: the finisher reads `meta` where
+    /// the member keeps it.
+    pub fn describe(meta: &'a M) -> Loan<'a, M> {
+        Loan {
+            meta,
+            src: &[],
+            dst: &mut [],
+            tag: 0,
+            aux: 0,
+        }
+    }
+}
+
 impl Loan<'static, ()> {
     /// The loan of a collective that moves nothing (barrier, open, sync).
     pub fn nothing() -> Loan<'static, ()> {

@@ -339,13 +339,7 @@ impl Comm {
         // rank's row out of its mutex, so the matrix is built by moves and
         // every rank copies only its own column, outside the rendezvous.
         let parts = Mutex::new(parts);
-        let loan = Loan {
-            meta: &parts,
-            src: &[],
-            dst: &mut [],
-            tag: 0,
-            aux: 0,
-        };
+        let loan = Loan::describe(&parts);
         let res = self.collective(loan, move |loans: &mut [Loan<'_, Mutex<_>>]| {
             let n = env.size();
             let deps: Vec<Vec<Vec<u8>>> = (loans.iter())
@@ -401,13 +395,7 @@ impl Comm {
         let env = self.coll_env();
         let me = self.my_index;
         let parts = parts.unwrap_or_default();
-        let loan = Loan {
-            meta: &parts[..],
-            src: &[],
-            dst: &mut [],
-            tag: 0,
-            aux: 0,
-        };
+        let loan = Loan::describe(&parts[..]);
         let res = self.collective(loan, move |loans: &mut [Loan<'_, [Vec<u8>]>]| {
             let row = loans[root].meta.to_vec();
             let maxlen = row.iter().map(Vec::len).max().unwrap_or(0);

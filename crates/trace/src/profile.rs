@@ -489,7 +489,8 @@ impl Profile {
     /// malformed profile can never cascade a panic into the surviving ranks
     /// of a run.
     fn recorded(&self) -> MutexGuard<'_, ProfileSnapshot> {
-        (self.inner.recorded.lock()).unwrap_or_else(PoisonError::into_inner)
+        let recorded = self.inner.recorded.lock();
+        recorded.unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Charge `nanos` of simulated time on `rank` to `phase`.
