@@ -127,6 +127,9 @@ enum Kind {
     /// A size or count where zero is meaningful (stripe-sized pages,
     /// readahead off, unbounded queue): only unparseable values reject.
     Count(fn(&mut Hints, usize)),
+    /// A [`Kind::Count`] with a largest meaningful value: anything above it
+    /// is rejected like an unparseable number.
+    CountUpTo(usize, fn(&mut Hints, usize)),
 }
 
 /// Every hint key this implementation consumes. Keys outside this table are
@@ -154,7 +157,12 @@ const HINT_TABLE: &[(&str, Kind)] = &[
     ("romio_ds_read", Kind::Toggle(|h| &mut h.ds_read)),
     ("pnc_cache", Kind::Toggle(|h| &mut h.cache)),
     ("pnc_cache_size", Kind::Positive(|h, v| h.cache_size = v)),
-    ("pnc_page_size", Kind::Count(|h, v| h.cache_page_size = v)),
+    // A page's byte runs are `(u32, u32)`: a larger page would alias its
+    // in-page offsets (a write at 4 GiB into the page would land at 0).
+    (
+        "pnc_page_size",
+        Kind::CountUpTo(u32::MAX as usize, |h, v| h.cache_page_size = v),
+    ),
     ("pnc_readahead", Kind::Count(|h, v| h.cache_readahead = v)),
     (
         "pnc_server_queue_depth",
@@ -177,8 +185,8 @@ impl Hints {
     /// Parse hints from an info object and audit it: returns the parsed
     /// hints plus a human-readable description of every rejected entry.
     /// Rejected means an unknown `pnc_*` key, or a known key whose value is
-    /// malformed (unparseable number, zero where zero is meaningless,
-    /// unrecognized toggle word). A bad value never changes behavior: it
+    /// malformed (unparseable number, zero where zero is meaningless, a
+    /// page size its run lists cannot address, unrecognized toggle word). A bad value never changes behavior: it
     /// falls back to the default.
     pub fn from_info(info: &Info) -> (Hints, Vec<String>) {
         let mut hints = Hints::default();
@@ -202,6 +210,10 @@ impl Hints {
                     .map(|n| set(&mut hints, n))
                     .is_some(),
                 Kind::Count(set) => number.map(|n| set(&mut hints, n)).is_some(),
+                Kind::CountUpTo(max, set) => number
+                    .filter(|n| n <= max)
+                    .map(|n| set(&mut hints, n))
+                    .is_some(),
             };
             if !ok {
                 rejected.push(format!("{k}={v} (malformed value)"));
@@ -293,6 +305,20 @@ mod tests {
         assert_eq!(h.cache_size, 65536);
         assert_eq!(h.cache_page_size, 4096);
         assert_eq!(h.cache_readahead, 0, "explicit 0 must stick");
+    }
+
+    #[test]
+    fn page_size_beyond_u32_is_malformed() {
+        // In-page offsets are u32: 4 GiB pages would alias them.
+        let info = Info::new()
+            .with("pnc_cache", "enable")
+            .with("pnc_page_size", "4294967296");
+        let (h, rejected) = Hints::from_info(&info);
+        assert_eq!(rejected, ["pnc_page_size=4294967296 (malformed value)"]);
+        assert_eq!(h.cache_page_size, 0, "falls back to the stripe unit");
+        let (h, rejected) = Hints::from_info(&Info::new().with("pnc_page_size", "4294967295"));
+        assert!(rejected.is_empty(), "got rejects: {rejected:?}");
+        assert_eq!(h.cache_page_size, u32::MAX as usize);
     }
 
     #[test]
