@@ -12,6 +12,15 @@
 //!
 //! Design points:
 //!
+//! * **A fixed set of page slots.** At most `capacity_bytes / page_size`
+//!   slots (one at least), each owning its page memory and its run lists.
+//!   A slot's memory is allocated when the slot is first used and lives
+//!   until the file closes; a miss takes an unused slot or evicts the
+//!   least-recently-used page *first* and reuses its slot, so the budget is
+//!   kept, not repaired after the fact, and a request that warmed the slots
+//!   up allocates nothing. Page number → slot is a sorted index, so the
+//!   cache does the same thing in every run. A request touching more pages
+//!   than there are slots is served a cache-full at a time.
 //! * **Exact byte-run tracking.** Each page keeps sorted disjoint `valid`
 //!   and `dirty` byte-run lists. Writes populate pages without a read
 //!   fill; flushes write back *only the dirty runs* (zero-gap neighbours
@@ -39,10 +48,10 @@
 //! charged to [`Phase::Cache`](hpc_sim::Phase), miss fills and flushes to
 //! the disk phases, preserving the trace layer's coverage-1.0 invariant.
 
-use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 use hpc_sim::trace::events::{layer, stage};
-use hpc_sim::{CpuModel, Span, Time, TraceCtx};
+use hpc_sim::{CacheCounters, CpuModel, Span, Time, TraceCtx};
 use pnetcdf_pfs::PfsFile;
 
 use crate::error::MpioResult;
@@ -55,7 +64,8 @@ type PageRun = (u32, u32);
 /// Resolved cache parameters (from the `pnc_*` hints).
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Page size in bytes (default: the PFS stripe unit).
+    /// Page size in bytes (default: the PFS stripe unit); at most
+    /// `u32::MAX`, the width of a page's run lists.
     pub page_size: usize,
     /// Byte budget; at least one page is always kept.
     pub capacity_bytes: usize,
@@ -126,8 +136,11 @@ impl CacheLedger {
     }
 }
 
-/// One cached page.
-struct Page {
+/// One page slot: page memory and the bookkeeping of the page it holds.
+#[derive(Default)]
+struct Slot {
+    /// `page_size` bytes, allocated with the slot and reused from page to
+    /// page without being cleared: only the `valid` runs mean anything.
     data: Vec<u8>,
     /// Sorted, disjoint, non-adjacent byte runs holding cached bytes.
     valid: Vec<PageRun>,
@@ -137,51 +150,85 @@ struct Page {
     last_use: u64,
     /// Fetched speculatively and not yet demanded (readahead-hit counting).
     readahead: bool,
-}
-
-impl Page {
-    fn new(page_size: usize) -> Page {
-        Page {
-            data: vec![0u8; page_size],
-            valid: Vec::new(),
-            dirty: Vec::new(),
-            last_use: 0,
-            readahead: false,
-        }
-    }
+    /// In the index. A slot whose page was invalidated keeps its memory
+    /// and waits for the next miss.
+    in_use: bool,
 }
 
 /// Insert `[lo, hi)` into a sorted disjoint run list, merging overlapping
-/// and adjacent runs.
+/// and adjacent runs, in place.
 fn insert_run(list: &mut Vec<PageRun>, lo: u32, hi: u32) {
     debug_assert!(lo < hi);
-    let mut out: Vec<PageRun> = Vec::with_capacity(list.len() + 1);
-    let (mut lo, mut hi) = (lo, hi);
-    let mut placed = false;
-    for &(a, b) in list.iter() {
-        if b < lo || (placed && a > hi) {
-            out.push((a, b));
-        } else if a > hi {
-            if !placed {
-                out.push((lo, hi));
-                placed = true;
-            }
-            out.push((a, b));
-        } else {
-            lo = lo.min(a);
-            hi = hi.max(b);
-        }
+    // Runs `first..last` overlap or touch `[lo, hi)`.
+    let first = list.partition_point(|&(_, b)| b < lo);
+    let last = list.partition_point(|&(a, _)| a <= hi);
+    if first == last {
+        list.insert(first, (lo, hi));
+    } else {
+        list[first] = (lo.min(list[first].0), hi.max(list[last - 1].1));
+        list.drain(first + 1..last);
     }
-    if !placed {
-        out.push((lo, hi));
-    }
-    out.sort_unstable();
-    *list = out;
 }
 
 /// Does the run list fully cover `[lo, hi)`?
 fn covers(list: &[PageRun], lo: u32, hi: u32) -> bool {
     list.iter().any(|&(a, b)| a <= lo && hi <= b)
+}
+
+/// The sub-ranges of `[lo, hi)` *not* covered by the run list, in order.
+fn gaps(list: &[PageRun], lo: u32, hi: u32) -> impl Iterator<Item = PageRun> + '_ {
+    let mut runs = list.iter();
+    let mut pos = lo;
+    std::iter::from_fn(move || {
+        while pos < hi {
+            // Past the last run lies one that starts where the range ends.
+            let (a, b) = runs.next().copied().unwrap_or((hi, hi));
+            let from = pos;
+            pos = pos.max(b);
+            if from < a.min(hi) {
+                return Some((from, a.min(hi)));
+            }
+        }
+        None
+    })
+}
+
+/// Split the absolute byte range `[off, off + len)` into per-page pieces
+/// `(page, in-page lo, in-page hi)` for pages of `ps` bytes.
+fn pieces(ps: u64, off: u64, len: u64) -> impl Iterator<Item = (u64, u32, u32)> {
+    let end = off + len;
+    std::iter::successors(Some(off), move |&pos| Some((pos / ps + 1) * ps))
+        .take_while(move |&pos| pos < end)
+        .map(move |pos| {
+            let base = pos / ps * ps;
+            (pos / ps, (pos - base) as u32, (end - base).min(ps) as u32)
+        })
+}
+
+/// Does any byte of `runs` (sorted, disjoint) lie in page `page`?
+fn in_request(runs: &[Run], ps: u64, page: u64) -> bool {
+    let (lo, hi) = (page * ps, (page + 1) * ps);
+    let first = runs.partition_point(|&(off, len)| off + len <= lo);
+    runs[first..]
+        .iter()
+        .take_while(|r| r.0 < hi)
+        .any(|r| r.1 > 0)
+}
+
+/// Every dirty run of the cache in file order: `(absolute offset, bytes)`.
+fn dirty_runs<'a>(
+    index: &'a [(u64, u32)],
+    slots: &'a [Slot],
+    ps: u64,
+) -> impl Iterator<Item = (u64, &'a [u8])> {
+    index.iter().flat_map(move |&(page, s)| {
+        let slot = &slots[s as usize];
+        let bytes = move |&(lo, hi): &PageRun| {
+            let data = &slot.data[lo as usize..hi as usize];
+            (page * ps + lo as u64, data)
+        };
+        slot.dirty.iter().map(bytes)
+    })
 }
 
 /// Record a CACHE-layer event span, parented to the ambient request (if
@@ -202,29 +249,13 @@ fn trace_cache_span(file: &PfsFile, name: &'static str, begin: Time, end: Time, 
     }
 }
 
-/// The sub-ranges of `[lo, hi)` *not* covered by the run list.
-fn gaps(list: &[PageRun], lo: u32, hi: u32) -> Vec<PageRun> {
-    let mut out = Vec::new();
-    let mut pos = lo;
-    for &(a, b) in list {
-        if b <= pos {
-            continue;
-        }
-        if a >= hi {
-            break;
-        }
-        if a > pos {
-            out.push((pos, a.min(hi)));
-        }
-        pos = pos.max(b);
-        if pos >= hi {
-            break;
-        }
-    }
-    if pos < hi {
-        out.push((pos, hi));
-    }
-    out
+/// Count `bytes` served from `slot` into `seen`, the lookups of one call
+/// (recorded into the profile once, when it ends); the first demand for a
+/// page that was fetched ahead is a readahead hit.
+fn hit(seen: &mut CacheCounters, slot: &mut Slot, bytes: u32) {
+    seen.hits += 1;
+    seen.hit_bytes += bytes as u64;
+    seen.readahead_hits += std::mem::take(&mut slot.readahead) as u64;
 }
 
 /// The per-rank page cache for one open file.
@@ -232,7 +263,13 @@ pub struct PageCache {
     cfg: CacheConfig,
     cpu: CpuModel,
     policy: RetryPolicy,
-    pages: HashMap<u64, Page>,
+    /// At most `capacity_pages` slots, created as misses need them.
+    slots: Vec<Slot>,
+    /// `(page, slot)` of every cached page, sorted by page.
+    index: Vec<(u64, u32)>,
+    /// Bounce buffer of every fill (one PFS read, many pages) and of a
+    /// flush's page-spanning writes.
+    staging: Vec<u8>,
     tick: u64,
     /// File coherence epoch this cache last synchronized at.
     seen_epoch: u64,
@@ -245,11 +282,22 @@ impl PageCache {
     /// Build a cache for `file` (remembers the file's current coherence
     /// epoch as its baseline).
     pub fn new(cfg: CacheConfig, cpu: CpuModel, file: &PfsFile) -> PageCache {
+        assert!(
+            (1..=u32::MAX as usize).contains(&cfg.page_size),
+            "page size {}: a page's byte runs are (u32, u32), so it holds 1..=u32::MAX bytes",
+            cfg.page_size
+        );
+        // Sized once. A budget too large to index (a hostile hint) is not
+        // an error: the index then grows as pages arrive, which they won't.
+        let mut index = Vec::new();
+        let _ = index.try_reserve_exact(cfg.capacity_pages());
         PageCache {
             cfg,
             cpu,
             policy: RetryPolicy::default(),
-            pages: HashMap::new(),
+            slots: Vec::new(),
+            index,
+            staging: Vec::new(),
             tick: 0,
             seen_epoch: file.coherence_epoch(),
             last_read_end: u64::MAX,
@@ -257,31 +305,96 @@ impl PageCache {
         }
     }
 
-    /// The configured page size.
-    pub fn page_size(&self) -> usize {
-        self.cfg.page_size
-    }
-
-    fn touch(page: &mut Page, tick: &mut u64) {
+    fn touch(slot: &mut Slot, tick: &mut u64) {
         *tick += 1;
-        page.last_use = *tick;
+        slot.last_use = *tick;
     }
 
-    /// Split an absolute byte range into per-page pieces:
-    /// `(page index, in-page lo, in-page hi)`.
-    fn pieces(&self, off: u64, len: u64) -> Vec<(u64, u32, u32)> {
+    /// The slot holding `page`, if it is cached.
+    fn lookup(&self, page: u64) -> Option<usize> {
+        let at = self.index.binary_search_by_key(&page, |e| e.0).ok()?;
+        Some(self.index[at].1 as usize)
+    }
+
+    /// The slot holding `page`, if every byte of `[lo, hi)` is valid there.
+    fn covering(&self, page: u64, lo: u32, hi: u32) -> Option<usize> {
+        self.lookup(page)
+            .filter(|&s| covers(&self.slots[s].valid, lo, hi))
+    }
+
+    /// A slot for `page`, which is not cached, entered into the index with
+    /// no valid byte (and memory that is *not* zero): an unused slot, a new
+    /// one while the budget allows, else that of the least recently used
+    /// page, evicted first. A page of `pinned` is never the victim (the
+    /// caller is working on those) and a page of `request` only when no
+    /// other is left: the victims of a request that fits the budget are the
+    /// ones an eviction after the request would choose.
+    fn claim(
+        &mut self,
+        file: &PfsFile,
+        led: &mut CacheLedger,
+        page: u64,
+        request: &[Run],
+        pinned: &RangeInclusive<u64>,
+    ) -> MpioResult<usize> {
         let ps = self.cfg.page_size as u64;
-        let mut out = Vec::new();
-        let mut pos = off;
-        let end = off + len;
-        while pos < end {
-            let page = pos / ps;
-            let lo = pos - page * ps;
-            let hi = (end - page * ps).min(ps);
-            out.push((page, lo as u32, hi as u32));
-            pos = (page + 1) * ps;
+        let s = if self.index.len() < self.slots.len() {
+            let unused = self.slots.iter().position(|slot| !slot.in_use);
+            unused.expect("fewer pages than slots")
+        } else if self.slots.len() < self.cfg.capacity_pages() {
+            self.slots.push(Slot {
+                data: vec![0u8; self.cfg.page_size],
+                ..Slot::default()
+            });
+            self.slots.len() - 1
+        } else {
+            let victim = (0..self.index.len())
+                .filter(|&i| !pinned.contains(&self.index[i].0))
+                .min_by_key(|&i| {
+                    let (p, s) = self.index[i];
+                    let last_use = self.slots[s as usize].last_use;
+                    (in_request(request, ps, p), last_use, p)
+                });
+            let victim = victim.expect("no batch is larger than the cache");
+            self.evict(file, led, victim)?
+        };
+        let slot = &mut self.slots[s];
+        slot.valid.clear();
+        slot.dirty.clear();
+        slot.readahead = false;
+        slot.in_use = true;
+        let at = self.index.partition_point(|e| e.0 < page);
+        self.index.insert(at, (page, s as u32));
+        Ok(s)
+    }
+
+    /// Drop the page at index position `i` and return its slot. Dirty runs
+    /// are written behind first, straight from the slot's memory; if that
+    /// fails the page stays cached, still dirty.
+    fn evict(&mut self, file: &PfsFile, led: &mut CacheLedger, i: usize) -> MpioResult<usize> {
+        let (page, s) = self.index[i];
+        let slot = &mut self.slots[s as usize];
+        let base = page * self.cfg.page_size as u64;
+        let (t0, mut bytes) = (led.now, 0u64);
+        for &(lo, hi) in &slot.dirty {
+            let data = &slot.data[lo as usize..hi as usize];
+            led.disk_write(file, &self.policy, base + lo as u64, data)?;
+            bytes += (hi - lo) as u64;
         }
-        out
+        if bytes > 0 {
+            trace_cache_span(file, "evict_flush", t0, led.now, bytes);
+            // Evicted dirty bytes are now on disk: other caches must notice
+            // at their next synchronization point.
+            file.bump_coherence_epoch();
+        }
+        file.profile().record_cache(|c| {
+            c.evictions += 1;
+            c.write_behind_flushes += (bytes > 0) as u64;
+            c.write_behind_bytes += bytes;
+        });
+        slot.in_use = false;
+        self.index.remove(i);
+        Ok(s as usize)
     }
 
     // ---- write path -------------------------------------------------------
@@ -295,44 +408,34 @@ impl PageCache {
         runs: &[Run],
         data: &[u8],
     ) -> MpioResult<()> {
-        let profile = file.profile();
+        let ps = self.cfg.page_size as u64;
         let t0 = led.now;
         let mut pos = 0usize;
-        let (mut hits, mut hit_bytes, mut misses) = (0u64, 0u64, 0u64);
+        let mut seen = CacheCounters::default();
         for &(off, len) in runs {
-            for (pidx, lo, hi) in self.pieces(off, len) {
+            for (page, lo, hi) in pieces(ps, off, len) {
                 let take = (hi - lo) as usize;
-                let ps = self.cfg.page_size;
-                let mut created = false;
-                let page = self.pages.entry(pidx).or_insert_with(|| {
-                    created = true;
-                    Page::new(ps)
-                });
-                if created {
-                    misses += 1;
-                } else {
-                    hits += 1;
-                    hit_bytes += take as u64;
-                }
-                page.data[lo as usize..hi as usize].copy_from_slice(&data[pos..pos + take]);
-                insert_run(&mut page.valid, lo, hi);
-                insert_run(&mut page.dirty, lo, hi);
-                if page.readahead {
-                    page.readahead = false;
-                    profile.record_cache(|c| c.readahead_hits += 1);
-                }
-                Self::touch(page, &mut self.tick);
+                let s = match self.lookup(page) {
+                    Some(s) => {
+                        hit(&mut seen, &mut self.slots[s], hi - lo);
+                        s
+                    }
+                    None => {
+                        seen.misses += 1;
+                        self.claim(file, led, page, runs, &(page..=page))?
+                    }
+                };
+                let slot = &mut self.slots[s];
+                slot.data[lo as usize..hi as usize].copy_from_slice(&data[pos..pos + take]);
+                insert_run(&mut slot.valid, lo, hi);
+                insert_run(&mut slot.dirty, lo, hi);
+                Self::touch(slot, &mut self.tick);
                 led.cpu(self.cpu.pack(take, 1.0));
                 pos += take;
             }
         }
-        profile.record_cache(|c| {
-            c.hits += hits;
-            c.hit_bytes += hit_bytes;
-            c.misses += misses;
-        });
+        file.profile().record_cache(|c| c.merge(&seen));
         trace_cache_span(file, "cache_write", t0, led.now, pos as u64);
-        self.evict_to_capacity(file, led)?;
         Ok(())
     }
 
@@ -351,48 +454,50 @@ impl PageCache {
     ) -> MpioResult<()> {
         let total = out.len() as u64;
         debug_assert_eq!(crate::view::runs_total(runs), total);
-        let profile = file.profile();
+        let ps = self.cfg.page_size as u64;
+        let cap = self.cfg.capacity_pages() as u64;
         let t0 = led.now;
         let mut pos = 0usize;
+        let mut seen = CacheCounters::default();
         for &(off, len) in runs {
-            let pieces = self.pieces(off, len);
-            // Fill absent coverage first, coalescing consecutive pages
-            // that need disk bytes into single PFS reads.
-            let mut need: Vec<u64> = Vec::new();
-            for &(pidx, lo, hi) in &pieces {
-                let known = self.pages.get(&pidx).map(|p| covers(&p.valid, lo, hi));
-                match known {
-                    Some(true) => {
-                        profile.record_cache(|c| {
-                            c.hits += 1;
-                            c.hit_bytes += (hi - lo) as u64;
-                        });
-                        let page = self.pages.get_mut(&pidx).expect("checked");
-                        if page.readahead {
-                            page.readahead = false;
-                            profile.record_cache(|c| c.readahead_hits += 1);
-                        }
+            // A run over more pages than there are slots is served a
+            // cache-full at a time: `[at, stop)` is one batch.
+            let (mut at, end) = (off, off + len);
+            while at < end {
+                let stop = end.min((at / ps).saturating_add(cap).saturating_mul(ps));
+                let batch = at / ps..=(stop - 1) / ps;
+                // Fill absent coverage first, each stretch of consecutive
+                // pages that need disk bytes with one PFS read.
+                let mut lookups = pieces(ps, at, stop - at).peekable();
+                while let Some((page, lo, hi)) = lookups.next() {
+                    if let Some(s) = self.covering(page, lo, hi) {
+                        hit(&mut seen, &mut self.slots[s], hi - lo);
+                        continue;
                     }
-                    _ => {
-                        profile.record_cache(|c| c.misses += 1);
-                        need.push(pidx);
+                    let mut last = page;
+                    while let Some((next, _, _)) =
+                        lookups.next_if(|&(p, lo, hi)| self.covering(p, lo, hi).is_none())
+                    {
+                        last = next;
                     }
+                    seen.misses += last - page + 1;
+                    self.fill_pages(file, led, page..=last, false, runs, &batch)?;
                 }
-            }
-            for group in consecutive_groups(&need) {
-                self.fill_pages(file, led, group, "cache_fill")?;
-            }
-            // Everything requested is now valid; copy out.
-            for (pidx, lo, hi) in pieces {
-                let take = (hi - lo) as usize;
-                let page = self.pages.get_mut(&pidx).expect("filled above");
-                debug_assert!(covers(&page.valid, lo, hi));
-                out[pos..pos + take].copy_from_slice(&page.data[lo as usize..hi as usize]);
-                Self::touch(page, &mut self.tick);
-                led.cpu(self.cpu.pack(take, 1.0));
-                pos += take;
+                // Everything requested is now valid; copy out.
+                for (page, lo, hi) in pieces(ps, at, stop - at) {
+                    let take = (hi - lo) as usize;
+                    let s = self.lookup(page).expect("filled above");
+                    let slot = &mut self.slots[s];
+                    debug_assert!(covers(&slot.valid, lo, hi));
+                    out[pos..pos + take].copy_from_slice(&slot.data[lo as usize..hi as usize]);
+                    Self::touch(slot, &mut self.tick);
+                    led.cpu(self.cpu.pack(take, 1.0));
+                    pos += take;
+                }
+                at = stop;
             }
         }
+        file.profile().record_cache(|c| c.merge(&seen));
         // Sequential detection + readahead on the whole request.
         if let (Some(&(first, _)), Some(&(last_off, last_len))) = (runs.first(), runs.last()) {
             let end = last_off + last_len;
@@ -402,201 +507,150 @@ impl PageCache {
                 self.seq_streak = 1;
             }
             self.last_read_end = end;
-            if self.seq_streak >= 2 && self.cfg.readahead_pages > 0 {
+            if self.seq_streak >= 2 {
                 self.readahead(file, led, end)?;
             }
         }
         trace_cache_span(file, "cache_read", t0, led.now, total);
-        self.evict_to_capacity(file, led)
+        Ok(())
     }
 
-    /// Fill the invalid portions of consecutive pages `group` with one
+    /// Fill the invalid portions of the consecutive `pages` with one
     /// contiguous PFS read (clipped at EOF so a tail page does not charge
-    /// for bytes past the end of the file).
+    /// for bytes past the end of the file), claiming slots for the absent
+    /// ones first — so a dirty victim's write-behind precedes the read.
+    /// `ahead` marks the pages as fetched speculatively.
     fn fill_pages(
         &mut self,
         file: &PfsFile,
         led: &mut CacheLedger,
-        group: &[u64],
-        span_name: &'static str,
+        pages: RangeInclusive<u64>,
+        ahead: bool,
+        request: &[Run],
+        pinned: &RangeInclusive<u64>,
     ) -> MpioResult<()> {
-        let (first, last) = (group[0], group[group.len() - 1]);
         let ps = self.cfg.page_size as u64;
-        let lo = first * ps;
-        let hi = ((last + 1) * ps).min(file.size().max(lo + 1));
-        let mut buf = vec![0u8; (hi - lo) as usize];
-        let t0 = led.now;
-        led.disk_read(file, &self.policy, lo, &mut buf)?;
-        trace_cache_span(file, span_name, t0, led.now, hi - lo);
-        for &pidx in group {
-            let ps32 = self.cfg.page_size as u32;
-            let page_lo = pidx * ps;
-            let avail = (hi.saturating_sub(page_lo)).min(ps) as u32;
-            let ps_usize = self.cfg.page_size;
-            let page = self
-                .pages
-                .entry(pidx)
-                .or_insert_with(|| Page::new(ps_usize));
-            // Copy disk bytes only into gaps: cached dirty/valid bytes are
-            // newer than the disk copy and must win.
-            for (glo, ghi) in gaps(&page.valid, 0, ps32) {
-                let ghi = ghi.min(avail);
-                if glo >= ghi {
-                    continue;
-                }
-                let src = (page_lo - lo) as usize + glo as usize;
-                page.data[glo as usize..ghi as usize]
-                    .copy_from_slice(&buf[src..src + (ghi - glo) as usize]);
+        let ps32 = self.cfg.page_size as u32;
+        for page in pages.clone() {
+            if self.lookup(page).is_none() {
+                self.claim(file, led, page, request, pinned)?;
             }
-            // The whole page is now a faithful view (bytes past EOF are
-            // zero, which is what the PFS reads there too).
-            page.valid = vec![(0, ps32)];
-            Self::touch(page, &mut self.tick);
+        }
+        let lo = pages.start() * ps;
+        let hi = ((pages.end() + 1) * ps).min(file.size().max(lo + 1));
+        let read = (hi - lo) as usize;
+        // A PFS read overwrites every byte it is given (zeros past EOF and
+        // over holes), so what an earlier fill left in `staging` is gone.
+        if self.staging.len() < read {
+            self.staging.resize(read, 0);
+        }
+        let t0 = led.now;
+        led.disk_read(file, &self.policy, lo, &mut self.staging[..read])?;
+        let span = ["cache_fill", "readahead_fill"][ahead as usize];
+        trace_cache_span(file, span, t0, led.now, hi - lo);
+        for page in pages {
+            let s = self.lookup(page).expect("claimed above");
+            let slot = &mut self.slots[s];
+            let disk = &self.staging[((page * ps - lo) as usize).min(read)..read];
+            // Copy disk bytes only into gaps: cached dirty/valid bytes are
+            // newer than the disk copy and must win. Past what was read
+            // lies the end of the file, which reads as zeros — and there
+            // the slot's memory holds an older page's bytes, not zeros.
+            for (glo, ghi) in gaps(&slot.valid, 0, ps32) {
+                let (glo, ghi) = (glo as usize, ghi as usize);
+                let cut = ghi.min(disk.len()).max(glo);
+                if glo < cut {
+                    slot.data[glo..cut].copy_from_slice(&disk[glo..cut]);
+                }
+                slot.data[cut..ghi].fill(0);
+            }
+            // The whole page is now a faithful view.
+            slot.valid.clear();
+            slot.valid.push((0, ps32));
+            slot.readahead = ahead;
+            Self::touch(slot, &mut self.tick);
         }
         Ok(())
     }
 
-    /// Prefetch up to `readahead_pages` absent pages following `end`.
+    /// Prefetch the absent pages among the `readahead_pages` following
+    /// `end` — never more of them than the cache has slots, or the last
+    /// would push the first out before anybody read it.
     fn readahead(&mut self, file: &PfsFile, led: &mut CacheLedger, end: u64) -> MpioResult<()> {
         let ps = self.cfg.page_size as u64;
-        let size = file.size();
         let first = end.div_ceil(ps);
-        let mut want: Vec<u64> = Vec::new();
-        for pidx in first..first + self.cfg.readahead_pages as u64 {
-            if pidx * ps >= size {
-                break;
+        let ahead = self.cfg.readahead_pages.min(self.cfg.capacity_pages()) as u64;
+        let stop = first.saturating_add(ahead).min(file.size().div_ceil(ps));
+        let (mut page, mut issued) = (first, 0u64);
+        while page < stop {
+            if self.lookup(page).is_some() {
+                page += 1;
+                continue;
             }
-            if !self.pages.contains_key(&pidx) {
-                want.push(pidx);
+            let mut last = page;
+            while last + 1 < stop && self.lookup(last + 1).is_none() {
+                last += 1;
             }
+            self.fill_pages(file, led, page..=last, true, &[], &(first..=stop - 1))?;
+            issued += last - page + 1;
+            page = last + 1;
         }
-        if want.is_empty() {
-            return Ok(());
+        if issued > 0 {
+            file.profile()
+                .record_cache(|c| c.readahead_issued += issued);
         }
-        let profile = file.profile();
-        for group in consecutive_groups(&want) {
-            self.fill_pages(file, led, group, "readahead_fill")?;
-            for &pidx in group {
-                if let Some(p) = self.pages.get_mut(&pidx) {
-                    p.readahead = true;
-                }
-            }
-            profile.record_cache(|c| c.readahead_issued += group.len() as u64);
-        }
-        self.evict_to_capacity(file, led)?;
         Ok(())
     }
 
-    // ---- write-behind / eviction ------------------------------------------
+    // ---- write-behind -----------------------------------------------------
 
     /// Flush every dirty run to the PFS (adjacent runs coalesced across
     /// page boundaries into single requests). Pages stay cached and clean.
     /// Returns the bytes written.
     pub fn flush(&mut self, file: &PfsFile, led: &mut CacheLedger) -> MpioResult<u64> {
+        // The longest stretch of zero-gap neighbours sizes the staging:
+        // once, exactly, and only for the duration of the flush — between
+        // calls the cache holds its slots and at most one fill's bytes.
         let ps = self.cfg.page_size as u64;
-        // Absolute dirty runs, sorted.
-        let mut dirty: Vec<(u64, u64)> = Vec::new(); // (abs lo, abs hi)
-        let mut idxs: Vec<u64> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| !p.dirty.is_empty())
-            .map(|(&i, _)| i)
-            .collect();
-        idxs.sort_unstable();
-        for &i in &idxs {
-            for &(lo, hi) in &self.pages[&i].dirty {
-                dirty.push((i * ps + lo as u64, i * ps + hi as u64));
-            }
+        let (mut longest, mut stretch, mut next) = (0usize, 0usize, 0u64);
+        for (at, data) in dirty_runs(&self.index, &self.slots, ps) {
+            stretch = data.len() + if at == next { stretch } else { 0 };
+            next = at + data.len() as u64;
+            longest = longest.max(stretch);
         }
-        if dirty.is_empty() {
+        if longest == 0 {
             return Ok(0);
         }
-        // Coalesce zero-gap neighbours (many small writes -> page-spanning
-        // contiguous flushes).
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        for (lo, hi) in dirty {
-            match merged.last_mut() {
-                Some(m) if m.1 == lo => m.1 = hi,
-                _ => merged.push((lo, hi)),
-            }
-        }
-        let mut bytes = 0u64;
-        let t0 = led.now;
-        for (lo, hi) in merged {
-            let mut buf = vec![0u8; (hi - lo) as usize];
-            for (pidx, plo, phi) in self.pieces(lo, hi - lo) {
-                let page = &self.pages[&pidx];
-                let dst = (pidx * ps + plo as u64 - lo) as usize;
-                buf[dst..dst + (phi - plo) as usize]
-                    .copy_from_slice(&page.data[plo as usize..phi as usize]);
-            }
-            led.disk_write(file, &self.policy, lo, &buf)?;
-            bytes += buf.len() as u64;
-        }
+        let keep = self.staging.capacity();
+        self.staging.clear();
+        self.staging.reserve_exact(longest);
+        // Gather each stretch and write it with one request; the sentinel
+        // touches no run, so it ends the last one.
+        let (t0, mut start, staging) = (led.now, 0u64, &mut self.staging);
+        let written = dirty_runs(&self.index, &self.slots, ps)
+            .chain([(u64::MAX, &[][..])])
+            .try_fold(0u64, |mut bytes, (at, data)| {
+                if !staging.is_empty() && at != start + staging.len() as u64 {
+                    led.disk_write(file, &self.policy, start, staging)?;
+                    bytes += staging.len() as u64;
+                    staging.clear();
+                }
+                if staging.is_empty() {
+                    start = at;
+                }
+                staging.extend_from_slice(data);
+                MpioResult::Ok(bytes)
+            });
+        self.staging.clear();
+        self.staging.shrink_to(keep);
+        let bytes = written?;
         trace_cache_span(file, "write_behind", t0, led.now, bytes);
-        for &i in &idxs {
-            if let Some(p) = self.pages.get_mut(&i) {
-                p.dirty.clear();
-            }
-        }
+        self.slots.iter_mut().for_each(|slot| slot.dirty.clear());
         file.profile().record_cache(|c| {
             c.write_behind_flushes += 1;
             c.write_behind_bytes += bytes;
         });
         Ok(bytes)
-    }
-
-    /// Evict least-recently-used pages until the page count fits the byte
-    /// budget; a dirty victim is written behind (its runs only).
-    fn evict_to_capacity(&mut self, file: &PfsFile, led: &mut CacheLedger) -> MpioResult<()> {
-        let cap = self.cfg.capacity_pages();
-        let ps = self.cfg.page_size as u64;
-        let mut published = false;
-        while self.pages.len() > cap {
-            let victim = self
-                .pages
-                .iter()
-                .min_by_key(|(&i, p)| (p.last_use, i))
-                .map(|(&i, _)| i)
-                .expect("non-empty");
-            let page = self.pages.remove(&victim).expect("chosen from keys");
-            if !page.dirty.is_empty() {
-                let mut bytes = 0u64;
-                let t0 = led.now;
-                let mut runs = page.dirty.clone();
-                // Coalesce adjacent dirty runs within the page.
-                runs.dedup_by(|b, a| {
-                    if a.1 == b.0 {
-                        a.1 = b.1;
-                        true
-                    } else {
-                        false
-                    }
-                });
-                for (lo, hi) in runs {
-                    led.disk_write(
-                        file,
-                        &self.policy,
-                        victim * ps + lo as u64,
-                        &page.data[lo as usize..hi as usize],
-                    )?;
-                    bytes += (hi - lo) as u64;
-                }
-                file.profile().record_cache(|c| {
-                    c.write_behind_flushes += 1;
-                    c.write_behind_bytes += bytes;
-                });
-                trace_cache_span(file, "evict_flush", t0, led.now, bytes);
-                published = true;
-            }
-            file.profile().record_cache(|c| c.evictions += 1);
-        }
-        if published {
-            // Evicted dirty bytes are now on disk: other caches must notice
-            // at their next synchronization point.
-            file.bump_coherence_epoch();
-        }
-        Ok(())
     }
 
     // ---- coherence --------------------------------------------------------
@@ -627,37 +681,27 @@ impl PageCache {
         self.seq_streak = 0;
     }
 
-    /// Drop every clean page and the clean fraction of dirty pages. Dirty
-    /// runs (this rank's own unpublished writes) always survive.
+    /// Every cached page loses its clean bytes: clean pages drop entirely
+    /// (their slots keep their memory for the next miss), dirty pages
+    /// shrink their valid set to the dirty runs — this rank's own
+    /// unpublished writes always survive.
     fn invalidate_clean(&mut self, file: &PfsFile) {
-        // Every cached page loses its clean bytes: clean pages drop
-        // entirely, dirty pages shrink their valid set to the dirty runs.
-        let touched = self.pages.len() as u64;
-        self.pages.retain(|_, p| !p.dirty.is_empty());
-        for p in self.pages.values_mut() {
-            p.valid = p.dirty.clone();
-            p.readahead = false;
-        }
+        let touched = self.index.len() as u64;
+        let slots = &mut self.slots;
+        self.index.retain(|&(_, s)| {
+            let slot = &mut slots[s as usize];
+            slot.valid.clone_from(&slot.dirty);
+            slot.readahead = false;
+            slot.in_use = !slot.dirty.is_empty();
+            slot.in_use
+        });
         file.profile().record_cache(|c| c.invalidations += touched);
     }
 
     /// Number of cached pages (diagnostics/tests).
     pub fn cached_pages(&self) -> usize {
-        self.pages.len()
+        self.index.len()
     }
-}
-
-/// Split a sorted list of page indices into maximal consecutive groups.
-fn consecutive_groups(idxs: &[u64]) -> Vec<&[u64]> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for i in 1..=idxs.len() {
-        if i == idxs.len() || idxs[i] != idxs[i - 1] + 1 {
-            out.push(&idxs[start..i]);
-            start = i;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -665,6 +709,8 @@ mod tests {
     use super::*;
     use hpc_sim::SimConfig;
     use pnetcdf_pfs::{Pfs, StorageMode};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn setup(capacity: usize, page: usize) -> (PageCache, PfsFile, SimConfig) {
         let cfg = SimConfig::test_small();
@@ -705,8 +751,8 @@ mod tests {
         assert_eq!(l, vec![(0, 5), (10, 40)]);
         assert!(covers(&l, 12, 40));
         assert!(!covers(&l, 4, 11));
-        assert_eq!(gaps(&l, 0, 50), vec![(5, 10), (40, 50)]);
-        assert_eq!(gaps(&l, 12, 30), Vec::<PageRun>::new());
+        assert_eq!(gaps(&l, 0, 50).collect::<Vec<_>>(), [(5, 10), (40, 50)]);
+        assert_eq!(gaps(&l, 12, 30).count(), 0);
     }
 
     #[test]
@@ -889,5 +935,141 @@ mod tests {
             start.as_nanos() + led.cache_nanos + led.read_nanos + led.write_nanos,
             "every nanosecond of cache work must land in exactly one bucket"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `insert_run`, `covers` and `gaps` against one bit per byte.
+        #[test]
+        fn run_lists_agree_with_a_byte_bitmap(
+            inserts in vec((0u32..72, 1u32..24), 0..24),
+            probes in vec((0u32..80, 1u32..30), 1..8),
+        ) {
+            let mut list: Vec<PageRun> = Vec::new();
+            let mut map = [false; 128];
+            for (lo, len) in inserts {
+                insert_run(&mut list, lo, lo + len);
+                map[lo as usize..(lo + len) as usize].fill(true);
+                // Sorted, disjoint, non-adjacent, and exactly the bitmap.
+                prop_assert!(list.iter().all(|&(a, b)| a < b));
+                prop_assert!(list.windows(2).all(|w| w[0].1 < w[1].0));
+                let mut listed = [false; 128];
+                for &(a, b) in &list {
+                    listed[a as usize..b as usize].fill(true);
+                }
+                prop_assert_eq!(listed, map);
+                for &(lo, len) in &probes {
+                    let range = lo as usize..(lo + len) as usize;
+                    prop_assert_eq!(
+                        covers(&list, lo, lo + len),
+                        map[range.clone()].iter().all(|&set| set)
+                    );
+                    // The gaps are the clear bits of the range, as maximal
+                    // runs in ascending order.
+                    let found: Vec<PageRun> = gaps(&list, lo, lo + len).collect();
+                    prop_assert!(found.iter().all(|&(a, b)| a < b));
+                    prop_assert!(found.windows(2).all(|w| w[0].1 < w[1].0));
+                    let mut clear = [false; 128];
+                    for &(a, b) in &found {
+                        clear[a as usize..b as usize].fill(true);
+                    }
+                    for at in 0..128 {
+                        prop_assert_eq!(clear[at], range.contains(&at) && !map[at]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A slot's memory is reused as it is: what a fill does not overwrite
+    /// with disk bytes — everything past EOF — must be zeroed by hand.
+    #[test]
+    fn bytes_past_eof_read_zero_through_a_slot_that_held_other_data() {
+        let (mut cache, file, _cfg) = setup(1024, 1024); // 1 slot
+        file.write_at(Time::ZERO, 0, &[0xAB; 1024 + 100]);
+        let mut led = CacheLedger::new(Time::from_millis(1));
+        // The one slot holds 1024 bytes of 0xAB ...
+        assert_eq!(
+            read_vec(&mut cache, &file, &mut led, &[(0, 1024)]),
+            [0xAB; 1024]
+        );
+        // ... then the file's tail page: 100 bytes, and 924 past EOF.
+        let tail = read_vec(&mut cache, &file, &mut led, &[(1024, 1024)]);
+        assert_eq!(tail[..100], [0xAB; 100]);
+        assert_eq!(tail[100..], [0u8; 924], "stale slot bytes past EOF");
+        // Dirty bytes in a page that lies wholly past EOF survive a fill
+        // around them; the rest of it is zeros too.
+        cache
+            .write_runs(&file, &mut led, &[(4096 + 10, 4)], &[7u8; 4])
+            .unwrap();
+        let beyond = read_vec(&mut cache, &file, &mut led, &[(4096, 1024)]);
+        assert_eq!(beyond[10..14], [7u8; 4]);
+        assert!(beyond[..10].iter().chain(&beyond[14..]).all(|&b| b == 0));
+        assert_eq!(cache.slots.len(), 1);
+    }
+
+    /// The budget is kept while a request larger than it is served, slots
+    /// outlive their pages, and a warmed-up cache reuses what it has.
+    #[test]
+    fn slots_never_exceed_the_budget_and_are_reused() {
+        let (mut cache, file, cfg) = setup(4096, 1024); // 4 slots
+        let data: Vec<u8> = (0..20480u32).map(|i| (i % 233) as u8).collect();
+        let mut led = CacheLedger::new(Time::ZERO);
+        cache
+            .write_runs(&file, &mut led, &[(0, 20480)], &data)
+            .unwrap();
+        assert_eq!((cache.slots.len(), cache.cached_pages()), (4, 4));
+        assert_eq!(cfg.profile.cache_counters().evictions, 16);
+        assert_eq!(
+            read_vec(&mut cache, &file, &mut led, &[(100, 20000)]),
+            data[100..20100]
+        );
+        assert_eq!((cache.slots.len(), cache.cached_pages()), (4, 4));
+        // A published epoch drops every (clean) page; the slots stay.
+        cache.sync_prepare(&file, &mut led).unwrap();
+        cache.sync_complete(&file);
+        assert_eq!((cache.slots.len(), cache.cached_pages()), (4, 0));
+        let memory: Vec<*const u8> = cache.slots.iter().map(|s| s.data.as_ptr()).collect();
+        assert_eq!(
+            read_vec(&mut cache, &file, &mut led, &[(0, 4096)]),
+            data[..4096]
+        );
+        let reused: Vec<*const u8> = cache.slots.iter().map(|s| s.data.as_ptr()).collect();
+        assert_eq!(reused, memory);
+    }
+
+    /// The victim of a miss is the least recently used page that is not
+    /// part of the request — also when the request's own pages are older.
+    #[test]
+    fn a_miss_does_not_evict_a_page_the_request_is_about_to_hit() {
+        let (mut cache, file, cfg) = setup(2048, 1024); // 2 slots
+        let mut led = CacheLedger::new(Time::ZERO);
+        for page in [1u64, 0] {
+            cache
+                .write_runs(&file, &mut led, &[(page * 1024, 8)], &[page as u8; 8])
+                .unwrap();
+        }
+        // Page 1 is the older one, and this request hits it after missing
+        // page 2: page 0 has to go.
+        cache
+            .write_runs(&file, &mut led, &[(1024 + 8, 8), (2048, 8)], &[9u8; 16])
+            .unwrap();
+        let pages: Vec<u64> = cache.index.iter().map(|e| e.0).collect();
+        assert_eq!(pages, [1, 2]);
+        let c = cfg.profile.cache_counters();
+        assert_eq!((c.evictions, c.write_behind_bytes), (1, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=u32::MAX")]
+    fn a_page_too_large_for_its_run_lists_is_refused() {
+        let (_, file, cfg) = setup(1024, 1024);
+        let config = CacheConfig {
+            page_size: u32::MAX as usize + 1,
+            capacity_bytes: 1 << 40,
+            readahead_pages: 0,
+        };
+        PageCache::new(config, cfg.cpu, &file);
     }
 }
