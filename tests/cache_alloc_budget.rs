@@ -1,0 +1,140 @@
+//! Tier-1 guard for the page cache's allocation behaviour: once its slots
+//! exist a put through the cache — evicting a page and writing it behind
+//! included — allocates nothing, a get allocates the `Vec<T>` it returns and
+//! nothing else (fills and readahead go through the cache's one staging
+//! buffer), the same program requests the same number of heap bytes every
+//! time it runs, and no single request is larger than the cache's budget.
+//!
+//! The benchmark (`perf_bench`, workload `indep_rows_cached`) measures heap
+//! bytes requested per payload byte on 262 144 puts of 512 B and 1024 gets
+//! of 128 KiB through 32 pages of 256 KiB: 2.261 while every miss allocated
+//! its page, every fill and flush its bounce buffer and every put three
+//! small vectors — drawn from three values, because a `HashMap`'s random
+//! hasher decided when the page table resized — and 0.722 since, every run.
+//! This test repeats the workload at a sixteenth of the size (array, budget
+//! and page, so there are 32 slots here too) with the counting allocator of
+//! `support/counting_alloc.rs`.
+//!
+//! One `#[test]` only: the allocator is process-wide, and a second test
+//! running beside it would be counted too.
+
+use hpc_sim::SimConfig;
+use pnetcdf::{Dataset, Info, NcType, Version};
+use pnetcdf_mpi::run_world;
+use pnetcdf_pfs::{Pfs, StorageMode};
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+/// `tt(64, 64, 128)` f32 = 2 MiB: 4096 rows of 512 B, 64 planes of 32 KiB.
+const DIMS: [u64; 3] = [64, 64, 128];
+const ROW: usize = 128;
+const PLANE: usize = 64 * 128;
+const PASSES: usize = 4;
+/// A quarter of the array, in 32 pages.
+const BUDGET: usize = 512 * 1024;
+const PAGE: usize = 16 * 1024;
+
+/// The whole program on a fresh file system; returns the heap bytes it
+/// requested.
+fn program(input: &[f32]) -> u64 {
+    let rows = || (0..DIMS[0]).flat_map(|z| (0..DIMS[1]).map(move |y| (z, y)));
+    let row_of = |z: u64, y: u64| &input[(z * DIMS[1] + y) as usize * ROW..][..ROW];
+    let info = Info::new()
+        .with("pnc_cache", "enable")
+        .with("pnc_cache_size", &BUDGET.to_string())
+        .with("pnc_page_size", &PAGE.to_string());
+
+    let start = counting_alloc::requested();
+    let cfg = SimConfig::sdsc_blue_horizon();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    run_world(1, cfg, |c| {
+        let mut ds = Dataset::create(c, &pfs, "tt.nc", Version::Cdf2, &info).unwrap();
+        let dims: Vec<_> = ["z", "y", "x"]
+            .iter()
+            .zip(DIMS)
+            .map(|(name, len)| ds.def_dim(name, len).unwrap())
+            .collect();
+        let v = ds.def_var("tt", NcType::Float, &dims).unwrap();
+        ds.enddef().unwrap();
+        ds.begin_indep_data().unwrap();
+
+        // The first pass creates the 32 slots and, through their evictions,
+        // the stripes under all but the last 32 pages; the second evicts
+        // those. From then on a one-row put allocates nothing, anywhere —
+        // and each pass evicts 128 dirty pages and writes them behind.
+        for pass in 0..PASSES {
+            let before = counting_alloc::calls();
+            for (z, y) in rows() {
+                ds.put_vara(v, &[z, y, 0], &[1, 1, DIMS[2]], row_of(z, y))
+                    .unwrap();
+            }
+            let calls = counting_alloc::calls() - before;
+            if pass > 1 {
+                assert_eq!(calls, 0, "4096 one-row puts of pass {pass} allocated");
+            }
+        }
+
+        // A one-plane get allocates exactly the `Vec<f32>` it returns: the
+        // fill of its two or three pages and the readahead behind it reuse
+        // the staging buffer the first gets sized, and their slots' dirty
+        // victims go out from slot memory.
+        for pass in 0..PASSES {
+            for z in 0..DIMS[0] {
+                let before = counting_alloc::calls();
+                let plane: Vec<f32> = ds.get_vara(v, &[z, 0, 0], &[1, DIMS[1], DIMS[2]]).unwrap();
+                let calls = counting_alloc::calls() - before;
+                assert!(
+                    plane == input[z as usize * PLANE..][..PLANE],
+                    "plane {z} differs"
+                );
+                if pass > 0 || z >= 2 {
+                    assert_eq!(calls, 1, "get of plane {z}, pass {pass}");
+                }
+            }
+        }
+
+        ds.end_indep_data().unwrap();
+        ds.close().unwrap();
+    });
+    drop(pfs);
+    counting_alloc::requested() - start
+}
+
+#[test]
+fn cached_puts_and_gets_stay_within_their_allocation_budget() {
+    // The inputs exist before counting starts, as in the benchmark.
+    let input: Vec<f32> = (0..DIMS.iter().product::<u64>())
+        .map(|i| (i * 7 % 1013) as f32)
+        .collect();
+
+    counting_alloc::watch_largest(true);
+    let first = program(&input);
+    let second = program(&input);
+    counting_alloc::watch_largest(false);
+
+    // No hash seed, no address and no thread schedule decides when anything
+    // on this path grows.
+    assert_eq!(
+        first, second,
+        "two runs of one program requested different numbers of heap bytes"
+    );
+    // The largest request is the staging of the closing flush: 32 dirty
+    // pages in a row, which is the budget.
+    assert!(
+        counting_alloc::largest() <= BUDGET,
+        "a single request of {} bytes is larger than the cache's budget of {BUDGET}",
+        counting_alloc::largest()
+    );
+    // Every pass of puts and gets, over everything allocated since the file
+    // system was built: the stripe store 1/8, the returned `Vec<T>`s 1/2,
+    // slots and flush staging 1/32 each.
+    let moved = 2 * PASSES as u64 * DIMS.iter().product::<u64>() * 4;
+    let ratio = first as f64 / moved as f64;
+    assert!(
+        ratio <= 0.75,
+        "cached puts + gets requested {ratio:.3} heap bytes per payload byte (budget 0.75)"
+    );
+    // Sanity of the instrument: the returned `Vec<T>`s alone are half of it.
+    assert!(ratio >= 0.5, "allocator counted {ratio:.3} B/B — too few");
+}
