@@ -175,6 +175,24 @@ fn covers(list: &[PageRun], lo: u32, hi: u32) -> bool {
     list.iter().any(|&(a, b)| a <= lo && hi <= b)
 }
 
+/// Record a CACHE-layer event span, parented to the ambient request (if
+/// any) so cache work shows up on the request's flow in the Chrome trace.
+/// Free when tracing is off: one relaxed atomic load.
+fn trace_cache_span(file: &PfsFile, name: &'static str, begin: Time, end: Time, bytes: u64) {
+    let events = file.events();
+    if end <= begin || !events.is_enabled() {
+        return;
+    }
+    if let Some((rank, parent)) = TraceCtx::current() {
+        events.record(
+            Span::new(rank, layer::CACHE, name, begin.as_nanos(), end.as_nanos())
+                .with_parent(parent)
+                .with_stage(stage::CACHE)
+                .with_arg("bytes", bytes),
+        );
+    }
+}
+
 /// The sub-ranges of `[lo, hi)` *not* covered by the run list, in order.
 fn gaps(list: &[PageRun], lo: u32, hi: u32) -> impl Iterator<Item = PageRun> + '_ {
     let mut runs = list.iter();
@@ -229,24 +247,6 @@ fn dirty_runs<'a>(
         };
         slot.dirty.iter().map(bytes)
     })
-}
-
-/// Record a CACHE-layer event span, parented to the ambient request (if
-/// any) so cache work shows up on the request's flow in the Chrome trace.
-/// Free when tracing is off: one relaxed atomic load.
-fn trace_cache_span(file: &PfsFile, name: &'static str, begin: Time, end: Time, bytes: u64) {
-    let events = file.events();
-    if end <= begin || !events.is_enabled() {
-        return;
-    }
-    if let Some((rank, parent)) = TraceCtx::current() {
-        events.record(
-            Span::new(rank, layer::CACHE, name, begin.as_nanos(), end.as_nanos())
-                .with_parent(parent)
-                .with_stage(stage::CACHE)
-                .with_arg("bytes", bytes),
-        );
-    }
 }
 
 /// Count `bytes` served from `slot` into `seen`, the lookups of one call

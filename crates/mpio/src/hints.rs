@@ -186,8 +186,8 @@ impl Hints {
     /// hints plus a human-readable description of every rejected entry.
     /// Rejected means an unknown `pnc_*` key, or a known key whose value is
     /// malformed (unparseable number, zero where zero is meaningless, a
-    /// page size its run lists cannot address, unrecognized toggle word). A bad value never changes behavior: it
-    /// falls back to the default.
+    /// page size its run lists cannot address, unrecognized toggle word). A
+    /// bad value never changes behavior: it falls back to the default.
     pub fn from_info(info: &Info) -> (Hints, Vec<String>) {
         let mut hints = Hints::default();
         let mut rejected = Vec::new();
