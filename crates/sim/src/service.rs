@@ -101,9 +101,13 @@ pub struct ServiceEngine {
     pub max_depth: usize,
 }
 
+/// The deepest bounded queue whose deques are sized up front; a deeper one
+/// (a hostile `pnc_server_queue_depth`) grows on demand beyond this.
+const PRESIZED_DEPTH: usize = 1024;
+
 impl ServiceEngine {
     pub fn new(model: ServiceModel) -> ServiceEngine {
-        ServiceEngine {
+        let mut engine = ServiceEngine {
             model,
             nic_free: Time::ZERO,
             disk_free: Time::ZERO,
@@ -117,6 +121,23 @@ impl ServiceEngine {
             queue_stall_total: Time::ZERO,
             cross_stall_total: Time::ZERO,
             max_depth: 0,
+        };
+        engine.presize();
+        engine
+    }
+
+    /// Give `inflight` and `disk_busy` what a bounded queue can hold, plus
+    /// the request being served, so the request that first finds writes
+    /// overlapping on this server does not pay for a deque's growth. An
+    /// unbounded queue (`queue_depth == 0`) has no such number and grows on
+    /// demand. `reset` clears the deques and keeps their capacity.
+    fn presize(&mut self) {
+        let depth = self.model.queue_depth.min(PRESIZED_DEPTH);
+        if depth > 0 {
+            self.inflight
+                .reserve((depth + 1).saturating_sub(self.inflight.len()));
+            self.disk_busy
+                .reserve((depth + 1).saturating_sub(self.disk_busy.len()));
         }
     }
 
@@ -128,6 +149,7 @@ impl ServiceEngine {
     /// Override the admission queue depth (`pnc_server_queue_depth`).
     pub fn set_queue_depth(&mut self, depth: usize) {
         self.model.queue_depth = depth;
+        self.presize();
     }
 
     /// Admit a request: drain retired writes, then wait for the oldest
@@ -379,6 +401,35 @@ mod tests {
         assert!(b.cross_stall >= b.queue_stall, "queue blocker was file 1");
         let r = e.read(Time::ZERO, 1024, disk_t, 3);
         assert!(r.cross_stall > Time::ZERO, "read waited behind file 2");
+    }
+
+    /// A bounded queue never holds more than it was sized for: overlapping
+    /// writes (and the reads between them) leave both deques where `new`
+    /// put them, also across `reset` and a `set_queue_depth` that fits.
+    #[test]
+    fn overlapping_writes_never_grow_a_bounded_engines_deques() {
+        let mut e = engine(4);
+        let sized = (e.inflight.capacity(), e.disk_busy.capacity());
+        assert!(sized.0 >= 5 && sized.1 >= 5, "{sized:?}");
+        let mut deepest = 0;
+        for i in 0..64u64 {
+            // Arrivals 1 ms apart against 5 ms of disk each: the queue fills.
+            let t = e.write(Time::from_millis(i), 4096, Time::from_millis(5), 0);
+            deepest = deepest.max(t.depth);
+            if i % 16 == 15 {
+                e.read(Time::from_millis(i), 4096, Time::from_millis(1), 0);
+            }
+            if i == 40 {
+                e.reset();
+                e.set_queue_depth(3);
+            }
+        }
+        assert_eq!(deepest, 4, "the writes really overlapped");
+        assert!(e.queue_stall_total > Time::ZERO);
+        assert_eq!((e.inflight.capacity(), e.disk_busy.capacity()), sized);
+        // Unbounded: nothing to size for.
+        let unbounded = ServiceEngine::new(ServiceModel::passthrough());
+        assert_eq!(unbounded.inflight.capacity(), 0);
     }
 
     #[test]
