@@ -319,6 +319,13 @@ fn every_cached_program_keeps_its_recorded_clocks_and_traffic() {
         if !same {
             wrong.push(format!("    {}, // {i}: {}", show(&m), c.label()));
         }
+        let last = *m.0.last().unwrap();
+        assert!(
+            last <= WAITED_FOR_DISK[i],
+            "{}: ends at {last} ns, later than the {} ns of waiting for the disk per page",
+            c.label(),
+            WAITED_FOR_DISK[i]
+        );
     }
     assert!(
         wrong.is_empty() && GOLDEN.len() == cases.len(),
@@ -335,6 +342,32 @@ fn every_cached_program_keeps_its_recorded_clocks_and_traffic() {
     assert!(sum(7) > 50, "readahead hits: {}", sum(7));
     assert!(sum(8) > 500, "invalidations: {}", sum(8));
 }
+
+/// The final clock (ns) of every program, in `cases()` order, on the cache
+/// that waited for the disk at every eviction (as recorded before PR 22
+/// made write-behind proceed at a request's NIC handoff): writing behind
+/// never finishes a program later than waiting per page did.
+#[rustfmt::skip]
+const WAITED_FOR_DISK: [u64; 162] = [
+    4792864, 20276220, 13926389, 17573579, 10153612, 6777721, 8259589, 8317087, 13022476,
+    17898144, 20276220, 13926389, 17573579, 10153612, 6777721, 8259589, 8317087, 14146316,
+    3534944, 15040380, 8451829, 11350808, 6778252, 6777721, 6767971, 4575453, 13022476,
+    4658784, 15040380, 8451829, 11350808, 6778252, 6777721, 6767971, 4575453, 14030156,
+    3534944, 9290300, 4553589, 5692243, 6778252, 6777721, 6767971, 4575453, 13022476,
+    4658784, 9290300, 4553589, 5692243, 6778252, 6777721, 6767971, 4575453, 14030156,
+    6804984, 25351210, 20991115, 17674311, 10165132, 6789369, 10283936, 11348577, 14074476,
+    25975544, 25351210, 20991115, 17674311, 10165132, 6789369, 10283936, 11348577, 14202156,
+    4549624, 14075050, 10458955, 9378580, 6789772, 6789369, 5773118, 4582326, 14074476,
+    4677304, 14075050, 10458955, 9378580, 6789772, 6789369, 5773118, 4582326, 12074476,
+    4549624, 9310250, 4563915, 5741863, 6789772, 6789369, 5773118, 4582326, 14074476,
+    4677304, 9310250, 4563915, 5741863, 6789772, 6789369, 5773118, 4582326, 12074476,
+    4817696, 21405500, 15025973, 11739249, 10165132, 6789881, 8303062, 8354333, 10077004,
+    22988256, 21405500, 15025973, 11739249, 10165132, 6789881, 8303062, 8354333, 10204684,
+    3575136, 13133180, 8539893, 9522891, 6789772, 6789881, 5800030, 4629213, 12086604,
+    3710496, 13133180, 8539893, 9522891, 6789772, 6789881, 5800030, 4629213, 11098764,
+    3575136, 7346620, 4660213, 5924490, 6789772, 6789881, 5800030, 4629213, 10077004,
+    3710496, 7346620, 4660213, 5924490, 6789772, 6789881, 5800030, 4629213, 10092364,
+];
 
 /// One row per case, in `cases()` order.
 #[rustfmt::skip]
