@@ -29,7 +29,12 @@
 //!   sibling's bytes — false sharing is survived by construction.
 //! * **Write-behind.** Dirty runs accumulate and flush on LRU eviction,
 //!   `sync`, close, and collective entry; adjacent dirty runs from many
-//!   small writes coalesce into single page-spanning PFS requests.
+//!   small writes coalesce into single page-spanning PFS requests. The
+//!   rank goes on at a write's *handoff* (every touched server's NIC owns
+//!   the bytes; the client link has streamed them and the servers' bounded
+//!   queues push back), and the cache remembers the latest `durable` of
+//!   anything it wrote behind — its durability horizon. Every flush point
+//!   ends by waiting for that horizon, so what a sync promises is on disk.
 //! * **Readahead.** Two byte-contiguous reads in a row mark the stream
 //!   sequential; the next `readahead` absent pages are fetched with one
 //!   contiguous PFS read and inserted clean.
@@ -89,7 +94,8 @@ pub struct CacheLedger {
     pub cache_nanos: u64,
     /// Nanoseconds of PFS reads (miss fills, readahead) — `Phase::DiskRead`.
     pub read_nanos: u64,
-    /// Nanoseconds of PFS writes (write-behind flushes) — `Phase::DiskWrite`.
+    /// Nanoseconds waited for PFS writes (write-behind handoffs, and the
+    /// durability horizon at flush points) — `Phase::DiskWrite`.
     pub write_nanos: u64,
 }
 
@@ -122,17 +128,23 @@ impl CacheLedger {
         Ok(())
     }
 
+    /// Write behind: the clock goes on at the request's handoff. Returns
+    /// when its bytes are durable, for the cache's horizon.
     fn disk_write(
         &mut self,
         file: &PfsFile,
         policy: &RetryPolicy,
         offset: u64,
         data: &[u8],
-    ) -> MpioResult<()> {
-        let done = recover::write_at(file, policy, self.now, offset, data)?;
-        self.write_nanos += done.saturating_sub(self.now).as_nanos();
-        self.now = done;
-        Ok(())
+    ) -> MpioResult<Time> {
+        let done = recover::write_at_detailed(file, policy, self.now, offset, data)?;
+        self.await_write(done.handoff);
+        Ok(done.durable)
+    }
+
+    fn await_write(&mut self, until: Time) {
+        self.write_nanos += until.saturating_sub(self.now).as_nanos();
+        self.now = self.now.max(until);
     }
 }
 
@@ -270,6 +282,10 @@ pub struct PageCache {
     /// Bounce buffer of every fill (one PFS read, many pages) and of a
     /// flush's page-spanning writes.
     staging: Vec<u8>,
+    /// The durability horizon: when the last byte written behind is on
+    /// disk. State of the cache, not of one call's ledger — the `sync`
+    /// after a `get` that evicted must still wait for that eviction.
+    horizon: Time,
     tick: u64,
     /// File coherence epoch this cache last synchronized at.
     seen_epoch: u64,
@@ -298,6 +314,7 @@ impl PageCache {
             slots: Vec::new(),
             index,
             staging: Vec::new(),
+            horizon: Time::ZERO,
             tick: 0,
             seen_epoch: file.coherence_epoch(),
             last_read_end: u64::MAX,
@@ -378,13 +395,14 @@ impl PageCache {
         let (t0, mut bytes) = (led.now, 0u64);
         for &(lo, hi) in &slot.dirty {
             let data = &slot.data[lo as usize..hi as usize];
-            led.disk_write(file, &self.policy, base + lo as u64, data)?;
+            let durable = led.disk_write(file, &self.policy, base + lo as u64, data)?;
+            self.horizon = self.horizon.max(durable);
             bytes += (hi - lo) as u64;
         }
         if bytes > 0 {
             trace_cache_span(file, "evict_flush", t0, led.now, bytes);
-            // Evicted dirty bytes are now on disk: other caches must notice
-            // at their next synchronization point.
+            // Evicted dirty bytes are now the servers': other caches must
+            // notice at their next synchronization point.
             file.bump_coherence_epoch();
         }
         file.profile().record_cache(|c| {
@@ -605,8 +623,9 @@ impl PageCache {
     // ---- write-behind -----------------------------------------------------
 
     /// Flush every dirty run to the PFS (adjacent runs coalesced across
-    /// page boundaries into single requests). Pages stay cached and clean.
-    /// Returns the bytes written.
+    /// page boundaries into single requests) and wait until everything
+    /// written behind — by this flush or by an eviction before it — is on
+    /// disk. Pages stay cached and clean. Returns the bytes written.
     pub fn flush(&mut self, file: &PfsFile, led: &mut CacheLedger) -> MpioResult<u64> {
         // The longest stretch of zero-gap neighbours sizes the staging:
         // once, exactly, and only for the duration of the flush — between
@@ -619,6 +638,8 @@ impl PageCache {
             longest = longest.max(stretch);
         }
         if longest == 0 {
+            // Nothing dirty is not nothing pending: evictions may be.
+            self.drain(file, led);
             return Ok(0);
         }
         let keep = self.staging.capacity();
@@ -627,11 +648,13 @@ impl PageCache {
         // Gather each stretch and write it with one request; the sentinel
         // touches no run, so it ends the last one.
         let (t0, mut start, staging) = (led.now, 0u64, &mut self.staging);
+        let horizon = &mut self.horizon;
         let written = dirty_runs(&self.index, &self.slots, ps)
             .chain([(u64::MAX, &[][..])])
             .try_fold(0u64, |mut bytes, (at, data)| {
                 if !staging.is_empty() && at != start + staging.len() as u64 {
-                    led.disk_write(file, &self.policy, start, staging)?;
+                    *horizon =
+                        (*horizon).max(led.disk_write(file, &self.policy, start, staging)?);
                     bytes += staging.len() as u64;
                     staging.clear();
                 }
@@ -650,14 +673,30 @@ impl PageCache {
             c.write_behind_flushes += 1;
             c.write_behind_bytes += bytes;
         });
+        self.drain(file, led);
         Ok(bytes)
+    }
+
+    /// Wait for the durability horizon: the one place a caller pays for
+    /// the disk time write-behind hid from it.
+    fn drain(&self, file: &PfsFile, led: &mut CacheLedger) {
+        let t0 = led.now;
+        led.await_write(self.horizon);
+        if led.now > t0 {
+            trace_cache_span(file, "write_behind_drain", t0, led.now, 0);
+            let waited = (led.now - t0).as_nanos();
+            file.profile()
+                .record_cache(|c| c.write_behind_drain += waited);
+        }
     }
 
     // ---- coherence --------------------------------------------------------
 
     /// Pre-synchronization half of the coherence protocol: publish dirty
-    /// bytes (write-behind) and advance the file epoch if anything was
-    /// published. Call *before* the collective rendezvous.
+    /// bytes (write-behind), wait until they are on disk, and advance the
+    /// file epoch if anything was published. Call *before* the collective
+    /// rendezvous: no rank leaves it before every rank's bytes are durable,
+    /// so a read after the sync point cannot reach a server ahead of them.
     pub fn sync_prepare(&mut self, file: &PfsFile, led: &mut CacheLedger) -> MpioResult<()> {
         if self.flush(file, led)? > 0 {
             file.bump_coherence_epoch();

@@ -221,6 +221,11 @@ macro_rules! counter_table {
                 write_behind_flushes: Count, Sum;
                 /// Dirty bytes pushed to the PFS by write-behind flushes.
                 write_behind_bytes: Bytes, Sum;
+                /// Virtual nanoseconds waited at flush points (sync, close,
+                /// collective entry) for bytes written behind to be on disk;
+                /// against `sim_disk_write_s` it says how much of the
+                /// write-behind the caller actually waited for.
+                write_behind_drain: Nanos, Sum;
                 /// Pages fetched speculatively by sequential-detection
                 /// readahead.
                 readahead_issued: Count, Sum;
