@@ -746,13 +746,23 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpc_sim::SimConfig;
+    use crate::error::MpioError;
+    use hpc_sim::{FaultPlan, SimConfig};
     use pnetcdf_pfs::{Pfs, StorageMode};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
     fn setup(capacity: usize, page: usize) -> (PageCache, PfsFile, SimConfig) {
-        let cfg = SimConfig::test_small();
+        setup_faulty(FaultPlan::default(), capacity, page)
+    }
+
+    fn setup_faulty(
+        faults: FaultPlan,
+        capacity: usize,
+        page: usize,
+    ) -> (PageCache, PfsFile, SimConfig) {
+        let mut cfg = SimConfig::test_small();
+        cfg.faults = faults;
         cfg.profile.set_enabled(true);
         let file = Pfs::new(cfg.clone(), StorageMode::Full).create("c");
         let cache = PageCache::new(
@@ -959,21 +969,164 @@ mod tests {
         assert_eq!(file.coherence_epoch(), e0 + 1);
     }
 
+    /// Over an eviction inside a get (the clock goes on at its handoff), the
+    /// get's fill and the sync that waits for what the eviction left behind.
     #[test]
     fn ledger_time_is_fully_attributed() {
-        let (mut cache, file, _cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, cfg) = setup(2048, 1024); // 2 slots
         let start = Time::from_millis(3);
         let mut led = CacheLedger::new(start);
         cache
             .write_runs(&file, &mut led, &[(0, 2048)], &[1u8; 2048])
             .unwrap();
         read_vec(&mut cache, &file, &mut led, &[(4096, 100)]);
-        cache.flush(&file, &mut led).unwrap();
+        cache.sync_prepare(&file, &mut led).unwrap();
+        assert!(led.now >= cache.horizon);
+        let c = cfg.profile.cache_counters();
+        assert_eq!((c.evictions, c.write_behind_bytes), (1, 2048));
         assert_eq!(
             led.now.as_nanos(),
             start.as_nanos() + led.cache_nanos + led.read_nanos + led.write_nanos,
             "every nanosecond of cache work must land in exactly one bucket"
         );
+    }
+
+    /// A write-behind lets the clock go on at the request's handoff and the
+    /// cache remembers when the bytes are durable; the next flush point
+    /// waits exactly that long, also with nothing dirty.
+    #[test]
+    fn an_eviction_ends_at_handoff_and_the_next_flush_waits_for_the_horizon() {
+        let (mut cache, file, cfg) = setup(1024, 1024); // 1 slot
+        let mut led = CacheLedger::new(Time::from_millis(1));
+        cache
+            .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
+            .unwrap();
+        // What the eviction's request completes as: the same write at the
+        // same time on an identical, idle file system.
+        let (_, twin, _) = setup(1024, 1024);
+        let done =
+            recover::write_at_detailed(&twin, &cache.policy, led.now, 0, &[1u8; 1024]).unwrap();
+        assert!(done.handoff < done.durable, "a disk is slower than a NIC");
+        cache.evict(&file, &mut led, 0).unwrap();
+        assert_eq!((led.now, cache.horizon), (done.handoff, done.durable));
+        let drained = || cfg.profile.cache_counters().write_behind_drain;
+        assert_eq!(drained(), 0);
+        assert_eq!(cache.flush(&file, &mut led).unwrap(), 0, "nothing dirty");
+        assert_eq!(led.now, done.durable);
+        assert_eq!(drained(), (done.durable - done.handoff).as_nanos());
+        cache.flush(&file, &mut led).unwrap();
+        assert_eq!(led.now, done.durable, "nothing left to wait for");
+    }
+
+    /// The servers' bounded queues are the backpressure: with one request
+    /// admitted per server, a stream of evictions to one server is never
+    /// more than the request in flight ahead of that server's disk.
+    #[test]
+    fn a_full_server_queue_holds_write_behind_back() {
+        let (mut cache, file, cfg) = setup(1024, 1024); // 1 slot
+        file.cluster().set_queue_depth(1);
+        let mut led = CacheLedger::new(Time::ZERO);
+        // 1 KiB stripes over 4 servers: every fourth page is server 0's.
+        for k in 0..8u64 {
+            let on_disk = cache.horizon;
+            cache
+                .write_runs(&file, &mut led, &[(4 * k * 1024, 1024)], &[k as u8; 1024])
+                .unwrap();
+            // The miss evicted page 4(k-1); its request got past the queue
+            // only once the eviction before it was on disk.
+            assert!(led.now >= on_disk, "write {k}: two requests ahead");
+            assert!(k == 0 || led.now < cache.horizon, "write {k}: not behind");
+        }
+        let servers = cfg.profile.snapshot().server_totals();
+        assert!(servers.queue_stall_nanos > 0, "{servers:?}");
+    }
+
+    /// Transient faults and short writes under a stream of evictions: the
+    /// clock goes on at the handoff of the attempt that succeeded (replayed
+    /// on a twin file system under the same plan), the horizon is not
+    /// before that attempt's durable point, every byte lands, and a retried
+    /// byte is written behind once.
+    #[test]
+    fn write_behind_under_faults_keeps_bytes_and_horizon() {
+        let plan = FaultPlan {
+            transient: 0.25,
+            short: 0.25,
+            ..FaultPlan::default()
+        };
+        let (mut cache, file, cfg) = setup_faulty(plan.clone(), 3072, 3072); // 1 slot
+        let (_, twin, _) = setup_faulty(plan, 3072, 3072);
+        let page = |k: u64| -> Vec<u8> { (0..3072).map(|i| (i * 7 + k) as u8).collect() };
+        let mut led = CacheLedger::new(Time::ZERO);
+        for k in 0..=12u64 {
+            // The miss of page k evicts page k-1 before anything is charged.
+            let evicted = k.checked_sub(1).map(|v| {
+                recover::write_at_detailed(&twin, &cache.policy, led.now, v * 3072, &page(v))
+                    .unwrap()
+            });
+            cache
+                .write_runs(&file, &mut led, &[(k * 3072, 3072)], &page(k))
+                .unwrap();
+            if let Some(done) = evicted {
+                assert_eq!(led.now, done.handoff + cache.cpu.pack(3072, 1.0));
+                assert!(cache.horizon >= done.durable);
+            }
+        }
+        cache.flush(&file, &mut led).unwrap();
+        assert_eq!(led.now, cache.horizon);
+        let mut out = vec![0u8; 13 * 3072];
+        file.peek_at(0, &mut out);
+        assert_eq!(out, (0..13).flat_map(page).collect::<Vec<u8>>());
+        let f = cfg.profile.fault_counters();
+        assert!(f.retries > 0 && f.short_completions > 0, "{f:?}");
+        assert_eq!(f.exhausted, 0);
+        assert_eq!(cfg.profile.cache_counters().write_behind_bytes, 13 * 3072);
+    }
+
+    #[test]
+    fn an_exhausted_write_behind_leaves_the_page_cached_and_dirty() {
+        let plan = FaultPlan {
+            transient: 1.0,
+            ..FaultPlan::default()
+        };
+        let (mut cache, file, cfg) = setup_faulty(plan, 1024, 1024); // 1 slot
+        let mut led = CacheLedger::new(Time::ZERO);
+        cache
+            .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
+            .unwrap();
+        let err = cache.write_runs(&file, &mut led, &[(1024, 8)], &[2u8; 8]);
+        assert!(matches!(err, Err(MpioError::Exhausted { .. })), "{err:?}");
+        assert_eq!(cache.index, [(0, 0)]);
+        assert_eq!(cache.slots[0].dirty, [(0, 1024)]);
+        assert_eq!(cache.horizon, Time::ZERO, "nothing was handed off");
+        assert_eq!(cfg.profile.cache_counters().write_behind_bytes, 0);
+    }
+
+    /// Degraded mode needs no special case: a portion redirected to parity
+    /// has no NIC handoff of its own, so the PFS reports `handoff ==
+    /// durable` and the eviction waits for the disk as it used to.
+    #[test]
+    fn a_redirected_write_behind_is_durable_at_its_handoff() {
+        let crashed = FaultPlan::from_spec("crash=server:1@t>0").unwrap();
+        let (mut cache, file, cfg) = setup_faulty(crashed, 1024, 1024); // 1 slot
+        file.cluster().set_parity(true);
+        assert!(file.cluster().mark_server_down(1));
+        let mut led = CacheLedger::new(Time::ZERO);
+        // Page 0 is a live server's: still behind after its eviction.
+        for (page, redirected) in [(0u64, false), (1, true)] {
+            cache
+                .write_runs(&file, &mut led, &[(page * 1024, 1024)], &[7u8; 1024])
+                .unwrap();
+            cache.flush(&file, &mut led).unwrap();
+            let drained = cfg.profile.cache_counters().write_behind_drain;
+            cache
+                .write_runs(&file, &mut led, &[(page * 1024, 8)], &[8u8; 8])
+                .unwrap();
+            cache.evict(&file, &mut led, 0).unwrap();
+            assert_eq!(led.now == cache.horizon, redirected, "page {page}");
+            cache.flush(&file, &mut led).unwrap();
+            let waited = cfg.profile.cache_counters().write_behind_drain - drained;
+            assert_eq!(waited == 0, redirected, "page {page}");
+        }
     }
 
     proptest! {

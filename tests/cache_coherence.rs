@@ -315,3 +315,53 @@ fn failed_collective_write_still_invalidates_peer_caches() {
     );
     assert!(cfg.profile.fault_counters().exhausted > 0);
 }
+
+/// "Visible after a sync point" also holds on the virtual clock. Rank 0
+/// dirties six pages through a one-page cache (five evictions, each going
+/// on at its request's NIC handoff) and syncs; the sync drains before the
+/// rendezvous, so rank 1 leaves it no earlier than the moment rank 0's last
+/// byte is on disk, and its read after it returns rank 0's bytes.
+#[test]
+fn nobody_leaves_a_sync_before_the_writers_bytes_are_on_disk() {
+    use hpc_sim::TraceCtx;
+    use pnetcdf_mpio::{MpiFile, OpenMode};
+
+    let cfg = profiled_cfg();
+    cfg.events.set_enabled(true);
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let info = cached_info()
+        .with("pnc_page_size", "1024")
+        .with("pnc_cache_size", "1024")
+        .with("pnc_readahead", "0");
+    let data: Vec<u8> = (0..6 * 1024u32).map(|i| (i % 249) as u8 + 1).collect();
+    let run = run_world(2, cfg.clone(), |c| {
+        let f = MpiFile::open(c, &pfs, "sync.bin", OpenMode::Create, &info).unwrap();
+        if c.rank() == 0 {
+            // Rank 1 is idle until the sync: the servers see one client.
+            for page in 0..6usize {
+                let bytes = &data[page * 1024..][..1024];
+                f.write_runs_at(&[(page as u64 * 1024, 1024)], bytes)
+                    .unwrap();
+            }
+        }
+        // The sync's own flush goes on this rank's timeline too.
+        let _ctx = TraceCtx::enter(c.rank(), 0);
+        f.sync().unwrap();
+        let left_sync_at = c.now();
+        assert_eq!(f.read_runs_at_all(&[(0, 6 * 1024)]).unwrap(), data);
+        left_sync_at
+    });
+    // Rank 0's durability horizon: when the last of its server requests
+    // (arrival → on disk) ended.
+    let spans = cfg.events.snapshot();
+    let writes = spans.rank_spans(0).filter(|s| s.name == "srv_write");
+    let horizon = writes.map(|s| s.end).max().expect("rank 0 wrote");
+    assert!(
+        run.results[1].as_nanos() >= horizon,
+        "rank 1 left the sync at {:?}, rank 0's bytes were on disk at {horizon} ns",
+        run.results[1]
+    );
+    let c = cfg.profile.cache_counters();
+    assert_eq!((c.evictions, c.write_behind_bytes), (5, 6 * 1024));
+    assert!(c.write_behind_drain > 0, "the sync waited for the disk");
+}
