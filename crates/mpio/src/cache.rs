@@ -128,18 +128,20 @@ impl CacheLedger {
         Ok(())
     }
 
-    /// Write behind: the clock goes on at the request's handoff. Returns
-    /// when its bytes are durable, for the cache's horizon.
+    /// Write behind: the clock goes on at the request's handoff, and
+    /// `horizon` (the cache's) is pushed out to when its bytes are durable.
     fn disk_write(
         &mut self,
         file: &PfsFile,
         policy: &RetryPolicy,
+        horizon: &mut Time,
         offset: u64,
         data: &[u8],
-    ) -> MpioResult<Time> {
+    ) -> MpioResult<()> {
         let done = recover::write_at_detailed(file, policy, self.now, offset, data)?;
         self.await_write(done.handoff);
-        Ok(done.durable)
+        *horizon = done.durable.max(*horizon);
+        Ok(())
     }
 
     fn await_write(&mut self, until: Time) {
@@ -395,8 +397,8 @@ impl PageCache {
         let (t0, mut bytes) = (led.now, 0u64);
         for &(lo, hi) in &slot.dirty {
             let data = &slot.data[lo as usize..hi as usize];
-            let durable = led.disk_write(file, &self.policy, base + lo as u64, data)?;
-            self.horizon = self.horizon.max(durable);
+            let at = base + lo as u64;
+            led.disk_write(file, &self.policy, &mut self.horizon, at, data)?;
             bytes += (hi - lo) as u64;
         }
         if bytes > 0 {
@@ -653,8 +655,7 @@ impl PageCache {
             .chain([(u64::MAX, &[][..])])
             .try_fold(0u64, |mut bytes, (at, data)| {
                 if !staging.is_empty() && at != start + staging.len() as u64 {
-                    *horizon =
-                        (*horizon).max(led.disk_write(file, &self.policy, start, staging)?);
+                    led.disk_write(file, &self.policy, horizon, start, staging)?;
                     bytes += staging.len() as u64;
                     staging.clear();
                 }
