@@ -19,31 +19,31 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-# Everything the stages below write besides BENCH_*.json lands in one scratch
-# directory. perf_bench appends to its Cargo.lock the dependency edges product
-# crates gained since it was written; nothing under perf_bench/ may be
-# committed changed, so the lock file goes back as it was found.
+# Everything the stages below write lands in one scratch directory.
+# perf_bench appends to its Cargo.lock the dependency edges product crates
+# gained since it was written; nothing under perf_bench/ may be committed
+# changed, so the lock file goes back as it was found.
 report_dir=$(mktemp -d)
 cp perf_bench/Cargo.lock "$report_dir/perf_bench.lock"
 trap 'cp "$report_dir/perf_bench.lock" perf_bench/Cargo.lock; rm -rf "$report_dir"' EXIT
-export PNETCDF_REPORT_DIR="$report_dir"
 
-# A gate lives in the binary that can check it: every smoke asserts on the
-# typed counters (faults hidden and retried, failover engaged, cache hit,
-# exchange time hidden, spans balanced, cross-file stall, rejected hint ...)
-# and on byte identity, and exits non-zero on a miss. That every counter
-# reaches the report under its key is pnetcdf-trace's table tests, above.
-for smoke in fault_smoke failover_smoke cache_smoke twophase_smoke trace_smoke service_smoke; do
-    echo "==> smoke: $smoke"
-    "./target/release/$smoke" >"$report_dir/$smoke.log" 2>&1 \
-        || { cat "$report_dir/$smoke.log"; echo "FAIL: $smoke"; exit 1; }
-    tail -n 1 "$report_dir/$smoke.log"
-done
+echo "==> repro check --quick: every experiment against crates/bench/golden/quick, twice"
+# Every cell that repeats bit for bit on today's engine (collective, serial
+# and one-rank series) is compared with its golden, so a difference is a
+# change of the model, not noise; each experiment also asserts its own gates
+# (phase coverage, cache counters, speedup targets). The second run must
+# write the pinned cells the first wrote (documents with the unpinned values
+# nulled): ROADMAP item 1's gate, for the cells that can pass it today.
+PNETCDF_REPORT_DIR="$report_dir/a" ./target/release/repro check --quick 2>"$report_dir/a.log" \
+    || { cat "$report_dir/a.log"; exit 1; }
+PNETCDF_REPORT_DIR="$report_dir/b" ./target/release/repro check --quick >/dev/null 2>&1
+diff -r "$report_dir/a/golden" "$report_dir/b/golden" \
+    || { echo "FAIL: two runs of repro check --quick wrote different pinned cells"; exit 1; }
 
-echo "==> trace smoke's Chrome export, read by an independent parser"
+echo "==> the trace test's Chrome export, read by an independent parser"
 # Well-formed JSON whose complete (X) spans are all balanced (non-negative
 # durations) and whose only other events are metadata and flow links.
-python3 - "$report_dir/trace_smoke.trace.json" <<'EOF'
+python3 - target/tmp/trace_smoke.trace.json <<'EOF'
 import json, sys
 t = json.load(open(sys.argv[1]))
 evs = t["traceEvents"]
@@ -56,24 +56,6 @@ other = {e["ph"] for e in evs} - {"X", "M", "s", "f"}
 assert not other, f"unexpected event phases: {other}"
 print(f"    trace JSON OK: {len(spans)} balanced spans")
 EOF
-
-echo "==> bench results: fig7_flashio --quick, fig6_scalability --quick (profiling enabled)"
-rm -f BENCH_fig7.json BENCH_fig6.json
-./target/release/fig7_flashio --quick >/dev/null
-./target/release/fig6_scalability --quick >/dev/null
-for bench in BENCH_fig7.json BENCH_fig6.json; do
-    [ -f "$bench" ] || { echo "FAIL: $bench was not written"; exit 1; }
-done
-echo "    BENCH_fig7.json and BENCH_fig6.json written (both binaries assert phase coverage)"
-
-echo "==> bench results: twophase_bench (BENCH_twophase.json)"
-./target/release/twophase_bench >/dev/null
-# The file is pure virtual time (serial and pipelined MB/s, rounds, hidden
-# nanoseconds at 16/64 ranks x 3 buffer sizes), so any difference from the
-# recorded one is a change of the two-phase model, not noise.
-cmp BENCH_twophase.json crates/bench/golden/BENCH_twophase.json \
-    || { echo "FAIL: BENCH_twophase.json differs from crates/bench/golden/BENCH_twophase.json"; exit 1; }
-echo "    BENCH_twophase.json identical to the recorded one (the bench itself asserts >1.2x at 64 ranks)"
 
 echo "==> perf_bench smoke: the benchmark of BENCHMARK.json, quick mode"
 # perf_bench is a package of its own pinned to this repo's public surface

@@ -5,7 +5,7 @@
 //! distributed to the leading ranks along each axis so the blocks tile the
 //! array exactly.
 
-/// One of the seven partitioning strategies.
+/// One of the seven partitioning strategies; `{:?}` is the paper's legend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Partition {
     Z,
@@ -29,19 +29,6 @@ pub const PARTITIONS: [Partition; 7] = [
 ];
 
 impl Partition {
-    /// Display label matching the paper's legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            Partition::Z => "Z",
-            Partition::Y => "Y",
-            Partition::X => "X",
-            Partition::ZY => "ZY",
-            Partition::ZX => "ZX",
-            Partition::YX => "YX",
-            Partition::ZYX => "ZYX",
-        }
-    }
-
     /// Which axes are split (z, y, x).
     pub fn mask(self) -> (bool, bool, bool) {
         match self {

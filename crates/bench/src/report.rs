@@ -1,58 +1,26 @@
-//! Profile-JSON report files written next to the benchmark text tables.
-//!
-//! Each figure binary that runs with tracing enabled collects one report
-//! object per configuration (the [`hpc_sim::ProfileSnapshot::to_json`]
-//! output, per-rank rows included) and writes them all to a single
-//! `<binary>.profile.json` file so the phase breakdowns can be inspected
-//! without re-running the benchmark.
+//! Where everything the driver writes goes: one directory, one writer.
 
 use std::path::PathBuf;
-use std::sync::Once;
 
 use hpc_sim::trace::Json;
 
-/// Destination for report file `name`: `$PNETCDF_REPORT_DIR` if set, else
-/// the current directory.
-pub fn report_path(name: &str) -> PathBuf {
+/// The report directory: `$PNETCDF_REPORT_DIR` if set, else `target/repro/`
+/// of this workspace.
+pub fn dir() -> PathBuf {
     match std::env::var_os("PNETCDF_REPORT_DIR") {
-        Some(dir) => PathBuf::from(dir).join(name),
-        None => PathBuf::from(name),
+        Some(dir) => PathBuf::from(dir),
+        None => PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/repro")),
     }
 }
 
-/// Log the resolved report destination once per process, so every run
-/// states where its `.profile.json` / `.trace.json` artifacts land.
-fn announce_report_dir() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let dir = match std::env::var_os("PNETCDF_REPORT_DIR") {
-            Some(d) => PathBuf::from(d),
-            None => PathBuf::from("."),
-        };
-        eprintln!("  report dir: {} (PNETCDF_REPORT_DIR)", dir.display());
-    });
-}
-
-/// Write `report` to [`report_path`]`(name)` as pretty JSON and announce
-/// where it went on stderr (stdout carries the text tables).
-pub fn write_report(name: &str, report: &Json) -> PathBuf {
-    announce_report_dir();
-    let path = report_path(name);
-    std::fs::write(&path, report.pretty())
-        .unwrap_or_else(|e| panic!("writing report {}: {e}", path.display()));
-    eprintln!("  profile report: {}", path.display());
-    path
-}
-
-/// Write a Chrome `trace_event` export (the [`hpc_sim::TraceSnapshot::to_chrome`]
-/// object) to [`report_path`]`(name)`; view it in Perfetto
-/// (<https://ui.perfetto.dev>) or `chrome://tracing`.
-pub fn write_trace(name: &str, trace: &Json) -> PathBuf {
-    announce_report_dir();
-    let path = report_path(name);
-    std::fs::write(&path, trace.pretty())
-        .unwrap_or_else(|e| panic!("writing trace {}: {e}", path.display()));
-    eprintln!("  chrome trace: {}", path.display());
+/// Write `json` to `name` (a path relative to [`dir`]) and return where it
+/// went. Tables go to stdout; files are named by the driver on stderr.
+pub fn write(name: &str, json: &Json) -> PathBuf {
+    let path = dir().join(name);
+    let parent = path.parent().expect("a file below the report directory");
+    std::fs::create_dir_all(parent)
+        .and_then(|()| std::fs::write(&path, json.pretty()))
+        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     path
 }
 
