@@ -19,21 +19,18 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-# Everything the stages below write lands in one scratch directory.
-# perf_bench appends to its Cargo.lock the dependency edges product crates
-# gained since it was written; nothing under perf_bench/ may be committed
-# changed, so the lock file goes back as it was found.
+# The stages below write to one scratch directory. perf_bench appends to its
+# Cargo.lock the dependency edges product crates gained since it was written;
+# nothing under perf_bench/ may be committed changed, so the file goes back.
 report_dir=$(mktemp -d)
 cp perf_bench/Cargo.lock "$report_dir/perf_bench.lock"
 trap 'cp "$report_dir/perf_bench.lock" perf_bench/Cargo.lock; rm -rf "$report_dir"' EXIT
 
 echo "==> repro check --quick: every experiment against crates/bench/golden/quick, twice"
-# Every cell that repeats bit for bit on today's engine (collective, serial
-# and one-rank series) is compared with its golden, so a difference is a
-# change of the model, not noise; each experiment also asserts its own gates
-# (phase coverage, cache counters, speedup targets). The second run must
-# write the pinned cells the first wrote (documents with the unpinned values
-# nulled): ROADMAP item 1's gate, for the cells that can pass it today.
+# Every cell that repeats bit for bit today (collective, serial and one-rank
+# series) against its golden: a difference is a change of the model, not
+# noise. Each experiment also asserts its own gates. The second run must write
+# the pinned cells the first wrote: ROADMAP item 1's gate, where it can pass.
 PNETCDF_REPORT_DIR="$report_dir/a" ./target/release/repro check --quick 2>"$report_dir/a.log" \
     || { cat "$report_dir/a.log"; exit 1; }
 PNETCDF_REPORT_DIR="$report_dir/b" ./target/release/repro check --quick >/dev/null 2>&1

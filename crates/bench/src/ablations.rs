@@ -359,6 +359,6 @@ pub fn hints(_: Size) -> Outcome {
     ];
     Outcome {
         charts,
-        artifacts: Vec::new(),
+        ..Outcome::default()
     }
 }

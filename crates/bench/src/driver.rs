@@ -34,20 +34,7 @@ pub fn document(e: &Experiment, out: &Outcome, nulled: bool) -> Json {
 /// Where `out` differs from the golden of `e` at `size`; empty when every
 /// pinned cell, label and line is the recorded one.
 pub fn compare(e: &Experiment, size: Size, out: &Outcome) -> Vec<String> {
-    // Until the goldens are re-recorded as JSON: the parent binaries' stdout
-    // without the lines of unpinned series, captured at one size each.
-    let captured = match e.name {
-        "fig6" | "fig7" | "ext_flash_read" => Some(Size::Quick),
-        "ext_attributes" => Some(Size::Paper),
-        _ => None,
-    };
-    let (path, got) = if captured.is_none_or(|s| s == size) {
-        let path = format!("{}/golden/{}.txt", env!("CARGO_MANIFEST_DIR"), e.name);
-        let charts = out.charts.iter().map(|c| c.render_where(|p| p.pinned()));
-        (PathBuf::from(path), charts.collect::<String>())
-    } else {
-        (golden_path(e.name, size), document(e, out, true).pretty())
-    };
+    let (path, got) = (golden_path(e.name, size), document(e, out, true).pretty());
     let difference = match std::fs::read_to_string(&path) {
         Ok(golden) => first_difference(&golden, &got),
         Err(err) => Some(format!("golden {}: {err}", path.display())),
@@ -62,8 +49,8 @@ pub fn compare(e: &Experiment, size: Size, out: &Outcome) -> Vec<String> {
 /// its key — so documents are compared line by line, and a difference is
 /// named by the chart title and the series name printed above it.
 fn first_difference(golden: &str, run: &str) -> Option<String> {
-    let want: Vec<&str> = golden.lines().map(str::trim).collect();
-    let got: Vec<&str> = run.lines().map(str::trim).collect();
+    let lines = |text| str::lines(text).map(|l| l.trim().trim_end_matches(','));
+    let (want, got): (Vec<&str>, Vec<&str>) = (lines(golden).collect(), lines(run).collect());
     let at = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))?;
     // The series name only if the line is not one of those below the table.
     let above = |key: &str| {
@@ -94,21 +81,25 @@ fn run_one(e: &Experiment, size: Size, show: bool) -> Outcome {
     if show {
         out.charts.iter().for_each(|c| print!("{}", c.render()));
     }
-    let mut written = vec![format!("{}.json", e.name)];
-    report::write(&written[0], &document(e, &out, false));
-    for (kind, doc) in &out.artifacts {
-        written.push(format!("{}.{kind}.json", e.name));
-        report::write(&written[written.len() - 1], doc);
-    }
-    written.push(format!("golden/{}/{}.json", size.name(), e.name));
-    report::write(&written[written.len() - 1], &document(e, &out, true));
+    let (full, nulled) = (document(e, &out, false), document(e, &out, true));
+    let mut files = vec![(format!("{}.json", e.name), &full)];
+    let artifacts = out.artifacts.iter();
+    files.extend(artifacts.map(|(kind, doc)| (format!("{}.{kind}.json", e.name), doc)));
+    files.push((format!("golden/{}/{}.json", size.name(), e.name), &nulled));
+    let written: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+    files
+        .iter()
+        .for_each(|(name, doc)| drop(report::write(name, doc)));
     eprintln!(
         "  {} ({}): {:.1} s; wrote {} in {}",
         e.name,
         size.name(),
         started.elapsed().as_secs_f64(),
         written.join(", "),
-        report::dir().display()
+        report::dir()
+            .canonicalize()
+            .expect("just written to")
+            .display()
     );
     out
 }
@@ -180,6 +171,30 @@ mod tests {
             assert!(std::ptr::eq(experiment(e.name).expect("found by name"), e));
         }
         assert!(experiment("fig8").is_none());
+    }
+
+    /// Every golden file has a row, and every row a golden at both sizes
+    /// (every experiment has at least one pinned series).
+    #[test]
+    fn goldens_and_registry_rows_correspond() {
+        for size in [Size::Quick, Size::Paper] {
+            let dir = golden_path("x", size);
+            let dir = dir.parent().expect("golden/<size>/");
+            let files = std::fs::read_dir(dir).expect("the golden directory");
+            let mut stems: Vec<String> = files
+                .map(|f| f.expect("a directory entry").path())
+                .map(|p| {
+                    p.file_stem()
+                        .and_then(|s| s.to_str())
+                        .expect("UTF-8")
+                        .to_string()
+                })
+                .collect();
+            stems.sort();
+            let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+            names.sort();
+            assert_eq!(stems, names, "{}", dir.display());
+        }
     }
 
     #[test]

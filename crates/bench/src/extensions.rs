@@ -9,22 +9,13 @@ use hpc_sim::trace::Json;
 use hpc_sim::SimConfig;
 use pnetcdf::{Dataset, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
-use pnetcdf_pfs::{MetaShardStats, Pfs, PfsCluster, StorageMode};
+use pnetcdf_pfs::{MetaShardStats, Pfs, StorageMode};
 
-use crate::service::{mixed_specs, prepare_shared_datasets, run_sessions, SessionResult};
+use crate::service::{run_fleet, SessionResult};
 use crate::table::Part::{List, Num};
 use crate::table::{fmt_bytes, Chart, Pin};
-use crate::workload::{checkpoint, mb_s};
+use crate::workload::{checkpoint, flash_shape, mb_s, profile_entry};
 use crate::{Outcome, Size};
-
-/// Blocks per processor and processor counts of the FLASH experiments here;
-/// the quick shape is Figure 7's.
-fn flash_shape(size: Size, paper_procs: &'static [usize]) -> (u64, &'static [usize]) {
-    match size {
-        Size::Quick => (8, &[4, 8, 16]),
-        Size::Paper => (80, paper_procs),
-    }
-}
 
 /// The attribute writes the paper's benchmark port removed (section 5.2:
 /// "removed the part of code writing attributes"), put back: four
@@ -125,8 +116,8 @@ pub fn flash_read(size: Size) -> Outcome {
 /// for both sizes (1.6 s in a release build).
 pub fn nonblocking(_: Size) -> Outcome {
     // One checkpoint on a fresh file system: bytes written, makespan, and
-    // the file system and platform for what the caller looks at.
-    let write = |sim: SimConfig, storage, mesh: BlockMesh, aggregate: bool| {
+    // the file system.
+    let write = |sim: &SimConfig, storage, mesh: BlockMesh, aggregate: bool| {
         let pfs = Pfs::new(sim.clone(), storage);
         let run = run_world(mesh.nprocs, sim.clone(), |comm| {
             let port = match aggregate {
@@ -135,7 +126,7 @@ pub fn nonblocking(_: Size) -> Outcome {
             };
             port(comm, &pfs, &mesh, OutputKind::Checkpoint, "ckpt").unwrap()
         });
-        (run.results[0], run.makespan, pfs, sim)
+        (run.results[0], run.makespan, pfs)
     };
     let procs = [16usize, 32, 64];
     let mut runs = Vec::new();
@@ -148,14 +139,10 @@ pub fn nonblocking(_: Size) -> Outcome {
                 blocks_per_proc: 80,
                 nprocs,
             };
-            let (bytes, makespan, _, sim) = write(sim, StorageMode::CostOnly, mesh, aggregate);
+            let (bytes, makespan, _) = write(&sim, StorageMode::CostOnly, mesh, aggregate);
             let profile = sim.profile.snapshot().to_json(makespan.as_nanos());
             let path = if aggregate { "aggregated" } else { "blocking" };
-            runs.push(
-                Json::obj()
-                    .with("run", format!("{path} {nprocs}"))
-                    .with("profile", profile),
-            );
+            runs.push(profile_entry(format!("{path} {nprocs}"), profile));
             mb_s(bytes, makespan)
         };
         procs.iter().map(cell).collect::<Vec<f64>>()
@@ -176,7 +163,7 @@ pub fn nonblocking(_: Size) -> Outcome {
             blocks_per_proc: 2,
             nprocs: 4,
         };
-        let (.., pfs, _) = write(SimConfig::test_small(), StorageMode::Full, mesh, aggregate);
+        let (.., pfs) = write(&SimConfig::test_small(), StorageMode::Full, mesh, aggregate);
         pfs.open("ckpt").unwrap().to_bytes()
     };
     let (blocking, aggregated) = (image(false), image(true));
@@ -293,22 +280,13 @@ pub fn prefetch(_: Size) -> Outcome {
 /// session's byte count and final clock (which the goldens pin as well).
 /// One shape for both sizes.
 pub fn service(_: Size) -> Outcome {
-    const NSESSIONS: usize = 64;
-    const NSHARED: usize = 8;
-    const STEPS: usize = 6;
-    const VALUES_PER_STEP: usize = 8192; // 64 KiB records
+    // 64 sessions, 8 shared datasets, 6 steps of 8192 doubles (64 KiB records).
     let one_run = |profile: bool| {
         let mut cfg = SimConfig::sdsc_blue_horizon();
         cfg.io_servers = 8;
         cfg.profile.set_enabled(profile);
-        let cluster = PfsCluster::new(cfg.clone(), StorageMode::Full);
-        let (specs, shared) = mixed_specs(NSESSIONS, NSHARED, STEPS, VALUES_PER_STEP);
-        prepare_shared_datasets(&cluster, &shared, STEPS, VALUES_PER_STEP);
-        // Quiescent point: bill the sessions from a cold, time-zero cluster
-        // and keep setup traffic out of the profile.
-        cluster.reset_timing();
-        cfg.profile.reset();
-        (run_sessions(&cluster, &specs), cluster, cfg)
+        let (run, cluster) = run_fleet(&cfg, 64, 8, 6, 8192);
+        (run, cluster, cfg)
     };
     let (run, cluster, cfg) = one_run(true);
     let ndatasets = cluster.meta().len();

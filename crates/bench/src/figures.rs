@@ -10,13 +10,11 @@ use pnetcdf_pfs::{Pfs, StorageMode};
 use crate::partition::{Partition, PARTITIONS};
 use crate::report::check_coverage;
 use crate::table::{Chart, Pin};
-use crate::workload::{checkpoint, flash_run, mb_s, serial_tt, Access, Array3d, Array3dTimes};
+use crate::workload::{
+    checkpoint, flash_run, flash_shape, mb_s, profile_entry, serial_tt, Access, Array3d,
+    Array3dTimes,
+};
 use crate::{Outcome, Size};
-
-/// One entry of a `profile` artifact.
-fn labelled(run: String, profile: Json) -> Json {
-    Json::obj().with("run", run).with("profile", profile)
-}
 
 /// Serial netCDF baseline: one process writes and reads the whole array
 /// through the serial library over a single client NIC (Figure 6's first
@@ -79,7 +77,7 @@ pub fn fig6(size: Size) -> Outcome {
                 w.push(mb_s(bytes, t.write));
                 r.push(mb_s(bytes, t.read));
                 let profile = run.sim.profile.snapshot().to_json(t.makespan.as_nanos());
-                runs.push(labelled(format!("{label} {part:?} {p}"), profile));
+                runs.push(profile_entry(format!("{label} {part:?} {p}"), profile));
             }
             write = write.series(&format!("{part:?}"), Pin::Collective, w);
             read = read.series(&format!("{part:?}"), Pin::Collective, r);
@@ -168,10 +166,7 @@ fn traced(config: FlashConfig, mode: WriteMode, out: &mut Outcome) -> CriticalPa
 /// the checkpoint written the way FLASH emits it natively (independent
 /// per-block puts) with and without the page cache, and the traced run.
 pub fn fig7(size: Size) -> Outcome {
-    let (blocks_per_proc, procs): (u64, &[usize]) = match size {
-        Size::Quick => (8, &[4, 8, 16]),
-        Size::Paper => (80, &[16, 32, 64, 128, 256]),
-    };
+    let (blocks_per_proc, procs) = flash_shape(size, &[16, 32, 64, 128, 256]);
     let mut out = Outcome::default();
     let mut runs = Vec::new();
     for nxb in [8u64, 16] {
@@ -198,7 +193,7 @@ pub fn fig7(size: Size) -> Outcome {
                         ..checkpoint(nprocs, blocks_per_proc)
                     };
                     let (mb_s, _, profile) = profiled(config, WriteMode::Collective);
-                    runs.push(labelled(
+                    runs.push(profile_entry(
                         format!("{title} {} {nprocs}", lib.label()),
                         profile,
                     ));

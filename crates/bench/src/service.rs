@@ -309,6 +309,25 @@ pub fn run_sessions(cluster: &PfsCluster, specs: &[SessionSpec]) -> ServiceRun {
     }
 }
 
+/// One measured run of a [`mixed_specs`] fleet on a fresh fully stored
+/// cluster under `cfg`: the shared datasets are created first, and the
+/// sessions are billed from that quiescent point — a cold, time-zero cluster
+/// and an empty profile.
+pub fn run_fleet(
+    cfg: &hpc_sim::SimConfig,
+    nsessions: usize,
+    nshared: usize,
+    steps: usize,
+    values_per_step: usize,
+) -> (ServiceRun, PfsCluster) {
+    let cluster = PfsCluster::new(cfg.clone(), pnetcdf_pfs::StorageMode::Full);
+    let (specs, shared) = mixed_specs(nsessions, nshared, steps, values_per_step);
+    prepare_shared_datasets(&cluster, &shared, steps, values_per_step);
+    cluster.reset_timing();
+    cfg.profile.reset();
+    (run_sessions(&cluster, &specs), cluster)
+}
+
 /// A standard mixed fleet: sessions alternate writer/reader; writers get
 /// private `ckpt_<i>.nc` datasets, readers share `shared_<j>.nc` round-
 /// robin over `nshared` pre-created datasets.

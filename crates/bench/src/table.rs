@@ -157,11 +157,6 @@ impl Chart {
     /// The chart as text: rows = series, columns = x values, `-` for a cell
     /// that has no value.
     pub fn render(&self) -> String {
-        self.render_where(|_| true)
-    }
-
-    /// [`render`](Chart::render) without the series and lines `keep` rejects.
-    pub fn render_where(&self, keep: impl Fn(Pin) -> bool) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for l in &self.above {
@@ -175,7 +170,7 @@ impl Chart {
             }
             out.push('\n');
         }
-        for s in self.series.iter().filter(|s| s.printed && keep(s.pin)) {
+        for s in self.series.iter().filter(|s| s.printed) {
             let _ = write!(out, "{:<14}", s.name);
             for v in &s.values {
                 let _ = match v.is_nan() {
@@ -185,7 +180,7 @@ impl Chart {
             }
             out.push('\n');
         }
-        for l in self.below.iter().filter(|l| keep(l.pin)) {
+        for l in &self.below {
             for p in &l.parts {
                 let _ = match p {
                     Part::Text(t) => write!(out, "{t}"),

@@ -3,6 +3,7 @@
 //! ranks, and the FLASH checkpoint on the Frost-like platform.
 
 use flash_io::{run_flash_io_mode, FlashConfig, FlashResult, IoLibrary, OutputKind, WriteMode};
+use hpc_sim::trace::Json;
 use hpc_sim::{SimConfig, Time};
 use netcdf_serial::NcFile;
 use pnetcdf::{Dataset, Info, NcType, Version};
@@ -10,6 +11,7 @@ use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, PfsFile, PosixSim, StorageMode};
 
 use crate::partition::{block_of, grid_for, Partition};
+use crate::Size;
 
 /// `bytes` moved in `t`, in MB/s.
 pub fn mb_s(bytes: u64, t: Time) -> f64 {
@@ -141,6 +143,20 @@ pub fn serial_tt(file: PfsFile, dims: (u64, u64, u64)) -> (NcFile, usize, PosixS
     let tt = f.def_var("tt", NcType::Float, &[z, y, x]).unwrap();
     f.enddef().unwrap();
     (f, tt, watch)
+}
+
+/// Blocks per processor and processor counts of a FLASH experiment: the
+/// paper's 80 blocks on `paper_procs`, or the quick shape they all share.
+pub fn flash_shape(size: Size, paper_procs: &'static [usize]) -> (u64, &'static [usize]) {
+    match size {
+        Size::Quick => (8, &[4, 8, 16]),
+        Size::Paper => (80, paper_procs),
+    }
+}
+
+/// One entry of a `profile` artifact: the report of the run called `run`.
+pub fn profile_entry(run: String, profile: Json) -> Json {
+    Json::obj().with("run", run).with("profile", profile)
 }
 
 /// The PnetCDF 8x8x8 checkpoint of the paper's port (no attributes).

@@ -10,10 +10,10 @@ use hpc_sim::trace::Json;
 use hpc_sim::{CrashSpec, FaultPlan, SimConfig, Time};
 use pnetcdf::{Dataset, Info};
 use pnetcdf_bench::report::check_coverage;
-use pnetcdf_bench::service::{mixed_specs, prepare_shared_datasets, run_sessions, ServiceRun};
+use pnetcdf_bench::service::run_fleet;
 use pnetcdf_bench::workload::{checkpoint, flash_bytes, flash_run};
 use pnetcdf_mpi::run_world;
-use pnetcdf_pfs::{Pfs, PfsCluster, StorageMode};
+use pnetcdf_pfs::{Pfs, StorageMode};
 
 const NPROCS: usize = 64;
 
@@ -410,23 +410,13 @@ fn the_trace_hint_records_balanced_spans_and_bounds_every_window() {
 /// per-session clocks identical across a rerun.
 #[test]
 fn a_fleet_of_sessions_shares_one_cluster_deterministically() {
-    const NSESSIONS: usize = 16;
-    const NSHARED: usize = 4;
-    const STEPS: usize = 4;
-    const VALUES_PER_STEP: usize = 4096; // 32 KiB records
     let platform = || {
         let mut cfg = SimConfig::sdsc_blue_horizon();
         cfg.io_servers = 4;
         cfg
     };
-    let one_run = |cfg: &SimConfig| -> (ServiceRun, PfsCluster) {
-        let cluster = PfsCluster::new(cfg.clone(), StorageMode::Full);
-        let (specs, shared) = mixed_specs(NSESSIONS, NSHARED, STEPS, VALUES_PER_STEP);
-        prepare_shared_datasets(&cluster, &shared, STEPS, VALUES_PER_STEP);
-        cluster.reset_timing();
-        cfg.profile.reset();
-        (run_sessions(&cluster, &specs), cluster)
-    };
+    // 4 steps of 4096 doubles (32 KiB records) per session.
+    let one_run = |cfg: &SimConfig| run_fleet(cfg, 16, 4, 4, 4096);
     let cfg = platform();
     cfg.profile.set_enabled(true);
     let (run, cluster) = one_run(&cfg);

@@ -24,37 +24,40 @@ fn checkpoint_bytes(sim: &SimConfig, nprocs: usize, mode: WriteMode) -> (Vec<u8>
     (bytes, res)
 }
 
-/// The collective, the uncached independent and the cached independent
-/// (budget `cache_size`) checkpoints of `nprocs` ranks on `platform`, the
-/// three files asserted identical; the last two results and the cached
-/// run's platform come back for the caller's own checks.
+/// The collective, the uncached independent and, per budget of
+/// `cache_sizes`, the cached independent checkpoint of `nprocs` ranks on
+/// `platform`, all files asserted identical; the uncached result and the
+/// last cached run's result and platform come back for the caller's checks.
 fn three_ports(
     platform: fn() -> SimConfig,
     nprocs: usize,
-    cache_size: usize,
+    cache_sizes: &[usize],
 ) -> (FlashResult, FlashResult, SimConfig) {
     let (collective, _) = checkpoint_bytes(&platform(), nprocs, WriteMode::Collective);
     let (uncached_bytes, uncached) = checkpoint_bytes(&platform(), nprocs, WriteMode::uncached());
-    let sim = platform();
-    sim.profile.set_enabled(true);
-    let (cached_bytes, cached) = checkpoint_bytes(&sim, nprocs, WriteMode::cached(cache_size));
     assert!(!collective.is_empty());
     assert!(
         uncached_bytes == collective,
         "independent and collective ports must produce the same file"
     );
-    assert!(
-        cached_bytes == collective,
-        "cache ({cache_size} bytes) must not change file contents"
-    );
-    (uncached, cached, sim)
+    let mut last = None;
+    for &cache_size in cache_sizes {
+        let sim = platform();
+        sim.profile.set_enabled(true);
+        let (cached_bytes, cached) = checkpoint_bytes(&sim, nprocs, WriteMode::cached(cache_size));
+        assert!(
+            cached_bytes == collective,
+            "cache ({cache_size} bytes) must not change file contents"
+        );
+        last = Some((uncached, cached, sim));
+    }
+    last.expect("at least one cache size")
 }
 
 #[test]
 fn cached_checkpoint_is_byte_identical() {
-    three_ports(SimConfig::test_small, 8, 4 * 1024 * 1024);
-    // A tiny cache forces evictions mid-write; the bytes must still match.
-    three_ports(SimConfig::test_small, 8, 64 * 1024);
+    // The tiny cache forces evictions mid-write; the bytes must still match.
+    three_ports(SimConfig::test_small, 8, &[4 * 1024 * 1024, 64 * 1024]);
 }
 
 /// The Figure 7 checkpoint (64 processors, Frost-like platform) with one
@@ -64,7 +67,7 @@ fn cached_checkpoint_is_byte_identical() {
 /// whole makespan.
 #[test]
 fn a_one_page_cache_at_64_ranks_hits_evicts_writes_behind_and_wins() {
-    let (uncached, cached, sim) = three_ports(SimConfig::asci_frost, 64, 256 * 1024);
+    let (uncached, cached, sim) = three_ports(SimConfig::asci_frost, 64, &[256 * 1024]);
     let cc = sim.profile.cache_counters();
     assert!(cc.hits > 0, "no cache hits recorded: {cc:?}");
     assert!(
