@@ -4,7 +4,7 @@
 use hdf5_sim::{H5File, H5Type};
 use hpc_sim::{SimConfig, Time};
 use pnetcdf::{Dataset, Info, NcType, Version};
-use pnetcdf_mpi::{run_world, Comm, Datatype};
+use pnetcdf_mpi::{run_world, Comm};
 use pnetcdf_mpio::{MpiFile, OpenMode};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -121,12 +121,12 @@ pub fn alignment(_: Size) -> Outcome {
                 let f = MpiFile::open(comm, pfs, "rec.dat", OpenMode::Create, &Info::new());
                 let f = f.unwrap();
                 let data = vec![0u8; rec];
-                let mem = Datatype::contiguous(rec, Datatype::byte());
                 let t0 = comm.now();
                 for i in 0..RECORDS_PER_RANK {
                     // Record i of rank r lives at slot (i * nprocs + r).
                     let slot = (i * comm.size() + comm.rank()) as u64;
-                    f.write_at(slot * rec as u64, &data, 1, &mem).unwrap();
+                    let run = (slot * rec as u64, rec as u64);
+                    f.write_runs_at(&[run], &data).unwrap();
                 }
                 comm.barrier().unwrap();
                 comm.now() - t0
@@ -294,8 +294,7 @@ pub fn header(_: Size) -> Outcome {
         let t0 = comm.now();
         let f = MpiFile::open(comm, &pfs, "hdr.nc", OpenMode::ReadOnly, &Info::new()).unwrap();
         let mut buf = vec![0u8; header_len as usize];
-        let mem = Datatype::contiguous(buf.len(), Datatype::byte());
-        f.read_at(0, &mut buf, 1, &mem).unwrap();
+        f.read_runs_into(&[(0, header_len)], &mut buf).unwrap();
         let (header, _) = pnetcdf_format::Header::decode(&buf).unwrap();
         assert_eq!(header.vars.len(), 50);
         comm.barrier().unwrap();

@@ -58,7 +58,7 @@ use pnetcdf_format::swap::swap_inplace;
 use pnetcdf_format::types::{from_external, to_external_into};
 use pnetcdf_format::{NcType, NcValue};
 use pnetcdf_mpi::{Datatype, MpiError, ReduceOp, Request};
-use pnetcdf_mpio::view::runs_total;
+use pnetcdf_mpio::runs::runs_total;
 use pnetcdf_mpio::{MpioError, Run};
 
 use crate::access::highlevel::ones;

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use hpc_sim::{Phase, PhaseScope, Time};
 use pnetcdf_format::layout::{self, Layout};
 use pnetcdf_format::{Header, NcType, Version};
-use pnetcdf_mpi::{Comm, Datatype, Info, Loan, ReduceOp, RequestTable};
+use pnetcdf_mpi::{Comm, Info, Loan, ReduceOp, RequestTable};
 use pnetcdf_mpio::{MpiFile, OpenMode};
 use pnetcdf_pfs::Pfs;
 
@@ -129,8 +129,7 @@ impl Dataset {
             let buf = loop {
                 let take = probe.min(file.size()).max(32) as usize;
                 let mut buf = vec![0u8; take];
-                let mem = Datatype::contiguous(take, Datatype::byte());
-                file.read_at(0, &mut buf, 1, &mem)?;
+                file.read_runs_into(&[(0, take as u64)], &mut buf)?;
                 match Header::decode(&buf) {
                     Ok(_) => break buf,
                     Err(pnetcdf_format::FormatError::Corrupt(_)) if probe < file.size() => {
@@ -257,10 +256,8 @@ impl Dataset {
             let _meta = PhaseScope::enter(Phase::Metadata);
             let mut padded = header_bytes;
             padded.resize(self.layout.data_start as usize, 0);
-            let mem = Datatype::contiguous(padded.len(), Datatype::byte());
             self.file
-                .set_view_local(0, &Datatype::byte(), &Datatype::byte())?;
-            self.file.write_at(0, &padded, 1, &mem)?;
+                .write_runs_at(&[(0, padded.len() as u64)], &padded)?;
         }
         self.comm.barrier()?;
         self.mode = DataMode::Collective;
@@ -284,8 +281,6 @@ impl Dataset {
     fn relocate(&mut self, old_header: &Header, old_layout: Layout) -> NcmpiResult<()> {
         self.header.numrecs = old_header.numrecs;
         let nprocs = self.comm.size();
-        self.file
-            .set_view_local(0, &Datatype::byte(), &Datatype::byte())?;
         for (old_id, ov) in old_header.vars.iter().enumerate() {
             let Some(new_id) = self.header.var_id(&ov.name) else {
                 continue;
@@ -295,20 +290,18 @@ impl Dataset {
             }
             let nv = &self.header.vars[new_id];
             if old_header.is_record_var(old_id) {
-                let per = ov.vsize as usize;
-                let mut rec = vec![0u8; per];
-                let mem = Datatype::contiguous(per, Datatype::byte());
+                let mut rec = vec![0u8; ov.vsize as usize];
                 for r in 0..old_header.numrecs {
-                    self.file
-                        .read_at(ov.begin + r * old_layout.recsize, &mut rec, 1, &mem)?;
-                    self.file
-                        .write_at(nv.begin + r * self.layout.recsize, &rec, 1, &mem)?;
+                    let from = (ov.begin + r * old_layout.recsize, ov.vsize);
+                    self.file.read_runs_into(&[from], &mut rec)?;
+                    let to = (nv.begin + r * self.layout.recsize, ov.vsize);
+                    self.file.write_runs_at(&[to], &rec)?;
                 }
             } else {
                 let mut data = vec![0u8; ov.vsize as usize];
-                let mem = Datatype::contiguous(data.len(), Datatype::byte());
-                self.file.read_at(ov.begin, &mut data, 1, &mem)?;
-                self.file.write_at(nv.begin, &data, 1, &mem)?;
+                self.file
+                    .read_runs_into(&[(ov.begin, ov.vsize)], &mut data)?;
+                self.file.write_runs_at(&[(nv.begin, ov.vsize)], &data)?;
             }
         }
         self.comm.barrier()?;
@@ -372,10 +365,7 @@ impl Dataset {
         if self.writable && self.comm.rank() == 0 {
             let _meta = PhaseScope::enter(Phase::Metadata);
             let nr = (self.header.numrecs.min(u32::MAX as u64 - 1)) as u32;
-            let mem = Datatype::contiguous(4, Datatype::byte());
-            self.file
-                .set_view_local(0, &Datatype::byte(), &Datatype::byte())?;
-            self.file.write_at(4, &nr.to_be_bytes(), 1, &mem)?;
+            self.file.write_runs_at(&[(4, 4)], &nr.to_be_bytes())?;
         }
         self.file.sync()?;
         Ok(())

@@ -10,7 +10,6 @@
 
 use pnetcdf_format::types::{default_fill_f64, fill_element_bytes};
 use pnetcdf_format::AttrValue;
-use pnetcdf_mpi::Datatype;
 
 use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
@@ -77,13 +76,10 @@ impl Dataset {
                 buf.extend_from_slice(&elem);
             }
             buf.truncate(take as usize);
-            let ft = Datatype::hindexed(
-                vec![((my_lo + written) as i64, take as usize)],
-                Datatype::byte(),
-            );
-            self.file.set_view_local(0, &Datatype::byte(), &ft)?;
-            let mem = Datatype::contiguous(buf.len(), Datatype::byte());
-            self.file.write_at_all(0, &buf, 1, &mem)?;
+            // A padding round passes no run: an empty one would still
+            // stretch the file domain the aggregators divide.
+            let run = (take > 0).then_some((my_lo + written, take));
+            self.file.write_runs_at_all(run.as_slice(), &buf)?;
             written += take;
         }
         Ok(())

@@ -9,8 +9,6 @@
 //! writes land interleaved on the I/O servers. `TransferMode::Collective`
 //! is available as the opt-in it was in real HDF5.
 
-use pnetcdf_mpi::Datatype;
-
 use crate::error::H5Result;
 use crate::file::H5File;
 use crate::format::{H5Type, ObjectHeader};
@@ -134,18 +132,10 @@ impl H5Dataset {
         file.comm
             .advance(cfg.cpu.pack(data.len(), PACK_COST_MULTIPLIER));
 
-        let blocks: Vec<(i64, usize)> = runs.iter().map(|&(o, l)| (o as i64, l as usize)).collect();
-        let ft = Datatype::hindexed(blocks, Datatype::byte());
-        file.file.set_view_local(0, &Datatype::byte(), &ft)?;
-        let mem = Datatype::contiguous(data.len(), Datatype::byte());
         match self.xfer {
-            TransferMode::Independent => {
-                file.file.write_at(0, data, 1, &mem)?;
-            }
-            TransferMode::Collective => {
-                file.file.write_at_all(0, data, 1, &mem)?;
-            }
-        }
+            TransferMode::Independent => file.file.write_runs_at(&runs, data)?,
+            TransferMode::Collective => file.file.write_runs_at_all(&runs, data)?,
+        };
 
         // Metadata update at write time + synchronization.
         self.header.mtime += 1;
@@ -173,17 +163,9 @@ impl H5Dataset {
                 out.len()
             )));
         }
-        let blocks: Vec<(i64, usize)> = runs.iter().map(|&(o, l)| (o as i64, l as usize)).collect();
-        let ft = Datatype::hindexed(blocks, Datatype::byte());
-        file.file.set_view_local(0, &Datatype::byte(), &ft)?;
-        let mem = Datatype::contiguous(out.len(), Datatype::byte());
         match self.xfer {
-            TransferMode::Independent => {
-                file.file.read_at(0, out, 1, &mem)?;
-            }
-            TransferMode::Collective => {
-                file.file.read_at_all(0, out, 1, &mem)?;
-            }
+            TransferMode::Independent => file.file.read_runs_into(&runs, out)?,
+            TransferMode::Collective => file.file.read_runs_into_all(&runs, out)?,
         }
         // Unpacking the hyperslab is recursive too, but reads skip the
         // write-time metadata synchronization.

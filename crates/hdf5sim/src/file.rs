@@ -1,7 +1,7 @@
 //! The HDF5-sim file object: collective create/open and the dispersed
 //! metadata bookkeeping.
 
-use pnetcdf_mpi::{Comm, Datatype, Info};
+use pnetcdf_mpi::{Comm, Info};
 use pnetcdf_mpio::{MpiFile, OpenMode};
 use pnetcdf_pfs::Pfs;
 
@@ -30,7 +30,7 @@ impl H5File {
             eof: SUPERBLOCK_SIZE,
             nobjects: 0,
         };
-        let mut h5 = H5File {
+        let h5 = H5File {
             comm: comm.clone(),
             file,
             sb,
@@ -61,16 +61,14 @@ impl H5File {
         let file = MpiFile::open(comm, pfs, name, mode, info)?;
         let payload = if comm.rank() == 0 {
             let mut sb_bytes = vec![0u8; SUPERBLOCK_SIZE as usize];
-            let mem = Datatype::contiguous(sb_bytes.len(), Datatype::byte());
-            file.read_at(0, &mut sb_bytes, 1, &mem)?;
+            file.read_runs_into(&[(0, SUPERBLOCK_SIZE)], &mut sb_bytes)?;
             let sb = Superblock::decode(&sb_bytes)?;
             // Read the symbol table block (everything from root_addr to eof
             // can contain it; read generously up to 1 MiB).
             let max = (file.size().saturating_sub(sb.root_addr)).min(1 << 20) as usize;
             let mut sym_bytes = vec![0u8; max];
             if max > 0 {
-                let mem = Datatype::contiguous(max, Datatype::byte());
-                file.read_at(sb.root_addr, &mut sym_bytes, 1, &mem)?;
+                file.read_runs_into(&[(sb.root_addr, max as u64)], &mut sym_bytes)?;
             }
             let mut out = sb_bytes;
             out.extend_from_slice(&sym_bytes);
@@ -89,20 +87,14 @@ impl H5File {
         })
     }
 
-    fn write_superblock(&mut self) -> H5Result<()> {
-        let bytes = self.sb.encode();
-        let mem = Datatype::contiguous(bytes.len(), Datatype::byte());
-        self.file
-            .set_view_local(0, &Datatype::byte(), &Datatype::byte())?;
-        self.file.write_at(0, &bytes, 1, &mem)?;
-        Ok(())
+    fn write_superblock(&self) -> H5Result<()> {
+        self.write_meta(0, &self.sb.encode())
     }
 
-    pub(crate) fn write_meta(&mut self, addr: u64, bytes: &[u8]) -> H5Result<()> {
-        let mem = Datatype::contiguous(bytes.len(), Datatype::byte());
+    /// One independent metadata write: `bytes` (never empty) at `addr`.
+    pub(crate) fn write_meta(&self, addr: u64, bytes: &[u8]) -> H5Result<()> {
         self.file
-            .set_view_local(0, &Datatype::byte(), &Datatype::byte())?;
-        self.file.write_at(addr, bytes, 1, &mem)?;
+            .write_runs_at(&[(addr, bytes.len() as u64)], bytes)?;
         Ok(())
     }
 
@@ -179,17 +171,16 @@ impl H5File {
             // a lookup cost per entry scanned, one read for the header.
             let cfg = self.comm.config().clone();
             self.comm.advance(cfg.cpu.metadata_ops(pos + 1));
+            // (An open file holds its superblock, so the probe is never
+            // empty.)
             let mut sym_probe = vec![0u8; 64.min(self.file.size() as usize)];
-            let mem = Datatype::contiguous(sym_probe.len(), Datatype::byte());
-            self.file
-                .set_view_local(0, &Datatype::byte(), &Datatype::byte())?;
-            self.file
-                .read_at(self.sb.root_addr, &mut sym_probe, 1, &mem)?;
+            let probe = (self.sb.root_addr, sym_probe.len() as u64);
+            self.file.read_runs_into(&[probe], &mut sym_probe)?;
 
             let hsize = 24 + 8 * 16; // generous: up to 16 dims
             let mut hdr = vec![0u8; hsize];
-            let mem = Datatype::contiguous(hsize, Datatype::byte());
-            self.file.read_at(header_addr, &mut hdr, 1, &mem)?;
+            self.file
+                .read_runs_into(&[(header_addr, hsize as u64)], &mut hdr)?;
             self.comm.bcast_bytes(0, hdr)?
         } else {
             self.comm.bcast_bytes(0, Vec::new())?
@@ -218,7 +209,7 @@ impl H5File {
     }
 
     /// Collectively close the file: flush the superblock and synchronize.
-    pub fn close(mut self) -> H5Result<()> {
+    pub fn close(self) -> H5Result<()> {
         if self.comm.rank() == 0 && !self.readonly {
             self.write_superblock()?;
         }

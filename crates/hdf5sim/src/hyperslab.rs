@@ -8,6 +8,8 @@
 //! offsets it produces and charge its CPU cost with
 //! [`PACK_COST_MULTIPLIER`] relative to a flat memcpy.
 
+use pnetcdf_mpio::runs::push_run;
+
 use crate::error::{H5Error, H5Result};
 
 /// CPU cost multiplier of recursive hyperslab packing versus a flat copy.
@@ -57,15 +59,6 @@ pub fn runs(
     for d in (0..nd - 1).rev() {
         strides[d] = strides[d + 1] * dims[d + 1];
     }
-    let push = |out: &mut Vec<(u64, u64)>, off: u64, len: u64| {
-        if let Some(last) = out.last_mut() {
-            if last.0 + last.1 == off {
-                last.1 += len;
-                return;
-            }
-        }
-        out.push((off, len));
-    };
     let mut idx = vec![0u64; nd - 1];
     loop {
         let mut elem: u64 = 0;
@@ -73,7 +66,7 @@ pub fn runs(
             elem += (start[d] + idx[d]) * strides[d];
         }
         elem += start[nd - 1];
-        push(&mut out, base + elem * esize, count[nd - 1] * esize);
+        push_run(&mut out, base + elem * esize, count[nd - 1] * esize);
         // Odometer.
         let mut d = nd - 1;
         loop {

@@ -4,7 +4,7 @@
 
 use hdf5_sim::{H5File, H5Type, TransferMode};
 use hpc_sim::{SimConfig, Time};
-use pnetcdf_mpi::{run_world, Datatype, Info};
+use pnetcdf_mpi::{run_world, Info};
 use pnetcdf_mpio::{MpiFile, OpenMode};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -19,10 +19,9 @@ fn raw_mpiio_time(nprocs: usize, total_elems: u64) -> Time {
         let f = MpiFile::open(c, &pfs, "raw", OpenMode::Create, &Info::new()).unwrap();
         let slab = (total_elems / nprocs as u64) as usize;
         let data = vec![0u8; slab * 8];
-        let mem = Datatype::contiguous(data.len(), Datatype::byte());
+        let run = ((c.rank() * slab * 8) as u64, data.len() as u64);
         let t0 = c.now();
-        f.write_at_all((c.rank() * slab * 8) as u64, &data, 1, &mem)
-            .unwrap();
+        f.write_runs_at_all(&[run], &data).unwrap();
         c.now() - t0
     });
     run.results.into_iter().max().unwrap()

@@ -301,12 +301,6 @@ impl Comm {
         })
     }
 
-    /// Broadcast a slice of scalars from `root`.
-    pub fn bcast_scalars<T: Scalar>(&self, root: usize, mine: &[T]) -> MpiResult<Vec<T>> {
-        let bytes = self.bcast_bytes(root, to_bytes(mine))?;
-        Ok(from_bytes(&bytes))
-    }
-
     /// `MPI_Allgatherv` of byte buffers: returns every rank's contribution,
     /// indexed by rank.
     pub fn allgather_bytes(&self, mine: Vec<u8>) -> MpiResult<Vec<Vec<u8>>> {
@@ -365,48 +359,6 @@ impl Comm {
         Ok(res.iter().map(|row| row[me].clone()).collect())
     }
 
-    /// `MPI_Gatherv` to `root`: root gets every contribution, others `None`.
-    pub fn gatherv_bytes(&self, root: usize, mine: Vec<u8>) -> MpiResult<Option<Vec<Vec<u8>>>> {
-        self.check_rank(root)?;
-        let env = self.coll_env();
-        let res = self.collective(Loan::send(&[&mine]), move |loans| {
-            gather_rows(&env, CollKind::Gather, loans)
-        })?;
-        Ok(if self.my_index == root {
-            Some((*res).clone())
-        } else {
-            None
-        })
-    }
-
-    /// `MPI_Scatterv` from `root`: root passes one parcel per rank.
-    pub fn scatterv_bytes(&self, root: usize, parts: Option<Vec<Vec<u8>>>) -> MpiResult<Vec<u8>> {
-        self.check_rank(root)?;
-        if self.my_index == root {
-            match &parts {
-                Some(p) if p.len() == self.size() => {}
-                _ => {
-                    return Err(MpiError::CollectiveMismatch(
-                        "scatterv root must supply one parcel per rank".into(),
-                    ))
-                }
-            }
-        }
-        let env = self.coll_env();
-        let me = self.my_index;
-        let parts = parts.unwrap_or_default();
-        let loan = Loan::describe(&parts[..]);
-        let res = self.collective(loan, move |loans: &mut [Loan<'_, [Vec<u8>]>]| {
-            let row = loans[root].meta.to_vec();
-            let maxlen = row.iter().map(Vec::len).max().unwrap_or(0);
-            let total: usize = row.iter().map(Vec::len).sum();
-            let cost = env.config.network.bcast(maxlen, env.size());
-            env.sync_collective(CollKind::Scatter, total as u64, cost);
-            row
-        })?;
-        Ok(res[me].clone())
-    }
-
     /// `MPI_Allreduce` over a slice (elementwise).
     pub fn allreduce<T: Reducible>(&self, op: ReduceOp, vals: &[T]) -> MpiResult<Vec<T>> {
         let env = self.coll_env();
@@ -423,40 +375,6 @@ impl Comm {
     /// Allreduce of a single scalar.
     pub fn allreduce_scalar<T: Reducible>(&self, op: ReduceOp, v: T) -> MpiResult<T> {
         Ok(self.allreduce(op, &[v])?[0])
-    }
-
-    /// `MPI_Reduce`: elementwise reduction delivered to `root` only.
-    pub fn reduce<T: Reducible>(
-        &self,
-        root: usize,
-        op: ReduceOp,
-        vals: &[T],
-    ) -> MpiResult<Option<Vec<T>>> {
-        self.check_rank(root)?;
-        let env = self.coll_env();
-        let nvals = vals.len();
-        let res = self.collective(Loan::send(&[&to_bytes(vals)]), move |loans| {
-            let acc = reduce_rows::<T>(op, nvals, loans);
-            // Binomial-tree reduction: same cost shape as a broadcast.
-            let cost = env.config.network.bcast(nvals * T::WIDTH, env.size());
-            env.sync_collective(CollKind::Reduce, (nvals * T::WIDTH) as u64, cost);
-            acc
-        })?;
-        Ok(if self.my_index == root {
-            Some((*res).clone())
-        } else {
-            None
-        })
-    }
-
-    /// `MPI_Exscan` with sum: returns the sum of values at ranks `< self`
-    /// (0 at rank 0), plus the grand total — a common pair for laying out
-    /// shared output.
-    pub fn exscan_sum(&self, v: u64) -> MpiResult<(u64, u64)> {
-        let all = self.allgather_scalar::<u64>(v)?;
-        let prefix: u64 = all[..self.my_index].iter().sum();
-        let total: u64 = all.iter().sum();
-        Ok((prefix, total))
     }
 
     // ---- point-to-point ------------------------------------------------------

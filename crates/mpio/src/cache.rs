@@ -61,7 +61,7 @@ use pnetcdf_pfs::PfsFile;
 
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
-use crate::view::Run;
+use crate::runs::Run;
 
 /// A byte range within a page, half-open.
 type PageRun = (u32, u32);
@@ -473,7 +473,7 @@ impl PageCache {
         out: &mut [u8],
     ) -> MpioResult<()> {
         let total = out.len() as u64;
-        debug_assert_eq!(crate::view::runs_total(runs), total);
+        debug_assert_eq!(crate::runs::runs_total(runs), total);
         let ps = self.cfg.page_size as u64;
         let cap = self.cfg.capacity_pages() as u64;
         let t0 = led.now;
@@ -785,7 +785,7 @@ mod tests {
         led: &mut CacheLedger,
         runs: &[Run],
     ) -> Vec<u8> {
-        let mut out = vec![0xEEu8; crate::view::runs_total(runs) as usize];
+        let mut out = vec![0xEEu8; crate::runs::runs_total(runs) as usize];
         cache.read_runs(file, led, runs, &mut out).unwrap();
         out
     }

@@ -1,4 +1,4 @@
-//! `MPI_File`: open/close, views, independent and collective data access.
+//! `MPI_File`: open/close, independent and collective access of run lists.
 
 use std::sync::Arc;
 
@@ -6,15 +6,15 @@ use hpc_sim::trace::events::layer;
 use hpc_sim::{CollKind, Phase, PhaseScope, Span, Time, TraceCtx};
 use parking_lot::Mutex;
 use pnetcdf_format::swap::swap_inplace;
-use pnetcdf_mpi::{pack, CollEnv, Comm, Datatype, Info, Loan};
+use pnetcdf_mpi::{CollEnv, Comm, Info, Loan};
 use pnetcdf_pfs::{Pfs, PfsFile};
 
 use crate::cache::{CacheConfig, CacheLedger, PageCache};
 use crate::error::{MpioError, MpioResult};
 use crate::hints::{Hints, Toggle};
+use crate::runs::Run;
 use crate::sieve;
 use crate::twophase::{self, CollBuf, Req, TwoPhaseParams};
-use crate::view::{runs_total, FileView, FlattenCache, Run};
 
 /// How to open the file (`MPI_MODE_*` combinations we support).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,16 +33,12 @@ pub enum OpenMode {
 pub struct MpiFile {
     comm: Comm,
     file: PfsFile,
-    view: FileView,
     hints: Hints,
     readonly: bool,
     /// Client-side page cache (`pnc_cache=enable`); per rank, so no lock
     /// contention — the mutex only provides interior mutability behind the
     /// `&self` data-access methods.
     cache: Option<Mutex<PageCache>>,
-    /// Memoized view-flattening results; keyed by view signature, so
-    /// `set_view` needs no invalidation.
-    flatten: Mutex<FlattenCache>,
     /// The collective buffer of this open file, shared by every rank's
     /// handle. Only the finisher of a collective on the file locks it, and
     /// the file's collectives happen one at a time, so nobody ever waits:
@@ -137,11 +133,9 @@ impl MpiFile {
                 Ok(MpiFile {
                     comm: comm.clone(),
                     file: f.clone(),
-                    view: FileView::contiguous(),
                     hints,
                     readonly: mode == OpenMode::ReadOnly,
                     cache,
-                    flatten: Mutex::new(FlattenCache::new()),
                     cbuf: cbuf.clone(),
                 })
             }
@@ -199,39 +193,6 @@ impl MpiFile {
             .map_err(MpioError::from)?;
         self.cache_post();
         Ok(())
-    }
-
-    /// Collectively set the file view (`MPI_File_set_view`).
-    pub fn set_view(&mut self, disp: u64, etype: &Datatype, filetype: &Datatype) -> MpioResult<()> {
-        let view = FileView::new(disp, etype, filetype)?;
-        self.comm.barrier()?;
-        self.view = view;
-        Ok(())
-    }
-
-    /// Set the view without synchronization. Real PnetCDF achieves
-    /// independent data mode by keeping a second handle opened on
-    /// `MPI_COMM_SELF`; changing the view on that handle involves no other
-    /// rank. This method models that path.
-    pub fn set_view_local(
-        &mut self,
-        disp: u64,
-        etype: &Datatype,
-        filetype: &Datatype,
-    ) -> MpioResult<()> {
-        self.view = FileView::new(disp, etype, filetype)?;
-        Ok(())
-    }
-
-    /// The current view.
-    pub fn view(&self) -> &FileView {
-        &self.view
-    }
-
-    /// Is the client-side page cache active on this handle
-    /// (`pnc_cache=enable`)?
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// Charge a cache operation's virtual time to the trace: memcpy work to
@@ -307,35 +268,6 @@ impl MpiFile {
         Ok(())
     }
 
-    /// Pack the memory buffer described by `(buf, count, memtype)` into
-    /// contiguous staging bytes, charging pack CPU time for noncontiguous
-    /// layouts. Contiguous memory is borrowed as-is — no staging copy.
-    fn stage<'a>(
-        &self,
-        buf: &'a [u8],
-        count: usize,
-        memtype: &Datatype,
-    ) -> MpioResult<std::borrow::Cow<'a, [u8]>> {
-        let bytes = memtype.size() as usize * count;
-        if memtype.is_packed() {
-            if buf.len() < bytes {
-                return Err(MpioError::InvalidArgument(format!(
-                    "memory buffer has {} bytes, datatype needs {bytes}",
-                    buf.len()
-                )));
-            }
-            self.comm.config().profile.record_bytepath(|b| {
-                b.copies_elided += 1;
-                b.borrowed_bytes += bytes as u64;
-            });
-            return Ok(std::borrow::Cow::Borrowed(&buf[..bytes]));
-        }
-        let data = pack::pack(buf, count, memtype)?;
-        self.comm
-            .advance(self.comm.config().cpu.pack(data.len(), 1.0));
-        Ok(std::borrow::Cow::Owned(data))
-    }
-
     fn params(&self) -> TwoPhaseParams {
         let cfg = self.comm.config();
         TwoPhaseParams {
@@ -351,30 +283,31 @@ impl MpiFile {
         }
     }
 
-    /// Map a view-relative access to absolute file runs through the
-    /// memoizing flatten cache.
-    fn mapped(&self, offset_etypes: u64, len: u64) -> MpioResult<Arc<Vec<Run>>> {
-        let (runs, hit) = self.flatten.lock().map(&self.view, offset_etypes, len)?;
-        self.comm.config().profile.record_bytepath(|b| {
-            b.flatten_hits += hit as u64;
-            b.flatten_misses += !hit as u64;
-        });
-        Ok(runs)
-    }
-
-    /// Validate a caller-supplied run list: sorted, non-overlapping, and
-    /// totalling `data_len` bytes.
-    fn check_runs(runs: &[Run], data_len: usize) -> MpioResult<()> {
-        let mut prev_end = 0u64;
+    /// Validate a caller-supplied run list — sorted, non-overlapping, no run
+    /// ending past the largest file offset — and return the bytes it covers.
+    /// Every data call passes through here first.
+    fn total_of(runs: &[Run]) -> MpioResult<u64> {
+        let (mut prev_end, mut total) = (0u64, 0u64);
         for &(off, len) in runs {
             if off < prev_end {
                 return Err(MpioError::InvalidArgument(
                     "run list must be sorted and non-overlapping".into(),
                 ));
             }
-            prev_end = off + len;
+            prev_end = off.checked_add(len).ok_or_else(|| {
+                MpioError::InvalidArgument(format!(
+                    "run ({off}, {len}) ends past the largest file offset"
+                ))
+            })?;
+            // Disjoint runs below `prev_end` cover at most `prev_end` bytes.
+            total += len;
         }
-        let total = runs_total(runs);
+        Ok(total)
+    }
+
+    /// [`MpiFile::total_of`] a run list that must cover `data_len` bytes.
+    fn check_runs(runs: &[Run], data_len: usize) -> MpioResult<()> {
+        let total = Self::total_of(runs)?;
         if total != data_len as u64 {
             return Err(MpioError::InvalidArgument(format!(
                 "run list covers {total} bytes but the buffer has {data_len}"
@@ -385,9 +318,9 @@ impl MpiFile {
 
     // ---- independent data access ------------------------------------------
 
-    /// Independent write of pre-resolved absolute file runs: the data-sieving
-    /// path without view mapping. `runs` must be sorted and non-overlapping;
-    /// `data` holds the run bytes concatenated in run order.
+    /// Independent write of absolute file runs (`MPI_File_write_at` of a
+    /// flattened view): the data-sieving path. `runs` must be sorted and
+    /// non-overlapping; `data` holds the run bytes concatenated in run order.
     pub fn write_runs_at(&self, runs: &[Run], data: &[u8]) -> MpioResult<usize> {
         self.check_writable()?;
         Self::check_runs(runs, data.len())?;
@@ -415,10 +348,10 @@ impl MpiFile {
         Ok(data.len())
     }
 
-    /// Independent read of pre-resolved absolute file runs; returns the run
-    /// bytes concatenated in run order.
+    /// Independent read of absolute file runs; returns the run bytes
+    /// concatenated in run order.
     pub fn read_runs_at(&self, runs: &[Run]) -> MpioResult<Vec<u8>> {
-        let mut out = vec![0u8; runs_total(runs) as usize];
+        let mut out = vec![0u8; Self::total_of(runs)? as usize];
         self.read_runs_into(runs, &mut out).map(|()| out)
     }
 
@@ -447,88 +380,12 @@ impl MpiFile {
         Ok(())
     }
 
-    /// Independent write at `offset` (in etypes of the current view)
-    /// (`MPI_File_write_at`). Returns bytes written.
-    pub fn write_at(
-        &self,
-        offset: u64,
-        buf: &[u8],
-        count: usize,
-        memtype: &Datatype,
-    ) -> MpioResult<usize> {
-        self.check_writable()?;
-        let data = self.stage(buf, count, memtype)?;
-        let runs = self.mapped(offset, data.len() as u64)?;
-        self.write_runs_at(&runs, &data)
-    }
-
-    /// Independent read at `offset` (`MPI_File_read_at`). Returns bytes read.
-    pub fn read_at(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        count: usize,
-        memtype: &Datatype,
-    ) -> MpioResult<usize> {
-        self.read_view(offset, buf, count, memtype, false)
-    }
-
-    /// The view-based reads: map the access through the view and read its
-    /// runs — straight into `buf` when the memory is simply the packed
-    /// bytes; noncontiguous memory is scattered into, charging unpack CPU
-    /// time.
-    fn read_view(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        count: usize,
-        memtype: &Datatype,
-        collective: bool,
-    ) -> MpioResult<usize> {
-        let want = memtype.size() as usize * count;
-        let runs = self.mapped(offset, want as u64)?;
-        let read = |out: &mut [u8]| {
-            if collective {
-                self.read_runs_into_all(&runs, out)
-            } else {
-                self.read_runs_into(&runs, out)
-            }
-        };
-        match buf.get_mut(..want).filter(|_| memtype.is_packed()) {
-            Some(dst) => read(dst)?,
-            // (Too small a buffer also ends up here, for `unpack` to
-            // report: it is this rank's mistake alone, and the others
-            // still need their collective read to happen.)
-            None => {
-                let mut data = vec![0u8; want];
-                read(&mut data)?;
-                pack::unpack(&data, buf, count, memtype)?;
-                self.comm.advance(self.comm.config().cpu.pack(want, 1.0));
-            }
-        }
-        Ok(want)
-    }
-
     // ---- collective data access ----------------------------------------------
 
-    /// Collective write (`MPI_File_write_at_all`): two-phase I/O unless
-    /// disabled by `romio_cb_write`. Returns bytes written.
-    pub fn write_at_all(
-        &self,
-        offset: u64,
-        buf: &[u8],
-        count: usize,
-        memtype: &Datatype,
-    ) -> MpioResult<usize> {
-        let data = self.stage(buf, count, memtype)?;
-        let runs = self.mapped(offset, data.len() as u64)?;
-        self.write_runs_at_all(&runs, &data)
-    }
-
-    /// Collective write of pre-resolved absolute file runs: the two-phase
-    /// path without view mapping, for callers (such as PnetCDF's
-    /// `wait_all`) that have already merged many requests into one sorted
-    /// run list. Ranks may contribute empty lists but must all participate.
+    /// Collective write of absolute file runs (`MPI_File_write_at_all` of a
+    /// flattened view): two-phase I/O unless disabled by `romio_cb_write`.
+    /// One list may hold many merged requests (PnetCDF's `wait_all`). Ranks
+    /// may contribute empty lists but must all participate.
     /// `data` holds the run bytes as the file is to hold them.
     pub fn write_runs_at_all(&self, runs: &[Run], data: &[u8]) -> MpioResult<usize> {
         self.write_native_runs_at_all(runs, &[data], 1)
@@ -566,22 +423,11 @@ impl MpiFile {
         Ok(native.iter().map(|seg| seg.len()).sum())
     }
 
-    /// Collective read (`MPI_File_read_at_all`). Returns bytes read.
-    pub fn read_at_all(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        count: usize,
-        memtype: &Datatype,
-    ) -> MpioResult<usize> {
-        self.read_view(offset, buf, count, memtype, true)
-    }
-
-    /// Collective read of pre-resolved absolute file runs; returns the run
-    /// bytes concatenated in run order. Ranks may contribute empty lists
-    /// but must all participate.
+    /// Collective read of absolute file runs (`MPI_File_read_at_all` of a
+    /// flattened view); returns the run bytes concatenated in run order.
+    /// Ranks may contribute empty lists but must all participate.
     pub fn read_runs_at_all(&self, runs: &[Run]) -> MpioResult<Vec<u8>> {
-        let mut out = vec![0u8; runs_total(runs) as usize];
+        let mut out = vec![0u8; Self::total_of(runs)? as usize];
         self.read_runs_into_all(runs, &mut out).map(|()| out)
     }
 

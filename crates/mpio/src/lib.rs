@@ -3,10 +3,10 @@
 //! This crate is a ROMIO-shaped MPI-IO implementation over the simulated
 //! parallel file system:
 //!
-//! * [`file::MpiFile`] — collective open/close, file views, independent and
-//!   collective read/write with explicit offsets;
-//! * [`view::FileView`] — `(displacement, etype, filetype)` views built from
-//!   MPI derived datatypes, flattened to absolute file runs;
+//! * [`file::MpiFile`] — collective open/close, independent and collective
+//!   read/write of run lists;
+//! * [`runs`] — the run list `(offset, len)`: the flattened form ROMIO
+//!   reduces every file view to, and the only one this crate is handed;
 //! * [`sieve`] — **data sieving** for independent noncontiguous access;
 //! * [`twophase`] — **two-phase collective I/O** with aggregator file
 //!   domains and collective buffering;
@@ -22,13 +22,13 @@ pub mod error;
 pub mod file;
 pub mod hints;
 pub mod recover;
+pub mod runs;
 pub mod sieve;
 pub mod twophase;
-pub mod view;
 
 pub use cache::{CacheConfig, CacheLedger, PageCache};
 pub use error::{MpioError, MpioResult};
 pub use file::{MpiFile, OpenMode};
 pub use hints::{Hints, Toggle};
 pub use recover::RetryPolicy;
-pub use view::{FileView, Run};
+pub use runs::Run;

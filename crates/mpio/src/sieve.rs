@@ -12,7 +12,7 @@ use pnetcdf_pfs::PfsFile;
 
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
-use crate::view::Run;
+use crate::runs::Run;
 
 /// The sieve windows of a run list: each holds the run pieces inside
 /// `[wlo, wlo + buffer_size)`, where `wlo` is the first byte no earlier
@@ -90,7 +90,7 @@ pub fn write(
     data: &[u8],
 ) -> MpioResult<Time> {
     let policy = RetryPolicy::default();
-    debug_assert_eq!(crate::view::runs_total(runs) as usize, data.len());
+    debug_assert_eq!(crate::runs::runs_total(runs) as usize, data.len());
     if runs.is_empty() {
         return Ok(now);
     }
@@ -153,7 +153,7 @@ pub fn read(
 ) -> MpioResult<Time> {
     let policy = RetryPolicy::default();
     let total = out.len();
-    debug_assert_eq!(crate::view::runs_total(runs) as usize, total);
+    debug_assert_eq!(crate::runs::runs_total(runs) as usize, total);
     if runs.is_empty() {
         return Ok(now);
     }
@@ -214,7 +214,7 @@ mod tests {
         now: Time,
         runs: &[Run],
     ) -> (Vec<u8>, Time) {
-        let mut out = vec![0xEEu8; crate::view::runs_total(runs) as usize];
+        let mut out = vec![0xEEu8; crate::runs::runs_total(runs) as usize];
         let t = read(f, buffer_size, sieve, now, runs, &mut out).unwrap();
         (out, t)
     }

@@ -29,7 +29,7 @@ use pnetcdf_pfs::PfsFile;
 
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
-use crate::view::{runs_total, Run};
+use crate::runs::{runs_total, Run};
 
 /// Parameters resolved from hints at the call site.
 #[derive(Clone, Copy, Debug)]

@@ -1,9 +1,9 @@
 //! End-to-end MPI-IO tests: multi-rank worlds writing and reading one file
-//! through views, independent ops, and two-phase collective ops.
+//! through run lists, independent ops, and two-phase collective ops.
 
 use hpc_sim::SimConfig;
-use pnetcdf_mpi::{run_world, Datatype, Info};
-use pnetcdf_mpio::{MpiFile, OpenMode};
+use pnetcdf_mpi::{run_world, Info};
+use pnetcdf_mpio::{MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
 fn cfg() -> SimConfig {
@@ -13,6 +13,15 @@ fn cfg() -> SimConfig {
 fn byte_buf(n: usize, seed: u8) -> Vec<u8> {
     (0..n)
         .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+        .collect()
+}
+
+/// Rank `rank` of `n`'s share of a file of `block`-byte blocks dealt round
+/// robin — the strided pattern a resized one-block filetype tiles, as the
+/// run list ROMIO flattens that view to.
+fn interleaved(rank: usize, n: usize, block: usize, rounds: usize) -> Vec<Run> {
+    (0..rounds)
+        .map(|k| (((k * n + rank) * block) as u64, block as u64))
         .collect()
 }
 
@@ -38,13 +47,11 @@ fn contiguous_collective_write_then_read() {
     run_world(n, cfg(), |c| {
         let f = MpiFile::open(c, &pfs, "cont.dat", OpenMode::Create, &Info::new()).unwrap();
         let mine = byte_buf(chunk, c.rank() as u8);
-        let mem = Datatype::contiguous(chunk, Datatype::byte());
-        f.write_at_all((c.rank() * chunk) as u64, &mine, 1, &mem)
-            .unwrap();
+        let run = ((c.rank() * chunk) as u64, chunk as u64);
+        f.write_runs_at_all(&[run], &mine).unwrap();
 
         let mut back = vec![0u8; chunk];
-        f.read_at_all((c.rank() * chunk) as u64, &mut back, 1, &mem)
-            .unwrap();
+        f.read_runs_into_all(&[run], &mut back).unwrap();
         assert_eq!(back, mine);
     });
     // The file as a whole is each rank's pattern in order.
@@ -60,26 +67,19 @@ fn contiguous_collective_write_then_read() {
 
 #[test]
 fn interleaved_views_collective_write() {
-    // Each rank owns every n-th block of 64 bytes (a strided view): the
-    // classic pattern where two-phase I/O shines.
+    // Each rank owns every n-th block of 64 bytes (a strided view's run
+    // list): the classic pattern where two-phase I/O shines.
     let pfs = Pfs::new(cfg(), StorageMode::Full);
     let n = 4;
     let block = 64usize;
     let blocks_per_rank = 32usize;
     run_world(n, cfg(), |c| {
-        let mut f = MpiFile::open(c, &pfs, "inter.dat", OpenMode::Create, &Info::new()).unwrap();
-        // Filetype: one block at rank*block, tile extent n*block.
-        let ft = Datatype::resized(
-            0,
-            (n * block) as u64,
-            Datatype::hindexed(vec![((c.rank() * block) as i64, block)], Datatype::byte()),
-        );
-        f.set_view(0, &Datatype::byte(), &ft).unwrap();
+        let f = MpiFile::open(c, &pfs, "inter.dat", OpenMode::Create, &Info::new()).unwrap();
         let mine: Vec<u8> = (0..block * blocks_per_rank)
             .map(|i| (c.rank() * 10 + i / block) as u8)
             .collect();
-        let mem = Datatype::contiguous(mine.len(), Datatype::byte());
-        f.write_at_all(0, &mine, 1, &mem).unwrap();
+        let runs = interleaved(c.rank(), n, block, blocks_per_rank);
+        f.write_runs_at_all(&runs, &mine).unwrap();
     });
     let bytes = pfs.open("inter.dat").unwrap().to_bytes();
     assert_eq!(bytes.len(), n * block * blocks_per_rank);
@@ -103,16 +103,10 @@ fn collective_read_with_interleaved_views() {
 
     let all2 = all.clone();
     run_world(n, cfg(), move |c| {
-        let mut f = MpiFile::open(c, &pfs, "r.dat", OpenMode::ReadOnly, &Info::new()).unwrap();
-        let ft = Datatype::resized(
-            0,
-            (n * block) as u64,
-            Datatype::hindexed(vec![((c.rank() * block) as i64, block)], Datatype::byte()),
-        );
-        f.set_view(0, &Datatype::byte(), &ft).unwrap();
+        let f = MpiFile::open(c, &pfs, "r.dat", OpenMode::ReadOnly, &Info::new()).unwrap();
         let mut buf = vec![0u8; block * rounds];
-        let mem = Datatype::contiguous(buf.len(), Datatype::byte());
-        f.read_at_all(0, &mut buf, 1, &mem).unwrap();
+        let runs = interleaved(c.rank(), n, block, rounds);
+        f.read_runs_into_all(&runs, &mut buf).unwrap();
         for round in 0..rounds {
             let src = (round * n + c.rank()) * block;
             assert_eq!(
@@ -124,39 +118,18 @@ fn collective_read_with_interleaved_views() {
 }
 
 #[test]
-fn independent_write_with_noncontiguous_memory() {
-    let pfs = Pfs::new(cfg(), StorageMode::Full);
-    run_world(2, cfg(), |c| {
-        let f = MpiFile::open(c, &pfs, "m.dat", OpenMode::Create, &Info::new()).unwrap();
-        if c.rank() == 0 {
-            // Memory: 4 bytes used, 4 skipped, repeated.
-            let mem = Datatype::resized(0, 8, Datatype::contiguous(4, Datatype::byte()));
-            let buf: Vec<u8> = (0..32).collect();
-            f.write_at(0, &buf, 4, &mem).unwrap();
-        }
-        c.barrier().unwrap();
-    });
-    let bytes = pfs.open("m.dat").unwrap().to_bytes();
-    assert_eq!(
-        bytes,
-        vec![0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27]
-    );
-}
-
-#[test]
 fn readonly_rejects_writes() {
     let pfs = Pfs::new(cfg(), StorageMode::Full);
     run_world(2, cfg(), |c| {
         {
             let f = MpiFile::open(c, &pfs, "ro.dat", OpenMode::Create, &Info::new()).unwrap();
-            let mem = Datatype::contiguous(4, Datatype::byte());
-            f.write_at_all(0, &[1, 2, 3, 4], 1, &mem).unwrap();
+            // Every rank writes the same four bytes.
+            f.write_runs_at_all(&[(0, 4)], &[1, 2, 3, 4]).unwrap();
         }
         let f = MpiFile::open(c, &pfs, "ro.dat", OpenMode::ReadOnly, &Info::new()).unwrap();
-        let mem = Datatype::contiguous(4, Datatype::byte());
-        assert!(f.write_at(0, &[9; 4], 1, &mem).is_err());
+        assert!(f.write_runs_at(&[(0, 4)], &[9; 4]).is_err());
         let mut buf = [0u8; 4];
-        f.read_at(0, &mut buf, 1, &mem).unwrap();
+        f.read_runs_into(&[(0, 4)], &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4]);
     });
 }
@@ -172,16 +145,10 @@ fn two_phase_beats_disabled_collective_buffering() {
     let time_with = |info: Info| {
         let pfs = Pfs::new(cfg(), StorageMode::CostOnly);
         let run = run_world(n, cfg(), move |c| {
-            let mut f = MpiFile::open(c, &pfs, "x", OpenMode::Create, &info).unwrap();
-            let ft = Datatype::resized(
-                0,
-                (n * block) as u64,
-                Datatype::hindexed(vec![((c.rank() * block) as i64, block)], Datatype::byte()),
-            );
-            f.set_view(0, &Datatype::byte(), &ft).unwrap();
+            let f = MpiFile::open(c, &pfs, "x", OpenMode::Create, &info).unwrap();
             let mine = vec![7u8; block * rounds];
-            let mem = Datatype::contiguous(mine.len(), Datatype::byte());
-            f.write_at_all(0, &mine, 1, &mem).unwrap();
+            let runs = interleaved(c.rank(), n, block, rounds);
+            f.write_runs_at_all(&runs, &mine).unwrap();
         });
         run.makespan
     };
@@ -210,19 +177,13 @@ fn collective_matches_independent_bytes() {
         let pfs = Pfs::new(cfg(), StorageMode::Full);
         let pfs2 = pfs.clone();
         run_world(n, cfg(), move |c| {
-            let mut f = MpiFile::open(c, &pfs2, "y", OpenMode::Create, &Info::new()).unwrap();
-            let ft = Datatype::resized(
-                0,
-                (n * block) as u64,
-                Datatype::hindexed(vec![((c.rank() * block) as i64, block)], Datatype::byte()),
-            );
-            f.set_view(0, &Datatype::byte(), &ft).unwrap();
+            let f = MpiFile::open(c, &pfs2, "y", OpenMode::Create, &Info::new()).unwrap();
             let mine: Vec<u8> = (0..block * rounds)
                 .map(|i| (c.rank() + 3 * i) as u8)
                 .collect();
-            let mem = Datatype::contiguous(mine.len(), Datatype::byte());
+            let runs = interleaved(c.rank(), n, block, rounds);
             if collective {
-                f.write_at_all(0, &mine, 1, &mem).unwrap();
+                f.write_runs_at_all(&runs, &mine).unwrap();
             } else {
                 // One rank at a time: a sieved independent write
                 // read-modify-writes the whole extent around its pieces,
@@ -230,7 +191,7 @@ fn collective_matches_independent_bytes() {
                 // each other's updates (ROMIO locks the file for this).
                 for turn in 0..n {
                     if c.rank() == turn {
-                        f.write_at(0, &mine, 1, &mem).unwrap();
+                        f.write_runs_at(&runs, &mine).unwrap();
                     }
                     c.barrier().unwrap();
                 }
@@ -263,49 +224,11 @@ fn cb_nodes_hint_changes_aggregation() {
         .with("cb_buffer_size", "256");
     run_world(n, cfg(), move |c| {
         let f = MpiFile::open(c, &pfs, "z", OpenMode::Create, &info).unwrap();
-        let mem = Datatype::contiguous(1000, Datatype::byte());
+        let run = ((c.rank() * 1000) as u64, 1000);
         let mine = vec![c.rank() as u8 + 1; 1000];
-        f.write_at_all((c.rank() * 1000) as u64, &mine, 1, &mem)
-            .unwrap();
+        f.write_runs_at_all(&[run], &mine).unwrap();
         let mut buf = vec![0u8; 1000];
-        f.read_at_all((c.rank() * 1000) as u64, &mut buf, 1, &mem)
-            .unwrap();
+        f.read_runs_into_all(&[run], &mut buf).unwrap();
         assert_eq!(buf, mine);
-    });
-}
-
-/// A memory buffer too small for the read is one rank's mistake alone: that
-/// rank gets an error, and the others still get their collective read —
-/// straight into their buffer, or scattered through noncontiguous memory.
-#[test]
-fn a_short_buffer_on_one_rank_does_not_strand_a_collective_read() {
-    let pfs = Pfs::new(cfg(), StorageMode::Full);
-    let all = byte_buf(3 * 64, 7);
-    pfs.create("short.dat").import_bytes(&all);
-    run_world(3, cfg(), |c| {
-        let f = MpiFile::open(c, &pfs, "short.dat", OpenMode::ReadOnly, &Info::new()).unwrap();
-        let at = c.rank() * 64;
-        let mine = &all[at..at + 64];
-        match c.rank() {
-            0 => {
-                let mem = Datatype::contiguous(64, Datatype::byte());
-                let mut buf = vec![0u8; 64];
-                assert_eq!(f.read_at_all(at as u64, &mut buf, 1, &mem).unwrap(), 64);
-                assert_eq!(buf, mine);
-            }
-            1 => {
-                let mem = Datatype::contiguous(64, Datatype::byte());
-                let mut buf = vec![0u8; 40];
-                assert!(f.read_at_all(at as u64, &mut buf, 1, &mem).is_err());
-            }
-            _ => {
-                // Every other byte of 128.
-                let mem = Datatype::vector(64, 1, 2, Datatype::byte());
-                let mut buf = vec![0u8; 128];
-                assert_eq!(f.read_at_all(at as u64, &mut buf, 1, &mem).unwrap(), 64);
-                let got: Vec<u8> = buf.iter().step_by(2).copied().collect();
-                assert_eq!(got, mine);
-            }
-        }
     });
 }

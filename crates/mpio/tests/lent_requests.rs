@@ -133,10 +133,15 @@ fn unsorted_runs_are_rejected_before_the_rendezvous_on_every_rank() {
         let before = entries();
         let backwards: Vec<Run> = vec![(100, 10), (50, 10)];
         let overlapping: Vec<Run> = vec![(0, 10), (5, 10)];
-        for bad in [&backwards, &overlapping] {
+        // A run that ends past the largest offset: an unchecked `off + len`
+        // wraps to 5 and lets the backwards run behind it through.
+        let past_the_end: Vec<Run> = vec![(u64::MAX - 4, 10), (6, 10)];
+        for bad in [&backwards, &overlapping, &past_the_end] {
             let e = f.write_runs_at_all(bad, &[0u8; 20]).unwrap_err();
             assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
             let e = f.read_runs_at_all(bad).unwrap_err();
+            assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
+            let e = f.read_runs_into_all(bad, &mut [0u8; 20]).unwrap_err();
             assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
         }
         assert_eq!(entries(), before);

@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hpc_sim::{SimConfig, Time};
-use pnetcdf_mpi::{run_world, Datatype, Info};
+use pnetcdf_mpi::{run_world, Info};
 use pnetcdf_mpio::{sieve, MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -106,20 +106,13 @@ proptest! {
             let pfs_in = pfs.clone();
             let rank_runs = rank_runs.clone();
             run_world(n, cfg.clone(), move |c| {
-                let mut f =
-                    MpiFile::open(c, &pfs_in, "t", OpenMode::Create, &info).unwrap();
+                let f = MpiFile::open(c, &pfs_in, "t", OpenMode::Create, &info).unwrap();
                 let runs = &rank_runs[c.rank()];
                 let data = data_for(runs, c.rank() as u8);
-                // Describe the file region with a matching hindexed view.
-                let blocks: Vec<(i64, usize)> =
-                    runs.iter().map(|&(o, l)| (o as i64, l as usize)).collect();
-                let ft = Datatype::hindexed(blocks, Datatype::byte());
-                f.set_view_local(0, &Datatype::byte(), &ft).unwrap();
-                let mem = Datatype::contiguous(data.len(), Datatype::byte());
                 if collective {
-                    f.write_at_all(0, &data, 1, &mem).unwrap();
+                    f.write_runs_at_all(runs, &data).unwrap();
                 } else {
-                    f.write_at(0, &data, 1, &mem).unwrap();
+                    f.write_runs_at(runs, &data).unwrap();
                     c.barrier().unwrap();
                 }
             });
@@ -170,16 +163,11 @@ proptest! {
         let rr = rank_runs.clone();
         let content2 = content.clone();
         run_world(n, cfg.clone(), move |c| {
-            let mut f = MpiFile::open(c, &pfs, "t", OpenMode::ReadOnly, &info).unwrap();
+            let f = MpiFile::open(c, &pfs, "t", OpenMode::ReadOnly, &info).unwrap();
             let runs = &rr[c.rank()];
-            let blocks: Vec<(i64, usize)> =
-                runs.iter().map(|&(o, l)| (o as i64, l as usize)).collect();
-            let ft = Datatype::hindexed(blocks, Datatype::byte());
-            f.set_view_local(0, &Datatype::byte(), &ft).unwrap();
             let total: u64 = runs.iter().map(|r| r.1).sum();
             let mut buf = vec![0u8; total as usize];
-            let mem = Datatype::contiguous(buf.len(), Datatype::byte());
-            f.read_at_all(0, &mut buf, 1, &mem).unwrap();
+            f.read_runs_into_all(runs, &mut buf).unwrap();
             // Verify against the seeded pattern.
             let mut pos = 0usize;
             for &(off, len) in runs {

@@ -526,11 +526,6 @@ impl PfsFile {
             );
         }
     }
-
-    #[doc(hidden)]
-    pub fn chunks_for(&self, offset: u64, len: u64) -> Vec<StripeChunk> {
-        self.cluster.inner.striping.split(offset, len)
-    }
 }
 
 /// Per-portion transfer record: the portion's stripe chunks (in file order

@@ -63,11 +63,6 @@ impl PosixSim {
     pub fn file(&self) -> &PfsFile {
         &self.file
     }
-
-    /// Unwrap the underlying file.
-    pub fn into_file(self) -> PfsFile {
-        self.file
-    }
 }
 
 #[cfg(test)]

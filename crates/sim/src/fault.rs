@@ -12,7 +12,7 @@
 //! and independent of thread scheduling: each server draws from its own
 //! operation counter, which is serialized under the server's mutex.
 //!
-//! Plans can be parsed from the `PNETCDF_FAULTS` environment spec, e.g.
+//! Plans can be parsed from a spec string ([`FaultPlan::from_spec`]), e.g.
 //! `transient=0.01,short=0.02,stall=0.005,crash=server:3@t>1e6`.
 
 use crate::time::Time;
@@ -139,7 +139,7 @@ impl FaultPlan {
         FaultKind::None
     }
 
-    /// Parse a `PNETCDF_FAULTS`-style spec.
+    /// Parse a fault spec.
     ///
     /// Comma-separated `key=value` pairs:
     ///
@@ -196,16 +196,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// Plan from the `PNETCDF_FAULTS` environment variable; the inert
-    /// default when unset. A malformed spec is an error — silently running
-    /// fault-free when the operator asked for faults would be worse.
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var("PNETCDF_FAULTS") {
-            Ok(spec) => FaultPlan::from_spec(&spec),
-            Err(_) => Ok(FaultPlan::default()),
-        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Property-based tests for the `PNETCDF_FAULTS` spec language: for any
+//! Property-based tests for the `FaultPlan::from_spec` language: for any
 //! representable [`FaultPlan`] — probabilities, seed, stall latency, and an
 //! arbitrary list of crash windows — the canonical [`Display`] string must
 //! reparse to the identical plan, and parsing must never panic on junk.

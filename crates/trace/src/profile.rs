@@ -237,16 +237,18 @@ macro_rules! counter_table {
                 = "hit_rate" |c| ratio(c.hits, c.hits + c.misses, 0.0);
             }
 
-            /// Zero-copy byte-path counters: how often the memoized view
-            /// flattener hit, how many bytes moved through the fused
-            /// gather+swap kernels, how many staging copies the borrow fast
-            /// paths elided, and how much of the collective exchange ran on
-            /// lent buffers. Summed over all ranks of a run.
+            /// Zero-copy byte-path counters: how many bytes moved through
+            /// the fused gather+swap kernels, how many staging copies the
+            /// borrow fast paths elided, and how much of the collective
+            /// exchange ran on lent buffers. Summed over all ranks of a run.
             bytepath: BytePathCounters, record_bytepath, bytepath_counters {
-                /// View-flattening memoization hits (run list reused).
+                /// Hits of MPI-IO's memoized view flattener. The flattener
+                /// is gone (MPI-IO takes run lists) and nothing records
+                /// this: the row stays, always 0, because `perf_bench` reads
+                /// `flatten_hit_rate` by name, and goes with the re-pin of
+                /// ROADMAP item 4(a).
                 flatten_hits: Count, Sum;
-                /// View-flattening misses (datatype walked and run list
-                /// built).
+                /// Misses of the same flattener; as `flatten_hits`.
                 flatten_misses: Count, Sum;
                 /// Bytes produced by fused gather+byteswap packs (native →
                 /// external) — each of these bytes was touched once instead
