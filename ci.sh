@@ -7,8 +7,12 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> product line count (tools/count_lines.sh; informational, no gate)"
-tools/count_lines.sh | tail -n 1
+echo "==> product line count (tools/count_lines.sh) against tools/line_ceiling"
+# A PR that grows the product says so by raising the one number in that file.
+lines=$(tools/count_lines.sh | tail -n 1 | cut -d' ' -f1)
+ceiling=$(cat tools/line_ceiling)
+echo "    $lines counted product lines, ceiling $ceiling"
+[ "$lines" -le "$ceiling" ] || { echo "FAIL: the product grew past tools/line_ceiling"; exit 1; }
 
 echo "==> cargo build --release"
 cargo build --release
