@@ -256,7 +256,7 @@ pub fn fig7(size: Size) -> Outcome {
         chart
             .series("indep cached", Pin::Independent, cached)
             .note(&format!(
-                "\n# Request tracing: checkpoint 8x8x8, {tp} procs, pnc_trace_events=enable\n{}",
+                "\n# Request tracing: checkpoint 8x8x8, {tp} procs, span recorder enabled\n{}",
                 cp.render().trim_end()
             )),
     );

@@ -1,5 +1,5 @@
 //! Session driver: many concurrent client sessions against one shared
-//! [`PfsCluster`].
+//! [`Pfs`].
 //!
 //! The paper's service scenario — one PFS cluster serving a whole machine
 //! room — has many independent applications open *different* files on the
@@ -31,7 +31,7 @@ use std::sync::{Condvar, Mutex};
 use hpc_sim::Time;
 use pnetcdf::{Dataset, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
-use pnetcdf_pfs::PfsCluster;
+use pnetcdf_pfs::Pfs;
 
 /// What a session does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,19 +180,12 @@ impl StepGate {
 
 /// Pre-create the shared analytics datasets readers will scan: one `field`
 /// variable of `rows x values_per_step` doubles, filled deterministically.
-/// Call before the measured run, then [`PfsCluster::reset_timing`] from
-/// that quiescent point so setup traffic doesn't bill the sessions.
-pub fn prepare_shared_datasets(
-    cluster: &PfsCluster,
-    names: &[String],
-    rows: usize,
-    values_per_step: usize,
-) {
+/// Call before the measured run, then [`Pfs::reset_timing`] from that
+/// quiescent point so setup traffic doesn't bill the sessions.
+pub fn prepare_shared_datasets(pfs: &Pfs, names: &[String], rows: usize, values_per_step: usize) {
     for (di, name) in names.iter().enumerate() {
-        let pfs = cluster.mount();
-        let name = name.clone();
-        run_world(1, cluster.config().clone(), move |comm| {
-            let mut ds = Dataset::create(comm, &pfs, &name, Version::Cdf1, &Info::new())
+        run_world(1, pfs.config().clone(), |comm| {
+            let mut ds = Dataset::create(comm, pfs, name, Version::Cdf1, &Info::new())
                 .expect("create shared dataset");
             let r = ds.def_dim("row", rows as u64).expect("def_dim");
             let c = ds.def_dim("col", values_per_step as u64).expect("def_dim");
@@ -210,18 +203,16 @@ pub fn prepare_shared_datasets(
     }
 }
 
-/// Run every session to completion over the shared cluster. Each spec gets
-/// its own mount ([`PfsCluster::mount`]), its own one-rank world, and
-/// steps in the gate's deterministic order.
-pub fn run_sessions(cluster: &PfsCluster, specs: &[SessionSpec]) -> ServiceRun {
+/// Run every session to completion over the shared file system. Each spec
+/// gets its own one-rank world and steps in the gate's deterministic order.
+pub fn run_sessions(pfs: &Pfs, specs: &[SessionSpec]) -> ServiceRun {
     let gate = StepGate::new(specs.len());
     let sessions: Vec<SessionResult> = std::thread::scope(|scope| {
         let gate = &gate;
         let handles: Vec<_> = specs
             .iter()
             .map(|spec| {
-                let pfs = cluster.mount();
-                let cfg = cluster.config().clone();
+                let cfg = pfs.config().clone();
                 let spec = spec.clone();
                 scope.spawn(move || {
                     let run = run_world(1, cfg, |comm| match spec.kind {
@@ -229,7 +220,7 @@ pub fn run_sessions(cluster: &PfsCluster, specs: &[SessionSpec]) -> ServiceRun {
                             gate.turn(spec.id, comm.now());
                             let mut ds = Dataset::create(
                                 comm,
-                                &pfs,
+                                pfs,
                                 &spec.dataset,
                                 Version::Cdf1,
                                 &Info::new(),
@@ -265,7 +256,7 @@ pub fn run_sessions(cluster: &PfsCluster, specs: &[SessionSpec]) -> ServiceRun {
                         SessionKind::StridedReader => {
                             gate.turn(spec.id, comm.now());
                             let mut ds =
-                                Dataset::open(comm, &pfs, &spec.dataset, true, &Info::new())
+                                Dataset::open(comm, pfs, &spec.dataset, true, &Info::new())
                                     .expect("open shared dataset");
                             let var = ds.inq_varid("field").expect("field var");
                             let rowdim = ds.inq_dimid("row").expect("row dim");
@@ -319,13 +310,13 @@ pub fn run_fleet(
     nshared: usize,
     steps: usize,
     values_per_step: usize,
-) -> (ServiceRun, PfsCluster) {
-    let cluster = PfsCluster::new(cfg.clone(), pnetcdf_pfs::StorageMode::Full);
+) -> (ServiceRun, Pfs) {
+    let pfs = Pfs::new(cfg.clone(), pnetcdf_pfs::StorageMode::Full);
     let (specs, shared) = mixed_specs(nsessions, nshared, steps, values_per_step);
-    prepare_shared_datasets(&cluster, &shared, steps, values_per_step);
-    cluster.reset_timing();
+    prepare_shared_datasets(&pfs, &shared, steps, values_per_step);
+    pfs.reset_timing();
     cfg.profile.reset();
-    (run_sessions(&cluster, &specs), cluster)
+    (run_sessions(&pfs, &specs), pfs)
 }
 
 /// A standard mixed fleet: sessions alternate writer/reader; writers get

@@ -622,7 +622,7 @@ impl Dataset {
         let Err(NcmpiError::Mpio(MpioError::ServerLost { server, .. })) = done else {
             return done;
         };
-        self.file.raw().cluster().mark_server_down(server);
+        self.file.raw().pfs().mark_server_down(server);
         let retried = execute(self);
         self.agree_if(collective, retried)
     }

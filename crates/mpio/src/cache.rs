@@ -764,6 +764,11 @@ mod tests {
     ) -> (PageCache, PfsFile, SimConfig) {
         let mut cfg = SimConfig::test_small();
         cfg.faults = faults;
+        setup_on(cfg, capacity, page)
+    }
+
+    /// A cache over a file on a file system built from `cfg`.
+    fn setup_on(cfg: SimConfig, capacity: usize, page: usize) -> (PageCache, PfsFile, SimConfig) {
         cfg.profile.set_enabled(true);
         let file = Pfs::new(cfg.clone(), StorageMode::Full).create("c");
         let cache = PageCache::new(
@@ -1024,8 +1029,9 @@ mod tests {
     /// more than the request in flight ahead of that server's disk.
     #[test]
     fn a_full_server_queue_holds_write_behind_back() {
-        let (mut cache, file, cfg) = setup(1024, 1024); // 1 slot
-        file.cluster().set_queue_depth(1);
+        let mut one_deep = SimConfig::test_small();
+        one_deep.server_queue_depth = 1;
+        let (mut cache, file, cfg) = setup_on(one_deep, 1024, 1024); // 1 slot
         let mut led = CacheLedger::new(Time::ZERO);
         // 1 KiB stripes over 4 servers: every fourth page is server 0's.
         for k in 0..8u64 {
@@ -1107,10 +1113,11 @@ mod tests {
     /// durable` and the eviction waits for the disk as it used to.
     #[test]
     fn a_redirected_write_behind_is_durable_at_its_handoff() {
-        let crashed = FaultPlan::from_spec("crash=server:1@t>0").unwrap();
-        let (mut cache, file, cfg) = setup_faulty(crashed, 1024, 1024); // 1 slot
-        file.cluster().set_parity(true);
-        assert!(file.cluster().mark_server_down(1));
+        let mut parity = SimConfig::test_small();
+        parity.faults = FaultPlan::from_spec("crash=server:1@t>0").unwrap();
+        parity.parity = true;
+        let (mut cache, file, cfg) = setup_on(parity, 1024, 1024); // 1 slot
+        assert!(file.pfs().mark_server_down(1));
         let mut led = CacheLedger::new(Time::ZERO);
         // Page 0 is a live server's: still behind after its eviction.
         for (page, redirected) in [(0u64, false), (1, true)] {

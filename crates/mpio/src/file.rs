@@ -11,7 +11,7 @@ use pnetcdf_pfs::{Pfs, PfsFile};
 
 use crate::cache::{CacheConfig, CacheLedger, PageCache};
 use crate::error::{MpioError, MpioResult};
-use crate::hints::{Hints, Toggle};
+use crate::hints::Hints;
 use crate::runs::Run;
 use crate::sieve;
 use crate::twophase::{self, CollBuf, Req, TwoPhaseParams};
@@ -68,24 +68,6 @@ impl MpiFile {
                 comm.config().profile.record_hint_rejected();
                 eprintln!("pnetcdf: rejected hint {r} for {name}");
             }
-        }
-        if hints.trace_events.resolve(false) {
-            // `pnc_trace_events`: turn on the shared span recorder. The
-            // log rides in the SimConfig, so (like the queue-depth hint)
-            // enabling it is global to the simulated platform.
-            comm.config().events.set_enabled(true);
-        }
-        if let Some(depth) = hints.server_queue_depth {
-            // `pnc_server_queue_depth`: resize every server's bounded
-            // admission queue. The servers are shared, so the hint is
-            // global — exactly like striping parameters on a real PFS.
-            pfs.cluster().set_queue_depth(depth);
-        }
-        if hints.parity != Toggle::Auto {
-            // `pnc_parity`: toggle the declustered-parity failover layer.
-            // Like the queue depth, the redundancy scheme is a property of
-            // the shared storage array, so the hint is global.
-            pfs.cluster().set_parity(hints.parity.resolve(false));
         }
         let env = comm.coll_env();
         let pfs = pfs.clone();

@@ -70,27 +70,12 @@ pub struct Hints {
     pub cache_page_size: usize,
     /// Pages of sequential readahead (`pnc_readahead`); 0 disables.
     pub cache_readahead: usize,
-    /// Bounded admission queue depth on every PFS server
-    /// (`pnc_server_queue_depth`); `None` keeps the platform default,
-    /// `Some(0)` makes the queue unbounded. Applied at open time.
-    pub server_queue_depth: Option<usize>,
     /// Server-affine collective-buffer domains (`pnc_cb_affinity`): assign
     /// each file stripe to the aggregator that owns its server, so every
     /// server sees exactly one aggregator stream and the dual-resource
     /// pipeline can overlap NIC with disk. Default: enabled (`Auto`
     /// resolves to on); `disable` restores contiguous block domains.
     pub cb_affinity: Toggle,
-    /// Per-request event tracing (`pnc_trace_events`): record
-    /// sim-clock-stamped spans from `iput` down to the server disk into
-    /// the shared `hpc_sim::TraceLog`. Default: disabled (`Auto` resolves
-    /// to off — tracing is opt-in per run).
-    pub trace_events: Toggle,
-    /// Declustered-parity redundancy across the I/O servers
-    /// (`pnc_parity`): RAID-5-style rotated parity plus server failover —
-    /// degraded reads, redirected writes, online rebuild. Default:
-    /// disabled (`Auto` resolves to off; the parity-off stack is
-    /// byte- and timing-identical to a build without the layer).
-    pub parity: Toggle,
 }
 
 impl Default for Hints {
@@ -109,10 +94,7 @@ impl Default for Hints {
             cache_size: 8 * 1024 * 1024,
             cache_page_size: 0,
             cache_readahead: 2,
-            server_queue_depth: None,
             cb_affinity: Toggle::Auto,
-            trace_events: Toggle::Auto,
-            parity: Toggle::Auto,
         }
     }
 }
@@ -125,7 +107,7 @@ enum Kind {
     /// aggregators): zero is rejected like an unparseable number.
     Positive(fn(&mut Hints, usize)),
     /// A size or count where zero is meaningful (stripe-sized pages,
-    /// readahead off, unbounded queue): only unparseable values reject.
+    /// readahead off): only unparseable values reject.
     Count(fn(&mut Hints, usize)),
     /// A [`Kind::Count`] with a largest meaningful value: anything above it
     /// is rejected like an unparseable number.
@@ -164,13 +146,7 @@ const HINT_TABLE: &[(&str, Kind)] = &[
         Kind::CountUpTo(u32::MAX as usize, |h, v| h.cache_page_size = v),
     ),
     ("pnc_readahead", Kind::Count(|h, v| h.cache_readahead = v)),
-    (
-        "pnc_server_queue_depth",
-        Kind::Count(|h, v| h.server_queue_depth = Some(v)),
-    ),
     ("pnc_cb_affinity", Kind::Toggle(|h| &mut h.cb_affinity)),
-    ("pnc_trace_events", Kind::Toggle(|h| &mut h.trace_events)),
-    ("pnc_parity", Kind::Toggle(|h| &mut h.parity)),
 ];
 
 /// Is `v` a well-formed value for the tri-state toggles?
@@ -340,33 +316,37 @@ mod tests {
     #[test]
     fn server_engine_hints() {
         let d = Hints::from_info(&Info::new()).0;
-        assert_eq!(d.server_queue_depth, None);
         assert_eq!(d.cb_affinity, Toggle::Auto);
         assert!(d.cb_affinity.resolve(true), "affinity defaults on");
-        let info = Info::new()
-            .with("pnc_server_queue_depth", "0")
-            .with("pnc_cb_affinity", "disable");
-        let h = Hints::from_info(&info).0;
-        assert_eq!(
-            h.server_queue_depth,
-            Some(0),
-            "explicit 0 (unbounded) sticks"
-        );
+        let h = Hints::from_info(&Info::new().with("pnc_cb_affinity", "disable")).0;
         assert!(!h.cb_affinity.resolve(true));
-        let h = Hints::from_info(&Info::new().with("pnc_server_queue_depth", "16")).0;
-        assert_eq!(h.server_queue_depth, Some(16));
     }
 
+    /// Every key the table consumes, in order: adding or removing a hint is
+    /// a visible diff here. Platform properties (queue depth, parity, span
+    /// recording) are `SimConfig` fields, not hints.
     #[test]
-    fn parity_hint() {
-        let d = Hints::from_info(&Info::new()).0;
-        assert_eq!(d.parity, Toggle::Auto);
-        assert!(!d.parity.resolve(false), "parity defaults off");
-        let h = Hints::from_info(&Info::new().with("pnc_parity", "enable")).0;
-        assert_eq!(h.parity, Toggle::Enable);
-        assert!(h.parity.resolve(false));
-        let h = Hints::from_info(&Info::new().with("pnc_parity", "disable")).0;
-        assert!(!h.parity.resolve(false));
+    fn the_table_holds_fourteen_keys() {
+        let keys: Vec<&str> = HINT_TABLE.iter().map(|(k, _)| *k).collect();
+        assert_eq!(
+            keys,
+            [
+                "cb_buffer_size",
+                "cb_nodes",
+                "romio_cb_write",
+                "romio_cb_read",
+                "pnc_cb_pipeline",
+                "ind_rd_buffer_size",
+                "ind_wr_buffer_size",
+                "romio_ds_write",
+                "romio_ds_read",
+                "pnc_cache",
+                "pnc_cache_size",
+                "pnc_page_size",
+                "pnc_readahead",
+                "pnc_cb_affinity",
+            ]
+        );
     }
 
     #[test]
@@ -375,7 +355,8 @@ mod tests {
             .with("pnc_cachesize", "65536") // misspelled pnc_ key
             .with("cb_buffer_size", "zero") // unparseable number
             .with("cb_nodes", "0") // zero aggregators
-            .with("pnc_parity", "yes") // bad toggle word
+            .with("pnc_cache", "yes") // bad toggle word
+            .with("pnc_parity", "enable") // a platform property, not a hint
             .with("striping_factor", "4") // foreign hint: silently ignored
             .with("romio_ds_read", "enable"); // well-formed: accepted
         let (h, rejected) = Hints::from_info(&info);
@@ -384,36 +365,25 @@ mod tests {
             vec![
                 "cb_buffer_size=zero (malformed value)",
                 "cb_nodes=0 (malformed value)",
+                "pnc_cache=yes (malformed value)",
                 "pnc_cachesize=65536 (unknown pnc_ hint)",
-                "pnc_parity=yes (malformed value)",
+                "pnc_parity=enable (unknown pnc_ hint)",
             ]
         );
         // Rejects never change behavior: they fall back to the defaults.
         assert_eq!(h.cb_buffer_size, 4 * 1024 * 1024);
         assert_eq!(h.cb_nodes, None);
-        assert_eq!(h.parity, Toggle::Auto);
+        assert_eq!(h.cache, Toggle::Auto);
         assert_eq!(h.ds_read, Toggle::Enable);
     }
 
     #[test]
     fn audit_accepts_clean_info() {
         let info = Info::new()
-            .with("pnc_server_queue_depth", "0")
+            .with("pnc_page_size", "0")
             .with("pnc_readahead", "0")
             .with("romio_cb_write", "automatic");
         let (_, rejected) = Hints::from_info(&info);
         assert!(rejected.is_empty(), "got rejects: {rejected:?}");
-    }
-
-    #[test]
-    fn trace_events_hint() {
-        let d = Hints::from_info(&Info::new()).0;
-        assert_eq!(d.trace_events, Toggle::Auto);
-        assert!(!d.trace_events.resolve(false), "tracing defaults off");
-        let h = Hints::from_info(&Info::new().with("pnc_trace_events", "enable")).0;
-        assert_eq!(h.trace_events, Toggle::Enable);
-        assert!(h.trace_events.resolve(false));
-        let h = Hints::from_info(&Info::new().with("pnc_trace_events", "true")).0;
-        assert!(h.trace_events.resolve(false));
     }
 }

@@ -82,7 +82,7 @@ impl Escalation {
     fn give_up(self, file: &PfsFile, attempts: u32, message: String) -> MpioError {
         file.profile().record_fault(|f| f.exhausted += 1);
         if let Some(server) = self.crash {
-            if file.cluster().can_failover(server) {
+            if file.pfs().can_failover(server) {
                 return MpioError::ServerLost { server, message };
             }
         }

@@ -1,36 +1,32 @@
-//! The service cluster: servers, failover state, and sharded metadata
-//! with a lifetime that outlives any single file open/close.
+//! What every file on the file system shares: servers, failover state and
+//! sharded metadata, with a lifetime that outlives any single open/close.
 //!
 //! # Ownership
 //!
 //! ```text
-//!   PfsCluster ─────────────► ClusterInner (Arc)
-//!                               ├── servers: Vec<Mutex<Server>>   (NIC+disk engines,
-//!                               │       fault plans, queue depths — shared by ALL files)
-//!                               ├── meta: MetaShards              (file table, hashed by path)
-//!                               ├── failover: FailoverState       (down mark, epoch, parity log)
-//!                               └── parity, epochs, stats, cfg
-//!        │ mount()
-//!        ▼
-//!   Pfs (per-file-group view) ──► same ClusterInner
+//!   Pfs (a clone is another handle) ──► ClusterInner (Arc)
+//!        │                               ├── servers: Vec<Mutex<Server>>   (NIC+disk engines,
+//!        │                               │       fault plans, queue depths — shared by ALL files)
+//!        │                               ├── meta: MetaShards              (file table, hashed by path)
+//!        │                               ├── failover: FailoverState       (down mark, epoch, parity log)
+//!        │                               └── parity (fixed at build), epochs, cfg
 //!        │ create()/open()
 //!        ▼
-//!   PfsFile (one file)        ──► same ClusterInner
+//!   PfsFile (one file) ──► its Pfs ──► same ClusterInner
 //! ```
 //!
-//! What is true of the whole cluster — queue depth, parity, the down
-//! server and its epoch — is read and set here and nowhere else: a view or
-//! a file reaches it through `Pfs::cluster()` / `PfsFile::cluster()`.
-//!
-//! A [`crate::Pfs`] is a cheap *view*: every mount shares the cluster's
-//! server queues, fault determinism `(seed, server_id, ops)` and failover
-//! epochs. `Pfs::new` builds a one-mount cluster, which makes the whole
-//! pre-cluster API the degenerate case — single-file workloads are byte-
-//! and timing-identical to a build without this module.
+//! Every platform property — queue depth, parity, the fault plan — is read
+//! from the [`SimConfig`] once, here, when the servers are built; nothing
+//! changes it afterwards. What changes at run time is cluster-wide too — the
+//! down server and its epoch, the timing reset — and is read and set on the
+//! [`Pfs`] (a file reaches it through `PfsFile::pfs()`). Every clone of a
+//! `Pfs` shares the servers' queues, fault determinism
+//! `(seed, server_id, ops)` and failover epochs, so sessions that each hold a
+//! clone contend for the same servers exactly as files on one GPFS do.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use hpc_sim::SimConfig;
@@ -53,17 +49,14 @@ pub(crate) struct ClusterInner {
     /// Lives here (not in the meta entry) so every handle to the same file
     /// shares one atomic.
     pub epochs: Mutex<HashMap<u64, Arc<AtomicU64>>>,
-    /// Whether the declustered-parity redundancy layer is on
-    /// (`pnc_parity` hint). Off by default: the parity-off stack is byte-
-    /// and timing-identical to a build without the layer.
-    pub parity: AtomicBool,
+    /// Whether the declustered-parity redundancy layer is on:
+    /// `SimConfig::parity` with at least two servers to decluster across.
+    /// Fixed for the life of the file system, so parity covers every byte
+    /// it stores.
+    pub parity: bool,
     /// Declared-down server and the degraded-mode write log. Locked
     /// *before* any server mutex (fixed order, no deadlock).
     pub failover: Mutex<FailoverState>,
-    /// Mounts ever handed out ([`PfsCluster::mount`] / `Pfs::new`). Never
-    /// decremented: a cluster that has ever been shared refuses per-view
-    /// timing resets (see `Pfs::reset_timing`) for good.
-    pub mounts: AtomicUsize,
 }
 
 /// Failover bookkeeping shared by every handle to the cluster.
@@ -86,18 +79,11 @@ pub(crate) struct FailoverState {
     pub parity_dirty: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>>,
 }
 
-/// Handle to a service cluster. Cheap to clone; all clones and all
-/// [`PfsCluster::mount`]ed views share the same servers and namespace.
-#[derive(Clone)]
-pub struct PfsCluster {
-    pub(crate) inner: Arc<ClusterInner>,
-}
-
-impl PfsCluster {
-    /// Build a cluster with `cfg.io_servers` servers and
+impl Pfs {
+    /// Build a file system with `cfg.io_servers` servers and
     /// `cfg.stripe_size` stripes, constructed once and shared by every
-    /// dataset opened against it.
-    pub fn new(cfg: SimConfig, mode: StorageMode) -> PfsCluster {
+    /// dataset opened against it and every clone of the handle.
+    pub fn new(cfg: SimConfig, mode: StorageMode) -> Pfs {
         let striping = Striping::new(cfg.stripe_size as u64, cfg.io_servers);
         let servers = (0..cfg.io_servers)
             .map(|i| {
@@ -111,31 +97,17 @@ impl PfsCluster {
                 ))
             })
             .collect();
-        PfsCluster {
+        Pfs {
             inner: Arc::new(ClusterInner {
+                parity: cfg.parity && cfg.io_servers >= 2,
                 cfg,
                 striping,
                 servers,
                 meta: MetaShards::new(),
                 epochs: Mutex::new(HashMap::new()),
-                parity: AtomicBool::new(false),
                 failover: Mutex::new(FailoverState::default()),
-                mounts: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// Hand out a file-system view of this cluster. Sessions mount once
-    /// and open their datasets through the view; all views share the
-    /// cluster's servers, metadata shards and failover state.
-    pub fn mount(&self) -> Pfs {
-        self.inner.mounts.fetch_add(1, Ordering::Relaxed);
-        Pfs::view(self.clone())
-    }
-
-    /// Mounts ever handed out.
-    pub fn mounts(&self) -> usize {
-        self.inner.mounts.load(Ordering::Relaxed)
     }
 
     /// Platform configuration.
@@ -148,45 +120,20 @@ impl PfsCluster {
         &self.inner.meta
     }
 
-    /// Number of I/O servers.
-    pub fn nservers(&self) -> usize {
-        self.inner.striping.nservers
-    }
-
-    /// **Cluster-wide** timing reset: every server's stage clocks, queue,
-    /// position state and fault `ops` counter rewind to virtual time zero,
-    /// keeping stored bytes. This is the benchmark-phase reset; it must
-    /// only run at a quiescent point (no session mid-I/O), because it
-    /// rewinds the `(seed, server_id, ops)` fault sequence for *every*
-    /// file on the cluster at once. Per-view `Pfs::reset_timing` refuses
-    /// to do this on a shared cluster — call this instead, from the
-    /// driver that owns the quiescent point.
+    /// Reset every server's stage clocks, queue, position state and fault
+    /// `ops` counter to virtual time zero, keeping stored bytes. This is the
+    /// benchmark-phase reset, and it is cluster-wide: it rewinds the
+    /// `(seed, server_id, ops)` fault sequence for *every* file at once, so
+    /// call it only at a quiescent point (no session mid-I/O).
     pub fn reset_timing(&self) {
         for s in &self.inner.servers {
             s.lock().reset_timing();
         }
     }
 
-    /// Override every server's bounded admission queue depth (the
-    /// `pnc_server_queue_depth` hint, applied at file open; `0` =
-    /// unbounded). The servers are shared, so this affects all files.
-    pub fn set_queue_depth(&self, depth: usize) {
-        for s in &self.inner.servers {
-            s.lock().set_queue_depth(depth);
-        }
-    }
-
-    /// Turn the declustered-parity layer on or off (the `pnc_parity`
-    /// hint, applied at file open). Requires at least two servers to
-    /// enable — with one there is nowhere to decluster.
-    pub fn set_parity(&self, on: bool) {
-        let on = on && self.inner.striping.nservers >= 2;
-        self.inner.parity.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the parity layer is on.
+    /// Whether the parity layer is on (fixed when the file system is built).
     pub fn parity_enabled(&self) -> bool {
-        self.inner.parity.load(Ordering::Relaxed)
+        self.inner.parity
     }
 
     /// Whether a retry ladder that exhausted against `server` may escalate
@@ -239,33 +186,20 @@ mod tests {
 
     #[test]
     fn views_share_namespace_and_servers() {
-        let cluster = PfsCluster::new(SimConfig::test_small(), StorageMode::Full);
-        let a = cluster.mount();
-        let b = cluster.mount();
-        assert_eq!(cluster.mounts(), 2);
+        let a = Pfs::new(SimConfig::test_small(), StorageMode::Full);
+        let b = a.clone();
         let f = a.create("shared.nc");
         f.write_at(Time::ZERO, 0, &[7u8; 64]);
-        let g = b.open("shared.nc").expect("visible through every view");
+        let g = b.open("shared.nc").expect("visible through every handle");
         assert_eq!(g.to_bytes(), f.to_bytes());
         assert_eq!(b.list(), vec!["shared.nc"]);
     }
 
     #[test]
-    fn per_view_reset_refused_on_shared_cluster() {
-        let cluster = PfsCluster::new(SimConfig::test_small(), StorageMode::Full);
-        let a = cluster.mount();
-        let _b = cluster.mount();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.reset_timing()));
-        assert!(err.is_err(), "shared-cluster per-view reset must panic");
-        // The cluster-level reset is the sanctioned path.
-        cluster.reset_timing();
-    }
-
-    #[test]
-    fn single_mount_reset_still_allowed() {
-        let fs = Pfs::new(SimConfig::test_small(), StorageMode::Full);
-        let f = fs.create("x");
-        f.write_at(Time::ZERO, 0, &[1u8; 128]);
-        fs.reset_timing();
+    #[should_panic(expected = "need at least one server")]
+    fn zero_servers_rejected() {
+        let mut cfg = SimConfig::test_small();
+        cfg.io_servers = 0;
+        Pfs::new(cfg, StorageMode::Full);
     }
 }

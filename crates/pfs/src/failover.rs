@@ -34,7 +34,7 @@
 //! The MPI-IO retry ladder escalates an exhausted budget against a crashed
 //! server to `ServerLost`; the collective error agreement makes every rank
 //! see it at the same operation, after which each rank calls
-//! [`crate::PfsCluster::mark_server_down`] (idempotent) and retries. While a server
+//! [`crate::Pfs::mark_server_down`] (idempotent) and retries. While a server
 //! is down, its read chunks are XOR-reconstructed from the surviving data
 //! and parity, and its write chunks are redirected: the payload is poked
 //! into its (logically current) store, the extent is logged, and
@@ -63,25 +63,25 @@ pub(crate) const PARITY_BASE: u64 = 1 << 63;
 impl PfsFile {
     /// The server timed I/O must route around right now, if any.
     pub(crate) fn active_down(&self) -> Option<usize> {
-        if !self.cluster.parity_enabled() {
+        if !self.pfs.parity_enabled() {
             return None;
         }
-        self.cluster.down_server()
+        self.pfs.down_server()
     }
 
     /// If the down server's crash window has ended by `start`, rebuild it
     /// online and return when service may proceed (the rebuild replays the
     /// parity log *before* the server rejoins, so the triggering operation
-    /// stalls behind it). No-op returning `start` otherwise; a single
-    /// relaxed load when parity is off.
+    /// stalls behind it). No-op returning `start` otherwise; one field read
+    /// when parity is off.
     pub(crate) fn maybe_rebuild(&self, start: Time) -> Time {
-        if !self.cluster.parity_enabled() {
+        if !self.pfs.parity_enabled() {
             return start;
         }
-        let Some(s) = self.cluster.down_server() else {
+        let Some(s) = self.pfs.down_server() else {
             return start;
         };
-        if self.cluster.inner.cfg.faults.is_down(s, start) {
+        if self.pfs.inner.cfg.faults.is_down(s, start) {
             return start;
         }
         self.rebuild(s, start)
@@ -92,9 +92,9 @@ impl PfsFile {
     /// concurrent parity updates and degraded operations wait for the
     /// rebuilt state. Returns the rebuild completion time.
     fn rebuild(&self, s: usize, start: Time) -> Time {
-        let cfg = &self.cluster.inner.cfg;
-        let striping = self.cluster.inner.striping;
-        let mut fo = self.cluster.inner.failover.lock();
+        let cfg = &self.pfs.inner.cfg;
+        let striping = self.pfs.inner.striping;
+        let mut fo = self.pfs.inner.failover.lock();
         if fo.down != Some(s) {
             // Another rank's operation got here first.
             return start;
@@ -116,7 +116,7 @@ impl PfsFile {
                 let recon_done =
                     self.xor_row_extent(file, row, Some(stripe), off, &mut recon, start);
                 debug_assert_parity(self, file, stripe, off, &recon);
-                let mut srv = self.cluster.inner.servers[s].lock();
+                let mut srv = self.pfs.inner.servers[s].lock();
                 srv.poke(file, stripe, off, &recon);
                 done = done.max(srv.aux_write(&cfg.disk, file, recon_done, len));
                 bytes += len;
@@ -131,7 +131,7 @@ impl PfsFile {
                 debug_assert_eq!(striping.parity_server_of(row), s);
                 let mut parity = vec![0u8; stripe_size as usize];
                 let read_done = self.xor_row_extent(file, row, None, 0, &mut parity, start);
-                let mut srv = self.cluster.inner.servers[s].lock();
+                let mut srv = self.pfs.inner.servers[s].lock();
                 srv.poke(file, PARITY_BASE | row, 0, &parity);
                 done = done.max(srv.aux_write(&cfg.disk, file, read_done, stripe_size));
                 bytes += stripe_size;
@@ -181,7 +181,7 @@ impl PfsFile {
     ) {
         let mut bytes = 0u64;
         {
-            let mut srv = self.cluster.inner.servers[down].lock();
+            let mut srv = self.pfs.inner.servers[down].lock();
             for (c, pos) in chunks.clone() {
                 debug_assert_eq!(c.server, down);
                 let d = &data[pos..pos + c.len as usize];
@@ -189,11 +189,11 @@ impl PfsFile {
                 bytes += c.len;
             }
         }
-        let mut fo = self.cluster.inner.failover.lock();
+        let mut fo = self.pfs.inner.failover.lock();
         let log = fo.log.entry(self.id).or_default();
         log.extend(chunks.map(|(c, _)| (c.stripe, c.offset_in_stripe, c.len)));
         drop(fo);
-        self.cluster.inner.cfg.profile.record_failover(|f| {
+        self.pfs.inner.cfg.profile.record_failover(|f| {
             f.redirected_writes += 1;
             f.redirected_bytes += bytes;
         });
@@ -212,10 +212,10 @@ impl PfsFile {
         if rows.is_empty() {
             return base;
         }
-        let cfg = &self.cluster.inner.cfg;
-        let striping = self.cluster.inner.striping;
+        let cfg = &self.pfs.inner.cfg;
+        let striping = self.pfs.inner.striping;
         let stripe_size = striping.stripe_size;
-        let mut fo = self.cluster.inner.failover.lock();
+        let mut fo = self.pfs.inner.failover.lock();
         let down = fo.down;
         let mut done = base;
         let mut written = 0u64;
@@ -227,7 +227,7 @@ impl PfsFile {
             }
             let mut parity = vec![0u8; stripe_size as usize];
             self.xor_row_extent_untimed(self.id, row, None, 0, &mut parity);
-            let mut srv = self.cluster.inner.servers[psrv].lock();
+            let mut srv = self.pfs.inner.servers[psrv].lock();
             srv.poke(self.id, PARITY_BASE | row, 0, &parity);
             done = done.max(srv.aux_write(&cfg.disk, self.id, base, stripe_size));
             written += stripe_size;
@@ -254,11 +254,11 @@ impl PfsFile {
         buf: &mut [u8],
         arrival: Time,
     ) -> Time {
-        let cfg = &self.cluster.inner.cfg;
-        let striping = self.cluster.inner.striping;
+        let cfg = &self.pfs.inner.cfg;
+        let striping = self.pfs.inner.striping;
         // Hold the failover lock so reconstruction never interleaves with
         // a parity recompute of the same row.
-        let fo = self.cluster.inner.failover.lock();
+        let fo = self.pfs.inner.failover.lock();
         let mut done = arrival;
         let mut bytes = 0u64;
         for (c, pos) in chunks {
@@ -319,14 +319,14 @@ impl PfsFile {
         acc: &mut [u8],
         arrival: Time,
     ) -> Time {
-        let cfg = &self.cluster.inner.cfg;
-        let striping = self.cluster.inner.striping;
+        let cfg = &self.pfs.inner.cfg;
+        let striping = self.pfs.inner.striping;
         let len = acc.len() as u64;
         let mut done = arrival;
         let mut buf = vec![0u8; acc.len()];
         if skip.is_some() {
             let psrv = striping.parity_server_of(row);
-            let mut srv = self.cluster.inner.servers[psrv].lock();
+            let mut srv = self.pfs.inner.servers[psrv].lock();
             srv.peek(file, PARITY_BASE | row, off, &mut buf);
             done = done.max(srv.aux_read(&cfg.disk, file, arrival, len));
             drop(srv);
@@ -340,7 +340,7 @@ impl PfsFile {
                 continue;
             }
             let sid = (k % striping.nservers as u64) as usize;
-            let mut srv = self.cluster.inner.servers[sid].lock();
+            let mut srv = self.pfs.inner.servers[sid].lock();
             srv.peek(file, k, off, &mut buf);
             done = done.max(srv.aux_read(&cfg.disk, file, arrival, len));
             drop(srv);
@@ -362,11 +362,11 @@ impl PfsFile {
         off: u64,
         acc: &mut [u8],
     ) {
-        let striping = self.cluster.inner.striping;
+        let striping = self.pfs.inner.striping;
         let mut buf = vec![0u8; acc.len()];
         if skip.is_some() {
             let psrv = striping.parity_server_of(row);
-            self.cluster.inner.servers[psrv]
+            self.pfs.inner.servers[psrv]
                 .lock()
                 .peek(file, PARITY_BASE | row, off, &mut buf);
             for (a, b) in acc.iter_mut().zip(&buf) {
@@ -379,7 +379,7 @@ impl PfsFile {
                 continue;
             }
             let sid = (k % striping.nservers as u64) as usize;
-            self.cluster.inner.servers[sid]
+            self.pfs.inner.servers[sid]
                 .lock()
                 .peek(file, k, off, &mut buf);
             for (a, b) in acc.iter_mut().zip(&buf) {
@@ -394,10 +394,10 @@ impl PfsFile {
 /// the invariant broke somewhere.
 fn debug_assert_parity(f: &PfsFile, file: u64, stripe: u64, off: u64, got: &[u8]) {
     if cfg!(debug_assertions) {
-        let striping = f.cluster.inner.striping;
+        let striping = f.pfs.inner.striping;
         let sid = (stripe % striping.nservers as u64) as usize;
         let mut expect = vec![0u8; got.len()];
-        f.cluster.inner.servers[sid]
+        f.pfs.inner.servers[sid]
             .lock()
             .peek(file, stripe, off, &mut expect);
         debug_assert_eq!(
@@ -417,10 +417,9 @@ mod tests {
     fn parity_pfs(plan: FaultPlan) -> Pfs {
         let mut cfg = SimConfig::test_small();
         cfg.faults = plan;
+        cfg.parity = true;
         cfg.profile.set_enabled(true);
-        let fs = Pfs::new(cfg, StorageMode::Full);
-        fs.cluster().set_parity(true);
-        fs
+        Pfs::new(cfg, StorageMode::Full)
     }
 
     fn pattern(n: usize, salt: u32) -> Vec<u8> {
@@ -436,19 +435,19 @@ mod tests {
         let f = fs.create("p");
         let data = pattern(10_000, 3);
         f.write_at(Time::ZERO, 128, &data).as_nanos();
-        let striping = f.cluster.inner.striping;
+        let striping = f.pfs.inner.striping;
         let last_stripe = (128 + data.len() as u64 - 1) / striping.stripe_size;
         for row in 0..=striping.parity_row_of(last_stripe) {
             let mut expect = vec![0u8; striping.stripe_size as usize];
             f.xor_row_extent_untimed(f.id, row, None, 0, &mut expect);
             let psrv = striping.parity_server_of(row);
             let mut got = vec![0u8; striping.stripe_size as usize];
-            f.cluster.inner.servers[psrv]
+            f.pfs.inner.servers[psrv]
                 .lock()
                 .peek(f.id, PARITY_BASE | row, 0, &mut got);
             assert_eq!(got, expect, "row {row}");
         }
-        let fo = fs.cluster.inner.cfg.profile.failover_counters();
+        let fo = fs.inner.cfg.profile.failover_counters();
         assert!(fo.parity_updates > 0);
         assert!(fo.parity_bytes > 0);
     }
@@ -468,16 +467,16 @@ mod tests {
         let data = pattern(20_000, 11);
         let t = f.try_write_at(Time::ZERO, 0, &data).unwrap();
         assert!(t < Time::from_secs_f64(1.0), "setup must precede the crash");
-        assert!(fs.cluster().mark_server_down(2));
-        assert!(!fs.cluster().mark_server_down(2), "idempotent");
-        assert_eq!(fs.cluster().down_server(), Some(2));
+        assert!(fs.mark_server_down(2));
+        assert!(!fs.mark_server_down(2), "idempotent");
+        assert_eq!(fs.down_server(), Some(2));
         let mut out = vec![0u8; data.len()];
         let rt = f
             .try_read_at(Time::from_secs_f64(2.0), 0, &mut out)
             .expect("degraded read must succeed without server 2");
         assert!(rt > Time::from_secs_f64(2.0));
         assert_eq!(out, data);
-        let fo = fs.cluster.inner.cfg.profile.failover_counters();
+        let fo = fs.inner.cfg.profile.failover_counters();
         assert!(fo.degraded_reads > 0);
         assert!(fo.reconstructed_bytes > 0);
         assert_eq!(fo.epochs, 1);
@@ -498,12 +497,12 @@ mod tests {
         let f = fs.create("r");
         let before = pattern(8_000, 5);
         f.try_write_at(Time::ZERO, 0, &before).unwrap();
-        fs.cluster().mark_server_down(1);
+        fs.mark_server_down(1);
         // Degraded write overwrites the middle, including server-1 stripes.
         let during = pattern(12_000, 9);
         f.try_write_at(Time::from_secs_f64(2.0), 1024, &during)
             .unwrap();
-        let fo = fs.cluster.inner.cfg.profile.failover_counters();
+        let fo = fs.inner.cfg.profile.failover_counters();
         assert!(fo.redirected_writes > 0, "server 1 stripes were redirected");
         assert!(fo.redirected_bytes > 0);
         // Degraded read-back sees the new bytes.
@@ -511,29 +510,29 @@ mod tests {
         f.try_read_at(Time::from_secs_f64(3.0), 1024, &mut out)
             .unwrap();
         assert_eq!(out, during);
-        assert_eq!(fs.cluster().down_server(), Some(1));
+        assert_eq!(fs.down_server(), Some(1));
         // Past the restart, the next op triggers the online rebuild.
         let mut out2 = vec![0u8; during.len()];
         let t = f
             .try_read_at(Time::from_secs_f64(11.0), 1024, &mut out2)
             .unwrap();
         assert_eq!(out2, during);
-        assert_eq!(fs.cluster().down_server(), None, "rebuild clears the mark");
+        assert_eq!(fs.down_server(), None, "rebuild clears the mark");
         assert!(t > Time::from_secs_f64(11.0));
-        let fo = fs.cluster.inner.cfg.profile.failover_counters();
+        let fo = fs.inner.cfg.profile.failover_counters();
         assert_eq!(fo.rebuilds, 1);
         assert!(fo.rebuilt_bytes > 0);
         assert!(fo.rebuild_nanos > 0);
         // After rebuild the parity invariant holds again everywhere,
         // including rows whose parity lives on server 1.
-        let striping = f.cluster.inner.striping;
+        let striping = f.pfs.inner.striping;
         let last_stripe = (1024 + during.len() as u64 - 1) / striping.stripe_size;
         for row in 0..=striping.parity_row_of(last_stripe) {
             let mut expect = vec![0u8; striping.stripe_size as usize];
             f.xor_row_extent_untimed(f.id, row, None, 0, &mut expect);
             let psrv = striping.parity_server_of(row);
             let mut got = vec![0u8; striping.stripe_size as usize];
-            f.cluster.inner.servers[psrv]
+            f.pfs.inner.servers[psrv]
                 .lock()
                 .peek(f.id, PARITY_BASE | row, 0, &mut got);
             assert_eq!(got, expect, "row {row}");
@@ -550,7 +549,7 @@ mod tests {
         let f1 = plain.create("x");
         let data = pattern(9_000, 1);
         let t1 = f1.write_at(Time::ZERO, 64, &data);
-        assert!(!plain.cluster().parity_enabled());
+        assert!(!plain.parity_enabled());
         assert_eq!(
             cfg.profile.failover_counters(),
             Default::default(),
@@ -569,8 +568,8 @@ mod tests {
     fn single_server_cannot_enable_parity() {
         let mut cfg = SimConfig::test_small();
         cfg.io_servers = 1;
+        cfg.parity = true;
         let fs = Pfs::new(cfg, StorageMode::Full);
-        fs.cluster().set_parity(true);
-        assert!(!fs.cluster().parity_enabled(), "nowhere to decluster");
+        assert!(!fs.parity_enabled(), "nowhere to decluster");
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{FaultKind, IoStages, Span, Time, TraceCtx};
 
-use crate::cluster::PfsCluster;
+use crate::filesystem::Pfs;
 use crate::retry::{ladder, RetryPolicy};
 use crate::server::ServiceOutcome;
 use crate::stripe::{PortionChunks, StripeChunk};
@@ -44,20 +44,20 @@ pub struct WriteCompletion {
 /// clones address the same bytes and the same server queues.
 #[derive(Clone)]
 pub struct PfsFile {
-    pub(crate) cluster: PfsCluster,
+    pub(crate) pfs: Pfs,
     pub(crate) id: u64,
     name: String,
 }
 
 impl PfsFile {
-    pub(crate) fn new(cluster: PfsCluster, id: u64, name: String) -> PfsFile {
-        PfsFile { cluster, id, name }
+    pub(crate) fn new(pfs: Pfs, id: u64, name: String) -> PfsFile {
+        PfsFile { pfs, id, name }
     }
 
-    /// The cluster the file lives on, for what is true of all its files:
-    /// parity, the down server, the failover controls.
-    pub fn cluster(&self) -> &PfsCluster {
-        &self.cluster
+    /// The file system the file lives on, for what is true of all its
+    /// files: parity, the down server, the failover controls.
+    pub fn pfs(&self) -> &Pfs {
+        &self.pfs
     }
 
     /// File name within the PFS namespace.
@@ -68,18 +68,18 @@ impl PfsFile {
     /// The profile shared by this file system instance (the one in the
     /// `SimConfig` it was built from).
     pub fn profile(&self) -> &hpc_sim::Profile {
-        &self.cluster.inner.cfg.profile
+        &self.pfs.inner.cfg.profile
     }
 
     /// The span recorder shared by this file system instance (same handle
     /// semantics as [`PfsFile::profile`]).
     pub fn events(&self) -> &hpc_sim::TraceLog {
-        &self.cluster.inner.cfg.events
+        &self.pfs.inner.cfg.events
     }
 
     /// Current size in bytes (highest byte ever written + 1).
     pub fn size(&self) -> u64 {
-        self.cluster
+        self.pfs
             .inner
             .meta
             .lookup(&self.name)
@@ -117,7 +117,7 @@ impl PfsFile {
         let run = (offset, data.len() as u64);
         // A server's portion has arrived once the client NIC has streamed
         // every portion issued before it, and its own.
-        let striping = self.cluster.inner.striping;
+        let striping = self.pfs.inner.striping;
         let portions = striping.portions(&run).scan(0u64, |sent, (srv, chunks)| {
             *sent += chunks.map(|(c, _)| c.len).sum::<u64>();
             Some((srv, *sent, chunks))
@@ -151,7 +151,7 @@ impl PfsFile {
         let end = runs.last().map_or(0, |&(off, len)| off + len);
         // The client NIC streams the payload in run order: a server's
         // portion has arrived once its last chunk has gone out.
-        let striping = self.cluster.inner.striping;
+        let striping = self.pfs.inner.striping;
         let portions = striping.run_portions(runs).map(|(srv, chunks)| {
             let sent = chunks.last().map_or(0, |(c, pos)| pos as u64 + c.len);
             (srv, sent, chunks)
@@ -176,8 +176,8 @@ impl PfsFile {
                 durable: start,
             });
         }
-        let cfg = &self.cluster.inner.cfg;
-        let parity = self.cluster.parity_enabled();
+        let cfg = &self.pfs.inner.cfg;
+        let parity = self.pfs.parity_enabled();
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
         let metadata_sized = data.len() as u64 <= crate::storage::METADATA_REQUEST_LIMIT;
@@ -194,7 +194,7 @@ impl PfsFile {
                 + Time::from_secs_f64(sent as f64 / cfg.client_link_bw);
             if parity {
                 for (c, _) in chunks {
-                    rows.insert(self.cluster.inner.striping.parity_row_of(c.stripe));
+                    rows.insert(self.pfs.inner.striping.parity_row_of(c.stripe));
                 }
             }
             if down == Some(srv) {
@@ -205,7 +205,7 @@ impl PfsFile {
                 redirected = true;
                 continue;
             }
-            let outcome = self.cluster.inner.servers[srv].lock().write(
+            let outcome = self.pfs.inner.servers[srv].lock().write(
                 &cfg.disk,
                 self.id,
                 arrival,
@@ -277,11 +277,11 @@ impl PfsFile {
         if buf.is_empty() {
             return Ok(start);
         }
-        let cfg = &self.cluster.inner.cfg;
+        let cfg = &self.pfs.inner.cfg;
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
         let run = (offset, buf.len() as u64);
-        let portions = self.cluster.inner.striping.portions(&run);
+        let portions = self.pfs.inner.striping.portions(&run);
 
         // The read request message reaches every server after one latency;
         // servers then stream from disk in parallel.
@@ -296,7 +296,7 @@ impl PfsFile {
                 disks_done = disks_done.max(t);
                 continue;
             }
-            let outcome = self.cluster.inner.servers[srv]
+            let outcome = self.pfs.inner.servers[srv]
                 .lock()
                 .read(&cfg.disk, self.id, arrival, chunks, buf);
             self.record_outcome(srv, &outcome, true);
@@ -342,7 +342,7 @@ impl PfsFile {
     fn record_outcome(&self, srv: usize, outcome: &ServiceOutcome, read: bool) {
         self.record_injected(outcome.injected);
         let st = &outcome.stages;
-        self.cluster.inner.cfg.profile.record_io_stages(
+        self.pfs.inner.cfg.profile.record_io_stages(
             srv,
             outcome.bytes_done,
             read,
@@ -364,7 +364,7 @@ impl PfsFile {
         // (or independent request) span to hang the container off — with
         // no context there is no timeline to put the spans on, so the
         // request goes untraced rather than misattributed.
-        let events = &self.cluster.inner.cfg.events;
+        let events = &self.pfs.inner.cfg.events;
         if events.is_enabled() {
             if let Some((rank, parent)) = TraceCtx::current() {
                 let qid = events.next_id();
@@ -431,7 +431,7 @@ impl PfsFile {
     /// Tally an injected fault (no-op while profiling is disabled).
     fn record_injected(&self, injected: Option<FaultKind>) {
         let Some(kind) = injected else { return };
-        self.cluster.inner.cfg.profile.record_fault(|f| {
+        self.pfs.inner.cfg.profile.record_fault(|f| {
             f.faults_injected += 1;
             match kind {
                 FaultKind::Transient => f.transient += 1,
@@ -446,7 +446,7 @@ impl PfsFile {
     /// The shared coherence-epoch cell for this file (every handle to the
     /// same file id gets the same atomic). Created on first use.
     fn epoch_cell(&self) -> Arc<std::sync::atomic::AtomicU64> {
-        let mut epochs = self.cluster.inner.epochs.lock();
+        let mut epochs = self.pfs.inner.epochs.lock();
         epochs.entry(self.id).or_default().clone()
     }
 
@@ -467,7 +467,7 @@ impl PfsFile {
 
     /// Extend the recorded file size to at least `new_size`.
     pub fn grow_to(&self, new_size: u64) {
-        self.cluster.inner.meta.grow_to(&self.name, new_size);
+        self.pfs.inner.meta.grow_to(&self.name, new_size);
     }
 
     /// Untimed export of the full file contents (correctness checks,
@@ -475,9 +475,9 @@ impl PfsFile {
     pub fn to_bytes(&self) -> Vec<u8> {
         let size = self.size();
         let mut out = vec![0u8; size as usize];
-        for c in self.cluster.inner.striping.split(0, size) {
+        for c in self.pfs.inner.striping.split(0, size) {
             let lo = c.file_offset as usize;
-            self.cluster.inner.servers[c.server].lock().peek(
+            self.pfs.inner.servers[c.server].lock().peek(
                 self.id,
                 c.stripe,
                 c.offset_in_stripe,
@@ -490,9 +490,9 @@ impl PfsFile {
     /// Untimed import: overwrite the file contents with `data` (used to
     /// place an externally produced file into the PFS).
     pub fn import_bytes(&self, data: &[u8]) {
-        for c in self.cluster.inner.striping.split(0, data.len() as u64) {
+        for c in self.pfs.inner.striping.split(0, data.len() as u64) {
             let lo = c.file_offset as usize;
-            self.cluster.inner.servers[c.server].lock().poke(
+            self.pfs.inner.servers[c.server].lock().poke(
                 self.id,
                 c.stripe,
                 c.offset_in_stripe,
@@ -516,9 +516,9 @@ impl PfsFile {
 
     /// Untimed read of an arbitrary range (diagnostics/tests).
     pub fn peek_at(&self, offset: u64, buf: &mut [u8]) {
-        for c in self.cluster.inner.striping.split(offset, buf.len() as u64) {
+        for c in self.pfs.inner.striping.split(offset, buf.len() as u64) {
             let lo = (c.file_offset - offset) as usize;
-            self.cluster.inner.servers[c.server].lock().peek(
+            self.pfs.inner.servers[c.server].lock().peek(
                 self.id,
                 c.stripe,
                 c.offset_in_stripe,

@@ -22,14 +22,14 @@
 //! Operations take an explicit *start time* and return a *completion time*;
 //! the caller (MPI-IO layer, or the serial library's POSIX adapter) owns the
 //! clock.
-
 //!
-//! Since the cluster refactor the servers, metadata and failover state
-//! live in a [`PfsCluster`] with a lifetime that outlives any single
-//! open/close; a [`Pfs`] is a per-mount view ([`PfsCluster::mount`]) and
-//! `Pfs::new` builds the degenerate one-mount cluster. The namespace is a
-//! sharded metadata layer ([`meta::MetaShards`]) hashed by path, so
-//! hundreds of datasets coexist without a global table lock.
+//! One handle, [`Pfs`], reaches the whole file system: a clone is another
+//! handle to the same servers, metadata and failover state (the shared
+//! state and the cluster-wide controls are in [`cluster`]). The namespace is
+//! a sharded metadata layer ([`meta::MetaShards`]) hashed by path, so
+//! hundreds of datasets coexist without a global table lock. Every platform
+//! property comes from the `SimConfig` the file system is built from and is
+//! fixed from then on.
 
 pub mod cluster;
 pub mod failover;
@@ -42,7 +42,6 @@ pub mod server;
 pub mod storage;
 pub mod stripe;
 
-pub use cluster::PfsCluster;
 pub use file::{IoFailure, PfsFile, WriteCompletion};
 pub use filesystem::Pfs;
 pub use meta::{MetaShardStats, MetaShards, META_SHARDS};

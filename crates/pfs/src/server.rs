@@ -86,30 +86,6 @@ impl ServiceOutcome {
 }
 
 impl Server {
-    /// New idle single-resource-equivalent server (pass-through NIC,
-    /// unbounded queue) with fault injection disabled.
-    pub fn new(stripe_size: u64, mode: StorageMode) -> Server {
-        Server::with_faults(stripe_size, mode, FaultPlan::default(), 0)
-    }
-
-    /// New idle server injecting faults per `plan`, identified as
-    /// `server_id` in the plan's decisions. Pass-through service model.
-    pub fn with_faults(
-        stripe_size: u64,
-        mode: StorageMode,
-        plan: FaultPlan,
-        server_id: usize,
-    ) -> Server {
-        Server::configure(
-            stripe_size,
-            1,
-            mode,
-            ServiceModel::passthrough(),
-            plan,
-            server_id,
-        )
-    }
-
     /// Fully configured server: one of `nservers` peers, servicing
     /// requests through the dual-resource `service` model.
     pub fn configure(
@@ -132,12 +108,6 @@ impl Server {
             server_id,
             ops: 0,
         }
-    }
-
-    /// Override the bounded admission queue depth
-    /// (`pnc_server_queue_depth`; `0` = unbounded).
-    pub fn set_queue_depth(&mut self, depth: usize) {
-        self.engine.set_queue_depth(depth);
     }
 
     /// This server's local disk address of a chunk: consecutive stripes
@@ -558,7 +528,7 @@ fn idle_stages(arrival: Time) -> StageTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpc_sim::NetworkModel;
+    use hpc_sim::{NetworkModel, SimConfig};
 
     fn disk() -> DiskModel {
         DiskModel {
@@ -566,6 +536,13 @@ mod tests {
             seek: Time::from_millis(1),
             bandwidth: 1e8,
         }
+    }
+
+    /// Server `id` of a one-server file system on `test_small`'s service
+    /// model, with 1 KiB stripes.
+    fn server(mode: StorageMode, plan: FaultPlan, id: usize) -> Server {
+        let service = SimConfig::test_small().service_model();
+        Server::configure(1024, 1, mode, service, plan, id)
     }
 
     /// A one-chunk request whose payload starts at the chunk's first byte.
@@ -585,7 +562,7 @@ mod tests {
 
     #[test]
     fn sequential_requests_skip_seek() {
-        let mut s = Server::new(1024, StorageMode::Full);
+        let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
         let d = disk();
         let a = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         assert!(a.seeked);
@@ -597,7 +574,7 @@ mod tests {
 
     #[test]
     fn queueing_delays_early_arrivals() {
-        let mut s = Server::new(1024, StorageMode::Full);
+        let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
         let d = disk();
         let a = s.write(&d, 0, Time::ZERO, one(chunk(0, 1000)), &[0u8; 1000], true);
         // Second request arrives "before" the first finishes: it queues.
@@ -614,7 +591,7 @@ mod tests {
 
     #[test]
     fn read_returns_written_bytes() {
-        let mut s = Server::new(1024, StorageMode::Full);
+        let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
         let d = disk();
         s.write(&d, 7, Time::ZERO, one(chunk(10, 4)), &[5, 6, 7, 8], true);
         let mut buf = [0u8; 4];
@@ -624,7 +601,7 @@ mod tests {
 
     #[test]
     fn cost_only_discards_payload() {
-        let mut s = Server::new(1024, StorageMode::CostOnly);
+        let mut s = server(StorageMode::CostOnly, FaultPlan::default(), 0);
         let d = disk();
         s.write(&d, 0, Time::ZERO, one(chunk(0, 4)), &[1, 2, 3, 4], true);
         let mut buf = [9u8; 4];
@@ -638,7 +615,7 @@ mod tests {
             transient: 1.0,
             ..FaultPlan::default()
         };
-        let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
+        let mut s = server(StorageMode::Full, plan, 0);
         let d = disk();
         let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         assert_eq!(out.injected, Some(FaultKind::Transient));
@@ -657,7 +634,7 @@ mod tests {
             short: 1.0,
             ..FaultPlan::default()
         };
-        let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
+        let mut s = server(StorageMode::Full, plan, 0);
         let d = disk();
         let data: Vec<u8> = (1..=200).map(|i| (i % 251) as u8).collect();
         let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 200)), &data, true);
@@ -676,14 +653,14 @@ mod tests {
     #[test]
     fn stall_completes_but_takes_longer() {
         let d = disk();
-        let mut plain = Server::new(1024, StorageMode::Full);
+        let mut plain = server(StorageMode::Full, FaultPlan::default(), 0);
         let base = plain.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         let plan = FaultPlan {
             stall: 1.0,
             stall_time: Time::from_millis(10),
             ..FaultPlan::default()
         };
-        let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
+        let mut s = server(StorageMode::Full, plan, 0);
         let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[1u8; 100], true);
         assert!(matches!(out.injected, Some(FaultKind::Stall { .. })));
         assert!(out.is_complete());
@@ -705,7 +682,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut s = Server::with_faults(1024, StorageMode::Full, plan, 0);
+        let mut s = server(StorageMode::Full, plan, 0);
         let d = disk();
         let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 50)), &[3u8; 50], true);
         assert_eq!(out.injected, Some(FaultKind::Crashed));
@@ -724,7 +701,7 @@ mod tests {
 
     #[test]
     fn per_file_sequentiality() {
-        let mut s = Server::new(1024, StorageMode::Full);
+        let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
         let d = disk();
         let a = s.write(&d, 1, Time::ZERO, one(chunk(0, 100)), &[0u8; 100], true);
         // Different file at the "same" position: still a seek.
@@ -740,7 +717,7 @@ mod tests {
         // Server 1 of 4: it owns stripes 1, 5, 9, ... A client streaming
         // the file in order hands this server file offsets 1024, 5120,
         // 9216 — strided in file space, adjacent on the local platter.
-        let service = ServiceModel::passthrough();
+        let service = SimConfig::test_small().service_model();
         let mut s = Server::configure(1024, 4, StorageMode::Full, service, FaultPlan::default(), 1);
         let d = disk();
         let mk = |stripe: u64| StripeChunk {
@@ -800,7 +777,7 @@ mod tests {
                 })
                 .collect()
         };
-        let mut fresh = Server::with_faults(1024, StorageMode::Full, plan.clone(), 3);
+        let mut fresh = server(StorageMode::Full, plan.clone(), 3);
         let first = run(&mut fresh);
         // Same server after a timing reset must draw the same faults as a
         // fresh run.

@@ -9,8 +9,11 @@
 //!   comparison (Figure 7): a much smaller 2-node GPFS I/O system.
 //!
 //! The individual constants are first-order estimates for Power3-era hardware
-//! (they only need to produce the right *relative* behaviour), and every knob
-//! can be overridden through [`SimConfigBuilder`] for ablation studies.
+//! (they only need to produce the right *relative* behaviour). Every field is
+//! public: an ablation overrides a preset's field before the platform is
+//! built, and this struct is the one place a platform property is set — the
+//! file system reads it once, when its servers are built, and no open-time
+//! hint changes it afterwards.
 
 use crate::cpu::CpuModel;
 use crate::disk::DiskModel;
@@ -21,7 +24,7 @@ use crate::time::Time;
 use pnetcdf_trace::{Profile, TraceLog};
 
 /// Default bounded admission queue depth of one I/O server (see
-/// [`crate::service`]); overridable per file with `pnc_server_queue_depth`.
+/// [`crate::service`]).
 pub const DEFAULT_SERVER_QUEUE_DEPTH: usize = 4;
 
 /// Complete description of a simulated platform.
@@ -58,11 +61,17 @@ pub struct SimConfig {
     /// Shared per-request span recorder (same handle semantics as
     /// `profile`): every layer records sim-clock-stamped spans into the
     /// same log, linked across layers by trace ids. Off by default —
-    /// enabled per file via the `pnc_trace_events` hint or directly with
-    /// `events.set_enabled(true)`.
+    /// `events.set_enabled(true)` before the run turns it on.
     pub events: TraceLog,
     /// Fault-injection plan applied by the PFS servers; inert by default.
     pub faults: FaultPlan,
+    /// Declustered-parity redundancy across the I/O servers: RAID-5-style
+    /// rotated parity plus server failover (degraded reads, redirected
+    /// writes, online rebuild). Fixed when the file system is built, so
+    /// parity covers every byte it ever stores; needs at least two servers.
+    /// Off in every preset: the parity-off stack is byte- and
+    /// timing-identical to one without the layer.
+    pub parity: bool,
 }
 
 impl SimConfig {
@@ -98,6 +107,7 @@ impl SimConfig {
             profile: Profile::new(),
             events: TraceLog::new(),
             faults: FaultPlan::default(),
+            parity: false,
         }
     }
 
@@ -132,6 +142,7 @@ impl SimConfig {
             profile: Profile::new(),
             events: TraceLog::new(),
             faults: FaultPlan::default(),
+            parity: false,
         }
     }
 
@@ -164,12 +175,8 @@ impl SimConfig {
             profile: Profile::new(),
             events: TraceLog::new(),
             faults: FaultPlan::default(),
+            parity: false,
         }
-    }
-
-    /// Start building a modified copy of this configuration.
-    pub fn builder(self) -> SimConfigBuilder {
-        SimConfigBuilder { cfg: self }
     }
 
     /// Peak aggregate disk bandwidth of the whole I/O subsystem, bytes/s.
@@ -183,69 +190,6 @@ impl SimConfig {
             nic: self.server_nic,
             queue_depth: self.server_queue_depth,
         }
-    }
-}
-
-/// Fluent overrides on top of a preset, used by the ablation benchmarks.
-#[derive(Clone, Debug)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Override the number of I/O servers.
-    pub fn io_servers(mut self, n: usize) -> Self {
-        assert!(n > 0, "at least one I/O server is required");
-        self.cfg.io_servers = n;
-        self
-    }
-
-    /// Override the stripe unit (bytes).
-    pub fn stripe_size(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0, "stripe size must be nonzero");
-        self.cfg.stripe_size = bytes;
-        self
-    }
-
-    /// Override per-server disk streaming bandwidth (bytes/s).
-    pub fn disk_bandwidth(mut self, bw: f64) -> Self {
-        self.cfg.disk.bandwidth = bw;
-        self
-    }
-
-    /// Override the client NIC bandwidth (bytes/s).
-    pub fn client_link_bw(mut self, bw: f64) -> Self {
-        self.cfg.client_link_bw = bw;
-        self
-    }
-
-    /// Override the interconnect model.
-    pub fn network(mut self, network: NetworkModel) -> Self {
-        self.cfg.network = network;
-        self
-    }
-
-    /// Override the server-side NIC model.
-    pub fn server_nic(mut self, nic: NetworkModel) -> Self {
-        self.cfg.server_nic = nic;
-        self
-    }
-
-    /// Override the server admission queue depth (`0` = unbounded).
-    pub fn server_queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.server_queue_depth = depth;
-        self
-    }
-
-    /// Install a fault-injection plan.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = plan;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> SimConfig {
-        self.cfg
     }
 }
 
@@ -268,27 +212,7 @@ mod tests {
         for cfg in [&sdsc, &frost, &SimConfig::test_small()] {
             assert!(cfg.server_nic.bandwidth >= 2.0 * cfg.disk.bandwidth);
             assert!(cfg.server_queue_depth > 0);
+            assert!(!cfg.parity, "parity is opt-in");
         }
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let cfg = SimConfig::test_small()
-            .builder()
-            .io_servers(7)
-            .stripe_size(4096)
-            .disk_bandwidth(1e6)
-            .client_link_bw(2e6)
-            .build();
-        assert_eq!(cfg.io_servers, 7);
-        assert_eq!(cfg.stripe_size, 4096);
-        assert_eq!(cfg.disk.bandwidth, 1e6);
-        assert_eq!(cfg.client_link_bw, 2e6);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one I/O server")]
-    fn zero_servers_rejected() {
-        let _ = SimConfig::test_small().builder().io_servers(0);
     }
 }

@@ -32,7 +32,7 @@ pub mod service;
 pub mod time;
 
 pub use clock::SharedClocks;
-pub use config::{SimConfig, SimConfigBuilder};
+pub use config::SimConfig;
 pub use cpu::CpuModel;
 pub use disk::DiskModel;
 pub use fault::{CrashSpec, FaultKind, FaultPlan};

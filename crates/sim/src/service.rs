@@ -32,22 +32,6 @@ pub struct ServiceModel {
     pub queue_depth: usize,
 }
 
-impl ServiceModel {
-    /// A pass-through model: infinitely fast NIC, unbounded queue. With
-    /// this model the engine degenerates to the old single-resource server
-    /// (every request costs exactly its disk time), which is what the bare
-    /// [`crate::SimConfig`]-less constructors use.
-    pub fn passthrough() -> ServiceModel {
-        ServiceModel {
-            nic: NetworkModel {
-                latency: Time::ZERO,
-                bandwidth: f64::INFINITY,
-            },
-            queue_depth: 0,
-        }
-    }
-}
-
 /// Per-request stage breakdown returned by the engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTiming {
@@ -92,64 +76,38 @@ pub struct ServiceEngine {
     /// cross-file wait attribution. `None` until the first request.
     nic_last: Option<u64>,
     disk_last: Option<u64>,
-    /// Cumulative stage counters.
-    pub nic_busy_total: Time,
-    pub disk_busy_total: Time,
-    pub overlap_total: Time,
-    pub queue_stall_total: Time,
-    pub cross_stall_total: Time,
-    pub max_depth: usize,
 }
 
 /// The deepest bounded queue whose deques are sized up front; a deeper one
-/// (a hostile `pnc_server_queue_depth`) grows on demand beyond this.
+/// (a hostile `SimConfig::server_queue_depth`) grows on demand beyond this.
 const PRESIZED_DEPTH: usize = 1024;
 
 impl ServiceEngine {
+    /// An idle engine. `inflight` and `disk_busy` get what a bounded queue
+    /// can hold, plus the request being served, so the request that first
+    /// finds writes overlapping on this server does not pay for a deque's
+    /// growth. An unbounded queue (`queue_depth == 0`) has no such number
+    /// and grows on demand. `reset` clears the deques and keeps their
+    /// capacity.
     pub fn new(model: ServiceModel) -> ServiceEngine {
-        let mut engine = ServiceEngine {
+        let sized = match model.queue_depth.min(PRESIZED_DEPTH) {
+            0 => 0,
+            depth => depth + 1,
+        };
+        ServiceEngine {
             model,
             nic_free: Time::ZERO,
             disk_free: Time::ZERO,
-            inflight: VecDeque::new(),
-            disk_busy: VecDeque::new(),
+            inflight: VecDeque::with_capacity(sized),
+            disk_busy: VecDeque::with_capacity(sized),
             nic_last: None,
             disk_last: None,
-            nic_busy_total: Time::ZERO,
-            disk_busy_total: Time::ZERO,
-            overlap_total: Time::ZERO,
-            queue_stall_total: Time::ZERO,
-            cross_stall_total: Time::ZERO,
-            max_depth: 0,
-        };
-        engine.presize();
-        engine
-    }
-
-    /// Give `inflight` and `disk_busy` what a bounded queue can hold, plus
-    /// the request being served, so the request that first finds writes
-    /// overlapping on this server does not pay for a deque's growth. An
-    /// unbounded queue (`queue_depth == 0`) has no such number and grows on
-    /// demand. `reset` clears the deques and keeps their capacity.
-    fn presize(&mut self) {
-        let depth = self.model.queue_depth.min(PRESIZED_DEPTH);
-        if depth > 0 {
-            self.inflight
-                .reserve((depth + 1).saturating_sub(self.inflight.len()));
-            self.disk_busy
-                .reserve((depth + 1).saturating_sub(self.disk_busy.len()));
         }
     }
 
     /// The configured model.
     pub fn model(&self) -> ServiceModel {
         self.model
-    }
-
-    /// Override the admission queue depth (`pnc_server_queue_depth`).
-    pub fn set_queue_depth(&mut self, depth: usize) {
-        self.model.queue_depth = depth;
-        self.presize();
     }
 
     /// Admit a request: drain retired writes, then wait for the oldest
@@ -192,15 +150,6 @@ impl ServiceEngine {
         acc
     }
 
-    fn tally(&mut self, t: &StageTiming) {
-        self.nic_busy_total += t.nic_done - t.nic_start;
-        self.disk_busy_total += t.disk_done - t.disk_start;
-        self.overlap_total += t.overlap;
-        self.queue_stall_total += t.queue_stall;
-        self.cross_stall_total += t.cross_stall;
-        self.max_depth = self.max_depth.max(t.depth);
-    }
-
     /// Service a write of `bytes` whose disk stage costs `disk_time`
     /// (positioning, streaming and any fault penalties, computed by the
     /// caller). The NIC receives the payload first; the disk stage follows.
@@ -235,7 +184,7 @@ impl ServiceEngine {
         }
         self.nic_last = Some(tag);
         self.disk_last = Some(tag);
-        let t = StageTiming {
+        StageTiming {
             arrival,
             admit,
             nic_start,
@@ -246,9 +195,7 @@ impl ServiceEngine {
             overlap,
             depth,
             cross_stall,
-        };
-        self.tally(&t);
-        t
+        }
     }
 
     /// Service a read of `bytes` whose disk stage costs `disk_time`. The
@@ -276,7 +223,7 @@ impl ServiceEngine {
         }
         self.disk_last = Some(tag);
         self.nic_last = Some(tag);
-        let t = StageTiming {
+        StageTiming {
             arrival,
             admit: arrival,
             nic_start,
@@ -287,13 +234,11 @@ impl ServiceEngine {
             overlap,
             depth: self.inflight.len(),
             cross_stall,
-        };
-        self.tally(&t);
-        t
+        }
     }
 
     /// Reset both stage clocks and the queue (benchmark phases), keeping
-    /// the model and the cumulative counters.
+    /// the model.
     pub fn reset(&mut self) {
         self.nic_free = Time::ZERO;
         self.disk_free = Time::ZERO;
@@ -318,9 +263,20 @@ mod tests {
         })
     }
 
+    /// An infinitely fast NIC in front of an unbounded queue.
+    fn passthrough() -> ServiceEngine {
+        ServiceEngine::new(ServiceModel {
+            nic: NetworkModel {
+                latency: Time::ZERO,
+                bandwidth: f64::INFINITY,
+            },
+            queue_depth: 0,
+        })
+    }
+
     #[test]
     fn passthrough_degenerates_to_disk_only() {
-        let mut e = ServiceEngine::new(ServiceModel::passthrough());
+        let mut e = passthrough();
         let d = Time::from_millis(3);
         let a = e.write(Time::ZERO, 1 << 20, d, 0);
         assert_eq!(a.nic_done, Time::ZERO);
@@ -353,8 +309,7 @@ mod tests {
         // Depth 1: b may not enter the NIC until a is durable.
         assert!(b.admit >= a.disk_done);
         assert_eq!(b.queue_stall, a.disk_done);
-        assert!(e.queue_stall_total > Time::ZERO);
-        assert_eq!(e.max_depth, 1);
+        assert_eq!(a.depth.max(b.depth), 1);
     }
 
     #[test]
@@ -373,11 +328,10 @@ mod tests {
         // Same tag back to back: waiting behind your own file is not
         // cross-file contention.
         let mut same = engine(4);
-        same.write(Time::ZERO, 4096, disk_t, 7);
+        let a = same.write(Time::ZERO, 4096, disk_t, 7);
         let b = same.write(Time::ZERO, 4096, disk_t, 7);
         assert!(b.disk_start > b.nic_done, "second write waits for the disk");
-        assert_eq!(b.cross_stall, Time::ZERO);
-        assert_eq!(same.cross_stall_total, Time::ZERO);
+        assert_eq!(a.cross_stall + b.cross_stall, Time::ZERO);
         // Different tags: the same waits are attributed cross-file, and the
         // stage clocks are identical to the same-tag run.
         let mut diff = engine(4);
@@ -388,7 +342,7 @@ mod tests {
             c.cross_stall,
             (c.nic_start - c.admit) + (c.disk_start - c.nic_done)
         );
-        assert!(diff.cross_stall_total > Time::ZERO);
+        assert!(c.cross_stall > Time::ZERO);
     }
 
     #[test]
@@ -405,42 +359,42 @@ mod tests {
 
     /// A bounded queue never holds more than it was sized for: overlapping
     /// writes (and the reads between them) leave both deques where `new`
-    /// put them, also across `reset` and a `set_queue_depth` that fits.
+    /// put them, also across `reset`.
     #[test]
     fn overlapping_writes_never_grow_a_bounded_engines_deques() {
         let mut e = engine(4);
         let sized = (e.inflight.capacity(), e.disk_busy.capacity());
         assert!(sized.0 >= 5 && sized.1 >= 5, "{sized:?}");
-        let mut deepest = 0;
+        let mut writes = Vec::new();
         for i in 0..64u64 {
             // Arrivals 1 ms apart against 5 ms of disk each: the queue fills.
-            let t = e.write(Time::from_millis(i), 4096, Time::from_millis(5), 0);
-            deepest = deepest.max(t.depth);
+            writes.push(e.write(Time::from_millis(i), 4096, Time::from_millis(5), 0));
             if i % 16 == 15 {
                 e.read(Time::from_millis(i), 4096, Time::from_millis(1), 0);
             }
             if i == 40 {
                 e.reset();
-                e.set_queue_depth(3);
             }
         }
-        assert_eq!(deepest, 4, "the writes really overlapped");
-        assert!(e.queue_stall_total > Time::ZERO);
+        let deepest = writes.iter().map(|t| t.depth).max();
+        assert_eq!(deepest, Some(4), "the writes really overlapped");
+        assert!(writes.iter().map(|t| t.queue_stall).sum::<Time>() > Time::ZERO);
         assert_eq!((e.inflight.capacity(), e.disk_busy.capacity()), sized);
         // Unbounded: nothing to size for.
-        let unbounded = ServiceEngine::new(ServiceModel::passthrough());
-        assert_eq!(unbounded.inflight.capacity(), 0);
+        assert_eq!(passthrough().inflight.capacity(), 0);
     }
 
     #[test]
-    fn reset_clears_clocks_keeps_counters() {
+    fn reset_clears_clocks() {
         let mut e = engine(2);
+        let first = e.write(Time::ZERO, 4096, Time::from_millis(1), 0);
         e.write(Time::ZERO, 4096, Time::from_millis(1), 0);
-        let busy = e.disk_busy_total;
-        assert!(busy > Time::ZERO);
         e.reset();
         let a = e.write(Time::ZERO, 4096, Time::from_millis(1), 0);
         assert_eq!(a.nic_start, Time::ZERO);
-        assert!(e.disk_busy_total > busy, "counters survive reset");
+        assert_eq!(
+            a.disk_done, first.disk_done,
+            "a reset engine is a fresh one"
+        );
     }
 }

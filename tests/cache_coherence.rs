@@ -117,11 +117,10 @@ fn eviction_under_tiny_budget_preserves_data() {
 #[test]
 fn write_behind_survives_transient_faults() {
     fn run(spec: Option<&str>) -> (Vec<u8>, SimConfig) {
-        let mut b = SimConfig::test_small().builder();
+        let mut cfg = SimConfig::test_small();
         if let Some(s) = spec {
-            b = b.faults(FaultPlan::from_spec(s).unwrap());
+            cfg.faults = FaultPlan::from_spec(s).unwrap();
         }
-        let cfg = b.build();
         cfg.profile.set_enabled(true);
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         let pfs2 = pfs.clone();

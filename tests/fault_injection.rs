@@ -14,10 +14,10 @@ use pnetcdf_pfs::{Pfs, StorageMode};
 
 /// `test_small` with profiling on and the given fault spec applied.
 fn faulty_cfg(spec: &str) -> SimConfig {
-    let cfg = SimConfig::test_small()
-        .builder()
-        .faults(FaultPlan::from_spec(spec).unwrap())
-        .build();
+    let cfg = SimConfig {
+        faults: FaultPlan::from_spec(spec).unwrap(),
+        ..SimConfig::test_small()
+    };
     cfg.profile.set_enabled(true);
     cfg
 }

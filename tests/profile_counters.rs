@@ -222,10 +222,10 @@ fn pipelined_rounds_keep_exact_phase_attribution() {
 }
 
 /// Event tracing must be a pure observer: running the same workload with
-/// `pnc_trace_events` enabled and unset (the seed behavior) produces
-/// identical makespans, identical per-rank phase sums, and identical
-/// server byte counts — span recording never touches a virtual clock, and
-/// with the hint unset the recorder stays completely empty.
+/// the span recorder on and off (the seed behavior) produces identical
+/// makespans, identical per-rank phase sums, and identical server byte
+/// counts — span recording never touches a virtual clock, and switched off
+/// the recorder stays completely empty.
 #[test]
 fn tracing_does_not_perturb_phase_sums_or_byte_counts() {
     let mut makespans = Vec::new();
@@ -233,14 +233,12 @@ fn tracing_does_not_perturb_phase_sums_or_byte_counts() {
     for traced in [false, true] {
         let cfg = SimConfig::test_small();
         cfg.profile.set_enabled(true);
+        cfg.events.set_enabled(traced);
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         // Pipelined rounds, so the traced run exercises every span site.
-        let mut info = aligned_info()
+        let info = aligned_info()
             .with("cb_buffer_size", "512")
             .with("pnc_cb_pipeline", "enable");
-        if traced {
-            info = info.with("pnc_trace_events", "enable");
-        }
         let run = run_world(NPROCS, cfg.clone(), move |comm| {
             let mut ds = Dataset::create(comm, &pfs, "obs.nc", Version::Cdf1, &info).unwrap();
             let d = ds.def_dim("x", NPROCS as u64 * PER_RANK).unwrap();
@@ -261,7 +259,7 @@ fn tracing_does_not_perturb_phase_sums_or_byte_counts() {
         if traced {
             assert!(spans > 0, "traced run must record spans");
         } else {
-            assert_eq!(spans, 0, "seed behavior: hint unset records nothing");
+            assert_eq!(spans, 0, "seed behavior: recorder off records nothing");
         }
         makespans.push(run.makespan);
         snaps.push(cfg.profile.snapshot());
@@ -393,15 +391,14 @@ fn flatten_report(j: &Json, path: &str, out: &mut Vec<String>) {
 fn report_is_pinned() {
     let cfg = SimConfig::test_small();
     cfg.profile.set_enabled(true);
-    let faulted = cfg
-        .clone()
-        .builder()
-        .faults(FaultPlan {
+    let faulted = SimConfig {
+        faults: FaultPlan {
             seed: 7,
             transient: 0.1,
             ..FaultPlan::default()
-        })
-        .build();
+        },
+        ..cfg.clone()
+    };
     assert!(faulted.profile.same_as(&cfg.profile));
 
     let count = [PER_RANK];

@@ -1,12 +1,12 @@
-//! The shared service cluster end to end: many datasets on one
-//! [`PfsCluster`] must behave — byte for byte — like each dataset on its
+//! The shared service cluster end to end: many datasets on one [`Pfs`]
+//! must behave — byte for byte — like each dataset on its
 //! own private file system, while sharing servers, metadata shards and
 //! failover state.
 
 use hpc_sim::SimConfig;
 use pnetcdf::{Dataset, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
-use pnetcdf_pfs::{Pfs, PfsCluster, StorageMode, META_SHARDS};
+use pnetcdf_pfs::{Pfs, StorageMode, META_SHARDS};
 
 /// Write `nrows x 16` doubles seeded by `tag` into `name` through `pfs`
 /// with a world of `nprocs` ranks, using the communicator `comm`.
@@ -34,9 +34,8 @@ fn concurrent_datasets_match_fresh_clusters() {
     let cfg = SimConfig::test_small();
 
     // Shared cluster, two apps interleaving.
-    let cluster = PfsCluster::new(cfg.clone(), StorageMode::Full);
-    let a = cluster.mount();
-    let b = cluster.mount();
+    let cluster = Pfs::new(cfg.clone(), StorageMode::Full);
+    let (a, b) = (cluster.clone(), cluster.clone());
     run_world(4, cfg.clone(), move |comm| {
         let color = (comm.rank() % 2) as i64;
         let sub = comm.split(color, comm.rank() as i64).unwrap().unwrap();
@@ -47,8 +46,8 @@ fn concurrent_datasets_match_fresh_clusters() {
         };
         write_dataset(&sub, pfs, name, tag, 8);
     });
-    let shared_a = cluster.mount().open("app_a.nc").unwrap().to_bytes();
-    let shared_b = cluster.mount().open("app_b.nc").unwrap().to_bytes();
+    let shared_a = cluster.open("app_a.nc").unwrap().to_bytes();
+    let shared_b = cluster.open("app_b.nc").unwrap().to_bytes();
 
     // Same apps, each alone on a fresh cluster.
     for (name, tag, shared) in [("app_a.nc", 1u64, &shared_a), ("app_b.nc", 2u64, &shared_b)] {
@@ -72,8 +71,7 @@ fn concurrent_datasets_match_fresh_clusters() {
 #[test]
 fn metadata_shards_deterministic() {
     let build = || {
-        let cluster = PfsCluster::new(SimConfig::test_small(), StorageMode::Full);
-        let fs = cluster.mount();
+        let fs = Pfs::new(SimConfig::test_small(), StorageMode::Full);
         for i in 0..3 * META_SHARDS {
             fs.create(&format!("f{i}.nc"));
         }
@@ -81,7 +79,7 @@ fn metadata_shards_deterministic() {
             assert!(fs.open(&format!("f{i}.nc")).is_some());
         }
         assert!(fs.delete("f0.nc"));
-        cluster
+        fs
     };
     let c1 = build();
     let c2 = build();
@@ -92,34 +90,30 @@ fn metadata_shards_deterministic() {
     assert_eq!(total_creates, 3 * META_SHARDS as u64);
 }
 
-/// Marking a server down through one file's view opens the same degraded
+/// Marking a server down through one file's handle opens the same degraded
 /// epoch for every other file open on the cluster: failover is a cluster
 /// property, not a file property.
 #[test]
 fn failover_epoch_shared_across_open_files() {
-    let cluster = PfsCluster::new(SimConfig::test_small(), StorageMode::Full);
-    cluster.set_parity(true);
-    let a = cluster.mount();
-    let b = cluster.mount();
-    a.create("a.nc");
-    b.create("b.nc");
-    assert_eq!(a.cluster().failover_epoch(), 0);
-    assert_eq!(b.cluster().failover_epoch(), 0);
+    let cfg = SimConfig {
+        parity: true,
+        ..SimConfig::test_small()
+    };
+    let pfs = Pfs::new(cfg, StorageMode::Full);
+    let a = pfs.create("a.nc");
+    let b = pfs.create("b.nc");
+    let (a, b) = (a.pfs(), b.pfs());
+    assert_eq!(a.failover_epoch(), 0);
+    assert_eq!(b.failover_epoch(), 0);
 
-    assert!(a.cluster().can_failover(1));
-    assert!(
-        a.cluster().mark_server_down(1),
-        "first mark is the transition"
-    );
-    assert!(
-        !a.cluster().mark_server_down(1),
-        "idempotent on the same view"
-    );
+    assert!(a.can_failover(1));
+    assert!(a.mark_server_down(1), "first mark is the transition");
+    assert!(!a.mark_server_down(1), "idempotent on the same handle");
 
-    // The other file's view sees the same epoch and the same down server.
-    assert_eq!(b.cluster().down_server(), Some(1));
-    assert_eq!(b.cluster().failover_epoch(), 1);
-    assert_eq!(a.cluster().failover_epoch(), 1);
-    // Single-parity: the *other* view cannot fail over a second server.
-    assert!(!b.cluster().can_failover(2));
+    // The other file sees the same epoch and the same down server.
+    assert_eq!(b.down_server(), Some(1));
+    assert_eq!(b.failover_epoch(), 1);
+    assert_eq!(a.failover_epoch(), 1);
+    // Single-parity: the *other* file cannot fail over a second server.
+    assert!(!b.can_failover(2));
 }

@@ -165,8 +165,8 @@ fn runs_after(runs: &[Run], mut skip: u64) -> Vec<Run> {
 fn indep_transcript(parity: bool) -> (String, u64, u64) {
     let mut cfg = SimConfig::test_small();
     cfg.faults = FaultPlan::from_spec("transient=0.1,short=0.1").unwrap();
+    cfg.parity = parity;
     let pfs = Pfs::new(cfg, StorageMode::Full);
-    pfs.cluster().set_parity(parity);
     let f = pfs.create("golden");
     let backoff = Time::from_micros(50);
     let mut log = String::new();

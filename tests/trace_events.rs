@@ -17,16 +17,16 @@ const PER_RANK: u64 = 300;
 const CHUNKS: u64 = 3;
 
 /// Run the nonblocking FLASH-like workload (several iputs merged by one
-/// `wait_all`, then a collective read back) with `pnc_trace_events=enable`
-/// through the hint path, and return the recorded spans.
+/// `wait_all`, then a collective read back) with the span recorder on, and
+/// return the recorded spans.
 fn traced_run() -> TraceSnapshot {
     let cfg = SimConfig::test_small();
+    cfg.events.set_enabled(true);
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
     // Small cb_buffer forces several pipelined rounds per window.
     let info = Info::new()
         .with("cb_buffer_size", "512")
-        .with("pnc_cb_pipeline", "enable")
-        .with("pnc_trace_events", "enable");
+        .with("pnc_cb_pipeline", "enable");
     run_world(NPROCS, cfg.clone(), move |comm| {
         let mut ds = Dataset::create(comm, &pfs, "t.nc", Version::Cdf1, &info).unwrap();
         let d = ds.def_dim("x", NPROCS as u64 * PER_RANK).unwrap();
@@ -228,7 +228,7 @@ fn chrome_export_is_wellformed() {
 fn tracing_off_records_nothing() {
     let cfg = SimConfig::test_small();
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
-    // No pnc_trace_events hint: the recorder must stay empty.
+    // The recorder is off unless switched on: it must stay empty.
     let info = Info::new().with("cb_buffer_size", "512");
     run_world(NPROCS, cfg.clone(), move |comm| {
         let mut ds = Dataset::create(comm, &pfs, "t.nc", Version::Cdf1, &info).unwrap();
