@@ -31,6 +31,23 @@
 //! is one request of a flush, which ends at that request's durable point
 //! either way.
 //!
+//! Clustered write-behind re-records rows for the reason it declared before
+//! it ran: an eviction writes each dirty run of its victim as part of its
+//! stretch — the zero-gap dirty runs of the neighbouring cached pages,
+//! clipped to the stripe row (4 KiB here) — in one request, and what the
+//! neighbours lent is clean. Only budget-4 rows may move: a one-page budget
+//! has no neighbour to cluster and a 64-page one never evicts, so those 108
+//! rows stay as they are. A moved row may change its clocks, its
+//! `write_behind_*` counters and its requests, seeks and bytes written; the
+//! other cache counters, the bytes read and both digests of all 162 rows
+//! stay, and `WAITED_FOR_DISK` still bounds every final clock. A row whose
+//! bytes written grow wrote a neighbour early that the program then dirtied
+//! again. So it went: 18 rows moved — `Straddle`, `MultiPage` and `Beyond`
+//! at budget 4, every page size, both readaheads — each ending earlier
+//! (×0.80 … ×0.999, a call inside may end later: it writes the stretch);
+//! fewer requests or flushes in most, one seek more or less in some, and
+//! no row's bytes written grew.
+//!
 //! One rank, so the servers see the requests in program order and every
 //! number repeats. A mismatch prints the row as this build computes it, in
 //! the table's format: virtual time is deterministic, so any difference is
@@ -401,18 +418,18 @@ const GOLDEN: &[Row] = &[
     (&[55240, 1278122, 3649846, 3649897, 4797577, 7169403, 7179403, 7189403], [0, 0, 10, 7, 4, 1280, 0, 0, 2], [10, 7, 3072, 1280], 0xb6ef4bb6b3e648bd, 0xb0d21c14bf4348f1), // 16: page=512 budget=1 readahead=2 SyncReadBack
     (&[10051, 31382, 52713, 74044, 1219266, 2467048, 2590990, 3714932, 3838874, 4960896, 4960998, 6081108, 6091108, 7215050, 8462832, 8586774, 9710716, 9720716], [7, 3584, 9, 15, 4, 1024, 8, 7, 1], [17, 12, 5889, 1024], 0x920623e1eca2b311, 0x7bd4a05f3d0314d9), // 17: page=512 budget=1 readahead=2 StreamEvictsDirty
     (&[10026, 10052, 10078, 10104, 10130, 10156, 10182, 10208, 10234, 10260, 10286, 10312, 1153112, 2276978, 2277004, 2277030, 2277056, 2400922, 2400948, 2400974, 2401000, 3524866, 3524892, 3524918, 3524944, 3534944], [18, 2304, 6, 0, 1, 1536, 0, 0, 3], [5, 4, 1536, 1536], 0xc72c004183f6b685, 0x646ed80506a82211), // 18: page=512 budget=4 readahead=0 Rows
-    (&[10052, 10104, 10156, 30848, 72180, 72232, 72284, 72336, 3461994, 4627166, 7975726, 9103458, 10227350, 10351242, 11475134, 11599026, 11609026], [16, 2048, 14, 6, 5, 1280, 0, 0, 4], [16, 13, 4096, 1280], 0xe073fa6fb623b135, 0xb571f66829818536), // 19: page=512 budget=4 readahead=0 Straddle
-    (&[10306, 10561, 98649, 2471587, 2481587, 3609573, 4737661, 4747661], [3, 1280, 20, 12, 8, 3584, 0, 0, 4], [14, 9, 6144, 3584], 0xa1eaf70dd5d6a01d, 0x1381a44312775bdd), // 20: page=512 budget=4 readahead=0 MultiPage
-    (&[77493, 3639272, 3707540, 4887550, 7395654, 7405654], [2, 1019, 34, 26, 11, 6400, 0, 0, 4], [25, 13, 10752, 6400], 0xa8226a3184c21111, 0x9413496ddd6618f1), // 21: page=512 budget=4 readahead=0 Beyond
+    (&[10052, 10104, 10156, 31488, 52500, 52552, 52604, 52656, 3357514, 4502366, 5640046, 6767778, 7891670, 8015562, 9139454, 9263346, 9273346], [16, 2048, 14, 6, 5, 1280, 0, 0, 4], [14, 12, 4096, 1280], 0xe073fa6fb623b135, 0xb571f66829818536), // 19: page=512 budget=4 readahead=0 Straddle
+    (&[10306, 10561, 36729, 2369027, 2379027, 3507013, 4635101, 4645101], [3, 1280, 20, 12, 3, 3584, 0, 0, 4], [11, 9, 6144, 3584], 0xa1eaf70dd5d6a01d, 0x1381a44312775bdd), // 20: page=512 budget=4 readahead=0 MultiPage
+    (&[37918, 3514152, 3542432, 4659870, 7167974, 7177974], [2, 1019, 34, 26, 4, 6400, 0, 0, 4], [20, 14, 10752, 6400], 0xa8226a3184c21111, 0x9413496ddd6618f1), // 21: page=512 budget=4 readahead=0 Beyond
     (&[10020, 1133888, 1133894, 3375074, 5622792, 5632792], [7, 278, 5, 0, 1, 128, 0, 0, 2], [6, 6, 1536, 128], 0x95a7d6c0fb652f8f, 0x865e8a7eecffc591), // 22: page=512 budget=4 readahead=0 RunsInPage
     (&[10010, 1133952, 1133954, 1133956, 2257822, 2257825, 4518451, 5642305, 5652305], [2, 25, 5, 0, 1, 68, 0, 0, 2], [6, 6, 1536, 68], 0x4a6b24248e6c3005, 0xa121381d83cccdf4), // 23: page=512 budget=4 readahead=0 PartlyDirty
     (&[1131971, 2252030, 2252081, 3372191, 4509871, 5637959, 6757971, 6767971], [1, 8, 10, 1, 1, 256, 0, 0, 4], [7, 7, 2058, 256], 0xa9fe937c37772a98, 0x9a803394ae395252), // 24: page=512 budget=4 readahead=0 PastEof
     (&[10204, 1151852, 2279736, 2279787, 3427467, 4555453, 4565453, 4575453], [1, 256, 9, 0, 2, 1280, 0, 0, 6], [7, 7, 3072, 1280], 0xb6ef4bb6b3e648bd, 0xb0d21c14bf4348f1), // 25: page=512 budget=4 readahead=0 SyncReadBack
     (&[10051, 10102, 10153, 10204, 1155426, 1300648, 2445870, 2591092, 3715034, 3838976, 4960998, 6081108, 6091108, 7215050, 7338992, 8462934, 8586876, 8596876], [0, 0, 16, 8, 4, 1024, 0, 0, 4], [16, 11, 5377, 1024], 0x920623e1eca2b311, 0x7bd4a05f3d0314d9), // 26: page=512 budget=4 readahead=0 StreamEvictsDirty
     (&[10026, 10052, 10078, 10104, 10130, 10156, 10182, 10208, 10234, 10260, 10286, 10312, 1153112, 2276978, 3400844, 3400870, 3400896, 3524762, 3524788, 3524814, 3524840, 4648706, 4648732, 4648758, 4648784, 4658784], [20, 2560, 4, 1, 1, 1536, 4, 2, 3], [7, 5, 2560, 1536], 0xc72c004183f6b685, 0x646ed80506a82211), // 27: page=512 budget=4 readahead=2 Rows
-    (&[10052, 10104, 10156, 30848, 72180, 72232, 72284, 72336, 3461994, 4627166, 7975726, 9103458, 10227350, 10351242, 11475134, 11599026, 11609026], [16, 2048, 14, 6, 5, 1280, 0, 0, 4], [16, 13, 4096, 1280], 0xe073fa6fb623b135, 0xb571f66829818536), // 28: page=512 budget=4 readahead=2 Straddle
-    (&[10306, 10561, 98649, 2471587, 2481587, 3609573, 4737661, 4747661], [3, 1280, 20, 12, 8, 3584, 0, 0, 4], [14, 9, 6144, 3584], 0xa1eaf70dd5d6a01d, 0x1381a44312775bdd), // 29: page=512 budget=4 readahead=2 MultiPage
-    (&[77493, 3639272, 3707540, 4887550, 7395654, 7405654], [2, 1019, 34, 26, 11, 6400, 0, 0, 4], [25, 13, 10752, 6400], 0xa8226a3184c21111, 0x9413496ddd6618f1), // 30: page=512 budget=4 readahead=2 Beyond
+    (&[10052, 10104, 10156, 31488, 52500, 52552, 52604, 52656, 3357514, 4502366, 5640046, 6767778, 7891670, 8015562, 9139454, 9263346, 9273346], [16, 2048, 14, 6, 5, 1280, 0, 0, 4], [14, 12, 4096, 1280], 0xe073fa6fb623b135, 0xb571f66829818536), // 28: page=512 budget=4 readahead=2 Straddle
+    (&[10306, 10561, 36729, 2369027, 2379027, 3507013, 4635101, 4645101], [3, 1280, 20, 12, 3, 3584, 0, 0, 4], [11, 9, 6144, 3584], 0xa1eaf70dd5d6a01d, 0x1381a44312775bdd), // 29: page=512 budget=4 readahead=2 MultiPage
+    (&[37918, 3514152, 3542432, 4659870, 7167974, 7177974], [2, 1019, 34, 26, 4, 6400, 0, 0, 4], [20, 14, 10752, 6400], 0xa8226a3184c21111, 0x9413496ddd6618f1), // 30: page=512 budget=4 readahead=2 Beyond
     (&[10020, 1133888, 1133894, 3375074, 5622792, 5632792], [7, 278, 5, 0, 1, 128, 0, 0, 2], [6, 6, 1536, 128], 0x95a7d6c0fb652f8f, 0x865e8a7eecffc591), // 31: page=512 budget=4 readahead=2 RunsInPage
     (&[10010, 1133952, 1133954, 1133956, 2257822, 2257825, 4518451, 5642305, 5652305], [2, 25, 5, 0, 1, 68, 0, 0, 2], [6, 6, 1536, 68], 0x4a6b24248e6c3005, 0xa121381d83cccdf4), // 32: page=512 budget=4 readahead=2 PartlyDirty
     (&[1131971, 2252030, 2252081, 3372191, 4509871, 5637959, 6757971, 6767971], [1, 8, 10, 1, 1, 256, 0, 0, 4], [7, 7, 2058, 256], 0xa9fe937c37772a98, 0x9a803394ae395252), // 33: page=512 budget=4 readahead=2 PastEof
@@ -455,18 +472,18 @@ const GOLDEN: &[Row] = &[
     (&[60565, 1195856, 4579305, 4579407, 5729647, 9113302, 9123302, 9133302], [0, 0, 10, 7, 4, 2560, 0, 0, 2], [10, 10, 6144, 2560], 0xb38fbeb659d39c26, 0x6b81d5c6c1fa967a), // 70: page=0 budget=1 readahead=2 SyncReadBack
     (&[10102, 32764, 55426, 78088, 2258227, 4513792, 5641677, 5769562, 5897447, 6021492, 6021697, 6141910, 6151910, 7279795, 9535360, 10663245, 10791130, 10801130], [7, 7168, 9, 15, 4, 2048, 8, 7, 1], [17, 12, 11777, 2048], 0x06dada3af5bdd9d9, 0xff6d230cb184a1f9), // 71: page=0 budget=1 readahead=2 StreamEvictsDirty
     (&[10051, 10102, 10153, 10204, 10255, 10306, 10357, 10408, 10459, 10510, 10561, 10612, 1155972, 2283703, 2283754, 2283805, 2283856, 3411587, 3411638, 3411689, 3411740, 4539471, 4539522, 4539573, 4539624, 4549624], [18, 4608, 6, 0, 1, 3072, 0, 0, 3], [6, 6, 3072, 3072], 0x70a1c0449a695965, 0x329e012d1d3a46c1), // 72: page=0 budget=4 readahead=0 Rows
-    (&[10102, 10204, 10306, 31688, 74350, 74452, 74554, 74656, 3490001, 5841863, 8107863, 9235645, 10363427, 11491209, 11618991, 11746773, 11756773], [16, 4096, 14, 6, 5, 2560, 0, 0, 4], [18, 14, 8192, 2560], 0x30d463f7bfe8316d, 0x342cc3328259982f), // 73: page=0 budget=4 readahead=0 Straddle
-    (&[10614, 11126, 107306, 3438195, 3448195, 4576490, 5704990, 5714990], [3, 2560, 20, 12, 8, 7168, 0, 0, 4], [20, 16, 12288, 7168], 0x05faf7204b14c209, 0x9b3009e316b20c7e), // 74: page=0 budget=4 readahead=0 MultiPage
-    (&[84989, 3794448, 3871014, 5045698, 6558877, 6568877], [2, 2043, 34, 26, 11, 12800, 0, 0, 4], [35, 12, 21504, 12800], 0xb72ff2b28d79f7a5, 0xd40be89314fa5425), // 75: page=0 budget=4 readahead=0 Beyond
+    (&[10102, 10204, 10306, 32328, 54350, 54452, 54554, 54656, 3469259, 5714721, 7959441, 9087223, 10215005, 11342787, 11470569, 11598351, 11608351], [16, 4096, 14, 6, 5, 2560, 0, 0, 4], [18, 15, 8192, 2560], 0x30d463f7bfe8316d, 0x342cc3328259982f), // 73: page=0 budget=4 readahead=0 Straddle
+    (&[10614, 11126, 40906, 3371180, 3381180, 4509475, 5637975, 5647975], [3, 2560, 20, 12, 3, 7168, 0, 0, 4], [20, 16, 12288, 7168], 0x05faf7204b14c209, 0x9b3009e316b20c7e), // 74: page=0 budget=4 readahead=0 MultiPage
+    (&[43281, 2629530, 2663548, 3880780, 5393959, 5403959], [2, 2043, 34, 26, 4, 12800, 0, 0, 4], [35, 12, 21504, 12800], 0xb72ff2b28d79f7a5, 0xd40be89314fa5425), // 75: page=0 budget=4 readahead=0 Beyond
     (&[10020, 1137728, 1137734, 3378914, 5634312, 5644312], [7, 278, 5, 0, 1, 128, 0, 0, 2], [6, 6, 3072, 128], 0x57e7603d3d7414df, 0x3da60ecbf3ece667), // 76: page=0 budget=4 readahead=0 RunsInPage
     (&[10010, 1137895, 1137897, 1137899, 2265630, 2265633, 4526259, 5653953, 5663953], [2, 25, 5, 0, 1, 68, 0, 0, 2], [6, 6, 3072, 68], 0xf80cac50ceabe923, 0xf3b9fde44523e164), // 77: page=0 budget=4 readahead=0 PartlyDirty
     (&[1133942, 2254052, 2254154, 3374366, 4514606, 5643106, 5763118, 5773118], [1, 8, 10, 1, 1, 512, 0, 0, 4], [9, 8, 4106, 512], 0xde72b7f9f352ac8a, 0x1062e1ccc42847df), // 78: page=0 budget=4 readahead=0 PastEof
     (&[10409, 1155600, 2283689, 2283791, 3434031, 4562326, 4572326, 4582326], [1, 512, 9, 0, 2, 2560, 0, 0, 6], [10, 10, 6144, 2560], 0xb38fbeb659d39c26, 0x6b81d5c6c1fa967a), // 79: page=0 budget=4 readahead=0 SyncReadBack
     (&[10102, 10204, 10306, 10408, 2258533, 4506658, 6754783, 9002908, 9130793, 9258678, 9382723, 9502936, 9512936, 10640821, 11768706, 12896591, 14024476, 14034476], [0, 0, 16, 8, 4, 2048, 0, 0, 4], [16, 12, 10753, 2048], 0x06dada3af5bdd9d9, 0xff6d230cb184a1f9), // 80: page=0 budget=4 readahead=0 StreamEvictsDirty
     (&[10051, 10102, 10153, 10204, 10255, 10306, 10357, 10408, 10459, 10510, 10561, 10612, 1155972, 2283703, 3411434, 3411485, 3411536, 4539267, 4539318, 4539369, 4539420, 4667151, 4667202, 4667253, 4667304, 4677304], [20, 5120, 4, 1, 1, 3072, 4, 2, 3], [8, 7, 5120, 3072], 0x70a1c0449a695965, 0x329e012d1d3a46c1), // 81: page=0 budget=4 readahead=2 Rows
-    (&[10102, 10204, 10306, 31688, 74350, 74452, 74554, 74656, 3490001, 5841863, 8107863, 9235645, 10363427, 11491209, 11618991, 11746773, 11756773], [16, 4096, 14, 6, 5, 2560, 0, 0, 4], [18, 14, 8192, 2560], 0x30d463f7bfe8316d, 0x342cc3328259982f), // 82: page=0 budget=4 readahead=2 Straddle
-    (&[10614, 11126, 107306, 3438195, 3448195, 4576490, 5704990, 5714990], [3, 2560, 20, 12, 8, 7168, 0, 0, 4], [20, 16, 12288, 7168], 0x05faf7204b14c209, 0x9b3009e316b20c7e), // 83: page=0 budget=4 readahead=2 MultiPage
-    (&[84989, 3794448, 3871014, 5045698, 6558877, 6568877], [2, 2043, 34, 26, 11, 12800, 0, 0, 4], [35, 12, 21504, 12800], 0xb72ff2b28d79f7a5, 0xd40be89314fa5425), // 84: page=0 budget=4 readahead=2 Beyond
+    (&[10102, 10204, 10306, 32328, 54350, 54452, 54554, 54656, 3469259, 5714721, 7959441, 9087223, 10215005, 11342787, 11470569, 11598351, 11608351], [16, 4096, 14, 6, 5, 2560, 0, 0, 4], [18, 15, 8192, 2560], 0x30d463f7bfe8316d, 0x342cc3328259982f), // 82: page=0 budget=4 readahead=2 Straddle
+    (&[10614, 11126, 40906, 3371180, 3381180, 4509475, 5637975, 5647975], [3, 2560, 20, 12, 3, 7168, 0, 0, 4], [20, 16, 12288, 7168], 0x05faf7204b14c209, 0x9b3009e316b20c7e), // 83: page=0 budget=4 readahead=2 MultiPage
+    (&[43281, 2629530, 2663548, 3880780, 5393959, 5403959], [2, 2043, 34, 26, 4, 12800, 0, 0, 4], [35, 12, 21504, 12800], 0xb72ff2b28d79f7a5, 0xd40be89314fa5425), // 84: page=0 budget=4 readahead=2 Beyond
     (&[10020, 1137728, 1137734, 3378914, 5634312, 5644312], [7, 278, 5, 0, 1, 128, 0, 0, 2], [6, 6, 3072, 128], 0x57e7603d3d7414df, 0x3da60ecbf3ece667), // 85: page=0 budget=4 readahead=2 RunsInPage
     (&[10010, 1137895, 1137897, 1137899, 2265630, 2265633, 4526259, 5653953, 5663953], [2, 25, 5, 0, 1, 68, 0, 0, 2], [6, 6, 3072, 68], 0xf80cac50ceabe923, 0xf3b9fde44523e164), // 86: page=0 budget=4 readahead=2 PartlyDirty
     (&[1133942, 2254052, 2254154, 3374366, 4514606, 5643106, 5763118, 5773118], [1, 8, 10, 1, 1, 512, 0, 0, 4], [9, 8, 4106, 512], 0xde72b7f9f352ac8a, 0x1062e1ccc42847df), // 87: page=0 budget=4 readahead=2 PastEof
@@ -509,18 +526,18 @@ const GOLDEN: &[Row] = &[
     (&[71665, 1261133, 3645401, 3645708, 4798508, 7183390, 7193390, 7203390], [0, 0, 10, 7, 4, 7680, 0, 0, 2], [27, 14, 18432, 7680], 0x0a5e6197a4a2f0b8, 0xc7631e41e1b34a15), // 124: page=3072 budget=1 readahead=2 SyncReadBack
     (&[10307, 36374, 62441, 88508, 2472281, 3728255, 3856549, 3984843, 4113137, 4241431, 4242045, 4362667, 4372667, 5500961, 6756935, 6885229, 7013523, 7023523], [7, 21504, 9, 15, 4, 6144, 8, 7, 1], [48, 12, 35329, 6144], 0x4a8c78623497356d, 0xbe66044ed8d4e6bd), // 125: page=3072 budget=1 readahead=2 StreamEvictsDirty
     (&[10154, 10308, 10462, 10616, 10770, 10924, 11078, 11232, 11386, 11540, 11694, 11848, 1180248, 2308082, 2308236, 2308390, 2308544, 3436378, 3436532, 3436686, 3436840, 3564674, 3564828, 3564982, 3565136, 3575136], [18, 13824, 6, 0, 1, 9216, 0, 0, 3], [13, 8, 9216, 9216], 0xd4183417163a4169, 0x66210567da2353dd), // 126: page=3072 budget=4 readahead=0 Rows
-    (&[10308, 10616, 10924, 35072, 83060, 83368, 83676, 83984, 3394974, 5669602, 6862002, 7997670, 8125658, 8253646, 8381634, 8509622, 8519622], [16, 12288, 14, 6, 5, 7680, 0, 0, 4], [32, 19, 24576, 7680], 0x4726f6bdd99d9c5d, 0xf69ce98861bee8bb), // 127: page=3072 budget=4 readahead=0 Straddle
-    (&[11842, 13377, 127833, 3807939, 3817939, 4962821, 6108317, 6118317], [3, 7680, 20, 12, 8, 21504, 0, 0, 4], [34, 20, 36864, 21504], 0x0a09f4aaeaeef1be, 0x3f8ac0cfb17421a2), // 128: page=3072 budget=4 readahead=0 MultiPage
-    (&[102152, 4013112, 4107504, 5481358, 7045526, 7055526], [2, 6139, 34, 26, 11, 38400, 0, 0, 4], [59, 18, 64512, 38400], 0xbe1d1943a02a3f71, 0xe5bbf05f134be917), // 129: page=3072 budget=4 readahead=0 Beyond
+    (&[10308, 10616, 10924, 36992, 63060, 63368, 63676, 63984, 3372746, 5623534, 6792094, 7927762, 8055750, 8183738, 8311726, 8439714, 8449714], [16, 12288, 14, 6, 5, 7680, 0, 0, 4], [32, 19, 24576, 7680], 0x4726f6bdd99d9c5d, 0xf69ce98861bee8bb), // 127: page=3072 budget=4 readahead=0 Straddle
+    (&[11842, 13377, 106553, 3804099, 3814099, 4958981, 6104477, 6114477], [3, 7680, 20, 12, 6, 21504, 0, 0, 4], [31, 20, 36864, 21504], 0x0a09f4aaeaeef1be, 0x3f8ac0cfb17421a2), // 128: page=3072 budget=4 readahead=0 MultiPage
+    (&[109832, 4005672, 4107744, 5473918, 7038086, 7048086], [2, 6139, 34, 26, 10, 38400, 0, 0, 4], [58, 18, 64512, 38400], 0xbe1d1943a02a3f71, 0xe5bbf05f134be917), // 129: page=3072 budget=4 readahead=0 Beyond
     (&[10020, 1137728, 1137734, 3378914, 5634312, 5644312], [7, 278, 5, 0, 1, 128, 0, 0, 2], [12, 10, 9216, 128], 0xc86e5c443ac70f62, 0xd05a303374c4b13c), // 130: page=3072 budget=4 readahead=0 RunsInPage
     (&[10010, 1138304, 1138306, 1138308, 2266142, 2266145, 3441652, 4569346, 4579346], [2, 25, 5, 0, 1, 68, 0, 0, 2], [12, 12, 9216, 68], 0xd1e7df354d3504bb, 0x63ad7688241e5ff9), // 131: page=3072 budget=4 readahead=0 PartlyDirty
     (&[1137987, 2258302, 2258609, 3379231, 4524522, 5670018, 5790030, 5800030], [1, 8, 10, 1, 1, 1536, 0, 0, 4], [11, 10, 12298, 1536], 0x275a52938a575f80, 0x5edc46cf1cbd403f), // 132: page=3072 budget=4 readahead=0 PastEof
     (&[11228, 1166956, 2311224, 2311531, 3464331, 4609213, 4619213, 4629213], [1, 1536, 9, 0, 2, 7680, 0, 0, 6], [14, 14, 18432, 7680], 0x0a5e6197a4a2f0b8, 0xc7631e41e1b34a15), // 133: page=3072 budget=4 readahead=0 SyncReadBack
     (&[10307, 10614, 10921, 11228, 2260402, 4509576, 6758750, 9007924, 9136218, 9264512, 9392806, 9513428, 9523428, 10651722, 11780016, 11908310, 12036604, 12046604], [0, 0, 16, 8, 4, 6144, 0, 0, 4], [45, 28, 32257, 6144], 0x4a8c78623497356d, 0xbe66044ed8d4e6bd), // 134: page=3072 budget=4 readahead=0 StreamEvictsDirty
     (&[10154, 10308, 10462, 10616, 10770, 10924, 11078, 11232, 11386, 11540, 11694, 11848, 1180248, 2308082, 3443596, 3443750, 3443904, 3571738, 3571892, 3572046, 3572200, 3700034, 3700188, 3700342, 3700496, 3710496], [20, 15360, 4, 1, 1, 9216, 4, 2, 3], [17, 8, 15360, 9216], 0xd4183417163a4169, 0x66210567da2353dd), // 135: page=3072 budget=4 readahead=2 Rows
-    (&[10308, 10616, 10924, 35072, 83060, 83368, 83676, 83984, 3394974, 5669602, 6862002, 7997670, 8125658, 8253646, 8381634, 8509622, 8519622], [16, 12288, 14, 6, 5, 7680, 0, 0, 4], [32, 19, 24576, 7680], 0x4726f6bdd99d9c5d, 0xf69ce98861bee8bb), // 136: page=3072 budget=4 readahead=2 Straddle
-    (&[11842, 13377, 127833, 3807939, 3817939, 4962821, 6108317, 6118317], [3, 7680, 20, 12, 8, 21504, 0, 0, 4], [34, 20, 36864, 21504], 0x0a09f4aaeaeef1be, 0x3f8ac0cfb17421a2), // 137: page=3072 budget=4 readahead=2 MultiPage
-    (&[102152, 4013112, 4107504, 5481358, 7045526, 7055526], [2, 6139, 34, 26, 11, 38400, 0, 0, 4], [59, 18, 64512, 38400], 0xbe1d1943a02a3f71, 0xe5bbf05f134be917), // 138: page=3072 budget=4 readahead=2 Beyond
+    (&[10308, 10616, 10924, 36992, 63060, 63368, 63676, 63984, 3372746, 5623534, 6792094, 7927762, 8055750, 8183738, 8311726, 8439714, 8449714], [16, 12288, 14, 6, 5, 7680, 0, 0, 4], [32, 19, 24576, 7680], 0x4726f6bdd99d9c5d, 0xf69ce98861bee8bb), // 136: page=3072 budget=4 readahead=2 Straddle
+    (&[11842, 13377, 106553, 3804099, 3814099, 4958981, 6104477, 6114477], [3, 7680, 20, 12, 6, 21504, 0, 0, 4], [31, 20, 36864, 21504], 0x0a09f4aaeaeef1be, 0x3f8ac0cfb17421a2), // 137: page=3072 budget=4 readahead=2 MultiPage
+    (&[109832, 4005672, 4107744, 5473918, 7038086, 7048086], [2, 6139, 34, 26, 10, 38400, 0, 0, 4], [58, 18, 64512, 38400], 0xbe1d1943a02a3f71, 0xe5bbf05f134be917), // 138: page=3072 budget=4 readahead=2 Beyond
     (&[10020, 1137728, 1137734, 3378914, 5634312, 5644312], [7, 278, 5, 0, 1, 128, 0, 0, 2], [12, 10, 9216, 128], 0xc86e5c443ac70f62, 0xd05a303374c4b13c), // 139: page=3072 budget=4 readahead=2 RunsInPage
     (&[10010, 1138304, 1138306, 1138308, 2266142, 2266145, 3441652, 4569346, 4579346], [2, 25, 5, 0, 1, 68, 0, 0, 2], [12, 12, 9216, 68], 0xd1e7df354d3504bb, 0x63ad7688241e5ff9), // 140: page=3072 budget=4 readahead=2 PartlyDirty
     (&[1137987, 2258302, 2258609, 3379231, 4524522, 5670018, 5790030, 5800030], [1, 8, 10, 1, 1, 1536, 0, 0, 4], [11, 10, 12298, 1536], 0x275a52938a575f80, 0x5edc46cf1cbd403f), // 141: page=3072 budget=4 readahead=2 PastEof

@@ -3,7 +3,7 @@
 //! eviction under a tiny budget, write-behind surviving injected faults,
 //! and the cached write path retiring the sieve's read-modify-write reads.
 
-use hpc_sim::{FaultPlan, SimConfig};
+use hpc_sim::{FaultPlan, SimConfig, Time, TraceLog};
 use pnetcdf::{Dataset, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
@@ -363,4 +363,71 @@ fn nobody_leaves_a_sync_before_the_writers_bytes_are_on_disk() {
     let c = cfg.profile.cache_counters();
     assert_eq!((c.evictions, c.write_behind_bytes), (5, 6 * 1024));
     assert!(c.write_behind_drain > 0, "the sync waited for the disk");
+}
+
+/// Write-behind never outruns the client link: the rank hands every byte
+/// it writes behind to its NIC, so a one-rank cached write phase on Blue
+/// Horizon — `indep_rows_cached` at a sixteenth of its size (array, budget
+/// and page) — writes no faster than `client_link_bw`, and every
+/// `evict_flush` span lasts at least the link's latency plus its bytes at
+/// link speed. (The asynchronous-readahead prototype broke the read side of
+/// this law: 132 MB/s through a 110 MB/s link.)
+#[test]
+fn write_behind_never_outruns_the_client_link() {
+    let mut cfg = SimConfig::sdsc_blue_horizon();
+    cfg.events = TraceLog::with_capacity(1 << 20);
+    cfg.events.set_enabled(true);
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let dims = [64u64, 64, 128];
+    let info = cached_info()
+        .with("pnc_cache_size", "524288")
+        .with("pnc_page_size", "16384");
+    let row: Vec<f32> = (0..dims[2]).map(|i| i as f32).collect();
+    let passes = 4;
+    let run = run_world(1, cfg.clone(), |c| {
+        let mut ds = Dataset::create(c, &pfs, "link.nc", Version::Cdf2, &info).unwrap();
+        let ids: Vec<_> = ["z", "y", "x"]
+            .iter()
+            .zip(dims)
+            .map(|(name, len)| ds.def_dim(name, len).unwrap())
+            .collect();
+        let v = ds.def_var("tt", NcType::Float, &ids).unwrap();
+        ds.enddef().unwrap();
+        ds.begin_indep_data().unwrap();
+        let t0 = c.now();
+        for _ in 0..passes {
+            for (z, y) in (0..dims[0]).flat_map(|z| (0..dims[1]).map(move |y| (z, y))) {
+                ds.put_vara(v, &[z, y, 0], &[1, 1, dims[2]], &row).unwrap();
+            }
+        }
+        ds.end_indep_data().unwrap();
+        let phase = c.now() - t0;
+        ds.close().unwrap();
+        phase
+    });
+    let bytes = passes * dims.iter().product::<u64>() * 4;
+    let rate = bytes as f64 / run.results[0].as_secs_f64();
+    assert!(
+        rate <= cfg.client_link_bw,
+        "{rate:.0} B/s written behind through a {:.0} B/s link",
+        cfg.client_link_bw
+    );
+    let snap = cfg.events.snapshot();
+    assert_eq!(snap.dropped, 0);
+    let flushes: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| s.name == "evict_flush")
+        .collect();
+    assert!(!flushes.is_empty(), "no eviction wrote behind");
+    for s in flushes {
+        let bytes = s.arg("bytes").unwrap();
+        let link = cfg.client_link_latency + Time::from_secs_f64(bytes as f64 / cfg.client_link_bw);
+        assert!(
+            s.nanos() >= link.as_nanos(),
+            "an eviction wrote {bytes} B behind in {} ns, faster than the link ({} ns)",
+            s.nanos(),
+            link.as_nanos()
+        );
+    }
 }
