@@ -42,6 +42,12 @@ pub fn largest() -> usize {
     LARGEST.load(Ordering::SeqCst)
 }
 
+/// The largest single request made while watched, starting a new window:
+/// the next [`largest`] counts only what is requested after this call.
+pub fn take_largest() -> usize {
+    LARGEST.swap(0, Ordering::SeqCst)
+}
+
 /// Allocations larger than [`LARGE`] currently alive.
 pub fn live_large() -> i64 {
     LIVE_LARGE.load(Ordering::SeqCst)
