@@ -6,13 +6,13 @@
 //! compute node, written behind as stripe-aligned full blocks, and read
 //! ahead when a sequential pattern is detected (§4's hint discussion and
 //! the Fig. 6 read/write asymmetry both assume it). This module is that
-//! layer for the simulated stack: a per-rank cache of fixed-size pages
-//! (aligned to the PFS stripe unit by default) sitting between the MPI-IO
-//! independent data path and the PFS.
+//! layer for the simulated stack: a per-rank cache of pages, each one PFS
+//! stripe unit, sitting between the MPI-IO independent data path and the
+//! PFS.
 //!
 //! Design points:
 //!
-//! * **A fixed set of page slots.** At most `capacity_bytes / page_size`
+//! * **A fixed set of page slots.** At most `pnc_cache_size / stripe_size`
 //!   slots (one at least), each owning its page memory and its run lists.
 //!   A slot's memory is allocated when the slot is first used and lives
 //!   until the file closes; a miss takes an unused slot or evicts the
@@ -41,7 +41,7 @@
 //!   durability horizon. Every flush point ends by waiting for that
 //!   horizon, so what a sync promises is on disk.
 //! * **Readahead.** Two byte-contiguous reads in a row mark the stream
-//!   sequential; the next `readahead` absent pages are fetched with one
+//!   sequential; the absent pages among the next two are fetched with one
 //!   contiguous PFS read and inserted clean.
 //! * **Coherence epochs.** Every PFS file carries a shared epoch counter.
 //!   A cache that publishes dirty bytes bumps it; at synchronization
@@ -71,23 +71,8 @@ use crate::runs::Run;
 /// A byte range within a page, half-open.
 type PageRun = (u32, u32);
 
-/// Resolved cache parameters (from the `pnc_*` hints).
-#[derive(Clone, Copy, Debug)]
-pub struct CacheConfig {
-    /// Page size in bytes (default: the PFS stripe unit); at most
-    /// `u32::MAX`, the width of a page's run lists.
-    pub page_size: usize,
-    /// Byte budget; at least one page is always kept.
-    pub capacity_bytes: usize,
-    /// Pages to read ahead on a sequential stream (0 disables).
-    pub readahead_pages: usize,
-}
-
-impl CacheConfig {
-    fn capacity_pages(&self) -> usize {
-        (self.capacity_bytes / self.page_size).max(1)
-    }
-}
+/// Pages fetched ahead of a sequential stream.
+const READAHEAD_PAGES: usize = 2;
 
 /// Virtual-time ledger for one cache operation: the caller turns the
 /// per-phase totals into scoped clock advances, keeping every nanosecond
@@ -322,7 +307,11 @@ fn hit(seen: &mut CacheCounters, slot: &mut Slot, bytes: u32) {
 
 /// The per-rank page cache for one open file.
 pub struct PageCache {
-    cfg: CacheConfig,
+    /// The file system's stripe unit: at most `u32::MAX`, the width of a
+    /// page's run lists.
+    page_size: usize,
+    /// The byte budget in pages; at least one page is always kept.
+    capacity_pages: usize,
     cpu: CpuModel,
     policy: RetryPolicy,
     /// At most `capacity_pages` slots, created as misses need them.
@@ -349,21 +338,24 @@ pub struct PageCache {
 }
 
 impl PageCache {
-    /// Build a cache for `file` (remembers the file's current coherence
-    /// epoch as its baseline).
-    pub fn new(cfg: CacheConfig, cpu: CpuModel, file: &PfsFile) -> PageCache {
+    /// Build a cache of `capacity_bytes` for `file`, in pages of the file
+    /// system's stripe unit (remembers the file's current coherence epoch
+    /// as its baseline).
+    pub fn new(capacity_bytes: usize, cpu: CpuModel, file: &PfsFile) -> PageCache {
+        let page_size = file.pfs().config().stripe_size;
         assert!(
-            (1..=u32::MAX as usize).contains(&cfg.page_size),
-            "page size {}: a page's byte runs are (u32, u32), so it holds 1..=u32::MAX bytes",
-            cfg.page_size
+            (1..=u32::MAX as usize).contains(&page_size),
+            "page size {page_size}: a page's byte runs are (u32, u32), so it holds 1..=u32::MAX bytes",
         );
+        let capacity_pages = (capacity_bytes / page_size).max(1);
         // Sized once. A budget too large to index (a hostile hint) is not
         // an error: the index then grows as pages arrive, which they won't.
         let (mut index, mut gather) = (Vec::new(), Vec::new());
-        let _ = index.try_reserve_exact(cfg.capacity_pages());
-        let _ = gather.try_reserve_exact(cfg.capacity_pages());
+        let _ = index.try_reserve_exact(capacity_pages);
+        let _ = gather.try_reserve_exact(capacity_pages);
         PageCache {
-            cfg,
+            page_size,
+            capacity_pages,
             cpu,
             policy: RetryPolicy::default(),
             slots: Vec::new(),
@@ -410,13 +402,13 @@ impl PageCache {
         request: &[Run],
         pinned: &RangeInclusive<u64>,
     ) -> MpioResult<usize> {
-        let ps = self.cfg.page_size as u64;
+        let ps = self.page_size as u64;
         let s = if self.index.len() < self.slots.len() {
             let unused = self.slots.iter().position(|slot| !slot.in_use);
             unused.expect("fewer pages than slots")
-        } else if self.slots.len() < self.cfg.capacity_pages() {
+        } else if self.slots.len() < self.capacity_pages {
             self.slots.push(Slot {
-                data: vec![0u8; self.cfg.page_size],
+                data: vec![0u8; self.page_size],
                 ..Slot::default()
             });
             self.slots.len() - 1
@@ -451,7 +443,7 @@ impl PageCache {
     /// cached, still dirty.
     fn evict(&mut self, file: &PfsFile, led: &mut CacheLedger, i: usize) -> MpioResult<usize> {
         let (page, s) = self.index[i];
-        let ps = self.cfg.page_size as u64;
+        let ps = self.page_size as u64;
         let (lo, hi) = (page * ps, (page + 1) * ps);
         let cfg = file.pfs().config();
         let row = (cfg.stripe_size * cfg.io_servers) as u64;
@@ -501,7 +493,7 @@ impl PageCache {
         runs: &[Run],
         data: &[u8],
     ) -> MpioResult<()> {
-        let ps = self.cfg.page_size as u64;
+        let ps = self.page_size as u64;
         let t0 = led.now;
         let mut pos = 0usize;
         let mut seen = CacheCounters::default();
@@ -547,8 +539,8 @@ impl PageCache {
     ) -> MpioResult<()> {
         let total = out.len() as u64;
         debug_assert_eq!(crate::runs::runs_total(runs), total);
-        let ps = self.cfg.page_size as u64;
-        let cap = self.cfg.capacity_pages() as u64;
+        let ps = self.page_size as u64;
+        let cap = self.capacity_pages as u64;
         let t0 = led.now;
         let mut pos = 0usize;
         let mut seen = CacheCounters::default();
@@ -622,8 +614,8 @@ impl PageCache {
         request: &[Run],
         pinned: &RangeInclusive<u64>,
     ) -> MpioResult<()> {
-        let ps = self.cfg.page_size as u64;
-        let ps32 = self.cfg.page_size as u32;
+        let ps = self.page_size as u64;
+        let ps32 = self.page_size as u32;
         for page in pages.clone() {
             if self.lookup(page).is_none() {
                 self.claim(file, led, page, request, pinned)?;
@@ -666,13 +658,13 @@ impl PageCache {
         Ok(())
     }
 
-    /// Prefetch the absent pages among the `readahead_pages` following
+    /// Prefetch the absent pages among the [`READAHEAD_PAGES`] following
     /// `end` — never more of them than the cache has slots, or the last
     /// would push the first out before anybody read it.
     fn readahead(&mut self, file: &PfsFile, led: &mut CacheLedger, end: u64) -> MpioResult<()> {
-        let ps = self.cfg.page_size as u64;
+        let ps = self.page_size as u64;
         let first = end.div_ceil(ps);
-        let ahead = self.cfg.readahead_pages.min(self.cfg.capacity_pages()) as u64;
+        let ahead = READAHEAD_PAGES.min(self.capacity_pages) as u64;
         let stop = first.saturating_add(ahead).min(file.size().div_ceil(ps));
         let (mut page, mut issued) = (first, 0u64);
         while page < stop {
@@ -703,7 +695,7 @@ impl PageCache {
     /// disk. Pages stay cached and clean. Returns the bytes written.
     pub fn flush(&mut self, file: &PfsFile, led: &mut CacheLedger) -> MpioResult<u64> {
         let (t0, mut bytes) = (led.now, 0u64);
-        let runs = dirty_runs(&self.index, &self.slots, self.cfg.page_size as u64);
+        let runs = dirty_runs(&self.index, &self.slots, self.page_size as u64);
         for (at, len, segs) in stretches(runs) {
             let (policy, horizon, list) = (&self.policy, &mut self.horizon, &mut self.gather);
             led.disk_write(file, policy, horizon, list, at, segs)?;
@@ -799,33 +791,23 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    fn setup(capacity: usize, page: usize) -> (PageCache, PfsFile, SimConfig) {
-        setup_faulty(FaultPlan::default(), capacity, page)
+    /// A cache of `capacity` bytes over a `test_small` file: 1 KiB pages,
+    /// the stripe.
+    fn setup(capacity: usize) -> (PageCache, PfsFile, SimConfig) {
+        setup_faulty(FaultPlan::default(), capacity)
     }
 
-    fn setup_faulty(
-        faults: FaultPlan,
-        capacity: usize,
-        page: usize,
-    ) -> (PageCache, PfsFile, SimConfig) {
+    fn setup_faulty(faults: FaultPlan, capacity: usize) -> (PageCache, PfsFile, SimConfig) {
         let mut cfg = SimConfig::test_small();
         cfg.faults = faults;
-        setup_on(cfg, capacity, page)
+        setup_on(cfg, capacity)
     }
 
     /// A cache over a file on a file system built from `cfg`.
-    fn setup_on(cfg: SimConfig, capacity: usize, page: usize) -> (PageCache, PfsFile, SimConfig) {
+    fn setup_on(cfg: SimConfig, capacity: usize) -> (PageCache, PfsFile, SimConfig) {
         cfg.profile.set_enabled(true);
         let file = Pfs::new(cfg.clone(), StorageMode::Full).create("c");
-        let cache = PageCache::new(
-            CacheConfig {
-                page_size: page,
-                capacity_bytes: capacity,
-                readahead_pages: 2,
-            },
-            cfg.cpu,
-            &file,
-        );
+        let cache = PageCache::new(capacity, cfg.cpu, &file);
         (cache, file, cfg)
     }
 
@@ -858,7 +840,7 @@ mod tests {
 
     #[test]
     fn write_then_read_hits_without_disk() {
-        let (mut cache, file, cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, cfg) = setup(1 << 20);
         let mut led = CacheLedger::new(Time::ZERO);
         let data: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
         cache
@@ -882,7 +864,7 @@ mod tests {
 
     #[test]
     fn flush_coalesces_small_writes() {
-        let (mut cache, file, cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, cfg) = setup(1 << 20);
         let mut led = CacheLedger::new(Time::ZERO);
         // 64 back-to-back 128-byte writes = 8 KiB contiguous.
         for i in 0..64u64 {
@@ -901,7 +883,7 @@ mod tests {
 
     #[test]
     fn dirty_runs_only_no_false_sharing() {
-        let (mut cache, file, _cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, _cfg) = setup(1 << 20);
         // Another writer (rank B) put bytes on disk in the same page.
         file.write_at(Time::ZERO, 0, &[9u8; 512]);
         let mut led = CacheLedger::new(Time::ZERO);
@@ -918,7 +900,7 @@ mod tests {
 
     #[test]
     fn read_miss_fills_one_page_then_hits() {
-        let (mut cache, file, cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, cfg) = setup(1 << 20);
         let data: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
         file.write_at(Time::ZERO, 0, &data);
         let mut led = CacheLedger::new(Time::from_millis(1));
@@ -937,7 +919,7 @@ mod tests {
 
     #[test]
     fn eviction_respects_budget_and_preserves_bytes() {
-        let (mut cache, file, cfg) = setup(2048, 1024); // 2 pages
+        let (mut cache, file, cfg) = setup(2048); // 2 pages
         let mut led = CacheLedger::new(Time::ZERO);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
         for i in 0..16u64 {
@@ -963,7 +945,7 @@ mod tests {
 
     #[test]
     fn sequential_reads_trigger_readahead() {
-        let (mut cache, file, cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, cfg) = setup(1 << 20);
         let data: Vec<u8> = (0..16384u32).map(|i| (i % 239) as u8).collect();
         file.write_at(Time::ZERO, 0, &data);
         let mut led = CacheLedger::new(Time::from_millis(1));
@@ -980,7 +962,7 @@ mod tests {
 
     #[test]
     fn epoch_invalidation_drops_clean_keeps_dirty() {
-        let (mut cache, file, _cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, _cfg) = setup(1 << 20);
         file.write_at(Time::ZERO, 0, &[1u8; 1024]);
         let mut led = CacheLedger::new(Time::from_millis(1));
         // Cache page 0 clean, dirty half of page 1.
@@ -1005,7 +987,7 @@ mod tests {
 
     #[test]
     fn sync_prepare_publishes_and_bumps_epoch() {
-        let (mut cache, file, _cfg) = setup(1 << 20, 1024);
+        let (mut cache, file, _cfg) = setup(1 << 20);
         let e0 = file.coherence_epoch();
         let mut led = CacheLedger::new(Time::ZERO);
         cache
@@ -1025,7 +1007,7 @@ mod tests {
     /// get's fill and the sync that waits for what the eviction left behind.
     #[test]
     fn ledger_time_is_fully_attributed() {
-        let (mut cache, file, cfg) = setup(2048, 1024); // 2 slots
+        let (mut cache, file, cfg) = setup(2048); // 2 slots
         let start = Time::from_millis(3);
         let mut led = CacheLedger::new(start);
         cache
@@ -1048,14 +1030,14 @@ mod tests {
     /// waits exactly that long, also with nothing dirty.
     #[test]
     fn an_eviction_ends_at_handoff_and_the_next_flush_waits_for_the_horizon() {
-        let (mut cache, file, cfg) = setup(1024, 1024); // 1 slot
+        let (mut cache, file, cfg) = setup(1024); // 1 slot
         let mut led = CacheLedger::new(Time::from_millis(1));
         cache
             .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
             .unwrap();
         // What the eviction's request completes as: the same write at the
         // same time on an identical, idle file system.
-        let (_, twin, _) = setup(1024, 1024);
+        let (_, twin, _) = setup(1024);
         let done = recover::write_at(&twin, &cache.policy, led.now, 0, &[&[1u8; 1024]]).unwrap();
         assert!(done.handoff < done.durable, "a disk is slower than a NIC");
         cache.evict(&file, &mut led, 0).unwrap();
@@ -1076,7 +1058,7 @@ mod tests {
     fn a_full_server_queue_holds_write_behind_back() {
         let mut one_deep = SimConfig::test_small();
         one_deep.server_queue_depth = 1;
-        let (mut cache, file, cfg) = setup_on(one_deep, 1024, 1024); // 1 slot
+        let (mut cache, file, cfg) = setup_on(one_deep, 1024); // 1 slot
         let mut led = CacheLedger::new(Time::ZERO);
         // 1 KiB stripes over 4 servers: every fourth page is server 0's.
         for k in 0..8u64 {
@@ -1105,32 +1087,36 @@ mod tests {
             short: 0.25,
             ..FaultPlan::default()
         };
-        let (mut cache, file, cfg) = setup_faulty(plan.clone(), 3072, 3072); // 1 slot
-        let (_, twin, _) = setup_faulty(plan, 3072, 3072);
-        let page = |k: u64| -> Vec<u8> { (0..3072).map(|i| (i * 7 + k) as u8).collect() };
+        let (mut cache, file, cfg) = setup_faulty(plan.clone(), 1024); // 1 slot
+        let (_, twin, _) = setup_faulty(plan, 1024);
+        let pages = 39u64;
+        let page = |k: u64| -> Vec<u8> { (0..1024).map(|i| (i * 7 + k) as u8).collect() };
         let mut led = CacheLedger::new(Time::ZERO);
-        for k in 0..=12u64 {
+        for k in 0..pages {
             // The miss of page k evicts page k-1 before anything is charged.
             let evicted = k.checked_sub(1).map(|v| {
-                recover::write_at(&twin, &cache.policy, led.now, v * 3072, &[&page(v)[..]]).unwrap()
+                recover::write_at(&twin, &cache.policy, led.now, v * 1024, &[&page(v)[..]]).unwrap()
             });
             cache
-                .write_runs(&file, &mut led, &[(k * 3072, 3072)], &page(k))
+                .write_runs(&file, &mut led, &[(k * 1024, 1024)], &page(k))
                 .unwrap();
             if let Some(done) = evicted {
-                assert_eq!(led.now, done.handoff + cache.cpu.pack(3072, 1.0));
+                assert_eq!(led.now, done.handoff + cache.cpu.pack(1024, 1.0));
                 assert!(cache.horizon >= done.durable);
             }
         }
         cache.flush(&file, &mut led).unwrap();
         assert_eq!(led.now, cache.horizon);
-        let mut out = vec![0u8; 13 * 3072];
+        let mut out = vec![0u8; pages as usize * 1024];
         file.peek_at(0, &mut out);
-        assert_eq!(out, (0..13).flat_map(page).collect::<Vec<u8>>());
+        assert_eq!(out, (0..pages).flat_map(page).collect::<Vec<u8>>());
         let f = cfg.profile.fault_counters();
         assert!(f.retries > 0 && f.short_completions > 0, "{f:?}");
         assert_eq!(f.exhausted, 0);
-        assert_eq!(cfg.profile.cache_counters().write_behind_bytes, 13 * 3072);
+        assert_eq!(
+            cfg.profile.cache_counters().write_behind_bytes,
+            pages * 1024
+        );
     }
 
     #[test]
@@ -1139,7 +1125,7 @@ mod tests {
             transient: 1.0,
             ..FaultPlan::default()
         };
-        let (mut cache, file, cfg) = setup_faulty(plan, 1024, 1024); // 1 slot
+        let (mut cache, file, cfg) = setup_faulty(plan, 1024); // 1 slot
         let mut led = CacheLedger::new(Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
@@ -1159,7 +1145,7 @@ mod tests {
             transient: 1.0,
             ..FaultPlan::default()
         };
-        let (mut cache, file, cfg) = setup_faulty(plan, 2048, 1024); // 2 slots
+        let (mut cache, file, cfg) = setup_faulty(plan, 2048); // 2 slots
         let mut led = CacheLedger::new(Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 2048)], &[1u8; 2048])
@@ -1182,7 +1168,7 @@ mod tests {
         let mut parity = SimConfig::test_small();
         parity.faults = FaultPlan::from_spec("crash=server:1@t>0").unwrap();
         parity.parity = true;
-        let (mut cache, file, cfg) = setup_on(parity, 1024, 1024); // 1 slot
+        let (mut cache, file, cfg) = setup_on(parity, 1024); // 1 slot
         assert!(file.pfs().mark_server_down(1));
         let mut led = CacheLedger::new(Time::ZERO);
         // Page 0 is a live server's: still behind after its eviction.
@@ -1252,7 +1238,7 @@ mod tests {
     /// with disk bytes — everything past EOF — must be zeroed by hand.
     #[test]
     fn bytes_past_eof_read_zero_through_a_slot_that_held_other_data() {
-        let (mut cache, file, _cfg) = setup(1024, 1024); // 1 slot
+        let (mut cache, file, _cfg) = setup(1024); // 1 slot
         file.write_at(Time::ZERO, 0, &[0xAB; 1024 + 100]);
         let mut led = CacheLedger::new(Time::from_millis(1));
         // The one slot holds 1024 bytes of 0xAB ...
@@ -1279,7 +1265,7 @@ mod tests {
     /// outlive their pages, and a warmed-up cache reuses what it has.
     #[test]
     fn slots_never_exceed_the_budget_and_are_reused() {
-        let (mut cache, file, cfg) = setup(4096, 1024); // 4 slots
+        let (mut cache, file, cfg) = setup(4096); // 4 slots
         let data: Vec<u8> = (0..20480u32).map(|i| (i % 233) as u8).collect();
         let mut led = CacheLedger::new(Time::ZERO);
         cache
@@ -1309,7 +1295,7 @@ mod tests {
     /// part of the request — also when the request's own pages are older.
     #[test]
     fn a_miss_does_not_evict_a_page_the_request_is_about_to_hit() {
-        let (mut cache, file, cfg) = setup(2048, 1024); // 2 slots
+        let (mut cache, file, cfg) = setup(2048); // 2 slots
         let mut led = CacheLedger::new(Time::ZERO);
         for page in [1u64, 0] {
             cache
@@ -1335,7 +1321,7 @@ mod tests {
     /// later writes nothing.
     #[test]
     fn an_eviction_writes_its_victims_stretch_up_to_the_stripe_row() {
-        let (mut cache, file, cfg) = setup(8192, 1024); // 8 slots
+        let (mut cache, file, cfg) = setup(8192); // 8 slots
         let mut led = CacheLedger::new(Time::ZERO);
         // Page 2 first, so it is the oldest; then the rest of pages 0..8.
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
@@ -1382,15 +1368,13 @@ mod tests {
         assert_eq!((c.evictions, c.write_behind_bytes), (2, 4096));
     }
 
+    /// A page is the platform's stripe, so a stripe of 4 GiB is refused
+    /// where the cache is built, before a page's `u32` runs alias.
     #[test]
     #[should_panic(expected = "1..=u32::MAX")]
     fn a_page_too_large_for_its_run_lists_is_refused() {
-        let (_, file, cfg) = setup(1024, 1024);
-        let config = CacheConfig {
-            page_size: u32::MAX as usize + 1,
-            capacity_bytes: 1 << 40,
-            readahead_pages: 0,
-        };
-        PageCache::new(config, cfg.cpu, &file);
+        let mut cfg = SimConfig::test_small();
+        cfg.stripe_size = u32::MAX as usize + 1;
+        setup_on(cfg, 1 << 40);
     }
 }

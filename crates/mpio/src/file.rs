@@ -9,7 +9,7 @@ use pnetcdf_format::swap::swap_inplace;
 use pnetcdf_mpi::{CollEnv, Comm, Info, Loan};
 use pnetcdf_pfs::{Pfs, PfsFile};
 
-use crate::cache::{CacheConfig, CacheLedger, PageCache};
+use crate::cache::{CacheLedger, PageCache};
 use crate::error::{MpioError, MpioResult};
 use crate::hints::Hints;
 use crate::runs::Run;
@@ -95,23 +95,10 @@ impl MpiFile {
         })?;
         match &*res {
             Ok((f, cbuf)) => {
-                let cfg = comm.config();
-                let cache = hints.cache.resolve(false).then(|| {
-                    let page_size = if hints.cache_page_size > 0 {
-                        hints.cache_page_size
-                    } else {
-                        cfg.stripe_size
-                    };
-                    Mutex::new(PageCache::new(
-                        CacheConfig {
-                            page_size,
-                            capacity_bytes: hints.cache_size,
-                            readahead_pages: hints.cache_readahead,
-                        },
-                        cfg.cpu,
-                        f,
-                    ))
-                });
+                let cache = hints
+                    .cache
+                    .resolve(false)
+                    .then(|| Mutex::new(PageCache::new(hints.cache_size, comm.config().cpu, f)));
                 Ok(MpiFile {
                     comm: comm.clone(),
                     file: f.clone(),
@@ -254,14 +241,10 @@ impl MpiFile {
         let cfg = self.comm.config();
         TwoPhaseParams {
             cb_buffer_size: self.hints.cb_buffer_size,
-            cb_nodes: self
-                .hints
-                .cb_nodes
-                .map(|_| self.hints.aggregators(self.comm.size(), cfg.io_servers)),
+            cb_nodes: self.hints.cb_nodes,
             io_servers: cfg.io_servers,
             stripe: cfg.stripe_size as u64,
             pipeline: self.hints.cb_pipeline.resolve(true),
-            affinity: self.hints.cb_affinity.resolve(true),
         }
     }
 

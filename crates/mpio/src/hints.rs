@@ -40,8 +40,9 @@ impl Toggle {
 pub struct Hints {
     /// Collective buffering buffer size per aggregator (`cb_buffer_size`).
     pub cb_buffer_size: usize,
-    /// Number of aggregator ranks (`cb_nodes`); `None` = choose at open
-    /// time (min of communicator size and I/O server count).
+    /// Number of aggregator ranks (`cb_nodes`), at most the communicator
+    /// size; `None` = one per I/O server, fewer for a small collective
+    /// (`twophase::dynamic_cb_nodes`). A write has at most one per server.
     pub cb_nodes: Option<usize>,
     /// Enable two-phase on collective writes (`romio_cb_write`).
     pub cb_write: Toggle,
@@ -64,18 +65,8 @@ pub struct Hints {
     /// Enable the client-side page cache (`pnc_cache`). Default: disabled
     /// (`Auto` resolves to off so uncached timings stay comparable).
     pub cache: Toggle,
-    /// Page-cache byte budget (`pnc_cache_size`).
+    /// Page-cache byte budget (`pnc_cache_size`); a page is one stripe.
     pub cache_size: usize,
-    /// Cache page size (`pnc_page_size`); 0 = use the PFS stripe unit.
-    pub cache_page_size: usize,
-    /// Pages of sequential readahead (`pnc_readahead`); 0 disables.
-    pub cache_readahead: usize,
-    /// Server-affine collective-buffer domains (`pnc_cb_affinity`): assign
-    /// each file stripe to the aggregator that owns its server, so every
-    /// server sees exactly one aggregator stream and the dual-resource
-    /// pipeline can overlap NIC with disk. Default: enabled (`Auto`
-    /// resolves to on); `disable` restores contiguous block domains.
-    pub cb_affinity: Toggle,
 }
 
 impl Default for Hints {
@@ -92,9 +83,6 @@ impl Default for Hints {
             ds_read: Toggle::Auto,
             cache: Toggle::Auto,
             cache_size: 8 * 1024 * 1024,
-            cache_page_size: 0,
-            cache_readahead: 2,
-            cb_affinity: Toggle::Auto,
         }
     }
 }
@@ -106,12 +94,6 @@ enum Kind {
     /// A size or count where zero is meaningless (a zero-sized buffer, zero
     /// aggregators): zero is rejected like an unparseable number.
     Positive(fn(&mut Hints, usize)),
-    /// A size or count where zero is meaningful (stripe-sized pages,
-    /// readahead off): only unparseable values reject.
-    Count(fn(&mut Hints, usize)),
-    /// A [`Kind::Count`] with a largest meaningful value: anything above it
-    /// is rejected like an unparseable number.
-    CountUpTo(usize, fn(&mut Hints, usize)),
 }
 
 /// Every hint key this implementation consumes. Keys outside this table are
@@ -139,14 +121,6 @@ const HINT_TABLE: &[(&str, Kind)] = &[
     ("romio_ds_read", Kind::Toggle(|h| &mut h.ds_read)),
     ("pnc_cache", Kind::Toggle(|h| &mut h.cache)),
     ("pnc_cache_size", Kind::Positive(|h, v| h.cache_size = v)),
-    // A page's byte runs are `(u32, u32)`: a larger page would alias its
-    // in-page offsets (a write at 4 GiB into the page would land at 0).
-    (
-        "pnc_page_size",
-        Kind::CountUpTo(u32::MAX as usize, |h, v| h.cache_page_size = v),
-    ),
-    ("pnc_readahead", Kind::Count(|h, v| h.cache_readahead = v)),
-    ("pnc_cb_affinity", Kind::Toggle(|h| &mut h.cb_affinity)),
 ];
 
 /// Is `v` a well-formed value for the tri-state toggles?
@@ -161,9 +135,9 @@ impl Hints {
     /// Parse hints from an info object and audit it: returns the parsed
     /// hints plus a human-readable description of every rejected entry.
     /// Rejected means an unknown `pnc_*` key, or a known key whose value is
-    /// malformed (unparseable number, zero where zero is meaningless, a
-    /// page size its run lists cannot address, unrecognized toggle word). A
-    /// bad value never changes behavior: it falls back to the default.
+    /// malformed (unparseable number, zero where zero is meaningless,
+    /// unrecognized toggle word). A bad value never changes behavior: it
+    /// falls back to the default.
     pub fn from_info(info: &Info) -> (Hints, Vec<String>) {
         let mut hints = Hints::default();
         let mut rejected = Vec::new();
@@ -185,30 +159,12 @@ impl Hints {
                     .filter(|&n| n > 0)
                     .map(|n| set(&mut hints, n))
                     .is_some(),
-                Kind::Count(set) => number.map(|n| set(&mut hints, n)).is_some(),
-                Kind::CountUpTo(max, set) => number
-                    .filter(|n| n <= max)
-                    .map(|n| set(&mut hints, n))
-                    .is_some(),
             };
             if !ok {
                 rejected.push(format!("{k}={v} (malformed value)"));
             }
         }
         (hints, rejected)
-    }
-
-    /// Number of aggregators for a communicator of `nprocs` over
-    /// `io_servers` servers, before the per-collective volume cap.
-    ///
-    /// With the dual-resource servers, more aggregator streams per server
-    /// only queue behind one disk, so the default matches aggregators to
-    /// I/O servers (one stream each keeps every NIC+disk pipeline full).
-    /// A `cb_nodes` hint overrides; collectives that know their request
-    /// volume shrink the unhinted default further
-    /// (`twophase::dynamic_cb_nodes`).
-    pub fn aggregators(&self, nprocs: usize, io_servers: usize) -> usize {
-        self.cb_nodes.unwrap_or(io_servers).min(nprocs).max(1)
     }
 }
 
@@ -269,64 +225,21 @@ mod tests {
         assert_eq!(d.cache, Toggle::Auto);
         assert!(!d.cache.resolve(false), "cache defaults off");
         assert_eq!(d.cache_size, 8 * 1024 * 1024);
-        assert_eq!(d.cache_page_size, 0);
-        assert_eq!(d.cache_readahead, 2);
         let info = Info::new()
             .with("pnc_cache", "enable")
-            .with("pnc_cache_size", "65536")
-            .with("pnc_page_size", "4096")
-            .with("pnc_readahead", "0");
+            .with("pnc_cache_size", "65536");
         let h = Hints::from_info(&info).0;
         assert!(h.cache.resolve(false));
         assert_eq!(h.cache_size, 65536);
-        assert_eq!(h.cache_page_size, 4096);
-        assert_eq!(h.cache_readahead, 0, "explicit 0 must stick");
-    }
-
-    #[test]
-    fn page_size_beyond_u32_is_malformed() {
-        // In-page offsets are u32: 4 GiB pages would alias them.
-        let info = Info::new()
-            .with("pnc_cache", "enable")
-            .with("pnc_page_size", "4294967296");
-        let (h, rejected) = Hints::from_info(&info);
-        assert_eq!(rejected, ["pnc_page_size=4294967296 (malformed value)"]);
-        assert_eq!(h.cache_page_size, 0, "falls back to the stripe unit");
-        let (h, rejected) = Hints::from_info(&Info::new().with("pnc_page_size", "4294967295"));
-        assert!(rejected.is_empty(), "got rejects: {rejected:?}");
-        assert_eq!(h.cache_page_size, u32::MAX as usize);
-    }
-
-    #[test]
-    fn aggregator_selection() {
-        let h = Hints::default();
-        assert_eq!(h.aggregators(32, 12), 12);
-        assert_eq!(h.aggregators(4, 12), 4);
-        // One aggregator stream per I/O server: no per-node floor.
-        assert_eq!(h.aggregators(32, 2), 2);
-        assert_eq!(h.aggregators(4, 2), 2);
-        let h2 = Hints {
-            cb_nodes: Some(2),
-            ..Hints::default()
-        };
-        assert_eq!(h2.aggregators(32, 12), 2);
-        assert_eq!(h2.aggregators(1, 12), 1);
-    }
-
-    #[test]
-    fn server_engine_hints() {
-        let d = Hints::from_info(&Info::new()).0;
-        assert_eq!(d.cb_affinity, Toggle::Auto);
-        assert!(d.cb_affinity.resolve(true), "affinity defaults on");
-        let h = Hints::from_info(&Info::new().with("pnc_cb_affinity", "disable")).0;
-        assert!(!h.cb_affinity.resolve(true));
     }
 
     /// Every key the table consumes, in order: adding or removing a hint is
     /// a visible diff here. Platform properties (queue depth, parity, span
-    /// recording) are `SimConfig` fields, not hints.
+    /// recording) are `SimConfig` fields, not hints; the page is the
+    /// stripe, readahead two pages and write domains server-affine, none a
+    /// hint either.
     #[test]
-    fn the_table_holds_fourteen_keys() {
+    fn the_table_holds_eleven_keys() {
         let keys: Vec<&str> = HINT_TABLE.iter().map(|(k, _)| *k).collect();
         assert_eq!(
             keys,
@@ -342,9 +255,6 @@ mod tests {
                 "romio_ds_read",
                 "pnc_cache",
                 "pnc_cache_size",
-                "pnc_page_size",
-                "pnc_readahead",
-                "pnc_cb_affinity",
             ]
         );
     }
@@ -357,6 +267,9 @@ mod tests {
             .with("cb_nodes", "0") // zero aggregators
             .with("pnc_cache", "yes") // bad toggle word
             .with("pnc_parity", "enable") // a platform property, not a hint
+            .with("pnc_page_size", "4096") // removed: a page is one stripe
+            .with("pnc_readahead", "0") // removed: readahead is two pages
+            .with("pnc_cb_affinity", "disable") // removed: writes are affine
             .with("striping_factor", "4") // foreign hint: silently ignored
             .with("romio_ds_read", "enable"); // well-formed: accepted
         let (h, rejected) = Hints::from_info(&info);
@@ -367,7 +280,10 @@ mod tests {
                 "cb_nodes=0 (malformed value)",
                 "pnc_cache=yes (malformed value)",
                 "pnc_cachesize=65536 (unknown pnc_ hint)",
+                "pnc_cb_affinity=disable (unknown pnc_ hint)",
+                "pnc_page_size=4096 (unknown pnc_ hint)",
                 "pnc_parity=enable (unknown pnc_ hint)",
+                "pnc_readahead=0 (unknown pnc_ hint)",
             ]
         );
         // Rejects never change behavior: they fall back to the defaults.
@@ -375,13 +291,18 @@ mod tests {
         assert_eq!(h.cb_nodes, None);
         assert_eq!(h.cache, Toggle::Auto);
         assert_eq!(h.ds_read, Toggle::Enable);
+        let (accepted, _) = Hints::from_info(&Info::new().with("romio_ds_read", "enable"));
+        assert_eq!(
+            format!("{h:?}"),
+            format!("{accepted:?}"),
+            "a reject changed a hint"
+        );
     }
 
     #[test]
     fn audit_accepts_clean_info() {
         let info = Info::new()
-            .with("pnc_page_size", "0")
-            .with("pnc_readahead", "0")
+            .with("pnc_cache_size", "65536")
             .with("romio_cb_write", "automatic");
         let (_, rejected) = Hints::from_info(&info);
         assert!(rejected.is_empty(), "got rejects: {rejected:?}");

@@ -26,7 +26,7 @@ pub mod runs;
 pub mod sieve;
 pub mod twophase;
 
-pub use cache::{CacheConfig, CacheLedger, PageCache};
+pub use cache::{CacheLedger, PageCache};
 pub use error::{MpioError, MpioResult};
 pub use file::{MpiFile, OpenMode};
 pub use hints::{Hints, Toggle};

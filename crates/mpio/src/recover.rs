@@ -154,7 +154,7 @@ fn skip_bytes<'a>(segs: &[&'a [u8]], skip: u64) -> Vec<&'a [u8]> {
 }
 
 /// Drop the leading `skip` payload bytes from `runs` (run order), returning
-/// the trimmed tail. Resuming a short vectored write re-issues exactly the
+/// the trimmed tail. Resuming a short run-list write re-issues exactly the
 /// bytes the PFS has not guaranteed.
 fn trim_runs(runs: &[(u64, u64)], skip: u64) -> Vec<(u64, u64)> {
     let mut out = Vec::with_capacity(runs.len());
@@ -170,11 +170,10 @@ fn trim_runs(runs: &[(u64, u64)], skip: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// Vectored write of sorted disjoint `(offset, len)` runs holding the
-/// concatenated `data`, with the same fault recovery as [`write_at`]. The
-/// runs are coalesced into one PFS request per server
-/// ([`PfsFile::try_write_runs`]) — this is the aggregator fast path for
-/// server-affine collective-buffer windows.
+/// Write of sorted disjoint `(offset, len)` runs holding the concatenated
+/// `data`, with the same fault recovery as [`write_at`]. The runs are
+/// coalesced into one PFS request per server ([`PfsFile::try_write_runs`]):
+/// the door every collective write window leaves through.
 pub fn write_runs(
     file: &PfsFile,
     policy: &RetryPolicy,
@@ -192,13 +191,10 @@ pub fn write_runs(
         let pending = if resume == 0 { runs } else { &tail[..] };
         file.try_write_runs(t, pending, &data[resume as usize..])
     };
-    let what = || {
-        format!(
-            "vectored write of {} bytes in {} runs",
-            data.len(),
-            runs.len()
-        )
-    };
+    // An agreed error's text is its allgather payload, so it is on the
+    // clock: the wording stays.
+    let (len, n) = (data.len(), runs.len());
+    let what = || format!("vectored write of {len} bytes in {n} runs");
     climb(file, policy, start, attempt, what)
 }
 

@@ -2,18 +2,20 @@
 //! two-phase method — the ROMIO algorithm the paper builds on).
 //!
 //! Phase 1 — *exchange*: the aggregate byte range requested by all ranks is
-//! partitioned into contiguous **file domains**, one per aggregator rank;
-//! every rank ships the parts of its request that fall in each domain to
-//! that domain's aggregator.
+//! partitioned into **file domains**, one per aggregator rank; every rank
+//! ships the parts of its request that fall in each domain to that domain's
+//! aggregator. A write partitions by owning server: aggregator `a` owns the
+//! stripes of the servers `{s : s % naggs == a}`, so every server sees one
+//! aggregator stream. A read partitions contiguously: even, stripe-aligned
+//! blocks of the range (ROMIO's domains).
 //!
 //! Phase 2 — *access*: each aggregator walks its domain in collective-buffer
-//! sized windows. In a window, the pieces contributed by all ranks are
-//! merged; if they cover one contiguous interval the aggregator issues a
-//! single large request, otherwise it performs read-modify-write of the
-//! covered extent (writes) or one spanning read (reads). Either way, the
-//! many small noncontiguous per-rank requests become a few large ordered
-//! ones — this is the optimization responsible for PnetCDF's scaling in
-//! Figures 6 and 7.
+//! sized windows. In a write window, the pieces contributed by all ranks are
+//! merged and laid over a read-modify-write of any holes, and the window
+//! leaves as one request per server; a read window is one spanning read.
+//! Either way, the many small noncontiguous per-rank requests become a few
+//! large ordered ones — this is the optimization responsible for PnetCDF's
+//! scaling in Figures 6 and 7.
 //!
 //! The whole algorithm runs inside the last-arriver closure of a collective
 //! rendezvous ([`pnetcdf_mpi::comm::Comm::collective`]), which makes the
@@ -39,19 +41,17 @@ pub struct TwoPhaseParams {
     /// `cb_nodes` hint; `None` picks the aggregator count per collective
     /// from the server count and request volume ([`dynamic_cb_nodes`]).
     pub cb_nodes: Option<usize>,
-    /// Number of PFS I/O servers (aggregator default and affine mapping).
+    /// Number of PFS I/O servers: the aggregator default, and a write's
+    /// domains, which map each stripe to its server's aggregator.
     pub io_servers: usize,
-    /// File system stripe size (domain boundaries align to it).
+    /// File system stripe size: write domains are whole stripes, read
+    /// domain boundaries align to it.
     pub stripe: u64,
     /// Pipeline the rounds (`pnc_cb_pipeline`): each aggregator holds two
     /// collective buffers, so round `j`'s data exchange overlaps round
     /// `j-1`'s disk access. Off reproduces the serial exchange-then-access
     /// timing exactly.
     pub pipeline: bool,
-    /// Server-affine write domains (`pnc_cb_affinity`): each aggregator
-    /// owns the stripes of a distinct subset of servers, so every server
-    /// sees one aggregator stream and its NIC+disk pipeline stays full.
-    pub affinity: bool,
 }
 
 impl TwoPhaseParams {
@@ -105,7 +105,8 @@ pub type Req<'a> = Loan<'a, [Run]>;
 // ---- file domains -----------------------------------------------------------
 
 /// Partition `[gmin, gmax)` into at most `naggs` contiguous domains whose
-/// interior boundaries are *absolute* multiples of `stripe`.
+/// interior boundaries are *absolute* multiples of `stripe`: a read's file
+/// domains (and those of a write past `AFFINE_SPAN_LIMIT`).
 ///
 /// Absolute alignment matters: GPFS-style file systems read-modify-write
 /// partial blocks, so domain (and window) boundaries must coincide with
@@ -156,8 +157,8 @@ struct Wire {
 /// "different access contiguity"). One round prices a pipelined exchange
 /// round, all rounds together a serial schedule's monolithic exchange —
 /// the totals add up to the same `exchange_wire_bytes` — and because it
-/// reads pieces, not a domain table, it prices server-affine (interleaved)
-/// write domains too.
+/// reads pieces, not a domain table, it prices the interleaved write
+/// domains and the contiguous read domains alike.
 fn wire(windows: &[Vec<Window>], nranks: usize, rounds: std::ops::Range<usize>) -> Wire {
     let mut send = vec![0u64; nranks];
     let mut w = Wire::default();
@@ -192,8 +193,8 @@ struct Piece {
 /// One collective-buffer window: the pieces routed to it — rank by rank,
 /// ascending within a rank, so overlapping writes resolve the same way
 /// under every plan (highest rank wins) — and the sorted file extents it
-/// owns: one for a contiguous domain's window, the owned stripe ranges for
-/// a server-affine one. No piece leaves its window's extents.
+/// owns: the owned stripe ranges for a write, one range for a read. No
+/// piece leaves its window's extents.
 #[derive(Debug, Default)]
 struct Window {
     pieces: Vec<Piece>,
@@ -208,8 +209,9 @@ struct Cut {
 }
 
 /// Affine planning walks every stripe of the aggregate span once; beyond
-/// this many stripes (4 Mi ≈ a multi-TiB span at default stripes) fall
-/// back to contiguous domains rather than cut the span stripe by stripe.
+/// this many stripes (4 Mi ≈ a multi-TiB span at default stripes) a write
+/// falls back to contiguous domains rather than cut the span stripe by
+/// stripe. Its windows still leave through the same door, as one-run lists.
 const AFFINE_SPAN_LIMIT: u64 = 1 << 22;
 
 /// Give `[lo, hi)` to aggregator `a`'s newest window. Cuts are made in
@@ -240,12 +242,13 @@ fn cut(cuts: &mut Vec<Cut>, windows: &mut [Vec<Window>], a: usize, lo: u64, hi: 
 /// multiples of `cb_buffer_size` — which, for the default hints, are
 /// file-system block aligned. *Server-affine* domains are cut per stripe:
 /// stripe `s` lives on server `s % io_servers` and belongs to aggregator
-/// `(s % io_servers) % naggs_eff`, so aggregator `a` owns exactly the
-/// stripes of servers `{s : s % naggs_eff == a}` and its disk traffic never
-/// contends with another aggregator's; it groups its consecutive owned
-/// stripes into windows of about `cb_buffer_size` bytes. A merge-walk over
-/// each rank's sorted runs ([`split_at_cuts`]) then splits them at the cuts
-/// and routes every piece to its window, whichever way the cuts were made.
+/// `(s % io_servers) % naggs` (`naggs` at most `io_servers`), so aggregator
+/// `a` owns exactly the stripes of servers `{s : s % naggs == a}` and its
+/// disk traffic never contends with another aggregator's; it groups its
+/// consecutive owned stripes into windows of about `cb_buffer_size` bytes.
+/// A merge-walk over each rank's sorted runs ([`split_at_cuts`]) then
+/// splits them at the cuts and routes every piece to its window, whichever
+/// way the cuts were made.
 fn plan_windows(
     all_runs: &[&[Run]],
     (gmin, gmax): (u64, u64),
@@ -258,12 +261,12 @@ fn plan_windows(
     let mut cuts: Vec<Cut> = Vec::new();
     let mut windows: Vec<Vec<Window>>;
     if affine {
-        let nservers = p.io_servers.max(1) as u64;
-        let naggs_eff = naggs.min(p.io_servers).max(1);
-        windows = (0..naggs_eff).map(|_| Vec::new()).collect();
-        let mut wbytes = vec![0u64; naggs_eff];
+        debug_assert!(naggs <= p.io_servers);
+        let nservers = p.io_servers as u64;
+        windows = (0..naggs).map(|_| Vec::new()).collect();
+        let mut wbytes = vec![0u64; naggs];
         for s in gmin / p.stripe..=(gmax - 1) / p.stripe {
-            let a = ((s % nservers) as usize) % naggs_eff;
+            let a = ((s % nservers) as usize) % naggs;
             let (lo, hi) = ((s * p.stripe).max(gmin), ((s + 1) * p.stripe).min(gmax));
             if windows[a].is_empty() || wbytes[a] + (hi - lo) > cb {
                 windows[a].push(Window::default());
@@ -561,12 +564,17 @@ fn collective(
         return Ok(env.sync_phase(Phase::Metadata, env.config.network.barrier(n)));
     }
     let (gmin, gmax) = aggregate_span(&all_runs);
-    let naggs = p.naggs(n, total);
-    // Reads keep contiguous domains: the affine layout exists to give each
-    // server a single *write* stream; a read window's spanning read is
-    // already one large request per domain.
+    // A write's domains are its aggregators' servers, so it has no more
+    // aggregators than servers. Reads keep contiguous domains: the affine
+    // layout exists to give each server a single *write* stream; a read
+    // window's spanning read is already one large request per domain.
+    let naggs = if write {
+        p.naggs(n, total).min(p.io_servers)
+    } else {
+        p.naggs(n, total)
+    };
     let span_stripes = (gmax - 1) / p.stripe - gmin / p.stripe + 1;
-    let affine = write && p.affinity && span_stripes <= AFFINE_SPAN_LIMIT;
+    let affine = write && span_stripes <= AFFINE_SPAN_LIMIT;
     let windows = plan_windows(&all_runs, (gmin, gmax), naggs, p, affine);
     let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
     // With fewer than two rounds there is nothing to overlap, so pipelining
@@ -619,7 +627,6 @@ fn collective(
         env,
         file,
         policy: RetryPolicy::default(),
-        vectored: affine,
         split: AccessSplit::new(windows.len()),
         cbuf,
         cap: (p.cb_buffer_size as u64).min(gmax - gmin) as usize,
@@ -787,11 +794,6 @@ struct Engine<'e> {
     env: &'e CollEnv,
     file: &'e PfsFile,
     policy: RetryPolicy,
-    /// A write window goes to the PFS as ONE vectored request per server
-    /// (server-affine windows, whose extents are disjoint stripe ranges)
-    /// rather than as the one contiguous span a contiguous domain's window
-    /// covers. The PFS prices the two differently even for a single span.
-    vectored: bool,
     split: AccessSplit,
     cbuf: &'e mut CollBuf,
     /// What this collective sizes the buffer to if it has to allocate it
@@ -845,10 +847,10 @@ impl Engine<'_> {
 
     /// Time one write window on aggregator `a` starting at `t_start`:
     /// collective-buffer assembly (memcpy), any read-modify-write reads,
-    /// then the window's write. Returns `(advance, durable)`: `advance` is
-    /// the time the aggregator may move on — the server hand-off when
-    /// `on_handoff`, the disk completion otherwise — and `durable` is
-    /// always the disk completion.
+    /// then the window's write, one request per server. Returns `(advance,
+    /// durable)`: `advance` is the time the aggregator may move on — the
+    /// server hand-off when `on_handoff`, the disk completion otherwise —
+    /// and `durable` is always the disk completion.
     ///
     /// Each extent the window's pieces touch contributes the bounding span
     /// of those pieces, untouched extents are skipped, and the spans lie
@@ -908,11 +910,7 @@ impl Engine<'_> {
         }
         self.split.rmw += rmw as u64;
         overlay(buf, runs, &win.pieces, reqs);
-        let completion = if self.vectored {
-            recover::write_runs(self.file, &self.policy, t_a, runs, buf)?
-        } else {
-            recover::write_at(self.file, &self.policy, t_a, runs[0].0, &[buf])?
-        };
+        let completion = recover::write_runs(self.file, &self.policy, t_a, runs, buf)?;
         let advance = if on_handoff {
             completion.handoff
         } else {
@@ -1168,14 +1166,13 @@ mod tests {
         (env, file)
     }
 
-    fn params(cb_buffer_size: usize, affinity: bool) -> TwoPhaseParams {
+    fn params(cb_buffer_size: usize) -> TwoPhaseParams {
         TwoPhaseParams {
             cb_buffer_size,
             cb_nodes: Some(1),
             io_servers: 4,
             stripe: 1024,
             pipeline: false,
-            affinity,
         }
     }
 
@@ -1246,15 +1243,13 @@ mod tests {
         let vals = [1.5f64, -2.25e300, 3.0e-300];
         let native: Vec<u8> = vals.iter().flat_map(|v| v.to_ne_bytes()).collect();
         let want: Vec<u8> = vals.iter().flat_map(|v| v.to_be_bytes()).collect();
-        for affinity in [false, true] {
-            let (env, file) = env_and_file(2, &[0u8; 28]);
-            let runs: [Run; 1] = [(4, 24)];
-            let segs = [&native[..]];
-            let reqs = [native_req(&runs, &segs, 8), native_req(&[], &[], 8)];
-            let mut cbuf = CollBuf::default();
-            write_all(&env, &file, &params(16, affinity), &mut cbuf, &reqs).unwrap();
-            assert_eq!(file.to_bytes()[4..], want, "affinity {affinity}");
-        }
+        let (env, file) = env_and_file(2, &[0u8; 28]);
+        let runs: [Run; 1] = [(4, 24)];
+        let segs = [&native[..]];
+        let reqs = [native_req(&runs, &segs, 8), native_req(&[], &[], 8)];
+        let mut cbuf = CollBuf::default();
+        write_all(&env, &file, &params(16), &mut cbuf, &reqs).unwrap();
+        assert_eq!(file.to_bytes()[4..], want);
     }
 
     #[test]
@@ -1290,7 +1285,7 @@ mod tests {
     #[test]
     fn collective_buffer_is_no_larger_than_the_collective_span() {
         let (env, file) = env_and_file(1, &[]);
-        let (p, mut cbuf) = (params(4 << 20, true), CollBuf::default());
+        let (p, mut cbuf) = (params(4 << 20), CollBuf::default());
         let data = [7u8; 3000];
         let write = |cbuf: &mut CollBuf, len: usize| {
             let (runs, segs) = ([(0, len as u64)], [&data[..len]]);
@@ -1310,28 +1305,94 @@ mod tests {
     /// has holes — is assembled. The holes must come out of the file.
     #[test]
     fn a_window_with_holes_takes_them_from_the_file_not_from_the_buffer() {
-        for affinity in [false, true] {
-            let old = vec![0x11u8; 2048];
-            let (env, file) = env_and_file(2, &old);
-            // Window 1 (stripe 0) is fully covered; window 2 (stripe 1)
-            // gets two small pieces with a hole between and around them.
-            let runs0: [Run; 2] = [(0, 1024), (1100, 50)];
-            let runs1: [Run; 1] = [(1500, 20)];
-            let (d0, d1) = (vec![0xaau8; 1074], vec![0xbbu8; 20]);
-            let (s0, s1) = ([&d0[..]], [&d1[..]]);
-            let reqs = [write_req(&runs0, &s0), write_req(&runs1, &s1)];
-            let mut cbuf = CollBuf::default();
-            write_all(&env, &file, &params(1024, affinity), &mut cbuf, &reqs).unwrap();
-            let mut want = old.clone();
-            want[..1024].fill(0xaa);
-            want[1100..1150].fill(0xaa);
-            want[1500..1520].fill(0xbb);
-            assert!(file.to_bytes() == want, "affinity {affinity}");
-            let t = env.config.profile.snapshot().twophase;
-            assert_eq!((t.windows, t.rmw_windows), (2, 1), "affinity {affinity}");
-            let b = env.config.profile.snapshot().bytepath;
-            assert_eq!(b.collbuf_reuses, 1, "affinity {affinity}");
-        }
+        let old = vec![0x11u8; 2048];
+        let (env, file) = env_and_file(2, &old);
+        // Window 1 (stripe 0) is fully covered; window 2 (stripe 1) gets
+        // two small pieces with a hole between and around them.
+        let runs0: [Run; 2] = [(0, 1024), (1100, 50)];
+        let runs1: [Run; 1] = [(1500, 20)];
+        let (d0, d1) = (vec![0xaau8; 1074], vec![0xbbu8; 20]);
+        let (s0, s1) = ([&d0[..]], [&d1[..]]);
+        let reqs = [write_req(&runs0, &s0), write_req(&runs1, &s1)];
+        let mut cbuf = CollBuf::default();
+        write_all(&env, &file, &params(1024), &mut cbuf, &reqs).unwrap();
+        let mut want = old.clone();
+        want[..1024].fill(0xaa);
+        want[1100..1150].fill(0xaa);
+        want[1500..1520].fill(0xbb);
+        assert!(file.to_bytes() == want);
+        let t = env.config.profile.snapshot().twophase;
+        assert_eq!((t.windows, t.rmw_windows), (2, 1));
+        let b = env.config.profile.snapshot().bytepath;
+        assert_eq!(b.collbuf_reuses, 1);
+    }
+
+    /// A `cb_nodes` hint is clamped to the ranks (floor one); unhinted, the
+    /// default is one aggregator per server, fewer for fewer ranks or for a
+    /// collective too small to fill that many buffers.
+    #[test]
+    fn aggregator_selection() {
+        let unhinted = TwoPhaseParams {
+            cb_nodes: None,
+            io_servers: 12,
+            ..params(1024)
+        };
+        assert_eq!(unhinted.naggs(32, 1 << 30), 12);
+        assert_eq!(unhinted.naggs(4, 1 << 30), 4);
+        assert_eq!(unhinted.naggs(32, 3000), 3);
+        let two = TwoPhaseParams {
+            cb_nodes: Some(2),
+            ..unhinted
+        };
+        assert_eq!(two.naggs(32, 1), 2);
+        assert_eq!(two.naggs(1, 1 << 30), 1);
+        let none = TwoPhaseParams {
+            cb_nodes: Some(0),
+            ..unhinted
+        };
+        assert_eq!(none.naggs(32, 1 << 30), 1);
+    }
+
+    /// A write has no more aggregators than servers — its domains are their
+    /// servers — and says so: `cb_nodes=8` over four servers writes with,
+    /// and records, four. A read keeps the eight contiguous domains.
+    #[test]
+    fn a_write_records_the_aggregators_it_writes_with() {
+        let data = [0x42u8; 8 * 1024];
+        let runs: Vec<[Run; 1]> = (0..8).map(|r| [(r * 1024, 1024)]).collect();
+        let segs: Vec<[&[u8]; 1]> = (0..8).map(|r| [&data[r * 1024..][..1024]]).collect();
+        let p = TwoPhaseParams {
+            cb_nodes: Some(8),
+            ..params(1024)
+        };
+        let (env, file) = env_and_file(8, &[]);
+        let reqs: Vec<Req<'_>> = runs
+            .iter()
+            .zip(&segs)
+            .map(|(r, s)| write_req(r, s))
+            .collect();
+        write_all(&env, &file, &p, &mut CollBuf::default(), &reqs).unwrap();
+        let t = env.config.profile.snapshot().twophase;
+        assert_eq!((t.cb_nodes, t.file_domains), (4, 4));
+        assert!(file.to_bytes() == data);
+
+        let (env, file) = env_and_file(8, &data);
+        let mut out = vec![0u8; 8 * 1024];
+        let mut reqs: Vec<Req<'_>> = runs
+            .iter()
+            .zip(out.chunks_mut(1024))
+            .map(|(r, dst)| Req {
+                meta: r,
+                src: &[],
+                dst,
+                tag: 0,
+                aux: 0,
+            })
+            .collect();
+        read_all(&env, &file, &p, &mut CollBuf::default(), &mut reqs).unwrap();
+        let t = env.config.profile.snapshot().twophase;
+        assert_eq!((t.cb_nodes, t.file_domains), (8, 8));
+        assert_eq!(out, data);
     }
 
     #[test]
@@ -1358,7 +1419,7 @@ mod tests {
             },
         ];
         let mut cbuf = CollBuf::default();
-        read_all(&env, &file, &params(1024, false), &mut cbuf, &mut reqs).unwrap();
+        read_all(&env, &file, &params(1024), &mut cbuf, &mut reqs).unwrap();
         assert_eq!(out0[..5], content[10..15]);
         assert_eq!(out0[5..], content[2000..2007]);
         assert_eq!(out1[..], content[1020..1030]);
@@ -1490,7 +1551,7 @@ mod tests {
     #[test]
     fn plan_splits_runs_at_window_cuts_and_tracks_source_positions() {
         let runs: [Run; 2] = [(0, 10), (20, 10)];
-        let plan = plan_windows(&[&runs], (0, 30), 1, &params(25, false), false);
+        let plan = plan_windows(&[&runs], (0, 30), 1, &params(25), false);
         assert_eq!(plan.len(), 1);
         let [first, second] = &plan[0][..] else {
             panic!("expected two windows, got {:?}", plan[0]);
@@ -1508,7 +1569,7 @@ mod tests {
         // servers 0 and 2, aggregator 1 those of servers 1 and 3; a
         // 1.5-stripe buffer holds the ragged first stripe and one more.
         let (r0, r1): ([Run; 1], [Run; 1]) = ([(512, 4096)], [(1000, 100)]);
-        let plan = plan_windows(&[&r0, &r1], (512, 4608), 2, &params(1536, true), true);
+        let plan = plan_windows(&[&r0, &r1], (512, 4608), 2, &params(1536), true);
         assert_eq!(plan.len(), 2);
         let extents = |a: usize| plan[a].iter().map(|w| &w.extents[..]).collect::<Vec<_>>();
         assert_eq!(
@@ -1616,13 +1677,14 @@ mod tests {
             let all_runs: Vec<&[Run]> = per_rank.iter().map(Vec::as_slice).collect();
             prop_assume!(all_runs.iter().any(|r| !r.is_empty()));
             let (gmin, gmax) = aggregate_span(&all_runs);
+            // Affine domains are servers': no more of them than servers.
+            let naggs = if affine { naggs.min(io_servers) } else { naggs };
             let p = TwoPhaseParams {
                 cb_buffer_size: cb,
                 cb_nodes: Some(naggs),
                 io_servers,
                 stripe,
                 pipeline: true,
-                affinity: affine,
             };
             let plan = plan_windows(&all_runs, (gmin, gmax), naggs, &p, affine);
 
@@ -1704,15 +1766,14 @@ mod tests {
         /// A collective write lent host-order elements and their width
         /// leaves the file a write lent their external form leaves — the
         /// bytes a rank-by-rank overlay of the external payloads predicts —
-        /// however the runs overlap (the highest rank wins byte by byte),
-        /// wherever the cuts fall (odd buffer sizes split elements of every
-        /// width) and whichever way the domains are laid out.
+        /// however the runs overlap (the highest rank wins byte by byte)
+        /// and wherever the cuts fall (odd buffer sizes split elements of
+        /// every width).
         #[test]
         fn native_loans_write_what_their_external_form_writes(
             per_rank in vec((arb_runs(), 0u32..4, any::<u64>()), 2..5),
             cb in 1usize..4096,
             naggs in 1usize..5,
-            affinity in any::<bool>(),
             pipeline in any::<bool>(),
         ) {
             let ranks: Vec<Lender> = per_rank
@@ -1737,7 +1798,6 @@ mod tests {
                 io_servers: 4,
                 stripe: 1024,
                 pipeline,
-                affinity,
             };
             for lend_native in [true, false] {
                 let (env, file) = env_and_file(ranks.len(), &old);
@@ -1765,7 +1825,6 @@ mod tests {
             per_rank in vec((arb_runs(), 0u32..4, any::<u64>(), vec(any::<u64>(), 0..6)), 2..5),
             cb in 1usize..4096,
             naggs in 1usize..5,
-            affinity in any::<bool>(),
             pipeline in any::<bool>(),
         ) {
             let (ranks, cuts): (Vec<Lender>, Vec<Vec<u64>>) = per_rank
@@ -1779,7 +1838,6 @@ mod tests {
                 io_servers: 4,
                 stripe: 1024,
                 pipeline,
-                affinity,
             };
             let whole: Vec<Vec<&[u8]>> = ranks.iter().map(|r| vec![&r.native[..]]).collect();
             let cut: Vec<Vec<&[u8]>> = ranks.iter().zip(&cuts).map(|(r, c)| r.segments(c)).collect();

@@ -232,3 +232,90 @@ fn cb_nodes_hint_changes_aggregation() {
         assert_eq!(buf, mine);
     });
 }
+
+/// `pnc_cb_affinity`, `pnc_page_size` and `pnc_readahead` are not hints:
+/// an open names each as an unknown `pnc_` key, counts it, and runs exactly
+/// as an open without them — the same clock and the same bytes, through a
+/// collective write and a cached sequential read stream.
+#[test]
+fn the_removed_domain_and_cache_hints_are_rejected_and_change_nothing() {
+    let run = |removed: bool| {
+        let cfg = cfg();
+        cfg.profile.set_enabled(true);
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        let mut info = Info::new()
+            .with("pnc_cache", "enable")
+            .with("cb_buffer_size", "2048");
+        if removed {
+            info = info
+                .with("pnc_cb_affinity", "disable")
+                .with("pnc_page_size", "512")
+                .with("pnc_readahead", "0");
+        }
+        let pfs_in = pfs.clone();
+        let run = run_world(1, cfg.clone(), move |c| {
+            let f = MpiFile::open(c, &pfs_in, "h", OpenMode::Create, &info).unwrap();
+            let runs = interleaved(0, 2, 700, 12);
+            f.write_runs_at_all(&runs, &byte_buf(12 * 700, 5)).unwrap();
+            (0..8u64)
+                .map(|k| f.read_runs_at(&[(k * 1000, 1000)]).unwrap())
+                .collect::<Vec<_>>()
+        });
+        let bytes = pfs.open("h").unwrap().to_bytes();
+        let c = cfg.profile.cache_counters();
+        let counted = (c.readahead_issued, c.misses, cfg.profile.hints_rejected());
+        (run.makespan, bytes, run.results, counted)
+    };
+    let (plain, with_removed) = (run(false), run(true));
+    assert_eq!(plain.3 .2, 0);
+    assert_eq!(
+        with_removed.3 .2, 3,
+        "each removed key is one rejected hint"
+    );
+    assert!(plain.3 .0 > 0, "the read stream never read ahead");
+    assert_eq!(with_removed.3 .0, plain.3 .0);
+    assert_eq!(with_removed.3 .1, plain.3 .1);
+    assert_eq!(with_removed.0, plain.0);
+    assert!(with_removed.1 == plain.1 && with_removed.2 == plain.2);
+}
+
+/// A write whose runs span more stripes than affine planning walks (4 Mi:
+/// 4 GiB of `test_small`'s 1 KiB stripes) falls back to contiguous domains,
+/// and its windows leave through the same run-list door as one-run lists.
+/// The bytes land where they were sent — checked in place, since the file
+/// is over 10 GiB long — and a collective read returns them.
+#[test]
+fn a_write_beyond_the_affine_span_limit_lands_its_runs() {
+    const GIB: u64 = 1 << 30;
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let per_rank: [Vec<Run>; 2] = [
+        vec![(10, 300), (10 * GIB + 5, 200)],
+        vec![(5 * GIB + 7, 400)],
+    ];
+    let payload = |rank: usize| byte_buf(if rank == 0 { 500 } else { 400 }, 9 + rank as u8);
+    let runs = per_rank.clone();
+    run_world(2, cfg(), move |c| {
+        let info = Info::new().with("cb_nodes", "2");
+        let f = MpiFile::open(c, &pfs, "far", OpenMode::Create, &info).unwrap();
+        let mine = &runs[c.rank()];
+        f.write_runs_at_all(mine, &payload(c.rank())).unwrap();
+        assert_eq!(f.size(), 10 * GIB + 205);
+        assert_eq!(f.read_runs_at_all(mine).unwrap(), payload(c.rank()));
+        if c.rank() == 0 {
+            let file = f.raw();
+            for (rank, runs) in runs.iter().enumerate() {
+                let mut pos = 0usize;
+                for &(off, len) in runs {
+                    let mut got = vec![0u8; len as usize];
+                    file.peek_at(off, &mut got);
+                    assert_eq!(got, payload(rank)[pos..][..len as usize], "run at {off}");
+                    pos += len as usize;
+                }
+            }
+            // Nothing lands between the runs.
+            let mut gap = [0xffu8; 64];
+            file.peek_at(3 * GIB, &mut gap);
+            assert_eq!(gap, [0u8; 64]);
+        }
+    });
+}

@@ -283,15 +283,12 @@ proptest! {
     fn lent_payloads_land_at_their_runs_and_nowhere_else(
         per_rank in vec(arb_runs(), 1..5),
         cb_buffer in 16usize..400,
-        affinity in any::<bool>(),
     ) {
         let cfg = SimConfig::test_small();
         let old: Vec<u8> = (0..1500u32).map(|i| (i % 233) as u8 | 0x80).collect();
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         pfs.create("t").import_bytes(&old);
-        let info = Info::new()
-            .with("cb_buffer_size", &cb_buffer.to_string())
-            .with("pnc_cb_affinity", if affinity { "enable" } else { "disable" });
+        let info = Info::new().with("cb_buffer_size", &cb_buffer.to_string());
         let (pfs_in, runs_in) = (pfs.clone(), per_rank.clone());
         run_world(per_rank.len(), cfg, move |c| {
             let f = MpiFile::open(c, &pfs_in, "t", OpenMode::ReadWrite, &info).unwrap();

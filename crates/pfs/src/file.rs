@@ -164,9 +164,9 @@ impl PfsFile {
         self.write_portions(start, segs, run.1, run.0 + run.1, portions)
     }
 
-    /// Timed vectored write of several disjoint runs in one shot. `runs`
-    /// are `(offset, len)` pairs, sorted and non-overlapping; `data` is
-    /// their concatenated payload. The whole batch is split by server and
+    /// Timed write of several disjoint runs in one shot. `runs` are
+    /// `(offset, len)` pairs, sorted and non-overlapping; `data` is their
+    /// concatenated payload. The whole batch is split by server and
     /// **coalesced into one request per server** — this is how an
     /// aggregator writes a collective-buffer window of server-affine
     /// stripes with a single per-request overhead per server instead of
@@ -600,8 +600,8 @@ fn portion_status<'a>(
         .collect()
 }
 
-/// Compute the file-order byte prefix of a (possibly vectored) striped
-/// request that is guaranteed transferred, given that some portion faulted.
+/// Compute the file-order byte prefix of a striped request, contiguous or a
+/// run list, that is guaranteed transferred, given that some portion faulted.
 ///
 /// One server's portion consists of round-robin stripes that *interleave*
 /// with other servers' stripes in file order, so "sum of completed
@@ -609,7 +609,7 @@ fn portion_status<'a>(
 /// transferred length and walk them in file order, accumulating while each
 /// chunk is fully transferred; a partially transferred chunk contributes
 /// its prefix and stops the walk. For a contiguous request the count is
-/// the contiguous prefix from its offset; for a vectored request it counts
+/// the contiguous prefix from its offset; for a run list it counts
 /// leading bytes of the runs' concatenated payload (the chunks need not
 /// tile a contiguous span, only be disjoint).
 ///
@@ -848,8 +848,8 @@ mod tests {
         let runs = [(100u64, 900u64), (2048, 2048), (7000, 500)];
         let data: Vec<u8> = (0..3448u32).map(|i| (i * 13 % 251) as u8).collect();
 
-        let vectored = file();
-        vectored.try_write_runs(Time::ZERO, &runs, &data).unwrap();
+        let batched = file();
+        batched.try_write_runs(Time::ZERO, &runs, &data).unwrap();
 
         let scalar = file();
         let mut pos = 0usize;
@@ -857,7 +857,7 @@ mod tests {
             scalar.write_at(Time::ZERO, off, &data[pos..pos + len as usize]);
             pos += len as usize;
         }
-        assert_eq!(vectored.to_bytes(), scalar.to_bytes());
+        assert_eq!(batched.to_bytes(), scalar.to_bytes());
     }
 
     #[test]

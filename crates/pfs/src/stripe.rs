@@ -12,9 +12,8 @@
 //! order the client issues them, a share is a [`PortionChunks`] walk over
 //! that server's stripes, and every chunk carries its position in the
 //! request's payload, so the server indexes the payload itself.
-//! [`Striping::split`] and [`Striping::split_by_server`] build the same
-//! views as vectors, for the untimed export paths and as the walks' test
-//! oracle.
+//! [`Striping::split`] builds the same chunks as a vector, for the untimed
+//! export paths and as the walks' test oracle.
 
 /// Round-robin striping layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,7 +117,7 @@ impl Striping {
         }
     }
 
-    /// Each touched server's share of a vectored request — `runs` sorted and
+    /// Each touched server's share of a run-list request — `runs` sorted and
     /// disjoint, the payload their concatenation — in the order a client
     /// issues them: by first appearance in file order.
     pub fn run_portions<'a>(&self, runs: &'a [(u64, u64)]) -> RunPortions<'a> {
@@ -156,19 +155,6 @@ impl Striping {
     pub fn parity_server_of(&self, row: u64) -> usize {
         let n = self.nservers as u64;
         ((self.row_first_stripe(row) + n - 1) % n) as usize
-    }
-
-    /// Group a request's chunks by server, preserving file order within each
-    /// server. Returns `(server, chunks)` for servers that are touched.
-    pub fn split_by_server(&self, offset: u64, len: u64) -> Vec<(usize, Vec<StripeChunk>)> {
-        let mut per: Vec<Vec<StripeChunk>> = vec![Vec::new(); self.nservers];
-        for c in self.split(offset, len) {
-            per[c.server].push(c);
-        }
-        per.into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .collect()
     }
 }
 
@@ -356,20 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn split_by_server_groups() {
-        let s = Striping::new(10, 2);
-        let by = s.split_by_server(0, 40);
-        assert_eq!(by.len(), 2);
-        let (srv0, chunks0) = &by[0];
-        assert_eq!(*srv0, 0);
-        assert_eq!(chunks0.iter().map(|c| c.len).sum::<u64>(), 20);
-        // Within-server chunks stay in file order.
-        assert!(chunks0
-            .windows(2)
-            .all(|w| w[0].file_offset < w[1].file_offset));
-    }
-
-    #[test]
     fn parity_rows_never_collide_with_their_data() {
         for n in 2..=8usize {
             let s = Striping::new(64, n);
@@ -403,7 +375,6 @@ mod tests {
     fn zero_len_splits_to_nothing() {
         let s = Striping::new(16, 2);
         assert!(s.split(5, 0).is_empty());
-        assert!(s.split_by_server(5, 0).is_empty());
     }
 
     #[test]

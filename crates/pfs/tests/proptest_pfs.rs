@@ -37,6 +37,20 @@ fn segment<'a>(
     segs
 }
 
+/// Group a request's chunks by server, preserving file order within each
+/// server: `(server, chunks)` for the servers it touches. The grouping the
+/// request path used to build, kept as the oracle of its walks.
+fn split_by_server(s: &Striping, offset: u64, len: u64) -> Vec<(usize, Vec<StripeChunk>)> {
+    let mut per: Vec<Vec<StripeChunk>> = vec![Vec::new(); s.nservers];
+    for c in s.split(offset, len) {
+        per[c.server].push(c);
+    }
+    per.into_iter()
+        .enumerate()
+        .filter(|(_, v)| !v.is_empty())
+        .collect()
+}
+
 /// A fresh file system of `test_small` under `mode`, its plan transient and
 /// short faults or none, with parity on and server 0 down (its portions
 /// take the redirect path) when `degraded`.
@@ -127,7 +141,7 @@ proptest! {
         } else {
             (offset_stripes * stripe + offset_in % stripe, len_stripes * stripe + len_in)
         };
-        let mut want = s.split_by_server(offset, len);
+        let mut want = split_by_server(&s, offset, len);
         want.sort_by_key(|(_, chunks)| chunks[0].file_offset);
         let run = (offset, len);
         let got: Vec<(usize, Vec<(StripeChunk, usize)>)> =
@@ -264,6 +278,21 @@ proptest! {
         f2.import_bytes(&data);
         prop_assert_eq!(f1.to_bytes(), f2.to_bytes());
     }
+}
+
+#[test]
+fn split_by_server_groups() {
+    let s = Striping::new(10, 2);
+    let by = split_by_server(&s, 0, 40);
+    assert_eq!(by.len(), 2);
+    let (srv0, chunks0) = &by[0];
+    assert_eq!(*srv0, 0);
+    assert_eq!(chunks0.iter().map(|c| c.len).sum::<u64>(), 20);
+    // Within-server chunks stay in file order.
+    assert!(chunks0
+        .windows(2)
+        .all(|w| w[0].file_offset < w[1].file_offset));
+    assert!(split_by_server(&s, 5, 0).is_empty());
 }
 
 #[test]

@@ -87,9 +87,7 @@ fn eviction_under_tiny_budget_preserves_data() {
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
     let pfs2 = pfs.clone();
     let n = 4096u64; // 16 KiB of f32
-    let info = cached_info()
-        .with("pnc_page_size", "1024")
-        .with("pnc_cache_size", "2048");
+    let info = cached_info().with("pnc_cache_size", &(2 * cfg.stripe_size).to_string());
     run_world(1, cfg.clone(), move |c| {
         let mut ds = Dataset::create(c, &pfs2, "ev.nc", Version::Cdf1, &info).unwrap();
         let d = ds.def_dim("x", n).unwrap();
@@ -167,11 +165,7 @@ fn cached_writes_retire_sieve_rmw_reads() {
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         let pfs2 = pfs.clone();
         let server_bytes_read = || cfg.profile.snapshot().server_totals().bytes_read;
-        let info = if cached {
-            cached_info().with("pnc_page_size", "4096")
-        } else {
-            Info::new()
-        };
+        let info = if cached { cached_info() } else { Info::new() };
         run_world(1, cfg.clone(), move |c| {
             let mut ds = Dataset::create(c, &pfs2, "rmw.nc", Version::Cdf1, &info).unwrap();
             let d = ds.def_dim("x", 2048).unwrap();
@@ -197,7 +191,8 @@ fn cached_writes_retire_sieve_rmw_reads() {
         (server_bytes_read(), hits, cfg)
     }
     let (uncached_reads, _, _) = run(false);
-    let (cached_reads, cached_hits, _) = run(true);
+    let (cached_reads, cached_hits, cfg) = run(true);
+    let page = cfg.stripe_size as u64;
     assert!(
         uncached_reads > 0,
         "the sieve path must RMW-read on overlapping strided writes"
@@ -206,7 +201,7 @@ fn cached_writes_retire_sieve_rmw_reads() {
     // single page-granular fill for the one get (the variable data starts
     // inside the header page, so at most two pages are touched).
     assert!(
-        cached_reads <= 2 * 4096,
+        cached_reads <= 2 * page,
         "cached read traffic must be page-granular: {cached_reads} bytes"
     );
     assert!(
@@ -247,9 +242,8 @@ fn cached_and_uncached_files_are_identical() {
     }
     let plain = run(Info::new());
     let cached = run(cached_info());
-    let tiny = run(cached_info()
-        .with("pnc_page_size", "512")
-        .with("pnc_cache_size", "1024"));
+    // One stripe of `test_small`: a single page.
+    let tiny = run(cached_info().with("pnc_cache_size", "1024"));
     assert!(!plain.is_empty());
     assert_eq!(cached, plain);
     assert_eq!(tiny, plain, "evicting cache must preserve identity");
@@ -266,16 +260,14 @@ fn cached_and_uncached_files_are_identical() {
 fn failed_collective_write_still_invalidates_peer_caches() {
     use pnetcdf_mpio::{MpiFile, MpioError, OpenMode};
 
-    // test_small: 4 servers, 1 KiB stripes. One aggregator walking 1 KiB
-    // windows over a contiguous domain visits servers 0, 1, 2, 3 in order.
+    // test_small: 4 servers, 1 KiB stripes. One aggregator owns every
+    // server; walking 1 KiB windows it visits servers 0, 1, 2, 3 in order.
     let mut cfg = profiled_cfg();
     cfg.faults = FaultPlan::from_spec("crash=server:3@t>1e9").unwrap();
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
     let info = cached_info()
-        .with("pnc_readahead", "0")
         .with("cb_buffer_size", "1024")
-        .with("cb_nodes", "1")
-        .with("pnc_cb_affinity", "disable");
+        .with("cb_nodes", "1");
     let old: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
     let new: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8 ^ 0x80).collect();
     let (old2, new2) = (old.clone(), new.clone());
@@ -328,10 +320,7 @@ fn nobody_leaves_a_sync_before_the_writers_bytes_are_on_disk() {
     let cfg = profiled_cfg();
     cfg.events.set_enabled(true);
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
-    let info = cached_info()
-        .with("pnc_page_size", "1024")
-        .with("pnc_cache_size", "1024")
-        .with("pnc_readahead", "0");
+    let info = cached_info().with("pnc_cache_size", &cfg.stripe_size.to_string());
     let data: Vec<u8> = (0..6 * 1024u32).map(|i| (i % 249) as u8 + 1).collect();
     let run = run_world(2, cfg.clone(), |c| {
         let f = MpiFile::open(c, &pfs, "sync.bin", OpenMode::Create, &info).unwrap();
@@ -368,20 +357,19 @@ fn nobody_leaves_a_sync_before_the_writers_bytes_are_on_disk() {
 /// Write-behind never outruns the client link: the rank hands every byte
 /// it writes behind to its NIC, so a one-rank cached write phase on Blue
 /// Horizon — `indep_rows_cached` at a sixteenth of its size (array, budget
-/// and page) — writes no faster than `client_link_bw`, and every
-/// `evict_flush` span lasts at least the link's latency plus its bytes at
-/// link speed. (The asynchronous-readahead prototype broke the read side of
-/// this law: 132 MB/s through a 110 MB/s link.)
+/// and page, which is the stripe) — writes no faster than `client_link_bw`,
+/// and every `evict_flush` span lasts at least the link's latency plus its
+/// bytes at link speed. (The asynchronous-readahead prototype broke the
+/// read side of this law: 132 MB/s through a 110 MB/s link.)
 #[test]
 fn write_behind_never_outruns_the_client_link() {
     let mut cfg = SimConfig::sdsc_blue_horizon();
+    cfg.stripe_size /= 16;
     cfg.events = TraceLog::with_capacity(1 << 20);
     cfg.events.set_enabled(true);
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
     let dims = [64u64, 64, 128];
-    let info = cached_info()
-        .with("pnc_cache_size", "524288")
-        .with("pnc_page_size", "16384");
+    let info = cached_info().with("pnc_cache_size", "524288");
     let row: Vec<f32> = (0..dims[2]).map(|i| i as f32).collect();
     let passes = 4;
     let run = run_world(1, cfg.clone(), |c| {

@@ -351,15 +351,7 @@ fn elements_split_by_window_cuts_are_byte_identical_to_serial() {
         ns: 7_003,
     };
     type Case<'a> = (fn(usize) -> SplitShape, &'a [(&'a str, &'a str)]);
-    let cases: [Case<'_>; 4] = [
-        (large, &[]),
-        (large, &[("pnc_cb_affinity", "disable")]),
-        (small, &[("cb_buffer_size", "1003")]),
-        (
-            small,
-            &[("cb_buffer_size", "1003"), ("pnc_cb_affinity", "disable")],
-        ),
-    ];
+    let cases: [Case<'_>; 2] = [(large, &[]), (small, &[("cb_buffer_size", "1003")])];
     let mut begins = Vec::new();
     for (shape, hints) in cases {
         for lead in [1, 2] {
