@@ -89,6 +89,12 @@ cargo run --release --offline --quiet --manifest-path perf_bench/Cargo.toml -- -
 # points (one page per eviction request sits at 75.957, a cache that waits
 # for the disk at every eviction at 46.579); the read phase writes nothing
 # behind, so its 66.530 MB/s must not move.
+# The FLASH checkpoint's simulated bandwidths are virtual time as well:
+# 51.536 MB/s written and 59.631 read are measured with one aggregator per
+# I/O server whatever a collective's size; a default that shrank the count to
+# ⌈request volume / cb_buffer_size⌉ sent every plotfile, corner and restart
+# variable through one of the two ranks' client links, and sat at 49.080 and
+# 52.111.
 # (`ops_failed == 0` below repeats, per file, what the binary's exit code has
 # already said for all four workloads.)
 python3 - perf_bench/out/indep_rows.json perf_bench/out/coll3d_x.json perf_bench/out/flash_ckpt.json \
@@ -106,6 +112,9 @@ assert coll_peak <= 40, f"coll3d_x peaks at {coll_peak:.2f} MiB of heap (budget 
 flash_alloc, flash_peak = value(flash, "alloc_bytes_per_byte"), value(flash, "peak_heap_mb")
 assert flash_alloc <= 2.06, f"flash_ckpt requests {flash_alloc:.3f} heap B per payload B (budget 2.06)"
 assert flash_peak <= 55.7, f"flash_ckpt peaks at {flash_peak:.2f} MiB of heap (budget 55.7)"
+flash_write, flash_read = value(flash, "sim_write_mb_s"), value(flash, "sim_read_mb_s")
+assert flash_write >= 51.53, f"flash_ckpt writes {flash_write:.3f} simulated MB/s (51.536 measured)"
+assert flash_read >= 59.63, f"flash_ckpt reads {flash_read:.3f} simulated MB/s (59.631 measured)"
 cached_alloc, cached_peak = value(cached, "alloc_bytes_per_byte"), value(cached, "peak_heap_mb")
 assert cached_alloc <= 1.33, f"indep_rows_cached requests {cached_alloc:.3f} heap B per payload B (budget 1.33)"
 assert cached_peak <= 42.9, f"indep_rows_cached peaks at {cached_peak:.2f} MiB of heap (budget 42.9)"

@@ -41,8 +41,9 @@ pub struct Hints {
     /// Collective buffering buffer size per aggregator (`cb_buffer_size`).
     pub cb_buffer_size: usize,
     /// Number of aggregator ranks (`cb_nodes`), at most the communicator
-    /// size; `None` = one per I/O server, fewer for a small collective
-    /// (`twophase::dynamic_cb_nodes`). A write has at most one per server.
+    /// size; `None` = one per I/O server whatever the collective's size
+    /// (`twophase::TwoPhaseParams::naggs`). A write has at most one per
+    /// server.
     pub cb_nodes: Option<usize>,
     /// Enable two-phase on collective writes (`romio_cb_write`).
     pub cb_write: Toggle,

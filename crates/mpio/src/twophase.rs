@@ -38,8 +38,8 @@ use crate::runs::{runs_total, Run};
 pub struct TwoPhaseParams {
     /// Collective buffer (window) size per aggregator.
     pub cb_buffer_size: usize,
-    /// `cb_nodes` hint; `None` picks the aggregator count per collective
-    /// from the server count and request volume ([`dynamic_cb_nodes`]).
+    /// `cb_nodes` hint; `None` gives one aggregator per I/O server, at most
+    /// one per rank, whatever the collective's size ([`Self::naggs`]).
     pub cb_nodes: Option<usize>,
     /// Number of PFS I/O servers: the aggregator default, and a write's
     /// domains, which map each stripe to its server's aggregator.
@@ -55,31 +55,14 @@ pub struct TwoPhaseParams {
 }
 
 impl TwoPhaseParams {
-    /// Aggregator count for this collective: the `cb_nodes` hint if given,
-    /// otherwise the dynamic default.
-    pub fn naggs(&self, nprocs: usize, total_bytes: u64) -> usize {
-        match self.cb_nodes {
-            Some(k) => k.min(nprocs).max(1),
-            None => dynamic_cb_nodes(nprocs, self.io_servers, total_bytes, self.cb_buffer_size),
-        }
+    /// Aggregator count over `nprocs` ranks: the `cb_nodes` hint if given,
+    /// otherwise one aggregator stream per I/O server — every server's
+    /// pipeline fed, none with a second stream queued behind its disk —
+    /// as ROMIO derives `cb_nodes` from the hosts. `cb_buffer_size` sets
+    /// only the window size, and so the number of rounds.
+    pub fn naggs(&self, nprocs: usize) -> usize {
+        self.cb_nodes.unwrap_or(self.io_servers).min(nprocs).max(1)
     }
-}
-
-/// Default aggregator count when `cb_nodes` is unset: one aggregator
-/// stream per I/O server keeps every dual-resource server pipeline full
-/// without queueing extra streams behind one disk, and a collective too
-/// small to fill that many collective buffers uses fewer still.
-pub fn dynamic_cb_nodes(
-    nprocs: usize,
-    io_servers: usize,
-    total_bytes: u64,
-    cb_buffer: usize,
-) -> usize {
-    let volume_cap = total_bytes.div_ceil(cb_buffer.max(1) as u64).max(1);
-    io_servers
-        .min(nprocs)
-        .min(volume_cap.min(usize::MAX as u64) as usize)
-        .max(1)
 }
 
 // ---- lent requests ----------------------------------------------------------
@@ -569,9 +552,9 @@ fn collective(
     // layout exists to give each server a single *write* stream; a read
     // window's spanning read is already one large request per domain.
     let naggs = if write {
-        p.naggs(n, total).min(p.io_servers)
+        p.naggs(n).min(p.io_servers)
     } else {
-        p.naggs(n, total)
+        p.naggs(n)
     };
     let span_stripes = (gmax - 1) / p.stripe - gmin / p.stripe + 1;
     let affine = write && span_stripes <= AFFINE_SPAN_LIMIT;
@@ -1328,8 +1311,10 @@ mod tests {
     }
 
     /// A `cb_nodes` hint is clamped to the ranks (floor one); unhinted, the
-    /// default is one aggregator per server, fewer for fewer ranks or for a
-    /// collective too small to fill that many buffers.
+    /// default is one aggregator per server, fewer only for fewer ranks,
+    /// whatever the collective's size: a collective of 1 byte, of 3 000
+    /// bytes (under one 4 MiB buffer) and of 1 GiB all write through
+    /// `min(nprocs, io_servers)` aggregators.
     #[test]
     fn aggregator_selection() {
         let unhinted = TwoPhaseParams {
@@ -1337,20 +1322,49 @@ mod tests {
             io_servers: 12,
             ..params(1024)
         };
-        assert_eq!(unhinted.naggs(32, 1 << 30), 12);
-        assert_eq!(unhinted.naggs(4, 1 << 30), 4);
-        assert_eq!(unhinted.naggs(32, 3000), 3);
+        assert_eq!(unhinted.naggs(32), 12);
+        assert_eq!(unhinted.naggs(4), 4);
+        // 32 ranks, 4 servers of 1 MiB stripes; rank 0 lends the whole
+        // collective as repeats of one 1 MiB slice, and the file keeps no
+        // byte of it.
+        let mut cfg = SimConfig::test_small();
+        cfg.stripe_size = 1 << 20;
+        cfg.profile.set_enabled(true);
+        let chunk = vec![0x3cu8; 1 << 20];
+        for total in [1u64, 3000, 1 << 30] {
+            let file = Pfs::new(cfg.clone(), StorageMode::CostOnly).create("w");
+            let env = CollEnv {
+                clocks: SharedClocks::new(32),
+                config: Arc::new(cfg.clone()),
+                group: Arc::new((0..32).collect()),
+            };
+            let runs: [Run; 1] = [(0, total)];
+            let segs: Vec<&[u8]> = (0..total.div_ceil(1 << 20))
+                .map(|_| &chunk[..total.min(1 << 20) as usize])
+                .collect();
+            let mut reqs: Vec<Req<'_>> = (0..32).map(|_| write_req(&[], &[])).collect();
+            reqs[0] = write_req(&runs, &segs);
+            let p = TwoPhaseParams {
+                cb_buffer_size: 4 << 20,
+                io_servers: 4,
+                stripe: 1 << 20,
+                ..unhinted
+            };
+            write_all(&env, &file, &p, &mut CollBuf::default(), &reqs).unwrap();
+            let t = cfg.profile.snapshot().twophase;
+            assert_eq!(t.cb_nodes, 4, "a collective of {total} B");
+        }
         let two = TwoPhaseParams {
             cb_nodes: Some(2),
             ..unhinted
         };
-        assert_eq!(two.naggs(32, 1), 2);
-        assert_eq!(two.naggs(1, 1 << 30), 1);
+        assert_eq!(two.naggs(32), 2);
+        assert_eq!(two.naggs(1), 1);
         let none = TwoPhaseParams {
             cb_nodes: Some(0),
             ..unhinted
         };
-        assert_eq!(none.naggs(32, 1 << 30), 1);
+        assert_eq!(none.naggs(32), 1);
     }
 
     /// A write has no more aggregators than servers — its domains are their

@@ -120,9 +120,8 @@ macro_rules! counter_table {
                 collective_writes: Count, Sum;
                 collective_reads: Count, Sum;
                 /// Aggregator count chosen by the most recent collective (the
-                /// `cb_nodes` hint, or the dynamic default derived from
-                /// `io_servers` and request volume). Recorded so sweeps can
-                /// audit the choice.
+                /// `cb_nodes` hint, or one per I/O server, at most one per
+                /// rank). Recorded so sweeps can audit the choice.
                 cb_nodes: Count, Last;
                 /// Non-empty file domains assigned to aggregators.
                 file_domains: Count, Sum;

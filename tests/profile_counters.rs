@@ -58,15 +58,16 @@ fn collective_write_counts_one_collective_and_expected_aggregator_io() {
     // Exactly one collective write round.
     assert_eq!(snap.twophase.collective_writes, 1);
     assert_eq!(snap.twophase.collective_reads, 0);
-    // 4 KiB fits in one collective buffer, so the dynamic default picks a
-    // single aggregator (recorded in the trace), which owns one fully
-    // covered window — no read-modify-write.
-    assert_eq!(snap.twophase.cb_nodes, 1);
-    assert_eq!(snap.twophase.file_domains, 1);
-    assert_eq!(snap.twophase.windows, 1);
+    // Unhinted, the aggregators follow the servers, not the volume: 4 KiB
+    // — under one collective buffer — still gets one aggregator per server
+    // (recorded in the trace), each owning its server's one fully covered
+    // stripe as one window — no read-modify-write.
+    assert_eq!(snap.twophase.cb_nodes, 4);
+    assert_eq!(snap.twophase.file_domains, 4);
+    assert_eq!(snap.twophase.windows, 4);
     assert_eq!(snap.twophase.rmw_windows, 0);
-    // The window is one vectored request coalesced per server: each of the
-    // 4 servers services exactly one write request of one stripe.
+    // Each window is one request to its server: each of the 4 servers
+    // services exactly one write request of one stripe.
     assert_eq!(snap.servers.len(), 4);
     for s in &snap.servers {
         assert_eq!(s.requests, 1);
@@ -74,13 +75,14 @@ fn collective_write_counts_one_collective_and_expected_aggregator_io() {
         assert_eq!(s.bytes_read, 0);
     }
     // The whole collective payload crossed the rendezvous on loan — no
-    // parcel copy — and the single window allocated the collective buffer
-    // rather than reusing one.
+    // parcel copy — and the four windows, run one at a time by the
+    // finisher, share one collective buffer: the first allocates it, the
+    // other three reuse it.
     assert_eq!(
         snap.bytepath.exchange_borrowed_bytes,
         NPROCS as u64 * PER_RANK * 4
     );
-    assert_eq!(snap.bytepath.collbuf_reuses, 0);
+    assert_eq!(snap.bytepath.collbuf_reuses, 3);
 }
 
 /// A collective that needs several windows allocates its collective buffer
