@@ -417,24 +417,26 @@ const MODES: [(usize, bool); 3] = [(2, true), (3, true), (1, false)];
 
 /// Final virtual clock in ns of every `(door, ranks, collective)` row, as
 /// recorded at commit 3a23176 — before the four put and four get lowerings
-/// became one. Virtual time is deterministic on these paths, so a
-/// difference is a moved `cpu.pack` or agreement charge, never noise; a
-/// mismatch prints the table this build computes.
+/// became one — with the collective rows re-recorded when the unhinted
+/// aggregator count stopped shrinking with the request volume. Virtual time
+/// is deterministic on these paths, so a difference is a moved `cpu.pack`
+/// or agreement charge, never noise; a mismatch prints the table this build
+/// computes.
 const DOOR_CLOCKS: &[(Door, usize, bool, u64)] = &[
-    (Door::Typed, 2, true, 8350877),
-    (Door::FlexPacked, 2, true, 8350892),
-    (Door::FlexStrided, 2, true, 8351130),
-    (Door::TypedNb, 2, true, 5794505),
-    (Door::FlexNb, 2, true, 5794697),
-    (Door::Converting, 2, true, 8350854),
-    (Door::ConvertingNb, 2, true, 5794505),
-    (Door::Typed, 3, true, 8671314),
-    (Door::FlexPacked, 3, true, 8671344),
-    (Door::FlexStrided, 3, true, 8671529),
-    (Door::TypedNb, 3, true, 5924732),
-    (Door::FlexNb, 3, true, 5924886),
-    (Door::Converting, 3, true, 8671318),
-    (Door::ConvertingNb, 3, true, 5924732),
+    (Door::Typed, 2, true, 8348016),
+    (Door::FlexPacked, 2, true, 8348031),
+    (Door::FlexStrided, 2, true, 8348269),
+    (Door::TypedNb, 2, true, 4791537),
+    (Door::FlexNb, 2, true, 4791729),
+    (Door::Converting, 2, true, 8347993),
+    (Door::ConvertingNb, 2, true, 4791537),
+    (Door::Typed, 3, true, 8668197),
+    (Door::FlexPacked, 3, true, 8668227),
+    (Door::FlexStrided, 3, true, 8668412),
+    (Door::TypedNb, 3, true, 4921666),
+    (Door::FlexNb, 3, true, 4921820),
+    (Door::Converting, 3, true, 8668201),
+    (Door::ConvertingNb, 3, true, 4921666),
     (Door::Typed, 1, false, 8048253),
     (Door::FlexPacked, 1, false, 8048253),
     (Door::FlexStrided, 1, false, 8048652),

@@ -9,6 +9,11 @@
 //! and short faults, so the retry ladder's attempt and backoff sequence is
 //! pinned too (its backoffs are on the clock).
 //!
+//! The `cb=1048576` rows were re-recorded when the unhinted aggregator count
+//! stopped shrinking with the request volume: each of those collectives fits
+//! one buffer, so it had one aggregator and now has one per server (at most
+//! one per rank). Their byte digests did not move.
+//!
 //! The table once crossed `pnc_cb_affinity` as well. When the hint went,
 //! so did the 120 rows of contiguous write domains and the 120 read rows
 //! that repeated the others (a read never was affine); every row kept is
@@ -351,7 +356,8 @@ const GOLDEN_FAULTED: &[(Row, [u64; 3])] = &[
     ((4127623, 0xd5796bc4d41c623b, 0x7299a850e40e1cc2, 0x53065934b6f52f67, [6, 0, 0, 0, 6492, 3, 3]), [4, 200000, 3]), // read pipeline=0 cb=3072 ranks=3 Dense
 ];
 
-/// One row per configuration, in `configs()` order, recorded at a387bfe.
+/// One row per configuration, in `configs()` order, recorded at a387bfe
+/// (the `cb=1048576` rows later, see the module docs).
 #[rustfmt::skip]
 const GOLDEN: &[Row] = &[
     (2555508, 0xaede3f502f9395af, 0x4d037aef5bea27be, 0x78bba7ea3dbe9b6f, [8, 0, 0, 0, 3040, 2, 2]), // 0: write pipeline=0 cb=1024 ranks=2 Dense
@@ -394,25 +400,25 @@ const GOLDEN: &[Row] = &[
     (1363194, 0xf29094925df976b6, 0xd531177f47676a60, 0x61fc6be1a1f913b8, [5, 0, 0, 0, 35568, 4, 4]), // 37: write pipeline=0 cb=3072 ranks=7 Overlap
     (2360374, 0x2337271f26d8c5a2, 0x5a55f4882e55908b, 0xaf0f2e74b12f2317, [4, 1, 0, 0, 33410, 4, 4]), // 38: write pipeline=0 cb=3072 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 39: write pipeline=0 cb=3072 ranks=7 AllEmpty
-    (1187430, 0x0443ea42dc384181, 0x834e0cf7a3968fa1, 0x78bba7ea3dbe9b6f, [1, 0, 0, 0, 3500, 1, 1]), // 40: write pipeline=0 cb=1048576 ranks=2 Dense
-    (2357758, 0xee60184aa0f96971, 0xd2aaaf896a23d4c9, 0x3d543eaa7829b43a, [1, 1, 0, 0, 6864, 1, 1]), // 41: write pipeline=0 cb=1048576 ranks=2 Holes
-    (2354120, 0x9a5686b9087bcfd9, 0x6aa6104ad70957b0, 0xaefb824a53360f03, [1, 1, 0, 0, 6000, 1, 1]), // 42: write pipeline=0 cb=1048576 ranks=2 Overlap
-    (2348801, 0xf97d24e58050f6f9, 0x46e25f1aa979fccc, 0xffe2386c4e1435ae, [1, 1, 0, 0, 0, 1, 1]), // 43: write pipeline=0 cb=1048576 ranks=2 OneEmpty
+    (1177587, 0xd1a7b48b18dc60a1, 0xc167bbe3408b96e4, 0x78bba7ea3dbe9b6f, [2, 0, 0, 0, 3040, 2, 2]), // 40: write pipeline=0 cb=1048576 ranks=2 Dense
+    (4961711, 0x4895754138229fc8, 0xba8463dace767ab7, 0x3d543eaa7829b43a, [2, 2, 0, 0, 6123, 2, 2]), // 41: write pipeline=0 cb=1048576 ranks=2 Holes
+    (1189299, 0xbc68917c7b75e27d, 0xef79f7ab3b5ee3f6, 0xaefb824a53360f03, [2, 0, 0, 0, 5856, 2, 2]), // 42: write pipeline=0 cb=1048576 ranks=2 Overlap
+    (6836057, 0x07e2827a3d14929d, 0x0c4d88149d365ba4, 0xffe2386c4e1435ae, [2, 2, 0, 0, 2141, 2, 2]), // 43: write pipeline=0 cb=1048576 ranks=2 OneEmpty
     (30000, 0xc331a9ff73cacf65, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 44: write pipeline=0 cb=1048576 ranks=2 AllEmpty
-    (1230030, 0x16e610a51e69e5c1, 0x5d76b11d6dcdd966, 0x5769a382afa16cb9, [1, 0, 0, 0, 7000, 1, 1]), // 45: write pipeline=0 cb=1048576 ranks=3 Dense
-    (2386670, 0x6f8937192e155f72, 0x33be09f8e97efd0d, 0x487c7a930179b738, [1, 1, 0, 0, 11928, 1, 1]), // 46: write pipeline=0 cb=1048576 ranks=3 Holes
-    (2379840, 0x774e87033a757285, 0xe0fb791feb615022, 0xd2aa72c86a931a47, [1, 1, 0, 0, 12000, 1, 1]), // 47: write pipeline=0 cb=1048576 ranks=3 Overlap
-    (2374160, 0xcae635b6251b5da4, 0xd3610885b7d0f886, 0xe3c4653eb54d52de, [1, 1, 0, 0, 5611, 1, 1]), // 48: write pipeline=0 cb=1048576 ranks=3 OneEmpty
+    (1211748, 0xe6bd26bdfc1c4a17, 0x9f5f2a011ffafa83, 0x5769a382afa16cb9, [3, 0, 0, 0, 5060, 3, 3]), // 45: write pipeline=0 cb=1048576 ranks=3 Dense
+    (3731116, 0x35455bf7db9c99dd, 0x90f42e78252370a6, 0x487c7a930179b738, [3, 3, 0, 0, 11906, 3, 3]), // 46: write pipeline=0 cb=1048576 ranks=3 Holes
+    (2340802, 0x847e9d2afa4617ec, 0x6ee6a44fc05c4c9b, 0xd2aa72c86a931a47, [3, 3, 0, 0, 11640, 3, 3]), // 47: write pipeline=0 cb=1048576 ranks=3 Overlap
+    (3594748, 0x2c0e414358aeae28, 0x509d55b9213a551e, 0xe3c4653eb54d52de, [3, 3, 0, 0, 7323, 3, 3]), // 48: write pipeline=0 cb=1048576 ranks=3 OneEmpty
     (50000, 0x2ec712c479b50b45, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 49: write pipeline=0 cb=1048576 ranks=3 AllEmpty
-    (1253870, 0x3291a789e760a585, 0xcb61c98abf092d76, 0x04dfe7ef4f9e89f5, [1, 0, 0, 0, 10500, 1, 1]), // 50: write pipeline=0 cb=1048576 ranks=4 Dense
-    (2394928, 0x8a19c22d3b792e6d, 0x753ca73d41f93cc1, 0xc204f1ae43410b2a, [1, 1, 0, 0, 19187, 1, 1]), // 51: write pipeline=0 cb=1048576 ranks=4 Holes
-    (2388840, 0x2622316d85f84865, 0x640a713b3143e01b, 0xcce1fdd97d38f46b, [1, 1, 0, 0, 18000, 1, 1]), // 52: write pipeline=0 cb=1048576 ranks=4 Overlap
-    (2388305, 0x603669bf78ba5fc5, 0x28b9dcaf15e38869, 0xa5e88f9658df5b03, [1, 1, 0, 0, 13668, 1, 1]), // 53: write pipeline=0 cb=1048576 ranks=4 OneEmpty
+    (1219576, 0x4b7adf94cdbaca90, 0xae53cebfb6cad78f, 0x04dfe7ef4f9e89f5, [4, 0, 0, 0, 10040, 4, 4]), // 50: write pipeline=0 cb=1048576 ranks=4 Dense
+    (3467772, 0x942268ae53a4db81, 0x872e9c3e9c1579e9, 0xc204f1ae43410b2a, [4, 4, 0, 0, 19497, 4, 4]), // 51: write pipeline=0 cb=1048576 ranks=4 Holes
+    (2334450, 0xe7273c6468d584ac, 0x100ad7759569d56e, 0xcce1fdd97d38f46b, [4, 3, 0, 0, 17568, 4, 4]), // 52: write pipeline=0 cb=1048576 ranks=4 Overlap
+    (3467450, 0xecbbf7fbc9f88ab8, 0xd054c7ee18e56af9, 0xa5e88f9658df5b03, [4, 4, 0, 0, 15027, 4, 4]), // 53: write pipeline=0 cb=1048576 ranks=4 OneEmpty
     (50000, 0x764d84bd5d2d25a5, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 54: write pipeline=0 cb=1048576 ranks=4 AllEmpty
-    (1332900, 0xaf018f862bfbfc25, 0x46892ffab88e9231, 0xa40bdac50f6b94ee, [1, 0, 0, 0, 21000, 1, 1]), // 55: write pipeline=0 cb=1048576 ranks=7 Dense
-    (1296467, 0x5e636e65af74e25d, 0x61615dc6789322d7, 0x554d75f29c467da7, [1, 0, 0, 0, 39537, 1, 1]), // 56: write pipeline=0 cb=1048576 ranks=7 Holes
-    (1299400, 0x5e54c94627938667, 0x931d9f5ed6cfb21d, 0x61fc6be1a1f913b8, [1, 0, 0, 0, 36000, 1, 1]), // 57: write pipeline=0 cb=1048576 ranks=7 Overlap
-    (2431229, 0xb29ea40bb534189f, 0xb412dd2f814d3141, 0xaf0f2e74b12f2317, [1, 1, 0, 0, 32639, 1, 1]), // 58: write pipeline=0 cb=1048576 ranks=7 OneEmpty
+    (1267462, 0xaa840613462da9b4, 0xf88bff9e74ecc820, 0xa40bdac50f6b94ee, [4, 0, 0, 0, 21024, 4, 4]), // 55: write pipeline=0 cb=1048576 ranks=7 Dense
+    (1238063, 0x4fadd9497ec3d6cc, 0x29cbd493edf877e3, 0x554d75f29c467da7, [4, 0, 0, 0, 38348, 4, 4]), // 56: write pipeline=0 cb=1048576 ranks=7 Holes
+    (1243194, 0x54c5f938883e2b6b, 0x220008b1db9f537d, 0x61fc6be1a1f913b8, [4, 0, 0, 0, 35568, 4, 4]), // 57: write pipeline=0 cb=1048576 ranks=7 Overlap
+    (2360374, 0x2337271f26d8c5a2, 0x5a55f4882e55908b, 0xaf0f2e74b12f2317, [4, 1, 0, 0, 33410, 4, 4]), // 58: write pipeline=0 cb=1048576 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 59: write pipeline=0 cb=1048576 ranks=7 AllEmpty
     (1301978, 0x808ed29232be2fbc, 0xf041166179535453, 0x78bba7ea3dbe9b6f, [8, 0, 4, 3406522, 3040, 2, 2]), // 60: write pipeline=1 cb=1024 ranks=2 Dense
     (6950208, 0x07e1ff313b09c2a0, 0xc11a9d983d805903, 0x3d543eaa7829b43a, [12, 10, 6, 5583387, 6123, 2, 2]), // 61: write pipeline=1 cb=1024 ranks=2 Holes
@@ -454,25 +460,25 @@ const GOLDEN: &[Row] = &[
     (1370033, 0x69971fce77ba3052, 0x1f6c8efe12e34311, 0x61fc6be1a1f913b8, [5, 0, 2, 1146184, 35568, 4, 4]), // 97: write pipeline=1 cb=3072 ranks=7 Overlap
     (2360374, 0x2337271f26d8c5a2, 0x5a55f4882e55908b, 0xaf0f2e74b12f2317, [4, 1, 0, 0, 33410, 4, 4]), // 98: write pipeline=1 cb=3072 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 99: write pipeline=1 cb=3072 ranks=7 AllEmpty
-    (1187430, 0x0443ea42dc384181, 0x834e0cf7a3968fa1, 0x78bba7ea3dbe9b6f, [1, 0, 0, 0, 3500, 1, 1]), // 100: write pipeline=1 cb=1048576 ranks=2 Dense
-    (2357758, 0xee60184aa0f96971, 0xd2aaaf896a23d4c9, 0x3d543eaa7829b43a, [1, 1, 0, 0, 6864, 1, 1]), // 101: write pipeline=1 cb=1048576 ranks=2 Holes
-    (2354120, 0x9a5686b9087bcfd9, 0x6aa6104ad70957b0, 0xaefb824a53360f03, [1, 1, 0, 0, 6000, 1, 1]), // 102: write pipeline=1 cb=1048576 ranks=2 Overlap
-    (2348801, 0xf97d24e58050f6f9, 0x46e25f1aa979fccc, 0xffe2386c4e1435ae, [1, 1, 0, 0, 0, 1, 1]), // 103: write pipeline=1 cb=1048576 ranks=2 OneEmpty
+    (1177587, 0xd1a7b48b18dc60a1, 0xc167bbe3408b96e4, 0x78bba7ea3dbe9b6f, [2, 0, 0, 0, 3040, 2, 2]), // 100: write pipeline=1 cb=1048576 ranks=2 Dense
+    (4961711, 0x4895754138229fc8, 0xba8463dace767ab7, 0x3d543eaa7829b43a, [2, 2, 0, 0, 6123, 2, 2]), // 101: write pipeline=1 cb=1048576 ranks=2 Holes
+    (1189299, 0xbc68917c7b75e27d, 0xef79f7ab3b5ee3f6, 0xaefb824a53360f03, [2, 0, 0, 0, 5856, 2, 2]), // 102: write pipeline=1 cb=1048576 ranks=2 Overlap
+    (6836057, 0x07e2827a3d14929d, 0x0c4d88149d365ba4, 0xffe2386c4e1435ae, [2, 2, 0, 0, 2141, 2, 2]), // 103: write pipeline=1 cb=1048576 ranks=2 OneEmpty
     (30000, 0xc331a9ff73cacf65, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 104: write pipeline=1 cb=1048576 ranks=2 AllEmpty
-    (1230030, 0x16e610a51e69e5c1, 0x5d76b11d6dcdd966, 0x5769a382afa16cb9, [1, 0, 0, 0, 7000, 1, 1]), // 105: write pipeline=1 cb=1048576 ranks=3 Dense
-    (2386670, 0x6f8937192e155f72, 0x33be09f8e97efd0d, 0x487c7a930179b738, [1, 1, 0, 0, 11928, 1, 1]), // 106: write pipeline=1 cb=1048576 ranks=3 Holes
-    (2379840, 0x774e87033a757285, 0xe0fb791feb615022, 0xd2aa72c86a931a47, [1, 1, 0, 0, 12000, 1, 1]), // 107: write pipeline=1 cb=1048576 ranks=3 Overlap
-    (2374160, 0xcae635b6251b5da4, 0xd3610885b7d0f886, 0xe3c4653eb54d52de, [1, 1, 0, 0, 5611, 1, 1]), // 108: write pipeline=1 cb=1048576 ranks=3 OneEmpty
+    (1211748, 0xe6bd26bdfc1c4a17, 0x9f5f2a011ffafa83, 0x5769a382afa16cb9, [3, 0, 0, 0, 5060, 3, 3]), // 105: write pipeline=1 cb=1048576 ranks=3 Dense
+    (3731116, 0x35455bf7db9c99dd, 0x90f42e78252370a6, 0x487c7a930179b738, [3, 3, 0, 0, 11906, 3, 3]), // 106: write pipeline=1 cb=1048576 ranks=3 Holes
+    (2340802, 0x847e9d2afa4617ec, 0x6ee6a44fc05c4c9b, 0xd2aa72c86a931a47, [3, 3, 0, 0, 11640, 3, 3]), // 107: write pipeline=1 cb=1048576 ranks=3 Overlap
+    (3594748, 0x2c0e414358aeae28, 0x509d55b9213a551e, 0xe3c4653eb54d52de, [3, 3, 0, 0, 7323, 3, 3]), // 108: write pipeline=1 cb=1048576 ranks=3 OneEmpty
     (50000, 0x2ec712c479b50b45, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 109: write pipeline=1 cb=1048576 ranks=3 AllEmpty
-    (1253870, 0x3291a789e760a585, 0xcb61c98abf092d76, 0x04dfe7ef4f9e89f5, [1, 0, 0, 0, 10500, 1, 1]), // 110: write pipeline=1 cb=1048576 ranks=4 Dense
-    (2394928, 0x8a19c22d3b792e6d, 0x753ca73d41f93cc1, 0xc204f1ae43410b2a, [1, 1, 0, 0, 19187, 1, 1]), // 111: write pipeline=1 cb=1048576 ranks=4 Holes
-    (2388840, 0x2622316d85f84865, 0x640a713b3143e01b, 0xcce1fdd97d38f46b, [1, 1, 0, 0, 18000, 1, 1]), // 112: write pipeline=1 cb=1048576 ranks=4 Overlap
-    (2388305, 0x603669bf78ba5fc5, 0x28b9dcaf15e38869, 0xa5e88f9658df5b03, [1, 1, 0, 0, 13668, 1, 1]), // 113: write pipeline=1 cb=1048576 ranks=4 OneEmpty
+    (1219576, 0x4b7adf94cdbaca90, 0xae53cebfb6cad78f, 0x04dfe7ef4f9e89f5, [4, 0, 0, 0, 10040, 4, 4]), // 110: write pipeline=1 cb=1048576 ranks=4 Dense
+    (3467772, 0x942268ae53a4db81, 0x872e9c3e9c1579e9, 0xc204f1ae43410b2a, [4, 4, 0, 0, 19497, 4, 4]), // 111: write pipeline=1 cb=1048576 ranks=4 Holes
+    (2334450, 0xe7273c6468d584ac, 0x100ad7759569d56e, 0xcce1fdd97d38f46b, [4, 3, 0, 0, 17568, 4, 4]), // 112: write pipeline=1 cb=1048576 ranks=4 Overlap
+    (3467450, 0xecbbf7fbc9f88ab8, 0xd054c7ee18e56af9, 0xa5e88f9658df5b03, [4, 4, 0, 0, 15027, 4, 4]), // 113: write pipeline=1 cb=1048576 ranks=4 OneEmpty
     (50000, 0x764d84bd5d2d25a5, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 114: write pipeline=1 cb=1048576 ranks=4 AllEmpty
-    (1332900, 0xaf018f862bfbfc25, 0x46892ffab88e9231, 0xa40bdac50f6b94ee, [1, 0, 0, 0, 21000, 1, 1]), // 115: write pipeline=1 cb=1048576 ranks=7 Dense
-    (1296467, 0x5e636e65af74e25d, 0x61615dc6789322d7, 0x554d75f29c467da7, [1, 0, 0, 0, 39537, 1, 1]), // 116: write pipeline=1 cb=1048576 ranks=7 Holes
-    (1299400, 0x5e54c94627938667, 0x931d9f5ed6cfb21d, 0x61fc6be1a1f913b8, [1, 0, 0, 0, 36000, 1, 1]), // 117: write pipeline=1 cb=1048576 ranks=7 Overlap
-    (2431229, 0xb29ea40bb534189f, 0xb412dd2f814d3141, 0xaf0f2e74b12f2317, [1, 1, 0, 0, 32639, 1, 1]), // 118: write pipeline=1 cb=1048576 ranks=7 OneEmpty
+    (1267462, 0xaa840613462da9b4, 0xf88bff9e74ecc820, 0xa40bdac50f6b94ee, [4, 0, 0, 0, 21024, 4, 4]), // 115: write pipeline=1 cb=1048576 ranks=7 Dense
+    (1238063, 0x4fadd9497ec3d6cc, 0x29cbd493edf877e3, 0x554d75f29c467da7, [4, 0, 0, 0, 38348, 4, 4]), // 116: write pipeline=1 cb=1048576 ranks=7 Holes
+    (1243194, 0x54c5f938883e2b6b, 0x220008b1db9f537d, 0x61fc6be1a1f913b8, [4, 0, 0, 0, 35568, 4, 4]), // 117: write pipeline=1 cb=1048576 ranks=7 Overlap
+    (2360374, 0x2337271f26d8c5a2, 0x5a55f4882e55908b, 0xaf0f2e74b12f2317, [4, 1, 0, 0, 33410, 4, 4]), // 118: write pipeline=1 cb=1048576 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0xc14af20c595e19d5, [0, 0, 0, 0, 0, 0, 0]), // 119: write pipeline=1 cb=1048576 ranks=7 AllEmpty
     (4649257, 0x494dd877b6a31353, 0xea0f102057044712, 0x33de7ce0a6127557, [8, 0, 0, 0, 3096, 2, 2]), // 120: read pipeline=0 cb=1024 ranks=2 Dense
     (6810761, 0x1b4c60245ce39abe, 0xe869bc98b04d735b, 0xc08d022aff6489c7, [12, 0, 0, 0, 6539, 2, 2]), // 121: read pipeline=0 cb=1024 ranks=2 Holes
@@ -514,25 +520,25 @@ const GOLDEN: &[Row] = &[
     (2582008, 0x82c429057f6a8297, 0xa858fea8870aabee, 0xdab7947c0137ae37, [7, 0, 0, 0, 35492, 4, 4]), // 157: read pipeline=0 cb=3072 ranks=7 Overlap
     (1451561, 0x63bde5ed6413a285, 0x10668853943e9e77, 0x6d2ef3387fcbc30f, [4, 0, 0, 0, 35175, 4, 4]), // 158: read pipeline=0 cb=3072 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0x8ac123d6f7dce585, [0, 0, 0, 0, 0, 0, 0]), // 159: read pipeline=0 cb=3072 ranks=7 AllEmpty
-    (1269584, 0x0340c51b95f36d15, 0x3847a1e0fb20c6bb, 0x33de7ce0a6127557, [2, 0, 0, 0, 3368, 2, 1]), // 160: read pipeline=0 cb=1048576 ranks=2 Dense
-    (1192743, 0xccc5a174982b8765, 0x3e547187abaadbff, 0xc08d022aff6489c7, [1, 0, 0, 0, 6864, 1, 1]), // 161: read pipeline=0 cb=1048576 ranks=2 Holes
-    (1191504, 0x8b41e8788e613705, 0xd36b00c6b09b8597, 0x96595b5d6bfb7095, [1, 0, 0, 0, 6000, 1, 1]), // 162: read pipeline=0 cb=1048576 ranks=2 Overlap
-    (1184474, 0x5484067698e5d101, 0x6403e5008158f598, 0x3d29bccfb8d9a667, [1, 0, 0, 0, 0, 1, 1]), // 163: read pipeline=0 cb=1048576 ranks=2 OneEmpty
+    (1275217, 0x4467b3c8db67a693, 0x249ee821494dfe7c, 0x33de7ce0a6127557, [2, 0, 0, 0, 3096, 2, 2]), // 160: read pipeline=0 cb=1048576 ranks=2 Dense
+    (1285769, 0xfb9ed4e18f11bf9b, 0xe37603e9afb5c7a9, 0xc08d022aff6489c7, [2, 0, 0, 0, 6539, 2, 2]), // 161: read pipeline=0 cb=1048576 ranks=2 Holes
+    (1282155, 0x3b1aff57630a78ff, 0x1c89e68989789535, 0x96595b5d6bfb7095, [2, 0, 0, 0, 5856, 2, 2]), // 162: read pipeline=0 cb=1048576 ranks=2 Overlap
+    (1283942, 0x98ce93833dbe6753, 0xa607c8a554e857f7, 0x3d29bccfb8d9a667, [2, 0, 0, 0, 2672, 2, 2]), // 163: read pipeline=0 cb=1048576 ranks=2 OneEmpty
     (30000, 0xc331a9ff73cacf65, 0xcbf29ce484222325, 0x88201fb960ff6465, [0, 0, 0, 0, 0, 0, 0]), // 164: read pipeline=0 cb=1048576 ranks=2 AllEmpty
-    (1222220, 0x96288c4803489501, 0x43780770b9f69508, 0x53065934b6f52f67, [1, 0, 0, 0, 7000, 1, 1]), // 165: read pipeline=0 cb=1048576 ranks=3 Dense
-    (1228858, 0x592dae9d60453b5d, 0x0278036ac982683c, 0x0259d0d85b75555f, [1, 0, 0, 0, 11928, 1, 1]), // 166: read pipeline=0 cb=1048576 ranks=3 Holes
-    (1228704, 0x80096bdd94e5bda0, 0x145985a8172ed492, 0x8abedc3245ec78f9, [1, 0, 0, 0, 12000, 1, 1]), // 167: read pipeline=0 cb=1048576 ranks=3 Overlap
-    (1221262, 0xb1049e5213eac74c, 0x0e34e63ce9a8138e, 0x2fb73c4cf08fa4f2, [1, 0, 0, 0, 5611, 1, 1]), // 168: read pipeline=0 cb=1048576 ranks=3 OneEmpty
+    (1411218, 0x0d925d8ff18c1c0e, 0x55a3413752d6d4e8, 0x53065934b6f52f67, [3, 0, 0, 0, 6492, 3, 3]), // 165: read pipeline=0 cb=1048576 ranks=3 Dense
+    (1413848, 0x96d67908768928ed, 0xb8664d92b5c57329, 0x0259d0d85b75555f, [3, 0, 0, 0, 11578, 3, 3]), // 166: read pipeline=0 cb=1048576 ranks=3 Holes
+    (1413406, 0xfee2bdd90a0ce444, 0x75557981a4e5f28a, 0x8abedc3245ec78f9, [3, 0, 0, 0, 11492, 3, 3]), // 167: read pipeline=0 cb=1048576 ranks=3 Overlap
+    (1413393, 0x3476da5c1952458d, 0x055525ac3b02db89, 0x2fb73c4cf08fa4f2, [3, 0, 0, 0, 7533, 3, 3]), // 168: read pipeline=0 cb=1048576 ranks=3 OneEmpty
     (50000, 0x2ec712c479b50b45, 0xcbf29ce484222325, 0x81d23fd7003c2305, [0, 0, 0, 0, 0, 0, 0]), // 169: read pipeline=0 cb=1048576 ranks=3 AllEmpty
-    (1233830, 0x13e65049212c8065, 0x668933553b115b22, 0x164952746240c8cd, [1, 0, 0, 0, 10500, 1, 1]), // 170: read pipeline=0 cb=1048576 ranks=4 Dense
-    (1237678, 0x3f50c1d3bc8d37a5, 0x1f6134fc7bb2f8da, 0x3ed6c3e7267fc8b8, [1, 0, 0, 0, 19187, 1, 1]), // 171: read pipeline=0 cb=1048576 ranks=4 Holes
-    (1235904, 0xf4320ba611c3a8fd, 0x55370e5c38d3bf34, 0x3126ffca88b2b349, [1, 0, 0, 0, 18000, 1, 1]), // 172: read pipeline=0 cb=1048576 ranks=4 Overlap
-    (1231055, 0x5e099a89d9991f8d, 0x3da4ac36ce1e5926, 0xb2d78d1d98c432fa, [1, 0, 0, 0, 13668, 1, 1]), // 173: read pipeline=0 cb=1048576 ranks=4 OneEmpty
+    (1516648, 0x4355854cb96a9930, 0x8cb8791041548ed1, 0x164952746240c8cd, [4, 0, 0, 0, 10096, 4, 4]), // 170: read pipeline=0 cb=1048576 ranks=4 Dense
+    (1415004, 0xd5442f47a67e1a42, 0xe83db7054e6a1c43, 0x3ed6c3e7267fc8b8, [4, 0, 0, 0, 18532, 4, 4]), // 171: read pipeline=0 cb=1048576 ranks=4 Holes
+    (1413770, 0x9baf4e7c8b0fead9, 0xea056c941fe65bd5, 0x3126ffca88b2b349, [4, 0, 0, 0, 17928, 4, 4]), // 172: read pipeline=0 cb=1048576 ranks=4 Overlap
+    (1414342, 0xab37744eb8e80112, 0xf2958ac807939b9c, 0xb2d78d1d98c432fa, [4, 0, 0, 0, 14793, 4, 4]), // 173: read pipeline=0 cb=1048576 ranks=4 OneEmpty
     (50000, 0x764d84bd5d2d25a5, 0xcbf29ce484222325, 0x0c8210784d8af5a5, [0, 0, 0, 0, 0, 0, 0]), // 174: read pipeline=0 cb=1048576 ranks=4 AllEmpty
-    (1371801, 0x1964306ea45183a5, 0x0f1d136c8a247290, 0xb1f34d510177be14, [2, 0, 0, 0, 21000, 2, 1]), // 175: read pipeline=0 cb=1048576 ranks=7 Dense
-    (1292128, 0xe365d8d82cb930fd, 0x015f81f43564c29f, 0x3d927863677ebb54, [1, 0, 0, 0, 39537, 1, 1]), // 176: read pipeline=0 cb=1048576 ranks=7 Holes
-    (1292094, 0xc20bb9ca61ddc769, 0x4225afe8e6d29d68, 0xdab7947c0137ae37, [1, 0, 0, 0, 36000, 1, 1]), // 177: read pipeline=0 cb=1048576 ranks=7 Overlap
-    (1283850, 0xefd7a61121e32467, 0xea54596b0a2ffa3b, 0x6d2ef3387fcbc30f, [1, 0, 0, 0, 32639, 1, 1]), // 178: read pipeline=0 cb=1048576 ranks=7 OneEmpty
+    (1656469, 0xc99311bd00aed6e5, 0x23840446ae5be9e9, 0xb1f34d510177be14, [5, 0, 0, 0, 20544, 5, 4]), // 175: read pipeline=0 cb=1048576 ranks=7 Dense
+    (1451832, 0xc62881fcf31a3840, 0x3c6c5805dba56d53, 0x3d927863677ebb54, [4, 0, 0, 0, 39750, 4, 4]), // 176: read pipeline=0 cb=1048576 ranks=7 Holes
+    (1552579, 0x54f416554f4bb36f, 0xfd4e067291327cab, 0xdab7947c0137ae37, [4, 0, 0, 0, 35492, 4, 4]), // 177: read pipeline=0 cb=1048576 ranks=7 Overlap
+    (1451561, 0x63bde5ed6413a285, 0x10668853943e9e77, 0x6d2ef3387fcbc30f, [4, 0, 0, 0, 35175, 4, 4]), // 178: read pipeline=0 cb=1048576 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0x8ac123d6f7dce585, [0, 0, 0, 0, 0, 0, 0]), // 179: read pipeline=0 cb=1048576 ranks=7 AllEmpty
     (4647885, 0x65c70e2d65f91d7a, 0xf14179d94bb29682, 0x33de7ce0a6127557, [8, 0, 4, 31968, 3096, 2, 2]), // 180: read pipeline=1 cb=1024 ranks=2 Dense
     (6807611, 0x541938bd24d35931, 0x04ab6f85395cfd0b, 0xc08d022aff6489c7, [12, 0, 6, 53310, 6539, 2, 2]), // 181: read pipeline=1 cb=1024 ranks=2 Holes
@@ -574,24 +580,24 @@ const GOLDEN: &[Row] = &[
     (2578536, 0x59421929acf7e7eb, 0x7e7f84202994a84e, 0xdab7947c0137ae37, [7, 0, 2, 37716, 35492, 4, 4]), // 217: read pipeline=1 cb=3072 ranks=7 Overlap
     (1451561, 0x63bde5ed6413a285, 0x10668853943e9e77, 0x6d2ef3387fcbc30f, [4, 0, 0, 0, 35175, 4, 4]), // 218: read pipeline=1 cb=3072 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0x8ac123d6f7dce585, [0, 0, 0, 0, 0, 0, 0]), // 219: read pipeline=1 cb=3072 ranks=7 AllEmpty
-    (1269584, 0x0340c51b95f36d15, 0x3847a1e0fb20c6bb, 0x33de7ce0a6127557, [2, 0, 0, 0, 3368, 2, 1]), // 220: read pipeline=1 cb=1048576 ranks=2 Dense
-    (1192743, 0xccc5a174982b8765, 0x3e547187abaadbff, 0xc08d022aff6489c7, [1, 0, 0, 0, 6864, 1, 1]), // 221: read pipeline=1 cb=1048576 ranks=2 Holes
-    (1191504, 0x8b41e8788e613705, 0xd36b00c6b09b8597, 0x96595b5d6bfb7095, [1, 0, 0, 0, 6000, 1, 1]), // 222: read pipeline=1 cb=1048576 ranks=2 Overlap
-    (1184474, 0x5484067698e5d101, 0x6403e5008158f598, 0x3d29bccfb8d9a667, [1, 0, 0, 0, 0, 1, 1]), // 223: read pipeline=1 cb=1048576 ranks=2 OneEmpty
+    (1275217, 0x4467b3c8db67a693, 0x249ee821494dfe7c, 0x33de7ce0a6127557, [2, 0, 0, 0, 3096, 2, 2]), // 220: read pipeline=1 cb=1048576 ranks=2 Dense
+    (1285769, 0xfb9ed4e18f11bf9b, 0xe37603e9afb5c7a9, 0xc08d022aff6489c7, [2, 0, 0, 0, 6539, 2, 2]), // 221: read pipeline=1 cb=1048576 ranks=2 Holes
+    (1282155, 0x3b1aff57630a78ff, 0x1c89e68989789535, 0x96595b5d6bfb7095, [2, 0, 0, 0, 5856, 2, 2]), // 222: read pipeline=1 cb=1048576 ranks=2 Overlap
+    (1283942, 0x98ce93833dbe6753, 0xa607c8a554e857f7, 0x3d29bccfb8d9a667, [2, 0, 0, 0, 2672, 2, 2]), // 223: read pipeline=1 cb=1048576 ranks=2 OneEmpty
     (30000, 0xc331a9ff73cacf65, 0xcbf29ce484222325, 0x88201fb960ff6465, [0, 0, 0, 0, 0, 0, 0]), // 224: read pipeline=1 cb=1048576 ranks=2 AllEmpty
-    (1222220, 0x96288c4803489501, 0x43780770b9f69508, 0x53065934b6f52f67, [1, 0, 0, 0, 7000, 1, 1]), // 225: read pipeline=1 cb=1048576 ranks=3 Dense
-    (1228858, 0x592dae9d60453b5d, 0x0278036ac982683c, 0x0259d0d85b75555f, [1, 0, 0, 0, 11928, 1, 1]), // 226: read pipeline=1 cb=1048576 ranks=3 Holes
-    (1228704, 0x80096bdd94e5bda0, 0x145985a8172ed492, 0x8abedc3245ec78f9, [1, 0, 0, 0, 12000, 1, 1]), // 227: read pipeline=1 cb=1048576 ranks=3 Overlap
-    (1221262, 0xb1049e5213eac74c, 0x0e34e63ce9a8138e, 0x2fb73c4cf08fa4f2, [1, 0, 0, 0, 5611, 1, 1]), // 228: read pipeline=1 cb=1048576 ranks=3 OneEmpty
+    (1411218, 0x0d925d8ff18c1c0e, 0x55a3413752d6d4e8, 0x53065934b6f52f67, [3, 0, 0, 0, 6492, 3, 3]), // 225: read pipeline=1 cb=1048576 ranks=3 Dense
+    (1413848, 0x96d67908768928ed, 0xb8664d92b5c57329, 0x0259d0d85b75555f, [3, 0, 0, 0, 11578, 3, 3]), // 226: read pipeline=1 cb=1048576 ranks=3 Holes
+    (1413406, 0xfee2bdd90a0ce444, 0x75557981a4e5f28a, 0x8abedc3245ec78f9, [3, 0, 0, 0, 11492, 3, 3]), // 227: read pipeline=1 cb=1048576 ranks=3 Overlap
+    (1413393, 0x3476da5c1952458d, 0x055525ac3b02db89, 0x2fb73c4cf08fa4f2, [3, 0, 0, 0, 7533, 3, 3]), // 228: read pipeline=1 cb=1048576 ranks=3 OneEmpty
     (50000, 0x2ec712c479b50b45, 0xcbf29ce484222325, 0x81d23fd7003c2305, [0, 0, 0, 0, 0, 0, 0]), // 229: read pipeline=1 cb=1048576 ranks=3 AllEmpty
-    (1233830, 0x13e65049212c8065, 0x668933553b115b22, 0x164952746240c8cd, [1, 0, 0, 0, 10500, 1, 1]), // 230: read pipeline=1 cb=1048576 ranks=4 Dense
-    (1237678, 0x3f50c1d3bc8d37a5, 0x1f6134fc7bb2f8da, 0x3ed6c3e7267fc8b8, [1, 0, 0, 0, 19187, 1, 1]), // 231: read pipeline=1 cb=1048576 ranks=4 Holes
-    (1235904, 0xf4320ba611c3a8fd, 0x55370e5c38d3bf34, 0x3126ffca88b2b349, [1, 0, 0, 0, 18000, 1, 1]), // 232: read pipeline=1 cb=1048576 ranks=4 Overlap
-    (1231055, 0x5e099a89d9991f8d, 0x3da4ac36ce1e5926, 0xb2d78d1d98c432fa, [1, 0, 0, 0, 13668, 1, 1]), // 233: read pipeline=1 cb=1048576 ranks=4 OneEmpty
+    (1516648, 0x4355854cb96a9930, 0x8cb8791041548ed1, 0x164952746240c8cd, [4, 0, 0, 0, 10096, 4, 4]), // 230: read pipeline=1 cb=1048576 ranks=4 Dense
+    (1415004, 0xd5442f47a67e1a42, 0xe83db7054e6a1c43, 0x3ed6c3e7267fc8b8, [4, 0, 0, 0, 18532, 4, 4]), // 231: read pipeline=1 cb=1048576 ranks=4 Holes
+    (1413770, 0x9baf4e7c8b0fead9, 0xea056c941fe65bd5, 0x3126ffca88b2b349, [4, 0, 0, 0, 17928, 4, 4]), // 232: read pipeline=1 cb=1048576 ranks=4 Overlap
+    (1414342, 0xab37744eb8e80112, 0xf2958ac807939b9c, 0xb2d78d1d98c432fa, [4, 0, 0, 0, 14793, 4, 4]), // 233: read pipeline=1 cb=1048576 ranks=4 OneEmpty
     (50000, 0x764d84bd5d2d25a5, 0xcbf29ce484222325, 0x0c8210784d8af5a5, [0, 0, 0, 0, 0, 0, 0]), // 234: read pipeline=1 cb=1048576 ranks=4 AllEmpty
-    (1371801, 0x1964306ea45183a5, 0x0f1d136c8a247290, 0xb1f34d510177be14, [2, 0, 0, 0, 21000, 2, 1]), // 235: read pipeline=1 cb=1048576 ranks=7 Dense
-    (1292128, 0xe365d8d82cb930fd, 0x015f81f43564c29f, 0x3d927863677ebb54, [1, 0, 0, 0, 39537, 1, 1]), // 236: read pipeline=1 cb=1048576 ranks=7 Holes
-    (1292094, 0xc20bb9ca61ddc769, 0x4225afe8e6d29d68, 0xdab7947c0137ae37, [1, 0, 0, 0, 36000, 1, 1]), // 237: read pipeline=1 cb=1048576 ranks=7 Overlap
-    (1283850, 0xefd7a61121e32467, 0xea54596b0a2ffa3b, 0x6d2ef3387fcbc30f, [1, 0, 0, 0, 32639, 1, 1]), // 238: read pipeline=1 cb=1048576 ranks=7 OneEmpty
+    (1656469, 0xc99311bd00aed6e5, 0x23840446ae5be9e9, 0xb1f34d510177be14, [5, 0, 0, 0, 20544, 5, 4]), // 235: read pipeline=1 cb=1048576 ranks=7 Dense
+    (1451832, 0xc62881fcf31a3840, 0x3c6c5805dba56d53, 0x3d927863677ebb54, [4, 0, 0, 0, 39750, 4, 4]), // 236: read pipeline=1 cb=1048576 ranks=7 Holes
+    (1552579, 0x54f416554f4bb36f, 0xfd4e067291327cab, 0xdab7947c0137ae37, [4, 0, 0, 0, 35492, 4, 4]), // 237: read pipeline=1 cb=1048576 ranks=7 Overlap
+    (1451561, 0x63bde5ed6413a285, 0x10668853943e9e77, 0x6d2ef3387fcbc30f, [4, 0, 0, 0, 35175, 4, 4]), // 238: read pipeline=1 cb=1048576 ranks=7 OneEmpty
     (70000, 0x2d6bc465f225d4e9, 0xcbf29ce484222325, 0x8ac123d6f7dce585, [0, 0, 0, 0, 0, 0, 0]), // 239: read pipeline=1 cb=1048576 ranks=7 AllEmpty
 ];
