@@ -148,6 +148,34 @@ fn unsorted_runs_are_rejected_before_the_rendezvous_on_every_rank() {
     });
 }
 
+/// `MPI_Offset` is a signed 64-bit integer, so no run may end past
+/// `i64::MAX`. A run in the last stripe of the `u64` offset space used to
+/// overflow the striping and page arithmetic of every independent door (a
+/// panic, or a server loop that never ended); now it is refused before any
+/// of that, by the cached and the uncached doors and by the collective
+/// write, on every rank — as is the first run that ends one byte too far.
+#[test]
+fn runs_ending_past_the_largest_mpi_offset_are_rejected_by_every_door() {
+    let cfg = SimConfig::test_small();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    let too_far: [[Run; 1]; 2] = [[(u64::MAX - 10, 5)], [(i64::MAX as u64 - 4, 5)]];
+    fn invalid<T: std::fmt::Debug>(res: Result<T, MpioError>, door: &str) {
+        let e = res.unwrap_err();
+        assert!(matches!(e, MpioError::InvalidArgument(_)), "{door}: {e:?}");
+    }
+    run_world(NPROCS, cfg, |c| {
+        for cache in ["disable", "enable"] {
+            let info = Info::new().with("pnc_cache", cache);
+            let f = MpiFile::open(c, &pfs, cache, OpenMode::Create, &info).unwrap();
+            for runs in &too_far {
+                invalid(f.write_runs_at(runs, &[7u8; 5]), "write_runs_at");
+                invalid(f.read_runs_into(runs, &mut [0u8; 5]), "read_runs_into");
+                invalid(f.write_runs_at_all(runs, &[7u8; 5]), "write_runs_at_all");
+            }
+        }
+    });
+}
+
 /// With collective buffering disabled the same loans feed the per-rank
 /// independent fallback: payloads are read, and destinations filled, where
 /// the ranks keep them.
