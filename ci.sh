@@ -87,8 +87,13 @@ cargo run --release --offline --quiet --manifest-path perf_bench/Cargo.toml -- -
 # handoff, an eviction that writes its victim's stretch of dirty neighbours,
 # up to a stripe row, in one request, and waits for the disk at the flush
 # points (one page per eviction request sits at 75.957, a cache that waits
-# for the disk at every eviction at 46.579); the read phase writes nothing
-# behind, so its 66.530 MB/s must not move.
+# for the disk at every eviction at 46.579); 103.494 MB/s read is measured
+# with readahead the rank does not wait for until it touches a page, every
+# read queued on the rank's one client link (a rank that waits for every
+# readahead sits at 66.530, readahead that shares no link at 132).
+# Both one-rank workloads have one client link, so no simulated bandwidth of
+# theirs may exceed Blue Horizon's 110 MB/s client_link_bw: the platform's
+# first conservation law (ROADMAP item 8), checked on data.
 # The FLASH checkpoint's simulated bandwidths are virtual time as well:
 # 51.536 MB/s written and 59.631 read are measured with one aggregator per
 # I/O server whatever a collective's size; a default that shrank the count to
@@ -120,7 +125,10 @@ assert cached_alloc <= 1.33, f"indep_rows_cached requests {cached_alloc:.3f} hea
 assert cached_peak <= 42.9, f"indep_rows_cached peaks at {cached_peak:.2f} MiB of heap (budget 42.9)"
 cached_write, cached_read = value(cached, "sim_write_mb_s"), value(cached, "sim_read_mb_s")
 assert cached_write >= 98.13, f"indep_rows_cached writes {cached_write:.3f} simulated MB/s (98.131 measured)"
-assert abs(cached_read - 66.530) <= 0.001, f"indep_rows_cached reads {cached_read:.4f} simulated MB/s (66.530 measured)"
+assert cached_read >= 103.49, f"indep_rows_cached reads {cached_read:.3f} simulated MB/s (103.494 measured)"
+for name, r in (("indep_rows", indep), ("indep_rows_cached", cached)):
+    for m in ("sim_write_mb_s", "sim_read_mb_s"):
+        assert value(r, m) <= 110, f"{name}: {m} = {value(r, m):.3f} MB/s through one 110 MB/s client link"
 print(f"    perf_bench --quick OK: every workload ran, every metric present; "
       f"indep_rows {alloc:.3f} heap B/B, coll3d_x {coll_alloc:.3f} heap B/B and "
       f"{coll_peak:.2f} MiB peak heap, flash_ckpt {flash_alloc:.3f} heap B/B and "

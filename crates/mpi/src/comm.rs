@@ -237,6 +237,17 @@ impl Comm {
         self.world.clocks.advance_to(w, t)
     }
 
+    /// When this rank's client link is free to carry its next read
+    /// ([`SharedClocks::link_free`]).
+    pub fn link_free(&self) -> Time {
+        self.world.clocks.link_free(self.world_rank())
+    }
+
+    /// Record that this rank's client link carries reads until `t`.
+    pub fn set_link_free(&self, t: Time) {
+        self.world.clocks.set_link_free(self.world_rank(), t);
+    }
+
     /// Clone of the shared clock array (for the I/O layers).
     pub fn clocks(&self) -> SharedClocks {
         self.world.clocks.clone()

@@ -40,9 +40,15 @@
 //!   cache remembers the latest `durable` of anything it wrote behind — its
 //!   durability horizon. Every flush point ends by waiting for that
 //!   horizon, so what a sync promises is on disk.
-//! * **Readahead.** Two byte-contiguous reads in a row mark the stream
-//!   sequential; the absent pages among the next two are fetched with one
-//!   contiguous PFS read and inserted clean.
+//! * **Readahead, ahead of the rank.** Two byte-contiguous reads in a row
+//!   mark the stream sequential; the absent pages among the next two are
+//!   fetched with one contiguous PFS read and inserted clean. The read is
+//!   issued at the rank's clock and the rank goes on: each page remembers
+//!   when its fill lands (`ready`), its first touch — a copy-out, a write
+//!   hit, its eviction — waits for that, and so does every flush point.
+//!   Every read the cache issues shares the rank's one inbound client link
+//!   with the reads before it (`link_free`, kept beside the rank's clock),
+//!   so prefetching overlaps the servers, never the link.
 //! * **Coherence epochs.** Every PFS file carries a shared epoch counter.
 //!   A cache that publishes dirty bytes bumps it; at synchronization
 //!   points (after the collective rendezvous, so all pre-flushes
@@ -55,8 +61,9 @@
 //!   retry/backoff cost lands in the disk phases of the trace.
 //!
 //! Virtual-time accounting runs through a [`CacheLedger`]: memcpy work is
-//! charged to [`Phase::Cache`](hpc_sim::Phase), miss fills and flushes to
-//! the disk phases, preserving the trace layer's coverage-1.0 invariant.
+//! charged to [`Phase::Cache`](hpc_sim::Phase), miss fills, waits for pages
+//! in flight and flushes to the disk phases, preserving the trace layer's
+//! coverage-1.0 invariant.
 
 use std::ops::RangeInclusive;
 
@@ -80,9 +87,14 @@ const READAHEAD_PAGES: usize = 2;
 #[derive(Clone, Copy, Debug)]
 pub struct CacheLedger {
     now: Time,
+    /// When the rank's inbound client link is free: every read a cache
+    /// issues queues behind it and then moves it to its own end. The rank's,
+    /// not the cache's — the caller carries it in and writes it back.
+    pub(crate) link_free: Time,
     /// Nanoseconds of client CPU work (page memcpy) — [`hpc_sim::Phase::Cache`].
     pub cache_nanos: u64,
-    /// Nanoseconds of PFS reads (miss fills, readahead) — `Phase::DiskRead`.
+    /// Nanoseconds waited for PFS reads (miss fills, readahead in flight)
+    /// — `Phase::DiskRead`.
     pub read_nanos: u64,
     /// Nanoseconds waited for PFS writes (write-behind handoffs, and the
     /// durability horizon at flush points) — `Phase::DiskWrite`.
@@ -90,10 +102,12 @@ pub struct CacheLedger {
 }
 
 impl CacheLedger {
-    /// Start a ledger at the rank's current virtual time.
-    pub fn new(now: Time) -> CacheLedger {
+    /// Start a ledger at the rank's current virtual time and the time its
+    /// client link is free.
+    pub fn new(now: Time, link_free: Time) -> CacheLedger {
         CacheLedger {
             now,
+            link_free,
             cache_nanos: 0,
             read_nanos: 0,
             write_nanos: 0,
@@ -105,17 +119,14 @@ impl CacheLedger {
         self.cache_nanos += t.as_nanos();
     }
 
-    fn disk_read(
-        &mut self,
-        file: &PfsFile,
-        policy: &RetryPolicy,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> MpioResult<()> {
-        let done = recover::read_at(file, policy, self.now, offset, buf)?;
-        self.read_nanos += done.saturating_sub(self.now).as_nanos();
-        self.now = done;
-        Ok(())
+    /// Wait for a read issued earlier to land: the first touch of a page in
+    /// flight, or a flush point.
+    fn await_read(&mut self, file: &PfsFile, until: Time) {
+        if until > self.now {
+            trace_cache_span(file, "readahead_wait", self.now, until, 0);
+            self.read_nanos += (until - self.now).as_nanos();
+            self.now = until;
+        }
     }
 
     /// Write behind one stretch, its runs `segs` in file order from
@@ -160,6 +171,9 @@ struct Slot {
     dirty: Vec<PageRun>,
     /// LRU tick of the last touch.
     last_use: u64,
+    /// When the fill that made the page valid lands; a readahead's lies
+    /// ahead of the rank, and the page's first touch waits for it.
+    ready: Time,
     /// Fetched speculatively and not yet demanded (readahead-hit counting).
     readahead: bool,
     /// In the index. A slot whose page was invalidated keeps its memory
@@ -426,6 +440,7 @@ impl PageCache {
         let slot = &mut self.slots[s];
         slot.valid.clear();
         slot.dirty.clear();
+        slot.ready = Time::ZERO;
         slot.readahead = false;
         slot.in_use = true;
         let at = self.index.partition_point(|e| e.0 < page);
@@ -440,9 +455,10 @@ impl PageCache {
     /// × io_servers`; the rows, for a page across a row boundary), one
     /// request per stretch. What the neighbours lent ends clean; they stay
     /// cached with their LRU ticks. If a write fails every page stays
-    /// cached, still dirty.
+    /// cached, still dirty. A victim still in flight is waited for first.
     fn evict(&mut self, file: &PfsFile, led: &mut CacheLedger, i: usize) -> MpioResult<usize> {
         let (page, s) = self.index[i];
+        led.await_read(file, self.slots[s as usize].ready);
         let ps = self.page_size as u64;
         let (lo, hi) = (page * ps, (page + 1) * ps);
         let cfg = file.pfs().config();
@@ -502,6 +518,7 @@ impl PageCache {
                 let take = (hi - lo) as usize;
                 let s = match self.lookup(page) {
                     Some(s) => {
+                        led.await_read(file, self.slots[s].ready);
                         hit(&mut seen, &mut self.slots[s], hi - lo);
                         s
                     }
@@ -568,10 +585,11 @@ impl PageCache {
                     seen.misses += last - page + 1;
                     self.fill_pages(file, led, page..=last, false, runs, &batch)?;
                 }
-                // Everything requested is now valid; copy out.
+                // Everything requested is now valid, or in flight; copy out.
                 for (page, lo, hi) in pieces(ps, at, stop - at) {
                     let take = (hi - lo) as usize;
                     let s = self.lookup(page).expect("filled above");
+                    led.await_read(file, self.slots[s].ready);
                     let slot = &mut self.slots[s];
                     debug_assert!(covers(&slot.valid, lo, hi));
                     out[pos..pos + take].copy_from_slice(&slot.data[lo as usize..hi as usize]);
@@ -604,7 +622,15 @@ impl PageCache {
     /// contiguous PFS read (clipped at EOF so a tail page does not charge
     /// for bytes past the end of the file), claiming slots for the absent
     /// ones first — so a dirty victim's write-behind precedes the read.
-    /// `ahead` marks the pages as fetched speculatively.
+    /// `ahead` marks the pages as fetched speculatively: the read is issued
+    /// at the rank's clock and the rank goes on, the pages `ready` when it
+    /// lands. A demand fill waits for it.
+    ///
+    /// This is the cache's one read door. The rank's client link carries
+    /// one read after another, so a read ends no earlier than
+    /// `max(start + latency, link_free) + bytes / client_link_bw`, and that
+    /// end is the link's next `link_free`. A read issued with nothing in
+    /// flight finds the link free, and the PFS's own link floor decides.
     fn fill_pages(
         &mut self,
         file: &PfsFile,
@@ -630,9 +656,18 @@ impl PageCache {
             self.staging.resize(read, 0);
         }
         let t0 = led.now;
-        led.disk_read(file, &self.policy, lo, &mut self.staging[..read])?;
+        let done = recover::read_at(file, &self.policy, t0, lo, &mut self.staging[..read])?;
+        let cfg = file.pfs().config();
+        let on_link = (t0 + cfg.client_link_latency).max(led.link_free)
+            + Time::from_secs_f64(read as f64 / cfg.client_link_bw);
+        let done = done.max(on_link);
+        led.link_free = done;
+        if !ahead {
+            led.read_nanos += done.saturating_sub(t0).as_nanos();
+            led.now = done;
+        }
         let span = ["cache_fill", "readahead_fill"][ahead as usize];
-        trace_cache_span(file, span, t0, led.now, hi - lo);
+        trace_cache_span(file, span, t0, done, hi - lo);
         for page in pages {
             let s = self.lookup(page).expect("claimed above");
             let slot = &mut self.slots[s];
@@ -652,6 +687,7 @@ impl PageCache {
             // The whole page is now a faithful view.
             slot.valid.clear();
             slot.valid.push((0, ps32));
+            slot.ready = done;
             slot.readahead = ahead;
             Self::touch(slot, &mut self.tick);
         }
@@ -716,9 +752,13 @@ impl PageCache {
         Ok(bytes)
     }
 
-    /// Wait for the durability horizon: the one place a caller pays for
-    /// the disk time write-behind hid from it.
+    /// Wait for every read in flight to land — the latest `ready`: a slot
+    /// evicted or dropped has waited for its own — then for the durability
+    /// horizon, the one place a caller pays for the disk time write-behind
+    /// hid from it. No cached read or write is in flight past a flush point.
     fn drain(&self, file: &PfsFile, led: &mut CacheLedger) {
+        let landed = self.slots.iter().map(|s| s.ready).max();
+        led.await_read(file, landed.unwrap_or_default());
         let t0 = led.now;
         led.await_write(self.horizon);
         if led.now > t0 {
@@ -841,7 +881,7 @@ mod tests {
     #[test]
     fn write_then_read_hits_without_disk() {
         let (mut cache, file, cfg) = setup(1 << 20);
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         let data: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
         cache
             .write_runs(&file, &mut led, &[(100, 3000)], &data)
@@ -865,7 +905,7 @@ mod tests {
     #[test]
     fn flush_coalesces_small_writes() {
         let (mut cache, file, cfg) = setup(1 << 20);
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         // 64 back-to-back 128-byte writes = 8 KiB contiguous.
         for i in 0..64u64 {
             cache
@@ -886,7 +926,7 @@ mod tests {
         let (mut cache, file, _cfg) = setup(1 << 20);
         // Another writer (rank B) put bytes on disk in the same page.
         file.write_at(Time::ZERO, 0, &[9u8; 512]);
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         // This rank dirties only [512, 1024) of page 0.
         cache
             .write_runs(&file, &mut led, &[(512, 512)], &[5u8; 512])
@@ -903,7 +943,7 @@ mod tests {
         let (mut cache, file, cfg) = setup(1 << 20);
         let data: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
         file.write_at(Time::ZERO, 0, &data);
-        let mut led = CacheLedger::new(Time::from_millis(1));
+        let mut led = CacheLedger::new(Time::from_millis(1), Time::ZERO);
         let got = read_vec(&mut cache, &file, &mut led, &[(10, 50)]);
         assert_eq!(got, data[10..60]);
         assert!(led.read_nanos > 0);
@@ -920,7 +960,7 @@ mod tests {
     #[test]
     fn eviction_respects_budget_and_preserves_bytes() {
         let (mut cache, file, cfg) = setup(2048); // 2 pages
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
         for i in 0..16u64 {
             cache
@@ -948,7 +988,7 @@ mod tests {
         let (mut cache, file, cfg) = setup(1 << 20);
         let data: Vec<u8> = (0..16384u32).map(|i| (i % 239) as u8).collect();
         file.write_at(Time::ZERO, 0, &data);
-        let mut led = CacheLedger::new(Time::from_millis(1));
+        let mut led = CacheLedger::new(Time::from_millis(1), Time::ZERO);
         let mut got = Vec::new();
         for i in 0..32u64 {
             got.extend(read_vec(&mut cache, &file, &mut led, &[(i * 512, 512)]));
@@ -960,11 +1000,45 @@ mod tests {
         assert!(c.hits > 0, "{c:?}");
     }
 
+    /// A readahead is issued at the rank's clock and the rank goes on: its
+    /// pages land later, when the client link has carried them, and the
+    /// first touch of one waits for that, as does a flush point for what is
+    /// still in flight. Every wait is disk read time, so the ledger adds up.
+    #[test]
+    fn a_readahead_lands_behind_the_rank_and_is_waited_for_at_first_touch() {
+        let (mut cache, file, _cfg) = setup(1 << 20);
+        file.write_at(Time::ZERO, 0, &[5u8; 8192]);
+        let start = Time::from_millis(1);
+        let mut led = CacheLedger::new(start, Time::ZERO);
+        read_vec(&mut cache, &file, &mut led, &[(0, 512)]);
+        assert!(led.link_free <= led.now, "a demand fill is waited for");
+        // The stream is sequential now: pages 1 and 2 are read ahead.
+        let (before, waited) = (led.now, led.read_nanos);
+        read_vec(&mut cache, &file, &mut led, &[(512, 512)]);
+        assert_eq!(led.now, before + cache.cpu.pack(512, 1.0));
+        assert_eq!(led.read_nanos, waited, "the rank did not wait");
+        let ready = cache.slots[cache.lookup(1).unwrap()].ready;
+        assert!(ready > led.now && led.link_free == ready);
+        // Touching page 1 waits for it; that read's own readahead of page
+        // 3 is in flight at the flush point, which waits for it.
+        let got = read_vec(&mut cache, &file, &mut led, &[(1024, 512)]);
+        assert_eq!(got, [5u8; 512]);
+        assert!(led.now >= ready && led.read_nanos > waited);
+        let page3 = cache.slots[cache.lookup(3).unwrap()].ready;
+        assert!(page3 > led.now);
+        cache.flush(&file, &mut led).unwrap();
+        assert_eq!(led.now, page3);
+        assert_eq!(
+            led.now.as_nanos(),
+            start.as_nanos() + led.cache_nanos + led.read_nanos + led.write_nanos
+        );
+    }
+
     #[test]
     fn epoch_invalidation_drops_clean_keeps_dirty() {
         let (mut cache, file, _cfg) = setup(1 << 20);
         file.write_at(Time::ZERO, 0, &[1u8; 1024]);
-        let mut led = CacheLedger::new(Time::from_millis(1));
+        let mut led = CacheLedger::new(Time::from_millis(1), Time::ZERO);
         // Cache page 0 clean, dirty half of page 1.
         read_vec(&mut cache, &file, &mut led, &[(0, 100)]);
         cache
@@ -989,7 +1063,7 @@ mod tests {
     fn sync_prepare_publishes_and_bumps_epoch() {
         let (mut cache, file, _cfg) = setup(1 << 20);
         let e0 = file.coherence_epoch();
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 64)], &[3u8; 64])
             .unwrap();
@@ -1009,7 +1083,7 @@ mod tests {
     fn ledger_time_is_fully_attributed() {
         let (mut cache, file, cfg) = setup(2048); // 2 slots
         let start = Time::from_millis(3);
-        let mut led = CacheLedger::new(start);
+        let mut led = CacheLedger::new(start, Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 2048)], &[1u8; 2048])
             .unwrap();
@@ -1031,7 +1105,7 @@ mod tests {
     #[test]
     fn an_eviction_ends_at_handoff_and_the_next_flush_waits_for_the_horizon() {
         let (mut cache, file, cfg) = setup(1024); // 1 slot
-        let mut led = CacheLedger::new(Time::from_millis(1));
+        let mut led = CacheLedger::new(Time::from_millis(1), Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
             .unwrap();
@@ -1059,7 +1133,7 @@ mod tests {
         let mut one_deep = SimConfig::test_small();
         one_deep.server_queue_depth = 1;
         let (mut cache, file, cfg) = setup_on(one_deep, 1024); // 1 slot
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         // 1 KiB stripes over 4 servers: every fourth page is server 0's.
         for k in 0..8u64 {
             let on_disk = cache.horizon;
@@ -1091,7 +1165,7 @@ mod tests {
         let (_, twin, _) = setup_faulty(plan, 1024);
         let pages = 39u64;
         let page = |k: u64| -> Vec<u8> { (0..1024).map(|i| (i * 7 + k) as u8).collect() };
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         for k in 0..pages {
             // The miss of page k evicts page k-1 before anything is charged.
             let evicted = k.checked_sub(1).map(|v| {
@@ -1126,7 +1200,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let (mut cache, file, cfg) = setup_faulty(plan, 1024); // 1 slot
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
             .unwrap();
@@ -1146,7 +1220,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let (mut cache, file, cfg) = setup_faulty(plan, 2048); // 2 slots
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 2048)], &[1u8; 2048])
             .unwrap();
@@ -1170,7 +1244,7 @@ mod tests {
         parity.parity = true;
         let (mut cache, file, cfg) = setup_on(parity, 1024); // 1 slot
         assert!(file.pfs().mark_server_down(1));
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         // Page 0 is a live server's: still behind after its eviction.
         for (page, redirected) in [(0u64, false), (1, true)] {
             cache
@@ -1240,7 +1314,7 @@ mod tests {
     fn bytes_past_eof_read_zero_through_a_slot_that_held_other_data() {
         let (mut cache, file, _cfg) = setup(1024); // 1 slot
         file.write_at(Time::ZERO, 0, &[0xAB; 1024 + 100]);
-        let mut led = CacheLedger::new(Time::from_millis(1));
+        let mut led = CacheLedger::new(Time::from_millis(1), Time::ZERO);
         // The one slot holds 1024 bytes of 0xAB ...
         assert_eq!(
             read_vec(&mut cache, &file, &mut led, &[(0, 1024)]),
@@ -1267,7 +1341,7 @@ mod tests {
     fn slots_never_exceed_the_budget_and_are_reused() {
         let (mut cache, file, cfg) = setup(4096); // 4 slots
         let data: Vec<u8> = (0..20480u32).map(|i| (i % 233) as u8).collect();
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
             .write_runs(&file, &mut led, &[(0, 20480)], &data)
             .unwrap();
@@ -1296,7 +1370,7 @@ mod tests {
     #[test]
     fn a_miss_does_not_evict_a_page_the_request_is_about_to_hit() {
         let (mut cache, file, cfg) = setup(2048); // 2 slots
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         for page in [1u64, 0] {
             cache
                 .write_runs(&file, &mut led, &[(page * 1024, 8)], &[page as u8; 8])
@@ -1322,7 +1396,7 @@ mod tests {
     #[test]
     fn an_eviction_writes_its_victims_stretch_up_to_the_stripe_row() {
         let (mut cache, file, cfg) = setup(8192); // 8 slots
-        let mut led = CacheLedger::new(Time::ZERO);
+        let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         // Page 2 first, so it is the oldest; then the rest of pages 0..8.
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         for page in [2u64, 0, 1, 3, 4, 5, 6, 7] {

@@ -354,21 +354,39 @@ fn nobody_leaves_a_sync_before_the_writers_bytes_are_on_disk() {
     assert!(c.write_behind_drain > 0, "the sync waited for the disk");
 }
 
-/// Write-behind never outruns the client link: the rank hands every byte
-/// it writes behind to its NIC, so a one-rank cached write phase on Blue
-/// Horizon — `indep_rows_cached` at a sixteenth of its size (array, budget
-/// and page, which is the stripe) — writes no faster than `client_link_bw`,
-/// and every `evict_flush` span lasts at least the link's latency plus its
-/// bytes at link speed. (The asynchronous-readahead prototype broke the
-/// read side of this law: 132 MB/s through a 110 MB/s link.)
+/// How long `bytes` take on the client link at its bandwidth.
+fn on_link(cfg: &SimConfig, bytes: u64) -> Time {
+    Time::from_secs_f64(bytes as f64 / cfg.client_link_bw)
+}
+
+/// The cache never outruns the client link, in either direction. The rank
+/// hands every byte it writes behind to its NIC, and every read the cache
+/// issues, a demand fill or a readahead the rank does not wait for, comes in
+/// over the rank's one link after the reads before it. So on a one-rank
+/// cached write phase on Blue Horizon — `indep_rows_cached` at a sixteenth
+/// of its size (plane, budget and page, which is the stripe: a plane is half
+/// a page, so readahead runs two reads ahead) — and on the read phase that
+/// gets its planes back through the same cache:
+///
+/// * neither phase moves its bytes faster than `client_link_bw`;
+/// * every `evict_flush` span lasts at least the link's latency plus its
+///   bytes at link speed;
+/// * every `cache_fill` / `readahead_fill` span ends no earlier than its
+///   bytes at link speed after both its own latency and the previous fill's
+///   end.
+///
+/// (Without the link rule, readahead that lets the rank go on reads
+/// `indep_rows_cached` at 132 MB/s through its 110 MB/s link. At this size
+/// the servers hold the read phase far below the link either way; the fill
+/// spans are what show two reads sharing it.)
 #[test]
-fn write_behind_never_outruns_the_client_link() {
+fn the_cache_never_outruns_the_client_link() {
     let mut cfg = SimConfig::sdsc_blue_horizon();
     cfg.stripe_size /= 16;
     cfg.events = TraceLog::with_capacity(1 << 20);
     cfg.events.set_enabled(true);
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
-    let dims = [64u64, 64, 128];
+    let dims = [256u64, 16, 128];
     let info = cached_info().with("pnc_cache_size", "524288");
     let row: Vec<f32> = (0..dims[2]).map(|i| i as f32).collect();
     let passes = 4;
@@ -389,17 +407,29 @@ fn write_behind_never_outruns_the_client_link() {
             }
         }
         ds.end_indep_data().unwrap();
-        let phase = c.now() - t0;
+        let written = c.now() - t0;
+        ds.begin_indep_data().unwrap();
+        let t1 = c.now();
+        for _ in 0..passes {
+            for z in 0..dims[0] {
+                let plane: Vec<f32> = ds.get_vara(v, &[z, 0, 0], &[1, dims[1], dims[2]]).unwrap();
+                assert!(plane.chunks(row.len()).all(|got| got == row), "plane {z}");
+            }
+        }
+        ds.end_indep_data().unwrap();
+        let read = c.now() - t1;
         ds.close().unwrap();
-        phase
+        [written, read]
     });
     let bytes = passes * dims.iter().product::<u64>() * 4;
-    let rate = bytes as f64 / run.results[0].as_secs_f64();
-    assert!(
-        rate <= cfg.client_link_bw,
-        "{rate:.0} B/s written behind through a {:.0} B/s link",
-        cfg.client_link_bw
-    );
+    for (phase, took) in ["written behind", "read"].iter().zip(run.results[0]) {
+        let rate = bytes as f64 / took.as_secs_f64();
+        assert!(
+            rate <= cfg.client_link_bw,
+            "{rate:.0} B/s {phase} through a {:.0} B/s link",
+            cfg.client_link_bw
+        );
+    }
     let snap = cfg.events.snapshot();
     assert_eq!(snap.dropped, 0);
     let flushes: Vec<_> = snap
@@ -410,7 +440,7 @@ fn write_behind_never_outruns_the_client_link() {
     assert!(!flushes.is_empty(), "no eviction wrote behind");
     for s in flushes {
         let bytes = s.arg("bytes").unwrap();
-        let link = cfg.client_link_latency + Time::from_secs_f64(bytes as f64 / cfg.client_link_bw);
+        let link = cfg.client_link_latency + on_link(&cfg, bytes);
         assert!(
             s.nanos() >= link.as_nanos(),
             "an eviction wrote {bytes} B behind in {} ns, faster than the link ({} ns)",
@@ -418,4 +448,67 @@ fn write_behind_never_outruns_the_client_link() {
             link.as_nanos()
         );
     }
+    // The fills in the order they were issued, each queued on the link
+    // behind the one before it.
+    let fills = snap.spans.iter().filter(|s| s.name.ends_with("_fill"));
+    let (mut link_free, mut ahead) = (0u64, 0);
+    for s in fills {
+        let bytes = s.arg("bytes").unwrap();
+        let lands = (s.begin + cfg.client_link_latency.as_nanos()).max(link_free)
+            + on_link(&cfg, bytes).as_nanos();
+        assert!(
+            s.end >= lands,
+            "a {} of {bytes} B issued at {} ns landed at {} ns, before the link could carry it ({lands} ns)",
+            s.name,
+            s.begin,
+            s.end
+        );
+        link_free = s.end;
+        ahead += (s.name == "readahead_fill") as u32;
+    }
+    assert!(ahead > 0, "the read phase read nothing ahead");
+}
+
+/// One client link per rank, not one per file: a rank reads two cached
+/// files plane by plane in alternation, each a sequential stream its own
+/// cache reads ahead of, and both streams come in over the same link, so
+/// together they read no faster than `client_link_bw`. Blue Horizon's full
+/// stripes, so a page takes longer on the link than on a server. (A link
+/// clock per cache lets the two caches' reads overlap on the link: 150 MB/s
+/// here.)
+#[test]
+fn two_cached_files_share_the_ranks_one_client_link() {
+    use pnetcdf_mpio::{MpiFile, OpenMode};
+
+    let cfg = SimConfig::sdsc_blue_horizon();
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    // A plane is two pages: a readahead fetches the next plane.
+    let (planes, plane) = (16u64, 2 * cfg.stripe_size as u64);
+    let content: Vec<u8> = (0..planes * plane).map(|i| (i % 251) as u8).collect();
+    for name in ["a", "b"] {
+        pfs.create(name).import_bytes(&content);
+    }
+    let info = cached_info().with("pnc_cache_size", &(4 * cfg.stripe_size).to_string());
+    let run = run_world(1, cfg.clone(), |c| {
+        let open = |name| MpiFile::open(c, &pfs, name, OpenMode::ReadOnly, &info).unwrap();
+        let files = [open("a"), open("b")];
+        let t0 = c.now();
+        let mut got = vec![0u8; plane as usize];
+        for z in 0..planes {
+            for f in &files {
+                f.read_runs_into(&[(z * plane, plane)], &mut got).unwrap();
+                assert_eq!(got, content[(z * plane) as usize..][..plane as usize]);
+            }
+        }
+        for f in &files {
+            f.sync().unwrap();
+        }
+        c.now() - t0
+    });
+    let rate = (2 * planes * plane) as f64 / run.results[0].as_secs_f64();
+    assert!(
+        rate <= cfg.client_link_bw,
+        "two files read at {rate:.0} B/s together through one {:.0} B/s link",
+        cfg.client_link_bw
+    );
 }
