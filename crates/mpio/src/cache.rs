@@ -145,7 +145,8 @@ impl CacheLedger {
     ) -> MpioResult<()> {
         let mut lent = recycle(std::mem::take(list));
         lent.extend(segs);
-        let done = recover::write_at(file, policy, self.now, offset, &lent);
+        let run = [(offset, lent.iter().map(|s| s.len() as u64).sum())];
+        let done = recover::write(file, policy, self.now, &run, &lent);
         *list = recycle(lent);
         let done = done?;
         self.await_write(done.handoff);
@@ -1112,7 +1113,8 @@ mod tests {
         // What the eviction's request completes as: the same write at the
         // same time on an identical, idle file system.
         let (_, twin, _) = setup(1024);
-        let done = recover::write_at(&twin, &cache.policy, led.now, 0, &[&[1u8; 1024]]).unwrap();
+        let done = recover::write(&twin, &cache.policy, led.now, &[(0, 1024)], &[&[1u8; 1024]]);
+        let done = done.unwrap();
         assert!(done.handoff < done.durable, "a disk is slower than a NIC");
         cache.evict(&file, &mut led, 0).unwrap();
         assert_eq!((led.now, cache.horizon), (done.handoff, done.durable));
@@ -1169,7 +1171,14 @@ mod tests {
         for k in 0..pages {
             // The miss of page k evicts page k-1 before anything is charged.
             let evicted = k.checked_sub(1).map(|v| {
-                recover::write_at(&twin, &cache.policy, led.now, v * 1024, &[&page(v)[..]]).unwrap()
+                recover::write(
+                    &twin,
+                    &cache.policy,
+                    led.now,
+                    &[(v * 1024, 1024)],
+                    &[&page(v)],
+                )
+                .unwrap()
             });
             cache
                 .write_runs(&file, &mut led, &[(k * 1024, 1024)], &page(k))

@@ -4,14 +4,15 @@
 //!
 //! The simulated PFS ([`pnetcdf_pfs`]) can inject typed faults (transient
 //! EIO, short transfers, latency stalls, server crashes) through its
-//! fallible `try_write_at` / `try_read_at` API, and its ladder retries a
+//! fallible `try_write` / `try_read_at` doors, and its ladder retries a
 //! request until it completes or the per-stall budget of the
 //! [`RetryPolicy`] runs out (a transfer that moved bytes refills it), with
 //! every backoff charged to the caller's virtual clock — so recovery time
 //! shows up in the disk phases of the profile — and tallied in the shared
-//! [`hpc_sim::Profile`] fault counters. A write's payload is a gather list
-//! ([`write_at`]); a short write resumes by skipping the bytes the PFS
-//! guaranteed, and only then is a trimmed list built. This module adds what
+//! [`hpc_sim::Profile`] fault counters. There is one entry per direction,
+//! [`write`] and [`read_at`]. A write is a run list with a gather list as
+//! its payload; a short write resumes by skipping the payload bytes the PFS
+//! guaranteed, and only then are trimmed lists built. This module adds what
 //! only MPI-IO knows:
 //!
 //! * **Spans**: each backoff is recorded on the ambient request's
@@ -110,33 +111,39 @@ fn climb<T>(
         .map_err(|attempts| esc.give_up(file, attempts, format!("{} of '{}'", what(), file.name())))
 }
 
-/// Write the gather list `segs` (the payload is their concatenation) at
-/// `offset` with fault recovery. Returns the two-stage completion:
-/// `handoff` (server NIC owns the bytes, the bounded admission queue is the
-/// backpressure) and `durable` (disk has them) — pipelined two-phase and
-/// the page cache's write-behind advance on `handoff`, everyone else takes
+/// Write the sorted disjoint `(offset, len)` runs `runs` (one when
+/// contiguous), their payload the concatenation of the gather list `segs`,
+/// with fault recovery: the door every writer leaves through
+/// ([`PfsFile::try_write`]). Returns the two-stage completion: `handoff`
+/// (server NIC owns the bytes, the bounded admission queue is the
+/// backpressure) and `durable` (disk has them) — pipelined two-phase and the
+/// page cache's write-behind advance on `handoff`, everyone else takes
 /// `durable`. Or [`MpioError::Exhausted`] once `policy.attempts`
 /// consecutive zero-progress attempts have failed.
-pub fn write_at(
+pub fn write(
     file: &PfsFile,
     policy: &RetryPolicy,
     start: Time,
-    offset: u64,
+    runs: &[(u64, u64)],
     segs: &[&[u8]],
 ) -> MpioResult<WriteCompletion> {
-    // The trimmed list exists only once a short completion has moved the
-    // resume point; the fault-free path lends `segs` as it is.
-    let (mut tail, mut trimmed) = (Vec::new(), 0u64);
+    // The trimmed lists exist only once a short completion has moved the
+    // resume point; the fault-free path lends `runs` and `segs` as they are.
+    let (mut tail, mut trimmed) = ((Vec::new(), Vec::new()), 0u64);
     let attempt = |t, resume: u64| {
-        if resume != trimmed {
-            (tail, trimmed) = (skip_bytes(segs, resume), resume);
+        if resume == 0 {
+            return file.try_write(t, runs, segs);
         }
-        let pending = if resume == 0 { segs } else { &tail[..] };
-        file.try_write_at(t, offset + resume, pending)
+        if resume != trimmed {
+            (tail, trimmed) = ((trim_runs(runs, resume), skip_bytes(segs, resume)), resume);
+        }
+        file.try_write(t, &tail.0, &tail.1)
     };
+    // An agreed error's text is its allgather payload, so it is on the
+    // clock: the wording stays.
     let what = || {
-        let len: usize = segs.iter().map(|s| s.len()).sum();
-        format!("write of {len} bytes at offset {offset}")
+        let len: u64 = runs.iter().map(|&(_, len)| len).sum();
+        format!("vectored write of {len} bytes in {} runs", runs.len())
     };
     climb(file, policy, start, attempt, what)
 }
@@ -154,8 +161,8 @@ fn skip_bytes<'a>(segs: &[&'a [u8]], skip: u64) -> Vec<&'a [u8]> {
 }
 
 /// Drop the leading `skip` payload bytes from `runs` (run order), returning
-/// the trimmed tail. Resuming a short run-list write re-issues exactly the
-/// bytes the PFS has not guaranteed.
+/// the trimmed tail: with [`skip_bytes`], exactly the bytes the PFS has not
+/// guaranteed.
 fn trim_runs(runs: &[(u64, u64)], skip: u64) -> Vec<(u64, u64)> {
     let mut out = Vec::with_capacity(runs.len());
     let mut remaining = skip;
@@ -170,36 +177,8 @@ fn trim_runs(runs: &[(u64, u64)], skip: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// Write of sorted disjoint `(offset, len)` runs holding the concatenated
-/// `data`, with the same fault recovery as [`write_at`]. The runs are
-/// coalesced into one PFS request per server ([`PfsFile::try_write_runs`]):
-/// the door every collective write window leaves through.
-pub fn write_runs(
-    file: &PfsFile,
-    policy: &RetryPolicy,
-    start: Time,
-    runs: &[(u64, u64)],
-    data: &[u8],
-) -> MpioResult<WriteCompletion> {
-    // The trimmed tail exists only once a short completion has moved the
-    // resume point; the fault-free path hands `runs` through untouched.
-    let (mut tail, mut trimmed) = (Vec::new(), 0u64);
-    let attempt = |t, resume: u64| {
-        if resume != trimmed {
-            (tail, trimmed) = (trim_runs(runs, resume), resume);
-        }
-        let pending = if resume == 0 { runs } else { &tail[..] };
-        file.try_write_runs(t, pending, &data[resume as usize..])
-    };
-    // An agreed error's text is its allgather payload, so it is on the
-    // clock: the wording stays.
-    let (len, n) = (data.len(), runs.len());
-    let what = || format!("vectored write of {len} bytes in {n} runs");
-    climb(file, policy, start, attempt, what)
-}
-
 /// Read into `buf` from `offset` with fault recovery; same policy as
-/// [`write_at`].
+/// [`write`].
 pub fn read_at(
     file: &PfsFile,
     policy: &RetryPolicy,
@@ -238,7 +217,7 @@ mod tests {
         });
         let policy = RetryPolicy::default();
         let data: Vec<u8> = (0..30_000u32).map(|i| (i % 253) as u8).collect();
-        let t = write_at(&f, &policy, Time::ZERO, 7, &[&data[..]])
+        let t = write(&f, &policy, Time::ZERO, &[(7, 30_000)], &[&data])
             .expect("write should recover")
             .durable;
         let mut out = vec![0u8; data.len()];
@@ -265,7 +244,7 @@ mod tests {
         let policy = RetryPolicy::default();
 
         let (ours, our_cfg) = faulty_file(plan.clone());
-        let t_w = write_at(&ours, &policy, Time::ZERO, 7, &[&data[..]])
+        let t_w = write(&ours, &policy, Time::ZERO, &[(7, 30_000)], &[&data])
             .unwrap()
             .durable;
         let mut our_bytes = vec![0u8; data.len()];
@@ -298,26 +277,44 @@ mod tests {
         );
     }
 
+    /// A run list whose gather list is cut inside runs, under transient and
+    /// short faults: the one entry resumes both lists at the same payload
+    /// byte, the bytes land, and the completion and every fault counter are
+    /// those of the one-segment payload under the same plan.
     #[test]
     fn vectored_write_recovers_and_matches() {
-        let (f, cfg) = faulty_file(FaultPlan {
+        let plan = FaultPlan {
             transient: 0.25,
             short: 0.25,
             ..FaultPlan::default()
-        });
+        };
         let policy = RetryPolicy::default();
         let runs = [(0u64, 3000u64), (5000, 2000), (9000, 4000)];
         let data: Vec<u8> = (0..9000u32).map(|i| (i * 11 % 251) as u8).collect();
-        let c = write_runs(&f, &policy, Time::ZERO, &runs, &data).expect("should recover");
-        assert!(c.handoff <= c.durable);
-        let mut pos = 0usize;
-        for &(off, len) in &runs {
-            let mut out = vec![0u8; len as usize];
-            read_at(&f, &policy, c.durable, off, &mut out).unwrap();
-            assert_eq!(out, &data[pos..pos + len as usize]);
-            pos += len as usize;
+        let cut: [&[u8]; 5] = [
+            &data[..1000],
+            &data[1000..3500],
+            &[],
+            &data[3500..8999],
+            &data[8999..],
+        ];
+        let mut seen = Vec::new();
+        for segs in [&[&data[..]][..], &cut[..]] {
+            let (f, cfg) = faulty_file(plan.clone());
+            let c = write(&f, &policy, Time::ZERO, &runs, segs).expect("should recover");
+            assert!(c.handoff <= c.durable);
+            let mut pos = 0usize;
+            for &(off, len) in &runs {
+                let mut out = vec![0u8; len as usize];
+                read_at(&f, &policy, c.durable, off, &mut out).unwrap();
+                assert_eq!(out, &data[pos..pos + len as usize]);
+                pos += len as usize;
+            }
+            let fc = cfg.profile.fault_counters();
+            assert!(fc.retries > 0 && fc.short_completions > 0, "{fc:?}");
+            seen.push((c.handoff, c.durable, fc));
         }
-        assert!(cfg.profile.fault_counters().retries > 0);
+        assert_eq!(seen[0], seen[1]);
     }
 
     #[test]
@@ -331,7 +328,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let policy = RetryPolicy::default();
-        let err = write_at(&f, &policy, Time::ZERO, 0, &[&[1u8; 8192]]).unwrap_err();
+        let err = write(&f, &policy, Time::ZERO, &[(0, 8192)], &[&[1u8; 8192]]).unwrap_err();
         match err {
             MpioError::Exhausted { attempts, .. } => assert!(attempts >= policy.attempts),
             other => panic!("expected Exhausted, got {other:?}"),
@@ -353,7 +350,7 @@ mod tests {
         });
         let policy = RetryPolicy::default();
         let data = vec![9u8; 8192];
-        let t = write_at(&f, &policy, Time::ZERO, 0, &[&data[..]])
+        let t = write(&f, &policy, Time::ZERO, &[(0, 8192)], &[&data])
             .expect("restart should save it")
             .durable;
         assert!(t >= Time::from_millis(1));

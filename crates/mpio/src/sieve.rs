@@ -95,14 +95,14 @@ pub fn write(
         return Ok(now);
     }
     if runs.len() == 1 {
-        return recover::write_at(file, &policy, now, runs[0].0, &[data]).map(|c| c.durable);
+        return recover::write(file, &policy, now, runs, &[data]).map(|c| c.durable);
     }
     if !sieve {
         let mut pos = 0usize;
-        for &(off, len) in runs {
-            let run = &data[pos..pos + len as usize];
-            now = recover::write_at(file, &policy, now, off, &[run])?.durable;
-            pos += len as usize;
+        for run in runs.chunks(1) {
+            let bytes = &data[pos..pos + run[0].1 as usize];
+            now = recover::write(file, &policy, now, run, &[bytes])?.durable;
+            pos += bytes.len();
         }
         file.profile()
             .record_sieve(false, data.len() as u64, data.len() as u64);
@@ -117,7 +117,8 @@ pub fn write(
     while let Some((wlo, whi)) = windows.advance() {
         if let [(off, len, dpos)] = windows.pieces[..] {
             transferred += len as u64;
-            now = recover::write_at(file, &policy, now, off, &[&data[dpos..dpos + len]])?.durable;
+            let run = [(off, len as u64)];
+            now = recover::write(file, &policy, now, &run, &[&data[dpos..dpos + len]])?.durable;
             continue;
         }
         // Read-modify-write the extent [wlo, whi). The reused buffer needs
@@ -134,7 +135,7 @@ pub fn write(
             let lo = (off - wlo) as usize;
             buf[lo..lo + len].copy_from_slice(&data[dpos..dpos + len]);
         }
-        now = recover::write_at(file, &policy, now, wlo, &[buf])?.durable;
+        now = recover::write(file, &policy, now, &[(wlo, span as u64)], &[buf])?.durable;
     }
     file.profile()
         .record_sieve(false, transferred, data.len() as u64);

@@ -893,7 +893,7 @@ impl Engine<'_> {
         }
         self.split.rmw += rmw as u64;
         overlay(buf, runs, &win.pieces, reqs);
-        let completion = recover::write_runs(self.file, &self.policy, t_a, runs, buf)?;
+        let completion = recover::write(self.file, &self.policy, t_a, runs, &[buf])?;
         let advance = if on_handoff {
             completion.handoff
         } else {

@@ -467,7 +467,10 @@ mod tests {
         });
         let f = fs.create("d");
         let data = pattern(20_000, 11);
-        let t = f.try_write_at(Time::ZERO, 0, &[&data[..]]).unwrap().durable;
+        let t = f
+            .try_write(Time::ZERO, &[(0, 20_000)], &[&data])
+            .unwrap()
+            .durable;
         assert!(t < Time::from_secs_f64(1.0), "setup must precede the crash");
         assert!(fs.mark_server_down(2));
         assert!(!fs.mark_server_down(2), "idempotent");
@@ -498,11 +501,11 @@ mod tests {
         });
         let f = fs.create("r");
         let before = pattern(8_000, 5);
-        f.try_write_at(Time::ZERO, 0, &[&before[..]]).unwrap();
+        f.try_write(Time::ZERO, &[(0, 8_000)], &[&before]).unwrap();
         fs.mark_server_down(1);
         // Degraded write overwrites the middle, including server-1 stripes.
         let during = pattern(12_000, 9);
-        f.try_write_at(Time::from_secs_f64(2.0), 1024, &[&during[..]])
+        f.try_write(Time::from_secs_f64(2.0), &[(1024, 12_000)], &[&during])
             .unwrap();
         let fo = fs.inner.cfg.profile.failover_counters();
         assert!(fo.redirected_writes > 0, "server 1 stripes were redirected");

@@ -1,10 +1,13 @@
 //! File handles: timed striped reads and writes, plus untimed export/import.
 //!
-//! There is one fallible contiguous write, [`PfsFile::try_write_at`], and
-//! its memory side is a gather list: the payload is the concatenation of
-//! the slices it is lent, which the servers copy from as they walk their
-//! chunks, so noncontiguous memory (page slots, a collective buffer) goes
-//! out as one request without a bounce copy.
+//! There is one timed door per direction. The write door,
+//! [`PfsFile::try_write`], takes a run list on the file side (one run when
+//! contiguous) and a gather list on the memory side: the payload is the
+//! concatenation of the slices it is lent, which the servers copy from as
+//! they walk their chunks, so noncontiguous memory (page slots, a
+//! collective buffer) and noncontiguous file regions (a collective window)
+//! go out as one request per server without a bounce copy. The read door is
+//! [`PfsFile::try_read_at`].
 
 use std::sync::Arc;
 
@@ -130,87 +133,43 @@ impl PfsFile {
             .unwrap_or(0)
     }
 
-    /// Timed write at `offset`, starting at virtual time `start`, of the
-    /// payload `segs`: a gather list whose concatenation is the bytes to
-    /// write (`&[data]`, page slots, a collective buffer), so noncontiguous
-    /// memory goes out as one contiguous file request without a bounce
-    /// copy. Returns both acknowledgement points: a pipelined client may
-    /// proceed at `handoff` and wait for `durable` only when it needs the
-    /// bytes on disk. Or the first injected fault.
+    /// Timed write, starting at virtual time `start`, of the runs `runs` —
+    /// `(offset, len)` pairs, sorted and disjoint, one when the span is
+    /// contiguous — whose payload is the concatenation of the gather list
+    /// `segs` (`&[data]`, page slots, a collective buffer), so noncontiguous
+    /// file and memory regions go out without a bounce copy. Returns both
+    /// acknowledgement points: a pipelined client may proceed at `handoff`
+    /// and wait for `durable` only when it needs the bytes on disk. Or the
+    /// first injected fault.
     ///
-    /// The request is split across servers; a client pushes bytes through
-    /// its NIC (`client_link_bw`) in file order, so server `k`'s portion
-    /// arrives after the portions before it have been transmitted. Each
-    /// server coalesces its portion into one disk request. All portions
-    /// are issued (they are in flight by the time a fault is detected);
-    /// a failure's `completed` count is the contiguous file-order prefix
-    /// that is *guaranteed* transferred, so a recovery layer can resume at
-    /// `offset + completed` — later scattered chunks that happened to land
-    /// are simply rewritten with the same bytes.
-    pub fn try_write_at(
-        &self,
-        start: Time,
-        offset: u64,
-        segs: &[&[u8]],
-    ) -> Result<WriteCompletion, IoFailure> {
-        let run = (offset, segs.iter().map(|s| s.len() as u64).sum());
-        // A server's portion has arrived once the client NIC has streamed
-        // every portion issued before it, and its own.
-        let striping = self.pfs.inner.striping;
-        let portions = striping.portions(&run).scan(0u64, |sent, (srv, chunks)| {
-            *sent += chunks.map(|(c, _)| c.len).sum::<u64>();
-            Some((srv, *sent, chunks))
-        });
-        self.write_portions(start, segs, run.1, run.0 + run.1, portions)
-    }
-
-    /// Timed write of several disjoint runs in one shot. `runs` are
-    /// `(offset, len)` pairs, sorted and non-overlapping; `data` is their
-    /// concatenated payload. The whole batch is split by server and
-    /// **coalesced into one request per server** — this is how an
-    /// aggregator writes a collective-buffer window of server-affine
-    /// stripes with a single per-request overhead per server instead of
-    /// one per stripe. On failure, `completed` counts the leading bytes of
-    /// `data` (run order) guaranteed transferred.
-    pub fn try_write_runs(
+    /// The request is split by server and each server's portion is
+    /// coalesced into one disk request — how an aggregator writes a window
+    /// of server-affine stripes with one per-request overhead per server
+    /// instead of one per stripe. The client pushes each portion whole
+    /// through its NIC (`client_link_bw`) in issue order, by first chunk, so
+    /// a portion arrives once it and every portion before it have been sent;
+    /// how the bytes are cut into runs and segments does not move it. All
+    /// portions are issued (they are in flight by the time a fault is
+    /// detected); a failure's `completed` counts the leading payload bytes
+    /// that are *guaranteed* transferred, so a recovery layer can resume
+    /// there — later scattered chunks that happened to land are simply
+    /// rewritten with the same bytes.
+    pub fn try_write(
         &self,
         start: Time,
         runs: &[(u64, u64)],
-        data: &[u8],
+        segs: &[&[u8]],
     ) -> Result<WriteCompletion, IoFailure> {
         debug_assert!(
             runs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
             "runs must be sorted and disjoint"
         );
+        let len: u64 = runs.iter().map(|&(_, len)| len).sum();
         debug_assert_eq!(
-            runs.iter().map(|&(_, len)| len).sum::<u64>(),
-            data.len() as u64,
-            "runs must describe data"
+            len,
+            segs.iter().map(|s| s.len() as u64).sum::<u64>(),
+            "runs must describe segs"
         );
-        let end = runs.last().map_or(0, |&(off, len)| off + len);
-        // The client NIC streams the payload in run order: a server's
-        // portion has arrived once its last chunk has gone out.
-        let striping = self.pfs.inner.striping;
-        let portions = striping.run_portions(runs).map(|(srv, chunks)| {
-            let sent = chunks.last().map_or(0, |(c, pos)| pos as u64 + c.len);
-            (srv, sent, chunks)
-        });
-        self.write_portions(start, &[data], data.len() as u64, end, portions)
-    }
-
-    /// Issue one write request of the `len` payload bytes `segs` holds:
-    /// `portions` yields, in issue order, each touched server with the
-    /// payload bytes the client NIC has sent when that server's portion is
-    /// complete, and the portion's chunks. `end` is the file offset the
-    /// request reaches.
-    fn write_portions<'a>(
-        &self,
-        start: Time,
-        segs: &[&[u8]],
-        len: u64,
-        end: u64,
-        portions: impl Iterator<Item = (usize, u64, PortionChunks<'a>)> + Clone,
-    ) -> Result<WriteCompletion, IoFailure> {
         if len == 0 {
             return Ok(WriteCompletion {
                 handoff: start,
@@ -229,7 +188,10 @@ impl PfsFile {
         let mut redirected = false;
         // Portions cut short by a fault: (server, bytes transferred, fault).
         let mut faulted: Vec<(usize, u64, FaultKind)> = Vec::new();
-        for (srv, sent, chunks) in portions.clone() {
+        let portions = self.pfs.inner.striping.run_portions(runs);
+        let mut sent = 0u64;
+        for (srv, chunks) in portions {
+            sent += chunks.map(|(c, _)| c.len).sum::<u64>();
             let arrival = start
                 + cfg.client_link_latency
                 + Time::from_secs_f64(sent as f64 / cfg.client_link_bw);
@@ -271,13 +233,13 @@ impl PfsFile {
             }
         }
         if faulted.is_empty() {
-            self.grow_to(end);
+            self.grow_to(runs.last().map_or(0, |&(off, len)| off + len));
             return Ok(WriteCompletion {
                 handoff,
                 durable: done,
             });
         }
-        let status = portion_status(portions.map(|(srv, _, chunks)| (srv, chunks)), &faulted);
+        let status = portion_status(portions, &faulted);
         let (completed, kind, server) = completed_prefix(&status);
         // Record what actually landed, scattered chunks included.
         self.grow_to(transferred_end(&status));
@@ -297,7 +259,8 @@ impl PfsFile {
     /// for the real serial API.
     pub fn write_at(&self, start: Time, offset: u64, data: &[u8]) -> Time {
         let attempt = |t, resume: u64| {
-            self.try_write_at(t, offset + resume, &[&data[resume as usize..]])
+            let rest = &data[resume as usize..];
+            self.try_write(t, &[(offset + resume, rest.len() as u64)], &[rest])
                 .map(|c| c.durable)
         };
         let (policy, profile) = (RetryPolicy::default(), self.profile());
@@ -323,8 +286,8 @@ impl PfsFile {
         let cfg = &self.pfs.inner.cfg;
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
-        let run = (offset, buf.len() as u64);
-        let portions = self.pfs.inner.striping.portions(&run);
+        let run = [(offset, buf.len() as u64)];
+        let portions = self.pfs.inner.striping.run_portions(&run);
 
         // The read request message reaches every server after one latency;
         // servers then stream from disk in parallel.
@@ -353,7 +316,7 @@ impl PfsFile {
             // carried them.
             let link_done = start
                 + cfg.client_link_latency
-                + Time::from_secs_f64(run.1 as f64 / cfg.client_link_bw);
+                + Time::from_secs_f64(run[0].1 as f64 / cfg.client_link_bw);
             return Ok(disks_done.max(link_done));
         }
         let (completed, kind, server) = completed_prefix(&portion_status(portions, &faulted));
@@ -789,7 +752,7 @@ mod tests {
         };
         let f = Pfs::new(cfg, StorageMode::Full).create("short");
         let data = vec![7u8; 4000];
-        let err = f.try_write_at(Time::ZERO, 0, &[&data[..]]).unwrap_err();
+        let err = f.try_write(Time::ZERO, &[(0, 4000)], &[&data]).unwrap_err();
         assert!(err.completed < 4000);
         assert!(err.time > Time::ZERO);
         // The reported prefix really landed. (Bytes *beyond* it may also
@@ -809,7 +772,7 @@ mod tests {
         let f2 = file();
         let data = vec![3u8; 9000];
         assert_eq!(
-            f1.try_write_at(Time::ZERO, 128, &[&data[..]])
+            f1.try_write(Time::ZERO, &[(128, 9000)], &[&data])
                 .unwrap()
                 .durable,
             f2.write_at(Time::ZERO, 128, &data)
@@ -824,7 +787,7 @@ mod tests {
         f.profile().set_enabled(true);
         let runs = [(0u64, 1024u64), (4096, 1024), (8192, 1024)];
         let data: Vec<u8> = (0..3 * 1024u32).map(|i| (i % 239) as u8).collect();
-        let c = f.try_write_runs(Time::ZERO, &runs, &data).unwrap();
+        let c = f.try_write(Time::ZERO, &runs, &[&data]).unwrap();
         assert!(
             c.handoff < c.durable,
             "server owns the bytes before the disk has them"
@@ -849,7 +812,7 @@ mod tests {
         let data: Vec<u8> = (0..3448u32).map(|i| (i * 13 % 251) as u8).collect();
 
         let batched = file();
-        batched.try_write_runs(Time::ZERO, &runs, &data).unwrap();
+        batched.try_write(Time::ZERO, &runs, &[&data]).unwrap();
 
         let scalar = file();
         let mut pos = 0usize;

@@ -7,13 +7,13 @@
 //! one streaming request — our cost model does the same.
 //!
 //! The timed request path never materialises these views. A request is a
-//! run list (one run when contiguous); [`Striping::portions`] and
-//! [`Striping::run_portions`] hand out each touched server's share in the
-//! order the client issues them, a share is a [`PortionChunks`] walk over
+//! run list (one run when contiguous), and one walk,
+//! [`Striping::run_portions`], hands out each touched server's share in the
+//! order the client issues them; a share is a [`PortionChunks`] walk over
 //! that server's stripes, and every chunk carries its position in the
 //! request's payload, so the server indexes the payload itself.
 //! [`Striping::split`] builds the same chunks as a vector, for the untimed
-//! export paths and as the walks' test oracle.
+//! export paths and as the walk's test oracle.
 
 /// Round-robin striping layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,27 +99,9 @@ impl Striping {
         }
     }
 
-    /// Each touched server's share of the contiguous request `run`
-    /// (`(offset, len)`), in the order a client issues them: by the file
-    /// offset of the share's first chunk.
-    pub fn portions<'a>(&self, run: &'a (u64, u64)) -> Portions<'a> {
-        let (offset, len) = *run;
-        let first = offset / self.stripe_size;
-        let touched = match len {
-            0 => 0,
-            _ => (offset + len - 1) / self.stripe_size - first + 1,
-        };
-        Portions {
-            striping: *self,
-            run: std::slice::from_ref(run),
-            stripe: first,
-            left: touched.min(self.nservers as u64),
-        }
-    }
-
-    /// Each touched server's share of a run-list request — `runs` sorted and
-    /// disjoint, the payload their concatenation — in the order a client
-    /// issues them: by first appearance in file order.
+    /// Each touched server's share of a request — `runs` sorted and
+    /// disjoint, one when contiguous, the payload their concatenation — in
+    /// the order a client issues them: by first appearance in file order.
     pub fn run_portions<'a>(&self, runs: &'a [(u64, u64)]) -> RunPortions<'a> {
         RunPortions {
             flat: PortionChunks::new(*self, runs, 0, 0, None),
@@ -240,31 +222,6 @@ impl Iterator for PortionChunks<'_> {
             let (next, pos) = (self.run + 1, self.run_pos + len);
             *self = PortionChunks::new(self.striping, self.runs, next, pos, self.server);
         }
-    }
-}
-
-/// See [`Striping::portions`].
-#[derive(Clone, Copy, Debug)]
-pub struct Portions<'a> {
-    striping: Striping,
-    run: &'a [(u64, u64)],
-    /// First stripe of the next share; shares start one stripe apart.
-    stripe: u64,
-    left: u64,
-}
-
-impl<'a> Iterator for Portions<'a> {
-    type Item = (usize, PortionChunks<'a>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let server = (self.stripe % self.striping.nservers as u64) as usize;
-        self.stripe += 1;
-        let share = PortionChunks::new(self.striping, self.run, 0, 0, Some(server));
-        Some((server, share))
     }
 }
 

@@ -85,8 +85,9 @@ fn gather_write(
 ) -> ((Time, Time), Vec<u8>, ProfileSnapshot) {
     let f = pfs.create("g");
     let policy = recover::RetryPolicy::default();
-    let t = recover::write_at(&f, &policy, Time::ZERO, 0, &[base]).unwrap();
-    let c = recover::write_at(&f, &policy, t.durable, offset, segs).unwrap();
+    let len = segs.iter().map(|s| s.len() as u64).sum();
+    let t = recover::write(&f, &policy, Time::ZERO, &[(0, base.len() as u64)], &[base]).unwrap();
+    let c = recover::write(&f, &policy, t.durable, &[(offset, len)], segs).unwrap();
     ((c.handoff, c.durable), f.to_bytes(), cfg.profile.snapshot())
 }
 
@@ -120,7 +121,7 @@ proptest! {
         }
     }
 
-    /// The walk a contiguous request is issued from hands out the servers
+    /// The walk a request is issued from, on one run, hands out the servers
     /// `split_by_server` groups, ordered by first chunk as the request path
     /// used to sort them, each with the same chunks, and every chunk knows
     /// where its bytes sit in the payload. The ranges make single-stripe,
@@ -143,9 +144,9 @@ proptest! {
         };
         let mut want = split_by_server(&s, offset, len);
         want.sort_by_key(|(_, chunks)| chunks[0].file_offset);
-        let run = (offset, len);
+        let run = [(offset, len)];
         let got: Vec<(usize, Vec<(StripeChunk, usize)>)> =
-            s.portions(&run).map(|(srv, chunks)| (srv, chunks.collect())).collect();
+            s.run_portions(&run).map(|(srv, chunks)| (srv, chunks.collect())).collect();
         prop_assert_eq!(got.len(), want.len());
         for ((srv, chunks), (want_srv, want_chunks)) in got.iter().zip(&want) {
             prop_assert_eq!(srv, want_srv);
@@ -223,6 +224,67 @@ proptest! {
             want.resize(want.len().max(offset as usize + len), 0);
             want[offset as usize..][..len].copy_from_slice(&payload);
             prop_assert_eq!(whole.1, want);
+        }
+    }
+
+    /// A write's price does not depend on how its bytes are cut. A span of
+    /// 0–20 stripes, on `test_small` and on three servers, cut into
+    /// adjacent runs at stripe boundaries and its payload into segments
+    /// (empty ones too), is handed off and durable when the one-run,
+    /// one-segment write is, with the same server requests, bytes, seeks and
+    /// every other counter; and no write is handed off before the client
+    /// link has carried it. Cuts inside a stripe are left out: the disk
+    /// charges a partial stripe per chunk.
+    #[test]
+    fn a_writes_price_does_not_depend_on_how_its_bytes_are_cut(
+        three_servers in any::<bool>(),
+        first_stripe in 0u64..8,
+        head in 0u64..1024,
+        stripes in 0u64..=20,
+        run_cuts in vec(0u64..32, 0..8),
+        seg_cuts in vec(0usize..30_000, 0..8),
+        empties in vec(0usize..16, 0..4),
+    ) {
+        // A fresh platform, and so a fresh profile, per write.
+        let platform = || {
+            let mut cfg = SimConfig::test_small();
+            cfg.io_servers = if three_servers { 3 } else { cfg.io_servers };
+            cfg.profile.set_enabled(true);
+            cfg
+        };
+        let cfg = platform();
+        let size = cfg.stripe_size as u64;
+        let (offset, len) = (first_stripe * size + head % size, stripes * size);
+        let payload: Vec<u8> = (0..len).map(|i| (i * 17 % 251) as u8).collect();
+        // Stripe boundaries strictly inside the span, a few of them picked.
+        let inner: Vec<u64> = (offset / size + 1..(offset + len).div_ceil(size))
+            .map(|k| k * size)
+            .collect();
+        let mut at: Vec<u64> = match inner.len() {
+            0 => Vec::new(),
+            n => run_cuts.iter().map(|&c| inner[c as usize % n]).collect(),
+        };
+        at.extend([offset, offset + len]);
+        at.sort_unstable();
+        at.dedup();
+        let runs: Vec<(u64, u64)> = at.windows(2).map(|w| (w[0], w[1] - w[0])).collect();
+        let segs = segment(&payload, &seg_cuts, &empties, false);
+        let write = |runs: &[(u64, u64)], segs: &[&[u8]]| {
+            let cfg = platform();
+            let f = Pfs::new(cfg.clone(), StorageMode::Full).create("c");
+            let c = f.try_write(Time::ZERO, runs, segs).unwrap();
+            ((c.handoff, c.durable), cfg.profile.snapshot(), f.to_bytes())
+        };
+        let whole = write(&[(offset, len)], &[&payload]);
+        let cut = write(&runs, &segs);
+        prop_assert_eq!(cut.0, whole.0, "runs {:?}", runs);
+        prop_assert_eq!(&cut.1, &whole.1);
+        prop_assert!(cut.2 == whole.2, "the cut write landed other bytes");
+        if len > 0 {
+            let link = Time::ZERO
+                + cfg.client_link_latency
+                + Time::from_secs_f64(len as f64 / cfg.client_link_bw);
+            prop_assert!(whole.0 .0 >= link, "handed off before the link carried it");
         }
     }
 
