@@ -100,6 +100,11 @@ cargo run --release --offline --quiet --manifest-path perf_bench/Cargo.toml -- -
 # ⌈request volume / cb_buffer_size⌉ sent every plotfile, corner and restart
 # variable through one of the two ranks' client links, and sat at 49.080 and
 # 52.111.
+# The 64 MiB collective's simulated bandwidths are virtual time too: 172.309
+# MB/s written and 189.277 read are measured with one client-link price for
+# every PFS write, each server's portion sent whole in issue order; a window
+# priced as a run list, its portion arriving when the file-order stream
+# reached its last chunk, sat at 165.193 written.
 # (`ops_failed == 0` below repeats, per file, what the binary's exit code has
 # already said for all four workloads.)
 python3 - perf_bench/out/indep_rows.json perf_bench/out/coll3d_x.json perf_bench/out/flash_ckpt.json \
@@ -120,6 +125,9 @@ assert flash_peak <= 55.7, f"flash_ckpt peaks at {flash_peak:.2f} MiB of heap (b
 flash_write, flash_read = value(flash, "sim_write_mb_s"), value(flash, "sim_read_mb_s")
 assert flash_write >= 51.53, f"flash_ckpt writes {flash_write:.3f} simulated MB/s (51.536 measured)"
 assert flash_read >= 59.63, f"flash_ckpt reads {flash_read:.3f} simulated MB/s (59.631 measured)"
+coll_write, coll_read = value(coll, "sim_write_mb_s"), value(coll, "sim_read_mb_s")
+assert coll_write >= 172.30, f"coll3d_x writes {coll_write:.3f} simulated MB/s (172.309 measured)"
+assert coll_read >= 189.27, f"coll3d_x reads {coll_read:.3f} simulated MB/s (189.277 measured)"
 cached_alloc, cached_peak = value(cached, "alloc_bytes_per_byte"), value(cached, "peak_heap_mb")
 assert cached_alloc <= 1.33, f"indep_rows_cached requests {cached_alloc:.3f} heap B per payload B (budget 1.33)"
 assert cached_peak <= 42.9, f"indep_rows_cached peaks at {cached_peak:.2f} MiB of heap (budget 42.9)"
