@@ -238,7 +238,7 @@ fn parity_carries_the_checkpoint_through_a_server_crash() {
     let t_read = makespan + Time::from_millis(1);
     assert!(t_read < restart, "read must land inside the outage");
     let mut degraded = vec![0u8; f.size() as usize];
-    f.try_read_at(t_read, 0, &mut degraded)
+    f.try_read(t_read, &[(0, f.size())], &mut [&mut degraded])
         .expect("degraded read must succeed without server 0");
     assert!(
         degraded == clean_bytes,
@@ -251,8 +251,12 @@ fn parity_carries_the_checkpoint_through_a_server_crash() {
     // The first access past the restart triggers the online rebuild; the
     // server rejoins and the file is byte-identical.
     let mut probe = [0u8; 1];
-    f.try_read_at(restart + Time::from_secs_f64(1.0), 0, &mut probe)
-        .expect("post-restart read failed");
+    f.try_read(
+        restart + Time::from_secs_f64(1.0),
+        &[(0, 1)],
+        &mut [&mut probe],
+    )
+    .expect("post-restart read failed");
     assert_eq!(pfs.down_server(), None, "rebuild never cleared the mark");
     let fo = crash_sim.profile.failover_counters();
     assert_eq!(fo.rebuilds, 1, "expected one rebuild: {fo:?}");

@@ -33,8 +33,9 @@
 //!   eviction writes its victim's runs with their zero-gap dirty
 //!   neighbours, up to the stripe row, in one request, and the neighbours
 //!   stay cached, clean. Every such request lends slot memory to the PFS
-//!   as a gather list: nothing is copied to be written, and the cache's one
-//!   staging buffer is the fill bounce. The rank goes on at a write's
+//!   as a gather list, and every fill reads straight into slot memory
+//!   through a scatter list of its pages' gaps: the cache copies nothing to
+//!   write or to fill, and has no staging buffer. The rank goes on at a write's
 //!   *handoff* (every touched server's NIC owns the bytes; the client link
 //!   has streamed them and the servers' bounded queues push back), and the
 //!   cache remembers the latest `durable` of anything it wrote behind — its
@@ -42,7 +43,7 @@
 //!   horizon, so what a sync promises is on disk.
 //! * **Readahead, ahead of the rank.** Two byte-contiguous reads in a row
 //!   mark the stream sequential; the absent pages among the next two are
-//!   fetched with one contiguous PFS read and inserted clean. The read is
+//!   fetched with one PFS read and inserted clean. The read is
 //!   issued at the rank's clock and the rank goes on: each page remembers
 //!   when its fill lands (`ready`), its first touch — a copy-out, a write
 //!   hit, its eviction — waits for that, and so does every flush point.
@@ -73,7 +74,7 @@ use pnetcdf_pfs::PfsFile;
 
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
-use crate::runs::Run;
+use crate::runs::{runs_total, Run};
 
 /// A byte range within a page, half-open.
 type PageRun = (u32, u32);
@@ -297,17 +298,17 @@ fn stretches<'a>(
 }
 
 /// `list`'s allocation, emptied, for slices of another lifetime: the
-/// cache's gather list outlives every borrow of the slots it lends, so it
-/// is kept empty and re-typed for each request. That keeps its buffer only
-/// because std collects a vector into one of the same element layout in
-/// place, which std does not guarantee: the `debug_assert` fails here if it
-/// stops, and `tests/cache_alloc_budget.rs` counts the allocation it would
-/// cost per request.
-fn recycle<'b>(mut list: Vec<&[u8]>) -> Vec<&'b [u8]> {
+/// cache's gather and scatter lists outlive every borrow of the slots they
+/// lend, so they are kept empty and re-typed for each request. That keeps
+/// their buffers only because std collects a vector into one of the same
+/// element layout in place, which std does not guarantee: the
+/// `debug_assert` fails here if it stops, and `tests/cache_alloc_budget.rs`
+/// counts the allocation it would cost per request.
+fn recycle<A, B>(mut list: Vec<A>) -> Vec<B> {
     let cap = list.capacity();
     list.clear();
-    let out: Vec<&'b [u8]> = list.into_iter().map(|_| &[][..]).collect();
-    debug_assert!(out.capacity() >= cap, "the gather list lost its buffer");
+    let out: Vec<B> = list.into_iter().filter_map(|_| None).collect();
+    debug_assert!(out.capacity() >= cap, "a lent list lost its buffer");
     out
 }
 
@@ -333,13 +334,14 @@ pub struct PageCache {
     slots: Vec<Slot>,
     /// `(page, slot)` of every cached page, sorted by page.
     index: Vec<(u64, u32)>,
-    /// The fill bounce: every fill reads its consecutive pages into it with
-    /// one PFS request. Write-behind needs none; it lends slot memory.
-    staging: Vec<u8>,
     /// The gather list a write-behind request lends, empty between
     /// requests ([`recycle`]). A stretch holds at most one run per page — a
     /// page's runs are never adjacent — so it is sized once, for every slot.
     gather: Vec<&'static [u8]>,
+    /// A fill's run list, its pages' gaps, and its scatter list, every
+    /// slot's memory and then the gaps', kept between fills like `gather`.
+    fill: Vec<Run>,
+    scatter: Vec<&'static mut [u8]>,
     /// The durability horizon: when the last byte written behind is on
     /// disk. State of the cache, not of one call's ledger — the `sync`
     /// after a `get` that evicted must still wait for that eviction.
@@ -375,8 +377,9 @@ impl PageCache {
             policy: RetryPolicy::default(),
             slots: Vec::new(),
             index,
-            staging: Vec::new(),
             gather,
+            fill: Vec::new(),
+            scatter: Vec::new(),
             horizon: Time::ZERO,
             tick: 0,
             seen_epoch: file.coherence_epoch(),
@@ -556,7 +559,7 @@ impl PageCache {
         out: &mut [u8],
     ) -> MpioResult<()> {
         let total = out.len() as u64;
-        debug_assert_eq!(crate::runs::runs_total(runs), total);
+        debug_assert_eq!(runs_total(runs), total);
         let ps = self.page_size as u64;
         let cap = self.capacity_pages as u64;
         let t0 = led.now;
@@ -619,19 +622,22 @@ impl PageCache {
         Ok(())
     }
 
-    /// Fill the invalid portions of the consecutive `pages` with one
-    /// contiguous PFS read (clipped at EOF so a tail page does not charge
-    /// for bytes past the end of the file), claiming slots for the absent
-    /// ones first — so a dirty victim's write-behind precedes the read.
-    /// `ahead` marks the pages as fetched speculatively: the read is issued
-    /// at the rank's clock and the rank goes on, the pages `ready` when it
-    /// lands. A demand fill waits for it.
+    /// Fill the invalid bytes of the consecutive `pages` with one PFS read,
+    /// claiming slots for the absent ones first — so a dirty victim's
+    /// write-behind precedes the read. The read's run list is every page's
+    /// gaps below the end of the file, its scatter list the slot memory
+    /// under them: cached dirty/valid bytes are newer than the disk copy and
+    /// are not read over, and past EOF, which reads as zeros, the slots are
+    /// zeroed instead of read. `ahead` marks the pages as fetched
+    /// speculatively: the read is issued at the rank's clock and the rank
+    /// goes on, the pages `ready` when it lands. A demand fill waits for it.
     ///
     /// This is the cache's one read door. The rank's client link carries
     /// one read after another, so a read ends no earlier than
     /// `max(start + latency, link_free) + bytes / client_link_bw`, and that
     /// end is the link's next `link_free`. A read issued with nothing in
-    /// flight finds the link free, and the PFS's own link floor decides.
+    /// flight finds the link free, and the PFS's own link floor decides. A
+    /// fill with nothing to read sends no request and leaves the link alone.
     fn fill_pages(
         &mut self,
         file: &PfsFile,
@@ -648,42 +654,65 @@ impl PageCache {
                 self.claim(file, led, page, request, pinned)?;
             }
         }
-        let lo = pages.start() * ps;
-        let hi = ((pages.end() + 1) * ps).min(file.size().max(lo + 1));
-        let read = (hi - lo) as usize;
-        // A PFS read overwrites every byte it is given (zeros past EOF and
-        // over holes), so what an earlier fill left in `staging` is gone.
-        if self.staging.len() < read {
-            self.staging.resize(read, 0);
+        // Where the end of the file lies in `page`: the bytes from there on
+        // read as zeros.
+        let eof = file.size();
+        let eof_in = |page: u64| eof.saturating_sub(page * ps).min(ps) as u32;
+        let (index, slots) = (&self.index, &mut self.slots);
+        let slot_of = |page| {
+            let at = index.binary_search_by_key(&page, |e| e.0);
+            index[at.expect("claimed above")].1 as usize
+        };
+        let mut runs = std::mem::take(&mut self.fill);
+        runs.clear();
+        for page in pages.clone() {
+            let valid = &slots[slot_of(page)].valid;
+            let below_eof = gaps(valid, 0, eof_in(page));
+            runs.extend(below_eof.map(|(lo, hi)| (page * ps + lo as u64, (hi - lo) as u64)));
+        }
+        // The scatter list: each page's gaps, cut from its slot's memory in
+        // file order. Every slot is lent whole first, in slot order, so that
+        // a page's memory can be taken out whichever slot holds it; the read
+        // is handed the gaps after them.
+        let mut lent = recycle(std::mem::take(&mut self.scatter));
+        lent.extend(slots.iter_mut().map(|slot| &mut slot.data[..]));
+        let whole = lent.len();
+        let mut holes = runs.iter().peekable();
+        for page in pages.clone() {
+            let (base, mut rest) = (page * ps, std::mem::take(&mut lent[slot_of(page)]));
+            let mut at = base;
+            while let Some(&(off, len)) = holes.next_if(|r| r.0 < base + ps) {
+                let (_, tail) = std::mem::take(&mut rest).split_at_mut((off - at) as usize);
+                let (gap, tail) = tail.split_at_mut(len as usize);
+                lent.push(gap);
+                (rest, at) = (tail, off + len);
+            }
         }
         let t0 = led.now;
-        let done = recover::read_at(file, &self.policy, t0, lo, &mut self.staging[..read])?;
-        let cfg = file.pfs().config();
-        let on_link = (t0 + cfg.client_link_latency).max(led.link_free)
-            + Time::from_secs_f64(read as f64 / cfg.client_link_bw);
-        let done = done.max(on_link);
-        led.link_free = done;
+        let done = recover::read(file, &self.policy, t0, &runs, &mut lent[whole..]);
+        self.scatter = recycle(lent);
+        let (mut done, read) = (done?, runs_total(&runs));
+        self.fill = runs;
+        if read > 0 {
+            let cfg = file.pfs().config();
+            let on_link = (t0 + cfg.client_link_latency).max(led.link_free)
+                + Time::from_secs_f64(read as f64 / cfg.client_link_bw);
+            done = done.max(on_link);
+            led.link_free = done;
+        }
         if !ahead {
             led.read_nanos += done.saturating_sub(t0).as_nanos();
             led.now = done;
         }
         let span = ["cache_fill", "readahead_fill"][ahead as usize];
-        trace_cache_span(file, span, t0, done, hi - lo);
+        trace_cache_span(file, span, t0, done, read);
         for page in pages {
             let s = self.lookup(page).expect("claimed above");
             let slot = &mut self.slots[s];
-            let disk = &self.staging[((page * ps - lo) as usize).min(read)..read];
-            // Copy disk bytes only into gaps: cached dirty/valid bytes are
-            // newer than the disk copy and must win. Past what was read
-            // lies the end of the file, which reads as zeros — and there
-            // the slot's memory holds an older page's bytes, not zeros.
-            for (glo, ghi) in gaps(&slot.valid, 0, ps32) {
-                let (glo, ghi) = (glo as usize, ghi as usize);
-                let cut = ghi.min(disk.len()).max(glo);
-                if glo < cut {
-                    slot.data[glo..cut].copy_from_slice(&disk[glo..cut]);
-                }
-                slot.data[cut..ghi].fill(0);
+            // Past the end of the file the slot's memory holds an older
+            // page's bytes, not the zeros the file reads as there.
+            for (lo, hi) in gaps(&slot.valid, eof_in(page), ps32) {
+                slot.data[lo as usize..hi as usize].fill(0);
             }
             // The whole page is now a faithful view.
             slot.valid.clear();
@@ -1342,6 +1371,21 @@ mod tests {
         assert_eq!(beyond[10..14], [7u8; 4]);
         assert!(beyond[..10].iter().chain(&beyond[14..]).all(|&b| b == 0));
         assert_eq!(cache.slots.len(), 1);
+    }
+
+    /// A get wholly past EOF is zeros from slot memory: no server request
+    /// goes out, and the rank does not wait for one.
+    #[test]
+    fn a_get_wholly_past_eof_sends_no_request() {
+        let (mut cache, file, cfg) = setup(4096);
+        file.write_at(Time::ZERO, 0, &[0xAB; 100]);
+        let requests = || cfg.profile.snapshot().server_totals().requests;
+        let before = requests();
+        let mut led = CacheLedger::new(Time::from_millis(1), Time::ZERO);
+        let got = read_vec(&mut cache, &file, &mut led, &[(2048, 1500)]);
+        assert!(got.iter().all(|&b| b == 0));
+        assert_eq!(requests(), before, "a fill past EOF sent a server request");
+        assert_eq!(led.read_nanos, 0);
     }
 
     /// The budget is kept while a request larger than it is served, slots

@@ -4,15 +4,16 @@
 //!
 //! The simulated PFS ([`pnetcdf_pfs`]) can inject typed faults (transient
 //! EIO, short transfers, latency stalls, server crashes) through its
-//! fallible `try_write` / `try_read_at` doors, and its ladder retries a
+//! fallible `try_write` / `try_read` doors, and its ladder retries a
 //! request until it completes or the per-stall budget of the
 //! [`RetryPolicy`] runs out (a transfer that moved bytes refills it), with
 //! every backoff charged to the caller's virtual clock — so recovery time
 //! shows up in the disk phases of the profile — and tallied in the shared
 //! [`hpc_sim::Profile`] fault counters. There is one entry per direction,
-//! [`write`] and [`read_at`]. A write is a run list with a gather list as
-//! its payload; a short write resumes by skipping the payload bytes the PFS
-//! guaranteed, and only then are trimmed lists built. This module adds what
+//! [`write()`] and [`read`], each a run list with a segment list as its
+//! memory: a gather list to write from, a scatter list to read into. A short
+//! transfer resumes by skipping the payload bytes the PFS guaranteed, and
+//! only then are trimmed lists built. This module adds what
 //! only MPI-IO knows:
 //!
 //! * **Spans**: each backoff is recorded on the ambient request's
@@ -177,21 +178,44 @@ fn trim_runs(runs: &[(u64, u64)], skip: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// Read into `buf` from `offset` with fault recovery; same policy as
-/// [`write`].
-pub fn read_at(
+/// Read the sorted disjoint `(offset, len)` runs `runs` (one when
+/// contiguous) into the scatter list `segs`, which their bytes fill in run
+/// order, with fault recovery: the door every reader leaves through
+/// ([`PfsFile::try_read`]), the mirror of [`write()`] under the same policy.
+/// A short read resumes at the first payload byte the PFS has not
+/// guaranteed, inside a segment if that is where it lies.
+pub fn read(
     file: &PfsFile,
     policy: &RetryPolicy,
     start: Time,
-    offset: u64,
-    buf: &mut [u8],
+    runs: &[(u64, u64)],
+    segs: &mut [&mut [u8]],
 ) -> MpioResult<Time> {
-    let len = buf.len();
-    let attempt =
-        |t, resume: u64| file.try_read_at(t, offset + resume, &mut buf[resume as usize..]);
-    climb(file, policy, start, attempt, || {
-        format!("read of {len} bytes at offset {offset}")
-    })
+    let attempt = |t, resume: u64| {
+        if resume == 0 {
+            return file.try_read(t, runs, segs);
+        }
+        let mut skip = resume as usize;
+        let mut tail: Vec<&mut [u8]> = segs
+            .iter_mut()
+            .map(|seg| {
+                let cut = skip.min(seg.len());
+                skip -= cut;
+                &mut seg[cut..]
+            })
+            .collect();
+        file.try_read(t, &trim_runs(runs, resume), &mut tail)
+    };
+    // An agreed error's text is its allgather payload, so it is on the
+    // clock: the wording stays.
+    let what = || {
+        let len: u64 = runs.iter().map(|&(_, len)| len).sum();
+        format!(
+            "read of {len} bytes at offset {}",
+            runs.first().map_or(0, |r| r.0)
+        )
+    };
+    climb(file, policy, start, attempt, what)
 }
 
 #[cfg(test)]
@@ -199,6 +223,23 @@ mod tests {
     use super::*;
     use hpc_sim::{CrashSpec, FaultPlan, SimConfig};
     use pnetcdf_pfs::{Pfs, StorageMode};
+
+    /// [`read`] of one contiguous run into one buffer.
+    fn read_at(
+        file: &PfsFile,
+        policy: &RetryPolicy,
+        start: Time,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> MpioResult<Time> {
+        read(
+            file,
+            policy,
+            start,
+            &[(offset, buf.len() as u64)],
+            &mut [buf],
+        )
+    }
 
     fn faulty_file(plan: FaultPlan) -> (PfsFile, SimConfig) {
         let mut cfg = SimConfig::test_small();
@@ -313,6 +354,68 @@ mod tests {
             let fc = cfg.profile.fault_counters();
             assert!(fc.retries > 0 && fc.short_completions > 0, "{fc:?}");
             seen.push((c.handoff, c.durable, fc));
+        }
+        assert_eq!(seen[0], seen[1]);
+    }
+
+    /// A holed run list read into a scatter list cut inside runs (an empty
+    /// segment too), under transient and short faults: the bytes are the
+    /// fault-free file's, some short read resumed inside a segment, and the
+    /// completion and every fault counter are those of the one-segment read
+    /// under the same plan.
+    #[test]
+    fn vectored_read_recovers_and_matches() {
+        let plan = FaultPlan {
+            transient: 0.25,
+            short: 0.25,
+            ..FaultPlan::default()
+        };
+        let policy = RetryPolicy::default();
+        let runs = [(0u64, 3000u64), (5000, 2000), (9000, 4000)];
+        let content: Vec<u8> = (0..13_000u32).map(|i| (i * 11 % 251) as u8 + 1).collect();
+        let want: Vec<u8> = runs
+            .iter()
+            .flat_map(|&(off, len)| &content[off as usize..(off + len) as usize])
+            .copied()
+            .collect();
+        let cut = [1000usize, 3500, 3500, 8999];
+        let mut seen = Vec::new();
+        for bounds in [&[][..], &cut[..]] {
+            let (f, cfg) = faulty_file(plan.clone());
+            f.import_bytes(&content);
+            cfg.events.set_enabled(true);
+            let _ctx = TraceCtx::enter(0, 1);
+            let mut out = vec![0u8; want.len()];
+            let mut segs: Vec<&mut [u8]> = Vec::new();
+            let mut rest = &mut out[..];
+            let mut at = 0;
+            for &b in bounds {
+                let (seg, tail) = std::mem::take(&mut rest).split_at_mut(b - at);
+                segs.push(seg);
+                (rest, at) = (tail, b);
+            }
+            segs.push(rest);
+            let t = read(&f, &policy, Time::ZERO, &runs, &mut segs).expect("should recover");
+            assert_eq!(out, want);
+            let fc = cfg.profile.fault_counters();
+            assert!(fc.retries > 0 && fc.short_completions > 0, "{fc:?}");
+            // Each backoff span carries the bytes its failed attempt
+            // guaranteed; their running sum is where the next one resumed.
+            let resumed: Vec<usize> = (cfg.events.snapshot().spans.iter())
+                .filter(|s| s.name == "backoff")
+                .scan(0, |at, s| {
+                    *at += s.arg("completed").unwrap() as usize;
+                    Some(*at)
+                })
+                .collect();
+            let inside = resumed
+                .iter()
+                .any(|r| !bounds.contains(r) && r % want.len() != 0);
+            assert!(
+                inside || bounds.is_empty(),
+                "no read resumed inside a segment: {resumed:?}"
+            );
+            seen.push((t, fc));
         }
         assert_eq!(seen[0], seen[1]);
     }

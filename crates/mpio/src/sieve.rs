@@ -6,6 +6,11 @@
 //! request and the useful bytes are picked out in memory. Writes become
 //! read-modify-write of the extent. The extent processed at a time is
 //! bounded by the `ind_rd_buffer_size` / `ind_wr_buffer_size` hints.
+//!
+//! Every request leaves through the PFS's two vectored doors
+//! ([`recover::write()`], [`recover::read()`]) with one run and one segment: a
+//! sieve reads its holes on purpose, and an unsieved access keeps one
+//! request per run, in either direction.
 
 use hpc_sim::Time;
 use pnetcdf_pfs::PfsFile;
@@ -122,20 +127,21 @@ pub fn write(
             continue;
         }
         // Read-modify-write the extent [wlo, whi). The reused buffer needs
-        // no re-zeroing: `read_at` fills every byte it is handed (zeros
-        // beyond EOF).
+        // no re-zeroing: a read fills every byte it is handed (zeros beyond
+        // EOF).
         let span = (whi - wlo) as usize;
         transferred += 2 * span as u64; // read the extent, write it back
         if extent.len() < span {
             extent.resize(span, 0);
         }
         let buf = &mut extent[..span];
-        now = recover::read_at(file, &policy, now, wlo, buf)?;
+        let extent_run = [(wlo, span as u64)];
+        now = recover::read(file, &policy, now, &extent_run, &mut [&mut *buf])?;
         for &(off, len, dpos) in &windows.pieces {
             let lo = (off - wlo) as usize;
             buf[lo..lo + len].copy_from_slice(&data[dpos..dpos + len]);
         }
-        now = recover::write(file, &policy, now, &[(wlo, span as u64)], &[buf])?.durable;
+        now = recover::write(file, &policy, now, &extent_run, &[buf])?.durable;
     }
     file.profile()
         .record_sieve(false, transferred, data.len() as u64);
@@ -160,13 +166,14 @@ pub fn read(
         return Ok(now);
     }
     if runs.len() == 1 {
-        return recover::read_at(file, &policy, now, runs[0].0, out);
+        return recover::read(file, &policy, now, runs, &mut [out]);
     }
     if !sieve {
         let mut pos = 0usize;
-        for &(off, len) in runs {
-            now = recover::read_at(file, &policy, now, off, &mut out[pos..pos + len as usize])?;
-            pos += len as usize;
+        for run in runs.chunks(1) {
+            let bytes = &mut out[pos..pos + run[0].1 as usize];
+            pos += bytes.len();
+            now = recover::read(file, &policy, now, run, &mut [bytes])?;
         }
         file.profile()
             .record_sieve(true, total as u64, total as u64);
@@ -179,7 +186,8 @@ pub fn read(
     while let Some((wlo, whi)) = windows.advance() {
         if let [(off, len, dpos)] = windows.pieces[..] {
             transferred += len as u64;
-            now = recover::read_at(file, &policy, now, off, &mut out[dpos..dpos + len])?;
+            let run = [(off, len as u64)];
+            now = recover::read(file, &policy, now, &run, &mut [&mut out[dpos..dpos + len]])?;
             continue;
         }
         let span = (whi - wlo) as usize;
@@ -188,7 +196,7 @@ pub fn read(
             extent.resize(span, 0);
         }
         let buf = &mut extent[..span];
-        now = recover::read_at(file, &policy, now, wlo, buf)?;
+        now = recover::read(file, &policy, now, &[(wlo, span as u64)], &mut [&mut *buf])?;
         for &(off, len, dpos) in &windows.pieces {
             let lo = (off - wlo) as usize;
             out[dpos..dpos + len].copy_from_slice(&buf[lo..lo + len]);

@@ -50,7 +50,7 @@ use std::collections::BTreeSet;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{Span, Time, TraceCtx};
 
-use crate::file::{Gather, PfsFile};
+use crate::file::{Gather, PfsFile, Scatter};
 use crate::stripe::StripeChunk;
 
 /// Parity stripes live in the same per-file store as data stripes, keyed
@@ -245,15 +245,15 @@ impl PfsFile {
     }
 
     /// Reconstruct the down server's read chunks from the surviving data
-    /// and parity, each into its place in `buf` (the request's whole
-    /// buffer): `out = parity ^ XOR(other data stripes of the row)` over
-    /// the chunk's in-stripe extent. Charges a timed read on every
-    /// contributing survivor and returns the last ship-back time.
+    /// and parity, each into its place in the request's scatter list
+    /// `segs`: `out = parity ^ XOR(other data stripes of the row)` over the
+    /// chunk's in-stripe extent. Charges a timed read on every contributing
+    /// survivor and returns the last ship-back time.
     pub(crate) fn reconstruct_read(
         &self,
         down: usize,
         chunks: impl Iterator<Item = (StripeChunk, usize)>,
-        buf: &mut [u8],
+        segs: &mut [&mut [u8]],
         arrival: Time,
     ) -> Time {
         let cfg = &self.pfs.inner.cfg;
@@ -263,20 +263,23 @@ impl PfsFile {
         let fo = self.pfs.inner.failover.lock();
         let mut done = arrival;
         let mut bytes = 0u64;
+        let mut out = Scatter::new(segs);
         for (c, pos) in chunks {
             debug_assert_eq!(c.server, down);
             let row = striping.parity_row_of(c.stripe);
-            let out = &mut buf[pos..pos + c.len as usize];
-            out.fill(0);
+            let mut rec = vec![0u8; c.len as usize];
             done = done.max(self.xor_row_extent(
                 self.id,
                 row,
                 Some(c.stripe),
                 c.offset_in_stripe,
-                out,
+                &mut rec,
                 arrival,
             ));
-            debug_assert_parity(self, self.id, c.stripe, c.offset_in_stripe, out);
+            debug_assert_parity(self, self.id, c.stripe, c.offset_in_stripe, &rec);
+            out.each(pos, rec.len(), |skip, o| {
+                o.copy_from_slice(&rec[skip as usize..][..o.len()])
+            });
             bytes += c.len;
         }
         drop(fo);
@@ -477,7 +480,7 @@ mod tests {
         assert_eq!(fs.down_server(), Some(2));
         let mut out = vec![0u8; data.len()];
         let rt = f
-            .try_read_at(Time::from_secs_f64(2.0), 0, &mut out)
+            .try_read(Time::from_secs_f64(2.0), &[(0, 20_000)], &mut [&mut out])
             .expect("degraded read must succeed without server 2");
         assert!(rt > Time::from_secs_f64(2.0));
         assert_eq!(out, data);
@@ -512,14 +515,18 @@ mod tests {
         assert!(fo.redirected_bytes > 0);
         // Degraded read-back sees the new bytes.
         let mut out = vec![0u8; during.len()];
-        f.try_read_at(Time::from_secs_f64(3.0), 1024, &mut out)
+        f.try_read(Time::from_secs_f64(3.0), &[(1024, 12_000)], &mut [&mut out])
             .unwrap();
         assert_eq!(out, during);
         assert_eq!(fs.down_server(), Some(1));
         // Past the restart, the next op triggers the online rebuild.
         let mut out2 = vec![0u8; during.len()];
         let t = f
-            .try_read_at(Time::from_secs_f64(11.0), 1024, &mut out2)
+            .try_read(
+                Time::from_secs_f64(11.0),
+                &[(1024, 12_000)],
+                &mut [&mut out2],
+            )
             .unwrap();
         assert_eq!(out2, during);
         assert_eq!(fs.down_server(), None, "rebuild clears the mark");

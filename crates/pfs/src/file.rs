@@ -1,13 +1,15 @@
 //! File handles: timed striped reads and writes, plus untimed export/import.
 //!
-//! There is one timed door per direction. The write door,
-//! [`PfsFile::try_write`], takes a run list on the file side (one run when
-//! contiguous) and a gather list on the memory side: the payload is the
-//! concatenation of the slices it is lent, which the servers copy from as
-//! they walk their chunks, so noncontiguous memory (page slots, a
-//! collective buffer) and noncontiguous file regions (a collective window)
-//! go out as one request per server without a bounce copy. The read door is
-//! [`PfsFile::try_read_at`].
+//! There is one timed door per direction, and the two mirror each other.
+//! Each takes a run list on the file side (one run when contiguous) and a
+//! segment list on the memory side. The write door, [`PfsFile::try_write`],
+//! takes a gather list: the payload is the concatenation of the slices it
+//! is lent, which the servers copy from as they walk their chunks. The read
+//! door, [`PfsFile::try_read`], takes a scatter list, which the servers
+//! fill in the same way. So noncontiguous memory (page slots, a collective
+//! buffer) and noncontiguous file regions (a collective window, a page's
+//! gaps) move as one request per server without a bounce copy. Both doors
+//! drive one server path, [`crate::server::Server::serve`].
 
 use std::sync::Arc;
 
@@ -16,7 +18,8 @@ use hpc_sim::{FaultKind, IoStages, Span, Time, TraceCtx};
 
 use crate::filesystem::Pfs;
 use crate::retry::{ladder, RetryPolicy};
-use crate::server::ServiceOutcome;
+use crate::server::{Op, ServiceOutcome};
+use crate::storage::StripeStore;
 use crate::stripe::{PortionChunks, StripeChunk};
 
 /// A failed timed I/O request against the PFS.
@@ -81,6 +84,40 @@ impl<'a> Gather<'a> {
             }
             let (lo, hi) = (at - self.at, (end - self.at).min(self.seg.len()));
             put((at - pos) as u64, &self.seg[lo..hi]);
+            at = self.at + hi;
+        }
+    }
+}
+
+/// The memory side of a read request as one server's portion fills it: the
+/// mirror of [`Gather`] over a scatter list.
+pub(crate) struct Scatter<'a, 'b> {
+    rest: std::slice::IterMut<'a, &'b mut [u8]>,
+    /// The current segment and the payload position of its first byte.
+    seg: &'a mut [u8],
+    at: usize,
+}
+
+impl<'a, 'b> Scatter<'a, 'b> {
+    pub(crate) fn new(segs: &'a mut [&'b mut [u8]]) -> Scatter<'a, 'b> {
+        Scatter {
+            rest: segs.iter_mut(),
+            seg: &mut [],
+            at: 0,
+        }
+    }
+
+    /// Hand `put(skip, bytes)` the buffer bytes `[pos, pos + len)` segment
+    /// piece by segment piece, as [`Gather::each`] does.
+    pub(crate) fn each(&mut self, pos: usize, len: usize, mut put: impl FnMut(u64, &mut [u8])) {
+        let (mut at, end) = (pos, pos + len);
+        while at < end {
+            while self.at + self.seg.len() <= at {
+                self.at += self.seg.len();
+                self.seg = self.rest.next().expect("a chunk reaches past its buffer");
+            }
+            let (lo, hi) = (at - self.at, (end - self.at).min(self.seg.len()));
+            put((at - pos) as u64, &mut self.seg[lo..hi]);
             at = self.at + hi;
         }
     }
@@ -208,14 +245,16 @@ impl PfsFile {
                 redirected = true;
                 continue;
             }
-            let outcome = self.pfs.inner.servers[srv].lock().write(
-                &cfg.disk,
-                self.id,
-                arrival,
-                chunks,
-                segs,
-                metadata_sized,
-            );
+            let mut payload = Gather::new(segs);
+            let op = Op::Write { metadata_sized };
+            let store = |st: &mut StripeStore, c: StripeChunk, pos| {
+                payload.each(pos, c.len as usize, |skip, d| {
+                    st.write(self.id, c.stripe, c.offset_in_stripe + skip, d)
+                })
+            };
+            let outcome = self.pfs.inner.servers[srv]
+                .lock()
+                .serve(&cfg.disk, self.id, arrival, op, chunks, store);
             self.record_outcome(srv, &outcome, false);
             done = done.max(outcome.done);
             handoff = handoff.max(outcome.handoff());
@@ -274,23 +313,41 @@ impl PfsFile {
         })
     }
 
-    /// Timed read into `buf` from `offset`, starting at `start`. Returns
-    /// the completion time, or the first injected fault. Bytes beyond the
-    /// file size read as zeros (the underlying stores return zeros for
-    /// unwritten stripes). On failure the first `completed` bytes of `buf`
-    /// are valid.
-    pub fn try_read_at(&self, start: Time, offset: u64, buf: &mut [u8]) -> Result<Time, IoFailure> {
-        if buf.is_empty() {
+    /// Timed read, starting at virtual time `start`, of the runs `runs` —
+    /// sorted and disjoint, one when the span is contiguous — into the
+    /// scatter list `segs` (`&mut [buf]`, page slots, a collective buffer),
+    /// which their bytes fill in run order. Returns the completion time, or
+    /// the first injected fault. Bytes beyond the file size read as zeros
+    /// (the underlying stores return zeros for unwritten stripes).
+    ///
+    /// The request message reaches every server it touches after one
+    /// latency, one request per server, and the servers stream from disk in
+    /// parallel; the client has every byte no earlier than `start + latency
+    /// + bytes / client_link_bw`, however the request is cut into runs and
+    /// segments. On failure the first `completed` payload bytes are valid.
+    pub fn try_read(
+        &self,
+        start: Time,
+        runs: &[(u64, u64)],
+        segs: &mut [&mut [u8]],
+    ) -> Result<Time, IoFailure> {
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
+            "runs must be sorted and disjoint"
+        );
+        let len: u64 = runs.iter().map(|&(_, len)| len).sum();
+        debug_assert_eq!(
+            len,
+            segs.iter().map(|s| s.len() as u64).sum::<u64>(),
+            "runs must describe segs"
+        );
+        if len == 0 {
             return Ok(start);
         }
         let cfg = &self.pfs.inner.cfg;
         let start = self.maybe_rebuild(start);
         let down = self.active_down();
-        let run = [(offset, buf.len() as u64)];
-        let portions = self.pfs.inner.striping.run_portions(&run);
-
-        // The read request message reaches every server after one latency;
-        // servers then stream from disk in parallel.
+        let portions = self.pfs.inner.striping.run_portions(runs);
         let arrival = start + cfg.client_link_latency;
         let mut disks_done = start;
         let mut faulted: Vec<(usize, u64, FaultKind)> = Vec::new();
@@ -298,13 +355,24 @@ impl PfsFile {
             if down == Some(srv) {
                 // Degraded mode: XOR-reconstruct this server's chunks from
                 // the surviving data + parity.
-                let t = self.reconstruct_read(srv, chunks, buf, arrival);
+                let t = self.reconstruct_read(srv, chunks, segs, arrival);
                 disks_done = disks_done.max(t);
                 continue;
             }
-            let outcome = self.pfs.inner.servers[srv]
-                .lock()
-                .read(&cfg.disk, self.id, arrival, chunks, buf);
+            let mut out = Scatter::new(segs);
+            let fetch = |st: &mut StripeStore, c: StripeChunk, pos| {
+                out.each(pos, c.len as usize, |skip, o| {
+                    st.read(self.id, c.stripe, c.offset_in_stripe + skip, o)
+                })
+            };
+            let outcome = self.pfs.inner.servers[srv].lock().serve(
+                &cfg.disk,
+                self.id,
+                arrival,
+                Op::Read,
+                chunks,
+                fetch,
+            );
             self.record_outcome(srv, &outcome, true);
             disks_done = disks_done.max(outcome.done);
             if let Some(fault) = outcome.injected.filter(|_| !outcome.is_complete()) {
@@ -314,9 +382,7 @@ impl PfsFile {
         if faulted.is_empty() {
             // The client cannot have all the bytes before its NIC has
             // carried them.
-            let link_done = start
-                + cfg.client_link_latency
-                + Time::from_secs_f64(run[0].1 as f64 / cfg.client_link_bw);
+            let link_done = arrival + Time::from_secs_f64(len as f64 / cfg.client_link_bw);
             return Ok(disks_done.max(link_done));
         }
         let (completed, kind, server) = completed_prefix(&portion_status(portions, &faulted));
@@ -331,8 +397,10 @@ impl PfsFile {
     /// Timed read behind the same ladder as [`PfsFile::write_at`].
     pub fn read_at(&self, start: Time, offset: u64, buf: &mut [u8]) -> Time {
         let len = buf.len();
-        let attempt =
-            |t, resume: u64| self.try_read_at(t, offset + resume, &mut buf[resume as usize..]);
+        let attempt = |t, resume: u64| {
+            let rest = &mut buf[resume as usize..];
+            self.try_read(t, &[(offset + resume, rest.len() as u64)], &mut [rest])
+        };
         let (policy, profile) = (RetryPolicy::default(), self.profile());
         ladder(&policy, profile, start, attempt, |_, _| {}).unwrap_or_else(|attempts| {
             panic!(

@@ -12,12 +12,16 @@
 //! on every server even though the file offsets it touches there are
 //! strided; this is what rewards the large ordered writes produced by
 //! two-phase collective I/O.
+//!
+//! Reads and writes take one path, [`Server::serve`]: the fault decision,
+//! the walk over the request's chunks and the coalesced charge are the
+//! same, and the caller's per-chunk closure stores the payload or fetches
+//! into the buffer.
 
 use std::collections::HashMap;
 
 use hpc_sim::{DiskModel, FaultKind, FaultPlan, ServiceEngine, ServiceModel, StageTiming, Time};
 
-use crate::file::Gather;
 use crate::storage::{StorageMode, StripeStore};
 use crate::stripe::StripeChunk;
 
@@ -42,6 +46,20 @@ pub struct Server {
     /// Monotonic operation counter; serialized under the server's mutex,
     /// so `(seed, server_id, ops)` fully determines each fault decision.
     ops: u64,
+}
+
+/// Which way a server request moves bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// The client fetches the chunks' bytes.
+    Read,
+    /// The client stores them. `metadata_sized` classifies the *whole
+    /// client request* (not just this server's portion) for
+    /// [`StorageMode::MetadataOnly`].
+    Write {
+        /// The whole request is at most [`crate::storage::METADATA_REQUEST_LIMIT`].
+        metadata_sized: bool,
+    },
 }
 
 /// Timing outcome of one server request.
@@ -126,81 +144,40 @@ impl Server {
         (sequential, prev_end.map(|e| e.abs_diff(first)).unwrap_or(0))
     }
 
-    /// Service a write of `chunks` (all owned by this server, file order),
-    /// each paired with the position of its bytes in the client request's
-    /// whole payload, the concatenation of the gather list `segs`.
-    /// `arrival` is when the request reaches the server. `metadata_sized`
-    /// classifies the *whole client request* (not just this server's
-    /// portion) for [`StorageMode::MetadataOnly`].
-    pub fn write(
+    /// Service one request of `chunks` (all owned by this server, file
+    /// order), each paired with the position of its bytes in the client
+    /// request's payload; `arrival` is when the request reaches the server.
+    /// The fault decision is drawn first. Every chunk it lets through —
+    /// all of them, or a short transfer's leading bytes in file order, like
+    /// a short `write(2)` or `read(2)` — goes to `bytes`, which stores it
+    /// from the payload or fetches it into the buffer (the bytes a short
+    /// read leaves out stay untouched, so the recovery layer can resume
+    /// there). Then one coalesced request is charged: the payload on the
+    /// NIC stage; positioning, streaming, a write's partial-stripe penalty
+    /// and a stall's delay on the disk stage. A write goes through the NIC
+    /// to the disk, a read from the disk back through the NIC.
+    pub fn serve(
         &mut self,
         disk: &DiskModel,
         file: u64,
         arrival: Time,
+        op: Op,
         chunks: impl Iterator<Item = (StripeChunk, usize)> + Clone,
-        segs: &[&[u8]],
-        metadata_sized: bool,
+        mut bytes: impl FnMut(&mut StripeStore, StripeChunk, usize),
     ) -> ServiceOutcome {
-        match self.decide(arrival, chunks.clone()) {
-            FaultKind::None => self.write_serviced(
-                disk,
-                file,
-                arrival,
-                chunks,
-                segs,
-                metadata_sized,
-                None,
-                Time::ZERO,
-            ),
-            FaultKind::Stall { delay } => self.write_serviced(
-                disk,
-                file,
-                arrival,
-                chunks,
-                segs,
-                metadata_sized,
-                Some(FaultKind::Stall { delay }),
-                delay,
-            ),
-            FaultKind::Transient => self.refuse(disk, file, arrival, false, FaultKind::Transient),
-            FaultKind::Crashed => self.crashed(disk, arrival),
-            FaultKind::Short { bytes_done } => {
-                // Transfer only the first `bytes_done` bytes of the request
-                // (in file order), exactly like a short write(2).
-                let out = self.write_serviced(
-                    disk,
-                    file,
-                    arrival,
-                    leading(chunks, bytes_done),
-                    segs,
-                    metadata_sized,
-                    Some(FaultKind::Short { bytes_done }),
-                    Time::ZERO,
-                );
-                ServiceOutcome { bytes_done, ..out }
-            }
-        }
-    }
-
-    /// The write service path: store (mode permitting), then run the NIC
-    /// and disk stages. The disk stage carries positioning, streaming, the
-    /// partial-stripe penalty and any fault `extra_delay` (stalls).
-    #[allow(clippy::too_many_arguments)]
-    fn write_serviced(
-        &mut self,
-        disk: &DiskModel,
-        file: u64,
-        arrival: Time,
-        chunks: impl Iterator<Item = (StripeChunk, usize)>,
-        segs: &[&[u8]],
-        metadata_sized: bool,
-        injected: Option<FaultKind>,
-        extra_delay: Time,
-    ) -> ServiceOutcome {
-        let keep = match self.mode {
-            StorageMode::Full => true,
-            StorageMode::CostOnly => false,
-            StorageMode::MetadataOnly => metadata_sized,
+        let read = op == Op::Read;
+        let (injected, delay, moved) = match self.decide(arrival, chunks.clone()) {
+            FaultKind::None => (None, Time::ZERO, u64::MAX),
+            kind @ FaultKind::Stall { delay } => (Some(kind), delay, u64::MAX),
+            kind @ FaultKind::Short { bytes_done } => (Some(kind), Time::ZERO, bytes_done),
+            FaultKind::Transient => return self.refuse(disk, file, arrival, read),
+            FaultKind::Crashed => return self.crashed(disk, arrival),
+        };
+        // A `CostOnly` store holds nothing, so what is read from it is zeros.
+        let keep = match (self.mode, op) {
+            (StorageMode::CostOnly, Op::Write { .. }) => false,
+            (StorageMode::MetadataOnly, Op::Write { metadata_sized }) => metadata_sized,
+            _ => true,
         };
         // GPFS-style partial-block penalty: a write that does not cover a
         // whole stripe forces the server to read-modify-write that stripe.
@@ -211,15 +188,11 @@ impl Server {
         // independent writes pay on every request.
         let mut partial = 0usize;
         let mut span = Extent::default();
-        let mut payload = Gather::new(segs);
-        for (c, pos) in chunks {
+        for (c, pos) in leading(chunks, moved) {
             if keep {
-                let store = &mut self.store;
-                payload.each(pos, c.len as usize, |skip, d| {
-                    store.write(file, c.stripe, c.offset_in_stripe + skip, d)
-                });
+                bytes(&mut self.store, c, pos);
             }
-            if c.offset_in_stripe != 0 || c.len < self.stripe_size {
+            if !read && (c.offset_in_stripe != 0 || c.len < self.stripe_size) {
                 partial += 1;
             }
             span.add(self.local_of(&c), c.len);
@@ -228,15 +201,13 @@ impl Server {
             return idle_outcome(arrival, injected);
         };
         let (sequential, seek_distance) = self.position(file, first, span.end);
-        let mut disk_time = disk.request(span.bytes as usize, sequential) + extra_delay;
+        let mut disk_time = disk.request(span.bytes as usize, sequential) + delay;
         if partial > 0 {
             disk_time += disk.stream(partial * self.stripe_size as usize);
         }
-        let stages = self
-            .engine
-            .write(arrival, span.bytes as usize, disk_time, file);
+        let (stages, done) = self.charge(read, arrival, span.bytes, disk_time, file);
         ServiceOutcome {
-            done: stages.disk_done,
+            done,
             stages,
             seeked: !sequential,
             seek_distance,
@@ -245,89 +216,22 @@ impl Server {
         }
     }
 
-    /// Service a read of `chunks`, each paired with the position in `out`
-    /// (the client request's whole buffer) its bytes go to.
-    pub fn read(
+    /// Run one request through the engine. A write is done when its disk
+    /// stage is, a read when its NIC has shipped the bytes back.
+    fn charge(
         &mut self,
-        disk: &DiskModel,
-        file: u64,
+        read: bool,
         arrival: Time,
-        chunks: impl Iterator<Item = (StripeChunk, usize)> + Clone,
-        out: &mut [u8],
-    ) -> ServiceOutcome {
-        match self.decide(arrival, chunks.clone()) {
-            FaultKind::None => {
-                self.read_serviced(disk, file, arrival, chunks, out, None, Time::ZERO)
-            }
-            FaultKind::Stall { delay } => self.read_serviced(
-                disk,
-                file,
-                arrival,
-                chunks,
-                out,
-                Some(FaultKind::Stall { delay }),
-                delay,
-            ),
-            FaultKind::Transient => self.refuse(disk, file, arrival, true, FaultKind::Transient),
-            FaultKind::Crashed => self.crashed(disk, arrival),
-            FaultKind::Short { bytes_done } => {
-                // Deliver only the first `bytes_done` bytes; the rest of
-                // the output buffer is untouched so the recovery layer can
-                // resume at the partial offset.
-                let o = self.read_serviced(
-                    disk,
-                    file,
-                    arrival,
-                    leading(chunks, bytes_done),
-                    out,
-                    Some(FaultKind::Short { bytes_done }),
-                    Time::ZERO,
-                );
-                ServiceOutcome { bytes_done, ..o }
-            }
-        }
-    }
-
-    /// The read service path: fill the buffer, then charge one coalesced
-    /// read — disk stage first (positioning + streaming + `extra_delay`),
-    /// then the NIC ships the payload back.
-    #[allow(clippy::too_many_arguments)]
-    fn read_serviced(
-        &mut self,
-        disk: &DiskModel,
+        bytes: u64,
+        disk_time: Time,
         file: u64,
-        arrival: Time,
-        chunks: impl Iterator<Item = (StripeChunk, usize)>,
-        out: &mut [u8],
-        injected: Option<FaultKind>,
-        extra_delay: Time,
-    ) -> ServiceOutcome {
-        let mut span = Extent::default();
-        for (c, pos) in chunks {
-            let o = &mut out[pos..pos + c.len as usize];
-            match self.mode {
-                StorageMode::Full | StorageMode::MetadataOnly => {
-                    self.store.read(file, c.stripe, c.offset_in_stripe, o)
-                }
-                StorageMode::CostOnly => o.fill(0),
-            }
-            span.add(self.local_of(&c), c.len);
-        }
-        let Some(first) = span.first else {
-            return idle_outcome(arrival, injected);
-        };
-        let (sequential, seek_distance) = self.position(file, first, span.end);
-        let disk_time = disk.request(span.bytes as usize, sequential) + extra_delay;
-        let stages = self
-            .engine
-            .read(arrival, span.bytes as usize, disk_time, file);
-        ServiceOutcome {
-            done: stages.nic_done,
-            stages,
-            seeked: !sequential,
-            seek_distance,
-            injected,
-            bytes_done: span.bytes,
+    ) -> (StageTiming, Time) {
+        if read {
+            let stages = self.engine.read(arrival, bytes as usize, disk_time, file);
+            (stages, stages.nic_done)
+        } else {
+            let stages = self.engine.write(arrival, bytes as usize, disk_time, file);
+            (stages, stages.disk_done)
         }
     }
 
@@ -371,29 +275,14 @@ impl Server {
     /// A failed attempt: the request reached the server and bounced. The
     /// per-request overhead still occupies the disk stage so fault storms
     /// cost time.
-    fn refuse(
-        &mut self,
-        disk: &DiskModel,
-        file: u64,
-        arrival: Time,
-        read: bool,
-        kind: FaultKind,
-    ) -> ServiceOutcome {
-        let stages = if read {
-            self.engine.read(arrival, 0, disk.per_request, file)
-        } else {
-            self.engine.write(arrival, 0, disk.per_request, file)
-        };
+    fn refuse(&mut self, disk: &DiskModel, file: u64, arrival: Time, read: bool) -> ServiceOutcome {
+        let (stages, done) = self.charge(read, arrival, 0, disk.per_request, file);
         ServiceOutcome {
-            done: if read {
-                stages.nic_done
-            } else {
-                stages.disk_done
-            },
+            done,
             stages,
             seeked: false,
             seek_distance: 0,
-            injected: Some(kind),
+            injected: Some(FaultKind::Transient),
             bytes_done: 0,
         }
     }
@@ -550,9 +439,32 @@ mod tests {
         Server::configure(1024, 1, mode, service, plan, id)
     }
 
-    /// A one-chunk request whose payload starts at the chunk's first byte.
-    fn one(c: StripeChunk) -> impl Iterator<Item = (StripeChunk, usize)> + Clone {
-        std::iter::once((c, 0))
+    /// A one-chunk write of `data`, which starts at the chunk's first byte.
+    fn put(s: &mut Server, file: u64, at: Time, c: StripeChunk, data: &[u8]) -> ServiceOutcome {
+        let op = Op::Write {
+            metadata_sized: true,
+        };
+        s.serve(
+            &disk(),
+            file,
+            at,
+            op,
+            std::iter::once((c, 0)),
+            |st, c, _| st.write(file, c.stripe, c.offset_in_stripe, &data[..c.len as usize]),
+        )
+    }
+
+    /// A one-chunk read into `out`.
+    fn get(s: &mut Server, file: u64, c: StripeChunk, out: &mut [u8]) -> ServiceOutcome {
+        let chunks = std::iter::once((c, 0));
+        s.serve(&disk(), file, Time::ZERO, Op::Read, chunks, |st, c, _| {
+            st.read(
+                file,
+                c.stripe,
+                c.offset_in_stripe,
+                &mut out[..c.len as usize],
+            )
+        })
     }
 
     fn chunk(file_offset: u64, len: u64) -> StripeChunk {
@@ -568,56 +480,38 @@ mod tests {
     #[test]
     fn sequential_requests_skip_seek() {
         let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
-        let d = disk();
-        let a = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[&[1u8; 100]], true);
+        let a = put(&mut s, 0, Time::ZERO, chunk(0, 100), &[1u8; 100]);
         assert!(a.seeked);
-        let b = s.write(&d, 0, a.done, one(chunk(100, 100)), &[&[2u8; 100]], true);
+        let b = put(&mut s, 0, a.done, chunk(100, 100), &[2u8; 100]);
         assert!(!b.seeked);
-        let c = s.write(&d, 0, b.done, one(chunk(500, 100)), &[&[3u8; 100]], true);
+        let c = put(&mut s, 0, b.done, chunk(500, 100), &[3u8; 100]);
         assert!(c.seeked);
     }
 
     #[test]
     fn queueing_delays_early_arrivals() {
         let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
-        let d = disk();
-        let a = s.write(
-            &d,
-            0,
-            Time::ZERO,
-            one(chunk(0, 1000)),
-            &[&[0u8; 1000]],
-            true,
-        );
+        let a = put(&mut s, 0, Time::ZERO, chunk(0, 1000), &[0u8; 1000]);
         // Second request arrives "before" the first finishes: it queues.
-        let b = s.write(
-            &d,
-            0,
-            Time::ZERO,
-            one(chunk(1024, 1000)),
-            &[&[0u8; 1000]],
-            true,
-        );
+        let b = put(&mut s, 0, Time::ZERO, chunk(1024, 1000), &[0u8; 1000]);
         assert!(b.done > a.done);
     }
 
     #[test]
     fn read_returns_written_bytes() {
         let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
-        let d = disk();
-        s.write(&d, 7, Time::ZERO, one(chunk(10, 4)), &[&[5, 6, 7, 8]], true);
+        put(&mut s, 7, Time::ZERO, chunk(10, 4), &[5, 6, 7, 8]);
         let mut buf = [0u8; 4];
-        s.read(&d, 7, Time::ZERO, one(chunk(10, 4)), &mut buf);
+        get(&mut s, 7, chunk(10, 4), &mut buf);
         assert_eq!(buf, [5, 6, 7, 8]);
     }
 
     #[test]
     fn cost_only_discards_payload() {
         let mut s = server(StorageMode::CostOnly, FaultPlan::default(), 0);
-        let d = disk();
-        s.write(&d, 0, Time::ZERO, one(chunk(0, 4)), &[&[1, 2, 3, 4]], true);
+        put(&mut s, 0, Time::ZERO, chunk(0, 4), &[1, 2, 3, 4]);
         let mut buf = [9u8; 4];
-        s.read(&d, 0, Time::ZERO, one(chunk(0, 4)), &mut buf);
+        get(&mut s, 0, chunk(0, 4), &mut buf);
         assert_eq!(buf, [0, 0, 0, 0]);
     }
 
@@ -628,8 +522,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut s = server(StorageMode::Full, plan, 0);
-        let d = disk();
-        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[&[1u8; 100]], true);
+        let out = put(&mut s, 0, Time::ZERO, chunk(0, 100), &[1u8; 100]);
         assert_eq!(out.injected, Some(FaultKind::Transient));
         assert_eq!(out.bytes_done, 0);
         assert!(!out.is_complete());
@@ -647,9 +540,8 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut s = server(StorageMode::Full, plan, 0);
-        let d = disk();
         let data: Vec<u8> = (1..=200).map(|i| (i % 251) as u8).collect();
-        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 200)), &[&data], true);
+        let out = put(&mut s, 0, Time::ZERO, chunk(0, 200), &data);
         let done = match out.injected {
             Some(FaultKind::Short { bytes_done }) => bytes_done,
             other => panic!("expected short fault, got {other:?}"),
@@ -664,16 +556,15 @@ mod tests {
 
     #[test]
     fn stall_completes_but_takes_longer() {
-        let d = disk();
         let mut plain = server(StorageMode::Full, FaultPlan::default(), 0);
-        let base = plain.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[&[1u8; 100]], true);
+        let base = put(&mut plain, 0, Time::ZERO, chunk(0, 100), &[1u8; 100]);
         let plan = FaultPlan {
             stall: 1.0,
             stall_time: Time::from_millis(10),
             ..FaultPlan::default()
         };
         let mut s = server(StorageMode::Full, plan, 0);
-        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 100)), &[&[1u8; 100]], true);
+        let out = put(&mut s, 0, Time::ZERO, chunk(0, 100), &[1u8; 100]);
         assert!(matches!(out.injected, Some(FaultKind::Stall { .. })));
         assert!(out.is_complete());
         assert_eq!(out.bytes_done, 100);
@@ -695,32 +586,23 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut s = server(StorageMode::Full, plan, 0);
-        let d = disk();
-        let out = s.write(&d, 0, Time::ZERO, one(chunk(0, 50)), &[&[3u8; 50]], true);
+        let out = put(&mut s, 0, Time::ZERO, chunk(0, 50), &[3u8; 50]);
         assert_eq!(out.injected, Some(FaultKind::Crashed));
         assert_eq!(out.bytes_done, 0);
         // After restart the same write succeeds.
-        let out = s.write(
-            &d,
-            0,
-            Time::from_millis(2),
-            one(chunk(0, 50)),
-            &[&[3u8; 50]],
-            true,
-        );
+        let out = put(&mut s, 0, Time::from_millis(2), chunk(0, 50), &[3u8; 50]);
         assert!(out.is_complete());
     }
 
     #[test]
     fn per_file_sequentiality() {
         let mut s = server(StorageMode::Full, FaultPlan::default(), 0);
-        let d = disk();
-        let a = s.write(&d, 1, Time::ZERO, one(chunk(0, 100)), &[&[0u8; 100]], true);
+        let a = put(&mut s, 1, Time::ZERO, chunk(0, 100), &[0u8; 100]);
         // Different file at the "same" position: still a seek.
-        let b = s.write(&d, 2, a.done, one(chunk(100, 100)), &[&[0u8; 100]], true);
+        let b = put(&mut s, 2, a.done, chunk(100, 100), &[0u8; 100]);
         assert!(b.seeked);
         // Original file continues sequentially.
-        let c = s.write(&d, 1, b.done, one(chunk(100, 100)), &[&[0u8; 100]], true);
+        let c = put(&mut s, 1, b.done, chunk(100, 100), &[0u8; 100]);
         assert!(!c.seeked);
     }
 
@@ -731,7 +613,6 @@ mod tests {
         // 9216 — strided in file space, adjacent on the local platter.
         let service = SimConfig::test_small().service_model();
         let mut s = Server::configure(1024, 4, StorageMode::Full, service, FaultPlan::default(), 1);
-        let d = disk();
         let mk = |stripe: u64| StripeChunk {
             server: 1,
             stripe,
@@ -739,10 +620,10 @@ mod tests {
             offset_in_stripe: 0,
             len: 1024,
         };
-        let a = s.write(&d, 0, Time::ZERO, one(mk(1)), &[&[0u8; 1024]], true);
-        let b = s.write(&d, 0, a.done, one(mk(5)), &[&[0u8; 1024]], true);
+        let a = put(&mut s, 0, Time::ZERO, mk(1), &[0u8; 1024]);
+        let b = put(&mut s, 0, a.done, mk(5), &[0u8; 1024]);
         assert!(!b.seeked, "next owned stripe is local-sequential");
-        let c = s.write(&d, 0, b.done, one(mk(13)), &[&[0u8; 1024]], true);
+        let c = put(&mut s, 0, b.done, mk(13), &[0u8; 1024]);
         assert!(c.seeked, "skipping an owned stripe seeks");
         assert_eq!(c.seek_distance, 1024, "one local stripe was skipped");
     }
@@ -766,8 +647,8 @@ mod tests {
         );
         let d = disk();
         let data = [0u8; 1024];
-        let a = s.write(&d, 0, Time::ZERO, one(chunk(0, 1024)), &[&data], true);
-        let b = s.write(&d, 0, Time::ZERO, one(chunk(1024, 1024)), &[&data], true);
+        let a = put(&mut s, 0, Time::ZERO, chunk(0, 1024), &data);
+        let b = put(&mut s, 0, Time::ZERO, chunk(1024, 1024), &data);
         assert!(b.handoff() < a.done, "NIC of b finished inside a's disk");
         assert!(b.stages.overlap > Time::ZERO);
         assert_eq!(b.done, a.done + d.request(1024, true));
@@ -780,13 +661,9 @@ mod tests {
             short: 0.2,
             ..FaultPlan::default()
         };
-        let d = disk();
         let run = |s: &mut Server| -> Vec<Option<FaultKind>> {
             (0..16)
-                .map(|i| {
-                    let c = one(chunk(i * 1024, 512));
-                    s.write(&d, 0, Time::ZERO, c, &[&[0u8; 512]], true).injected
-                })
+                .map(|i| put(s, 0, Time::ZERO, chunk(i * 1024, 512), &[0u8; 512]).injected)
                 .collect()
         };
         let mut fresh = server(StorageMode::Full, plan.clone(), 3);

@@ -37,6 +37,21 @@ fn segment<'a>(
     segs
 }
 
+/// [`segment`]'s cut of `buf`, mutable: a scatter list.
+fn scatter<'a>(buf: &'a mut [u8], cuts: &[usize], empties: &[usize]) -> Vec<&'a mut [u8]> {
+    let lens: Vec<usize> = segment(buf, cuts, empties, false)
+        .iter()
+        .map(|s| s.len())
+        .collect();
+    let mut rest = buf;
+    let mut cut = |n| {
+        let (seg, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        seg
+    };
+    lens.into_iter().map(&mut cut).collect()
+}
+
 /// Group a request's chunks by server, preserving file order within each
 /// server: `(server, chunks)` for the servers it touches. The grouping the
 /// request path used to build, kept as the oracle of its walks.
@@ -285,6 +300,84 @@ proptest! {
                 + cfg.client_link_latency
                 + Time::from_secs_f64(len as f64 / cfg.client_link_bw);
             prop_assert!(whole.0 .0 >= link, "handed off before the link carried it");
+        }
+    }
+
+    /// A read's bytes and price do not depend on how it is cut either. The
+    /// same spans as above, read back from a file that holds them, cut into
+    /// adjacent runs at stripe boundaries and their buffer into scatter
+    /// segments at arbitrary points (empty ones, and chunks that straddle
+    /// two segments), return the bytes, the completion and every counter of
+    /// the one-run, one-segment read; and no read completes before the
+    /// client link has carried it. With `degraded`, parity is on and server
+    /// 0 is down, so its chunks are reconstructed into the scatter list.
+    #[test]
+    fn a_reads_bytes_and_price_do_not_depend_on_how_it_is_cut(
+        three_servers in any::<bool>(),
+        degraded in any::<bool>(),
+        first_stripe in 0u64..8,
+        head in 0u64..1024,
+        stripes in 0u64..=20,
+        run_cuts in vec(0u64..32, 0..8),
+        seg_cuts in vec(0usize..30_000, 0..8),
+        empties in vec(0usize..16, 0..4),
+    ) {
+        let crash = Time::from_secs_f64(1.0);
+        let platform = || {
+            let mut cfg = SimConfig::test_small();
+            cfg.io_servers = if three_servers { 3 } else { cfg.io_servers };
+            cfg.parity = degraded;
+            if degraded {
+                cfg.faults.crashes.push(CrashSpec { server: 0, at: crash, restart: None });
+            }
+            cfg.profile.set_enabled(true);
+            cfg
+        };
+        let cfg = platform();
+        let size = cfg.stripe_size as u64;
+        let (offset, len) = (first_stripe * size + head % size, stripes * size);
+        let content: Vec<u8> = (0..offset + len + size).map(|i| (i * 13 % 251) as u8 + 1).collect();
+        let inner: Vec<u64> = (offset / size + 1..(offset + len).div_ceil(size))
+            .map(|k| k * size)
+            .collect();
+        let mut at: Vec<u64> = match inner.len() {
+            0 => Vec::new(),
+            n => run_cuts.iter().map(|&c| inner[c as usize % n]).collect(),
+        };
+        at.extend([offset, offset + len]);
+        at.sort_unstable();
+        at.dedup();
+        let runs: Vec<(u64, u64)> = at.windows(2).map(|w| (w[0], w[1] - w[0])).collect();
+        // The file is written while every server is up; the read starts
+        // after the crash.
+        let read = |runs: &[(u64, u64)], cut: bool| {
+            let cfg = platform();
+            let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+            let f = pfs.create("r");
+            let all = [(0, content.len() as u64)];
+            assert!(f.try_write(Time::ZERO, &all, &[&content]).unwrap().durable < crash);
+            if degraded {
+                assert!(pfs.mark_server_down(0));
+            }
+            let mut buf = vec![0u8; len as usize];
+            let mut segs = match cut {
+                true => scatter(&mut buf, &seg_cuts, &empties),
+                false => vec![&mut buf[..]],
+            };
+            let done = f.try_read(crash + crash, runs, &mut segs).unwrap();
+            (done, cfg.profile.snapshot(), buf)
+        };
+        let whole = read(&[(offset, len)], false);
+        let cut = read(&runs, true);
+        prop_assert_eq!(cut.0, whole.0, "runs {:?}", runs);
+        prop_assert_eq!(&cut.1, &whole.1);
+        prop_assert!(cut.2 == whole.2, "the cut read returned other bytes");
+        prop_assert!(whole.2[..] == content[offset as usize..(offset + len) as usize]);
+        if len > 0 {
+            let link = crash + crash
+                + cfg.client_link_latency
+                + Time::from_secs_f64(len as f64 / cfg.client_link_bw);
+            prop_assert!(whole.0 >= link, "completed before the link carried it");
         }
     }
 

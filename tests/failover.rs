@@ -141,7 +141,7 @@ fn wait_all_survives_and_rebuild_restores_the_server() {
     let f = pfs.open("w.nc").unwrap();
     let degraded = f.to_bytes();
     let mut probe = [0u8; 1];
-    f.try_read_at(Time::from_secs_f64(101.0), 0, &mut probe)
+    f.try_read(Time::from_secs_f64(101.0), &[(0, 1)], &mut [&mut probe])
         .expect("post-restart read");
     assert_eq!(pfs.down_server(), None, "rebuild must clear the mark");
     let fo = profile.failover_counters();

@@ -8,6 +8,7 @@ use hpc_sim::trace::Json;
 use hpc_sim::{FaultPlan, SimConfig};
 use pnetcdf::{Dataset, Info, NcType, Version};
 use pnetcdf_mpi::run_world;
+use pnetcdf_mpio::{MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
 const NPROCS: usize = 4;
@@ -83,6 +84,45 @@ fn collective_write_counts_one_collective_and_expected_aggregator_io() {
         NPROCS as u64 * PER_RANK * 4
     );
     assert_eq!(snap.bytepath.collbuf_reuses, 3);
+}
+
+/// A write window whose spans have holes reads what is under them before
+/// the pieces go over it, and reads every holed span of one server with one
+/// request. Four ranks have one aggregator per server; rank 0 alone writes,
+/// two runs with a gap between them in each of stripes 0, 4 and 8 — server
+/// 0's — so server 0's aggregator has one window of three holed spans. That
+/// costs server 0 one read-modify-write read and one write, not a read per
+/// span, and no other server is touched.
+#[test]
+fn a_holed_write_window_reads_once_per_server() {
+    let cfg = SimConfig::test_small();
+    cfg.profile.set_enabled(true);
+    let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+    pfs.create("holed").import_bytes(&[0x5A; 9 * 1024]);
+    let pfs_in = pfs.clone();
+    run_world(NPROCS, cfg.clone(), move |comm| {
+        let runs: Vec<Run> = match comm.rank() {
+            0 => [0u64, 4, 8]
+                .iter()
+                .flat_map(|&s| [(s * 1024 + 100, 50), (s * 1024 + 200, 50)])
+                .collect(),
+            _ => Vec::new(),
+        };
+        let f = MpiFile::open(comm, &pfs_in, "holed", OpenMode::ReadWrite, &Info::new()).unwrap();
+        f.write_runs_at_all(&runs, &vec![7u8; runs.len() * 50])
+            .unwrap();
+    });
+    let snap = cfg.profile.snapshot();
+    assert_eq!((snap.twophase.windows, snap.twophase.rmw_windows), (1, 1));
+    let reads: u64 = snap.io_read_hist.iter().sum();
+    assert_eq!(reads, 1, "one read for the window's three holed spans");
+    assert_eq!(snap.servers[0].requests, 2, "one read and one write");
+    assert_eq!(snap.servers[0].bytes_read, 3 * 150);
+    assert!(snap.servers[1..].iter().all(|s| s.requests == 0));
+    let mut back = [0u8; 250];
+    pfs.open("holed").unwrap().peek_at(8 * 1024, &mut back);
+    assert_eq!(back[100..150], [7u8; 50]);
+    assert_eq!(back[150..200], [0x5A; 50], "the hole keeps the old bytes");
 }
 
 /// A collective that needs several windows allocates its collective buffer

@@ -204,7 +204,11 @@ fn indep_transcript(parity: bool) -> (String, u64, u64) {
         let mut buf = vec![0xAAu8; len as usize];
         let mut resume = 0usize;
         while let Err(e) = f
-            .try_read_at(t, off + resume as u64, &mut buf[resume..])
+            .try_read(
+                t,
+                &[(off + resume as u64, len - resume as u64)],
+                &mut [&mut buf[resume..]],
+            )
             .map(|done| t = done)
         {
             log.push_str(&format!("r{op}:{}:{:?}:{};", e.completed, e.kind, e.server));
