@@ -1,8 +1,8 @@
 //! Tier-1 guard for the page cache's allocation behaviour: once its slots
 //! exist a put through the cache — evicting a page and writing its stretch
 //! behind included — allocates nothing, a get allocates the `Vec<T>` it
-//! returns and nothing else (fills and readahead go through the cache's one
-//! staging buffer, dirty victims go out from slot memory), a flush point
+//! returns and nothing else (fills and readahead read straight into slot
+//! memory, dirty victims go out from it), a flush point
 //! (`sync`, the closing `end_indep_data`) allocates nothing for the pages it
 //! writes behind, the same program requests the same number of heap bytes
 //! every time it runs, no single request is larger than the cache's budget,
@@ -14,7 +14,9 @@
 //! its page, every fill and flush its bounce buffer and every put three
 //! small vectors — drawn from three values, because a `HashMap`'s random
 //! hasher decided when the page table resized — then 0.722 every run, and
-//! 0.692 with write-behind lending slot memory to the PFS. This test
+//! 0.692 with write-behind lending slot memory to the PFS, 0.689 with fills
+//! reading their pages' gaps into slot memory instead of a staging buffer
+//! (the cache has none left). This test
 //! repeats the workload at a sixteenth of the size (array, budget and page —
 //! the platform's stripe, so there are 32 slots here too) with the counting
 //! allocator of `support/counting_alloc.rs`.
@@ -106,9 +108,9 @@ fn program(input: &[f32]) -> Measured {
         }
 
         // A one-plane get allocates exactly the `Vec<f32>` it returns: the
-        // fill of its two or three pages and the readahead behind it reuse
-        // the staging buffer the first gets sized, and their slots' dirty
-        // victims go out from slot memory.
+        // fill of its two or three pages and the readahead behind it read
+        // into slot memory through the run and scatter lists the first gets
+        // sized, and their slots' dirty victims go out from slot memory.
         for pass in 0..PASSES {
             for z in 0..DIMS[0] {
                 let before = counting_alloc::calls();
@@ -181,8 +183,9 @@ fn cached_puts_and_gets_stay_within_their_allocation_budget() {
             "a single request of {} bytes is larger than the cache's budget of {BUDGET}",
             run.largest
         );
-        // After warm-up (stripes and slots exist) the largest request is
-        // the staging of the largest fill: a plane over three pages.
+        // After warm-up (stripes and slots exist) the largest request is a
+        // returned plane, two pages; the bound is one fill group, a plane
+        // over three pages, which is what the largest fill's staging was.
         let fill_group = 3 * PAGE;
         assert!(
             run.largest_after_warm_up <= fill_group,
@@ -192,9 +195,10 @@ fn cached_puts_and_gets_stay_within_their_allocation_budget() {
     }
     // Six passes of puts and four of gets, over everything allocated since
     // the file system was built: the stripe store's 129 stripes 129/1280,
-    // the returned `Vec<T>`s 4/10, the slots 1/40 — 0.526 of the 0.530
-    // measured (the budget adds 5 %); write-behind lends slot memory, so no
-    // flush staging is counted.
+    // the returned `Vec<T>`s 4/10, the slots 1/40 — 0.526 of the 0.528
+    // measured (the budget adds 5 % to the 0.530 measured with fill
+    // staging); write-behind and fills lend slot memory, so no staging is
+    // counted.
     let moved = (2 * PASSES as u64 + 2) * DIMS.iter().product::<u64>() * 4;
     let ratio = first.requested as f64 / moved as f64;
     assert!(
