@@ -68,9 +68,13 @@ impl Dataset {
         }
     }
 
-    /// Drop the cache entry for `varid` (after a write to it).
+    /// Drop the cache entry for `varid` (after a write to it). Every put
+    /// calls this, and most datasets prefetch nothing, so an empty cache
+    /// returns before hashing.
     pub(crate) fn invalidate_cache(&mut self, varid: usize) {
-        self.prefetch.remove(&varid);
+        if !self.prefetch.is_empty() {
+            self.prefetch.remove(&varid);
+        }
     }
 
     /// Drop all cached variables (after `redef`).

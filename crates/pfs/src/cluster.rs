@@ -7,12 +7,14 @@
 //!   Pfs (a clone is another handle) ──► ClusterInner (Arc)
 //!        │                               ├── servers: Vec<Mutex<Server>>   (NIC+disk engines,
 //!        │                               │       fault plans, queue depths — shared by ALL files)
-//!        │                               ├── meta: MetaShards              (file table, hashed by path)
+//!        │                               ├── meta: MetaShards              (file table, hashed by path:
+//!        │                               │       name ──► Arc<FileRecord> {id, size, epoch})
 //!        │                               ├── failover: FailoverState       (down mark, epoch, parity log)
-//!        │                               └── parity (fixed at build), epochs, cfg
+//!        │                               └── parity (fixed at build), cfg
 //!        │ create()/open()
 //!        ▼
 //!   PfsFile (one file) ──► its Pfs ──► same ClusterInner
+//!                      └─► its FileRecord (shared with the shard entry)
 //! ```
 //!
 //! Every platform property — queue depth, parity, the fault plan — is read
@@ -25,8 +27,6 @@
 //! clone contend for the same servers exactly as files on one GPFS do.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use hpc_sim::SimConfig;
@@ -41,14 +41,8 @@ pub(crate) struct ClusterInner {
     pub cfg: SimConfig,
     pub striping: Striping,
     pub servers: Vec<Mutex<Server>>,
-    /// The sharded file table (create/open/delete, per-file sizes).
+    /// The sharded file table (create/open/delete, per-file records).
     pub meta: MetaShards,
-    /// Per-file coherence epochs, keyed by file id. A client cache bumps a
-    /// file's epoch whenever it publishes dirty pages; other clients compare
-    /// their last-seen epoch at synchronization points and invalidate.
-    /// Lives here (not in the meta entry) so every handle to the same file
-    /// shares one atomic.
-    pub epochs: Mutex<HashMap<u64, Arc<AtomicU64>>>,
     /// Whether the declustered-parity redundancy layer is on:
     /// `SimConfig::parity` with at least two servers to decluster across.
     /// Fixed for the life of the file system, so parity covers every byte
@@ -104,7 +98,6 @@ impl Pfs {
                 striping,
                 servers,
                 meta: MetaShards::new(),
-                epochs: Mutex::new(HashMap::new()),
                 failover: Mutex::new(FailoverState::default()),
             }),
         }

@@ -186,13 +186,13 @@ impl PfsFile {
             for (c, pos) in chunks.clone() {
                 debug_assert_eq!(c.server, down);
                 payload.each(pos, c.len as usize, |skip, d| {
-                    srv.poke(self.id, c.stripe, c.offset_in_stripe + skip, d)
+                    srv.poke(self.rec.id, c.stripe, c.offset_in_stripe + skip, d)
                 });
                 bytes += c.len;
             }
         }
         let mut fo = self.pfs.inner.failover.lock();
-        let log = fo.log.entry(self.id).or_default();
+        let log = fo.log.entry(self.rec.id).or_default();
         log.extend(chunks.map(|(c, _)| (c.stripe, c.offset_in_stripe, c.len)));
         drop(fo);
         self.pfs.inner.cfg.profile.record_failover(|f| {
@@ -224,14 +224,14 @@ impl PfsFile {
         for &row in rows {
             let psrv = striping.parity_server_of(row);
             if down == Some(psrv) {
-                fo.parity_dirty.entry(self.id).or_default().insert(row);
+                fo.parity_dirty.entry(self.rec.id).or_default().insert(row);
                 continue;
             }
             let mut parity = vec![0u8; stripe_size as usize];
-            self.xor_row_extent_untimed(self.id, row, None, 0, &mut parity);
+            self.xor_row_extent_untimed(self.rec.id, row, None, 0, &mut parity);
             let mut srv = self.pfs.inner.servers[psrv].lock();
-            srv.poke(self.id, PARITY_BASE | row, 0, &parity);
-            done = done.max(srv.aux_write(&cfg.disk, self.id, base, stripe_size));
+            srv.poke(self.rec.id, PARITY_BASE | row, 0, &parity);
+            done = done.max(srv.aux_write(&cfg.disk, self.rec.id, base, stripe_size));
             written += stripe_size;
         }
         drop(fo);
@@ -269,14 +269,14 @@ impl PfsFile {
             let row = striping.parity_row_of(c.stripe);
             let mut rec = vec![0u8; c.len as usize];
             done = done.max(self.xor_row_extent(
-                self.id,
+                self.rec.id,
                 row,
                 Some(c.stripe),
                 c.offset_in_stripe,
                 &mut rec,
                 arrival,
             ));
-            debug_assert_parity(self, self.id, c.stripe, c.offset_in_stripe, &rec);
+            debug_assert_parity(self, self.rec.id, c.stripe, c.offset_in_stripe, &rec);
             out.each(pos, rec.len(), |skip, o| {
                 o.copy_from_slice(&rec[skip as usize..][..o.len()])
             });
@@ -444,12 +444,12 @@ mod tests {
         let last_stripe = (128 + data.len() as u64 - 1) / striping.stripe_size;
         for row in 0..=striping.parity_row_of(last_stripe) {
             let mut expect = vec![0u8; striping.stripe_size as usize];
-            f.xor_row_extent_untimed(f.id, row, None, 0, &mut expect);
+            f.xor_row_extent_untimed(f.rec.id, row, None, 0, &mut expect);
             let psrv = striping.parity_server_of(row);
             let mut got = vec![0u8; striping.stripe_size as usize];
             f.pfs.inner.servers[psrv]
                 .lock()
-                .peek(f.id, PARITY_BASE | row, 0, &mut got);
+                .peek(f.rec.id, PARITY_BASE | row, 0, &mut got);
             assert_eq!(got, expect, "row {row}");
         }
         let fo = fs.inner.cfg.profile.failover_counters();
@@ -541,12 +541,12 @@ mod tests {
         let last_stripe = (1024 + during.len() as u64 - 1) / striping.stripe_size;
         for row in 0..=striping.parity_row_of(last_stripe) {
             let mut expect = vec![0u8; striping.stripe_size as usize];
-            f.xor_row_extent_untimed(f.id, row, None, 0, &mut expect);
+            f.xor_row_extent_untimed(f.rec.id, row, None, 0, &mut expect);
             let psrv = striping.parity_server_of(row);
             let mut got = vec![0u8; striping.stripe_size as usize];
             f.pfs.inner.servers[psrv]
                 .lock()
-                .peek(f.id, PARITY_BASE | row, 0, &mut got);
+                .peek(f.rec.id, PARITY_BASE | row, 0, &mut got);
             assert_eq!(got, expect, "row {row}");
         }
     }

@@ -11,12 +11,14 @@
 //! gaps) move as one request per server without a bounce copy. Both doors
 //! drive one server path, [`crate::server::Server::serve`].
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{FaultKind, IoStages, Span, Time, TraceCtx};
 
 use crate::filesystem::Pfs;
+use crate::meta::FileRecord;
 use crate::retry::{ladder, RetryPolicy};
 use crate::server::{Op, ServiceOutcome};
 use crate::storage::StripeStore;
@@ -128,13 +130,14 @@ impl<'a, 'b> Scatter<'a, 'b> {
 #[derive(Clone)]
 pub struct PfsFile {
     pub(crate) pfs: Pfs,
-    pub(crate) id: u64,
+    /// The file's record, shared with its metadata entry.
+    pub(crate) rec: Arc<FileRecord>,
     name: String,
 }
 
 impl PfsFile {
-    pub(crate) fn new(pfs: Pfs, id: u64, name: String) -> PfsFile {
-        PfsFile { pfs, id, name }
+    pub(crate) fn new(pfs: Pfs, rec: Arc<FileRecord>, name: String) -> PfsFile {
+        PfsFile { pfs, rec, name }
     }
 
     /// The file system the file lives on, for what is true of all its
@@ -162,12 +165,7 @@ impl PfsFile {
 
     /// Current size in bytes (highest byte ever written + 1).
     pub fn size(&self) -> u64 {
-        self.pfs
-            .inner
-            .meta
-            .lookup(&self.name)
-            .map(|e| e.size)
-            .unwrap_or(0)
+        self.rec.size.load(Ordering::Acquire)
     }
 
     /// Timed write, starting at virtual time `start`, of the runs `runs` —
@@ -249,12 +247,17 @@ impl PfsFile {
             let op = Op::Write { metadata_sized };
             let store = |st: &mut StripeStore, c: StripeChunk, pos| {
                 payload.each(pos, c.len as usize, |skip, d| {
-                    st.write(self.id, c.stripe, c.offset_in_stripe + skip, d)
+                    st.write(self.rec.id, c.stripe, c.offset_in_stripe + skip, d)
                 })
             };
-            let outcome = self.pfs.inner.servers[srv]
-                .lock()
-                .serve(&cfg.disk, self.id, arrival, op, chunks, store);
+            let outcome = self.pfs.inner.servers[srv].lock().serve(
+                &cfg.disk,
+                self.rec.id,
+                arrival,
+                op,
+                chunks,
+                store,
+            );
             self.record_outcome(srv, &outcome, false);
             done = done.max(outcome.done);
             handoff = handoff.max(outcome.handoff());
@@ -362,12 +365,12 @@ impl PfsFile {
             let mut out = Scatter::new(segs);
             let fetch = |st: &mut StripeStore, c: StripeChunk, pos| {
                 out.each(pos, c.len as usize, |skip, o| {
-                    st.read(self.id, c.stripe, c.offset_in_stripe + skip, o)
+                    st.read(self.rec.id, c.stripe, c.offset_in_stripe + skip, o)
                 })
             };
             let outcome = self.pfs.inner.servers[srv].lock().serve(
                 &cfg.disk,
-                self.id,
+                self.rec.id,
                 arrival,
                 Op::Read,
                 chunks,
@@ -517,31 +520,22 @@ impl PfsFile {
         });
     }
 
-    /// The shared coherence-epoch cell for this file (every handle to the
-    /// same file id gets the same atomic). Created on first use.
-    fn epoch_cell(&self) -> Arc<std::sync::atomic::AtomicU64> {
-        let mut epochs = self.pfs.inner.epochs.lock();
-        epochs.entry(self.id).or_default().clone()
-    }
-
     /// Current coherence epoch of this file. Client caches remember the
     /// epoch they last synchronized at; a different value means some rank
     /// has published new bytes since, so cached clean pages may be stale.
     pub fn coherence_epoch(&self) -> u64 {
-        self.epoch_cell().load(std::sync::atomic::Ordering::Acquire)
+        self.rec.epoch.load(Ordering::Acquire)
     }
 
     /// Advance the coherence epoch (called after publishing dirty pages or
     /// completing a collective write); returns the new epoch.
     pub fn bump_coherence_epoch(&self) -> u64 {
-        self.epoch_cell()
-            .fetch_add(1, std::sync::atomic::Ordering::AcqRel)
-            + 1
+        self.rec.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Extend the recorded file size to at least `new_size`.
     pub fn grow_to(&self, new_size: u64) {
-        self.pfs.inner.meta.grow_to(&self.name, new_size);
+        self.rec.size.fetch_max(new_size, Ordering::AcqRel);
     }
 
     /// Untimed export of the full file contents (correctness checks,
@@ -552,7 +546,7 @@ impl PfsFile {
         for c in self.pfs.inner.striping.split(0, size) {
             let lo = c.file_offset as usize;
             self.pfs.inner.servers[c.server].lock().peek(
-                self.id,
+                self.rec.id,
                 c.stripe,
                 c.offset_in_stripe,
                 &mut out[lo..lo + c.len as usize],
@@ -567,7 +561,7 @@ impl PfsFile {
         for c in self.pfs.inner.striping.split(0, data.len() as u64) {
             let lo = c.file_offset as usize;
             self.pfs.inner.servers[c.server].lock().poke(
-                self.id,
+                self.rec.id,
                 c.stripe,
                 c.offset_in_stripe,
                 &data[lo..lo + c.len as usize],
@@ -593,7 +587,7 @@ impl PfsFile {
         for c in self.pfs.inner.striping.split(offset, buf.len() as u64) {
             let lo = (c.file_offset - offset) as usize;
             self.pfs.inner.servers[c.server].lock().peek(
-                self.id,
+                self.rec.id,
                 c.stripe,
                 c.offset_in_stripe,
                 &mut buf[lo..lo + c.len as usize],

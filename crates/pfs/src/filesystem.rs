@@ -21,16 +21,16 @@ pub struct Pfs {
 impl Pfs {
     /// Create (or truncate) a file and return its handle. Routed through
     /// the metadata shard owning the path — creates on different shards
-    /// never contend.
+    /// never contend. A handle to the truncated file keeps its old record:
+    /// its writes no longer reach the new file's size.
     pub fn create(&self, name: &str) -> PfsFile {
-        let (old, id) = self.inner.meta.create(name);
+        let (old, rec) = self.inner.meta.create(name);
         if let Some(old) = old {
             for s in &self.inner.servers {
                 s.lock().remove_file(old.id);
             }
-            self.inner.epochs.lock().remove(&old.id);
         }
-        PfsFile::new(self.clone(), id, name.to_string())
+        PfsFile::new(self.clone(), rec, name.to_string())
     }
 
     /// Open an existing file.
@@ -38,12 +38,12 @@ impl Pfs {
         self.inner
             .meta
             .open(name)
-            .map(|e| PfsFile::new(self.clone(), e.id, name.to_string()))
+            .map(|rec| PfsFile::new(self.clone(), rec, name.to_string()))
     }
 
     /// Does `name` exist?
     pub fn exists(&self, name: &str) -> bool {
-        self.inner.meta.lookup(name).is_some()
+        self.inner.meta.contains(name)
     }
 
     /// Delete a file, freeing its stripes. Returns whether it existed.
@@ -52,7 +52,6 @@ impl Pfs {
             for s in &self.inner.servers {
                 s.lock().remove_file(e.id);
             }
-            self.inner.epochs.lock().remove(&e.id);
             true
         } else {
             false
@@ -100,6 +99,20 @@ mod tests {
         let mut buf = [9u8; 3];
         f2.read_at(hpc_sim::Time::ZERO, 0, &mut buf);
         assert_eq!(buf, [0, 0, 0]);
+    }
+
+    #[test]
+    fn stale_handle_does_not_grow_the_new_file() {
+        // A write through a handle held across a truncating create lands on
+        // the old id; the new file must neither grow nor show the bytes.
+        let fs = pfs();
+        let old = fs.create("x");
+        let new = fs.create("x");
+        old.write_at(hpc_sim::Time::ZERO, 0, &[5u8; 100]);
+        assert_eq!(new.size(), 0);
+        assert_eq!(fs.open("x").unwrap().size(), 0);
+        assert!(new.to_bytes().is_empty());
+        assert_eq!(old.size(), 100);
     }
 
     #[test]

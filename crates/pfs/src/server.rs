@@ -18,11 +18,9 @@
 //! same, and the caller's per-chunk closure stores the payload or fetches
 //! into the buffer.
 
-use std::collections::HashMap;
-
 use hpc_sim::{DiskModel, FaultKind, FaultPlan, ServiceEngine, ServiceModel, StageTiming, Time};
 
-use crate::storage::{StorageMode, StripeStore};
+use crate::storage::{IdMap, StorageMode, StripeStore};
 use crate::stripe::StripeChunk;
 
 /// State of one I/O server. Wrapped in a mutex by the file system.
@@ -31,7 +29,7 @@ pub struct Server {
     engine: ServiceEngine,
     /// Per-file *local* end address of the last request (sequentiality
     /// detection in the server's own address space).
-    last_end: HashMap<u64, u64>,
+    last_end: IdMap<u64, u64>,
     /// Stripe payload storage.
     store: StripeStore,
     mode: StorageMode,
@@ -118,7 +116,7 @@ impl Server {
         assert!(nservers > 0, "at least one I/O server is required");
         Server {
             engine: ServiceEngine::new(service),
-            last_end: HashMap::new(),
+            last_end: IdMap::default(),
             store: StripeStore::new(stripe_size),
             mode,
             stripe_size,

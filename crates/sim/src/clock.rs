@@ -5,47 +5,65 @@
 //! participants to their maximum (everyone waits for the slowest) before the
 //! collective's own cost is added. The structure is shared between the MPI
 //! layer (communication costs) and the MPI-IO/PFS layers (I/O costs).
+//!
+//! # Why no lock
+//!
+//! A slot is two atomics, the rank's clock and its client link, and every
+//! access is `Relaxed`. That is enough because a slot has one writer at a
+//! time: its own rank, or a collective's finisher while that rank is parked
+//! in the rendezvous ([`SharedClocks::sync_max`] and the collective I/O that
+//! sets the group's clocks). The rendezvous's mutex orders the rank's last
+//! write before the finisher's reads and writes, and those before the
+//! rank's first read after it wakes; `run_world` joins the rank threads
+//! before it reads [`SharedClocks::makespan`] and
+//! [`SharedClocks::snapshot`]. So every read sees the latest write to the
+//! slot, and an update needs no read-modify-write.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::time::Time;
 
+/// One rank's slot, on a cache line of its own so ranks running in parallel
+/// do not contend for one line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot {
+    /// The rank's virtual clock, in nanoseconds.
+    clock: AtomicU64,
+    /// When the rank's inbound client link is next free, in nanoseconds:
+    /// the end of the last read its page caches issued, which may lie ahead
+    /// of its clock while a readahead is in flight.
+    link: AtomicU64,
+}
+
 /// Shared array of per-rank virtual clocks.
 #[derive(Clone)]
 pub struct SharedClocks {
-    inner: Arc<Mutex<Vec<Time>>>,
-    /// Per rank, in nanoseconds, when its inbound client link is next free:
-    /// the end of the last read its page caches issued, which may lie ahead
-    /// of its clock while a readahead is in flight. Only the rank's own
-    /// thread reads or writes its entry, and it publishes nothing else, so
-    /// it needs no lock — and every cached put reads and writes it.
-    links: Arc<[AtomicU64]>,
+    slots: Arc<[Slot]>,
 }
 
 impl SharedClocks {
     /// Create clocks for `nprocs` ranks, all at `Time::ZERO`.
     pub fn new(nprocs: usize) -> SharedClocks {
         SharedClocks {
-            inner: Arc::new(Mutex::new(vec![Time::ZERO; nprocs])),
-            links: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..nprocs).map(|_| Slot::default()).collect(),
         }
     }
 
     /// When `rank`'s client link is free to carry its next read.
     pub fn link_free(&self, rank: usize) -> Time {
-        Time::from_nanos(self.links[rank].load(Ordering::Relaxed))
+        Time::from_nanos(self.slots[rank].link.load(Ordering::Relaxed))
     }
 
     /// Record that `rank`'s client link carries reads until `t`.
     pub fn set_link_free(&self, rank: usize, t: Time) {
-        self.links[rank].store(t.as_nanos(), Ordering::Relaxed);
+        self.slots[rank].link.store(t.as_nanos(), Ordering::Relaxed);
     }
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.slots.len()
     }
 
     /// True if there are no ranks (never the case in a real world).
@@ -55,61 +73,57 @@ impl SharedClocks {
 
     /// Current virtual time of `rank`.
     pub fn now(&self, rank: usize) -> Time {
-        self.inner.lock()[rank]
+        Time::from_nanos(self.slots[rank].clock.load(Ordering::Relaxed))
+    }
+
+    fn set(&self, rank: usize, t: Time) -> Time {
+        self.slots[rank]
+            .clock
+            .store(t.as_nanos(), Ordering::Relaxed);
+        t
     }
 
     /// Advance `rank`'s clock by `dt` and return the new time.
     pub fn advance(&self, rank: usize, dt: Time) -> Time {
-        let mut g = self.inner.lock();
-        g[rank] += dt;
-        g[rank]
+        self.set(rank, self.now(rank) + dt)
     }
 
     /// Move `rank`'s clock forward to `t` if `t` is later (never backwards).
     pub fn advance_to(&self, rank: usize, t: Time) -> Time {
-        let mut g = self.inner.lock();
-        g[rank] = g[rank].max(t);
-        g[rank]
+        self.set(rank, self.now(rank).max(t))
     }
 
     /// Synchronize the given ranks to `max(clock) + extra`, returning the
     /// resulting common time. This is the clock effect of a collective.
     pub fn sync_max(&self, ranks: &[usize], extra: Time) -> Time {
-        let mut g = self.inner.lock();
-        let mut m = Time::ZERO;
-        for &r in ranks {
-            m = m.max(g[r]);
-        }
+        let m = ranks
+            .iter()
+            .map(|&r| self.now(r))
+            .fold(Time::ZERO, Time::max);
         let t = m + extra;
         for &r in ranks {
-            g[r] = t;
+            self.set(r, t);
         }
         t
     }
 
     /// Maximum clock over all ranks — the virtual makespan of the run.
     pub fn makespan(&self) -> Time {
-        self.inner
-            .lock()
-            .iter()
-            .copied()
-            .fold(Time::ZERO, Time::max)
+        self.snapshot().into_iter().fold(Time::ZERO, Time::max)
     }
 
     /// Reset every clock, and every link, to zero (used between benchmark
     /// phases).
     pub fn reset(&self) {
-        for t in self.inner.lock().iter_mut() {
-            *t = Time::ZERO;
-        }
-        for link in self.links.iter() {
-            link.store(0, Ordering::Relaxed);
+        for slot in self.slots.iter() {
+            slot.clock.store(0, Ordering::Relaxed);
+            slot.link.store(0, Ordering::Relaxed);
         }
     }
 
     /// Snapshot of all clocks.
     pub fn snapshot(&self) -> Vec<Time> {
-        self.inner.lock().clone()
+        (0..self.len()).map(|r| self.now(r)).collect()
     }
 }
 
@@ -159,5 +173,43 @@ mod tests {
         c.reset();
         assert_eq!(c.makespan(), Time::ZERO);
         assert_eq!(c.link_free(0), Time::ZERO);
+    }
+
+    #[test]
+    fn threads_advance_their_own_ranks_exactly() {
+        // Each thread owns one rank and moves it with both calls; then a
+        // subset synchronizes. With no lock, nothing may be lost or mixed.
+        for n in 2..=8usize {
+            let c = SharedClocks::new(n);
+            std::thread::scope(|s| {
+                for r in 0..n {
+                    let c = &c;
+                    s.spawn(move || {
+                        for i in 1..=10_000u64 {
+                            c.advance(r, Time::from_nanos(r as u64 + 1));
+                            c.advance_to(r, Time::from_nanos(2 * i * (r as u64 + 1)));
+                            c.advance_to(r, Time::ZERO);
+                            c.set_link_free(r, Time::from_nanos(i));
+                        }
+                    });
+                }
+            });
+            let expect = |r: usize| Time::from_nanos(20_000 * (r as u64 + 1));
+            let snap: Vec<Time> = (0..n).map(expect).collect();
+            assert_eq!(c.snapshot(), snap);
+            assert_eq!(c.makespan(), expect(n - 1));
+            let subset: Vec<usize> = (0..n).step_by(2).collect();
+            let t = c.sync_max(&subset, Time::from_nanos(7));
+            assert_eq!(t, expect(*subset.last().unwrap()) + Time::from_nanos(7));
+            for r in 0..n {
+                let want = if r % 2 == 0 { t } else { expect(r) };
+                assert_eq!(c.now(r), want, "rank {r} of {n}");
+                assert_eq!(c.link_free(r), Time::from_nanos(10_000));
+            }
+            assert_eq!(c.makespan(), t.max(expect(n - 1)));
+            c.reset();
+            assert_eq!(c.snapshot(), vec![Time::ZERO; n]);
+            assert!((0..n).all(|r| c.link_free(r) == Time::ZERO));
+        }
     }
 }

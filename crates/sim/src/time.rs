@@ -37,13 +37,16 @@ impl Time {
     /// Construct from seconds expressed as `f64`.
     ///
     /// Negative or non-finite inputs are clamped to zero: cost models must
-    /// never move a clock backwards.
+    /// never move a clock backwards. Rounds half away from zero, exactly as
+    /// `(secs * 1e9).round() as u64`, without the libm call: below 2^53 the
+    /// truncation and the fraction are exact, from 2^52 up every double is
+    /// an integer, and from 2^64 up both forms saturate.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Time {
         if !secs.is_finite() || secs <= 0.0 {
             return Time(0);
         }
-        Time((secs * 1e9).round() as u64)
+        Time(round_ns(secs * 1e9))
     }
 
     /// The raw nanosecond count.
@@ -73,6 +76,13 @@ impl Time {
             other
         }
     }
+}
+
+/// `ns.round() as u64` for a positive `ns`, without the libm call.
+#[inline]
+fn round_ns(ns: f64) -> u64 {
+    let whole = ns as u64;
+    whole.saturating_add(u64::from(ns - whole as f64 >= 0.5))
 }
 
 impl Add for Time {
@@ -126,6 +136,7 @@ impl fmt::Display for Time {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_roundtrips() {
@@ -140,6 +151,34 @@ mod tests {
         assert_eq!(Time::from_secs_f64(-3.0), Time::ZERO);
         assert_eq!(Time::from_secs_f64(f64::NAN), Time::ZERO);
         assert_eq!(Time::from_secs_f64(f64::NEG_INFINITY), Time::ZERO);
+        assert_eq!(Time::from_secs_f64(f64::INFINITY), Time::ZERO);
+        assert_eq!(Time::from_secs_f64(-0.4e-9), Time::ZERO);
+    }
+
+    #[test]
+    fn rounding_is_exact() {
+        let two = |e: i32| 2f64.powi(e);
+        assert_eq!(round_ns(0.5), 1);
+        assert_eq!(round_ns(1.5), 2);
+        assert_eq!(round_ns(0.49999999999999994), 0);
+        assert_eq!(round_ns(two(52) - 0.5), 1 << 52);
+        assert_eq!(round_ns(two(53) + 2.0), (1 << 53) + 2);
+        assert_eq!(round_ns(two(64)), u64::MAX);
+        assert_eq!(Time::from_secs_f64(1e30).as_nanos(), u64::MAX);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn rounding_matches_libm(bits in any::<u64>(), half in 0u64..1 << 54) {
+            // Any bit pattern; one whose seconds lie in 2^-40..2^40, where
+            // the nanoseconds straddle 1 and 2^64; a half nanosecond.
+            let near = (bits & ((1 << 52) - 1)) | ((1023 - 40 + (bits >> 52) % 80) << 52);
+            for secs in [f64::from_bits(bits), f64::from_bits(near), (half as f64 + 0.5) / 1e9] {
+                let want = if secs.is_finite() { (secs * 1e9).round() as u64 } else { 0 };
+                prop_assert_eq!(Time::from_secs_f64(secs).as_nanos(), want, "{}", secs);
+            }
+        }
     }
 
     #[test]
