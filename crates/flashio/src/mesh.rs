@@ -62,9 +62,11 @@ impl BlockMesh {
         self.blocks_per_proc * self.cells_per_block() * NUNK as u64 * 8
     }
 
-    /// Deterministic cell value for (variable, global block, cell index).
-    /// Cheap enough to regenerate per unknown, so a rank never holds more
-    /// than one unknown's guarded blocks at a time.
+    /// Deterministic cell value for (variable, global block, cell index),
+    /// where `cell` counts the `side`³ interior cells of one block in
+    /// row-major order. Cheap enough to regenerate per unknown, so a rank
+    /// never holds more than one unknown's guarded blocks at a time; a fill
+    /// calls it once per interior cell and never for a guard cell.
     pub fn cell_value(&self, var: usize, block: u64, cell: u64) -> f64 {
         (var as f64 + 1.0) * 1e3 + block as f64 + cell as f64 * 1e-6
     }
@@ -82,31 +84,26 @@ impl BlockMesh {
     /// [`BlockMesh::interior_buffer`] into `out`, replacing what it held:
     /// a writer strips one unknown after another into the same array, as
     /// FLASH's own checkpoint routine does.
+    ///
+    /// Each block is filled into a guarded scratch block and its interior
+    /// copied out: the stripping memcpy the real benchmark performs. The
+    /// guards hold a NaN sentinel that must never reach the file. It is the
+    /// same in every block, so the scratch block is filled with it once per
+    /// call, and each block then writes only its `side`² interior rows.
     pub fn interior_buffer_into(&self, rank: usize, var: usize, side: u64, out: &mut Vec<f64>) {
-        // Fill a guarded block, then copy out the interior — the stripping
-        // memcpy the real benchmark performs.
         let g = NGUARD;
         let gside = side + 2 * g;
         out.clear();
         out.reserve_exact((self.blocks_per_proc * side * side * side) as usize);
-        let mut guarded = vec![0f64; (gside * gside * gside) as usize];
+        let mut guarded = vec![f64::NAN; (gside * gside * gside) as usize];
         for b in 0..self.blocks_per_proc {
             let block = self.first_block(rank) + b;
-            // Guarded block: interior cells get real values, guards get a
-            // sentinel that must never reach the file.
-            for z in 0..gside {
-                for y in 0..gside {
-                    for x in 0..gside {
-                        let idx = (z * gside + y) * gside + x;
-                        let interior = (g..g + side).contains(&z)
-                            && (g..g + side).contains(&y)
-                            && (g..g + side).contains(&x);
-                        guarded[idx as usize] = if interior {
-                            let cell = ((z - g) * side + (y - g)) * side + (x - g);
-                            self.cell_value(var, block, cell)
-                        } else {
-                            f64::NAN // guard sentinel
-                        };
+            for z in g..g + side {
+                for y in g..g + side {
+                    let row = ((z * gside + y) * gside + g) as usize;
+                    let first = ((z - g) * side + (y - g)) * side;
+                    for (x, cell) in guarded[row..row + side as usize].iter_mut().zip(first..) {
+                        *x = self.cell_value(var, block, cell);
                     }
                 }
             }
@@ -211,6 +208,70 @@ mod tests {
         assert_eq!(buf[0], m.cell_value(3, 80, 0));
         // Last cell of last block.
         assert_eq!(buf[buf.len() - 1], m.cell_value(3, 80 + 79, 511));
+    }
+
+    /// The fill as it was before the guard sentinel was written once per
+    /// call: every cell of every guarded block, guard or interior, decided
+    /// one at a time. Kept as the oracle of the test below.
+    fn per_cell_fill(m: &BlockMesh, rank: usize, var: usize, side: u64) -> Vec<f64> {
+        let g = NGUARD;
+        let gside = side + 2 * g;
+        let mut out = Vec::new();
+        let mut guarded = vec![0f64; (gside * gside * gside) as usize];
+        for b in 0..m.blocks_per_proc {
+            let block = m.first_block(rank) + b;
+            for z in 0..gside {
+                for y in 0..gside {
+                    for x in 0..gside {
+                        let idx = (z * gside + y) * gside + x;
+                        let interior = (g..g + side).contains(&z)
+                            && (g..g + side).contains(&y)
+                            && (g..g + side).contains(&x);
+                        guarded[idx as usize] = if interior {
+                            let cell = ((z - g) * side + (y - g)) * side + (x - g);
+                            m.cell_value(var, block, cell)
+                        } else {
+                            f64::NAN
+                        };
+                    }
+                }
+            }
+            for z in g..g + side {
+                for y in g..g + side {
+                    let row = ((z * gside + y) * gside + g) as usize;
+                    out.extend_from_slice(&guarded[row..row + side as usize]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn interior_fill_matches_the_per_cell_fill() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // One `out` for every case: the corner size runs first, so a fill
+        // that left anything of a longer or an earlier buffer would show.
+        let mut out = Vec::new();
+        for nxb in [8, 16] {
+            let m = BlockMesh {
+                nxb,
+                blocks_per_proc: 3,
+                nprocs: 3,
+            };
+            for side in [nxb + 1, nxb] {
+                for rank in 0..m.nprocs {
+                    for var in [0, NUNK - 1] {
+                        m.interior_buffer_into(rank, var, side, &mut out);
+                        let want = per_cell_fill(&m, rank, var, side);
+                        assert_eq!(
+                            bits(&out),
+                            bits(&want),
+                            "nxb {nxb} side {side} rank {rank} var {var}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -216,15 +216,7 @@ pub fn access_runs_into(
     }
     let v = &h.vars[varid];
     let is_rec = h.is_record_var(varid);
-    let skip = usize::from(is_rec);
-    let inner = Inner {
-        dims: &h.dims,
-        dimids: &v.dimids[skip..],
-        start: &start[skip..],
-        count: &count[skip..],
-        stride: stride.map(|s| &s[skip..]),
-        esize: v.nctype.size(),
-    };
+    let inner = Inner::new(h, varid, start, count, stride);
     // Iterate the record dimension (or a single pass for fixed vars).
     let (rec_start, rec_count, rec_stride) = if is_rec {
         (start[0], count[0], stride.map_or(1, |s| s[0]))
@@ -232,12 +224,7 @@ pub fn access_runs_into(
         (0, 1, 1)
     };
     for r in 0..rec_count {
-        let base = v.begin + (rec_start + r * rec_stride) * recsize;
-        if inner.dimids.is_empty() {
-            push_run(out, base, inner.esize);
-        } else {
-            inner.walk(0, base, out);
-        }
+        inner.walk(0, v.begin + (rec_start + r * rec_stride) * recsize, out);
     }
 }
 
@@ -252,9 +239,10 @@ fn push_run(out: &mut Vec<(u64, u64)>, off: u64, len: u64) {
     out.push((off, len));
 }
 
-/// The non-record dimensions of one access (at least one, every count
-/// non-zero), walked outermost first. The walk keeps its position in the
-/// call stack, one frame per dimension, instead of in an index vector.
+/// The non-record dimensions of one access down to its last partial one
+/// (every count non-zero), walked outermost first; `esize` spans the whole
+/// dimensions folded below them. The walk keeps its position in the call
+/// stack, one frame per dimension, instead of in an index vector.
 struct Inner<'a> {
     dims: &'a [crate::Dim],
     dimids: &'a [usize],
@@ -264,15 +252,50 @@ struct Inner<'a> {
     esize: u64,
 }
 
-impl Inner<'_> {
+impl<'a> Inner<'a> {
+    /// The walk of `(start, count, stride)` on `varid`. Trailing dimensions
+    /// selected whole (start 0, every index, unit stride) are one contiguous
+    /// piece of the file, so they are folded into the element and the walk
+    /// stops at the last partial dimension. These are the rows `push_run`
+    /// would merge back into one run, so no run list changes. The record
+    /// dimension is never folded.
+    fn new(
+        h: &'a Header,
+        varid: usize,
+        start: &'a [u64],
+        count: &'a [u64],
+        stride: Option<&'a [u64]>,
+    ) -> Inner<'a> {
+        let v = &h.vars[varid];
+        let skip = usize::from(h.is_record_var(varid));
+        let (mut keep, mut esize) = (v.dimids.len(), v.nctype.size());
+        while keep > skip {
+            let (d, len) = (keep - 1, h.dims[v.dimids[keep - 1]].len);
+            if start[d] != 0 || count[d] != len || stride.is_some_and(|s| s[d] != 1) {
+                break;
+            }
+            (keep, esize) = (d, esize * len);
+        }
+        Inner {
+            dims: &h.dims,
+            dimids: &v.dimids[skip..keep],
+            start: &start[skip..keep],
+            count: &count[skip..keep],
+            stride: stride.map(|s| &s[skip..keep]),
+            esize,
+        }
+    }
+
     fn step(&self, d: usize) -> u64 {
         self.stride.map_or(1, |s| s[d])
     }
 
     /// Emit the runs of dimensions `d..` whose enclosing indices put them
-    /// at byte `base`.
+    /// at byte `base`: one element when every dimension was folded.
     fn walk(&self, d: usize, base: u64, out: &mut Vec<(u64, u64)>) {
-        let last = self.dimids.len() - 1;
+        let Some(last) = self.dimids.len().checked_sub(1) else {
+            return push_run(out, base, self.esize);
+        };
         if d == last {
             return self.row(base, out);
         }
@@ -507,6 +530,95 @@ mod tests {
         assert_eq!(runs, vec![(b + l.recsize, 48), (b + 2 * l.recsize, 48)]);
     }
 
+    /// FLASH's `(blocks, z, y, x)` unknowns at a small size: `n` is fixed,
+    /// `r` a record variable whose records are not adjacent.
+    fn blocks() -> (Header, Layout) {
+        let mut h = Header::new(Version::Cdf2);
+        let t = h.add_dim("time", 0).unwrap();
+        let b = h.add_dim("blocks", 6).unwrap();
+        let zyx: Vec<usize> = ["z", "y", "x"]
+            .iter()
+            .map(|n| h.add_dim(n, 3).unwrap())
+            .collect();
+        h.add_var("n", NcType::Double, &[b, zyx[0], zyx[1], zyx[2]])
+            .unwrap();
+        h.add_var("r", NcType::Float, &[t, zyx[0], zyx[1], zyx[2]])
+            .unwrap();
+        h.add_var("r2", NcType::Int, &[t, zyx[2]]).unwrap();
+        let l = compute(&mut h, 4).unwrap();
+        (h, l)
+    }
+
+    /// Dimensions the walk keeps, and its element size after the fold.
+    fn fold(h: &Header, varid: usize, sel: [&[u64]; 2], stride: Option<&[u64]>) -> (usize, u64) {
+        let inner = Inner::new(h, varid, sel[0], sel[1], stride);
+        (inner.dimids.len(), inner.esize)
+    }
+
+    #[test]
+    fn a_block_slab_of_a_fixed_var_is_one_run() {
+        let (h, l) = blocks();
+        let b = h.vars[0].begin;
+        // This rank's `[bpp, s, s, s]`: the blocks are walked, nothing below.
+        let (start, count) = ([2, 0, 0, 0], [3, 3, 3, 3]);
+        assert_eq!(fold(&h, 0, [&start, &count], None), (1, 27 * 8));
+        let runs = access_runs(&h, l.recsize, 0, &start, &count, None);
+        assert_eq!(runs, vec![(b + 2 * 27 * 8, 3 * 27 * 8)]);
+        // Every block, with a unit stride argument: nothing left to walk.
+        let (all, unit) = ([0; 4], [1; 4]);
+        assert_eq!(
+            fold(&h, 0, [&all, &[6, 3, 3, 3]], Some(&unit)),
+            (0, 6 * 27 * 8)
+        );
+        let runs = access_runs(&h, l.recsize, 0, &all, &[6, 3, 3, 3], Some(&unit));
+        assert_eq!(runs, vec![(b, 6 * 27 * 8)]);
+    }
+
+    #[test]
+    fn a_record_with_whole_inner_dims_is_one_run_per_record() {
+        let (h, l) = blocks();
+        let (start, count) = ([1, 0, 0, 0], [3, 3, 3, 3]);
+        assert_eq!(fold(&h, 1, [&start, &count], None), (0, 27 * 4));
+        assert!(l.recsize > 27 * 4, "records are not adjacent");
+        let b = h.vars[1].begin;
+        let want: Vec<_> = (1..4).map(|r| (b + r * l.recsize, 27 * 4)).collect();
+        assert_eq!(access_runs(&h, l.recsize, 1, &start, &count, None), want);
+    }
+
+    #[test]
+    fn a_partial_middle_dimension_stops_the_fold() {
+        let (h, l) = blocks();
+        // n[2..4][0..3][1..3][0..3]: x folds, y is partial and walked.
+        let (start, count) = ([2, 0, 1, 0], [2, 3, 2, 3]);
+        assert_eq!(fold(&h, 0, [&start, &count], None), (3, 3 * 8));
+        let b = h.vars[0].begin;
+        let want: Vec<_> = (2..4)
+            .flat_map(|blk| (0..3).map(move |z| (b + ((blk * 3 + z) * 3 + 1) * 24, 48)))
+            .collect();
+        assert_eq!(access_runs(&h, l.recsize, 0, &start, &count, None), want);
+    }
+
+    #[test]
+    fn a_strided_last_dimension_is_never_folded() {
+        let (h, _) = blocks();
+        let (all, count) = ([0; 4], [6, 3, 3, 2]);
+        assert_eq!(fold(&h, 0, [&all, &count], Some(&[1, 1, 1, 2])), (4, 8));
+        // A length-1 dimension is selected whole by any stride; only a unit
+        // stride folds it.
+        let mut h = Header::new(Version::Cdf1);
+        let y = h.add_dim("y", 3).unwrap();
+        let x = h.add_dim("x", 1).unwrap();
+        h.add_var("v", NcType::Int, &[y, x]).unwrap();
+        let l = compute(&mut h, 4).unwrap();
+        let (start, count) = ([0, 0], [3, 1]);
+        assert_eq!(fold(&h, 0, [&start, &count], Some(&[1, 2])), (2, 4));
+        assert_eq!(fold(&h, 0, [&start, &count], Some(&[1, 1])), (0, 12));
+        for stride in [[1, 2], [1, 1]] {
+            let runs = access_runs(&h, l.recsize, 0, &start, &count, Some(&stride));
+            assert_eq!(runs, vec![(h.vars[0].begin, 12)]);
+        }
+    }
+
     #[test]
     fn access_runs_scalar_var() {
         let mut h = Header::new(Version::Cdf1);
@@ -553,16 +665,19 @@ mod tests {
     }
 
     /// Up to five dimensions, each `(len, start, count, stride)` with the
-    /// strided selection inside `len`; counts may be zero.
+    /// strided selection inside `len`; counts may be zero. Half of them are
+    /// selected whole, so runs of whole trailing dimensions, which the
+    /// lowering folds, are common.
     fn arb_dims() -> impl proptest::prelude::Strategy<Value = Vec<(u64, u64, u64, u64)>> {
         use proptest::prelude::*;
-        let dim = (1u64..7, 1u64..4).prop_flat_map(|(len, stride)| {
+        let part = (1u64..7, 1u64..4).prop_flat_map(|(len, stride)| {
             (0..len).prop_flat_map(move |start| {
                 let fit = (len - 1 - start) / stride + 1;
                 (Just(len), Just(start), 0..fit + 1, Just(stride))
             })
         });
-        proptest::collection::vec(dim, 0..6)
+        let whole = (1u64..7).prop_map(|len| (len, 0, len, 1));
+        proptest::collection::vec(proptest::prop_oneof![whole, part], 0..6)
     }
 
     proptest::proptest! {
