@@ -154,4 +154,16 @@ print(f"    perf_bench --quick OK: every workload ran, every metric present; "
       f"{cached_peak:.2f} MiB peak heap, no failed operation")
 EOF
 
+echo "==> tools/hotspots.sh smoke: one flash_ckpt iteration under the sampler"
+# The SIGPROF sampler behind EXPERIMENTS.md's sampler tables must still build,
+# run and resolve frames through inlining: the FLASH write phase has to show.
+if command -v cc >/dev/null && command -v addr2line >/dev/null && command -v readelf >/dev/null; then
+    tools/hotspots.sh flash_ckpt 1 write_impl >"$report_dir/hotspots.txt"
+    awk '$NF == "write_impl" && $1 > 0 {ok = 1} END {exit !ok}' "$report_dir/hotspots.txt" \
+        || { cat "$report_dir/hotspots.txt"; echo "FAIL: hotspots.sh did not resolve write_impl"; exit 1; }
+    echo "    hotspots OK: $(head -n 1 "$report_dir/hotspots.txt"), write_impl resolved"
+else
+    echo "    skipped: cc, addr2line or readelf not found"
+fi
+
 echo "CI OK"
