@@ -298,13 +298,14 @@ fn stretches<'a>(
 }
 
 /// `list`'s allocation, emptied, for slices of another lifetime: the
-/// cache's gather and scatter lists outlive every borrow of the slots they
+/// cache's gather and scatter lists, and a spanning read's
+/// ([`crate::sieve::SpanScratch`]), outlive every borrow of the memory they
 /// lend, so they are kept empty and re-typed for each request. That keeps
 /// their buffers only because std collects a vector into one of the same
 /// element layout in place, which std does not guarantee: the
 /// `debug_assert` fails here if it stops, and `tests/cache_alloc_budget.rs`
 /// counts the allocation it would cost per request.
-fn recycle<A, B>(mut list: Vec<A>) -> Vec<B> {
+pub(crate) fn recycle<A, B>(mut list: Vec<A>) -> Vec<B> {
     let cap = list.capacity();
     list.clear();
     let out: Vec<B> = list.into_iter().filter_map(|_| None).collect();

@@ -8,13 +8,17 @@
 //! bounded by the `ind_rd_buffer_size` / `ind_wr_buffer_size` hints.
 //!
 //! Every request leaves through the PFS's two vectored doors
-//! ([`recover::write()`], [`recover::read()`]) with one run and one segment: a
-//! sieve reads its holes on purpose, and an unsieved access keeps one
-//! request per run, in either direction.
+//! ([`recover::write()`], [`recover::read()`]) with one run: a sieve reads
+//! its holes on purpose, and an unsieved access keeps one request per run,
+//! in either direction. A write hands the PFS one segment, its extent. A
+//! read hands it a scatter list ([`SpanScratch`], which the two-phase read
+//! window shares): the pieces' bytes land in the caller's memory, and only
+//! the holes pass through a buffer.
 
 use hpc_sim::Time;
 use pnetcdf_pfs::PfsFile;
 
+use crate::cache::recycle;
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
 use crate::runs::Run;
@@ -30,11 +34,10 @@ struct Windows<'a> {
     idx: usize,
     consumed: u64,
     /// Position in the packed payload.
-    pos: usize,
-    /// The current window's pieces as `(file offset, length, payload
-    /// position)`. Reused across windows — a multi-window access allocates
-    /// once, not per window.
-    pieces: Vec<(u64, usize, usize)>,
+    pos: u64,
+    /// The current window's pieces, in file order. Reused across windows —
+    /// a multi-window access allocates once, not per window.
+    pieces: Vec<Piece>,
 }
 
 impl<'a> Windows<'a> {
@@ -62,9 +65,13 @@ impl<'a> Windows<'a> {
                 break;
             }
             let end = (off + len).min(whi_limit);
-            let take = (end - start) as usize;
-            self.pieces.push((start, take, self.pos));
-            self.pos += take;
+            self.pieces.push(Piece {
+                off: start,
+                len: end - start,
+                rank: 0,
+                src_pos: self.pos,
+            });
+            self.pos += end - start;
             whi = end;
             if end == off + len {
                 self.idx += 1;
@@ -120,10 +127,10 @@ pub fn write(
     let mut windows = Windows::new(runs, buffer_size);
     let mut extent: Vec<u8> = Vec::new();
     while let Some((wlo, whi)) = windows.advance() {
-        if let [(off, len, dpos)] = windows.pieces[..] {
-            transferred += len as u64;
-            let run = [(off, len as u64)];
-            now = recover::write(file, &policy, now, &run, &[&data[dpos..dpos + len]])?.durable;
+        if let [pc] = windows.pieces[..] {
+            transferred += pc.len;
+            let bytes = &data[pc.src_pos as usize..(pc.src_pos + pc.len) as usize];
+            now = recover::write(file, &policy, now, &[(pc.off, pc.len)], &[bytes])?.durable;
             continue;
         }
         // Read-modify-write the extent [wlo, whi). The reused buffer needs
@@ -137,9 +144,9 @@ pub fn write(
         let buf = &mut extent[..span];
         let extent_run = [(wlo, span as u64)];
         now = recover::read(file, &policy, now, &extent_run, &mut [&mut *buf])?;
-        for &(off, len, dpos) in &windows.pieces {
-            let lo = (off - wlo) as usize;
-            buf[lo..lo + len].copy_from_slice(&data[dpos..dpos + len]);
+        for pc in &windows.pieces {
+            let (lo, pos) = ((pc.off - wlo) as usize, pc.src_pos as usize);
+            buf[lo..lo + pc.len as usize].copy_from_slice(&data[pos..pos + pc.len as usize]);
         }
         now = recover::write(file, &policy, now, &extent_run, &[buf])?.durable;
     }
@@ -182,28 +189,134 @@ pub fn read(
 
     let mut transferred = 0u64;
     let mut windows = Windows::new(runs, buffer_size);
-    let mut extent: Vec<u8> = Vec::new();
+    let (mut scratch, mut holes) = (SpanScratch::default(), Vec::new());
     while let Some((wlo, whi)) = windows.advance() {
-        if let [(off, len, dpos)] = windows.pieces[..] {
-            transferred += len as u64;
-            let run = [(off, len as u64)];
-            now = recover::read(file, &policy, now, &run, &mut [&mut out[dpos..dpos + len]])?;
-            continue;
-        }
-        let span = (whi - wlo) as usize;
-        transferred += span as u64;
-        if extent.len() < span {
-            extent.resize(span, 0);
-        }
-        let buf = &mut extent[..span];
-        now = recover::read(file, &policy, now, &[(wlo, span as u64)], &mut [&mut *buf])?;
-        for &(off, len, dpos) in &windows.pieces {
-            let lo = (off - wlo) as usize;
-            out[dpos..dpos + len].copy_from_slice(&buf[lo..lo + len]);
-        }
+        transferred += whi - wlo;
+        let need = scratch.spill(&mut windows.pieces);
+        holes.resize(holes.len().max(need), 0);
+        let out = [&mut *out];
+        now = scratch.read(file, &policy, now, &windows.pieces, out, &mut holes[..need])?;
     }
     file.profile().record_sieve(true, transferred, total as u64);
     Ok(now)
+}
+
+/// A contiguous piece of one rank's request inside one window: a
+/// two-phase window's, or a sieve window's (rank 0).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Piece {
+    pub off: u64,
+    pub len: u64,
+    pub rank: usize,
+    /// Position of this piece's bytes in the rank's packed buffer.
+    pub src_pos: u64,
+}
+
+/// A spanning read that delivers every byte straight to where it is going:
+/// [`SpanScratch::spill`] sizes the spill buffer a window's pieces need,
+/// [`SpanScratch::read`] reads the window. Kept from window to window, so
+/// that the windows of one access allocate once, not per window; the
+/// scatter list and the copies are kept empty and re-typed for each window
+/// ([`recycle`]).
+#[derive(Default)]
+pub(crate) struct SpanScratch {
+    /// The pieces covering the sweep's position.
+    live: Vec<usize>,
+    /// Per rank: where the part of its destination not yet lent begins.
+    at: Vec<u64>,
+    scatter: Vec<&'static mut [u8]>,
+    copies: Vec<(&'static mut [u8], usize)>,
+}
+
+/// Walk the span the file-ordered `pieces` cover, cutting it wherever the
+/// set of pieces covering a byte changes (at a piece's start or end), and
+/// hand each segment to `emit` in file order with the pieces `live` on it:
+/// one, whose bytes they are; none, a hole; or more, who share them.
+/// Returns the end of the span.
+fn sweep(pieces: &[Piece], live: &mut Vec<usize>, mut emit: impl FnMut(u64, u64, &[usize])) -> u64 {
+    let end = |j: usize| pieces[j].off + pieces[j].len;
+    let (mut x, mut i) = (pieces.first().map_or(0, |pc| pc.off), 0);
+    loop {
+        // Admit the pieces starting here: `i` moves past the last one.
+        live.extend((i..pieces.len()).take_while(|&j| pieces[j].off <= x));
+        i = live.last().map_or(i, |&j| i.max(j + 1));
+        live.retain(|&j| end(j) > x);
+        if live.is_empty() && i == pieces.len() {
+            return x;
+        }
+        let next = pieces.get(i).map_or(u64::MAX, |pc| pc.off);
+        let y = live.iter().map(|&j| end(j)).fold(next, u64::min);
+        emit(x, y - x, live);
+        x = y;
+    }
+}
+
+/// Bytes `pos..pos + len` of a destination whose bytes before `*at` are
+/// gone and whose rest is `slot`: `slot` and `at` move past them.
+fn cut<'b>(slot: &mut &'b mut [u8], at: &mut u64, pos: u64, len: u64) -> &'b mut [u8] {
+    let skip = pos - std::mem::replace(at, pos + len);
+    let (seg, rest) = std::mem::take(slot)[skip as usize..].split_at_mut(len as usize);
+    *slot = rest;
+    seg
+}
+
+impl SpanScratch {
+    /// Sort a window's `pieces` into file order and return how many bytes
+    /// of its span go to the spill buffer: its holes, and the bytes more
+    /// than one piece wants.
+    pub(crate) fn spill(&mut self, pieces: &mut [Piece]) -> usize {
+        pieces.sort_unstable_by_key(|pc| pc.off);
+        let mut spilled = 0;
+        sweep(pieces, &mut self.live, |_, len, live| {
+            spilled += len as usize * (live.len() != 1) as usize
+        });
+        spilled
+    }
+
+    /// Read the span the file-ordered `pieces` cover with one request,
+    /// delivering every byte straight to where it is going: a byte exactly
+    /// one piece wants lands in its rank's destination (`dsts`, in rank
+    /// order); the others land in `spill`, sized by [`Self::spill`], and
+    /// each piece that shares bytes is copied its part after the read. The
+    /// run list is the span however the bytes are scattered, so the
+    /// request, its servers and its price are those of a read of the span
+    /// into one buffer. Returns the completion time; `now` when there are
+    /// no pieces.
+    pub(crate) fn read<'b>(
+        &mut self,
+        file: &PfsFile,
+        policy: &RetryPolicy,
+        now: Time,
+        pieces: &[Piece],
+        dsts: impl IntoIterator<Item = &'b mut [u8]>,
+        mut spill: &'b mut [u8],
+    ) -> MpioResult<Time> {
+        // The scatter list: every destination is lent whole first, so that
+        // a piece's part can be cut from it whichever rank's it is; the
+        // read is handed the segments after them, the copies kept apart.
+        let mut lent = recycle(std::mem::take(&mut self.scatter));
+        let mut copy = recycle(std::mem::take(&mut self.copies));
+        lent.extend(dsts);
+        let (at, whole) = (&mut self.at, lent.len());
+        at.splice(.., std::iter::repeat_n(0, whole));
+        let end = sweep(pieces, &mut self.live, |off, len, live| {
+            let spilled = live.len() != 1;
+            lent.extend(spilled.then(|| cut(&mut spill, &mut 0, 0, len)));
+            for pc in live.iter().map(|&j| pieces[j]) {
+                let pos = pc.src_pos + off - pc.off;
+                let part = cut(&mut lent[pc.rank], &mut at[pc.rank], pos, len);
+                match spilled {
+                    true => copy.push((part, lent.len() - 1)),
+                    false => lent.push(part),
+                }
+            }
+        });
+        let lo = pieces.first().map_or(end, |pc| pc.off);
+        let done = recover::read(file, policy, now, &[(lo, end - lo)], &mut lent[whole..]);
+        copy.drain(..).for_each(|(c, k)| c.copy_from_slice(lent[k]));
+        (self.scatter, self.copies) = (recycle(lent), recycle(copy));
+        done
+    }
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ use pnetcdf_pfs::PfsFile;
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
 use crate::runs::{runs_total, Run};
+use crate::sieve::{Piece, SpanScratch};
 
 /// Parameters resolved from hints at the call site.
 #[derive(Clone, Copy, Debug)]
@@ -163,21 +164,12 @@ fn wire(windows: &[Vec<Window>], nranks: usize, rounds: std::ops::Range<usize>) 
 
 // ---- the window planner -------------------------------------------------------
 
-/// A contiguous piece of one rank's request inside one window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Piece {
-    off: u64,
-    len: u64,
-    rank: usize,
-    /// Position of this piece's bytes in the rank's packed buffer.
-    src_pos: u64,
-}
-
 /// One collective-buffer window: the pieces routed to it — rank by rank,
 /// ascending within a rank, so overlapping writes resolve the same way
-/// under every plan (highest rank wins) — and the sorted file extents it
-/// owns: the owned stripe ranges for a write, one range for a read. No
-/// piece leaves its window's extents.
+/// under every plan (highest rank wins); a read window sorts them into
+/// file order — and the sorted file extents it owns: the owned stripe
+/// ranges for a write, one range for a read. No piece leaves its window's
+/// extents.
 #[derive(Debug, Default)]
 struct Window {
     pieces: Vec<Piece>,
@@ -558,7 +550,7 @@ fn collective(
     };
     let span_stripes = (gmax - 1) / p.stripe - gmin / p.stripe + 1;
     let affine = write && span_stripes <= AFFINE_SPAN_LIMIT;
-    let windows = plan_windows(&all_runs, (gmin, gmax), naggs, p, affine);
+    let mut windows = plan_windows(&all_runs, (gmin, gmax), naggs, p, affine);
     let rounds = windows.iter().map(Vec::len).max().unwrap_or(0);
     // With fewer than two rounds there is nothing to overlap, so pipelining
     // would only pay its extra offset exchange.
@@ -613,6 +605,7 @@ fn collective(
         split: AccessSplit::new(windows.len()),
         cbuf,
         cap: (p.cb_buffer_size as u64).min(gmax - gmin) as usize,
+        span: SpanScratch::default(),
     };
     let mut t_agg = vec![t0; windows.len()];
     let mut x_done = vec![t0; rounds]; // per-round exchange completion
@@ -652,8 +645,8 @@ fn collective(
                 freed(&x_done)
             };
             let mut dmax = t0;
-            for (a, agg_windows) in windows.iter().enumerate() {
-                let Some(win) = agg_windows.get(j) else {
+            for (a, agg_windows) in windows.iter_mut().enumerate() {
+                let Some(win) = agg_windows.get_mut(j) else {
                     continue;
                 };
                 // Aggregator a starts round j once its previous window has
@@ -734,14 +727,17 @@ fn collective(
 /// and reused by every later window of every round of every later
 /// collective, growing only when a window asks for more than it holds.
 /// (The finisher runs the aggregators' windows one at a time, so one buffer
-/// stands for each aggregator's own.)
+/// stands for each aggregator's own.) A write window assembles its spans
+/// in it; a read window holds only its holes and the bytes more than one
+/// piece wants, so a read-only open whose windows have neither never
+/// allocates it.
 ///
 /// Reuse rule: a window never clears the buffer, so **every byte handed to
 /// the PFS was written by a piece or by this window's read-modify-write
 /// read** — a span is either fully covered by pieces or read whole first —
-/// and every byte scattered to a reader was delivered by this window's
-/// read. Nothing of an earlier window can show through, whichever call
-/// that window belonged to.
+/// and every byte a reader is copied out of it was delivered there by this
+/// window's read. Nothing of an earlier window can show through, whichever
+/// call that window belonged to.
 #[derive(Default)]
 pub struct CollBuf {
     bytes: Vec<u8>,
@@ -782,6 +778,8 @@ struct Engine<'e> {
     /// What this collective sizes the buffer to if it has to allocate it
     /// (see [`window_buf`]).
     cap: usize,
+    /// The read windows' scatter lists, one allocation for all of them.
+    span: SpanScratch,
 }
 
 impl Engine<'_> {
@@ -911,32 +909,27 @@ impl Engine<'_> {
     }
 
     /// Time one read window on aggregator `a` starting at `t_start`: one
-    /// spanning read into the collective buffer covers every piece in the
-    /// window (data sieving at the aggregator), then the pieces are
-    /// scattered straight into the requesting ranks' lent destinations
-    /// (memcpy). Returns the aggregator's completion time, twice: a read
-    /// window has no later durable point.
+    /// spanning read covers every piece in the window (data sieving at the
+    /// aggregator) and scatters each byte straight into the requesting
+    /// rank's lent destination; only holes and bytes several pieces want
+    /// pass through the collective buffer ([`SpanScratch`]). The modelled
+    /// aggregator still copies each piece out of its buffer, so the window
+    /// is charged that memcpy. Returns the aggregator's completion time,
+    /// twice: a read window has no later durable point.
     fn read_window(
         &mut self,
         t_start: Time,
         a: usize,
-        win: &Window,
+        win: &mut Window,
         reqs: &mut [Req<'_>],
         wt: WinTrace,
     ) -> MpioResult<(Time, Time)> {
         let _ctx = self.enter(a, wt);
-        let clo = win.pieces.iter().map(|pc| pc.off).min().unwrap();
-        let cend = win.pieces.iter().map(|pc| pc.off + pc.len).max().unwrap();
-        let bytes = &mut self.cbuf.bytes;
-        let buf = window_buf(bytes, self.cap, (cend - clo) as usize, &mut self.split);
-        let span = [(clo, cend - clo)];
-        let t_read = recover::read(self.file, &self.policy, t_start, &span, &mut [&mut *buf])?;
+        let need = self.span.spill(&mut win.pieces);
+        let spill = window_buf(&mut self.cbuf.bytes, self.cap, need, &mut self.split);
+        let (span, dsts) = (&mut self.span, reqs.iter_mut().map(|r| &mut *r.dst));
+        let t_read = span.read(self.file, &self.policy, t_start, &win.pieces, dsts, spill)?;
         self.split.read[a] += (t_read - t_start).as_nanos();
-        for pc in &win.pieces {
-            let lo = (pc.off - clo) as usize;
-            reqs[pc.rank].dst[pc.src_pos as usize..(pc.src_pos + pc.len) as usize]
-                .copy_from_slice(&buf[lo..lo + pc.len as usize]);
-        }
         let piece_bytes: u64 = win.pieces.iter().map(|pc| pc.len).sum();
         let t_a = self.pack(a, wt, t_read, piece_bytes);
         self.leave(a, wt, t_start, t_a, piece_bytes);
@@ -1035,7 +1028,9 @@ struct AccessSplit {
     serial_busy: Vec<u64>,
     windows: u64,
     rmw: u64,
-    /// Windows served from the already-allocated collective buffer.
+    /// Windows that allocated no collective buffer: served from the one
+    /// already allocated, or needing none (a read window without holes or
+    /// shared bytes).
     collbuf_reuses: u64,
 }
 

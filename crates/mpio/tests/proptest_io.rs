@@ -127,24 +127,28 @@ proptest! {
 
     #[test]
     fn collective_read_returns_exact_bytes(
-        per_rank in vec(arb_runs(), 2..4),
+        per_rank in vec((arb_runs(), 0u64..3), 2..5),
+        common in (0u64..1500, 1u64..200),
         cb_buffer in 16usize..512,
+        cb_nodes in 1usize..5,
+        pipeline in proptest::bool::ANY,
     ) {
         let cfg = SimConfig::test_small();
         let n = per_rank.len();
+        // Overlapping collective reads are legal: every rank also reads
+        // the `common` run, and ranks whose bases collide share more.
+        let (clo, chi) = (common.0, common.0 + common.1);
         let rank_runs: Vec<Vec<Run>> = per_rank
             .iter()
-            .enumerate()
-            .map(|(r, runs)| {
-                let base = r as u64 * 2048;
-                let mut next_free = base;
-                runs.iter()
-                    .map(|&(off, len)| {
-                        let o = (base + off).max(next_free);
-                        next_free = o + len;
-                        (o, len)
-                    })
-                    .collect()
+            .map(|(runs, base)| {
+                let mut out: Vec<Run> = runs
+                    .iter()
+                    .map(|&(off, len)| (base * 512 + off, len))
+                    .filter(|&(off, len)| off + len <= clo || off >= chi)
+                    .collect();
+                out.push(common);
+                out.sort();
+                out
             })
             .collect();
 
@@ -159,14 +163,19 @@ proptest! {
         let content: Vec<u8> = (0..max_end).map(|i| (i % 251) as u8).collect();
         pfs.create("t").import_bytes(&content);
 
-        let info = Info::new().with("cb_buffer_size", &cb_buffer.to_string());
+        let toggle = if pipeline { "enable" } else { "disable" };
+        let info = Info::new()
+            .with("cb_buffer_size", &cb_buffer.to_string())
+            .with("cb_nodes", &cb_nodes.to_string())
+            .with("pnc_cb_pipeline", toggle);
         let rr = rank_runs.clone();
         let content2 = content.clone();
         run_world(n, cfg.clone(), move |c| {
             let f = MpiFile::open(c, &pfs, "t", OpenMode::ReadOnly, &info).unwrap();
             let runs = &rr[c.rank()];
             let total: u64 = runs.iter().map(|r| r.1).sum();
-            let mut buf = vec![0u8; total as usize];
+            // Stale bytes in the lent buffer must all be overwritten.
+            let mut buf = vec![0xEEu8; total as usize];
             f.read_runs_into_all(runs, &mut buf).unwrap();
             // Verify against the seeded pattern.
             let mut pos = 0usize;

@@ -268,9 +268,11 @@ macro_rules! counter_table {
                 /// read, and read destinations filled, where the owning rank
                 /// keeps them.
                 exchange_borrowed_bytes: Bytes, Sum;
-                /// Two-phase windows served from the collective buffer an
-                /// earlier window on the same open file — of this collective
-                /// or of an earlier one — had already allocated.
+                /// Two-phase windows that allocated no collective buffer:
+                /// served from the one an earlier window on the same open
+                /// file — of this collective or of an earlier one — had
+                /// already allocated, or needing none (a read window
+                /// without holes or shared bytes).
                 collbuf_reuses: Count, Sum;
                 = "flatten_hit_rate" |b|
                     ratio(b.flatten_hits, b.flatten_hits + b.flatten_misses, 0.0);
