@@ -166,12 +166,12 @@ echo "==> tools/hotspots.sh smoke: one flash_ckpt iteration under the sampler"
 # run and resolve frames through inlining: the FLASH write phase and the
 # restart read phase have to show.
 if command -v cc >/dev/null && command -v addr2line >/dev/null && command -v readelf >/dev/null; then
-    tools/hotspots.sh flash_ckpt 1 write_impl,read_pnetcdf >"$report_dir/hotspots.txt"
-    for frame in write_impl read_pnetcdf; do
+    tools/hotspots.sh flash_ckpt 1 write_as,read_pnetcdf >"$report_dir/hotspots.txt"
+    for frame in write_as read_pnetcdf; do
         awk -v f="$frame" '$NF == f && $1 > 0 {ok = 1} END {exit !ok}' "$report_dir/hotspots.txt" \
             || { cat "$report_dir/hotspots.txt"; echo "FAIL: hotspots.sh did not resolve $frame"; exit 1; }
     done
-    echo "    hotspots OK: $(head -n 1 "$report_dir/hotspots.txt"), write_impl and read_pnetcdf resolved"
+    echo "    hotspots OK: $(head -n 1 "$report_dir/hotspots.txt"), write_as and read_pnetcdf resolved"
 else
     echo "    skipped: cc, addr2line or readelf not found"
 fi

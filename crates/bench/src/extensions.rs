@@ -3,8 +3,7 @@
 //! library, and the shared service cluster.
 
 use flash_io::readers::run_restart;
-use flash_io::writers::pnetcdf as flash_writer;
-use flash_io::{run_flash_io, BlockMesh, FlashConfig, IoLibrary, OutputKind};
+use flash_io::{run_flash_io, BlockMesh, FlashConfig, IoLibrary, Puts, WriteMode};
 use hpc_sim::trace::Json;
 use hpc_sim::SimConfig;
 use pnetcdf::{Dataset, Info, NcType, Version};
@@ -14,7 +13,7 @@ use pnetcdf_pfs::{MetaShardStats, Pfs, StorageMode};
 use crate::service::{run_fleet, SessionResult};
 use crate::table::Part::{List, Num};
 use crate::table::{fmt_bytes, Chart, Pin};
-use crate::workload::{checkpoint, flash_shape, mb_s, profile_entry};
+use crate::workload::{checkpoint, flash_bytes, flash_shape, mb_s, profile_entry};
 use crate::{Outcome, Size};
 
 /// The attribute writes the paper's benchmark port removed (section 5.2:
@@ -30,7 +29,13 @@ pub fn attributes(size: Size) -> Outcome {
                 attributes,
                 ..checkpoint(p, blocks_per_proc)
             };
-            run_flash_io(config, SimConfig::asci_frost(), StorageMode::CostOnly).bandwidth_mb_s
+            let (res, _) = run_flash_io(
+                config,
+                &SimConfig::asci_frost(),
+                StorageMode::CostOnly,
+                WriteMode::default(),
+            );
+            res.bandwidth_mb_s
         }
     };
     let title = "Checkpoint bandwidth with and without attributes";
@@ -115,35 +120,28 @@ pub fn flash_read(size: Size) -> Outcome {
 /// byte-identity of the two files on a small, fully stored run. One shape
 /// for both sizes (1.6 s in a release build).
 pub fn nonblocking(_: Size) -> Outcome {
-    // One checkpoint on a fresh file system: bytes written, makespan, and
-    // the file system.
-    let write = |sim: &SimConfig, storage, mesh: BlockMesh, aggregate: bool| {
-        let pfs = Pfs::new(sim.clone(), storage);
-        let run = run_world(mesh.nprocs, sim.clone(), |comm| {
-            let port = match aggregate {
-                true => flash_writer::write,
-                false => flash_writer::write_blocking,
-            };
-            port(comm, &pfs, &mesh, OutputKind::Checkpoint, "ckpt").unwrap()
-        });
-        (run.results[0], run.makespan, pfs)
+    // One checkpoint on a fresh file system, its puts aggregated or blocking.
+    let write = |sim: &SimConfig, storage, config, puts| {
+        let mode = WriteMode {
+            puts,
+            ..WriteMode::default()
+        };
+        run_flash_io(config, sim, storage, mode)
     };
     let procs = [16usize, 32, 64];
     let mut runs = Vec::new();
-    let mut bw = |aggregate: bool| {
+    let mut bw = |puts| {
         let cell = |&nprocs: &usize| {
             let sim = SimConfig::asci_frost();
             sim.profile.set_enabled(true);
-            let mesh = BlockMesh {
-                nxb: 8,
-                blocks_per_proc: 80,
-                nprocs,
+            let (res, _) = write(&sim, StorageMode::CostOnly, checkpoint(nprocs, 80), puts);
+            let profile = sim.profile.snapshot().to_json(res.time.as_nanos());
+            let path = match puts {
+                Puts::Blocking => "blocking",
+                _ => "aggregated",
             };
-            let (bytes, makespan, _) = write(&sim, StorageMode::CostOnly, mesh, aggregate);
-            let profile = sim.profile.snapshot().to_json(makespan.as_nanos());
-            let path = if aggregate { "aggregated" } else { "blocking" };
             runs.push(profile_entry(format!("{path} {nprocs}"), profile));
-            mb_s(bytes, makespan)
+            res.bandwidth_mb_s
         };
         procs.iter().map(cell).collect::<Vec<f64>>()
     };
@@ -152,21 +150,21 @@ pub fn nonblocking(_: Size) -> Outcome {
             "# Extension: nonblocking iput/wait_all aggregation (FLASH checkpoint, 8^3 blocks)",
             "# one collective round per file vs one per variable (~29)",
         ])
-        .series("blocking", Pin::Collective, bw(false))
-        .series("aggregated", Pin::Collective, bw(true));
+        .series("blocking", Pin::Collective, bw(Puts::Blocking))
+        .series("aggregated", Pin::Collective, bw(Puts::Aggregate));
     let ratio = chart.zip("aggregated", "blocking", |a, b| a / b)[2];
 
     // The same checkpoint both ways on a small fully stored file system.
-    let image = |aggregate: bool| {
-        let mesh = BlockMesh {
-            nxb: 8,
-            blocks_per_proc: 2,
-            nprocs: 4,
-        };
-        let (.., pfs) = write(&SimConfig::test_small(), StorageMode::Full, mesh, aggregate);
-        pfs.open("ckpt").unwrap().to_bytes()
+    let image = |puts| {
+        let (_, pfs) = write(
+            &SimConfig::test_small(),
+            StorageMode::Full,
+            checkpoint(4, 2),
+            puts,
+        );
+        flash_bytes(&pfs)
     };
-    let (blocking, aggregated) = (image(false), image(true));
+    let (blocking, aggregated) = (image(Puts::Blocking), image(Puts::Aggregate));
     assert!(
         blocking == aggregated,
         "aggregated checkpoint must match blocking byte-for-byte"

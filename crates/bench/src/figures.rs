@@ -1,7 +1,7 @@
 //! The paper's two measured figures, and the two-phase pipelining sweep
 //! that explains Figure 7's PnetCDF curves.
 
-use flash_io::{FlashConfig, IoLibrary, OutputKind, WriteMode};
+use flash_io::{run_flash_io, FlashConfig, IoLibrary, OutputKind, WriteMode};
 use hpc_sim::trace::{critical_path, CriticalPath, Json};
 use hpc_sim::{SimConfig, Time};
 use pnetcdf::Info;
@@ -11,8 +11,7 @@ use crate::partition::{Partition, PARTITIONS};
 use crate::report::check_coverage;
 use crate::table::{Chart, Pin};
 use crate::workload::{
-    checkpoint, flash_run, flash_shape, mb_s, profile_entry, serial_tt, Access, Array3d,
-    Array3dTimes,
+    checkpoint, flash_shape, mb_s, profile_entry, serial_tt, Access, Array3d, Array3dTimes,
 };
 use crate::{Outcome, Size};
 
@@ -133,7 +132,7 @@ pub fn fig6(size: Size) -> Outcome {
 fn profiled(config: FlashConfig, mode: WriteMode) -> (f64, SimConfig, Json) {
     let sim = SimConfig::asci_frost();
     sim.profile.set_enabled(true);
-    let (res, _) = flash_run(&sim, config, mode, StorageMode::CostOnly);
+    let (res, _) = run_flash_io(config, &sim, StorageMode::CostOnly, mode);
     let profile = sim.profile.snapshot().to_json(res.time.as_nanos());
     check_coverage(&profile, 0.05);
     (res.bandwidth_mb_s, sim, profile)
@@ -145,7 +144,7 @@ fn profiled(config: FlashConfig, mode: WriteMode) -> (f64, SimConfig, Json) {
 fn traced(config: FlashConfig, mode: WriteMode, out: &mut Outcome) -> CriticalPath {
     let sim = SimConfig::asci_frost();
     sim.events.set_enabled(true);
-    let (res, _) = flash_run(&sim, config, mode, StorageMode::CostOnly);
+    let (res, _) = run_flash_io(config, &sim, StorageMode::CostOnly, mode);
     let snap = sim.events.snapshot();
     for r in 0..config.nprocs {
         let cov = snap.rank_coverage(r, res.time.as_nanos());
@@ -192,7 +191,7 @@ pub fn fig7(size: Size) -> Outcome {
                         lib,
                         ..checkpoint(nprocs, blocks_per_proc)
                     };
-                    let (mb_s, _, profile) = profiled(config, WriteMode::Collective);
+                    let (mb_s, _, profile) = profiled(config, WriteMode::default());
                     runs.push(profile_entry(
                         format!("{title} {} {nprocs}", lib.label()),
                         profile,
@@ -207,7 +206,7 @@ pub fn fig7(size: Size) -> Outcome {
     let plain = |p, mode| {
         let frost = SimConfig::asci_frost();
         let config = checkpoint(p, blocks_per_proc);
-        flash_run(&frost, config, mode, StorageMode::CostOnly)
+        run_flash_io(config, &frost, StorageMode::CostOnly, mode)
             .0
             .bandwidth_mb_s
     };
@@ -218,7 +217,7 @@ pub fn fig7(size: Size) -> Outcome {
             "# Client page cache: checkpoint 8x8x8, independent per-block puts",
         ])
         .sweep("collective", Pin::Collective, procs, |&p| {
-            plain(p, WriteMode::Collective)
+            plain(p, WriteMode::default())
         })
         .sweep("indep uncached", Pin::Independent, procs, |&p| {
             plain(p, WriteMode::uncached())
@@ -249,7 +248,7 @@ pub fn fig7(size: Size) -> Outcome {
     let tp = tp.unwrap_or(*procs.last().expect("procs nonempty"));
     let cp = traced(
         checkpoint(tp, blocks_per_proc),
-        WriteMode::Collective,
+        WriteMode::default(),
         &mut out,
     );
     out.charts.push(

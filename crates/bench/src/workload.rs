@@ -2,7 +2,7 @@
 //! array of the paper's Figure 5 written (and read back) by a world of
 //! ranks, and the FLASH checkpoint on the Frost-like platform.
 
-use flash_io::{run_flash_io_mode, FlashConfig, FlashResult, IoLibrary, OutputKind, WriteMode};
+use flash_io::{FlashConfig, IoLibrary, OutputKind};
 use hpc_sim::trace::Json;
 use hpc_sim::{SimConfig, Time};
 use netcdf_serial::NcFile;
@@ -171,20 +171,7 @@ pub fn checkpoint(nprocs: usize, blocks_per_proc: u64) -> FlashConfig {
     }
 }
 
-/// One FLASH I/O run under `sim` on a fresh file system that stores as much
-/// as `storage` says; the file system comes back for [`flash_bytes`].
-pub fn flash_run(
-    sim: &SimConfig,
-    config: FlashConfig,
-    mode: WriteMode,
-    storage: StorageMode,
-) -> (FlashResult, Pfs) {
-    let pfs = Pfs::new(sim.clone(), storage);
-    let res = run_flash_io_mode(config, sim.clone(), &pfs, mode);
-    (res, pfs)
-}
-
-/// The file a fully stored FLASH run wrote.
+/// The file a fully stored `flash_io::run_flash_io` wrote.
 pub fn flash_bytes(pfs: &Pfs) -> Vec<u8> {
     pfs.open("flash_out").expect("output written").to_bytes()
 }

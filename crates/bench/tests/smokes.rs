@@ -4,14 +4,14 @@
 //! request tracing; and a small fleet of sessions on one shared cluster.
 //! Each test asserts its gates on the typed counters and on byte identity.
 
-use flash_io::{writers, BlockMesh, FlashResult, OutputKind, WriteMode};
+use flash_io::{run_flash_io, writers, BlockMesh, FlashResult, OutputKind, WriteMode};
 use hpc_sim::trace::events::{critical_path, stage};
 use hpc_sim::trace::Json;
 use hpc_sim::{CrashSpec, FaultPlan, SimConfig, Time};
 use pnetcdf::{Dataset, Info};
 use pnetcdf_bench::report::check_coverage;
 use pnetcdf_bench::service::run_fleet;
-use pnetcdf_bench::workload::{checkpoint, flash_bytes, flash_run};
+use pnetcdf_bench::workload::{checkpoint, flash_bytes};
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -25,7 +25,7 @@ fn checkpoint_bytes(
     mode: WriteMode,
 ) -> (Vec<u8>, FlashResult) {
     let config = checkpoint(NPROCS, blocks_per_proc);
-    let (res, pfs) = flash_run(sim, config, mode, StorageMode::Full);
+    let (res, pfs) = run_flash_io(config, sim, StorageMode::Full, mode);
     (flash_bytes(&pfs), res)
 }
 
@@ -59,13 +59,13 @@ fn faults_are_hidden_or_agreed_on() {
     let (clean_bytes, clean) = checkpoint_bytes(
         &frost_profiled(FaultPlan::default()),
         BLOCKS_PER_PROC,
-        WriteMode::Collective,
+        WriteMode::default(),
     );
 
     // Transient + short faults on every server op; recovery is byte-exact.
     let faulty_sim = frost_profiled(plan("transient=0.05,short=0.05"));
     let (faulty_bytes, faulty) =
-        checkpoint_bytes(&faulty_sim, BLOCKS_PER_PROC, WriteMode::Collective);
+        checkpoint_bytes(&faulty_sim, BLOCKS_PER_PROC, WriteMode::default());
     assert!(
         clean_bytes == faulty_bytes,
         "recovered faults changed the file contents"
@@ -96,7 +96,7 @@ fn faults_are_hidden_or_agreed_on() {
     };
     let run = run_world(NPROCS, crash_sim.clone(), |comm| {
         let kind = OutputKind::Checkpoint;
-        match writers::pnetcdf::write_with(comm, &pfs, &mesh, kind, "flash_out", false) {
+        match writers::pnetcdf::write(comm, &pfs, &mesh, kind, "flash_out") {
             Ok(_) => panic!("write succeeded with a permanently dead server"),
             Err(e) => format!("{e:?}"),
         }
@@ -140,8 +140,7 @@ fn faults_are_hidden_or_agreed_on() {
         w2.as_nanos(),
         (w2 + outage).as_nanos(),
     )));
-    let (windowed_bytes, _) =
-        checkpoint_bytes(&windows_sim, BLOCKS_PER_PROC, WriteMode::Collective);
+    let (windowed_bytes, _) = checkpoint_bytes(&windows_sim, BLOCKS_PER_PROC, WriteMode::default());
     assert!(
         clean_bytes == windowed_bytes,
         "crash windows with restarts changed the file contents"
@@ -163,11 +162,11 @@ fn parity_carries_the_checkpoint_through_a_server_crash() {
             parity,
             ..sim.clone()
         };
-        let (res, pfs) = flash_run(
-            &sim,
+        let (res, pfs) = run_flash_io(
             checkpoint(NPROCS, 4),
-            WriteMode::Collective,
+            &sim,
             StorageMode::Full,
+            WriteMode::default(),
         );
         (pfs, res.time)
     };
@@ -215,8 +214,7 @@ fn parity_carries_the_checkpoint_through_a_server_crash() {
     };
     let run = run_world(NPROCS, crash_sim.clone(), |comm| {
         let kind = OutputKind::Checkpoint;
-        writers::pnetcdf::write_collective(comm, &pfs, &mesh, kind, "flash_out", &Info::new())
-            .expect("pnetcdf collective write")
+        writers::pnetcdf::write(comm, &pfs, &mesh, kind, "flash_out").expect("pnetcdf write")
     });
     let makespan = run.makespan;
     assert!(
@@ -294,7 +292,7 @@ fn pipelined_rounds_hide_exchange_time_and_keep_the_bytes() {
     const BLOCKS_PER_PROC: u64 = 8;
     const CB_BUFFER: usize = 512 * 1024;
     let frost = SimConfig::asci_frost;
-    let (reference, _) = checkpoint_bytes(&frost(), BLOCKS_PER_PROC, WriteMode::Collective);
+    let (reference, _) = checkpoint_bytes(&frost(), BLOCKS_PER_PROC, WriteMode::default());
     let (serial_bytes, serial) = checkpoint_bytes(
         &frost(),
         BLOCKS_PER_PROC,
@@ -355,7 +353,7 @@ fn request_tracing_records_balanced_spans_and_bounds_every_window() {
     let mode = WriteMode::collective_hints(1024 * 1024, true);
     let sim = SimConfig::asci_frost();
     sim.events.set_enabled(true);
-    let (res, _) = flash_run(&sim, checkpoint(NPROCS, 8), mode, StorageMode::CostOnly);
+    let (res, _) = run_flash_io(checkpoint(NPROCS, 8), &sim, StorageMode::CostOnly, mode);
     let snap = sim.events.snapshot();
     assert!(
         !snap.spans.is_empty(),

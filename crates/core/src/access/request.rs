@@ -58,7 +58,7 @@ use pnetcdf_format::swap::swap_inplace;
 use pnetcdf_format::types::{from_external, to_external_into};
 use pnetcdf_format::{NcType, NcValue};
 use pnetcdf_mpi::{Datatype, MpiError, ReduceOp, Request};
-use pnetcdf_mpio::runs::runs_total;
+use pnetcdf_mpio::runs::{coalesce, runs_total};
 use pnetcdf_mpio::{MpioError, Run};
 
 use crate::access::highlevel::ones;
@@ -337,19 +337,8 @@ fn merge_gets(reqs: &[AccessReq]) -> Vec<Run> {
         .filter(|r| r.kind == AccessKind::Get)
         .flat_map(|r| r.runs.iter().copied())
         .collect();
-    all.sort_unstable();
-    let mut out: Vec<Run> = Vec::with_capacity(all.len());
-    for (off, len) in all {
-        if let Some(last) = out.last_mut() {
-            let last_end = last.0 + last.1;
-            if off <= last_end {
-                last.1 = (off + len).max(last_end) - last.0;
-                continue;
-            }
-        }
-        out.push((off, len));
-    }
-    out
+    coalesce(&mut all);
+    all
 }
 
 /// Byte position of each coverage run inside the packed coverage buffer.

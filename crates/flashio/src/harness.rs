@@ -1,8 +1,7 @@
 //! Driver: run one FLASH I/O configuration and report aggregate bandwidth.
 
 use hpc_sim::{SimConfig, Time};
-use pnetcdf_mpi::run_world;
-use pnetcdf_mpi::Info;
+use pnetcdf_mpi::{run_world, Info};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
 use crate::mesh::BlockMesh;
@@ -65,66 +64,65 @@ pub struct FlashConfig {
     pub attributes: bool,
 }
 
-impl FlashConfig {
-    /// The paper's setup for the given parameters.
-    pub fn paper(nxb: u64, nprocs: usize, kind: OutputKind, lib: IoLibrary) -> FlashConfig {
-        FlashConfig {
-            nxb,
-            nprocs,
-            kind,
-            lib,
-            blocks_per_proc: 80,
-            attributes: false,
-        }
-    }
+/// How the PnetCDF writer issues its data-mode puts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Puts {
+    /// The paper's port: a nonblocking `iput` per access, flushed by one
+    /// collective `wait_all`.
+    #[default]
+    Aggregate,
+    /// One blocking collective per variable (the pre-aggregation port,
+    /// ~29 collective rounds per checkpoint).
+    Blocking,
+    /// Independent data mode, one `put_vara` per AMR block: the
+    /// small-strided pattern FLASH emits natively, served by the client
+    /// page cache when `pnc_cache=enable` is among the hints.
+    IndependentBlocks,
 }
 
-/// How the PnetCDF writer issues its data-mode accesses.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WriteMode {
-    /// The paper's port: aggregated nonblocking puts flushed collectively.
-    Collective,
-    /// Collective mode with MPI_Info hint pairs passed to `ncmpi_create`,
-    /// for steering the two-phase engine (`cb_buffer_size`,
-    /// `pnc_cb_pipeline`, ...). PnetCDF only.
-    CollectiveHints {
-        /// `(key, value)` hint pairs for the info object.
-        info: Vec<(String, String)>,
-    },
-    /// Independent data mode, one put per AMR block, with the given MPI_Info
-    /// hint pairs passed to `ncmpi_create` (e.g. `pnc_cache=enable`).
-    /// PnetCDF only — HDF5 has no independent-block port here.
-    IndependentBlocks {
-        /// `(key, value)` hint pairs for the info object.
-        info: Vec<(String, String)>,
-    },
+/// How the PnetCDF writer writes: its puts, and the MPI_Info hints it hands
+/// `ncmpi_create` (`cb_buffer_size`, `pnc_cb_pipeline`, `pnc_cache`, ...).
+/// The default is the paper's port with no hints; HDF5 writes only that.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WriteMode {
+    /// How the data-mode puts are issued.
+    pub puts: Puts,
+    /// The hints for the info object of `ncmpi_create`.
+    pub info: Info,
 }
 
 impl WriteMode {
     /// Independent-block mode with the client page cache enabled and the
     /// given byte budget.
     pub fn cached(cache_size: usize) -> WriteMode {
-        WriteMode::IndependentBlocks {
-            info: vec![
-                ("pnc_cache".into(), "enable".into()),
-                ("pnc_cache_size".into(), cache_size.to_string()),
-            ],
+        let info = Info::new()
+            .with("pnc_cache", "enable")
+            .with("pnc_cache_size", &cache_size.to_string());
+        WriteMode {
+            info,
+            ..WriteMode::uncached()
         }
     }
 
     /// Independent-block mode without the cache (the uncached baseline).
     pub fn uncached() -> WriteMode {
-        WriteMode::IndependentBlocks { info: Vec::new() }
+        WriteMode {
+            puts: Puts::IndependentBlocks,
+            info: Info::new(),
+        }
     }
 
     /// Collective mode with explicit two-phase hints. `pipeline=false`
     /// adds `pnc_cb_pipeline=disable` (the serial A/B baseline).
     pub fn collective_hints(cb_buffer_size: usize, pipeline: bool) -> WriteMode {
-        let mut info = vec![("cb_buffer_size".to_string(), cb_buffer_size.to_string())];
+        let mut info = Info::new().with("cb_buffer_size", &cb_buffer_size.to_string());
         if !pipeline {
-            info.push(("pnc_cb_pipeline".into(), "disable".into()));
+            info.set("pnc_cb_pipeline", "disable");
         }
-        WriteMode::CollectiveHints { info }
+        WriteMode {
+            info,
+            ..WriteMode::default()
+        }
     }
 }
 
@@ -139,72 +137,41 @@ pub struct FlashResult {
     pub bandwidth_mb_s: f64,
 }
 
-/// Run one configuration on a fresh PFS under `sim` and return the
-/// aggregate-bandwidth result.
-pub fn run_flash_io(config: FlashConfig, sim: SimConfig, storage: StorageMode) -> FlashResult {
-    let pfs = Pfs::new(sim.clone(), storage);
-    run_flash_io_on(config, sim, &pfs)
-}
-
-/// Run one configuration against a caller-supplied PFS. The caller keeps a
-/// handle on the file system, so it can inspect the produced file bytes
-/// afterwards (e.g. to compare a faulty run against a fault-free one).
-pub fn run_flash_io_on(config: FlashConfig, sim: SimConfig, pfs: &Pfs) -> FlashResult {
-    run_flash_io_mode(config, sim, pfs, WriteMode::Collective)
-}
-
-/// Run one configuration with an explicit data-mode access strategy.
-/// `WriteMode::IndependentBlocks` is PnetCDF-only and panics on HDF5.
-pub fn run_flash_io_mode(
+/// Run one configuration under `sim` on a fresh file system that stores as
+/// much as `storage` says, writing `flash_out`. The file system comes back,
+/// so the caller can read the file. A non-default `mode` is PnetCDF only.
+pub fn run_flash_io(
     config: FlashConfig,
-    sim: SimConfig,
-    pfs: &Pfs,
+    sim: &SimConfig,
+    storage: StorageMode,
     mode: WriteMode,
-) -> FlashResult {
-    let pfs = pfs.clone();
+) -> (FlashResult, Pfs) {
+    assert!(
+        config.lib == IoLibrary::Pnetcdf || mode == WriteMode::default(),
+        "HDF5 writes the paper's port only: {mode:?}"
+    );
+    let pfs = Pfs::new(sim.clone(), storage);
     let mesh = BlockMesh {
         nxb: config.nxb,
         blocks_per_proc: config.blocks_per_proc,
         nprocs: config.nprocs,
     };
-    let kind = config.kind;
-    let lib = config.lib;
-    let attrs = config.attributes;
-    let run = run_world(config.nprocs, sim, move |comm| match (lib, &mode) {
-        (IoLibrary::Pnetcdf, WriteMode::Collective) => {
-            writers::pnetcdf::write_with(comm, &pfs, &mesh, kind, "flash_out", attrs)
+    let (kind, attrs) = (config.kind, config.attributes);
+    let run = run_world(config.nprocs, sim.clone(), |comm| match config.lib {
+        IoLibrary::Pnetcdf => {
+            writers::pnetcdf::write_as(comm, &pfs, &mesh, kind, "flash_out", attrs, &mode)
                 .expect("pnetcdf write")
         }
-        (IoLibrary::Pnetcdf, WriteMode::CollectiveHints { info }) => {
-            let mut i = Info::new();
-            for (k, v) in info {
-                i = i.with(k, v);
-            }
-            writers::pnetcdf::write_collective(comm, &pfs, &mesh, kind, "flash_out", &i)
-                .expect("pnetcdf collective write")
-        }
-        (IoLibrary::Pnetcdf, WriteMode::IndependentBlocks { info }) => {
-            let mut i = Info::new();
-            for (k, v) in info {
-                i = i.with(k, v);
-            }
-            writers::pnetcdf::write_indep_blocks(comm, &pfs, &mesh, kind, "flash_out", &i)
-                .expect("pnetcdf independent write")
-        }
-        (IoLibrary::Hdf5, WriteMode::Collective) => {
-            writers::hdf5::write_with(comm, &pfs, &mesh, kind, "flash_out", attrs)
-                .expect("hdf5 write")
-        }
-        (IoLibrary::Hdf5, WriteMode::IndependentBlocks { .. })
-        | (IoLibrary::Hdf5, WriteMode::CollectiveHints { .. }) => {
-            panic!("hinted and independent-block modes are implemented for the PnetCDF writer only")
+        IoLibrary::Hdf5 => {
+            writers::hdf5::write(comm, &pfs, &mesh, kind, "flash_out", attrs).expect("hdf5 write")
         }
     });
     let bytes = run.results[0];
     let time = run.makespan;
-    FlashResult {
+    let res = FlashResult {
         bytes,
         time,
         bandwidth_mb_s: bytes as f64 / time.as_secs_f64() / 1e6,
-    }
+    };
+    (res, pfs)
 }

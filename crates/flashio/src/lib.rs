@@ -15,16 +15,15 @@
 //!   ~6 MB/proc at 16³); the corner variant adds one cell per dimension.
 //!
 //! [`writers::pnetcdf`] and [`writers::hdf5`] implement the same output
-//! through both libraries; [`harness`] runs a configuration and reports
-//! aggregate bandwidth in virtual time.
+//! through both libraries, one writer body each. [`run_flash_io`] runs a
+//! configuration on a fresh file system and reports aggregate bandwidth in
+//! virtual time; a [`WriteMode`] picks how the PnetCDF writer issues its
+//! puts and which hints reach `ncmpi_create`.
 
 pub mod harness;
 pub mod mesh;
 pub mod readers;
 pub mod writers;
 
-pub use harness::{
-    run_flash_io, run_flash_io_mode, run_flash_io_on, FlashConfig, FlashResult, IoLibrary,
-    OutputKind, WriteMode,
-};
+pub use harness::{run_flash_io, FlashConfig, FlashResult, IoLibrary, OutputKind, Puts, WriteMode};
 pub use mesh::BlockMesh;

@@ -91,7 +91,7 @@ pub fn run_restart(
                     .expect("write");
             }
             IoLibrary::Hdf5 => {
-                crate::writers::hdf5::write(comm, &pfs, &mesh, OutputKind::Checkpoint, "ck")
+                crate::writers::hdf5::write(comm, &pfs, &mesh, OutputKind::Checkpoint, "ck", false)
                     .expect("write");
             }
         }

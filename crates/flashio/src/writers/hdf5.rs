@@ -9,22 +9,12 @@ use pnetcdf_pfs::Pfs;
 use crate::harness::OutputKind;
 use crate::mesh::{BlockMesh, NPLOT, NUNK, UNK_NAMES};
 
-/// Write one FLASH output file through HDF5-sim (no attributes, as in the
-/// paper's port). Returns the bytes of array data written by all ranks.
+/// Write one FLASH output file through HDF5-sim, optionally restoring the
+/// per-variable attributes the original benchmark carried (the paper's port
+/// has none). In HDF5 each attribute is its own dispersed metadata write
+/// plus a synchronization. Returns the bytes of array data written by all
+/// ranks.
 pub fn write(
-    comm: &Comm,
-    pfs: &Pfs,
-    mesh: &BlockMesh,
-    kind: OutputKind,
-    path: &str,
-) -> H5Result<u64> {
-    write_with(comm, pfs, mesh, kind, path, false)
-}
-
-/// Like [`write`], optionally restoring the per-variable attributes the
-/// original benchmark carried. In HDF5 each attribute is its own dispersed
-/// metadata write plus a synchronization.
-pub fn write_with(
     comm: &Comm,
     pfs: &Pfs,
     mesh: &BlockMesh,

@@ -2,28 +2,16 @@
 //! modified this benchmark, removed the part of code writing attributes,
 //! ported it to PnetCDF").
 
-use pnetcdf::{Dataset, Info, NcType, NcmpiResult, Version};
+use pnetcdf::{Dataset, NcType, NcmpiResult, Version};
 use pnetcdf_mpi::Comm;
 use pnetcdf_pfs::Pfs;
 
-use crate::harness::OutputKind;
+use crate::harness::{OutputKind, Puts, WriteMode};
 use crate::mesh::{BlockMesh, NPLOT, NUNK, UNK_NAMES};
 
-/// How the data-mode accesses are issued.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PutMode {
-    /// Nonblocking `iput` per access, one collective `wait_all` flush.
-    Aggregate,
-    /// One blocking collective per variable (the pre-aggregation port).
-    Blocking,
-    /// Independent data mode, one `put_vara` per AMR *block*: the
-    /// small-strided pattern FLASH emits natively, served by the client
-    /// page cache when `pnc_cache=enable` is in the info object.
-    IndepBlocks,
-}
-
-/// Write one FLASH output file through PnetCDF (no attributes, as in the
-/// paper's port). Returns the bytes of array data written by all ranks.
+/// Write one FLASH output file through PnetCDF the way the paper's port
+/// does (no attributes, aggregated puts, no hints). Returns the bytes of
+/// array data written by all ranks.
 pub fn write(
     comm: &Comm,
     pfs: &Pfs,
@@ -31,103 +19,21 @@ pub fn write(
     kind: OutputKind,
     path: &str,
 ) -> NcmpiResult<u64> {
-    write_with(comm, pfs, mesh, kind, path, false)
+    write_as(comm, pfs, mesh, kind, path, false, &WriteMode::default())
 }
 
-/// Like [`write`], optionally restoring the per-variable attributes the
-/// original benchmark carried. In PnetCDF every attribute lands in the one
-/// header that rank 0 writes at `enddef` — near-free.
-pub fn write_with(
+/// Like [`write`], with the puts and `ncmpi_create` hints of `mode`, and
+/// optionally the per-variable attributes the original benchmark carried.
+/// In PnetCDF every attribute lands in the one header that rank 0 writes at
+/// `enddef` — near-free.
+pub fn write_as(
     comm: &Comm,
     pfs: &Pfs,
     mesh: &BlockMesh,
     kind: OutputKind,
     path: &str,
     attributes: bool,
-) -> NcmpiResult<u64> {
-    write_impl(
-        comm,
-        pfs,
-        mesh,
-        kind,
-        path,
-        attributes,
-        PutMode::Aggregate,
-        &Info::new(),
-    )
-}
-
-/// Like [`write`], but with caller-supplied MPI_Info hints reaching
-/// `ncmpi_create` — the knob benchmarks use to steer the two-phase engine
-/// (`cb_buffer_size`, `pnc_cb_pipeline=disable`, ...).
-pub fn write_collective(
-    comm: &Comm,
-    pfs: &Pfs,
-    mesh: &BlockMesh,
-    kind: OutputKind,
-    path: &str,
-    info: &Info,
-) -> NcmpiResult<u64> {
-    write_impl(comm, pfs, mesh, kind, path, false, PutMode::Aggregate, info)
-}
-
-/// The pre-aggregation port: one blocking collective per variable (~29
-/// collective rounds per checkpoint). Kept as the baseline the
-/// `ext_nonblocking` benchmark compares the aggregated path against.
-pub fn write_blocking(
-    comm: &Comm,
-    pfs: &Pfs,
-    mesh: &BlockMesh,
-    kind: OutputKind,
-    path: &str,
-) -> NcmpiResult<u64> {
-    write_impl(
-        comm,
-        pfs,
-        mesh,
-        kind,
-        path,
-        false,
-        PutMode::Blocking,
-        &Info::new(),
-    )
-}
-
-/// Independent-mode port: each rank writes its metadata and then every AMR
-/// block with its own `put_vara` in independent data mode — the small,
-/// per-block access pattern FLASH produces before any aggregation. `info`
-/// reaches `ncmpi_create`, so `pnc_cache=enable` turns the client page
-/// cache on underneath this traffic.
-pub fn write_indep_blocks(
-    comm: &Comm,
-    pfs: &Pfs,
-    mesh: &BlockMesh,
-    kind: OutputKind,
-    path: &str,
-    info: &Info,
-) -> NcmpiResult<u64> {
-    write_impl(
-        comm,
-        pfs,
-        mesh,
-        kind,
-        path,
-        false,
-        PutMode::IndepBlocks,
-        info,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_impl(
-    comm: &Comm,
-    pfs: &Pfs,
-    mesh: &BlockMesh,
-    kind: OutputKind,
-    path: &str,
-    attributes: bool,
-    mode: PutMode,
-    info: &Info,
+    mode: &WriteMode,
 ) -> NcmpiResult<u64> {
     let tot = mesh.total_blocks();
     let bpp = mesh.blocks_per_proc;
@@ -141,7 +47,7 @@ fn write_impl(
         _ => NPLOT,
     };
 
-    let mut ds = Dataset::create(comm, pfs, path, Version::Cdf2, info)?;
+    let mut ds = Dataset::create(comm, pfs, path, Version::Cdf2, &mode.info)?;
     let d_blocks = ds.def_dim("blocks", tot)?;
     let d_z = ds.def_dim("z", side)?;
     let d_y = ds.def_dim("y", side)?;
@@ -181,15 +87,15 @@ fn write_impl(
     // — a single two-phase round replaces the ~29 per-variable collective
     // rounds (5 metadata + NUNK/NPLOT unknowns) of the blocking port. The
     // independent port issues each access on its own in independent mode.
-    if mode == PutMode::IndepBlocks {
+    if mode.puts == Puts::IndependentBlocks {
         ds.begin_indep_data()?;
     }
     macro_rules! put {
         ($vid:expr, $start:expr, $count:expr, $vals:expr) => {
-            match mode {
-                PutMode::Aggregate => ds.iput_vara($vid, $start, $count, $vals).map(|_| ())?,
-                PutMode::Blocking => ds.put_vara_all($vid, $start, $count, $vals)?,
-                PutMode::IndepBlocks => ds.put_vara($vid, $start, $count, $vals)?,
+            match mode.puts {
+                Puts::Aggregate => ds.iput_vara($vid, $start, $count, $vals).map(|_| ())?,
+                Puts::Blocking => ds.put_vara_all($vid, $start, $count, $vals)?,
+                Puts::IndependentBlocks => ds.put_vara($vid, $start, $count, $vals)?,
             }
         };
     }
@@ -226,7 +132,7 @@ fn write_impl(
     let (mut buf, mut f32buf) = (Vec::<f64>::new(), Vec::<f32>::new());
     for (var, &vid) in unk_ids.iter().enumerate() {
         mesh.interior_buffer_into(comm.rank(), var, side, &mut buf);
-        if mode == PutMode::IndepBlocks {
+        if mode.puts == Puts::IndependentBlocks {
             for b in 0..bpp {
                 let bstart = [first + b, 0, 0, 0];
                 let bcount = [1, side, side, side];
@@ -253,10 +159,10 @@ fn write_impl(
     }
     // Not alive at the flush's peak.
     drop((buf, f32buf));
-    match mode {
-        PutMode::Aggregate => ds.wait_all()?,
-        PutMode::IndepBlocks => ds.end_indep_data()?,
-        PutMode::Blocking => {}
+    match mode.puts {
+        Puts::Aggregate => ds.wait_all()?,
+        Puts::IndependentBlocks => ds.end_indep_data()?,
+        Puts::Blocking => {}
     }
     ds.close()?;
 

@@ -1,13 +1,14 @@
-//! The page cache must be invisible in the bytes: a FLASH checkpoint
-//! written through the cached independent path must equal the uncached
-//! independent run and the collective (two-phase) run bit for bit — on a
-//! small platform, and at 64 processors on the Frost-like one, where the
-//! cache must also hit, evict, write behind and win.
+//! The put mode and the page cache must be invisible in the bytes: a FLASH
+//! checkpoint written through the cached independent path must equal the
+//! uncached independent run, the blocking run, the serial-engine run and
+//! the collective (two-phase) run bit for bit — on a small platform, and at
+//! 64 processors on the Frost-like one, where the cache must also hit,
+//! evict, write behind and win.
 
-use flash_io::{run_flash_io_mode, FlashConfig, FlashResult, IoLibrary, OutputKind, WriteMode};
+use flash_io::{run_flash_io, FlashConfig, FlashResult, IoLibrary, OutputKind, Puts, WriteMode};
 use hpc_sim::trace::Json;
 use hpc_sim::SimConfig;
-use pnetcdf_pfs::{Pfs, StorageMode};
+use pnetcdf_pfs::StorageMode;
 
 fn checkpoint_bytes(sim: &SimConfig, nprocs: usize, mode: WriteMode) -> (Vec<u8>, FlashResult) {
     let config = FlashConfig {
@@ -18,13 +19,13 @@ fn checkpoint_bytes(sim: &SimConfig, nprocs: usize, mode: WriteMode) -> (Vec<u8>
         blocks_per_proc: 4,
         attributes: false,
     };
-    let pfs = Pfs::new(sim.clone(), StorageMode::Full);
-    let res = run_flash_io_mode(config, sim.clone(), &pfs, mode);
+    let (res, pfs) = run_flash_io(config, sim, StorageMode::Full, mode);
     let bytes = pfs.open("flash_out").expect("output exists").to_bytes();
     (bytes, res)
 }
 
-/// The collective, the uncached independent and, per budget of
+/// The collective, the blocking, the serial-engine collective (64 KiB
+/// collective buffer), the uncached independent and, per budget of
 /// `cache_sizes`, the cached independent checkpoint of `nprocs` ranks on
 /// `platform`, all files asserted identical; the uncached result and the
 /// last cached run's result and platform come back for the caller's checks.
@@ -33,9 +34,26 @@ fn three_ports(
     nprocs: usize,
     cache_sizes: &[usize],
 ) -> (FlashResult, FlashResult, SimConfig) {
-    let (collective, _) = checkpoint_bytes(&platform(), nprocs, WriteMode::Collective);
-    let (uncached_bytes, uncached) = checkpoint_bytes(&platform(), nprocs, WriteMode::uncached());
+    let (collective, _) = checkpoint_bytes(&platform(), nprocs, WriteMode::default());
     assert!(!collective.is_empty());
+    let blocking = WriteMode {
+        puts: Puts::Blocking,
+        ..WriteMode::default()
+    };
+    for (mode, port) in [
+        (blocking, "blocking"),
+        (
+            WriteMode::collective_hints(64 * 1024, false),
+            "serial-engine",
+        ),
+    ] {
+        let (bytes, _) = checkpoint_bytes(&platform(), nprocs, mode);
+        assert!(
+            bytes == collective,
+            "{port} and collective ports must produce the same file"
+        );
+    }
+    let (uncached_bytes, uncached) = checkpoint_bytes(&platform(), nprocs, WriteMode::uncached());
     assert!(
         uncached_bytes == collective,
         "independent and collective ports must produce the same file"

@@ -45,7 +45,7 @@ fn file_bytes(nxb: u64, kind: OutputKind, hdf5: bool) -> Vec<u8> {
     let writer = pfs.clone();
     run_world(2, cfg, move |c| {
         if hdf5 {
-            flash_io::writers::hdf5::write(c, &writer, &mesh, kind, "f").unwrap();
+            flash_io::writers::hdf5::write(c, &writer, &mesh, kind, "f", false).unwrap();
         } else {
             flash_io::writers::pnetcdf::write(c, &writer, &mesh, kind, "f").unwrap();
         }

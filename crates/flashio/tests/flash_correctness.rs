@@ -2,7 +2,7 @@
 //! a valid netCDF file whose contents match the generated mesh, and both
 //! writers run all three output kinds.
 
-use flash_io::{run_flash_io, BlockMesh, FlashConfig, IoLibrary, OutputKind};
+use flash_io::{run_flash_io, BlockMesh, FlashConfig, IoLibrary, OutputKind, WriteMode};
 use hpc_sim::SimConfig;
 use pnetcdf_mpi::run_world;
 use pnetcdf_pfs::{Pfs, StorageMode};
@@ -65,7 +65,7 @@ fn both_writers_handle_all_output_kinds() {
                 blocks_per_proc: 2,
                 attributes: true,
             };
-            let res = run_flash_io(config, cfg(), StorageMode::Full);
+            let (res, _) = run_flash_io(config, &cfg(), StorageMode::Full, WriteMode::default());
             assert!(res.bytes > 0, "{lib:?} {kind:?}");
             assert!(res.bandwidth_mb_s > 0.0, "{lib:?} {kind:?}");
         }
@@ -82,7 +82,8 @@ fn hdf5_checkpoint_reads_back() {
     };
     let pfs2 = pfs.clone();
     run_world(2, cfg(), move |c| {
-        flash_io::writers::hdf5::write(c, &pfs2, &mesh, OutputKind::Checkpoint, "ck.h5").unwrap();
+        flash_io::writers::hdf5::write(c, &pfs2, &mesh, OutputKind::Checkpoint, "ck.h5", false)
+            .unwrap();
         // Re-open and verify a block of the first unknown.
         let mut f =
             hdf5_sim::H5File::open(c, &pfs2, "ck.h5", true, &pnetcdf_mpi::Info::new()).unwrap();
@@ -108,8 +109,8 @@ fn pnetcdf_beats_hdf5_on_flash_pattern() {
         attributes: false,
     };
     let sim = SimConfig::asci_frost();
-    let p = run_flash_io(mk(IoLibrary::Pnetcdf), sim.clone(), StorageMode::CostOnly);
-    let h = run_flash_io(mk(IoLibrary::Hdf5), sim, StorageMode::CostOnly);
+    let run = |lib| run_flash_io(mk(lib), &sim, StorageMode::CostOnly, WriteMode::default()).0;
+    let (p, h) = (run(IoLibrary::Pnetcdf), run(IoLibrary::Hdf5));
     assert!(
         p.bandwidth_mb_s > h.bandwidth_mb_s,
         "PnetCDF {:.1} MB/s should beat HDF5 {:.1} MB/s",

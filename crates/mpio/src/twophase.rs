@@ -31,7 +31,7 @@ use pnetcdf_pfs::PfsFile;
 
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
-use crate::runs::{runs_total, Run};
+use crate::runs::{coalesce, runs_total, Run};
 use crate::sieve::{Piece, SpanScratch};
 
 /// Parameters resolved from hints at the call site.
@@ -311,27 +311,6 @@ fn split_at_cuts(all_runs: &[&[Run]], cuts: &[Cut], gmax: u64, mut emit: impl Fn
     }
 }
 
-/// The maximal contiguous intervals `pieces` cover, sorted, into `out` (a
-/// scratch vector reused from window to window): touching and overlapping
-/// pieces merge.
-fn merge_coverage(out: &mut Vec<Run>, pieces: &[Piece]) {
-    out.clear();
-    out.extend(pieces.iter().map(|pc| (pc.off, pc.len)));
-    out.sort_unstable();
-    let mut kept = 0usize;
-    for i in 1..out.len() {
-        let (off, len) = out[i];
-        let last_end = out[kept].0 + out[kept].1;
-        if off <= last_end {
-            out[kept].1 = (off + len).max(last_end) - out[kept].0;
-        } else {
-            kept += 1;
-            out[kept] = (off, len);
-        }
-    }
-    out.truncate(kept + 1);
-}
-
 // ---- event tracing ----------------------------------------------------------
 
 /// Tracing identity of one collective-buffer window: its round index, its
@@ -407,18 +386,15 @@ fn record_coll_spans(
 
 // ---- the two phases -----------------------------------------------------------
 
-/// `[gmin, gmax)`: the byte range all ranks' (sorted, not all empty) run
-/// lists span together.
-fn aggregate_span(all_runs: &[&[Run]]) -> (u64, u64) {
-    let firsts = all_runs.iter().filter_map(|r| r.first());
-    let lasts = all_runs.iter().filter_map(|r| r.last());
-    (
-        firsts.map(|&(o, _)| o).min().expect("a non-empty run list"),
-        lasts
-            .map(|&(o, l)| o + l)
-            .max()
-            .expect("a non-empty run list"),
-    )
+/// `[gmin, gmax)`: the byte range all ranks' sorted run lists span
+/// together; `None` when every list is empty.
+fn aggregate_span(all_runs: &[&[Run]]) -> Option<(u64, u64)> {
+    let gmin = all_runs.iter().filter_map(|r| r.first()).map(|&(o, _)| o);
+    let gmax = all_runs
+        .iter()
+        .filter_map(|r| r.last())
+        .map(|&(o, l)| o + l);
+    Some((gmin.min()?, gmax.max()?))
 }
 
 /// How one collective's rounds are scheduled: everything the serial and
@@ -535,10 +511,9 @@ fn collective(
     let (ids, coll_ids) = coll_trace(env, events, reqs);
     let all_runs: Vec<&[Run]> = reqs.iter().map(|r| r.meta).collect();
     let total: u64 = all_runs.iter().map(|r| runs_total(r)).sum();
-    if total == 0 {
+    let Some((gmin, gmax)) = aggregate_span(&all_runs).filter(|_| total > 0) else {
         return Ok(env.sync_phase(Phase::Metadata, env.config.network.barrier(n)));
-    }
-    let (gmin, gmax) = aggregate_span(&all_runs);
+    };
     // A write's domains are its aggregators' servers, so it has no more
     // aggregators than servers. Reads keep contiguous domains: the affine
     // layout exists to give each server a single *write* stream; a read
@@ -857,7 +832,10 @@ impl Engine<'_> {
             coverage,
             runs,
         } = &mut *self.cbuf;
-        merge_coverage(coverage, &win.pieces);
+        // The maximal contiguous intervals the pieces cover.
+        coverage.clear();
+        coverage.extend(win.pieces.iter().map(|pc| (pc.off, pc.len)));
+        coalesce(coverage);
         runs.clear();
         // Coverage never bridges extents (no piece leaves them), so one
         // linear walk pairs them up.
@@ -1099,9 +1077,12 @@ impl AccessSplit {
             t.rmw_windows += self.rmw;
         });
         profile.record_bytepath(|b| b.collbuf_reuses += self.collbuf_reuses);
-        if !profile.is_enabled() || t_agg.is_empty() {
+        if !profile.is_enabled() {
             return;
         }
+        let Some(crit) = (0..t_agg.len()).max_by_key(|&a| t_agg[a]) else {
+            return;
+        };
         // Stripe-aligned boundaries can yield one more domain than there
         // are ranks; domains past the group size are *virtual* aggregators
         // whose concurrent timelines belong to no rank — charging their
@@ -1115,7 +1096,6 @@ impl AccessSplit {
             profile.record_phase(w, Phase::DataExchange, self.exchange[a]);
             profile.record_phase(w, trailing, (t_end - t_a).as_nanos());
         }
-        let crit = (0..t_agg.len()).max_by_key(|&a| t_agg[a]).unwrap();
         for &w in env.group.iter().skip(t_agg.len()) {
             profile.record_phase(w, Phase::CollBufPack, self.pack[crit]);
             profile.record_phase(w, Phase::DiskWrite, self.write[crit]);
@@ -1535,29 +1515,6 @@ mod tests {
         assert_eq!(d, vec![(0, 1000)]);
     }
 
-    #[test]
-    fn merge_coverage_detects_holes() {
-        let merged = |iv: &[Run]| {
-            let pieces: Vec<Piece> = iv
-                .iter()
-                .map(|&(off, len)| Piece {
-                    off,
-                    len,
-                    rank: 0,
-                    src_pos: 0,
-                })
-                .collect();
-            let mut out = vec![(7, 7)]; // stale scratch must not survive
-            merge_coverage(&mut out, &pieces);
-            out
-        };
-        assert_eq!(merged(&[(0, 4), (4, 4)]), vec![(0, 8)]);
-        assert_eq!(merged(&[(10, 2), (0, 4)]), vec![(0, 4), (10, 2)]);
-        // Overlaps merge too.
-        assert_eq!(merged(&[(0, 6), (4, 4)]), vec![(0, 8)]);
-        assert_eq!(merged(&[]), vec![]);
-    }
-
     /// Window pieces as `(off, len, rank, src_pos)` tuples.
     fn pieces_of(win: &Window) -> Vec<(u64, u64, usize, u64)> {
         let tuple = |pc: &Piece| (pc.off, pc.len, pc.rank, pc.src_pos);
@@ -1692,7 +1649,7 @@ mod tests {
         ) {
             let all_runs: Vec<&[Run]> = per_rank.iter().map(Vec::as_slice).collect();
             prop_assume!(all_runs.iter().any(|r| !r.is_empty()));
-            let (gmin, gmax) = aggregate_span(&all_runs);
+            let (gmin, gmax) = aggregate_span(&all_runs).unwrap();
             // Affine domains are servers': no more of them than servers.
             let naggs = if affine { naggs.min(io_servers) } else { naggs };
             let p = TwoPhaseParams {
@@ -1798,7 +1755,7 @@ mod tests {
                 .collect();
             prop_assume!(ranks.iter().any(|r| !r.runs.is_empty()));
             let all_runs: Vec<&[Run]> = ranks.iter().map(|r| &r.runs[..]).collect();
-            let old = vec![0x5au8; aggregate_span(&all_runs).1 as usize + 7];
+            let old = vec![0x5au8; aggregate_span(&all_runs).unwrap().1 as usize + 7];
             let mut want = old.clone();
             for r in &ranks {
                 let mut pos = 0usize;

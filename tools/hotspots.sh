@@ -13,7 +13,7 @@
 # with a frame whose function name contains it (inclusive; rows overlap).
 #
 # Usage: tools/hotspots.sh WORKLOAD [ITERS, default 20] [FRAME,FRAME,...]
-#   e.g. tools/hotspots.sh flash_ckpt 20 write_impl,interior_buffer_into,build_region
+#   e.g. tools/hotspots.sh flash_ckpt 20 write_as,interior_buffer_into,build_region
 # Needs cc, addr2line, readelf and python3. perf_bench/Cargo.lock is restored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
