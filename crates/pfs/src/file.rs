@@ -274,15 +274,15 @@ impl PfsFile {
                 handoff = handoff.max(done);
             }
         }
-        if faulted.is_empty() {
+        let Some(&(first_srv, _, first_fault)) = faulted.first() else {
             self.grow_to(runs.last().map_or(0, |&(off, len)| off + len));
             return Ok(WriteCompletion {
                 handoff,
                 durable: done,
             });
-        }
+        };
         let status = portion_status(portions, &faulted);
-        let (completed, kind, server) = completed_prefix(&status);
+        let (completed, kind, server) = completed_prefix(&status, (first_fault, first_srv));
         // Record what actually landed, scattered chunks included.
         self.grow_to(transferred_end(&status));
         Err(IoFailure {
@@ -382,13 +382,14 @@ impl PfsFile {
                 faulted.push((srv, outcome.bytes_done, fault));
             }
         }
-        if faulted.is_empty() {
+        let Some(&(first_srv, _, first_fault)) = faulted.first() else {
             // The client cannot have all the bytes before its NIC has
             // carried them.
             let link_done = arrival + Time::from_secs_f64(len as f64 / cfg.client_link_bw);
             return Ok(disks_done.max(link_done));
-        }
-        let (completed, kind, server) = completed_prefix(&portion_status(portions, &faulted));
+        };
+        let status = portion_status(portions, &faulted);
+        let (completed, kind, server) = completed_prefix(&status, (first_fault, first_srv));
         Err(IoFailure {
             kind,
             completed,
@@ -639,38 +640,39 @@ fn portion_status<'a>(
 /// tile a contiguous span, only be disjoint).
 ///
 /// Returns `(prefix_bytes, fault, server)` where the fault is the one that
-/// bounds the prefix.
-fn completed_prefix(portions: &[PortionStatus]) -> (u64, FaultKind, usize) {
-    // Flatten to (file_offset, len, transferred, portion fault, server).
-    let mut chunks: Vec<(u64, u64, u64, Option<FaultKind>, usize)> = Vec::new();
+/// bounds the prefix. `first` is the first faulted portion's `(fault,
+/// server)` in issue order: only an under-transferred chunk, which belongs
+/// to a faulted portion, names another.
+fn completed_prefix(
+    portions: &[PortionStatus],
+    first: (FaultKind, usize),
+) -> (u64, FaultKind, usize) {
+    // Flatten to (file_offset, len, transferred, (fault, server)).
+    let mut chunks: Vec<(u64, u64, u64, (FaultKind, usize))> = Vec::new();
     for (cs, bytes_done, fault, srv) in portions {
+        let cause = fault.map_or(first, |f| (f, *srv));
         let mut remaining = *bytes_done;
         for c in cs {
             let take = remaining.min(c.len);
             remaining -= take;
-            chunks.push((c.file_offset, c.len, take, *fault, *srv));
+            chunks.push((c.file_offset, c.len, take, cause));
         }
     }
     chunks.sort_by_key(|&(off, ..)| off);
     let mut prefix = 0u64;
     let mut watermark = 0u64;
-    for (off, len, transferred, fault, srv) in chunks {
+    for (off, len, transferred, (fault, srv)) in chunks {
         debug_assert!(off >= watermark, "striped chunks must be disjoint");
         watermark = off + len;
         prefix += transferred;
         if transferred < len {
-            let fault = fault.expect("an under-transferred chunk belongs to a faulted portion");
             return (prefix, fault, srv);
         }
     }
     // Every chunk fully transferred yet some portion faulted: the fault hit
     // at the very end (e.g. a short fault whose prefix covered everything
     // issued so far). Report zero remaining credit past the full request.
-    let (_, _, fault, srv) = portions
-        .iter()
-        .find(|(_, _, fault, _)| fault.is_some())
-        .expect("only called for a request in which a portion faulted");
-    (prefix, fault.expect("is_some checked"), *srv)
+    (prefix, first.0, first.1)
 }
 
 /// Highest file offset any transferred byte reached (for growing the file

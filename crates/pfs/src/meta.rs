@@ -32,16 +32,6 @@ use std::sync::Arc;
 pub const META_SHARDS: usize = 16;
 
 /// One file's record, shared by its shard entry and every handle to it.
-///
-/// The rank that creates the file allocates the record; the thread that
-/// drops the file system frees it, usually another one. glibc keeps a small
-/// chunk freed by another thread in that thread's cache, where its own heap
-/// still counts it as in use. Such a record, cached above the creating
-/// rank's stripes, kept that heap from shrinking when the stripes were
-/// freed, so the next file system found its stripe pages resident or not by
-/// chance, and host write times were bimodal. The padding makes the record
-/// larger than any chunk glibc caches (1 032 B), so freeing it returns it
-/// to its heap.
 #[derive(Debug)]
 pub(crate) struct FileRecord {
     pub id: u64,
@@ -51,7 +41,6 @@ pub(crate) struct FileRecord {
     /// pages; other clients compare their last-seen epoch at
     /// synchronization points and invalidate.
     pub epoch: AtomicU64,
-    _uncached: [u64; 128],
 }
 
 #[derive(Default)]
@@ -112,7 +101,6 @@ impl MetaShards {
             id,
             size: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            _uncached: [0; 128],
         });
         let old = shard.files.insert(path.to_string(), rec.clone());
         let nfiles = shard.files.len() as u64;
@@ -190,12 +178,6 @@ impl Default for MetaShards {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_record_is_too_large_for_glibc_thread_caches() {
-        // An `Arc` allocates the record after its two counts.
-        assert!(std::mem::size_of::<FileRecord>() + 16 > 1032);
-    }
 
     #[test]
     fn ids_are_unique_and_shard_local() {

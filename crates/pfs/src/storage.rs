@@ -1,8 +1,23 @@
 //! Stripe-granular byte storage for one server, and the integer-keyed map
 //! the servers keep per-file state in.
+//!
+//! Stripe memory outlives the store that used it. A stripe freed by
+//! [`StripeStore::remove_file`] or by a store's drop goes onto a
+//! process-wide free list kept per stripe size, and the first write of a
+//! stripe takes its buffer from that list. The list fills only from freed
+//! stripes, and a stripe is allocated fresh only when the list of its size
+//! is empty, so the pool never holds more stripe bytes of a size than were
+//! live at once earlier in the process: it needs no cap and has no knob.
+//! A pooled buffer holds a dead file's bytes, so a first write zeroes what
+//! it leaves uncovered, `[0, lo)` and `[lo + len, stripe_size)`, and
+//! copies the data in between: bytes never written read as zero whether
+//! the buffer came from the pool or from a fresh zeroed allocation.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+
+use parking_lot::Mutex;
 
 /// A map keyed by file ids and stripe indices, hashed by [`IdHasher`].
 pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
@@ -47,6 +62,14 @@ pub enum StorageMode {
 /// [`StorageMode::MetadataOnly`].
 pub const METADATA_REQUEST_LIMIT: u64 = 64 * 1024;
 
+/// Freed stripe buffers of every store in the process, by stripe size.
+static POOL: Mutex<BTreeMap<usize, Vec<Box<[u8]>>>> = Mutex::new(BTreeMap::new());
+
+/// A pooled buffer of `size` bytes, holding whatever its last file wrote.
+fn take_pooled(size: usize) -> Option<Box<[u8]>> {
+    POOL.lock().get_mut(&size)?.pop()
+}
+
 /// Byte store of one server: sparse stripes keyed by `(file id, stripe idx)`.
 #[derive(Default)]
 pub struct StripeStore {
@@ -66,12 +89,23 @@ impl StripeStore {
     /// Write `data` into stripe `stripe` of `file` at `offset_in_stripe`.
     pub fn write(&mut self, file: u64, stripe: u64, offset_in_stripe: u64, data: &[u8]) {
         debug_assert!(offset_in_stripe + data.len() as u64 <= self.stripe_size);
-        let buf = self
-            .stripes
-            .entry((file, stripe))
-            .or_insert_with(|| vec![0u8; self.stripe_size as usize].into_boxed_slice());
         let lo = offset_in_stripe as usize;
-        buf[lo..lo + data.len()].copy_from_slice(data);
+        let hi = lo + data.len();
+        let buf = match self.stripes.entry((file, stripe)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let size = self.stripe_size as usize;
+                e.insert(match take_pooled(size) {
+                    Some(mut buf) => {
+                        buf[..lo].fill(0);
+                        buf[hi..].fill(0);
+                        buf
+                    }
+                    None => vec![0u8; size].into_boxed_slice(),
+                })
+            }
+        };
+        buf[lo..hi].copy_from_slice(data);
     }
 
     /// Read from stripe `stripe`; unwritten stripes read as zeros.
@@ -86,14 +120,32 @@ impl StripeStore {
         }
     }
 
-    /// Drop every stripe of `file`.
+    /// Drop every stripe of `file`, giving its buffers to the pool.
     pub fn remove_file(&mut self, file: u64) {
-        self.stripes.retain(|&(f, _), _| f != file);
+        let mut pool = POOL.lock();
+        let free = pool.entry(self.stripe_size as usize).or_default();
+        self.stripes.retain(|&(f, _), buf| {
+            if f == file {
+                free.push(std::mem::take(buf));
+            }
+            f != file
+        });
     }
 
     /// Number of resident stripes (diagnostics).
     pub fn resident_stripes(&self) -> usize {
         self.stripes.len()
+    }
+}
+
+impl Drop for StripeStore {
+    /// Give every stripe to the pool.
+    fn drop(&mut self) {
+        if !self.stripes.is_empty() {
+            let mut pool = POOL.lock();
+            let free = pool.entry(self.stripe_size as usize).or_default();
+            free.extend(self.stripes.drain().map(|(_, buf)| buf));
+        }
     }
 }
 
@@ -144,6 +196,54 @@ mod tests {
         assert_eq!(s.resident_stripes(), 1);
     }
 
+    /// Addresses of a store's stripe buffers.
+    fn buffers(s: &StripeStore) -> BTreeSet<usize> {
+        s.stripes.values().map(|b| b.as_ptr() as usize).collect()
+    }
+
+    /// Addresses of the pooled buffers of `size` bytes.
+    fn pooled(size: usize) -> BTreeSet<usize> {
+        let pool = POOL.lock();
+        let free = pool.get(&size).map_or(&[][..], Vec::as_slice);
+        free.iter().map(|b| b.as_ptr() as usize).collect()
+    }
+
+    #[test]
+    fn freed_stripes_serve_the_next_store_without_an_allocation() {
+        // A stripe size no other test uses: nothing else takes from or
+        // gives to its list while this test runs.
+        const S: usize = 4093;
+        let mut first = StripeStore::new(S as u64);
+        for i in 0..4 {
+            first.write(1, i, 0, &[0xAA; S]);
+            first.write(2, i, 0, &[0xBB; S]);
+        }
+        let freed = buffers(&first);
+        assert_eq!(freed.len(), 8);
+        // Four stripes come back through `remove_file`, four through the drop.
+        first.remove_file(1);
+        assert_eq!(pooled(S).len(), 4, "remove_file kept or freed a stripe");
+        let mut second = StripeStore::new(S as u64);
+        (0..4).for_each(|i| second.write(3, i, 7, &[1, 2, 3]));
+        drop(first);
+        assert_eq!(pooled(S).len(), 4, "the drop kept or freed a stripe");
+        (4..8).for_each(|i| second.write(3, i, 7, &[1, 2, 3]));
+        assert_eq!(buffers(&second), freed, "a stripe was allocated fresh");
+        assert!(pooled(S).is_empty());
+        for i in 0..8 {
+            let mut out = [9u8; S];
+            second.read(3, i, 0, &mut out);
+            assert_eq!(out[..10], [0, 0, 0, 0, 0, 0, 0, 1, 2, 3], "stripe {i}");
+            assert!(out[10..].iter().all(|&b| b == 0), "stripe {i}'s tail");
+        }
+    }
+
+    /// Leave `n` stripes of `size` bytes, every byte `0xAA`, in the pool.
+    fn dirty_pool(size: u64, n: u64) {
+        let mut s = StripeStore::new(size);
+        (0..n).for_each(|i| s.write(u64::MAX, i, 0, &vec![0xAA; size as usize]));
+    }
+
     use proptest::collection::vec;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -151,13 +251,16 @@ mod tests {
     proptest! {
         /// Random writes, reads and removals over 1–4 files and sparse
         /// stripe indices, up to the last stripe a `u64` offset can address,
-        /// against a per-file byte oracle (absent bytes read as zero).
+        /// against a per-file byte oracle (absent bytes read as zero), with
+        /// the pool holding `0xAA` stripes of the store's size: a first
+        /// write that leaves pooled bytes uncovered shows as a wrong read.
         #[test]
         fn store_matches_a_byte_oracle(
             nfiles in 1u64..5,
             ops in vec((0u8..8, any::<u64>(), 0u64..8, 0u64..16, 1u64..17, any::<u8>()), 1..64),
         ) {
             const S: u64 = 16;
+            dirty_pool(S, 64);
             let mut store = StripeStore::new(S);
             let mut bytes: Vec<BTreeMap<u64, u8>> = vec![BTreeMap::new(); nfiles as usize];
             let mut stripes: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); nfiles as usize];
