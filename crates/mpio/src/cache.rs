@@ -70,7 +70,7 @@ use std::ops::RangeInclusive;
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{CacheCounters, CpuModel, Span, Time, TraceCtx};
-use pnetcdf_pfs::PfsFile;
+use pnetcdf_pfs::{PfsFile, Seg};
 
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
@@ -140,12 +140,12 @@ impl CacheLedger {
         file: &PfsFile,
         policy: &RetryPolicy,
         horizon: &mut Time,
-        list: &mut Vec<&'static [u8]>,
+        list: &mut Vec<Seg<'static>>,
         offset: u64,
         segs: impl Iterator<Item = &'s [u8]>,
     ) -> MpioResult<()> {
         let mut lent = recycle(std::mem::take(list));
-        lent.extend(segs);
+        lent.extend(segs.map(Seg::from));
         let run = [(offset, lent.iter().map(|s| s.len() as u64).sum())];
         let done = recover::write(file, policy, self.now, &run, &lent);
         *list = recycle(lent);
@@ -338,7 +338,7 @@ pub struct PageCache {
     /// The gather list a write-behind request lends, empty between
     /// requests ([`recycle`]). A stretch holds at most one run per page — a
     /// page's runs are never adjacent — so it is sized once, for every slot.
-    gather: Vec<&'static [u8]>,
+    gather: Vec<Seg<'static>>,
     /// A fill's run list, its pages' gaps, and its scatter list, every
     /// slot's memory and then the gaps', kept between fills like `gather`.
     fill: Vec<Run>,
@@ -1143,7 +1143,13 @@ mod tests {
         // What the eviction's request completes as: the same write at the
         // same time on an identical, idle file system.
         let (_, twin, _) = setup(1024);
-        let done = recover::write(&twin, &cache.policy, led.now, &[(0, 1024)], &[&[1u8; 1024]]);
+        let done = recover::write(
+            &twin,
+            &cache.policy,
+            led.now,
+            &[(0, 1024)],
+            &[(&[1u8; 1024]).into()],
+        );
         let done = done.unwrap();
         assert!(done.handoff < done.durable, "a disk is slower than a NIC");
         cache.evict(&file, &mut led, 0).unwrap();
@@ -1206,7 +1212,7 @@ mod tests {
                     &cache.policy,
                     led.now,
                     &[(v * 1024, 1024)],
-                    &[&page(v)],
+                    &[(&page(v)).into()],
                 )
                 .unwrap()
             });

@@ -28,7 +28,7 @@
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{FaultKind, Span, Time, TraceCtx};
-use pnetcdf_pfs::{ladder, IoFailure, PfsFile, WriteCompletion};
+use pnetcdf_pfs::{ladder, IoFailure, PfsFile, Seg, WriteCompletion};
 
 pub use pnetcdf_pfs::RetryPolicy;
 
@@ -113,20 +113,20 @@ fn climb<T>(
 }
 
 /// Write the sorted disjoint `(offset, len)` runs `runs` (one when
-/// contiguous), their payload the concatenation of the gather list `segs`,
-/// with fault recovery: the door every writer leaves through
-/// ([`PfsFile::try_write`]). Returns the two-stage completion: `handoff`
-/// (server NIC owns the bytes, the bounded admission queue is the
-/// backpressure) and `durable` (disk has them) — pipelined two-phase and the
-/// page cache's write-behind advance on `handoff`, everyone else takes
-/// `durable`. Or [`MpioError::Exhausted`] once `policy.attempts`
+/// contiguous), their payload the concatenation of the gather list `segs`
+/// (each segment converted as it is stored, [`Seg`]), with fault recovery:
+/// the door every writer leaves through ([`PfsFile::try_write`]). Returns
+/// the two-stage completion: `handoff` (server NIC owns the bytes, the
+/// bounded admission queue is the backpressure) and `durable` (disk has
+/// them) — pipelined two-phase and the page cache's write-behind advance on
+/// `handoff`, everyone else takes `durable`. Or [`MpioError::Exhausted`] once `policy.attempts`
 /// consecutive zero-progress attempts have failed.
 pub fn write(
     file: &PfsFile,
     policy: &RetryPolicy,
     start: Time,
     runs: &[(u64, u64)],
-    segs: &[&[u8]],
+    segs: &[Seg<'_>],
 ) -> MpioResult<WriteCompletion> {
     // The trimmed lists exist only once a short completion has moved the
     // resume point; the fault-free path lends `runs` and `segs` as they are.
@@ -150,13 +150,14 @@ pub fn write(
 }
 
 /// The gather list `segs` without its first `skip` payload bytes: what a
-/// resumed short write re-issues.
-fn skip_bytes<'a>(segs: &[&'a [u8]], skip: u64) -> Vec<&'a [u8]> {
+/// resumed short write re-issues. A segment the resume point cuts inside an
+/// element keeps that element and its phase in it.
+fn skip_bytes<'a>(segs: &[Seg<'a>], skip: u64) -> Vec<Seg<'a>> {
     let mut skip = skip as usize;
-    let tail = |seg: &&'a [u8]| {
+    let tail = |seg: &Seg<'a>| {
         let cut = skip.min(seg.len());
         skip -= cut;
-        &seg[cut..]
+        seg.sub(cut, seg.len() - cut)
     };
     segs.iter().map(tail).collect()
 }
@@ -258,7 +259,7 @@ mod tests {
         });
         let policy = RetryPolicy::default();
         let data: Vec<u8> = (0..30_000u32).map(|i| (i % 253) as u8).collect();
-        let t = write(&f, &policy, Time::ZERO, &[(7, 30_000)], &[&data])
+        let t = write(&f, &policy, Time::ZERO, &[(7, 30_000)], &[(&data).into()])
             .expect("write should recover")
             .durable;
         let mut out = vec![0u8; data.len()];
@@ -285,9 +286,15 @@ mod tests {
         let policy = RetryPolicy::default();
 
         let (ours, our_cfg) = faulty_file(plan.clone());
-        let t_w = write(&ours, &policy, Time::ZERO, &[(7, 30_000)], &[&data])
-            .unwrap()
-            .durable;
+        let t_w = write(
+            &ours,
+            &policy,
+            Time::ZERO,
+            &[(7, 30_000)],
+            &[(&data).into()],
+        )
+        .unwrap()
+        .durable;
         let mut our_bytes = vec![0u8; data.len()];
         let t_r = read_at(&ours, &policy, t_w, 7, &mut our_bytes).unwrap();
 
@@ -332,15 +339,15 @@ mod tests {
         let policy = RetryPolicy::default();
         let runs = [(0u64, 3000u64), (5000, 2000), (9000, 4000)];
         let data: Vec<u8> = (0..9000u32).map(|i| (i * 11 % 251) as u8).collect();
-        let cut: [&[u8]; 5] = [
-            &data[..1000],
-            &data[1000..3500],
-            &[],
-            &data[3500..8999],
-            &data[8999..],
+        let cut: [Seg; 5] = [
+            (&data[..1000]).into(),
+            (&data[1000..3500]).into(),
+            (&[]).into(),
+            (&data[3500..8999]).into(),
+            (&data[8999..]).into(),
         ];
         let mut seen = Vec::new();
-        for segs in [&[&data[..]][..], &cut[..]] {
+        for segs in [&[(&data).into()][..], &cut[..]] {
             let (f, cfg) = faulty_file(plan.clone());
             let c = write(&f, &policy, Time::ZERO, &runs, segs).expect("should recover");
             assert!(c.handoff <= c.durable);
@@ -431,7 +438,14 @@ mod tests {
             ..FaultPlan::default()
         });
         let policy = RetryPolicy::default();
-        let err = write(&f, &policy, Time::ZERO, &[(0, 8192)], &[&[1u8; 8192]]).unwrap_err();
+        let err = write(
+            &f,
+            &policy,
+            Time::ZERO,
+            &[(0, 8192)],
+            &[(&[1u8; 8192]).into()],
+        )
+        .unwrap_err();
         match err {
             MpioError::Exhausted { attempts, .. } => assert!(attempts >= policy.attempts),
             other => panic!("expected Exhausted, got {other:?}"),
@@ -453,7 +467,7 @@ mod tests {
         });
         let policy = RetryPolicy::default();
         let data = vec![9u8; 8192];
-        let t = write(&f, &policy, Time::ZERO, &[(0, 8192)], &[&data])
+        let t = write(&f, &policy, Time::ZERO, &[(0, 8192)], &[(&data).into()])
             .expect("restart should save it")
             .durable;
         assert!(t >= Time::from_millis(1));

@@ -13,15 +13,18 @@
 //! in either direction. A write hands the PFS one segment, its extent. A
 //! read hands it a scatter list ([`SpanScratch`], which the two-phase read
 //! window shares): the pieces' bytes land in the caller's memory, and only
-//! the holes pass through a buffer.
+//! the holes pass through a buffer. A two-phase write window is the mirror:
+//! its gather list takes the pieces' bytes from the ranks' payloads, and
+//! only the holes from a buffer.
 
 use hpc_sim::Time;
-use pnetcdf_pfs::PfsFile;
+use pnetcdf_pfs::{PfsFile, Seg, WriteCompletion};
 
 use crate::cache::recycle;
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
 use crate::runs::Run;
+use crate::twophase::Req;
 
 /// The sieve windows of a run list: each holds the run pieces inside
 /// `[wlo, wlo + buffer_size)`, where `wlo` is the first byte no earlier
@@ -107,13 +110,13 @@ pub fn write(
         return Ok(now);
     }
     if runs.len() == 1 {
-        return recover::write(file, &policy, now, runs, &[data]).map(|c| c.durable);
+        return recover::write(file, &policy, now, runs, &[data.into()]).map(|c| c.durable);
     }
     if !sieve {
         let mut pos = 0usize;
         for run in runs.chunks(1) {
             let bytes = &data[pos..pos + run[0].1 as usize];
-            now = recover::write(file, &policy, now, run, &[bytes])?.durable;
+            now = recover::write(file, &policy, now, run, &[bytes.into()])?.durable;
             pos += bytes.len();
         }
         file.profile()
@@ -130,7 +133,7 @@ pub fn write(
         if let [pc] = windows.pieces[..] {
             transferred += pc.len;
             let bytes = &data[pc.src_pos as usize..(pc.src_pos + pc.len) as usize];
-            now = recover::write(file, &policy, now, &[(pc.off, pc.len)], &[bytes])?.durable;
+            now = recover::write(file, &policy, now, &[(pc.off, pc.len)], &[bytes.into()])?.durable;
             continue;
         }
         // Read-modify-write the extent [wlo, whi). The reused buffer needs
@@ -148,7 +151,7 @@ pub fn write(
             let (lo, pos) = ((pc.off - wlo) as usize, pc.src_pos as usize);
             buf[lo..lo + pc.len as usize].copy_from_slice(&data[pos..pos + pc.len as usize]);
         }
-        now = recover::write(file, &policy, now, &extent_run, &[buf])?.durable;
+        now = recover::write(file, &policy, now, &extent_run, &[(&*buf).into()])?.durable;
     }
     file.profile()
         .record_sieve(false, transferred, data.len() as u64);
@@ -214,10 +217,11 @@ pub(crate) struct Piece {
 
 /// A spanning read that delivers every byte straight to where it is going:
 /// [`SpanScratch::spill`] sizes the spill buffer a window's pieces need,
-/// [`SpanScratch::read`] reads the window. Kept from window to window, so
-/// that the windows of one access allocate once, not per window; the
-/// scatter list and the copies are kept empty and re-typed for each window
-/// ([`recycle`]).
+/// [`SpanScratch::read`] reads the window. Its mirror, a write that takes
+/// every byte straight from where it is, is [`SpanScratch::write`]. Kept
+/// from window to window, so that the windows of one access allocate once,
+/// not per window; the scatter and gather lists and the copies are kept
+/// empty and re-typed for each window ([`recycle`]).
 #[derive(Default)]
 pub(crate) struct SpanScratch {
     /// The pieces covering the sweep's position.
@@ -226,6 +230,10 @@ pub(crate) struct SpanScratch {
     at: Vec<u64>,
     scatter: Vec<&'static mut [u8]>,
     copies: Vec<(&'static mut [u8], usize)>,
+    gather: Vec<Seg<'static>>,
+    /// Per rank: the payload segment a write's sweep is in, and the payload
+    /// position of its first byte.
+    cursor: Vec<(usize, usize)>,
 }
 
 /// Walk the span the file-ordered `pieces` cover, cutting it wherever the
@@ -315,6 +323,61 @@ impl SpanScratch {
         let done = recover::read(file, policy, now, &[(lo, end - lo)], &mut lent[whole..]);
         copy.drain(..).for_each(|(c, k)| c.copy_from_slice(lent[k]));
         (self.scatter, self.copies) = (recycle(lent), recycle(copy));
+        done
+    }
+
+    /// Write the `spans` of the file-ordered `pieces` with one request whose
+    /// gather list takes every byte from where it is: a byte pieces write
+    /// from the payload `reqs` (in rank order) lend the highest rank among
+    /// them, converted as it is stored; a hole from `holes`, where the
+    /// spans of `holed` were read back to back. Bytes between the spans are
+    /// not written. The request is that of the spans however the bytes are
+    /// gathered, so its servers and its price are those of a write of the
+    /// spans from one buffer.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn write<'b>(
+        &mut self,
+        file: &PfsFile,
+        policy: &RetryPolicy,
+        now: Time,
+        spans: &[Run],
+        pieces: &[Piece],
+        reqs: &[Req<'b>],
+        (holed, holes): (&[Run], &'b [u8]),
+    ) -> MpioResult<WriteCompletion> {
+        let mut list: Vec<Seg<'b>> = recycle(std::mem::take(&mut self.gather));
+        self.cursor
+            .splice(.., std::iter::repeat_n((0, 0), reqs.len()));
+        // The holed span at or after the sweep, and where it lies in `holes`.
+        let (mut hi, mut base) = (0usize, 0usize);
+        sweep(pieces, &mut self.live, |off, len, live| {
+            let Some(pc) = live.iter().map(|&j| pieces[j]).max_by_key(|pc| pc.rank) else {
+                while holed.get(hi).is_some_and(|&(o, l)| o + l <= off) {
+                    base += holed[hi].1 as usize;
+                    hi += 1;
+                }
+                if let Some(&(o, _)) = holed.get(hi).filter(|&&(o, _)| o <= off) {
+                    let at = base + (off - o) as usize;
+                    list.push(Seg::from(&holes[at..at + len as usize]));
+                }
+                return;
+            };
+            let (src, width) = (reqs[pc.rank].src, (reqs[pc.rank].aux as usize).max(1));
+            let (si, seg0) = &mut self.cursor[pc.rank];
+            let mut pos = (pc.src_pos + off - pc.off) as usize;
+            let end = pos + len as usize;
+            while pos < end {
+                while pos >= *seg0 + src[*si].len() {
+                    *seg0 += src[*si].len();
+                    *si += 1;
+                }
+                let n = (*seg0 + src[*si].len()).min(end) - pos;
+                list.push(Seg::native(src[*si], width, pos - *seg0, n));
+                pos += n;
+            }
+        });
+        let done = recover::write(file, policy, now, spans, &list);
+        self.gather = recycle(list);
         done
     }
 }

@@ -50,7 +50,7 @@ use std::collections::BTreeSet;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{Span, Time, TraceCtx};
 
-use crate::file::{Gather, PfsFile, Scatter};
+use crate::file::{Gather, PfsFile, Scatter, Seg};
 use crate::stripe::StripeChunk;
 
 /// Parity stripes live in the same per-file store as data stripes, keyed
@@ -177,7 +177,7 @@ impl PfsFile {
         &self,
         down: usize,
         chunks: impl Iterator<Item = (StripeChunk, usize)> + Clone,
-        segs: &[&[u8]],
+        segs: &[Seg<'_>],
     ) {
         let mut bytes = 0u64;
         {
@@ -185,9 +185,9 @@ impl PfsFile {
             let mut payload = Gather::new(segs);
             for (c, pos) in chunks.clone() {
                 debug_assert_eq!(c.server, down);
-                payload.each(pos, c.len as usize, |skip, d| {
-                    srv.poke(self.rec.id, c.stripe, c.offset_in_stripe + skip, d)
-                });
+                if let Some(dst) = srv.slot(self.rec.id, c.stripe, c.offset_in_stripe, c.len) {
+                    payload.each(pos, dst);
+                }
                 bytes += c.len;
             }
         }
@@ -471,7 +471,7 @@ mod tests {
         let f = fs.create("d");
         let data = pattern(20_000, 11);
         let t = f
-            .try_write(Time::ZERO, &[(0, 20_000)], &[&data])
+            .try_write(Time::ZERO, &[(0, 20_000)], &[(&data).into()])
             .unwrap()
             .durable;
         assert!(t < Time::from_secs_f64(1.0), "setup must precede the crash");
@@ -504,12 +504,17 @@ mod tests {
         });
         let f = fs.create("r");
         let before = pattern(8_000, 5);
-        f.try_write(Time::ZERO, &[(0, 8_000)], &[&before]).unwrap();
+        f.try_write(Time::ZERO, &[(0, 8_000)], &[(&before).into()])
+            .unwrap();
         fs.mark_server_down(1);
         // Degraded write overwrites the middle, including server-1 stripes.
         let during = pattern(12_000, 9);
-        f.try_write(Time::from_secs_f64(2.0), &[(1024, 12_000)], &[&during])
-            .unwrap();
+        f.try_write(
+            Time::from_secs_f64(2.0),
+            &[(1024, 12_000)],
+            &[(&during).into()],
+        )
+        .unwrap();
         let fo = fs.inner.cfg.profile.failover_counters();
         assert!(fo.redirected_writes > 0, "server 1 stripes were redirected");
         assert!(fo.redirected_bytes > 0);

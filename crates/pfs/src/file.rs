@@ -3,19 +3,24 @@
 //! There is one timed door per direction, and the two mirror each other.
 //! Each takes a run list on the file side (one run when contiguous) and a
 //! segment list on the memory side. The write door, [`PfsFile::try_write`],
-//! takes a gather list: the payload is the concatenation of the slices it
-//! is lent, which the servers copy from as they walk their chunks. The read
-//! door, [`PfsFile::try_read`], takes a scatter list, which the servers
-//! fill in the same way. So noncontiguous memory (page slots, a collective
-//! buffer) and noncontiguous file regions (a collective window, a page's
-//! gaps) move as one request per server without a bounce copy. Both doors
-//! drive one server path, [`crate::server::Server::serve`].
+//! takes a gather list: the payload is the concatenation of the segments
+//! it is lent ([`Seg`]), which the servers copy from as they walk their
+//! chunks. A segment names whole elements in host byte order and their
+//! width, and the copy into stripe memory converts them to the file's
+//! big-endian form, so a payload is copied once, where it is stored; a
+//! segment of width 1 is copied as it is. The read door,
+//! [`PfsFile::try_read`], takes a scatter list, which the servers fill in
+//! the same way. So noncontiguous memory (page slots, the ranks' payloads)
+//! and noncontiguous file regions (a collective window, a page's gaps) move
+//! as one request per server without a bounce copy. Both doors drive one
+//! server path, [`crate::server::Server::serve`].
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{FaultKind, IoStages, Span, Time, TraceCtx};
+use pnetcdf_format::swap::swap_copy;
 
 use crate::filesystem::Pfs;
 use crate::meta::FileRecord;
@@ -54,38 +59,116 @@ pub struct WriteCompletion {
     pub durable: Time,
 }
 
+/// One segment of a write's gather list: the payload bytes `[phase, phase +
+/// len)` of the big-endian form of `data`, whole elements `width` bytes wide
+/// (1, 2, 4 or 8) in host byte order. `data` begins with the element that
+/// holds the first payload byte and ends with the one that holds the last,
+/// so a segment cut inside an element (by a collective window, a stripe or a
+/// resumed short write) still names that element whole. A segment of bytes
+/// the file is to hold as they are has width 1 ([`Seg::from`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Seg<'a> {
+    data: &'a [u8],
+    len: usize,
+    width: u32,
+    phase: u32,
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for Seg<'a> {
+    fn from(data: &'a T) -> Seg<'a> {
+        Seg::native(data.as_ref(), 1, 0, data.as_ref().len())
+    }
+}
+
+impl<'a> Seg<'a> {
+    /// The payload bytes `[pos, pos + len)` of the big-endian form of
+    /// `native`, whole `width`-byte elements in host byte order.
+    pub fn native(native: &'a [u8], width: usize, pos: usize, len: usize) -> Seg<'a> {
+        debug_assert!(width.is_power_of_two() && width <= 8 && native.len() % width == 0);
+        let (lo, hi) = (pos & !(width - 1), (pos + len + width - 1) & !(width - 1));
+        Seg {
+            data: &native[lo..hi],
+            len,
+            width: width as u32,
+            phase: (pos - lo) as u32,
+        }
+    }
+
+    /// Payload bytes in the segment.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the segment holds no payload byte.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Payload bytes `[at, at + len)` of the segment; their phase inside
+    /// their first element is kept.
+    pub fn sub(&self, at: usize, len: usize) -> Seg<'a> {
+        let phase = self.phase as usize + at;
+        Seg::native(self.data, self.width as usize, phase, len)
+    }
+
+    /// Store the payload bytes `[at, at + dst.len())` into `dst`,
+    /// converting them on the way. The whole elements among them are
+    /// swapped in bulk; the bytes of an element they cut are placed one at
+    /// a time: on a little-endian host external byte `p` is native byte
+    /// `p ^ (width - 1)`, the same offset mirrored inside its element. On a
+    /// big-endian host, as for width 1, host order is external order.
+    fn copy_to(&self, at: usize, dst: &mut [u8]) {
+        debug_assert!(at + dst.len() <= self.len);
+        let (w, native) = (self.width as usize, self.data);
+        let pos = self.phase as usize + at;
+        let end = pos + dst.len();
+        if w <= 1 || cfg!(target_endian = "big") {
+            dst.copy_from_slice(&native[pos..end]);
+            return;
+        }
+        // Whole elements occupy `[lo, hi)`; both collapse onto one point
+        // when the bytes lie inside a single element.
+        let lo = ((pos + w - 1) & !(w - 1)).min(end);
+        let hi = (end & !(w - 1)).max(lo);
+        for p in (pos..lo).chain(hi..end) {
+            dst[p - pos] = native[p ^ (w - 1)];
+        }
+        swap_copy(&native[lo..hi], &mut dst[lo - pos..hi - pos], w);
+    }
+}
+
 /// The memory side of a write request as one server's portion copies out
 /// of it: a cursor over the gather list, fed the portion's chunks in
 /// increasing payload positions. A chunk may straddle segments, and empty
 /// segments are stepped over.
 pub(crate) struct Gather<'a> {
-    rest: std::slice::Iter<'a, &'a [u8]>,
+    rest: std::slice::Iter<'a, Seg<'a>>,
     /// The current segment and the payload position of its first byte.
-    seg: &'a [u8],
+    seg: Seg<'a>,
     at: usize,
 }
 
 impl<'a> Gather<'a> {
-    pub(crate) fn new(segs: &'a [&'a [u8]]) -> Gather<'a> {
+    pub(crate) fn new(segs: &'a [Seg<'a>]) -> Gather<'a> {
         Gather {
             rest: segs.iter(),
-            seg: &[],
+            seg: Seg::from(&[]),
             at: 0,
         }
     }
 
-    /// Hand `put(skip, bytes)` the payload bytes `[pos, pos + len)` segment
-    /// piece by segment piece, `skip` being the piece's distance from `pos`.
-    /// `pos` never lies before the previous call's.
-    pub(crate) fn each(&mut self, pos: usize, len: usize, mut put: impl FnMut(u64, &'a [u8])) {
-        let (mut at, end) = (pos, pos + len);
+    /// Store the payload bytes `[pos, pos + dst.len())` into `dst`, segment
+    /// piece by segment piece, each converted on the way. `pos` never lies
+    /// before the previous call's.
+    pub(crate) fn each(&mut self, pos: usize, dst: &mut [u8]) {
+        let (mut at, end) = (pos, pos + dst.len());
         while at < end {
-            while self.at + self.seg.len() <= at {
-                self.at += self.seg.len();
-                self.seg = self.rest.next().expect("a chunk reaches past its payload");
+            while self.at + self.seg.len <= at {
+                self.at += self.seg.len;
+                self.seg = *self.rest.next().expect("a chunk reaches past its payload");
             }
-            let (lo, hi) = (at - self.at, (end - self.at).min(self.seg.len()));
-            put((at - pos) as u64, &self.seg[lo..hi]);
+            let (lo, hi) = (at - self.at, (end - self.at).min(self.seg.len));
+            self.seg.copy_to(lo, &mut dst[at - pos..][..hi - lo]);
             at = self.at + hi;
         }
     }
@@ -171,8 +254,11 @@ impl PfsFile {
     /// Timed write, starting at virtual time `start`, of the runs `runs` —
     /// `(offset, len)` pairs, sorted and disjoint, one when the span is
     /// contiguous — whose payload is the concatenation of the gather list
-    /// `segs` (`&[data]`, page slots, a collective buffer), so noncontiguous
-    /// file and memory regions go out without a bounce copy. Returns both
+    /// `segs` (`&[data.into()]`, page slots, the pieces of a collective
+    /// window), so noncontiguous file and memory regions go out without a
+    /// bounce copy, each segment converted to the file's byte order as it is
+    /// stored ([`Seg`]). How the payload is cut into segments, and their
+    /// widths, move no clock. Returns both
     /// acknowledgement points: a pipelined client may proceed at `handoff`
     /// and wait for `durable` only when it needs the bytes on disk. Or the
     /// first injected fault.
@@ -193,7 +279,7 @@ impl PfsFile {
         &self,
         start: Time,
         runs: &[(u64, u64)],
-        segs: &[&[u8]],
+        segs: &[Seg<'_>],
     ) -> Result<WriteCompletion, IoFailure> {
         debug_assert!(
             runs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
@@ -202,7 +288,7 @@ impl PfsFile {
         let len: u64 = runs.iter().map(|&(_, len)| len).sum();
         debug_assert_eq!(
             len,
-            segs.iter().map(|s| s.len() as u64).sum::<u64>(),
+            segs.iter().map(|s| s.len as u64).sum::<u64>(),
             "runs must describe segs"
         );
         if len == 0 {
@@ -246,9 +332,8 @@ impl PfsFile {
             let mut payload = Gather::new(segs);
             let op = Op::Write { metadata_sized };
             let store = |st: &mut StripeStore, c: StripeChunk, pos| {
-                payload.each(pos, c.len as usize, |skip, d| {
-                    st.write(self.rec.id, c.stripe, c.offset_in_stripe + skip, d)
-                })
+                let dst = st.slot(self.rec.id, c.stripe, c.offset_in_stripe, c.len);
+                payload.each(pos, dst)
             };
             let outcome = self.pfs.inner.servers[srv].lock().serve(
                 &cfg.disk,
@@ -302,7 +387,7 @@ impl PfsFile {
     pub fn write_at(&self, start: Time, offset: u64, data: &[u8]) -> Time {
         let attempt = |t, resume: u64| {
             let rest = &data[resume as usize..];
-            self.try_write(t, &[(offset + resume, rest.len() as u64)], &[rest])
+            self.try_write(t, &[(offset + resume, rest.len() as u64)], &[rest.into()])
                 .map(|c| c.durable)
         };
         let (policy, profile) = (RetryPolicy::default(), self.profile());
@@ -565,7 +650,7 @@ impl PfsFile {
                 self.rec.id,
                 c.stripe,
                 c.offset_in_stripe,
-                &data[lo..lo + c.len as usize],
+                data[lo..lo + c.len as usize].into(),
             );
         }
         self.grow_to(data.len() as u64);
@@ -816,7 +901,9 @@ mod tests {
         };
         let f = Pfs::new(cfg, StorageMode::Full).create("short");
         let data = vec![7u8; 4000];
-        let err = f.try_write(Time::ZERO, &[(0, 4000)], &[&data]).unwrap_err();
+        let err = f
+            .try_write(Time::ZERO, &[(0, 4000)], &[(&data).into()])
+            .unwrap_err();
         assert!(err.completed < 4000);
         assert!(err.time > Time::ZERO);
         // The reported prefix really landed. (Bytes *beyond* it may also
@@ -836,7 +923,7 @@ mod tests {
         let f2 = file();
         let data = vec![3u8; 9000];
         assert_eq!(
-            f1.try_write(Time::ZERO, &[(128, 9000)], &[&data])
+            f1.try_write(Time::ZERO, &[(128, 9000)], &[(&data).into()])
                 .unwrap()
                 .durable,
             f2.write_at(Time::ZERO, 128, &data)
@@ -851,7 +938,7 @@ mod tests {
         f.profile().set_enabled(true);
         let runs = [(0u64, 1024u64), (4096, 1024), (8192, 1024)];
         let data: Vec<u8> = (0..3 * 1024u32).map(|i| (i % 239) as u8).collect();
-        let c = f.try_write(Time::ZERO, &runs, &[&data]).unwrap();
+        let c = f.try_write(Time::ZERO, &runs, &[(&data).into()]).unwrap();
         assert!(
             c.handoff < c.durable,
             "server owns the bytes before the disk has them"
@@ -876,7 +963,9 @@ mod tests {
         let data: Vec<u8> = (0..3448u32).map(|i| (i * 13 % 251) as u8).collect();
 
         let batched = file();
-        batched.try_write(Time::ZERO, &runs, &[&data]).unwrap();
+        batched
+            .try_write(Time::ZERO, &runs, &[(&data).into()])
+            .unwrap();
 
         let scalar = file();
         let mut pos = 0usize;
@@ -885,6 +974,106 @@ mod tests {
             pos += len as usize;
         }
         assert_eq!(batched.to_bytes(), scalar.to_bytes());
+    }
+
+    /// `n` doubles in host byte order and their big-endian form.
+    fn doubles(n: usize) -> (Vec<u8>, Vec<u8>) {
+        let vals = (0..n).map(|i| i as f64 * -1.25e-3 + 7.0e5);
+        let native = vals.clone().flat_map(f64::to_ne_bytes).collect();
+        (native, vals.flat_map(f64::to_be_bytes).collect())
+    }
+
+    /// A variable of doubles that begins 4 bytes before a stripe boundary
+    /// (the header ends on a 4-byte boundary): the stripe cuts its first
+    /// element, and each stripe gets its half big-endian, whether the
+    /// gather list is one segment or is cut at the stripe boundary too.
+    #[test]
+    fn an_element_cut_by_a_stripe_boundary_is_stored_big_endian() {
+        let (native, external) = doubles(300);
+        let len = native.len();
+        for cut in [None, Some(4), Some(5)] {
+            let f = file();
+            let segs: Vec<Seg> = match cut {
+                None => vec![Seg::native(&native, 8, 0, len)],
+                Some(c) => vec![
+                    Seg::native(&native, 8, 0, c),
+                    Seg::native(&native, 8, c, len - c),
+                ],
+            };
+            f.try_write(Time::ZERO, &[(1020, len as u64)], &segs)
+                .unwrap();
+            let mut out = vec![0u8; len];
+            f.peek_at(1020, &mut out);
+            assert_eq!(out, external, "cut at {cut:?}");
+        }
+    }
+
+    /// Short faults cut a native write wherever a stripe chunk ends, and so
+    /// inside an element when the elements start off the stripe grid; the
+    /// resumed request lends the rest of the segment from there, its phase
+    /// inside the cut element kept, and the file ends up big-endian.
+    #[test]
+    fn a_short_write_resumed_inside_an_element_lands_whole() {
+        let mut cfg = SimConfig::test_small();
+        cfg.faults = hpc_sim::FaultPlan::from_spec("short=0.3,seed=5").unwrap();
+        let f = Pfs::new(cfg, StorageMode::Full).create("short");
+        let (native, external) = doubles(2000);
+        let (len, seg) = (
+            native.len() as u64,
+            Seg::native(&native, 8, 0, native.len()),
+        );
+        let (mut t, mut resume, mut inside) = (Time::ZERO, 0u64, 0);
+        loop {
+            let rest = [seg.sub(resume as usize, (len - resume) as usize)];
+            match f.try_write(t, &[(1020 + resume, len - resume)], &rest) {
+                Ok(_) => break,
+                Err(e) => {
+                    assert!(matches!(e.kind, FaultKind::Short { .. }), "{e:?}");
+                    (t, resume) = (e.time, resume + e.completed);
+                    inside += (resume % 8 != 0) as u32;
+                }
+            }
+        }
+        assert!(
+            inside > 0,
+            "test premise: a resume point falls inside an element"
+        );
+        let mut out = vec![0u8; native.len()];
+        f.peek_at(1020, &mut out);
+        assert!(out == external);
+    }
+
+    /// With server 0 down behind parity its portions are redirected, not
+    /// served: they convert on the same gather, and what is read back —
+    /// server 0's chunks reconstructed from the parity the write updated —
+    /// is the big-endian form.
+    #[test]
+    fn a_degraded_native_write_reads_back_exactly() {
+        let mut cfg = SimConfig::test_small();
+        cfg.parity = true;
+        cfg.faults.crashes.push(hpc_sim::CrashSpec {
+            server: 0,
+            at: Time::ZERO,
+            restart: None,
+        });
+        cfg.profile.set_enabled(true);
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        assert!(pfs.mark_server_down(0));
+        let f = pfs.create("degraded");
+        let (native, external) = doubles(1500);
+        let len = native.len();
+        let segs = [
+            Seg::native(&native, 8, 0, 4004),
+            Seg::native(&native, 8, 4004, len - 4004),
+        ];
+        let c = f
+            .try_write(Time::ZERO, &[(100, len as u64)], &segs)
+            .unwrap();
+        assert!(cfg.profile.failover_counters().redirected_bytes > 0);
+        let mut out = vec![0u8; len];
+        f.read_at(c.durable, 100, &mut out);
+        assert!(out == external);
+        assert!(cfg.profile.failover_counters().reconstructed_bytes > 0);
     }
 
     #[test]

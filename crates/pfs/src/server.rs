@@ -338,9 +338,17 @@ impl Server {
     /// Direct store write for import (bypasses timing). No-op in
     /// [`StorageMode::CostOnly`].
     pub fn poke(&mut self, file: u64, stripe: u64, offset_in_stripe: u64, data: &[u8]) {
-        if self.mode != StorageMode::CostOnly {
-            self.store.write(file, stripe, offset_in_stripe, data);
+        if let Some(dst) = self.slot(file, stripe, offset_in_stripe, data.len() as u64) {
+            dst.copy_from_slice(data);
         }
+    }
+
+    /// The stored bytes `[at, at + len)` of a stripe, for an untimed write
+    /// to fill ([`StripeStore::slot`]); `None` in [`StorageMode::CostOnly`],
+    /// which keeps nothing.
+    pub(crate) fn slot(&mut self, file: u64, stripe: u64, at: u64, len: u64) -> Option<&mut [u8]> {
+        let keep = self.mode != StorageMode::CostOnly;
+        keep.then(|| self.store.slot(file, stripe, at, len))
     }
 
     /// Reset the stage clocks, queue, position state **and the fault
@@ -448,7 +456,10 @@ mod tests {
             at,
             op,
             std::iter::once((c, 0)),
-            |st, c, _| st.write(file, c.stripe, c.offset_in_stripe, &data[..c.len as usize]),
+            |st, c, _| {
+                st.slot(file, c.stripe, c.offset_in_stripe, c.len)
+                    .copy_from_slice(&data[..c.len as usize])
+            },
         )
     }
 

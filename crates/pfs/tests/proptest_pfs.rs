@@ -6,8 +6,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hpc_sim::{CrashSpec, FaultPlan, ProfileSnapshot, SimConfig, Time};
+use pnetcdf_format::swap::swap_to_vec;
 use pnetcdf_mpio::recover;
-use pnetcdf_pfs::{Pfs, StorageMode, StripeChunk, Striping};
+use pnetcdf_pfs::{Pfs, Seg, StorageMode, StripeChunk, Striping};
 
 const MODES: [StorageMode; 3] = [
     StorageMode::Full,
@@ -15,31 +16,35 @@ const MODES: [StorageMode; 3] = [
     StorageMode::MetadataOnly,
 ];
 
-/// Cut `payload` at `cuts` (positions, any order, repeats make empty
+/// Cut `payload`, whole `width`-byte elements in host byte order, at `cuts`
+/// (positions, any order, inside elements too; repeats make empty
 /// segments) — or into one byte per segment — and put `empties` empty
-/// segments in front of the segments they name.
+/// segments in front of the segments they name: a gather list whose
+/// concatenation is the big-endian form of `payload`.
 fn segment<'a>(
     payload: &'a [u8],
+    width: usize,
     cuts: &[usize],
     empties: &[usize],
     bytewise: bool,
-) -> Vec<&'a [u8]> {
+) -> Vec<Seg<'a>> {
     let mut at: Vec<usize> = match bytewise {
         true => (0..=payload.len()).collect(),
         false => cuts.iter().map(|&c| c % (payload.len() + 1)).collect(),
     };
     at.extend([0, payload.len()]);
     at.sort_unstable();
-    let mut segs: Vec<&[u8]> = at.windows(2).map(|w| &payload[w[0]..w[1]]).collect();
+    let cut = |w: &[usize]| Seg::native(payload, width, w[0], w[1] - w[0]);
+    let mut segs: Vec<Seg> = at.windows(2).map(cut).collect();
     for &e in empties {
-        segs.insert(e % (segs.len() + 1), &[]);
+        segs.insert(e % (segs.len() + 1), (&[]).into());
     }
     segs
 }
 
 /// [`segment`]'s cut of `buf`, mutable: a scatter list.
 fn scatter<'a>(buf: &'a mut [u8], cuts: &[usize], empties: &[usize]) -> Vec<&'a mut [u8]> {
-    let lens: Vec<usize> = segment(buf, cuts, empties, false)
+    let lens: Vec<usize> = segment(buf, 1, cuts, empties, false)
         .iter()
         .map(|s| s.len())
         .collect();
@@ -96,12 +101,19 @@ fn gather_write(
     (pfs, cfg): (Pfs, SimConfig),
     base: &[u8],
     offset: u64,
-    segs: &[&[u8]],
+    segs: &[Seg],
 ) -> ((Time, Time), Vec<u8>, ProfileSnapshot) {
     let f = pfs.create("g");
     let policy = recover::RetryPolicy::default();
     let len = segs.iter().map(|s| s.len() as u64).sum();
-    let t = recover::write(&f, &policy, Time::ZERO, &[(0, base.len() as u64)], &[base]).unwrap();
+    let t = recover::write(
+        &f,
+        &policy,
+        Time::ZERO,
+        &[(0, base.len() as u64)],
+        &[base.into()],
+    )
+    .unwrap();
     let c = recover::write(&f, &policy, t.durable, &[(offset, len)], segs).unwrap();
     ((c.handoff, c.durable), f.to_bytes(), cfg.profile.snapshot())
 }
@@ -207,18 +219,21 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// A write's memory side is a gather list, and how the payload is cut
-    /// into segments changes nothing: the file's bytes, the completion and
-    /// every profile counter (faults and retries, servers, failover) are
-    /// those of the one-segment write of the concatenation. Under every
-    /// storage mode, with and without transient and short faults, and with
-    /// server 0 down behind parity; segments are empty, cut inside a stripe
-    /// chunk, or one byte each.
+    /// A write's memory side is a gather list of converting segments, and
+    /// how the payload is cut into segments changes nothing: a payload of
+    /// 1-, 2-, 4- or 8-byte elements in host byte order leaves the file's
+    /// bytes, the completion and every profile counter (faults and retries,
+    /// servers, failover) of the one-segment write of its big-endian form.
+    /// Under every storage mode, with and without transient and short faults
+    /// (a short write resumes wherever its prefix ends, inside an element
+    /// too), and with server 0 down behind parity; segments are empty, cut
+    /// inside an element or a stripe chunk, or one byte each.
     #[test]
     fn a_gather_list_writes_what_its_concatenation_writes(
         base_len in 0usize..4000,
         offset in 0u64..3000,
         len in 0usize..5000,
+        width_exp in 0u32..4,
         cuts in vec(0usize..5000, 0..12),
         empties in vec(0usize..16, 0..4),
         bytewise in any::<bool>(),
@@ -226,18 +241,21 @@ proptest! {
         faulty in any::<bool>(),
         degraded in any::<bool>(),
     ) {
+        let width = 1 << width_exp;
+        let len = len - len % width;
         let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8 + 1).collect();
+        let external = swap_to_vec(&payload, width);
         let base = vec![0x5Au8; base_len];
-        let segs = segment(&payload, &cuts, &empties, bytewise);
-        prop_assert_eq!(segs.concat(), payload.clone());
-        let whole = gather_write(fs(mode, faulty, degraded), &base, offset, &[&payload]);
+        let segs = segment(&payload, width, &cuts, &empties, bytewise);
+        prop_assert_eq!(segs.iter().map(Seg::len).sum::<usize>(), len);
+        let whole = gather_write(fs(mode, faulty, degraded), &base, offset, &[(&external).into()]);
         let gathered = gather_write(fs(mode, faulty, degraded), &base, offset, &segs);
         prop_assert_eq!(&gathered, &whole);
-        // And the concatenation landed where it was sent.
+        // And the big-endian form landed where it was sent.
         if MODES[mode] == StorageMode::Full && len > 0 {
             let mut want = base;
             want.resize(want.len().max(offset as usize + len), 0);
-            want[offset as usize..][..len].copy_from_slice(&payload);
+            want[offset as usize..][..len].copy_from_slice(&external);
             prop_assert_eq!(whole.1, want);
         }
     }
@@ -245,8 +263,8 @@ proptest! {
     /// A write's price does not depend on how its bytes are cut. A span of
     /// 0–20 stripes, on `test_small` and on three servers, cut into
     /// adjacent runs at stripe boundaries and its payload into segments
-    /// (empty ones too), is handed off and durable when the one-run,
-    /// one-segment write is, with the same server requests, bytes, seeks and
+    /// (empty ones too, and elements of any width cut anywhere), is handed
+    /// off and durable when the one-run, one-segment write is, with the same server requests, bytes, seeks and
     /// every other counter; and no write is handed off before the client
     /// link has carried it. Cuts inside a stripe are left out: the disk
     /// charges a partial stripe per chunk.
@@ -259,6 +277,7 @@ proptest! {
         run_cuts in vec(0u64..32, 0..8),
         seg_cuts in vec(0usize..30_000, 0..8),
         empties in vec(0usize..16, 0..4),
+        width_exp in 0u32..4,
     ) {
         // A fresh platform, and so a fresh profile, per write.
         let platform = || {
@@ -283,14 +302,14 @@ proptest! {
         at.sort_unstable();
         at.dedup();
         let runs: Vec<(u64, u64)> = at.windows(2).map(|w| (w[0], w[1] - w[0])).collect();
-        let segs = segment(&payload, &seg_cuts, &empties, false);
-        let write = |runs: &[(u64, u64)], segs: &[&[u8]]| {
+        let segs = segment(&payload, 1 << width_exp, &seg_cuts, &empties, false);
+        let write = |runs: &[(u64, u64)], segs: &[Seg]| {
             let cfg = platform();
             let f = Pfs::new(cfg.clone(), StorageMode::Full).create("c");
             let c = f.try_write(Time::ZERO, runs, segs).unwrap();
             ((c.handoff, c.durable), cfg.profile.snapshot(), f.to_bytes())
         };
-        let whole = write(&[(offset, len)], &[&payload]);
+        let whole = write(&[(offset, len)], &[(&swap_to_vec(&payload, 1 << width_exp)).into()]);
         let cut = write(&runs, &segs);
         prop_assert_eq!(cut.0, whole.0, "runs {:?}", runs);
         prop_assert_eq!(&cut.1, &whole.1);
@@ -355,7 +374,7 @@ proptest! {
             let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
             let f = pfs.create("r");
             let all = [(0, content.len() as u64)];
-            assert!(f.try_write(Time::ZERO, &all, &[&content]).unwrap().durable < crash);
+            assert!(f.try_write(Time::ZERO, &all, &[(&content).into()]).unwrap().durable < crash);
             if degraded {
                 assert!(pfs.mark_server_down(0));
             }

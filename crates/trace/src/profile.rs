@@ -271,8 +271,9 @@ macro_rules! counter_table {
                 /// Two-phase windows that allocated no collective buffer:
                 /// served from the one an earlier window on the same open
                 /// file — of this collective or of an earlier one — had
-                /// already allocated, or needing none (a read window
-                /// without holes or shared bytes).
+                /// already allocated, or needing none (a write window
+                /// without holes, a read window without holes or shared
+                /// bytes).
                 collbuf_reuses: Count, Sum;
                 = "flatten_hit_rate" |b|
                     ratio(b.flatten_hits, b.flatten_hits + b.flatten_misses, 0.0);

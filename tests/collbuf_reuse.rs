@@ -190,51 +190,78 @@ fn readers_never_see_an_earlier_windows_bytes() {
 }
 
 /// The buffer outlives the call: what lies in it when a collective begins
-/// is what an earlier collective on the same open file left there. The
-/// first call fills every window with `0xff` (a value neither the old
-/// content nor any payload holds), written far behind the region; the
-/// second writes the runs with holes, the third reads them back. Holes
-/// come from the file, never from the first call's bytes.
+/// is what an earlier collective on the same open file left there. Only
+/// holes pass through it, so the first call writes one byte in every 64
+/// far behind the region, over a stretch that holds `0xff` (a value
+/// neither the old content nor any payload holds): every one of its
+/// windows reads the `0xff` around its pieces into the buffer, the first
+/// allocating it. The second call writes the runs with holes, the third
+/// reads them back, and neither allocates. Holes come from the file, never
+/// from what the first call's reads left in the buffer.
 #[test]
 fn no_byte_of_an_earlier_collective_survives_in_a_later_one() {
     let cfg = SimConfig::test_small();
     cfg.profile.set_enabled(true);
-    let mut opens = 0u64;
+    // Behind the region: zeros up to 2 * REGION, then REGION bytes of 0xff.
+    let mut old = old_content();
+    old.resize(2 * REGION as usize, 0);
+    old.resize(3 * REGION as usize, 0xff);
+    let counts = |p: &hpc_sim::Profile| {
+        let snap = p.snapshot();
+        let (t, b) = (snap.twophase, snap.bytepath);
+        [t.windows, t.rmw_windows, b.collbuf_reuses]
+    };
     for_each_configuration(|per_rank, info, what| {
-        opens += 1;
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
-        pfs.create("f").import_bytes(&old_content());
+        pfs.create("f").import_bytes(&old);
         let (pfs_in, runs_in, info) = (pfs.clone(), per_rank.to_vec(), info.clone());
+        let before = counts(&cfg.profile);
         let run = run_world(per_rank.len(), cfg.clone(), move |c| {
             let f = MpiFile::open(c, &pfs_in, "f", OpenMode::ReadWrite, &info).unwrap();
             let share = REGION / c.size() as u64;
-            let behind = [(2 * REGION + c.rank() as u64 * share, share)];
-            f.write_runs_at_all(&behind, &vec![0xffu8; share as usize])
+            let base = 2 * REGION + c.rank() as u64 * share;
+            let behind: Vec<Run> = (0..share.div_ceil(64))
+                .map(|i| (base + i * 64, 1))
+                .collect();
+            f.write_runs_at_all(&behind, &vec![1u8; behind.len()])
                 .unwrap();
+            // Every rank has left the first call, which counted its
+            // windows before any did, and none has entered the second.
+            let first = counts(&c.config().profile);
+            c.barrier().unwrap();
             let runs = &runs_in[c.rank()];
             f.write_runs_at_all(runs, &payload(runs, c.rank())).unwrap();
-            f.read_runs_at_all(runs).unwrap()
+            (behind, first, f.read_runs_at_all(runs).unwrap())
         });
-        let (got, want) = (pfs.open("f").unwrap().to_bytes(), oracle(per_rank));
-        assert!(
-            got[..want.len()] == want,
-            "file differs from the oracle: {what}"
-        );
-        let leaked = got[..2 * REGION as usize].contains(&0xff);
-        assert!(!leaked, "the first call's bytes reached the file: {what}");
-        for (rank, runs) in per_rank.iter().enumerate() {
+        let (got, mut want) = (pfs.open("f").unwrap().to_bytes(), oracle(per_rank));
+        want.resize(2 * REGION as usize, 0);
+        want.resize(3 * REGION as usize, 0xff);
+        for (behind, ..) in &run.results {
+            behind.iter().for_each(|&(off, _)| want[off as usize] = 1);
+        }
+        assert!(got == want, "file differs from the oracle: {what}");
+        for (rank, (_, _, read)) in run.results.iter().enumerate() {
             let at = |&(off, len): &Run| want[off as usize..(off + len) as usize].to_vec();
-            let read: Vec<u8> = runs.iter().flat_map(at).collect();
+            let runs = &per_rank[rank];
             assert!(
-                run.results[rank] == read,
+                *read == runs.iter().flat_map(at).collect::<Vec<u8>>(),
                 "rank {rank} read wrong bytes: {what}"
             );
         }
+        // The premise: every window of the first call has holes, and the
+        // first of them allocates the buffer; no window of the two later
+        // calls allocates.
+        let first = run.results[0].1;
+        let [windows, rmw, reuses] = [0, 1, 2].map(|k| first[k] - before[k]);
+        assert!(
+            windows > 0 && rmw == windows,
+            "{what}: {windows} windows, {rmw} holed"
+        );
+        assert_eq!(reuses, windows - 1, "{what}");
+        let [windows, _, reuses] = {
+            let after = counts(&cfg.profile);
+            [0, 1, 2].map(|k| after[k] - first[k])
+        };
+        assert_eq!(reuses, windows, "{what}");
     });
-    // The premise: every window of all three calls but the first window
-    // of each open file found the buffer there.
-    let snap = cfg.profile.snapshot();
-    let (t, b) = (snap.twophase, snap.bytepath);
-    assert_eq!(t.collective_writes + t.collective_reads, 3 * opens);
-    assert_eq!(t.windows - b.collbuf_reuses, opens, "{t:?} {b:?}");
 }

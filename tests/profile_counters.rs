@@ -76,14 +76,14 @@ fn collective_write_counts_one_collective_and_expected_aggregator_io() {
         assert_eq!(s.bytes_read, 0);
     }
     // The whole collective payload crossed the rendezvous on loan — no
-    // parcel copy — and the four windows, run one at a time by the
-    // finisher, share one collective buffer: the first allocates it, the
-    // other three reuse it.
+    // parcel copy — and the four windows, having no holes, gather straight
+    // from the lent payloads: none allocates the collective buffer, so
+    // every one counts as a reuse.
     assert_eq!(
         snap.bytepath.exchange_borrowed_bytes,
         NPROCS as u64 * PER_RANK * 4
     );
-    assert_eq!(snap.bytepath.collbuf_reuses, 3);
+    assert_eq!(snap.bytepath.collbuf_reuses, 4);
 }
 
 /// A write window whose spans have holes reads what is under them before
@@ -125,9 +125,10 @@ fn a_holed_write_window_reads_once_per_server() {
     assert_eq!(back[150..200], [0x5A; 50], "the hole keeps the old bytes");
 }
 
-/// A collective that needs several windows allocates its collective buffer
-/// once: every window after the first is a reuse, on the write and on the
-/// read side, and both directions count their payload as lent.
+/// A collective that needs several windows allocates no collective buffer
+/// when no window has holes: every window, on the write and on the read
+/// side, counts as a reuse, and both directions count their payload as
+/// lent.
 #[test]
 fn multi_window_collectives_reuse_one_collective_buffer() {
     let cfg = SimConfig::test_small();
@@ -156,10 +157,11 @@ fn multi_window_collectives_reuse_one_collective_buffer() {
     let snap = cfg.profile.snapshot();
     assert_eq!(snap.twophase.collective_writes, 1);
     assert_eq!(snap.twophase.collective_reads, 1);
-    // 4 KiB through 1 KiB windows: four windows each way, one buffer for
-    // the open file — every window but its first is a reuse.
+    // 4 KiB through 1 KiB windows: four windows each way, none with holes,
+    // so the open file never allocates its buffer.
     assert_eq!(snap.twophase.windows, 8);
-    assert_eq!(snap.bytepath.collbuf_reuses, 7);
+    assert_eq!(snap.twophase.rmw_windows, 0);
+    assert_eq!(snap.bytepath.collbuf_reuses, 8);
     assert_eq!(
         snap.bytepath.exchange_borrowed_bytes,
         2 * NPROCS as u64 * PER_RANK * 4

@@ -11,12 +11,15 @@
 //! two mechanisms, not only the total, with the counting allocator of
 //! `support/counting_alloc.rs`:
 //!
-//! * nothing allocated inside `wait_all` is larger than the collective
-//!   buffer — the merged staging of this queue would be 6 MiB;
+//! * nothing allocated inside `wait_all` comes near the collective buffer:
+//!   its windows have no holes, so they gather straight from the staged
+//!   buffers and need none — the merged staging of this queue would be
+//!   6 MiB, a collective buffer 4 MiB;
 //! * the second to eighth `get_vara_all` on an open file request their
 //!   returned vectors and run lists, no collective buffer — one per call
 //!   would add 512 KiB each;
-//! * the whole run requests 2.055 B/B (3.024 with both copies back).
+//! * the whole run requests 1.774 B/B (2.055 while every open file's first
+//!   write allocated its collective buffer, 3.024 with both copies back).
 //!
 //! One `#[test]` only: the allocator is process-wide, and a second test
 //! running beside it would be counted too.
@@ -41,13 +44,15 @@ const PAYLOAD: u64 = (NVARS + GETS) as u64 * VAR_BYTES;
 /// measured (run lists, window plans, agreement payloads); one collective
 /// buffer per call is 3.5 MiB.
 const GET_SLACK: u64 = 64 * 1024;
-/// 2.055 measured, plus 10 % headroom.
-const RATIO_BUDGET: f64 = 2.26;
+/// 1.774 measured, plus 10 % headroom (2.26 while a hole-free write
+/// allocated the collective buffer).
+const RATIO_BUDGET: f64 = 1.95;
 
 #[test]
 fn queued_puts_and_repeated_gets_allocate_no_second_copy() {
     let cfg = SimConfig::asci_frost();
-    let budget = 4 * 1024 * 1024 + cfg.stripe_size; // default cb_buffer_size + one stripe
+    // A quarter of the default cb_buffer_size; 256 KiB measured.
+    let budget = 1024 * 1024;
     let vals: Vec<f64> = (0..PER_RANK).map(|i| i as f64 * 0.5).collect();
     let start = counting_alloc::requested();
     let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
@@ -95,10 +100,10 @@ fn queued_puts_and_repeated_gets_allocate_no_second_copy() {
     assert!(
         largest <= budget,
         "wait_all made a single allocation of {largest} bytes \
-         (budget: cb_buffer_size + one stripe = {budget})"
+         (budget: cb_buffer_size / 4 = {budget})"
     );
-    // The collective buffer itself must have been seen.
-    assert!(largest >= 4 * 1024 * 1024, "largest was only {largest}");
+    // The instrument saw the call.
+    assert!(largest >= 64 * 1024, "largest was only {largest}");
 
     let before = run.results.iter().map(|r| r.0).min().unwrap();
     let after = run.results.iter().map(|r| r.1).max().unwrap();

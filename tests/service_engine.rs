@@ -180,7 +180,7 @@ fn indep_transcript(parity: bool) -> (String, u64, u64) {
             .try_write(
                 t,
                 &[(off + resume as u64, len - resume as u64)],
-                &[&data[resume..]],
+                &[(&data[resume..]).into()],
             )
             .map(|c| t = c.durable)
         {
@@ -193,7 +193,11 @@ fn indep_transcript(parity: bool) -> (String, u64, u64) {
     let data: Vec<u8> = runs.iter().flat_map(|&(o, l)| payload(o, l)).collect();
     let mut resume = 0u64;
     while let Err(e) = f
-        .try_write(t, &runs_after(&runs, resume), &[&data[resume as usize..]])
+        .try_write(
+            t,
+            &runs_after(&runs, resume),
+            &[(&data[resume as usize..]).into()],
+        )
         .map(|c| t = c.durable)
     {
         log.push_str(&format!("v:{}:{:?}:{};", e.completed, e.kind, e.server));
