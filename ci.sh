@@ -64,23 +64,26 @@ echo "==> perf_bench smoke: the benchmark of BENCHMARK.json, quick mode"
 # failed operation or missing metric, so a change that breaks that surface
 # fails here instead of in the benchmark run.
 cargo run --release --offline --quiet --manifest-path perf_bench/Cargo.toml -- --quick >/dev/null
-# The heap budgets, at smoke size. They count what one timed iteration
-# requests after the warm-up, and the warm-up has left its stripes in the
-# PFS's stripe pool, where every later iteration finds them: stored bytes
-# are not counted, and these budgets are the library's own allocations.
-# (On an empty pool the floor of the independent path was 1.0 heap byte per
-# payload byte, the stored file 0.5 and the returned vectors 0.5; the
-# budgets then were 1.05, 1.27 B/B and 34.8 MiB, 2.04 and 55.7, 1.32 and
-# 42.4.) Each budget adds 5 % to the value measured with the pool:
+# The heap budgets, at smoke size: each is the value measured when it was
+# last set plus 5 %. They count what one timed iteration requests after the
+# warm-up, which has left its stripes in the PFS's stripe pool, where every
+# later iteration finds them: stored bytes are not counted, so these are
+# the library's own allocations, and the floor is the vectors the gets
+# return (0.5 B/B on these workloads, which read what they write).
 # - indep_rows: 0.501 B/B, the vectors its gets return; a request path that
 #   allocates per call sat at 2.96 on an empty pool.
-# - coll3d_x: 0.703 B/B and 16.89 MiB, the returned vectors plus the
-#   write's 4 MiB collective buffer on a 16 MiB array; the read's windows
-#   have no holes and scatter straight into the ranks' memory, so the
-#   read-only open allocates no buffer.
-# - flash_ckpt: 1.373 B/B and 19.06 MiB. It queues ~30 variables per file
-#   and reads them back one collective at a time, each rank its own
-#   blocks, so the restart's read windows need no buffer either.
+# - coll3d_x: 0.594 B/B and 16.89 MiB, the returned vectors and the
+#   window plans on a 16 MiB array. Neither direction allocates a
+#   collective buffer: the write's windows have no holes and gather
+#   straight from the ranks' payloads, the read's scatter straight into
+#   the ranks' memory (0.703 B/B while the write assembled its windows in
+#   a 4 MiB buffer).
+# - flash_ckpt: 1.160 B/B and 15.36 MiB. It queues ~30 variables per file,
+#   whose write windows gather from the queue's staged buffers, and reads
+#   them back one collective at a time, each rank its own blocks, so the
+#   restart's read windows need no buffer either (1.373 B/B and 19.06 MiB
+#   while write windows assembled their spans in a buffer of up to 4 MiB
+#   per open).
 # - indep_rows_cached: 0.751 B/B and 8.15 MiB, indep_rows' vectors plus two
 #   opens' 8 MiB of page slots on 64 MiB moved. Write-behind lends slot
 #   memory to the PFS and every fill reads its pages' gaps straight into
@@ -125,11 +128,11 @@ for name, r in (("indep_rows", indep), ("coll3d_x", coll), ("flash_ckpt", flash)
 alloc = value(indep, "alloc_bytes_per_byte")
 assert alloc <= 0.53, f"indep_rows requests {alloc:.3f} heap B per payload B (budget 0.53)"
 coll_alloc, coll_peak = value(coll, "alloc_bytes_per_byte"), value(coll, "peak_heap_mb")
-assert coll_alloc <= 0.74, f"coll3d_x requests {coll_alloc:.3f} heap B per payload B (budget 0.74)"
+assert coll_alloc <= 0.62, f"coll3d_x requests {coll_alloc:.3f} heap B per payload B (budget 0.62)"
 assert coll_peak <= 17.7, f"coll3d_x peaks at {coll_peak:.2f} MiB of heap (budget 17.7)"
 flash_alloc, flash_peak = value(flash, "alloc_bytes_per_byte"), value(flash, "peak_heap_mb")
-assert flash_alloc <= 1.44, f"flash_ckpt requests {flash_alloc:.3f} heap B per payload B (budget 1.44)"
-assert flash_peak <= 20.0, f"flash_ckpt peaks at {flash_peak:.2f} MiB of heap (budget 20.0)"
+assert flash_alloc <= 1.22, f"flash_ckpt requests {flash_alloc:.3f} heap B per payload B (budget 1.22)"
+assert flash_peak <= 16.1, f"flash_ckpt peaks at {flash_peak:.2f} MiB of heap (budget 16.1)"
 flash_write, flash_read = value(flash, "sim_write_mb_s"), value(flash, "sim_read_mb_s")
 assert flash_write >= 51.53, f"flash_ckpt writes {flash_write:.3f} simulated MB/s (51.536 measured)"
 assert flash_read >= 59.63, f"flash_ckpt reads {flash_read:.3f} simulated MB/s (59.631 measured)"
@@ -158,14 +161,19 @@ EOF
 echo "==> tools/hotspots.sh smoke: one flash_ckpt iteration under the sampler"
 # The SIGPROF sampler behind EXPERIMENTS.md's sampler tables must still build,
 # run and resolve frames through inlining: the FLASH write phase and the
-# restart read phase have to show.
+# restart read phase have to show. The caller breakdown runs once, on the
+# PFS read's scatter: every chain it prints must pass through try_read.
 if command -v cc >/dev/null && command -v addr2line >/dev/null && command -v readelf >/dev/null; then
-    tools/hotspots.sh flash_ckpt 1 write_as,read_pnetcdf >"$report_dir/hotspots.txt"
+    tools/hotspots.sh flash_ckpt 1 write_as,read_pnetcdf Scatter::each >"$report_dir/hotspots.txt"
     for frame in write_as read_pnetcdf; do
         awk -v f="$frame" '$NF == f && $1 > 0 {ok = 1} END {exit !ok}' "$report_dir/hotspots.txt" \
             || { cat "$report_dir/hotspots.txt"; echo "FAIL: hotspots.sh did not resolve $frame"; exit 1; }
     done
-    echo "    hotspots OK: $(head -n 1 "$report_dir/hotspots.txt"), write_as and read_pnetcdf resolved"
+    awk '/^callers of Scatter::each:/ {seen = 1; next} seen && !/try_read/ {bad = 1}
+         END {exit !(seen && !bad)}' "$report_dir/hotspots.txt" \
+        || { cat "$report_dir/hotspots.txt"; echo "FAIL: hotspots.sh's caller breakdown"; exit 1; }
+    echo "    hotspots OK: $(head -n 1 "$report_dir/hotspots.txt"), write_as and read_pnetcdf resolved," \
+        "$(grep '^callers of' "$report_dir/hotspots.txt")"
 else
     echo "    skipped: cc, addr2line or readelf not found"
 fi

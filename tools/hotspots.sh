@@ -11,16 +11,22 @@
 # sample that has line information: an anonymous libc frame, such as memcpy,
 # is charged to its first Rust caller), and for each FRAME given, the samples
 # with a frame whose function name contains it (inclusive; rows overlap).
+# With SELF, it also breaks down the samples whose self frame contains SELF
+# by caller: the ten most frequent chains of the five frames above it,
+# innermost first, each named by its function (not by what is inlined
+# into it).
 #
-# Usage: tools/hotspots.sh WORKLOAD [ITERS, default 20] [FRAME,FRAME,...]
+# Usage: tools/hotspots.sh WORKLOAD [ITERS, default 20] [FRAME,FRAME,...] [SELF]
 #   e.g. tools/hotspots.sh flash_ckpt 20 write_as,interior_buffer_into,build_region
+#        tools/hotspots.sh flash_ckpt 20 '' __rust_alloc_zeroed
 # Needs cc, addr2line, readelf and python3. perf_bench/Cargo.lock is restored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[ $# -ge 1 ] || { sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 workload=$1
 iters=${2:-20}
 frames=${3:-}
+self_frame=${4:-}
 for tool in cc addr2line readelf python3; do
   command -v "$tool" >/dev/null || { echo "hotspots.sh: $tool not found" >&2; exit 2; }
 done
@@ -109,7 +115,7 @@ cargo build --release --offline --quiet --manifest-path perf_bench/Cargo.toml
 HOTSPOTS_OUT="$work/samples" LD_PRELOAD="$work/sampler.so" \
   perf_bench/target/release/perf_bench --child "$workload" --iters "$iters" >/dev/null
 
-python3 - "$work/samples" "$frames" <<'EOF'
+python3 - "$work/samples" "$frames" "$self_frame" <<'EOF'
 import collections, re, subprocess, sys
 
 maps, stacks = [], []
@@ -193,4 +199,25 @@ if patterns:
 for p in patterns:
     n = sum(any(p in f for fns in s for f in fns) for s in stacks_named)
     print(f"  {n:7d} {100 * n / max(total, 1):6.1f} %  {p}")
+def bare(name):
+    """A function name without its generic arguments."""
+    out, depth = [], 0
+    for ch in name:
+        depth += ch == "<"
+        if depth == 0:
+            out.append(ch)
+        depth -= ch == ">" and depth > 0
+    return "".join(out)
+
+if sys.argv[3]:
+    chains = collections.Counter()
+    for fns in stacks_named:
+        named = [frame for frame in fns if frame]
+        if named and sys.argv[3] in named[0][0]:
+            outer = [bare(frame[-1]) for frame in named[1:6]]
+            chains[" < ".join(outer) or "(no caller)"] += 1
+    n = sum(chains.values())
+    print(f"callers of {sys.argv[3]}: {n} samples")
+    for chain, k in chains.most_common(10):
+        print(f"  {k:7d} {100 * k / max(n, 1):6.1f} %  {chain}")
 EOF
