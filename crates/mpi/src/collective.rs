@@ -49,7 +49,8 @@ pub struct Loan<'a, M: ?Sized> {
     pub tag: u64,
     /// A second caller-defined word, as opaque to this crate as `tag` (the
     /// MPI-IO layer sends the element width the segments of `src` are to be
-    /// read with).
+    /// read with: it rides on to the file system, which converts the
+    /// elements to the file's byte order as it stores them).
     pub aux: u64,
 }
 
