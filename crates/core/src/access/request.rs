@@ -28,8 +28,7 @@
 //!
 //! | access | same type and packed | converting, or strided memory |
 //! |---|---|---|
-//! | blocking collective put | lent in host order; the two-phase overlay swaps each piece into the collective buffer | staged |
-//! | blocking independent put | staged, unless one byte wide: the sieve writes what it is given | staged |
+//! | blocking put, collective or independent | lent in host order; the gather that stores it (a two-phase window's, the sieve's, the page cache's) converts each piece where it stores it | staged |
 //! | queued put (`iput_*`) | staged: the queue owns a copy until the wait call, which lends it where it lies | staged |
 //! | get, blocking or `take_result*` | read into the memory itself, swapped in place | read into staging, converted or scattered from it |
 //!
@@ -48,9 +47,8 @@
 //! read — N queued variable accesses cost one or two collective rounds
 //! instead of N. The merged write copies nothing: its payload is a gather
 //! list of the slices of the staged buffers that survive the overlaps, and
-//! the two-phase overlay reads them where the queue keeps them (a blocking
-//! put is the one-segment case). Only the sieve of an independent `wait`
-//! wants one slice, gathered in the dataset's recycled staging.
+//! a two-phase window, the sieve or the page cache reads them where the
+//! queue keeps them (a blocking put is the one-segment case).
 
 use hpc_sim::trace::events::layer;
 use hpc_sim::{Span, Time, TraceCtx};
@@ -196,18 +194,14 @@ impl Default for AccessReq {
 /// The most capacity, in bytes, a vector of the dataset's recycled request
 /// keeps between blocking calls. Small accesses — the ones whose cost is
 /// per-request overhead — reuse their run list and, for the staged kinds
-/// (in practice independent puts), their staging; a dataset that once
-/// staged 32 MiB in one call does not hold 32 MiB until `close`.
+/// (converting puts, converting or strided gets), their staging; a dataset
+/// that once staged 32 MiB in one call does not hold 32 MiB until `close`.
 const STAGING_RETAIN: usize = 1 << 20;
 
-/// The bytes a put writes, borrowed for the call: elements `width` bytes
-/// wide in host byte order, or — width 1 — bytes that already are what the
-/// file is to hold.
-#[derive(Clone, Copy)]
-struct Lent<'a> {
-    bytes: &'a [u8],
-    width: usize,
-}
+/// The bytes a put writes, borrowed for the call, and their width:
+/// elements that wide in host byte order, or — width 1 — bytes that already
+/// are what the file is to hold.
+type Lent<'a> = (&'a [u8], usize);
 
 /// Size `buf` to `len` bytes for a read to fill.
 fn size_for_read(buf: &mut Vec<u8>, len: usize) {
@@ -474,18 +468,18 @@ impl Dataset {
     // ---- one lowering per direction -------------------------------------------
 
     /// Lower a put into `req`. The payload is lent back where it lies when
-    /// it is of the variable's type, packed, and its elements no wider than
-    /// `lend_width` (0: a queued put lends nothing); otherwise it is left in
-    /// `req.buffer` in external form — converted (`NC_ERANGE` before any
-    /// byte moves), or gathered and swapped in one fused pass. Grows the
-    /// local record count and invalidates the variable's prefetch cache, so
-    /// later accesses in the same batch see the post-write state.
+    /// `lend` (a blocking put; a queued one keeps a copy) and it is of the
+    /// variable's type and packed; otherwise it is left in `req.buffer` in
+    /// external form — converted (`NC_ERANGE` before any byte moves), or
+    /// gathered and swapped in one fused pass. Grows the local record count
+    /// and invalidates the variable's prefetch cache, so later accesses in
+    /// the same batch see the post-write state.
     fn stage<'m, T: NcValue>(
         &mut self,
         req: &mut AccessReq,
         sel: Sel<'_>,
         mem: PutMem<'m, T>,
-        lend_width: usize,
+        lend: bool,
     ) -> NcmpiResult<Option<Lent<'m>>> {
         self.require_writable()?;
         let nctype = self.var_nctype(sel.varid)?;
@@ -500,15 +494,8 @@ impl Dataset {
                         vals.len()
                     )));
                 }
-                if nctype == T::NATURAL && width <= lend_width {
-                    let native = T::as_bytes(vals);
-                    (
-                        Some(Lent {
-                            bytes: native,
-                            width,
-                        }),
-                        false,
-                    )
+                if nctype == T::NATURAL && lend {
+                    (Some((T::as_bytes(vals), width)), false)
                 } else {
                     to_external_into(vals, nctype, &mut req.buffer)?;
                     (None, false)
@@ -516,15 +503,12 @@ impl Dataset {
             }
             PutMem::Described(buf, bufcount, memtype) => {
                 check_described(memtype.size() as usize * bufcount, bytes)?;
-                let lent = if memtype.is_packed() && width <= lend_width {
+                let lent = if memtype.is_packed() && lend {
                     let native = buf.get(..bytes).ok_or(MpiError::Truncated {
                         needed: bytes,
                         available: buf.len(),
                     })?;
-                    Some(Lent {
-                        bytes: native,
-                        width,
-                    })
+                    Some((native, width))
                 } else {
                     let staging = &mut req.buffer;
                     convert::pack_to_external_into(buf, bufcount, memtype, nctype, staging)?;
@@ -643,11 +627,10 @@ impl Dataset {
     }
 
     /// Write the payload `segs` lay end to end (elements `width` wide, see
-    /// [`Lent`]) to `runs`: lent as that gather list to two-phase I/O, or
-    /// as one slice — gathered in the recycled staging if it is not one
-    /// already — to the sieve.
+    /// [`Lent`]) to `runs`, lent as that gather list to two-phase I/O, or
+    /// to the sieve or the page cache.
     fn execute_put(
-        &mut self,
+        &self,
         runs: &[Run],
         segs: &[&[u8]],
         width: usize,
@@ -655,21 +638,10 @@ impl Dataset {
     ) -> NcmpiResult<()> {
         if collective {
             self.file.write_native_runs_at_all(runs, segs, width)?;
-            return Ok(());
+        } else {
+            self.file.write_native_runs_at(runs, segs, width)?;
         }
-        assert_eq!(width, 1, "an independent put was lent unconverted elements");
-        if let &[whole] = segs {
-            self.file.write_runs_at(runs, whole)?;
-            return Ok(());
-        }
-        self.with_staging(|ds, staged| {
-            staged.buffer.clear();
-            for seg in segs {
-                staged.buffer.extend_from_slice(seg);
-            }
-            ds.file.write_runs_at(runs, &staged.buffer)?;
-            Ok(())
-        })
+        Ok(())
     }
 
     /// Read the external bytes of `runs` into `dst`, in run order.
@@ -699,13 +671,10 @@ impl Dataset {
         self.require_mode(collective)?;
         self.with_staging(|ds, req| {
             let numrecs = ds.header.numrecs;
-            // A collective put lends elements of any width: the two-phase
-            // overlay converts each piece on its way into the collective
-            // buffer. An independent one goes through the sieve, which
-            // writes what it is given — so only where there is nothing to
-            // convert.
-            let lend_width = if collective { usize::MAX } else { 1 };
-            let staged = ds.stage(req, sel, mem, lend_width);
+            // Lent elements of any width: whoever stores the bytes — the
+            // two-phase window's gather, the sieve's, the page cache —
+            // converts each piece where it stores it.
+            let staged = ds.stage(req, sel, mem, true);
             let lent = match ds.agree_if(collective, staged) {
                 Ok(lent) => lent,
                 Err(e) => {
@@ -715,14 +684,11 @@ impl Dataset {
                     return Err(e);
                 }
             };
-            let payload = lent.unwrap_or(Lent {
-                bytes: &req.buffer,
-                width: 1,
-            });
-            let bytes = payload.bytes.len() as u64;
+            let (payload, width) = lent.unwrap_or((&req.buffer, 1));
+            let bytes = payload.len() as u64;
             ds.settle(collective, |ds| {
                 let io = |ds: &mut Dataset| -> NcmpiResult<()> {
-                    ds.execute_put(&req.runs, &[payload.bytes], payload.width, collective)?;
+                    ds.execute_put(&req.runs, &[payload], width, collective)?;
                     if collective && req.record {
                         ds.reconcile_numrecs()?;
                     }
@@ -779,7 +745,7 @@ impl Dataset {
     fn put_queued<T: NcValue>(&mut self, sel: Sel<'_>, mem: PutMem<'_, T>) -> NcmpiResult<Request> {
         self.require_data_mode()?;
         let mut req = AccessReq::default();
-        self.stage(&mut req, sel, mem, 0)?;
+        self.stage(&mut req, sel, mem, false)?;
         Ok(self.enqueue(req))
     }
 
@@ -1027,14 +993,11 @@ impl Dataset {
         if do_puts {
             let (runs, segs) = merge_puts(reqs);
             let bytes = runs_total(&runs);
-            if collective || segs.len() == 1 {
-                // The staged buffers are lent where they lie (the sieve of
-                // an independent flush wants one slice: more are gathered).
-                self.comm.config().profile.record_bytepath(|b| {
-                    b.copies_elided += 1;
-                    b.borrowed_bytes += bytes;
-                });
-            }
+            // The staged buffers are lent where they lie.
+            self.comm.config().profile.record_bytepath(|b| {
+                b.copies_elided += 1;
+                b.borrowed_bytes += bytes;
+            });
             // Merging N staged buffers into one write is memcpy work,
             // wherever the host ends up doing it.
             self.charge_pass(bytes as usize);

@@ -70,7 +70,7 @@ use std::ops::RangeInclusive;
 
 use hpc_sim::trace::events::{layer, stage};
 use hpc_sim::{CacheCounters, CpuModel, Span, Time, TraceCtx};
-use pnetcdf_pfs::{PfsFile, Seg};
+use pnetcdf_pfs::{Gather, PfsFile, Seg};
 
 use crate::error::MpioResult;
 use crate::recover::{self, RetryPolicy};
@@ -505,18 +505,20 @@ impl PageCache {
 
     // ---- write path -------------------------------------------------------
 
-    /// Write-allocate `runs`/`data` into the cache (no read fill): bytes
-    /// become valid+dirty and are published at the next flush point.
+    /// Write-allocate `runs`, carrying the gather list `segs`, into the
+    /// cache (no read fill): bytes become valid+dirty, converted to the
+    /// file's byte order as they are copied into slot memory, and are
+    /// published at the next flush point.
     pub fn write_runs(
         &mut self,
         file: &PfsFile,
         led: &mut CacheLedger,
         runs: &[Run],
-        data: &[u8],
+        segs: &[Seg<'_>],
     ) -> MpioResult<()> {
         let ps = self.page_size as u64;
         let t0 = led.now;
-        let mut pos = 0usize;
+        let (mut payload, mut pos) = (Gather::new(segs), 0usize);
         let mut seen = CacheCounters::default();
         for &(off, len) in runs {
             for (page, lo, hi) in pieces(ps, off, len) {
@@ -533,7 +535,7 @@ impl PageCache {
                     }
                 };
                 let slot = &mut self.slots[s];
-                slot.data[lo as usize..hi as usize].copy_from_slice(&data[pos..pos + take]);
+                payload.each(pos, &mut slot.data[lo as usize..hi as usize]);
                 insert_run(&mut slot.valid, lo, hi);
                 insert_run(&mut slot.dirty, lo, hi);
                 Self::touch(slot, &mut self.tick);
@@ -915,7 +917,7 @@ mod tests {
         let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         let data: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
         cache
-            .write_runs(&file, &mut led, &[(100, 3000)], &data)
+            .write_runs(&file, &mut led, &[(100, 3000)], &[(&data).into()])
             .unwrap();
         assert_eq!(led.read_nanos, 0, "write-allocate must not read");
         assert_eq!(led.write_nanos, 0, "write-behind must not write yet");
@@ -940,7 +942,7 @@ mod tests {
         // 64 back-to-back 128-byte writes = 8 KiB contiguous.
         for i in 0..64u64 {
             cache
-                .write_runs(&file, &mut led, &[(i * 128, 128)], &[7u8; 128])
+                .write_runs(&file, &mut led, &[(i * 128, 128)], &[(&[7u8; 128]).into()])
                 .unwrap();
         }
         cache.flush(&file, &mut led).unwrap();
@@ -960,7 +962,7 @@ mod tests {
         let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         // This rank dirties only [512, 1024) of page 0.
         cache
-            .write_runs(&file, &mut led, &[(512, 512)], &[5u8; 512])
+            .write_runs(&file, &mut led, &[(512, 512)], &[(&[5u8; 512]).into()])
             .unwrap();
         cache.flush(&file, &mut led).unwrap();
         let mut out = vec![0u8; 1024];
@@ -999,7 +1001,7 @@ mod tests {
                     &file,
                     &mut led,
                     &[(i * 512, 512)],
-                    &data[(i * 512) as usize..(i * 512 + 512) as usize],
+                    &[(&data[(i * 512) as usize..(i * 512 + 512) as usize]).into()],
                 )
                 .unwrap();
         }
@@ -1073,7 +1075,12 @@ mod tests {
         // Cache page 0 clean, dirty half of page 1.
         read_vec(&mut cache, &file, &mut led, &[(0, 100)]);
         cache
-            .write_runs(&file, &mut led, &[(1024 + 256, 128)], &[8u8; 128])
+            .write_runs(
+                &file,
+                &mut led,
+                &[(1024 + 256, 128)],
+                &[(&[8u8; 128]).into()],
+            )
             .unwrap();
         assert_eq!(cache.cached_pages(), 2);
 
@@ -1096,7 +1103,7 @@ mod tests {
         let e0 = file.coherence_epoch();
         let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
-            .write_runs(&file, &mut led, &[(0, 64)], &[3u8; 64])
+            .write_runs(&file, &mut led, &[(0, 64)], &[(&[3u8; 64]).into()])
             .unwrap();
         cache.sync_prepare(&file, &mut led).unwrap();
         assert_eq!(file.coherence_epoch(), e0 + 1);
@@ -1116,7 +1123,7 @@ mod tests {
         let start = Time::from_millis(3);
         let mut led = CacheLedger::new(start, Time::ZERO);
         cache
-            .write_runs(&file, &mut led, &[(0, 2048)], &[1u8; 2048])
+            .write_runs(&file, &mut led, &[(0, 2048)], &[(&[1u8; 2048]).into()])
             .unwrap();
         read_vec(&mut cache, &file, &mut led, &[(4096, 100)]);
         cache.sync_prepare(&file, &mut led).unwrap();
@@ -1138,7 +1145,7 @@ mod tests {
         let (mut cache, file, cfg) = setup(1024); // 1 slot
         let mut led = CacheLedger::new(Time::from_millis(1), Time::ZERO);
         cache
-            .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
+            .write_runs(&file, &mut led, &[(0, 1024)], &[(&[1u8; 1024]).into()])
             .unwrap();
         // What the eviction's request completes as: the same write at the
         // same time on an identical, idle file system.
@@ -1176,7 +1183,12 @@ mod tests {
         for k in 0..8u64 {
             let on_disk = cache.horizon;
             cache
-                .write_runs(&file, &mut led, &[(4 * k * 1024, 1024)], &[k as u8; 1024])
+                .write_runs(
+                    &file,
+                    &mut led,
+                    &[(4 * k * 1024, 1024)],
+                    &[(&[k as u8; 1024]).into()],
+                )
                 .unwrap();
             // The miss evicted page 4(k-1); its request got past the queue
             // only once the eviction before it was on disk.
@@ -1217,7 +1229,7 @@ mod tests {
                 .unwrap()
             });
             cache
-                .write_runs(&file, &mut led, &[(k * 1024, 1024)], &page(k))
+                .write_runs(&file, &mut led, &[(k * 1024, 1024)], &[(&page(k)).into()])
                 .unwrap();
             if let Some(done) = evicted {
                 assert_eq!(led.now, done.handoff + cache.cpu.pack(1024, 1.0));
@@ -1247,10 +1259,10 @@ mod tests {
         let (mut cache, file, cfg) = setup_faulty(plan, 1024); // 1 slot
         let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
-            .write_runs(&file, &mut led, &[(0, 1024)], &[1u8; 1024])
+            .write_runs(&file, &mut led, &[(0, 1024)], &[(&[1u8; 1024]).into()])
             .unwrap();
         // The victim, page 0, has no neighbour: its stretch is itself.
-        let err = cache.write_runs(&file, &mut led, &[(1024, 8)], &[2u8; 8]);
+        let err = cache.write_runs(&file, &mut led, &[(1024, 8)], &[(&[2u8; 8]).into()]);
         assert!(matches!(err, Err(MpioError::Exhausted { .. })), "{err:?}");
         assert_eq!(cache.index, [(0, 0)]);
         assert_eq!(cache.slots[0].dirty, [(0, 1024)]);
@@ -1267,10 +1279,10 @@ mod tests {
         let (mut cache, file, cfg) = setup_faulty(plan, 2048); // 2 slots
         let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
-            .write_runs(&file, &mut led, &[(0, 2048)], &[1u8; 2048])
+            .write_runs(&file, &mut led, &[(0, 2048)], &[(&[1u8; 2048]).into()])
             .unwrap();
         // The victim, page 0, goes out with its neighbour in one stretch.
-        let err = cache.write_runs(&file, &mut led, &[(2048, 8)], &[2u8; 8]);
+        let err = cache.write_runs(&file, &mut led, &[(2048, 8)], &[(&[2u8; 8]).into()]);
         assert!(matches!(err, Err(MpioError::Exhausted { .. })), "{err:?}");
         assert_eq!(cache.index, [(0, 0), (1, 1)]);
         assert_eq!(cache.slots[0].dirty, [(0, 1024)]);
@@ -1293,12 +1305,17 @@ mod tests {
         // Page 0 is a live server's: still behind after its eviction.
         for (page, redirected) in [(0u64, false), (1, true)] {
             cache
-                .write_runs(&file, &mut led, &[(page * 1024, 1024)], &[7u8; 1024])
+                .write_runs(
+                    &file,
+                    &mut led,
+                    &[(page * 1024, 1024)],
+                    &[(&[7u8; 1024]).into()],
+                )
                 .unwrap();
             cache.flush(&file, &mut led).unwrap();
             let drained = cfg.profile.cache_counters().write_behind_drain;
             cache
-                .write_runs(&file, &mut led, &[(page * 1024, 8)], &[8u8; 8])
+                .write_runs(&file, &mut led, &[(page * 1024, 8)], &[(&[8u8; 8]).into()])
                 .unwrap();
             cache.evict(&file, &mut led, 0).unwrap();
             assert_eq!(led.now == cache.horizon, redirected, "page {page}");
@@ -1372,7 +1389,7 @@ mod tests {
         // Dirty bytes in a page that lies wholly past EOF survive a fill
         // around them; the rest of it is zeros too.
         cache
-            .write_runs(&file, &mut led, &[(4096 + 10, 4)], &[7u8; 4])
+            .write_runs(&file, &mut led, &[(4096 + 10, 4)], &[(&[7u8; 4]).into()])
             .unwrap();
         let beyond = read_vec(&mut cache, &file, &mut led, &[(4096, 1024)]);
         assert_eq!(beyond[10..14], [7u8; 4]);
@@ -1403,7 +1420,7 @@ mod tests {
         let data: Vec<u8> = (0..20480u32).map(|i| (i % 233) as u8).collect();
         let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         cache
-            .write_runs(&file, &mut led, &[(0, 20480)], &data)
+            .write_runs(&file, &mut led, &[(0, 20480)], &[(&data).into()])
             .unwrap();
         assert_eq!((cache.slots.len(), cache.cached_pages()), (4, 4));
         assert_eq!(cfg.profile.cache_counters().evictions, 16);
@@ -1433,13 +1450,23 @@ mod tests {
         let mut led = CacheLedger::new(Time::ZERO, Time::ZERO);
         for page in [1u64, 0] {
             cache
-                .write_runs(&file, &mut led, &[(page * 1024, 8)], &[page as u8; 8])
+                .write_runs(
+                    &file,
+                    &mut led,
+                    &[(page * 1024, 8)],
+                    &[(&[page as u8; 8]).into()],
+                )
                 .unwrap();
         }
         // Page 1 is the older one, and this request hits it after missing
         // page 2: page 0 has to go.
         cache
-            .write_runs(&file, &mut led, &[(1024 + 8, 8), (2048, 8)], &[9u8; 16])
+            .write_runs(
+                &file,
+                &mut led,
+                &[(1024 + 8, 8), (2048, 8)],
+                &[(&[9u8; 16]).into()],
+            )
             .unwrap();
         let pages: Vec<u64> = cache.index.iter().map(|e| e.0).collect();
         assert_eq!(pages, [1, 2]);
@@ -1463,7 +1490,7 @@ mod tests {
             let at = page as usize * 1024;
             let run = [(at as u64, 1024)];
             cache
-                .write_runs(&file, &mut led, &run, &data[at..at + 1024])
+                .write_runs(&file, &mut led, &run, &[(&data[at..at + 1024]).into()])
                 .unwrap();
         }
         let ticks = |cache: &PageCache| -> Vec<u64> {
@@ -1474,7 +1501,7 @@ mod tests {
         // The miss of page 8 evicts page 2: pages 0..4 go out as one
         // request, and page 4, dirty and adjacent, lies in the next row.
         cache
-            .write_runs(&file, &mut led, &[(8192, 8)], &[9u8; 8])
+            .write_runs(&file, &mut led, &[(8192, 8)], &[(&[9u8; 8]).into()])
             .unwrap();
         let io = cfg.profile.snapshot().server_totals();
         assert_eq!((io.requests, io.bytes_written), (4, 4096));
@@ -1495,7 +1522,7 @@ mod tests {
         let kept: Vec<u64> = before.iter().copied().filter(|&t| t != before[2]).collect();
         assert_eq!(ticks(&cache)[..7], kept[..]);
         cache
-            .write_runs(&file, &mut led, &[(9216, 8)], &[9u8; 8])
+            .write_runs(&file, &mut led, &[(9216, 8)], &[(&[9u8; 8]).into()])
             .unwrap();
         assert_eq!(cache.index[0].0, 1, "page 0 went");
         let c = cfg.profile.cache_counters();

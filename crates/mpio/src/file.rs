@@ -5,9 +5,8 @@ use std::sync::Arc;
 use hpc_sim::trace::events::layer;
 use hpc_sim::{CollKind, Phase, PhaseScope, Span, Time, TraceCtx};
 use parking_lot::Mutex;
-use pnetcdf_format::swap::swap_inplace;
 use pnetcdf_mpi::{CollEnv, Comm, Info, Loan};
-use pnetcdf_pfs::{Pfs, PfsFile};
+use pnetcdf_pfs::{Pfs, PfsFile, Seg};
 
 use crate::cache::{CacheLedger, PageCache};
 use crate::error::{MpioError, MpioResult};
@@ -288,34 +287,70 @@ impl MpiFile {
 
     // ---- independent data access ------------------------------------------
 
+    /// A write needs a writable file and a payload whose every segment
+    /// holds whole elements of a width the file system converts: 1, 2, 4
+    /// or 8 bytes.
+    fn check_native(&self, native: &[&[u8]], width: usize) -> MpioResult<()> {
+        self.check_writable()?;
+        if !matches!(width, 1 | 2 | 4 | 8) || native.iter().any(|seg| seg.len() % width != 0) {
+            return Err(MpioError::InvalidArgument(format!(
+                "a payload segment does not hold whole elements of width {width}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Independent write of absolute file runs (`MPI_File_write_at` of a
     /// flattened view): the data-sieving path. `runs` must be sorted and
-    /// non-overlapping; `data` holds the run bytes concatenated in run order.
+    /// non-overlapping; `data` holds the run bytes concatenated in run
+    /// order, as the file is to hold them.
     pub fn write_runs_at(&self, runs: &[Run], data: &[u8]) -> MpioResult<usize> {
-        self.check_writable()?;
-        Self::check_runs(runs, data.len())?;
+        self.write_native_runs_at(runs, &[data], 1)
+    }
+
+    /// [`MpiFile::write_runs_at`] of a gather list of elements still in
+    /// host byte order, as [`MpiFile::write_native_runs_at_all`] takes it.
+    /// The sieve hands the segments to the file system, and the page cache
+    /// copies them into its pages, converting each piece where it is
+    /// stored, so no packed and no external copy of `native` exists.
+    pub fn write_native_runs_at(
+        &self,
+        runs: &[Run],
+        native: &[&[u8]],
+        width: usize,
+    ) -> MpioResult<usize> {
+        self.check_native(native, width)?;
+        let bytes = native.iter().map(|seg| seg.len()).sum();
+        Self::check_runs(runs, bytes)?;
         let _tc = self.trace_ctx();
         if let Some(cache) = &self.cache {
             // Write-allocate into the page cache; bytes reach the PFS at
             // the next flush point (eviction, sync, collective entry).
             let mut led = CacheLedger::new(self.comm.now(), self.comm.link_free());
-            let res = cache.lock().write_runs(&self.file, &mut led, runs, data);
+            let mut cache = cache.lock();
+            let whole = |seg| Seg::native(seg, width, 0, seg.len());
+            let res = match native {
+                &[seg] => cache.write_runs(&self.file, &mut led, runs, &[whole(seg)]),
+                _ => {
+                    let segs: Vec<Seg> = native.iter().map(|&seg| whole(seg)).collect();
+                    cache.write_runs(&self.file, &mut led, runs, &segs)
+                }
+            };
             self.apply_ledger(&led);
             res?;
-            return Ok(data.len());
+            return Ok(bytes);
         }
+        let payload = Req {
+            src: native,
+            aux: width as u64,
+            ..Req::describe(runs)
+        };
         let ds = self.hints.ds_write.resolve(true);
         let _attr = PhaseScope::enter(Phase::DiskWrite);
-        let t = sieve::write(
-            &self.file,
-            self.hints.ind_wr_buffer_size,
-            ds,
-            self.comm.now(),
-            runs,
-            data,
-        )?;
+        let buffer_size = self.hints.ind_wr_buffer_size;
+        let t = sieve::write(&self.file, buffer_size, ds, self.comm.now(), &payload)?;
         self.comm.advance_to(t);
-        Ok(data.len())
+        Ok(bytes)
     }
 
     /// Independent read of absolute file runs; returns the run bytes
@@ -367,30 +402,17 @@ impl MpiFile {
     /// host byte order: the segments of `native`, laid end to end, are the
     /// run bytes as the caller's memory holds them, each segment whole
     /// elements `width` (1, 2, 4 or 8) bytes wide, and the file receives
-    /// them big-endian. Gather and conversion happen where each piece is
-    /// copied into the collective buffer, so no packed and no external copy
-    /// of `native` exists.
+    /// them big-endian. The segments are lent as they are to whoever writes
+    /// them — a two-phase window, or each rank's sieve with collective
+    /// buffering disabled — and converted where each piece is stored, so no
+    /// packed and no external copy of `native` exists.
     pub fn write_native_runs_at_all(
         &self,
         runs: &[Run],
         native: &[&[u8]],
         width: usize,
     ) -> MpioResult<usize> {
-        self.check_writable()?;
-        if !matches!(width, 1 | 2 | 4 | 8) || native.iter().any(|seg| seg.len() % width != 0) {
-            return Err(MpioError::InvalidArgument(format!(
-                "a payload segment does not hold whole elements of width {width}"
-            )));
-        }
-        // With collective buffering disabled the finisher hands each
-        // rank's payload to the sieve, which writes the one slice it is
-        // given: gather and convert once, here on the caller's thread.
-        if !self.hints.cb_write.resolve(true) && (width > 1 || native.len() != 1) {
-            let mut external = native.concat();
-            swap_inplace(&mut external, width);
-            self.runs_all(true, runs, &[&external], &mut [], 1)?;
-            return Ok(external.len());
-        }
+        self.check_native(native, width)?;
         self.runs_all(true, runs, native, &mut [], width)?;
         Ok(native.iter().map(|seg| seg.len()).sum())
     }
@@ -460,15 +482,8 @@ impl MpiFile {
                 // Collective buffering disabled: every rank accesses its
                 // own pieces independently (the ablation baseline).
                 (false, true) => reqs.iter().enumerate().try_for_each(|(i, r)| {
-                    // Every rank gathered its payload before lending it —
-                    // unless it was opened with another `romio_cb_write`.
-                    let &[data] = r.src else {
-                        return Err(MpioError::InvalidArgument(
-                            "romio_cb_write differs across the ranks of a collective write".into(),
-                        ));
-                    };
                     independent(&env, i, r.tag, "ind_write", Phase::DiskWrite, |now| {
-                        sieve::write(&file, buffer_size, ds, now, r.meta, data)
+                        sieve::write(&file, buffer_size, ds, now, r)
                     })
                 }),
                 (false, false) => reqs.iter_mut().enumerate().try_for_each(|(i, r)| {

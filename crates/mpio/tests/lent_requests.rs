@@ -202,59 +202,137 @@ fn disabled_collective_buffering_serves_the_same_loans() {
 }
 
 /// A payload lent in host byte order with its element width reaches the
-/// file big-endian — converted piece by piece inside the two-phase windows
-/// (a 50-byte buffer cuts elements of every width), or once up front when
-/// collective buffering is off and the sieve gets the bytes — and a width
-/// the payload, or one segment of it, cannot hold is rejected before the
-/// rendezvous.
+/// file big-endian by every door that stores one, each converting piece by
+/// piece where it stores it: two-phase windows (a 50-byte buffer cuts
+/// elements of every width); each rank's sieve when collective buffering is
+/// off; and the independent door — sieved, unsieved, in sieve windows that
+/// hold one run (50 bytes) or cut one inside an element (150 bytes), and
+/// through the page cache, whose 1 KiB pages cut rank 2's first element
+/// (the runs start at `BASE`). A width the payload, or one segment of it,
+/// cannot hold is rejected before anything moves.
 #[test]
 fn native_loans_reach_the_file_in_external_order() {
-    let file_after = |native: bool, cb_write: &str| -> Vec<u8> {
+    const BASE: u64 = 940;
+    let file_after = |native: bool, collective: bool, hints: &[(&str, &str)]| -> Vec<u8> {
         let cfg = SimConfig::test_small();
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         let pfs_in = pfs.clone();
-        let info = Info::new()
-            .with("cb_buffer_size", "50")
-            .with("romio_cb_write", cb_write);
+        let info = Info::new().with("cb_buffer_size", "50");
+        let info = hints.iter().fold(info, |info, &(k, v)| info.with(k, v));
         run_world(NPROCS, cfg, move |c| {
             let f = MpiFile::open(c, &pfs_in, "t", OpenMode::Create, &info).unwrap();
-            let runs = interleaved(c.rank());
+            let runs: Vec<Run> = interleaved(c.rank())
+                .into_iter()
+                .map(|(off, len)| (BASE + off, len))
+                .collect();
             let data = payload(&runs, c.rank() as u8);
             let width = [2, 4, 8][c.rank()];
-            if native {
-                for bad in [0, 3, 16] {
-                    let e = f
-                        .write_native_runs_at_all(&runs, &[&data], bad)
-                        .unwrap_err();
-                    assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
-                }
-                let e = f.write_native_runs_at_all(&[(0, 6)], &[&data[..6]], 4);
-                assert!(matches!(e, Err(MpioError::InvalidArgument(_))), "{e:?}");
-                // Whole elements in all, but not in each segment: a piece
-                // could not tell where in its element a byte lies.
-                let ragged = [&data[..6], &data[6..]];
-                let e = f.write_native_runs_at_all(&runs, &ragged, 4);
-                assert!(matches!(e, Err(MpioError::InvalidArgument(_))), "{e:?}");
-                // A gather list: the sieve's single slice (collective
-                // buffering off) is made of both segments too.
-                f.write_native_runs_at_all(&runs, &[&data[..40], &data[40..]], width)
-                    .unwrap();
-            } else {
+            if !native {
                 f.write_runs_at_all(&runs, &swap_to_vec(&data, width))
                     .unwrap();
+                return;
             }
+            let write = |runs: &[Run], segs: &[&[u8]], width| match collective {
+                true => f.write_native_runs_at_all(runs, segs, width),
+                false => f.write_native_runs_at(runs, segs, width),
+            };
+            for bad in [0, 3, 16] {
+                let e = write(&runs, &[&data], bad).unwrap_err();
+                assert!(matches!(e, MpioError::InvalidArgument(_)), "{e:?}");
+            }
+            let e = write(&[(BASE, 6)], &[&data[..6]], 4);
+            assert!(matches!(e, Err(MpioError::InvalidArgument(_))), "{e:?}");
+            // Whole elements in all, but not in each segment: a piece
+            // could not tell where in its element a byte lies.
+            let ragged = [&data[..6], &data[6..]];
+            let e = write(&runs, &ragged, 4);
+            assert!(matches!(e, Err(MpioError::InvalidArgument(_))), "{e:?}");
+            // Rank 0 lends its payload whole, the others as a gather list.
+            let gathered = [&data[..40], &data[40..]];
+            let segs: &[&[u8]] = if c.rank() == 0 { &[&data] } else { &gathered };
+            if collective {
+                write(&runs, segs, width).unwrap();
+                return;
+            }
+            // One rank at a time: a sieve's read-modify-write of an extent
+            // it shares with a peer would race the peer's.
+            for turn in 0..NPROCS {
+                if turn == c.rank() {
+                    write(&runs, segs, width).unwrap();
+                }
+                c.barrier().unwrap();
+            }
+            f.sync().unwrap();
         });
         pfs.open("t").unwrap().to_bytes()
     };
-    let want = file_after(false, "enable");
-    assert_eq!(want.len(), 3 * NPROCS * 40);
+    let want = file_after(false, true, &[]);
+    assert_eq!(want.len(), BASE as usize + 3 * NPROCS * 40);
     for cb_write in ["enable", "disable"] {
-        assert_eq!(
-            file_after(true, cb_write),
-            want,
-            "romio_cb_write={cb_write}"
-        );
+        let got = file_after(true, true, &[("romio_cb_write", cb_write)]);
+        assert!(got == want, "romio_cb_write={cb_write}");
     }
+    for hint in [
+        ("romio_ds_write", "enable"),
+        ("romio_ds_write", "disable"),
+        ("ind_wr_buffer_size", "50"),
+        ("ind_wr_buffer_size", "150"),
+        ("pnc_cache", "enable"),
+    ] {
+        assert!(file_after(true, false, &[hint]) == want, "{hint:?}");
+    }
+}
+
+/// Ranks opened with different `romio_cb_write` meet in one collective
+/// write, and the last to arrive decides how it is served. When that is a
+/// rank with collective buffering off, every rank's sieve writes its own
+/// loan as it was lent — here a peer's two segments of 8-byte elements in
+/// host byte order — and the file is the one collective buffering writes.
+/// The rank arrives last after a host sleep; a run in which it still did
+/// not (no `ind_write` span) is repeated, a few times at most.
+#[test]
+fn a_sieve_finisher_writes_every_loan_as_it_was_lent() {
+    // The file, and whether each rank's sieve wrote it.
+    let file_after = |disabled_rank: Option<usize>| -> (Vec<u8>, bool) {
+        let cfg = SimConfig::test_small();
+        cfg.events.set_enabled(true);
+        let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
+        let pfs_in = pfs.clone();
+        run_world(2, cfg.clone(), move |c| {
+            let last = disabled_rank == Some(c.rank());
+            let cb_write = if last { "disable" } else { "enable" };
+            let info = Info::new().with("romio_cb_write", cb_write);
+            let f = MpiFile::open(c, &pfs_in, "t", OpenMode::Create, &info).unwrap();
+            let runs: Vec<Run> = (0..3)
+                .map(|i| ((2 * i + c.rank()) as u64 * 48, 48))
+                .collect();
+            let data = payload(&runs, c.rank() as u8);
+            if last {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            f.write_native_runs_at_all(&runs, &[&data[..64], &data[64..]], 8)
+                .unwrap();
+        });
+        let sieved = cfg
+            .events
+            .snapshot()
+            .spans
+            .iter()
+            .any(|s| s.name == "ind_write");
+        (pfs.open("t").unwrap().to_bytes(), sieved)
+    };
+    let (want, sieved) = file_after(None);
+    assert!(want.len() == 6 * 48 && !sieved);
+    let mut sieved_runs = 0;
+    for _ in 0..5 {
+        let (got, sieved) = file_after(Some(1));
+        assert!(got == want);
+        sieved_runs += sieved as usize;
+        if sieved {
+            break;
+        }
+    }
+    assert_eq!(sieved_runs, 1, "the rank that sleeps never arrived last");
 }
 
 /// Sorted, disjoint run lists (possibly empty) inside a small region.

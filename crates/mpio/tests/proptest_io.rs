@@ -6,7 +6,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hpc_sim::{SimConfig, Time};
+use pnetcdf_format::swap::swap_to_vec;
 use pnetcdf_mpi::{run_world, Info};
+use pnetcdf_mpio::twophase::Req;
 use pnetcdf_mpio::{sieve, MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
@@ -35,25 +37,44 @@ fn data_for(runs: &[Run], seed: u8) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// A payload of `width`-byte elements in host byte order, lent as
+    /// segments cut at random element boundaries, lands as the direct
+    /// width-1 write of its big-endian form does — sieved or not, with
+    /// windows cutting elements anywhere.
     #[test]
     fn sieved_write_equals_direct_write(
         runs in arb_runs(),
         bufsize in 8usize..256,
         prefill in proptest::bool::ANY,
+        width_exp in 0u32..4,
+        cuts in vec(0usize..1000, 0..4),
     ) {
         let cfg = SimConfig::test_small();
+        let width = 1usize << width_exp;
+        // Whole elements: the last run is lengthened to the next one.
+        let mut runs = runs;
+        let total = runs.iter().map(|r| r.1 as usize).sum::<usize>();
+        runs.last_mut().unwrap().1 += ((width - total % width) % width) as u64;
         let data = data_for(&runs, 11);
+        let elems = data.len() / width;
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (elems + 1) * width).collect();
+        at.extend([0, data.len()]);
+        at.sort_unstable();
+        let segs: Vec<&[u8]> = at.windows(2).map(|w| &data[w[0]..w[1]]).collect();
 
-        let mk = |sieved: bool| {
+        let mk = |sieved: bool, src: &[&[u8]], width: usize| {
             let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
             let f = pfs.create("x");
             if prefill {
                 f.write_at(Time::ZERO, 0, &[0xAB; 2048]);
             }
-            sieve::write(&f, bufsize, sieved, Time::ZERO, &runs, &data).unwrap();
+            let payload = Req { src, aux: width as u64, ..Req::describe(&runs) };
+            sieve::write(&f, bufsize, sieved, Time::ZERO, &payload).unwrap();
             f.to_bytes()
         };
-        prop_assert_eq!(mk(true), mk(false));
+        let want = mk(false, &[&swap_to_vec(&data, width)], 1);
+        prop_assert_eq!(mk(true, &segs, width), want.clone());
+        prop_assert_eq!(mk(false, &segs, width), want);
     }
 
     #[test]
@@ -65,7 +86,8 @@ proptest! {
         let data = data_for(&runs, 99);
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         let f = pfs.create("x");
-        sieve::write(&f, 4096, true, Time::ZERO, &runs, &data).unwrap();
+        let payload = Req { src: &[&data], aux: 1, ..Req::describe(&runs) };
+        sieve::write(&f, 4096, true, Time::ZERO, &payload).unwrap();
         for sieved in [true, false] {
             // Stale bytes in the lent buffer must all be overwritten.
             let mut got = vec![0xEEu8; data.len()];

@@ -138,10 +138,10 @@ impl<'a> Seg<'a> {
 }
 
 /// The memory side of a write request as one server's portion copies out
-/// of it: a cursor over the gather list, fed the portion's chunks in
-/// increasing payload positions. A chunk may straddle segments, and empty
-/// segments are stepped over.
-pub(crate) struct Gather<'a> {
+/// of it, or as a client page cache copies it into its pages: a cursor over
+/// the gather list, fed chunks in increasing payload positions. A chunk may
+/// straddle segments, and empty segments are stepped over.
+pub struct Gather<'a> {
     rest: std::slice::Iter<'a, Seg<'a>>,
     /// The current segment and the payload position of its first byte.
     seg: Seg<'a>,
@@ -149,7 +149,8 @@ pub(crate) struct Gather<'a> {
 }
 
 impl<'a> Gather<'a> {
-    pub(crate) fn new(segs: &'a [Seg<'a>]) -> Gather<'a> {
+    /// A cursor at the first payload byte of `segs`.
+    pub fn new(segs: &'a [Seg<'a>]) -> Gather<'a> {
         Gather {
             rest: segs.iter(),
             seg: Seg::from(&[]),
@@ -160,7 +161,7 @@ impl<'a> Gather<'a> {
     /// Store the payload bytes `[pos, pos + dst.len())` into `dst`, segment
     /// piece by segment piece, each converted on the way. `pos` never lies
     /// before the previous call's.
-    pub(crate) fn each(&mut self, pos: usize, dst: &mut [u8]) {
+    pub fn each(&mut self, pos: usize, dst: &mut [u8]) {
         let (mut at, end) = (pos, pos + dst.len());
         while at < end {
             while self.at + self.seg.len <= at {

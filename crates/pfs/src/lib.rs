@@ -42,7 +42,7 @@ pub mod server;
 pub mod storage;
 pub mod stripe;
 
-pub use file::{IoFailure, PfsFile, Seg, WriteCompletion};
+pub use file::{Gather, IoFailure, PfsFile, Seg, WriteCompletion};
 pub use filesystem::Pfs;
 pub use meta::{MetaShardStats, MetaShards, META_SHARDS};
 pub use posix::PosixSim;

@@ -82,10 +82,14 @@ fn independent_puts_and_gets_stay_within_their_allocation_budget() {
             }
         }
 
-        // A 2 MiB put stages 2 MiB; the staging is not kept once the call
-        // returns, and the small puts after it are heap-free again.
+        // A 2 MiB put is lent where it lies, in host byte order, and the
+        // file system converts it as it stores it: no staging, no call to
+        // the allocator. Nothing large is alive after it, and the small
+        // puts after it are heap-free too.
         let large = counting_alloc::live_large();
+        let before = counting_alloc::calls();
         ds.put_vara(v, &[0, 0, 0], &DIMS, &input).unwrap();
+        assert_eq!(counting_alloc::calls() - before, 0, "the 2 MiB put");
         ds.put_vara(v, &[0, 0, 0], &[1, 1, DIMS[2]], row_of(0, 0))
             .unwrap();
         assert_eq!(
@@ -114,8 +118,8 @@ fn independent_puts_and_gets_stay_within_their_allocation_budget() {
     let moved = (2 * PASSES as u64 + 1) * DIMS.iter().product::<u64>() * 4 + 65 * 512;
     let ratio = (counting_alloc::requested() - start) as f64 / moved as f64;
     assert!(
-        ratio <= 0.80,
-        "independent puts + gets requested {ratio:.3} heap bytes per payload byte (budget 0.80)"
+        ratio <= 0.60,
+        "independent puts + gets requested {ratio:.3} heap bytes per payload byte (budget 0.60)"
     );
     // Sanity of the instrument: the returned `Vec<T>`s alone are 4/9 of it.
     assert!(ratio >= 0.44, "allocator counted {ratio:.3} B/B — too few");
