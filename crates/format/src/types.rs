@@ -6,6 +6,7 @@
 //! `NC_ERANGE` on overflow — the same semantics as netCDF-3's type layer.
 
 use crate::error::{FormatError, FormatResult};
+use crate::swap::swap_copy;
 
 /// External (on-disk) data types (`nc_type`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -87,16 +88,6 @@ pub trait NcValue: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Convert from a double, which is exact for every external type.
     fn from_f64(v: f64) -> FormatResult<Self>;
 
-    /// Append the big-endian external bytes of a whole slice (natural type
-    /// only). Each implementation is a monomorphic fixed-width loop the
-    /// autovectorizer turns into a bulk byteswap, so the same-type encode
-    /// path is one pass instead of a per-element trip through `f64`.
-    fn slice_to_be(vals: &[Self], out: &mut Vec<u8>);
-
-    /// Decode a whole slice of big-endian external elements of the natural
-    /// type. `bytes.len()` must be a multiple of the element width.
-    fn slice_from_be(bytes: &[u8]) -> Vec<Self>;
-
     /// The all-zero-bytes value: `vec![T::ZERO; n]` comes zeroed from the
     /// allocator, ready to be filled through [`NcValue::as_bytes_mut`].
     const ZERO: Self;
@@ -136,30 +127,6 @@ macro_rules! byte_views {
     };
 }
 
-/// Generates the bulk big-endian slice codecs for a multi-byte primitive:
-/// fixed-width `to_be_bytes`/`from_be_bytes` loops over `chunks_exact`, the
-/// shape LLVM vectorizes into `pshufb`-style lane swaps.
-macro_rules! bulk_be_codec {
-    ($ty:ty) => {
-        fn slice_to_be(vals: &[Self], out: &mut Vec<u8>) {
-            const W: usize = std::mem::size_of::<$ty>();
-            let start = out.len();
-            out.resize(start + vals.len() * W, 0);
-            for (v, c) in vals.iter().zip(out[start..].chunks_exact_mut(W)) {
-                c.copy_from_slice(&v.to_be_bytes());
-            }
-        }
-        fn slice_from_be(bytes: &[u8]) -> Vec<Self> {
-            const W: usize = std::mem::size_of::<$ty>();
-            debug_assert_eq!(bytes.len() % W, 0);
-            bytes
-                .chunks_exact(W)
-                .map(|c| <$ty>::from_be_bytes(c.try_into().unwrap()))
-                .collect()
-        }
-    };
-}
-
 fn range_err<T>(v: f64) -> FormatResult<T> {
     Err(FormatError::Range(format!("{v} does not fit target type")))
 }
@@ -175,12 +142,6 @@ impl NcValue for i8 {
         }
         Ok(v as i8)
     }
-    fn slice_to_be(vals: &[i8], out: &mut Vec<u8>) {
-        out.extend(vals.iter().map(|&v| v as u8));
-    }
-    fn slice_from_be(bytes: &[u8]) -> Vec<i8> {
-        bytes.iter().map(|&b| b as i8).collect()
-    }
     byte_views!(i8);
 }
 
@@ -194,12 +155,6 @@ impl NcValue for u8 {
             return range_err(v);
         }
         Ok(v as u8)
-    }
-    fn slice_to_be(vals: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(vals);
-    }
-    fn slice_from_be(bytes: &[u8]) -> Vec<u8> {
-        bytes.to_vec()
     }
     byte_views!(u8);
 }
@@ -215,7 +170,6 @@ impl NcValue for i16 {
         }
         Ok(v as i16)
     }
-    bulk_be_codec!(i16);
     byte_views!(i16);
 }
 
@@ -230,7 +184,6 @@ impl NcValue for i32 {
         }
         Ok(v as i32)
     }
-    bulk_be_codec!(i32);
     byte_views!(i32);
 }
 
@@ -244,7 +197,6 @@ impl NcValue for f32 {
         // overflow-to-infinity; we mirror that (it clamps to +-inf).
         Ok(v as f32)
     }
-    bulk_be_codec!(f32);
     byte_views!(f32);
 }
 
@@ -256,7 +208,6 @@ impl NcValue for f64 {
     fn from_f64(v: f64) -> FormatResult<f64> {
         Ok(v)
     }
-    bulk_be_codec!(f64);
     byte_views!(f64);
 }
 
@@ -309,8 +260,9 @@ pub fn fill_element_bytes(t: NcType, value: f64) -> Vec<u8> {
 /// Convert native values to the external representation of `ext`.
 ///
 /// When `ext` is the natural type of `T` this is one bulk byteswap pass
-/// ([`NcValue::slice_to_be`]); cross-type conversion falls back to the
-/// per-element trip through `f64` with range checks (netCDF-3 semantics).
+/// ([`swap_copy`] of the values' bytes); cross-type conversion falls back
+/// to the per-element trip through `f64` with range checks (netCDF-3
+/// semantics).
 pub fn to_external<T: NcValue>(vals: &[T], ext: NcType) -> FormatResult<Vec<u8>> {
     let mut out = Vec::new();
     to_external_into(vals, ext, &mut out)?;
@@ -327,7 +279,9 @@ pub fn to_external_into<T: NcValue>(
 ) -> FormatResult<()> {
     out.clear();
     if ext == T::NATURAL {
-        T::slice_to_be(vals, out);
+        let src = T::as_bytes(vals);
+        out.resize(src.len(), 0);
+        swap_copy(src, out, ext.size() as usize);
         return Ok(());
     }
     out.reserve(vals.len() * ext.size() as usize);
@@ -351,8 +305,8 @@ pub fn to_external_by_element<T: NcValue>(vals: &[T], ext: NcType) -> FormatResu
 
 /// Convert external bytes of type `ext` into native values.
 ///
-/// Same-type decode is one bulk byteswap pass ([`NcValue::slice_from_be`]);
-/// cross-type falls back to the per-element `f64` path.
+/// Same-type decode is one bulk byteswap pass ([`swap_copy`] into the
+/// values' bytes); cross-type falls back to the per-element `f64` path.
 pub fn from_external<T: NcValue>(bytes: &[u8], ext: NcType) -> FormatResult<Vec<T>> {
     let esz = ext.size() as usize;
     if bytes.len() % esz != 0 {
@@ -362,7 +316,9 @@ pub fn from_external<T: NcValue>(bytes: &[u8], ext: NcType) -> FormatResult<Vec<
         )));
     }
     if ext == T::NATURAL {
-        return Ok(T::slice_from_be(bytes));
+        let mut vals = vec![T::ZERO; bytes.len() / esz];
+        swap_copy(bytes, T::as_bytes_mut(&mut vals), esz);
+        return Ok(vals);
     }
     from_external_by_element(bytes, ext)
 }

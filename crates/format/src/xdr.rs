@@ -6,6 +6,7 @@
 //! padded with zeros to 4-byte boundaries.
 
 use crate::error::{FormatError, FormatResult};
+use crate::swap::swap_copy;
 use crate::types::NcValue;
 
 /// Round `n` up to a multiple of 4.
@@ -74,9 +75,12 @@ impl Writer {
     }
 
     /// A whole slice of elements in one bulk big-endian pass
-    /// ([`NcValue::slice_to_be`]) instead of a per-element `put_*` loop.
+    /// ([`swap_copy`] of the values' bytes) instead of a per-element `put_*`
+    /// loop.
     pub fn put_slice<T: NcValue>(&mut self, vals: &[T]) {
-        T::slice_to_be(vals, &mut self.buf);
+        let (src, start) = (T::as_bytes(vals), self.buf.len());
+        self.buf.resize(start + src.len(), 0);
+        swap_copy(src, &mut self.buf[start..], T::NATURAL.size() as usize);
     }
 
     /// Zero-pad to the next 4-byte boundary.
@@ -178,14 +182,17 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
-    /// Decode `n` elements in one bulk big-endian pass
-    /// ([`NcValue::slice_from_be`]) instead of a per-element `get_*` loop.
+    /// Decode `n` elements in one bulk big-endian pass ([`swap_copy`] into
+    /// the values' bytes) instead of a per-element `get_*` loop.
     pub fn get_slice<T: NcValue>(&mut self, n: usize) -> FormatResult<Vec<T>> {
         let width = T::NATURAL.size() as usize;
         let need = n.checked_mul(width).ok_or_else(|| {
             FormatError::Corrupt(format!("element count {n} overflows byte length"))
         })?;
-        Ok(T::slice_from_be(self.take(need)?))
+        let bytes = self.take(need)?;
+        let mut vals = vec![T::ZERO; n];
+        swap_copy(bytes, T::as_bytes_mut(&mut vals), width);
+        Ok(vals)
     }
 
     /// Skip padding to the next 4-byte boundary.

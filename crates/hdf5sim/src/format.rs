@@ -107,9 +107,11 @@ pub fn encode_symbols(entries: &[SymbolEntry]) -> Vec<u8> {
     out
 }
 
-/// Decode `n` symbol table entries.
+/// Decode `n` symbol table entries. `n` is read from the file, so no more
+/// are reserved than `bytes` can hold: an entry is at least 12 bytes, a
+/// name length and an address.
 pub fn decode_symbols(bytes: &[u8], n: usize) -> H5Result<Vec<SymbolEntry>> {
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(bytes.len() / 12));
     let mut pos = 0usize;
     for _ in 0..n {
         if pos + 4 > bytes.len() {

@@ -12,8 +12,8 @@ use crate::cache::{CacheLedger, PageCache};
 use crate::error::{MpioError, MpioResult};
 use crate::hints::Hints;
 use crate::runs::Run;
-use crate::sieve;
-use crate::twophase::{self, CollBuf, Req, TwoPhaseParams};
+use crate::sieve::{self, CollBuf};
+use crate::twophase::{self, Req, TwoPhaseParams};
 
 /// How to open the file (`MPI_MODE_*` combinations we support).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,10 +38,10 @@ pub struct MpiFile {
     /// contention — the mutex only provides interior mutability behind the
     /// `&self` data-access methods.
     cache: Option<Mutex<PageCache>>,
-    /// The collective buffer of this open file, shared by every rank's
-    /// handle. Only the finisher of a collective on the file locks it, and
-    /// the file's collectives happen one at a time, so nobody ever waits:
-    /// the mutex is what lets whichever rank arrives last use it mutably.
+    /// The window buffer of this open file, shared by every rank's handle
+    /// ([`CollBuf`]). The finisher of a collective on the file locks it for
+    /// the collective, and an independent access of more than one run for
+    /// the whole call: that is the sieve's extent lock.
     cbuf: Arc<Mutex<CollBuf>>,
 }
 
@@ -287,6 +287,18 @@ impl MpiFile {
 
     // ---- independent data access ------------------------------------------
 
+    /// Run an independent access of `runs` on the open file's buffer, held
+    /// for the whole call when it has more than one run: no peer's sieved
+    /// write can then fall between one of its windows' read and write-back
+    /// (ROMIO's extent lock). A one-run access is one request from or into
+    /// the caller's memory, and takes neither the buffer nor its lock.
+    fn with_buf<R>(&self, runs: &[Run], io: impl FnOnce(&mut CollBuf) -> R) -> R {
+        match runs.len() > 1 {
+            true => io(&mut self.cbuf.lock()),
+            false => io(&mut CollBuf::default()),
+        }
+    }
+
     /// A write needs a writable file and a payload whose every segment
     /// holds whole elements of a width the file system converts: 1, 2, 4
     /// or 8 bytes.
@@ -347,8 +359,10 @@ impl MpiFile {
         };
         let ds = self.hints.ds_write.resolve(true);
         let _attr = PhaseScope::enter(Phase::DiskWrite);
-        let buffer_size = self.hints.ind_wr_buffer_size;
-        let t = sieve::write(&self.file, buffer_size, ds, self.comm.now(), &payload)?;
+        let (size, now) = (self.hints.ind_wr_buffer_size, self.comm.now());
+        let t = self.with_buf(runs, |buf| {
+            sieve::write(&self.file, buf, size, ds, now, &payload)
+        })?;
         self.comm.advance_to(t);
         Ok(bytes)
     }
@@ -375,14 +389,10 @@ impl MpiFile {
         let _attr = PhaseScope::enter(Phase::DiskRead);
         // A readahead of another file's cache may still hold the link.
         let start = self.comm.now().max(self.comm.link_free());
-        let t = sieve::read(
-            &self.file,
-            self.hints.ind_rd_buffer_size,
-            ds,
-            start,
-            runs,
-            out,
-        )?;
+        let size = self.hints.ind_rd_buffer_size;
+        let t = self.with_buf(runs, |buf| {
+            sieve::read(&self.file, buf, size, ds, start, runs, out)
+        })?;
         self.comm.advance_to(t);
         Ok(())
     }
@@ -472,23 +482,20 @@ impl MpiFile {
         };
         let (cb, ds) = (cb.resolve(true), ds.resolve(true));
         let res = self.comm.collective(req, move |reqs: &mut [Req<'_>]| {
+            let buf = &mut *cbuf.lock();
             let res = match (cb, write) {
-                (true, true) => {
-                    twophase::write_all(&env, &file, &p, &mut cbuf.lock(), reqs).map(|_| ())
-                }
-                (true, false) => {
-                    twophase::read_all(&env, &file, &p, &mut cbuf.lock(), reqs).map(|_| ())
-                }
+                (true, true) => twophase::write_all(&env, &file, &p, buf, reqs).map(|_| ()),
+                (true, false) => twophase::read_all(&env, &file, &p, buf, reqs).map(|_| ()),
                 // Collective buffering disabled: every rank accesses its
                 // own pieces independently (the ablation baseline).
                 (false, true) => reqs.iter().enumerate().try_for_each(|(i, r)| {
                     independent(&env, i, r.tag, "ind_write", Phase::DiskWrite, |now| {
-                        sieve::write(&file, buffer_size, ds, now, r)
+                        sieve::write(&file, buf, buffer_size, ds, now, r)
                     })
                 }),
                 (false, false) => reqs.iter_mut().enumerate().try_for_each(|(i, r)| {
                     independent(&env, i, r.tag, "ind_read", Phase::DiskRead, |now| {
-                        sieve::read(&file, buffer_size, ds, now, r.meta, r.dst)
+                        sieve::read(&file, buf, buffer_size, ds, now, r.meta, r.dst)
                     })
                 }),
             };

@@ -250,19 +250,10 @@ fn native_loans_reach_the_file_in_external_order() {
             // Rank 0 lends its payload whole, the others as a gather list.
             let gathered = [&data[..40], &data[40..]];
             let segs: &[&[u8]] = if c.rank() == 0 { &[&data] } else { &gathered };
-            if collective {
-                write(&runs, segs, width).unwrap();
-                return;
+            write(&runs, segs, width).unwrap();
+            if !collective {
+                f.sync().unwrap();
             }
-            // One rank at a time: a sieve's read-modify-write of an extent
-            // it shares with a peer would race the peer's.
-            for turn in 0..NPROCS {
-                if turn == c.rank() {
-                    write(&runs, segs, width).unwrap();
-                }
-                c.barrier().unwrap();
-            }
-            f.sync().unwrap();
         });
         pfs.open("t").unwrap().to_bytes()
     };

@@ -8,8 +8,9 @@ use proptest::prelude::*;
 use hpc_sim::{SimConfig, Time};
 use pnetcdf_format::swap::swap_to_vec;
 use pnetcdf_mpi::{run_world, Info};
+use pnetcdf_mpio::sieve::{self, CollBuf};
 use pnetcdf_mpio::twophase::Req;
-use pnetcdf_mpio::{sieve, MpiFile, OpenMode, Run};
+use pnetcdf_mpio::{MpiFile, OpenMode, Run};
 use pnetcdf_pfs::{Pfs, StorageMode};
 
 /// Sorted, disjoint, nonempty run lists within a small file.
@@ -69,7 +70,7 @@ proptest! {
                 f.write_at(Time::ZERO, 0, &[0xAB; 2048]);
             }
             let payload = Req { src, aux: width as u64, ..Req::describe(&runs) };
-            sieve::write(&f, bufsize, sieved, Time::ZERO, &payload).unwrap();
+            sieve::write(&f, &mut CollBuf::default(), bufsize, sieved, Time::ZERO, &payload).unwrap();
             f.to_bytes()
         };
         let want = mk(false, &[&swap_to_vec(&data, width)], 1);
@@ -87,11 +88,12 @@ proptest! {
         let pfs = Pfs::new(cfg.clone(), StorageMode::Full);
         let f = pfs.create("x");
         let payload = Req { src: &[&data], aux: 1, ..Req::describe(&runs) };
-        sieve::write(&f, 4096, true, Time::ZERO, &payload).unwrap();
+        sieve::write(&f, &mut CollBuf::default(), 4096, true, Time::ZERO, &payload).unwrap();
+        let mut buf = CollBuf::default();
         for sieved in [true, false] {
             // Stale bytes in the lent buffer must all be overwritten.
             let mut got = vec![0xEEu8; data.len()];
-            sieve::read(&f, bufsize, sieved, Time::ZERO, &runs, &mut got).unwrap();
+            sieve::read(&f, &mut buf, bufsize, sieved, Time::ZERO, &runs, &mut got).unwrap();
             prop_assert_eq!(&got, &data);
         }
     }

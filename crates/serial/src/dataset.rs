@@ -587,11 +587,14 @@ fn gather_by_imap<T: NcValue>(count: &[u64], imap: &[u64], vals: &[T]) -> NcResu
             count.len()
         )));
     }
-    let n: u64 = count.iter().product();
-    let mut out = Vec::with_capacity(n as usize);
     let nd = count.len();
     if nd == 0 {
         return Ok(vals.first().copied().into_iter().collect());
+    }
+    let n: u64 = count.iter().product();
+    let mut out = Vec::with_capacity(n as usize);
+    if count.contains(&0) {
+        return Ok(out);
     }
     let mut idx = vec![0u64; nd];
     loop {
@@ -633,10 +636,11 @@ fn scatter_by_imap<T: NcValue + Default>(
     if nd == 0 {
         return Ok(canonical.to_vec());
     }
+    if count.contains(&0) {
+        return Ok(Vec::new());
+    }
     // Size of the mapped buffer: max index + 1.
-    let max_index: u64 = (0..nd)
-        .map(|d| (count[d].saturating_sub(1)) * imap[d])
-        .sum();
+    let max_index: u64 = (0..nd).map(|d| (count[d] - 1) * imap[d]).sum();
     let mut out = vec![T::default(); (max_index + 1) as usize];
     let mut idx = vec![0u64; nd];
     let mut pos = 0usize;

@@ -824,3 +824,39 @@ fn every_door_makes_the_same_access() {
         "a door's clock moved; this build computes:\n{table}"
     );
 }
+
+/// A mapped access of zero elements moves nothing and returns nothing, in
+/// both libraries: `put_varm` of no values succeeds, `get_varm` returns an
+/// empty buffer, and the files stay byte-identical.
+#[test]
+fn zero_count_varm_is_empty_in_both_libraries() {
+    let (count, imap) = ([0u64, 6, 8], [48u64, 8, 1]);
+    let mut f = NcFile::create(MemStore::new(), Version::Cdf1);
+    let (tt, _) = define_serial(&mut f);
+    f.put_varm::<f32>(tt, &[0, 0, 0], &count, None, &imap, &[])
+        .unwrap();
+    let got: Vec<f32> = f.get_varm(tt, &[0, 0, 0], &count, None, &imap).unwrap();
+    assert!(got.is_empty(), "serial get_varm returned {got:?}");
+    let reference = closed_bytes(f);
+
+    let pfs = Pfs::new(cfg(), StorageMode::Full);
+    let pfs2 = pfs.clone();
+    run_world(2, cfg(), move |c| {
+        let mut ds = Dataset::create(c, &pfs2, "z.nc", Version::Cdf1, &Info::new()).unwrap();
+        let (tt, _) = define_parallel(&mut ds);
+        ds.put_varm_all::<f32>(tt, &[0, 0, 0], &count, None, &imap, &[])
+            .unwrap();
+        let got: Vec<f32> = ds
+            .get_varm_all(tt, &[0, 0, 0], &count, None, &imap)
+            .unwrap();
+        assert!(got.is_empty(), "get_varm_all returned {got:?}");
+        ds.begin_indep_data().unwrap();
+        ds.put_varm::<f32>(tt, &[0, 0, 0], &count, None, &imap, &[])
+            .unwrap();
+        let got: Vec<f32> = ds.get_varm(tt, &[0, 0, 0], &count, None, &imap).unwrap();
+        assert!(got.is_empty(), "get_varm returned {got:?}");
+        ds.end_indep_data().unwrap();
+        ds.close().unwrap();
+    });
+    assert!(pfs.open("z.nc").unwrap().to_bytes() == reference);
+}
