@@ -269,21 +269,26 @@ pub fn to_external<T: NcValue>(vals: &[T], ext: NcType) -> FormatResult<Vec<u8>>
     Ok(out)
 }
 
-/// [`to_external`] into caller storage: `out` is cleared and refilled, so a
-/// buffer that is passed again keeps its capacity and the conversion
-/// allocates nothing once it has grown to the largest access.
+/// [`to_external`] into caller storage: `out` is refilled, so a buffer
+/// that is passed again keeps its capacity and the conversion allocates
+/// nothing once it has grown to the largest access. A same-type
+/// conversion into a buffer already of its length (a pooled one)
+/// overwrites it where it is, without zeroing it first.
 pub fn to_external_into<T: NcValue>(
     vals: &[T],
     ext: NcType,
     out: &mut Vec<u8>,
 ) -> FormatResult<()> {
-    out.clear();
     if ext == T::NATURAL {
         let src = T::as_bytes(vals);
-        out.resize(src.len(), 0);
+        if out.len() != src.len() {
+            out.clear();
+            out.resize(src.len(), 0);
+        }
         swap_copy(src, out, ext.size() as usize);
         return Ok(());
     }
+    out.clear();
     out.reserve(vals.len() * ext.size() as usize);
     for &v in vals {
         encode_one(ext, v.as_f64(), out)?;

@@ -36,6 +36,7 @@ pub mod failover;
 pub mod file;
 pub mod filesystem;
 pub mod meta;
+pub mod pool;
 pub mod posix;
 pub mod retry;
 pub mod server;
