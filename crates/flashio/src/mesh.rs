@@ -77,7 +77,7 @@ impl BlockMesh {
     /// written (nxb, or nxb+1 for corner plots).
     pub fn interior_buffer(&self, rank: usize, var: usize, side: u64) -> Vec<f64> {
         let mut out = Vec::new();
-        self.interior_buffer_into(rank, var, side, &mut out);
+        self.interior_buffer_into(rank, var, side, &mut out, &mut Vec::new());
         out
     }
 
@@ -85,17 +85,27 @@ impl BlockMesh {
     /// a writer strips one unknown after another into the same array, as
     /// FLASH's own checkpoint routine does.
     ///
-    /// Each block is filled into a guarded scratch block and its interior
-    /// copied out: the stripping memcpy the real benchmark performs. The
-    /// guards hold a NaN sentinel that must never reach the file. It is the
-    /// same in every block, so the scratch block is filled with it once per
-    /// call, and each block then writes only its `side`² interior rows.
-    pub fn interior_buffer_into(&self, rank: usize, var: usize, side: u64, out: &mut Vec<f64>) {
+    /// Each block is filled into the guarded scratch block `guarded` and its
+    /// interior copied out: the stripping memcpy the real benchmark
+    /// performs. The guards hold a NaN sentinel that must never reach the
+    /// file. It is the same in every block, so the scratch block is filled
+    /// with it once per call, and each block then writes only its `side`²
+    /// interior rows. A writer passes the same scratch with every unknown,
+    /// so it allocates it once per file.
+    pub fn interior_buffer_into(
+        &self,
+        rank: usize,
+        var: usize,
+        side: u64,
+        out: &mut Vec<f64>,
+        guarded: &mut Vec<f64>,
+    ) {
         let g = NGUARD;
         let gside = side + 2 * g;
         out.clear();
         out.reserve_exact((self.blocks_per_proc * side * side * side) as usize);
-        let mut guarded = vec![f64::NAN; (gside * gside * gside) as usize];
+        guarded.clear();
+        guarded.resize((gside * gside * gside) as usize, f64::NAN);
         for b in 0..self.blocks_per_proc {
             let block = self.first_block(rank) + b;
             for z in g..g + side {
@@ -249,9 +259,10 @@ mod tests {
     #[test]
     fn interior_fill_matches_the_per_cell_fill() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // One `out` for every case: the corner size runs first, so a fill
-        // that left anything of a longer or an earlier buffer would show.
-        let mut out = Vec::new();
+        // One `out` and one scratch block for every case: the corner size
+        // runs first, so a fill that left anything of a longer or an earlier
+        // buffer would show.
+        let (mut out, mut guarded) = (Vec::new(), Vec::new());
         for nxb in [8, 16] {
             let m = BlockMesh {
                 nxb,
@@ -261,7 +272,7 @@ mod tests {
             for side in [nxb + 1, nxb] {
                 for rank in 0..m.nprocs {
                     for var in [0, NUNK - 1] {
-                        m.interior_buffer_into(rank, var, side, &mut out);
+                        m.interior_buffer_into(rank, var, side, &mut out, &mut guarded);
                         let want = per_cell_fill(&m, rank, var, side);
                         assert_eq!(
                             bits(&out),

@@ -129,9 +129,9 @@ pub fn write_as(
     let start = [first, 0, 0, 0];
     let count = [bpp, side, side, side];
     let s3 = (side * side * side) as usize;
-    let (mut buf, mut f32buf) = (Vec::<f64>::new(), Vec::<f32>::new());
+    let (mut buf, mut f32buf, mut guarded) = (Vec::<f64>::new(), Vec::<f32>::new(), Vec::new());
     for (var, &vid) in unk_ids.iter().enumerate() {
-        mesh.interior_buffer_into(comm.rank(), var, side, &mut buf);
+        mesh.interior_buffer_into(comm.rank(), var, side, &mut buf, &mut guarded);
         if mode.puts == Puts::IndependentBlocks {
             for b in 0..bpp {
                 let bstart = [first + b, 0, 0, 0];
@@ -157,13 +157,16 @@ pub fn write_as(
             };
         }
     }
-    // Not alive at the flush's peak.
-    drop((buf, f32buf));
     match mode.puts {
         Puts::Aggregate => ds.wait_all()?,
         Puts::IndependentBlocks => ds.end_indep_data()?,
         Puts::Blocking => {}
     }
+    // Freed after the collective flush, not before it: every rank then
+    // reaches the flush holding the same buffers, and the process's heap
+    // peaks there, where the ranks wait for each other, rather than when one
+    // rank strips an unknown while the others have got further or less far.
+    drop((buf, f32buf, guarded));
     ds.close()?;
 
     let meta_bytes = tot * (4 + 4 + 24 + 24 + 48);
