@@ -17,6 +17,8 @@
 //! CDF-2 (the 64-bit-offset variant introduced by the PnetCDF project) is
 //! supported alongside CDF-1.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod attr;
 pub mod dim;
 pub mod error;

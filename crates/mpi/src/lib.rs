@@ -17,6 +17,8 @@
 //! byte-for-byte), while time is charged to the virtual clocks of
 //! [`hpc_sim`] (so performance results are deterministic).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod collective;
 pub mod comm;
 pub mod datatype;

@@ -31,6 +31,8 @@
 //! property comes from the `SimConfig` the file system is built from and is
 //! fixed from then on.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cluster;
 pub mod failover;
 pub mod file;
