@@ -78,7 +78,10 @@ impl Dataset {
         self.put_region(varid, start, count, None, vals, false)
     }
 
-    /// Collective subarray read (`ncmpi_get_vara_<type>_all`).
+    /// Collective subarray read (`ncmpi_get_vara_<type>_all`). When the
+    /// read fills 4 MiB or more of fresh memory, the returned vector or
+    /// the staging a converting get reads into, that memory is advised
+    /// huge pages first (`pnetcdf_pfs::pool::advise_huge`).
     pub fn get_vara_all<T: NcValue>(
         &mut self,
         varid: usize,
