@@ -229,11 +229,16 @@ fn decode_one(ext: NcType, bytes: &[u8]) -> f64 {
     match ext {
         NcType::Byte => bytes[0] as i8 as f64,
         NcType::Char => bytes[0] as f64,
-        NcType::Short => i16::from_be_bytes([bytes[0], bytes[1]]) as f64,
-        NcType::Int => i32::from_be_bytes(bytes[..4].try_into().unwrap()) as f64,
-        NcType::Float => f32::from_be_bytes(bytes[..4].try_into().unwrap()) as f64,
-        NcType::Double => f64::from_be_bytes(bytes[..8].try_into().unwrap()),
+        NcType::Short => i16::from_be_bytes(first(bytes)) as f64,
+        NcType::Int => i32::from_be_bytes(first(bytes)) as f64,
+        NcType::Float => f32::from_be_bytes(first(bytes)) as f64,
+        NcType::Double => f64::from_be_bytes(first(bytes)),
     }
+}
+
+/// The first `N` bytes of `bytes`, as an array.
+fn first<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    std::array::from_fn(|i| bytes[i])
 }
 
 /// NetCDF default fill values (`NC_FILL_*`), written into unwritten parts

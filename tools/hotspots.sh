@@ -9,12 +9,13 @@
 #
 # Prints the total sample count, the self frames (the innermost frame of each
 # sample that has line information: an anonymous libc frame, such as memcpy,
-# is charged to its first Rust caller), and for each FRAME given, the samples
-# with a frame whose function name contains it (inclusive; rows overlap).
-# With SELF, it also breaks down the samples whose self frame contains SELF
-# by caller: the ten most frequent chains of the five frames above it,
-# innermost first, each named by its function (not by what is inlined
-# into it).
+# is charged to the function of its first Rust caller, by that function's
+# qualified symbol, not to a helper inlined at the call), and for each FRAME
+# given, the samples with a frame whose function name contains it
+# (inclusive; rows overlap). With SELF, it also breaks down the samples
+# whose self frame contains SELF by caller: the ten most frequent chains of
+# the five frames above it, innermost first, each named by its function
+# (not by what is inlined into it).
 #
 # Usage: tools/hotspots.sh WORKLOAD [ITERS, default 20] [FRAME,FRAME,...] [SELF]
 #   e.g. tools/hotspots.sh flash_ckpt 20 write_as,interior_buffer_into,build_region
@@ -22,7 +23,7 @@
 # Needs cc, addr2line, readelf and python3. perf_bench/Cargo.lock is restored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[ $# -ge 1 ] || { sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 workload=$1
 iters=${2:-20}
 frames=${3:-}
@@ -116,7 +117,7 @@ HOTSPOTS_OUT="$work/samples" LD_PRELOAD="$work/sampler.so" \
   perf_bench/target/release/perf_bench --child "$workload" --iters "$iters" >/dev/null
 
 python3 - "$work/samples" "$frames" "$self_frame" <<'EOF'
-import collections, re, subprocess, sys
+import bisect, collections, re, subprocess, sys
 
 maps, stacks = [], []
 for line in open(sys.argv[1]):
@@ -180,12 +181,36 @@ def functions(stack):
         loc = where.get(addr if k == 0 else addr - 1)
         yield names.get(loc, []) if loc else []
 
+symbols = {}
+def symbol(loc):
+    """The demangled ELF function symbol whose code holds `loc`, or None."""
+    path, vaddr = loc
+    if path not in symbols:
+        out = subprocess.run(["readelf", "-sW", "-C", path], capture_output=True, text=True).stdout
+        symbols[path] = sorted((int(f[1], 16), int(f[1], 16) + int(f[2], 0), f[7])
+                               for f in (l.split(None, 7) for l in out.splitlines())
+                               if len(f) == 8 and f[3] == "FUNC" and f[6] != "UND")
+    table = symbols[path]
+    i = bisect.bisect_right(table, (vaddr, float("inf"))) - 1
+    return table[i][2] if i >= 0 and vaddr < table[i][1] else None
+
+# A named innermost frame is charged to its innermost inline function. An
+# anonymous one (a libc copy) is charged to the function that called it, by
+# that function's symbol: addr2line names the call's innermost inline helper
+# in some runs and the symbol in others.
 self_counts = collections.Counter()
-stacks_named = []
+stacks_named, charged = [], []
 for stack in stacks:
     fns = list(functions(stack))
+    k = next((k for k, f in enumerate(fns) if f), None)
+    if k is None:
+        first = "??"
+    elif k == 0:
+        first = fns[0][0]
+    else:
+        first = symbol(where[stack[k] - 1]) or fns[k][-1]
     stacks_named.append(fns)
-    first = next((f[0] for f in fns if f), "??")
+    charged.append(first)
     self_counts[first] += 1
 
 total = len(stacks)
@@ -211,9 +236,9 @@ def bare(name):
 
 if sys.argv[3]:
     chains = collections.Counter()
-    for fns in stacks_named:
+    for fns, first in zip(stacks_named, charged):
         named = [frame for frame in fns if frame]
-        if named and sys.argv[3] in named[0][0]:
+        if named and sys.argv[3] in first:
             outer = [bare(frame[-1]) for frame in named[1:6]]
             chains[" < ".join(outer) or "(no caller)"] += 1
     n = sum(chains.values())
