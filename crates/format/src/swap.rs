@@ -55,6 +55,7 @@ macro_rules! swap_lane_copy {
 /// Inputs shorter than this many bytes stay on the portable loop inlined in
 /// [`swap_inplace`] / [`swap_copy`]: below it the out-of-line AVX2 call
 /// costs more than its wider shuffle saves (the table is in DESIGN.md §16).
+#[cfg(target_arch = "x86_64")]
 const AVX2_MIN_LEN: usize = 128;
 
 /// Swap element endianness in place. `width` must divide `buf.len()` and be
@@ -132,14 +133,22 @@ fn copy_portable(src: &[u8], dst: &mut [u8], width: usize) {
 }
 
 /// [`inplace_portable`] compiled for AVX2, where the lane swaps become
-/// `vpshufb`. Callers must have detected AVX2.
+/// `vpshufb`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn inplace_avx2(buf: &mut [u8], width: usize) {
     inplace_portable(buf, width);
 }
 
-/// [`copy_portable`] compiled for AVX2. Callers must have detected AVX2.
+/// [`copy_portable`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn copy_avx2(src: &[u8], dst: &mut [u8], width: usize) {
