@@ -13,10 +13,11 @@
 //! `x86_64` the same loops are compiled a second time under
 //! `#[target_feature(enable = "avx2")]`, where they become `vpshufb`, and
 //! [`swap_inplace`] / [`swap_copy`] call that arm when the CPU has AVX2
-//! (`is_x86_feature_detected!`, a cached atomic load) and the input is at
-//! least `AVX2_MIN_LEN` bytes. The choice is made at run time, not by a
-//! build flag, so one binary runs on every `x86_64` CPU and nothing is left
-//! to configure. Other targets compile the portable loops only.
+//! (`is_x86_feature_detected!`, a cached atomic load). Width 2 copies stay
+//! portable: SSE2 swaps them with shifts, and from L2 the AVX2 arm copies
+//! them slower. The choice is made at run time, not by a build flag, so
+//! one binary runs on every `x86_64` CPU and nothing is left to configure.
+//! Other targets compile the portable loops only.
 //!
 //! Three shapes cover every caller on the put and get chains:
 //!
@@ -52,12 +53,6 @@ macro_rules! swap_lane_copy {
     }};
 }
 
-/// Inputs shorter than this many bytes stay on the portable loop inlined in
-/// [`swap_inplace`] / [`swap_copy`]: below it the out-of-line AVX2 call
-/// costs more than its wider shuffle saves (the table is in DESIGN.md §16).
-#[cfg(target_arch = "x86_64")]
-const AVX2_MIN_LEN: usize = 128;
-
 /// Swap element endianness in place. `width` must divide `buf.len()` and be
 /// one of the external element widths (1, 2, 4, 8).
 pub fn swap_inplace(buf: &mut [u8], width: usize) {
@@ -70,7 +65,7 @@ pub fn swap_inplace(buf: &mut [u8], width: usize) {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if buf.len() >= AVX2_MIN_LEN && std::arch::is_x86_feature_detected!("avx2") {
+    if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the CPU supports AVX2, detected on the line above.
         return unsafe { inplace_avx2(buf, width) };
     }
@@ -91,8 +86,10 @@ pub fn swap_copy(src: &[u8], dst: &mut [u8], width: usize) {
         dst.copy_from_slice(src);
         return;
     }
+    // Width 2 stays portable: its AVX2 copy runs 8–16 % slower from L2
+    // (DESIGN.md §16).
     #[cfg(target_arch = "x86_64")]
-    if src.len() >= AVX2_MIN_LEN && std::arch::is_x86_feature_detected!("avx2") {
+    if width > 2 && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the CPU supports AVX2, detected on the line above.
         return unsafe { copy_avx2(src, dst, width) };
     }
@@ -186,21 +183,6 @@ pub fn swap_bytewise(src: &[u8], width: usize) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn kernels_match_bytewise_reference() {
-        let src: Vec<u8> = (0..64u8).collect();
-        for width in [1usize, 2, 4, 8] {
-            let reference = swap_bytewise(&src, width);
-            assert_eq!(swap_to_vec(&src, width), reference, "width {width}");
-            let mut inplace = src.clone();
-            swap_inplace(&mut inplace, width);
-            assert_eq!(inplace, reference, "width {width} in place");
-            let mut copied = vec![0u8; src.len()];
-            swap_copy(&src, &mut copied, width);
-            assert_eq!(copied, reference, "width {width} copy");
-        }
-    }
-
     /// Every length from 0 to 1 KiB in whole elements, at every start offset
     /// 0–31 inside a larger buffer: `inplace` and `copy` must write the
     /// oracle's bytes there and leave every byte around them alone.
@@ -231,8 +213,12 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_kernels_match_bytewise() {
+    fn kernels_match_bytewise_reference() {
         check_arm(swap_inplace, swap_copy);
+        let src: Vec<u8> = (0..64u8).collect();
+        for width in [1usize, 2, 4, 8] {
+            assert_eq!(swap_to_vec(&src, width), swap_bytewise(&src, width));
+        }
     }
 
     #[test]

@@ -224,21 +224,21 @@ fn encode_one(ext: NcType, v: f64, out: &mut Vec<u8>) -> FormatResult<()> {
     Ok(())
 }
 
-/// Decode one external element at `bytes` to a double.
-fn decode_one(ext: NcType, bytes: &[u8]) -> f64 {
-    match ext {
-        NcType::Byte => bytes[0] as i8 as f64,
-        NcType::Char => bytes[0] as f64,
-        NcType::Short => i16::from_be_bytes(first(bytes)) as f64,
-        NcType::Int => i32::from_be_bytes(first(bytes)) as f64,
-        NcType::Float => f32::from_be_bytes(first(bytes)) as f64,
-        NcType::Double => f64::from_be_bytes(first(bytes)),
-    }
-}
-
-/// The first `N` bytes of `bytes`, as an array.
-fn first<const N: usize>(bytes: &[u8]) -> [u8; N] {
-    std::array::from_fn(|i| bytes[i])
+/// Decode every whole `N`-byte external element of `bytes` through
+/// `decode`; the caller has checked that no bytes are left over. Each
+/// chunk is exactly `N` bytes, so its array conversion cannot fail and
+/// compiles to no check.
+fn decode_all<T: NcValue, const N: usize>(
+    bytes: &[u8],
+    decode: impl Fn([u8; N]) -> f64,
+) -> FormatResult<Vec<T>> {
+    bytes
+        .chunks_exact(N)
+        .map(|c| match <[u8; N]>::try_from(c) {
+            Ok(e) => T::from_f64(decode(e)),
+            Err(_) => Err(FormatError::Corrupt(format!("{}-byte element", c.len()))),
+        })
+        .collect()
 }
 
 /// NetCDF default fill values (`NC_FILL_*`), written into unwritten parts
@@ -342,10 +342,14 @@ pub fn from_external_by_element<T: NcValue>(bytes: &[u8], ext: NcType) -> Format
             bytes.len()
         )));
     }
-    bytes
-        .chunks_exact(esz)
-        .map(|c| T::from_f64(decode_one(ext, c)))
-        .collect()
+    match ext {
+        NcType::Byte => decode_all(bytes, |[b]| b as i8 as f64),
+        NcType::Char => decode_all(bytes, |[b]| b as f64),
+        NcType::Short => decode_all(bytes, |e| i16::from_be_bytes(e) as f64),
+        NcType::Int => decode_all(bytes, |e| i32::from_be_bytes(e) as f64),
+        NcType::Float => decode_all(bytes, |e| f32::from_be_bytes(e) as f64),
+        NcType::Double => decode_all(bytes, f64::from_be_bytes),
+    }
 }
 
 #[cfg(test)]
