@@ -11,7 +11,6 @@ use std::borrow::Cow;
 
 use pnetcdf_format::NcValue;
 
-use crate::access::map::{gather_by_imap, scatter_by_imap};
 use crate::access::request::{GetMem, PutMem, Sel};
 use crate::dataset::Dataset;
 use crate::error::{NcmpiError, NcmpiResult};
@@ -232,7 +231,8 @@ impl Dataset {
 
     // ---- varm: mapped strided subarray ---------------------------------------------
 
-    /// Collective mapped write (`ncmpi_put_varm_<type>_all`).
+    /// Collective mapped write (`ncmpi_put_varm_<type>_all`). A map that
+    /// points outside `vals` on any rank is refused on every rank.
     pub fn put_varm_all<T: NcValue>(
         &mut self,
         varid: usize,
@@ -242,8 +242,8 @@ impl Dataset {
         imap: &[u64],
         vals: &[T],
     ) -> NcmpiResult<()> {
-        let canonical = gather_by_imap(count, imap, vals)?;
-        self.put_region(varid, start, count, stride, &canonical, true)
+        let mem = PutMem::Mapped(vals, imap, &mut Vec::new());
+        self.put_blocking(Sel::new(varid, start, count, stride), mem, true)
     }
 
     /// Independent mapped write.
@@ -256,12 +256,14 @@ impl Dataset {
         imap: &[u64],
         vals: &[T],
     ) -> NcmpiResult<()> {
-        let canonical = gather_by_imap(count, imap, vals)?;
-        self.put_region(varid, start, count, stride, &canonical, false)
+        let mem = PutMem::Mapped(vals, imap, &mut Vec::new());
+        self.put_blocking(Sel::new(varid, start, count, stride), mem, false)
     }
 
-    /// Collective mapped read (`ncmpi_get_varm_<type>_all`).
-    pub fn get_varm_all<T: NcValue + Default>(
+    /// Collective mapped read (`ncmpi_get_varm_<type>_all`). The map is
+    /// checked before the read, and a bad one on any rank is refused on
+    /// every rank.
+    pub fn get_varm_all<T: NcValue>(
         &mut self,
         varid: usize,
         start: &[u64],
@@ -269,12 +271,14 @@ impl Dataset {
         stride: Option<&[u64]>,
         imap: &[u64],
     ) -> NcmpiResult<Vec<T>> {
-        let canonical = self.get_region::<T>(varid, start, count, stride, true)?;
-        scatter_by_imap(count, imap, &canonical)
+        let mut out = Vec::new();
+        let mem = GetMem::Mapped(&mut out, count, imap);
+        self.get_blocking(Sel::new(varid, start, count, stride), mem, true)?;
+        Ok(out)
     }
 
     /// Independent mapped read.
-    pub fn get_varm<T: NcValue + Default>(
+    pub fn get_varm<T: NcValue>(
         &mut self,
         varid: usize,
         start: &[u64],
@@ -282,7 +286,9 @@ impl Dataset {
         stride: Option<&[u64]>,
         imap: &[u64],
     ) -> NcmpiResult<Vec<T>> {
-        let canonical = self.get_region::<T>(varid, start, count, stride, false)?;
-        scatter_by_imap(count, imap, &canonical)
+        let mut out = Vec::new();
+        let mem = GetMem::Mapped(&mut out, count, imap);
+        self.get_blocking(Sel::new(varid, start, count, stride), mem, false)?;
+        Ok(out)
     }
 }

@@ -2,14 +2,19 @@
 //!
 //! `imap[d]` is the distance in elements between successive indices of
 //! dimension `d` in the caller's memory; the file side is always canonical
-//! row-major order.
+//! row-major order. Both directions walk the map with
+//! [`layout::walk`], the one walker of a strided box, counting in elements:
+//! each of its runs is a stretch the map lays out back to back, copied in
+//! one slice. The map is outside input, so its arithmetic is checked.
 
-use pnetcdf_format::NcValue;
+use pnetcdf_format::{layout, NcValue};
 
 use crate::error::{NcmpiError, NcmpiResult};
 
-/// Gather values from an `imap` layout into canonical order.
-pub fn gather_by_imap<T: NcValue>(count: &[u64], imap: &[u64], vals: &[T]) -> NcmpiResult<Vec<T>> {
+/// One past the highest memory index a map of `count` through `imap`
+/// reaches, 0 when it selects nothing. A rank mismatch, or an index past
+/// `u64`, is an `InvalidArgument`.
+pub(crate) fn imap_reach(count: &[u64], imap: &[u64]) -> NcmpiResult<u64> {
     if imap.len() != count.len() {
         return Err(NcmpiError::InvalidArgument(format!(
             "imap has {} entries, expected {}",
@@ -17,79 +22,75 @@ pub fn gather_by_imap<T: NcValue>(count: &[u64], imap: &[u64], vals: &[T]) -> Nc
             count.len()
         )));
     }
-    let nd = count.len();
-    if nd == 0 {
-        return Ok(vals.first().copied().into_iter().collect());
-    }
-    let n: u64 = count.iter().product();
-    let mut out = Vec::with_capacity(n as usize);
-    let mut idx = vec![0u64; nd];
     if count.contains(&0) {
-        return Ok(out);
+        return Ok(0);
     }
-    loop {
-        let mem: u64 = (0..nd).map(|d| idx[d] * imap[d]).sum();
-        let v = vals.get(mem as usize).copied().ok_or_else(|| {
-            NcmpiError::InvalidArgument(format!("imap index {mem} outside value buffer"))
-        })?;
-        out.push(v);
-        let mut d = nd;
-        loop {
-            if d == 0 {
-                return Ok(out);
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < count[d] {
-                break;
-            }
-            idx[d] = 0;
-        }
+    let reach = count.iter().zip(imap).try_fold(1u64, |end, (&c, &m)| {
+        (c - 1)
+            .checked_mul(m)
+            .and_then(|span| end.checked_add(span))
+    });
+    reach.ok_or_else(|| too_large(count, imap))
+}
+
+fn too_large(count: &[u64], imap: &[u64]) -> NcmpiError {
+    NcmpiError::InvalidArgument(format!(
+        "imap {imap:?} of count {count:?} maps more values than memory can hold"
+    ))
+}
+
+/// An empty vector with room for `n` values, or an `InvalidArgument` when
+/// the allocator has none.
+fn room<T>(n: u64, count: &[u64], imap: &[u64]) -> NcmpiResult<Vec<T>> {
+    let mut out = Vec::new();
+    let n = usize::try_from(n).map_err(|_| too_large(count, imap))?;
+    out.try_reserve_exact(n)
+        .map_err(|_| too_large(count, imap))?;
+    Ok(out)
+}
+
+/// The runs of the map, in elements, in canonical order.
+fn walk_map(count: &[u64], imap: &[u64], emit: &mut impl FnMut(usize, usize)) {
+    let dim = |d: usize| (0, count[d], imap[d]);
+    layout::walk(count.len(), dim, 1, 0, &mut |at, n| {
+        emit(at as usize, n as usize)
+    });
+}
+
+/// Gather values from an `imap` layout into canonical order.
+pub fn gather_by_imap<T: NcValue>(count: &[u64], imap: &[u64], vals: &[T]) -> NcmpiResult<Vec<T>> {
+    let reach = imap_reach(count, imap)?;
+    if reach > vals.len() as u64 {
+        return Err(NcmpiError::InvalidArgument(format!(
+            "imap index {} outside value buffer of {}",
+            reach - 1,
+            vals.len()
+        )));
     }
+    let selected = count.iter().try_fold(1u64, |n, &c| n.checked_mul(c));
+    let mut out = room(selected.ok_or_else(|| too_large(count, imap))?, count, imap)?;
+    walk_map(count, imap, &mut |at, n| {
+        out.extend_from_slice(&vals[at..at + n])
+    });
+    Ok(out)
 }
 
 /// Scatter canonical-order values into an `imap` layout. The result buffer
-/// is sized `max mapped index + 1`.
-pub fn scatter_by_imap<T: NcValue + Default>(
+/// ends at the highest index the map reaches; values it skips are zero.
+pub fn scatter_by_imap<T: NcValue>(
     count: &[u64],
     imap: &[u64],
     canonical: &[T],
 ) -> NcmpiResult<Vec<T>> {
-    if imap.len() != count.len() {
-        return Err(NcmpiError::InvalidArgument(format!(
-            "imap has {} entries, expected {}",
-            imap.len(),
-            count.len()
-        )));
-    }
-    let nd = count.len();
-    if nd == 0 {
-        return Ok(canonical.to_vec());
-    }
-    if count.contains(&0) {
-        return Ok(Vec::new());
-    }
-    let max_index: u64 = (0..nd).map(|d| (count[d] - 1) * imap[d]).sum();
-    let mut out = vec![T::default(); (max_index + 1) as usize];
-    let mut idx = vec![0u64; nd];
-    let mut pos = 0usize;
-    loop {
-        let mem: u64 = (0..nd).map(|d| idx[d] * imap[d]).sum();
-        out[mem as usize] = canonical[pos];
-        pos += 1;
-        let mut d = nd;
-        loop {
-            if d == 0 {
-                return Ok(out);
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < count[d] {
-                break;
-            }
-            idx[d] = 0;
-        }
-    }
+    let reach = imap_reach(count, imap)?;
+    let mut out = room(reach, count, imap)?;
+    out.resize(reach as usize, T::ZERO);
+    let mut pos = 0;
+    walk_map(count, imap, &mut |at, n| {
+        out[at..at + n].copy_from_slice(&canonical[pos..pos + n]);
+        pos += n;
+    });
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -129,6 +130,15 @@ mod tests {
     #[test]
     fn out_of_bounds_imap_rejected() {
         assert!(gather_by_imap::<i32>(&[2, 2], &[10, 1], &[0; 4]).is_err());
+    }
+
+    #[test]
+    fn overflowing_imap_is_rejected() {
+        let err = scatter_by_imap::<i32>(&[2], &[u64::MAX], &[0; 2]).unwrap_err();
+        assert!(matches!(err, NcmpiError::InvalidArgument(_)), "{err:?}");
+        assert!(gather_by_imap::<i32>(&[2], &[u64::MAX], &[0; 2]).is_err());
+        // No overflow, but a buffer no allocator can give.
+        assert!(scatter_by_imap::<f64>(&[2], &[u64::MAX / 2], &[0.0; 2]).is_err());
     }
 
     #[test]

@@ -61,6 +61,7 @@ use pnetcdf_mpio::{MpioError, Run};
 use pnetcdf_pfs::pool;
 
 use crate::access::highlevel::ones;
+use crate::access::map::{gather_by_imap, imap_reach, scatter_by_imap};
 use crate::convert;
 use crate::dataset::{DataMode, Dataset};
 use crate::error::{NcmpiError, NcmpiResult};
@@ -117,6 +118,10 @@ pub(crate) enum PutMem<'a, T> {
     /// variable's external type (the common usage), so the conversion is
     /// an endianness swap.
     Described(&'a [u8], usize, &'a Datatype),
+    /// Values laid out by an `imap` (the `varm` calls), and the vector
+    /// they are gathered into in canonical order, to be put from there as
+    /// [`PutMem::Values`].
+    Mapped(&'a [T], &'a [u64], &'a mut Vec<T>),
 }
 
 /// The memory side of a get.
@@ -126,6 +131,9 @@ pub(crate) enum GetMem<'a, T> {
     Values(&'a mut Vec<T>),
     /// As [`PutMem::Described`].
     Described(&'a mut [u8], usize, &'a Datatype),
+    /// Values to be scattered by an `imap` of the selection's `count`
+    /// into a vector allocated for them.
+    Mapped(&'a mut Vec<T>, &'a [u64], &'a [u64]),
 }
 
 impl<T> GetMem<'_, T> {
@@ -133,6 +141,9 @@ impl<T> GetMem<'_, T> {
     /// Checked before anything is read — in a collective call before the
     /// agreement, since this is for one rank alone to get wrong.
     fn fits(&self, bytes: usize) -> NcmpiResult<()> {
+        if let GetMem::Mapped(_, count, imap) = self {
+            return imap_reach(count, imap).map(drop);
+        }
         let GetMem::Described(buf, bufcount, memtype) = self else {
             return Ok(());
         };
@@ -487,9 +498,11 @@ impl Dataset {
     /// variable's type and packed; otherwise it is left in `req.buffer` in
     /// external form — converted (`NC_ERANGE` before any byte moves), or
     /// gathered and swapped in one fused pass — a queued put's in a
-    /// pooled buffer ([`AccessReq::staging`]). Grows the local record count
-    /// and invalidates the variable's prefetch cache, so later accesses in
-    /// the same batch see the post-write state.
+    /// pooled buffer ([`AccessReq::staging`]). A mapped put is gathered
+    /// into canonical order first, so a bad map is a lowering error like
+    /// any other. Grows the local record count and invalidates the
+    /// variable's prefetch cache, so later accesses in the same batch see
+    /// the post-write state.
     fn stage<'m, T: NcValue>(
         &mut self,
         req: &mut AccessReq,
@@ -534,6 +547,10 @@ impl Dataset {
                 };
                 (lent, !memtype.is_contiguous())
             }
+            PutMem::Mapped(vals, imap, canonical) => {
+                *canonical = gather_by_imap(sel.count, imap, vals)?;
+                return self.stage(req, sel, PutMem::Values(canonical), lend);
+            }
         };
         // The datatype walk and the native→external conversion are real CPU
         // work, charged separately, wherever the host ends up doing them.
@@ -575,6 +592,9 @@ impl Dataset {
                 self.charge_pass(bytes);
                 match staged {
                     GetMem::Values(out) => *out = from_external(staging, nctype)?,
+                    GetMem::Mapped(out, count, imap) => {
+                        *out = scatter_by_imap(count, imap, &from_external(staging, nctype)?)?
+                    }
                     GetMem::Described(buf, bufcount, memtype) => {
                         let profile = &self.comm.config().profile;
                         profile.record_bytepath(|b| b.fused_unpack_bytes += bytes as u64);

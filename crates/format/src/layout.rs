@@ -6,6 +6,12 @@
 //! unlimited dimension. This module computes `vsize`/`begin` for every
 //! variable and translates `(start, count, stride)` accesses into absolute
 //! file byte runs — the same math PnetCDF uses to construct MPI file views.
+//!
+//! The translation is one case of [`walk`], the one walker of a strided
+//! row-major box: per dimension a first offset, a count and a step, folded
+//! into the run while a dimension selects one index or its step equals the
+//! run built so far. MPI subarray datatypes, HDF5 hyperslabs and `varm`
+//! maps are walked by it too, and [`push_run`] appends to every run list.
 
 use crate::error::{FormatError, FormatResult};
 use crate::header::Header;
@@ -215,21 +221,44 @@ pub fn access_runs_into(
         return;
     }
     let v = &h.vars[varid];
-    let is_rec = h.is_record_var(varid);
-    let inner = Inner::new(h, varid, start, count, stride);
-    // Iterate the record dimension (or a single pass for fixed vars).
-    let (rec_start, rec_count, rec_stride) = if is_rec {
-        (start[0], count[0], stride.map_or(1, |s| s[0]))
-    } else {
-        (0, 1, 1)
-    };
-    for r in 0..rec_count {
-        inner.walk(0, v.begin + (rec_start + r * rec_stride) * recsize, out);
+    let esize = v.nctype.size();
+    let dim = access_box(h, recsize, varid, start, count, stride);
+    walk(count.len(), dim, esize, v.begin, &mut |off, n| {
+        push_run(out, off, n * esize)
+    });
+}
+
+/// An access as a box for [`walk`]: each dimension's first byte, count and
+/// byte step, from the stride and the bytes between consecutive indices —
+/// one record for the record dimension, the dimensions below it otherwise.
+fn access_box<'a>(
+    h: &'a Header,
+    recsize: u64,
+    varid: usize,
+    start: &'a [u64],
+    count: &'a [u64],
+    stride: Option<&'a [u64]>,
+) -> impl Fn(usize) -> (u64, u64, u64) + 'a {
+    let v = &h.vars[varid];
+    let (dims, dimids, esize) = (&h.dims, &v.dimids[..], v.nctype.size());
+    let rec = h.is_record_var(varid);
+    move |d: usize| {
+        let pitch = match d {
+            0 if rec => recsize,
+            _ => dimids[d + 1..]
+                .iter()
+                .fold(esize, |p, &id| p * dims[id].len),
+        };
+        (
+            start[d] * pitch,
+            count[d],
+            stride.map_or(1, |s| s[d]) * pitch,
+        )
     }
 }
 
 /// Append `[off, off + len)`, extending the last run when it is adjacent.
-fn push_run(out: &mut Vec<(u64, u64)>, off: u64, len: u64) {
+pub fn push_run(out: &mut Vec<(u64, u64)>, off: u64, len: u64) {
     if let Some(last) = out.last_mut() {
         if last.0 + last.1 == off {
             last.1 += len;
@@ -239,93 +268,72 @@ fn push_run(out: &mut Vec<(u64, u64)>, off: u64, len: u64) {
     out.push((off, len));
 }
 
-/// The non-record dimensions of one access down to its last partial one
-/// (every count non-zero), walked outermost first; `esize` spans the whole
-/// dimensions folded below them. The walk keeps its position in the call
-/// stack, one frame per dimension, instead of in an index vector.
-struct Inner<'a> {
-    dims: &'a [crate::Dim],
-    dimids: &'a [usize],
-    start: &'a [u64],
-    count: &'a [u64],
-    stride: Option<&'a [u64]>,
-    esize: u64,
+/// Walk a strided box in row-major order — an access of a variable, an MPI
+/// subarray, an HDF5 hyperslab, a `varm` map — and hand `emit` each of its
+/// runs as `(offset, elements)`, outermost index first.
+///
+/// `dim(d)` is dimension `d`'s `(first, count, step)`: where its selection
+/// begins, how many indices it selects and how far apart consecutive ones
+/// lie, all in the unit `elem` is measured in (bytes for a file or a
+/// datatype, elements for a typed buffer); offsets count from `base`.
+/// Starting from the innermost, a dimension that selects one index, or
+/// whose step equals the run built so far, continues that run and is
+/// folded into it; the walk stops at the first one that does not, and only
+/// the dimensions outside it are iterated. So a run is as long as the box
+/// is contiguous there, a unit-stride row or several whole rows, and a
+/// walker that emits every element separately would hand out the same
+/// bytes in the same order. A zero count selects nothing. Allocates
+/// nothing.
+pub fn walk(
+    ndims: usize,
+    dim: impl Fn(usize) -> (u64, u64, u64),
+    elem: u64,
+    base: u64,
+    emit: &mut impl FnMut(u64, u64),
+) {
+    match fold(ndims, &dim, elem, base) {
+        (_, 0, _) => {}
+        (0, elems, at) => emit(at, elems),
+        (keep, elems, at) => walk_outer(0, keep, &dim, elems, at, emit),
+    }
 }
 
-impl<'a> Inner<'a> {
-    /// The walk of `(start, count, stride)` on `varid`. Trailing dimensions
-    /// selected whole (start 0, every index, unit stride) are one contiguous
-    /// piece of the file, so they are folded into the element and the walk
-    /// stops at the last partial dimension. These are the rows `push_run`
-    /// would merge back into one run, so no run list changes. The record
-    /// dimension is never folded.
-    fn new(
-        h: &'a Header,
-        varid: usize,
-        start: &'a [u64],
-        count: &'a [u64],
-        stride: Option<&'a [u64]>,
-    ) -> Inner<'a> {
-        let v = &h.vars[varid];
-        let skip = usize::from(h.is_record_var(varid));
-        let (mut keep, mut esize) = (v.dimids.len(), v.nctype.size());
-        while keep > skip {
-            let (d, len) = (keep - 1, h.dims[v.dimids[keep - 1]].len);
-            if start[d] != 0 || count[d] != len || stride.is_some_and(|s| s[d] != 1) {
-                break;
-            }
-            (keep, esize) = (d, esize * len);
+/// How many outer dimensions [`walk`] iterates, the elements of each of
+/// its runs, and where the folded dimensions put the first one.
+fn fold(
+    ndims: usize,
+    dim: &impl Fn(usize) -> (u64, u64, u64),
+    elem: u64,
+    base: u64,
+) -> (usize, u64, u64) {
+    let (mut keep, mut run, mut elems, mut at) = (ndims, elem, 1, base);
+    while let Some(d) = keep.checked_sub(1) {
+        let (first, count, step) = dim(d);
+        if count != 1 && step != run {
+            break;
         }
-        Inner {
-            dims: &h.dims,
-            dimids: &v.dimids[skip..keep],
-            start: &start[skip..keep],
-            count: &count[skip..keep],
-            stride: stride.map(|s| &s[skip..keep]),
-            esize,
-        }
+        (keep, run, elems, at) = (d, run * count, elems * count, at + first);
     }
+    (keep, elems, at)
+}
 
-    fn step(&self, d: usize) -> u64 {
-        self.stride.map_or(1, |s| s[d])
-    }
-
-    /// Emit the runs of dimensions `d..` whose enclosing indices put them
-    /// at byte `base`: one element when every dimension was folded.
-    fn walk(&self, d: usize, base: u64, out: &mut Vec<(u64, u64)>) {
-        let Some(last) = self.dimids.len().checked_sub(1) else {
-            return push_run(out, base, self.esize);
-        };
-        if d == last {
-            return self.row(base, out);
-        }
-        // Bytes between consecutive indices of dimension `d`.
-        let pitch = self.dimids[d + 1..]
-            .iter()
-            .fold(self.esize, |p, &id| p * self.dims[id].len);
-        for i in 0..self.count[d] {
-            let at = base + (self.start[d] + i * self.step(d)) * pitch;
-            if d + 1 == last {
-                self.row(at, out);
-            } else {
-                self.walk(d + 1, at, out);
-            }
-        }
-    }
-
-    /// The innermost dimension: one run, or one per element when strided.
-    #[inline]
-    fn row(&self, base: u64, out: &mut Vec<(u64, u64)>) {
-        let d = self.dimids.len() - 1;
-        let step = self.step(d);
-        if step == 1 {
-            let off = base + self.start[d] * self.esize;
-            push_run(out, off, self.count[d] * self.esize);
+/// Emit the runs of dimensions `d..keep` whose enclosing indices put them
+/// at `base`.
+fn walk_outer(
+    d: usize,
+    keep: usize,
+    dim: &impl Fn(usize) -> (u64, u64, u64),
+    elems: u64,
+    base: u64,
+    emit: &mut impl FnMut(u64, u64),
+) {
+    let (first, count, step) = dim(d);
+    for i in 0..count {
+        let at = base + first + i * step;
+        if d + 1 == keep {
+            emit(at, elems);
         } else {
-            for k in 0..self.count[d] {
-                let off = base + (self.start[d] + k * step) * self.esize;
-                push_run(out, off, self.esize);
-            }
+            walk_outer(d + 1, keep, dim, elems, at, emit);
         }
     }
 }
@@ -549,19 +557,25 @@ mod tests {
         (h, l)
     }
 
-    /// Dimensions the walk keeps, and its element size after the fold.
+    /// Dimensions below the record dimension the walk iterates, and the
+    /// bytes of each run.
     fn fold(h: &Header, varid: usize, sel: [&[u64]; 2], stride: Option<&[u64]>) -> (usize, u64) {
-        let inner = Inner::new(h, varid, sel[0], sel[1], stride);
-        (inner.dimids.len(), inner.esize)
+        let recsize = compute(&mut h.clone(), 4).unwrap().recsize;
+        let dim = access_box(h, recsize, varid, sel[0], sel[1], stride);
+        let esize = h.vars[varid].nctype.size();
+        let (keep, elems, _) = super::fold(sel[1].len(), &dim, esize, 0);
+        let rec = usize::from(h.is_record_var(varid));
+        (keep.saturating_sub(rec), elems * esize)
     }
 
     #[test]
     fn a_block_slab_of_a_fixed_var_is_one_run() {
         let (h, l) = blocks();
         let b = h.vars[0].begin;
-        // This rank's `[bpp, s, s, s]`: the blocks are walked, nothing below.
+        // This rank's `[bpp, s, s, s]`: its blocks lie back to back, so the
+        // unit-stride block dimension continues the run and nothing is walked.
         let (start, count) = ([2, 0, 0, 0], [3, 3, 3, 3]);
-        assert_eq!(fold(&h, 0, [&start, &count], None), (1, 27 * 8));
+        assert_eq!(fold(&h, 0, [&start, &count], None), (0, 3 * 27 * 8));
         let runs = access_runs(&h, l.recsize, 0, &start, &count, None);
         assert_eq!(runs, vec![(b + 2 * 27 * 8, 3 * 27 * 8)]);
         // Every block, with a unit stride argument: nothing left to walk.
@@ -588,9 +602,10 @@ mod tests {
     #[test]
     fn a_partial_middle_dimension_stops_the_fold() {
         let (h, l) = blocks();
-        // n[2..4][0..3][1..3][0..3]: x folds, y is partial and walked.
+        // n[2..4][0..3][1..3][0..3]: x folds, y's two rows continue the
+        // run, and z, whose step is a whole y, stops it.
         let (start, count) = ([2, 0, 1, 0], [2, 3, 2, 3]);
-        assert_eq!(fold(&h, 0, [&start, &count], None), (3, 3 * 8));
+        assert_eq!(fold(&h, 0, [&start, &count], None), (2, 2 * 3 * 8));
         let b = h.vars[0].begin;
         let want: Vec<_> = (2..4)
             .flat_map(|blk| (0..3).map(move |z| (b + ((blk * 3 + z) * 3 + 1) * 24, 48)))
@@ -603,17 +618,16 @@ mod tests {
         let (h, _) = blocks();
         let (all, count) = ([0; 4], [6, 3, 3, 2]);
         assert_eq!(fold(&h, 0, [&all, &count], Some(&[1, 1, 1, 2])), (4, 8));
-        // A length-1 dimension is selected whole by any stride; only a unit
-        // stride folds it.
+        // A dimension that selects one index adds no iteration, so it folds
+        // whatever its stride.
         let mut h = Header::new(Version::Cdf1);
         let y = h.add_dim("y", 3).unwrap();
         let x = h.add_dim("x", 1).unwrap();
         h.add_var("v", NcType::Int, &[y, x]).unwrap();
         let l = compute(&mut h, 4).unwrap();
         let (start, count) = ([0, 0], [3, 1]);
-        assert_eq!(fold(&h, 0, [&start, &count], Some(&[1, 2])), (2, 4));
-        assert_eq!(fold(&h, 0, [&start, &count], Some(&[1, 1])), (0, 12));
         for stride in [[1, 2], [1, 1]] {
+            assert_eq!(fold(&h, 0, [&start, &count], Some(&stride)), (0, 12));
             let runs = access_runs(&h, l.recsize, 0, &start, &count, Some(&stride));
             assert_eq!(runs, vec![(h.vars[0].begin, 12)]);
         }

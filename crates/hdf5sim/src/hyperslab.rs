@@ -6,9 +6,10 @@
 //! hyperslab ... makes the packing of the hyperslabs into contiguous
 //! buffers take a relatively long time" — paper §5.2); we reproduce the
 //! offsets it produces and charge its CPU cost with
-//! [`PACK_COST_MULTIPLIER`] relative to a flat memcpy.
+//! [`PACK_COST_MULTIPLIER`] relative to a flat memcpy. The offsets come
+//! from the same walker as a netCDF access's file runs.
 
-use pnetcdf_mpio::runs::push_run;
+use pnetcdf_format::layout::{self, push_run};
 
 use crate::error::{H5Error, H5Result};
 
@@ -26,7 +27,10 @@ pub fn check(dims: &[u64], start: &[u64], count: &[u64]) -> H5Result<()> {
         )));
     }
     for d in 0..dims.len() {
-        if start[d] + count[d] > dims[d] {
+        if start[d]
+            .checked_add(count[d])
+            .is_none_or(|end| end > dims[d])
+        {
             return Err(H5Error::InvalidArgument(format!(
                 "hyperslab dim {d}: start {} + count {} exceeds extent {}",
                 start[d], count[d], dims[d]
@@ -37,7 +41,9 @@ pub fn check(dims: &[u64], start: &[u64], count: &[u64]) -> H5Result<()> {
 }
 
 /// Translate a hyperslab into absolute file byte runs for a contiguous
-/// dataset whose data block begins at `base`.
+/// dataset whose data block begins at `base`: the one walker of a strided
+/// box, [`layout::walk`], with each dimension's step the bytes of the
+/// dimensions below it.
 pub fn runs(
     dims: &[u64],
     start: &[u64],
@@ -46,44 +52,13 @@ pub fn runs(
     base: u64,
 ) -> H5Result<Vec<(u64, u64)>> {
     check(dims, start, count)?;
-    let nd = dims.len();
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    if nd == 0 {
-        out.push((base, esize));
-        return Ok(out);
-    }
-    if count.contains(&0) {
-        return Ok(out);
-    }
-    let mut strides = vec![1u64; nd];
-    for d in (0..nd - 1).rev() {
-        strides[d] = strides[d + 1] * dims[d + 1];
-    }
-    let mut idx = vec![0u64; nd - 1];
-    loop {
-        let mut elem: u64 = 0;
-        for d in 0..nd - 1 {
-            elem += (start[d] + idx[d]) * strides[d];
-        }
-        elem += start[nd - 1];
-        push_run(&mut out, base + elem * esize, count[nd - 1] * esize);
-        // Odometer.
-        let mut d = nd - 1;
-        loop {
-            if d == 0 {
-                return Ok(out);
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < count[d] {
-                break;
-            }
-            idx[d] = 0;
-            if d == 0 {
-                return Ok(out);
-            }
-        }
-    }
+    let pitch = |d: usize| dims[d + 1..].iter().product::<u64>() * esize;
+    let dim = |d: usize| (start[d] * pitch(d), count[d], pitch(d));
+    let mut out = Vec::new();
+    layout::walk(dims.len(), dim, esize, base, &mut |off, n| {
+        push_run(&mut out, off, n * esize)
+    });
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -118,6 +93,13 @@ mod tests {
     fn out_of_bounds_rejected() {
         assert!(runs(&[4], &[3], &[2], 1, 0).is_err());
         assert!(runs(&[4, 4], &[0], &[4], 1, 0).is_err());
+    }
+
+    #[test]
+    fn overflowing_bounds_are_rejected() {
+        let err = check(&[4], &[u64::MAX], &[2]).unwrap_err();
+        assert!(matches!(err, H5Error::InvalidArgument(_)), "{err:?}");
+        assert!(runs(&[4], &[2], &[u64::MAX], 1, 0).is_err());
     }
 
     #[test]

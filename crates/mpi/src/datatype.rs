@@ -40,13 +40,6 @@ impl BaseType {
     }
 }
 
-/// Array storage order for [`Datatype::subarray`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Order {
-    /// C order: the last dimension varies fastest (netCDF's order).
-    RowMajor,
-}
-
 /// An MPI derived datatype.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Datatype {

@@ -3,9 +3,13 @@
 //! ROMIO-style MPI-IO implementations "flatten" a derived datatype into a
 //! list of `(byte offset, byte length)` segments; everything downstream
 //! (file views, data sieving, two-phase I/O) operates on these lists. We
-//! coalesce adjacent segments during emission, so a subarray whose fastest
-//! dimension is fully selected flattens to one segment per row-group rather
-//! than one per element.
+//! coalesce adjacent segments during emission. A subarray is walked by
+//! `pnetcdf_format::layout::walk`, the one walker of a strided box: with a
+//! contiguous inner type each of its runs — a row, or several whole rows —
+//! is one segment; any other inner type is emitted element by element, in
+//! the same row-major order.
+
+use pnetcdf_format::layout;
 
 use crate::datatype::Datatype;
 
@@ -136,7 +140,21 @@ fn emit(dtype: &Datatype, base: i64, c: &mut Coalescer) {
             starts,
             inner,
         } => {
-            emit_subarray(sizes, subsizes, starts, inner, base, c);
+            let ext = inner.extent();
+            // Bytes between consecutive indices of dimension `d`, row-major.
+            let pitch = |d: usize| sizes[d + 1..].iter().product::<u64>() * ext;
+            let dim = |d: usize| (starts[d] * pitch(d), subsizes[d], pitch(d));
+            let contiguous = inner.is_contiguous();
+            layout::walk(sizes.len(), dim, ext, 0, &mut |off, n| {
+                let at = base + off as i64;
+                if contiguous {
+                    c.push(at + inner.lb(), n * inner.size());
+                } else {
+                    for j in 0..n {
+                        emit(inner, at + (j * ext) as i64, c);
+                    }
+                }
+            });
         }
         Datatype::Resized { inner, .. } => emit(inner, base, c),
     }
@@ -169,102 +187,6 @@ fn emit_strided(
             inner_extent,
             c,
         );
-    }
-}
-
-fn emit_subarray(
-    sizes: &[u64],
-    subsizes: &[u64],
-    starts: &[u64],
-    inner: &Datatype,
-    base: i64,
-    c: &mut Coalescer,
-) {
-    let ndims = sizes.len();
-    if ndims == 0 {
-        emit(inner, base, c);
-        return;
-    }
-    if subsizes.contains(&0) {
-        return;
-    }
-    let esize = inner.extent() as i64;
-
-    // Row-major strides of the *full* array, in elements.
-    let mut strides = vec![1i64; ndims];
-    for d in (0..ndims.saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * sizes[d + 1] as i64;
-    }
-
-    // How many trailing dims are fully selected (they form one contiguous
-    // run together with the innermost partial dim).
-    let contiguous_inner = inner.is_contiguous();
-    let mut run_elems = subsizes[ndims - 1] as i64;
-    let mut outer_dims = ndims - 1;
-    if contiguous_inner {
-        while outer_dims > 0 && subsizes[outer_dims] == sizes[outer_dims] && starts[outer_dims] == 0
-        {
-            run_elems *= subsizes[outer_dims - 1] as i64;
-            outer_dims -= 1;
-        }
-        if outer_dims == 0 {
-            // entire selection is one run
-            let off: i64 = (0..ndims).map(|d| starts[d] as i64 * strides[d]).sum();
-            c.push(
-                base + off * esize + inner.lb(),
-                run_elems as u64 * inner.size(),
-            );
-            return;
-        }
-        // When the loop stops, dim `outer_dims` is the innermost *looped*
-        // dim... but run_elems currently aggregates dims (outer_dims..ndims)
-        // only if those were full. The innermost looped run is
-        // subsizes[outer_dims] collapsed with all full dims below it.
-    } else {
-        run_elems = 1;
-        outer_dims = ndims;
-    }
-
-    // Iterate over the outer (non-collapsed) dims with an odometer.
-    let mut idx = vec![0u64; outer_dims];
-    loop {
-        // Compute element offset of this run's start.
-        let mut off: i64 = 0;
-        for d in 0..outer_dims {
-            off += (starts[d] + idx[d]) as i64 * strides[d];
-        }
-        for d in outer_dims..ndims {
-            off += starts[d] as i64 * strides[d];
-        }
-        if contiguous_inner {
-            c.push(
-                base + off * esize + inner.lb(),
-                run_elems as u64 * inner.size(),
-            );
-        } else {
-            // Element-by-element for noncontiguous inner types.
-            emit_noncontig_run(inner, base + off * esize, run_elems as usize, esize, c);
-        }
-
-        // Odometer increment over outer dims (row-major: last varies fastest).
-        let mut d = outer_dims;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < subsizes[d] {
-                break;
-            }
-            idx[d] = 0;
-        }
-    }
-}
-
-fn emit_noncontig_run(inner: &Datatype, base: i64, n: usize, esize: i64, c: &mut Coalescer) {
-    for j in 0..n {
-        emit(inner, base + j as i64 * esize, c);
     }
 }
 

@@ -33,7 +33,7 @@ pub mod runtime;
 
 pub use collective::Loan;
 pub use comm::{CollEnv, Comm};
-pub use datatype::{BaseType, Datatype, Order};
+pub use datatype::{BaseType, Datatype};
 pub use error::{MpiError, MpiResult};
 pub use flatten::{flatten, flatten_n, Segment};
 pub use info::Info;

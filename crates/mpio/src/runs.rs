@@ -9,23 +9,11 @@
 //! variable's shape and the `start/count/stride` arguments (the paper's
 //! §4.2.2 builds an MPI file view from the same information) and merges
 //! the lists of many variables into one, which a view cannot express.
+//! The lists are built by `pnetcdf_format::layout`'s walker and
+//! `push_run`.
 
 /// An absolute byte run in the file: `(offset, len)`.
 pub type Run = (u64, u64);
-
-/// Append a run, coalescing with the previous one when adjacent.
-pub fn push_run(out: &mut Vec<Run>, off: u64, len: u64) {
-    if len == 0 {
-        return;
-    }
-    if let Some(last) = out.last_mut() {
-        if last.0 + last.1 == off {
-            last.1 += len;
-            return;
-        }
-    }
-    out.push((off, len));
-}
 
 /// Sort `runs` and merge those that overlap or touch: what is left are the
 /// maximal contiguous intervals they cover, sorted.
@@ -49,6 +37,7 @@ pub fn runs_total(runs: &[Run]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pnetcdf_format::layout::push_run;
 
     #[test]
     fn push_run_coalesces() {

@@ -628,24 +628,15 @@ impl PfsFile {
     /// Untimed export of the full file contents (correctness checks,
     /// interop with the serial library).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let size = self.size();
-        let mut out = vec![0u8; size as usize];
-        for c in self.pfs.inner.striping.split(0, size) {
-            let lo = c.file_offset as usize;
-            self.pfs.inner.servers[c.server].lock().peek(
-                self.rec.id,
-                c.stripe,
-                c.offset_in_stripe,
-                &mut out[lo..lo + c.len as usize],
-            );
-        }
+        let mut out = vec![0u8; self.size() as usize];
+        self.peek_at(0, &mut out);
         out
     }
 
     /// Untimed import: overwrite the file contents with `data` (used to
     /// place an externally produced file into the PFS).
     pub fn import_bytes(&self, data: &[u8]) {
-        for c in self.pfs.inner.striping.split(0, data.len() as u64) {
+        for c in self.pfs.inner.striping.chunks(0, data.len() as u64, None) {
             let lo = c.file_offset as usize;
             self.pfs.inner.servers[c.server].lock().poke(
                 self.rec.id,
@@ -671,7 +662,12 @@ impl PfsFile {
 
     /// Untimed read of an arbitrary range (diagnostics/tests).
     pub fn peek_at(&self, offset: u64, buf: &mut [u8]) {
-        for c in self.pfs.inner.striping.split(offset, buf.len() as u64) {
+        for c in self
+            .pfs
+            .inner
+            .striping
+            .chunks(offset, buf.len() as u64, None)
+        {
             let lo = (c.file_offset - offset) as usize;
             self.pfs.inner.servers[c.server].lock().peek(
                 self.rec.id,

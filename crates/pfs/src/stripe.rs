@@ -11,9 +11,9 @@
 //! [`Striping::run_portions`], hands out each touched server's share in the
 //! order the client issues them; a share is a [`PortionChunks`] walk over
 //! that server's stripes, and every chunk carries its position in the
-//! request's payload, so the server indexes the payload itself.
-//! [`Striping::split`] builds the same chunks as a vector, for the untimed
-//! export paths and as the walk's test oracle.
+//! request's payload, so the server indexes the payload itself. Both walk
+//! [`Striping::chunks`], the one per-stripe walk, which the untimed export
+//! paths also use.
 
 /// Round-robin striping layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,30 +60,9 @@ impl Striping {
         ((offset / self.stripe_size) % self.nservers as u64) as usize
     }
 
-    /// Split `[offset, offset+len)` into per-stripe chunks, in file order.
-    pub fn split(&self, offset: u64, len: u64) -> Vec<StripeChunk> {
-        let mut out = Vec::new();
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let stripe = pos / self.stripe_size;
-            let in_stripe = pos % self.stripe_size;
-            let take = (self.stripe_size - in_stripe).min(end - pos);
-            out.push(StripeChunk {
-                server: (stripe % self.nservers as u64) as usize,
-                stripe,
-                file_offset: pos,
-                offset_in_stripe: in_stripe,
-                len: take,
-            });
-            pos += take;
-        }
-        out
-    }
-
     /// Walk the chunks of `[offset, offset+len)` in file order: all of
     /// them, or only those `server` owns.
-    fn chunks(&self, offset: u64, len: u64, server: Option<usize>) -> Chunks {
+    pub fn chunks(&self, offset: u64, len: u64, server: Option<usize>) -> Chunks {
         let n = self.nservers as u64;
         let first = offset / self.stripe_size;
         let (stripe, stride) = match server {
@@ -141,9 +120,9 @@ impl Striping {
 }
 
 /// Walks the stripes of one byte range in file order: every stripe, or
-/// every `N`-th one (a single server's).
+/// every `N`-th one (a single server's). See [`Striping::chunks`].
 #[derive(Clone, Copy, Debug)]
-struct Chunks {
+pub struct Chunks {
     striping: Striping,
     offset: u64,
     end: u64,
@@ -264,7 +243,7 @@ mod tests {
     #[test]
     fn split_within_one_stripe() {
         let s = Striping::new(1024, 4);
-        let chunks = s.split(100, 200);
+        let chunks: Vec<_> = s.chunks(100, 200, None).collect();
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].server, 0);
         assert_eq!(chunks[0].offset_in_stripe, 100);
@@ -274,7 +253,7 @@ mod tests {
     #[test]
     fn split_across_stripes_round_robin() {
         let s = Striping::new(100, 3);
-        let chunks = s.split(50, 300);
+        let chunks: Vec<_> = s.chunks(50, 300, None).collect();
         // [50,100) srv0, [100,200) srv1, [200,300) srv2, [300,350) srv0
         let servers: Vec<usize> = chunks.iter().map(|c| c.server).collect();
         assert_eq!(servers, vec![0, 1, 2, 0]);
@@ -286,9 +265,8 @@ mod tests {
     #[test]
     fn split_preserves_coverage_exactly() {
         let s = Striping::new(64, 5);
-        let chunks = s.split(1000, 1234);
         let mut pos = 1000;
-        for c in &chunks {
+        for c in s.chunks(1000, 1234, None) {
             assert_eq!(c.file_offset, pos);
             assert_eq!(c.offset_in_stripe, pos % 64);
             assert_eq!(c.stripe, pos / 64);
@@ -331,12 +309,12 @@ mod tests {
     #[test]
     fn zero_len_splits_to_nothing() {
         let s = Striping::new(16, 2);
-        assert!(s.split(5, 0).is_empty());
+        assert_eq!(s.chunks(5, 0, None).next(), None);
     }
 
     #[test]
     fn single_server_takes_everything() {
         let s = Striping::new(8, 1);
-        assert!(s.split(0, 100).iter().all(|c| c.server == 0));
+        assert!(s.chunks(0, 100, None).all(|c| c.server == 0));
     }
 }

@@ -57,12 +57,33 @@ fn scatter<'a>(buf: &'a mut [u8], cuts: &[usize], empties: &[usize]) -> Vec<&'a 
     lens.into_iter().map(&mut cut).collect()
 }
 
+/// Cut `[offset, offset + len)` into per-stripe chunks in file order with
+/// a plain loop: the vector the untimed export paths used to build, kept as
+/// the oracle of the stripe walks.
+fn split(s: &Striping, offset: u64, len: u64) -> Vec<StripeChunk> {
+    let mut out = Vec::new();
+    let (mut pos, end) = (offset, offset + len);
+    while pos < end {
+        let (stripe, in_stripe) = (pos / s.stripe_size, pos % s.stripe_size);
+        let take = (s.stripe_size - in_stripe).min(end - pos);
+        out.push(StripeChunk {
+            server: (stripe % s.nservers as u64) as usize,
+            stripe,
+            file_offset: pos,
+            offset_in_stripe: in_stripe,
+            len: take,
+        });
+        pos += take;
+    }
+    out
+}
+
 /// Group a request's chunks by server, preserving file order within each
 /// server: `(server, chunks)` for the servers it touches. The grouping the
 /// request path used to build, kept as the oracle of its walks.
 fn split_by_server(s: &Striping, offset: u64, len: u64) -> Vec<(usize, Vec<StripeChunk>)> {
     let mut per: Vec<Vec<StripeChunk>> = vec![Vec::new(); s.nservers];
-    for c in s.split(offset, len) {
+    for c in split(s, offset, len) {
         per[c.server].push(c);
     }
     per.into_iter()
@@ -129,7 +150,8 @@ proptest! {
         len in 0u64..5_000,
     ) {
         let s = Striping::new(stripe, nservers);
-        let chunks = s.split(offset, len);
+        let chunks: Vec<StripeChunk> = s.chunks(offset, len, None).collect();
+        prop_assert_eq!(&chunks, &split(&s, offset, len));
         // Coverage is exact, ordered, and within stripes.
         let mut pos = offset;
         for c in &chunks {
@@ -205,7 +227,7 @@ proptest! {
         let mut want: Vec<(usize, Vec<(StripeChunk, usize)>)> = Vec::new();
         let mut payload = 0u64;
         for &(off, len) in &runs {
-            for c in s.split(off, len) {
+            for c in split(&s, off, len) {
                 let entry = (c, (payload + c.file_offset - off) as usize);
                 match want.iter_mut().find(|(srv, _)| *srv == c.server) {
                     Some((_, chunks)) => chunks.push(entry),

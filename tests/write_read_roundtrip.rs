@@ -176,6 +176,44 @@ fn varm_transposed_memory() {
     });
 }
 
+/// A map that points past one rank's values is refused on every rank at
+/// the agreement every lowering error goes through, rather than leaving
+/// the other rank alone in the collective; `get_varm_all` checks its map
+/// before the read the same way. The world runs under a watchdog, so a
+/// rank left waiting fails the test instead of hanging it.
+#[test]
+fn a_bad_varm_map_on_one_rank_is_refused_on_every_rank() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pfs = Pfs::new(cfg(), StorageMode::Full);
+        let run = run_world(2, cfg(), |c| {
+            let mut ds = Dataset::create(c, &pfs, "map.nc", Version::Cdf1, &Info::new()).unwrap();
+            let y = ds.def_dim("y", 2).unwrap();
+            let x = ds.def_dim("x", 3).unwrap();
+            let v = ds.def_var("a", NcType::Float, &[y, x]).unwrap();
+            ds.enddef().unwrap();
+            let (count, mem) = ([2, 3], [0f32; 6]);
+            // Rank 1's put map reaches index 7 of 6 values; its get map
+            // overflows the index arithmetic.
+            let (put_map, get_map) = match c.rank() {
+                0 => ([3, 1], [3, 1]),
+                _ => ([5, 1], [u64::MAX, 1]),
+            };
+            let put = ds.put_varm_all(v, &[0, 0], &count, None, &put_map, &mem);
+            let get = ds.get_varm_all::<f32>(v, &[0, 0], &count, None, &get_map);
+            ds.close().unwrap();
+            (put.unwrap_err().to_string(), get.unwrap_err().to_string())
+        });
+        tx.send(run.results).unwrap();
+    });
+    let results = rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("a rank was still waiting in a collective after 20 s");
+    assert!(results[0].0.contains("outside value buffer"), "{results:?}");
+    assert!(results[0].1.contains("imap"), "{results:?}");
+    assert_eq!(results[0], results[1]);
+}
+
 #[test]
 fn attributes_and_inquiry() {
     let pfs = Pfs::new(cfg(), StorageMode::Full);
